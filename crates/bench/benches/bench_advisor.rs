@@ -60,7 +60,7 @@ fn bench_what_if(c: &mut Criterion) {
         Some(Expr::col_cmp(2, CmpOp::Lt, Value::Int32(500))),
         vec![0, 2],
     );
-    let mut metas = db.with_table("t", |t| t.metas()).unwrap();
+    let mut metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
     metas.push(hpd_engine::IndexMeta {
         descriptor: IndexDescriptor::SecondaryBTree {
             keys: vec![2],
@@ -76,8 +76,7 @@ fn bench_what_if(c: &mut Criterion) {
         delete_buffer_rows: 0,
         hypothetical: true,
     });
-    let overrides: HashMap<String, Vec<hpd_engine::IndexMeta>> =
-        HashMap::from([("t".to_string(), metas)]);
+    let overrides = HashMap::from([("t".to_string(), vec![metas])]);
     c.bench_function("what_if_plan", |b| {
         b.iter(|| db.what_if_plan(&q, &overrides).unwrap())
     });

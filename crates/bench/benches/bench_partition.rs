@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for partitioned scatter-gather scans: the
 //! same 64k-row columnstore table at 1/4/16 range partitions, scanned
 //! selectively (a range predicate covering 1/16 of the key space) and
-//! fully, with partition pruning on and off. The claim under test
-//! (EXPERIMENTS.md §4): pruning makes the selective scan's cost
-//! proportional to the partitions that can match, so at 16 partitions the
-//! pruned scan touches one partition instead of sixteen, while the full
-//! scan — which pruning can never help — pays only the scatter-gather
+//! fully. The claim under test (EXPERIMENTS.md §4): pruning makes the
+//! selective scan's cost proportional to the partitions that can match,
+//! so at 16 partitions it touches one partition where the 1-partition
+//! table — the no-pruning baseline — scans everything, while the full
+//! scan, which pruning can never help, pays only the scatter-gather
 //! overhead of the extra lanes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,11 +34,10 @@ fn row(id: i32) -> Row {
 
 /// A loaded database with `parts` range partitions over `0..N` on the key
 /// column, all-columnstore. `parts == 1` is the unpartitioned baseline.
-fn make_db(parts: i32, pruning: bool) -> Database {
+fn make_db(parts: i32) -> Database {
     let db = Database::new(DbConfig {
         wal: WalConfig::default(),
         max_dop: 1,
-        partition_pruning: pruning,
         ..DbConfig::default()
     });
     if parts == 1 {
@@ -56,8 +55,7 @@ fn make_db(parts: i32, pruning: bool) -> Database {
 }
 
 /// Range predicate covering the first sixteenth of the key space: with 16
-/// partitions and pruning on, fifteen partitions are provably disjoint
-/// from it and never scanned.
+/// partitions, fifteen are provably disjoint from it and never scanned.
 fn selective() -> SelectQuery {
     SelectQuery::single_table(
         "t",
@@ -78,20 +76,13 @@ fn bench_partition_scans(c: &mut Criterion) {
         let name = format!("partition_scan_64k/{shape}");
         let mut g = c.benchmark_group(name.as_str());
         for parts in [1i32, 4, 16] {
-            for pruning in [true, false] {
-                // Pruning is a no-op on an unpartitioned table.
-                if parts == 1 && !pruning {
-                    continue;
-                }
-                let db = make_db(parts, pruning);
-                let label = format!("p{parts}_prune_{}", if pruning { "on" } else { "off" });
-                g.bench_function(&label, |b| {
-                    b.iter(|| {
-                        let q = Statement::Select(query());
-                        std::hint::black_box(db.query(&q).run().unwrap())
-                    })
-                });
-            }
+            let db = make_db(parts);
+            g.bench_function(format!("p{parts}"), |b| {
+                b.iter(|| {
+                    let q = Statement::Select(query());
+                    std::hint::black_box(db.query(&q).run().unwrap())
+                })
+            });
         }
         g.finish();
     }

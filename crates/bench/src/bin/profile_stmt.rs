@@ -33,9 +33,9 @@ fn main() {
     let base = hpd_obs::global().snapshot();
 
     println!(
-        "metas(): {:.1}us",
+        "part_metas(0): {:.1}us",
         timed(n, || {
-            db.with_table("lineitem", |t| t.metas()).unwrap();
+            db.with_table("lineitem", |t| t.part_metas(0)).unwrap();
         })
     );
     println!(

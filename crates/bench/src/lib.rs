@@ -1,6 +1,6 @@
 //! Benchmark harness: one module per paper table/figure, plus shared
-//! measurement helpers. Binaries in `src/bin/` are thin wrappers; the
-//! `figures` binary runs everything and emits a combined report.
+//! measurement helpers. The `figures` binary runs every module (or one,
+//! with `--only <id>`) and emits a combined report.
 
 pub mod common;
 pub mod figs;

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use hpd_common::Result;
+use hpd_common::{HpdError, Result};
 use hpd_engine::{
     cost::CostModel, Configuration, Database, IndexDescriptor, TableContext, TableDesign,
 };
@@ -93,6 +93,11 @@ pub struct Recommendation {
     /// Per-column encoding expectations for every recommended columnstore
     /// (empty when no CSI was recommended).
     pub csi_encoding_details: Vec<CsiColumnDetail>,
+    /// Referenced tables whose partitions have different primary indexes.
+    /// They have no whole-table design to extend, so they were costed as
+    /// they are and `configuration` leaves them out: applying it cannot
+    /// flatten them. `recommend_partition_designs` tunes such a table.
+    pub per_partition_tables: Vec<String>,
 }
 
 impl Recommendation {
@@ -115,6 +120,13 @@ impl Recommendation {
             self.speedup()
         );
         let _ = writeln!(out, "New index bytes: {}", self.new_index_bytes);
+        for table in &self.per_partition_tables {
+            let _ = writeln!(
+                out,
+                "table {table}: designed per partition, left as is \
+                 (use recommend_partition_designs)"
+            );
+        }
         for design in &self.configuration.tables {
             if design.indexes.len() <= 1 {
                 continue;
@@ -181,8 +193,15 @@ impl<'db> Advisor<'db> {
         // Contexts and block samples per referenced table.
         let mut contexts: HashMap<String, TableContext> = HashMap::new();
         let mut samples: HashMap<String, SampleSet> = HashMap::new();
+        let mut per_partition_tables = Vec::new();
         for name in workload.referenced_tables() {
             let ctx = self.db.context_for(&name)?;
+            if ctx.shared_primary().is_none() {
+                // No context, so no candidates and no what-if override:
+                // statements touching it are costed under its real design.
+                per_partition_tables.push(name);
+                continue;
+            }
             let rows = self.db.with_table(&name, |t| {
                 t.scan_all_rows(self.db.pool(), &hpd_storage::IoTracker::new())
             })?;
@@ -249,14 +268,10 @@ impl<'db> Advisor<'db> {
         // Assemble the configuration: existing primary + chosen secondaries.
         let mut tables = Vec::new();
         for name in workload.referenced_tables() {
-            let primary = contexts[&name]
-                .metas
-                .first()
-                .map(|m| m.descriptor.clone())
-                .unwrap_or(IndexDescriptor::PrimaryBTree {
-                    keys: contexts[&name].pk.clone(),
-                });
-            let mut indexes = vec![primary];
+            let Some(primary) = contexts.get(&name).and_then(TableContext::shared_primary) else {
+                continue;
+            };
+            let mut indexes = vec![primary.descriptor.clone()];
             if let Some(list) = result.chosen.get(&name) {
                 indexes.extend(list.iter().cloned());
             }
@@ -298,6 +313,7 @@ impl<'db> Advisor<'db> {
             per_statement,
             new_index_bytes: result.new_index_bytes,
             csi_encoding_details,
+            per_partition_tables,
         })
     }
 }
@@ -308,13 +324,17 @@ impl<'db> Advisor<'db> {
 pub fn csi_everywhere_configuration(db: &Database, tables: &[String]) -> Result<Configuration> {
     let mut designs = Vec::new();
     for name in tables {
-        let (primary, eligible) = db.with_table(name, |t| {
-            let primary = t.metas()[0].descriptor.clone();
-            let eligible: Vec<usize> = (0..t.schema().len())
-                .filter(|&c| t.schema().column(c).csi_eligible)
-                .collect();
-            (primary, eligible)
-        })?;
+        let ctx = db.context_for(name)?;
+        // A table whose partitions have different primaries has no "existing
+        // primary" to keep, and the one design built here would flatten it.
+        let Some(primary) = ctx.shared_primary().map(|m| m.descriptor.clone()) else {
+            return Err(HpdError::InvalidQuery(format!(
+                "table {name} has per-partition primary indexes; use recommend_partition_designs"
+            )));
+        };
+        let eligible: Vec<usize> = (0..ctx.schema.len())
+            .filter(|&c| ctx.schema.column(c).csi_eligible)
+            .collect();
         let mut indexes = vec![primary.clone()];
         if !primary.is_csi() && !eligible.is_empty() {
             indexes.push(IndexDescriptor::SecondaryCsi { columns: eligible });

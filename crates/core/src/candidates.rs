@@ -223,13 +223,13 @@ pub fn prune_candidates(
             Statement::Insert(_) => continue,
         };
         // Per-table meta lists: existing primary + every candidate.
-        let mut overrides: HashMap<String, Vec<IndexMeta>> = HashMap::new();
+        let mut overrides: HashMap<String, Vec<Vec<IndexMeta>>> = HashMap::new();
         let mut cand_offset: HashMap<String, usize> = HashMap::new();
         for t in &query.tables {
             let Some(ctx) = contexts.get(&t.name) else {
                 continue;
             };
-            let mut metas: Vec<IndexMeta> = ctx.metas.first().cloned().into_iter().collect();
+            let mut metas: Vec<IndexMeta> = ctx.shared_primary().cloned().into_iter().collect();
             cand_offset.insert(t.name.clone(), metas.len());
             if let Some(cands) = candidates.per_table.get(&t.name) {
                 let sample = samples.get(&t.name).cloned().unwrap_or(SampleSet {
@@ -240,7 +240,7 @@ pub fn prune_candidates(
                     metas.push(hypothetical_meta(c, ctx, &sample, estimator, csi_config));
                 }
             }
-            overrides.insert(t.name.clone(), metas);
+            overrides.insert(t.name.clone(), vec![metas]);
         }
         let plan = db.what_if_plan(&query, &overrides)?;
         for (ti, idx) in plan.index_refs() {
@@ -284,15 +284,7 @@ mod tests {
         ]);
         HashMap::from([(
             "t".to_string(),
-            TableContext {
-                name: "t".into(),
-                schema,
-                pk: vec![0],
-                stats: TableStats::empty(3),
-                metas: vec![],
-                partitioning: None,
-                parts: vec![],
-            },
+            TableContext::unpartitioned("t".into(), schema, vec![0], TableStats::empty(3), vec![]),
         )])
     }
 
@@ -354,15 +346,7 @@ mod tests {
         ]);
         contexts.insert(
             "u".into(),
-            TableContext {
-                name: "u".into(),
-                schema,
-                pk: vec![0],
-                stats: TableStats::empty(2),
-                metas: vec![],
-                partitioning: None,
-                parts: vec![],
-            },
+            TableContext::unpartitioned("u".into(), schema, vec![0], TableStats::empty(2), vec![]),
         );
         let q = SelectQuery::single_table("u", None, vec![0, 1]);
         let mut set = CandidateSet::default();

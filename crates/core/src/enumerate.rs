@@ -52,7 +52,7 @@ pub fn metas_for(
     estimator: &dyn CsiSizeEstimator,
     csi_config: &CsiConfig,
 ) -> Vec<IndexMeta> {
-    let mut metas: Vec<IndexMeta> = ctx.metas.first().cloned().into_iter().collect();
+    let mut metas: Vec<IndexMeta> = ctx.shared_primary().cloned().into_iter().collect();
     if let Some(list) = chosen.get(table) {
         let empty = SampleSet {
             rows: Vec::new(),
@@ -104,7 +104,9 @@ pub fn statement_cost(
             if let Some(ctx) = contexts.get(&t.name) {
                 overrides.insert(
                     t.name.clone(),
-                    metas_for(&t.name, ctx, chosen, samples, estimator, csi_config),
+                    vec![metas_for(
+                        &t.name, ctx, chosen, samples, estimator, csi_config,
+                    )],
                 );
             }
         }
@@ -260,7 +262,7 @@ pub fn greedy_search(
             let Some(ctx) = contexts.get(table) else {
                 continue;
             };
-            let table_has_csi = ctx.metas.first().is_some_and(|m| m.descriptor.is_csi())
+            let table_has_csi = ctx.shared_primary().is_some_and(|m| m.descriptor.is_csi())
                 || chosen
                     .get(table)
                     .is_some_and(|l| l.iter().any(IndexDescriptor::is_csi));

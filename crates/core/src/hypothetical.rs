@@ -147,15 +147,7 @@ mod tests {
         ]);
         let stats = TableStats::analyze(&rows, 3, 4096);
         (
-            TableContext {
-                name: "t".into(),
-                schema,
-                pk: vec![0],
-                stats,
-                metas: vec![],
-                partitioning: None,
-                parts: vec![],
-            },
+            TableContext::unpartitioned("t".into(), schema, vec![0], stats, vec![]),
             rows,
         )
     }

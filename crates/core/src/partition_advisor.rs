@@ -7,7 +7,7 @@
 //! scanned by analytic aggregates want a columnstore — the paper's hybrid
 //! thesis applied one level down. This module searches the per-partition
 //! assignment space with the engine's partitioned what-if API
-//! ([`hpd_engine::catalog::Database::what_if_partition_plan`]): every
+//! ([`hpd_engine::catalog::Database::what_if_plan`]): every
 //! candidate assignment is costed by the real optimizer over the real
 //! scatter-gather access path, so partition pruning and lane costs are
 //! reflected in the comparison.
@@ -20,9 +20,10 @@
 //! moves converge quickly, and the homogeneous baseline is kept for the
 //! report ("did splitting designs actually help?").
 
-use hpd_engine::{Database, IndexDescriptor, IndexMeta, Statement, TableContext};
+use std::collections::HashMap;
 
 use hpd_common::{Expr, HpdError, Result};
+use hpd_engine::{Database, IndexDescriptor, IndexMeta, Statement, TableContext};
 
 use crate::hypothetical::hypothetical_meta;
 use crate::size::{RunModelEstimator, SampleSet};
@@ -152,12 +153,12 @@ pub fn recommend_partition_designs(
 
     let eval = |assign: &[usize]| -> Result<f64> {
         let part_metas: Vec<Vec<IndexMeta>> = assign.iter().map(|&c| metas[c].clone()).collect();
+        // Per-part meta rows are scaled here; the optimizer scales lane
+        // cardinalities from `PartInfo.rows`, which the engine supplies.
+        let overrides = HashMap::from([(table.to_string(), scale_metas(&ctx, &part_metas))]);
         let mut total = 0.0;
         for (q, w) in &selects {
-            // Per-part meta rows are scaled below; the optimizer scales lane
-            // cardinalities from `PartInfo.rows`, which the engine supplies.
-            let plan = db.what_if_partition_plan(q, table, &scale_metas(&ctx, &part_metas))?;
-            total += plan.est_cost_us * w;
+            total += db.what_if_plan(q, &overrides)?.est_cost_us * w;
         }
         Ok(total)
     };

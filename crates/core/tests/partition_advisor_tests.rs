@@ -3,10 +3,12 @@
 //! (B+ tree on the hot partition, columnstore on cold history) whose
 //! what-if cost beats the best homogeneous assignment.
 
+use hpd_advisor::advisor::csi_everywhere_configuration;
 use hpd_advisor::{
-    recommend_partition_designs, PartitionAdvisorOptions, Workload, WorkloadStatement,
+    recommend_partition_designs, Advisor, AdvisorOptions, PartitionAdvisorOptions, Workload,
+    WorkloadStatement,
 };
-use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
+use hpd_common::{AggFunc, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
 use hpd_engine::{
     AggItem, ColRef, Database, DbConfig, IndexDescriptor, PartitionSpec, SelectQuery, Statement,
     TableInput,
@@ -208,4 +210,60 @@ fn unpartitioned_table_is_rejected() {
     )
     .unwrap_err();
     assert!(format!("{err}").contains("not partitioned"), "{err}");
+}
+
+/// The whole-table advisors hand back one design per table, which
+/// `apply_configuration` installs on every partition. A table whose
+/// partitions have different primaries has no such design: `recommend`
+/// leaves it out (and says so), `csi_everywhere_configuration` refuses.
+#[test]
+fn whole_table_advisors_never_flatten_heterogeneous_partitions() {
+    let n = 2_000;
+    let db = partitioned_db(n);
+    let wl = Workload::read_only(vec![hot_point(n - 1), cold_aggregate(n - n / 20)]);
+    let advisor = Advisor::new(&db, AdvisorOptions::default());
+    // Homogeneous partitions have one primary: both advisors keep it.
+    let rec = advisor.recommend(&wl).expect("homogeneous table");
+    assert_eq!(
+        rec.configuration.tables[0].indexes[0],
+        IndexDescriptor::PrimaryCsi
+    );
+    csi_everywhere_configuration(&db, &["events".to_string()]).expect("homogeneous table");
+
+    db.apply_partition_design(
+        "events",
+        3,
+        &IndexDescriptor::PrimaryBTree { keys: vec![0] },
+        &[],
+    )
+    .unwrap();
+    let designs = |db: &Database| -> Vec<Vec<IndexDescriptor>> {
+        db.with_table("events", |t| {
+            (0..t.num_parts())
+                .map(|p| t.part_metas(p).into_iter().map(|m| m.descriptor).collect())
+                .collect()
+        })
+        .unwrap()
+    };
+    let before = designs(&db);
+    let rec = advisor.recommend(&wl).expect("costed as it is");
+    assert!(
+        rec.configuration.tables.iter().all(|d| d.table != "events"),
+        "no whole-table design for a per-partition table: {:?}",
+        rec.configuration
+    );
+    assert!(
+        rec.report(&db).contains("recommend_partition_designs"),
+        "the report must point at the partition advisor:\n{}",
+        rec.report(&db)
+    );
+    db.apply_configuration(&rec.configuration).unwrap();
+    assert_eq!(designs(&db), before, "applying the advice flattens nothing");
+
+    match csi_everywhere_configuration(&db, &["events".to_string()]) {
+        Err(HpdError::InvalidQuery(msg)) => {
+            assert!(msg.contains("recommend_partition_designs"), "{msg}")
+        }
+        other => panic!("expected InvalidQuery, got {other:?}"),
+    }
 }

@@ -66,10 +66,6 @@ pub struct DbConfig {
     /// root spans, all into bounded per-thread rings. Off by default — the
     /// disabled path costs one relaxed atomic load per would-be span.
     pub tracing: bool,
-    /// Skip partitions whose value range provably cannot satisfy a query's
-    /// sargable predicate. On by default; turning it off forces every
-    /// partition to be scanned (the bench's pruning-off baseline).
-    pub partition_pruning: bool,
 }
 
 impl Default for DbConfig {
@@ -89,7 +85,6 @@ impl Default for DbConfig {
             maintenance: MaintenanceConfig::default(),
             wal: WalConfig::default(),
             tracing: false,
-            partition_pruning: true,
         }
     }
 }
@@ -259,7 +254,7 @@ impl Database {
             seq,
             kind,
             plan_fingerprint: plan_fingerprint(plan),
-            plan_root: plan.root.describe(&plan.table_names),
+            plan_root: plan.root.describe(&plan.tables),
             est_rows: plan.root.est_rows,
             est_cost_us: plan.est_cost_us,
             actual_rows: actual,
@@ -299,13 +294,6 @@ impl Database {
     fn cost_model_with(&self, grant: usize, dop: Option<usize>) -> CostModel {
         let max_dop = dop.unwrap_or(self.config.max_dop).max(1);
         CostModel::new(self.config.device, max_dop, grant)
-    }
-
-    /// An optimizer configured from this database (partition pruning knob).
-    fn optimizer(&self, cost: CostModel) -> Optimizer {
-        let mut opt = Optimizer::new(cost);
-        opt.prune_partitions = self.config.partition_pruning;
-        opt
     }
 
     // ------------------------------------------------------------------
@@ -588,7 +576,8 @@ impl Database {
         let mut snaps = Vec::with_capacity(slots.len());
         for slot in &slots {
             let table = slot.table.read();
-            let metas = table.metas();
+            // The image's table-level design is the first part's.
+            let metas = table.part_metas(0);
             // Partitioned tables additionally capture each partition's own
             // (possibly heterogeneous) design; rows stay concatenated and
             // recovery's bulk load re-routes them.
@@ -681,75 +670,34 @@ impl Database {
             .iter()
             .map(|t| self.context_for(&t.name))
             .collect::<Result<Vec<_>>>()?;
-        self.optimizer(self.cost_model(grant))
-            .plan(query, &contexts)
+        Optimizer::new(self.cost_model(grant)).plan(query, &contexts)
     }
 
     /// The **what-if API**: plan the query as if each table in `overrides`
     /// had the given (possibly hypothetical) index metadata instead of its
-    /// materialized indexes. Hypothetical columnstore metas carry per-column
-    /// size estimates (paper §4.2).
+    /// materialized indexes — one meta set per part, or a single set to cost
+    /// the table as monolithic (see [`TableContext::with_design`]). The
+    /// partition advisor costs heterogeneous per-partition recommendations
+    /// ("B+ tree on the hot partition, CSI on cold history") and monolithic
+    /// candidates through this one entry point. Hypothetical columnstore
+    /// metas carry per-column size estimates (paper §4.2).
     pub fn what_if_plan(
         &self,
         query: &SelectQuery,
-        overrides: &HashMap<String, Vec<IndexMeta>>,
+        overrides: &HashMap<String, Vec<Vec<IndexMeta>>>,
     ) -> Result<PhysicalPlan> {
         let contexts = query
             .tables
             .iter()
             .map(|t| {
-                let mut ctx = self.context_for(&t.name)?;
-                if let Some(metas) = overrides.get(&t.name) {
-                    // A what-if override describes a hypothetical *monolithic*
-                    // design: plan it without the partitioned access path so
-                    // heterogeneous actual designs and homogeneous candidates
-                    // are costed on the same footing.
-                    ctx.metas = metas.clone();
-                    ctx.partitioning = None;
-                    ctx.parts = Vec::new();
+                let ctx = self.context_for(&t.name)?;
+                match overrides.get(&t.name) {
+                    Some(part_metas) => ctx.with_design(part_metas),
+                    None => Ok(ctx),
                 }
-                Ok(ctx)
             })
             .collect::<Result<Vec<_>>>()?;
-        self.optimizer(self.cost_model(self.config.grant_bytes))
-            .plan(query, &contexts)
-    }
-
-    /// Like [`Database::what_if_plan`] but overriding the design of each
-    /// *partition* of one partitioned table: `part_metas[p]` is the
-    /// hypothetical meta set for partition `p`. The advisor uses this to
-    /// cost heterogeneous per-partition recommendations ("B+ tree on the
-    /// hot partition, CSI on cold history") against the same query set as
-    /// monolithic candidates.
-    pub fn what_if_partition_plan(
-        &self,
-        query: &SelectQuery,
-        table: &str,
-        part_metas: &[Vec<IndexMeta>],
-    ) -> Result<PhysicalPlan> {
-        let contexts = query
-            .tables
-            .iter()
-            .map(|t| {
-                let mut ctx = self.context_for(&t.name)?;
-                if t.name == table {
-                    if ctx.parts.len() != part_metas.len() {
-                        return Err(HpdError::InvalidQuery(format!(
-                            "what-if partition override for {table}: {} meta sets for {} partitions",
-                            part_metas.len(),
-                            ctx.parts.len()
-                        )));
-                    }
-                    for (info, metas) in ctx.parts.iter_mut().zip(part_metas) {
-                        info.metas = metas.clone();
-                    }
-                    ctx.metas = part_metas[0].clone();
-                }
-                Ok(ctx)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        self.optimizer(self.cost_model(self.config.grant_bytes))
-            .plan(query, &contexts)
+        Optimizer::new(self.cost_model(self.config.grant_bytes)).plan(query, &contexts)
     }
 
     // ------------------------------------------------------------------
@@ -1112,9 +1060,7 @@ impl<'db> Txn<'db> {
         let optimize_start = Instant::now();
         let plan = {
             let _s = hpd_obs::trace::span("optimize");
-            self.db
-                .optimizer(self.db.cost_model_with(self.grant, self.dop))
-                .plan(query, &contexts)?
+            Optimizer::new(self.db.cost_model_with(self.grant, self.dop)).plan(query, &contexts)?
         };
         let optimize_us = optimize_start.elapsed().as_micros() as u64;
 
@@ -1605,27 +1551,25 @@ fn snapshot_overlay(table: &Table, ts: u64, pool: &BufferPool) -> TableOverlay {
     overlay
 }
 
-/// Build the optimizer's view of a table: schema, stats, the first part's
-/// metas (the monolithic access-path enumeration), and — when partitioned —
-/// the spec plus per-partition row counts and metas for scatter-gather
-/// planning.
+/// Build the optimizer's view of a table: schema, stats, the partitioning
+/// spec if any, and every part's row count and index metas. A single part's
+/// cardinality is the table statistic the planner has always costed with.
 fn table_context(name: &str, t: &Table) -> TableContext {
-    let parts = if t.num_parts() > 1 {
-        (0..t.num_parts())
-            .map(|p| PartInfo {
-                rows: t.part(p).row_count(),
-                metas: t.part_metas(p),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let parts = (0..t.num_parts())
+        .map(|p| PartInfo {
+            rows: if t.num_parts() == 1 {
+                t.stats().rows
+            } else {
+                t.part(p).row_count()
+            },
+            metas: t.part_metas(p),
+        })
+        .collect();
     TableContext {
         name: name.to_string(),
         schema: t.schema().clone(),
         pk: t.pk().to_vec(),
         stats: t.stats().clone(),
-        metas: t.metas(),
         partitioning: t.partitioning().cloned(),
         parts,
     }

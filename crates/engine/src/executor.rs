@@ -1,6 +1,6 @@
 //! Lowers physical plans onto `hpd-exec` operators and runs them.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -16,9 +16,10 @@ use hpd_exec::{
 };
 use hpd_storage::BufferPool;
 
+use crate::design::IndexId;
 use crate::plan::{PhysicalPlan, PlanMode, PlanNode, PlanNodeKind};
 use crate::profile::{AnalyzeReport, ProfileMap};
-use crate::table::Table;
+use crate::table::{Table, TablePart};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -84,10 +85,6 @@ pub struct QueryRunner<'a> {
     grant: MemoryGrant,
     workers: WorkerPool,
     overlays: HashMap<usize, TableOverlay>,
-    /// Partition whose physical indexes leaf operators should resolve
-    /// against: 0 normally, the lane's partition id while lowering a
-    /// `PartitionedScan` lane.
-    current_part: Cell<usize>,
     profile_requested: bool,
     /// Node→stats map for the plan currently being lowered/run; populated
     /// by [`run`](QueryRunner::run) when profiling is on.
@@ -126,7 +123,6 @@ impl<'a> QueryRunner<'a> {
             grant,
             workers,
             overlays: HashMap::new(),
-            current_part: Cell::new(0),
             profile_requested: false,
             profile: RefCell::new(None),
         }
@@ -177,8 +173,9 @@ impl<'a> QueryRunner<'a> {
         // Drop the operator tree first so its `op` spans end inside
         // `execute`, then close the span with its summary attrs.
         drop(op);
+        let dop = plan.max_dop();
         if exec_span.is_recording() {
-            exec_span.attr("dop", plan.max_dop());
+            exec_span.attr("dop", dop);
             exec_span.attr("rows", rows.len());
         }
         drop(exec_span);
@@ -191,7 +188,7 @@ impl<'a> QueryRunner<'a> {
             .leaf_kinds()
             .contains(&crate::plan::LeafKind::Columnstore)
         {
-            plan.max_dop()
+            dop
         } else {
             1
         };
@@ -201,7 +198,7 @@ impl<'a> QueryRunner<'a> {
             critical_path,
             io: ctx.tracker.snapshot(),
             io_dop,
-            dop: plan.max_dop(),
+            dop,
             rows_returned: rows.len(),
             memory_peak_bytes: ctx.grant.peak_bytes(),
         };
@@ -242,18 +239,26 @@ impl<'a> QueryRunner<'a> {
             .ok_or_else(|| HpdError::Internal(format!("table index {ti} out of range")))
     }
 
-    /// The table part leaf operators currently resolve against (clamped so
-    /// hand-built plans lowered outside a `PartitionedScan` stay on part 0).
-    fn cur_part(&self, table: &'a Table) -> &'a crate::table::TablePart {
-        table.part(self.current_part.get().min(table.num_parts() - 1))
+    /// Part `part` of query table `ti`. A plan naming a part the table does
+    /// not have was built against another design: refuse it.
+    fn part(&self, ti: usize, part: usize) -> Result<&'a TablePart> {
+        let table = self.table(ti)?;
+        table.parts().get(part).ok_or_else(|| {
+            HpdError::Internal(format!(
+                "plan names part {part} of table {}, which has {}",
+                table.name,
+                table.num_parts()
+            ))
+        })
     }
 
     fn resolve_btree(
         &self,
         ti: usize,
-        index: crate::design::IndexId,
+        part: usize,
+        index: IndexId,
     ) -> Result<&'a hpd_btree::BTree> {
-        let part = self.cur_part(self.table(ti)?);
+        let part = self.part(ti, part)?;
         if index.0 == 0 {
             part.primary().as_btree().ok_or_else(|| {
                 HpdError::Internal("plan expects a primary B+ tree but table has a CSI".into())
@@ -269,15 +274,15 @@ impl<'a> QueryRunner<'a> {
     fn resolve_csi(
         &self,
         ti: usize,
-        index: crate::design::IndexId,
+        part: usize,
+        index: IndexId,
     ) -> Result<(&'a hpd_columnstore::ColumnStoreIndex, Vec<usize>)> {
-        let table = self.table(ti)?;
-        let part = self.cur_part(table);
+        let part = self.part(ti, part)?;
         if index.0 == 0 {
             let csi = part.primary().as_csi().ok_or_else(|| {
                 HpdError::Internal("plan expects a primary CSI but table has a B+ tree".into())
             })?;
-            Ok((csi, (0..table.schema().len()).collect()))
+            Ok((csi, (0..self.table(ti)?.schema().len()).collect()))
         } else {
             let csi = part
                 .secondary_csi()
@@ -286,22 +291,33 @@ impl<'a> QueryRunner<'a> {
         }
     }
 
-    /// Restrict a snapshot overlay to the partition currently being
-    /// lowered. `removed` keys stay whole-table (hiding a key another
-    /// partition owns is harmless); `added` rows must surface exactly once
-    /// across a scatter-gather, in the lane owning their partition.
-    fn restrict_overlay(&self, ov: &TableOverlay, ti: usize) -> TableOverlay {
+    /// Key columns (table ordinals) of the B+ tree `index` of a part.
+    fn btree_keys(&self, ti: usize, part: usize, index: IndexId) -> Result<Vec<usize>> {
+        if index.0 == 0 {
+            return Ok(self.table(ti)?.pk().to_vec());
+        }
+        self.part(ti, part)?
+            .secondaries()
+            .get(index.0 - 1)
+            .map(|s| s.keys.clone())
+            .ok_or_else(|| HpdError::Internal(format!("no secondary index {}", index.0)))
+    }
+
+    /// Restrict a snapshot overlay to one part of a table with several.
+    /// `removed` keys stay whole-table (hiding a key another part owns is
+    /// harmless); `added` rows must surface exactly once across a
+    /// scatter-gather, in the lane owning their part.
+    fn restrict_overlay(&self, ov: &TableOverlay, ti: usize, part: usize) -> TableOverlay {
         let table = match self.table(ti) {
             Ok(t) if t.num_parts() > 1 => t,
             _ => return ov.clone(),
         };
-        let p = self.current_part.get();
         TableOverlay {
             removed: ov.removed.clone(),
             added: ov
                 .added
                 .iter()
-                .filter(|r| table.route_row(r) == p)
+                .filter(|r| table.route_row(r) == part)
                 .cloned()
                 .collect(),
         }
@@ -317,27 +333,20 @@ impl<'a> QueryRunner<'a> {
         out_cols: &[crate::plan::PlanCol],
     ) -> Result<Vec<ExecNode<'a>>> {
         match &node.kind {
-            PlanNodeKind::BTreeScan { table, index, dop } => {
-                let tree = self.resolve_btree(*table, *index)?;
-                self.btree_partitions(tree, *table, node, Bound::Unbounded, Bound::Unbounded, *dop)
+            PlanNodeKind::BTreeScan { dop, .. } => {
+                self.btree_partitions(node, Bound::Unbounded, Bound::Unbounded, *dop)
             }
-            PlanNodeKind::BTreeSeek {
-                table,
-                index,
-                lo,
-                hi,
-                dop,
-            } => {
-                let tree = self.resolve_btree(*table, *index)?;
-                self.btree_partitions(tree, *table, node, lo.clone(), hi.clone(), *dop)
+            PlanNodeKind::BTreeSeek { lo, hi, dop, .. } => {
+                self.btree_partitions(node, lo.clone(), hi.clone(), *dop)
             }
             PlanNodeKind::CsiScan {
                 table,
+                part,
                 index,
                 intervals,
                 dop,
             } => {
-                let (csi, stored) = self.resolve_csi(*table, *index)?;
+                let (csi, stored) = self.resolve_csi(*table, *part, *index)?;
                 // Translate table-ordinal projection & intervals to the
                 // CSI's schema ordinals.
                 let to_csi = |c: usize| -> Result<usize> {
@@ -390,31 +399,28 @@ impl<'a> QueryRunner<'a> {
         }
     }
 
+    /// Range-scan operators over the B+ tree a `BTreeScan` / `BTreeSeek`
+    /// node names, split `dop` ways.
     fn btree_partitions(
         &self,
-        tree: &'a hpd_btree::BTree,
-        ti: usize,
         node: &PlanNode,
         lo: Bound<Key>,
         hi: Bound<Key>,
         dop: usize,
     ) -> Result<Vec<ExecNode<'a>>> {
+        let (ti, part, index) = scan_target(node)?;
+        let tree = self.resolve_btree(ti, part, index)?;
         let types: Vec<DataType> = node.out_types.clone();
         if dop <= 1 {
             return Ok(vec![Box::new(BTreeRangeScanOp::new(tree, types, lo, hi))]);
         }
         // Split points from the first key column's histogram.
         let table = self.table(ti)?;
-        let first_key_col = match &node.kind {
-            PlanNodeKind::BTreeScan { index, .. } | PlanNodeKind::BTreeSeek { index, .. } => {
-                if index.0 == 0 {
-                    table.pk().first().copied().unwrap_or(0)
-                } else {
-                    self.cur_part(table).secondaries()[index.0 - 1].keys[0]
-                }
-            }
-            _ => 0,
-        };
+        let first_key_col = self
+            .btree_keys(ti, part, index)?
+            .first()
+            .copied()
+            .unwrap_or(0);
         let bounds = &table.stats().columns[first_key_col].bucket_bounds;
         let in_range = |v: &Value| -> bool {
             let k = Key::single(v.clone());
@@ -454,20 +460,9 @@ impl<'a> QueryRunner<'a> {
         Ok(parts)
     }
 
-    /// Query table index a scan node reads.
-    fn scan_table_idx(node: &PlanNode) -> usize {
-        match &node.kind {
-            PlanNodeKind::BTreeScan { table, .. }
-            | PlanNodeKind::BTreeSeek { table, .. }
-            | PlanNodeKind::CsiScan { table, .. } => *table,
-            _ => usize::MAX,
-        }
-    }
-
     fn overlay_for(&self, node: &PlanNode) -> Option<&TableOverlay> {
-        self.overlays
-            .get(&Self::scan_table_idx(node))
-            .filter(|o| !o.is_empty())
+        let (ti, _, _) = scan_target(node).ok()?;
+        self.overlays.get(&ti).filter(|o| !o.is_empty())
     }
 
     /// Lower a scan node, applying its snapshot overlay if one is active
@@ -483,14 +478,14 @@ impl<'a> QueryRunner<'a> {
         let Some(overlay) = overlay else {
             return Ok(gather(self.scan_partitions(node, &node.out_cols)?));
         };
-        let ti = Self::scan_table_idx(node);
+        let (ti, part, index) = scan_target(node)?;
         let table = self.table(ti)?;
         // Partitioned tables: each lane appends only the overlay rows it
         // owns, or the scatter-gather would surface every added row once
         // per lane.
         let part_restricted;
         let overlay = if table.num_parts() > 1 {
-            part_restricted = self.restrict_overlay(overlay, ti);
+            part_restricted = self.restrict_overlay(overlay, ti, part);
             &part_restricted
         } else {
             overlay
@@ -524,12 +519,8 @@ impl<'a> QueryRunner<'a> {
         // strength of it), but the overlay operator appends old row versions
         // at the end of the stream. Re-establish the claimed order below.
         let order_keys: Vec<usize> = match &node.kind {
-            PlanNodeKind::BTreeScan { index, .. } | PlanNodeKind::BTreeSeek { index, .. } => {
-                if index.0 == 0 {
-                    table.pk().to_vec()
-                } else {
-                    self.cur_part(table).secondaries()[index.0 - 1].keys.clone()
-                }
+            PlanNodeKind::BTreeScan { .. } | PlanNodeKind::BTreeSeek { .. } => {
+                self.btree_keys(ti, part, index)?
             }
             _ => Vec::new(),
         };
@@ -632,32 +623,19 @@ impl<'a> QueryRunner<'a> {
             PlanNodeKind::BTreeScan { .. }
             | PlanNodeKind::BTreeSeek { .. }
             | PlanNodeKind::CsiScan { .. } => self.lower_scan(node, true),
-            PlanNodeKind::PartitionedScan {
-                part_ids,
-                parts,
-                pruned,
-                ..
-            } => {
+            PlanNodeKind::PartitionedScan { parts, pruned, .. } => {
                 let reg = hpd_obs::global();
-                reg.counter("partition.scanned").add(part_ids.len() as u64);
+                reg.counter("partition.scanned").add(parts.len() as u64);
                 reg.counter("partition.pruned").add(*pruned as u64);
-                let saved = self.current_part.get();
-                let mut lanes: Vec<ExecNode<'a>> = Vec::with_capacity(parts.len());
-                for (lane, &pid) in parts.iter().zip(part_ids) {
-                    self.current_part.set(pid);
-                    match self.lower(lane) {
-                        Ok(op) => lanes.push(op),
-                        Err(e) => {
-                            self.current_part.set(saved);
-                            return Err(e);
-                        }
-                    }
-                }
-                self.current_part.set(saved);
+                let lanes = parts
+                    .iter()
+                    .map(|lane| self.lower(lane))
+                    .collect::<Result<Vec<_>>>()?;
                 Ok(gather(lanes))
             }
             PlanNodeKind::CsiAgg {
                 table,
+                part,
                 index,
                 intervals,
                 aggs,
@@ -674,6 +652,7 @@ impl<'a> QueryRunner<'a> {
                     let scan = PlanNode {
                         kind: PlanNodeKind::CsiScan {
                             table: *table,
+                            part: *part,
                             index: *index,
                             intervals: intervals.clone(),
                             dop: 1,
@@ -704,7 +683,7 @@ impl<'a> QueryRunner<'a> {
                         .collect();
                     return Ok(Box::new(HashAggOp::new(c, Vec::new(), specs)));
                 }
-                let (csi, stored) = self.resolve_csi(*table, *index)?;
+                let (csi, stored) = self.resolve_csi(*table, *part, *index)?;
                 let to_csi = |c: usize| -> Result<usize> {
                     stored
                         .iter()
@@ -771,6 +750,7 @@ impl<'a> QueryRunner<'a> {
             PlanNodeKind::PkLookup {
                 child,
                 table,
+                part,
                 locator,
             } => {
                 // Suppress the child scan's overlay: the lookup re-fetches
@@ -780,16 +760,20 @@ impl<'a> QueryRunner<'a> {
                     .overlays
                     .get(table)
                     .filter(|o| !o.is_empty())
-                    .map(|o| self.restrict_overlay(o, *table));
+                    .map(|o| self.restrict_overlay(o, *table, *part));
                 let c = if is_scan(child) {
                     self.wrap_node(child, self.lower_scan(child, false)?)
                 } else {
                     self.lower(child)?
                 };
                 let t = self.table(*table)?;
-                let tree = self.cur_part(t).primary().as_btree().ok_or_else(|| {
-                    HpdError::Internal("PkLookup requires a primary B+ tree".into())
-                })?;
+                let tree = self
+                    .part(*table, *part)?
+                    .primary()
+                    .as_btree()
+                    .ok_or_else(|| {
+                        HpdError::Internal("PkLookup requires a primary B+ tree".into())
+                    })?;
                 let payload_types: Vec<DataType> =
                     t.schema().columns().iter().map(|c| c.dtype).collect();
                 let child_arity = child.out_types.len();
@@ -855,7 +839,14 @@ impl<'a> QueryRunner<'a> {
                 outer_key,
             } => {
                 let o = self.lower(outer)?;
-                let tree = self.resolve_btree(*table, *index)?;
+                // The join probes one index per outer row: the planner only
+                // picks it for a one-part inner.
+                if self.table(*table)?.num_parts() != 1 {
+                    return Err(HpdError::Internal(
+                        "IndexNLJoin over an inner table of several parts".into(),
+                    ));
+                }
+                let tree = self.resolve_btree(*table, 0, *index)?;
                 let outer_arity = outer.out_types.len();
                 let payload_types: Vec<DataType> = node.out_types[outer_arity..].to_vec();
                 Ok(Box::new(IndexLookupJoinOp::new(
@@ -919,6 +910,22 @@ fn is_scan(node: &PlanNode) -> bool {
             | PlanNodeKind::BTreeSeek { .. }
             | PlanNodeKind::CsiScan { .. }
     )
+}
+
+/// `(query table, part, index)` a scan node reads.
+fn scan_target(node: &PlanNode) -> Result<(usize, usize, IndexId)> {
+    match &node.kind {
+        PlanNodeKind::BTreeScan {
+            table, part, index, ..
+        }
+        | PlanNodeKind::BTreeSeek {
+            table, part, index, ..
+        }
+        | PlanNodeKind::CsiScan {
+            table, part, index, ..
+        } => Ok((*table, *part, *index)),
+        _ => Err(HpdError::Internal("not a scan node".into())),
+    }
 }
 
 fn scan_dop(node: &PlanNode) -> usize {

@@ -158,17 +158,9 @@ impl<'db> MaintenanceBuilder<'db> {
 
 /// One part's pending work split into (delta rows, buffered deletes).
 fn part_backlog(part: &crate::table::TablePart) -> (usize, usize) {
-    let mut delta = 0;
-    let mut buffer = 0;
-    if let Some(csi) = part.primary().as_csi() {
-        delta += csi.delta_rows();
-        buffer += csi.delete_buffer_len();
-    }
-    if let Some(csi) = part.secondary_csi() {
-        delta += csi.delta_rows();
-        buffer += csi.delete_buffer_len();
-    }
-    (delta, buffer)
+    part.csis().fold((0, 0), |(delta, buffer), csi| {
+        (delta + csi.delta_rows(), buffer + csi.delete_buffer_len())
+    })
 }
 
 /// Pending work across every part, split into (delta rows, buffered deletes).
@@ -217,10 +209,7 @@ fn maintenance_increment(
             )));
         }
     }
-    let step = match part {
-        Some(p) => guard.maintenance_step_part(p, budget_rows, &db.pool, &t),
-        None => guard.maintenance_step(budget_rows, &db.pool, &t),
-    };
+    let step = guard.maintenance_step(part, budget_rows, &db.pool, &t);
     let (delta_rows, delete_buffer) = match part {
         Some(p) => part_backlog(guard.part(p)),
         None => backlog_split(&guard),
@@ -320,14 +309,7 @@ pub struct MaintenanceCandidate {
 fn score_part(part: &crate::table::TablePart, capacity: f64) -> (f64, usize) {
     let mut score = 0.0;
     let mut backlog = 0;
-    let mut csis: Vec<&hpd_columnstore::ColumnStoreIndex> = Vec::new();
-    if let Some(csi) = part.primary().as_csi() {
-        csis.push(csi);
-    }
-    if let Some(csi) = part.secondary_csi() {
-        csis.push(csi);
-    }
-    for csi in csis {
+    for csi in part.csis() {
         let pending = csi.maintenance_backlog();
         if pending == 0 {
             continue;

@@ -22,12 +22,12 @@ use hpd_common::{AggFunc, DataType, Expr, HpdError, Interval, Key, Result, Schem
 use crate::cost::CostModel;
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
 use crate::partition::PartitionSpec;
-use crate::plan::{PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind};
+use crate::plan::{PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind, PlanTable};
 use crate::query::SelectQuery;
 use crate::stats::TableStats;
 
-/// Planning facts for one partition of a partitioned table: its cardinality
-/// and the metadata of *its* indexes (partitions have independent designs).
+/// Planning facts for one part of a table: its cardinality and the
+/// metadata of *its* indexes (parts have independent designs).
 #[derive(Debug, Clone)]
 pub struct PartInfo {
     pub rows: usize,
@@ -41,19 +41,16 @@ pub struct TableContext {
     pub schema: Schema,
     pub pk: Vec<usize>,
     pub stats: TableStats,
-    /// Index metadata of the first (or only) partition; what-if designs
-    /// override this (and are planned as unpartitioned).
-    pub metas: Vec<IndexMeta>,
     /// Partitioning declaration (`None` for unpartitioned tables).
     pub partitioning: Option<PartitionSpec>,
-    /// Per-partition facts, parallel to the table's parts. Empty or
-    /// single-element contexts plan exactly as before partitioning existed.
+    /// Per-part facts, parallel to the table's parts and never empty: an
+    /// unpartitioned table (or a what-if design costed as monolithic) is
+    /// one part holding every row.
     pub parts: Vec<PartInfo>,
 }
 
 impl TableContext {
-    /// Context for an unpartitioned table (or a hypothetical design, which
-    /// is always costed as if monolithic).
+    /// Context for a one-part table.
     pub fn unpartitioned(
         name: String,
         schema: Schema,
@@ -61,15 +58,56 @@ impl TableContext {
         stats: TableStats,
         metas: Vec<IndexMeta>,
     ) -> TableContext {
+        let rows = stats.rows;
         TableContext {
             name,
             schema,
             pk,
             stats,
-            metas,
             partitioning: None,
-            parts: Vec::new(),
+            parts: vec![PartInfo { rows, metas }],
         }
+    }
+
+    /// The same table under another (possibly hypothetical) design: one
+    /// meta set per part, or a single set to cost the table as monolithic —
+    /// so heterogeneous actual designs and homogeneous candidates are
+    /// compared on the same footing.
+    pub fn with_design(mut self, part_metas: &[Vec<IndexMeta>]) -> Result<TableContext> {
+        match part_metas {
+            [metas] => {
+                self.partitioning = None;
+                self.parts = vec![PartInfo {
+                    rows: self.stats.rows,
+                    metas: metas.clone(),
+                }];
+            }
+            sets if sets.len() == self.parts.len() => {
+                for (info, metas) in self.parts.iter_mut().zip(sets) {
+                    info.metas = metas.clone();
+                }
+            }
+            sets => {
+                return Err(HpdError::InvalidQuery(format!(
+                    "what-if design for {}: {} meta sets for {} parts",
+                    self.name,
+                    sets.len(),
+                    self.parts.len()
+                )))
+            }
+        }
+        Ok(self)
+    }
+
+    /// The primary index meta of the first part — *the* primary of a
+    /// one-part table. `None` when the parts' primaries differ: such a
+    /// table has no single design a whole-table recommendation could extend.
+    pub fn shared_primary(&self) -> Option<&IndexMeta> {
+        let first = self.parts[0].metas.first()?;
+        self.parts[1..]
+            .iter()
+            .all(|p| p.metas.first().map(|m| &m.descriptor) == Some(&first.descriptor))
+            .then_some(first)
     }
 }
 
@@ -82,9 +120,6 @@ struct AccessOption {
 
 pub struct Optimizer {
     pub cost: CostModel,
-    /// When false, partitioned scans keep every partition (the comparison
-    /// arm for `bench_partition` and the `partition_pruning` config knob).
-    pub prune_partitions: bool,
 }
 
 impl Optimizer {
@@ -98,10 +133,7 @@ impl Optimizer {
 
 impl Optimizer {
     pub fn new(cost: CostModel) -> Optimizer {
-        Optimizer {
-            cost,
-            prune_partitions: true,
-        }
+        Optimizer { cost }
     }
 
     /// Produce the cheapest plan for `query`.
@@ -119,17 +151,25 @@ impl Optimizer {
         } else {
             self.plan_joins(query, tables)?
         };
-        let root = self.finish_plan(root, query, tables)?;
+        let mut root = self.finish_plan(root, query, tables)?;
         let (io_div, io_serial) = split_io(&root);
         let (dop, elapsed) = self
             .cost
             .choose_dop_split(total_cpu(&root), io_div, io_serial);
-        let root = set_scan_dop(root, dop);
+        set_scan_dop(&mut root, dop);
         record_plan_choice(&root);
         Ok(PhysicalPlan {
             est_cost_us: elapsed,
             est_cpu_us: total_cpu(&root),
-            table_names: query.tables.iter().map(|t| t.name.clone()).collect(),
+            tables: query
+                .tables
+                .iter()
+                .zip(tables)
+                .map(|(t, ctx)| PlanTable {
+                    name: t.name.clone(),
+                    parts: ctx.parts.len(),
+                })
+                .collect(),
             root,
         })
     }
@@ -139,7 +179,9 @@ impl Optimizer {
     // ------------------------------------------------------------------
 
     /// Enumerate costed access options for query table `ti` producing at
-    /// least `needed` columns, with the local predicate applied.
+    /// least `needed` columns, with the local predicate applied: the
+    /// surviving parts' own options. One part offers every path through its
+    /// indexes; several parts offer their scatter-gather.
     fn access_options(
         &self,
         ti: usize,
@@ -147,56 +189,62 @@ impl Optimizer {
         predicate: Option<&Expr>,
         ctx: &TableContext,
     ) -> Vec<AccessOption> {
-        if ctx.partitioning.is_some() && ctx.parts.len() > 1 {
-            return vec![self.partitioned_option(ti, needed, predicate, ctx)];
-        }
         let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
-        let rows = ctx.stats.rows as f64;
+        match ctx.parts.as_slice() {
+            [only] => self.part_options(ti, 0, only, needed, &intervals, ctx),
+            _ => vec![self.gather_option(ti, needed, intervals, ctx)],
+        }
+    }
+
+    /// Every access path through the indexes of part `part`.
+    fn part_options(
+        &self,
+        ti: usize,
+        part: usize,
+        info: &PartInfo,
+        needed: &[usize],
+        intervals: &HashMap<usize, Interval>,
+        ctx: &TableContext,
+    ) -> Vec<AccessOption> {
+        // Column statistics stay table-wide: per-part histograms would be
+        // strictly better but the row-count scaling dominates.
+        let rows = info.rows;
         let mut options = Vec::new();
 
-        let primary_btree_meta = ctx
+        let primary_btree_meta = info
             .metas
             .first()
             .filter(|m| matches!(m.descriptor, IndexDescriptor::PrimaryBTree { .. }));
 
-        for (idx, meta) in ctx.metas.iter().enumerate() {
+        for (idx, meta) in info.metas.iter().enumerate() {
             let index = IndexId(idx);
             match &meta.descriptor {
                 IndexDescriptor::PrimaryBTree { keys } => {
                     options.extend(
-                        self.btree_options(
-                            ti, index, keys, None, meta, &intervals, rows, ctx, true,
-                        ),
+                        self.btree_options(ti, part, index, keys, None, meta, intervals, rows, ctx),
                     );
                 }
                 IndexDescriptor::SecondaryBTree { keys, includes } => {
                     let covering = meta.covers(needed, ctx.schema.len(), &ctx.pk);
-                    if covering {
-                        options.extend(self.btree_options(
+                    let seeks = || {
+                        self.btree_options(
                             ti,
+                            part,
                             index,
                             keys,
                             Some(includes),
                             meta,
-                            &intervals,
+                            intervals,
                             rows,
                             ctx,
-                            false,
-                        ));
+                        )
+                    };
+                    if covering {
+                        options.extend(seeks());
                     } else if let Some(pmeta) = primary_btree_meta {
                         // Seek the secondary, then look up full rows in the
                         // primary B+ tree per qualifying row.
-                        for opt in self.btree_options(
-                            ti,
-                            index,
-                            keys,
-                            Some(includes),
-                            meta,
-                            &intervals,
-                            rows,
-                            ctx,
-                            false,
-                        ) {
+                        for opt in seeks() {
                             // Lookups only pay off for selective seeks.
                             let lookups = opt.node.est_rows;
                             let lookup_io = self.cost.random_pages_us(lookups)
@@ -225,6 +273,7 @@ impl Optimizer {
                                 kind: PlanNodeKind::PkLookup {
                                     child: Box::new(opt.node),
                                     table: ti,
+                                    part,
                                     locator,
                                 },
                             };
@@ -237,8 +286,9 @@ impl Optimizer {
                 }
                 IndexDescriptor::PrimaryCsi | IndexDescriptor::SecondaryCsi { .. } => {
                     if meta.covers(needed, ctx.schema.len(), &ctx.pk) {
-                        options
-                            .push(self.csi_option(ti, index, meta, needed, &intervals, rows, ctx));
+                        options.push(
+                            self.csi_option(ti, part, index, meta, needed, intervals, rows, ctx),
+                        );
                     }
                 }
             }
@@ -246,25 +296,23 @@ impl Optimizer {
         options
     }
 
-    /// Scatter-gather access for a partitioned table: prune partitions
+    /// Scatter-gather access for a table of several parts: prune parts
     /// against the predicate's sargable intervals, pick the cheapest access
-    /// path *per surviving partition* (each partition has its own physical
-    /// design), and union the lanes under one [`PlanNodeKind::PartitionedScan`].
-    fn partitioned_option(
+    /// path *per surviving part* (each has its own physical design), and
+    /// union the lanes under one [`PlanNodeKind::PartitionedScan`].
+    fn gather_option(
         &self,
         ti: usize,
         needed: &[usize],
-        predicate: Option<&Expr>,
+        intervals: HashMap<usize, Interval>,
         ctx: &TableContext,
     ) -> AccessOption {
-        let spec = ctx.partitioning.as_ref().expect("partitioned context");
-        let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
         let total = ctx.parts.len();
-        let mut survivors = if self.prune_partitions {
-            spec.prune(&intervals)
-        } else {
-            (0..total).collect()
-        };
+        // Without a declared partitioning nothing says where rows live.
+        let mut survivors = ctx
+            .partitioning
+            .as_ref()
+            .map_or_else(|| (0..total).collect(), |spec| spec.prune(&intervals));
         // A fully pruned table still needs one lane so the plan produces the
         // right (empty) row shape; keep partition 0 and count the rest.
         if survivors.is_empty() {
@@ -276,23 +324,9 @@ impl Optimizer {
 
         let mut parts = Vec::with_capacity(survivors.len());
         let mut est_rows = 0.0;
-        for &p in &survivors {
-            let info = &ctx.parts[p];
-            let mut part_stats = ctx.stats.clone();
-            part_stats.rows = info.rows;
-            // Column statistics stay table-wide: per-partition histograms
-            // would be strictly better but the row-count scaling dominates.
-            let sub = TableContext {
-                name: ctx.name.clone(),
-                schema: ctx.schema.clone(),
-                pk: ctx.pk.clone(),
-                stats: part_stats,
-                metas: info.metas.clone(),
-                partitioning: None,
-                parts: Vec::new(),
-            };
+        for p in survivors {
             let best = self
-                .access_options(ti, needed, predicate, &sub)
+                .part_options(ti, p, &ctx.parts[p], needed, &intervals, ctx)
                 .into_iter()
                 .min_by(|a, b| self.node_cost(&a.node).total_cmp(&self.node_cost(&b.node)))
                 .expect("every partition has a primary access path");
@@ -306,7 +340,6 @@ impl Optimizer {
             node: PlanNode {
                 kind: PlanNodeKind::PartitionedScan {
                     table: ti,
-                    part_ids: survivors,
                     parts,
                     intervals,
                     pruned,
@@ -361,22 +394,24 @@ impl Optimizer {
     }
 
     /// Seek (when an interval constrains a key prefix) and full-scan options
-    /// for one B+ tree index.
+    /// for one B+ tree index of part `part` holding `part_rows` rows;
+    /// `includes` is `None` for the primary.
     #[allow(clippy::too_many_arguments)]
     fn btree_options(
         &self,
         ti: usize,
+        part: usize,
         index: IndexId,
         keys: &[usize],
         includes: Option<&[usize]>,
         meta: &IndexMeta,
         intervals: &HashMap<usize, Interval>,
-        rows: f64,
+        part_rows: usize,
         ctx: &TableContext,
-        is_primary: bool,
     ) -> Vec<AccessOption> {
-        let (out_cols, out_types) = btree_output(ti, keys, includes, ctx, is_primary);
+        let (out_cols, out_types) = btree_output(ti, keys, includes, ctx);
         let mut options = Vec::new();
+        let rows = part_rows as f64;
 
         // Full leaf scan.
         let scan_io = self.cost.sequential_pages_us(meta.leaf_pages as f64);
@@ -385,6 +420,7 @@ impl Optimizer {
             node: PlanNode {
                 kind: PlanNodeKind::BTreeScan {
                     table: ti,
+                    part,
                     index,
                     dop: 1,
                 },
@@ -400,7 +436,7 @@ impl Optimizer {
 
         // Prefix seek: consume equality intervals, then at most one range.
         let (bounds, consumed_sel, _full_prefix) =
-            prefix_bounds(keys, intervals, &ctx.stats, keys.len());
+            prefix_bounds(keys, intervals, &ctx.stats, part_rows);
         if let Some((lo, hi)) = bounds {
             let sel = consumed_sel.clamp(0.0, 1.0);
             let rows_scanned = (rows * sel).max(1.0);
@@ -416,6 +452,7 @@ impl Optimizer {
                 node: PlanNode {
                     kind: PlanNodeKind::BTreeSeek {
                         table: ti,
+                        part,
                         index,
                         lo,
                         hi,
@@ -436,18 +473,21 @@ impl Optimizer {
         options
     }
 
-    /// Columnstore scan option with estimated segment elimination.
+    /// Columnstore scan option with estimated segment elimination, over an
+    /// index of part `part` holding `part_rows` rows.
     #[allow(clippy::too_many_arguments)]
     fn csi_option(
         &self,
         ti: usize,
+        part: usize,
         index: IndexId,
         meta: &IndexMeta,
         needed: &[usize],
         intervals: &HashMap<usize, Interval>,
-        rows: f64,
+        part_rows: usize,
         ctx: &TableContext,
     ) -> AccessOption {
+        let rows = part_rows as f64;
         // Surviving row-group fraction: best eliminator wins. Alongside it,
         // row-level selectivity — the scan pushes every covered interval
         // into encoded-domain kernels, so *materialization* cost scales
@@ -456,7 +496,7 @@ impl Optimizer {
         let mut row_sel: f64 = 1.0;
         for (&c, iv) in intervals {
             if meta.covers(&[c], ctx.schema.len(), &ctx.pk) {
-                let sel = ctx.stats.columns[c].selectivity(iv, ctx.stats.rows);
+                let sel = ctx.stats.columns[c].selectivity(iv, part_rows);
                 let cluster = ctx.stats.columns[c].clustering_fraction;
                 fraction = fraction.min((sel + cluster).clamp(0.0, 1.0));
                 row_sel *= sel.clamp(0.0, 1.0);
@@ -497,6 +537,7 @@ impl Optimizer {
             node: PlanNode {
                 kind: PlanNodeKind::CsiScan {
                     table: ti,
+                    part,
                     index,
                     intervals: intervals.clone(),
                     dop: 1,
@@ -705,6 +746,7 @@ impl Optimizer {
         }
         let PlanNodeKind::CsiScan {
             table,
+            part,
             index,
             intervals,
             ..
@@ -740,6 +782,7 @@ impl Optimizer {
         Some(PlanNode {
             kind: PlanNodeKind::CsiAgg {
                 table: *table,
+                part: *part,
                 index: *index,
                 intervals: intervals.clone(),
                 aggs,
@@ -772,7 +815,6 @@ impl Optimizer {
         }
         let PlanNodeKind::PartitionedScan {
             table,
-            part_ids,
             parts,
             intervals,
             pruned,
@@ -806,7 +848,6 @@ impl Optimizer {
         let gathered = PlanNode {
             kind: PlanNodeKind::PartitionedScan {
                 table: *table,
-                part_ids: part_ids.clone(),
                 parts: lanes,
                 intervals: intervals.clone(),
                 pruned: *pruned,
@@ -854,6 +895,7 @@ impl Optimizer {
     ) -> Option<PlanNode> {
         if let PlanNodeKind::CsiScan {
             table,
+            part,
             index,
             intervals,
             ..
@@ -866,6 +908,7 @@ impl Optimizer {
             return Some(PlanNode {
                 kind: PlanNodeKind::CsiAgg {
                     table: *table,
+                    part: *part,
                     index: *index,
                     intervals: intervals.clone(),
                     aggs,
@@ -1303,9 +1346,12 @@ impl Optimizer {
             .iter()
             .map(|(l, r)| if l.table == next { l.column } else { r.column })
             .collect();
-        // A partitioned inner has no single index to probe per outer row
-        // (`ctx.metas` describes partition 0 only); hash join covers it.
-        let inner_metas: &[IndexMeta] = if ctx.parts.len() > 1 { &[] } else { &ctx.metas };
+        // Only a one-part inner has a single index to probe per outer row;
+        // hash join covers the rest.
+        let inner_metas: &[IndexMeta] = match ctx.parts.as_slice() {
+            [only] => &only.metas,
+            _ => &[],
+        };
         for (idx, meta) in inner_metas.iter().enumerate() {
             let keys = match &meta.descriptor {
                 IndexDescriptor::PrimaryBTree { keys } => keys,
@@ -1350,15 +1396,13 @@ impl Optimizer {
                 current.est_rows * self.cost.random_pages_us(1.0) * meta.height.max(1) as f64 / 2.0;
             let cpu = current.est_rows * matches_per * self.cost.cpu_row_us * 1.5;
 
-            let is_primary = matches!(meta.descriptor, IndexDescriptor::PrimaryBTree { .. });
             let (inner_out_cols, inner_out_types) = match &meta.descriptor {
-                IndexDescriptor::PrimaryBTree { .. } => btree_output(next, keys, None, ctx, true),
+                IndexDescriptor::PrimaryBTree { .. } => btree_output(next, keys, None, ctx),
                 IndexDescriptor::SecondaryBTree { keys: k, includes } => {
-                    btree_output(next, k, Some(includes), ctx, false)
+                    btree_output(next, k, Some(includes), ctx)
                 }
                 _ => unreachable!(),
             };
-            let _ = is_primary;
             let mut out_cols = current.out_cols.clone();
             out_cols.extend(inner_out_cols);
             let mut out_types = current.out_types.clone();
@@ -1416,42 +1460,42 @@ impl Optimizer {
 // Helpers
 // ----------------------------------------------------------------------
 
-/// Output description for a B+ tree access: all table columns (primary) or
-/// the stored payload columns (secondary).
+/// Output description for a B+ tree access: all table columns (the
+/// primary, `includes: None`) or the stored payload columns (a secondary).
 fn btree_output(
     ti: usize,
     keys: &[usize],
     includes: Option<&[usize]>,
     ctx: &TableContext,
-    is_primary: bool,
 ) -> (Vec<PlanCol>, Vec<DataType>) {
-    let cols: Vec<usize> = if is_primary {
-        (0..ctx.schema.len()).collect()
-    } else {
-        let mut stored: Vec<usize> = keys.to_vec();
-        for &c in includes.unwrap_or(&[]).iter().chain(&ctx.pk) {
-            if !stored.contains(&c) {
-                stored.push(c);
+    let cols: Vec<usize> = match includes {
+        None => (0..ctx.schema.len()).collect(),
+        Some(includes) => {
+            let mut stored: Vec<usize> = keys.to_vec();
+            for &c in includes.iter().chain(&ctx.pk) {
+                if !stored.contains(&c) {
+                    stored.push(c);
+                }
             }
+            stored
         }
-        stored
     };
     let out_cols = cols.iter().map(|&c| PlanCol::Base(ti, c)).collect();
     let out_types = cols.iter().map(|&c| ctx.schema.column(c).dtype).collect();
     (out_cols, out_types)
 }
 
-/// Consume a key prefix from the predicate intervals: equality columns, then
-/// at most one range column. Returns the key-space bounds, the combined
-/// selectivity of the consumed columns, and whether the whole prefix was
-/// equalities.
 type KeyBounds = (Bound<Key>, Bound<Key>);
 
+/// Consume a key prefix from the predicate intervals: equality columns, then
+/// at most one range column. Returns the key-space bounds, the combined
+/// selectivity of the consumed columns among `rows` rows, and whether the
+/// whole prefix was equalities.
 fn prefix_bounds(
     keys: &[usize],
     intervals: &HashMap<usize, Interval>,
     stats: &TableStats,
-    _max: usize,
+    rows: usize,
 ) -> (Option<KeyBounds>, f64, bool) {
     use hpd_common::interval::Bound as IvBound;
     let mut lo_vals: Vec<Value> = Vec::new();
@@ -1464,7 +1508,7 @@ fn prefix_bounds(
     let mut hi_open = false;
     for &k in keys {
         let Some(iv) = intervals.get(&k) else { break };
-        sel *= stats.columns[k].selectivity(iv, stats.rows);
+        sel *= stats.columns[k].selectivity(iv, rows);
         // Equality?
         if let (IvBound::Inclusive(a), IvBound::Inclusive(b)) = (&iv.lo, &iv.hi) {
             if a == b {
@@ -1643,7 +1687,7 @@ fn record_plan_choice(root: &PlanNode) {
             PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => *csi += 1,
             _ => {}
         }
-        for c in children(node) {
+        for c in node.children() {
             walk(c, btree, csi);
         }
     }
@@ -1660,12 +1704,12 @@ fn record_plan_choice(root: &PlanNode) {
 
 /// Sum of estimated CPU microseconds over a subtree.
 pub fn total_cpu(node: &PlanNode) -> f64 {
-    node.est_cpu_us + children(node).iter().map(|c| total_cpu(c)).sum::<f64>()
+    node.est_cpu_us + node.children().iter().map(|c| total_cpu(c)).sum::<f64>()
 }
 
 /// Sum of estimated IO microseconds over a subtree.
 pub fn total_io(node: &PlanNode) -> f64 {
-    node.est_io_us + children(node).iter().map(|c| total_io(c)).sum::<f64>()
+    node.est_io_us + node.children().iter().map(|c| total_io(c)).sum::<f64>()
 }
 
 /// Split estimated I/O into (parallelizable, latency-bound): columnstore
@@ -1674,7 +1718,7 @@ pub fn total_io(node: &PlanNode) -> f64 {
 pub fn split_io(node: &PlanNode) -> (f64, f64) {
     let mut divisible = node.est_io_div_us;
     let mut serial = node.est_io_us - node.est_io_div_us;
-    for c in children(node) {
+    for c in node.children() {
         let (d, s) = split_io(c);
         divisible += d;
         serial += s;
@@ -1682,72 +1726,19 @@ pub fn split_io(node: &PlanNode) -> (f64, f64) {
     (divisible, serial)
 }
 
-fn children(node: &PlanNode) -> Vec<&PlanNode> {
-    match &node.kind {
-        PlanNodeKind::BTreeSeek { .. }
-        | PlanNodeKind::BTreeScan { .. }
-        | PlanNodeKind::CsiScan { .. }
-        | PlanNodeKind::CsiAgg { .. } => vec![],
-        PlanNodeKind::PartitionedScan { parts, .. } => parts.iter().collect(),
-        PlanNodeKind::PkLookup { child, .. }
-        | PlanNodeKind::Filter { child, .. }
-        | PlanNodeKind::Project { child, .. }
-        | PlanNodeKind::HashAgg { child, .. }
-        | PlanNodeKind::StreamAgg { child, .. }
-        | PlanNodeKind::Sort { child, .. }
-        | PlanNodeKind::Limit { child, .. } => vec![child],
-        PlanNodeKind::IndexNLJoin { outer, .. } => vec![outer],
-        PlanNodeKind::HashJoin { left, right, .. }
-        | PlanNodeKind::MergeJoin { left, right, .. } => vec![left, right],
-    }
-}
-
 /// Propagate the chosen DOP to the scan leaves.
-fn set_scan_dop(mut node: PlanNode, dop: usize) -> PlanNode {
+fn set_scan_dop(node: &mut PlanNode, dop: usize) {
     match &mut node.kind {
         PlanNodeKind::BTreeSeek { dop: d, .. }
         | PlanNodeKind::BTreeScan { dop: d, .. }
         | PlanNodeKind::CsiScan { dop: d, .. } => *d = dop,
         // Partition lanes already run one per worker; their inner scans
         // stay at DOP 1.
-        PlanNodeKind::CsiAgg { .. } | PlanNodeKind::PartitionedScan { .. } => {}
-        PlanNodeKind::PkLookup { child, .. }
-        | PlanNodeKind::Filter { child, .. }
-        | PlanNodeKind::Project { child, .. }
-        | PlanNodeKind::HashAgg { child, .. }
-        | PlanNodeKind::StreamAgg { child, .. }
-        | PlanNodeKind::Sort { child, .. }
-        | PlanNodeKind::Limit { child, .. } => {
-            let c = std::mem::replace(child.as_mut(), dummy_node());
-            **child = set_scan_dop(c, dop);
+        PlanNodeKind::PartitionedScan { .. } => {}
+        _ => {
+            for child in node.children_mut() {
+                set_scan_dop(child, dop);
+            }
         }
-        PlanNodeKind::IndexNLJoin { outer, .. } => {
-            let c = std::mem::replace(outer.as_mut(), dummy_node());
-            **outer = set_scan_dop(c, dop);
-        }
-        PlanNodeKind::HashJoin { left, right, .. }
-        | PlanNodeKind::MergeJoin { left, right, .. } => {
-            let l = std::mem::replace(left.as_mut(), dummy_node());
-            **left = set_scan_dop(l, dop);
-            let r = std::mem::replace(right.as_mut(), dummy_node());
-            **right = set_scan_dop(r, dop);
-        }
-    }
-    node
-}
-
-fn dummy_node() -> PlanNode {
-    PlanNode {
-        kind: PlanNodeKind::BTreeScan {
-            table: 0,
-            index: IndexId(0),
-            dop: 1,
-        },
-        out_cols: vec![],
-        out_types: vec![],
-        est_rows: 0.0,
-        est_cpu_us: 0.0,
-        est_io_us: 0.0,
-        est_io_div_us: 0.0,
     }
 }

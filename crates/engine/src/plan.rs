@@ -57,8 +57,11 @@ pub type PlanExpr = Expr;
 #[derive(Debug, Clone)]
 pub enum PlanNodeKind {
     /// B+ tree range seek: key-space interval over the index's key order.
+    /// Like every leaf it names the table part it reads (0 on a one-part
+    /// table): parts own their indexes, so `index` means nothing without it.
     BTreeSeek {
         table: usize,
+        part: usize,
         index: IndexId,
         lo: Bound<Key>,
         hi: Bound<Key>,
@@ -67,6 +70,7 @@ pub enum PlanNodeKind {
     /// Full B+ tree leaf scan (provides the index key sort order).
     BTreeScan {
         table: usize,
+        part: usize,
         index: IndexId,
         dop: usize,
     },
@@ -74,6 +78,7 @@ pub enum PlanNodeKind {
     /// column ordinals; the executor translates to index-schema ordinals).
     CsiScan {
         table: usize,
+        part: usize,
         index: IndexId,
         intervals: HashMap<usize, Interval>,
         dop: usize,
@@ -84,6 +89,7 @@ pub enum PlanNodeKind {
     /// the executor translates them to the index's stored schema.
     CsiAgg {
         table: usize,
+        part: usize,
         index: IndexId,
         intervals: HashMap<usize, Interval>,
         aggs: Vec<PlanAgg>,
@@ -96,8 +102,7 @@ pub enum PlanNodeKind {
     /// value range cannot intersect the predicate's intervals were pruned.
     PartitionedScan {
         table: usize,
-        /// Partition ids of the surviving children (parallel to `parts`).
-        part_ids: Vec<usize>,
+        /// One lane per surviving partition; each lane's leaves name it.
         parts: Vec<PlanNode>,
         /// Sargable intervals the pruning decision used (table column
         /// ordinals); execution re-applies them to overlay-added rows.
@@ -107,11 +112,12 @@ pub enum PlanNodeKind {
         /// Total partitions in the table.
         total: usize,
     },
-    /// Fetch full rows from the primary B+ tree using the primary-key
-    /// locator carried in the child's output.
+    /// Fetch full rows from the primary B+ tree of `part` using the
+    /// primary-key locator carried in the child's output.
     PkLookup {
         child: Box<PlanNode>,
         table: usize,
+        part: usize,
         /// Child output ordinals holding the primary key values.
         locator: Vec<usize>,
     },
@@ -189,39 +195,22 @@ impl PlanNode {
             .position(|c| matches!(c, PlanCol::Base(t, cc) if *t == table && *cc == column))
     }
 
-    /// Recursively collect leaf access kinds.
+    /// Recursively collect leaf access kinds, in plan order.
     pub fn collect_leaves(&self, out: &mut Vec<LeafKind>) {
+        for child in self.children() {
+            child.collect_leaves(out);
+        }
         match &self.kind {
-            PlanNodeKind::BTreeSeek { .. } | PlanNodeKind::BTreeScan { .. } => {
-                out.push(LeafKind::BTree)
-            }
+            // `PkLookup` probes the primary tree, `IndexNLJoin` seeks the
+            // inner index: both read a B+ tree besides their input.
+            PlanNodeKind::BTreeSeek { .. }
+            | PlanNodeKind::BTreeScan { .. }
+            | PlanNodeKind::PkLookup { .. }
+            | PlanNodeKind::IndexNLJoin { .. } => out.push(LeafKind::BTree),
             PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => {
                 out.push(LeafKind::Columnstore)
             }
-            PlanNodeKind::PartitionedScan { parts, .. } => {
-                for p in parts {
-                    p.collect_leaves(out);
-                }
-            }
-            PlanNodeKind::PkLookup { child, .. } => {
-                child.collect_leaves(out);
-                out.push(LeafKind::BTree); // the primary tree it probes
-            }
-            PlanNodeKind::IndexNLJoin { outer, .. } => {
-                outer.collect_leaves(out);
-                out.push(LeafKind::BTree); // the inner index it seeks
-            }
-            PlanNodeKind::Filter { child, .. }
-            | PlanNodeKind::Project { child, .. }
-            | PlanNodeKind::HashAgg { child, .. }
-            | PlanNodeKind::StreamAgg { child, .. }
-            | PlanNodeKind::Sort { child, .. }
-            | PlanNodeKind::Limit { child, .. } => child.collect_leaves(out),
-            PlanNodeKind::HashJoin { left, right, .. }
-            | PlanNodeKind::MergeJoin { left, right, .. } => {
-                left.collect_leaves(out);
-                right.collect_leaves(out);
-            }
+            _ => {}
         }
     }
 
@@ -229,64 +218,35 @@ impl PlanNode {
     /// access in the subtree — how the advisor learns which hypothetical
     /// indexes the optimizer actually referenced.
     pub fn collect_index_refs(&self, out: &mut Vec<(usize, IndexId)>) {
+        for child in self.children() {
+            child.collect_index_refs(out);
+        }
         match &self.kind {
             PlanNodeKind::BTreeSeek { table, index, .. }
             | PlanNodeKind::BTreeScan { table, index, .. }
             | PlanNodeKind::CsiScan { table, index, .. }
-            | PlanNodeKind::CsiAgg { table, index, .. } => out.push((*table, *index)),
-            PlanNodeKind::PartitionedScan { parts, .. } => {
-                for p in parts {
-                    p.collect_index_refs(out);
-                }
-            }
-            PlanNodeKind::PkLookup { child, table, .. } => {
-                child.collect_index_refs(out);
-                out.push((*table, IndexId::PRIMARY));
-            }
-            PlanNodeKind::IndexNLJoin {
-                outer,
-                table,
-                index,
-                ..
-            } => {
-                outer.collect_index_refs(out);
-                out.push((*table, *index));
-            }
-            PlanNodeKind::Filter { child, .. }
-            | PlanNodeKind::Project { child, .. }
-            | PlanNodeKind::HashAgg { child, .. }
-            | PlanNodeKind::StreamAgg { child, .. }
-            | PlanNodeKind::Sort { child, .. }
-            | PlanNodeKind::Limit { child, .. } => child.collect_index_refs(out),
-            PlanNodeKind::HashJoin { left, right, .. }
-            | PlanNodeKind::MergeJoin { left, right, .. } => {
-                left.collect_index_refs(out);
-                right.collect_index_refs(out);
-            }
+            | PlanNodeKind::CsiAgg { table, index, .. }
+            | PlanNodeKind::IndexNLJoin { table, index, .. } => out.push((*table, *index)),
+            PlanNodeKind::PkLookup { table, .. } => out.push((*table, IndexId::PRIMARY)),
+            _ => {}
         }
     }
 
     /// Maximum DOP of any scan in the subtree.
     pub fn max_dop(&self) -> usize {
-        match &self.kind {
+        let own = match &self.kind {
             PlanNodeKind::BTreeSeek { dop, .. }
             | PlanNodeKind::BTreeScan { dop, .. }
             | PlanNodeKind::CsiScan { dop, .. } => *dop,
-            // The encoded fold is a single cheap pass; it never fans out.
-            PlanNodeKind::CsiAgg { .. } => 1,
             // Scatter-gather: one lane per surviving partition.
-            PlanNodeKind::PartitionedScan { parts, .. } => parts.len().max(1),
-            PlanNodeKind::PkLookup { child, .. }
-            | PlanNodeKind::Filter { child, .. }
-            | PlanNodeKind::Project { child, .. }
-            | PlanNodeKind::HashAgg { child, .. }
-            | PlanNodeKind::StreamAgg { child, .. }
-            | PlanNodeKind::Sort { child, .. }
-            | PlanNodeKind::Limit { child, .. } => child.max_dop(),
-            PlanNodeKind::IndexNLJoin { outer, .. } => outer.max_dop(),
-            PlanNodeKind::HashJoin { left, right, .. }
-            | PlanNodeKind::MergeJoin { left, right, .. } => left.max_dop().max(right.max_dop()),
-        }
+            PlanNodeKind::PartitionedScan { parts, .. } => parts.len(),
+            // Everything else (the encoded fold included) never fans out.
+            _ => 1,
+        };
+        self.children()
+            .iter()
+            .map(|c| c.max_dop())
+            .fold(own.max(1), usize::max)
     }
 
     /// Planning-time workspace-memory estimate for the subtree, bytes: what
@@ -342,41 +302,82 @@ impl PlanNode {
         }
     }
 
+    /// [`PlanNode::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut PlanNode> {
+        match &mut self.kind {
+            PlanNodeKind::BTreeSeek { .. }
+            | PlanNodeKind::BTreeScan { .. }
+            | PlanNodeKind::CsiScan { .. }
+            | PlanNodeKind::CsiAgg { .. } => Vec::new(),
+            PlanNodeKind::PartitionedScan { parts, .. } => parts.iter_mut().collect(),
+            PlanNodeKind::PkLookup { child, .. }
+            | PlanNodeKind::Filter { child, .. }
+            | PlanNodeKind::Project { child, .. }
+            | PlanNodeKind::HashAgg { child, .. }
+            | PlanNodeKind::StreamAgg { child, .. }
+            | PlanNodeKind::Sort { child, .. }
+            | PlanNodeKind::Limit { child, .. } => vec![child],
+            PlanNodeKind::IndexNLJoin { outer, .. } => vec![outer],
+            PlanNodeKind::HashJoin { left, right, .. }
+            | PlanNodeKind::MergeJoin { left, right, .. } => vec![left, right],
+        }
+    }
+
     /// One-line operator description (no costs), e.g. `CsiScan lineitem
-    /// idx#0 [2 elim cols] (dop 8)`.
-    pub fn describe(&self, table_names: &[String]) -> String {
-        let tname = |t: &usize| {
-            table_names
-                .get(*t)
-                .cloned()
-                .unwrap_or_else(|| format!("t{t}"))
+    /// idx#0 [2 elim cols] (dop 8)`. Nodes that read one part of a table
+    /// with several say which: `CsiScan events[p3] idx#0 …`.
+    pub fn describe(&self, tables: &[PlanTable]) -> String {
+        let tname = |t: &usize| match tables.get(*t) {
+            Some(table) => table.name.clone(),
+            None => format!("t{t}"),
+        };
+        let tpart = |t: &usize, part: &usize| match tables.get(*t) {
+            Some(table) if table.parts > 1 => format!("{}[p{part}]", table.name),
+            _ => tname(t),
         };
         match &self.kind {
             PlanNodeKind::BTreeSeek {
-                table, index, dop, ..
-            } => format!("BTreeSeek {} idx#{} (dop {dop})", tname(table), index.0),
-            PlanNodeKind::BTreeScan { table, index, dop } => {
-                format!("BTreeScan {} idx#{} (dop {dop})", tname(table), index.0)
-            }
+                table,
+                part,
+                index,
+                dop,
+                ..
+            } => format!(
+                "BTreeSeek {} idx#{} (dop {dop})",
+                tpart(table, part),
+                index.0
+            ),
+            PlanNodeKind::BTreeScan {
+                table,
+                part,
+                index,
+                dop,
+            } => format!(
+                "BTreeScan {} idx#{} (dop {dop})",
+                tpart(table, part),
+                index.0
+            ),
             PlanNodeKind::CsiScan {
                 table,
+                part,
                 index,
                 intervals,
                 dop,
             } => format!(
                 "CsiScan {} idx#{} [{} elim cols] (dop {dop})",
-                tname(table),
+                tpart(table, part),
                 index.0,
                 intervals.len()
             ),
             PlanNodeKind::CsiAgg {
                 table,
+                part,
                 index,
                 intervals,
                 aggs,
             } => format!(
                 "CsiAgg {} idx#{} [{} elim cols] aggs={}",
-                tname(table),
+                tpart(table, part),
                 index.0,
                 intervals.len(),
                 aggs.len()
@@ -394,7 +395,9 @@ impl PlanNode {
                 total,
                 pruned
             ),
-            PlanNodeKind::PkLookup { table, .. } => format!("PkLookup {}", tname(table)),
+            PlanNodeKind::PkLookup { table, part, .. } => {
+                format!("PkLookup {}", tpart(table, part))
+            }
             PlanNodeKind::Filter { mode, .. } => format!("Filter ({mode:?} mode)"),
             PlanNodeKind::Project { .. } => "Project".to_string(),
             PlanNodeKind::HashAgg { group, aggs, .. } => {
@@ -413,29 +416,38 @@ impl PlanNode {
         }
     }
 
-    fn explain_into(&self, depth: usize, table_names: &[String], out: &mut String) {
+    fn explain_into(&self, depth: usize, tables: &[PlanTable], out: &mut String) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         let _ = writeln!(
             out,
             "{pad}{}  (rows≈{:.0}, cpu≈{:.0}us, io≈{:.0}us)",
-            self.describe(table_names),
+            self.describe(tables),
             self.est_rows,
             self.est_cpu_us,
             self.est_io_us
         );
         for child in self.children() {
-            child.explain_into(depth + 1, table_names, out);
+            child.explain_into(depth + 1, tables, out);
         }
     }
+}
+
+/// One input table of a plan, as explain output needs it.
+#[derive(Debug, Clone)]
+pub struct PlanTable {
+    pub name: String,
+    /// How many parts the plan was built against; leaves print theirs only
+    /// when there is more than one.
+    pub parts: usize,
 }
 
 /// A complete plan with its total estimated cost.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     pub root: PlanNode,
-    /// Names of the query's input tables (for explain output).
-    pub table_names: Vec<String>,
+    /// The query's input tables, by query table index.
+    pub tables: Vec<PlanTable>,
     /// Optimizer-estimated elapsed cost in microseconds.
     pub est_cost_us: f64,
     /// Optimizer-estimated total CPU microseconds.
@@ -478,7 +490,7 @@ impl PhysicalPlan {
     /// Readable plan tree.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        self.root.explain_into(0, &self.table_names, &mut out);
+        self.root.explain_into(0, &self.tables, &mut out);
         out
     }
 }

@@ -57,7 +57,7 @@ impl ProfileMap {
             let idx = map.ids[&(node as *const PlanNode)];
             let s = &map.stats[idx];
             out.push(NodeProfile {
-                label: node.describe(&plan.table_names),
+                label: node.describe(&plan.tables),
                 depth,
                 est_rows: node.est_rows,
                 est_cost_us: node.est_cpu_us + node.est_io_us,

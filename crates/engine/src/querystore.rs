@@ -10,21 +10,21 @@ use std::sync::Mutex;
 
 use hpd_obs::json_string;
 
-use crate::plan::{PhysicalPlan, PlanNode};
+use crate::plan::{PhysicalPlan, PlanNode, PlanTable};
 
 /// Stable hash of a plan's *shape* (operator kinds, indexes, and structure;
 /// not cost annotations), so repeated executions of the same plan collapse
 /// to one fingerprint.
 pub fn plan_fingerprint(plan: &PhysicalPlan) -> u64 {
     let mut h = DefaultHasher::new();
-    fn visit(node: &PlanNode, depth: usize, names: &[String], h: &mut DefaultHasher) {
+    fn visit(node: &PlanNode, depth: usize, tables: &[PlanTable], h: &mut DefaultHasher) {
         depth.hash(h);
-        node.describe(names).hash(h);
+        node.describe(tables).hash(h);
         for c in node.children() {
-            visit(c, depth + 1, names, h);
+            visit(c, depth + 1, tables, h);
         }
     }
-    visit(&plan.root, 0, &plan.table_names, &mut h);
+    visit(&plan.root, 0, &plan.tables, &mut h);
     h.finish()
 }
 

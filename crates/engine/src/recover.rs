@@ -395,24 +395,6 @@ fn redo_ddl(db: &Database, lsn: u64, rec: LogRecord, tracker: &IoTracker) -> Res
             slot.applied_lsn.store(lsn, Ordering::Relaxed);
             Ok(true)
         }
-        LogRecord::DeltaCompaction { table, .. } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            slot.table.write().csi_compact_deletes(&db.pool, tracker);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        LogRecord::TupleMoverMigrate { table, .. } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            slot.table.write().csi_compress_delta(&db.pool, tracker);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
         LogRecord::MaintenanceStep {
             table,
             part,
@@ -428,11 +410,8 @@ fn redo_ddl(db: &Database, lsn: u64, rec: LogRecord, tracker: &IoTracker) -> Res
             // rowgroup holds which row) may differ from the pre-crash
             // instance; the visible contents cannot.
             let mut guard = slot.table.write();
-            if part != u32::MAX && (part as usize) < guard.num_parts() {
-                guard.maintenance_step_part(part as usize, budget_rows as usize, &db.pool, tracker);
-            } else {
-                guard.maintenance_step(budget_rows as usize, &db.pool, tracker);
-            }
+            let part = Some(part as usize).filter(|&p| p < guard.num_parts());
+            guard.maintenance_step(part, budget_rows as usize, &db.pool, tracker);
             drop(guard);
             slot.applied_lsn.store(lsn, Ordering::Relaxed);
             Ok(true)

@@ -202,8 +202,23 @@ impl TablePart {
         out
     }
 
+    /// This part's columnstore indexes: the primary if it is one, then the
+    /// secondary. Everything that reorganizes, ages or reports on
+    /// columnstores walks this.
+    pub fn csis(&self) -> impl Iterator<Item = &ColumnStoreIndex> {
+        self.primary.as_csi().into_iter().chain(&self.secondary_csi)
+    }
+
+    fn csis_mut(&mut self) -> impl Iterator<Item = &mut ColumnStoreIndex> {
+        let primary = match &mut self.primary {
+            PrimaryIndex::Csi(csi) => Some(csi),
+            PrimaryIndex::BTree(_) => None,
+        };
+        primary.into_iter().chain(&mut self.secondary_csi)
+    }
+
     fn has_csi(&self) -> bool {
-        matches!(self.primary, PrimaryIndex::Csi(_)) || self.secondary_csi.is_some()
+        self.csis().next().is_some()
     }
 
     /// Replace this part's contents with `rows` (primary rebuilt, existing
@@ -547,55 +562,7 @@ impl TablePart {
     /// Rows of pending reorganization work (delta rows + buffered deletes)
     /// across this part's columnstore indexes.
     pub fn maintenance_backlog(&self) -> usize {
-        let mut backlog = 0;
-        if let PrimaryIndex::Csi(csi) = &self.primary {
-            backlog += csi.maintenance_backlog();
-        }
-        if let Some(csi) = &self.secondary_csi {
-            backlog += csi.maintenance_backlog();
-        }
-        backlog
-    }
-
-    /// One budgeted maintenance increment over this part's columnstore
-    /// indexes: primary CSI first claim, secondary CSI the remainder;
-    /// buffered deletes always resolve before delta rows compress.
-    fn maintenance_step(
-        &mut self,
-        budget_rows: usize,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> TableMaintStep {
-        let mut moved = 0;
-        let mut compacted = 0;
-        let mut rewritten = 0;
-        let mut merged = 0;
-        let mut remaining = budget_rows.max(1);
-        if let PrimaryIndex::Csi(csi) = &mut self.primary {
-            let s = csi.maintenance_step(remaining, pool, tracker);
-            moved += s.rows_moved;
-            compacted += s.deletes_compacted;
-            rewritten += s.rows_rewritten;
-            merged += s.rowgroups_merged;
-            remaining =
-                remaining.saturating_sub(s.rows_moved + s.deletes_compacted + s.rows_rewritten);
-        }
-        if remaining > 0 {
-            if let Some(csi) = self.secondary_csi.as_mut() {
-                let s = csi.maintenance_step(remaining, pool, tracker);
-                moved += s.rows_moved;
-                compacted += s.deletes_compacted;
-                rewritten += s.rows_rewritten;
-                merged += s.rowgroups_merged;
-            }
-        }
-        TableMaintStep {
-            rows_moved: moved,
-            deletes_compacted: compacted,
-            rows_rewritten: rewritten,
-            rowgroups_merged: merged,
-            done: self.maintenance_backlog() == 0,
-        }
+        self.csis().map(ColumnStoreIndex::maintenance_backlog).sum()
     }
 
     /// What-if metadata for this part's materialized indexes: primary first,
@@ -960,25 +927,6 @@ impl Table {
         &self.parts
     }
 
-    /// Primary index of the first (or only) part. For partitioned tables
-    /// prefer [`Table::part`] — parts may have heterogeneous designs.
-    pub fn primary(&self) -> &PrimaryIndex {
-        &self.parts[0].primary
-    }
-
-    pub fn secondaries(&self) -> &[SecondaryBTree] {
-        &self.parts[0].secondaries
-    }
-
-    pub fn secondary_csi(&self) -> Option<&ColumnStoreIndex> {
-        self.parts[0].secondary_csi.as_ref()
-    }
-
-    /// Table ordinals stored in the secondary CSI, in its schema order.
-    pub fn secondary_csi_columns(&self) -> &[usize] {
-        &self.parts[0].csi_columns
-    }
-
     pub fn has_csi(&self) -> bool {
         self.parts.iter().any(TablePart::has_csi)
     }
@@ -1013,84 +961,39 @@ impl Table {
         })
     }
 
-    /// Resolve buffered secondary-CSI deletes into delete-bitmap bits.
-    /// Returns the number of buffered deletes resolved (for the WAL's
-    /// `DeltaCompaction` record). No-op without a secondary CSI.
-    pub(crate) fn csi_compact_deletes(&mut self, pool: &BufferPool, tracker: &IoTracker) -> usize {
-        self.parts
-            .iter_mut()
-            .map(|part| {
-                part.secondary_csi.as_mut().map_or(0, |csi| {
-                    csi.compact_deletes_budget(usize::MAX, pool, tracker)
-                })
-            })
-            .sum()
-    }
-
-    /// Force-compress all delta rows into row groups (primary and secondary
-    /// CSI, every partition). Returns the number of rows migrated (for the
-    /// WAL's `TupleMoverMigrate` record). No-op without a CSI.
-    pub(crate) fn csi_compress_delta(&mut self, pool: &BufferPool, tracker: &IoTracker) -> usize {
-        let mut moved = 0;
-        for part in &mut self.parts {
-            if let PrimaryIndex::Csi(csi) = &mut part.primary {
-                moved += csi.maintenance_full(pool, tracker).rows_moved;
-            }
-            if let Some(csi) = part.secondary_csi.as_mut() {
-                moved += csi.maintenance_full(pool, tracker).rows_moved;
-            }
-        }
-        moved
-    }
-
-    /// One budgeted maintenance increment across this table's columnstore
-    /// indexes, partitions served in order under a shared budget. No-op
-    /// without a CSI. Reach it through `db.maintenance(table)`.
+    /// One budgeted maintenance increment over the columnstore indexes of
+    /// one part — or, with `part: None`, of every part in order — under one
+    /// shared budget: within a part the primary CSI has first claim and the
+    /// secondary the remainder (each index resolves its buffered deletes
+    /// before its delta rows compress). No-op without a CSI. Reach it
+    /// through `db.maintenance(table)`.
     pub(crate) fn maintenance_step(
         &mut self,
+        part: Option<usize>,
         budget_rows: usize,
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> TableMaintStep {
-        let mut moved = 0;
-        let mut compacted = 0;
-        let mut rewritten = 0;
-        let mut merged = 0;
+        let parts = match part {
+            Some(p) => &mut self.parts[p..=p],
+            None => &mut self.parts[..],
+        };
+        let mut step = TableMaintStep::default();
         let mut remaining = budget_rows.max(1);
-        for part in &mut self.parts {
+        for csi in parts.iter_mut().flat_map(TablePart::csis_mut) {
             if remaining == 0 {
                 break;
             }
-            let s = part.maintenance_step(remaining, pool, tracker);
-            moved += s.rows_moved;
-            compacted += s.deletes_compacted;
-            rewritten += s.rows_rewritten;
-            merged += s.rowgroups_merged;
+            let s = csi.maintenance_step(remaining, pool, tracker);
+            step.rows_moved += s.rows_moved;
+            step.deletes_compacted += s.deletes_compacted;
+            step.rows_rewritten += s.rows_rewritten;
+            step.rowgroups_merged += s.rowgroups_merged;
             remaining =
                 remaining.saturating_sub(s.rows_moved + s.deletes_compacted + s.rows_rewritten);
         }
-        TableMaintStep {
-            rows_moved: moved,
-            deletes_compacted: compacted,
-            rows_rewritten: rewritten,
-            rowgroups_merged: merged,
-            done: self.maintenance_backlog() == 0,
-        }
-    }
-
-    /// One budgeted maintenance increment against a single partition.
-    pub(crate) fn maintenance_step_part(
-        &mut self,
-        part: usize,
-        budget_rows: usize,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> TableMaintStep {
-        let s = self.parts[part].maintenance_step(budget_rows, pool, tracker);
-        TableMaintStep {
-            done: self.maintenance_backlog() == 0,
-            ..s
-        }
+        step.done = self.maintenance_backlog() == 0;
+        step
     }
 
     /// Rows of pending reorganization work (delta rows + buffered deletes)
@@ -1103,13 +1006,8 @@ impl Table {
     /// index. Driven by the scheduler's decay clock — deliberately NOT tied
     /// to maintenance passes, so heat ages even when no compaction runs.
     pub fn decay_heat(&self) {
-        for part in &self.parts {
-            if let PrimaryIndex::Csi(csi) = &part.primary {
-                csi.decay_heat();
-            }
-            if let Some(csi) = &part.secondary_csi {
-                csi.decay_heat();
-            }
+        for csi in self.parts.iter().flat_map(TablePart::csis) {
+            csi.decay_heat();
         }
     }
 
@@ -1118,21 +1016,20 @@ impl Table {
     /// `"p<i>.primary"` / `"p<i>.secondary"` (partitioned). Empty without a
     /// CSI.
     pub fn heat_report(&self) -> Vec<(String, hpd_columnstore::CsiHeatReport)> {
-        let mut out = Vec::new();
         let partitioned = self.parts.len() > 1;
+        let mut out = Vec::new();
         for (i, part) in self.parts.iter().enumerate() {
-            let label = |kind: &str| {
-                if partitioned {
+            for csi in part.csis() {
+                let kind = match csi.kind() {
+                    CsiKind::Primary => "primary",
+                    CsiKind::Secondary => "secondary",
+                };
+                let label = if partitioned {
                     format!("p{i}.{kind}")
                 } else {
                     kind.to_string()
-                }
-            };
-            if let PrimaryIndex::Csi(csi) = &part.primary {
-                out.push((label("primary"), csi.heat_report()));
-            }
-            if let Some(csi) = &part.secondary_csi {
-                out.push((label("secondary"), csi.heat_report()));
+                };
+                out.push((label, csi.heat_report()));
             }
         }
         out
@@ -1145,14 +1042,8 @@ impl Table {
             TableStats::analyze(&rows, self.schema.len(), self.csi_config.rowgroup_capacity);
     }
 
-    /// What-if metadata for the first (or only) part's materialized indexes:
-    /// primary first, then secondary B+ trees, then the secondary CSI. For
-    /// partitioned tables, see [`Table::part_metas`].
-    pub fn metas(&self) -> Vec<IndexMeta> {
-        self.parts[0].metas(&self.pk)
-    }
-
-    /// Per-partition what-if metadata.
+    /// What-if metadata for one part's materialized indexes: primary first,
+    /// then secondary B+ trees, then the secondary CSI.
     pub fn part_metas(&self, part: usize) -> Vec<IndexMeta> {
         self.parts[part].metas(&self.pk)
     }

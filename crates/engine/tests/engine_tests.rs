@@ -415,7 +415,7 @@ fn what_if_hypothetical_index_changes_plan() {
     assert!(base_plan.explain().contains("BTreeScan"));
 
     // Hypothetical secondary B+ tree on val.
-    let mut metas = db.with_table("t", |t| t.metas()).unwrap();
+    let mut metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
     metas.push(IndexMeta {
         descriptor: IndexDescriptor::SecondaryBTree {
             keys: vec![2],
@@ -431,7 +431,7 @@ fn what_if_hypothetical_index_changes_plan() {
         delete_buffer_rows: 0,
         hypothetical: true,
     });
-    let overrides = std::collections::HashMap::from([("t".to_string(), metas)]);
+    let overrides = std::collections::HashMap::from([("t".to_string(), vec![metas])]);
     let what_if = db.what_if_plan(&q, &overrides).unwrap();
     assert!(
         what_if.explain().contains("idx#1"),

@@ -164,7 +164,12 @@ fn heat_decay_is_decoupled_from_maintenance() {
     }
     let decays = |db: &Database| {
         db.with_table("t", |t| {
-            t.primary().as_csi().unwrap().heat_report().decay_passes
+            t.part(0)
+                .primary()
+                .as_csi()
+                .unwrap()
+                .heat_report()
+                .decay_passes
         })
         .unwrap()
     };
@@ -287,7 +292,9 @@ fn maintenance_on_secondary_csi_resolves_buffered_deletes() {
     .unwrap();
     delete_below(&db, 10);
     let buffered = db
-        .with_table("t", |t| t.secondary_csi().unwrap().delete_buffer_len())
+        .with_table("t", |t| {
+            t.part(0).secondary_csi().unwrap().delete_buffer_len()
+        })
         .unwrap();
     assert!(buffered > 0, "secondary-CSI deletes must buffer");
     let before = contents(&db);
@@ -304,7 +311,9 @@ fn maintenance_on_secondary_csi_resolves_buffered_deletes() {
         }
     }
     let left = db
-        .with_table("t", |t| t.secondary_csi().unwrap().delete_buffer_len())
+        .with_table("t", |t| {
+            t.part(0).secondary_csi().unwrap().delete_buffer_len()
+        })
         .unwrap();
     assert_eq!(left, 0);
     assert_eq!(contents(&db), before);

@@ -165,7 +165,7 @@ fn what_if_cost_scales_with_hypothetical_size() {
         vec![3],
     );
     let mk = |leaf_pages: usize| {
-        let mut metas = db.with_table("t", |t| t.metas()).unwrap();
+        let mut metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
         metas.push(hpd_engine::IndexMeta {
             descriptor: IndexDescriptor::SecondaryBTree {
                 keys: vec![3],
@@ -181,7 +181,7 @@ fn what_if_cost_scales_with_hypothetical_size() {
             delete_buffer_rows: 0,
             hypothetical: true,
         });
-        std::collections::HashMap::from([("t".to_string(), metas)])
+        std::collections::HashMap::from([("t".to_string(), vec![metas])])
     };
     let small = db.what_if_plan(&q, &mk(100)).unwrap().est_cost_us;
     let large = db.what_if_plan(&q, &mk(100_000)).unwrap().est_cost_us;

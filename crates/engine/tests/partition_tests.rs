@@ -3,10 +3,13 @@
 //! monolithic table, per-partition maintenance, and crash recovery of
 //! partitioned catalogs.
 
-use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
+use std::collections::HashMap;
+
+use hpd_common::{AggFunc, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
+use hpd_engine::plan::PlanNode;
 use hpd_engine::{
     AggItem, ColRef, Database, DbConfig, DeleteStmt, IndexDescriptor, InsertStmt, PartitionSpec,
-    SelectQuery, Statement, UpdateStmt,
+    PlanNodeKind, QueryRunner, SelectQuery, Statement, UpdateStmt,
 };
 
 fn schema() -> Schema {
@@ -267,26 +270,104 @@ fn pruning_skips_partitions_and_shows_in_explain() {
 }
 
 #[test]
-fn pruning_can_be_disabled() {
-    let db = Database::new(DbConfig {
-        partition_pruning: false,
-        ..DbConfig::default()
-    });
+fn pruned_answer_equals_the_unpartitioned_answer() {
+    let db = Database::new(DbConfig::default());
     db.create_partitioned_table("t", schema(), vec![0], btree(), spec4())
         .unwrap();
-    db.load_table("t", (0..1000).map(row).collect()).unwrap();
+    db.create_table("flat", schema(), vec![0], btree()).unwrap();
+    for table in ["t", "flat"] {
+        db.load_table(table, (0..1000).map(row).collect()).unwrap();
+    }
+    let q = |table: &str| {
+        SelectQuery::single_table(
+            table,
+            Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int32(100))),
+            vec![0, 2],
+        )
+    };
+    let explain = db.plan(&q("t")).unwrap().explain();
+    assert!(
+        explain.contains("[1/4 partitions, 3 pruned]"),
+        "plan was:\n{explain}"
+    );
+    let run = |table: &str| {
+        let mut rows = db.query(&Statement::Select(q(table))).run().unwrap().rows;
+        rows.sort();
+        rows
+    };
+    assert_eq!(run("t").len(), 100);
+    assert_eq!(run("t"), run("flat"), "pruning only saves time");
+}
+
+/// Point every leaf of `node` at `part`.
+fn retarget(node: &mut PlanNode, to: usize) {
+    match &mut node.kind {
+        PlanNodeKind::BTreeSeek { part, .. }
+        | PlanNodeKind::BTreeScan { part, .. }
+        | PlanNodeKind::CsiScan { part, .. }
+        | PlanNodeKind::CsiAgg { part, .. } => *part = to,
+        _ => {}
+    }
+    for child in node.children_mut() {
+        retarget(child, to);
+    }
+}
+
+#[test]
+fn a_plan_naming_a_missing_part_is_an_internal_error() {
+    let db = partitioned_db();
     let q = SelectQuery::single_table(
         "t",
         Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int32(100))),
-        vec![0],
+        vec![0, 2],
     );
-    let explain = db.plan(&q).unwrap().explain();
+    let mut plan = db.plan(&q).unwrap();
+    let run = |plan: &hpd_engine::PhysicalPlan| {
+        db.with_table("t", |t| {
+            QueryRunner::new(vec![t], db.pool(), 1 << 20).run(plan)
+        })
+        .unwrap()
+    };
+    assert_eq!(run(&plan).unwrap().rows.len(), 100);
+    // The same plan against a part the 4-part table does not have.
+    retarget(&mut plan.root, 7);
+    match run(&plan) {
+        Err(HpdError::Internal(msg)) => assert!(msg.contains("part 7"), "{msg}"),
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_single_meta_set_plans_a_partitioned_table_as_monolithic() {
+    let db = partitioned_db();
+    let q = SelectQuery::single_table(
+        "t",
+        Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int32(100))),
+        vec![0, 2],
+    );
+    assert!(db.plan(&q).unwrap().explain().contains("PartitionedScan"));
+    let metas = db.with_table("t", |t| t.part_metas(3)).unwrap();
+    // One set: costed as one part, so no scatter-gather and no part tags.
+    let one = HashMap::from([("t".to_string(), vec![metas.clone()])]);
+    let explain = db.what_if_plan(&q, &one).unwrap().explain();
+    assert!(!explain.contains("PartitionedScan"), "plan was:\n{explain}");
     assert!(
-        explain.contains("[4/4 partitions, 0 pruned]"),
+        explain.contains("BTreeSeek t idx#0"),
         "plan was:\n{explain}"
     );
-    let r = db.query(&Statement::Select(q)).run().unwrap();
-    assert_eq!(r.rows.len(), 100, "disabling pruning only costs time");
+    // One set per part: the scatter-gather, each lane naming its part.
+    let four = HashMap::from([("t".to_string(), vec![metas.clone(); 4])]);
+    let explain = db.what_if_plan(&q, &four).unwrap().explain();
+    assert!(
+        explain.contains("[1/4 partitions, 3 pruned]") && explain.contains("t[p0]"),
+        "plan was:\n{explain}"
+    );
+    // Any other count matches neither shape.
+    let two = HashMap::from([("t".to_string(), vec![metas; 2])]);
+    assert!(matches!(
+        db.what_if_plan(&q, &two),
+        Err(HpdError::InvalidQuery(_))
+    ));
 }
 
 #[test]

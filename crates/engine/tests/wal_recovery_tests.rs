@@ -122,7 +122,7 @@ fn secondary_csi_delete_buffer_state_is_rebuilt() {
     assert_eq!(contents(&recovered), expected);
     // The rebuilt table still has its secondary CSI.
     let has_csi = recovered
-        .with_table("t", |t| t.secondary_csi().is_some())
+        .with_table("t", |t| t.part(0).secondary_csi().is_some())
         .unwrap();
     assert!(has_csi, "secondary CSI lost by recovery");
 }
@@ -216,7 +216,10 @@ fn ddl_and_design_changes_replay_without_checkpoint() {
     assert_eq!(contents(&recovered), expected);
     let (n_sec, has_csi) = recovered
         .with_table("t", |t| {
-            (t.secondaries().len(), t.secondary_csi().is_some())
+            (
+                t.part(0).secondaries().len(),
+                t.part(0).secondary_csi().is_some(),
+            )
         })
         .unwrap();
     assert_eq!(n_sec, 0, "design change replay dropped the old B+ tree");

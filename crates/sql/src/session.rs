@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use hpd_common::{HpdError, Result, Row, Value};
-use hpd_engine::{Database, IsolationLevel, Statement, TableDesign, Txn};
+use hpd_engine::{Database, IndexDescriptor, IsolationLevel, Statement, TableDesign, Txn};
 
 use crate::binder::{bind, output_names, Bound};
 use crate::cache::PlanCache;
@@ -218,22 +218,40 @@ impl<'db> SqlSession<'db> {
                 Ok(SqlOutput::Command("CREATE INDEX"))
             }
             Bound::DropIndex { table, ordinal } => {
-                let metas = self.db.with_table(&table, |t| t.metas())?;
-                // metas[0] is the primary; secondaries are 1-based from
-                // there, in meta order.
-                if ordinal == 0 || ordinal >= metas.len() {
+                // Each part's design, primary first; secondaries are 1-based
+                // from there, in meta order.
+                let mut designs: Vec<Vec<IndexDescriptor>> = self.db.with_table(&table, |t| {
+                    (0..t.num_parts())
+                        .map(|p| t.part_metas(p).into_iter().map(|m| m.descriptor).collect())
+                        .collect()
+                })?;
+                // The ordinal names one index only while every part has the
+                // same secondaries; designs that differ are never flattened.
+                if designs.iter().any(|d| d[1..] != designs[0][1..]) {
                     return Err(HpdError::InvalidQuery(format!(
-                        "table '{table}' has {} secondary indexes; cannot drop #{ordinal}",
-                        metas.len() - 1
+                        "the partitions of table '{table}' have different secondary indexes; \
+                         re-tune them one at a time with apply_partition_design"
                     )));
                 }
-                let indexes = metas
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != ordinal)
-                    .map(|(_, meta)| meta.descriptor.clone())
-                    .collect();
-                self.db.apply_design(&TableDesign::new(table, indexes))?;
+                if ordinal == 0 || ordinal >= designs[0].len() {
+                    return Err(HpdError::InvalidQuery(format!(
+                        "table '{table}' has {} secondary indexes; cannot drop #{ordinal}",
+                        designs[0].len() - 1
+                    )));
+                }
+                // Every part keeps its own primary and loses the index.
+                for design in &mut designs {
+                    design.remove(ordinal);
+                }
+                if let [design] = designs.as_slice() {
+                    self.db
+                        .apply_design(&TableDesign::new(table, design.clone()))?;
+                } else {
+                    for (p, design) in designs.iter().enumerate() {
+                        self.db
+                            .apply_partition_design(&table, p, &design[0], &design[1..])?;
+                    }
+                }
                 Ok(SqlOutput::Command("DROP INDEX"))
             }
         }

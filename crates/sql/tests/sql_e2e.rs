@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpd_common::{HpdError, Value};
-use hpd_engine::{Database, DbConfig, IsolationLevel};
+use hpd_engine::{Database, DbConfig, IndexDescriptor, IsolationLevel};
 use hpd_sql::{bind, parse, Bound, PlanCache, SqlOutput, SqlSession};
 use hpd_workloads::tpch::{load_lineitem, q5_scan_range, MixedDesign};
 
@@ -317,6 +317,73 @@ fn partitioned_create_table_routes_rows_and_reports() {
     };
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].values()[0], Value::Int32(3));
+}
+
+/// Each part's design as descriptor debug strings.
+fn part_designs(db: &Database, table: &str) -> Vec<Vec<String>> {
+    db.with_table(table, |t| {
+        (0..t.num_parts())
+            .map(|p| {
+                t.part_metas(p)
+                    .iter()
+                    .map(|m| format!("{:?}", m.descriptor))
+                    .collect()
+            })
+            .collect()
+    })
+    .unwrap()
+}
+
+#[test]
+fn drop_index_never_flattens_per_partition_designs() {
+    let db = Database::new(DbConfig::default());
+    let mut session = SqlSession::new(&db);
+    session
+        .execute(
+            "CREATE TABLE m (k INT PRIMARY KEY, v INT, w INT) \
+             PARTITION BY RANGE (k) VALUES LESS THAN (10, 20);
+             INSERT INTO m VALUES (1, 1, 1), (10, 2, 2), (15, 3, 3), (25, 4, 4);
+             CREATE INDEX ON m (v);
+             CREATE INDEX ON m (w);",
+        )
+        .expect("partitioned DDL");
+    // Parts with different primaries but one secondary list: the ordinal
+    // resolves against each part, and each keeps its own primary.
+    let secondaries = db
+        .with_table("m", |t| t.part(0).secondary_descriptors())
+        .unwrap();
+    db.apply_partition_design("m", 0, &IndexDescriptor::PrimaryCsi, &secondaries)
+        .unwrap();
+    session.execute_one("DROP INDEX 1 ON m").expect("drop #1");
+    let designs = part_designs(&db, "m");
+    assert!(designs[0][0].contains("PrimaryCsi"), "{designs:?}");
+    assert!(designs[1][0].contains("PrimaryBTree"), "{designs:?}");
+    for d in &designs {
+        assert_eq!(d.len(), 2, "one secondary left on every part: {designs:?}");
+        assert!(
+            d[1].contains("keys: [2]"),
+            "index on w survives: {designs:?}"
+        );
+    }
+    // Parts whose secondaries differ: a typed error, and nothing changes.
+    db.apply_partition_design(
+        "m",
+        2,
+        &IndexDescriptor::PrimaryBTree { keys: vec![0] },
+        &[],
+    )
+    .unwrap();
+    let before = part_designs(&db, "m");
+    let err = session.execute_one("DROP INDEX 1 ON m").unwrap_err();
+    assert!(
+        err.to_string().contains("apply_partition_design"),
+        "error must name the per-partition API: {err}"
+    );
+    assert_eq!(part_designs(&db, "m"), before);
+    let SqlOutput::Rows { rows, .. } = session.execute_one("SELECT SUM(v) FROM m").unwrap() else {
+        panic!("expected rows");
+    };
+    assert_eq!(rows[0].values()[0], Value::Int64(10));
 }
 
 #[test]

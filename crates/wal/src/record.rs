@@ -108,16 +108,6 @@ pub enum LogRecord {
         primary: WalIndexDef,
         secondaries: Vec<WalIndexDef>,
     },
-    /// Tuple mover migrated `rows` delta rows into compressed rowgroups.
-    TupleMoverMigrate {
-        table: u32,
-        rows: u64,
-    },
-    /// Delete-buffer compaction removed `rows` buffered deletes.
-    DeltaCompaction {
-        table: u32,
-        rows: u64,
-    },
     /// One budgeted maintenance increment completed: up to `budget_rows`
     /// rows of work, split between compacting buffered deletes and moving
     /// delta rows. Replayed logically — redo re-runs an increment with the
@@ -157,8 +147,9 @@ const TAG_TABLE_CREATE: u8 = 7;
 const TAG_BULK_LOAD: u8 = 8;
 const TAG_INDEX_CREATE: u8 = 9;
 const TAG_DESIGN_CHANGE: u8 = 10;
-const TAG_TUPLE_MOVER: u8 = 11;
-const TAG_DELTA_COMPACTION: u8 = 12;
+// Tags 11 and 12 belonged to the stop-the-world maintenance records that
+// `MaintenanceStep` replaced; they stay retired so an old log is rejected
+// as corrupt and never misread.
 const TAG_CHECKPOINT_BEGIN: u8 = 13;
 const TAG_CHECKPOINT_END: u8 = 14;
 const TAG_MAINTENANCE_STEP: u8 = 15;
@@ -516,16 +507,6 @@ impl LogRecord {
                     put_index_def(&mut b, def);
                 }
             }
-            LogRecord::TupleMoverMigrate { table, rows } => {
-                b.push(TAG_TUPLE_MOVER);
-                put_u32(&mut b, *table);
-                put_u64(&mut b, *rows);
-            }
-            LogRecord::DeltaCompaction { table, rows } => {
-                b.push(TAG_DELTA_COMPACTION);
-                put_u32(&mut b, *table);
-                put_u64(&mut b, *rows);
-            }
             LogRecord::MaintenanceStep {
                 table,
                 part,
@@ -623,14 +604,6 @@ impl LogRecord {
                     secondaries,
                 }
             }
-            TAG_TUPLE_MOVER => LogRecord::TupleMoverMigrate {
-                table: c.u32()?,
-                rows: c.u64()?,
-            },
-            TAG_DELTA_COMPACTION => LogRecord::DeltaCompaction {
-                table: c.u32()?,
-                rows: c.u64()?,
-            },
             TAG_MAINTENANCE_STEP => LogRecord::MaintenanceStep {
                 table: c.u32()?,
                 part: c.u32()?,
@@ -675,8 +648,6 @@ impl LogRecord {
             | LogRecord::BulkLoad { table, .. }
             | LogRecord::IndexCreate { table, .. }
             | LogRecord::DesignChange { table, .. }
-            | LogRecord::TupleMoverMigrate { table, .. }
-            | LogRecord::DeltaCompaction { table, .. }
             | LogRecord::MaintenanceStep { table, .. }
             | LogRecord::PartitionDesignChange { table, .. } => Some(*table),
             _ => None,
@@ -808,8 +779,6 @@ mod tests {
                 cols_b: vec![2],
             }],
         });
-        roundtrip(LogRecord::TupleMoverMigrate { table: 3, rows: 99 });
-        roundtrip(LogRecord::DeltaCompaction { table: 3, rows: 4 });
         roundtrip(LogRecord::MaintenanceStep {
             table: 3,
             part: u32::MAX,
@@ -844,6 +813,14 @@ mod tests {
     fn corrupt_payloads_error_without_panicking() {
         assert!(LogRecord::decode(&[]).is_err());
         assert!(LogRecord::decode(&[200]).is_err()); // unknown tag
+                                                     // The two retired maintenance tags, with their old payload shape.
+        for tag in [11u8, 12] {
+            let mut b = vec![tag];
+            put_u32(&mut b, 3);
+            put_u64(&mut b, 99);
+            let err = LogRecord::decode(&b).unwrap_err().to_string();
+            assert!(err.contains(&format!("bad record tag {tag}")), "{err}");
+        }
         assert!(LogRecord::decode(&[TAG_TXN_BEGIN, 1, 2]).is_err()); // truncated
         let mut ok = LogRecord::TxnAbort { txn_id: 1 }.encode();
         ok.push(0); // trailing garbage

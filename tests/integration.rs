@@ -664,7 +664,7 @@ mod differential {
             if *name == "btree" {
                 continue;
             }
-            let metas = db.with_table("fact", |t| t.metas()).unwrap();
+            let metas = db.with_table("fact", |t| t.part_metas(0)).unwrap();
             let csi = metas
                 .iter()
                 .find(|m| m.rowgroups > 0)

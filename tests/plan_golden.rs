@@ -21,8 +21,11 @@ use hybrid_physical_designs::workloads::tpch::{load_lineitem, MixedDesign};
 /// The Figure 1 selectivity grid.
 const SELECTIVITIES: [f64; 7] = [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5];
 
+/// A snapshot file's stem and the function producing its contents.
+type Case = (&'static str, fn() -> String);
+
 /// One snapshot file per case.
-const CASES: &[(&str, fn() -> String)] = &[
+const CASES: &[Case] = &[
     ("tpcds_btree_only", tpcds_btree_only),
     ("tpcds_csi_everywhere", tpcds_csi_everywhere),
     ("micro_hybrid", micro_hybrid),

@@ -130,7 +130,6 @@ impl<'a> QueryRunner<'a> {
 
     /// Attach snapshot-isolation overlays (keyed by query table index).
     pub fn with_overlays(mut self, overlays: HashMap<usize, TableOverlay>) -> QueryRunner<'a> {
-        self.overlays.retain(|_, _| true);
         self.overlays = overlays;
         self
     }
@@ -476,7 +475,10 @@ impl<'a> QueryRunner<'a> {
             None
         };
         let Some(overlay) = overlay else {
-            return Ok(gather(self.scan_partitions(node, &node.out_cols)?));
+            return Ok(gather(
+                self.scan_partitions(node, &node.out_cols)?,
+                scan_dop(node),
+            ));
         };
         let (ti, part, index) = scan_target(node)?;
         let table = self.table(ti)?;
@@ -545,7 +547,7 @@ impl<'a> QueryRunner<'a> {
         for &k in &order_keys {
             ensure_col(k);
         }
-        let scan = gather(self.scan_partitions(node, &ext_cols)?);
+        let scan = gather(self.scan_partitions(node, &ext_cols)?, scan_dop(node));
         // Project the overlay's full-table rows to the scan's columns.
         let table_ords: Vec<usize> = ext_cols
             .iter()
@@ -623,7 +625,9 @@ impl<'a> QueryRunner<'a> {
             PlanNodeKind::BTreeScan { .. }
             | PlanNodeKind::BTreeSeek { .. }
             | PlanNodeKind::CsiScan { .. } => self.lower_scan(node, true),
-            PlanNodeKind::PartitionedScan { parts, pruned, .. } => {
+            PlanNodeKind::PartitionedScan {
+                parts, pruned, dop, ..
+            } => {
                 let reg = hpd_obs::global();
                 reg.counter("partition.scanned").add(parts.len() as u64);
                 reg.counter("partition.pruned").add(*pruned as u64);
@@ -631,7 +635,7 @@ impl<'a> QueryRunner<'a> {
                     .iter()
                     .map(|lane| self.lower(lane))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(gather(lanes))
+                Ok(gather(lanes, *dop))
             }
             PlanNodeKind::CsiAgg {
                 table,
@@ -729,7 +733,7 @@ impl<'a> QueryRunner<'a> {
                                 as ExecNode<'a>
                         })
                         .collect();
-                    return Ok(gather(workers));
+                    return Ok(gather(workers, scan_dop(child)));
                 }
                 let c = self.lower(child)?;
                 Ok(Box::new(FilterOp::new(
@@ -944,29 +948,12 @@ fn exec_mode(m: PlanMode) -> Mode {
     }
 }
 
-/// Wrap partitions in a ParallelOp (or return the single partition).
-fn gather(mut parts: Vec<ExecNode<'_>>) -> ExecNode<'_> {
+/// Wrap partitions in a ParallelOp running at most `dop` of them at once
+/// (or return the single partition).
+fn gather(mut parts: Vec<ExecNode<'_>>, dop: usize) -> ExecNode<'_> {
     if parts.len() == 1 {
         parts.pop().expect("one element")
     } else {
-        Box::new(ParallelOp::new(parts))
+        Box::new(ParallelOp::new(parts, dop))
     }
-}
-
-/// Helper used by DML paths: run a sub-plan and return its rows without
-/// metrics plumbing.
-pub fn run_plan_rows(
-    tables: Vec<&Table>,
-    pool: &BufferPool,
-    grant: usize,
-    plan: &PhysicalPlan,
-) -> Result<Vec<Row>> {
-    QueryRunner::new(tables, pool, grant)
-        .run(plan)
-        .map(|r| r.rows)
-}
-
-/// Convert result rows into a batch (utility for callers/tests).
-pub fn rows_to_batch(types: &[DataType], rows: &[Row]) -> Result<Batch> {
-    Batch::from_rows(types, rows)
 }

@@ -146,12 +146,11 @@ impl Optimizer {
                 "table contexts do not match query tables".into(),
             ));
         }
-        let root = if tables.len() == 1 {
+        let mut root = if tables.len() == 1 {
             self.plan_single_table(query, tables)?
         } else {
             self.plan_joins(query, tables)?
         };
-        let mut root = self.finish_plan(root, query, tables)?;
         let (io_div, io_serial) = split_io(&root);
         let (dop, elapsed) = self
             .cost
@@ -179,21 +178,67 @@ impl Optimizer {
     // ------------------------------------------------------------------
 
     /// Enumerate costed access options for query table `ti` producing at
-    /// least `needed` columns, with the local predicate applied: the
-    /// surviving parts' own options. One part offers every path through its
-    /// indexes; several parts offer their scatter-gather.
+    /// least `needed` columns, with the local predicate applied. Every
+    /// surviving part is planned the same way — its own options, each under
+    /// its residual filter — so a lane of a gather *is* a one-part plan. A
+    /// one-part table returns that list as is; several parts wrap it in a
+    /// [`PlanNodeKind::PartitionedScan`], which only unions lanes and
+    /// reports pruning.
     fn access_options(
         &self,
         ti: usize,
         needed: &[usize],
         predicate: Option<&Expr>,
         ctx: &TableContext,
-    ) -> Vec<AccessOption> {
+    ) -> Result<Vec<AccessOption>> {
         let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
-        match ctx.parts.as_slice() {
-            [only] => self.part_options(ti, 0, only, needed, &intervals, ctx),
-            _ => vec![self.gather_option(ti, needed, intervals, ctx)],
+        let sel = ctx.stats.intervals_selectivity(&intervals);
+        let lane = |p: usize| -> Result<Vec<AccessOption>> {
+            self.part_options(ti, p, &ctx.parts[p], needed, &intervals, ctx)
+                .into_iter()
+                .map(|o| self.with_filter(o, ti, predicate, sel))
+                .collect()
+        };
+        let total = ctx.parts.len();
+        if total == 1 {
+            return lane(0);
         }
+        // Without a declared partitioning nothing says where rows live.
+        let mut survivors = ctx
+            .partitioning
+            .as_ref()
+            .map_or_else(|| (0..total).collect(), |spec| spec.prune(&intervals));
+        // A fully pruned table still needs one lane so the plan produces the
+        // right (empty) row shape; keep partition 0 and count the rest.
+        if survivors.is_empty() {
+            survivors.push(0);
+        }
+        let pruned = total - survivors.len();
+        if let [only] = survivors[..] {
+            // A one-lane gather is the lane: every option keeps its order.
+            return Ok(lane(only)?
+                .into_iter()
+                .map(|o| AccessOption {
+                    node: self.gather(ti, vec![o.node], pruned, total),
+                    order: o.order,
+                })
+                .collect());
+        }
+        // Several lanes: each part's cheapest option (each has its own
+        // physical design), projected to one shape.
+        let mut parts = Vec::with_capacity(survivors.len());
+        for p in survivors {
+            let best = lane(p)?
+                .into_iter()
+                .min_by(|a, b| self.node_cost(&a.node).total_cmp(&self.node_cost(&b.node)))
+                .expect("every partition has a primary access path");
+            parts.push(self.normalize_lane(best.node, ti, needed, ctx));
+        }
+        Ok(vec![AccessOption {
+            node: self.gather(ti, parts, pruned, total),
+            // The union of independently ordered lanes has no global order.
+            order: Vec::new(),
+        }])
     }
 
     /// Every access path through the indexes of part `part`.
@@ -296,68 +341,29 @@ impl Optimizer {
         options
     }
 
-    /// Scatter-gather access for a table of several parts: prune parts
-    /// against the predicate's sargable intervals, pick the cheapest access
-    /// path *per surviving part* (each has its own physical design), and
-    /// union the lanes under one [`PlanNodeKind::PartitionedScan`].
-    fn gather_option(
-        &self,
-        ti: usize,
-        needed: &[usize],
-        intervals: HashMap<usize, Interval>,
-        ctx: &TableContext,
-    ) -> AccessOption {
-        let total = ctx.parts.len();
-        // Without a declared partitioning nothing says where rows live.
-        let mut survivors = ctx
-            .partitioning
-            .as_ref()
-            .map_or_else(|| (0..total).collect(), |spec| spec.prune(&intervals));
-        // A fully pruned table still needs one lane so the plan produces the
-        // right (empty) row shape; keep partition 0 and count the rest.
-        if survivors.is_empty() {
-            survivors.push(0);
-        }
-        let pruned = total - survivors.len();
-        let out_cols: Vec<PlanCol> = needed.iter().map(|&c| PlanCol::Base(ti, c)).collect();
-        let out_types: Vec<DataType> = needed.iter().map(|&c| ctx.schema.column(c).dtype).collect();
-
-        let mut parts = Vec::with_capacity(survivors.len());
-        let mut est_rows = 0.0;
-        for p in survivors {
-            let best = self
-                .part_options(ti, p, &ctx.parts[p], needed, &intervals, ctx)
-                .into_iter()
-                .min_by(|a, b| self.node_cost(&a.node).total_cmp(&self.node_cost(&b.node)))
-                .expect("every partition has a primary access path");
-            let lane = self.normalize_lane(best.node, ti, needed, &out_cols, &out_types);
-            est_rows += lane.est_rows;
-            parts.push(lane);
-        }
-        // The gather itself is a cheap pass over surviving rows.
-        let gather_cpu = est_rows * self.cost.cpu_row_us * 0.1;
-        AccessOption {
-            node: PlanNode {
-                kind: PlanNodeKind::PartitionedScan {
-                    table: ti,
-                    parts,
-                    intervals,
-                    pruned,
-                    total,
-                },
-                out_cols,
-                out_types,
-                est_rows: est_rows.max(1.0),
-                est_cpu_us: gather_cpu,
-                est_io_us: 0.0,
-                est_io_div_us: 0.0,
+    /// Union `parts` — identically shaped lanes, one per surviving part —
+    /// under one [`PlanNodeKind::PartitionedScan`].
+    fn gather(&self, ti: usize, parts: Vec<PlanNode>, pruned: usize, total: usize) -> PlanNode {
+        let est_rows: f64 = parts.iter().map(|lane| lane.est_rows).sum();
+        PlanNode {
+            out_cols: parts[0].out_cols.clone(),
+            out_types: parts[0].out_types.clone(),
+            kind: PlanNodeKind::PartitionedScan {
+                table: ti,
+                parts,
+                pruned,
+                total,
+                dop: 1,
             },
-            // The union of independently ordered lanes has no global order.
-            order: Vec::new(),
+            est_rows: est_rows.max(1.0),
+            // The gather itself is a cheap pass over surviving rows.
+            est_cpu_us: est_rows * self.cost.cpu_row_us * 0.1,
+            est_io_us: 0.0,
+            est_io_div_us: 0.0,
         }
     }
 
-    /// Project a partition lane down to exactly the gather's output columns
+    /// Project a partition lane down to exactly the `needed` columns
     /// (heterogeneous designs produce different supersets per lane, and the
     /// gather exchange requires identical shapes).
     fn normalize_lane(
@@ -365,9 +371,9 @@ impl Optimizer {
         node: PlanNode,
         ti: usize,
         needed: &[usize],
-        out_cols: &[PlanCol],
-        out_types: &[DataType],
+        ctx: &TableContext,
     ) -> PlanNode {
+        let out_cols: Vec<PlanCol> = needed.iter().map(|&c| PlanCol::Base(ti, c)).collect();
         if node.out_cols == out_cols {
             return node;
         }
@@ -384,8 +390,8 @@ impl Optimizer {
                 exprs,
                 mode,
             },
-            out_cols: out_cols.to_vec(),
-            out_types: out_types.to_vec(),
+            out_cols,
+            out_types: needed.iter().map(|&c| ctx.schema.column(c).dtype).collect(),
             est_rows,
             est_cpu_us: cpu,
             est_io_us: 0.0,
@@ -585,7 +591,7 @@ impl Optimizer {
         let out_rows = if is_csi {
             in_rows
         } else {
-            (self.relative_filter_rows(sel, in_rows, ti)).min(in_rows)
+            self.relative_filter_rows(sel, in_rows).min(in_rows)
         };
         let out_cols = opt.node.out_cols.clone();
         let out_types = opt.node.out_types.clone();
@@ -605,16 +611,15 @@ impl Optimizer {
         Ok(opt)
     }
 
-    fn relative_filter_rows(&self, table_sel: f64, in_rows: f64, _ti: usize) -> f64 {
+    fn relative_filter_rows(&self, table_sel: f64, in_rows: f64) -> f64 {
         // The access path may already have reduced rows (seek/elimination);
         // the filter keeps at most `table_sel` of the *table*, so cap.
         (in_rows * table_sel.clamp(1e-9, 1.0)).max(0.0)
     }
 
-    /// Best single-table subplan (access + filter), choosing by estimated
-    /// elapsed time under the best DOP. If `want_order` is non-empty, an
-    /// option providing that order gets a sort-free bonus comparison by the
-    /// caller instead; here we simply return the best of all options.
+    /// Every single-table subplan (access + filter) producing the columns
+    /// the query references plus `extra_needed`; callers pick by estimated
+    /// elapsed time.
     fn best_table_plan(
         &self,
         query: &SelectQuery,
@@ -633,18 +638,14 @@ impl Optimizer {
             needed.push(ctx.pk.first().copied().unwrap_or(0));
         }
         let predicate = query.tables[ti].predicate.as_ref();
-        let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
-        let sel = ctx.stats.intervals_selectivity(&intervals);
-        let opts = self.access_options(ti, &needed, predicate, ctx);
+        let opts = self.access_options(ti, &needed, predicate, ctx)?;
         if opts.is_empty() {
             return Err(HpdError::Internal(format!(
                 "no access path for table {} (needed columns {needed:?})",
                 ctx.name
             )));
         }
-        opts.into_iter()
-            .map(|o| self.with_filter(o, ti, predicate, sel))
-            .collect()
+        Ok(opts)
     }
 
     // ------------------------------------------------------------------
@@ -687,7 +688,6 @@ impl Optimizer {
             };
         } else {
             node = self.build_projection(node, query)?;
-            output_sorted_by.retain(|_| true);
         }
         node = self.build_order_limit(node, query, &output_sorted_by)?;
         Ok(node)
@@ -796,176 +796,80 @@ impl Optimizer {
         })
     }
 
-    /// Lower a global aggregate over a *bare* partitioned scan (no residual
-    /// filter, so no predicate) into per-partition partial aggregates
-    /// combined by a streaming fold above the gather. Each lane computes its
-    /// partial with the operator its design affords — a CSI lane folds in
-    /// the encoded domain ([`PlanNodeKind::CsiAgg`]), a B+ tree lane
-    /// projects and stream-folds. Only COUNT and SUM participate: their
-    /// partials over an *empty* partition are the combine identity (0),
-    /// whereas MIN/MAX of nothing has no representable identity here.
+    /// Lower a global COUNT/SUM aggregate over a gather into per-lane
+    /// partials summed above it. A lane's partial is the one-part aggregate
+    /// of that lane ([`Optimizer::build_aggregate`]), so each lane folds
+    /// with the operator its design affords. Only COUNT and SUM participate:
+    /// their partials over an *empty* partition are the combine identity
+    /// (0), whereas MIN/MAX of nothing has no representable identity here.
     fn try_partition_agg(
         &self,
         node: &PlanNode,
         query: &SelectQuery,
         tables: &[TableContext],
-    ) -> Option<PlanNode> {
-        if !query.group_by.is_empty() || query.aggregates.is_empty() {
-            return None;
-        }
+    ) -> Result<Option<PlanNode>> {
         let PlanNodeKind::PartitionedScan {
             table,
             parts,
-            intervals,
             pruned,
             total,
+            dop,
         } = &node.kind
         else {
-            return None;
+            return Ok(None);
         };
-        let ctx = tables.get(*table)?;
-        let mut inputs = Vec::with_capacity(query.aggregates.len());
-        let mut partial_types = Vec::with_capacity(query.aggregates.len());
-        for a in &query.aggregates {
-            let Expr::Col(c) = a.expr else {
-                return None;
-            };
-            if a.table != *table || !matches!(a.func, AggFunc::Count | AggFunc::Sum) {
-                return None;
-            }
-            let dtype = ctx.schema.column(c).dtype;
-            if matches!(a.func, AggFunc::Sum) && dtype == DataType::Utf8 {
-                return None; // row path reports the proper query error
-            }
-            inputs.push((a.func, c));
-            partial_types.push(agg_result_type(a.func, dtype));
+        let sums_of_partials = query.group_by.is_empty()
+            && !query.aggregates.is_empty()
+            && query
+                .aggregates
+                .iter()
+                .all(|a| matches!(a.func, AggFunc::Count | AggFunc::Sum));
+        if !sums_of_partials {
+            return Ok(None);
         }
-        let partial_cols = vec![PlanCol::Computed; inputs.len()];
-        let mut lanes = Vec::with_capacity(parts.len());
-        for lane in parts {
-            lanes.push(self.partial_agg_lane(lane, &inputs, &partial_cols, &partial_types)?);
-        }
+        let lanes = parts
+            .iter()
+            .map(|lane| self.build_aggregate(lane.clone(), query, tables, &[]))
+            .collect::<Result<Vec<_>>>()?;
+        // COUNT partials sum, SUM partials sum, and the summed types equal
+        // the final types (SUM is closed over Int64/Decimal/Float64).
+        let out_cols = lanes[0].out_cols.clone();
+        let out_types = lanes[0].out_types.clone();
+        let combine = (0..out_cols.len())
+            .map(|input| PlanAgg {
+                func: AggFunc::Sum,
+                input,
+            })
+            .collect();
+        let partials = lanes.len() as f64;
         let gathered = PlanNode {
             kind: PlanNodeKind::PartitionedScan {
                 table: *table,
                 parts: lanes,
-                intervals: intervals.clone(),
                 pruned: *pruned,
                 total: *total,
+                dop: *dop,
             },
-            out_cols: partial_cols.clone(),
-            out_types: partial_types.clone(),
-            est_rows: parts.len() as f64,
+            out_cols: out_cols.clone(),
+            out_types: out_types.clone(),
+            est_rows: partials,
             est_cpu_us: 0.0,
             est_io_us: 0.0,
             est_io_div_us: 0.0,
         };
-        // Combine: COUNT partials sum, SUM partials sum. The combined types
-        // equal the final types (SUM is closed over Int64/Decimal/Float64).
-        let combine: Vec<PlanAgg> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, _)| PlanAgg {
-                func: AggFunc::Sum,
-                input: i,
-            })
-            .collect();
-        Some(PlanNode {
+        Ok(Some(PlanNode {
             kind: PlanNodeKind::StreamAgg {
                 child: Box::new(gathered),
                 group: vec![],
                 aggs: combine,
             },
-            out_cols: partial_cols,
-            out_types: partial_types,
+            out_cols,
+            out_types,
             est_rows: 1.0,
-            est_cpu_us: parts.len() as f64 * self.cost.cpu_row_us,
+            est_cpu_us: partials * self.cost.cpu_row_us,
             est_io_us: 0.0,
             est_io_div_us: 0.0,
-        })
-    }
-
-    /// One partition's partial-aggregate subplan.
-    fn partial_agg_lane(
-        &self,
-        lane: &PlanNode,
-        inputs: &[(AggFunc, usize)],
-        partial_cols: &[PlanCol],
-        partial_types: &[DataType],
-    ) -> Option<PlanNode> {
-        if let PlanNodeKind::CsiScan {
-            table,
-            part,
-            index,
-            intervals,
-            ..
-        } = &lane.kind
-        {
-            let aggs = inputs
-                .iter()
-                .map(|&(func, input)| PlanAgg { func, input })
-                .collect();
-            return Some(PlanNode {
-                kind: PlanNodeKind::CsiAgg {
-                    table: *table,
-                    part: *part,
-                    index: *index,
-                    intervals: intervals.clone(),
-                    aggs,
-                },
-                out_cols: partial_cols.to_vec(),
-                out_types: partial_types.to_vec(),
-                est_rows: 1.0,
-                est_cpu_us: lane.est_cpu_us * 0.4,
-                est_io_us: lane.est_io_us,
-                est_io_div_us: lane.est_io_div_us,
-            });
-        }
-        // Generic lane: project the agg inputs, stream-fold to one row.
-        let mode = node_mode(lane);
-        let table = match lane.out_cols.first() {
-            Some(PlanCol::Base(t, _)) => *t,
-            _ => return None,
-        };
-        let mut exprs = Vec::with_capacity(inputs.len());
-        for &(_, c) in inputs {
-            exprs.push(Expr::Col(lane.find_col(table, c)?));
-        }
-        let est_rows = lane.est_rows;
-        let projected = PlanNode {
-            kind: PlanNodeKind::Project {
-                child: Box::new(lane.clone()),
-                exprs,
-                mode,
-            },
-            out_cols: partial_cols.to_vec(),
-            out_types: inputs
-                .iter()
-                .map(|&(_, c)| lane.out_types[lane.find_col(table, c).expect("checked above")])
-                .collect(),
-            est_rows,
-            est_cpu_us: est_rows * self.cost.cpu_row_us * 0.5,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        };
-        let aggs = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &(func, _))| PlanAgg { func, input: i })
-            .collect();
-        Some(PlanNode {
-            kind: PlanNodeKind::StreamAgg {
-                child: Box::new(projected),
-                group: vec![],
-                aggs,
-            },
-            out_cols: partial_cols.to_vec(),
-            out_types: partial_types.to_vec(),
-            est_rows: 1.0,
-            est_cpu_us: est_rows * self.cost.cpu_row_us * 0.4,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        })
+        }))
     }
 
     fn build_aggregate(
@@ -975,7 +879,7 @@ impl Optimizer {
         tables: &[TableContext],
         input_order: &[(usize, usize)],
     ) -> Result<PlanNode> {
-        if let Some(pushed) = self.try_partition_agg(&node, query, tables) {
+        if let Some(pushed) = self.try_partition_agg(&node, query, tables)? {
             return Ok(pushed);
         }
         if let Some(pushed) = self.try_csi_agg(&node, query, tables) {
@@ -1171,15 +1075,6 @@ impl Optimizer {
         Ok(node)
     }
 
-    fn finish_plan(
-        &self,
-        node: PlanNode,
-        _query: &SelectQuery,
-        _tables: &[TableContext],
-    ) -> Result<PlanNode> {
-        Ok(node)
-    }
-
     // ------------------------------------------------------------------
     // Joins
     // ------------------------------------------------------------------
@@ -1245,14 +1140,9 @@ impl Optimizer {
             joined.push(next);
         }
 
-        // Aggregation / projection / sort on top.
-        let opt = AccessOption {
-            node: current,
-            order: Vec::new(),
-        };
-        // Reuse the single-table finishing logic (order is unknown after
+        // Aggregation / projection / sort on top (order is unknown after
         // joins, so streaming aggregation is not considered).
-        let mut node = opt.node;
+        let mut node = current;
         if query.is_aggregate() {
             node = self.build_aggregate(node, query, tables, &[])?;
         } else {
@@ -1726,19 +1616,22 @@ pub fn split_io(node: &PlanNode) -> (f64, f64) {
     (divisible, serial)
 }
 
-/// Propagate the chosen DOP to the scan leaves.
+/// Propagate the chosen DOP to the scan leaves. A gather takes it like a
+/// leaf and splits it among its lanes' own leaves, so one lane gets all of
+/// it and DOP ≤ lanes leaves every lane serial.
 fn set_scan_dop(node: &mut PlanNode, dop: usize) {
+    let mut below = dop;
     match &mut node.kind {
         PlanNodeKind::BTreeSeek { dop: d, .. }
         | PlanNodeKind::BTreeScan { dop: d, .. }
         | PlanNodeKind::CsiScan { dop: d, .. } => *d = dop,
-        // Partition lanes already run one per worker; their inner scans
-        // stay at DOP 1.
-        PlanNodeKind::PartitionedScan { .. } => {}
-        _ => {
-            for child in node.children_mut() {
-                set_scan_dop(child, dop);
-            }
+        PlanNodeKind::PartitionedScan { dop: d, parts, .. } => {
+            *d = dop;
+            below = (dop / parts.len()).max(1);
         }
+        _ => {}
+    }
+    for child in node.children_mut() {
+        set_scan_dop(child, below);
     }
 }

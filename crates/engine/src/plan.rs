@@ -94,23 +94,24 @@ pub enum PlanNodeKind {
         intervals: HashMap<usize, Interval>,
         aggs: Vec<PlanAgg>,
     },
-    /// Scatter-gather over a partitioned table: every surviving partition
-    /// scans through its own access path (each partition owns its own
-    /// physical design, so children may mix B+ tree and columnstore leaves)
-    /// and the results union — in parallel, one lane per partition. The
-    /// children all produce identical output columns. Partitions whose
-    /// value range cannot intersect the predicate's intervals were pruned.
+    /// Gather over a table of several parts: one lane per surviving
+    /// partition, and a lane is that part's one-part plan — its own access
+    /// path (parts own their physical designs, so lanes may mix B+ tree and
+    /// columnstore leaves), residual filter and, under a COUNT/SUM, partial
+    /// aggregate. The gather only unions the lanes' identically shaped
+    /// output, in lane order, and reports pruning: partitions whose value
+    /// range cannot intersect the predicate's intervals have no lane.
     PartitionedScan {
         table: usize,
         /// One lane per surviving partition; each lane's leaves name it.
         parts: Vec<PlanNode>,
-        /// Sargable intervals the pruning decision used (table column
-        /// ordinals); execution re-applies them to overlay-added rows.
-        intervals: HashMap<usize, Interval>,
         /// Partitions skipped by pruning.
         pruned: usize,
         /// Total partitions in the table.
         total: usize,
+        /// The plan's chosen DOP, as on a scan leaf: up to `min(dop, lanes)`
+        /// lanes run at once, and each lane's leaves get `dop / lanes`.
+        dop: usize,
     },
     /// Fetch full rows from the primary B+ tree of `part` using the
     /// primary-key locator carried in the child's output.
@@ -237,9 +238,8 @@ impl PlanNode {
         let own = match &self.kind {
             PlanNodeKind::BTreeSeek { dop, .. }
             | PlanNodeKind::BTreeScan { dop, .. }
-            | PlanNodeKind::CsiScan { dop, .. } => *dop,
-            // Scatter-gather: one lane per surviving partition.
-            PlanNodeKind::PartitionedScan { parts, .. } => parts.len(),
+            | PlanNodeKind::CsiScan { dop, .. }
+            | PlanNodeKind::PartitionedScan { dop, .. } => *dop,
             // Everything else (the encoded fold included) never fans out.
             _ => 1,
         };
@@ -387,9 +387,9 @@ impl PlanNode {
                 parts,
                 pruned,
                 total,
-                ..
+                dop,
             } => format!(
-                "PartitionedScan {} [{}/{} partitions, {} pruned]",
+                "PartitionedScan {} [{}/{} partitions, {} pruned] (dop {dop})",
                 tname(table),
                 parts.len(),
                 total,

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
 use hpd_engine::plan::PlanNode;
 use hpd_engine::{
-    AggItem, ColRef, Database, DbConfig, DeleteStmt, IndexDescriptor, InsertStmt, PartitionSpec,
-    PlanNodeKind, QueryRunner, SelectQuery, Statement, UpdateStmt,
+    AggItem, ColRef, Database, DbConfig, DeleteStmt, IndexDescriptor, InsertStmt, IsolationLevel,
+    PartitionSpec, PlanNodeKind, QueryRunner, SelectQuery, Statement, UpdateStmt,
 };
 
 fn schema() -> Schema {
@@ -46,7 +46,10 @@ fn spec4() -> PartitionSpec {
 /// primaries on the three cold partitions, B+ tree with a secondary on the
 /// hot tail partition.
 fn partitioned_db() -> Database {
-    let mut cfg = DbConfig::default();
+    partitioned_db_with(DbConfig::default())
+}
+
+fn partitioned_db_with(mut cfg: DbConfig) -> Database {
     cfg.csi.rowgroup_capacity = 128;
     let db = Database::new(cfg);
     db.create_partitioned_table("t", schema(), vec![0], btree(), spec4())
@@ -94,14 +97,7 @@ fn queries() -> Vec<SelectQuery> {
             vec![0, 2],
         ),
         // Range straddling a partition boundary.
-        SelectQuery::single_table(
-            "t",
-            Some(Expr::and(vec![
-                Expr::col_cmp(0, CmpOp::Ge, Value::Int32(200)),
-                Expr::col_cmp(0, CmpOp::Lt, Value::Int32(300)),
-            ])),
-            vec![0, 1],
-        ),
+        SelectQuery::single_table("t", Some(Expr::and(id_window(200, 300))), vec![0, 1]),
         // Predicate on a non-partition column (no pruning possible).
         SelectQuery::single_table(
             "t",
@@ -125,16 +121,11 @@ fn queries() -> Vec<SelectQuery> {
         AggItem::new(AggFunc::Max, 0, Expr::Col(2)),
     ];
     qs.push(agg);
-    let mut agg_sel = SelectQuery::single_table(
-        "t",
-        Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int32(300))),
-        vec![],
-    );
-    agg_sel.aggregates = vec![
-        AggItem::new(AggFunc::Count, 0, Expr::Col(0)),
-        AggItem::new(AggFunc::Sum, 0, Expr::Col(2)),
-    ];
-    qs.push(agg_sel);
+    qs.push(count_and_sum(Expr::col_cmp(
+        0,
+        CmpOp::Lt,
+        Value::Int32(300),
+    )));
     // Group-by across partitions.
     let mut grp = SelectQuery::single_table("t", None, vec![]);
     grp.group_by = vec![ColRef::new(0, 1)];
@@ -145,7 +136,46 @@ fn queries() -> Vec<SelectQuery> {
     ord.order_by = vec![(0, false)];
     ord.limit = Some(17);
     qs.push(ord);
+    qs.extend([covered_fold(), residual_fold(), tail_window()]);
     qs
+}
+
+fn id_window(lo: i32, hi: i32) -> Vec<Expr> {
+    vec![
+        Expr::col_cmp(0, CmpOp::Ge, Value::Int32(lo)),
+        Expr::col_cmp(0, CmpOp::Lt, Value::Int32(hi)),
+    ]
+}
+
+fn count_and_sum(predicate: Expr) -> SelectQuery {
+    let mut q = SelectQuery::single_table("t", Some(predicate), vec![]);
+    q.aggregates = vec![
+        AggItem::new(AggFunc::Count, 0, Expr::Col(0)),
+        AggItem::new(AggFunc::Sum, 0, Expr::Col(2)),
+    ];
+    q
+}
+
+/// COUNT/SUM under a range the columnstore lanes' intervals cover entirely
+/// (partitions 0–2): every lane folds in the encoded domain.
+fn covered_fold() -> SelectQuery {
+    count_and_sum(Expr::and(id_window(100, 600)))
+}
+
+/// The same over partitions 1–3 with a conjunct no interval expresses, so
+/// every lane — the B+ tree tail included — keeps a residual filter.
+fn residual_fold() -> SelectQuery {
+    let mut conjuncts = id_window(400, 900);
+    conjuncts.push(Expr::col_cmp(1, CmpOp::Ne, Value::Int32(3)));
+    count_and_sum(Expr::and(conjuncts))
+}
+
+/// A window inside the B+ tree tail partition, in primary-key order.
+fn tail_window() -> SelectQuery {
+    let mut q = SelectQuery::single_table("t", Some(Expr::and(id_window(800, 900))), vec![0, 2]);
+    q.order_by = vec![(0, true)];
+    q.limit = Some(7);
+    q
 }
 
 #[test]
@@ -169,6 +199,85 @@ fn heterogeneous_partitions_match_monolithic() {
             );
         }
     }
+}
+
+#[test]
+fn a_lane_is_a_one_part_plan() {
+    let db = partitioned_db();
+    // Filter and fold move inside the lanes: nothing but the sum of
+    // partials sits above the gather.
+    let explain = db.plan(&covered_fold()).unwrap().explain();
+    assert!(explain.starts_with("StreamAgg"), "plan was:\n{explain}");
+    for p in 0..3 {
+        assert!(
+            explain.contains(&format!("CsiAgg t[p{p}]")),
+            "plan was:\n{explain}"
+        );
+    }
+    assert!(!explain.contains("Filter"), "plan was:\n{explain}");
+    // A conjunct the intervals cannot express stays as a filter inside
+    // each lane, under that lane's partial aggregate.
+    let explain = db.plan(&residual_fold()).unwrap().explain();
+    let gather = explain.find("PartitionedScan").expect("a gather");
+    assert_eq!(explain.matches("Filter").count(), 3, "plan was:\n{explain}");
+    assert!(
+        explain.find("Filter").unwrap() > gather,
+        "plan was:\n{explain}"
+    );
+    // One surviving lane keeps its sort order through the gather.
+    let explain = db.plan(&tail_window()).unwrap().explain();
+    assert!(
+        explain.contains("[1/4 partitions, 3 pruned]") && explain.contains("BTreeSeek t[p3]"),
+        "plan was:\n{explain}"
+    );
+    assert!(!explain.contains("Sort"), "plan was:\n{explain}");
+}
+
+#[test]
+fn the_gather_runs_at_the_plans_dop() {
+    // Full scan: four lanes, three columnstore and one B+ tree.
+    let scan = Statement::Select(SelectQuery::single_table("t", None, vec![0, 1, 2]));
+    // The registry is process-wide and other tests lease threads, so watch
+    // the counter until it stands still around one run: it only grows, so a
+    // zero delta proves this query asked the pool for nothing.
+    let asks_for_no_threads = |db: &Database, dop: Option<usize>| {
+        let requested = hpd_obs::global().counter("sched.pool.requested_threads");
+        (0..100).any(|_| {
+            let before = requested.get();
+            let mut query = db.query(&scan);
+            if let Some(k) = dop {
+                query = query.dop(k);
+            }
+            let r = query.run().unwrap();
+            assert_eq!(r.rows.len(), 1000);
+            assert_eq!((r.metrics.dop, r.metrics.io_dop), (1, 1));
+            requested.get() == before
+        })
+    };
+    let serial = partitioned_db_with(DbConfig {
+        max_dop: 1,
+        worker_threads: 0,
+        ..DbConfig::default()
+    });
+    assert!(asks_for_no_threads(&serial, None));
+    let parallel = partitioned_db_with(DbConfig {
+        max_dop: 8,
+        ..DbConfig::default()
+    });
+    assert!(asks_for_no_threads(&parallel, Some(1)));
+    assert_eq!(parallel.worker_pool().peak_in_use(), 0);
+
+    // DOP ≥ lanes (on a table big enough for the cost model to want it):
+    // every lane gets a thread, and slots fill by lane index, so the rows
+    // arrive in the DOP-1 order.
+    parallel
+        .load_table("t", (1000..40_000).map(row).collect())
+        .unwrap();
+    let at = |dop: usize| parallel.query(&scan).dop(dop).run().unwrap();
+    let wide = at(8);
+    assert_eq!(wide.metrics.dop, 8);
+    assert!(parallel.worker_pool().peak_in_use() > 0);
+    assert_eq!(wide.rows, at(1).rows);
 }
 
 #[test]
@@ -429,6 +538,59 @@ fn empty_partition_aggregates_stay_correct() {
     assert_eq!(r.rows[0][0], Value::Int64(3000), "min");
     assert_eq!(r.rows[0][1], Value::Int64(3990), "max");
     assert_eq!(r.rows[0][2], Value::Int64(100), "count");
+}
+
+#[test]
+fn a_snapshot_reader_folds_lanes_to_its_old_answer() {
+    let db = partitioned_db();
+    let q = covered_fold();
+    let explain = db.plan(&q).unwrap().explain();
+    assert!(explain.contains("CsiAgg t[p1]"), "plan was:\n{explain}");
+    let si = db.session(IsolationLevel::Snapshot);
+    let mut reader = si.begin();
+    let before = reader.select(&q).unwrap().rows;
+    assert_eq!(before[0][0], Value::Int64(500));
+
+    // A writer moves rows (the partition column is the key, so a move is
+    // a delete and an insert) out of the window into another partition and
+    // into it from another, rewrites one in place, and commits.
+    let rc = db.session(IsolationLevel::ReadCommitted);
+    let mut writer = rc.begin();
+    let mut move_id = |from: i32, to: i32| {
+        writer
+            .delete(&DeleteStmt {
+                table: "t".into(),
+                predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(from)),
+                top: None,
+            })
+            .unwrap();
+        let mut moved = row(from).values().to_vec();
+        moved[0] = Value::Int32(to);
+        writer
+            .insert(&InsertStmt {
+                table: "t".into(),
+                rows: vec![Row::new(moved)],
+            })
+            .unwrap();
+    };
+    move_id(150, 5_000); // partition 0, inside -> partition 3, outside
+    move_id(700, 150); // partition 2, outside -> partition 0, inside
+    move_id(300, 5_001); // partition 1, inside -> partition 3, outside
+    move_id(900, 300); // partition 3, outside -> partition 1, inside
+    writer
+        .update(&UpdateStmt {
+            table: "t".into(),
+            predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(400)),
+            set: vec![(2, Expr::Lit(Value::Int64(-1)))],
+            top: None,
+        })
+        .unwrap();
+    writer.commit().unwrap();
+
+    let current = db.query(&Statement::Select(q.clone())).run().unwrap().rows;
+    assert_ne!(current, before, "the writer changed the current answer");
+    assert_eq!(reader.select(&q).unwrap().rows, before);
+    reader.abort();
 }
 
 #[test]

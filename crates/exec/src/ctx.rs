@@ -66,11 +66,28 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Record busy time from a parallel worker.
-    pub fn add_worker_cpu(&self, busy: Duration) {
-        let ns = busy.as_nanos() as u64;
-        self.worker_cpu_ns.fetch_add(ns, Ordering::Relaxed);
-        self.worker_max_ns.fetch_max(ns, Ordering::Relaxed);
+    /// Context for one lane of a parallel section: the same resources, its
+    /// own time accumulators. A section nested inside the lane reports to
+    /// the lane, and the lane reports its totals upward through
+    /// [`ExecCtx::add_worker`], so nested sections compose instead of being
+    /// counted twice.
+    pub fn lane(&self) -> ExecCtx<'a> {
+        ExecCtx {
+            worker_cpu_ns: Arc::default(),
+            parallel_wall_ns: Arc::default(),
+            worker_max_ns: Arc::default(),
+            ..self.clone()
+        }
+    }
+
+    /// Record one finished lane of a parallel section: the CPU it used and
+    /// its modelled elapsed time (both its busy time, unless a section
+    /// nested inside it says otherwise).
+    pub fn add_worker(&self, cpu: Duration, critical_path: Duration) {
+        self.worker_cpu_ns
+            .fetch_add(cpu.as_nanos() as u64, Ordering::Relaxed);
+        self.worker_max_ns
+            .fetch_max(critical_path.as_nanos() as u64, Ordering::Relaxed);
     }
 
     pub fn worker_cpu(&self) -> Duration {
@@ -161,8 +178,8 @@ mod tests {
         let pool = BufferPool::unbounded(DeviceProfile::ram());
         let ctx = ExecCtx::new(&pool);
         let c2 = ctx.clone();
-        c2.add_worker_cpu(Duration::from_millis(5));
-        ctx.add_worker_cpu(Duration::from_millis(7));
+        c2.add_worker(Duration::from_millis(5), Duration::from_millis(5));
+        ctx.add_worker(Duration::from_millis(7), Duration::from_millis(7));
         assert_eq!(ctx.worker_cpu(), Duration::from_millis(12));
     }
 

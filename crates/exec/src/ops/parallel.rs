@@ -1,14 +1,18 @@
 //! Intra-query parallelism: run N worker sub-plans over pooled threads and
-//! gather their batches.
+//! gather their batches. This is the engine's only query-side dispatcher —
+//! the splits of one scan and the lanes of a partition gather both run
+//! here.
 //!
-//! The planner chooses the degree of parallelism (DOP); a serial plan skips
-//! this operator entirely. Threads come from the context's shared
-//! [`WorkerPool`](crate::sched::WorkerPool), not raw spawns: the operator
-//! leases up to `DOP - 1` extra threads and runs the sub-plans off a shared
-//! work queue, with the coordinating thread always participating as one
-//! lane. When the pool is busy the lease comes back short — the same plan
-//! executes at a lower effective DOP (fully serial at zero) instead of
-//! oversubscribing the machine.
+//! The planner chooses the degree of parallelism (DOP) and passes it in;
+//! the sub-plan count only bounds it. Threads come from the context's
+//! shared [`WorkerPool`](crate::sched::WorkerPool), not raw spawns: the
+//! operator leases up to `min(sub-plans, DOP) - 1` extra threads and runs
+//! the sub-plans off a shared work queue, with the coordinating thread
+//! always participating as one lane. At DOP 1 it takes no lease and runs
+//! the sub-plans in order on the calling thread. When the pool is busy the
+//! lease comes back short — the same plan executes at a lower effective DOP
+//! (fully serial at zero) instead of oversubscribing the machine. Output
+//! batches are in sub-plan order whatever the effective DOP.
 //!
 //! Each lane's busy time is accumulated into the context so "CPU time"
 //! counts total work while wall time reflects the parallel speedup — the
@@ -29,17 +33,20 @@ use crate::ops::{collect, Operator, PlanNode};
 /// Executes worker sub-plans concurrently and yields their output batches.
 pub struct ParallelOp<'a> {
     workers: Vec<PlanNode<'a>>,
+    dop: usize,
     types: Vec<DataType>,
     output: Option<std::vec::IntoIter<Batch>>,
 }
 
 impl<'a> ParallelOp<'a> {
-    /// `workers` must all produce the same output schema.
-    pub fn new(workers: Vec<PlanNode<'a>>) -> ParallelOp<'a> {
+    /// `workers` must all produce the same output schema; at most `dop` of
+    /// them run at once.
+    pub fn new(workers: Vec<PlanNode<'a>>, dop: usize) -> ParallelOp<'a> {
         assert!(!workers.is_empty(), "ParallelOp needs at least one worker");
         let types = workers[0].out_types();
         debug_assert!(workers.iter().all(|w| w.out_types() == types));
         ParallelOp {
+            dop: dop.clamp(1, workers.len()),
             workers,
             types,
             output: None,
@@ -47,21 +54,24 @@ impl<'a> ParallelOp<'a> {
     }
 
     pub fn dop(&self) -> usize {
-        self.workers.len()
+        self.dop
     }
 
     fn run(&mut self, ctx: &ExecCtx<'_>) -> Result<Vec<Batch>> {
         let workers = std::mem::take(&mut self.workers);
         let n = workers.len();
-        if n == 1 {
-            // Degenerate DOP 1: run inline.
-            let mut w = workers;
-            return collect(w[0].as_mut(), ctx);
+        if self.dop == 1 {
+            // Serial: no lease, the sub-plans run in order right here.
+            let mut batches = Vec::new();
+            for mut w in workers {
+                batches.extend(collect(w.as_mut(), ctx)?);
+            }
+            return Ok(batches);
         }
-        // Lease extra threads; the coordinator is always one lane, so DOP n
-        // needs at most n-1 extras. A short (even zero) lease degrades the
+        // Lease extra threads; the coordinator is always one lane, so DOP d
+        // needs at most d-1 extras. A short (even zero) lease degrades the
         // effective DOP instead of blocking or over-spawning.
-        let lease = ctx.workers.try_acquire(n - 1);
+        let lease = ctx.workers.try_acquire(self.dop - 1);
         let extra = lease.granted();
 
         let scope_start = Instant::now();
@@ -73,14 +83,16 @@ impl<'a> ParallelOp<'a> {
         let results: Mutex<Vec<Option<Result<Vec<Batch>>>>> =
             Mutex::new((0..n).map(|_| None).collect());
         let run_lane = |wctx: &ExecCtx<'_>| {
+            let lane = wctx.lane();
             let start = Instant::now();
             loop {
                 let item = queue.lock().pop();
                 let Some((idx, mut plan)) = item else { break };
-                let out = collect(plan.as_mut(), wctx);
+                let out = collect(plan.as_mut(), &lane);
                 results.lock()[idx] = Some(out);
             }
-            wctx.add_worker_cpu(start.elapsed());
+            let busy = start.elapsed();
+            wctx.add_worker(lane.cpu_time(busy), lane.critical_path(busy));
         };
 
         if extra == 0 {

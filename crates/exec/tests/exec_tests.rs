@@ -442,29 +442,42 @@ fn parallel_csi_scan_equals_serial() {
         rows.sort();
         rows
     };
-    let dop = 4;
-    let workers: Vec<Box<dyn Operator + '_>> = (0..dop)
-        .map(|w| {
-            let rgs: Vec<usize> = (0..idx.num_rowgroups())
-                .filter(|rg| rg % dop == w)
-                .collect();
-            Box::new(CsiScanOp::over_rowgroups(
-                &idx,
-                rgs,
-                vec![0],
-                HashMap::new(),
-                w == 0, // only one worker scans the delta
-                None,
-            )) as Box<dyn Operator + '_>
-        })
-        .collect();
+    let splits = 4;
+    let workers = || -> Vec<Box<dyn Operator + '_>> {
+        (0..splits)
+            .map(|w| {
+                let rgs: Vec<usize> = (0..idx.num_rowgroups())
+                    .filter(|rg| rg % splits == w)
+                    .collect();
+                Box::new(CsiScanOp::over_rowgroups(
+                    &idx,
+                    rgs,
+                    vec![0],
+                    HashMap::new(),
+                    w == 0, // only one worker scans the delta
+                    None,
+                )) as Box<dyn Operator + '_>
+            })
+            .collect()
+    };
     let ctx = ExecCtx::new(&p);
-    let mut par = ParallelOp::new(workers);
+    let mut par = ParallelOp::new(workers(), splits);
     assert_eq!(par.dop(), 4);
-    let mut rows = collect_rows(&mut par, &ctx).unwrap();
+    let parallel = collect_rows(&mut par, &ctx).unwrap();
+    let mut rows = parallel.clone();
     rows.sort();
     assert_eq!(rows, serial);
     assert!(ctx.worker_cpu() > std::time::Duration::ZERO);
+    assert!(ctx.workers.peak_in_use() > 0);
+
+    // DOP 1 over the same four sub-plans: no lease, no worker accounting,
+    // and — slots fill by sub-plan index — the very same row order.
+    let ctx = ExecCtx::new(&p);
+    let mut par = ParallelOp::new(workers(), 1);
+    assert_eq!(par.dop(), 1);
+    assert_eq!(collect_rows(&mut par, &ctx).unwrap(), parallel);
+    assert_eq!(ctx.workers.peak_in_use(), 0);
+    assert_eq!(ctx.worker_cpu(), std::time::Duration::ZERO);
 }
 
 proptest! {

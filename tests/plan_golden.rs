@@ -182,7 +182,20 @@ fn micro_part8() -> String {
         &[],
     )
     .unwrap();
-    micro_sweep(&db, &table)
+    let mut out = micro_sweep(&db, &table);
+    // Windows inside one partition: the gather has one lane, so the lane's
+    // sort order survives it — the B+ tree tail needs no Sort, a columnstore
+    // partition still does.
+    let eighth = DOMAIN / 8;
+    for part in [7, 3] {
+        let (lo, hi) = (part * eighth + eighth / 4, part * eighth + eighth / 2);
+        let sql = format!(
+            "SELECT col1, col3 FROM micro_part WHERE col1 >= {lo} AND col1 < {hi} \
+             ORDER BY col1 LIMIT 100"
+        );
+        snap_sql(&mut out, &db, &sql);
+    }
+    out
 }
 
 /// The benchmark's `htap` statement shapes on design (B).

@@ -458,21 +458,26 @@ impl ColumnStoreIndex {
         }
         match self.kind {
             CsiKind::Secondary => {
-                let buffer = self
-                    .delete_buffer
-                    .as_mut()
-                    .expect("secondary CSI has delete buffer");
-                // Logical delete: no existence check (the engine only deletes
-                // rows it has located through the primary index).
-                buffer.insert(key.clone(), Row::new(Vec::new()), pool, tracker);
-                if self.delete_buffer_len() >= self.config.delete_buffer_compact_threshold
-                    || faults::fire(faults::sites::DELETE_BUFFER_COMPACT)
-                {
-                    self.compact_delete_buffer(pool, tracker);
-                }
+                self.buffer_delete(key, pool, tracker);
                 true
             }
             CsiKind::Primary => self.mark_deleted_physical(key, pool, tracker),
+        }
+    }
+
+    /// Secondary CSI: append `key` to the delete buffer (a logical delete, no
+    /// existence check — the engine only deletes rows it has located through
+    /// the primary index), compacting the buffer once it is full.
+    fn buffer_delete(&mut self, key: &Key, pool: &BufferPool, tracker: &IoTracker) {
+        let buffer = self
+            .delete_buffer
+            .as_mut()
+            .expect("secondary CSI has delete buffer");
+        buffer.insert(key.clone(), Row::new(Vec::new()), pool, tracker);
+        if self.delete_buffer_len() >= self.config.delete_buffer_compact_threshold
+            || faults::fire(faults::sites::DELETE_BUFFER_COMPACT)
+        {
+            self.compact_delete_buffer(pool, tracker);
         }
     }
 
@@ -493,16 +498,7 @@ impl ColumnStoreIndex {
             CsiKind::Secondary => {
                 // Secondary CSIs buffer the delete; the caller already has
                 // the row from the primary index, so nothing to return.
-                let buffer = self
-                    .delete_buffer
-                    .as_mut()
-                    .expect("secondary CSI has delete buffer");
-                buffer.insert(key.clone(), Row::new(Vec::new()), pool, tracker);
-                if self.delete_buffer_len() >= self.config.delete_buffer_compact_threshold
-                    || faults::fire(faults::sites::DELETE_BUFFER_COMPACT)
-                {
-                    self.compact_delete_buffer(pool, tracker);
-                }
+                self.buffer_delete(key, pool, tracker);
                 None
             }
             CsiKind::Primary => {

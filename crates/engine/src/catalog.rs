@@ -13,6 +13,7 @@ use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use hpd_wal::{CheckpointImage, LogRecord, TableSnapshot, Wal, WalConfig, WalSummary};
 use parking_lot::{Mutex, RwLock};
 
+use crate::apply::{apply_write, RowChange};
 use crate::cost::CostModel;
 use crate::design::{Configuration, IndexDescriptor, IndexMeta, TableDesign};
 use crate::executor::{ExecutionResult, QueryRunner, TableOverlay};
@@ -22,7 +23,8 @@ use crate::partition::PartitionSpec;
 use crate::plan::PhysicalPlan;
 use crate::query::{DeleteStmt, InsertStmt, SelectQuery, Statement, UpdateStmt};
 use crate::querystore::{plan_fingerprint, QueryStore, StoredStatement};
-use crate::table::Table;
+use crate::recover::{to_wal_def, to_wal_partitioning};
+use crate::table::{PostImage, Table};
 use crate::txn::{IsolationLevel, LockKey, LockMode, TxnManager, WriteOp};
 
 /// Database-wide configuration.
@@ -131,7 +133,7 @@ pub struct Database {
     /// the `tables` registry lock or any table's latch.
     pub(crate) commit_lock: Mutex<()>,
     /// Bumped by every catalog or physical-design change (CREATE TABLE,
-    /// CREATE INDEX, design application). Plan caches key their validity on
+    /// bulk load, CREATE INDEX, design application). Plan caches key their validity on
     /// it: a cached plan whose epoch is stale may name indexes that no
     /// longer exist or miss ones that now should win.
     ddl_epoch: AtomicU64,
@@ -334,36 +336,39 @@ impl Database {
         spec: Option<PartitionSpec>,
     ) -> Result<()> {
         let _commit = self.commit_lock.lock();
-        let mut tables = self.tables.write();
-        if tables.iter().any(|s| s.name == name) {
+        if self.slot(&name).is_ok() {
             return Err(HpdError::DuplicateTable(name));
         }
-        let table = Table::create_spec(
-            name.clone(),
+        // Read into a local: a guard held across `ddl` would deadlock with
+        // the registry write that adds the table.
+        let next_id = self.tables.read().len() as u32;
+        self.ddl(LogRecord::TableCreate {
+            table: next_id,
+            name,
             schema,
             pk,
-            &primary,
-            spec,
-            self.config.csi,
-            self.alloc.clone(),
-        )?;
-        // DDL is logged synchronously: record + flush before returning.
-        let lsn = self.wal.append(&LogRecord::TableCreate {
-            table: tables.len() as u32,
-            name: name.clone(),
-            schema: table.schema().clone(),
-            pk: table.pk().to_vec(),
-            primary: crate::recover::to_wal_def(&primary),
-            partitioning: table
-                .partitioning()
-                .map(crate::recover::to_wal_partitioning),
-        });
-        self.wal.flush(&IoTracker::new());
-        tables.push(Arc::new(TableSlot {
-            name,
-            table: RwLock::new(table),
-            applied_lsn: AtomicU64::new(lsn),
-        }));
+            primary: to_wal_def(&primary),
+            partitioning: spec.as_ref().map(to_wal_partitioning),
+        })
+    }
+
+    /// The live half of every DDL entry point, after validation: apply the
+    /// record through the one interpreter ([`Database::apply_ddl`]), then
+    /// log it — synchronously, record + flush before returning — and move
+    /// the table's redo skip boundary onto it. Apply-then-log, so a record
+    /// that fails to apply is never written. The caller holds `commit_lock`.
+    fn ddl(&self, rec: LogRecord) -> Result<()> {
+        let t = IoTracker::new();
+        // Kept for the log only when it will be written: applying consumes
+        // the record (a bulk load's rows move into the table).
+        let logged = self.wal.enabled().then(|| rec.clone());
+        let slot = self.apply_ddl(rec, &t)?;
+        // The copy is dropped as soon as it is encoded: a bulk load's rows
+        // must not stay alive while the flush grows the durable log.
+        if let Some(lsn) = logged.map(|rec| self.wal.append(&rec)) {
+            self.wal.flush(&t);
+            slot.applied_lsn.store(lsn, Ordering::Relaxed);
+        }
         self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -371,86 +376,31 @@ impl Database {
     /// Bulk load rows (replacing current contents) and refresh statistics.
     pub fn load_table(&self, name: &str, rows: Vec<Row>) -> Result<()> {
         let _commit = self.commit_lock.lock();
-        let slot = self.slot(name)?;
-        let table_id = self.slot_id(name)? as u32;
-        let t = IoTracker::new();
-        let mut guard = slot.table.write();
-        // Clone for the log only when it will actually be written.
-        let logged = self.wal.enabled().then(|| rows.clone());
-        guard.bulk_load(rows, &self.pool, &t)?;
-        if let Some(rows) = logged {
-            let lsn = self.wal.append(&LogRecord::BulkLoad {
-                table: table_id,
-                rows,
-            });
-            self.wal.flush(&t);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-        }
-        Ok(())
+        self.ddl(LogRecord::BulkLoad {
+            table: self.slot_id(name)? as u32,
+            rows,
+        })
     }
 
     /// Add a secondary index.
     pub fn create_index(&self, table: &str, descriptor: &IndexDescriptor) -> Result<()> {
         let _commit = self.commit_lock.lock();
-        let slot = self.slot(table)?;
-        let table_id = self.slot_id(table)? as u32;
-        let t = IoTracker::new();
-        let mut guard = slot.table.write();
-        guard.build_index(descriptor, &self.pool, &t)?;
-        if self.wal.enabled() {
-            let lsn = self.wal.append(&LogRecord::IndexCreate {
-                table: table_id,
-                def: crate::recover::to_wal_def(descriptor),
-            });
-            self.wal.flush(&t);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-        }
-        self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ddl(LogRecord::IndexCreate {
+            table: self.slot_id(table)? as u32,
+            def: to_wal_def(descriptor),
+        })
     }
 
-    /// Replace a table's entire physical design: rebuilds the primary (if it
-    /// changed) and all secondary indexes from the design's descriptors.
+    /// Replace a table's entire physical design: rebuilds the primary and
+    /// all secondary indexes from the design's descriptors.
     pub fn apply_design(&self, design: &TableDesign) -> Result<()> {
         design.validate()?;
         let _commit = self.commit_lock.lock();
-        let slot = self.slot(&design.table)?;
-        let table_id = self.slot_id(&design.table)? as u32;
-        let t = IoTracker::new();
-        let mut table = slot.table.write();
-        let rows = table.scan_all_rows(&self.pool, &t);
-        let schema = table.schema().clone();
-        let pk = table.pk().to_vec();
-        // A design change never drops partitioning: the fresh table keeps
-        // the spec, with the new design applied uniformly to every part.
-        let mut fresh = Table::create_spec(
-            design.table.clone(),
-            schema,
-            pk,
-            &design.indexes[0],
-            table.partitioning().cloned(),
-            self.config.csi,
-            self.alloc.clone(),
-        )?;
-        fresh.bulk_load(rows, &self.pool, &t)?;
-        for d in &design.indexes[1..] {
-            fresh.build_index(d, &self.pool, &t)?;
-        }
-        *table = fresh;
-        if self.wal.enabled() {
-            let lsn = self.wal.append(&LogRecord::DesignChange {
-                table: table_id,
-                primary: crate::recover::to_wal_def(&design.indexes[0]),
-                secondaries: design.indexes[1..]
-                    .iter()
-                    .map(crate::recover::to_wal_def)
-                    .collect(),
-            });
-            self.wal.flush(&t);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-        }
-        self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ddl(LogRecord::DesignChange {
+            table: self.slot_id(&design.table)? as u32,
+            primary: to_wal_def(&design.indexes[0]),
+            secondaries: design.indexes[1..].iter().map(to_wal_def).collect(),
+        })
     }
 
     /// Replace the physical design of ONE partition of a partitioned table,
@@ -471,34 +421,23 @@ impl Database {
         })
         .validate()?;
         let _commit = self.commit_lock.lock();
-        let slot = self.slot(table)?;
-        let table_id = self.slot_id(table)? as u32;
-        let t = IoTracker::new();
-        let mut guard = slot.table.write();
-        if guard.partitioning().is_none() {
+        let parts = self.with_table(table, |t| t.partitioning().map(|_| t.num_parts()))?;
+        let Some(parts) = parts else {
             return Err(HpdError::Constraint(format!(
                 "table {table} is not partitioned; use apply_design"
             )));
-        }
-        if part >= guard.num_parts() {
+        };
+        if part >= parts {
             return Err(HpdError::Constraint(format!(
-                "table {table} has {} partitions; no partition {part}",
-                guard.num_parts()
+                "table {table} has {parts} partitions; no partition {part}"
             )));
         }
-        guard.apply_partition_design(part, primary, secondaries, &self.pool, &t)?;
-        if self.wal.enabled() {
-            let lsn = self.wal.append(&LogRecord::PartitionDesignChange {
-                table: table_id,
-                part: part as u32,
-                primary: crate::recover::to_wal_def(primary),
-                secondaries: secondaries.iter().map(crate::recover::to_wal_def).collect(),
-            });
-            self.wal.flush(&t);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-        }
-        self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ddl(LogRecord::PartitionDesignChange {
+            table: self.slot_id(table)? as u32,
+            part: part as u32,
+            primary: to_wal_def(primary),
+            secondaries: secondaries.iter().map(to_wal_def).collect(),
+        })
     }
 
     /// Apply a full configuration across tables.
@@ -537,13 +476,6 @@ impl Database {
         let slot = self.slot(name)?;
         let guard = slot.table.read();
         Ok(f(&guard))
-    }
-
-    /// Run `f` with exclusive access to the named table.
-    pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
-        let slot = self.slot(name)?;
-        let mut guard = slot.table.write();
-        Ok(f(&mut guard))
     }
 
     // ------------------------------------------------------------------
@@ -1140,9 +1072,17 @@ impl<'db> Txn<'db> {
     /// UPDATE: identify target rows through the optimizer, lock them, and
     /// buffer the writes for commit.
     pub fn update(&mut self, stmt: &UpdateStmt) -> Result<ExecutionResult> {
-        let mut rows = self.write_target_rows(&stmt.table, &stmt.predicate, stmt.top)?;
         let table_id = self.db.slot_id(&stmt.table)?;
         let pk = self.db.with_table(&stmt.table, |t| t.pk().to_vec())?;
+        // Refused here, before anything is locked or buffered: an error
+        // raised while the commit applies would leave the transaction's
+        // earlier writes in place.
+        if stmt.set.iter().any(|(col, _)| pk.contains(col)) {
+            return Err(HpdError::Constraint(
+                "updating primary key columns is not supported".into(),
+            ));
+        }
+        let mut rows = self.write_target_rows(&stmt.table, &stmt.predicate, stmt.top)?;
         // Lock targets in primary-key order regardless of the access path
         // that found them, so lock acquisition (and thus which conflict
         // surfaces first under contention) does not depend on the physical
@@ -1338,85 +1278,61 @@ impl<'db> Txn<'db> {
             records += 1;
         }
         let mut apply_result: Result<()> = Ok(());
-        'outer: for op in &writes {
+        for op in &writes {
             if faults::fire(faults::sites::CRASH_MID_APPLY) {
                 // Crash with the commit record unwritten: the transaction
                 // must be invisible after recovery.
                 self.finish();
                 return Err(HpdError::Crashed(faults::sites::CRASH_MID_APPLY.into()));
             }
-            let slot = &tables[op.table()];
-            let mut t = slot.table.write();
-            let r = match op {
-                WriteOp::Insert { row, .. } => {
-                    if wal_on {
-                        self.db.wal.append(&LogRecord::Insert {
-                            table: op.table() as u32,
-                            part: t.route_row(row) as u32,
-                            row: row.clone(),
-                        });
-                        records += 1;
-                    }
-                    let key = row.key(t.pk());
-                    t.insert_row(row.clone(), pool, &tracker).map(|()| {
-                        t.record_version(key, None, commit_ts);
-                    })
-                }
-                WriteOp::Delete { key, .. } => {
-                    let old = t.fetch_by_pk(key, pool, &tracker);
-                    // Logged unconditionally: redo of a no-op delete is a
-                    // no-op, so the final state matches either way. The part
-                    // hint routes the pre-image (0 when already gone).
-                    if wal_on {
-                        self.db.wal.append(&LogRecord::Delete {
-                            table: op.table() as u32,
-                            part: old.as_ref().map_or(0, |r| t.route_row(r)) as u32,
-                            key: key.clone(),
-                        });
-                        records += 1;
-                    }
-                    t.delete_by_pk(key, pool, &tracker).map(|deleted| {
-                        if deleted {
-                            t.record_version(key.clone(), old, commit_ts);
-                        }
-                    })
-                }
-                WriteOp::Update { key, set, .. } => {
-                    let old = t.fetch_by_pk(key, pool, &tracker);
-                    if wal_on {
-                        if let Some(old_row) = &old {
-                            // Value logging: the record carries the post-
-                            // image so redo never re-evaluates expressions.
-                            // The part hint is the post-image's partition
-                            // (cross-partition moves route by the new row).
-                            match t.eval_update(old_row, set) {
-                                Ok(new_row) => {
-                                    self.db.wal.append(&LogRecord::Update {
-                                        table: op.table() as u32,
-                                        part: t.route_row(&new_row) as u32,
-                                        key: key.clone(),
-                                        new_row,
-                                    });
-                                    records += 1;
-                                }
-                                Err(e) => {
-                                    apply_result = Err(e);
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                    t.update_by_pk(key, set, pool, &tracker).map(|updated| {
-                        if updated {
-                            t.record_version(key.clone(), old, commit_ts);
-                        }
-                    })
+            let table = op.table() as u32;
+            let mut t = tables[op.table()].table.write();
+            let change = match op {
+                WriteOp::Insert { row, .. } => RowChange::Insert(row),
+                WriteOp::Delete { key, .. } => RowChange::Delete(key),
+                WriteOp::Update { key, set, .. } => RowChange::Update(key, PostImage::Set(set)),
+            };
+            let applied = match apply_write(&mut t, change, commit_ts, pool, &tracker) {
+                Ok(applied) => applied,
+                Err(e) => {
+                    apply_result = Err(e);
+                    break;
                 }
             };
-            if let Err(e) = r {
-                apply_result = Err(e);
-                break 'outer;
+            if !wal_on {
+                continue;
             }
+            // The record describes what was just applied, built from the
+            // images the apply located. Nothing is durable before the commit
+            // flush, so logging after the apply is unobservable.
+            let part = applied.part as u32;
+            let rec = match op {
+                WriteOp::Insert { row, .. } => LogRecord::Insert {
+                    table,
+                    part,
+                    row: row.clone(),
+                },
+                // Logged unconditionally: redo of a no-op delete is a no-op,
+                // so the final state matches either way.
+                WriteOp::Delete { key, .. } => LogRecord::Delete {
+                    table,
+                    part,
+                    key: key.clone(),
+                },
+                // Value logging: the record carries the post-image, so redo
+                // never re-evaluates expressions. No row, no record.
+                WriteOp::Update { key, .. } => match applied.post_image {
+                    Some(new_row) => LogRecord::Update {
+                        table,
+                        part,
+                        key: key.clone(),
+                        new_row,
+                    },
+                    None => continue,
+                },
+            };
+            self.db.wal.append(&rec);
+            records += 1;
         }
 
         if wal_on {

@@ -9,6 +9,7 @@
 //! and secondary indexes (B+ trees plus at most one columnstore) on the same
 //! table — the hybrid physical design space the paper studies.
 
+mod apply;
 pub mod catalog;
 pub mod cost;
 pub mod design;
@@ -46,5 +47,5 @@ pub use query::{
 };
 pub use querystore::{QueryStore, StoredStatement};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{PrimaryIndex, SecondaryBTree, Table, TablePart};
+pub use table::{PostImage, PrimaryIndex, SecondaryBTree, Table, TablePart};
 pub use txn::{IsolationLevel, LockManager, TxnManager};

@@ -14,15 +14,17 @@
 //!    logged). A table-scoped record is applied only when its LSN is above
 //!    the table's `applied_lsn`, which is what makes fuzzy checkpoints safe.
 //!
-//! Replay rebuilds every index the table had — heap/B+ tree and columnstore,
-//! including the delta store and secondary-CSI delete buffer — because redo
-//! goes through the same `Table` write paths as normal commits. Updates are
-//! replayed as delete + insert of the logged post-image: logically identical
-//! to the original in-place update, though the physical CSI layout (which
-//! rowgroup holds a row) may differ from the pre-crash instance.
+//! There is one interpreter of the record vocabulary (`crate::apply`): the
+//! live engine applies a change through it right where it logs the change,
+//! and both steps here call the same two functions. Replaying a log from its
+//! first record therefore rebuilds every index the table had — B+ trees,
+//! rowgroups, delta stores, delete buffers — *physically* as the live
+//! instance left them (an update stays in place and touches only the
+//! secondaries whose stored columns changed). A checkpoint restore is a bulk
+//! rebuild from rows and is logically exact only: it compacts what the live
+//! tables had spread over delta stores, delete buffers and small rowgroups.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use hpd_common::{faults, HpdError, Result};
 use hpd_storage::IoTracker;
@@ -30,12 +32,12 @@ use hpd_wal::{
     CheckpointImage, FrameReader, LogRecord, Wal, WalDurable, WalIndexDef, WalIndexKind,
     WalPartitioning,
 };
-use parking_lot::RwLock;
 
-use crate::catalog::{Database, DbConfig, TableSlot};
+use crate::apply::{apply_write, RowChange};
+use crate::catalog::{Database, DbConfig};
 use crate::design::IndexDescriptor;
 use crate::partition::{PartitionMethod, PartitionSpec};
-use crate::table::Table;
+use crate::table::PostImage;
 
 /// Engine descriptor → WAL wire form.
 pub(crate) fn to_wal_def(d: &IndexDescriptor) -> WalIndexDef {
@@ -107,14 +109,6 @@ pub(crate) fn from_wal_partitioning(p: &WalPartitioning) -> Result<PartitionSpec
     }
 }
 
-fn slot_at(db: &Database, id: u32) -> Result<Arc<TableSlot>> {
-    db.tables
-        .read()
-        .get(id as usize)
-        .cloned()
-        .ok_or_else(|| HpdError::Internal(format!("wal: redo references unknown table {id}")))
-}
-
 impl Database {
     /// Rebuild a database from crash-surviving WAL state (see
     /// [`Database::wal_durable`]). The recovered instance owns a log that
@@ -133,50 +127,46 @@ impl Database {
             hpd_obs::trace::child_span("recovery.checkpoint_restore", recover_span.id());
         if let Some(image) = durable.checkpoint.as_deref() {
             let image = CheckpointImage::decode(image)?;
-            let mut tables = db.tables.write();
             for snap in image.tables {
                 let spec = snap
                     .partitioning
                     .as_ref()
                     .map(from_wal_partitioning)
                     .transpose()?;
-                let mut table = Table::create_spec(
+                // Rows stay concatenated in the image; the build re-routes
+                // them per partition. A partitioned snapshot then rebuilds
+                // each partition under its own captured (possibly
+                // heterogeneous) design.
+                let uniform: Vec<IndexDescriptor> = if snap.parts.is_empty() {
+                    snap.secondaries.iter().map(from_wal_def).collect()
+                } else {
+                    Vec::new()
+                };
+                let mut table = db.build_table(
                     snap.name.clone(),
                     snap.schema,
                     snap.pk,
-                    &from_wal_def(&snap.primary),
                     spec,
-                    db.config.csi,
-                    db.alloc.clone(),
+                    &from_wal_def(&snap.primary),
+                    &uniform,
+                    snap.rows,
+                    &tracker,
                 )?;
-                // Bulk load re-routes the concatenated rows per partition.
-                table.bulk_load(snap.rows, &db.pool, &tracker)?;
-                if snap.parts.is_empty() {
-                    for def in &snap.secondaries {
-                        table.build_index(&from_wal_def(def), &db.pool, &tracker)?;
-                    }
-                } else {
-                    // Partitioned snapshot: each partition is rebuilt under
-                    // its own captured (possibly heterogeneous) design.
-                    for (p, ps) in snap.parts.iter().enumerate() {
-                        let secondaries: Vec<IndexDescriptor> =
-                            ps.secondaries.iter().map(from_wal_def).collect();
-                        table.apply_partition_design(
-                            p,
-                            &from_wal_def(&ps.primary),
-                            &secondaries,
-                            &db.pool,
-                            &tracker,
-                        )?;
-                    }
+                for (p, ps) in snap.parts.iter().enumerate() {
+                    let secondaries: Vec<IndexDescriptor> =
+                        ps.secondaries.iter().map(from_wal_def).collect();
+                    table.apply_partition_design(
+                        p,
+                        &from_wal_def(&ps.primary),
+                        &secondaries,
+                        &db.pool,
+                        &tracker,
+                    )?;
                 }
-                tables.push(Arc::new(TableSlot {
-                    name: snap.name,
-                    table: RwLock::new(table),
-                    applied_lsn: AtomicU64::new(snap.applied_lsn),
-                }));
+                db.push_table(snap.name, table)
+                    .applied_lsn
+                    .store(snap.applied_lsn, Ordering::Relaxed);
             }
-            drop(tables);
             db.txns.advance_to(image.next_ts);
         }
         if restore_span.is_recording() {
@@ -216,7 +206,7 @@ impl Database {
                         touched.sort_unstable();
                         touched.dedup();
                         for id in touched {
-                            slot_at(&db, id)?
+                            db.slot_at(id)?
                                 .applied_lsn
                                 .fetch_max(lsn, Ordering::Relaxed);
                         }
@@ -264,181 +254,52 @@ fn redo_write(
     commit_ts: u64,
     tracker: &IoTracker,
 ) -> Result<bool> {
-    let table_id = rec
-        .table()
-        .ok_or_else(|| HpdError::Internal("wal: write record without table".into()))?;
-    let slot = slot_at(db, table_id)?;
-    if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-        return Ok(false); // already reflected in the checkpoint snapshot
-    }
-    let mut t = slot.table.write();
-    match rec {
-        LogRecord::Insert { row, .. } => {
-            if t.has_csi() && faults::fire(faults::sites::WAL_SKIP_DELTA_REDO) {
-                // Deliberate-bug knob: "forget" to redo inserts into
-                // columnstore delta stores. Exists to prove the crash-point
-                // harness catches and shrinks a recovery bug.
-                return Ok(false);
-            }
-            let key = row.key(t.pk());
-            t.insert_row(row.clone(), &db.pool, tracker)?;
-            t.record_version(key, None, commit_ts);
-        }
-        LogRecord::Delete { key, .. } => {
-            let old = t.fetch_by_pk(key, &db.pool, tracker);
-            if t.delete_by_pk(key, &db.pool, tracker)? {
-                t.record_version(key.clone(), old, commit_ts);
-            }
-        }
+    let change = match rec {
+        LogRecord::Insert { row, .. } => RowChange::Insert(row),
+        LogRecord::Delete { key, .. } => RowChange::Delete(key),
         LogRecord::Update { key, new_row, .. } => {
-            // Replay as delete + insert of the logged post-image (primary
-            // keys are immutable, so the key is unchanged).
-            let old = t.fetch_by_pk(key, &db.pool, tracker);
-            if old.is_some() {
-                t.delete_by_pk(key, &db.pool, tracker)?;
-            }
-            t.insert_row(new_row.clone(), &db.pool, tracker)?;
-            t.record_version(key.clone(), old, commit_ts);
+            RowChange::Update(key, PostImage::Logged(new_row))
         }
         other => {
             return Err(HpdError::Internal(format!(
                 "wal: unexpected record inside transaction: {other:?}"
             )))
         }
+    };
+    let slot = db.slot_at(rec.table().expect("row records name their table"))?;
+    if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
+        return Ok(false); // already reflected in the checkpoint snapshot
     }
+    let mut t = slot.table.write();
+    if matches!(change, RowChange::Insert(_))
+        && t.has_csi()
+        && faults::fire(faults::sites::WAL_SKIP_DELTA_REDO)
+    {
+        // Deliberate-bug knob: "forget" to redo inserts into columnstore
+        // delta stores. Exists to prove the crash-point harness catches and
+        // shrinks a recovery bug.
+        return Ok(false);
+    }
+    apply_write(&mut t, change, commit_ts, &db.pool, tracker)?;
     Ok(true)
 }
 
-/// Apply one DDL / maintenance record; returns false when skipped.
+/// Apply one DDL / maintenance record; returns false when skipped: a table
+/// the checkpoint already restored, or a record at or below its table's
+/// `applied_lsn`.
 fn redo_ddl(db: &Database, lsn: u64, rec: LogRecord, tracker: &IoTracker) -> Result<bool> {
-    match rec {
-        LogRecord::TableCreate {
-            table,
-            name,
-            schema,
-            pk,
-            primary,
-            partitioning,
-        } => {
-            let mut tables = db.tables.write();
-            if (table as usize) < tables.len() {
-                return Ok(false); // already present (from the checkpoint)
-            }
-            let spec = partitioning
-                .as_ref()
-                .map(from_wal_partitioning)
-                .transpose()?;
-            let t = Table::create_spec(
-                name.clone(),
-                schema,
-                pk,
-                &from_wal_def(&primary),
-                spec,
-                db.config.csi,
-                db.alloc.clone(),
-            )?;
-            tables.push(Arc::new(TableSlot {
-                name,
-                table: RwLock::new(t),
-                applied_lsn: AtomicU64::new(lsn),
-            }));
-            Ok(true)
-        }
-        LogRecord::BulkLoad { table, rows } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            slot.table.write().bulk_load(rows, &db.pool, tracker)?;
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        LogRecord::IndexCreate { table, def } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            slot.table
-                .write()
-                .build_index(&from_wal_def(&def), &db.pool, tracker)?;
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        LogRecord::DesignChange {
-            table,
-            primary,
-            secondaries,
-        } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            let mut guard = slot.table.write();
-            let rows = guard.scan_all_rows(&db.pool, tracker);
-            // Same invariant as the live path: a design change keeps the
-            // table's partitioning.
-            let mut fresh = Table::create_spec(
-                slot.name.clone(),
-                guard.schema().clone(),
-                guard.pk().to_vec(),
-                &from_wal_def(&primary),
-                guard.partitioning().cloned(),
-                db.config.csi,
-                db.alloc.clone(),
-            )?;
-            fresh.bulk_load(rows, &db.pool, tracker)?;
-            for def in &secondaries {
-                fresh.build_index(&from_wal_def(def), &db.pool, tracker)?;
-            }
-            *guard = fresh;
-            drop(guard);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        LogRecord::MaintenanceStep {
-            table,
-            part,
-            budget_rows,
-            ..
-        } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            // Logical redo: re-run an increment with the same budget (and
-            // the same target partition). The physical outcome (which
-            // rowgroup holds which row) may differ from the pre-crash
-            // instance; the visible contents cannot.
-            let mut guard = slot.table.write();
-            let part = Some(part as usize).filter(|&p| p < guard.num_parts());
-            guard.maintenance_step(part, budget_rows as usize, &db.pool, tracker);
-            drop(guard);
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        LogRecord::PartitionDesignChange {
-            table,
-            part,
-            primary,
-            secondaries,
-        } => {
-            let slot = slot_at(db, table)?;
-            if lsn <= slot.applied_lsn.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            let secondaries: Vec<IndexDescriptor> = secondaries.iter().map(from_wal_def).collect();
-            slot.table.write().apply_partition_design(
-                part as usize,
-                &from_wal_def(&primary),
-                &secondaries,
-                &db.pool,
-                tracker,
-            )?;
-            slot.applied_lsn.store(lsn, Ordering::Relaxed);
-            Ok(true)
-        }
-        other => Err(HpdError::Internal(format!(
-            "wal: unexpected top-level record: {other:?}"
-        ))),
+    let id = rec
+        .table()
+        .ok_or_else(|| HpdError::Internal(format!("wal: unexpected top-level record: {rec:?}")))?;
+    let skip = match &rec {
+        LogRecord::TableCreate { .. } => (id as usize) < db.tables.read().len(),
+        _ => lsn <= db.slot_at(id)?.applied_lsn.load(Ordering::Relaxed),
+    };
+    if skip {
+        return Ok(false);
     }
+    db.apply_ddl(rec, tracker)?
+        .applied_lsn
+        .store(lsn, Ordering::Relaxed);
+    Ok(true)
 }

@@ -66,6 +66,45 @@ impl SecondaryBTree {
     pub fn payload_position(&self, col: usize) -> Option<usize> {
         self.stored.iter().position(|&c| c == col)
     }
+
+    /// Remove the entry of the row `old` (primary key `key`): seek its index
+    /// key, then match the primary-key locator in the payload.
+    fn remove(
+        &mut self,
+        key: &Key,
+        old: &Row,
+        pk: &[usize],
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        let locator_positions: Vec<usize> = pk
+            .iter()
+            .map(|&k| self.payload_position(k).expect("pk stored in secondary"))
+            .collect();
+        self.tree.delete_first_where(
+            &old.key(&self.keys),
+            |payload| {
+                locator_positions
+                    .iter()
+                    .zip(key.values())
+                    .all(|(&p, v)| &payload[p] == v)
+            },
+            pool,
+            tracker,
+        );
+    }
+}
+
+/// Where an update's post-image comes from. Everything else about an update
+/// — which part, which indexes, in place or moved — follows from the two
+/// images, so a live commit and its redo make the same choices.
+#[derive(Clone, Copy)]
+pub enum PostImage<'a> {
+    /// Evaluate a SET list over the pre-image the update located (a live
+    /// commit; the result is what the WAL logs).
+    Set(&'a [(usize, Expr)]),
+    /// The logged post-image (redo: values, never expressions).
+    Logged(&'a Row),
 }
 
 /// Outcome of one budgeted maintenance increment over a table's
@@ -376,161 +415,127 @@ impl TablePart {
         }
     }
 
-    fn fetch_by_pk(
-        &self,
-        key: &Key,
-        schema: &Schema,
-        pk: &[usize],
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Option<Row> {
-        match &self.primary {
-            PrimaryIndex::BTree(tree) => tree.seek_exact(key, pool, tracker).into_iter().next(),
-            PrimaryIndex::Csi(csi) => {
-                let intervals: HashMap<usize, hpd_common::Interval> = pk
-                    .iter()
-                    .zip(key.values())
-                    .map(|(&c, v)| (c, hpd_common::Interval::point(v.clone())))
-                    .collect();
-                let all: Vec<usize> = (0..schema.len()).collect();
-                for batch in csi.scan_collect(&all, &intervals, pool, tracker) {
-                    for i in 0..batch.num_rows() {
-                        let row = batch.row(i);
-                        if &row.key(pk) == key {
-                            return Some(row);
-                        }
-                    }
-                }
-                None
-            }
-        }
-    }
-
     /// Remove the row with this key from every index, returning its old
-    /// image (`None` if absent).
+    /// image (`None` if absent). One locate: both primaries hand back the
+    /// row they remove.
     fn delete_by_pk(
         &mut self,
         key: &Key,
-        schema: &Schema,
         pk: &[usize],
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Option<Row> {
-        // Fetch + delete from the primary in one pass where possible: a
-        // primary CSI locates the physical row by scanning key segments, so
-        // a separate fetch would double that cost.
         let old = match &mut self.primary {
-            PrimaryIndex::BTree(tree) => {
-                let old = tree.seek_exact(key, pool, tracker).into_iter().next();
-                if old.is_some() {
-                    tree.delete_first_where(key, |_| true, pool, tracker);
-                }
-                old
-            }
+            PrimaryIndex::BTree(tree) => tree.delete_first_where(key, |_| true, pool, tracker),
             PrimaryIndex::Csi(csi) => csi.delete_returning(key, pool, tracker),
-        };
-        let _ = schema;
-        let old = old?;
+        }?;
+        self.delete_from_secondaries(key, &old, pk, pool, tracker);
+        Some(old)
+    }
+
+    /// Remove `old`'s entries from the secondary indexes (its primary image
+    /// is already gone).
+    fn delete_from_secondaries(
+        &mut self,
+        key: &Key,
+        old: &Row,
+        pk: &[usize],
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
         for s in &mut self.secondaries {
-            let skey = old.key(&s.keys);
-            let locator_positions: Vec<usize> = pk
-                .iter()
-                .map(|&k| s.payload_position(k).expect("pk stored in secondary"))
-                .collect();
-            s.tree.delete_first_where(
-                &skey,
-                |payload| {
-                    locator_positions
-                        .iter()
-                        .zip(key.values())
-                        .all(|(&p, v)| &payload[p] == v)
-                },
-                pool,
-                tracker,
-            );
+            s.remove(key, old, pk, pool, tracker);
         }
         if let Some(csi) = &mut self.secondary_csi {
             csi.delete(key, pool, tracker);
         }
-        Some(old)
     }
 
-    /// Apply an in-part update (primary key and partition unchanged).
-    #[allow(clippy::too_many_arguments)]
-    fn apply_update(
+    /// The primary-index half of an update, in one locate: hand the row with
+    /// this key to `post`, which answers the post-image and whether it stays
+    /// in this part. Staying, a B+ tree takes it in place and a columnstore
+    /// as delete + delta insert; leaving, the row is removed. Returns
+    /// `(pre-image, post-image, stays)`, `None` if the key is absent. A
+    /// failing `post` leaves the row as it was.
+    fn update_primary(
         &mut self,
         key: &Key,
-        old: &Row,
-        new_row: Row,
-        set: &[(usize, Expr)],
-        pk: &[usize],
+        post: impl FnOnce(&Row) -> Result<(Row, bool)>,
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) {
+    ) -> Result<Option<(Row, Row, bool)>> {
         match &mut self.primary {
             PrimaryIndex::BTree(tree) => {
-                let nr = new_row.clone();
+                let mut post = Some(post);
+                let mut out = None;
                 tree.update_where(
                     key,
                     |row| {
-                        *row = nr.clone();
-                        true
+                        let Some(post) = post.take() else {
+                            return false;
+                        };
+                        out = Some(post(row).map(|(new, stays)| (row.clone(), new, stays)));
+                        match &out {
+                            Some(Ok((_, new, true))) => {
+                                *row = new.clone();
+                                true
+                            }
+                            _ => false,
+                        }
                     },
                     pool,
                     tracker,
                 );
+                let out = out.transpose()?;
+                if matches!(out, Some((_, _, false))) {
+                    tree.delete_first_where(key, |_| true, pool, tracker);
+                }
+                Ok(out)
             }
             PrimaryIndex::Csi(csi) => {
-                csi.update(key, new_row.clone(), pool, tracker);
+                // The pre-image comes from the delete itself: a separate
+                // fetch would decode the row a second time.
+                let Some(old) = csi.delete_returning(key, pool, tracker) else {
+                    return Ok(None);
+                };
+                match post(&old) {
+                    Ok((new, stays)) => {
+                        if stays {
+                            csi.insert(new.clone(), pool, tracker);
+                        }
+                        Ok(Some((old, new, stays)))
+                    }
+                    Err(e) => {
+                        csi.insert(old, pool, tracker);
+                        Err(e)
+                    }
+                }
             }
         }
-        self.finish_update_secondaries(key, old, new_row, set, pk, pool, tracker);
     }
 
-    /// Propagate an already-applied primary update into the secondary
-    /// indexes (B+ trees touched by the change, and the secondary CSI).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_update_secondaries(
+    /// The secondary-index half of an in-part update: an index is touched
+    /// only if a column it stores differs between the two images.
+    fn update_secondaries(
         &mut self,
         key: &Key,
         old: &Row,
-        new_row: Row,
-        set: &[(usize, Expr)],
+        new: &Row,
         pk: &[usize],
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
-        let changed: Vec<usize> = set.iter().map(|(c, _)| *c).collect();
+        let differs = |cols: &[usize]| cols.iter().any(|&c| old[c] != new[c]);
         for s in &mut self.secondaries {
-            if !changed.iter().any(|c| s.stored.contains(c)) {
-                continue; // index untouched by this update
+            if differs(&s.stored) {
+                s.remove(key, old, pk, pool, tracker);
+                s.tree
+                    .insert(new.key(&s.keys), new.project(&s.stored), pool, tracker);
             }
-            let locator_positions: Vec<usize> = pk
-                .iter()
-                .map(|&k| s.payload_position(k).expect("pk stored in secondary"))
-                .collect();
-            let old_key = old.key(&s.keys);
-            s.tree.delete_first_where(
-                &old_key,
-                |payload| {
-                    locator_positions
-                        .iter()
-                        .zip(key.values())
-                        .all(|(&p, v)| &payload[p] == v)
-                },
-                pool,
-                tracker,
-            );
-            s.tree.insert(
-                new_row.key(&s.keys),
-                new_row.project(&s.stored),
-                pool,
-                tracker,
-            );
         }
         if let Some(csi) = &mut self.secondary_csi {
-            if changed.iter().any(|c| self.csi_columns.contains(c)) {
-                csi.update(key, new_row.project(&self.csi_columns), pool, tracker);
+            if differs(&self.csi_columns) {
+                csi.update(key, new.project(&self.csi_columns), pool, tracker);
             }
         }
     }
@@ -721,7 +726,7 @@ impl Table {
     /// partitions) and refresh statistics.
     pub fn bulk_load(
         &mut self,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<()> {
@@ -730,21 +735,20 @@ impl Table {
         }
         self.stats =
             TableStats::analyze(&rows, self.schema.len(), self.csi_config.rowgroup_capacity);
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let csi_config = self.csi_config;
-        let alloc = self.alloc.clone();
-        if let Some(spec) = self.partitioning.clone() {
-            let mut per_part: Vec<Vec<Row>> = (0..self.parts.len()).map(|_| Vec::new()).collect();
-            for r in rows.drain(..) {
-                per_part[spec.route_row(&r)].push(r);
-            }
-            for (part, rows) in self.parts.iter_mut().zip(per_part) {
-                part.bulk_load(&rows, &schema, &pk, csi_config, &alloc, pool, tracker)?;
-            }
-        } else {
-            self.parts[0].bulk_load(&rows, &schema, &pk, csi_config, &alloc, pool, tracker)?;
-            rows.clear();
+        let mut per_part: Vec<Vec<Row>> = self.parts.iter().map(|_| Vec::new()).collect();
+        for r in rows {
+            per_part[self.route_row(&r)].push(r);
+        }
+        for (part, rows) in self.parts.iter_mut().zip(per_part) {
+            part.bulk_load(
+                &rows,
+                &self.schema,
+                &self.pk,
+                self.csi_config,
+                &self.alloc,
+                pool,
+                tracker,
+            )?;
         }
         Ok(())
     }
@@ -758,53 +762,19 @@ impl Table {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<IndexId> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let csi_config = self.csi_config;
-        let alloc = self.alloc.clone();
-        match descriptor {
-            IndexDescriptor::SecondaryBTree { keys, includes } => {
-                for part in &mut self.parts {
-                    let rows = part.scan_all_rows(&schema, pool, tracker);
-                    part.build_secondary_btree_from(
-                        &rows,
-                        keys.clone(),
-                        includes.clone(),
-                        &schema,
-                        &pk,
-                        &alloc,
-                        pool,
-                        tracker,
-                    )?;
-                }
-                Ok(IndexId(self.parts[0].secondaries.len()))
-            }
-            IndexDescriptor::SecondaryCsi { columns } => {
-                if self.parts.iter().any(TablePart::has_csi) {
-                    return Err(HpdError::Constraint(format!(
-                        "table {}: at most one columnstore index",
-                        self.name
-                    )));
-                }
-                for part in &mut self.parts {
-                    let rows = part.scan_all_rows(&schema, pool, tracker);
-                    part.build_secondary_csi_from(
-                        &rows,
-                        columns.clone(),
-                        &schema,
-                        &pk,
-                        csi_config,
-                        pool,
-                        tracker,
-                        &alloc,
-                    )?;
-                }
-                Ok(IndexId(self.parts[0].secondaries.len() + 1))
-            }
-            other => Err(HpdError::Constraint(format!(
-                "cannot add a primary index after creation: {other:?}"
-            ))),
+        // Checked across all parts before any part is built, so a refused
+        // columnstore leaves no part with one.
+        let csi = matches!(descriptor, IndexDescriptor::SecondaryCsi { .. });
+        if csi && self.has_csi() {
+            return Err(HpdError::Constraint(format!(
+                "table {}: at most one columnstore index",
+                self.name
+            )));
         }
+        for part in 0..self.parts.len() {
+            self.build_index_on_part(part, descriptor, pool, tracker)?;
+        }
+        Ok(IndexId(self.parts[0].secondaries.len() + csi as usize))
     }
 
     /// Build a secondary index on **one** partition only.
@@ -888,15 +858,6 @@ impl Table {
         Ok(())
     }
 
-    /// Drop all secondary indexes on every partition (re-tuning).
-    pub fn drop_secondaries(&mut self) {
-        for part in &mut self.parts {
-            part.secondaries.clear();
-            part.secondary_csi = None;
-            part.csi_columns.clear();
-        }
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -942,23 +903,6 @@ impl Table {
     /// Partition id a row belongs to (0 for unpartitioned tables).
     pub fn route_row(&self, row: &Row) -> usize {
         self.partitioning.as_ref().map_or(0, |s| s.route_row(row))
-    }
-
-    /// Partition currently holding the row with this primary key. Routes
-    /// directly when the partition column is part of the key; otherwise
-    /// probes partitions in order.
-    pub fn part_of_key(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> Option<usize> {
-        let Some(spec) = &self.partitioning else {
-            return Some(0);
-        };
-        if let Some(pos) = self.pk.iter().position(|&c| c == spec.column) {
-            return Some(spec.route_value(&key.values()[pos]));
-        }
-        (0..self.parts.len()).find(|&p| {
-            self.parts[p]
-                .fetch_by_pk(key, &self.schema, &self.pk, pool, tracker)
-                .is_some()
-        })
     }
 
     /// One budgeted maintenance increment over the columnstore indexes of
@@ -1052,172 +996,101 @@ impl Table {
     // DML
     // ------------------------------------------------------------------
 
-    /// Insert one row through every index of its partition.
-    pub fn insert_row(&mut self, row: Row, pool: &BufferPool, tracker: &IoTracker) -> Result<()> {
+    /// Insert one row through every index of its partition; returns the
+    /// partition it was routed to.
+    pub fn insert_row(
+        &mut self,
+        row: Row,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Result<usize> {
         self.schema.validate_row(&row)?;
         let p = self.route_row(&row);
-        let pk = self.pk.clone();
-        self.parts[p].insert_row(&row, &pk, pool, tracker);
+        self.parts[p].insert_row(&row, &self.pk, pool, tracker);
         self.stats.rows += 1;
-        Ok(())
+        Ok(p)
     }
 
-    /// Fetch the current row with this primary key. Cheap for a B+ tree
-    /// primary (seek); expensive for a primary CSI (segment scan of the key
-    /// columns with elimination). Partitioned tables route through the key
-    /// when possible, else probe partitions.
-    pub fn fetch_by_pk(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> Option<Row> {
-        match self.part_hint(key) {
-            Some(p) => self.parts[p].fetch_by_pk(key, &self.schema, &self.pk, pool, tracker),
-            None => self
-                .parts
+    /// The parts that can hold this key: the one the key itself routes to
+    /// (every part of an unpartitioned table is part 0), or all of them, in
+    /// order, when the partition column is not in the primary key.
+    fn parts_of_key(&self, key: &Key) -> std::ops::Range<usize> {
+        let hint = match &self.partitioning {
+            None => Some(0),
+            Some(spec) => self
+                .pk
                 .iter()
-                .find_map(|part| part.fetch_by_pk(key, &self.schema, &self.pk, pool, tracker)),
-        }
-    }
-
-    /// Partition id derivable from the key alone (always `Some(0)` for
-    /// unpartitioned tables; `None` when the partition column is not in the
-    /// primary key and a probe is required).
-    fn part_hint(&self, key: &Key) -> Option<usize> {
-        let Some(spec) = &self.partitioning else {
-            return Some(0);
+                .position(|&c| c == spec.column)
+                .map(|pos| spec.route_value(&key.values()[pos])),
         };
-        self.pk
-            .iter()
-            .position(|&c| c == spec.column)
-            .map(|pos| spec.route_value(&key.values()[pos]))
+        hint.map_or(0..self.parts.len(), |p| p..p + 1)
     }
 
     /// Delete the row with this primary key from every index of its
-    /// partition.
+    /// partition, returning its old image (`None` if absent).
     pub fn delete_by_pk(
         &mut self,
         key: &Key,
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) -> Result<bool> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let deleted = match self.part_hint(key) {
-            Some(p) => self.parts[p]
-                .delete_by_pk(key, &schema, &pk, pool, tracker)
-                .is_some(),
-            None => self.parts.iter_mut().any(|part| {
-                part.delete_by_pk(key, &schema, &pk, pool, tracker)
-                    .is_some()
-            }),
-        };
-        if deleted {
-            self.stats.rows = self.stats.rows.saturating_sub(1);
-        }
-        Ok(deleted)
+    ) -> Option<Row> {
+        let old = self
+            .parts_of_key(key)
+            .find_map(|p| self.parts[p].delete_by_pk(key, &self.pk, pool, tracker))?;
+        self.stats.rows = self.stats.rows.saturating_sub(1);
+        Some(old)
     }
 
-    /// Update the row with this primary key: `set` expressions are evaluated
-    /// over the old row. The primary key itself must not change; a change to
-    /// the partition column moves the row between partitions.
+    /// Update the row with this primary key to `post`'s image of it and
+    /// return `(pre-image, post-image)`, `None` if absent. The row is
+    /// located once, by the primary index that rewrites it. A post-image in
+    /// the same partition is taken in place — B+ tree rewrite, columnstore
+    /// delete + delta insert, and only the secondaries storing a column that
+    /// differs between the images; one that routes elsewhere is removed
+    /// from the old partition and inserted whole into the new. The primary
+    /// key itself never changes.
     pub fn update_by_pk(
         &mut self,
         key: &Key,
-        set: &[(usize, Expr)],
+        post: PostImage<'_>,
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) -> Result<bool> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let p_old = match self.part_hint(key) {
-            Some(p) => p,
-            None => match self.part_of_key(key, pool, tracker) {
-                Some(p) => p,
-                None => return Ok(false),
-            },
-        };
-        // Primary CSI: fetch + delete in one locating pass, then re-insert.
-        if matches!(self.parts[p_old].primary, PrimaryIndex::Csi(_)) {
-            let old = match &mut self.parts[p_old].primary {
-                PrimaryIndex::Csi(csi) => csi.delete_returning(key, pool, tracker),
-                PrimaryIndex::BTree(_) => unreachable!(),
+    ) -> Result<Option<(Row, Row)>> {
+        let candidates = self.parts_of_key(key);
+        let Table {
+            schema,
+            pk,
+            partitioning,
+            parts,
+            ..
+        } = self;
+        let route = |r: &Row| partitioning.as_ref().map_or(0, |s| s.route_row(r));
+        for p_old in candidates {
+            let images = parts[p_old].update_primary(
+                key,
+                |old| {
+                    let new = match post {
+                        PostImage::Set(set) => eval_update(schema, old, set)?,
+                        PostImage::Logged(row) => row.clone(),
+                    };
+                    let stays = route(&new) == p_old;
+                    Ok((new, stays))
+                },
+                pool,
+                tracker,
+            )?;
+            let Some((old, new, stays)) = images else {
+                continue;
             };
-            let Some(old) = old else {
-                return Ok(false);
-            };
-            let new_row = self.eval_update(&old, set)?;
-            let p_new = self.route_row(&new_row);
-            if p_new != p_old {
-                // Finish removing the old image from p_old's secondaries,
-                // then insert whole into the new partition.
-                self.parts[p_old].delete_leftover_secondaries(key, &old, &pk, pool, tracker);
-                self.parts[p_new].insert_row(&new_row, &pk, pool, tracker);
-                return Ok(true);
+            if stays {
+                parts[p_old].update_secondaries(key, &old, &new, pk, pool, tracker);
+            } else {
+                parts[p_old].delete_from_secondaries(key, &old, pk, pool, tracker);
+                parts[route(&new)].insert_row(&new, pk, pool, tracker);
             }
-            if let PrimaryIndex::Csi(csi) = &mut self.parts[p_old].primary {
-                csi.insert(new_row.clone(), pool, tracker);
-            }
-            self.parts[p_old]
-                .finish_update_secondaries(key, &old, new_row, set, &pk, pool, tracker);
-            return Ok(true);
+            return Ok(Some((old, new)));
         }
-        let Some(old) = self.parts[p_old].fetch_by_pk(key, &schema, &pk, pool, tracker) else {
-            return Ok(false);
-        };
-        let new_row = self.eval_update(&old, set)?;
-        let p_new = self.route_row(&new_row);
-        if p_new != p_old {
-            self.parts[p_old].delete_by_pk(key, &schema, &pk, pool, tracker);
-            self.parts[p_new].insert_row(&new_row, &pk, pool, tracker);
-            return Ok(true);
-        }
-        self.parts[p_old].apply_update(key, &old, new_row, set, &pk, pool, tracker);
-        Ok(true)
-    }
-
-    /// Evaluate `set` over `old`, producing the full post-image row (the
-    /// primary key must not change). The commit path logs this row to the
-    /// WAL — updates are value-logged, so redo re-applies rows and never
-    /// re-evaluates expressions.
-    pub fn eval_update(&self, old: &Row, set: &[(usize, Expr)]) -> Result<Row> {
-        let mut new_row = old.clone();
-        for (col, expr) in set {
-            if self.pk.contains(col) {
-                return Err(HpdError::Constraint(
-                    "updating primary key columns is not supported".into(),
-                ));
-            }
-            let dtype = self.schema.column(*col).dtype;
-            let v = expr.eval_row(old)?;
-            let v = v.coerce_to(dtype).ok_or(HpdError::TypeMismatch {
-                expected: dtype.name(),
-                found: v.data_type().name().to_string(),
-            })?;
-            new_row.set(*col, v);
-        }
-        Ok(new_row)
-    }
-
-    /// Apply a precomputed update (used by the transaction manager, which
-    /// evaluates `set` at statement time but applies at commit). Handles
-    /// cross-partition moves when the partition column changed.
-    pub fn apply_update(
-        &mut self,
-        key: &Key,
-        old: &Row,
-        new_row: Row,
-        set: &[(usize, Expr)],
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Result<()> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let p_old = self.route_row(old);
-        let p_new = self.route_row(&new_row);
-        if p_new != p_old {
-            self.parts[p_old].delete_by_pk(key, &schema, &pk, pool, tracker);
-            self.parts[p_new].insert_row(&new_row, &pk, pool, tracker);
-            return Ok(());
-        }
-        self.parts[p_old].apply_update(key, old, new_row, set, &pk, pool, tracker);
-        Ok(())
+        Ok(None)
     }
 
     /// Materialize all current rows (index builds, analyze), partitions
@@ -1288,37 +1161,20 @@ impl Table {
     }
 }
 
-impl TablePart {
-    /// Remove `old`'s entries from the secondary indexes after the primary
-    /// image has already been removed (cross-partition update moves).
-    fn delete_leftover_secondaries(
-        &mut self,
-        key: &Key,
-        old: &Row,
-        pk: &[usize],
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) {
-        for s in &mut self.secondaries {
-            let skey = old.key(&s.keys);
-            let locator_positions: Vec<usize> = pk
-                .iter()
-                .map(|&k| s.payload_position(k).expect("pk stored in secondary"))
-                .collect();
-            s.tree.delete_first_where(
-                &skey,
-                |payload| {
-                    locator_positions
-                        .iter()
-                        .zip(key.values())
-                        .all(|(&p, v)| &payload[p] == v)
-                },
-                pool,
-                tracker,
-            );
-        }
-        if let Some(csi) = &mut self.secondary_csi {
-            csi.delete(key, pool, tracker);
-        }
+/// Evaluate `set` over `old`, producing the full post-image row. The commit
+/// path logs this row to the WAL — updates are value-logged, so redo
+/// re-applies rows and never re-evaluates expressions. (`Txn::update`
+/// rejects a SET on a primary-key column before anything is buffered.)
+fn eval_update(schema: &Schema, old: &Row, set: &[(usize, Expr)]) -> Result<Row> {
+    let mut new_row = old.clone();
+    for (col, expr) in set {
+        let dtype = schema.column(*col).dtype;
+        let v = expr.eval_row(old)?;
+        let v = v.coerce_to(dtype).ok_or(HpdError::TypeMismatch {
+            expected: dtype.name(),
+            found: v.data_type().name().to_string(),
+        })?;
+        new_row.set(*col, v);
     }
+    Ok(new_row)
 }

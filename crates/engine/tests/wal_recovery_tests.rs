@@ -315,3 +315,237 @@ fn skip_delta_redo_knob_causes_divergence_on_csi_only() {
         "the deliberate bug must be observable on CSI designs"
     );
 }
+
+// ---------------------------------------------------------------------
+// One write path: log-only recovery is physically identical
+// ---------------------------------------------------------------------
+
+/// `(id, grp, val, bucket)`: `grp` is the column the subset CSI stores,
+/// `val` one it does not, `bucket` the partition column — deliberately not
+/// in the primary key, so an update can move a row across partitions.
+fn parity_row(id: i32) -> Row {
+    Row::new(vec![
+        Value::Int32(id),
+        Value::Int32(id % 7),
+        Value::Int64(i64::from(id) * 10),
+        Value::Int32(id % 30),
+    ])
+}
+
+fn set_where_id(db: &Database, id: i32, col: usize, to: Expr) {
+    let stmt = Statement::Update(hpd_engine::UpdateStmt {
+        table: "t".into(),
+        predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(id)),
+        set: vec![(col, to)],
+        top: None,
+    });
+    db.query(&stmt).run().unwrap();
+}
+
+/// Everything physical the engine reports about a table: per part, every
+/// index's rows, pages, height, rowgroups, delta rows, buffered deletes and
+/// column bytes (the `Debug` form of its [`hpd_engine::IndexMeta`]s), plus
+/// the maintenance backlog and the rows themselves.
+fn physical_state(db: &Database) -> (Vec<String>, usize, Vec<Row>) {
+    let (metas, backlog) = db
+        .with_table("t", |t| {
+            let metas = (0..t.num_parts())
+                .map(|p| format!("p{p}: {:?}", t.part_metas(p)))
+                .collect();
+            (metas, t.maintenance_backlog())
+        })
+        .unwrap();
+    let q = SelectQuery::single_table("t", None, vec![0, 1, 2, 3]);
+    let mut rows = db.query(&q).run().unwrap().rows;
+    rows.sort_by_key(|r| r.key(&[0]));
+    (metas, backlog, rows)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The gate for "one write path": with no checkpoint and no faults, a
+/// database recovered from the log alone is *physically* the live one —
+/// same pages, rowgroups, delta rows and buffered deletes in every index of
+/// every part — because redo and the live commit are one interpreter. A
+/// second write path (redo replaying an update as delete + insert, say)
+/// leaves different residue and fails here. Also prints a hash of each
+/// design's durable log, so a change to the record sequence or bytes shows.
+#[test]
+fn log_only_recovery_is_physically_identical() {
+    let cfg = DbConfig {
+        csi: hpd_engine::CsiConfig {
+            rowgroup_capacity: 16,
+            delete_buffer_compact_threshold: 6,
+            ..Default::default()
+        },
+        ..DbConfig::default()
+    };
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    let subset_csi = IndexDescriptor::SecondaryCsi { columns: vec![1] };
+    for design in ["btree", "csi", "hybrid", "parthybrid"] {
+        let db = Database::new(cfg.clone());
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int32),
+            ("grp", DataType::Int32),
+            ("val", DataType::Int64),
+            ("bucket", DataType::Int32),
+        ]);
+        match design {
+            "parthybrid" => {
+                // CSI history partitions, B+ tree insert tail.
+                let spec =
+                    hpd_engine::PartitionSpec::range(3, vec![Value::Int32(10), Value::Int32(20)])
+                        .unwrap();
+                db.create_partitioned_table(
+                    "t",
+                    schema,
+                    vec![0],
+                    IndexDescriptor::PrimaryCsi,
+                    spec,
+                )
+                .unwrap();
+                db.apply_partition_design("t", 2, &btree, &[]).unwrap();
+            }
+            "csi" => db
+                .create_table("t", schema, vec![0], IndexDescriptor::PrimaryCsi)
+                .unwrap(),
+            _ => db
+                .create_table("t", schema, vec![0], btree.clone())
+                .unwrap(),
+        }
+        db.load_table("t", (0..90).map(parity_row).collect())
+            .unwrap();
+        if design == "hybrid" {
+            db.create_index("t", &subset_csi).unwrap();
+        }
+        let insert = |id: i32| {
+            let stmt = Statement::Insert(hpd_engine::InsertStmt {
+                table: "t".into(),
+                rows: vec![parity_row(id)],
+            });
+            db.query(&stmt).run().unwrap();
+        };
+        let increment = |budget: usize| {
+            let before = db.with_table("t", |t| t.maintenance_backlog()).unwrap();
+            let r = db.maintenance("t").budget_rows(budget).run().unwrap();
+            // An increment that only merges rowgroups logs nothing (its
+            // record carries rows moved and deletes compacted), so the
+            // history keeps every increment on a real backlog.
+            assert!(
+                before == 0 || r.rows_moved + r.deletes_compacted > 0,
+                "{design}: increment found backlog {before} and moved nothing"
+            );
+        };
+
+        // Phase 1: single-row writes of every kind.
+        for id in 100..125 {
+            insert(id);
+        }
+        delete_below(&db, 9);
+        for id in [20, 21, 22, 40, 41, 104, 105] {
+            // Touches no column the subset CSI stores.
+            set_where_id(&db, id, 2, Expr::Lit(Value::Int64(-7)));
+        }
+        for id in [22, 23, 50, 51, 106] {
+            // Touches the CSI's column.
+            set_where_id(&db, id, 1, Expr::Lit(Value::Int32(99)));
+        }
+        // Moves rows between partitions (CSI → CSI, CSI → B+ tree tail,
+        // tail → CSI) where there are any.
+        set_where_id(&db, 12, 3, Expr::Lit(Value::Int32(15)));
+        set_where_id(&db, 13, 3, Expr::Lit(Value::Int32(25)));
+        set_where_id(&db, 25, 3, Expr::Lit(Value::Int32(3)));
+        increment(5);
+        increment(7);
+        db.create_index(
+            "t",
+            &IndexDescriptor::SecondaryBTree {
+                keys: vec![1],
+                includes: vec![2],
+            },
+        )
+        .unwrap();
+        for id in 125..140 {
+            insert(id);
+        }
+        set_where_id(&db, 30, 2, Expr::Lit(Value::Int64(1)));
+        set_where_id(&db, 31, 1, Expr::Lit(Value::Int32(5)));
+        set_where_id(&db, 130, 3, Expr::Lit(Value::Int32(11)));
+        increment(4);
+        let recovered = Database::recover(cfg.clone(), db.wal_durable()).unwrap();
+        assert_eq!(
+            physical_state(&recovered),
+            physical_state(&db),
+            "{design}: before the design change"
+        );
+
+        // Phase 2: a whole-table design change, then more of the same.
+        let primary = match design {
+            "btree" | "hybrid" => btree.clone(),
+            _ => IndexDescriptor::PrimaryCsi,
+        };
+        let mut indexes = vec![
+            primary,
+            IndexDescriptor::SecondaryBTree {
+                keys: vec![2],
+                includes: vec![],
+            },
+        ];
+        if design != "csi" && design != "parthybrid" {
+            indexes.push(subset_csi.clone());
+        }
+        db.apply_design(&TableDesign::new("t", indexes)).unwrap();
+        for id in 140..160 {
+            insert(id);
+        }
+        delete_below(&db, 15);
+        set_where_id(&db, 60, 2, Expr::Lit(Value::Int64(2)));
+        set_where_id(&db, 61, 1, Expr::Lit(Value::Int32(6)));
+        set_where_id(&db, 62, 3, Expr::Lit(Value::Int32(29)));
+        increment(6);
+        increment(3);
+
+        let durable = db.wal_durable();
+        assert!(durable.checkpoint.is_none());
+        println!("wal {design}: {:016x}", fnv1a(&durable.log));
+        let recovered = Database::recover(cfg.clone(), durable).unwrap();
+        assert_eq!(physical_state(&recovered), physical_state(&db), "{design}");
+    }
+}
+
+/// A transaction whose statement cannot be applied must fail at the
+/// statement, not half-way through its commit: an update of a primary-key
+/// column used to be rejected only while the commit applied it, after the
+/// transaction's earlier writes were already in the tables (and not in the
+/// log) — live and recovered databases then disagreed.
+#[test]
+fn a_pk_update_fails_at_the_statement_and_nothing_is_applied() {
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    setup(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] }, 10);
+    let session = db.session(hpd_engine::IsolationLevel::ReadCommitted);
+    let mut txn = session.begin();
+    txn.execute(&Statement::Insert(hpd_engine::InsertStmt {
+        table: "t".into(),
+        rows: vec![row(100)],
+    }))
+    .unwrap();
+    let err = txn
+        .execute(&Statement::Update(hpd_engine::UpdateStmt {
+            table: "t".into(),
+            predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(3)),
+            set: vec![(0, Expr::Lit(Value::Int32(500)))],
+            top: None,
+        }))
+        .unwrap_err();
+    assert!(matches!(err, HpdError::Constraint(_)), "{err:?}");
+    txn.abort();
+
+    assert_eq!(contents(&db).len(), 10);
+    let recovered = crash_and_recover(db, cfg);
+    assert_eq!(contents(&recovered).len(), 10);
+}

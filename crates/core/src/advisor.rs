@@ -1,17 +1,12 @@
 //! The advisor facade: analyze a workload, recommend a physical design.
 
-use std::collections::HashMap;
-
 use hpd_common::{HpdError, Result};
-use hpd_engine::{
-    cost::CostModel, Configuration, Database, IndexDescriptor, TableContext, TableDesign,
-};
+use hpd_engine::{Configuration, Database, IndexDescriptor, TableDesign};
 
 use crate::candidates::{generate_candidates, prune_candidates};
-use crate::enumerate::{greedy_search, statement_cost, Chosen};
-use crate::hypothetical::hypothetical_meta;
+use crate::enumerate::greedy_search;
 use crate::merge::merge_candidates;
-use crate::size::{BlackBoxEstimator, CsiSizeEstimator, RunModelEstimator, SampleSet};
+use crate::session::{Chosen, WhatIfSession};
 use crate::workload::Workload;
 
 /// Which parts of the design space the advisor may use — the three
@@ -173,122 +168,46 @@ impl<'db> Advisor<'db> {
         Advisor { db, options }
     }
 
-    fn estimator(&self) -> Box<dyn CsiSizeEstimator> {
-        match self.options.estimator {
-            EstimatorKind::BlackBox => Box::new(BlackBoxEstimator),
-            EstimatorKind::RunModel => Box::new(RunModelEstimator),
-        }
-    }
-
     /// Analyze the workload and recommend a configuration.
     pub fn recommend(&self, workload: &Workload) -> Result<Recommendation> {
-        let estimator = self.estimator();
-        let csi_config = self.db.config().csi;
-        let cost = CostModel::new(
-            self.db.config().device,
-            self.db.config().max_dop,
-            self.db.config().grant_bytes,
-        );
+        let mut session = WhatIfSession::new(self.db, workload, &self.options)?;
 
-        // Contexts and block samples per referenced table.
-        let mut contexts: HashMap<String, TableContext> = HashMap::new();
-        let mut samples: HashMap<String, SampleSet> = HashMap::new();
-        let mut per_partition_tables = Vec::new();
-        for name in workload.referenced_tables() {
-            let ctx = self.db.context_for(&name)?;
-            if ctx.shared_primary().is_none() {
-                // No context, so no candidates and no what-if override:
-                // statements touching it are costed under its real design.
-                per_partition_tables.push(name);
-                continue;
-            }
-            let rows = self.db.with_table(&name, |t| {
-                t.scan_all_rows(self.db.pool(), &hpd_storage::IoTracker::new())
-            })?;
-            samples.insert(
-                name.clone(),
-                SampleSet::block_sample(&rows, self.options.sample_fraction, self.options.seed),
-            );
-            contexts.insert(name, ctx);
-        }
-
-        // Candidate selection → what-if pruning → merging.
-        let raw = generate_candidates(workload, &contexts, self.options.mode);
-        let pruned = prune_candidates(
-            self.db,
-            workload,
-            &contexts,
-            &raw,
-            &samples,
-            estimator.as_ref(),
-            &csi_config,
-        )?;
+        // Candidate selection → what-if pruning → merging → greedy search.
+        let raw = generate_candidates(workload, session.contexts(), self.options.mode);
+        let pruned = prune_candidates(&mut session, &raw)?;
         let pool = merge_candidates(&pruned);
+        let result = greedy_search(&mut session, &pool, self.options.storage_budget_bytes)?;
 
-        // Greedy enumeration.
-        let result = greedy_search(
-            self.db,
-            workload,
-            &contexts,
-            &pool,
-            &samples,
-            estimator.as_ref(),
-            &csi_config,
-            &cost,
-            self.options.storage_budget_bytes,
-        )?;
-
-        // Per-statement before/after costs.
-        let empty: Chosen = HashMap::new();
+        // Per-statement before/after costs (the search has computed both).
+        let empty = Chosen::new();
         let mut per_statement = Vec::with_capacity(workload.len());
-        for ws in &workload.statements {
-            let before = statement_cost(
-                self.db,
-                &ws.statement,
-                &contexts,
-                &empty,
-                &samples,
-                estimator.as_ref(),
-                &csi_config,
-                &cost,
-            )?;
-            let after = statement_cost(
-                self.db,
-                &ws.statement,
-                &contexts,
-                &result.chosen,
-                &samples,
-                estimator.as_ref(),
-                &csi_config,
-                &cost,
-            )?;
+        for (i, ws) in workload.statements.iter().enumerate() {
+            let before = session.statement_cost(i, &empty)?;
+            let after = session.statement_cost(i, &result.chosen)?;
             per_statement.push((ws.label.clone(), before, after));
         }
 
-        // Assemble the configuration: existing primary + chosen secondaries.
+        // Assemble the configuration — existing primary + chosen
+        // secondaries — and, for every recommended CSI, the per-column
+        // encoding expectations: the estimator's predicted encoding + size,
+        // and the cost model's CPU factor for scanning that encoding.
         let mut tables = Vec::new();
+        let mut csi_encoding_details = Vec::new();
         for name in workload.referenced_tables() {
-            let Some(primary) = contexts.get(&name).and_then(TableContext::shared_primary) else {
+            let Some(ctx) = session.contexts().get(&name) else {
                 continue;
             };
+            let schema = ctx.schema.clone();
+            let primary = ctx
+                .shared_primary()
+                .expect("session tables share a primary");
             let mut indexes = vec![primary.descriptor.clone()];
-            if let Some(list) = result.chosen.get(&name) {
-                indexes.extend(list.iter().cloned());
-            }
-            tables.push(TableDesign::new(name, indexes));
-        }
-        let configuration = Configuration { tables };
-        configuration.validate()?;
-
-        // Per-column encoding expectations for every recommended CSI: the
-        // estimator's predicted encoding + size, and the cost model's CPU
-        // factor for scanning segments in that encoding.
-        let mut csi_encoding_details = Vec::new();
-        for (table, descriptors) in &result.chosen {
-            let ctx = &contexts[table];
-            let sample = &samples[table];
-            for d in descriptors.iter().filter(|d| d.is_csi()) {
-                let meta = hypothetical_meta(d, ctx, sample, estimator.as_ref(), &csi_config);
+            for d in result.chosen.get(&name).into_iter().flatten() {
+                indexes.push(d.clone());
+                if !d.is_csi() {
+                    continue;
+                }
+                let meta = session.meta(&name, d);
                 for &(c, bytes) in &meta.column_bytes {
                     let encoding = meta
                         .column_encodings
@@ -296,15 +215,18 @@ impl<'db> Advisor<'db> {
                         .find(|&&(ec, _)| ec == c)
                         .map_or(hpd_columnstore::IntEncoding::BitPacked, |&(_, e)| e);
                     csi_encoding_details.push(CsiColumnDetail {
-                        table: table.clone(),
-                        column: ctx.schema.column(c).name.clone(),
+                        table: name.clone(),
+                        column: schema.column(c).name.clone(),
                         encoding,
                         est_bytes: bytes,
                         cpu_factor: hpd_engine::cost::encoding_cpu_factor(encoding),
                     });
                 }
             }
+            tables.push(TableDesign::new(name, indexes));
         }
+        let configuration = Configuration { tables };
+        configuration.validate()?;
 
         Ok(Recommendation {
             configuration,
@@ -313,7 +235,7 @@ impl<'db> Advisor<'db> {
             per_statement,
             new_index_bytes: result.new_index_bytes,
             csi_encoding_details,
-            per_partition_tables,
+            per_partition_tables: session.per_partition_tables().to_vec(),
         })
     }
 }

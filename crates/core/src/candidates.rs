@@ -3,13 +3,11 @@
 
 use std::collections::HashMap;
 
-use hpd_columnstore::CsiConfig;
 use hpd_common::{Expr, Result};
-use hpd_engine::{Database, IndexDescriptor, IndexMeta, SelectQuery, Statement, TableContext};
+use hpd_engine::{IndexDescriptor, SelectQuery, Statement, TableContext};
 
 use crate::advisor::DesignMode;
-use crate::hypothetical::hypothetical_meta;
-use crate::size::{CsiSizeEstimator, SampleSet};
+use crate::session::{what_if, Overrides, WhatIfSession};
 use crate::workload::Workload;
 
 /// Per-table candidate pool.
@@ -206,54 +204,35 @@ pub fn generate_candidates(
 /// references (paper: "determine which subset of indexes are referenced by
 /// the optimizer").
 pub fn prune_candidates(
-    db: &Database,
-    workload: &Workload,
-    contexts: &HashMap<String, TableContext>,
+    session: &mut WhatIfSession,
     candidates: &CandidateSet,
-    samples: &HashMap<String, SampleSet>,
-    estimator: &dyn CsiSizeEstimator,
-    csi_config: &CsiConfig,
 ) -> Result<CandidateSet> {
     let mut used = CandidateSet::default();
-    for ws in &workload.statements {
+    for ws in &session.workload().statements {
         let query = match &ws.statement {
             Statement::Select(q) => q.clone(),
-            Statement::Update(u) => locate_query(&u.table, &u.predicate, contexts),
-            Statement::Delete(d) => locate_query(&d.table, &d.predicate, contexts),
+            Statement::Update(u) => locate_query(&u.table, &u.predicate, session.contexts()),
+            Statement::Delete(d) => locate_query(&d.table, &d.predicate, session.contexts()),
             Statement::Insert(_) => continue,
         };
-        // Per-table meta lists: existing primary + every candidate.
-        let mut overrides: HashMap<String, Vec<Vec<IndexMeta>>> = HashMap::new();
-        let mut cand_offset: HashMap<String, usize> = HashMap::new();
+        // Per-table meta lists: existing primary, then every candidate.
+        let mut overrides = Overrides::new();
         for t in &query.tables {
-            let Some(ctx) = contexts.get(&t.name) else {
-                continue;
-            };
-            let mut metas: Vec<IndexMeta> = ctx.shared_primary().cloned().into_iter().collect();
-            cand_offset.insert(t.name.clone(), metas.len());
-            if let Some(cands) = candidates.per_table.get(&t.name) {
-                let sample = samples.get(&t.name).cloned().unwrap_or(SampleSet {
-                    rows: Vec::new(),
-                    fraction: 1.0,
-                });
-                for c in cands {
-                    metas.push(hypothetical_meta(c, ctx, &sample, estimator, csi_config));
-                }
+            if session.contexts().contains_key(&t.name) {
+                let cands = candidates
+                    .per_table
+                    .get(&t.name)
+                    .map_or(&[][..], Vec::as_slice);
+                overrides.insert(t.name.clone(), vec![session.metas_for(&t.name, cands)]);
             }
-            overrides.insert(t.name.clone(), vec![metas]);
         }
-        let plan = db.what_if_plan(&query, &overrides)?;
+        let plan = what_if(session.db, &query, &overrides)?;
         for (ti, idx) in plan.index_refs() {
             let name = &query.tables[ti].name;
-            let Some(&offset) = cand_offset.get(name) else {
-                continue;
-            };
-            if idx.0 >= offset {
-                if let Some(cands) = candidates.per_table.get(name) {
-                    if let Some(c) = cands.get(idx.0 - offset) {
-                        used.add(name, c.clone());
-                    }
-                }
+            // Position 0 is the primary; candidate k sits at k + 1.
+            let cands = candidates.per_table.get(name);
+            if let Some(c) = cands.and_then(|c| c.get(idx.0.checked_sub(1)?)) {
+                used.add(name, c.clone());
             }
         }
     }

@@ -5,13 +5,14 @@
 //! sizes* for them. Here we construct [`IndexMeta`] records for indexes that
 //! do not exist, using the size estimators of [`crate::size`].
 
-use hpd_columnstore::CsiConfig;
+use hpd_columnstore::{CsiConfig, IntEncoding};
 use hpd_engine::{IndexDescriptor, IndexMeta, TableContext};
 
 use crate::size::{btree_size_estimate, CsiSizeEstimator, SampleSet};
 
 /// Build the what-if metadata for `descriptor` on the table described by
-/// `ctx`, using `sample` for columnstore size estimation.
+/// `ctx`, using `sample` for columnstore size estimation (one projection of
+/// the sample and one estimator pass per columnstore).
 pub fn hypothetical_meta(
     descriptor: &IndexDescriptor,
     ctx: &TableContext,
@@ -19,24 +20,48 @@ pub fn hypothetical_meta(
     estimator: &dyn CsiSizeEstimator,
     csi_config: &CsiConfig,
 ) -> IndexMeta {
-    hpd_obs::global().counter("advisor.whatif.calls").inc();
+    hpd_obs::global()
+        .counter("advisor.hypothetical.built")
+        .inc();
     let rows = ctx.stats.rows;
-    match descriptor {
-        IndexDescriptor::PrimaryBTree { .. } => {
-            let (leaf_pages, height) = btree_size_estimate(rows, ctx.schema.row_width() + 16);
-            IndexMeta {
-                descriptor: descriptor.clone(),
-                rows,
-                leaf_pages,
-                height,
-                column_bytes: vec![],
-                column_encodings: vec![],
-                rowgroups: 0,
-                delta_rows: 0,
-                delete_buffer_rows: 0,
-                hypothetical: true,
-            }
+    let blank = IndexMeta {
+        descriptor: descriptor.clone(),
+        rows,
+        leaf_pages: 0,
+        height: 0,
+        column_bytes: vec![],
+        column_encodings: vec![],
+        rowgroups: 0,
+        delta_rows: 0,
+        delete_buffer_rows: 0,
+        hypothetical: true,
+    };
+    let btree = |entry_width: usize| {
+        let (leaf_pages, height) = btree_size_estimate(rows, entry_width);
+        IndexMeta {
+            leaf_pages,
+            height,
+            ..blank.clone()
         }
+    };
+    // `stored` maps the estimator's column positions to table ordinals.
+    let csi = |descriptor, stored: Vec<usize>, columns: Vec<(usize, IntEncoding)>| IndexMeta {
+        descriptor,
+        column_bytes: stored
+            .iter()
+            .zip(&columns)
+            .map(|(&c, &(b, _))| (c, b))
+            .collect(),
+        column_encodings: stored
+            .iter()
+            .zip(&columns)
+            .map(|(&c, &(_, e))| (c, e))
+            .collect(),
+        rowgroups: rows.div_ceil(csi_config.rowgroup_capacity.max(1)),
+        ..blank.clone()
+    };
+    match descriptor {
+        IndexDescriptor::PrimaryBTree { .. } => btree(ctx.schema.row_width() + 16),
         IndexDescriptor::SecondaryBTree { keys, includes } => {
             let mut stored: Vec<usize> = keys.clone();
             for &c in includes.iter().chain(&ctx.pk) {
@@ -49,37 +74,13 @@ pub fn hypothetical_meta(
                 .map(|&c| ctx.schema.column(c).dtype.fixed_width())
                 .sum::<usize>()
                 + keys.len() * 8;
-            let (leaf_pages, height) = btree_size_estimate(rows, entry_width);
-            IndexMeta {
-                descriptor: descriptor.clone(),
-                rows,
-                leaf_pages,
-                height,
-                column_bytes: vec![],
-                column_encodings: vec![],
-                rowgroups: 0,
-                delta_rows: 0,
-                delete_buffer_rows: 0,
-                hypothetical: true,
-            }
+            btree(entry_width)
         }
-        IndexDescriptor::PrimaryCsi => {
-            let bytes = estimator.estimate_column_bytes(&ctx.schema, sample, rows, csi_config);
-            let encodings =
-                estimator.estimate_column_encodings(&ctx.schema, sample, rows, csi_config);
-            IndexMeta {
-                descriptor: descriptor.clone(),
-                rows,
-                leaf_pages: 0,
-                height: 0,
-                column_bytes: bytes.into_iter().enumerate().collect(),
-                column_encodings: encodings.into_iter().enumerate().collect(),
-                rowgroups: rows.div_ceil(csi_config.rowgroup_capacity.max(1)),
-                delta_rows: 0,
-                delete_buffer_rows: 0,
-                hypothetical: true,
-            }
-        }
+        IndexDescriptor::PrimaryCsi => csi(
+            descriptor.clone(),
+            (0..ctx.schema.len()).collect(),
+            estimator.estimate_columns(&ctx.schema, sample, rows, csi_config),
+        ),
         IndexDescriptor::SecondaryCsi { columns } => {
             // Build a projected schema + sample for the stored columns
             // (always including the primary key, as the engine does).
@@ -94,42 +95,16 @@ pub fn hypothetical_meta(
                 rows: sample.rows.iter().map(|r| r.project(&stored)).collect(),
                 fraction: sample.fraction,
             };
-            let proj_bytes =
-                estimator.estimate_column_bytes(&proj_schema, &proj_sample, rows, csi_config);
-            let proj_encodings =
-                estimator.estimate_column_encodings(&proj_schema, &proj_sample, rows, csi_config);
-            IndexMeta {
-                descriptor: IndexDescriptor::SecondaryCsi {
+            let columns = estimator.estimate_columns(&proj_schema, &proj_sample, rows, csi_config);
+            csi(
+                IndexDescriptor::SecondaryCsi {
                     columns: stored.clone(),
                 },
-                rows,
-                leaf_pages: 0,
-                height: 0,
-                column_bytes: stored.iter().copied().zip(proj_bytes).collect(),
-                column_encodings: stored.iter().copied().zip(proj_encodings).collect(),
-                rowgroups: rows.div_ceil(csi_config.rowgroup_capacity.max(1)),
-                delta_rows: 0,
-                delete_buffer_rows: 0,
-                hypothetical: true,
-            }
+                stored,
+                columns,
+            )
         }
     }
-}
-
-/// Hypothetical-size sanity helper used by reports: total bytes of a meta.
-pub fn meta_size_bytes(meta: &IndexMeta) -> usize {
-    meta.size_bytes()
-}
-
-/// Build a projected sample once per table (avoids repeated cloning).
-pub fn table_sample(
-    ctx: &TableContext,
-    rows: &[hpd_common::Row],
-    fraction: f64,
-    seed: u64,
-) -> SampleSet {
-    let _ = ctx;
-    SampleSet::block_sample(rows, fraction, seed)
 }
 
 #[cfg(test)]

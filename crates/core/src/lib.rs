@@ -16,10 +16,11 @@
 //!    over the merged pool under a storage budget, charging update
 //!    maintenance, with at most one columnstore per table.
 //! 4. **Costing** — optimizer-estimated costs of hypothetical
-//!    configurations via [`hypothetical`] metas, whose columnstore
-//!    per-column sizes come from the estimators in [`size`]: the
-//!    **black-box** sample-build estimator and the **GEE run-modeling**
-//!    estimator (§4.4).
+//!    configurations, asked through one what-if [`session`] per
+//!    `recommend` call that sizes each [`hypothetical`] index once and
+//!    plans each (statement, configuration) once. Columnstore per-column
+//!    sizes come from the estimators in [`size`]: the **black-box**
+//!    sample-build estimator and the **GEE run-modeling** estimator (§4.4).
 //!
 //! # Example
 //!
@@ -59,14 +60,15 @@ pub mod enumerate;
 pub mod hypothetical;
 pub mod merge;
 pub mod partition_advisor;
+pub mod session;
 pub mod size;
 pub mod workload;
 
 pub use advisor::{Advisor, AdvisorOptions, CsiColumnDetail, DesignMode, Recommendation};
 pub use candidates::CandidateSet;
-pub use hypothetical::hypothetical_meta;
 pub use partition_advisor::{
     recommend_partition_designs, PartitionAdvisorOptions, PartitionChoice, PartitionRecommendation,
 };
+pub use session::WhatIfSession;
 pub use size::{BlackBoxEstimator, CsiSizeEstimator, RunModelEstimator, SampleSet};
 pub use workload::{Workload, WorkloadStatement};

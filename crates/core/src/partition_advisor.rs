@@ -26,6 +26,7 @@ use hpd_common::{Expr, HpdError, Result};
 use hpd_engine::{Database, IndexDescriptor, IndexMeta, Statement, TableContext};
 
 use crate::hypothetical::hypothetical_meta;
+use crate::session::what_if;
 use crate::size::{RunModelEstimator, SampleSet};
 use crate::workload::Workload;
 
@@ -158,7 +159,7 @@ pub fn recommend_partition_designs(
         let overrides = HashMap::from([(table.to_string(), scale_metas(&ctx, &part_metas))]);
         let mut total = 0.0;
         for (q, w) in &selects {
-            total += db.what_if_plan(q, &overrides)?.est_cost_us * w;
+            total += what_if(db, q, &overrides)?.est_cost_us * w;
         }
         Ok(total)
     };

@@ -93,23 +93,36 @@ where
     (f1 as f64 * scale).round() as usize + rest
 }
 
-/// Estimates the per-column compressed bytes of a columnstore over a table.
+/// Estimates the per-column compressed size and physical encoding of a
+/// columnstore over a table.
 pub trait CsiSizeEstimator {
-    /// Returns one byte estimate per schema column.
+    /// One `(bytes, expected encoding)` pair per schema column, from one
+    /// pass over the sample. The encoding is what the engine is predicted
+    /// to pick when the index is materialized; it feeds the cost model's
+    /// per-encoding CPU factors.
+    fn estimate_columns(
+        &self,
+        schema: &Schema,
+        sample: &SampleSet,
+        total_rows: usize,
+        config: &CsiConfig,
+    ) -> Vec<(usize, IntEncoding)>;
+
+    fn name(&self) -> &'static str;
+
+    /// One byte estimate per schema column.
     fn estimate_column_bytes(
         &self,
         schema: &Schema,
         sample: &SampleSet,
         total_rows: usize,
         config: &CsiConfig,
-    ) -> Vec<usize>;
+    ) -> Vec<usize> {
+        let columns = self.estimate_columns(schema, sample, total_rows, config);
+        columns.into_iter().map(|(bytes, _)| bytes).collect()
+    }
 
-    fn name(&self) -> &'static str;
-
-    /// Expected physical encoding per schema column — what the engine is
-    /// predicted to pick when the index is materialized. Feeds the cost
-    /// model's per-encoding CPU factors. The default assumes bit-packing
-    /// (the neutral middle of the decode-cost scale).
+    /// Expected physical encoding per schema column.
     fn estimate_column_encodings(
         &self,
         schema: &Schema,
@@ -117,8 +130,8 @@ pub trait CsiSizeEstimator {
         total_rows: usize,
         config: &CsiConfig,
     ) -> Vec<IntEncoding> {
-        let _ = (sample, total_rows, config);
-        vec![IntEncoding::BitPacked; schema.len()]
+        let columns = self.estimate_columns(schema, sample, total_rows, config);
+        columns.into_iter().map(|(_, encoding)| encoding).collect()
     }
 
     /// Total size estimate.
@@ -136,20 +149,20 @@ pub trait CsiSizeEstimator {
 }
 
 /// Build a real columnstore over the sample; scale per-column bytes by the
-/// inverse sampling fraction.
+/// inverse sampling fraction and report the encodings the build chose.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlackBoxEstimator;
 
 impl CsiSizeEstimator for BlackBoxEstimator {
-    fn estimate_column_bytes(
+    fn estimate_columns(
         &self,
         schema: &Schema,
         sample: &SampleSet,
         total_rows: usize,
         config: &CsiConfig,
-    ) -> Vec<usize> {
+    ) -> Vec<(usize, IntEncoding)> {
         if sample.rows.is_empty() || total_rows == 0 {
-            return vec![0; schema.len()];
+            return vec![(0, IntEncoding::Raw); schema.len()];
         }
         let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
         let tracker = hpd_storage::IoTracker::new();
@@ -167,39 +180,12 @@ impl CsiSizeEstimator for BlackBoxEstimator {
         csi.column_sizes()
             .into_iter()
             .map(|b| (b as f64 * scale).round() as usize)
+            .zip(csi.column_encodings())
             .collect()
     }
 
     fn name(&self) -> &'static str {
         "black-box"
-    }
-
-    /// Build the sample columnstore and report the encodings it actually
-    /// chose (a second build on top of the size pass — the black box stays
-    /// a black box).
-    fn estimate_column_encodings(
-        &self,
-        schema: &Schema,
-        sample: &SampleSet,
-        total_rows: usize,
-        config: &CsiConfig,
-    ) -> Vec<IntEncoding> {
-        if sample.rows.is_empty() || total_rows == 0 {
-            return vec![IntEncoding::Raw; schema.len()];
-        }
-        let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
-        let tracker = hpd_storage::IoTracker::new();
-        let csi = hpd_columnstore::ColumnStoreIndex::build(
-            schema.clone(),
-            hpd_columnstore::CsiKind::Secondary,
-            vec![0],
-            *config,
-            &sample.rows,
-            hpd_storage::StorageAllocator::new(),
-            &pool,
-            &tracker,
-        );
-        csi.column_encodings()
     }
 }
 
@@ -442,34 +428,24 @@ impl RunModelEstimator {
 }
 
 impl CsiSizeEstimator for RunModelEstimator {
-    fn estimate_column_bytes(
+    fn estimate_columns(
         &self,
         schema: &Schema,
         sample: &SampleSet,
         total_rows: usize,
         config: &CsiConfig,
-    ) -> Vec<usize> {
+    ) -> Vec<(usize, IntEncoding)> {
         self.estimate_encodings(schema, sample, total_rows, config)
             .iter()
-            .map(|b| b.best().1)
+            .map(|b| {
+                let (encoding, bytes) = b.best();
+                (bytes, encoding)
+            })
             .collect()
     }
 
     fn name(&self) -> &'static str {
         "run-model(GEE)"
-    }
-
-    fn estimate_column_encodings(
-        &self,
-        schema: &Schema,
-        sample: &SampleSet,
-        total_rows: usize,
-        config: &CsiConfig,
-    ) -> Vec<IntEncoding> {
-        self.estimate_encodings(schema, sample, total_rows, config)
-            .iter()
-            .map(|b| b.best().0)
-            .collect()
     }
 }
 

@@ -1,0 +1,274 @@
+//! The what-if session's caches and counters: a cached cost is the cost a
+//! from-scratch optimizer call returns, each hypothetical index is sized
+//! once and each (statement, configuration) planned once, and nothing
+//! survives a `recommend` call.
+//!
+//! The metrics registry is process-wide, so these tests live in their own
+//! binary and every one of them holds `REGISTRY` while it runs the advisor.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
+
+use hpd_advisor::candidates::{generate_candidates, prune_candidates, CandidateSet};
+use hpd_advisor::enumerate::greedy_search;
+use hpd_advisor::hypothetical::hypothetical_meta;
+use hpd_advisor::merge::merge_candidates;
+use hpd_advisor::session::Chosen;
+use hpd_advisor::{
+    Advisor, AdvisorOptions, DesignMode, RunModelEstimator, SampleSet, WhatIfSession, Workload,
+};
+use hpd_common::{CmpOp, DataType, Expr, Row, Schema, Value};
+use hpd_engine::{Database, DbConfig, IndexDescriptor, IndexMeta, SelectQuery, Statement};
+use hpd_workloads::tpcds::{self, DsScale};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn tpcds_db() -> Database {
+    let mut cfg = DbConfig::default();
+    cfg.csi.rowgroup_capacity = 4_096;
+    let db = Database::new(cfg);
+    tpcds::load(&db, DsScale::small()).unwrap();
+    db
+}
+
+fn tpcds_workload(n: usize) -> Workload {
+    Workload::read_only(tpcds::queries(n, 99).into_iter().map(|(_, q)| q).collect())
+}
+
+/// Candidate selection → what-if pruning → merging, as `recommend` runs
+/// them: `(raw candidates, merged pool)`.
+fn candidate_pool(session: &mut WhatIfSession) -> (CandidateSet, CandidateSet) {
+    let raw = generate_candidates(session.workload(), session.contexts(), DesignMode::Hybrid);
+    let pruned = prune_candidates(session, &raw).unwrap();
+    (raw, merge_candidates(&pruned))
+}
+
+#[test]
+fn cached_costs_equal_from_scratch_plans() {
+    let _serial = REGISTRY.lock().unwrap();
+    let db = tpcds_db();
+    let workload = tpcds_workload(13);
+    let options = AdvisorOptions::default();
+    let mut session = WhatIfSession::new(&db, &workload, &options).unwrap();
+    let (_, pool) = candidate_pool(&mut session);
+    let contexts = session.contexts().clone();
+
+    // The reference sizes every index itself, from its own samples.
+    let mut reference_metas: HashMap<(String, IndexDescriptor), IndexMeta> = HashMap::new();
+    for (table, cands) in &pool.per_table {
+        let rows = db
+            .with_table(table, |t| {
+                t.scan_all_rows(db.pool(), &hpd_storage::IoTracker::new())
+            })
+            .unwrap();
+        let sample = SampleSet::block_sample(&rows, options.sample_fraction, options.seed);
+        for d in cands {
+            let meta = hypothetical_meta(
+                d,
+                &contexts[table],
+                &sample,
+                &RunModelEstimator,
+                &db.config().csi,
+            );
+            reference_metas.insert((table.clone(), d.clone()), meta);
+        }
+    }
+    let from_scratch = |stmt: usize, chosen: &Chosen| -> u64 {
+        let Statement::Select(query) = &workload.statements[stmt].statement else {
+            unreachable!("read-only workload");
+        };
+        let mut overrides = HashMap::new();
+        for t in &query.tables {
+            let mut metas = vec![contexts[&t.name].shared_primary().unwrap().clone()];
+            for d in chosen.get(&t.name).into_iter().flatten() {
+                metas.push(reference_metas[&(t.name.clone(), d.clone())].clone());
+            }
+            overrides.insert(t.name.clone(), vec![metas]);
+        }
+        let plan = db.what_if_plan(query, &overrides).unwrap();
+        plan.est_cost_us.to_bits()
+    };
+
+    // Random configurations: per table an ordered subset of its candidates
+    // with at most one columnstore, as the search would build them.
+    let mut rng = StdRng::seed_from_u64(0xCAC4E);
+    let mut tables: Vec<&String> = pool.per_table.keys().collect();
+    tables.sort();
+    let configurations: Vec<Chosen> = (0..200)
+        .map(|_| {
+            let mut chosen = Chosen::new();
+            for &table in &tables {
+                let mut cands = pool.per_table[table].clone();
+                cands.shuffle(&mut rng);
+                cands.truncate(rng.gen_range(0..=3));
+                let mut has_csi = false;
+                cands.retain(|d| !d.is_csi() || !std::mem::replace(&mut has_csi, true));
+                if !cands.is_empty() || rng.gen_bool(0.5) {
+                    chosen.insert(table.clone(), cands);
+                }
+            }
+            chosen
+        })
+        .collect();
+
+    // Ask everything twice, in two different orders: the second round is
+    // answered from the cache alone.
+    let mut requests: Vec<(usize, usize)> = (0..configurations.len())
+        .flat_map(|c| (0..workload.len()).map(move |s| (c, s)))
+        .collect();
+    for round in 0..2 {
+        requests.shuffle(&mut rng);
+        let computed_before = session.costs_computed();
+        for &(c, stmt) in &requests {
+            let cached = session.statement_cost(stmt, &configurations[c]).unwrap();
+            assert_eq!(
+                cached.to_bits(),
+                from_scratch(stmt, &configurations[c]),
+                "round {round}, statement {stmt}, configuration {:?}",
+                configurations[c]
+            );
+        }
+        if round == 1 {
+            assert_eq!(session.costs_computed(), computed_before);
+        }
+    }
+}
+
+#[test]
+fn each_index_is_sized_once_and_each_cost_key_planned_once() {
+    let _serial = REGISTRY.lock().unwrap();
+    let db = tpcds_db();
+    let workload = tpcds_workload(13);
+    let options = AdvisorOptions::default();
+    let counters = || hpd_obs::global().snapshot();
+
+    // The pipeline by hand, on a session this test can inspect.
+    let before = counters();
+    let mut session = WhatIfSession::new(&db, &workload, &options).unwrap();
+    let (raw, pool) = candidate_pool(&mut session);
+    let result = greedy_search(&mut session, &pool, None).unwrap();
+    // The closing before/after pass asks nothing the search has not.
+    let searched = session.costs_computed();
+    for stmt in 0..workload.len() {
+        session.statement_cost(stmt, &Chosen::new()).unwrap();
+        session.statement_cost(stmt, &result.chosen).unwrap();
+    }
+    assert_eq!(session.costs_computed(), searched);
+    let by_hand = counters().delta(&before);
+
+    // Every descriptor the pipeline can name: pruning sizes the raw
+    // candidates, the search the merged pool.
+    let named: HashSet<(&String, &IndexDescriptor)> = [&raw, &pool]
+        .into_iter()
+        .flat_map(|set| &set.per_table)
+        .flat_map(|(table, cands)| cands.iter().map(move |d| (table, d)))
+        .collect();
+    // One plan per statement to prune, then one per distinct cost key.
+    let planned = workload.len() + session.costs_computed();
+    assert_eq!(by_hand.counter("advisor.whatif.calls"), planned as u64);
+    assert!(
+        by_hand.counter("advisor.hypothetical.built") <= named.len() as u64,
+        "{} built for {} named descriptors",
+        by_hand.counter("advisor.hypothetical.built"),
+        named.len()
+    );
+    // `recommend` is that pipeline: same counts, same answer.
+    let before = counters();
+    let rec = Advisor::new(&db, options).recommend(&workload).unwrap();
+    let recommend = counters().delta(&before);
+    for name in [
+        "advisor.whatif.calls",
+        "advisor.whatif.cache_hits",
+        "advisor.hypothetical.built",
+    ] {
+        assert_eq!(recommend.counter(name), by_hand.counter(name), "{name}");
+    }
+    assert_eq!(
+        rec.est_cost_after_us.to_bits(),
+        result.final_cost_us.to_bits()
+    );
+    assert_eq!(rec.new_index_bytes, result.new_index_bytes);
+}
+
+#[test]
+fn no_state_survives_a_recommend_call() {
+    let _serial = REGISTRY.lock().unwrap();
+    let db = Database::new(DbConfig::default());
+    db.create_table(
+        "orders",
+        Schema::from_pairs(&[
+            ("id", DataType::Int32),
+            ("customer", DataType::Int32),
+            ("amount", DataType::Int32),
+        ]),
+        vec![0],
+        IndexDescriptor::PrimaryBTree { keys: vec![0] },
+    )
+    .unwrap();
+    let load = |n: i32, customers: i32| {
+        let rows = (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int32(i),
+                    Value::Int32(i % customers),
+                    Value::Int32(i * 13 % 500),
+                ])
+            })
+            .collect();
+        db.load_table("orders", rows).unwrap();
+    };
+    let workload = Workload::read_only(vec![SelectQuery::single_table(
+        "orders",
+        Some(Expr::col_cmp(1, CmpOp::Eq, Value::Int32(7))),
+        vec![0, 1, 2],
+    )]);
+    let costs = |rec: &hpd_advisor::Recommendation| {
+        (
+            rec.est_cost_before_us.to_bits(),
+            rec.est_cost_after_us.to_bits(),
+            rec.new_index_bytes,
+        )
+    };
+
+    let advisor = Advisor::new(&db, AdvisorOptions::default());
+    load(10_000, 100);
+    let small = advisor.recommend(&workload).unwrap();
+    load(60_000, 2_000);
+    let large = advisor.recommend(&workload).unwrap();
+    let fresh = Advisor::new(&db, AdvisorOptions::default())
+        .recommend(&workload)
+        .unwrap();
+    assert_eq!(costs(&large), costs(&fresh));
+    assert_eq!(large.configuration, fresh.configuration);
+    assert!(large.est_cost_before_us > small.est_cost_before_us);
+    assert!(large.new_index_bytes > small.new_index_bytes);
+}
+
+/// The EXPERIMENTS.md "advisor scaling" rows: `cargo test --release -p
+/// hpd-advisor --test whatif_session -- --ignored --nocapture`.
+#[test]
+#[ignore = "a measurement, not a check"]
+fn advisor_scaling_report() {
+    let _serial = REGISTRY.lock().unwrap();
+    let db = tpcds_db();
+    println!("queries seconds optimizer_calls cache_hits indexes_sized");
+    for n in [7, 13, 97] {
+        let workload = tpcds_workload(n);
+        let before = hpd_obs::global().snapshot();
+        let started = std::time::Instant::now();
+        Advisor::new(&db, AdvisorOptions::default())
+            .recommend(&workload)
+            .unwrap();
+        let seconds = started.elapsed().as_secs_f64();
+        let delta = hpd_obs::global().snapshot().delta(&before);
+        println!(
+            "{n} {seconds:.3} {} {} {}",
+            delta.counter("advisor.whatif.calls"),
+            delta.counter("advisor.whatif.cache_hits"),
+            delta.counter("advisor.hypothetical.built")
+        );
+    }
+}

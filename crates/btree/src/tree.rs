@@ -710,6 +710,37 @@ impl BTree {
         }
     }
 
+    /// Hand every entry, in key order, to `f` by reference — the whole-index
+    /// read of index builds and checkpoints, which copy out only what they
+    /// keep. Charges exactly the page accesses of an unbounded cursor scan.
+    pub fn for_each_entry(
+        &self,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        mut f: impl FnMut(&Key, &Row),
+    ) {
+        let mut leaf = self.first_leaf;
+        let mut last_page = self.nodes[leaf].page();
+        pool.access_page(last_page, tracker);
+        loop {
+            let (entries, next) = self.nodes[leaf].as_leaf();
+            for (k, r) in entries {
+                f(k, r);
+            }
+            let Some(n) = next else {
+                return;
+            };
+            let page = self.nodes[n].page();
+            if page.0 == last_page.0 + 1 {
+                pool.access_page_seq(page, tracker);
+            } else {
+                pool.access_page(page, tracker);
+            }
+            leaf = n;
+            last_page = page;
+        }
+    }
+
     /// Convenience: collect an entire key range (tests and small scans).
     pub fn scan_range_collect(
         &self,

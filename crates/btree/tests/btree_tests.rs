@@ -286,6 +286,38 @@ fn full_scan_after_bulk_load_is_mostly_sequential() {
 }
 
 #[test]
+fn for_each_entry_is_a_cursor_scan_without_the_copies() {
+    // Bulk-loaded leaves are contiguous; inserts then split some of them
+    // onto pages allocated elsewhere, so the walk mixes sequential and
+    // random leaf moves. Cold pool, HDD: every access shows in the tracker.
+    let entries: Vec<(Key, Row)> = (0..400).map(|k| kv(k * 3)).collect();
+    let p = BufferPool::unbounded(DeviceProfile::hdd_raid());
+    let t0 = IoTracker::new();
+    let mut tree =
+        BTree::bulk_load(small_config(), StorageAllocator::new(), entries, &p, &t0).unwrap();
+    for k in (1..1200).step_by(7) {
+        let (key, row) = kv(k);
+        tree.insert(key, row, &p, &t0);
+    }
+    p.clear();
+    let cursor = IoTracker::new();
+    let collected = tree.scan_range_collect(Bound::Unbounded, Bound::Unbounded, &p, &cursor);
+    p.clear();
+    let visit = IoTracker::new();
+    let mut visited = Vec::new();
+    tree.for_each_entry(&p, &visit, |k, r| visited.push((k.clone(), r.clone())));
+    assert_eq!(visited, collected);
+    assert_eq!(visit.snapshot(), cursor.snapshot());
+    assert!(cursor.snapshot().physical_reads > 1, "some leaf moves seek");
+
+    let empty = BTree::new(small_config(), StorageAllocator::new());
+    let (a, b) = (IoTracker::new(), IoTracker::new());
+    empty.scan_range_collect(Bound::Unbounded, Bound::Unbounded, &p, &a);
+    empty.for_each_entry(&p, &b, |_, _| panic!("no entries"));
+    assert_eq!(a.snapshot(), b.snapshot());
+}
+
+#[test]
 fn stats_reflect_structure() {
     let (tree, _, _) = build_bulk(&(0..64).collect::<Vec<_>>());
     let s = tree.stats();

@@ -280,9 +280,69 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> ColumnStoreIndex {
-        let mut index = ColumnStoreIndex::new_empty(schema, kind, key_ordinals, config, alloc);
-        for chunk in rows.chunks(config.rowgroup_capacity.max(1)) {
-            index.compress_chunk(chunk, pool, tracker);
+        let all: Vec<usize> = (0..schema.len()).collect();
+        ColumnStoreIndex::build_projected(
+            schema,
+            kind,
+            key_ordinals,
+            config,
+            &all,
+            |sink| {
+                for row in rows {
+                    assert_eq!(row.len(), all.len(), "rows match csi schema");
+                    sink(row);
+                }
+            },
+            alloc,
+            pool,
+            tracker,
+        )
+    }
+
+    /// [`ColumnStoreIndex::build`] from a stream of possibly wider rows that
+    /// `feed` hands over by reference: column `i` of the index takes column
+    /// `projection[i]` of each row. Values go straight into one row group's
+    /// column vectors, compressed and dropped once `rowgroup_capacity` rows
+    /// have arrived — one row group of uncompressed values is alive at a
+    /// time, and no projected row ever is.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_projected(
+        schema: Schema,
+        kind: CsiKind,
+        key_ordinals: Vec<usize>,
+        config: CsiConfig,
+        projection: &[usize],
+        feed: impl FnOnce(&mut dyn FnMut(&Row)),
+        alloc: StorageAllocator,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> ColumnStoreIndex {
+        debug_assert_eq!(projection.len(), schema.len());
+        let empty_columns = || -> Vec<ColumnVector> {
+            schema
+                .columns()
+                .iter()
+                .map(|c| ColumnVector::with_capacity(c.dtype, 0))
+                .collect()
+        };
+        let mut columns = empty_columns();
+        let mut index =
+            ColumnStoreIndex::new_empty(schema.clone(), kind, key_ordinals, config, alloc);
+        let capacity = config.rowgroup_capacity.max(1);
+        let mut buffered = 0;
+        feed(&mut |row| {
+            for (column, &c) in columns.iter_mut().zip(projection) {
+                column.push(&row[c]).expect("rows match csi schema");
+            }
+            buffered += 1;
+            if buffered == capacity {
+                let full = std::mem::replace(&mut columns, empty_columns());
+                index.push_rowgroup(full, pool, tracker);
+                buffered = 0;
+            }
+        });
+        if buffered > 0 {
+            index.push_rowgroup(columns, pool, tracker);
         }
         index
     }
@@ -323,7 +383,17 @@ impl ColumnStoreIndex {
         }
         let dtypes: Vec<_> = self.schema.columns().iter().map(|c| c.dtype).collect();
         let batch = Batch::from_rows(&dtypes, rows).expect("rows match csi schema");
-        let rg = RowGroup::build(batch.into_columns(), self.config.sort_mode, &self.alloc);
+        self.push_rowgroup(batch.into_columns(), pool, tracker);
+    }
+
+    /// Compress one row group's worth of column vectors and append it.
+    fn push_rowgroup(
+        &mut self,
+        columns: Vec<ColumnVector>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        let rg = RowGroup::build(columns, self.config.sort_mode, &self.alloc);
         for c in 0..rg.num_columns() {
             let seg = rg.segment(c);
             pool.write_blob(seg.blob(), seg.encoded_bytes() as u64, tracker);

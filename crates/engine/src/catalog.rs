@@ -10,7 +10,7 @@ use hpd_columnstore::CsiConfig;
 use hpd_common::{faults, HpdError, Key, Result, Row, Schema, Value};
 use hpd_exec::{ExecMetrics, GrantBroker, WorkerPool};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
-use hpd_wal::{CheckpointImage, LogRecord, TableSnapshot, Wal, WalConfig, WalSummary};
+use hpd_wal::{ImageWriter, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
 use parking_lot::{Mutex, RwLock};
 
 use crate::apply::{apply_write, RowChange};
@@ -359,13 +359,13 @@ impl Database {
     /// that fails to apply is never written. The caller holds `commit_lock`.
     fn ddl(&self, rec: LogRecord) -> Result<()> {
         let t = IoTracker::new();
-        // Kept for the log only when it will be written: applying consumes
-        // the record (a bulk load's rows move into the table).
-        let logged = self.wal.enabled().then(|| rec.clone());
+        // Encoded from a borrow before the apply, which consumes the record
+        // (a bulk load's rows move into the table); appended only after it,
+        // so the log never holds a record that failed to apply.
+        let frame = self.wal.enabled().then(|| Wal::encode_frame(&rec));
         let slot = self.apply_ddl(rec, &t)?;
-        // The copy is dropped as soon as it is encoded: a bulk load's rows
-        // must not stay alive while the flush grows the durable log.
-        if let Some(lsn) = logged.map(|rec| self.wal.append(&rec)) {
+        if let Some(frame) = frame {
+            let lsn = self.wal.append_encoded(frame);
             self.wal.flush(&t);
             slot.applied_lsn.store(lsn, Ordering::Relaxed);
         }
@@ -505,61 +505,65 @@ impl Database {
         let begin_lsn = self.wal.append(&LogRecord::CheckpointBegin);
         self.wal.flush(&tracker);
         let slots = self.tables.read().clone();
-        let mut snaps = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            let table = slot.table.read();
-            // The image's table-level design is the first part's.
-            let metas = table.part_metas(0);
-            // Partitioned tables additionally capture each partition's own
-            // (possibly heterogeneous) design; rows stay concatenated and
-            // recovery's bulk load re-routes them.
-            let parts = if table.partitioning().is_some() {
-                (0..table.num_parts())
-                    .map(|p| {
-                        let pm = table.part_metas(p);
-                        hpd_wal::PartSnapshot {
-                            primary: crate::recover::to_wal_def(&pm[0].descriptor),
-                            secondaries: pm[1..]
-                                .iter()
-                                .map(|m| crate::recover::to_wal_def(&m.descriptor))
-                                .collect(),
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            snaps.push(TableSnapshot {
-                name: slot.name.clone(),
-                schema: table.schema().clone(),
-                pk: table.pk().to_vec(),
-                primary: crate::recover::to_wal_def(&metas[0].descriptor),
-                secondaries: metas[1..]
-                    .iter()
-                    .map(|m| crate::recover::to_wal_def(&m.descriptor))
-                    .collect(),
-                partitioning: table
-                    .partitioning()
-                    .map(crate::recover::to_wal_partitioning),
-                parts,
-                rows: table.scan_all_rows(&self.pool, &tracker),
-                applied_lsn: slot.applied_lsn.load(Ordering::Relaxed),
-            });
-        }
         if faults::fire(faults::sites::CRASH_IN_CHECKPOINT) {
             // Crash after the begin record but before install: the previous
             // checkpoint (if any) stays valid; the stray CheckpointBegin is
             // ignored by redo.
             return Err(HpdError::Crashed(faults::sites::CRASH_IN_CHECKPOINT.into()));
         }
-        let image = CheckpointImage {
-            begin_lsn,
-            next_ts: self.txns.ts_hwm(),
-            tables: snaps,
-        };
-        let table_count = image.tables.len();
+        // The image is written table by table into the buffer of the image
+        // the last checkpoint retired; each table's rows are encoded as its
+        // primary index lends them.
+        let mut image =
+            ImageWriter::new(self.wal.take_spare_image(), begin_lsn, self.txns.ts_hwm());
+        for slot in &slots {
+            // One read lock spans the redo boundary and the rows it bounds.
+            let table = slot.table.read();
+            let design = |part: usize| {
+                let metas = table.part_metas(part);
+                let mut defs = metas
+                    .iter()
+                    .map(|m| crate::recover::to_wal_def(&m.descriptor));
+                let primary = defs.next().expect("every part has a primary index");
+                (primary, defs.collect::<Vec<_>>())
+            };
+            // The image's table-level design is the first part's.
+            let (primary, secondaries) = design(0);
+            // Partitioned tables additionally capture each partition's own
+            // (possibly heterogeneous) design; rows stay concatenated and
+            // recovery's bulk load re-routes them.
+            let parts = if table.partitioning().is_some() {
+                (0..table.num_parts())
+                    .map(|p| {
+                        let (primary, secondaries) = design(p);
+                        hpd_wal::PartSnapshot {
+                            primary,
+                            secondaries,
+                        }
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let entry = TableEntry {
+                name: slot.name.clone(),
+                schema: table.schema().clone(),
+                pk: table.pk().to_vec(),
+                primary,
+                secondaries,
+                partitioning: table
+                    .partitioning()
+                    .map(crate::recover::to_wal_partitioning),
+                parts,
+                applied_lsn: slot.applied_lsn.load(Ordering::Relaxed),
+            };
+            image.table(&entry, |sink| {
+                table.for_each_row(&self.pool, &tracker, sink)
+            });
+        }
+        let table_count = slots.len();
         self.wal
-            .install_checkpoint(image.encode(), begin_lsn, &tracker);
+            .install_checkpoint(image.finish(), begin_lsn, &tracker);
         self.wal.append(&LogRecord::CheckpointEnd);
         self.wal.flush(&tracker);
         let m = hpd_obs::global();

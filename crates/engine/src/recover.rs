@@ -127,8 +127,8 @@ impl Database {
             hpd_obs::trace::child_span("recovery.checkpoint_restore", recover_span.id());
         if let Some(image) = durable.checkpoint.as_deref() {
             let image = CheckpointImage::decode(image)?;
-            for snap in image.tables {
-                let spec = snap
+            for hpd_wal::TableSnapshot { entry, rows } in image.tables {
+                let spec = entry
                     .partitioning
                     .as_ref()
                     .map(from_wal_partitioning)
@@ -137,22 +137,22 @@ impl Database {
                 // them per partition. A partitioned snapshot then rebuilds
                 // each partition under its own captured (possibly
                 // heterogeneous) design.
-                let uniform: Vec<IndexDescriptor> = if snap.parts.is_empty() {
-                    snap.secondaries.iter().map(from_wal_def).collect()
+                let uniform: Vec<IndexDescriptor> = if entry.parts.is_empty() {
+                    entry.secondaries.iter().map(from_wal_def).collect()
                 } else {
                     Vec::new()
                 };
                 let mut table = db.build_table(
-                    snap.name.clone(),
-                    snap.schema,
-                    snap.pk,
+                    entry.name.clone(),
+                    entry.schema,
+                    entry.pk,
                     spec,
-                    &from_wal_def(&snap.primary),
+                    &from_wal_def(&entry.primary),
                     &uniform,
-                    snap.rows,
+                    rows,
                     &tracker,
                 )?;
-                for (p, ps) in snap.parts.iter().enumerate() {
+                for (p, ps) in entry.parts.iter().enumerate() {
                     let secondaries: Vec<IndexDescriptor> =
                         ps.secondaries.iter().map(from_wal_def).collect();
                     table.apply_partition_design(
@@ -163,9 +163,9 @@ impl Database {
                         &tracker,
                     )?;
                 }
-                db.push_table(snap.name, table)
+                db.push_table(entry.name, table)
                     .applied_lsn
-                    .store(snap.applied_lsn, Ordering::Relaxed);
+                    .store(entry.applied_lsn, Ordering::Relaxed);
             }
             db.txns.advance_to(image.next_ts);
         }

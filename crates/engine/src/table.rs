@@ -12,7 +12,6 @@
 //! segments to locate the row (the Figure 5 asymmetry).
 
 use std::collections::HashMap;
-use std::ops::Bound;
 
 use hpd_btree::{BTree, BTreeConfig};
 use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
@@ -261,11 +260,13 @@ impl TablePart {
     }
 
     /// Replace this part's contents with `rows` (primary rebuilt, existing
-    /// secondaries rebuilt from their descriptors).
+    /// secondaries rebuilt from their descriptors). The rows move into a
+    /// B+ tree primary's leaves; the secondaries then read them back from
+    /// the new primary, by reference.
     #[allow(clippy::too_many_arguments)]
     fn bulk_load(
         &mut self,
-        rows: &[Row],
+        rows: Vec<Row>,
         schema: &Schema,
         pk: &[usize],
         csi_config: CsiConfig,
@@ -276,7 +277,7 @@ impl TablePart {
         match &mut self.primary {
             PrimaryIndex::BTree(tree) => {
                 let mut entries: Vec<(Key, Row)> =
-                    rows.iter().map(|r| (r.key(pk), r.clone())).collect();
+                    rows.into_iter().map(|r| (r.key(pk), r)).collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
                 let entry_width = schema.row_width() + 16;
                 *tree = BTree::bulk_load(
@@ -293,38 +294,54 @@ impl TablePart {
                     CsiKind::Primary,
                     pk.to_vec(),
                     csi_config,
-                    rows,
+                    &rows,
                     alloc.clone(),
                     pool,
                     tracker,
                 );
             }
         }
-        let descriptors: Vec<(Vec<usize>, Vec<usize>)> = self
-            .secondaries
-            .iter()
-            .map(|s| (s.keys.clone(), s.includes.clone()))
-            .collect();
-        self.secondaries.clear();
-        for (keys, includes) in descriptors {
-            self.build_secondary_btree_from(
-                rows, keys, includes, schema, pk, alloc, pool, tracker,
-            )?;
+        for old in std::mem::take(&mut self.secondaries) {
+            self.add_secondary_btree(old.keys, old.includes, schema, pk, alloc, pool, tracker)?;
         }
-        if self.secondary_csi.is_some() {
-            let columns = self.csi_columns.clone();
-            self.secondary_csi = None;
-            self.build_secondary_csi_from(
-                rows, columns, schema, pk, csi_config, pool, tracker, alloc,
-            )?;
+        if self.secondary_csi.take().is_some() {
+            let columns = std::mem::take(&mut self.csi_columns);
+            self.add_secondary_csi(columns, schema, pk, csi_config, alloc, pool, tracker);
         }
         Ok(())
     }
 
+    /// Hand every current row of this part to `f`, by reference, in
+    /// primary-index order: a B+ tree lends its leaf entries (charging a
+    /// full cursor scan), a columnstore decodes one batch at a time and
+    /// lends each of its rows in turn. Index builds and checkpoints read
+    /// the part through this and copy out only what they keep.
+    pub fn for_each_row(
+        &self,
+        schema: &Schema,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        f: &mut dyn FnMut(&Row),
+    ) {
+        match &self.primary {
+            PrimaryIndex::BTree(tree) => tree.for_each_entry(pool, tracker, |_, row| f(row)),
+            PrimaryIndex::Csi(csi) => {
+                let all: Vec<usize> = (0..schema.len()).collect();
+                let mut scan = csi.begin_scan(all, HashMap::new(), pool, tracker);
+                while let Some(batch) = scan.next_batch(pool, tracker) {
+                    for i in 0..batch.num_rows() {
+                        f(&batch.row(i));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Build a secondary B+ tree over this part's current rows, its entries
+    /// projected straight from the rows the primary lends.
     #[allow(clippy::too_many_arguments)]
-    fn build_secondary_btree_from(
+    fn add_secondary_btree(
         &mut self,
-        rows: &[Row],
         keys: Vec<usize>,
         includes: Vec<usize>,
         schema: &Schema,
@@ -334,10 +351,10 @@ impl TablePart {
         tracker: &IoTracker,
     ) -> Result<()> {
         let stored = stored_columns(&keys, &includes, pk);
-        let mut entries: Vec<(Key, Row)> = rows
-            .iter()
-            .map(|r| (r.key(&keys), r.project(&stored)))
-            .collect();
+        let mut entries: Vec<(Key, Row)> = Vec::with_capacity(self.row_count());
+        self.for_each_row(schema, pool, tracker, &mut |r| {
+            entries.push((r.key(&keys), r.project(&stored)));
+        });
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         let entry_width: usize = stored
             .iter()
@@ -360,18 +377,19 @@ impl TablePart {
         Ok(())
     }
 
+    /// Build this part's secondary columnstore over `columns` from its
+    /// current rows, projected and compressed one row group at a time.
     #[allow(clippy::too_many_arguments)]
-    fn build_secondary_csi_from(
+    fn add_secondary_csi(
         &mut self,
-        rows: &[Row],
         columns: Vec<usize>,
         schema: &Schema,
         pk: &[usize],
         csi_config: CsiConfig,
+        alloc: &StorageAllocator,
         pool: &BufferPool,
         tracker: &IoTracker,
-        alloc: &StorageAllocator,
-    ) -> Result<()> {
+    ) {
         // The secondary CSI must contain the primary key for delete handling.
         let mut cols = columns;
         for &k in pk {
@@ -379,25 +397,23 @@ impl TablePart {
                 cols.push(k);
             }
         }
-        let csi_schema = schema.project(&cols);
         let key_ordinals: Vec<usize> = pk
             .iter()
             .map(|k| cols.iter().position(|c| c == k).expect("pk included above"))
             .collect();
-        let projected: Vec<Row> = rows.iter().map(|r| r.project(&cols)).collect();
-        let csi = ColumnStoreIndex::build(
-            csi_schema,
+        let csi = ColumnStoreIndex::build_projected(
+            schema.project(&cols),
             CsiKind::Secondary,
             key_ordinals,
             csi_config,
-            &projected,
+            &cols,
+            |sink| self.for_each_row(schema, pool, tracker, sink),
             alloc.clone(),
             pool,
             tracker,
         );
         self.secondary_csi = Some(csi);
         self.csi_columns = cols;
-        Ok(())
     }
 
     fn insert_row(&mut self, row: &Row, pk: &[usize], pool: &BufferPool, tracker: &IoTracker) {
@@ -547,21 +563,9 @@ impl TablePart {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Vec<Row> {
-        match &self.primary {
-            PrimaryIndex::BTree(tree) => tree
-                .scan_range_collect(Bound::Unbounded, Bound::Unbounded, pool, tracker)
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect(),
-            PrimaryIndex::Csi(csi) => {
-                let all: Vec<usize> = (0..schema.len()).collect();
-                let mut rows = Vec::new();
-                for batch in csi.scan_collect(&all, &HashMap::new(), pool, tracker) {
-                    rows.extend(batch.to_rows());
-                }
-                rows
-            }
-        }
+        let mut rows = Vec::with_capacity(self.row_count());
+        self.for_each_row(schema, pool, tracker, &mut |r| rows.push(r.clone()));
+        rows
     }
 
     /// Rows of pending reorganization work (delta rows + buffered deletes)
@@ -735,13 +739,19 @@ impl Table {
         }
         self.stats =
             TableStats::analyze(&rows, self.schema.len(), self.csi_config.rowgroup_capacity);
-        let mut per_part: Vec<Vec<Row>> = self.parts.iter().map(|_| Vec::new()).collect();
-        for r in rows {
-            per_part[self.route_row(&r)].push(r);
-        }
+        let per_part = match &self.partitioning {
+            None => vec![rows],
+            Some(spec) => {
+                let mut per_part: Vec<Vec<Row>> = self.parts.iter().map(|_| Vec::new()).collect();
+                for r in rows {
+                    per_part[spec.route_row(&r)].push(r);
+                }
+                per_part
+            }
+        };
         for (part, rows) in self.parts.iter_mut().zip(per_part) {
             part.bulk_load(
-                &rows,
+                rows,
                 &self.schema,
                 &self.pk,
                 self.csi_config,
@@ -793,10 +803,8 @@ impl Table {
             .parts
             .get_mut(part)
             .ok_or_else(|| HpdError::Constraint(format!("no partition {part}")))?;
-        let rows = p.scan_all_rows(&schema, pool, tracker);
         match descriptor {
-            IndexDescriptor::SecondaryBTree { keys, includes } => p.build_secondary_btree_from(
-                &rows,
+            IndexDescriptor::SecondaryBTree { keys, includes } => p.add_secondary_btree(
                 keys.clone(),
                 includes.clone(),
                 &schema,
@@ -812,16 +820,16 @@ impl Table {
                         self.name
                     )));
                 }
-                p.build_secondary_csi_from(
-                    &rows,
+                p.add_secondary_csi(
                     columns.clone(),
                     &schema,
                     &pk,
                     csi_config,
+                    &alloc,
                     pool,
                     tracker,
-                    &alloc,
-                )
+                );
+                Ok(())
             }
             other => Err(HpdError::Constraint(format!(
                 "cannot add a primary index after creation: {other:?}"
@@ -850,7 +858,7 @@ impl Table {
             .ok_or_else(|| HpdError::Constraint(format!("no partition {part}")))?;
         let rows = p.scan_all_rows(&schema, pool, tracker);
         let mut fresh = TablePart::create(&schema, &pk, primary, csi_config, &alloc)?;
-        fresh.bulk_load(&rows, &schema, &pk, csi_config, &alloc, pool, tracker)?;
+        fresh.bulk_load(rows, &schema, &pk, csi_config, &alloc, pool, tracker)?;
         *p = fresh;
         for d in secondaries {
             self.build_index_on_part(part, d, pool, tracker)?;
@@ -1093,13 +1101,19 @@ impl Table {
         Ok(None)
     }
 
-    /// Materialize all current rows (index builds, analyze), partitions
-    /// concatenated in order.
-    pub fn scan_all_rows(&self, pool: &BufferPool, tracker: &IoTracker) -> Vec<Row> {
-        let mut rows = Vec::new();
+    /// Hand every current row to `f` by reference, partitions in order (see
+    /// [`TablePart::for_each_row`]).
+    pub fn for_each_row(&self, pool: &BufferPool, tracker: &IoTracker, f: &mut dyn FnMut(&Row)) {
         for part in &self.parts {
-            rows.extend(part.scan_all_rows(&self.schema, pool, tracker));
+            part.for_each_row(&self.schema, pool, tracker, f);
         }
+    }
+
+    /// Materialize all current rows, partitions concatenated in order: a
+    /// collect over [`Table::for_each_row`], for callers that keep the rows.
+    pub fn scan_all_rows(&self, pool: &BufferPool, tracker: &IoTracker) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.row_count());
+        self.for_each_row(pool, tracker, &mut |r| rows.push(r.clone()));
         rows
     }
 
@@ -1147,17 +1161,27 @@ impl Table {
             .collect()
     }
 
-    /// Discard versions no snapshot older than `oldest_active` can need.
+    /// Discard what no snapshot at or after `oldest_active` can need: old
+    /// versions that ended by then, and the write timestamps that bounded
+    /// them. A timestamp at or below the horizon conflicts with no active or
+    /// future transaction and puts no row in any of their overlays, so to
+    /// them it reads the same as the absent entry's 0.
     pub fn prune_versions(&mut self, oldest_active: u64) {
         self.version_store.retain(|_, versions| {
             versions.retain(|(_, end, _)| *end > oldest_active);
             !versions.is_empty()
         });
+        self.row_write_ts.retain(|_, ts| *ts > oldest_active);
     }
 
     /// Number of retained old versions (diagnostics / SI overhead tests).
     pub fn version_count(&self) -> usize {
         self.version_store.values().map(Vec::len).sum()
+    }
+
+    /// Number of rows with a retained write timestamp (diagnostics).
+    pub fn tracked_write_count(&self) -> usize {
+        self.row_write_ts.len()
     }
 }
 

@@ -681,6 +681,83 @@ fn snapshot_write_write_conflict_fails() {
 }
 
 #[test]
+fn version_gc_prunes_write_timestamps_with_the_versions_they_bound() {
+    let db = db();
+    setup_table(&db, btree_primary(), 2_000);
+    let rc = db.session(IsolationLevel::ReadCommitted);
+    let touch = |id: i32| {
+        rc.run(&Statement::Update(UpdateStmt {
+            table: "t".into(),
+            predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(id)),
+            top: None,
+            set: vec![(2, Expr::lit(Value::Int32(-id)))],
+        }))
+        .unwrap();
+    };
+    let tracked = || {
+        db.with_table("t", |t| (t.tracked_write_count(), t.version_count()))
+            .unwrap()
+    };
+    // GC runs every 256th commit. With no snapshot open every earlier write
+    // is behind the horizon, so both maps hold what was written since the
+    // last pass and not every key ever written.
+    for id in 0..1_000 {
+        touch(id);
+    }
+    let (writes, versions) = tracked();
+    assert!(writes < 256 && versions < 256, "{writes} / {versions}");
+
+    // An open snapshot pins the horizon: everything written after it stays,
+    // both to correct its reads and to fail its conflicting writes.
+    let si = db.session(IsolationLevel::Snapshot);
+    let mut reader = si.begin();
+    let q = SelectQuery::single_table(
+        "t",
+        Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int32(2_000))),
+        vec![0, 2],
+    );
+    let before = reader.select(&q).unwrap().rows;
+    for id in 1_000..1_600 {
+        touch(id);
+    }
+    let (writes, versions) = tracked();
+    assert!(writes >= 600 && versions >= 600, "{writes} / {versions}");
+    let mut after = reader.select(&q).unwrap().rows;
+    let mut expected = before;
+    after.sort();
+    expected.sort();
+    assert_eq!(after, expected, "snapshot read must be stable");
+    let conflict = reader.update(&UpdateStmt {
+        table: "t".into(),
+        predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(1_500)),
+        top: None,
+        set: vec![(2, Expr::lit(Value::Int32(1)))],
+    });
+    assert!(
+        matches!(conflict, Err(hpd_common::HpdError::SerializationFailure(_))),
+        "got {conflict:?}"
+    );
+    // A row whose timestamp was pruned before the snapshot began reads as
+    // never rewritten: no conflict.
+    reader
+        .update(&UpdateStmt {
+            table: "t".into(),
+            predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(3)),
+            top: None,
+            set: vec![(2, Expr::lit(Value::Int32(1)))],
+        })
+        .unwrap();
+    reader.abort();
+
+    // With the snapshot gone the next passes drop them all again.
+    for id in 1_600..2_000 {
+        touch(id);
+    }
+    let (writes, versions) = tracked();
+    assert!(writes < 256 && versions < 256, "{writes} / {versions}");
+}
+
+#[test]
 fn serializable_reader_blocks_writer() {
     let db = Arc::new(Database::new(DbConfig {
         lock_timeout: Duration::from_millis(120),

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+pub mod alloc;
 pub mod trace;
 
 /// Number of histogram buckets: powers of two from `<1` up to `>= 2^(N-2)`,

@@ -6,7 +6,7 @@
 //! misses. Bounding the capacity reproduces the paper's memory-constrained
 //! configurations; [`BufferPool::clear`] reproduces a cold start.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use hpd_common::faults;
 use hpd_obs::Counter;
@@ -23,18 +23,31 @@ enum CacheKey {
     Blob(u64),
 }
 
-struct Entry {
+/// "No slot": the end of the recency list in either direction.
+const NIL: usize = usize::MAX;
+
+/// One resident entry, linked into the recency list by slot number.
+struct Slot {
+    key: CacheKey,
     bytes: u64,
-    generation: u64,
+    prev: usize,
+    next: usize,
 }
 
 struct PoolInner {
-    entries: HashMap<CacheKey, Entry>,
-    /// LRU queue with lazy invalidation: (key, generation) pairs; stale
-    /// generations are skipped during eviction.
-    queue: VecDeque<(CacheKey, u64)>,
+    /// Resident key → its slot.
+    index: HashMap<CacheKey, usize>,
+    /// Exact LRU order as a doubly linked list threaded through a slab:
+    /// `head` is the least recently used entry, `tail` the most. A touch
+    /// relinks one slot and an eviction frees one, so the bookkeeping is one
+    /// slot per entry that was ever resident *at once* — a hit on a pool
+    /// that never evicts costs no memory.
+    slots: Vec<Slot>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<usize>,
+    head: usize,
+    tail: usize,
     used_bytes: u64,
-    next_generation: u64,
     /// Global registry handles, fetched once at pool construction so the
     /// hot path is a relaxed atomic add with no name lookup.
     hits: Counter,
@@ -43,42 +56,108 @@ struct PoolInner {
 }
 
 impl PoolInner {
+    fn new() -> PoolInner {
+        PoolInner {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            used_bytes: 0,
+            hits: hpd_obs::global().counter("storage.bufferpool.hit"),
+            misses: hpd_obs::global().counter("storage.bufferpool.miss"),
+            evictions: hpd_obs::global().counter("storage.bufferpool.evict"),
+        }
+    }
+
     /// Touch a key: returns true if it was resident (hit). On miss, inserts
     /// the entry and evicts LRU entries as needed.
     fn touch(&mut self, key: CacheKey, bytes: u64, capacity: u64) -> bool {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.generation = generation;
-            self.queue.push_back((key, generation));
+        if let Some(&slot) = self.index.get(&key) {
+            if slot != self.tail {
+                self.unlink(slot);
+                self.link_most_recent(slot);
+            }
             self.hits.inc();
             return true;
         }
         // Miss: admit (unless larger than the whole pool) and evict.
         self.misses.inc();
         if bytes <= capacity {
-            self.entries.insert(key, Entry { bytes, generation });
-            self.queue.push_back((key, generation));
-            self.used_bytes += bytes;
-            while self.used_bytes > capacity {
-                match self.queue.pop_front() {
-                    Some((k, g)) => {
-                        let current = self.entries.get(&k).map(|e| e.generation);
-                        if current == Some(g) {
-                            let e = self.entries.remove(&k).expect("entry exists");
-                            self.used_bytes -= e.bytes;
-                            self.evictions.inc();
-                        }
-                    }
-                    None => break,
+            let entry = Slot {
+                key,
+                bytes,
+                prev: NIL,
+                next: NIL,
+            };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot] = entry;
+                    slot
                 }
+                None => {
+                    self.slots.push(entry);
+                    self.slots.len() - 1
+                }
+            };
+            self.index.insert(key, slot);
+            self.link_most_recent(slot);
+            self.used_bytes += bytes;
+            // The entry just admitted fits on its own, so the walk from the
+            // cold end stops before reaching it.
+            while self.used_bytes > capacity {
+                let victim = self.slots[self.head].key;
+                self.remove(&victim);
+                self.evictions.inc();
             }
         }
         false
     }
 
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn link_most_recent(&mut self, slot: usize) {
+        self.slots[slot].prev = self.tail;
+        self.slots[slot].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.slots[t].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Drop a resident entry (eviction or invalidation); false if absent.
+    fn remove(&mut self, key: &CacheKey) -> bool {
+        let Some(slot) = self.index.remove(key) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.used_bytes -= self.slots[slot].bytes;
+        self.free.push(slot);
+        true
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.used_bytes = 0;
+    }
+
     fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
+        self.index.contains_key(key)
     }
 }
 
@@ -92,15 +171,7 @@ pub struct BufferPool {
 impl BufferPool {
     pub fn new(capacity_bytes: u64, device: DeviceProfile) -> BufferPool {
         BufferPool {
-            inner: Mutex::new(PoolInner {
-                entries: HashMap::new(),
-                queue: VecDeque::new(),
-                used_bytes: 0,
-                next_generation: 0,
-                hits: hpd_obs::global().counter("storage.bufferpool.hit"),
-                misses: hpd_obs::global().counter("storage.bufferpool.miss"),
-                evictions: hpd_obs::global().counter("storage.bufferpool.evict"),
-            }),
+            inner: Mutex::new(PoolInner::new()),
             device,
             capacity_bytes,
         }
@@ -243,10 +314,7 @@ impl BufferPool {
 
     /// Evict a blob (e.g. a segment replaced by the tuple mover).
     pub fn invalidate_blob(&self, blob: BlobId) {
-        let mut inner = self.inner.lock();
-        if let Some(e) = inner.entries.remove(&CacheKey::Blob(blob.0)) {
-            inner.used_bytes -= e.bytes;
-        }
+        self.inner.lock().remove(&CacheKey::Blob(blob.0));
     }
 
     /// True if the page is currently resident (test/diagnostic hook).
@@ -266,10 +334,7 @@ impl BufferPool {
 
     /// Drop everything — the next run is a *cold* run.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.queue.clear();
-        inner.used_bytes = 0;
+        self.inner.lock().clear();
     }
 }
 
@@ -411,6 +476,157 @@ mod tests {
         assert!(d.counter("storage.bufferpool.hit") >= 1);
         assert!(d.counter("storage.bufferpool.miss") >= 3);
         assert!(d.counter("storage.bufferpool.evict") >= 1);
+    }
+
+    #[test]
+    fn hits_add_no_bookkeeping() {
+        // A resident set that never evicts: the lazy queue this list
+        // replaced pushed one pair per hit and popped only when over
+        // capacity, so it held a million entries here.
+        // Recency-list slots held, resident or vacated: the pool's whole
+        // per-entry bookkeeping.
+        let slots = |p: &BufferPool| p.inner.lock().slots.len();
+        let p = pool(1 << 30);
+        let t = IoTracker::new();
+        for round in 0..10_000 {
+            for page in 0..100 {
+                p.access_page(PageId(page), &t);
+            }
+            if round == 0 {
+                assert_eq!(slots(&p), 100);
+            }
+        }
+        assert_eq!(t.snapshot().logical_reads, 1_000_000);
+        assert_eq!(slots(&p), 100);
+        // Under eviction the slab is as large as the resident set ever was:
+        // eight pages, plus the ninth admitted before its victim leaves.
+        let small = pool(8 * PAGE_SIZE as u64);
+        for page in 0..10_000 {
+            small.access_page(PageId(page % 37), &t);
+        }
+        assert_eq!(slots(&small), 9);
+    }
+
+    /// The algorithm the linked list replaced, kept as the reference: an
+    /// LRU queue of `(key, generation)` pairs with lazy invalidation —
+    /// every touch pushes a pair, eviction pops from the front and skips
+    /// pairs whose generation is stale.
+    struct LazyQueueModel {
+        entries: HashMap<CacheKey, (u64, u64)>,
+        queue: std::collections::VecDeque<(CacheKey, u64)>,
+        used_bytes: u64,
+        next_generation: u64,
+    }
+
+    impl LazyQueueModel {
+        /// Returns whether it was a hit and the keys evicted, in order.
+        fn touch(&mut self, key: CacheKey, bytes: u64, capacity: u64) -> (bool, Vec<CacheKey>) {
+            let generation = self.next_generation;
+            self.next_generation += 1;
+            if let Some(e) = self.entries.get_mut(&key) {
+                e.1 = generation;
+                self.queue.push_back((key, generation));
+                return (true, Vec::new());
+            }
+            let mut evicted = Vec::new();
+            if bytes <= capacity {
+                self.entries.insert(key, (bytes, generation));
+                self.queue.push_back((key, generation));
+                self.used_bytes += bytes;
+                while self.used_bytes > capacity {
+                    let Some((k, g)) = self.queue.pop_front() else {
+                        break;
+                    };
+                    if self.entries.get(&k).map(|e| e.1) == Some(g) {
+                        self.used_bytes -= self.entries.remove(&k).expect("entry exists").0;
+                        evicted.push(k);
+                    }
+                }
+            }
+            (false, evicted)
+        }
+    }
+
+    #[test]
+    fn same_hits_and_victims_as_the_lazy_queue() {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        for capacity in [3_000u64, 20_000, 1 << 40] {
+            let mut model = LazyQueueModel {
+                entries: HashMap::new(),
+                queue: Default::default(),
+                used_bytes: 0,
+                next_generation: 0,
+            };
+            let mut list = PoolInner::new();
+            let resident = |list: &PoolInner| -> Vec<CacheKey> {
+                let mut keys = Vec::new();
+                let mut slot = list.head;
+                while slot != NIL {
+                    keys.push(list.slots[slot].key);
+                    slot = list.slots[slot].next;
+                }
+                keys
+            };
+            for step in 0..40_000 {
+                match rnd(100) {
+                    // Rare: a cold restart.
+                    0 if rnd(50) == 0 => {
+                        model.entries.clear();
+                        model.queue.clear();
+                        model.used_bytes = 0;
+                        list.clear();
+                    }
+                    // A segment replaced by the tuple mover.
+                    1..=4 => {
+                        let key = CacheKey::Blob(rnd(24));
+                        if let Some((bytes, _)) = model.entries.remove(&key) {
+                            model.used_bytes -= bytes;
+                        }
+                        list.remove(&key);
+                    }
+                    op => {
+                        // Pages of one size; blobs of a size fixed per id,
+                        // some larger than the small pools.
+                        let (key, bytes) = if op < 60 {
+                            (CacheKey::Page(rnd(40)), 512)
+                        } else {
+                            let id = rnd(24);
+                            (CacheKey::Blob(id), 300 + id * id * 17)
+                        };
+                        let before = resident(&list);
+                        let (hit, victims) = model.touch(key, bytes, capacity);
+                        assert_eq!(list.touch(key, bytes, capacity), hit, "step {step}");
+                        // The victims, in order, are the cold end of the
+                        // list; the touched key, if resident now, is the
+                        // warm end; nothing else moved.
+                        assert_eq!(&before[..victims.len()], &victims[..], "step {step}");
+                        let mut expected: Vec<CacheKey> = before[victims.len()..]
+                            .iter()
+                            .copied()
+                            .filter(|k| *k != key)
+                            .collect();
+                        if hit || bytes <= capacity {
+                            expected.push(key);
+                        }
+                        assert_eq!(resident(&list), expected, "step {step}");
+                    }
+                }
+                assert_eq!(list.used_bytes, model.used_bytes, "step {step}");
+                assert_eq!(list.index.len(), model.entries.len(), "step {step}");
+                assert!(list.slots.len() <= 64, "one slot per key at most");
+            }
+            // The whole recency order agrees, not just the victims seen.
+            let mut by_age: Vec<_> = model.entries.iter().map(|(k, e)| (e.1, *k)).collect();
+            by_age.sort_unstable_by_key(|&(generation, _)| generation);
+            let order: Vec<CacheKey> = by_age.into_iter().map(|(_, k)| k).collect();
+            assert_eq!(resident(&list), order);
+        }
     }
 
     #[test]

@@ -13,19 +13,19 @@
 
 use hpd_common::{HpdError, Result, Row, Schema};
 
-use crate::frame::{append_frame, FrameReader};
-use crate::record::{LogRecord, WalIndexDef, WalPartitioning};
+use crate::frame::{append_frame_with, seal_frame, FrameReader, FRAME_HEADER};
+use crate::record::{encode_bulk_load, put_u32, put_u64, LogRecord, WalIndexDef, WalPartitioning};
 
-/// One partition's physical design inside a [`TableSnapshot`].
+/// One partition's physical design inside a [`TableEntry`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartSnapshot {
     pub primary: WalIndexDef,
     pub secondaries: Vec<WalIndexDef>,
 }
 
-/// One table's slice of a checkpoint image.
+/// One table's catalog entry in a checkpoint image: everything but its rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableSnapshot {
+pub struct TableEntry {
     pub name: String,
     pub schema: Schema,
     pub pk: Vec<usize>,
@@ -37,12 +37,18 @@ pub struct TableSnapshot {
     /// partition; possibly heterogeneous). Empty for monolithic tables,
     /// whose design lives in `primary`/`secondaries`.
     pub parts: Vec<PartSnapshot>,
+    /// LSN of the last log record already reflected in the rows — the redo
+    /// skip boundary for this table.
+    pub applied_lsn: u64,
+}
+
+/// One table's slice of a decoded checkpoint image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableSnapshot {
+    pub entry: TableEntry,
     /// Rows of every partition concatenated; recovery's bulk load re-routes
     /// each row through the partitioning spec.
     pub rows: Vec<Row>,
-    /// LSN of the last log record already reflected in `rows` — the redo
-    /// skip boundary for this table.
-    pub applied_lsn: u64,
 }
 
 /// A complete fuzzy checkpoint: catalog + designs + rows + high-water marks.
@@ -56,67 +62,96 @@ pub struct CheckpointImage {
     pub tables: Vec<TableSnapshot>,
 }
 
+/// The one encoder of the image format. It writes the CRC-framed byte form
+/// straight into its output buffer — every frame, the outer one included,
+/// has its header reserved and filled in once its payload is complete — and
+/// takes each table's rows as a stream of borrows, so neither the rows nor
+/// any frame is ever held a second time.
+///
+/// Each table goes through the record codec as synthetic
+/// `TableCreate`/`IndexCreate`/`PartitionDesignChange`/`BulkLoad` frames —
+/// one codec, one set of decoders to fuzz.
+pub struct ImageWriter {
+    buf: Vec<u8>,
+    tables: u32,
+}
+
+/// Offset of the table count: behind the outer header and the two marks.
+const TABLE_COUNT_AT: usize = FRAME_HEADER + 16;
+
+impl ImageWriter {
+    /// Start an image in `recycled` (a retired image's buffer, or an empty
+    /// vector); its contents are discarded and its capacity reused.
+    pub fn new(recycled: Vec<u8>, begin_lsn: u64, next_ts: u64) -> ImageWriter {
+        let mut buf = recycled;
+        buf.clear();
+        buf.extend_from_slice(&[0; FRAME_HEADER]);
+        put_u64(&mut buf, begin_lsn);
+        put_u64(&mut buf, next_ts);
+        put_u32(&mut buf, 0);
+        ImageWriter { buf, tables: 0 }
+    }
+
+    /// Append the next table: its catalog entry, then the rows `rows` hands
+    /// over one at a time.
+    pub fn table(&mut self, entry: &TableEntry, rows: impl FnOnce(&mut dyn FnMut(&Row))) {
+        let table = self.tables;
+        self.tables += 1;
+        let buf = &mut self.buf;
+        put_u64(buf, entry.applied_lsn);
+        append_frame_with(buf, |b| {
+            LogRecord::TableCreate {
+                table,
+                name: entry.name.clone(),
+                schema: entry.schema.clone(),
+                pk: entry.pk.clone(),
+                primary: entry.primary.clone(),
+                partitioning: entry.partitioning.clone(),
+            }
+            .encode_into(b)
+        });
+        put_u32(buf, entry.secondaries.len() as u32);
+        for def in &entry.secondaries {
+            append_frame_with(buf, |b| {
+                LogRecord::IndexCreate {
+                    table,
+                    def: def.clone(),
+                }
+                .encode_into(b)
+            });
+        }
+        put_u32(buf, entry.parts.len() as u32);
+        for (p, part) in entry.parts.iter().enumerate() {
+            append_frame_with(buf, |b| {
+                LogRecord::PartitionDesignChange {
+                    table,
+                    part: p as u32,
+                    primary: part.primary.clone(),
+                    secondaries: part.secondaries.clone(),
+                }
+                .encode_into(b)
+            });
+        }
+        append_frame_with(buf, |b| encode_bulk_load(b, table, rows));
+    }
+
+    /// Fill in the table count, close the outer frame and hand back the
+    /// finished image.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.buf[TABLE_COUNT_AT..TABLE_COUNT_AT + 4].copy_from_slice(&self.tables.to_le_bytes());
+        seal_frame(&mut self.buf, 0);
+        self.buf
+    }
+}
+
 impl CheckpointImage {
     /// Serialize to the CRC-framed byte form stored in the log object.
-    ///
-    /// Implementation reuses the record codec by round-tripping each table
-    /// snapshot through synthetic `TableCreate`/`IndexCreate`/`BulkLoad`
-    /// records — one codec, one set of decoders to fuzz.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        crate::record::put_u64(&mut body, self.begin_lsn);
-        crate::record::put_u64(&mut body, self.next_ts);
-        crate::record::put_u32(&mut body, self.tables.len() as u32);
-        for (i, t) in self.tables.iter().enumerate() {
-            crate::record::put_u64(&mut body, t.applied_lsn);
-            append_frame(
-                &mut body,
-                &LogRecord::TableCreate {
-                    table: i as u32,
-                    name: t.name.clone(),
-                    schema: t.schema.clone(),
-                    pk: t.pk.clone(),
-                    primary: t.primary.clone(),
-                    partitioning: t.partitioning.clone(),
-                }
-                .encode(),
-            );
-            crate::record::put_u32(&mut body, t.secondaries.len() as u32);
-            for def in &t.secondaries {
-                append_frame(
-                    &mut body,
-                    &LogRecord::IndexCreate {
-                        table: i as u32,
-                        def: def.clone(),
-                    }
-                    .encode(),
-                );
-            }
-            crate::record::put_u32(&mut body, t.parts.len() as u32);
-            for (p, part) in t.parts.iter().enumerate() {
-                append_frame(
-                    &mut body,
-                    &LogRecord::PartitionDesignChange {
-                        table: i as u32,
-                        part: p as u32,
-                        primary: part.primary.clone(),
-                        secondaries: part.secondaries.clone(),
-                    }
-                    .encode(),
-                );
-            }
-            append_frame(
-                &mut body,
-                &LogRecord::BulkLoad {
-                    table: i as u32,
-                    rows: t.rows.clone(),
-                }
-                .encode(),
-            );
+        let mut w = ImageWriter::new(Vec::new(), self.begin_lsn, self.next_ts);
+        for t in &self.tables {
+            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        append_frame(&mut out, &body);
-        out
+        w.finish()
     }
 
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage> {
@@ -198,15 +233,17 @@ impl CheckpointImage {
                 return Err(corrupt("expected BulkLoad"));
             };
             tables.push(TableSnapshot {
-                name,
-                schema,
-                pk,
-                primary,
-                secondaries,
-                partitioning,
-                parts,
+                entry: TableEntry {
+                    name,
+                    schema,
+                    pk,
+                    primary,
+                    secondaries,
+                    partitioning,
+                    parts,
+                    applied_lsn,
+                },
                 rows,
-                applied_lsn,
             });
         }
         if !rest.finished() {
@@ -226,91 +263,82 @@ mod tests {
     use crate::record::WalIndexKind;
     use hpd_common::{DataType, Value};
 
+    fn def(kind: WalIndexKind, cols_a: &[usize]) -> WalIndexDef {
+        WalIndexDef {
+            kind,
+            cols_a: cols_a.to_vec(),
+            cols_b: vec![],
+        }
+    }
+
     fn sample() -> CheckpointImage {
+        let int_rows = |rows: &[&[i64]]| {
+            rows.iter()
+                .map(|r| Row::new(r.iter().map(|&v| Value::Int64(v)).collect()))
+                .collect()
+        };
         CheckpointImage {
             begin_lsn: 4096,
             next_ts: 77,
             tables: vec![
                 TableSnapshot {
-                    name: "t".into(),
-                    schema: Schema::from_pairs(&[("k", DataType::Int64), ("a", DataType::Int64)]),
-                    pk: vec![0],
-                    primary: WalIndexDef {
-                        kind: WalIndexKind::PrimaryBTree,
-                        cols_a: vec![0],
-                        cols_b: vec![],
+                    entry: TableEntry {
+                        name: "t".into(),
+                        schema: Schema::from_pairs(&[
+                            ("k", DataType::Int64),
+                            ("a", DataType::Int64),
+                        ]),
+                        pk: vec![0],
+                        primary: def(WalIndexKind::PrimaryBTree, &[0]),
+                        secondaries: vec![def(WalIndexKind::SecondaryCsi, &[0, 1])],
+                        partitioning: None,
+                        parts: vec![],
+                        applied_lsn: 4000,
                     },
-                    secondaries: vec![WalIndexDef {
-                        kind: WalIndexKind::SecondaryCsi,
-                        cols_a: vec![0, 1],
-                        cols_b: vec![],
-                    }],
-                    partitioning: None,
-                    parts: vec![],
-                    rows: vec![
-                        Row::new(vec![Value::Int64(1), Value::Int64(10)]),
-                        Row::new(vec![Value::Int64(2), Value::Int64(20)]),
-                    ],
-                    applied_lsn: 4000,
+                    rows: int_rows(&[&[1, 10], &[2, 20]]),
                 },
                 TableSnapshot {
-                    name: "u".into(),
-                    schema: Schema::from_pairs(&[("k", DataType::Int64)]),
-                    pk: vec![0],
-                    primary: WalIndexDef {
-                        kind: WalIndexKind::PrimaryCsi,
-                        cols_a: vec![],
-                        cols_b: vec![],
+                    entry: TableEntry {
+                        name: "u".into(),
+                        schema: Schema::from_pairs(&[("k", DataType::Int64)]),
+                        pk: vec![0],
+                        primary: def(WalIndexKind::PrimaryCsi, &[]),
+                        secondaries: vec![],
+                        partitioning: None,
+                        parts: vec![],
+                        applied_lsn: 4090,
                     },
-                    secondaries: vec![],
-                    partitioning: None,
-                    parts: vec![],
                     rows: vec![],
-                    applied_lsn: 4090,
                 },
                 // A range-partitioned table with heterogeneous per-partition
                 // designs: B+ tree on the hot tail, CSI on cold history.
                 TableSnapshot {
-                    name: "pt".into(),
-                    schema: Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Int64)]),
-                    pk: vec![0],
-                    primary: WalIndexDef {
-                        kind: WalIndexKind::PrimaryCsi,
-                        cols_a: vec![],
-                        cols_b: vec![],
+                    entry: TableEntry {
+                        name: "pt".into(),
+                        schema: Schema::from_pairs(&[
+                            ("k", DataType::Int64),
+                            ("v", DataType::Int64),
+                        ]),
+                        pk: vec![0],
+                        primary: def(WalIndexKind::PrimaryCsi, &[]),
+                        secondaries: vec![],
+                        partitioning: Some(WalPartitioning::Range {
+                            column: 0,
+                            bounds: vec![Value::Int64(100)],
+                        }),
+                        parts: vec![
+                            PartSnapshot {
+                                primary: def(WalIndexKind::PrimaryCsi, &[]),
+                                secondaries: vec![],
+                            },
+                            PartSnapshot {
+                                primary: def(WalIndexKind::PrimaryBTree, &[0]),
+                                secondaries: vec![def(WalIndexKind::SecondaryBTree, &[1])],
+                            },
+                        ],
+                        applied_lsn: 4095,
                     },
-                    secondaries: vec![],
-                    partitioning: Some(WalPartitioning::Range {
-                        column: 0,
-                        bounds: vec![Value::Int64(100)],
-                    }),
-                    parts: vec![
-                        PartSnapshot {
-                            primary: WalIndexDef {
-                                kind: WalIndexKind::PrimaryCsi,
-                                cols_a: vec![],
-                                cols_b: vec![],
-                            },
-                            secondaries: vec![],
-                        },
-                        PartSnapshot {
-                            primary: WalIndexDef {
-                                kind: WalIndexKind::PrimaryBTree,
-                                cols_a: vec![0],
-                                cols_b: vec![],
-                            },
-                            secondaries: vec![WalIndexDef {
-                                kind: WalIndexKind::SecondaryBTree,
-                                cols_a: vec![1],
-                                cols_b: vec![],
-                            }],
-                        },
-                    ],
-                    rows: vec![
-                        Row::new(vec![Value::Int64(5), Value::Int64(1)]),
-                        Row::new(vec![Value::Int64(150), Value::Int64(2)]),
-                    ],
-                    applied_lsn: 4095,
+                    rows: int_rows(&[&[5, 1], &[150, 2]]),
                 },
             ],
         }
@@ -320,6 +348,30 @@ mod tests {
     fn image_round_trips() {
         let img = sample();
         assert_eq!(CheckpointImage::decode(&img.encode()).unwrap(), img);
+    }
+
+    #[test]
+    fn image_bytes_match_the_copying_encoder() {
+        // Length and CRC of `sample().encode()` as the encoder that built
+        // each frame in a buffer of its own produced them (commit b819861).
+        let bytes = sample().encode();
+        assert_eq!(bytes.len(), 499);
+        assert_eq!(crate::frame::crc32(&bytes), 0xd3c5_f20c);
+    }
+
+    #[test]
+    fn recycled_buffer_is_reused_and_its_contents_discarded() {
+        let img = sample();
+        let mut recycled = vec![0xabu8; 4096];
+        recycled.reserve(4096);
+        let (ptr, cap) = (recycled.as_ptr(), recycled.capacity());
+        let mut w = ImageWriter::new(recycled, img.begin_lsn, img.next_ts);
+        for t in &img.tables {
+            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes, img.encode());
+        assert_eq!((bytes.as_ptr(), bytes.capacity()), (ptr, cap));
     }
 
     #[test]

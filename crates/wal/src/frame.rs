@@ -8,27 +8,87 @@
 /// Frame header size: 4-byte payload length + 4-byte CRC32.
 pub const FRAME_HEADER: usize = 8;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise implementation.
-///
-/// The log frames are small and the simulator charges I/O time separately,
-/// so a lookup table buys nothing worth the extra state.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// Reflected IEEE 802.3 polynomial.
+const POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table,
+/// `TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step.
+///
+/// A checkpoint image and a bulk-load record are each one frame of many
+/// megabytes, checksummed whole when written and again at recovery; the
+/// bit-at-a-time loop (kept as the tests' reference) made that the longest
+/// single step of a checkpoint.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut crc: u32 = !0;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
 
+/// Append one frame whose payload `write` appends to `buf` in place: the
+/// header is reserved first and filled in once the payload's length and CRC
+/// are known, so a large payload is never built in a buffer of its own.
+pub(crate) fn append_frame_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    write(buf);
+    seal_frame(buf, header);
+}
+
+/// Fill in the header reserved at `header` for the payload that runs from
+/// there to the end of `buf`.
+pub(crate) fn seal_frame(buf: &mut [u8], header: usize) {
+    let start = header + FRAME_HEADER;
+    let len = (buf.len() - start) as u32;
+    let crc = crc32(&buf[start..]);
+    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header + 4..start].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Append one framed record to `buf`.
 pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    append_frame_with(buf, |buf| buf.extend_from_slice(payload));
 }
 
 /// Iterator over the frames of a log byte stream.
@@ -99,11 +159,61 @@ impl<'a> Iterator for FrameReader<'a> {
 mod tests {
     use super::*;
 
+    /// The bit-at-a-time routine the table-driven one replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        // A fixed xorshift stream: every length that exercises the 8-byte
+        // loop's remainder, at every alignment of the first byte, then
+        // buffers long enough to run the wide loop for most of their bytes.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        };
+        let small: Vec<u8> = (0..64 + 8).map(|_| next()).collect();
+        for len in 0..=64 {
+            for offset in 0..8 {
+                let s = &small[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} offset {offset}");
+            }
+        }
+        for len in [1 << 20, (3 << 20) + 5, (1 << 21) - 1] {
+            let big: Vec<u8> = (0..len).map(|_| next()).collect();
+            assert_eq!(crc32(&big), crc32_bitwise(&big), "len {len}");
+        }
+    }
+
+    #[test]
+    fn in_place_frame_equals_copied_frame() {
+        let mut copied = vec![7u8; 3];
+        append_frame(&mut copied, b"payload-bytes");
+        let mut in_place = vec![7u8; 3];
+        append_frame_with(&mut in_place, |b| {
+            b.extend_from_slice(b"payload-");
+            b.extend_from_slice(b"bytes");
+        });
+        assert_eq!(in_place, copied);
     }
 
     #[test]

@@ -9,8 +9,21 @@
 use hpd_storage::{DeviceProfile, IoTracker};
 use parking_lot::Mutex;
 
-use crate::frame::append_frame;
+use crate::frame::append_frame_with;
 use crate::record::LogRecord;
+
+/// Capacity a log buffer may keep however little it holds.
+const RETAINED_MIN: usize = 64 << 10;
+
+/// A buffer keeps the capacity its largest content ever needed. After a
+/// one-off large record (a bulk load) or a truncation, that is nearly all of
+/// it: give back what exceeds a small multiple of the current length.
+fn release_excess(buf: &mut Vec<u8>) {
+    let keep = (2 * buf.len()).max(RETAINED_MIN);
+    if buf.capacity() > 2 * keep {
+        buf.shrink_to(keep);
+    }
+}
 
 /// Durability knobs, carried inside the engine's `DbConfig`.
 #[derive(Debug, Clone)]
@@ -74,6 +87,9 @@ struct WalInner {
     pending_records: u64,
     /// Serialized [`crate::CheckpointImage`], if one was installed.
     checkpoint: Option<Vec<u8>>,
+    /// The image the installed one replaced, kept for its capacity: the
+    /// next checkpoint is encoded into it ([`Wal::take_spare_image`]).
+    spare_image: Vec<u8>,
 }
 
 /// The write-ahead log. See the crate docs for the durability model.
@@ -94,6 +110,7 @@ impl Wal {
                 pending: Vec::new(),
                 pending_records: 0,
                 checkpoint: None,
+                spare_image: Vec::new(),
             }),
         }
     }
@@ -111,6 +128,7 @@ impl Wal {
                 pending: Vec::new(),
                 pending_records: 0,
                 checkpoint: d.checkpoint,
+                spare_image: Vec::new(),
             }),
         }
     }
@@ -129,16 +147,45 @@ impl Wal {
         if !self.cfg.enabled {
             return 0;
         }
-        let payload = rec.encode();
         let mut inner = self.inner.lock();
-        let lsn = inner.base_lsn + (inner.durable.len() + inner.pending.len()) as u64;
-        append_frame(&mut inner.pending, &payload);
+        let before = inner.pending.len();
+        append_frame_with(&mut inner.pending, |b| rec.encode_into(b));
+        let bytes = inner.pending.len() - before;
+        Self::appended(&mut inner, before, bytes)
+    }
+
+    /// `rec` as one finished frame, for [`Wal::append_encoded`]. Touches no
+    /// log: a caller about to hand the record's contents away (a bulk load
+    /// moves its rows into the table) encodes it from a borrow first.
+    pub fn encode_frame(rec: &LogRecord) -> Vec<u8> {
+        let mut frame = Vec::new();
+        append_frame_with(&mut frame, |b| rec.encode_into(b));
+        frame
+    }
+
+    /// [`Wal::append`] for a record already framed by [`Wal::encode_frame`].
+    pub fn append_encoded(&self, frame: Vec<u8>) -> u64 {
+        if !self.cfg.enabled {
+            return 0;
+        }
+        let mut inner = self.inner.lock();
+        let (before, bytes) = (inner.pending.len(), frame.len());
+        if before == 0 {
+            inner.pending = frame;
+        } else {
+            inner.pending.extend_from_slice(&frame);
+        }
+        Self::appended(&mut inner, before, bytes)
+    }
+
+    /// Account for one frame of `bytes` bytes appended at offset
+    /// `pending_before` of the pending buffer; returns its LSN.
+    fn appended(inner: &mut WalInner, pending_before: usize, bytes: usize) -> u64 {
         inner.pending_records += 1;
         let reg = hpd_obs::global();
         reg.counter("wal.append.records").inc();
-        reg.counter("wal.append.bytes")
-            .add((payload.len() + crate::frame::FRAME_HEADER) as u64);
-        lsn
+        reg.counter("wal.append.bytes").add(bytes as u64);
+        inner.base_lsn + (inner.durable.len() + pending_before) as u64
     }
 
     /// Move all pending bytes to the durable region, charging one simulated
@@ -155,8 +202,9 @@ impl Wal {
         }
         let (seek_us, bw_us) = self.device.write_cost_parts(bytes, 1);
         tracker.record_write(bytes, seek_us, bw_us);
-        let pending = std::mem::take(&mut inner.pending);
-        inner.durable.extend_from_slice(&pending);
+        inner.durable.extend_from_slice(&inner.pending);
+        inner.pending.clear();
+        release_excess(&mut inner.pending);
         inner.pending_records = 0;
         let reg = hpd_obs::global();
         reg.counter("wal.flush.count").inc();
@@ -191,6 +239,14 @@ impl Wal {
         }
     }
 
+    /// A buffer to encode the next checkpoint image into: the retired
+    /// image's, if a checkpoint has retired one, else an empty vector. The
+    /// installed image is never handed out — it must survive a crash in the
+    /// middle of the next checkpoint — so two buffers take turns.
+    pub fn take_spare_image(&self) -> Vec<u8> {
+        std::mem::take(&mut self.inner.lock().spare_image)
+    }
+
     /// Atomically install a checkpoint image and truncate the durable log
     /// below `begin_lsn` (the checkpoint's begin record stays). Charges the
     /// image write to `tracker`. The caller must have flushed first so the
@@ -206,8 +262,9 @@ impl Wal {
         debug_assert!(begin_lsn >= inner.base_lsn);
         let cut = (begin_lsn.saturating_sub(inner.base_lsn) as usize).min(inner.durable.len());
         inner.durable.drain(..cut);
+        release_excess(&mut inner.durable);
         inner.base_lsn += cut as u64;
-        inner.checkpoint = Some(image);
+        inner.spare_image = inner.checkpoint.replace(image).unwrap_or_default();
         let reg = hpd_obs::global();
         reg.counter("wal.checkpoint.count").inc();
         reg.counter("wal.checkpoint.bytes").add(bytes);
@@ -322,6 +379,83 @@ mod tests {
         let wal2 = Wal::from_durable(WalConfig::default(), ram(), d);
         let next = wal2.append(&LogRecord::TxnAbort { txn_id: 9 });
         assert_eq!(next, wal.next_lsn());
+    }
+
+    #[test]
+    fn encoded_append_is_the_same_log_as_append() {
+        let rec = LogRecord::BulkLoad {
+            table: 0,
+            rows: vec![hpd_common::Row::new(vec![hpd_common::Value::Int64(7)])],
+        };
+        let (a, b) = (sync_wal(), sync_wal());
+        let tracker = IoTracker::default();
+        for wal in [&a, &b] {
+            wal.append(&LogRecord::CheckpointBegin);
+        }
+        // Into a non-empty pending buffer, then (after a flush) an empty one.
+        for _ in 0..2 {
+            let lsn_a = a.append(&rec);
+            let lsn_b = b.append_encoded(Wal::encode_frame(&rec));
+            assert_eq!(lsn_a, lsn_b);
+            a.flush(&tracker);
+            b.flush(&tracker);
+        }
+        assert_eq!(a.durable().log, b.durable().log);
+        assert_eq!(a.next_lsn(), b.next_lsn());
+    }
+
+    #[test]
+    fn buffers_release_what_a_large_record_reserved() {
+        let wal = sync_wal();
+        let tracker = IoTracker::default();
+        let big = LogRecord::BulkLoad {
+            table: 0,
+            rows: (0..100_000)
+                .map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(k)]))
+                .collect(),
+        };
+        wal.append_encoded(Wal::encode_frame(&big));
+        wal.flush(&tracker);
+        let big_bytes = wal.durable_bytes();
+        assert!(big_bytes > 1 << 20);
+        assert!(wal.inner.lock().pending.capacity() <= 2 * RETAINED_MIN);
+        // Small commits reuse one pending buffer: same allocation each time.
+        wal.append(&LogRecord::TxnBegin { txn_id: 1 });
+        wal.flush(&tracker);
+        let pending_at = wal.inner.lock().pending.as_ptr();
+        for txn_id in 2..50 {
+            wal.append(&LogRecord::TxnBegin { txn_id });
+            wal.flush(&tracker);
+            assert_eq!(wal.inner.lock().pending.as_ptr(), pending_at);
+        }
+        // Truncating below the checkpoint drops the big record; its
+        // capacity goes with it.
+        let begin_lsn = wal.append(&LogRecord::CheckpointBegin);
+        wal.flush(&tracker);
+        wal.install_checkpoint(vec![0; 16], begin_lsn, &tracker);
+        let inner = wal.inner.lock();
+        assert!(inner.durable.len() < 64);
+        assert!(inner.durable.capacity() <= 2 * RETAINED_MIN);
+    }
+
+    #[test]
+    fn retired_image_becomes_the_spare_and_the_installed_one_never_does() {
+        let wal = sync_wal();
+        let tracker = IoTracker::default();
+        assert_eq!(wal.take_spare_image().capacity(), 0);
+        let first = vec![1u8; 1000];
+        let first_at = first.as_ptr();
+        wal.install_checkpoint(first, 0, &tracker);
+        // One image installed, none retired yet.
+        assert_eq!(wal.take_spare_image().capacity(), 0);
+        wal.install_checkpoint(vec![2u8; 1000], 0, &tracker);
+        let spare = wal.take_spare_image();
+        assert_eq!(spare.as_ptr(), first_at);
+        assert_eq!(wal.durable().checkpoint.as_deref(), Some(&[2u8; 1000][..]));
+        // Taken once; a checkpoint abandoned after taking it loses only the
+        // spare.
+        assert_eq!(wal.take_spare_image().capacity(), 0);
+        assert_eq!(wal.durable().checkpoint.as_deref(), Some(&[2u8; 1000][..]));
     }
 
     #[test]

@@ -253,6 +253,26 @@ fn put_index_def(buf: &mut Vec<u8>, def: &WalIndexDef) {
     put_ordinals(buf, &def.cols_b);
 }
 
+/// Append a `BulkLoad` payload whose rows `feed` hands over one at a time,
+/// by reference. The count precedes the rows on the wire and is known only
+/// when the stream ends, so its slot is reserved and filled in afterwards.
+pub(crate) fn encode_bulk_load(
+    b: &mut Vec<u8>,
+    table: u32,
+    feed: impl FnOnce(&mut dyn FnMut(&Row)),
+) {
+    b.push(TAG_BULK_LOAD);
+    put_u32(b, table);
+    let count_at = b.len();
+    put_u32(b, 0);
+    let mut count: u32 = 0;
+    feed(&mut |row| {
+        put_values(b, row.values());
+        count += 1;
+    });
+    b[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+}
+
 fn dtype_tag(t: DataType) -> u8 {
     match t {
         DataType::Int32 => 0,
@@ -427,31 +447,38 @@ impl LogRecord {
     /// Serialize to a frame payload (framing/CRC added by the [`crate::Wal`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the frame payload to `b` (the body of a frame being written in
+    /// place, see [`crate::frame::append_frame_with`]).
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             LogRecord::TxnBegin { txn_id } => {
                 b.push(TAG_TXN_BEGIN);
-                put_u64(&mut b, *txn_id);
+                put_u64(b, *txn_id);
             }
             LogRecord::TxnCommit { txn_id, commit_ts } => {
                 b.push(TAG_TXN_COMMIT);
-                put_u64(&mut b, *txn_id);
-                put_u64(&mut b, *commit_ts);
+                put_u64(b, *txn_id);
+                put_u64(b, *commit_ts);
             }
             LogRecord::TxnAbort { txn_id } => {
                 b.push(TAG_TXN_ABORT);
-                put_u64(&mut b, *txn_id);
+                put_u64(b, *txn_id);
             }
             LogRecord::Insert { table, part, row } => {
                 b.push(TAG_INSERT);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, *part);
-                put_values(&mut b, row.values());
+                put_u32(b, *table);
+                put_u32(b, *part);
+                put_values(b, row.values());
             }
             LogRecord::Delete { table, part, key } => {
                 b.push(TAG_DELETE);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, *part);
-                put_values(&mut b, key.values());
+                put_u32(b, *table);
+                put_u32(b, *part);
+                put_values(b, key.values());
             }
             LogRecord::Update {
                 table,
@@ -460,10 +487,10 @@ impl LogRecord {
                 new_row,
             } => {
                 b.push(TAG_UPDATE);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, *part);
-                put_values(&mut b, key.values());
-                put_values(&mut b, new_row.values());
+                put_u32(b, *table);
+                put_u32(b, *part);
+                put_values(b, key.values());
+                put_values(b, new_row.values());
             }
             LogRecord::TableCreate {
                 table,
@@ -474,25 +501,20 @@ impl LogRecord {
                 partitioning,
             } => {
                 b.push(TAG_TABLE_CREATE);
-                put_u32(&mut b, *table);
-                put_str(&mut b, name);
-                put_schema(&mut b, schema);
-                put_ordinals(&mut b, pk);
-                put_index_def(&mut b, primary);
-                put_partitioning(&mut b, partitioning);
+                put_u32(b, *table);
+                put_str(b, name);
+                put_schema(b, schema);
+                put_ordinals(b, pk);
+                put_index_def(b, primary);
+                put_partitioning(b, partitioning);
             }
             LogRecord::BulkLoad { table, rows } => {
-                b.push(TAG_BULK_LOAD);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, rows.len() as u32);
-                for row in rows {
-                    put_values(&mut b, row.values());
-                }
+                encode_bulk_load(b, *table, |sink| rows.iter().for_each(sink));
             }
             LogRecord::IndexCreate { table, def } => {
                 b.push(TAG_INDEX_CREATE);
-                put_u32(&mut b, *table);
-                put_index_def(&mut b, def);
+                put_u32(b, *table);
+                put_index_def(b, def);
             }
             LogRecord::DesignChange {
                 table,
@@ -500,11 +522,11 @@ impl LogRecord {
                 secondaries,
             } => {
                 b.push(TAG_DESIGN_CHANGE);
-                put_u32(&mut b, *table);
-                put_index_def(&mut b, primary);
-                put_u32(&mut b, secondaries.len() as u32);
+                put_u32(b, *table);
+                put_index_def(b, primary);
+                put_u32(b, secondaries.len() as u32);
                 for def in secondaries {
-                    put_index_def(&mut b, def);
+                    put_index_def(b, def);
                 }
             }
             LogRecord::MaintenanceStep {
@@ -515,11 +537,11 @@ impl LogRecord {
                 deletes_compacted,
             } => {
                 b.push(TAG_MAINTENANCE_STEP);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, *part);
-                put_u64(&mut b, *budget_rows);
-                put_u64(&mut b, *rows_moved);
-                put_u64(&mut b, *deletes_compacted);
+                put_u32(b, *table);
+                put_u32(b, *part);
+                put_u64(b, *budget_rows);
+                put_u64(b, *rows_moved);
+                put_u64(b, *deletes_compacted);
             }
             LogRecord::PartitionDesignChange {
                 table,
@@ -528,18 +550,17 @@ impl LogRecord {
                 secondaries,
             } => {
                 b.push(TAG_PARTITION_DESIGN_CHANGE);
-                put_u32(&mut b, *table);
-                put_u32(&mut b, *part);
-                put_index_def(&mut b, primary);
-                put_u32(&mut b, secondaries.len() as u32);
+                put_u32(b, *table);
+                put_u32(b, *part);
+                put_index_def(b, primary);
+                put_u32(b, secondaries.len() as u32);
                 for def in secondaries {
-                    put_index_def(&mut b, def);
+                    put_index_def(b, def);
                 }
             }
             LogRecord::CheckpointBegin => b.push(TAG_CHECKPOINT_BEGIN),
             LogRecord::CheckpointEnd => b.push(TAG_CHECKPOINT_END),
         }
-        b
     }
 
     /// Decode a frame payload. Total: corrupt input yields `Err`, not a

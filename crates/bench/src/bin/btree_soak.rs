@@ -2,17 +2,38 @@
 //! sequences cross-checked against a sorted-vector model, with structural
 //! invariants verified after every operation. (This harness found the
 //! duplicate-separator split-placement bug fixed in `insert_into_internal`.)
+//!
+//! `btree_soak [seeds]` runs that; `btree_soak --model [seeds]` runs the
+//! full reference model (`hpd_bench::btree_model`: every operation, mixed
+//! key and payload types, bulk loads) at every leaf capacity from 8 to 64.
 use hpd_btree::{BTree, BTreeConfig};
 use hpd_common::{Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+fn model_soak(seeds: u64) {
+    for capacity in 8..=64 {
+        for seed in 0..seeds {
+            if let Err(e) = hpd_bench::btree_model::run(seed, capacity, 400) {
+                panic!("capacity {capacity} seed {seed}: {e}");
+            }
+        }
+    }
+    println!("btree model soak: capacities 8..=64 x {seeds} seeds x 400 ops OK");
+}
+
 fn main() {
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5000);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let model = args.first().is_some_and(|a| a == "--model");
+    if model {
+        args.remove(0);
+    }
+    let seeds = args.first().and_then(|s| s.parse().ok());
+    if model {
+        return model_soak(seeds.unwrap_or(50));
+    }
+    let seeds: u64 = seeds.unwrap_or(5000);
     let pool = BufferPool::unbounded(DeviceProfile::ram());
     let t = IoTracker::new();
     let cfg = BTreeConfig {

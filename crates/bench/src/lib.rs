@@ -2,6 +2,7 @@
 //! measurement helpers. The `figures` binary runs every module (or one,
 //! with `--only <id>`) and emits a combined report.
 
+pub mod btree_model;
 pub mod common;
 pub mod figs;
 

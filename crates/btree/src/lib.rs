@@ -6,6 +6,12 @@
 //! the caller: the tree itself maps a composite [`Key`] to an arbitrary
 //! payload [`Row`], allowing duplicate keys.
 //!
+//! A leaf holds its entries packed: one byte buffer of `(key, payload)`
+//! entries in the workspace's value encoding ([`hpd_common::codec`], the
+//! bytes the write-ahead log writes) and one vector of offsets
+//! ([`node::PackedLeaf`]). Keys are compared in place; an owned [`Key`] or
+//! [`Row`] exists only when a caller asks for one.
+//!
 //! Storage accounting: every node occupies one logical 8 KB page. Traversals
 //! and leaf walks are charged to the shared [`BufferPool`], so selective
 //! seeks touch a handful of pages while full leaf scans stream sequentially
@@ -17,4 +23,5 @@ pub mod node;
 pub mod tree;
 
 pub use cursor::Cursor;
-pub use tree::{BTree, BTreeConfig, BTreeStats};
+pub use node::EntryRef;
+pub use tree::{BTree, BTreeConfig, BTreeStats, EntryRun};

@@ -2,11 +2,11 @@
 
 use std::ops::Bound;
 
-use hpd_common::{HpdError, Key, Result, Row};
-use hpd_storage::{BufferPool, IoTracker, StorageAllocator, PAGE_SIZE};
+use hpd_common::{codec, HpdError, Key, Result, Row, Value};
+use hpd_storage::{BufferPool, IoTracker, PageId, StorageAllocator, PAGE_SIZE};
 
 use crate::cursor::Cursor;
-use crate::node::{Node, NodeId};
+use crate::node::{EntryRef, Node, NodeId, PackedLeaf};
 
 /// Structural parameters of a tree.
 #[derive(Debug, Clone, Copy)]
@@ -61,92 +61,154 @@ pub struct BTree {
     first_leaf: NodeId,
     len: usize,
     data_bytes: usize,
+    /// Leaf nodes in `nodes` and levels from the root down to them, kept as
+    /// splits happen so that [`BTree::stats`] walks nothing.
+    leaves: usize,
+    height: usize,
     config: BTreeConfig,
     alloc: StorageAllocator,
 }
 
-impl BTree {
-    /// An empty tree.
-    pub fn new(config: BTreeConfig, alloc: StorageAllocator) -> BTree {
-        let page = alloc.alloc_page();
-        BTree {
-            nodes: vec![Node::Leaf {
-                entries: Vec::new(),
-                next: None,
-                page,
-            }],
-            root: 0,
-            first_leaf: 0,
-            len: 0,
-            data_bytes: 0,
+/// Builds a tree from entries pushed in key order, one leaf at a time: an
+/// entry is encoded straight into the leaf being filled, and a full leaf is
+/// sealed into two exactly sized allocations. Leaf pages are allocated
+/// contiguously up front (hence the entry count), so subsequent full scans
+/// stream sequentially — matching a freshly built index; every page is
+/// charged to `tracker` as a write when its node is complete.
+struct BulkLoader<'a> {
+    config: BTreeConfig,
+    alloc: StorageAllocator,
+    pool: &'a BufferPool,
+    tracker: &'a IoTracker,
+    per_leaf: usize,
+    expected: usize,
+    first_page: PageId,
+    nodes: Vec<Node>,
+    leaf_min_keys: Vec<Key>,
+    filling: PackedLeaf,
+    len: usize,
+    data_bytes: usize,
+}
+
+impl<'a> BulkLoader<'a> {
+    /// A loader for exactly `entries` entries.
+    fn new(
+        config: BTreeConfig,
+        alloc: StorageAllocator,
+        entries: usize,
+        pool: &'a BufferPool,
+        tracker: &'a IoTracker,
+    ) -> BulkLoader<'a> {
+        let per_leaf = ((config.leaf_capacity as f64 * config.bulk_fill) as usize)
+            .clamp(1, config.leaf_capacity);
+        let n_leaves = entries.div_ceil(per_leaf);
+        // An empty load is `BTree::new`, which allocates its own root page.
+        let first_page = if n_leaves == 0 {
+            PageId(0)
+        } else {
+            alloc.alloc_pages(n_leaves as u64)
+        };
+        let mut n_nodes = n_leaves;
+        let mut level = n_leaves;
+        while level > 1 {
+            level = level.div_ceil(config.internal_fanout);
+            n_nodes += level;
+        }
+        BulkLoader {
             config,
             alloc,
+            pool,
+            tracker,
+            per_leaf,
+            expected: entries,
+            first_page,
+            nodes: Vec::with_capacity(n_nodes),
+            leaf_min_keys: Vec::with_capacity(n_leaves),
+            filling: PackedLeaf::default(),
+            len: 0,
+            data_bytes: 0,
         }
     }
 
-    /// Bulk load from entries that must already be sorted by key (stable
-    /// order among duplicates is preserved). Leaf pages are allocated
-    /// contiguously, so subsequent full scans stream sequentially — matching
-    /// a freshly built index. Write cost is charged to `tracker`.
-    pub fn bulk_load(
-        config: BTreeConfig,
-        alloc: StorageAllocator,
-        entries: Vec<(Key, Row)>,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Result<BTree> {
+    /// Append an entry; its key must not sort before the previous one's.
+    fn push<'v>(
+        &mut self,
+        key: impl IntoIterator<Item = &'v Value>,
+        payload: impl IntoIterator<Item = &'v Value>,
+    ) {
+        self.filling.push(key, payload);
+        self.pushed();
+    }
+
+    /// [`BulkLoader::push`] for an entry already in the leaf's encoding
+    /// ([`hpd_common::codec::put_values`] of the key, and of the payload).
+    fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
+        self.filling.push_encoded(key, payload);
+        self.pushed();
+    }
+
+    fn pushed(&mut self) {
+        let n = self.filling.len();
         debug_assert!(
-            entries.windows(2).all(|w| w[0].0 <= w[1].0),
-            "bulk_load requires sorted input"
+            n < 2
+                || codec::cmp_encoded(self.filling.entry(n - 2).key, self.filling.entry(n - 1).key)
+                    .is_le(),
+            "bulk load requires sorted input"
         );
-        if entries.is_empty() {
-            return Ok(BTree::new(config, alloc));
+        self.len += 1;
+        self.data_bytes += self.filling.entry(n - 1).byte_width();
+        if n == self.per_leaf {
+            self.seal_leaf();
         }
-        let per_leaf = ((config.leaf_capacity as f64 * config.bulk_fill) as usize)
-            .clamp(1, config.leaf_capacity);
-        let n_leaves = entries.len().div_ceil(per_leaf);
-        let first_page = alloc.alloc_pages(n_leaves as u64);
+    }
 
-        let mut nodes: Vec<Node> = Vec::with_capacity(n_leaves * 2);
-        let mut data_bytes = 0usize;
-        let len = entries.len();
-
-        // Build leaf level.
-        let mut chunks = entries.into_iter().peekable();
-        let mut leaf_ids: Vec<NodeId> = Vec::with_capacity(n_leaves);
-        let mut leaf_min_keys: Vec<Key> = Vec::with_capacity(n_leaves);
-        let mut i = 0u64;
-        while chunks.peek().is_some() {
-            let mut leaf_entries = Vec::with_capacity(per_leaf);
-            for _ in 0..per_leaf {
-                match chunks.next() {
-                    Some(e) => {
-                        data_bytes += e.0.byte_width() + e.1.byte_width();
-                        leaf_entries.push(e);
-                    }
-                    None => break,
-                }
-            }
-            let page = hpd_storage::PageId(first_page.0 + i);
-            i += 1;
-            let id = nodes.len();
-            leaf_min_keys.push(leaf_entries[0].0.clone());
-            nodes.push(Node::Leaf {
-                entries: leaf_entries,
-                next: None,
-                page,
-            });
-            if let Some(&prev) = leaf_ids.last() {
-                if let Node::Leaf { next, .. } = &mut nodes[prev] {
-                    *next = Some(id);
-                }
-            }
-            leaf_ids.push(id);
-            pool.write_page(page, tracker);
+    fn seal_leaf(&mut self) {
+        // Leaves are the first nodes, in order: node id = leaf number.
+        let id = self.nodes.len();
+        let page = PageId(self.first_page.0 + id as u64);
+        debug_assert!(
+            self.leaf_min_keys.last().is_none_or(|prev| self
+                .filling
+                .entry(0)
+                .cmp_key(prev)
+                .is_ge()),
+            "bulk load requires sorted input"
+        );
+        self.leaf_min_keys.push(self.filling.entry(0).to_key());
+        self.nodes.push(Node::Leaf {
+            entries: self.filling.seal(),
+            next: None,
+            page,
+        });
+        if let Some(Node::Leaf { next, .. }) = id.checked_sub(1).map(|prev| &mut self.nodes[prev]) {
+            *next = Some(id);
         }
+        self.pool.write_page(page, self.tracker);
+    }
 
-        // Build internal levels bottom-up.
-        let mut level_ids = leaf_ids;
+    /// Seal the last leaf and build the internal levels bottom-up.
+    fn finish(mut self) -> BTree {
+        assert_eq!(self.len, self.expected, "entries announced and pushed");
+        if self.len == 0 {
+            return BTree::new(self.config, self.alloc);
+        }
+        if !self.filling.is_empty() {
+            self.seal_leaf();
+        }
+        let BulkLoader {
+            config,
+            alloc,
+            pool,
+            tracker,
+            mut nodes,
+            leaf_min_keys,
+            len,
+            data_bytes,
+            ..
+        } = self;
+        let leaves = nodes.len();
+        let mut height = 1;
+        let mut level_ids: Vec<NodeId> = (0..leaves).collect();
         let mut level_keys = leaf_min_keys;
         while level_ids.len() > 1 {
             let mut next_ids = Vec::new();
@@ -169,18 +231,128 @@ impl BTree {
             }
             level_ids = next_ids;
             level_keys = next_keys;
+            height += 1;
         }
-
-        let root = level_ids[0];
-        Ok(BTree {
+        BTree {
             nodes,
-            root,
+            root: level_ids[0],
             first_leaf: 0,
             len,
             data_bytes,
+            leaves,
+            height,
             config,
             alloc,
-        })
+        }
+    }
+}
+
+/// Encoded entries collected in arrival order, to be bulk loaded in key
+/// order: what an index build gathers from the rows it is handed or lent.
+/// An entry costs its encoded bytes and four more, and the sort moves only
+/// indexes. Rows are read once, in the order they arrive — encoding them in
+/// key order instead would chase 400 k pointers across the heap.
+///
+/// The four bytes are a `u32` offset, so one run (one partition's build)
+/// holds under 4 GB of encoded entries: a push past that is dropped and
+/// [`EntryRun::bulk_load`] returns an error instead of a tree.
+#[derive(Default)]
+pub struct EntryRun {
+    entries: PackedLeaf,
+    overflowed: bool,
+}
+
+impl EntryRun {
+    /// Whether the next entry's offset (and so the entry count) fits `u32`.
+    fn has_room(&mut self) -> bool {
+        self.overflowed |= self.entries.byte_len() >= u32::MAX as usize;
+        !self.overflowed
+    }
+
+    /// Append an entry, encoding it.
+    pub fn push<'v>(
+        &mut self,
+        key: impl IntoIterator<Item = &'v Value>,
+        payload: impl IntoIterator<Item = &'v Value>,
+    ) {
+        if self.has_room() {
+            self.entries.push(key, payload);
+        }
+    }
+
+    /// Append an entry already encoded
+    /// ([`hpd_common::codec::put_values`] of its key, and of its payload).
+    pub fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
+        if self.has_room() {
+            self.entries.push_encoded(key, payload);
+        }
+    }
+
+    /// Sort by key (entries with equal keys stay in arrival order) and bulk
+    /// load.
+    pub fn bulk_load(
+        self,
+        config: BTreeConfig,
+        alloc: StorageAllocator,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Result<BTree> {
+        if self.overflowed {
+            return Err(HpdError::Constraint(
+                "a B+ tree build takes under 4 GB of encoded entries per partition".into(),
+            ));
+        }
+        let entries = &self.entries;
+        let count = u32::try_from(entries.len()).expect("every entry starts under 4 GB");
+        let mut order: Vec<u32> = (0..count).collect();
+        order.sort_by(|&a, &b| {
+            codec::cmp_encoded(entries.entry(a as usize).key, entries.entry(b as usize).key)
+        });
+        let mut loader = BulkLoader::new(config, alloc, order.len(), pool, tracker);
+        for i in order {
+            let e = entries.entry(i as usize);
+            loader.push_encoded(e.key, e.payload);
+        }
+        Ok(loader.finish())
+    }
+}
+
+impl BTree {
+    /// An empty tree.
+    pub fn new(config: BTreeConfig, alloc: StorageAllocator) -> BTree {
+        let page = alloc.alloc_page();
+        BTree {
+            nodes: vec![Node::Leaf {
+                entries: PackedLeaf::default(),
+                next: None,
+                page,
+            }],
+            root: 0,
+            first_leaf: 0,
+            len: 0,
+            data_bytes: 0,
+            leaves: 1,
+            height: 1,
+            config,
+            alloc,
+        }
+    }
+
+    /// Bulk load from entries that must already be sorted by key (stable
+    /// order among duplicates is preserved): the loader [`EntryRun`] feeds
+    /// from encoded entries, fed from owned ones.
+    pub fn bulk_load(
+        config: BTreeConfig,
+        alloc: StorageAllocator,
+        sorted: Vec<(Key, Row)>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Result<BTree> {
+        let mut loader = BulkLoader::new(config, alloc, sorted.len(), pool, tracker);
+        for (key, row) in sorted {
+            loader.push(key.values(), row.values());
+        }
+        Ok(loader.finish())
     }
 
     pub fn len(&self) -> usize {
@@ -197,24 +369,40 @@ impl BTree {
 
     /// Tree height (1 = root is a leaf).
     pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = self.root;
-        while let Node::Internal { children, .. } = &self.nodes[node] {
-            node = children[0];
-            h += 1;
-        }
-        h
+        self.height
     }
 
     pub fn stats(&self) -> BTreeStats {
-        let leaf_pages = self.nodes.iter().filter(|n| n.is_leaf()).count();
         BTreeStats {
             entries: self.len,
-            leaf_pages,
+            leaf_pages: self.leaves,
             total_pages: self.nodes.len(),
-            height: self.height(),
+            height: self.height,
             data_bytes: self.data_bytes,
         }
+    }
+
+    /// Heap bytes the tree holds: the node arena, every leaf's two vectors,
+    /// and the separator keys with their value vectors (not what a string
+    /// separator owns). Walks every node; for reports and tests.
+    pub fn heap_bytes(&self) -> usize {
+        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
+        let contents: usize = self
+            .nodes
+            .iter()
+            .map(|n| match n {
+                Node::Leaf { entries, .. } => entries.heap_bytes(),
+                Node::Internal { keys, children, .. } => {
+                    keys.capacity() * std::mem::size_of::<Key>()
+                        + keys
+                            .iter()
+                            .map(|k| std::mem::size_of_val(k.values()))
+                            .sum::<usize>()
+                        + children.capacity() * std::mem::size_of::<NodeId>()
+                }
+            })
+            .sum();
+        nodes + contents
     }
 
     /// Logical size in bytes (pages × page size).
@@ -297,8 +485,8 @@ impl BTree {
             let leaf_capacity = self.config.leaf_capacity;
             let (entries_len, page) = match &mut self.nodes[leaf] {
                 Node::Leaf { entries, page, .. } => {
-                    let pos = entries.partition_point(|(k, _)| k <= &key);
-                    entries.insert(pos, (key, row));
+                    let pos = entries.upper_bound(&key);
+                    entries.insert(pos, &key, &row);
                     (entries.len(), *page)
                 }
                 Node::Internal { .. } => unreachable!("descend_path ends at a leaf"),
@@ -341,6 +529,7 @@ impl BTree {
             page,
         });
         self.root = new_root;
+        self.height += 1;
         pool.write_page(page, tracker);
     }
 
@@ -415,18 +604,20 @@ impl BTree {
             }
             Node::Internal { .. } => unreachable!("split_leaf on internal"),
         };
-        let sep = right_entries[0].0.clone();
+        let sep = right_entries.entry(0).to_key();
         self.nodes.push(Node::Leaf {
             entries: right_entries,
             next: old_next,
             page,
         });
+        self.leaves += 1;
         pool.write_page(page, tracker);
         (sep, right_id)
     }
 
-    /// Delete the first entry equal to `key` whose payload satisfies `pred`.
-    /// Returns the removed payload, if any.
+    /// Delete the first entry equal to `key` whose payload satisfies `pred`
+    /// (which is lent each candidate decoded into one reused row). Returns
+    /// the removed payload, if any.
     pub fn delete_first_where(
         &mut self,
         key: &Key,
@@ -436,54 +627,43 @@ impl BTree {
     ) -> Option<Row> {
         let mut leaf = self.descend_lower(key, pool, tracker);
         let mut first = true;
+        let mut candidate = Row::new(Vec::new());
         loop {
-            let (found, next, page) = match &mut self.nodes[leaf] {
-                Node::Leaf {
-                    entries,
-                    next,
-                    page,
-                } => {
-                    if !first {
-                        pool.access_page(*page, tracker);
-                    }
-                    let start = entries.partition_point(|(k, _)| k < key);
-                    let mut found: Option<usize> = None;
-                    for (i, (k, r)) in entries.iter().enumerate().skip(start) {
-                        if k > key {
-                            return None;
-                        }
-                        if pred(r) {
-                            found = Some(i);
-                            break;
-                        }
-                    }
-                    (found, *next, *page)
-                }
-                Node::Internal { .. } => unreachable!("descend ends at leaf"),
+            let Node::Leaf {
+                entries,
+                next,
+                page,
+            } = &mut self.nodes[leaf]
+            else {
+                unreachable!("descend ends at leaf")
             };
+            if !first {
+                pool.access_page(*page, tracker);
+            }
             first = false;
-            if let Some(i) = found {
-                let removed = match &mut self.nodes[leaf] {
-                    Node::Leaf { entries, .. } => entries.remove(i),
-                    Node::Internal { .. } => unreachable!(),
-                };
-                self.len -= 1;
-                self.data_bytes = self
-                    .data_bytes
-                    .saturating_sub(removed.0.byte_width() + removed.1.byte_width());
-                pool.write_page(page, tracker);
-                return Some(removed.1);
+            for i in entries.lower_bound(key)..entries.len() {
+                let e = entries.entry(i);
+                if e.cmp_key(key).is_gt() {
+                    return None;
+                }
+                codec::decode_into(e.payload, candidate.values_mut());
+                if pred(&candidate) {
+                    self.len -= 1;
+                    self.data_bytes = self.data_bytes.saturating_sub(e.byte_width());
+                    entries.remove(i);
+                    pool.write_page(*page, tracker);
+                    return Some(candidate);
+                }
             }
-            match next {
-                Some(n) => leaf = n,
-                None => return None,
-            }
+            leaf = (*next)?;
         }
     }
 
-    /// Apply `f` to every payload with exactly this key; `f` returns true if
-    /// it modified the row. Returns the number of modified rows. Modified
-    /// leaves are charged as page writes.
+    /// Apply `f` to every payload with exactly this key, each decoded into
+    /// one reused row; `f` returns true if it modified the row, which is then
+    /// encoded back over the entry's payload (of whatever width). Returns
+    /// the number of modified rows. Modified leaves are charged as page
+    /// writes.
     pub fn update_where(
         &mut self,
         key: &Key,
@@ -494,43 +674,43 @@ impl BTree {
         let mut leaf = self.descend_lower(key, pool, tracker);
         let mut modified = 0;
         let mut first = true;
+        let mut row = Row::new(Vec::new());
         loop {
-            let (dirty, next, page, past_end) = match &mut self.nodes[leaf] {
-                Node::Leaf {
-                    entries,
-                    next,
-                    page,
-                } => {
-                    if !first {
-                        pool.access_page(*page, tracker);
-                    }
-                    let start = entries.partition_point(|(k, _)| k < key);
-                    let mut dirty = false;
-                    let mut past_end = entries.is_empty();
-                    for (k, r) in entries.iter_mut().skip(start) {
-                        if &*k > key {
-                            past_end = true;
-                            break;
-                        }
-                        if f(r) {
-                            modified += 1;
-                            dirty = true;
-                        }
-                    }
-                    (dirty, *next, *page, past_end)
-                }
-                Node::Internal { .. } => unreachable!(),
+            let Node::Leaf {
+                entries,
+                next,
+                page,
+            } = &mut self.nodes[leaf]
+            else {
+                unreachable!("descend ends at leaf")
             };
+            if !first {
+                pool.access_page(*page, tracker);
+            }
             first = false;
+            let mut dirty = false;
+            let mut past_end = entries.is_empty();
+            for i in entries.lower_bound(key)..entries.len() {
+                let e = entries.entry(i);
+                if e.cmp_key(key).is_gt() {
+                    past_end = true;
+                    break;
+                }
+                codec::decode_into(e.payload, row.values_mut());
+                if f(&mut row) {
+                    let old_width = codec::byte_width(e.payload);
+                    self.data_bytes = self.data_bytes - old_width + row.byte_width();
+                    entries.set_payload(i, &row);
+                    modified += 1;
+                    dirty = true;
+                }
+            }
             if dirty {
-                pool.write_page(page, tracker);
+                pool.write_page(*page, tracker);
             }
-            if past_end {
-                return modified;
-            }
-            match next {
-                Some(n) => leaf = n,
-                None => return modified,
+            match *next {
+                Some(n) if !past_end => leaf = n,
+                _ => return modified,
             }
         }
     }
@@ -544,59 +724,77 @@ impl BTree {
     pub fn seek_exact(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> Vec<Row> {
         let mut out = Vec::new();
         let mut cur = self.cursor_seek(Bound::Included(key), pool, tracker);
-        loop {
-            let mut batch = Vec::new();
-            let exhausted = self.cursor_fill(
-                &mut cur,
-                Bound::Included(key),
-                1024,
-                &mut batch,
-                pool,
-                tracker,
-            );
-            out.extend(batch.into_iter().map(|(_, r)| r));
-            if exhausted {
-                return out;
-            }
-        }
+        let hi = Bound::Included(key);
+        while !self.cursor_fill_rows(&mut cur, hi, 1024, &mut out, pool, tracker) {}
+        out
     }
 
     /// Position a cursor at the first entry ≥/> the bound (or the very first
     /// entry for `Unbounded`), charging the root-to-leaf traversal.
     pub fn cursor_seek(&self, lo: Bound<&Key>, pool: &BufferPool, tracker: &IoTracker) -> Cursor {
-        match lo {
+        let (leaf, idx) = match lo {
             Bound::Unbounded => {
-                let leaf = self.first_leaf;
-                pool.access_page(self.nodes[leaf].page(), tracker);
-                Cursor::at(leaf, 0, self.nodes[leaf].page())
+                pool.access_page(self.nodes[self.first_leaf].page(), tracker);
+                (self.first_leaf, 0)
             }
             Bound::Included(key) => {
                 let leaf = self.descend_lower(key, pool, tracker);
-                let (entries, _) = self.nodes[leaf].as_leaf();
-                let idx = entries.partition_point(|(k, _)| k < key);
-                Cursor::at(leaf, idx, self.nodes[leaf].page())
+                (leaf, self.nodes[leaf].as_leaf().0.lower_bound(key))
             }
             Bound::Excluded(key) => {
                 let leaf = self.descend_lower(key, pool, tracker);
-                let (entries, _) = self.nodes[leaf].as_leaf();
-                let idx = entries.partition_point(|(k, _)| k <= key);
-                Cursor::at(leaf, idx, self.nodes[leaf].page())
+                (leaf, self.nodes[leaf].as_leaf().0.upper_bound(key))
+            }
+        };
+        let mut cursor = Cursor::at(leaf, idx, self.nodes[leaf].page());
+        if let Bound::Excluded(key) = lo {
+            // The descent goes left on equality, so entries equal to `key`
+            // may fill the rest of this leaf and run on into the next ones:
+            // step over them now, as the first fill would step to the next
+            // leaf anyway.
+            while let Some((entries, Some(next))) = cursor.node.map(|n| self.nodes[n].as_leaf()) {
+                if cursor.idx < entries.len() {
+                    break;
+                }
+                self.cursor_advance(&mut cursor, next, pool, tracker);
+                cursor.idx = self.nodes[next].as_leaf().0.upper_bound(key);
             }
         }
+        cursor
     }
 
-    /// Pull up to `limit` entries into `out`, stopping at the upper bound.
+    /// Move `cursor` to the start of the leaf `next`, charging a sequential
+    /// or a random page access depending on physical contiguity.
+    fn cursor_advance(
+        &self,
+        cursor: &mut Cursor,
+        next: NodeId,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        let page = self.nodes[next].page();
+        if page.0 == cursor.last_page.0 + 1 {
+            pool.access_page_seq(page, tracker);
+        } else {
+            pool.access_page(page, tracker);
+        }
+        cursor.node = Some(next);
+        cursor.idx = 0;
+        cursor.last_page = page;
+    }
+
+    /// Hand up to `limit` entries to `emit`, stopping at the upper bound.
     /// Returns true when the scan is exhausted (bound reached or tree ended).
     /// Leaf-to-leaf moves charge sequential or random page accesses
     /// depending on physical contiguity.
-    pub fn cursor_fill(
-        &self,
+    fn cursor_walk<'t>(
+        &'t self,
         cursor: &mut Cursor,
         hi: Bound<&Key>,
         limit: usize,
-        out: &mut Vec<(Key, Row)>,
         pool: &BufferPool,
         tracker: &IoTracker,
+        mut emit: impl FnMut(EntryRef<'t>),
     ) -> bool {
         let mut remaining = limit;
         loop {
@@ -605,20 +803,32 @@ impl BTree {
                 None => return true,
             };
             let (entries, next) = self.nodes[node_id].as_leaf();
-            while cursor.idx < entries.len() && remaining > 0 {
-                let (k, r) = &entries[cursor.idx];
-                let in_range = match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
+            if cursor.idx < entries.len() && remaining > 0 {
+                // The entries are sorted: those within the bound are a
+                // prefix, found once per leaf (usually by looking at the last
+                // entry), not by comparing every key.
+                let n = entries.len();
+                let last = entries.entry(n - 1);
+                let end = match hi {
+                    Bound::Unbounded => n,
+                    Bound::Included(h) if last.cmp_key(h).is_le() => n,
+                    Bound::Excluded(h) if last.cmp_key(h).is_lt() => n,
+                    Bound::Included(h) => entries.upper_bound(h),
+                    Bound::Excluded(h) => entries.lower_bound(h),
                 };
-                if !in_range {
+                let stop = end
+                    .min(cursor.idx.saturating_add(remaining))
+                    .max(cursor.idx);
+                for i in cursor.idx..stop {
+                    emit(entries.entry(i));
+                }
+                remaining -= stop - cursor.idx;
+                cursor.idx = stop;
+                if remaining > 0 && cursor.idx < n {
+                    // The next entry lies beyond the bound.
                     cursor.node = None;
                     return true;
                 }
-                out.push((k.clone(), r.clone()));
-                cursor.idx += 1;
-                remaining -= 1;
             }
             if remaining == 0 {
                 // Check whether we are exactly at the end.
@@ -628,19 +838,8 @@ impl BTree {
                 }
                 return false;
             }
-            // Advance to the next leaf.
             match next {
-                Some(n) => {
-                    let page = self.nodes[n].page();
-                    if page.0 == cursor.last_page.0 + 1 {
-                        pool.access_page_seq(page, tracker);
-                    } else {
-                        pool.access_page(page, tracker);
-                    }
-                    cursor.node = Some(n);
-                    cursor.idx = 0;
-                    cursor.last_page = page;
-                }
+                Some(n) => self.cursor_advance(cursor, n, pool, tracker),
                 None => {
                     cursor.node = None;
                     return true;
@@ -649,8 +848,24 @@ impl BTree {
         }
     }
 
+    /// Pull up to `limit` entries into `out`, stopping at the upper bound.
+    /// Returns true when the scan is exhausted (bound reached or tree ended).
+    pub fn cursor_fill(
+        &self,
+        cursor: &mut Cursor,
+        hi: Bound<&Key>,
+        limit: usize,
+        out: &mut Vec<(Key, Row)>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> bool {
+        self.cursor_walk(cursor, hi, limit, pool, tracker, |e| {
+            out.push((e.to_key(), e.to_row()))
+        })
+    }
+
     /// Like [`BTree::cursor_fill`] but yields only payload rows, skipping
-    /// the per-entry key clone — the hot path for range-scan operators that
+    /// the per-entry key decode — the hot path for range-scan operators that
     /// do not need the keys.
     pub fn cursor_fill_rows(
         &self,
@@ -661,72 +876,25 @@ impl BTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> bool {
-        let mut remaining = limit;
-        loop {
-            let node_id = match cursor.node {
-                Some(n) => n,
-                None => return true,
-            };
-            let (entries, next) = self.nodes[node_id].as_leaf();
-            while cursor.idx < entries.len() && remaining > 0 {
-                let (k, r) = &entries[cursor.idx];
-                let in_range = match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
-                };
-                if !in_range {
-                    cursor.node = None;
-                    return true;
-                }
-                out.push(r.clone());
-                cursor.idx += 1;
-                remaining -= 1;
-            }
-            if remaining == 0 {
-                if cursor.idx >= entries.len() && next.is_none() {
-                    cursor.node = None;
-                    return true;
-                }
-                return false;
-            }
-            match next {
-                Some(n) => {
-                    let page = self.nodes[n].page();
-                    if page.0 == cursor.last_page.0 + 1 {
-                        pool.access_page_seq(page, tracker);
-                    } else {
-                        pool.access_page(page, tracker);
-                    }
-                    cursor.node = Some(n);
-                    cursor.idx = 0;
-                    cursor.last_page = page;
-                }
-                None => {
-                    cursor.node = None;
-                    return true;
-                }
-            }
-        }
+        self.cursor_walk(cursor, hi, limit, pool, tracker, |e| out.push(e.to_row()))
     }
 
-    /// Hand every entry, in key order, to `f` by reference — the whole-index
-    /// read of index builds and checkpoints, which copy out only what they
-    /// keep. Charges exactly the page accesses of an unbounded cursor scan.
-    pub fn for_each_entry(
+    /// Hand every entry, in key order, to `f` in its encoded form (see
+    /// [`EntryRef`]) — the whole-index read of B+ tree builds and
+    /// checkpoints, which copy bytes and decode nothing. Charges exactly the
+    /// page accesses of an unbounded cursor scan.
+    pub fn for_each_encoded_entry(
         &self,
         pool: &BufferPool,
         tracker: &IoTracker,
-        mut f: impl FnMut(&Key, &Row),
+        mut f: impl FnMut(EntryRef<'_>),
     ) {
         let mut leaf = self.first_leaf;
         let mut last_page = self.nodes[leaf].page();
         pool.access_page(last_page, tracker);
         loop {
             let (entries, next) = self.nodes[leaf].as_leaf();
-            for (k, r) in entries {
-                f(k, r);
-            }
+            entries.iter().for_each(&mut f);
             let Some(n) = next else {
                 return;
             };
@@ -739,6 +907,24 @@ impl BTree {
             leaf = n;
             last_page = page;
         }
+    }
+
+    /// [`BTree::for_each_encoded_entry`] with every entry decoded into one
+    /// reused key and one reused row, lent to `f`: nothing is allocated per
+    /// entry but what its strings need.
+    pub fn for_each_entry(
+        &self,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        mut f: impl FnMut(&Key, &Row),
+    ) {
+        let mut key = Key::new(Vec::new());
+        let mut row = Row::new(Vec::new());
+        self.for_each_encoded_entry(pool, tracker, |e| {
+            codec::decode_into(e.key, key.values_mut());
+            codec::decode_into(e.payload, row.values_mut());
+            f(&key, &row);
+        });
     }
 
     /// Convenience: collect an entire key range (tests and small scans).
@@ -758,30 +944,43 @@ impl BTree {
     /// Verify structural invariants; used by tests. Returns an error
     /// describing the first violation found.
     pub fn check_invariants(&self) -> Result<()> {
+        let fail = |m: String| Err(HpdError::Internal(m));
         // Keys within each leaf are sorted; leaf chain is globally sorted.
         let mut leaf = Some(self.first_leaf);
         let mut prev: Option<Key> = None;
-        let mut count = 0usize;
+        let (mut count, mut leaves, mut data_bytes) = (0usize, 0usize, 0usize);
         while let Some(id) = leaf {
             let (entries, next) = self.nodes[id].as_leaf();
-            for (k, _) in entries {
+            for e in entries.iter() {
+                let k = e.to_key();
                 if let Some(p) = &prev {
-                    if p > k {
-                        return Err(HpdError::Internal(format!(
-                            "leaf chain out of order: {p:?} > {k:?}"
-                        )));
+                    if p > &k {
+                        return fail(format!("leaf chain out of order: {p:?} > {k:?}"));
                     }
                 }
-                prev = Some(k.clone());
+                prev = Some(k);
                 count += 1;
+                data_bytes += e.byte_width();
             }
+            leaves += 1;
             leaf = next;
         }
         if count != self.len {
-            return Err(HpdError::Internal(format!(
-                "leaf chain count {count} != len {}",
-                self.len
-            )));
+            return fail(format!("leaf chain count {count} != len {}", self.len));
+        }
+        if data_bytes != self.data_bytes {
+            return fail(format!(
+                "entries weigh {data_bytes} bytes, data_bytes says {}",
+                self.data_bytes
+            ));
+        }
+        // The counters `stats()` answers from equal what a walk finds.
+        let walked_leaves = self.nodes.iter().filter(|n| n.is_leaf()).count();
+        if (leaves, walked_leaves) != (self.leaves, self.leaves) {
+            return fail(format!(
+                "{leaves} leaves chained, {walked_leaves} in the arena, counter says {}",
+                self.leaves
+            ));
         }
         // Every node reachable from the root is in-bounds and leaf depth is
         // uniform.
@@ -807,7 +1006,10 @@ impl BTree {
                 }
             }
         }
-        depth_check(self, self.root).map_err(HpdError::Internal)?;
+        let height = depth_check(self, self.root).map_err(HpdError::Internal)?;
+        if height != self.height {
+            return fail(format!("height {height}, counter says {}", self.height));
+        }
         Ok(())
     }
 }

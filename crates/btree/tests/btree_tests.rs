@@ -432,3 +432,82 @@ fn duplicate_separator_split_placement_regression() {
     expected.sort_unstable();
     assert_eq!(all, expected);
 }
+
+/// A run of equal keys that crosses leaf boundaries: a scan from
+/// `Excluded(key)` must start after all of them. (The seek lands in the
+/// leftmost leaf holding the key; up to PR 18 it stepped to the next leaf's
+/// first entry without looking at its key. Found by the model test.)
+#[test]
+fn excluded_lower_bound_skips_duplicates_that_span_leaves() {
+    let p = pool();
+    let t = IoTracker::new();
+    let mut tree = BTree::new(small_config(), StorageAllocator::new());
+    for k in [1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 9] {
+        let (key, row) = kv(k);
+        tree.insert(key, row, &p, &t);
+    }
+    assert!(tree.stats().leaf_pages >= 3);
+    let five = Key::single(Value::Int32(5));
+    let after: Vec<i32> = tree
+        .scan_range_collect(Bound::Excluded(&five), Bound::Unbounded, &p, &t)
+        .into_iter()
+        .map(|(k, _)| k.values()[0].as_i32().unwrap())
+        .collect();
+    assert_eq!(after, vec![9]);
+    let none = tree.scan_range_collect(Bound::Excluded(&five), Bound::Included(&five), &p, &t);
+    assert!(none.is_empty());
+}
+
+#[test]
+fn data_bytes_follow_updates_that_change_a_payloads_width() {
+    let p = pool();
+    let t = IoTracker::new();
+    let entry = |k: i32, s: &str| {
+        (
+            Key::single(Value::Int32(k)),
+            Row::new(vec![Value::Int32(k), Value::str(s)]),
+        )
+    };
+    let mut tree = BTree::new(small_config(), StorageAllocator::new());
+    for k in 0..40 {
+        let (key, row) = entry(k, "medium");
+        tree.insert(key, row, &p, &t);
+    }
+    let rewrite = |tree: &mut BTree, k: i32, s: &str| {
+        let n = tree.update_where(
+            &Key::single(Value::Int32(k)),
+            |r| {
+                r.set(1, Value::str(s));
+                true
+            },
+            &p,
+            &t,
+        );
+        assert_eq!(n, 1);
+    };
+    let longer = "a considerably longer string than before".repeat(20);
+    rewrite(&mut tree, 7, &longer);
+    rewrite(&mut tree, 8, "");
+    rewrite(&mut tree, 9, "sixsix");
+    tree.check_invariants().unwrap();
+    let rebuilt = BTree::bulk_load(
+        small_config(),
+        StorageAllocator::new(),
+        tree.scan_range_collect(Bound::Unbounded, Bound::Unbounded, &p, &t),
+        &p,
+        &t,
+    )
+    .unwrap();
+    assert_eq!(tree.stats().data_bytes, rebuilt.stats().data_bytes);
+    let expected: usize = (0..40)
+        .map(|k| {
+            8 + 2
+                + match k {
+                    7 => longer.len(),
+                    8 => 0,
+                    _ => 6,
+                }
+        })
+        .sum();
+    assert_eq!(tree.stats().data_bytes, expected);
+}

@@ -11,6 +11,7 @@
 
 pub mod batch;
 pub mod bitmap;
+pub mod codec;
 pub mod error;
 pub mod expr;
 pub mod faults;
@@ -21,6 +22,7 @@ pub mod types;
 
 pub use batch::{Batch, ColumnVector};
 pub use bitmap::SelBitmap;
+pub use codec::ValueRef;
 pub use error::{HpdError, Result};
 pub use expr::{AggFunc, BinOp, CmpOp, Expr};
 pub use interval::Interval;

@@ -21,6 +21,11 @@ impl Row {
         self.values
     }
 
+    /// The values, for a caller that refills one scratch row in place.
+    pub fn values_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.values
+    }
+
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -87,6 +92,11 @@ impl Key {
 
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The values, for a caller that refills one scratch key in place.
+    pub fn values_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.values
     }
 
     pub fn len(&self) -> usize {

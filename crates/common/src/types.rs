@@ -199,17 +199,6 @@ impl Value {
             DataType::Utf8 => None,
         }
     }
-
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Int32(_) => 0,
-            Value::Int64(_) => 1,
-            Value::Float64(_) => 2,
-            Value::Decimal(_) => 3,
-            Value::Date(_) => 4,
-            Value::Str(_) => 5,
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -220,32 +209,10 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+// `Ord` is in `crate::codec`, beside the same order on encoded values.
 impl PartialOrd for Value {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-impl Ord for Value {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use Value::*;
-        match (self, other) {
-            (Int32(a), Int32(b)) => a.cmp(b),
-            (Int64(a), Int64(b)) => a.cmp(b),
-            (Float64(a), Float64(b)) => a.total_cmp(b),
-            (Decimal(a), Decimal(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.cmp(b),
-            // Mixed numeric comparisons promote to i64 / f64 so that
-            // predicates like `int32_col < Int64(5)` behave naturally.
-            (Int32(a), Int64(b)) => i64::from(*a).cmp(b),
-            (Int64(a), Int32(b)) => a.cmp(&i64::from(*b)),
-            (Int32(a), Float64(b)) => f64::from(*a).total_cmp(b),
-            (Float64(a), Int32(b)) => a.total_cmp(&f64::from(*b)),
-            (Int64(a), Float64(b)) => (*a as f64).total_cmp(b),
-            (Float64(a), Int64(b)) => a.total_cmp(&(*b as f64)),
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
-        }
     }
 }
 

@@ -512,8 +512,8 @@ impl Database {
             return Err(HpdError::Crashed(faults::sites::CRASH_IN_CHECKPOINT.into()));
         }
         // The image is written table by table into the buffer of the image
-        // the last checkpoint retired; each table's rows are encoded as its
-        // primary index lends them.
+        // the last checkpoint retired; each table's rows are copied in as its
+        // primary index lends them, already encoded.
         let mut image =
             ImageWriter::new(self.wal.take_spare_image(), begin_lsn, self.txns.ts_hwm());
         for slot in &slots {
@@ -558,7 +558,7 @@ impl Database {
                 applied_lsn: slot.applied_lsn.load(Ordering::Relaxed),
             };
             image.table(&entry, |sink| {
-                table.for_each_row(&self.pool, &tracker, sink)
+                table.for_each_encoded_row(&self.pool, &tracker, sink)
             });
         }
         let table_count = slots.len();

@@ -8,7 +8,7 @@
 //! elimination will work (≈0 for data sorted on that column, ≈1 for random
 //! arrival order).
 
-use hpd_common::{Interval, Row, Value};
+use hpd_common::{ColumnVector, Interval, Row, Value};
 
 /// Number of histogram buckets.
 const BUCKETS: usize = 64;
@@ -27,6 +27,24 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
+    /// Statistics of a column of `n > 0` values, `sorted(i)` being the `i`th
+    /// smallest.
+    fn of_sorted(n: usize, clustering_fraction: f64, sorted: impl Fn(usize) -> Value) -> Self {
+        let distinct = 1 + (1..n).filter(|&i| sorted(i - 1) != sorted(i)).count();
+        let mut bucket_bounds = Vec::with_capacity(BUCKETS);
+        for b in 1..=BUCKETS {
+            bucket_bounds.push(sorted((b * n / BUCKETS).saturating_sub(1)));
+        }
+        bucket_bounds.dedup();
+        ColumnStats {
+            min: Some(sorted(0)),
+            max: Some(sorted(n - 1)),
+            distinct,
+            bucket_bounds,
+            clustering_fraction,
+        }
+    }
+
     /// Estimated fraction of rows with values in `interval` (0..=1).
     pub fn selectivity(&self, interval: &Interval, rows: usize) -> f64 {
         if rows == 0 {
@@ -120,43 +138,34 @@ impl TableStats {
         if rows.is_empty() {
             return TableStats::empty(n_columns);
         }
+        let n = rows.len();
         let mut columns = Vec::with_capacity(n_columns);
         for c in 0..n_columns {
-            let mut vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-
-            // Clustering fraction from arrival-order blocks, before sorting.
-            let clustering_fraction = clustering_fraction(&vals, block_rows);
-
-            vals.sort_unstable();
-            let distinct = {
-                let mut d = 1;
-                for w in vals.windows(2) {
-                    if w[0] != w[1] {
-                        d += 1;
-                    }
+            // The column as a typed vector: 4 or 8 bytes a value beside the
+            // rows it was read from (a bulk load holds those and its log
+            // record too), sorted as machine integers, not as 24-byte tagged
+            // values.
+            let mut typed = ColumnVector::with_capacity(rows[0][c].data_type(), n);
+            columns.push(if rows.iter().all(|r| typed.push(&r[c]).is_ok()) {
+                // Clustering fraction from arrival-order blocks, before sorting.
+                let clustering = clustering_fraction(n, block_rows, |i| typed.value(i));
+                match &mut typed {
+                    ColumnVector::Int32(v) | ColumnVector::Date(v) => v.sort_unstable(),
+                    ColumnVector::Int64(v) | ColumnVector::Decimal(v) => v.sort_unstable(),
+                    ColumnVector::Float64(v) => v.sort_unstable_by(f64::total_cmp),
+                    ColumnVector::Str(v) => v.sort_unstable(),
                 }
-                d
-            };
-            let min = vals.first().cloned();
-            let max = vals.last().cloned();
-            let mut bucket_bounds = Vec::with_capacity(BUCKETS);
-            for b in 1..=BUCKETS {
-                let idx = (b * vals.len() / BUCKETS).saturating_sub(1);
-                bucket_bounds.push(vals[idx].clone());
-            }
-            bucket_bounds.dedup();
-            columns.push(ColumnStats {
-                min,
-                max,
-                distinct,
-                bucket_bounds,
-                clustering_fraction,
+                ColumnStats::of_sorted(n, clustering, |i| typed.value(i))
+            } else {
+                // A column that mixes types (no schema admits one): ordered
+                // as `Value`s compare across types.
+                let mut vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                let clustering = clustering_fraction(n, block_rows, |i| vals[i].clone());
+                vals.sort_unstable();
+                ColumnStats::of_sorted(n, clustering, |i| vals[i].clone())
             });
         }
-        TableStats {
-            rows: rows.len(),
-            columns,
-        }
+        TableStats { rows: n, columns }
     }
 
     /// Estimated selectivity of a conjunctive predicate given its extracted
@@ -185,30 +194,24 @@ impl TableStats {
     }
 }
 
-/// Average fraction of the total value domain spanned by each arrival block.
-fn clustering_fraction(vals: &[Value], block_rows: usize) -> f64 {
-    let Some((total_min, total_max)) = vals.iter().fold(None::<(f64, f64)>, |acc, v| {
-        let f = v.as_f64().unwrap_or(0.0);
-        Some(match acc {
-            None => (f, f),
-            Some((lo, hi)) => (lo.min(f), hi.max(f)),
+/// Average fraction of the total value domain spanned by each arrival block
+/// of a column of `n` values, `value(i)` being the `i`th to arrive.
+fn clustering_fraction(n: usize, block_rows: usize, value: impl Fn(usize) -> Value) -> f64 {
+    let span = |range: std::ops::Range<usize>| {
+        range.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+            let f = value(i).as_f64().unwrap_or(0.0);
+            (lo.min(f), hi.max(f))
         })
-    }) else {
-        return 1.0;
     };
+    let (total_min, total_max) = span(0..n);
     let total_span = total_max - total_min;
     if total_span <= 0.0 {
         return 0.0;
     }
     let block = block_rows.max(1);
     let mut fractions = Vec::new();
-    for chunk in vals.chunks(block) {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in chunk {
-            let f = v.as_f64().unwrap_or(0.0);
-            lo = lo.min(f);
-            hi = hi.max(f);
-        }
+    for start in (0..n).step_by(block) {
+        let (lo, hi) = span(start..n.min(start + block));
         fractions.push((hi - lo) / total_span);
     }
     fractions.iter().sum::<f64>() / fractions.len() as f64
@@ -291,6 +294,30 @@ mod tests {
         assert_eq!(stats.rows, 0);
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(stats.columns[0].selectivity(&Interval::all(), 0), 0.0);
+    }
+
+    #[test]
+    fn a_column_that_mixes_types_is_ordered_as_values_compare() {
+        let column = |value: fn(i32) -> Value| -> Vec<Row> {
+            (0..1000)
+                .map(|i| Row::new(vec![value(i * 7 % 250)]))
+                .collect()
+        };
+        let typed = TableStats::analyze(&column(|v| Value::Int64(v.into())), 1, 100);
+        let mixed = TableStats::analyze(
+            &column(|v| match v % 2 {
+                0 => Value::Int64(v.into()),
+                _ => Value::Int32(v),
+            }),
+            1,
+            100,
+        );
+        let (typed, mixed) = (&typed.columns[0], &mixed.columns[0]);
+        assert_eq!(typed.distinct, 250);
+        assert_eq!(mixed.distinct, typed.distinct);
+        assert_eq!((&mixed.min, &mixed.max), (&typed.min, &typed.max));
+        assert_eq!(mixed.bucket_bounds, typed.bucket_bounds);
+        assert_eq!(mixed.clustering_fraction, typed.clustering_fraction);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 
 use std::collections::HashMap;
 
-use hpd_btree::{BTree, BTreeConfig};
+use hpd_btree::{BTree, BTreeConfig, EntryRun};
 use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
-use hpd_common::{Expr, HpdError, Key, Result, Row, Schema};
+use hpd_common::{codec, Batch, Expr, HpdError, Key, Result, Row, Schema};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
@@ -117,6 +117,21 @@ pub(crate) struct TableMaintStep {
     /// Source rowgroups eliminated by merge-compaction.
     pub rowgroups_merged: usize,
     pub done: bool,
+}
+
+/// Hand every batch of a full scan of `csi`, all columns, to `f`.
+fn for_each_batch(
+    csi: &ColumnStoreIndex,
+    schema: &Schema,
+    pool: &BufferPool,
+    tracker: &IoTracker,
+    mut f: impl FnMut(&Batch),
+) {
+    let all: Vec<usize> = (0..schema.len()).collect();
+    let mut scan = csi.begin_scan(all, HashMap::new(), pool, tracker);
+    while let Some(batch) = scan.next_batch(pool, tracker) {
+        f(&batch);
+    }
 }
 
 fn stored_columns(keys: &[usize], includes: &[usize], pk: &[usize]) -> Vec<usize> {
@@ -260,9 +275,10 @@ impl TablePart {
     }
 
     /// Replace this part's contents with `rows` (primary rebuilt, existing
-    /// secondaries rebuilt from their descriptors). The rows move into a
-    /// B+ tree primary's leaves; the secondaries then read them back from
-    /// the new primary, by reference.
+    /// secondaries rebuilt from their descriptors). A B+ tree primary
+    /// encodes each row into a run of entries and frees it, then sorts and
+    /// loads the run; the secondaries then read the rows back from the new
+    /// primary, by reference.
     #[allow(clippy::too_many_arguments)]
     fn bulk_load(
         &mut self,
@@ -276,14 +292,16 @@ impl TablePart {
     ) -> Result<()> {
         match &mut self.primary {
             PrimaryIndex::BTree(tree) => {
-                let mut entries: Vec<(Key, Row)> =
-                    rows.into_iter().map(|r| (r.key(pk), r)).collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                // Each row is encoded as it arrives and freed; the run
+                // sorts itself (stably: equal keys keep arrival order).
+                let mut run = EntryRun::default();
+                for row in rows {
+                    run.push(pk.iter().map(|&c| &row[c]), row.values());
+                }
                 let entry_width = schema.row_width() + 16;
-                *tree = BTree::bulk_load(
+                *tree = run.bulk_load(
                     BTreeConfig::for_entry_width(entry_width),
                     alloc.clone(),
-                    entries,
                     pool,
                     tracker,
                 )?;
@@ -312,10 +330,9 @@ impl TablePart {
     }
 
     /// Hand every current row of this part to `f`, by reference, in
-    /// primary-index order: a B+ tree lends its leaf entries (charging a
-    /// full cursor scan), a columnstore decodes one batch at a time and
-    /// lends each of its rows in turn. Index builds and checkpoints read
-    /// the part through this and copy out only what they keep.
+    /// primary-index order: a B+ tree decodes each leaf entry into one
+    /// reused row (charging a full cursor scan), a columnstore decodes one
+    /// batch at a time and lends each of its rows in turn.
     pub fn for_each_row(
         &self,
         schema: &Schema,
@@ -325,20 +342,48 @@ impl TablePart {
     ) {
         match &self.primary {
             PrimaryIndex::BTree(tree) => tree.for_each_entry(pool, tracker, |_, row| f(row)),
-            PrimaryIndex::Csi(csi) => {
-                let all: Vec<usize> = (0..schema.len()).collect();
-                let mut scan = csi.begin_scan(all, HashMap::new(), pool, tracker);
-                while let Some(batch) = scan.next_batch(pool, tracker) {
-                    for i in 0..batch.num_rows() {
-                        f(&batch.row(i));
-                    }
+            PrimaryIndex::Csi(csi) => for_each_batch(csi, schema, pool, tracker, |batch| {
+                for i in 0..batch.num_rows() {
+                    f(&batch.row(i));
                 }
+            }),
+        }
+    }
+
+    /// [`TablePart::for_each_row`] with every row in its encoded form
+    /// ([`codec::put_values`]), same order, same page charges: a B+ tree
+    /// lends its leaf payloads as they stand, a columnstore encodes each
+    /// batch row into one reused buffer. What a checkpoint and a B+ tree
+    /// build read the part through — both copy bytes and decode nothing.
+    pub fn for_each_encoded_row(
+        &self,
+        schema: &Schema,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        f: &mut dyn FnMut(&[u8]),
+    ) {
+        match &self.primary {
+            PrimaryIndex::BTree(tree) => {
+                tree.for_each_encoded_entry(pool, tracker, |e| f(e.payload));
+            }
+            PrimaryIndex::Csi(csi) => {
+                let mut encoded = Vec::new();
+                for_each_batch(csi, schema, pool, tracker, |batch| {
+                    for i in 0..batch.num_rows() {
+                        encoded.clear();
+                        for column in batch.columns() {
+                            codec::put_value(&mut encoded, (&column.value(i)).into());
+                        }
+                        f(&encoded);
+                    }
+                });
             }
         }
     }
 
-    /// Build a secondary B+ tree over this part's current rows, its entries
-    /// projected straight from the rows the primary lends.
+    /// Build a secondary B+ tree over this part's current rows: each entry
+    /// is the byte ranges of its columns copied out of the encoded row the
+    /// primary lends, and the entries are sorted as bytes.
     #[allow(clippy::too_many_arguments)]
     fn add_secondary_btree(
         &mut self,
@@ -351,20 +396,28 @@ impl TablePart {
         tracker: &IoTracker,
     ) -> Result<()> {
         let stored = stored_columns(&keys, &includes, pk);
-        let mut entries: Vec<(Key, Row)> = Vec::with_capacity(self.row_count());
-        self.for_each_row(schema, pool, tracker, &mut |r| {
-            entries.push((r.key(&keys), r.project(&stored)));
+        let mut run = EntryRun::default();
+        let (mut spans, mut key, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+        self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
+            codec::value_spans(row, &mut spans);
+            let project = |out: &mut Vec<u8>, columns: &[usize]| {
+                out.clear();
+                for &c in columns {
+                    out.extend_from_slice(&row[spans[c].clone()]);
+                }
+            };
+            project(&mut key, &keys);
+            project(&mut payload, &stored);
+            run.push_encoded(&key, &payload);
         });
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
         let entry_width: usize = stored
             .iter()
             .map(|&c| schema.column(c).dtype.fixed_width())
             .sum::<usize>()
             + keys.len() * 8;
-        let tree = BTree::bulk_load(
+        let tree = run.bulk_load(
             BTreeConfig::for_entry_width(entry_width),
             alloc.clone(),
-            entries,
             pool,
             tracker,
         )?;
@@ -1106,6 +1159,19 @@ impl Table {
     pub fn for_each_row(&self, pool: &BufferPool, tracker: &IoTracker, f: &mut dyn FnMut(&Row)) {
         for part in &self.parts {
             part.for_each_row(&self.schema, pool, tracker, f);
+        }
+    }
+
+    /// Hand every current row to `f` in its encoded form, partitions in
+    /// order (see [`TablePart::for_each_encoded_row`]).
+    pub fn for_each_encoded_row(
+        &self,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        f: &mut dyn FnMut(&[u8]),
+    ) {
+        for part in &self.parts {
+            part.for_each_encoded_row(&self.schema, pool, tracker, f);
         }
     }
 

@@ -1,8 +1,9 @@
 //! Allocation budgets of the write side, counted by a global allocator on
 //! the test's own thread: a checkpoint's allocations do not grow with the
-//! table, a steady-state checkpoint allocates no image buffer, and a
-//! secondary columnstore build never holds more than a row group of
-//! uncompressed values.
+//! table, a steady-state checkpoint allocates no image buffer, a secondary
+//! columnstore build never holds more than a row group of uncompressed
+//! values, a B+ tree build allocates per leaf and not per row, and a
+//! `lineitem` row costs under 80 heap bytes in its primary B+ tree.
 
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor};
@@ -162,4 +163,124 @@ fn secondary_csi_build_holds_one_rowgroup_of_uncompressed_values() {
     // Eight times the rows: the same working memory, give or take the
     // growth steps of the finished index's own vectors.
     assert!(over[1] <= over[0] + 2 * rowgroup, "{over:?}");
+}
+
+/// Leaves a B+ tree over `rows` rows of `entry_width`-byte entries has.
+fn leaves(rows: usize, entry_width: usize) -> usize {
+    rows.div_ceil(hpd_btree::BTreeConfig::for_entry_width(entry_width).leaf_capacity)
+}
+
+#[test]
+fn btree_builds_allocate_per_leaf_not_per_row() {
+    let secondary = IndexDescriptor::SecondaryBTree {
+        keys: vec![1],
+        includes: vec![],
+    };
+    for rows in [3_000, 48_000] {
+        let db = Database::new(config(4_096));
+        db.create_table(
+            "t",
+            schema(),
+            vec![0],
+            IndexDescriptor::PrimaryBTree { keys: vec![0] },
+        )
+        .unwrap();
+        // Arrival order is not key order: the load has to sort.
+        let input: Vec<Row> = (0..rows).map(|i| row((i * 7_919) % rows)).collect();
+        let load = measure(|| db.load_table("t", input).unwrap());
+        let build = measure(|| db.create_index("t", &secondary).unwrap());
+        let (primary_leaves, secondary_leaves) = db
+            .with_table("t", |t| {
+                let part = t.part(0);
+                (
+                    part.primary().as_btree().unwrap().stats().leaf_pages,
+                    part.secondaries()[0].tree.stats().leaf_pages,
+                )
+            })
+            .unwrap();
+        // (id, grp, val, tag) entries of 32 + 16 bytes, (grp, id) entries of
+        // 8 + 8: what `TablePart` configures the two trees with.
+        let rows = rows as usize;
+        assert_eq!(primary_leaves, leaves(rows, 48));
+        assert_eq!(secondary_leaves, leaves(rows, 16));
+        // Per leaf: its two vectors, its first key (one vector, and one
+        // string when the key has one) and that key's copy in the level
+        // above. Per build: the log record, the statistics' and the sort's
+        // scratch vectors, and the doubling steps of the node arena, the
+        // buffer pool's page table and the builder's scratch leaf.
+        let budget = |leaves: usize| 120 + 5 * leaves as u64;
+        assert!(
+            load.allocations() <= budget(primary_leaves),
+            "{rows} rows, {primary_leaves} leaves: load made {} allocations",
+            load.allocations()
+        );
+        assert!(
+            build.allocations() <= budget(secondary_leaves),
+            "{rows} rows, {secondary_leaves} leaves: build made {} allocations",
+            build.allocations()
+        );
+    }
+}
+
+#[test]
+fn a_lineitem_row_costs_under_eighty_heap_bytes_in_the_primary() {
+    // TPC-H `lineitem` as `hpd_workloads::tpch` shapes it: 44 bytes a row
+    // (52 with its key again, as `data_bytes` counts an entry).
+    let schema = Schema::from_pairs(&[
+        ("l_orderkey", DataType::Int32),
+        ("l_linenumber", DataType::Int32),
+        ("l_quantity", DataType::Decimal),
+        ("l_extendedprice", DataType::Decimal),
+        ("l_discount", DataType::Decimal),
+        ("l_shipdate", DataType::Date),
+        ("l_suppkey", DataType::Int32),
+        ("l_partkey", DataType::Int32),
+    ]);
+    const ROWS: i32 = 50_000;
+    let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
+    let tracker = hpd_storage::IoTracker::new();
+    let mut table = hpd_engine::Table::create(
+        "lineitem",
+        schema,
+        vec![0, 1],
+        &IndexDescriptor::PrimaryBTree { keys: vec![0, 1] },
+        config(4_096).csi,
+        hpd_storage::StorageAllocator::new(),
+    )
+    .unwrap();
+    // The rows are made and consumed inside the region: what it leaves live
+    // is the table.
+    let region = measure(|| {
+        let rows = (0..ROWS)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int32(i / 4 + 1),
+                    Value::Int32(i % 4 + 1),
+                    Value::Decimal(i64::from(i % 50 + 1) * 10_000),
+                    Value::Decimal(i64::from(i) * 1_234 + 9_000_000),
+                    Value::Decimal(i64::from(i % 11) * 100),
+                    Value::Date(i % 2_500),
+                    Value::Int32(i % 10_000),
+                    Value::Int32((i * 31) % 200_000),
+                ])
+            })
+            .collect();
+        table.bulk_load(rows, &pool, &tracker).unwrap();
+    });
+    let tree = table.part(0).primary().as_btree().unwrap();
+    assert_eq!(tree.stats().data_bytes, 52 * ROWS as usize);
+    let per_row = region.left_live() as f64 / f64::from(ROWS);
+    // An entry is 1 + 10 + 52 bytes (key length, two tagged key values,
+    // eight tagged row values) and a 4-byte offset; `Vec<(Key, Row)>` held
+    // 288.
+    assert!(per_row <= 80.0, "{per_row:.1} heap bytes per row");
+    // All of it but the table's statistics is the tree's, and the tree's own
+    // account of itself agrees with the allocator's.
+    let unaccounted = region.left_live() - tree.heap_bytes() as i64;
+    assert!(
+        (0..64 << 10).contains(&unaccounted),
+        "the tree counts {} of {} live bytes",
+        tree.heap_bytes(),
+        region.left_live()
+    );
 }

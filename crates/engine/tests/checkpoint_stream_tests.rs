@@ -3,7 +3,7 @@
 //! consistent (boundary, rows) snapshot per table, and a crash in the middle
 //! leaves the previous image in place.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 
 use hpd_common::{faults, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
 use hpd_engine::{
@@ -203,6 +203,15 @@ fn for_each_row_lends_what_scan_all_rows_copies() {
                 lend.snapshot().logical_reads > 0,
                 "{name}: the read is charged"
             );
+            // The same rows, same order, same charges, as encoded bytes — a
+            // B+ tree part lends its leaves' own, a columnstore part encodes.
+            let encoded = IoTracker::new();
+            let mut decoded = Vec::new();
+            t.for_each_encoded_row(db.pool(), &encoded, &mut |bytes| {
+                decoded.push(Row::new(hpd_common::codec::decode(bytes)));
+            });
+            assert_eq!(format!("{decoded:?}"), format!("{lent:?}"), "{name}");
+            assert_eq!(encoded.snapshot(), copy.snapshot(), "{name}");
         })
         .unwrap();
     }
@@ -279,6 +288,12 @@ fn boundary_and_rows_are_one_snapshot_under_concurrent_commits() {
     // table's redo boundary were read apart from its rows, redo would either
     // repeat an insert the rows already hold (a duplicate key — the B+ tree
     // allows them) or skip one they lack (a gap).
+    //
+    // The two threads meet twice: the first checkpoint waits for the
+    // writer's first commit, and the checkpoints go on until the writer has
+    // committed all of its rows, so every run checkpoints a table that is
+    // being written, however the threads are scheduled.
+    const ROWS: i32 = 2_000;
     let cfg = DbConfig::default();
     let db = Database::new(cfg.clone());
     db.create_table(
@@ -288,17 +303,22 @@ fn boundary_and_rows_are_one_snapshot_under_concurrent_commits() {
         IndexDescriptor::PrimaryBTree { keys: vec![0] },
     )
     .unwrap();
-    let stop = AtomicBool::new(false);
+    let committed = AtomicI32::new(0);
+    let (first_commit, first_committed) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
-        let writer = s.spawn(|| {
-            let mut k = 0;
-            while !stop.load(Ordering::SeqCst) {
+        s.spawn(|| {
+            for k in 0..ROWS {
                 insert(&db, "pt", narrow_row(k));
-                k += 1;
+                committed.store(k + 1, Ordering::SeqCst);
+                if k == 0 {
+                    first_commit.send(()).unwrap();
+                }
             }
-            k
         });
-        for _ in 0..25 {
+        first_committed.recv().unwrap();
+        let mut checkpoints_while_writing = 0;
+        loop {
+            let before = committed.load(Ordering::SeqCst);
             db.checkpoint().unwrap();
             let recovered = Database::recover(cfg.clone(), db.wal_durable()).unwrap();
             let q = SelectQuery::single_table("pt", None, vec![0]);
@@ -316,8 +336,12 @@ fn boundary_and_rows_are_one_snapshot_under_concurrent_commits() {
             keys.sort_unstable();
             let n = keys.len() as i32;
             assert_eq!(keys, (0..n).collect::<Vec<_>>());
+            assert!(n >= before, "{before} rows were committed, {n} recovered");
+            if before == ROWS {
+                break;
+            }
+            checkpoints_while_writing += 1;
         }
-        stop.store(true, Ordering::SeqCst);
-        assert!(writer.join().unwrap() > 0);
+        assert!(checkpoints_while_writing > 0);
     });
 }

@@ -14,7 +14,9 @@
 use hpd_common::{HpdError, Result, Row, Schema};
 
 use crate::frame::{append_frame_with, seal_frame, FrameReader, FRAME_HEADER};
-use crate::record::{encode_bulk_load, put_u32, put_u64, LogRecord, WalIndexDef, WalPartitioning};
+use crate::record::{
+    encode_bulk_load, feed_encoded, put_u32, put_u64, LogRecord, WalIndexDef, WalPartitioning,
+};
 
 /// One partition's physical design inside a [`TableEntry`].
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +67,10 @@ pub struct CheckpointImage {
 /// The one encoder of the image format. It writes the CRC-framed byte form
 /// straight into its output buffer — every frame, the outer one included,
 /// has its header reserved and filled in once its payload is complete — and
-/// takes each table's rows as a stream of borrows, so neither the rows nor
-/// any frame is ever held a second time.
+/// takes each table's rows as a stream of borrowed, already encoded rows
+/// ([`hpd_common::codec::put_values`]: what a B+ tree leaf holds), so a row
+/// is copied into the image as bytes and neither the rows nor any frame is
+/// ever held a second time.
 ///
 /// Each table goes through the record codec as synthetic
 /// `TableCreate`/`IndexCreate`/`PartitionDesignChange`/`BulkLoad` frames —
@@ -93,8 +97,8 @@ impl ImageWriter {
     }
 
     /// Append the next table: its catalog entry, then the rows `rows` hands
-    /// over one at a time.
-    pub fn table(&mut self, entry: &TableEntry, rows: impl FnOnce(&mut dyn FnMut(&Row))) {
+    /// over one at a time, each as its values' encoding.
+    pub fn table(&mut self, entry: &TableEntry, rows: impl FnOnce(&mut dyn FnMut(&[u8]))) {
         let table = self.tables;
         self.tables += 1;
         let buf = &mut self.buf;
@@ -149,7 +153,7 @@ impl CheckpointImage {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ImageWriter::new(Vec::new(), self.begin_lsn, self.next_ts);
         for t in &self.tables {
-            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
+            w.table(&t.entry, |sink| feed_encoded(&t.rows, sink));
         }
         w.finish()
     }
@@ -367,7 +371,7 @@ mod tests {
         let (ptr, cap) = (recycled.as_ptr(), recycled.capacity());
         let mut w = ImageWriter::new(recycled, img.begin_lsn, img.next_ts);
         for t in &img.tables {
-            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
+            w.table(&t.entry, |sink| feed_encoded(&t.rows, sink));
         }
         let bytes = w.finish();
         assert_eq!(bytes, img.encode());

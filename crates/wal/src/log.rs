@@ -9,7 +9,7 @@
 use hpd_storage::{DeviceProfile, IoTracker};
 use parking_lot::Mutex;
 
-use crate::frame::append_frame_with;
+use crate::frame::{append_frame_with, FRAME_HEADER};
 use crate::record::LogRecord;
 
 /// Capacity a log buffer may keep however little it holds.
@@ -158,7 +158,7 @@ impl Wal {
     /// log: a caller about to hand the record's contents away (a bulk load
     /// moves its rows into the table) encodes it from a borrow first.
     pub fn encode_frame(rec: &LogRecord) -> Vec<u8> {
-        let mut frame = Vec::new();
+        let mut frame = Vec::with_capacity(FRAME_HEADER + rec.encoded_len_hint());
         append_frame_with(&mut frame, |b| rec.encode_into(b));
         frame
     }

@@ -6,11 +6,13 @@
 //! columnstore delta, or both, whichever the recovered design dictates.
 //!
 //! The codec is hand-rolled little-endian (no serde in this workspace):
-//! values carry a one-byte type tag, containers a length prefix. Every
-//! decoder is total — corrupt bytes produce an error, never a panic — so a
-//! CRC collision on a torn frame cannot take recovery down.
+//! values are written by [`hpd_common::codec`] (a one-byte type tag and a
+//! payload — the encoding B+ tree leaves hold their entries in), containers
+//! add a length prefix. Every decoder is total — corrupt bytes produce an
+//! error, never a panic — so a CRC collision on a torn frame cannot take
+//! recovery down.
 
-use hpd_common::{ColumnDef, DataType, HpdError, Key, Result, Row, Schema, Value};
+use hpd_common::{codec, ColumnDef, DataType, HpdError, Key, Result, Row, Schema, Value};
 
 /// Index kind in a [`WalIndexDef`]. A flat mirror of the engine's
 /// `IndexDescriptor` so this crate does not depend on `hpd-engine` (which
@@ -174,40 +176,9 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int32(x) => {
-            buf.push(0);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Int64(x) => {
-            buf.push(1);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Float64(x) => {
-            buf.push(2);
-            buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Decimal(x) => {
-            buf.push(3);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Date(x) => {
-            buf.push(4);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(5);
-            put_str(buf, s);
-        }
-    }
-}
-
 fn put_values(buf: &mut Vec<u8>, vs: &[Value]) {
     put_u32(buf, vs.len() as u32);
-    for v in vs {
-        put_value(buf, v);
-    }
+    codec::put_values(buf, vs);
 }
 
 fn put_ordinals(buf: &mut Vec<u8>, cols: &[usize]) {
@@ -254,12 +225,14 @@ fn put_index_def(buf: &mut Vec<u8>, def: &WalIndexDef) {
 }
 
 /// Append a `BulkLoad` payload whose rows `feed` hands over one at a time,
-/// by reference. The count precedes the rows on the wire and is known only
-/// when the stream ends, so its slot is reserved and filled in afterwards.
+/// each as its values' encoding ([`codec::put_values`]; a B+ tree leaf lends
+/// its rows in exactly this form). The row count precedes the rows on the
+/// wire and is known only when the stream ends, so its slot is reserved and
+/// filled in afterwards; each row's value count is read off its bytes.
 pub(crate) fn encode_bulk_load(
     b: &mut Vec<u8>,
     table: u32,
-    feed: impl FnOnce(&mut dyn FnMut(&Row)),
+    feed: impl FnOnce(&mut dyn FnMut(&[u8])),
 ) {
     b.push(TAG_BULK_LOAD);
     put_u32(b, table);
@@ -267,10 +240,22 @@ pub(crate) fn encode_bulk_load(
     put_u32(b, 0);
     let mut count: u32 = 0;
     feed(&mut |row| {
-        put_values(b, row.values());
+        put_u32(b, codec::count_values(row) as u32);
+        b.extend_from_slice(row);
         count += 1;
     });
     b[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Hand each of `rows` to `sink` in the form [`encode_bulk_load`] takes,
+/// through one reused buffer.
+pub(crate) fn feed_encoded(rows: &[Row], sink: &mut dyn FnMut(&[u8])) {
+    let mut encoded = Vec::new();
+    for row in rows {
+        encoded.clear();
+        codec::put_values(&mut encoded, row.values());
+        sink(&encoded);
+    }
 }
 
 fn dtype_tag(t: DataType) -> u8 {
@@ -323,26 +308,18 @@ impl<'a> Cur<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("non-utf8 string"))
     }
 
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Int32(i32::from_le_bytes(self.take(4)?.try_into().unwrap())),
-            1 => Value::Int64(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            2 => Value::Float64(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            3 => Value::Decimal(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            4 => Value::Date(i32::from_le_bytes(self.take(4)?.try_into().unwrap())),
-            5 => Value::str(self.str()?),
-            t => return Err(corrupt(&format!("bad value tag {t}"))),
-        })
-    }
-
     fn values(&mut self) -> Result<Vec<Value>> {
         let n = self.u32()? as usize;
         if n > self.buf.len() {
             return Err(corrupt("value count exceeds payload"));
         }
-        (0..n).map(|_| self.value()).collect()
+        let mut rest = &self.buf[self.pos..];
+        let values = (0..n)
+            .map(|_| codec::take_value(&mut rest).map(codec::ValueRef::to_value))
+            .collect::<std::result::Result<_, _>>()
+            .map_err(|e| corrupt(&e.to_string()))?;
+        self.pos = self.buf.len() - rest.len();
+        Ok(values)
     }
 
     fn row(&mut self) -> Result<Row> {
@@ -446,9 +423,25 @@ impl<'a> Cur<'a> {
 impl LogRecord {
     /// Serialize to a frame payload (framing/CRC added by the [`crate::Wal`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(32);
+        let mut b = Vec::with_capacity(self.encoded_len_hint());
         self.encode_into(&mut b);
         b
+    }
+
+    /// Bytes [`LogRecord::encode_into`] will append: exact for a bulk load,
+    /// whose rows are all of its size (a buffer grown by doubling would end
+    /// up to twice the record), a small constant for everything else.
+    pub fn encoded_len_hint(&self) -> usize {
+        match self {
+            LogRecord::BulkLoad { rows, .. } => {
+                let values = rows.iter().flat_map(|r| r.values());
+                9 + 4 * rows.len()
+                    + values
+                        .map(|v| codec::ValueRef::from(v).encoded_len())
+                        .sum::<usize>()
+            }
+            _ => 32,
+        }
     }
 
     /// Append the frame payload to `b` (the body of a frame being written in
@@ -509,7 +502,7 @@ impl LogRecord {
                 put_partitioning(b, partitioning);
             }
             LogRecord::BulkLoad { table, rows } => {
-                encode_bulk_load(b, *table, |sink| rows.iter().for_each(sink));
+                encode_bulk_load(b, *table, |sink| feed_encoded(rows, sink));
             }
             LogRecord::IndexCreate { table, def } => {
                 b.push(TAG_INDEX_CREATE);
@@ -809,6 +802,69 @@ mod tests {
         });
         roundtrip(LogRecord::CheckpointBegin);
         roundtrip(LogRecord::CheckpointEnd);
+    }
+
+    #[test]
+    fn values_are_written_as_they_always_were() {
+        // An `Insert` of one value of each type, as the encoder this crate
+        // had before values moved to `hpd_common::codec` wrote it (commit
+        // 01bfb57): the codec must not change a byte of the log.
+        let rec = LogRecord::Insert {
+            table: 1,
+            part: 2,
+            row: Row::new(vec![
+                Value::Int64(-5),
+                Value::Int32(3),
+                Value::Float64(-0.5),
+                Value::Decimal(123456),
+                Value::Date(19000),
+                Value::str("héllo"),
+            ]),
+        };
+        #[rustfmt::skip]
+        let bytes: &[u8] = &[
+            4, 1, 0, 0, 0, 2, 0, 0, 0, 6, 0, 0, 0,
+            1, 0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0, 3, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf,
+            3, 0x40, 0xe2, 0x01, 0, 0, 0, 0, 0,
+            4, 0x38, 0x4a, 0, 0,
+            5, 6, 0, 0, 0, b'h', 0xc3, 0xa9, b'l', b'l', b'o',
+        ];
+        assert_eq!(rec.encode(), bytes);
+        assert_eq!(LogRecord::decode(bytes).unwrap(), rec);
+        // The row, as a leaf holds it and a checkpoint copies it: the same
+        // bytes behind the count.
+        let LogRecord::Insert { row, .. } = &rec else {
+            unreachable!()
+        };
+        let mut encoded = Vec::new();
+        codec::put_values(&mut encoded, row.values());
+        assert_eq!(encoded, bytes[13..]);
+        let mut bulk = Vec::new();
+        encode_bulk_load(&mut bulk, 7, |sink| sink(&encoded));
+        let mut expected = vec![8, 7, 0, 0, 0, 1, 0, 0, 0];
+        expected.extend_from_slice(&bytes[9..]);
+        assert_eq!(bulk, expected);
+        let rec = LogRecord::BulkLoad {
+            table: 7,
+            rows: vec![row.clone()],
+        };
+        assert_eq!(rec.encode(), expected);
+        assert_eq!(LogRecord::decode(&expected).unwrap(), rec);
+    }
+
+    #[test]
+    fn bulk_load_length_hint_is_exact() {
+        let rec = LogRecord::BulkLoad {
+            table: 3,
+            rows: vec![
+                Row::new(vec![Value::Int64(1), Value::str("héllo"), Value::Date(4)]),
+                Row::new(vec![]),
+                Row::new(vec![Value::Float64(0.5), Value::str("")]),
+            ],
+        };
+        assert_eq!(rec.encoded_len_hint(), rec.encode().len());
     }
 
     #[test]

@@ -175,9 +175,8 @@ pub struct PushdownAgg {
 }
 
 /// Running state of one pushed-down aggregate, mirroring the row-mode
-/// fold's accumulator — except integer sums accumulate in `i128` and
-/// range-check once at the end, so only a *total* outside `i64` errors
-/// (the row fold also errors on transient mid-stream overflow).
+/// fold's accumulator: integer sums accumulate in `i128` and range-check
+/// once at the end, so only a *total* outside `i64` errors.
 enum AggAcc {
     Count(i64),
     SumI(i128),
@@ -186,18 +185,6 @@ enum AggAcc {
     Min(Option<Value>),
     Max(Option<Value>),
     Avg { sum: f64, count: i64 },
-}
-
-/// Zero value of a type, for empty global MIN/MAX (no NULLs here).
-fn zero_value(t: DataType) -> Value {
-    match t {
-        DataType::Int32 => Value::Int32(0),
-        DataType::Int64 => Value::Int64(0),
-        DataType::Float64 => Value::Float64(0.0),
-        DataType::Decimal => Value::Decimal(0),
-        DataType::Date => Value::Date(0),
-        DataType::Utf8 => Value::str(""),
-    }
 }
 
 /// Primary (main storage, delete bitmap only) vs. secondary (redundant,
@@ -1394,7 +1381,7 @@ impl ColumnStoreIndex {
                 AggAcc::SumF(s) => Value::Float64(s),
                 // Empty global MIN/MAX yields a zero value of the input
                 // type (this engine has no NULLs), matching the row fold.
-                AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or_else(|| zero_value(dtype)),
+                AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or_else(|| AggFunc::empty_value(dtype)),
                 AggAcc::Avg { sum, count } => {
                     Value::Float64(if count == 0 { 0.0 } else { sum / count as f64 })
                 }

@@ -12,15 +12,13 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use hpd_common::{HpdError, Key, Result, Row, Schema};
+use hpd_common::{HpdError, Key, Result, Row};
 use hpd_storage::{BufferPool, IoTracker};
 use hpd_wal::LogRecord;
 use parking_lot::RwLock;
 
 use crate::catalog::{Database, TableSlot};
-use crate::design::IndexDescriptor;
-use crate::partition::PartitionSpec;
-use crate::recover::{from_wal_def, from_wal_partitioning};
+use crate::recover::{from_wal_def, from_wal_design, from_wal_partitioning};
 use crate::table::{PostImage, Table};
 
 /// One committed row change: what a transaction buffers as a `WriteOp` and
@@ -112,39 +110,38 @@ impl Database {
         let mut t = slot.table.write();
         match rec {
             LogRecord::BulkLoad { rows, .. } => t.bulk_load(rows, &self.pool, tracker)?,
+            // Every part keeps what it has and gains the index.
             LogRecord::IndexCreate { def, .. } => {
-                t.build_index(&from_wal_def(&def), &self.pool, tracker)?;
+                let targets: Vec<_> = (t.parts().iter())
+                    .map(|part| {
+                        let mut secondaries = part.secondary_descriptors();
+                        secondaries.push(from_wal_def(&def));
+                        (part.primary_descriptor(t.pk()), secondaries)
+                    })
+                    .collect();
+                t.set_design(0, &targets, &self.pool, tracker)?;
             }
             LogRecord::DesignChange {
                 primary,
                 secondaries,
                 ..
             } => {
-                // A design change never drops partitioning: the fresh table
-                // keeps the spec, the new design applied to every part.
-                *t = self.build_table(
-                    slot.name.clone(),
-                    t.schema().clone(),
-                    t.pk().to_vec(),
-                    t.partitioning().cloned(),
-                    &from_wal_def(&primary),
-                    &secondaries.iter().map(from_wal_def).collect::<Vec<_>>(),
-                    t.scan_all_rows(&self.pool, tracker),
-                    tracker,
-                )?;
+                // Statistics are as old as the last load; a design change
+                // brings them up to date, from the rows in the order the
+                // outgoing primary indexes hold them.
+                t.analyze(&self.pool, tracker);
+                let targets = vec![from_wal_design(&primary, &secondaries); t.num_parts()];
+                t.set_design(0, &targets, &self.pool, tracker)?;
             }
             LogRecord::PartitionDesignChange {
                 part,
                 primary,
                 secondaries,
                 ..
-            } => t.apply_partition_design(
-                part as usize,
-                &from_wal_def(&primary),
-                &secondaries.iter().map(from_wal_def).collect::<Vec<_>>(),
-                &self.pool,
-                tracker,
-            )?,
+            } => {
+                let target = from_wal_design(&primary, &secondaries);
+                t.set_design(part as usize, &[target], &self.pool, tracker)?;
+            }
             // Re-run the increment with the same budget and target
             // (`u32::MAX`: every part). The live increment applies itself
             // and logs its outcome; this arm is its redo.
@@ -167,38 +164,6 @@ impl Database {
             .get(id as usize)
             .cloned()
             .ok_or_else(|| HpdError::Internal(format!("wal: record references unknown table {id}")))
-    }
-
-    /// The one whole-table build: an empty table under `primary`, bulk
-    /// loaded with `rows` (routed to their partitions), then every secondary
-    /// built on every part. A design change and a checkpoint restore are
-    /// both this.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_table(
-        &self,
-        name: String,
-        schema: Schema,
-        pk: Vec<usize>,
-        partitioning: Option<PartitionSpec>,
-        primary: &IndexDescriptor,
-        secondaries: &[IndexDescriptor],
-        rows: Vec<Row>,
-        tracker: &IoTracker,
-    ) -> Result<Table> {
-        let mut table = Table::create_spec(
-            name,
-            schema,
-            pk,
-            primary,
-            partitioning,
-            self.config.csi,
-            self.alloc.clone(),
-        )?;
-        table.bulk_load(rows, &self.pool, tracker)?;
-        for d in secondaries {
-            table.build_index(d, &self.pool, tracker)?;
-        }
-        Ok(table)
     }
 
     /// Register a table under the next slot id.

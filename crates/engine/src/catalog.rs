@@ -382,7 +382,8 @@ impl Database {
         })
     }
 
-    /// Add a secondary index.
+    /// Add a secondary index to every part: it is built from each part's
+    /// primary; the indexes already there are not read.
     pub fn create_index(&self, table: &str, descriptor: &IndexDescriptor) -> Result<()> {
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::IndexCreate {
@@ -391,8 +392,12 @@ impl Database {
         })
     }
 
-    /// Replace a table's entire physical design: rebuilds the primary and
-    /// all secondary indexes from the design's descriptors.
+    /// Move a table to `design`, every part alike: an index whose descriptor
+    /// the design repeats stays as it stands, the others are dropped, the
+    /// missing ones are built, and the primary is rebuilt only if its
+    /// descriptor changes (`TablePart::set_design`). The rows, their write
+    /// timestamps and old versions are untouched — open snapshots read on —
+    /// and the table's statistics are refreshed.
     pub fn apply_design(&self, design: &TableDesign) -> Result<()> {
         design.validate()?;
         let _commit = self.commit_lock.lock();
@@ -406,7 +411,8 @@ impl Database {
     /// Replace the physical design of ONE partition of a partitioned table,
     /// leaving the other partitions untouched — the heterogeneous designs
     /// the advisor recommends ("B+ tree on the hot partition, CSI on cold
-    /// history"). The partition is rebuilt from its own rows only.
+    /// history"). As [`Database::apply_design`], on that partition's indexes
+    /// only (statistics are the table's and stay).
     pub fn apply_partition_design(
         &self,
         table: &str,

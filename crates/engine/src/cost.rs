@@ -111,32 +111,6 @@ impl CostModel {
             + 2.0 * self.device.seek_latency_us
     }
 
-    /// Elapsed estimate for a plan fragment given total cpu/io and a DOP.
-    pub fn elapsed_us(&self, cpu_us: f64, io_us: f64, dop: usize) -> f64 {
-        let d = dop.max(1) as f64;
-        let startup = if dop > 1 {
-            self.parallel_startup_us + self.parallel_per_worker_us * d
-        } else {
-            0.0
-        };
-        cpu_us / d + io_us / d + startup
-    }
-
-    /// Pick the cheaper of serial and max-DOP execution; returns (dop,
-    /// elapsed).
-    pub fn choose_dop(&self, cpu_us: f64, io_us: f64) -> (usize, f64) {
-        let serial = self.elapsed_us(cpu_us, io_us, 1);
-        if self.max_dop <= 1 {
-            return (1, serial);
-        }
-        let parallel = self.elapsed_us(cpu_us, io_us, self.max_dop);
-        if parallel < serial {
-            (self.max_dop, parallel)
-        } else {
-            (1, serial)
-        }
-    }
-
     /// Elapsed estimate distinguishing parallelizable device time (e.g.
     /// independent columnstore segment reads) from latency-bound device
     /// time (root-to-leaf page chains, sequential leaf runs), which no
@@ -224,11 +198,15 @@ mod tests {
     #[test]
     fn dop_choice_prefers_serial_for_tiny_work() {
         let m = model();
-        let (dop, _) = m.choose_dop(10.0, 0.0);
+        let (dop, _) = m.choose_dop_split(10.0, 0.0, 0.0);
         assert_eq!(dop, 1);
-        let (dop, elapsed) = m.choose_dop(100_000.0, 0.0);
+        let (dop, elapsed) = m.choose_dop_split(100_000.0, 0.0, 0.0);
         assert_eq!(dop, 8);
         assert!(elapsed < 100_000.0);
+        assert_eq!(elapsed, m.elapsed_split_us(100_000.0, 0.0, 0.0, 8));
+        // Latency-bound device time is outside any DOP's reach.
+        let serial_io = m.elapsed_split_us(100_000.0, 0.0, 5_000.0, 8);
+        assert_eq!(serial_io, elapsed + 5_000.0);
     }
 
     #[test]

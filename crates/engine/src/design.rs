@@ -99,30 +99,38 @@ impl TableDesign {
         }
     }
 
-    /// Enforce structural constraints: exactly one primary (first), and at
-    /// most one columnstore per table (SQL Server's restriction, paper §2).
+    /// Enforce structural constraints ([`validate_design`]).
     pub fn validate(&self) -> Result<()> {
-        if self.indexes.is_empty() || !self.indexes[0].is_primary() {
-            return Err(HpdError::Constraint(format!(
+        match self.indexes.split_first() {
+            Some((primary, secondaries)) => validate_design(&self.table, primary, secondaries),
+            None => Err(HpdError::Constraint(format!(
                 "table {}: indexes[0] must be a primary index",
                 self.table
-            )));
+            ))),
         }
-        if self.indexes[1..].iter().any(|d| d.is_primary()) {
-            return Err(HpdError::Constraint(format!(
-                "table {}: multiple primary indexes",
-                self.table
-            )));
-        }
-        let csi_count = self.indexes.iter().filter(|d| d.is_csi()).count();
-        if csi_count > 1 {
-            return Err(HpdError::Constraint(format!(
-                "table {}: at most one columnstore index per table",
-                self.table
-            )));
-        }
-        Ok(())
     }
+}
+
+/// The structural constraints on one table's (or one partition's) design:
+/// exactly one primary, named first, and at most one columnstore (SQL
+/// Server's restriction, paper §2).
+pub(crate) fn validate_design(
+    table: &str,
+    primary: &IndexDescriptor,
+    secondaries: &[IndexDescriptor],
+) -> Result<()> {
+    let refuse = |why: &str| Err(HpdError::Constraint(format!("table {table}: {why}")));
+    if !primary.is_primary() {
+        return refuse("indexes[0] must be a primary index");
+    }
+    if secondaries.iter().any(|d| d.is_primary()) {
+        return refuse("multiple primary indexes");
+    }
+    let csis = primary.is_csi() as usize + secondaries.iter().filter(|d| d.is_csi()).count();
+    if csis > 1 {
+        return refuse("at most one columnstore index per table");
+    }
+    Ok(())
 }
 
 /// A complete physical design across tables.

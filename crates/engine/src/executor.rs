@@ -206,10 +206,6 @@ impl<'a> QueryRunner<'a> {
                 let mut report = m.report(plan);
                 if let Some(before) = &obs_before {
                     let delta = hpd_obs::global().snapshot().delta(before);
-                    let partitions = crate::profile::PartitionActivity::from_snapshot(&delta);
-                    if !partitions.is_empty() {
-                        report.partitions = Some(partitions);
-                    }
                     let pruning = crate::profile::ScanPruning::from_snapshot(&delta);
                     if !pruning.is_empty() {
                         report.pruning = Some(pruning);

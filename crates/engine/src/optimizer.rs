@@ -772,7 +772,7 @@ impl Optimizer {
                 func: a.func,
                 input: c,
             });
-            out_types.push(agg_result_type(a.func, dtype));
+            out_types.push(a.func.result_type(dtype));
         }
         // The fold touches the same segments the scan would (same I/O) but
         // skips late materialization of survivors — only the kernel pass,
@@ -946,7 +946,7 @@ impl Optimizer {
         let mut agg_out_types: Vec<DataType> = out_types[..query.group_by.len()].to_vec();
         for (i, a) in query.aggregates.iter().enumerate() {
             let input_t = out_types[query.group_by.len() + i];
-            agg_out_types.push(agg_result_type(a.func, input_t));
+            agg_out_types.push(a.func.result_type(input_t));
         }
 
         // Streaming possible if the input order starts with the group cols.
@@ -1535,20 +1535,6 @@ fn expr_type(expr: &Expr, input_types: &[DataType]) -> Result<DataType> {
             }
         }
     })
-}
-
-fn agg_result_type(func: hpd_common::AggFunc, input: DataType) -> DataType {
-    use hpd_common::AggFunc;
-    match func {
-        AggFunc::Count => DataType::Int64,
-        AggFunc::Avg => DataType::Float64,
-        AggFunc::Min | AggFunc::Max => input,
-        AggFunc::Sum => match input {
-            DataType::Int32 | DataType::Int64 | DataType::Date => DataType::Int64,
-            DataType::Decimal => DataType::Decimal,
-            _ => DataType::Float64,
-        },
-    }
 }
 
 fn join_keys_between(

@@ -9,7 +9,7 @@ use std::time::Duration;
 use hpd_exec::OpStats;
 use hpd_obs::json_string;
 
-use crate::plan::{PhysicalPlan, PlanNode};
+use crate::plan::{PhysicalPlan, PlanNode, PlanNodeKind};
 
 /// Pre-order map from plan-node identity (address within the plan tree,
 /// stable for the plan's lifetime) to a stats cell the executor's wrappers
@@ -74,10 +74,11 @@ impl ProfileMap {
             }
         }
         visit(&plan.root, 0, self, plan, &mut nodes);
+        let partitions = PartitionActivity::of_plan(&plan.root);
         AnalyzeReport {
             nodes,
             est_cost_us: plan.est_cost_us,
-            partitions: None,
+            partitions: (!partitions.is_empty()).then_some(partitions),
             pruning: None,
             agg_pushdown: None,
             grant: None,
@@ -87,10 +88,11 @@ impl ProfileMap {
     }
 }
 
-/// Partition scatter-gather activity for one statement, taken from the
-/// `partition.*` counter deltas around execution. Present whenever a
-/// `PartitionedScan` was lowered (even with nothing pruned, so the
-/// `x/y scanned` line always shows for partitioned tables).
+/// Partition scatter-gather activity for one statement, read off the
+/// plan's `PartitionedScan` nodes (the process-wide `partition.*` counters
+/// count the same lanes, for every statement at once). Present whenever the
+/// plan has such a node (even with nothing pruned, so the `x/y scanned` line
+/// always shows for partitioned tables).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartitionActivity {
     /// Partitions whose scan lanes actually ran.
@@ -100,12 +102,19 @@ pub struct PartitionActivity {
 }
 
 impl PartitionActivity {
-    /// Build from a counter-delta snapshot (see `hpd_obs::Snapshot::delta`).
-    pub fn from_snapshot(d: &hpd_obs::Snapshot) -> PartitionActivity {
-        PartitionActivity {
-            scanned: d.counter("partition.scanned"),
-            pruned: d.counter("partition.pruned"),
+    /// The lanes and pruned partitions of every `PartitionedScan` under
+    /// `node`.
+    fn of_plan(node: &PlanNode) -> PartitionActivity {
+        let mut sum = PartitionActivity::default();
+        if let PlanNodeKind::PartitionedScan { parts, pruned, .. } = &node.kind {
+            sum.scanned = parts.len() as u64;
+            sum.pruned = *pruned as u64;
         }
+        for below in node.children().into_iter().map(PartitionActivity::of_plan) {
+            sum.scanned += below.scanned;
+            sum.pruned += below.pruned;
+        }
+        sum
     }
 
     /// Total partitions the statement's partitioned scans covered.

@@ -3,9 +3,11 @@
 //! Redo-only, in two steps:
 //!
 //! 1. **Checkpoint restore** — if a checkpoint image survives, every table
-//!    is rebuilt from its snapshot (schema, physical design, rows) and its
-//!    `applied_lsn` high-water mark is restored; the timestamp allocator
-//!    resumes above the image's `next_ts`.
+//!    is rebuilt from its snapshot (schema, physical design, rows): created
+//!    empty, each part given its own captured design, then bulk loaded, so
+//!    every index of every part is built once. Its `applied_lsn` high-water
+//!    mark is restored; the timestamp allocator resumes above the image's
+//!    `next_ts`.
 //! 2. **Log replay** — the surviving log is scanned from the checkpoint's
 //!    begin LSN. Write records are buffered per transaction and applied only
 //!    when their `TxnCommit` record is found (uncommitted and aborted
@@ -37,7 +39,7 @@ use crate::apply::{apply_write, RowChange};
 use crate::catalog::{Database, DbConfig};
 use crate::design::IndexDescriptor;
 use crate::partition::{PartitionMethod, PartitionSpec};
-use crate::table::PostImage;
+use crate::table::{PostImage, Table};
 
 /// Engine descriptor → WAL wire form.
 pub(crate) fn to_wal_def(d: &IndexDescriptor) -> WalIndexDef {
@@ -80,6 +82,17 @@ pub(crate) fn from_wal_def(d: &WalIndexDef) -> IndexDescriptor {
             columns: d.cols_a.clone(),
         },
     }
+}
+
+/// A design as the log and the image carry it → engine descriptors.
+pub(crate) fn from_wal_design(
+    primary: &WalIndexDef,
+    secondaries: &[WalIndexDef],
+) -> (IndexDescriptor, Vec<IndexDescriptor>) {
+    (
+        from_wal_def(primary),
+        secondaries.iter().map(from_wal_def).collect(),
+    )
 }
 
 /// Engine partitioning spec → WAL wire form.
@@ -133,36 +146,30 @@ impl Database {
                     .as_ref()
                     .map(from_wal_partitioning)
                     .transpose()?;
-                // Rows stay concatenated in the image; the build re-routes
-                // them per partition. A partitioned snapshot then rebuilds
-                // each partition under its own captured (possibly
-                // heterogeneous) design.
-                let uniform: Vec<IndexDescriptor> = if entry.parts.is_empty() {
-                    entry.secondaries.iter().map(from_wal_def).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut table = db.build_table(
+                let mut table = Table::create_spec(
                     entry.name.clone(),
                     entry.schema,
                     entry.pk,
-                    spec,
                     &from_wal_def(&entry.primary),
-                    &uniform,
-                    rows,
-                    &tracker,
+                    spec,
+                    db.config.csi,
+                    db.alloc.clone(),
                 )?;
-                for (p, ps) in entry.parts.iter().enumerate() {
-                    let secondaries: Vec<IndexDescriptor> =
-                        ps.secondaries.iter().map(from_wal_def).collect();
-                    table.apply_partition_design(
-                        p,
-                        &from_wal_def(&ps.primary),
-                        &secondaries,
-                        &db.pool,
-                        &tracker,
-                    )?;
-                }
+                // Each part takes its own captured (possibly heterogeneous)
+                // design while it is still empty; the load then re-routes
+                // the image's concatenated rows and builds every index of
+                // every part, once.
+                let designs: Vec<_> = if entry.parts.is_empty() {
+                    vec![from_wal_design(&entry.primary, &entry.secondaries)]
+                } else {
+                    entry
+                        .parts
+                        .iter()
+                        .map(|ps| from_wal_design(&ps.primary, &ps.secondaries))
+                        .collect()
+                };
+                table.set_design(0, &designs, &db.pool, &tracker)?;
+                table.bulk_load(rows, &db.pool, &tracker)?;
                 db.push_table(entry.name, table)
                     .applied_lsn
                     .store(entry.applied_lsn, Ordering::Relaxed);

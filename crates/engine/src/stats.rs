@@ -8,7 +8,7 @@
 //! elimination will work (≈0 for data sorted on that column, ≈1 for random
 //! arrival order).
 
-use hpd_common::{ColumnVector, Interval, Row, Value};
+use hpd_common::{ColumnVector, Interval, Row, Schema, Value};
 
 /// Number of histogram buckets.
 const BUCKETS: usize = 64;
@@ -43,6 +43,22 @@ impl ColumnStats {
             bucket_bounds,
             clustering_fraction,
         }
+    }
+
+    /// Statistics of a non-empty column held as a typed vector in arrival
+    /// order: 4 or 8 bytes a value, sorted as machine integers and not as
+    /// 24-byte tagged values.
+    fn of_typed(mut typed: ColumnVector, block_rows: usize) -> Self {
+        let n = typed.len();
+        // Clustering fraction from arrival-order blocks, before sorting.
+        let clustering = clustering_fraction(n, block_rows, |i| typed.value(i));
+        match &mut typed {
+            ColumnVector::Int32(v) | ColumnVector::Date(v) => v.sort_unstable(),
+            ColumnVector::Int64(v) | ColumnVector::Decimal(v) => v.sort_unstable(),
+            ColumnVector::Float64(v) => v.sort_unstable_by(f64::total_cmp),
+            ColumnVector::Str(v) => v.sort_unstable(),
+        }
+        ColumnStats::of_sorted(n, clustering, |i| typed.value(i))
     }
 
     /// Estimated fraction of rows with values in `interval` (0..=1).
@@ -141,21 +157,11 @@ impl TableStats {
         let n = rows.len();
         let mut columns = Vec::with_capacity(n_columns);
         for c in 0..n_columns {
-            // The column as a typed vector: 4 or 8 bytes a value beside the
-            // rows it was read from (a bulk load holds those and its log
-            // record too), sorted as machine integers, not as 24-byte tagged
-            // values.
+            // One column at a time, beside the rows it is read from (a bulk
+            // load holds those and its log record too).
             let mut typed = ColumnVector::with_capacity(rows[0][c].data_type(), n);
             columns.push(if rows.iter().all(|r| typed.push(&r[c]).is_ok()) {
-                // Clustering fraction from arrival-order blocks, before sorting.
-                let clustering = clustering_fraction(n, block_rows, |i| typed.value(i));
-                match &mut typed {
-                    ColumnVector::Int32(v) | ColumnVector::Date(v) => v.sort_unstable(),
-                    ColumnVector::Int64(v) | ColumnVector::Decimal(v) => v.sort_unstable(),
-                    ColumnVector::Float64(v) => v.sort_unstable_by(f64::total_cmp),
-                    ColumnVector::Str(v) => v.sort_unstable(),
-                }
-                ColumnStats::of_sorted(n, clustering, |i| typed.value(i))
+                ColumnStats::of_typed(typed, block_rows)
             } else {
                 // A column that mixes types (no schema admits one): ordered
                 // as `Value`s compare across types.
@@ -166,6 +172,37 @@ impl TableStats {
             });
         }
         TableStats { rows: n, columns }
+    }
+
+    /// [`TableStats::analyze`] over the rows of a table of this `schema`
+    /// (about `expected` of them) that `scan` lends one at a time, in arrival
+    /// order. Every column is gathered in the one pass: what is alive beside
+    /// the table is a typed copy of it, never a row.
+    pub(crate) fn analyze_scan(
+        schema: &Schema,
+        expected: usize,
+        block_rows: usize,
+        scan: impl FnOnce(&mut dyn FnMut(&Row)),
+    ) -> TableStats {
+        let mut columns: Vec<ColumnVector> = (schema.columns().iter())
+            .map(|c| ColumnVector::with_capacity(c.dtype, expected))
+            .collect();
+        scan(&mut |row| {
+            for (column, v) in columns.iter_mut().zip(row.values()) {
+                column.push(v).expect("rows match the table's schema");
+            }
+        });
+        let rows = columns.first().map_or(0, ColumnVector::len);
+        if rows == 0 {
+            return TableStats::empty(schema.len());
+        }
+        let columns = columns
+            .into_iter()
+            .map(|c| ColumnStats::of_typed(c, block_rows));
+        TableStats {
+            rows,
+            columns: columns.collect(),
+        }
     }
 
     /// Estimated selectivity of a conjunctive predicate given its extracted

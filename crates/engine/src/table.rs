@@ -18,7 +18,7 @@ use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
 use hpd_common::{codec, Batch, Expr, HpdError, Key, Result, Row, Schema};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
-use crate::design::{IndexDescriptor, IndexId, IndexMeta};
+use crate::design::{validate_design, IndexDescriptor, IndexMeta};
 use crate::partition::PartitionSpec;
 use crate::stats::TableStats;
 
@@ -134,6 +134,9 @@ fn for_each_batch(
     }
 }
 
+/// The columns a secondary index stores: its keys (a columnstore's columns),
+/// then whatever of `includes` and of the primary key — the row locator, and
+/// what delete handling goes by — they lack.
 fn stored_columns(keys: &[usize], includes: &[usize], pk: &[usize]) -> Vec<usize> {
     let mut stored: Vec<usize> = keys.to_vec();
     for &c in includes.iter().chain(pk) {
@@ -144,40 +147,72 @@ fn stored_columns(keys: &[usize], includes: &[usize], pk: &[usize]) -> Vec<usize
     stored
 }
 
-fn make_primary(
-    schema: &Schema,
-    pk: &[usize],
-    descriptor: &IndexDescriptor,
+/// What building an index on a part takes of the part's table, and the pool
+/// and tracker its page accesses go to.
+#[derive(Clone, Copy)]
+struct BuildCtx<'a> {
+    schema: &'a Schema,
+    pk: &'a [usize],
     csi_config: CsiConfig,
-    alloc: &StorageAllocator,
+    alloc: &'a StorageAllocator,
+    pool: &'a BufferPool,
+    tracker: &'a IoTracker,
+}
+
+/// Whether a part of `table` can take `primary` plus `secondaries`: a valid
+/// design ([`validate_design`]) whose primary, if a B+ tree, is keyed on the
+/// table's primary key.
+fn check_design(
+    table: &str,
+    primary: &IndexDescriptor,
+    secondaries: &[IndexDescriptor],
+    pk: &[usize],
+) -> Result<()> {
+    validate_design(table, primary, secondaries)?;
+    match primary {
+        IndexDescriptor::PrimaryBTree { keys } if keys != pk => Err(HpdError::Constraint(format!(
+            "table {table}: primary B+ tree keys must equal the table primary key"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Build the primary index `descriptor` names over the rows `feed` hands
+/// out, in any order. A B+ tree encodes each row into a run of entries as it
+/// arrives, then sorts and loads the run (stably: equal keys keep arrival
+/// order); a columnstore compresses one row group at a time.
+fn load_primary(
+    descriptor: &IndexDescriptor,
+    feed: impl FnOnce(&mut dyn FnMut(&Row)),
+    ctx: BuildCtx<'_>,
 ) -> Result<PrimaryIndex> {
-    match descriptor {
-        IndexDescriptor::PrimaryBTree { keys } => {
-            if keys != pk {
-                return Err(HpdError::Constraint(
-                    "primary B+ tree keys must equal the table primary key".into(),
-                ));
-            }
-            let entry_width = schema.row_width() + 16;
-            Ok(PrimaryIndex::BTree(BTree::new(
-                BTreeConfig::for_entry_width(entry_width),
-                alloc.clone(),
-            )))
-        }
-        IndexDescriptor::PrimaryCsi => Ok(PrimaryIndex::Csi(ColumnStoreIndex::build(
+    let BuildCtx {
+        schema,
+        pk,
+        alloc,
+        pool,
+        tracker,
+        ..
+    } = ctx;
+    if descriptor.is_csi() {
+        let all: Vec<usize> = (0..schema.len()).collect();
+        return Ok(PrimaryIndex::Csi(ColumnStoreIndex::build_projected(
             schema.clone(),
             CsiKind::Primary,
             pk.to_vec(),
-            csi_config,
-            &[],
+            ctx.csi_config,
+            &all,
+            feed,
             alloc.clone(),
-            &BufferPool::unbounded(hpd_storage::DeviceProfile::ram()),
-            &IoTracker::new(),
-        ))),
-        other => Err(HpdError::Constraint(format!(
-            "not a primary index descriptor: {other:?}"
-        ))),
+            pool,
+            tracker,
+        )));
     }
+    let mut run = EntryRun::default();
+    feed(&mut |row| run.push(pk.iter().map(|&c| &row[c]), row.values()));
+    let config = BTreeConfig::for_entry_width(schema.row_width() + 16);
+    let tree = run.bulk_load(config, alloc.clone(), pool, tracker)?;
+    Ok(PrimaryIndex::BTree(tree))
 }
 
 /// One partition's complete physical design: its primary index plus its own
@@ -191,15 +226,10 @@ pub struct TablePart {
 }
 
 impl TablePart {
-    fn create(
-        schema: &Schema,
-        pk: &[usize],
-        primary: &IndexDescriptor,
-        csi_config: CsiConfig,
-        alloc: &StorageAllocator,
-    ) -> Result<TablePart> {
+    /// An empty part under `primary`, no secondaries.
+    fn create(primary: &IndexDescriptor, ctx: BuildCtx<'_>) -> Result<TablePart> {
         Ok(TablePart {
-            primary: make_primary(schema, pk, primary, csi_config, alloc)?,
+            primary: load_primary(primary, |_| {}, ctx)?,
             secondaries: Vec::new(),
             secondary_csi: None,
             csi_columns: Vec::new(),
@@ -274,59 +304,76 @@ impl TablePart {
         self.csis().next().is_some()
     }
 
-    /// Replace this part's contents with `rows` (primary rebuilt, existing
-    /// secondaries rebuilt from their descriptors). A B+ tree primary
-    /// encodes each row into a run of entries and frees it, then sorts and
-    /// loads the run; the secondaries then read the rows back from the new
-    /// primary, by reference.
-    #[allow(clippy::too_many_arguments)]
-    fn bulk_load(
+    /// Make this part's indexes exactly `primary` plus `secondaries` (a
+    /// design [`check_design`] passed): the one function that adds or drops
+    /// an index on a part. The primary is rebuilt, from the rows the old one
+    /// lends, only when its descriptor differs. A secondary whose descriptor
+    /// is in the target stays as it stands — it stores key values, not
+    /// addresses, so neither a rebuilt primary nor a dropped neighbour
+    /// touches it (a kept columnstore keeps its delta rows and buffered
+    /// deletes); the others are dropped, and the missing ones are built from
+    /// the primary. The B+ tree secondaries end in target order, which is
+    /// what an [`crate::IndexId`] counts in. A build that fails (a run past
+    /// 4 GB) leaves the indexes settled before it.
+    fn set_design(
         &mut self,
-        rows: Vec<Row>,
-        schema: &Schema,
-        pk: &[usize],
-        csi_config: CsiConfig,
-        alloc: &StorageAllocator,
-        pool: &BufferPool,
-        tracker: &IoTracker,
+        primary: &IndexDescriptor,
+        secondaries: &[IndexDescriptor],
+        ctx: BuildCtx<'_>,
     ) -> Result<()> {
-        match &mut self.primary {
-            PrimaryIndex::BTree(tree) => {
-                // Each row is encoded as it arrives and freed; the run
-                // sorts itself (stably: equal keys keep arrival order).
-                let mut run = EntryRun::default();
-                for row in rows {
-                    run.push(pk.iter().map(|&c| &row[c]), row.values());
+        if *primary != self.primary_descriptor(ctx.pk) {
+            let rows = |sink: &mut dyn FnMut(&Row)| {
+                self.for_each_row(ctx.schema, ctx.pool, ctx.tracker, sink)
+            };
+            self.primary = load_primary(primary, rows, ctx)?;
+        }
+        let mut old: Vec<Option<SecondaryBTree>> = std::mem::take(&mut self.secondaries)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut old_csi = self
+            .secondary_csi
+            .take()
+            .map(|csi| (csi, std::mem::take(&mut self.csi_columns)));
+        for d in secondaries {
+            match d {
+                IndexDescriptor::SecondaryBTree { keys, includes } => {
+                    let kept = old.iter_mut().find_map(|slot| {
+                        slot.take_if(|s| s.keys == *keys && s.includes == *includes)
+                    });
+                    match kept {
+                        Some(s) => self.secondaries.push(s),
+                        None => self.add_secondary_btree(keys.clone(), includes.clone(), ctx)?,
+                    }
                 }
-                let entry_width = schema.row_width() + 16;
-                *tree = run.bulk_load(
-                    BTreeConfig::for_entry_width(entry_width),
-                    alloc.clone(),
-                    pool,
-                    tracker,
-                )?;
+                IndexDescriptor::SecondaryCsi { columns } => {
+                    let cols = stored_columns(columns, &[], ctx.pk);
+                    match old_csi.take_if(|(_, stored)| *stored == cols) {
+                        Some((csi, cols)) => {
+                            self.secondary_csi = Some(csi);
+                            self.csi_columns = cols;
+                        }
+                        None => self.add_secondary_csi(cols, ctx),
+                    }
+                }
+                _ => unreachable!("check_design admits secondary descriptors only"),
             }
-            PrimaryIndex::Csi(csi) => {
-                *csi = ColumnStoreIndex::build(
-                    schema.clone(),
-                    CsiKind::Primary,
-                    pk.to_vec(),
-                    csi_config,
-                    &rows,
-                    alloc.clone(),
-                    pool,
-                    tracker,
-                );
-            }
-        }
-        for old in std::mem::take(&mut self.secondaries) {
-            self.add_secondary_btree(old.keys, old.includes, schema, pk, alloc, pool, tracker)?;
-        }
-        if self.secondary_csi.take().is_some() {
-            let columns = std::mem::take(&mut self.csi_columns);
-            self.add_secondary_csi(columns, schema, pk, csi_config, alloc, pool, tracker);
         }
         Ok(())
+    }
+
+    /// Replace this part's contents with `rows`: the primary is loaded from
+    /// them (each row freed as it is consumed), then every secondary the
+    /// part has is built again from the new primary, by reference.
+    fn bulk_load(&mut self, rows: Vec<Row>, ctx: BuildCtx<'_>) -> Result<()> {
+        let primary = self.primary_descriptor(ctx.pk);
+        let feed = |sink: &mut dyn FnMut(&Row)| rows.into_iter().for_each(|row| sink(&row));
+        self.primary = load_primary(&primary, feed, ctx)?;
+        // The secondaries index the rows just replaced: none can be kept.
+        let secondaries = self.secondary_descriptors();
+        self.secondaries.clear();
+        self.secondary_csi = None;
+        self.set_design(&primary, &secondaries, ctx)
     }
 
     /// Hand every current row of this part to `f`, by reference, in
@@ -384,18 +431,19 @@ impl TablePart {
     /// Build a secondary B+ tree over this part's current rows: each entry
     /// is the byte ranges of its columns copied out of the encoded row the
     /// primary lends, and the entries are sorted as bytes.
-    #[allow(clippy::too_many_arguments)]
     fn add_secondary_btree(
         &mut self,
         keys: Vec<usize>,
         includes: Vec<usize>,
-        schema: &Schema,
-        pk: &[usize],
-        alloc: &StorageAllocator,
-        pool: &BufferPool,
-        tracker: &IoTracker,
+        ctx: BuildCtx<'_>,
     ) -> Result<()> {
-        let stored = stored_columns(&keys, &includes, pk);
+        let BuildCtx {
+            schema,
+            pool,
+            tracker,
+            ..
+        } = ctx;
+        let stored = stored_columns(&keys, &includes, ctx.pk);
         let mut run = EntryRun::default();
         let (mut spans, mut key, mut payload) = (Vec::new(), Vec::new(), Vec::new());
         self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
@@ -415,12 +463,8 @@ impl TablePart {
             .map(|&c| schema.column(c).dtype.fixed_width())
             .sum::<usize>()
             + keys.len() * 8;
-        let tree = run.bulk_load(
-            BTreeConfig::for_entry_width(entry_width),
-            alloc.clone(),
-            pool,
-            tracker,
-        )?;
+        let config = BTreeConfig::for_entry_width(entry_width);
+        let tree = run.bulk_load(config, ctx.alloc.clone(), pool, tracker)?;
         self.secondaries.push(SecondaryBTree {
             keys,
             includes,
@@ -430,38 +474,27 @@ impl TablePart {
         Ok(())
     }
 
-    /// Build this part's secondary columnstore over `columns` from its
+    /// Build this part's secondary columnstore over `cols` (which
+    /// [`stored_columns`] completed with the primary key) from its
     /// current rows, projected and compressed one row group at a time.
-    #[allow(clippy::too_many_arguments)]
-    fn add_secondary_csi(
-        &mut self,
-        columns: Vec<usize>,
-        schema: &Schema,
-        pk: &[usize],
-        csi_config: CsiConfig,
-        alloc: &StorageAllocator,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) {
-        // The secondary CSI must contain the primary key for delete handling.
-        let mut cols = columns;
-        for &k in pk {
-            if !cols.contains(&k) {
-                cols.push(k);
-            }
-        }
-        let key_ordinals: Vec<usize> = pk
-            .iter()
-            .map(|k| cols.iter().position(|c| c == k).expect("pk included above"))
+    fn add_secondary_csi(&mut self, cols: Vec<usize>, ctx: BuildCtx<'_>) {
+        let BuildCtx {
+            schema,
+            pool,
+            tracker,
+            ..
+        } = ctx;
+        let key_ordinals: Vec<usize> = (ctx.pk.iter())
+            .map(|k| cols.iter().position(|c| c == k).expect("pk stored"))
             .collect();
         let csi = ColumnStoreIndex::build_projected(
             schema.project(&cols),
             CsiKind::Secondary,
             key_ordinals,
-            csi_config,
+            ctx.csi_config,
             &cols,
             |sink| self.for_each_row(schema, pool, tracker, sink),
-            alloc.clone(),
+            ctx.alloc.clone(),
             pool,
             tracker,
         );
@@ -609,18 +642,6 @@ impl TablePart {
         }
     }
 
-    /// Materialize this part's current rows.
-    pub fn scan_all_rows(
-        &self,
-        schema: &Schema,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Vec<Row> {
-        let mut rows = Vec::with_capacity(self.row_count());
-        self.for_each_row(schema, pool, tracker, &mut |r| rows.push(r.clone()));
-        rows
-    }
-
     /// Rows of pending reorganization work (delta rows + buffered deletes)
     /// across this part's columnstore indexes.
     pub fn maintenance_backlog(&self) -> usize {
@@ -738,7 +759,7 @@ impl Table {
 
     /// Create an empty table, optionally partitioned. Every partition starts
     /// with the same primary design; re-tune individual partitions with
-    /// [`Table::apply_partition_design`].
+    /// [`crate::Database::apply_partition_design`].
     pub fn create_spec(
         name: impl Into<String>,
         schema: Schema,
@@ -757,16 +778,28 @@ impl Table {
                 )));
             }
         }
+        let name = name.into();
+        check_design(&name, primary, &[], &pk)?;
+        // Loading no rows touches no page.
+        let (pool, tracker) = (
+            BufferPool::unbounded(hpd_storage::DeviceProfile::ram()),
+            IoTracker::new(),
+        );
+        let ctx = BuildCtx {
+            schema: &schema,
+            pk: &pk,
+            csi_config,
+            alloc: &alloc,
+            pool: &pool,
+            tracker: &tracker,
+        };
         let n_parts = partitioning.as_ref().map_or(1, PartitionSpec::partitions);
-        let mut parts = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            parts.push(TablePart::create(
-                &schema, &pk, primary, csi_config, &alloc,
-            )?);
-        }
+        let parts = (0..n_parts)
+            .map(|_| TablePart::create(primary, ctx))
+            .collect::<Result<Vec<_>>>()?;
         let n = schema.len();
         Ok(Table {
-            name: name.into(),
+            name,
             schema,
             pk,
             partitioning,
@@ -802,119 +835,55 @@ impl Table {
                 per_part
             }
         };
+        let ctx = BuildCtx {
+            schema: &self.schema,
+            pk: &self.pk,
+            csi_config: self.csi_config,
+            alloc: &self.alloc,
+            pool,
+            tracker,
+        };
         for (part, rows) in self.parts.iter_mut().zip(per_part) {
-            part.bulk_load(
-                rows,
-                &self.schema,
-                &self.pk,
-                self.csi_config,
-                &self.alloc,
-                pool,
-                tracker,
-            )?;
+            part.bulk_load(rows, ctx)?;
         }
         Ok(())
     }
 
-    /// Build a secondary index described by `descriptor` on **every**
-    /// partition from current data. (Per-partition designs are installed
-    /// with [`Table::apply_partition_design`].)
-    pub fn build_index(
+    /// Give the parts from `first` on the designs in `targets`, one each
+    /// ([`TablePart::set_design`]) — every design change there is: an index
+    /// more on every part, one design for the whole table, one part
+    /// re-tuned. All targets are checked before any part is touched, so a
+    /// refused one (a second columnstore on some part, say) leaves no part
+    /// changed. Rows, their write timestamps and old versions stay where
+    /// they are: a snapshot that began before the change reads on.
+    pub(crate) fn set_design(
         &mut self,
-        descriptor: &IndexDescriptor,
+        first: usize,
+        targets: &[(IndexDescriptor, Vec<IndexDescriptor>)],
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) -> Result<IndexId> {
-        // Checked across all parts before any part is built, so a refused
-        // columnstore leaves no part with one.
-        let csi = matches!(descriptor, IndexDescriptor::SecondaryCsi { .. });
-        if csi && self.has_csi() {
+    ) -> Result<()> {
+        let last = first + targets.len();
+        let Some(changed) = self.parts.get_mut(first..last) else {
             return Err(HpdError::Constraint(format!(
-                "table {}: at most one columnstore index",
-                self.name
+                "table {} has no partition {}",
+                self.name,
+                last - 1
             )));
+        };
+        for (primary, secondaries) in targets {
+            check_design(&self.name, primary, secondaries, &self.pk)?;
         }
-        for part in 0..self.parts.len() {
-            self.build_index_on_part(part, descriptor, pool, tracker)?;
-        }
-        Ok(IndexId(self.parts[0].secondaries.len() + csi as usize))
-    }
-
-    /// Build a secondary index on **one** partition only.
-    pub fn build_index_on_part(
-        &mut self,
-        part: usize,
-        descriptor: &IndexDescriptor,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Result<()> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let csi_config = self.csi_config;
-        let alloc = self.alloc.clone();
-        let p = self
-            .parts
-            .get_mut(part)
-            .ok_or_else(|| HpdError::Constraint(format!("no partition {part}")))?;
-        match descriptor {
-            IndexDescriptor::SecondaryBTree { keys, includes } => p.add_secondary_btree(
-                keys.clone(),
-                includes.clone(),
-                &schema,
-                &pk,
-                &alloc,
-                pool,
-                tracker,
-            ),
-            IndexDescriptor::SecondaryCsi { columns } => {
-                if p.has_csi() {
-                    return Err(HpdError::Constraint(format!(
-                        "table {} partition {part}: at most one columnstore index",
-                        self.name
-                    )));
-                }
-                p.add_secondary_csi(
-                    columns.clone(),
-                    &schema,
-                    &pk,
-                    csi_config,
-                    &alloc,
-                    pool,
-                    tracker,
-                );
-                Ok(())
-            }
-            other => Err(HpdError::Constraint(format!(
-                "cannot add a primary index after creation: {other:?}"
-            ))),
-        }
-    }
-
-    /// Replace one partition's entire physical design: rebuild its primary
-    /// and secondaries from its current rows. The heterogeneous-design
-    /// entry point — "B+ tree on the hot partition, CSI on the cold ones".
-    pub fn apply_partition_design(
-        &mut self,
-        part: usize,
-        primary: &IndexDescriptor,
-        secondaries: &[IndexDescriptor],
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Result<()> {
-        let schema = self.schema.clone();
-        let pk = self.pk.clone();
-        let csi_config = self.csi_config;
-        let alloc = self.alloc.clone();
-        let p = self
-            .parts
-            .get_mut(part)
-            .ok_or_else(|| HpdError::Constraint(format!("no partition {part}")))?;
-        let rows = p.scan_all_rows(&schema, pool, tracker);
-        let mut fresh = TablePart::create(&schema, &pk, primary, csi_config, &alloc)?;
-        fresh.bulk_load(rows, &schema, &pk, csi_config, &alloc, pool, tracker)?;
-        *p = fresh;
-        for d in secondaries {
-            self.build_index_on_part(part, d, pool, tracker)?;
+        let ctx = BuildCtx {
+            schema: &self.schema,
+            pk: &self.pk,
+            csi_config: self.csi_config,
+            alloc: &self.alloc,
+            pool,
+            tracker,
+        };
+        for (part, (primary, secondaries)) in changed.iter_mut().zip(targets) {
+            part.set_design(primary, secondaries, ctx)?;
         }
         Ok(())
     }
@@ -1040,11 +1009,15 @@ impl Table {
         out
     }
 
-    /// Refresh statistics from current contents.
+    /// Refresh statistics from current contents, read once in the order
+    /// [`Table::for_each_row`] lends them.
     pub fn analyze(&mut self, pool: &BufferPool, tracker: &IoTracker) {
-        let rows = self.scan_all_rows(pool, tracker);
-        self.stats =
-            TableStats::analyze(&rows, self.schema.len(), self.csi_config.rowgroup_capacity);
+        self.stats = TableStats::analyze_scan(
+            &self.schema,
+            self.row_count(),
+            self.csi_config.rowgroup_capacity,
+            |sink| self.for_each_row(pool, tracker, sink),
+        );
     }
 
     /// What-if metadata for one part's materialized indexes: primary first,

@@ -3,10 +3,12 @@
 //! table, a steady-state checkpoint allocates no image buffer, a secondary
 //! columnstore build never holds more than a row group of uncompressed
 //! values, a B+ tree build allocates per leaf and not per row, and a
-//! `lineitem` row costs under 80 heap bytes in its primary B+ tree.
+//! `lineitem` row costs under 80 heap bytes in its primary B+ tree, a design
+//! change builds what the target adds and nothing it keeps, and a restore
+//! builds each partition once, under its own design.
 
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
-use hpd_engine::{Database, DbConfig, IndexDescriptor};
+use hpd_engine::{Database, DbConfig, IndexDescriptor, PartitionSpec, TableDesign};
 use hpd_obs::alloc::{self, CountingAlloc, Region};
 
 #[global_allocator]
@@ -282,5 +284,134 @@ fn a_lineitem_row_costs_under_eighty_heap_bytes_in_the_primary() {
         "the tree counts {} of {} live bytes",
         tree.heap_bytes(),
         region.left_live()
+    );
+}
+
+/// `t(id, grp, val)` under a B+ tree primary with three secondary B+ trees.
+/// Fixed-width columns only: a design change refreshes the statistics, which
+/// reads every row, and reading a string allocates it.
+fn fixed_width(rows: i32, spec: Option<PartitionSpec>) -> Database {
+    let db = Database::new(config(4_096));
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int32),
+        ("grp", DataType::Int32),
+        ("val", DataType::Int64),
+    ]);
+    let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    match spec {
+        Some(spec) => db.create_partitioned_table("t", schema, vec![0], primary, spec),
+        None => db.create_table("t", schema, vec![0], primary),
+    }
+    .unwrap();
+    let row = |id: i32| {
+        Row::new(vec![
+            Value::Int32(id),
+            Value::Int32(id % 97),
+            Value::Int64(i64::from(id) * 31),
+        ])
+    };
+    db.load_table("t", (0..rows).map(row).collect()).unwrap();
+    for secondary in secondaries() {
+        db.create_index("t", &secondary).unwrap();
+    }
+    db
+}
+
+fn secondaries() -> [IndexDescriptor; 3] {
+    [(vec![1], vec![]), (vec![2], vec![]), (vec![1, 2], vec![0])]
+        .map(|(keys, includes)| IndexDescriptor::SecondaryBTree { keys, includes })
+}
+
+fn design_of(db: &Database, part: usize) -> Vec<IndexDescriptor> {
+    db.with_table("t", |t| {
+        t.part_metas(part)
+            .into_iter()
+            .map(|m| m.descriptor)
+            .collect()
+    })
+    .unwrap()
+}
+
+#[test]
+fn dropping_a_secondary_allocates_the_same_at_any_row_count() {
+    let mut drops = Vec::new();
+    for rows in [3_000, 48_000] {
+        let db = fixed_width(rows, None);
+        let mut design = design_of(&db, 0);
+        design.remove(2);
+        let drop = measure(|| {
+            db.apply_design(&TableDesign::new("t", design.clone()))
+                .unwrap()
+        });
+        assert_eq!(design_of(&db, 0), design);
+        drops.push(drop.allocations());
+    }
+    // The statistics gather one vector a column, whatever its length, and
+    // one more entry a block of rows for the clustering fraction; the three
+    // indexes that stay are not read, let alone built.
+    assert!(
+        drops[1] <= drops[0] + 16 && drops[1] < 100,
+        "allocations at 3 000 and at 48 000 rows: {drops:?}"
+    );
+}
+
+#[test]
+fn adding_a_secondary_by_apply_design_allocates_what_create_index_does() {
+    const ROWS: i32 = 48_000;
+    let added = IndexDescriptor::SecondaryBTree {
+        keys: vec![2, 1],
+        includes: vec![],
+    };
+    let db = fixed_width(ROWS, None);
+    let create = measure(|| db.create_index("t", &added).unwrap());
+
+    let db = fixed_width(ROWS, None);
+    let mut design = design_of(&db, 0);
+    design.push(added);
+    let apply = measure(|| {
+        db.apply_design(&TableDesign::new("t", design.clone()))
+            .unwrap()
+    });
+    assert_eq!(design_of(&db, 0), design);
+    // Beyond the build: the statistics' vectors and the longer log record.
+    assert!(
+        apply.allocations() <= create.allocations() + 64,
+        "create_index made {} allocations, apply_design {}",
+        create.allocations(),
+        apply.allocations()
+    );
+}
+
+#[test]
+fn restore_builds_each_partition_once_under_its_own_design() {
+    const ROWS: i32 = 48_000;
+    // Part 0 holds no row yet; the others a third of the table each.
+    let spec = || PartitionSpec::range(0, [0, 16_000, 32_000].map(Value::Int32).to_vec()).unwrap();
+    let recovery = |db: &Database| {
+        db.checkpoint().unwrap();
+        let durable = db.wal_durable();
+        measure(|| drop(Database::recover(config(4_096), durable).unwrap()))
+    };
+    let uniform = recovery(&fixed_width(ROWS, Some(spec())));
+
+    // The same rows and the same indexes, but no two neighbours alike: the
+    // empty part is a columnstore (and, being part 0, the design the image
+    // records for the table), and part 2 lists its secondaries in another
+    // order.
+    let db = fixed_width(ROWS, Some(spec()));
+    let [on_grp, on_val, on_both] = secondaries();
+    db.apply_partition_design("t", 0, &IndexDescriptor::PrimaryCsi, &[])
+        .unwrap();
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    db.apply_partition_design("t", 2, &btree, &[on_both, on_val, on_grp])
+        .unwrap();
+    let own_designs = recovery(&db);
+
+    let per_part = 64;
+    assert!(
+        own_designs.allocations() <= uniform.allocations() + 4 * per_part,
+        "one design: {} allocations, per-partition designs: {}",
+        uniform.allocations(),
+        own_designs.allocations()
     );
 }

@@ -1058,3 +1058,52 @@ fn snapshot_allows_disjoint_writes() {
     );
     assert_eq!(db.query(&Statement::Select(q)).run().unwrap().rows.len(), 2);
 }
+
+/// The same rows give the same `SUM` — or the same error — under every
+/// design. The row-mode fold used to check its range after every row and
+/// the pushed-down fold once at the end, so a sum that leaves `i64` on the
+/// way to a total inside it failed on a B+ tree and answered on a
+/// columnstore; and one whose total is outside must fail on both.
+#[test]
+fn sum_agrees_across_designs_on_transient_overflow() {
+    let sum_of = |values: [i64; 3], with_csi: bool| {
+        let db = db();
+        let schema = Schema::from_pairs(&[("id", DataType::Int32), ("val", DataType::Int64)]);
+        db.create_table("t", schema, vec![0], btree_primary())
+            .unwrap();
+        let rows = (0..)
+            .zip(values)
+            .map(|(id, val)| Row::new(vec![Value::Int32(id), Value::Int64(val)]));
+        db.load_table("t", rows.collect()).unwrap();
+        if with_csi {
+            let columns = vec![0, 1];
+            db.create_index("t", &IndexDescriptor::SecondaryCsi { columns })
+                .unwrap();
+        }
+        let q = SelectQuery {
+            tables: vec![TableInput::new("t")],
+            aggregates: vec![AggItem::column(AggFunc::Sum, ColRef::new(0, 1))],
+            ..Default::default()
+        };
+        let leaf = if with_csi {
+            LeafKind::Columnstore
+        } else {
+            LeafKind::BTree
+        };
+        assert_eq!(db.plan(&q).unwrap().leaf_kinds(), vec![leaf]);
+        db.query(&Statement::Select(q))
+            .run()
+            .map(|r| r.rows)
+            .map_err(|e| e.to_string())
+    };
+    let inside = [i64::MAX, 1, -2];
+    assert_eq!(
+        sum_of(inside, false),
+        Ok(vec![Row::new(vec![Value::Int64(i64::MAX - 1)])])
+    );
+    assert_eq!(sum_of(inside, true), sum_of(inside, false));
+    let outside = [i64::MAX, 1, 1];
+    let refused = sum_of(outside, false).unwrap_err();
+    assert!(refused.contains("SUM overflow"), "{refused}");
+    assert_eq!(sum_of(outside, true), Err(refused));
+}

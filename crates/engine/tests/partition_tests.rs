@@ -368,9 +368,13 @@ fn pruning_skips_partitions_and_shows_in_explain() {
         .unwrap();
     assert_eq!(r.rows.len(), 100);
     let delta = hpd_obs::global().snapshot().delta(&before);
-    assert_eq!(delta.counter("partition.scanned"), 1);
-    assert_eq!(delta.counter("partition.pruned"), 3);
+    // The registry is process-wide and other tests scan partitions too: the
+    // delta holds at least this statement's lanes, the report exactly them.
+    assert!(delta.counter("partition.scanned") >= 1);
+    assert!(delta.counter("partition.pruned") >= 3);
     let report = r.analyze.expect("analyze requested");
+    let partitions = report.partitions.expect("a partitioned scan ran");
+    assert_eq!((partitions.scanned, partitions.pruned), (1, 3));
     let rendered = report.render();
     assert!(
         rendered.contains("partitions: 1/4 scanned (3 pruned)"),

@@ -483,7 +483,9 @@ fn log_only_recovery_is_physically_identical() {
             "{design}: before the design change"
         );
 
-        // Phase 2: a whole-table design change, then more of the same.
+        // Phase 2: a whole-table design change (for "hybrid" one that keeps
+        // the columnstore, drops a B+ tree and adds one), then more of the
+        // same.
         let primary = match design {
             "btree" | "hybrid" => btree.clone(),
             _ => IndexDescriptor::PrimaryCsi,
@@ -498,7 +500,8 @@ fn log_only_recovery_is_physically_identical() {
         if design != "csi" && design != "parthybrid" {
             indexes.push(subset_csi.clone());
         }
-        db.apply_design(&TableDesign::new("t", indexes)).unwrap();
+        db.apply_design(&TableDesign::new("t", indexes.clone()))
+            .unwrap();
         for id in 140..160 {
             insert(id);
         }
@@ -508,10 +511,63 @@ fn log_only_recovery_is_physically_identical() {
         set_where_id(&db, 62, 3, Expr::Lit(Value::Int32(29)));
         increment(6);
         increment(3);
+        // The hash of the history up to here, as this test has always
+        // printed it.
+        println!("wal {design}: {:016x}", fnv1a(&db.wal_durable().log));
+
+        // Phase 3: a design change that keeps what phase 2 built, drops an
+        // index and adds one, on indexes that have taken inserts, updates
+        // and deletes since they were built: delta rows and buffered
+        // deletes are waiting, and a kept columnstore keeps them.
+        let on = |key: usize, include: usize| IndexDescriptor::SecondaryBTree {
+            keys: vec![key],
+            includes: vec![include],
+        };
+        db.create_index("t", &on(1, 3)).unwrap();
+        for id in 160..172 {
+            insert(id);
+        }
+        delete_below(&db, 18);
+        set_where_id(&db, 63, 1, Expr::Lit(Value::Int32(8)));
+        set_where_id(&db, 64, 2, Expr::Lit(Value::Int64(3)));
+        let residue = |db: &Database| {
+            db.with_table("t", |t| {
+                let buffered_deletes: usize = (0..t.num_parts())
+                    .flat_map(|p| t.part_metas(p))
+                    .map(|m| m.delete_buffer_rows)
+                    .sum();
+                (t.maintenance_backlog(), buffered_deletes)
+            })
+            .unwrap()
+        };
+        let waiting = residue(&db);
+        assert!(waiting.0 > 0, "{design}: delta rows wait");
+        let keeps_csi = indexes.contains(&subset_csi);
+        assert!(
+            !keeps_csi || waiting.1 > 0,
+            "{design}: buffered deletes wait"
+        );
+        // The new index first: the kept ones move down the list.
+        indexes.insert(1, on(3, 1));
+        db.apply_design(&TableDesign::new("t", indexes)).unwrap();
+        assert_eq!(
+            residue(&db),
+            waiting,
+            "{design}: the change compacts nothing"
+        );
+        for id in 175..185 {
+            insert(id);
+        }
+        delete_below(&db, 20);
+        set_where_id(&db, 65, 2, Expr::Lit(Value::Int64(4)));
+        set_where_id(&db, 66, 1, Expr::Lit(Value::Int32(9)));
+        set_where_id(&db, 67, 3, Expr::Lit(Value::Int32(1)));
+        increment(5);
+        increment(4);
 
         let durable = db.wal_durable();
         assert!(durable.checkpoint.is_none());
-        println!("wal {design}: {:016x}", fnv1a(&durable.log));
+        println!("wal {design} (phase 3): {:016x}", fnv1a(&durable.log));
         let recovered = Database::recover(cfg.clone(), durable).unwrap();
         assert_eq!(physical_state(&recovered), physical_state(&db), "{design}");
     }

@@ -27,29 +27,17 @@ impl AggSpec {
     pub fn new(func: AggFunc, input: usize) -> AggSpec {
         AggSpec { func, input }
     }
-
-    /// Result type given the input column type.
-    pub fn out_type(&self, input_type: DataType) -> DataType {
-        match self.func {
-            AggFunc::Count => DataType::Int64,
-            AggFunc::Avg => DataType::Float64,
-            AggFunc::Min | AggFunc::Max => input_type,
-            AggFunc::Sum => match input_type {
-                DataType::Int32 | DataType::Int64 | DataType::Date => DataType::Int64,
-                DataType::Decimal => DataType::Decimal,
-                DataType::Float64 => DataType::Float64,
-                DataType::Utf8 => DataType::Utf8, // rejected at runtime
-            },
-        }
-    }
 }
 
-/// Running state of one aggregate for one group.
+/// Running state of one aggregate for one group. Integer and decimal sums
+/// accumulate in `i128` and are range-checked once, at the end, as the
+/// pushed-down fold's are (`hpd_columnstore`'s `AggAcc`): only a *total*
+/// outside `i64` is an overflow, whatever the order the rows arrive in.
 #[derive(Debug, Clone)]
 enum AggState {
     Count(i64),
-    SumI(i64),
-    SumD(i64),
+    SumI(i128),
+    SumD(i128),
     SumF(f64),
     Min(Option<Value>),
     Max(Option<Value>),
@@ -78,12 +66,10 @@ impl AggState {
         match self {
             AggState::Count(c) => *c += 1,
             AggState::SumI(s) => {
-                *s = s
-                    .checked_add(v.as_i64().ok_or(HpdError::TypeMismatch {
-                        expected: "integer",
-                        found: v.data_type().name().to_string(),
-                    })?)
-                    .ok_or_else(|| HpdError::Internal("SUM overflow".into()))?;
+                *s += i128::from(v.as_i64().ok_or(HpdError::TypeMismatch {
+                    expected: "integer",
+                    found: v.data_type().name().to_string(),
+                })?);
             }
             AggState::SumD(s) => {
                 let Value::Decimal(d) = v else {
@@ -92,9 +78,7 @@ impl AggState {
                         found: v.data_type().name().to_string(),
                     });
                 };
-                *s = s
-                    .checked_add(*d)
-                    .ok_or_else(|| HpdError::Internal("SUM overflow".into()))?;
+                *s += i128::from(*d);
             }
             AggState::SumF(s) => {
                 *s += v.as_f64().ok_or(HpdError::TypeMismatch {
@@ -125,28 +109,21 @@ impl AggState {
 
     /// Final value. Empty MIN/MAX (global aggregate over no rows) yields a
     /// zero value of the declared type; this engine has no NULLs.
-    fn finish(self, out_type: DataType) -> Value {
-        match self {
+    fn finish(self, out_type: DataType) -> Result<Value> {
+        let in_range =
+            |s: i128| i64::try_from(s).map_err(|_| HpdError::Internal("SUM overflow".into()));
+        Ok(match self {
             AggState::Count(c) => Value::Int64(c),
-            AggState::SumI(s) => Value::Int64(s),
-            AggState::SumD(s) => Value::Decimal(s),
+            AggState::SumI(s) => Value::Int64(in_range(s)?),
+            AggState::SumD(s) => Value::Decimal(in_range(s)?),
             AggState::SumF(s) => Value::Float64(s),
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or_else(|| zero_of(out_type)),
+            AggState::Min(v) | AggState::Max(v) => {
+                v.unwrap_or_else(|| AggFunc::empty_value(out_type))
+            }
             AggState::Avg { sum, count } => {
                 Value::Float64(if count == 0 { 0.0 } else { sum / count as f64 })
             }
-        }
-    }
-}
-
-fn zero_of(t: DataType) -> Value {
-    match t {
-        DataType::Int32 => Value::Int32(0),
-        DataType::Int64 => Value::Int64(0),
-        DataType::Float64 => Value::Float64(0.0),
-        DataType::Decimal => Value::Decimal(0),
-        DataType::Date => Value::Date(0),
-        DataType::Utf8 => Value::str(""),
+        })
     }
 }
 
@@ -177,7 +154,10 @@ impl<'a> HashAggOp<'a> {
     pub fn new(child: PlanNode<'a>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggOp<'a> {
         let child_types = child.out_types();
         let mut out_types: Vec<DataType> = group_by.iter().map(|&g| child_types[g]).collect();
-        out_types.extend(aggs.iter().map(|a| a.out_type(child_types[a.input])));
+        out_types.extend(
+            aggs.iter()
+                .map(|a| a.func.result_type(child_types[a.input])),
+        );
         HashAggOp {
             child,
             group_by,
@@ -198,7 +178,7 @@ impl<'a> HashAggOp<'a> {
         }
 
         let mut out_rows: Vec<Row> = Vec::with_capacity(table.len());
-        self.emit_table(std::mem::take(&mut table), &mut out_rows);
+        self.emit_table(std::mem::take(&mut table), &mut out_rows)?;
         ctx.grant.release(reserved);
 
         // Process spilled partitions, one at a time, after the table memory
@@ -223,7 +203,7 @@ impl<'a> HashAggOp<'a> {
                 .collect::<Result<Vec<_>>>()?;
             let mut row = Vec::new();
             for (st, spec) in states.into_iter().zip(&self.aggs) {
-                row.push(st.finish(spec.out_type(self.child_types[spec.input])));
+                row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
             }
             batches.push(Batch::from_rows(&self.out_types, &[Row::new(row)])?);
         }
@@ -280,14 +260,15 @@ impl<'a> HashAggOp<'a> {
         Ok(())
     }
 
-    fn emit_table(&self, table: HashMap<Key, Vec<AggState>>, out: &mut Vec<Row>) {
+    fn emit_table(&self, table: HashMap<Key, Vec<AggState>>, out: &mut Vec<Row>) -> Result<()> {
         for (key, states) in table {
             let mut row: Vec<Value> = key.values().to_vec();
             for (st, spec) in states.into_iter().zip(&self.aggs) {
-                row.push(st.finish(spec.out_type(self.child_types[spec.input])));
+                row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
             }
             out.push(Row::new(row));
         }
+        Ok(())
     }
 
     /// Aggregate one spilled partition in memory; if it *still* exceeds the
@@ -328,7 +309,7 @@ impl<'a> HashAggOp<'a> {
             }
             table.insert(key, states);
         }
-        self.emit_table(table, out);
+        self.emit_table(table, out)?;
         ctx.grant.release(reserved);
         if !overflow.is_empty() {
             // Re-spill the overflow once (charging another disk round trip).
@@ -382,7 +363,10 @@ impl<'a> StreamAggOp<'a> {
     pub fn new(child: PlanNode<'a>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> StreamAggOp<'a> {
         let child_types = child.out_types();
         let mut out_types: Vec<DataType> = group_by.iter().map(|&g| child_types[g]).collect();
-        out_types.extend(aggs.iter().map(|a| a.out_type(child_types[a.input])));
+        out_types.extend(
+            aggs.iter()
+                .map(|a| a.func.result_type(child_types[a.input])),
+        );
         StreamAggOp {
             child,
             group_by,
@@ -396,14 +380,15 @@ impl<'a> StreamAggOp<'a> {
         }
     }
 
-    fn close_current(&mut self) {
+    fn close_current(&mut self) -> Result<()> {
         if let Some((key, states)) = self.current.take() {
             let mut row: Vec<Value> = key.values().to_vec();
             for (st, spec) in states.into_iter().zip(&self.aggs) {
-                row.push(st.finish(spec.out_type(self.child_types[spec.input])));
+                row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
             }
             self.pending.push(Row::new(row));
         }
+        Ok(())
     }
 }
 
@@ -417,13 +402,15 @@ impl Operator for StreamAggOp<'_> {
             match self.child.next(ctx)? {
                 None => {
                     self.done = true;
-                    self.close_current();
+                    self.close_current()?;
                     if !self.saw_input && self.group_by.is_empty() {
                         // Global aggregate over empty input.
                         let mut row = Vec::new();
                         for spec in &self.aggs {
                             let st = AggState::new(spec.func, self.child_types[spec.input])?;
-                            row.push(st.finish(spec.out_type(self.child_types[spec.input])));
+                            row.push(
+                                st.finish(spec.func.result_type(self.child_types[spec.input]))?,
+                            );
                         }
                         self.pending.push(Row::new(row));
                     }
@@ -439,7 +426,7 @@ impl Operator for StreamAggOp<'_> {
                         );
                         let same = self.current.as_ref().is_some_and(|(cur, _)| cur == &key);
                         if !same {
-                            self.close_current();
+                            self.close_current()?;
                             let mut states = Vec::with_capacity(self.aggs.len());
                             for spec in &self.aggs {
                                 states
@@ -488,7 +475,7 @@ impl<'a> CsiAggOp<'a> {
     ) -> CsiAggOp<'a> {
         let out_types = aggs
             .iter()
-            .map(|a| AggSpec::new(a.func, a.col).out_type(index.schema().column(a.col).dtype))
+            .map(|a| a.func.result_type(index.schema().column(a.col).dtype))
             .collect();
         CsiAggOp {
             index,

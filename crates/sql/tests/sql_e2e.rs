@@ -386,6 +386,42 @@ fn drop_index_never_flattens_per_partition_designs() {
     assert_eq!(rows[0].values()[0], Value::Int64(10));
 }
 
+/// `DROP INDEX` on a one-part table is `apply_design` with one index less,
+/// and that moves indexes, not rows: a snapshot that began before it reads
+/// the same rows after it and still loses to a write that committed first.
+#[test]
+fn a_snapshot_spans_drop_index() {
+    let db = Database::new(DbConfig::default());
+    let mut ddl = SqlSession::new(&db);
+    ddl.execute(
+        "CREATE TABLE t (k INT PRIMARY KEY, v INT, w INT);
+         INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300);
+         CREATE INDEX ON t (v);
+         CREATE INDEX ON t (w);",
+    )
+    .expect("ddl");
+    let mut reader = SqlSession::new(&db);
+    reader
+        .execute("SET ISOLATION SNAPSHOT; BEGIN")
+        .expect("begin");
+    let read = |s: &mut SqlSession<'_>| {
+        let SqlOutput::Rows { rows, .. } = s.execute_one("SELECT k, v FROM t ORDER BY k").unwrap()
+        else {
+            panic!("expected rows");
+        };
+        rows
+    };
+    let before = read(&mut reader);
+    ddl.execute("UPDATE t SET v = 21 WHERE k = 2; DROP INDEX 1 ON t")
+        .expect("another session's write, then the drop");
+    assert_eq!(read(&mut reader), before, "the snapshot's repeated read");
+    let lost = reader.execute("UPDATE t SET v = 22 WHERE k = 2; COMMIT");
+    assert!(
+        matches!(lost, Err(HpdError::SerializationFailure(_))),
+        "the row changed after the snapshot began: {lost:?}"
+    );
+}
+
 #[test]
 fn cli_partitions_meta_command_reports_designs() {
     let script = "CREATE TABLE e (k INT PRIMARY KEY, v INT) \

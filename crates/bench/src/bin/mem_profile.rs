@@ -246,7 +246,7 @@ fn checkpoints(p: &mut Profile, db: &Database) {
 /// Run `f` on the named table's only part's primary B+ tree.
 fn with_primary<R>(db: &Database, table: &str, f: impl FnOnce(&BTree) -> R) -> R {
     db.with_table(table, |t: &Table| {
-        f(t.part(0).primary().as_btree().expect("B+ tree primary"))
+        f(t.part(0).indexes()[0].btree().expect("B+ tree primary"))
     })
     .expect("table exists")
 }
@@ -371,7 +371,7 @@ fn profile_lineitem() -> Vec<String> {
         .expect("secondary B+ tree")
     });
     db.with_table("lineitem", |t| {
-        p.built_btree(&t.part(0).secondaries()[0].tree, ROWS)
+        p.built_btree(t.part(0).indexes()[1].btree().expect("B+ tree"), ROWS)
     })
     .expect("table exists");
     p.stage("secondary CSI", || {

@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use hpd_common::interval::Bound;
-use hpd_common::{HpdError, Interval, Result, Row, Value};
+use crate::interval::Bound;
+use crate::{HpdError, Interval, Result, Row, Value};
 
 /// How rows map to partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +141,7 @@ impl PartitionSpec {
 
     /// Partition ids that may contain rows satisfying the sargable
     /// `intervals` of a predicate (the output of
-    /// [`hpd_common::Expr::column_intervals`]). Partitions not listed are
+    /// [`crate::Expr::column_intervals`]). Partitions not listed are
     /// proven empty of qualifying rows and can be skipped entirely.
     pub fn prune(&self, intervals: &HashMap<usize, Interval>) -> Vec<usize> {
         let n = self.partitions();

@@ -169,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn secondary_csi_meta_includes_pk_and_maps_ordinals() {
+    fn secondary_columnstore_meta_includes_pk_and_maps_ordinals() {
         let (ctx, data) = ctx(rows(5_000));
         let sample = SampleSet::full(&data);
         let meta = hypothetical_meta(

@@ -289,10 +289,12 @@ fn candidate_metas(
     candidates: &[Vec<IndexDescriptor>],
     options: &PartitionAdvisorOptions,
 ) -> Result<Vec<Vec<IndexMeta>>> {
-    let rows = db.with_table(&ctx.name, |t| {
-        t.scan_all_rows(db.pool(), &hpd_storage::IoTracker::new())
+    let (fraction, seed) = (options.sample_fraction, options.seed);
+    let sample = db.with_table(&ctx.name, |t| {
+        SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
+            t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
+        })
     })?;
-    let sample = SampleSet::block_sample(&rows, options.sample_fraction, options.seed);
     let csi_config = db.config().csi;
     let estimator = RunModelEstimator;
     Ok(candidates

@@ -90,13 +90,13 @@ impl<'a> WhatIfSession<'a> {
                 per_partition_tables.push(name);
                 continue;
             }
-            let rows = db.with_table(&name, |t| {
-                t.scan_all_rows(db.pool(), &hpd_storage::IoTracker::new())
+            let (fraction, seed) = (options.sample_fraction, options.seed);
+            let sample = db.with_table(&name, |t| {
+                SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
+                    t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
+                })
             })?;
-            samples.insert(
-                name.clone(),
-                SampleSet::block_sample(&rows, options.sample_fraction, options.seed),
-            );
+            samples.insert(name.clone(), sample);
             contexts.insert(name, ctx);
         }
         let stmt_tables = workload

@@ -37,31 +37,64 @@ pub struct SampleSet {
     pub fraction: f64,
 }
 
+/// The blocks a sample of roughly `fraction` of `row_count` rows takes, in
+/// ascending order (none of an empty table). Deterministic in `seed`.
+fn sampled_blocks(row_count: usize, fraction: f64, seed: u64) -> Vec<usize> {
+    let n_blocks = row_count.div_ceil(SAMPLE_BLOCK_ROWS);
+    let want_blocks = ((n_blocks as f64 * fraction).ceil() as usize)
+        .max(1)
+        .min(n_blocks);
+    let mut ids: Vec<usize> = (0..n_blocks).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    ids.shuffle(&mut rng);
+    ids.truncate(want_blocks);
+    ids.sort_unstable();
+    ids
+}
+
 impl SampleSet {
+    /// `rows` as a sample of a table of `row_count` rows; an empty table is
+    /// its own whole sample.
+    fn of(rows: Vec<Row>, row_count: usize) -> SampleSet {
+        let fraction = match row_count {
+            0 => 1.0,
+            n => rows.len() as f64 / n as f64,
+        };
+        SampleSet { rows, fraction }
+    }
+
     /// Sample whole blocks of `all_rows` until roughly `fraction` of the
     /// rows are covered. Deterministic in `seed`.
     pub fn block_sample(all_rows: &[Row], fraction: f64, seed: u64) -> SampleSet {
-        if all_rows.is_empty() {
-            return SampleSet {
-                rows: Vec::new(),
-                fraction: 1.0,
-            };
-        }
-        let n_blocks = all_rows.len().div_ceil(SAMPLE_BLOCK_ROWS);
-        let want_blocks = ((n_blocks as f64 * fraction).ceil() as usize).clamp(1, n_blocks);
-        let mut ids: Vec<usize> = (0..n_blocks).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        ids.shuffle(&mut rng);
-        ids.truncate(want_blocks);
-        ids.sort_unstable();
-        let mut rows = Vec::with_capacity(want_blocks * SAMPLE_BLOCK_ROWS);
-        for b in ids {
+        let blocks = sampled_blocks(all_rows.len(), fraction, seed);
+        let mut rows = Vec::with_capacity(blocks.len() * SAMPLE_BLOCK_ROWS);
+        for b in blocks {
             let start = b * SAMPLE_BLOCK_ROWS;
             let end = (start + SAMPLE_BLOCK_ROWS).min(all_rows.len());
             rows.extend_from_slice(&all_rows[start..end]);
         }
-        let fraction = rows.len() as f64 / all_rows.len() as f64;
-        SampleSet { rows, fraction }
+        SampleSet::of(rows, all_rows.len())
+    }
+
+    /// [`SampleSet::block_sample`] of a table nobody holds as a slice: `feed`
+    /// hands over all `row_count` rows once, in order, and only the rows of
+    /// the sampled blocks are copied.
+    pub fn block_sample_scan(
+        row_count: usize,
+        fraction: f64,
+        seed: u64,
+        feed: impl FnOnce(&mut dyn FnMut(&Row)),
+    ) -> SampleSet {
+        let blocks = sampled_blocks(row_count, fraction, seed);
+        let mut rows = Vec::with_capacity(blocks.len() * SAMPLE_BLOCK_ROWS);
+        let mut ordinal = 0;
+        feed(&mut |row| {
+            if blocks.binary_search(&(ordinal / SAMPLE_BLOCK_ROWS)).is_ok() {
+                rows.push(row.clone());
+            }
+            ordinal += 1;
+        });
+        SampleSet::of(rows, row_count)
     }
 
     /// The whole table as a "sample" (exact estimation baseline).
@@ -505,6 +538,11 @@ mod tests {
         assert!((s.fraction - 0.05).abs() < 0.02, "{}", s.fraction);
         assert_eq!(s.rows.len() % SAMPLE_BLOCK_ROWS, 0);
         // Deterministic.
+        let scanned = SampleSet::block_sample_scan(rows.len(), 0.05, 42, |sink| {
+            rows.iter().for_each(sink);
+        });
+        assert_eq!(scanned.rows, s.rows);
+        assert_eq!(scanned.fraction, s.fraction);
         let s2 = SampleSet::block_sample(&rows, 0.05, 42);
         assert_eq!(s.rows.len(), s2.rows.len());
     }

@@ -26,6 +26,10 @@ use rand::{Rng, SeedableRng};
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
+/// Counts per thread: what a test measures is what its own thread allocates.
+#[global_allocator]
+static ALLOC: hpd_obs::alloc::CountingAlloc = hpd_obs::alloc::CountingAlloc;
+
 fn tpcds_db() -> Database {
     let mut cfg = DbConfig::default();
     cfg.csi.rowgroup_capacity = 4_096;
@@ -245,6 +249,60 @@ fn no_state_survives_a_recommend_call() {
     assert_eq!(large.configuration, fresh.configuration);
     assert!(large.est_cost_before_us > small.est_cost_before_us);
     assert!(large.new_index_bytes > small.new_index_bytes);
+}
+
+/// The advisor reads a table to keep a block sample of it: the rows pass by
+/// reference, so a `recommend` never holds a table's worth of them.
+#[test]
+fn recommend_peaks_below_the_table_it_samples() {
+    const ROWS: i32 = 48_000;
+    let _serial = REGISTRY.lock().unwrap();
+    let db = Database::new(DbConfig::default());
+    db.create_table(
+        "orders",
+        Schema::from_pairs(&[
+            ("id", DataType::Int32),
+            ("customer", DataType::Int32),
+            ("amount", DataType::Int32),
+            ("day", DataType::Int32),
+        ]),
+        vec![0],
+        IndexDescriptor::PrimaryBTree { keys: vec![0] },
+    )
+    .unwrap();
+    let row = |i: i32| {
+        [i, i % 900, i * 13 % 500, i / 40]
+            .map(Value::Int32)
+            .to_vec()
+    };
+    db.load_table("orders", (0..ROWS).map(|i| Row::new(row(i))).collect())
+        .unwrap();
+    let workload = Workload::read_only(vec![
+        SelectQuery::single_table(
+            "orders",
+            Some(Expr::col_cmp(1, CmpOp::Eq, Value::Int32(7))),
+            vec![0, 1, 2],
+        ),
+        SelectQuery::single_table(
+            "orders",
+            Some(Expr::col_cmp(3, CmpOp::Lt, Value::Int32(600))),
+            vec![2, 3],
+        ),
+    ]);
+    let (rec, region) = hpd_obs::alloc::measure(|| {
+        Advisor::new(&db, AdvisorOptions::default())
+            .recommend(&workload)
+            .unwrap()
+    });
+    assert!(!rec.configuration.tables.is_empty());
+    // The table as owned rows: a vector header and four values each.
+    let row_bytes = std::mem::size_of::<Row>() + 4 * std::mem::size_of::<Value>();
+    let table_bytes = ROWS as i64 * row_bytes as i64;
+    assert!(
+        region.peak_over_start() < table_bytes / 2,
+        "recommend peaked {} B over its start; the table's rows are {table_bytes} B",
+        region.peak_over_start()
+    );
 }
 
 /// The EXPERIMENTS.md "advisor scaling" rows: `cargo test --release -p

@@ -18,7 +18,6 @@ use hpd_wal::LogRecord;
 use parking_lot::RwLock;
 
 use crate::catalog::{Database, TableSlot};
-use crate::recover::{from_wal_def, from_wal_design, from_wal_partitioning};
 use crate::table::{PostImage, Table};
 
 /// One committed row change: what a transaction buffers as a `WriteOp` and
@@ -89,16 +88,12 @@ impl Database {
             ..
         } = rec
         {
-            let spec = partitioning
-                .as_ref()
-                .map(from_wal_partitioning)
-                .transpose()?;
             let table = Table::create_spec(
                 name.clone(),
                 schema,
                 pk,
-                &from_wal_def(&primary),
-                spec,
+                &primary,
+                partitioning,
                 self.config.csi,
                 self.alloc.clone(),
             )?;
@@ -112,35 +107,38 @@ impl Database {
             LogRecord::BulkLoad { rows, .. } => t.bulk_load(rows, &self.pool, tracker)?,
             // Every part keeps what it has and gains the index.
             LogRecord::IndexCreate { def, .. } => {
-                let targets: Vec<_> = (t.parts().iter())
-                    .map(|part| {
-                        let mut secondaries = part.secondary_descriptors();
-                        secondaries.push(from_wal_def(&def));
-                        (part.primary_descriptor(t.pk()), secondaries)
-                    })
-                    .collect();
+                let mut targets = t.designs();
+                for design in &mut targets {
+                    design.push(def.clone());
+                }
                 t.set_design(0, &targets, &self.pool, tracker)?;
             }
-            LogRecord::DesignChange {
-                primary,
-                secondaries,
-                ..
-            } => {
+            // Every part keeps what it has but the index; a part without it
+            // refuses the drop before any part is touched.
+            LogRecord::IndexDrop { def, .. } => {
+                let def = t.as_stored(&def);
+                let mut targets = t.designs();
+                for (p, design) in targets.iter_mut().enumerate() {
+                    let at = design[1..].iter().position(|d| *d == def).ok_or_else(|| {
+                        HpdError::Constraint(format!(
+                            "table {}: partition {p} has no secondary index {def:?}",
+                            t.name
+                        ))
+                    })?;
+                    design.remove(at + 1);
+                }
+                t.set_design(0, &targets, &self.pool, tracker)?;
+            }
+            LogRecord::DesignChange { indexes, .. } => {
                 // Statistics are as old as the last load; a design change
                 // brings them up to date, from the rows in the order the
                 // outgoing primary indexes hold them.
                 t.analyze(&self.pool, tracker);
-                let targets = vec![from_wal_design(&primary, &secondaries); t.num_parts()];
+                let targets = vec![indexes; t.num_parts()];
                 t.set_design(0, &targets, &self.pool, tracker)?;
             }
-            LogRecord::PartitionDesignChange {
-                part,
-                primary,
-                secondaries,
-                ..
-            } => {
-                let target = from_wal_design(&primary, &secondaries);
-                t.set_design(part as usize, &[target], &self.pool, tracker)?;
+            LogRecord::PartitionDesignChange { part, indexes, .. } => {
+                t.set_design(part as usize, &[indexes], &self.pool, tracker)?;
             }
             // Re-run the increment with the same budget and target
             // (`u32::MAX`: every part). The live increment applies itself

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hpd_columnstore::CsiConfig;
-use hpd_common::{faults, HpdError, Key, Result, Row, Schema, Value};
+use hpd_common::{faults, HpdError, Key, PartitionSpec, Result, Row, Schema, Value};
 use hpd_exec::{ExecMetrics, GrantBroker, WorkerPool};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use hpd_wal::{ImageWriter, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
@@ -15,15 +15,13 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::apply::{apply_write, RowChange};
 use crate::cost::CostModel;
-use crate::design::{Configuration, IndexDescriptor, IndexMeta, TableDesign};
+use crate::design::{validate_design, Configuration, IndexDescriptor, IndexMeta, TableDesign};
 use crate::executor::{ExecutionResult, QueryRunner, TableOverlay};
 use crate::maintenance::MaintenanceConfig;
 use crate::optimizer::{Optimizer, PartInfo, TableContext};
-use crate::partition::PartitionSpec;
 use crate::plan::PhysicalPlan;
 use crate::query::{DeleteStmt, InsertStmt, SelectQuery, Statement, UpdateStmt};
 use crate::querystore::{plan_fingerprint, QueryStore, StoredStatement};
-use crate::recover::{to_wal_def, to_wal_partitioning};
 use crate::table::{PostImage, Table};
 use crate::txn::{IsolationLevel, LockKey, LockMode, TxnManager, WriteOp};
 
@@ -347,8 +345,8 @@ impl Database {
             name,
             schema,
             pk,
-            primary: to_wal_def(&primary),
-            partitioning: spec.as_ref().map(to_wal_partitioning),
+            primary,
+            partitioning: spec,
         })
     }
 
@@ -388,7 +386,18 @@ impl Database {
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::IndexCreate {
             table: self.slot_id(table)? as u32,
-            def: to_wal_def(descriptor),
+            def: descriptor.clone(),
+        })
+    }
+
+    /// Drop the secondary index `descriptor` from every part, as one logged
+    /// operation: every part has it or none loses it, and a crash leaves it
+    /// on all parts or on none. The other indexes are not read.
+    pub fn drop_index(&self, table: &str, descriptor: &IndexDescriptor) -> Result<()> {
+        let _commit = self.commit_lock.lock();
+        self.ddl(LogRecord::IndexDrop {
+            table: self.slot_id(table)? as u32,
+            def: descriptor.clone(),
         })
     }
 
@@ -403,8 +412,7 @@ impl Database {
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::DesignChange {
             table: self.slot_id(&design.table)? as u32,
-            primary: to_wal_def(&design.indexes[0]),
-            secondaries: design.indexes[1..].iter().map(to_wal_def).collect(),
+            indexes: design.indexes.clone(),
         })
     }
 
@@ -420,12 +428,11 @@ impl Database {
         primary: &IndexDescriptor,
         secondaries: &[IndexDescriptor],
     ) -> Result<()> {
-        TableDesign::new(table, {
-            let mut all = vec![primary.clone()];
-            all.extend(secondaries.iter().cloned());
-            all
-        })
-        .validate()?;
+        let indexes: Vec<_> = std::iter::once(primary)
+            .chain(secondaries)
+            .cloned()
+            .collect();
+        validate_design(table, &indexes)?;
         let _commit = self.commit_lock.lock();
         let parts = self.with_table(table, |t| t.partitioning().map(|_| t.num_parts()))?;
         let Some(parts) = parts else {
@@ -441,8 +448,7 @@ impl Database {
         self.ddl(LogRecord::PartitionDesignChange {
             table: self.slot_id(table)? as u32,
             part: part as u32,
-            primary: to_wal_def(primary),
-            secondaries: secondaries.iter().map(to_wal_def).collect(),
+            indexes,
         })
     }
 
@@ -525,41 +531,19 @@ impl Database {
         for slot in &slots {
             // One read lock spans the redo boundary and the rows it bounds.
             let table = slot.table.read();
-            let design = |part: usize| {
-                let metas = table.part_metas(part);
-                let mut defs = metas
-                    .iter()
-                    .map(|m| crate::recover::to_wal_def(&m.descriptor));
-                let primary = defs.next().expect("every part has a primary index");
-                (primary, defs.collect::<Vec<_>>())
-            };
-            // The image's table-level design is the first part's.
-            let (primary, secondaries) = design(0);
             // Partitioned tables additionally capture each partition's own
-            // (possibly heterogeneous) design; rows stay concatenated and
+            // (possibly heterogeneous) index list; rows stay concatenated and
             // recovery's bulk load re-routes them.
-            let parts = if table.partitioning().is_some() {
-                (0..table.num_parts())
-                    .map(|p| {
-                        let (primary, secondaries) = design(p);
-                        hpd_wal::PartSnapshot {
-                            primary,
-                            secondaries,
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
+            let parts = match table.partitioning() {
+                Some(_) => table.designs(),
+                None => Vec::new(),
             };
             let entry = TableEntry {
                 name: slot.name.clone(),
                 schema: table.schema().clone(),
                 pk: table.pk().to_vec(),
-                primary,
-                secondaries,
-                partitioning: table
-                    .partitioning()
-                    .map(crate::recover::to_wal_partitioning),
+                indexes: table.part(0).descriptors(),
+                partitioning: table.partitioning().cloned(),
                 parts,
                 applied_lsn: slot.applied_lsn.load(Ordering::Relaxed),
             };

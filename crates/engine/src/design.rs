@@ -9,78 +9,21 @@
 //! sizes for columnstore indexes").
 
 use hpd_columnstore::IntEncoding;
-use hpd_common::{HpdError, Result, Schema};
+pub use hpd_common::IndexDescriptor;
+use hpd_common::{HpdError, Result};
 use hpd_storage::PAGE_SIZE;
 
 use crate::cost::encoding_cpu_factor;
 
-/// Identifies an index within its table: the primary index is 0, secondary
-/// indexes follow in declaration order.
+/// Identifies an index within one part of its table: the position in that
+/// part's index list (`TablePart::indexes`, and the meta list the optimizer
+/// plans from) — the primary index is 0, B+ tree secondaries follow in
+/// design order, the secondary columnstore is last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexId(pub usize);
 
 impl IndexId {
     pub const PRIMARY: IndexId = IndexId(0);
-}
-
-/// One possible index on one table. Column references are ordinals into the
-/// table's schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum IndexDescriptor {
-    /// Clustered B+ tree: full rows at the leaves, ordered by `keys`.
-    PrimaryBTree { keys: Vec<usize> },
-    /// Secondary B+ tree: `keys` ordered, `includes` stored at the leaves,
-    /// plus the table's primary key as the row locator.
-    SecondaryBTree {
-        keys: Vec<usize>,
-        includes: Vec<usize>,
-    },
-    /// Clustered columnstore over all columns.
-    PrimaryCsi,
-    /// Secondary (nonclustered) columnstore over a column subset.
-    SecondaryCsi { columns: Vec<usize> },
-}
-
-impl IndexDescriptor {
-    pub fn is_csi(&self) -> bool {
-        matches!(
-            self,
-            IndexDescriptor::PrimaryCsi | IndexDescriptor::SecondaryCsi { .. }
-        )
-    }
-
-    pub fn is_primary(&self) -> bool {
-        matches!(
-            self,
-            IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::PrimaryCsi
-        )
-    }
-
-    /// Human-readable form for recommendations and plan printouts.
-    pub fn display(&self, schema: &Schema) -> String {
-        let names = |cols: &[usize]| {
-            cols.iter()
-                .map(|&c| schema.column(c).name.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        match self {
-            IndexDescriptor::PrimaryBTree { keys } => {
-                format!("PRIMARY B+TREE ({})", names(keys))
-            }
-            IndexDescriptor::SecondaryBTree { keys, includes } => {
-                if includes.is_empty() {
-                    format!("B+TREE ({})", names(keys))
-                } else {
-                    format!("B+TREE ({}) INCLUDE ({})", names(keys), names(includes))
-                }
-            }
-            IndexDescriptor::PrimaryCsi => "PRIMARY COLUMNSTORE".to_string(),
-            IndexDescriptor::SecondaryCsi { columns } => {
-                format!("COLUMNSTORE ({})", names(columns))
-            }
-        }
-    }
 }
 
 /// The physical design of one table.
@@ -101,33 +44,22 @@ impl TableDesign {
 
     /// Enforce structural constraints ([`validate_design`]).
     pub fn validate(&self) -> Result<()> {
-        match self.indexes.split_first() {
-            Some((primary, secondaries)) => validate_design(&self.table, primary, secondaries),
-            None => Err(HpdError::Constraint(format!(
-                "table {}: indexes[0] must be a primary index",
-                self.table
-            ))),
-        }
+        validate_design(&self.table, &self.indexes)
     }
 }
 
 /// The structural constraints on one table's (or one partition's) design:
 /// exactly one primary, named first, and at most one columnstore (SQL
 /// Server's restriction, paper §2).
-pub(crate) fn validate_design(
-    table: &str,
-    primary: &IndexDescriptor,
-    secondaries: &[IndexDescriptor],
-) -> Result<()> {
+pub(crate) fn validate_design(table: &str, indexes: &[IndexDescriptor]) -> Result<()> {
     let refuse = |why: &str| Err(HpdError::Constraint(format!("table {table}: {why}")));
-    if !primary.is_primary() {
+    if !indexes.first().is_some_and(IndexDescriptor::is_primary) {
         return refuse("indexes[0] must be a primary index");
     }
-    if secondaries.iter().any(|d| d.is_primary()) {
+    if indexes[1..].iter().any(IndexDescriptor::is_primary) {
         return refuse("multiple primary indexes");
     }
-    let csis = primary.is_csi() as usize + secondaries.iter().filter(|d| d.is_csi()).count();
-    if csis > 1 {
+    if indexes.iter().filter(|d| d.is_csi()).count() > 1 {
         return refuse("at most one columnstore index per table");
     }
     Ok(())
@@ -247,15 +179,6 @@ impl IndexMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpd_common::DataType;
-
-    fn schema() -> Schema {
-        Schema::from_pairs(&[
-            ("a", DataType::Int32),
-            ("b", DataType::Int32),
-            ("c", DataType::Int32),
-        ])
-    }
 
     #[test]
     fn validate_requires_primary_first() {
@@ -361,19 +284,5 @@ mod tests {
         assert_eq!(meta.csi_cpu_factor(&[3]), 1.0);
         let mixed = meta.csi_cpu_factor(&[0, 1]);
         assert!(mixed > meta.csi_cpu_factor(&[0]) && mixed < meta.csi_cpu_factor(&[1]));
-    }
-
-    #[test]
-    fn display_descriptor() {
-        let s = schema();
-        let d = IndexDescriptor::SecondaryBTree {
-            keys: vec![1],
-            includes: vec![2],
-        };
-        assert_eq!(d.display(&s), "B+TREE (b) INCLUDE (c)");
-        assert_eq!(
-            IndexDescriptor::PrimaryCsi.display(&s),
-            "PRIMARY COLUMNSTORE"
-        );
     }
 }

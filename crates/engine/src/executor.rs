@@ -19,7 +19,7 @@ use hpd_storage::BufferPool;
 use crate::design::IndexId;
 use crate::plan::{PhysicalPlan, PlanMode, PlanNode, PlanNodeKind};
 use crate::profile::{AnalyzeReport, ProfileMap};
-use crate::table::{Table, TablePart};
+use crate::table::{PartIndex, Table};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -234,68 +234,25 @@ impl<'a> QueryRunner<'a> {
             .ok_or_else(|| HpdError::Internal(format!("table index {ti} out of range")))
     }
 
-    /// Part `part` of query table `ti`. A plan naming a part the table does
-    /// not have was built against another design: refuse it.
-    fn part(&self, ti: usize, part: usize) -> Result<&'a TablePart> {
+    /// What `index` names in part `part` of query table `ti`: that position
+    /// of the part's index list. A plan naming a part or a position the
+    /// table does not have was built against another design: refuse it (as
+    /// [`PartIndex::btree`] / [`PartIndex::csi`] refuse one naming an index
+    /// of the other kind).
+    fn index(&self, ti: usize, part: usize, index: IndexId) -> Result<&'a PartIndex> {
         let table = self.table(ti)?;
-        table.parts().get(part).ok_or_else(|| {
+        let refuse = |what: String, has: usize| {
             HpdError::Internal(format!(
-                "plan names part {part} of table {}, which has {}",
-                table.name,
-                table.num_parts()
+                "plan names {what} of table {}, which has {has}",
+                table.name
             ))
-        })
-    }
-
-    fn resolve_btree(
-        &self,
-        ti: usize,
-        part: usize,
-        index: IndexId,
-    ) -> Result<&'a hpd_btree::BTree> {
-        let part = self.part(ti, part)?;
-        if index.0 == 0 {
-            part.primary().as_btree().ok_or_else(|| {
-                HpdError::Internal("plan expects a primary B+ tree but table has a CSI".into())
-            })
-        } else {
-            part.secondaries()
-                .get(index.0 - 1)
-                .map(|s| &s.tree)
-                .ok_or_else(|| HpdError::Internal(format!("no secondary index {}", index.0)))
-        }
-    }
-
-    fn resolve_csi(
-        &self,
-        ti: usize,
-        part: usize,
-        index: IndexId,
-    ) -> Result<(&'a hpd_columnstore::ColumnStoreIndex, Vec<usize>)> {
-        let part = self.part(ti, part)?;
-        if index.0 == 0 {
-            let csi = part.primary().as_csi().ok_or_else(|| {
-                HpdError::Internal("plan expects a primary CSI but table has a B+ tree".into())
-            })?;
-            Ok((csi, (0..self.table(ti)?.schema().len()).collect()))
-        } else {
-            let csi = part
-                .secondary_csi()
-                .ok_or_else(|| HpdError::Internal("no secondary CSI".into()))?;
-            Ok((csi, part.csi_columns().to_vec()))
-        }
-    }
-
-    /// Key columns (table ordinals) of the B+ tree `index` of a part.
-    fn btree_keys(&self, ti: usize, part: usize, index: IndexId) -> Result<Vec<usize>> {
-        if index.0 == 0 {
-            return Ok(self.table(ti)?.pk().to_vec());
-        }
-        self.part(ti, part)?
-            .secondaries()
-            .get(index.0 - 1)
-            .map(|s| s.keys.clone())
-            .ok_or_else(|| HpdError::Internal(format!("no secondary index {}", index.0)))
+        };
+        let indexes = (table.parts().get(part))
+            .ok_or_else(|| refuse(format!("part {part}"), table.num_parts()))?
+            .indexes();
+        indexes
+            .get(index.0)
+            .ok_or_else(|| refuse(format!("index {} of part {part}", index.0), indexes.len()))
     }
 
     /// Restrict a snapshot overlay to one part of a table with several.
@@ -341,7 +298,8 @@ impl<'a> QueryRunner<'a> {
                 intervals,
                 dop,
             } => {
-                let (csi, stored) = self.resolve_csi(*table, *part, *index)?;
+                let index = self.index(*table, *part, *index)?;
+                let (csi, stored) = (index.csi()?, index.stored());
                 // Translate table-ordinal projection & intervals to the
                 // CSI's schema ordinals.
                 let to_csi = |c: usize| -> Result<usize> {
@@ -404,18 +362,15 @@ impl<'a> QueryRunner<'a> {
         dop: usize,
     ) -> Result<Vec<ExecNode<'a>>> {
         let (ti, part, index) = scan_target(node)?;
-        let tree = self.resolve_btree(ti, part, index)?;
+        let index = self.index(ti, part, index)?;
+        let tree = index.btree()?;
         let types: Vec<DataType> = node.out_types.clone();
         if dop <= 1 {
             return Ok(vec![Box::new(BTreeRangeScanOp::new(tree, types, lo, hi))]);
         }
         // Split points from the first key column's histogram.
         let table = self.table(ti)?;
-        let first_key_col = self
-            .btree_keys(ti, part, index)?
-            .first()
-            .copied()
-            .unwrap_or(0);
+        let first_key_col = index.descriptor().keys().first().copied().unwrap_or(0);
         let bounds = &table.stats().columns[first_key_col].bucket_bounds;
         let in_range = |v: &Value| -> bool {
             let k = Key::single(v.clone());
@@ -516,11 +471,11 @@ impl<'a> QueryRunner<'a> {
         // (which may elide a Sort, stream an aggregate, or merge-join on the
         // strength of it), but the overlay operator appends old row versions
         // at the end of the stream. Re-establish the claimed order below.
-        let order_keys: Vec<usize> = match &node.kind {
+        let order_keys: &[usize] = match &node.kind {
             PlanNodeKind::BTreeScan { .. } | PlanNodeKind::BTreeSeek { .. } => {
-                self.btree_keys(ti, part, index)?
+                self.index(ti, part, index)?.descriptor().keys()
             }
-            _ => Vec::new(),
+            _ => &[],
         };
         // Extend the output with any missing primary-key columns (so rows
         // can be identified) and missing order-key columns (so the order
@@ -540,7 +495,7 @@ impl<'a> QueryRunner<'a> {
         for &k in table.pk() {
             ensure_col(k);
         }
-        for &k in &order_keys {
+        for &k in order_keys {
             ensure_col(k);
         }
         let scan = gather(self.scan_partitions(node, &ext_cols)?, scan_dop(node));
@@ -683,7 +638,8 @@ impl<'a> QueryRunner<'a> {
                         .collect();
                     return Ok(Box::new(HashAggOp::new(c, Vec::new(), specs)));
                 }
-                let (csi, stored) = self.resolve_csi(*table, *part, *index)?;
+                let index = self.index(*table, *part, *index)?;
+                let (csi, stored) = (index.csi()?, index.stored());
                 let to_csi = |c: usize| -> Result<usize> {
                     stored
                         .iter()
@@ -767,13 +723,7 @@ impl<'a> QueryRunner<'a> {
                     self.lower(child)?
                 };
                 let t = self.table(*table)?;
-                let tree = self
-                    .part(*table, *part)?
-                    .primary()
-                    .as_btree()
-                    .ok_or_else(|| {
-                        HpdError::Internal("PkLookup requires a primary B+ tree".into())
-                    })?;
+                let tree = self.index(*table, *part, IndexId::PRIMARY)?.btree()?;
                 let payload_types: Vec<DataType> =
                     t.schema().columns().iter().map(|c| c.dtype).collect();
                 let child_arity = child.out_types.len();
@@ -846,7 +796,7 @@ impl<'a> QueryRunner<'a> {
                         "IndexNLJoin over an inner table of several parts".into(),
                     ));
                 }
-                let tree = self.resolve_btree(*table, 0, *index)?;
+                let tree = self.index(*table, 0, *index)?.btree()?;
                 let outer_arity = outer.out_types.len();
                 let payload_types: Vec<DataType> = node.out_types[outer_arity..].to_vec();
                 Ok(Box::new(IndexLookupJoinOp::new(

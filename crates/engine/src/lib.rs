@@ -16,7 +16,6 @@ pub mod design;
 pub mod executor;
 pub mod maintenance;
 pub mod optimizer;
-pub mod partition;
 pub mod plan;
 pub mod profile;
 pub mod query;
@@ -30,13 +29,13 @@ pub use catalog::{Database, DbConfig, ExecOptions, QueryBuilder, Session, StmtRe
 pub use design::{Configuration, IndexDescriptor, IndexId, IndexMeta, TableDesign};
 pub use executor::{ExecutionResult, QueryRunner, TableOverlay};
 pub use hpd_columnstore::CsiConfig;
+pub use hpd_common::{PartitionMethod, PartitionSpec};
 pub use hpd_wal::{WalConfig, WalDurable, WalSummary};
 pub use maintenance::{
     maintenance_candidates, spawn_maintenance, MaintenanceBuilder, MaintenanceCandidate,
     MaintenanceConfig, MaintenanceHandle, MaintenanceReport,
 };
 pub use optimizer::{Optimizer, PartInfo, TableContext};
-pub use partition::{PartitionMethod, PartitionSpec};
 pub use plan::{LeafKind, PhysicalPlan, PlanExpr, PlanNodeKind};
 pub use profile::{
     AggPushdown, AnalyzeReport, GrantSummary, NodeProfile, PartitionActivity, ScanPruning, Timeline,
@@ -47,5 +46,5 @@ pub use query::{
 };
 pub use querystore::{QueryStore, StoredStatement};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{PostImage, PrimaryIndex, SecondaryBTree, Table, TablePart};
+pub use table::{PartIndex, PostImage, Table, TablePart};
 pub use txn::{IsolationLevel, LockManager, TxnManager};

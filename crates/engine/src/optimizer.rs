@@ -17,11 +17,12 @@
 use std::collections::HashMap;
 use std::ops::Bound;
 
-use hpd_common::{AggFunc, DataType, Expr, HpdError, Interval, Key, Result, Schema, Value};
+use hpd_common::{
+    AggFunc, DataType, Expr, HpdError, Interval, Key, PartitionSpec, Result, Schema, Value,
+};
 
 use crate::cost::CostModel;
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
-use crate::partition::PartitionSpec;
 use crate::plan::{PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind, PlanTable};
 use crate::query::SelectQuery;
 use crate::stats::TableStats;

@@ -30,97 +30,11 @@ use std::sync::atomic::Ordering;
 
 use hpd_common::{faults, HpdError, Result};
 use hpd_storage::IoTracker;
-use hpd_wal::{
-    CheckpointImage, FrameReader, LogRecord, Wal, WalDurable, WalIndexDef, WalIndexKind,
-    WalPartitioning,
-};
+use hpd_wal::{CheckpointImage, FrameReader, LogRecord, Wal, WalDurable};
 
 use crate::apply::{apply_write, RowChange};
 use crate::catalog::{Database, DbConfig};
-use crate::design::IndexDescriptor;
-use crate::partition::{PartitionMethod, PartitionSpec};
 use crate::table::{PostImage, Table};
-
-/// Engine descriptor → WAL wire form.
-pub(crate) fn to_wal_def(d: &IndexDescriptor) -> WalIndexDef {
-    match d {
-        IndexDescriptor::PrimaryBTree { keys } => WalIndexDef {
-            kind: WalIndexKind::PrimaryBTree,
-            cols_a: keys.clone(),
-            cols_b: vec![],
-        },
-        IndexDescriptor::SecondaryBTree { keys, includes } => WalIndexDef {
-            kind: WalIndexKind::SecondaryBTree,
-            cols_a: keys.clone(),
-            cols_b: includes.clone(),
-        },
-        IndexDescriptor::PrimaryCsi => WalIndexDef {
-            kind: WalIndexKind::PrimaryCsi,
-            cols_a: vec![],
-            cols_b: vec![],
-        },
-        IndexDescriptor::SecondaryCsi { columns } => WalIndexDef {
-            kind: WalIndexKind::SecondaryCsi,
-            cols_a: columns.clone(),
-            cols_b: vec![],
-        },
-    }
-}
-
-/// WAL wire form → engine descriptor.
-pub(crate) fn from_wal_def(d: &WalIndexDef) -> IndexDescriptor {
-    match d.kind {
-        WalIndexKind::PrimaryBTree => IndexDescriptor::PrimaryBTree {
-            keys: d.cols_a.clone(),
-        },
-        WalIndexKind::SecondaryBTree => IndexDescriptor::SecondaryBTree {
-            keys: d.cols_a.clone(),
-            includes: d.cols_b.clone(),
-        },
-        WalIndexKind::PrimaryCsi => IndexDescriptor::PrimaryCsi,
-        WalIndexKind::SecondaryCsi => IndexDescriptor::SecondaryCsi {
-            columns: d.cols_a.clone(),
-        },
-    }
-}
-
-/// A design as the log and the image carry it → engine descriptors.
-pub(crate) fn from_wal_design(
-    primary: &WalIndexDef,
-    secondaries: &[WalIndexDef],
-) -> (IndexDescriptor, Vec<IndexDescriptor>) {
-    (
-        from_wal_def(primary),
-        secondaries.iter().map(from_wal_def).collect(),
-    )
-}
-
-/// Engine partitioning spec → WAL wire form.
-pub(crate) fn to_wal_partitioning(s: &PartitionSpec) -> WalPartitioning {
-    match &s.method {
-        PartitionMethod::Range { bounds } => WalPartitioning::Range {
-            column: s.column as u32,
-            bounds: bounds.clone(),
-        },
-        PartitionMethod::Hash { partitions } => WalPartitioning::Hash {
-            column: s.column as u32,
-            partitions: *partitions as u32,
-        },
-    }
-}
-
-/// WAL wire form → engine partitioning spec (re-validated on the way in, so
-/// a corrupt-but-CRC-clean record cannot smuggle an invalid spec).
-pub(crate) fn from_wal_partitioning(p: &WalPartitioning) -> Result<PartitionSpec> {
-    match p {
-        WalPartitioning::Range { column, bounds } => {
-            PartitionSpec::range(*column as usize, bounds.clone())
-        }
-        WalPartitioning::Hash { column, partitions } => {
-            PartitionSpec::hash(*column as usize, *partitions as usize)
-        }
-    }
-}
 
 impl Database {
     /// Rebuild a database from crash-surviving WAL state (see
@@ -141,17 +55,12 @@ impl Database {
         if let Some(image) = durable.checkpoint.as_deref() {
             let image = CheckpointImage::decode(image)?;
             for hpd_wal::TableSnapshot { entry, rows } in image.tables {
-                let spec = entry
-                    .partitioning
-                    .as_ref()
-                    .map(from_wal_partitioning)
-                    .transpose()?;
                 let mut table = Table::create_spec(
                     entry.name.clone(),
                     entry.schema,
                     entry.pk,
-                    &from_wal_def(&entry.primary),
-                    spec,
+                    &entry.indexes[0],
+                    entry.partitioning,
                     db.config.csi,
                     db.alloc.clone(),
                 )?;
@@ -159,14 +68,10 @@ impl Database {
                 // design while it is still empty; the load then re-routes
                 // the image's concatenated rows and builds every index of
                 // every part, once.
-                let designs: Vec<_> = if entry.parts.is_empty() {
-                    vec![from_wal_design(&entry.primary, &entry.secondaries)]
+                let designs = if entry.parts.is_empty() {
+                    vec![entry.indexes]
                 } else {
-                    entry
-                        .parts
-                        .iter()
-                        .map(|ps| from_wal_design(&ps.primary, &ps.secondaries))
-                        .collect()
+                    entry.parts
                 };
                 table.set_design(0, &designs, &db.pool, &tracker)?;
                 table.bulk_load(rows, &db.pool, &tracker)?;

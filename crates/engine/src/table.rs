@@ -1,5 +1,6 @@
 //! Tables: a primary index (B+ tree or columnstore), secondary B+ trees,
-//! and at most one secondary columnstore — the hybrid design space.
+//! and at most one secondary columnstore — the hybrid design space, held as
+//! one ordered list of built indexes per part ([`PartIndex`]).
 //!
 //! A table is physically a list of [`TablePart`]s. Unpartitioned tables have
 //! exactly one; partitioned tables ([`PartitionSpec`]) have one per
@@ -15,59 +16,119 @@ use std::collections::HashMap;
 
 use hpd_btree::{BTree, BTreeConfig, EntryRun};
 use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
-use hpd_common::{codec, Batch, Expr, HpdError, Key, Result, Row, Schema};
+use hpd_common::{codec, Batch, Expr, HpdError, Key, PartitionSpec, Result, Row, Schema};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
 use crate::design::{validate_design, IndexDescriptor, IndexMeta};
-use crate::partition::PartitionSpec;
 use crate::stats::TableStats;
 
-/// The table's main storage.
-// One instance per part, never moved after creation: the size skew
-// between the variants doesn't matter.
-#[allow(clippy::large_enum_variant)]
-pub enum PrimaryIndex {
-    /// Clustered B+ tree: key = `Table::pk` values, payload = full row.
+/// The structure a built index keeps its entries in.
+enum IndexStore {
     BTree(BTree),
-    /// Clustered columnstore over all columns.
-    Csi(ColumnStoreIndex),
+    Csi(Box<ColumnStoreIndex>),
 }
 
-impl PrimaryIndex {
-    pub fn as_btree(&self) -> Option<&BTree> {
-        match self {
-            PrimaryIndex::BTree(t) => Some(t),
-            PrimaryIndex::Csi(_) => None,
+/// One built index of one part: `part.indexes()[i]` is what
+/// [`crate::IndexId`]`(i)` names.
+pub struct PartIndex {
+    /// What the index is, as the part reports it (a secondary columnstore's
+    /// `columns` completed with the primary key).
+    descriptor: IndexDescriptor,
+    /// The table ordinals it stores, in payload (B+ tree) or schema
+    /// (columnstore) order ([`stored_columns`]).
+    stored: Vec<usize>,
+    store: IndexStore,
+}
+
+impl PartIndex {
+    pub fn descriptor(&self) -> &IndexDescriptor {
+        &self.descriptor
+    }
+
+    /// The table ordinals this index stores, in its own column order.
+    pub fn stored(&self) -> &[usize] {
+        &self.stored
+    }
+
+    /// The B+ tree behind this index. An index of the other kind — what a
+    /// plan built against another design finds here — is a typed error.
+    pub fn btree(&self) -> Result<&BTree> {
+        match &self.store {
+            IndexStore::BTree(tree) => Ok(tree),
+            IndexStore::Csi(_) => Err(self.not_a("B+ tree")),
         }
     }
 
-    pub fn as_csi(&self) -> Option<&ColumnStoreIndex> {
-        match self {
-            PrimaryIndex::Csi(c) => Some(c),
-            PrimaryIndex::BTree(_) => None,
+    /// The columnstore behind this index (see [`PartIndex::btree`]).
+    pub fn csi(&self) -> Result<&ColumnStoreIndex> {
+        match &self.store {
+            IndexStore::Csi(csi) => Ok(csi),
+            IndexStore::BTree(_) => Err(self.not_a("columnstore")),
         }
     }
-}
 
-/// A secondary B+ tree. The leaf payload stores the values of
-/// [`SecondaryBTree::stored`] (table ordinals, in that order): key columns,
-/// then includes, then the primary key locator.
-pub struct SecondaryBTree {
-    pub keys: Vec<usize>,
-    pub includes: Vec<usize>,
-    /// All physically stored columns, in payload order.
-    pub stored: Vec<usize>,
-    pub tree: BTree,
-}
-
-impl SecondaryBTree {
-    /// Position of table column `col` within the payload row, if stored.
-    pub fn payload_position(&self, col: usize) -> Option<usize> {
-        self.stored.iter().position(|&c| c == col)
+    fn not_a(&self, kind: &str) -> HpdError {
+        HpdError::Internal(format!(
+            "plan expects a {kind} where the part has {:?}",
+            self.descriptor
+        ))
     }
 
-    /// Remove the entry of the row `old` (primary key `key`): seek its index
-    /// key, then match the primary-key locator in the payload.
+    /// What the optimizer knows about this index as it stands.
+    fn meta(&self) -> IndexMeta {
+        let mut meta = IndexMeta {
+            descriptor: self.descriptor.clone(),
+            rows: self.rows(),
+            leaf_pages: 0,
+            height: 0,
+            column_bytes: vec![],
+            column_encodings: vec![],
+            rowgroups: 0,
+            delta_rows: 0,
+            delete_buffer_rows: 0,
+            hypothetical: false,
+        };
+        match &self.store {
+            IndexStore::BTree(tree) => {
+                let stats = tree.stats();
+                meta.leaf_pages = stats.leaf_pages;
+                meta.height = stats.height;
+            }
+            IndexStore::Csi(csi) => {
+                let stored = || self.stored.iter().copied();
+                meta.column_bytes = stored().zip(csi.column_sizes()).collect();
+                meta.column_encodings = stored().zip(csi.column_encodings()).collect();
+                meta.rowgroups = csi.num_rowgroups();
+                meta.delta_rows = csi.delta_rows();
+                meta.delete_buffer_rows = csi.delete_buffer_len();
+            }
+        }
+        meta
+    }
+
+    fn rows(&self) -> usize {
+        match &self.store {
+            IndexStore::BTree(tree) => tree.len(),
+            IndexStore::Csi(csi) => csi.active_rows(),
+        }
+    }
+
+    /// Add `row`'s entry: its stored columns, under its key columns in a
+    /// B+ tree.
+    fn insert(&mut self, row: &Row, pool: &BufferPool, tracker: &IoTracker) {
+        let entry = row.project(&self.stored);
+        match &mut self.store {
+            IndexStore::BTree(tree) => {
+                tree.insert(row.key(self.descriptor.keys()), entry, pool, tracker)
+            }
+            IndexStore::Csi(csi) => csi.insert(entry, pool, tracker),
+        }
+    }
+
+    /// Remove the entry of the row `old` (primary key `key`) from this
+    /// secondary index. A B+ tree seeks the row's index key, then matches
+    /// the primary-key locator in the payload; a columnstore buffers the
+    /// delete.
     fn remove(
         &mut self,
         key: &Key,
@@ -76,21 +137,28 @@ impl SecondaryBTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
-        let locator_positions: Vec<usize> = pk
-            .iter()
-            .map(|&k| self.payload_position(k).expect("pk stored in secondary"))
-            .collect();
-        self.tree.delete_first_where(
-            &old.key(&self.keys),
-            |payload| {
-                locator_positions
+        match &mut self.store {
+            IndexStore::BTree(tree) => {
+                let locator_positions: Vec<usize> = pk
                     .iter()
-                    .zip(key.values())
-                    .all(|(&p, v)| &payload[p] == v)
-            },
-            pool,
-            tracker,
-        );
+                    .map(|k| self.stored.iter().position(|c| c == k).expect("pk stored"))
+                    .collect();
+                tree.delete_first_where(
+                    &old.key(self.descriptor.keys()),
+                    |payload| {
+                        locator_positions
+                            .iter()
+                            .zip(key.values())
+                            .all(|(&p, v)| &payload[p] == v)
+                    },
+                    pool,
+                    tracker,
+                );
+            }
+            IndexStore::Csi(csi) => {
+                csi.delete(key, pool, tracker);
+            }
+        }
     }
 }
 
@@ -134,17 +202,46 @@ fn for_each_batch(
     }
 }
 
-/// The columns a secondary index stores: its keys (a columnstore's columns),
-/// then whatever of `includes` and of the primary key — the row locator, and
+/// The columns an index of a table of `arity` columns stores: all of them
+/// for a primary; for a secondary its keys (a columnstore's columns), then
+/// whatever of its includes and of the primary key — the row locator, and
 /// what delete handling goes by — they lack.
-fn stored_columns(keys: &[usize], includes: &[usize], pk: &[usize]) -> Vec<usize> {
-    let mut stored: Vec<usize> = keys.to_vec();
-    for &c in includes.iter().chain(pk) {
+fn stored_columns(d: &IndexDescriptor, arity: usize, pk: &[usize]) -> Vec<usize> {
+    let (first, then): (&[usize], &[usize]) = match d {
+        IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::PrimaryCsi => {
+            return (0..arity).collect()
+        }
+        IndexDescriptor::SecondaryBTree { keys, includes } => (keys, includes),
+        IndexDescriptor::SecondaryCsi { columns } => (columns, &[]),
+    };
+    let mut stored = first.to_vec();
+    for &c in then.iter().chain(pk) {
         if !stored.contains(&c) {
             stored.push(c);
         }
     }
     stored
+}
+
+/// `d` as a part holds and reports it: a secondary columnstore names every
+/// column it stores, the primary key included.
+fn as_stored(d: &IndexDescriptor, arity: usize, pk: &[usize]) -> IndexDescriptor {
+    match d {
+        IndexDescriptor::SecondaryCsi { .. } => IndexDescriptor::SecondaryCsi {
+            columns: stored_columns(d, arity, pk),
+        },
+        _ => d.clone(),
+    }
+}
+
+/// `design` (primary first) as a part's index list holds it: every descriptor
+/// [`as_stored`], the secondary columnstore moved behind the B+ trees — so
+/// adding or dropping the columnstore renumbers no B+ tree, and the B+ trees
+/// count in the order `CREATE INDEX` appended them.
+fn canonical(design: &[IndexDescriptor], arity: usize, pk: &[usize]) -> Vec<IndexDescriptor> {
+    let mut target: Vec<_> = design.iter().map(|d| as_stored(d, arity, pk)).collect();
+    target.sort_by_key(|d| matches!(d, IndexDescriptor::SecondaryCsi { .. }));
+    target
 }
 
 /// What building an index on a part takes of the part's table, and the pool
@@ -159,17 +256,12 @@ struct BuildCtx<'a> {
     tracker: &'a IoTracker,
 }
 
-/// Whether a part of `table` can take `primary` plus `secondaries`: a valid
-/// design ([`validate_design`]) whose primary, if a B+ tree, is keyed on the
-/// table's primary key.
-fn check_design(
-    table: &str,
-    primary: &IndexDescriptor,
-    secondaries: &[IndexDescriptor],
-    pk: &[usize],
-) -> Result<()> {
-    validate_design(table, primary, secondaries)?;
-    match primary {
+/// Whether a part of `table` can take the design `indexes` (primary first):
+/// a valid design ([`validate_design`]) whose primary, if a B+ tree, is
+/// keyed on the table's primary key.
+fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Result<()> {
+    validate_design(table, indexes)?;
+    match &indexes[0] {
         IndexDescriptor::PrimaryBTree { keys } if keys != pk => Err(HpdError::Constraint(format!(
             "table {table}: primary B+ tree keys must equal the table primary key"
         ))),
@@ -177,187 +269,143 @@ fn check_design(
     }
 }
 
+/// Build the columnstore `descriptor` names over the rows `feed` hands out,
+/// projected onto its stored columns and compressed one row group at a time.
+fn build_csi(
+    descriptor: &IndexDescriptor,
+    feed: impl FnOnce(&mut dyn FnMut(&Row)),
+    ctx: BuildCtx<'_>,
+) -> PartIndex {
+    let stored = stored_columns(descriptor, ctx.schema.len(), ctx.pk);
+    let key_ordinals: Vec<usize> = (ctx.pk.iter())
+        .map(|k| stored.iter().position(|c| c == k).expect("pk stored"))
+        .collect();
+    let kind = if descriptor.is_primary() {
+        CsiKind::Primary
+    } else {
+        CsiKind::Secondary
+    };
+    let csi = ColumnStoreIndex::build_projected(
+        ctx.schema.project(&stored),
+        kind,
+        key_ordinals,
+        ctx.csi_config,
+        &stored,
+        feed,
+        ctx.alloc.clone(),
+        ctx.pool,
+        ctx.tracker,
+    );
+    PartIndex {
+        descriptor: descriptor.clone(),
+        stored,
+        store: IndexStore::Csi(Box::new(csi)),
+    }
+}
+
 /// Build the primary index `descriptor` names over the rows `feed` hands
 /// out, in any order. A B+ tree encodes each row into a run of entries as it
 /// arrives, then sorts and loads the run (stably: equal keys keep arrival
 /// order); a columnstore compresses one row group at a time.
-fn load_primary(
+fn build_primary(
     descriptor: &IndexDescriptor,
     feed: impl FnOnce(&mut dyn FnMut(&Row)),
     ctx: BuildCtx<'_>,
-) -> Result<PrimaryIndex> {
-    let BuildCtx {
-        schema,
-        pk,
-        alloc,
-        pool,
-        tracker,
-        ..
-    } = ctx;
+) -> Result<PartIndex> {
     if descriptor.is_csi() {
-        let all: Vec<usize> = (0..schema.len()).collect();
-        return Ok(PrimaryIndex::Csi(ColumnStoreIndex::build_projected(
-            schema.clone(),
-            CsiKind::Primary,
-            pk.to_vec(),
-            ctx.csi_config,
-            &all,
-            feed,
-            alloc.clone(),
-            pool,
-            tracker,
-        )));
+        return Ok(build_csi(descriptor, feed, ctx));
     }
     let mut run = EntryRun::default();
-    feed(&mut |row| run.push(pk.iter().map(|&c| &row[c]), row.values()));
-    let config = BTreeConfig::for_entry_width(schema.row_width() + 16);
-    let tree = run.bulk_load(config, alloc.clone(), pool, tracker)?;
-    Ok(PrimaryIndex::BTree(tree))
+    feed(&mut |row| run.push(ctx.pk.iter().map(|&c| &row[c]), row.values()));
+    let config = BTreeConfig::for_entry_width(ctx.schema.row_width() + 16);
+    let tree = run.bulk_load(config, ctx.alloc.clone(), ctx.pool, ctx.tracker)?;
+    Ok(PartIndex {
+        descriptor: descriptor.clone(),
+        stored: stored_columns(descriptor, ctx.schema.len(), ctx.pk),
+        store: IndexStore::BTree(tree),
+    })
 }
 
-/// One partition's complete physical design: its primary index plus its own
-/// secondaries. Unpartitioned tables are a single part.
+/// One partition's complete physical design: the ordered list of its built
+/// indexes. `[0]` is the primary, the B+ tree secondaries follow in design
+/// order, the secondary columnstore is last — the order the part's metas,
+/// and so every plan's [`crate::IndexId`], count in. Unpartitioned tables
+/// are a single part.
 pub struct TablePart {
-    pub(crate) primary: PrimaryIndex,
-    pub(crate) secondaries: Vec<SecondaryBTree>,
-    pub(crate) secondary_csi: Option<ColumnStoreIndex>,
-    /// Table ordinals stored in the secondary CSI (its schema order).
-    pub(crate) csi_columns: Vec<usize>,
+    indexes: Vec<PartIndex>,
 }
 
 impl TablePart {
     /// An empty part under `primary`, no secondaries.
     fn create(primary: &IndexDescriptor, ctx: BuildCtx<'_>) -> Result<TablePart> {
         Ok(TablePart {
-            primary: load_primary(primary, |_| {}, ctx)?,
-            secondaries: Vec::new(),
-            secondary_csi: None,
-            csi_columns: Vec::new(),
+            indexes: vec![build_primary(primary, |_| {}, ctx)?],
         })
     }
 
-    pub fn primary(&self) -> &PrimaryIndex {
-        &self.primary
+    /// This part's indexes, primary first: `indexes()[i]` is
+    /// [`crate::IndexId`]`(i)`.
+    pub fn indexes(&self) -> &[PartIndex] {
+        &self.indexes
     }
 
-    pub fn secondaries(&self) -> &[SecondaryBTree] {
-        &self.secondaries
-    }
-
-    pub fn secondary_csi(&self) -> Option<&ColumnStoreIndex> {
-        self.secondary_csi.as_ref()
-    }
-
-    pub fn csi_columns(&self) -> &[usize] {
-        &self.csi_columns
+    /// The descriptor of every index, in list order.
+    pub fn descriptors(&self) -> Vec<IndexDescriptor> {
+        (self.indexes.iter())
+            .map(|index| index.descriptor.clone())
+            .collect()
     }
 
     pub fn row_count(&self) -> usize {
-        match &self.primary {
-            PrimaryIndex::BTree(t) => t.len(),
-            PrimaryIndex::Csi(c) => c.active_rows(),
-        }
-    }
-
-    /// The descriptor this part's primary index was built from.
-    pub fn primary_descriptor(&self, pk: &[usize]) -> IndexDescriptor {
-        match &self.primary {
-            PrimaryIndex::BTree(_) => IndexDescriptor::PrimaryBTree { keys: pk.to_vec() },
-            PrimaryIndex::Csi(_) => IndexDescriptor::PrimaryCsi,
-        }
-    }
-
-    /// Descriptors of this part's secondary indexes (B+ trees, then the CSI).
-    pub fn secondary_descriptors(&self) -> Vec<IndexDescriptor> {
-        let mut out: Vec<IndexDescriptor> = self
-            .secondaries
-            .iter()
-            .map(|s| IndexDescriptor::SecondaryBTree {
-                keys: s.keys.clone(),
-                includes: s.includes.clone(),
-            })
-            .collect();
-        if self.secondary_csi.is_some() {
-            out.push(IndexDescriptor::SecondaryCsi {
-                columns: self.csi_columns.clone(),
-            });
-        }
-        out
+        self.indexes[0].rows()
     }
 
     /// This part's columnstore indexes: the primary if it is one, then the
     /// secondary. Everything that reorganizes, ages or reports on
     /// columnstores walks this.
     pub fn csis(&self) -> impl Iterator<Item = &ColumnStoreIndex> {
-        self.primary.as_csi().into_iter().chain(&self.secondary_csi)
+        self.indexes.iter().filter_map(|index| match &index.store {
+            IndexStore::Csi(csi) => Some(&**csi),
+            IndexStore::BTree(_) => None,
+        })
     }
 
     fn csis_mut(&mut self) -> impl Iterator<Item = &mut ColumnStoreIndex> {
-        let primary = match &mut self.primary {
-            PrimaryIndex::Csi(csi) => Some(csi),
-            PrimaryIndex::BTree(_) => None,
-        };
-        primary.into_iter().chain(&mut self.secondary_csi)
+        (self.indexes.iter_mut()).filter_map(|index| match &mut index.store {
+            IndexStore::Csi(csi) => Some(&mut **csi),
+            IndexStore::BTree(_) => None,
+        })
     }
 
     fn has_csi(&self) -> bool {
         self.csis().next().is_some()
     }
 
-    /// Make this part's indexes exactly `primary` plus `secondaries` (a
-    /// design [`check_design`] passed): the one function that adds or drops
-    /// an index on a part. The primary is rebuilt, from the rows the old one
-    /// lends, only when its descriptor differs. A secondary whose descriptor
-    /// is in the target stays as it stands — it stores key values, not
-    /// addresses, so neither a rebuilt primary nor a dropped neighbour
-    /// touches it (a kept columnstore keeps its delta rows and buffered
-    /// deletes); the others are dropped, and the missing ones are built from
-    /// the primary. The B+ tree secondaries end in target order, which is
-    /// what an [`crate::IndexId`] counts in. A build that fails (a run past
-    /// 4 GB) leaves the indexes settled before it.
-    fn set_design(
-        &mut self,
-        primary: &IndexDescriptor,
-        secondaries: &[IndexDescriptor],
-        ctx: BuildCtx<'_>,
-    ) -> Result<()> {
-        if *primary != self.primary_descriptor(ctx.pk) {
+    /// Make this part's index list `design` (one [`check_design`] passed) in
+    /// its [`canonical`] form: the one function that adds or drops an index
+    /// on a part. An index whose descriptor the design repeats stays as it
+    /// stands — a secondary stores key values, not addresses, so neither a
+    /// rebuilt primary nor a dropped neighbour touches it (a kept
+    /// columnstore keeps its delta rows and buffered deletes); the others
+    /// are dropped, and the missing ones are built: the primary from the
+    /// rows the old one lends, a secondary from the primary. A build that
+    /// fails (a run past 4 GB) leaves the indexes settled before it.
+    fn set_design(&mut self, design: &[IndexDescriptor], ctx: BuildCtx<'_>) -> Result<()> {
+        let target = canonical(design, ctx.schema.len(), ctx.pk);
+        if self.indexes[0].descriptor != target[0] {
             let rows = |sink: &mut dyn FnMut(&Row)| {
                 self.for_each_row(ctx.schema, ctx.pool, ctx.tracker, sink)
             };
-            self.primary = load_primary(primary, rows, ctx)?;
+            let primary = build_primary(&target[0], rows, ctx)?;
+            self.indexes[0] = primary;
         }
-        let mut old: Vec<Option<SecondaryBTree>> = std::mem::take(&mut self.secondaries)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut old_csi = self
-            .secondary_csi
-            .take()
-            .map(|csi| (csi, std::mem::take(&mut self.csi_columns)));
-        for d in secondaries {
-            match d {
-                IndexDescriptor::SecondaryBTree { keys, includes } => {
-                    let kept = old.iter_mut().find_map(|slot| {
-                        slot.take_if(|s| s.keys == *keys && s.includes == *includes)
-                    });
-                    match kept {
-                        Some(s) => self.secondaries.push(s),
-                        None => self.add_secondary_btree(keys.clone(), includes.clone(), ctx)?,
-                    }
-                }
-                IndexDescriptor::SecondaryCsi { columns } => {
-                    let cols = stored_columns(columns, &[], ctx.pk);
-                    match old_csi.take_if(|(_, stored)| *stored == cols) {
-                        Some((csi, cols)) => {
-                            self.secondary_csi = Some(csi);
-                            self.csi_columns = cols;
-                        }
-                        None => self.add_secondary_csi(cols, ctx),
-                    }
-                }
-                _ => unreachable!("check_design admits secondary descriptors only"),
-            }
+        let mut old = self.indexes.split_off(1);
+        for d in &target[1..] {
+            let index = match old.iter().position(|index| index.descriptor == *d) {
+                Some(kept) => old.remove(kept),
+                None => self.build_secondary(d, ctx)?,
+            };
+            self.indexes.push(index);
         }
         Ok(())
     }
@@ -366,14 +414,12 @@ impl TablePart {
     /// them (each row freed as it is consumed), then every secondary the
     /// part has is built again from the new primary, by reference.
     fn bulk_load(&mut self, rows: Vec<Row>, ctx: BuildCtx<'_>) -> Result<()> {
-        let primary = self.primary_descriptor(ctx.pk);
+        let design = self.descriptors();
         let feed = |sink: &mut dyn FnMut(&Row)| rows.into_iter().for_each(|row| sink(&row));
-        self.primary = load_primary(&primary, feed, ctx)?;
+        let primary = build_primary(&design[0], feed, ctx)?;
         // The secondaries index the rows just replaced: none can be kept.
-        let secondaries = self.secondary_descriptors();
-        self.secondaries.clear();
-        self.secondary_csi = None;
-        self.set_design(&primary, &secondaries, ctx)
+        self.indexes = vec![primary];
+        self.set_design(&design, ctx)
     }
 
     /// Hand every current row of this part to `f`, by reference, in
@@ -387,9 +433,9 @@ impl TablePart {
         tracker: &IoTracker,
         f: &mut dyn FnMut(&Row),
     ) {
-        match &self.primary {
-            PrimaryIndex::BTree(tree) => tree.for_each_entry(pool, tracker, |_, row| f(row)),
-            PrimaryIndex::Csi(csi) => for_each_batch(csi, schema, pool, tracker, |batch| {
+        match &self.indexes[0].store {
+            IndexStore::BTree(tree) => tree.for_each_entry(pool, tracker, |_, row| f(row)),
+            IndexStore::Csi(csi) => for_each_batch(csi, schema, pool, tracker, |batch| {
                 for i in 0..batch.num_rows() {
                     f(&batch.row(i));
                 }
@@ -409,11 +455,11 @@ impl TablePart {
         tracker: &IoTracker,
         f: &mut dyn FnMut(&[u8]),
     ) {
-        match &self.primary {
-            PrimaryIndex::BTree(tree) => {
+        match &self.indexes[0].store {
+            IndexStore::BTree(tree) => {
                 tree.for_each_encoded_entry(pool, tracker, |e| f(e.payload));
             }
-            PrimaryIndex::Csi(csi) => {
+            IndexStore::Csi(csi) => {
                 let mut encoded = Vec::new();
                 for_each_batch(csi, schema, pool, tracker, |batch| {
                     for i in 0..batch.num_rows() {
@@ -428,22 +474,27 @@ impl TablePart {
         }
     }
 
-    /// Build a secondary B+ tree over this part's current rows: each entry
-    /// is the byte ranges of its columns copied out of the encoded row the
-    /// primary lends, and the entries are sorted as bytes.
-    fn add_secondary_btree(
-        &mut self,
-        keys: Vec<usize>,
-        includes: Vec<usize>,
+    /// Build the secondary index `descriptor` names over this part's current
+    /// rows. A columnstore takes them as the primary lends them
+    /// ([`build_csi`]); a B+ tree entry is the byte ranges of its columns
+    /// copied out of the encoded row, and the entries are sorted as bytes.
+    fn build_secondary(
+        &self,
+        descriptor: &IndexDescriptor,
         ctx: BuildCtx<'_>,
-    ) -> Result<()> {
+    ) -> Result<PartIndex> {
         let BuildCtx {
             schema,
             pool,
             tracker,
             ..
         } = ctx;
-        let stored = stored_columns(&keys, &includes, ctx.pk);
+        if descriptor.is_csi() {
+            let rows = |sink: &mut dyn FnMut(&Row)| self.for_each_row(schema, pool, tracker, sink);
+            return Ok(build_csi(descriptor, rows, ctx));
+        }
+        let keys = descriptor.keys();
+        let stored = stored_columns(descriptor, schema.len(), ctx.pk);
         let mut run = EntryRun::default();
         let (mut spans, mut key, mut payload) = (Vec::new(), Vec::new(), Vec::new());
         self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
@@ -454,7 +505,7 @@ impl TablePart {
                     out.extend_from_slice(&row[spans[c].clone()]);
                 }
             };
-            project(&mut key, &keys);
+            project(&mut key, keys);
             project(&mut payload, &stored);
             run.push_encoded(&key, &payload);
         });
@@ -465,61 +516,22 @@ impl TablePart {
             + keys.len() * 8;
         let config = BTreeConfig::for_entry_width(entry_width);
         let tree = run.bulk_load(config, ctx.alloc.clone(), pool, tracker)?;
-        self.secondaries.push(SecondaryBTree {
-            keys,
-            includes,
+        Ok(PartIndex {
+            descriptor: descriptor.clone(),
             stored,
-            tree,
-        });
-        Ok(())
+            store: IndexStore::BTree(tree),
+        })
     }
 
-    /// Build this part's secondary columnstore over `cols` (which
-    /// [`stored_columns`] completed with the primary key) from its
-    /// current rows, projected and compressed one row group at a time.
-    fn add_secondary_csi(&mut self, cols: Vec<usize>, ctx: BuildCtx<'_>) {
-        let BuildCtx {
-            schema,
-            pool,
-            tracker,
-            ..
-        } = ctx;
-        let key_ordinals: Vec<usize> = (ctx.pk.iter())
-            .map(|k| cols.iter().position(|c| c == k).expect("pk stored"))
-            .collect();
-        let csi = ColumnStoreIndex::build_projected(
-            schema.project(&cols),
-            CsiKind::Secondary,
-            key_ordinals,
-            ctx.csi_config,
-            &cols,
-            |sink| self.for_each_row(schema, pool, tracker, sink),
-            ctx.alloc.clone(),
-            pool,
-            tracker,
-        );
-        self.secondary_csi = Some(csi);
-        self.csi_columns = cols;
-    }
-
-    fn insert_row(&mut self, row: &Row, pk: &[usize], pool: &BufferPool, tracker: &IoTracker) {
-        let pk_key = row.key(pk);
-        match &mut self.primary {
-            PrimaryIndex::BTree(tree) => tree.insert(pk_key, row.clone(), pool, tracker),
-            PrimaryIndex::Csi(csi) => csi.insert(row.clone(), pool, tracker),
-        }
-        for s in &mut self.secondaries {
-            s.tree
-                .insert(row.key(&s.keys), row.project(&s.stored), pool, tracker);
-        }
-        if let Some(csi) = &mut self.secondary_csi {
-            csi.insert(row.project(&self.csi_columns), pool, tracker);
+    fn insert_row(&mut self, row: &Row, pool: &BufferPool, tracker: &IoTracker) {
+        for index in &mut self.indexes {
+            index.insert(row, pool, tracker);
         }
     }
 
     /// Remove the row with this key from every index, returning its old
-    /// image (`None` if absent). One locate: both primaries hand back the
-    /// row they remove.
+    /// image (`None` if absent). One locate: both kinds of primary hand back
+    /// the row they remove.
     fn delete_by_pk(
         &mut self,
         key: &Key,
@@ -527,9 +539,9 @@ impl TablePart {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Option<Row> {
-        let old = match &mut self.primary {
-            PrimaryIndex::BTree(tree) => tree.delete_first_where(key, |_| true, pool, tracker),
-            PrimaryIndex::Csi(csi) => csi.delete_returning(key, pool, tracker),
+        let old = match &mut self.indexes[0].store {
+            IndexStore::BTree(tree) => tree.delete_first_where(key, |_| true, pool, tracker),
+            IndexStore::Csi(csi) => csi.delete_returning(key, pool, tracker),
         }?;
         self.delete_from_secondaries(key, &old, pk, pool, tracker);
         Some(old)
@@ -545,11 +557,8 @@ impl TablePart {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
-        for s in &mut self.secondaries {
-            s.remove(key, old, pk, pool, tracker);
-        }
-        if let Some(csi) = &mut self.secondary_csi {
-            csi.delete(key, pool, tracker);
+        for index in &mut self.indexes[1..] {
+            index.remove(key, old, pk, pool, tracker);
         }
     }
 
@@ -566,8 +575,8 @@ impl TablePart {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<Option<(Row, Row, bool)>> {
-        match &mut self.primary {
-            PrimaryIndex::BTree(tree) => {
+        match &mut self.indexes[0].store {
+            IndexStore::BTree(tree) => {
                 let mut post = Some(post);
                 let mut out = None;
                 tree.update_where(
@@ -594,7 +603,7 @@ impl TablePart {
                 }
                 Ok(out)
             }
-            PrimaryIndex::Csi(csi) => {
+            IndexStore::Csi(csi) => {
                 // The pre-image comes from the delete itself: a separate
                 // fetch would decode the row a second time.
                 let Some(old) = csi.delete_returning(key, pool, tracker) else {
@@ -627,17 +636,10 @@ impl TablePart {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
-        let differs = |cols: &[usize]| cols.iter().any(|&c| old[c] != new[c]);
-        for s in &mut self.secondaries {
-            if differs(&s.stored) {
-                s.remove(key, old, pk, pool, tracker);
-                s.tree
-                    .insert(new.key(&s.keys), new.project(&s.stored), pool, tracker);
-            }
-        }
-        if let Some(csi) = &mut self.secondary_csi {
-            if differs(&self.csi_columns) {
-                csi.update(key, new.project(&self.csi_columns), pool, tracker);
+        for index in &mut self.indexes[1..] {
+            if index.stored.iter().any(|&c| old[c] != new[c]) {
+                index.remove(key, old, pk, pool, tracker);
+                index.insert(new, pool, tracker);
             }
         }
     }
@@ -648,82 +650,9 @@ impl TablePart {
         self.csis().map(ColumnStoreIndex::maintenance_backlog).sum()
     }
 
-    /// What-if metadata for this part's materialized indexes: primary first,
-    /// then secondary B+ trees, then the secondary CSI.
-    pub fn metas(&self, pk: &[usize]) -> Vec<IndexMeta> {
-        let mut metas = Vec::new();
-        match &self.primary {
-            PrimaryIndex::BTree(t) => {
-                let s = t.stats();
-                metas.push(IndexMeta {
-                    descriptor: IndexDescriptor::PrimaryBTree { keys: pk.to_vec() },
-                    rows: s.entries,
-                    leaf_pages: s.leaf_pages,
-                    height: s.height,
-                    column_bytes: vec![],
-                    column_encodings: vec![],
-                    rowgroups: 0,
-                    delta_rows: 0,
-                    delete_buffer_rows: 0,
-                    hypothetical: false,
-                });
-            }
-            PrimaryIndex::Csi(c) => {
-                metas.push(IndexMeta {
-                    descriptor: IndexDescriptor::PrimaryCsi,
-                    rows: c.active_rows(),
-                    leaf_pages: 0,
-                    height: 0,
-                    column_bytes: c.column_sizes().into_iter().enumerate().collect(),
-                    column_encodings: c.column_encodings().into_iter().enumerate().collect(),
-                    rowgroups: c.num_rowgroups(),
-                    delta_rows: c.delta_rows(),
-                    delete_buffer_rows: 0,
-                    hypothetical: false,
-                });
-            }
-        }
-        for s in &self.secondaries {
-            let st = s.tree.stats();
-            metas.push(IndexMeta {
-                descriptor: IndexDescriptor::SecondaryBTree {
-                    keys: s.keys.clone(),
-                    includes: s.includes.clone(),
-                },
-                rows: st.entries,
-                leaf_pages: st.leaf_pages,
-                height: st.height,
-                column_bytes: vec![],
-                column_encodings: vec![],
-                rowgroups: 0,
-                delta_rows: 0,
-                delete_buffer_rows: 0,
-                hypothetical: false,
-            });
-        }
-        if let Some(c) = &self.secondary_csi {
-            let sizes = c.column_sizes();
-            metas.push(IndexMeta {
-                descriptor: IndexDescriptor::SecondaryCsi {
-                    columns: self.csi_columns.clone(),
-                },
-                rows: c.active_rows(),
-                leaf_pages: 0,
-                height: 0,
-                column_bytes: self.csi_columns.iter().copied().zip(sizes).collect(),
-                column_encodings: self
-                    .csi_columns
-                    .iter()
-                    .copied()
-                    .zip(c.column_encodings())
-                    .collect(),
-                rowgroups: c.num_rowgroups(),
-                delta_rows: c.delta_rows(),
-                delete_buffer_rows: c.delete_buffer_len(),
-                hypothetical: false,
-            });
-        }
-        metas
+    /// What-if metadata for this part's materialized indexes, in list order.
+    pub fn metas(&self) -> Vec<IndexMeta> {
+        self.indexes.iter().map(PartIndex::meta).collect()
     }
 }
 
@@ -779,7 +708,7 @@ impl Table {
             }
         }
         let name = name.into();
-        check_design(&name, primary, &[], &pk)?;
+        check_design(&name, std::slice::from_ref(primary), &pk)?;
         // Loading no rows touches no page.
         let (pool, tracker) = (
             BufferPool::unbounded(hpd_storage::DeviceProfile::ram()),
@@ -849,17 +778,17 @@ impl Table {
         Ok(())
     }
 
-    /// Give the parts from `first` on the designs in `targets`, one each
-    /// ([`TablePart::set_design`]) — every design change there is: an index
-    /// more on every part, one design for the whole table, one part
-    /// re-tuned. All targets are checked before any part is touched, so a
-    /// refused one (a second columnstore on some part, say) leaves no part
-    /// changed. Rows, their write timestamps and old versions stay where
-    /// they are: a snapshot that began before the change reads on.
+    /// Give the parts from `first` on the designs in `targets`, one each,
+    /// primary first ([`TablePart::set_design`]) — every design change there
+    /// is: an index more or fewer on every part, one design for the whole
+    /// table, one part re-tuned. All targets are checked before any part is
+    /// touched, so a refused one (a second columnstore on some part, say)
+    /// leaves no part changed. Rows, their write timestamps and old versions
+    /// stay where they are: a snapshot that began before the change reads on.
     pub(crate) fn set_design(
         &mut self,
         first: usize,
-        targets: &[(IndexDescriptor, Vec<IndexDescriptor>)],
+        targets: &[Vec<IndexDescriptor>],
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<()> {
@@ -871,8 +800,8 @@ impl Table {
                 last - 1
             )));
         };
-        for (primary, secondaries) in targets {
-            check_design(&self.name, primary, secondaries, &self.pk)?;
+        for design in targets {
+            check_design(&self.name, design, &self.pk)?;
         }
         let ctx = BuildCtx {
             schema: &self.schema,
@@ -882,10 +811,22 @@ impl Table {
             pool,
             tracker,
         };
-        for (part, (primary, secondaries)) in changed.iter_mut().zip(targets) {
-            part.set_design(primary, secondaries, ctx)?;
+        for (part, design) in changed.iter_mut().zip(targets) {
+            part.set_design(design, ctx)?;
         }
         Ok(())
+    }
+
+    /// Every part's index list as descriptors: the targets that change
+    /// nothing, for a caller to add to or remove from.
+    pub fn designs(&self) -> Vec<Vec<IndexDescriptor>> {
+        self.parts.iter().map(TablePart::descriptors).collect()
+    }
+
+    /// `d` as the parts of this table report it: a secondary columnstore's
+    /// `columns` completed with the primary key.
+    pub(crate) fn as_stored(&self, d: &IndexDescriptor) -> IndexDescriptor {
+        as_stored(d, self.schema.len(), &self.pk)
     }
 
     // ------------------------------------------------------------------
@@ -1020,10 +961,10 @@ impl Table {
         );
     }
 
-    /// What-if metadata for one part's materialized indexes: primary first,
-    /// then secondary B+ trees, then the secondary CSI.
+    /// What-if metadata for one part's materialized indexes, in the order
+    /// of its index list.
     pub fn part_metas(&self, part: usize) -> Vec<IndexMeta> {
-        self.parts[part].metas(&self.pk)
+        self.parts[part].metas()
     }
 
     // ------------------------------------------------------------------
@@ -1040,7 +981,7 @@ impl Table {
     ) -> Result<usize> {
         self.schema.validate_row(&row)?;
         let p = self.route_row(&row);
-        self.parts[p].insert_row(&row, &self.pk, pool, tracker);
+        self.parts[p].insert_row(&row, pool, tracker);
         self.stats.rows += 1;
         Ok(p)
     }
@@ -1120,7 +1061,7 @@ impl Table {
                 parts[p_old].update_secondaries(key, &old, &new, pk, pool, tracker);
             } else {
                 parts[p_old].delete_from_secondaries(key, &old, pk, pool, tracker);
-                parts[route(&new)].insert_row(&new, pk, pool, tracker);
+                parts[route(&new)].insert_row(&new, pool, tracker);
             }
             return Ok(Some((old, new)));
         }

@@ -138,7 +138,7 @@ fn crash_in_checkpoint_leaves_the_spare_buffer_for_the_next_one() {
 }
 
 #[test]
-fn secondary_csi_build_holds_one_rowgroup_of_uncompressed_values() {
+fn secondary_columnstore_build_holds_one_rowgroup_of_uncompressed_values() {
     const CAPACITY: usize = 1_024;
     let mut over = Vec::new();
     for rows in [8_192, 65_536] {
@@ -195,8 +195,8 @@ fn btree_builds_allocate_per_leaf_not_per_row() {
             .with_table("t", |t| {
                 let part = t.part(0);
                 (
-                    part.primary().as_btree().unwrap().stats().leaf_pages,
-                    part.secondaries()[0].tree.stats().leaf_pages,
+                    part.indexes()[0].btree().unwrap().stats().leaf_pages,
+                    part.indexes()[1].btree().unwrap().stats().leaf_pages,
                 )
             })
             .unwrap();
@@ -269,7 +269,7 @@ fn a_lineitem_row_costs_under_eighty_heap_bytes_in_the_primary() {
             .collect();
         table.bulk_load(rows, &pool, &tracker).unwrap();
     });
-    let tree = table.part(0).primary().as_btree().unwrap();
+    let tree = table.part(0).indexes()[0].btree().unwrap();
     assert_eq!(tree.stats().data_bytes, 52 * ROWS as usize);
     let per_row = region.left_live() as f64 / f64::from(ROWS);
     // An entry is 1 + 10 + 52 bytes (key length, two tagged key values,

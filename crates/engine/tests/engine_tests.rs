@@ -1107,3 +1107,72 @@ fn sum_agrees_across_designs_on_transient_overflow() {
     assert!(refused.contains("SUM overflow"), "{refused}");
     assert_eq!(sum_of(outside, true), Err(refused));
 }
+
+/// An `IndexId` is a position in a part's index list, so a plan kept across
+/// a design change that moves the positions names something else. The runner
+/// refuses a position that now holds an index of the other kind, or none —
+/// it never answers from whichever index happens to be there.
+#[test]
+fn a_stale_plan_naming_the_wrong_index_is_refused() {
+    use hpd_common::HpdError;
+    use hpd_engine::{QueryRunner, TableDesign};
+    let db = small_rowgroup_db();
+    setup_table(&db, btree_primary(), 4_000);
+    let csi = IndexDescriptor::SecondaryCsi {
+        columns: vec![0, 1, 2],
+    };
+    let on_val = IndexDescriptor::SecondaryBTree {
+        keys: vec![2],
+        includes: vec![1],
+    };
+    let run = |plan: &hpd_engine::PhysicalPlan| {
+        db.with_table("t", |t| {
+            QueryRunner::new(vec![t], db.pool(), 1 << 20).run(plan)
+        })
+        .unwrap()
+    };
+    let refused = |plan: &hpd_engine::PhysicalPlan, why: &str| match run(plan) {
+        Err(HpdError::Internal(msg)) => assert!(msg.contains(why), "{msg}"),
+        other => panic!(
+            "expected an internal error ({why}), got {:?}",
+            other.map(|answer| answer.rows.len())
+        ),
+    };
+    let redesign = |indexes: Vec<IndexDescriptor>| {
+        db.apply_design(&TableDesign::new("t", indexes)).unwrap();
+    };
+
+    // Design A: the columnstore is index 1, and a wide scan reads it.
+    redesign(vec![btree_primary(), csi.clone()]);
+    let scan = SelectQuery::single_table(
+        "t",
+        Some(Expr::col_cmp(2, CmpOp::Lt, Value::Int32(900))),
+        vec![1, 2],
+    );
+    let through_csi = db.plan(&scan).unwrap();
+    assert_eq!(through_csi.leaf_kinds(), vec![LeafKind::Columnstore]);
+    assert_eq!(through_csi.index_refs(), vec![(0, hpd_engine::IndexId(1))]);
+    let answer = run(&through_csi).unwrap().rows.len();
+
+    // Design B: a B+ tree takes position 1, the columnstore moves to 2.
+    redesign(vec![btree_primary(), on_val, csi.clone()]);
+    refused(&through_csi, "expects a columnstore");
+    assert_eq!(run(&db.plan(&scan).unwrap()).unwrap().rows.len(), answer);
+    let seek = SelectQuery::single_table(
+        "t",
+        Some(Expr::col_cmp(2, CmpOp::Eq, Value::Int32(300))),
+        vec![1, 2],
+    );
+    let through_btree = db.plan(&seek).unwrap();
+    assert_eq!(
+        through_btree.index_refs(),
+        vec![(0, hpd_engine::IndexId(1))]
+    );
+    assert_eq!(run(&through_btree).unwrap().rows.len(), 4);
+
+    // Design A again: position 1 is the columnstore, position 2 is gone.
+    redesign(vec![btree_primary(), csi]);
+    refused(&through_btree, "expects a B+ tree");
+    redesign(vec![btree_primary()]);
+    refused(&through_csi, "index 1 of part 0");
+}

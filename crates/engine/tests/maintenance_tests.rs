@@ -164,12 +164,8 @@ fn heat_decay_is_decoupled_from_maintenance() {
     }
     let decays = |db: &Database| {
         db.with_table("t", |t| {
-            t.part(0)
-                .primary()
-                .as_csi()
-                .unwrap()
-                .heat_report()
-                .decay_passes
+            let csi = t.part(0).indexes()[0].csi().unwrap();
+            csi.heat_report().decay_passes
         })
         .unwrap()
     };
@@ -280,7 +276,7 @@ fn maintenance_step_records_replay_through_recovery() {
 }
 
 #[test]
-fn maintenance_on_secondary_csi_resolves_buffered_deletes() {
+fn maintenance_on_secondary_columnstore_resolves_buffered_deletes() {
     let db = Database::new(config());
     setup(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] }, 64);
     db.create_index(
@@ -293,7 +289,7 @@ fn maintenance_on_secondary_csi_resolves_buffered_deletes() {
     delete_below(&db, 10);
     let buffered = db
         .with_table("t", |t| {
-            t.part(0).secondary_csi().unwrap().delete_buffer_len()
+            t.part(0).indexes()[1].csi().unwrap().delete_buffer_len()
         })
         .unwrap();
     assert!(buffered > 0, "secondary-CSI deletes must buffer");
@@ -312,7 +308,7 @@ fn maintenance_on_secondary_csi_resolves_buffered_deletes() {
     }
     let left = db
         .with_table("t", |t| {
-            t.part(0).secondary_csi().unwrap().delete_buffer_len()
+            t.part(0).indexes()[1].csi().unwrap().delete_buffer_len()
         })
         .unwrap();
     assert_eq!(left, 0);

@@ -648,17 +648,11 @@ fn contents(db: &Database) -> Vec<String> {
     sorted_rows(db.query(&Statement::Select(q)).run().unwrap().rows)
 }
 
-/// Per-part design signature: (primary descriptor, secondary descriptors).
+/// Per-part design signature: its index list, primary first.
 fn design_signature(db: &Database) -> Vec<String> {
     db.with_table("t", |t| {
         (0..t.num_parts())
-            .map(|p| {
-                format!(
-                    "{:?}/{:?}",
-                    t.part(p).primary_descriptor(t.pk()),
-                    t.part(p).secondary_descriptors()
-                )
-            })
+            .map(|p| format!("{:?}", t.part(p).descriptors()))
             .collect()
     })
     .unwrap()

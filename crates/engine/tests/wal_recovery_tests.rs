@@ -99,7 +99,7 @@ fn committed_writes_survive_crash_across_designs() {
 }
 
 #[test]
-fn secondary_csi_delete_buffer_state_is_rebuilt() {
+fn secondary_columnstore_delete_buffer_state_is_rebuilt() {
     let cfg = wal_config(WalConfig::default());
     let db = Database::new(cfg.clone());
     setup(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] }, 200);
@@ -122,7 +122,7 @@ fn secondary_csi_delete_buffer_state_is_rebuilt() {
     assert_eq!(contents(&recovered), expected);
     // The rebuilt table still has its secondary CSI.
     let has_csi = recovered
-        .with_table("t", |t| t.part(0).secondary_csi().is_some())
+        .with_table("t", |t| t.part(0).indexes()[1].csi().is_ok())
         .unwrap();
     assert!(has_csi, "secondary CSI lost by recovery");
 }
@@ -214,15 +214,13 @@ fn ddl_and_design_changes_replay_without_checkpoint() {
 
     let recovered = crash_and_recover(db, cfg);
     assert_eq!(contents(&recovered), expected);
-    let (n_sec, has_csi) = recovered
+    let (n_indexes, has_csi) = recovered
         .with_table("t", |t| {
-            (
-                t.part(0).secondaries().len(),
-                t.part(0).secondary_csi().is_some(),
-            )
+            let indexes = t.part(0).indexes();
+            (indexes.len(), indexes[1].csi().is_ok())
         })
         .unwrap();
-    assert_eq!(n_sec, 0, "design change replay dropped the old B+ tree");
+    assert_eq!(n_indexes, 2, "design change replay dropped the old B+ tree");
     assert!(has_csi, "design change replay rebuilt the secondary CSI");
 }
 
@@ -558,6 +556,9 @@ fn log_only_recovery_is_physically_identical() {
         for id in 175..185 {
             insert(id);
         }
+        // One index fewer on every part, as one record; what stays keeps
+        // its residue here too.
+        db.drop_index("t", &on(3, 1)).unwrap();
         delete_below(&db, 20);
         set_where_id(&db, 65, 2, Expr::Lit(Value::Int64(4)));
         set_where_id(&db, 66, 1, Expr::Lit(Value::Int32(9)));
@@ -571,6 +572,94 @@ fn log_only_recovery_is_physically_identical() {
         let recovered = Database::recover(cfg.clone(), durable).unwrap();
         assert_eq!(physical_state(&recovered), physical_state(&db), "{design}");
     }
+}
+
+/// `drop_index` on a table of several parts is one record: recovery sees the
+/// index gone from every part or from none, never from some — and each part
+/// keeps its own primary either way.
+#[test]
+fn drop_index_recovers_on_every_part_or_none() {
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    let bounds = [25, 50, 75].map(Value::Int32).to_vec();
+    db.create_partitioned_table(
+        "t",
+        schema(),
+        vec![0],
+        IndexDescriptor::PrimaryBTree { keys: vec![0] },
+        hpd_engine::PartitionSpec::range(0, bounds).unwrap(),
+    )
+    .unwrap();
+    db.load_table("t", (0..100).map(row).collect()).unwrap();
+    let on_grp = IndexDescriptor::SecondaryBTree {
+        keys: vec![1],
+        includes: vec![],
+    };
+    let on_val = IndexDescriptor::SecondaryBTree {
+        keys: vec![2],
+        includes: vec![],
+    };
+    db.create_index("t", &on_grp).unwrap();
+    db.create_index("t", &on_val).unwrap();
+    let secondaries = [on_grp.clone(), on_val.clone()];
+    for part in [0, 2] {
+        db.apply_partition_design("t", part, &IndexDescriptor::PrimaryCsi, &secondaries)
+            .unwrap();
+    }
+    let designs = |db: &Database| db.with_table("t", |t| t.designs()).unwrap();
+    let with_it = designs(&db);
+    assert_eq!(with_it.len(), 4);
+    let without_it: Vec<Vec<_>> = (with_it.iter())
+        .map(|list| list.iter().filter(|d| **d != on_grp).cloned().collect())
+        .collect();
+    assert!(without_it.iter().all(|list| list.len() == 2));
+
+    let logged_before = db.wal_durable().log.len();
+    db.drop_index("t", &on_grp).unwrap();
+    insert(&db, 500);
+    let expected = contents(&db);
+    assert_eq!(designs(&db), without_it);
+    // A second drop finds no part with the index: refused, nothing logged.
+    let logged_after = db.wal_durable().log.len();
+    assert!(matches!(
+        db.drop_index("t", &on_grp),
+        Err(HpdError::Constraint(_))
+    ));
+    assert_eq!(designs(&db), without_it);
+    let durable = db.wal_durable();
+    assert_eq!(durable.log.len(), logged_after);
+
+    // The log holds exactly one design record for the drop.
+    use hpd_wal::LogRecord;
+    let tail = hpd_wal::FrameReader::new(&durable.log[logged_before..], logged_before as u64);
+    let design_records: Vec<_> = tail
+        .map(|(_, payload)| LogRecord::decode(payload).unwrap())
+        .filter(|rec| {
+            matches!(
+                rec,
+                LogRecord::IndexDrop { .. }
+                    | LogRecord::IndexCreate { .. }
+                    | LogRecord::DesignChange { .. }
+                    | LogRecord::PartitionDesignChange { .. }
+            )
+        })
+        .collect();
+    let the_drop = LogRecord::IndexDrop {
+        table: 0,
+        def: on_grp.clone(),
+    };
+    assert_eq!(design_records, [the_drop]);
+
+    // (a) The whole durable log: no part has the index.
+    let recovered = Database::recover(cfg.clone(), durable.clone()).unwrap();
+    assert_eq!(designs(&recovered), without_it);
+    assert_eq!(contents(&recovered), expected);
+    // (b) The log cut just before the record: every part has it.
+    let mut cut = durable;
+    cut.log.truncate(logged_before);
+    let recovered = Database::recover(cfg, cut).unwrap();
+    assert_eq!(designs(&recovered), with_it);
+    assert_eq!(contents(&recovered).len(), 100);
 }
 
 /// A transaction whose statement cannot be applied must fail at the

@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use hpd_common::{HpdError, Result, Row, Value};
-use hpd_engine::{Database, IndexDescriptor, IsolationLevel, Statement, TableDesign, Txn};
+use hpd_engine::table::Table;
+use hpd_engine::{Database, IsolationLevel, Statement, Txn};
 
 use crate::binder::{bind, output_names, Bound};
 use crate::cache::PlanCache;
@@ -218,13 +219,9 @@ impl<'db> SqlSession<'db> {
                 Ok(SqlOutput::Command("CREATE INDEX"))
             }
             Bound::DropIndex { table, ordinal } => {
-                // Each part's design, primary first; secondaries are 1-based
-                // from there, in meta order.
-                let mut designs: Vec<Vec<IndexDescriptor>> = self.db.with_table(&table, |t| {
-                    (0..t.num_parts())
-                        .map(|p| t.part_metas(p).into_iter().map(|m| m.descriptor).collect())
-                        .collect()
-                })?;
+                // Each part's index list; the ordinal counts the first
+                // part's, primary at 0.
+                let designs = self.db.with_table(&table, Table::designs)?;
                 // The ordinal names one index only while every part has the
                 // same secondaries; designs that differ are never flattened.
                 if designs.iter().any(|d| d[1..] != designs[0][1..]) {
@@ -239,19 +236,10 @@ impl<'db> SqlSession<'db> {
                         designs[0].len() - 1
                     )));
                 }
-                // Every part keeps its own primary and loses the index.
-                for design in &mut designs {
-                    design.remove(ordinal);
-                }
-                if let [design] = designs.as_slice() {
-                    self.db
-                        .apply_design(&TableDesign::new(table, design.clone()))?;
-                } else {
-                    for (p, design) in designs.iter().enumerate() {
-                        self.db
-                            .apply_partition_design(&table, p, &design[0], &design[1..])?;
-                    }
-                }
+                // One logged operation: every part keeps its own primary and
+                // loses the index, or (had a concurrent change already taken
+                // it from some part) none does.
+                self.db.drop_index(&table, &designs[0][ordinal])?;
                 Ok(SqlOutput::Command("DROP INDEX"))
             }
         }
@@ -318,12 +306,9 @@ pub fn partitions_report(db: &Database, table: &str) -> Result<String> {
         let partitioned = t.num_parts() > 1;
         for p in 0..t.num_parts() {
             let part = t.part(p);
-            let mut design = vec![part.primary_descriptor(t.pk()).display(t.schema())];
-            design.extend(
-                part.secondary_descriptors()
-                    .iter()
-                    .map(|d| d.display(t.schema())),
-            );
+            let design: Vec<String> = (part.indexes().iter())
+                .map(|index| index.descriptor().display(t.schema()))
+                .collect();
             let label = |kind: &str| {
                 if partitioned {
                     format!("p{p}.{kind}")

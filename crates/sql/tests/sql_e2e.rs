@@ -350,11 +350,21 @@ fn drop_index_never_flattens_per_partition_designs() {
     // Parts with different primaries but one secondary list: the ordinal
     // resolves against each part, and each keeps its own primary.
     let secondaries = db
-        .with_table("m", |t| t.part(0).secondary_descriptors())
+        .with_table("m", |t| t.part(0).descriptors()[1..].to_vec())
         .unwrap();
     db.apply_partition_design("m", 0, &IndexDescriptor::PrimaryCsi, &secondaries)
         .unwrap();
+    let logged = db.wal_durable().log.len();
     session.execute_one("DROP INDEX 1 ON m").expect("drop #1");
+    // One record for the lot: a crash cannot drop it from some parts only.
+    let log = db.wal_durable().log;
+    let records: Vec<_> = hpd_wal::FrameReader::new(&log[logged..], logged as u64)
+        .map(|(_, payload)| hpd_wal::LogRecord::decode(payload).unwrap())
+        .collect();
+    assert!(
+        matches!(records[..], [hpd_wal::LogRecord::IndexDrop { .. }]),
+        "{records:?}"
+    );
     let designs = part_designs(&db, "m");
     assert!(designs[0][0].contains("PrimaryCsi"), "{designs:?}");
     assert!(designs[1][0].contains("PrimaryBTree"), "{designs:?}");
@@ -386,8 +396,8 @@ fn drop_index_never_flattens_per_partition_designs() {
     assert_eq!(rows[0].values()[0], Value::Int64(10));
 }
 
-/// `DROP INDEX` on a one-part table is `apply_design` with one index less,
-/// and that moves indexes, not rows: a snapshot that began before it reads
+/// `DROP INDEX` takes one index off every part, and that moves indexes, not
+/// rows: a snapshot that began before it reads
 /// the same rows after it and still loses to a write that committed first.
 #[test]
 fn a_snapshot_spans_drop_index() {

@@ -11,19 +11,10 @@
 //! The image is serialized with the same codec as log records and wrapped
 //! in one CRC frame, so a corrupt image is detected, not trusted.
 
-use hpd_common::{HpdError, Result, Row, Schema};
+use hpd_common::{HpdError, IndexDescriptor, PartitionSpec, Result, Row, Schema};
 
 use crate::frame::{append_frame_with, seal_frame, FrameReader, FRAME_HEADER};
-use crate::record::{
-    encode_bulk_load, feed_encoded, put_u32, put_u64, LogRecord, WalIndexDef, WalPartitioning,
-};
-
-/// One partition's physical design inside a [`TableEntry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartSnapshot {
-    pub primary: WalIndexDef,
-    pub secondaries: Vec<WalIndexDef>,
-}
+use crate::record::{encode_bulk_load, feed_encoded, put_u32, put_u64, LogRecord};
 
 /// One table's catalog entry in a checkpoint image: everything but its rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,14 +22,14 @@ pub struct TableEntry {
     pub name: String,
     pub schema: Schema,
     pub pk: Vec<usize>,
-    pub primary: WalIndexDef,
-    pub secondaries: Vec<WalIndexDef>,
+    /// The table-level design, primary first: the first part's index list.
+    pub indexes: Vec<IndexDescriptor>,
     /// Partitioning declaration; `None` for monolithic tables.
-    pub partitioning: Option<WalPartitioning>,
-    /// Per-partition physical designs when partitioned (one entry per
-    /// partition; possibly heterogeneous). Empty for monolithic tables,
-    /// whose design lives in `primary`/`secondaries`.
-    pub parts: Vec<PartSnapshot>,
+    pub partitioning: Option<PartitionSpec>,
+    /// Each partition's own index list, primary first, when partitioned
+    /// (possibly heterogeneous). Empty for monolithic tables, whose design
+    /// is `indexes`.
+    pub parts: Vec<Vec<IndexDescriptor>>,
     /// LSN of the last log record already reflected in the rows — the redo
     /// skip boundary for this table.
     pub applied_lsn: u64,
@@ -102,6 +93,8 @@ impl ImageWriter {
         let table = self.tables;
         self.tables += 1;
         let buf = &mut self.buf;
+        let (primary, secondaries) =
+            (entry.indexes.split_first()).expect("a table entry names its primary index first");
         put_u64(buf, entry.applied_lsn);
         append_frame_with(buf, |b| {
             LogRecord::TableCreate {
@@ -109,13 +102,13 @@ impl ImageWriter {
                 name: entry.name.clone(),
                 schema: entry.schema.clone(),
                 pk: entry.pk.clone(),
-                primary: entry.primary.clone(),
+                primary: primary.clone(),
                 partitioning: entry.partitioning.clone(),
             }
             .encode_into(b)
         });
-        put_u32(buf, entry.secondaries.len() as u32);
-        for def in &entry.secondaries {
+        put_u32(buf, secondaries.len() as u32);
+        for def in secondaries {
             append_frame_with(buf, |b| {
                 LogRecord::IndexCreate {
                     table,
@@ -130,8 +123,7 @@ impl ImageWriter {
                 LogRecord::PartitionDesignChange {
                     table,
                     part: p as u32,
-                    primary: part.primary.clone(),
-                    secondaries: part.secondaries.clone(),
+                    indexes: part.clone(),
                 }
                 .encode_into(b)
             });
@@ -194,7 +186,8 @@ impl CheckpointImage {
             if n_sec > body.len() {
                 return Err(corrupt("secondary count exceeds image"));
             }
-            let mut secondaries = Vec::with_capacity(n_sec);
+            let mut indexes = Vec::with_capacity(n_sec + 1);
+            indexes.push(primary);
             for _ in 0..n_sec {
                 let f = rest
                     .framed_record()
@@ -202,7 +195,7 @@ impl CheckpointImage {
                 let LogRecord::IndexCreate { def, .. } = LogRecord::decode(f)? else {
                     return Err(corrupt("expected IndexCreate"));
                 };
-                secondaries.push(def);
+                indexes.push(def);
             }
             let n_parts = rest.u32()? as usize;
             if n_parts > body.len() {
@@ -213,22 +206,14 @@ impl CheckpointImage {
                 let f = rest
                     .framed_record()
                     .ok_or_else(|| corrupt("bad partition frame"))?;
-                let LogRecord::PartitionDesignChange {
-                    part,
-                    primary,
-                    secondaries,
-                    ..
-                } = LogRecord::decode(f)?
+                let LogRecord::PartitionDesignChange { part, indexes, .. } = LogRecord::decode(f)?
                 else {
                     return Err(corrupt("expected PartitionDesignChange"));
                 };
                 if part as usize != p {
                     return Err(corrupt("partition frames out of order"));
                 }
-                parts.push(PartSnapshot {
-                    primary,
-                    secondaries,
-                });
+                parts.push(indexes);
             }
             let f = rest
                 .framed_record()
@@ -241,8 +226,7 @@ impl CheckpointImage {
                     name,
                     schema,
                     pk,
-                    primary,
-                    secondaries,
+                    indexes,
                     partitioning,
                     parts,
                     applied_lsn,
@@ -264,16 +248,7 @@ impl CheckpointImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::WalIndexKind;
     use hpd_common::{DataType, Value};
-
-    fn def(kind: WalIndexKind, cols_a: &[usize]) -> WalIndexDef {
-        WalIndexDef {
-            kind,
-            cols_a: cols_a.to_vec(),
-            cols_b: vec![],
-        }
-    }
 
     fn sample() -> CheckpointImage {
         let int_rows = |rows: &[&[i64]]| {
@@ -281,6 +256,7 @@ mod tests {
                 .map(|r| Row::new(r.iter().map(|&v| Value::Int64(v)).collect()))
                 .collect()
         };
+        let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
         CheckpointImage {
             begin_lsn: 4096,
             next_ts: 77,
@@ -293,8 +269,12 @@ mod tests {
                             ("a", DataType::Int64),
                         ]),
                         pk: vec![0],
-                        primary: def(WalIndexKind::PrimaryBTree, &[0]),
-                        secondaries: vec![def(WalIndexKind::SecondaryCsi, &[0, 1])],
+                        indexes: vec![
+                            btree.clone(),
+                            IndexDescriptor::SecondaryCsi {
+                                columns: vec![0, 1],
+                            },
+                        ],
                         partitioning: None,
                         parts: vec![],
                         applied_lsn: 4000,
@@ -306,8 +286,7 @@ mod tests {
                         name: "u".into(),
                         schema: Schema::from_pairs(&[("k", DataType::Int64)]),
                         pk: vec![0],
-                        primary: def(WalIndexKind::PrimaryCsi, &[]),
-                        secondaries: vec![],
+                        indexes: vec![IndexDescriptor::PrimaryCsi],
                         partitioning: None,
                         parts: vec![],
                         applied_lsn: 4090,
@@ -324,21 +303,19 @@ mod tests {
                             ("v", DataType::Int64),
                         ]),
                         pk: vec![0],
-                        primary: def(WalIndexKind::PrimaryCsi, &[]),
-                        secondaries: vec![],
-                        partitioning: Some(WalPartitioning::Range {
-                            column: 0,
-                            bounds: vec![Value::Int64(100)],
-                        }),
+                        indexes: vec![IndexDescriptor::PrimaryCsi],
+                        partitioning: Some(
+                            PartitionSpec::range(0, vec![Value::Int64(100)]).unwrap(),
+                        ),
                         parts: vec![
-                            PartSnapshot {
-                                primary: def(WalIndexKind::PrimaryCsi, &[]),
-                                secondaries: vec![],
-                            },
-                            PartSnapshot {
-                                primary: def(WalIndexKind::PrimaryBTree, &[0]),
-                                secondaries: vec![def(WalIndexKind::SecondaryBTree, &[1])],
-                            },
+                            vec![IndexDescriptor::PrimaryCsi],
+                            vec![
+                                btree,
+                                IndexDescriptor::SecondaryBTree {
+                                    keys: vec![1],
+                                    includes: vec![],
+                                },
+                            ],
                         ],
                         applied_lsn: 4095,
                     },

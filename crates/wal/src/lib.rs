@@ -29,7 +29,7 @@ pub mod frame;
 pub mod log;
 pub mod record;
 
-pub use checkpoint::{CheckpointImage, ImageWriter, PartSnapshot, TableEntry, TableSnapshot};
+pub use checkpoint::{CheckpointImage, ImageWriter, TableEntry, TableSnapshot};
 pub use frame::{append_frame, crc32, FrameReader};
 pub use log::{Wal, WalConfig, WalDurable, WalSummary};
-pub use record::{LogRecord, WalIndexDef, WalIndexKind, WalPartitioning};
+pub use record::LogRecord;

@@ -4,6 +4,8 @@
 //! whole rows/keys, not page images. That keeps the log independent of the
 //! physical design — the same Insert record redoes into a B+ tree, a
 //! columnstore delta, or both, whichever the recovered design dictates.
+//! Design records carry the descriptor itself ([`IndexDescriptor`], primary
+//! first in a list) and a table's [`PartitionSpec`].
 //!
 //! The codec is hand-rolled little-endian (no serde in this workspace):
 //! values are written by [`hpd_common::codec`] (a one-byte type tag and a
@@ -12,41 +14,10 @@
 //! error, never a panic — so a CRC collision on a torn frame cannot take
 //! recovery down.
 
-use hpd_common::{codec, ColumnDef, DataType, HpdError, Key, Result, Row, Schema, Value};
-
-/// Index kind in a [`WalIndexDef`]. A flat mirror of the engine's
-/// `IndexDescriptor` so this crate does not depend on `hpd-engine` (which
-/// depends on us); the engine converts at the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalIndexKind {
-    PrimaryBTree,
-    SecondaryBTree,
-    PrimaryCsi,
-    SecondaryCsi,
-}
-
-/// Design-describing payload for checkpoint snapshots and DDL records.
-///
-/// `cols_a` is the key/column list (B+ tree keys, CSI columns); `cols_b` is
-/// the include list (secondary B+ tree includes; empty otherwise).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalIndexDef {
-    pub kind: WalIndexKind,
-    pub cols_a: Vec<usize>,
-    pub cols_b: Vec<usize>,
-}
-
-/// Partitioning declaration mirror (the engine's `PartitionSpec` without the
-/// `hpd-engine` dependency). Carried by `TableCreate` records and checkpoint
-/// snapshots so recovery rebuilds tables with identical row routing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalPartitioning {
-    /// Range partitioning: `bounds[i]` is the exclusive upper bound of
-    /// partition `i`.
-    Range { column: u32, bounds: Vec<Value> },
-    /// Hash partitioning into a fixed partition count.
-    Hash { column: u32, partitions: u32 },
-}
+use hpd_common::{
+    codec, ColumnDef, DataType, HpdError, IndexDescriptor, Key, PartitionMethod, PartitionSpec,
+    Result, Row, Schema, Value,
+};
 
 /// One logical log record. LSNs are byte offsets assigned at append time by
 /// [`crate::Wal`], not stored in the payload.
@@ -92,23 +63,29 @@ pub enum LogRecord {
         name: String,
         schema: Schema,
         pk: Vec<usize>,
-        primary: WalIndexDef,
-        partitioning: Option<WalPartitioning>,
+        primary: IndexDescriptor,
+        partitioning: Option<PartitionSpec>,
     },
     /// Initial rows loaded outside a transaction.
     BulkLoad {
         table: u32,
         rows: Vec<Row>,
     },
+    /// Every part gained the secondary index `def`.
     IndexCreate {
         table: u32,
-        def: WalIndexDef,
+        def: IndexDescriptor,
     },
-    /// Full physical-design swap (covers index drop and advisor re-tunes).
+    /// Every part lost the secondary index `def`.
+    IndexDrop {
+        table: u32,
+        def: IndexDescriptor,
+    },
+    /// Every part moved to the design `indexes`, primary first (advisor
+    /// re-tunes).
     DesignChange {
         table: u32,
-        primary: WalIndexDef,
-        secondaries: Vec<WalIndexDef>,
+        indexes: Vec<IndexDescriptor>,
     },
     /// One budgeted maintenance increment completed: up to `budget_rows`
     /// rows of work, split between compacting buffered deletes and moving
@@ -128,8 +105,7 @@ pub enum LogRecord {
     PartitionDesignChange {
         table: u32,
         part: u32,
-        primary: WalIndexDef,
-        secondaries: Vec<WalIndexDef>,
+        indexes: Vec<IndexDescriptor>,
     },
     /// A fuzzy checkpoint began; its image, once installed, snapshots state
     /// up to at least this record's LSN per table.
@@ -156,6 +132,7 @@ const TAG_CHECKPOINT_BEGIN: u8 = 13;
 const TAG_CHECKPOINT_END: u8 = 14;
 const TAG_MAINTENANCE_STEP: u8 = 15;
 const TAG_PARTITION_DESIGN_CHANGE: u8 = 16;
+const TAG_INDEX_DROP: u8 = 17;
 
 fn corrupt(what: &str) -> HpdError {
     HpdError::Internal(format!("wal: corrupt record: {what}"))
@@ -197,31 +174,49 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
-fn put_partitioning(buf: &mut Vec<u8>, p: &Option<WalPartitioning>) {
-    match p {
-        None => buf.push(0),
-        Some(WalPartitioning::Range { column, bounds }) => {
+fn put_partitioning(buf: &mut Vec<u8>, p: &Option<PartitionSpec>) {
+    let Some(spec) = p else {
+        return buf.push(0);
+    };
+    match &spec.method {
+        PartitionMethod::Range { bounds } => {
             buf.push(1);
-            put_u32(buf, *column);
+            put_u32(buf, spec.column as u32);
             put_values(buf, bounds);
         }
-        Some(WalPartitioning::Hash { column, partitions }) => {
+        PartitionMethod::Hash { partitions } => {
             buf.push(2);
-            put_u32(buf, *column);
-            put_u32(buf, *partitions);
+            put_u32(buf, spec.column as u32);
+            put_u32(buf, *partitions as u32);
         }
     }
 }
 
-fn put_index_def(buf: &mut Vec<u8>, def: &WalIndexDef) {
-    buf.push(match def.kind {
-        WalIndexKind::PrimaryBTree => 0,
-        WalIndexKind::SecondaryBTree => 1,
-        WalIndexKind::PrimaryCsi => 2,
-        WalIndexKind::SecondaryCsi => 3,
-    });
-    put_ordinals(buf, &def.cols_a);
-    put_ordinals(buf, &def.cols_b);
+/// A kind byte, then two ordinal lists: the key/column list (B+ tree keys,
+/// columnstore columns) and the include list (a secondary B+ tree's; empty
+/// otherwise).
+fn put_index_def(buf: &mut Vec<u8>, def: &IndexDescriptor) {
+    let (kind, cols_a, cols_b): (u8, &[usize], &[usize]) = match def {
+        IndexDescriptor::PrimaryBTree { keys } => (0, keys, &[]),
+        IndexDescriptor::SecondaryBTree { keys, includes } => (1, keys, includes),
+        IndexDescriptor::PrimaryCsi => (2, &[], &[]),
+        IndexDescriptor::SecondaryCsi { columns } => (3, columns, &[]),
+    };
+    buf.push(kind);
+    put_ordinals(buf, cols_a);
+    put_ordinals(buf, cols_b);
+}
+
+/// A design on the wire: the primary, then the counted secondaries.
+fn put_design(buf: &mut Vec<u8>, indexes: &[IndexDescriptor]) {
+    let (primary, secondaries) = indexes
+        .split_first()
+        .expect("a design names its primary index first");
+    put_index_def(buf, primary);
+    put_u32(buf, secondaries.len() as u32);
+    for def in secondaries {
+        put_index_def(buf, def);
+    }
 }
 
 /// Append a `BulkLoad` payload whose rows `feed` hands over one at a time,
@@ -363,34 +358,47 @@ impl<'a> Cur<'a> {
         Ok(Schema::new(cols))
     }
 
-    fn partitioning(&mut self) -> Result<Option<WalPartitioning>> {
+    /// Built through [`PartitionSpec`]'s validating constructors: a
+    /// corrupt-but-CRC-clean record cannot smuggle an invalid spec in.
+    fn partitioning(&mut self) -> Result<Option<PartitionSpec>> {
         Ok(match self.u8()? {
             0 => None,
-            1 => Some(WalPartitioning::Range {
-                column: self.u32()?,
-                bounds: self.values()?,
-            }),
-            2 => Some(WalPartitioning::Hash {
-                column: self.u32()?,
-                partitions: self.u32()?,
-            }),
+            1 => Some(PartitionSpec::range(self.u32()? as usize, self.values()?)?),
+            2 => Some(PartitionSpec::hash(
+                self.u32()? as usize,
+                self.u32()? as usize,
+            )?),
             t => return Err(corrupt(&format!("bad partitioning tag {t}"))),
         })
     }
 
-    fn index_def(&mut self) -> Result<WalIndexDef> {
-        let kind = match self.u8()? {
-            0 => WalIndexKind::PrimaryBTree,
-            1 => WalIndexKind::SecondaryBTree,
-            2 => WalIndexKind::PrimaryCsi,
-            3 => WalIndexKind::SecondaryCsi,
+    fn index_def(&mut self) -> Result<IndexDescriptor> {
+        let kind = self.u8()?;
+        let (cols_a, cols_b) = (self.ordinals()?, self.ordinals()?);
+        Ok(match kind {
+            0 => IndexDescriptor::PrimaryBTree { keys: cols_a },
+            1 => IndexDescriptor::SecondaryBTree {
+                keys: cols_a,
+                includes: cols_b,
+            },
+            2 => IndexDescriptor::PrimaryCsi,
+            3 => IndexDescriptor::SecondaryCsi { columns: cols_a },
             t => return Err(corrupt(&format!("bad index kind {t}"))),
-        };
-        Ok(WalIndexDef {
-            kind,
-            cols_a: self.ordinals()?,
-            cols_b: self.ordinals()?,
         })
+    }
+
+    fn design(&mut self) -> Result<Vec<IndexDescriptor>> {
+        let primary = self.index_def()?;
+        let n = self.u32()? as usize;
+        if n > self.buf.len() {
+            return Err(corrupt("secondary count exceeds payload"));
+        }
+        let mut indexes = Vec::with_capacity(n + 1);
+        indexes.push(primary);
+        for _ in 0..n {
+            indexes.push(self.index_def()?);
+        }
+        Ok(indexes)
     }
 
     /// Read one embedded `[len][crc][payload]` frame (used by checkpoint
@@ -509,18 +517,15 @@ impl LogRecord {
                 put_u32(b, *table);
                 put_index_def(b, def);
             }
-            LogRecord::DesignChange {
-                table,
-                primary,
-                secondaries,
-            } => {
+            LogRecord::IndexDrop { table, def } => {
+                b.push(TAG_INDEX_DROP);
+                put_u32(b, *table);
+                put_index_def(b, def);
+            }
+            LogRecord::DesignChange { table, indexes } => {
                 b.push(TAG_DESIGN_CHANGE);
                 put_u32(b, *table);
-                put_index_def(b, primary);
-                put_u32(b, secondaries.len() as u32);
-                for def in secondaries {
-                    put_index_def(b, def);
-                }
+                put_design(b, indexes);
             }
             LogRecord::MaintenanceStep {
                 table,
@@ -539,17 +544,12 @@ impl LogRecord {
             LogRecord::PartitionDesignChange {
                 table,
                 part,
-                primary,
-                secondaries,
+                indexes,
             } => {
                 b.push(TAG_PARTITION_DESIGN_CHANGE);
                 put_u32(b, *table);
                 put_u32(b, *part);
-                put_index_def(b, primary);
-                put_u32(b, secondaries.len() as u32);
-                for def in secondaries {
-                    put_index_def(b, def);
-                }
+                put_design(b, indexes);
             }
             LogRecord::CheckpointBegin => b.push(TAG_CHECKPOINT_BEGIN),
             LogRecord::CheckpointEnd => b.push(TAG_CHECKPOINT_END),
@@ -604,20 +604,14 @@ impl LogRecord {
                 table: c.u32()?,
                 def: c.index_def()?,
             },
-            TAG_DESIGN_CHANGE => {
-                let table = c.u32()?;
-                let primary = c.index_def()?;
-                let n = c.u32()? as usize;
-                if n > payload.len() {
-                    return Err(corrupt("secondary count exceeds payload"));
-                }
-                let secondaries = (0..n).map(|_| c.index_def()).collect::<Result<Vec<_>>>()?;
-                LogRecord::DesignChange {
-                    table,
-                    primary,
-                    secondaries,
-                }
-            }
+            TAG_INDEX_DROP => LogRecord::IndexDrop {
+                table: c.u32()?,
+                def: c.index_def()?,
+            },
+            TAG_DESIGN_CHANGE => LogRecord::DesignChange {
+                table: c.u32()?,
+                indexes: c.design()?,
+            },
             TAG_MAINTENANCE_STEP => LogRecord::MaintenanceStep {
                 table: c.u32()?,
                 part: c.u32()?,
@@ -625,22 +619,11 @@ impl LogRecord {
                 rows_moved: c.u64()?,
                 deletes_compacted: c.u64()?,
             },
-            TAG_PARTITION_DESIGN_CHANGE => {
-                let table = c.u32()?;
-                let part = c.u32()?;
-                let primary = c.index_def()?;
-                let n = c.u32()? as usize;
-                if n > payload.len() {
-                    return Err(corrupt("secondary count exceeds payload"));
-                }
-                let secondaries = (0..n).map(|_| c.index_def()).collect::<Result<Vec<_>>>()?;
-                LogRecord::PartitionDesignChange {
-                    table,
-                    part,
-                    primary,
-                    secondaries,
-                }
-            }
+            TAG_PARTITION_DESIGN_CHANGE => LogRecord::PartitionDesignChange {
+                table: c.u32()?,
+                part: c.u32()?,
+                indexes: c.design()?,
+            },
             TAG_CHECKPOINT_BEGIN => LogRecord::CheckpointBegin,
             TAG_CHECKPOINT_END => LogRecord::CheckpointEnd,
             t => return Err(corrupt(&format!("bad record tag {t}"))),
@@ -661,6 +644,7 @@ impl LogRecord {
             | LogRecord::TableCreate { table, .. }
             | LogRecord::BulkLoad { table, .. }
             | LogRecord::IndexCreate { table, .. }
+            | LogRecord::IndexDrop { table, .. }
             | LogRecord::DesignChange { table, .. }
             | LogRecord::MaintenanceStep { table, .. }
             | LogRecord::PartitionDesignChange { table, .. } => Some(*table),
@@ -680,6 +664,11 @@ mod tests {
 
     #[test]
     fn all_record_kinds_round_trip() {
+        let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+        let on = |key: usize, includes: &[usize]| IndexDescriptor::SecondaryBTree {
+            keys: vec![key],
+            includes: includes.to_vec(),
+        };
         roundtrip(LogRecord::TxnBegin { txn_id: 7 });
         roundtrip(LogRecord::TxnCommit {
             txn_id: 7,
@@ -714,11 +703,7 @@ mod tests {
             name: "t".into(),
             schema: Schema::from_pairs(&[("k", DataType::Int64), ("a", DataType::Utf8)]),
             pk: vec![0],
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryBTree,
-                cols_a: vec![0],
-                cols_b: vec![],
-            },
+            primary: btree.clone(),
             partitioning: None,
         });
         roundtrip(LogRecord::TableCreate {
@@ -726,44 +711,23 @@ mod tests {
             name: "pt".into(),
             schema: Schema::from_pairs(&[("k", DataType::Int64), ("a", DataType::Int64)]),
             pk: vec![0],
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryCsi,
-                cols_a: vec![],
-                cols_b: vec![],
-            },
-            partitioning: Some(WalPartitioning::Range {
-                column: 0,
-                bounds: vec![Value::Int64(100), Value::Int64(200)],
-            }),
+            primary: IndexDescriptor::PrimaryCsi,
+            partitioning: Some(
+                PartitionSpec::range(0, vec![Value::Int64(100), Value::Int64(200)]).unwrap(),
+            ),
         });
         roundtrip(LogRecord::TableCreate {
             table: 5,
             name: "ht".into(),
             schema: Schema::from_pairs(&[("k", DataType::Int64)]),
             pk: vec![0],
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryBTree,
-                cols_a: vec![0],
-                cols_b: vec![],
-            },
-            partitioning: Some(WalPartitioning::Hash {
-                column: 0,
-                partitions: 8,
-            }),
+            primary: btree.clone(),
+            partitioning: Some(PartitionSpec::hash(0, 8).unwrap()),
         });
         roundtrip(LogRecord::PartitionDesignChange {
             table: 4,
             part: 2,
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryBTree,
-                cols_a: vec![0],
-                cols_b: vec![],
-            },
-            secondaries: vec![WalIndexDef {
-                kind: WalIndexKind::SecondaryBTree,
-                cols_a: vec![1],
-                cols_b: vec![],
-            }],
+            indexes: vec![btree, on(1, &[])],
         });
         roundtrip(LogRecord::BulkLoad {
             table: 3,
@@ -774,24 +738,17 @@ mod tests {
         });
         roundtrip(LogRecord::IndexCreate {
             table: 3,
-            def: WalIndexDef {
-                kind: WalIndexKind::SecondaryCsi,
-                cols_a: vec![0, 1, 2],
-                cols_b: vec![],
+            def: IndexDescriptor::SecondaryCsi {
+                columns: vec![0, 1, 2],
             },
+        });
+        roundtrip(LogRecord::IndexDrop {
+            table: 3,
+            def: on(2, &[1]),
         });
         roundtrip(LogRecord::DesignChange {
             table: 3,
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryCsi,
-                cols_a: vec![],
-                cols_b: vec![],
-            },
-            secondaries: vec![WalIndexDef {
-                kind: WalIndexKind::SecondaryBTree,
-                cols_a: vec![1],
-                cols_b: vec![2],
-            }],
+            indexes: vec![IndexDescriptor::PrimaryCsi, on(1, &[2])],
         });
         roundtrip(LogRecord::MaintenanceStep {
             table: 3,
@@ -914,15 +871,17 @@ mod tests {
             name: "t".into(),
             schema: Schema::from_pairs(&[("k", DataType::Int64)]),
             pk: vec![0],
-            primary: WalIndexDef {
-                kind: WalIndexKind::PrimaryBTree,
-                cols_a: vec![0],
-                cols_b: vec![],
-            },
+            primary: IndexDescriptor::PrimaryBTree { keys: vec![0] },
             partitioning: None,
         }
         .encode();
         *ok.last_mut().unwrap() = 9;
+        assert!(LogRecord::decode(&ok).is_err());
+        // A partitioning no constructor of `PartitionSpec` admits (range
+        // bounds out of order) is corrupt, whatever its CRC said.
+        *ok.last_mut().unwrap() = 1;
+        put_u32(&mut ok, 0);
+        put_values(&mut ok, &[Value::Int64(5), Value::Int64(5)]);
         assert!(LogRecord::decode(&ok).is_err());
     }
 }

@@ -11,6 +11,16 @@
 //! `-0.0` and NaN floats, empty payloads, empty and multi-kilobyte strings,
 //! updates that widen and narrow a payload, bulk loads from owned entries
 //! and from an unsorted encoded run, and leaf splits at the given capacity.
+//!
+//! An encoded run sorts abbreviated keys (the eight-byte image of a key's
+//! first value), so half of the runs built here have keys of one first-value
+//! type, drawn where an image is most easily wrong: integers either side of
+//! the sign flip up to `MIN`/`MAX`, `Int32` mixed with `Int64` (no image
+//! compares), floats with `-0.0`, NaNs of both signs and infinities, strings
+//! equal in their first eight bytes, shorter than eight, or containing
+//! `\0`, composite keys tied on the first value, duplicate whole keys
+//! (arrival order must survive) — arriving shuffled, in key order, or in
+//! reverse.
 
 use std::ops::Bound;
 
@@ -47,6 +57,48 @@ fn value(rng: &mut StdRng) -> Value {
 
 fn key(rng: &mut StdRng) -> Key {
     Key::new((0..rng.gen_range(1..4)).map(|_| value(rng)).collect())
+}
+
+/// Keys for an encoded run whose first values are of one type (`family`
+/// picks it; family 1 mixes two), from a small domain so that whole keys and
+/// first values repeat.
+fn typed_key(rng: &mut StdRng, family: u32) -> Key {
+    let ints = [i64::MIN, -(1 << 40), -2, -1, 0, 1, 2, 1 << 40, i64::MAX];
+    let small = [i32::MIN, -2, -1, 0, 1, 2, i32::MAX];
+    let floats = [
+        f64::NEG_INFINITY,
+        -1.5,
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE,
+        4.0,
+        f64::INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    let strings = [
+        "",
+        "a",
+        "a\0",
+        "a\0b",
+        "eightchr",
+        "eightchr\0",
+        "eightchrs and more",
+        "eightchrs and less",
+        "héllo wörld",
+    ];
+    let first = match family {
+        0 => Value::Int32(small[rng.gen_range(0..small.len())]),
+        1 if rng.gen_bool(0.5) => Value::Int32(small[rng.gen_range(0..small.len())]),
+        1 | 2 => Value::Int64(ints[rng.gen_range(0..ints.len())]),
+        3 => Value::Float64(floats[rng.gen_range(0..floats.len())]),
+        4 => Value::Decimal(ints[rng.gen_range(0..ints.len())]),
+        5 => Value::Date(small[rng.gen_range(0..small.len())]),
+        _ => Value::str(strings[rng.gen_range(0..strings.len())]),
+    };
+    // One value (an exact image for a scalar) or a tail to tie-break on.
+    let tail = (0..rng.gen_range(0..3)).map(|_| value(rng));
+    Key::new(std::iter::once(first).chain(tail).collect())
 }
 
 fn payload(rng: &mut StdRng) -> Row {
@@ -280,8 +332,9 @@ impl Run {
 }
 
 /// One seeded run of `steps` operations on a tree of this leaf capacity,
-/// started empty, from a bulk load of owned entries, or from an unsorted
-/// encoded run. `Err` names the first disagreement with the model.
+/// started empty, from a bulk load of owned entries, or from an encoded run
+/// (of the model's mixed keys, or of [`typed_key`]s in one of three arrival
+/// orders). `Err` names the first disagreement with the model.
 pub fn run(seed: u64, leaf_capacity: usize, steps: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = BTreeConfig {
@@ -295,7 +348,7 @@ pub fn run(seed: u64, leaf_capacity: usize, steps: usize) -> Result<(), String> 
         .map(|_| (key(&mut rng), payload(&mut rng)))
         .collect();
     let alloc = StorageAllocator::new();
-    let tree = match rng.gen_range(0..3) {
+    let tree = match rng.gen_range(0..4) {
         0 => {
             model.clear();
             Ok(BTree::new(config, alloc))
@@ -304,7 +357,20 @@ pub fn run(seed: u64, leaf_capacity: usize, steps: usize) -> Result<(), String> 
             model.sort_by(|a, b| a.0.cmp(&b.0));
             BTree::bulk_load(config, alloc, model.clone(), &pool, &tracker)
         }
-        _ => {
+        start => {
+            if start == 3 {
+                let family = rng.gen_range(0..7);
+                for (key, _) in &mut model {
+                    *key = typed_key(&mut rng, family);
+                }
+                // Arrival order: as drawn, in key order (nothing to sort;
+                // payloads tell equal keys apart), or in reverse.
+                match rng.gen_range(0..3) {
+                    0 => {}
+                    1 => model.sort_by(|a, b| a.0.cmp(&b.0)),
+                    _ => model.sort_by(|a, b| b.0.cmp(&a.0)),
+                }
+            }
             let mut entries = EntryRun::default();
             let (mut k, mut r) = (Vec::new(), Vec::new());
             for (key, row) in &model {

@@ -1,8 +1,11 @@
 //! The B+ tree implementation.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 use hpd_common::{codec, HpdError, Key, Result, Row, Value};
+use hpd_obs::Counter;
 use hpd_storage::{BufferPool, IoTracker, PageId, StorageAllocator, PAGE_SIZE};
 
 use crate::cursor::Cursor;
@@ -247,18 +250,44 @@ impl<'a> BulkLoader<'a> {
     }
 }
 
+/// `btree.bulk_load.*` counters: runs that arrived in key order and were
+/// loaded as they stood, and runs that had to be sorted.
+fn run_counters() -> &'static [Counter; 2] {
+    static C: OnceLock<[Counter; 2]> = OnceLock::new();
+    C.get_or_init(|| {
+        ["btree.bulk_load.presorted", "btree.bulk_load.sorted"]
+            .map(|name| hpd_obs::global().counter(name))
+    })
+}
+
 /// Encoded entries collected in arrival order, to be bulk loaded in key
 /// order: what an index build gathers from the rows it is handed or lent.
-/// An entry costs its encoded bytes and four more, and the sort moves only
-/// indexes. Rows are read once, in the order they arrive — encoding them in
-/// key order instead would chase 400 k pointers across the heap.
+/// Rows are read once, in the order they arrive — encoding them in key
+/// order instead would chase 400 k pointers across the heap.
 ///
-/// The four bytes are a `u32` offset, so one run (one partition's build)
-/// holds under 4 GB of encoded entries: a push past that is dropped and
+/// Beside its encoded bytes and a four-byte offset an entry leaves a
+/// twelve-byte sort record: its index and an *abbreviated key*, the
+/// order-preserving eight-byte image of its first key value
+/// ([`codec::abbreviate`]). The sort moves and compares those records and
+/// reads a key's bytes only where two images tie; a run that arrived in key
+/// order is not sorted at all.
+///
+/// The offset is a `u32`, so one run (one partition's build) holds under
+/// 4 GB of encoded entries: a push past that is dropped and
 /// [`EntryRun::bulk_load`] returns an error instead of a tree.
 #[derive(Default)]
 pub struct EntryRun {
     entries: PackedLeaf,
+    /// `(abbreviated key, arrival index)` of every entry.
+    order: Vec<(u64, u32)>,
+    /// Type tag of the first key values; once two differ (which no schema
+    /// admits) `untyped` is set and every image is zero.
+    tag: Option<u8>,
+    untyped: bool,
+    /// Some image is not its whole key: a tie needs the keys' bytes.
+    inexact: bool,
+    /// Some entry sorts before the one pushed ahead of it.
+    unsorted: bool,
     overflowed: bool,
 }
 
@@ -277,6 +306,7 @@ impl EntryRun {
     ) {
         if self.has_room() {
             self.entries.push(key, payload);
+            self.pushed();
         }
     }
 
@@ -285,13 +315,42 @@ impl EntryRun {
     pub fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
         if self.has_room() {
             self.entries.push_encoded(key, payload);
+            self.pushed();
         }
+    }
+
+    /// Abbreviate the entry just appended and note whether it keeps the run
+    /// in key order.
+    fn pushed(&mut self) {
+        let at = self.order.len();
+        let key = self.entries.entry(at).key;
+        let image = match codec::abbreviate(key) {
+            Some(a) if !self.untyped && self.tag.is_none_or(|tag| tag == a.tag) => {
+                self.tag = Some(a.tag);
+                self.inexact |= !a.exact;
+                a.image
+            }
+            _ => {
+                if !self.untyped {
+                    (self.untyped, self.inexact) = (true, true);
+                    self.order.iter_mut().for_each(|(image, _)| *image = 0);
+                }
+                0
+            }
+        };
+        if let Some(&(prev, _)) = self.order.last().filter(|_| !self.unsorted) {
+            self.unsorted = prev > image
+                || prev == image
+                    && self.inexact
+                    && codec::cmp_encoded(self.entries.entry(at - 1).key, key).is_gt();
+        }
+        self.order.push((image, at as u32));
     }
 
     /// Sort by key (entries with equal keys stay in arrival order) and bulk
     /// load.
     pub fn bulk_load(
-        self,
+        mut self,
         config: BTreeConfig,
         alloc: StorageAllocator,
         pool: &BufferPool,
@@ -302,14 +361,26 @@ impl EntryRun {
                 "a B+ tree build takes under 4 GB of encoded entries per partition".into(),
             ));
         }
-        let entries = &self.entries;
-        let count = u32::try_from(entries.len()).expect("every entry starts under 4 GB");
-        let mut order: Vec<u32> = (0..count).collect();
-        order.sort_by(|&a, &b| {
-            codec::cmp_encoded(entries.entry(a as usize).key, entries.entry(b as usize).key)
-        });
-        let mut loader = BulkLoader::new(config, alloc, order.len(), pool, tracker);
-        for i in order {
+        let (entries, inexact) = (&self.entries, self.inexact);
+        let [presorted, sorted] = run_counters();
+        if self.unsorted {
+            sorted.add(1);
+            // The index is the last key part: no two records are equal, so
+            // the unstable sort keeps equal keys in arrival order.
+            self.order.sort_unstable_by(|&(x, a), &(y, b)| {
+                let keys = || {
+                    let (a, b) = (entries.entry(a as usize), entries.entry(b as usize));
+                    codec::cmp_encoded(a.key, b.key)
+                };
+                (x.cmp(&y))
+                    .then_with(|| if inexact { keys() } else { Ordering::Equal })
+                    .then(a.cmp(&b))
+            });
+        } else {
+            presorted.add(1);
+        }
+        let mut loader = BulkLoader::new(config, alloc, self.order.len(), pool, tracker);
+        for (_, i) in self.order {
             let e = entries.entry(i as usize);
             loader.push_encoded(e.key, e.payload);
         }

@@ -142,79 +142,39 @@ impl EncodedInts {
     pub fn run_count(&self) -> usize {
         match self {
             EncodedInts::Rle(runs) => runs.len(),
-            _ => count_runs_of(&self.decode()),
+            _ => Shape::of(&self.decode()).runs,
         }
     }
 
     /// Decode back to the plain stream.
     pub fn decode(&self) -> Vec<i64> {
+        let mut out = Vec::with_capacity(self.len());
         match self {
             EncodedInts::Rle(runs) => {
-                let n = self.len();
-                let mut out = Vec::with_capacity(n);
                 for &(v, c) in runs {
                     out.extend(std::iter::repeat_n(v, c as usize));
                 }
-                out
             }
-            EncodedInts::BitPacked {
-                base,
-                bit_width,
-                len,
-                data,
-            } => {
-                let mut out = Vec::with_capacity(*len);
-                let bw = *bit_width as usize;
-                if bw == 0 {
-                    out.extend(std::iter::repeat_n(*base, *len));
-                    return out;
-                }
-                let mask: u64 = if bw == 64 { u64::MAX } else { (1u64 << bw) - 1 };
-                for i in 0..*len {
-                    let code = read_packed(data, i, bw, mask);
-                    out.push(base.wrapping_add(code as i64));
-                }
-                out
+            EncodedInts::Raw(v) => out.extend_from_slice(v),
+            packed => packed.for_each(|v| out.push(v)),
+        }
+        out
+    }
+
+    /// Decode with a callback per value, in place: nothing is materialized
+    /// for aggregate-only consumers.
+    pub fn for_each(&self, mut f: impl FnMut(i64)) {
+        match self {
+            // Code streams are base-encoded: never a dictionary themselves.
+            EncodedInts::Dict { values, codes } => {
+                codes.for_each_base(&mut |c| f(values[c as usize]))
             }
-            EncodedInts::ForDelta {
-                len,
-                anchors,
-                min_delta,
-                bit_width,
-                data,
-            } => {
-                let mut out = Vec::with_capacity(*len);
-                let bw = *bit_width as usize;
-                let mask: u64 = if bw == 0 { 0 } else { (1u64 << bw) - 1 };
-                for (f, &anchor) in anchors.iter().enumerate() {
-                    let start = f * FOR_DELTA_FRAME;
-                    let end = (start + FOR_DELTA_FRAME).min(*len);
-                    let mut v = anchor;
-                    out.push(v);
-                    for p in start + 1..end {
-                        let code = if bw == 0 {
-                            0
-                        } else {
-                            read_packed(data, f * (FOR_DELTA_FRAME - 1) + (p - start - 1), bw, mask)
-                        };
-                        v = v.wrapping_add(*min_delta).wrapping_add(code as i64);
-                        out.push(v);
-                    }
-                }
-                out
-            }
-            EncodedInts::Dict { values, codes } => codes
-                .decode()
-                .into_iter()
-                .map(|c| values[c as usize])
-                .collect(),
-            EncodedInts::Raw(v) => v.clone(),
+            base => base.for_each_base(&mut f),
         }
     }
 
-    /// Decode with a callback per value, avoiding a full materialization for
-    /// aggregate-only consumers.
-    pub fn for_each(&self, mut f: impl FnMut(i64)) {
+    /// [`EncodedInts::for_each`] for every encoding but `Dict`.
+    fn for_each_base(&self, f: &mut impl FnMut(i64)) {
         match self {
             EncodedInts::Rle(runs) => {
                 for &(v, c) in runs {
@@ -223,11 +183,41 @@ impl EncodedInts {
                     }
                 }
             }
-            _ => {
-                for v in self.decode() {
-                    f(v);
+            EncodedInts::BitPacked {
+                base,
+                bit_width,
+                len,
+                data,
+            } => {
+                let bw = *bit_width as usize;
+                let mask = (1u64 << bw) - 1;
+                for i in 0..*len {
+                    f(base.wrapping_add(read_packed(data, i, bw, mask) as i64));
                 }
             }
+            EncodedInts::ForDelta {
+                len,
+                anchors,
+                min_delta,
+                bit_width,
+                data,
+            } => {
+                let bw = *bit_width as usize;
+                let mask = (1u64 << bw) - 1;
+                for (frame, &anchor) in anchors.iter().enumerate() {
+                    let mut v = anchor;
+                    f(v);
+                    let slot = frame * (FOR_DELTA_FRAME - 1);
+                    let codes = (len - frame * FOR_DELTA_FRAME).min(FOR_DELTA_FRAME) - 1;
+                    for j in slot..slot + codes {
+                        let code = read_packed(data, j, bw, mask);
+                        v = v.wrapping_add(*min_delta).wrapping_add(code as i64);
+                        f(v);
+                    }
+                }
+            }
+            EncodedInts::Dict { .. } => unreachable!("a dictionary's codes are base-encoded"),
+            EncodedInts::Raw(v) => v.iter().copied().for_each(f),
         }
     }
 }
@@ -245,27 +235,27 @@ pub(crate) fn read_packed(data: &[u8], idx: usize, bw: usize, mask: u64) -> u64 
     (word >> shift) & mask
 }
 
-fn count_runs_of(values: &[i64]) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    1 + values.windows(2).filter(|w| w[0] != w[1]).count()
-}
-
-fn rle_encode(values: &[i64]) -> Vec<(i64, u32)> {
-    let mut runs: Vec<(i64, u32)> = Vec::new();
-    for &v in values {
-        match runs.last_mut() {
-            Some((rv, c)) if *rv == v && *c < u32::MAX => *c += 1,
-            _ => runs.push((v, 1)),
+/// A zeroed buffer of `slots` codes of `bw` bits (≤ 56), the first of them
+/// `codes`: written back to back, little-endian, through an accumulator
+/// flushed eight bytes at a time.
+fn pack(slots: usize, bw: usize, codes: impl Iterator<Item = u64>) -> Bytes {
+    let mut data = BytesMut::zeroed(packed_buf_bytes(slots, bw));
+    let (mut at, mut acc, mut bits) = (0, 0u128, 0);
+    for code in codes {
+        acc |= u128::from(code) << bits;
+        bits += bw;
+        if bits >= 64 {
+            data[at..at + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+            (at, acc, bits) = (at + 8, acc >> 64, bits - 64);
         }
     }
-    runs.shrink_to_fit();
-    runs
+    let tail = bits.div_ceil(8);
+    data[at..at + tail].copy_from_slice(&(acc as u64).to_le_bytes()[..tail]);
+    data.freeze()
 }
 
 /// Bit width needed for codes spanning `range` (0 → 0 bits).
-fn bits_for(range: u128) -> usize {
+pub(crate) fn bits_for(range: u128) -> usize {
     (128 - range.leading_zeros()) as usize
 }
 
@@ -275,152 +265,160 @@ fn packed_buf_bytes(slots: usize, bw: usize) -> usize {
     (slots * bw).div_ceil(8) + 8
 }
 
-fn bitpack_plan(values: &[i64]) -> Option<(i64, usize)> {
-    let (&min, &max) = (values.iter().min()?, values.iter().max()?);
-    let bit_width = bits_for(((max as i128) - (min as i128)) as u128);
-    if bit_width > 56 {
-        return None; // decode fast-path reads at most 8 bytes
-    }
-    Some((min, bit_width))
+/// What one pass over a stream learns: with the stream's distinct count,
+/// enough to size every encoding without building any.
+struct Shape {
+    len: usize,
+    runs: usize,
+    min: i64,
+    max: i64,
+    /// Smallest and largest step between neighbours of one FOR/delta frame
+    /// (`MAX`, `MIN` when no frame has two values).
+    min_delta: i128,
+    max_delta: i128,
 }
 
-fn bitpack(values: &[i64]) -> Option<EncodedInts> {
-    let (min, bit_width) = bitpack_plan(values)?;
-    let mut data = BytesMut::zeroed(packed_buf_bytes(values.len(), bit_width));
-    for (i, &v) in values.iter().enumerate() {
-        let code = (v as i128 - min as i128) as u64;
-        let bit = i * bit_width;
-        let byte = bit / 8;
-        let shift = bit % 8;
-        // OR the code into the little-endian bit stream.
-        let existing = u64::from_le_bytes(data[byte..byte + 8].try_into().expect("8 bytes"));
-        let merged = existing | (code << shift);
-        data[byte..byte + 8].copy_from_slice(&merged.to_le_bytes());
+impl Shape {
+    fn of(values: &[i64]) -> Shape {
+        let first = values.first().copied().unwrap_or(0);
+        let mut shape = Shape {
+            len: values.len(),
+            runs: values.len().min(1),
+            min: first,
+            max: first,
+            min_delta: i128::MAX,
+            max_delta: i128::MIN,
+        };
+        for (i, w) in values.windows(2).enumerate() {
+            let (prev, v) = (w[0], w[1]);
+            shape.runs += usize::from(prev != v);
+            shape.min = shape.min.min(v);
+            shape.max = shape.max.max(v);
+            if (i + 1) % FOR_DELTA_FRAME != 0 {
+                let d = i128::from(v) - i128::from(prev);
+                shape.min_delta = shape.min_delta.min(d);
+                shape.max_delta = shape.max_delta.max(d);
+            }
+        }
+        shape
     }
+
+    /// `(base, bit_width)` of the bit-packed form, or `None` when the value
+    /// domain is too wide (the decode fast path reads at most 8 bytes).
+    fn packed_plan(&self) -> Option<(i64, usize)> {
+        let bit_width = bits_for((i128::from(self.max) - i128::from(self.min)) as u128);
+        (bit_width <= 56).then_some((self.min, bit_width))
+    }
+
+    /// `(min_delta, bit_width)` of the FOR/delta form, or `None` when the
+    /// delta domain is too wide to pack.
+    fn for_delta_plan(&self) -> Option<(i64, usize)> {
+        let (min_d, max_d) = if self.min_delta > self.max_delta {
+            (0, 0) // a single value per frame: no deltas
+        } else {
+            (self.min_delta, self.max_delta)
+        };
+        let bit_width = bits_for((max_d - min_d) as u128);
+        if bit_width > 56 {
+            return None;
+        }
+        Some((i64::try_from(min_d).ok()?, bit_width))
+    }
+
+    fn rle_bytes(&self) -> usize {
+        self.runs * RLE_RUN_BYTES
+    }
+
+    fn packed_bytes(&self) -> usize {
+        self.packed_plan()
+            .map_or(usize::MAX, |(_, bw)| packed_buf_bytes(self.len, bw) + 9)
+    }
+
+    fn for_delta_bytes(&self) -> usize {
+        let n_frames = self.len.div_ceil(FOR_DELTA_FRAME);
+        self.for_delta_plan().map_or(usize::MAX, |(_, bw)| {
+            n_frames * 8 + packed_buf_bytes(n_frames * (FOR_DELTA_FRAME - 1), bw) + 17
+        })
+    }
+
+    /// Exact size of a dictionary over `distinct` values: the codes
+    /// RLE-compress exactly like the values (the mapping is bijective, so
+    /// run boundaries coincide).
+    fn dict_bytes(&self, distinct: usize) -> usize {
+        let code_bw = bits_for((distinct - 1) as u128);
+        let codes_bytes = self
+            .rle_bytes()
+            .min(packed_buf_bytes(self.len, code_bw) + 9)
+            .min(self.len * 8);
+        distinct * 8 + codes_bytes + 16
+    }
+}
+
+fn rle_encode(values: &[i64], shape: &Shape) -> EncodedInts {
+    let mut runs: Vec<(i64, u32)> = Vec::with_capacity(shape.runs);
+    for &v in values {
+        match runs.last_mut() {
+            Some((rv, c)) if *rv == v && *c < u32::MAX => *c += 1,
+            _ => runs.push((v, 1)),
+        }
+    }
+    EncodedInts::Rle(runs)
+}
+
+fn bitpack(values: &[i64], shape: &Shape) -> Option<EncodedInts> {
+    let (min, bit_width) = shape.packed_plan()?;
+    let codes = values.iter().map(|v| v.wrapping_sub(min) as u64);
     Some(EncodedInts::BitPacked {
         base: min,
         bit_width: bit_width as u8,
         len: values.len(),
-        data: data.freeze(),
+        data: pack(values.len(), bit_width, codes),
     })
 }
 
-/// FOR/delta plan: global `(min_delta, bit_width)` over within-frame
-/// deltas, or `None` when the delta domain is too wide to pack.
-fn for_delta_plan(values: &[i64]) -> Option<(i64, usize)> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut min_d = i128::MAX;
-    let mut max_d = i128::MIN;
-    for chunk in values.chunks(FOR_DELTA_FRAME) {
-        for w in chunk.windows(2) {
-            let d = w[1] as i128 - w[0] as i128;
-            min_d = min_d.min(d);
-            max_d = max_d.max(d);
-        }
-    }
-    if min_d > max_d {
-        // No within-frame deltas (a single value).
-        (min_d, max_d) = (0, 0);
-    }
-    let bit_width = bits_for((max_d - min_d) as u128);
-    if bit_width > 56 {
-        return None;
-    }
-    Some((i64::try_from(min_d).ok()?, bit_width))
-}
-
-fn for_delta_size(values: &[i64], bw: usize) -> usize {
-    let n_frames = values.len().div_ceil(FOR_DELTA_FRAME);
-    n_frames * 8 + packed_buf_bytes(n_frames * (FOR_DELTA_FRAME - 1), bw) + 17
-}
-
-fn for_delta(values: &[i64]) -> Option<EncodedInts> {
-    let (min_delta, bit_width) = for_delta_plan(values)?;
-    let n_frames = values.len().div_ceil(FOR_DELTA_FRAME);
-    let mut anchors = Vec::with_capacity(n_frames);
-    let mut data = BytesMut::zeroed(packed_buf_bytes(
-        n_frames * (FOR_DELTA_FRAME - 1),
-        bit_width,
-    ));
-    for (f, chunk) in values.chunks(FOR_DELTA_FRAME).enumerate() {
-        anchors.push(chunk[0]);
-        if bit_width == 0 {
-            continue;
-        }
-        for (j, w) in chunk.windows(2).enumerate() {
-            let code = (w[1] as i128 - w[0] as i128 - min_delta as i128) as u64;
-            let bit = (f * (FOR_DELTA_FRAME - 1) + j) * bit_width;
-            let byte = bit / 8;
-            let shift = bit % 8;
-            let existing = u64::from_le_bytes(data[byte..byte + 8].try_into().expect("8 bytes"));
-            let merged = existing | (code << shift);
-            data[byte..byte + 8].copy_from_slice(&merged.to_le_bytes());
-        }
-    }
+fn for_delta(values: &[i64], shape: &Shape) -> Option<EncodedInts> {
+    let (min_delta, bit_width) = shape.for_delta_plan()?;
+    let frames = values.chunks(FOR_DELTA_FRAME);
+    let slots = frames.len() * (FOR_DELTA_FRAME - 1);
+    // Full frames fill their slots, so the codes are written back to back;
+    // only the last frame can leave slots (zero) behind it.
+    let codes = frames.clone().flat_map(|frame| {
+        (frame.windows(2)).map(|w| w[1].wrapping_sub(w[0]).wrapping_sub(min_delta) as u64)
+    });
     Some(EncodedInts::ForDelta {
         len: values.len(),
-        anchors,
+        anchors: frames.clone().map(|frame| frame[0]).collect(),
         min_delta,
         bit_width: bit_width as u8,
-        data: data.freeze(),
+        data: pack(slots, bit_width, codes),
     })
 }
 
-/// Sorted distinct values, or `None` once more than `cap` are seen.
-fn distinct_sorted(values: &[i64], cap: usize) -> Option<Vec<i64>> {
-    let mut set = std::collections::BTreeSet::new();
-    for &v in values {
-        set.insert(v);
-        if set.len() > cap {
-            return None;
-        }
-    }
-    Some(set.into_iter().collect())
-}
-
-/// Exact encoded size a dictionary over `distinct` values would produce,
-/// given the stream's run count (codes RLE-compress exactly like values:
-/// the mapping is bijective, so run boundaries coincide).
-fn dict_size(len: usize, n_runs: usize, distinct: usize) -> usize {
-    let code_bw = bits_for((distinct - 1) as u128);
-    let codes_bytes = (n_runs * RLE_RUN_BYTES)
-        .min(packed_buf_bytes(len, code_bw) + 9)
-        .min(len * 8);
-    distinct * 8 + codes_bytes + 16
-}
-
-fn dict_numeric(values: &[i64], cap: usize) -> Option<EncodedInts> {
-    let dict = distinct_sorted(values, cap)?;
+/// The order-preserving dictionary form: sorted distinct values and the
+/// base-encoded stream of their positions.
+fn dict_numeric(values: &[i64]) -> EncodedInts {
+    let mut dict = values.to_vec();
+    dict.sort_unstable();
+    dict.dedup();
+    dict.shrink_to_fit();
     let codes: Vec<i64> = values
         .iter()
         .map(|v| dict.partition_point(|d| d < v) as i64)
         .collect();
-    Some(EncodedInts::Dict {
-        values: dict,
-        codes: Box::new(encode_base(&codes)),
-    })
-}
-
-/// Pick the smallest of the three base encodings (no FOR/delta or dict
-/// recursion — used for dictionary code streams).
-fn encode_base(values: &[i64]) -> EncodedInts {
-    if values.is_empty() {
-        return EncodedInts::Raw(Vec::new());
-    }
-    let runs = rle_encode(values);
-    let rle_bytes = runs.len() * RLE_RUN_BYTES;
-    let packed_bytes = bitpack_plan(values)
-        .map(|(_, bw)| packed_buf_bytes(values.len(), bw) + 9)
-        .unwrap_or(usize::MAX);
-    let raw_bytes = values.len() * 8;
-    if rle_bytes <= packed_bytes && rle_bytes <= raw_bytes {
-        EncodedInts::Rle(runs)
-    } else if packed_bytes <= raw_bytes {
-        bitpack(values).expect("packed_bytes finite implies Some")
+    // The smallest of the three base encodings: no FOR/delta or dictionary
+    // under a dictionary.
+    let shape = Shape::of(&codes);
+    let (rle, packed, raw) = (shape.rle_bytes(), shape.packed_bytes(), codes.len() * 8);
+    let codes = if rle <= packed && rle <= raw {
+        rle_encode(&codes, &shape)
+    } else if packed <= raw {
+        bitpack(&codes, &shape).expect("packed_bytes finite implies Some")
     } else {
-        EncodedInts::Raw(values.to_vec())
+        EncodedInts::Raw(codes)
+    };
+    EncodedInts::Dict {
+        values: dict,
+        codes: Box::new(codes),
     }
 }
 
@@ -439,14 +437,53 @@ fn forced_encoding() -> Option<IntEncoding> {
     )
 }
 
-/// Encode as a specific encoding if feasible (used by the force knob).
-fn encode_as(values: &[i64], enc: IntEncoding) -> Option<EncodedInts> {
+/// Encode a stream as `enc`, or `None` where that encoding cannot hold it:
+/// what `HPD_FORCE_ENCODING` asks for.
+pub fn encode_as(values: &[i64], enc: IntEncoding) -> Option<EncodedInts> {
+    encode_shaped(values, &Shape::of(values), enc)
+}
+
+fn encode_shaped(values: &[i64], shape: &Shape, enc: IntEncoding) -> Option<EncodedInts> {
     match enc {
-        IntEncoding::Rle => Some(EncodedInts::Rle(rle_encode(values))),
-        IntEncoding::BitPacked => bitpack(values),
-        IntEncoding::ForDelta => for_delta(values),
-        IntEncoding::Dict => dict_numeric(values, values.len()),
+        IntEncoding::Rle => Some(rle_encode(values, shape)),
+        IntEncoding::BitPacked => bitpack(values, shape),
+        IntEncoding::ForDelta => for_delta(values, shape),
+        IntEncoding::Dict => Some(dict_numeric(values)),
         IntEncoding::Raw => Some(EncodedInts::Raw(values.to_vec())),
+    }
+}
+
+/// Minimum, maximum and number of distinct values of a stream (zeros for an
+/// empty one).
+#[derive(Default)]
+pub(crate) struct Domain {
+    pub(crate) min: i64,
+    pub(crate) max: i64,
+    pub(crate) distinct: usize,
+}
+
+impl Domain {
+    /// `scratch` is working space: a bit per point of the range where that
+    /// takes no more words than the stream has values, else a sorted copy.
+    pub(crate) fn of(values: &[i64], scratch: &mut Vec<i64>) -> Domain {
+        let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
+            return Domain::default();
+        };
+        let range = max.wrapping_sub(min) as u64;
+        scratch.clear();
+        let distinct = if range / 64 < values.len() as u64 {
+            scratch.resize((range / 64 + 1) as usize, 0);
+            for v in values {
+                let at = v.wrapping_sub(min) as u64;
+                scratch[(at / 64) as usize] |= 1 << (at % 64);
+            }
+            scratch.iter().map(|word| word.count_ones() as usize).sum()
+        } else {
+            scratch.extend_from_slice(values);
+            scratch.sort_unstable();
+            1 + scratch.windows(2).filter(|w| w[0] != w[1]).count()
+        };
+        Domain { min, max, distinct }
     }
 }
 
@@ -454,47 +491,38 @@ fn encode_as(values: &[i64], enc: IntEncoding) -> Option<EncodedInts> {
 /// size. Ties break toward the simpler/faster encoding in the order RLE,
 /// bit-packed, FOR/delta, dict, raw.
 pub fn encode_i64s(values: &[i64]) -> EncodedInts {
+    encode_counted(values, Domain::of(values, &mut Vec::new()).distinct)
+}
+
+/// [`encode_i64s`] of a stream whose distinct count the caller has: one
+/// pass sizes every candidate, and only the winner is built.
+pub(crate) fn encode_counted(values: &[i64], distinct: usize) -> EncodedInts {
     if values.is_empty() {
         return EncodedInts::Raw(Vec::new());
     }
-    if let Some(enc) = forced_encoding() {
-        if let Some(e) = encode_as(values, enc) {
-            return e;
-        }
+    let shape = Shape::of(values);
+    if let Some(e) = forced_encoding().and_then(|enc| encode_shaped(values, &shape, enc)) {
+        return e;
     }
-    let runs = rle_encode(values);
-    let rle_bytes = runs.len() * RLE_RUN_BYTES;
-    let packed_bytes = bitpack_plan(values)
-        .map(|(_, bw)| packed_buf_bytes(values.len(), bw) + 9)
-        .unwrap_or(usize::MAX);
-    let fd_bytes = for_delta_plan(values)
-        .map(|(_, bw)| for_delta_size(values, bw))
-        .unwrap_or(usize::MAX);
-    // Dictionaries only pay off at low cardinality; cap the distinct scan
-    // so high-cardinality streams bail out early.
-    let dict_cap = (values.len() / 4).max(8);
-    let dict_distinct = distinct_sorted(values, dict_cap).map(|d| d.len());
-    let dict_bytes = dict_distinct
-        .map(|d| dict_size(values.len(), runs.len(), d))
-        .unwrap_or(usize::MAX);
-    let raw_bytes = values.len() * 8;
-
-    let best = rle_bytes
-        .min(packed_bytes)
-        .min(fd_bytes)
-        .min(dict_bytes)
-        .min(raw_bytes);
-    if rle_bytes == best {
-        EncodedInts::Rle(runs)
-    } else if packed_bytes == best {
-        bitpack(values).expect("packed_bytes finite implies Some")
-    } else if fd_bytes == best {
-        for_delta(values).expect("fd_bytes finite implies Some")
-    } else if dict_bytes == best {
-        dict_numeric(values, dict_cap).expect("dict_bytes finite implies Some")
+    // Dictionaries only pay off at low cardinality.
+    let dict_bytes = if distinct <= (values.len() / 4).max(8) {
+        shape.dict_bytes(distinct)
     } else {
-        EncodedInts::Raw(values.to_vec())
-    }
+        usize::MAX
+    };
+    let sizes = [
+        (shape.rle_bytes(), IntEncoding::Rle),
+        (shape.packed_bytes(), IntEncoding::BitPacked),
+        (shape.for_delta_bytes(), IntEncoding::ForDelta),
+        (dict_bytes, IntEncoding::Dict),
+        (values.len() * 8, IntEncoding::Raw),
+    ];
+    // `min_by_key` keeps the first of equal sizes: the tie order above.
+    let (_, best) = sizes
+        .into_iter()
+        .min_by_key(|&(bytes, _)| bytes)
+        .expect("five candidates");
+    encode_shaped(values, &shape, best).expect("a finite size is a feasible encoding")
 }
 
 #[cfg(test)]
@@ -595,7 +623,7 @@ mod tests {
     fn fordelta_infeasible_on_extreme_deltas() {
         // A delta of (MAX - MIN) needs 65 bits.
         let vals = vec![i64::MIN, i64::MAX, i64::MIN];
-        assert!(for_delta(&vals).is_none());
+        assert!(encode_as(&vals, IntEncoding::ForDelta).is_none());
         // encode_i64s still works via another encoding.
         assert_eq!(encode_i64s(&vals).decode(), vals);
     }
@@ -612,7 +640,7 @@ mod tests {
         // Force the bitpack branch by making RLE unattractive is impossible
         // for constants, so test bitpack(0 bit) directly.
         let vals = vec![42i64; 17];
-        let packed = bitpack(&vals).unwrap();
+        let packed = encode_as(&vals, IntEncoding::BitPacked).unwrap();
         if let EncodedInts::BitPacked { bit_width, .. } = &packed {
             assert_eq!(*bit_width, 0);
         } else {
@@ -624,7 +652,7 @@ mod tests {
     #[test]
     fn for_each_visits_all_values_in_order() {
         let vals = vec![1i64, 1, 2, 2, 2, 3];
-        let e = EncodedInts::Rle(rle_encode(&vals));
+        let e = encode_as(&vals, IntEncoding::Rle).unwrap();
         let mut seen = Vec::new();
         e.for_each(|v| seen.push(v));
         assert_eq!(seen, vals);
@@ -633,7 +661,7 @@ mod tests {
     #[test]
     fn run_count_matches_definition() {
         let vals = vec![5i64, 5, 1, 1, 1, 5];
-        assert_eq!(count_runs_of(&vals), 3);
+        assert_eq!(Shape::of(&vals).runs, 3);
         let e = encode_i64s(&vals);
         assert_eq!(e.run_count(), 3);
     }
@@ -725,29 +753,13 @@ mod tests {
             (0..4096).map(|i| i * 5 + (i % 3)).collect(),
         ];
         for vals in &shapes {
-            let runs = rle_encode(vals);
-            if let Some((_, bw)) = bitpack_plan(vals) {
-                assert_eq!(
-                    packed_buf_bytes(vals.len(), bw) + 9,
-                    bitpack(vals).unwrap().encoded_bytes()
-                );
-            }
-            if let Some((_, bw)) = for_delta_plan(vals) {
-                assert_eq!(
-                    for_delta_size(vals, bw),
-                    for_delta(vals).unwrap().encoded_bytes()
-                );
-            }
-            if let Some(d) = distinct_sorted(vals, vals.len()) {
-                assert_eq!(
-                    dict_size(vals.len(), runs.len(), d.len()),
-                    dict_numeric(vals, vals.len()).unwrap().encoded_bytes()
-                );
-            }
-            assert_eq!(
-                runs.len() * RLE_RUN_BYTES,
-                EncodedInts::Rle(runs.clone()).encoded_bytes()
-            );
+            let shape = Shape::of(vals);
+            let built = |enc| encode_as(vals, enc).map(|e| e.encoded_bytes());
+            assert_eq!(Some(shape.rle_bytes()), built(IntEncoding::Rle));
+            assert_eq!(Some(shape.packed_bytes()), built(IntEncoding::BitPacked));
+            assert_eq!(Some(shape.for_delta_bytes()), built(IntEncoding::ForDelta));
+            let distinct = Domain::of(vals, &mut Vec::new()).distinct;
+            assert_eq!(Some(shape.dict_bytes(distinct)), built(IntEncoding::Dict));
         }
     }
 }

@@ -1,11 +1,28 @@
 //! Row groups: independently compressed horizontal partitions.
 
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use hpd_common::{Batch, ColumnVector, SelBitmap};
+use hpd_obs::Counter;
 use hpd_storage::StorageAllocator;
 
-use crate::segment::Segment;
+use crate::encoding::{bits_for, Domain};
+use crate::segment::{Normalized, Segment};
+
+/// `columnstore.build.*` counters: row groups compressed, how many of the
+/// greedy ones sorted packed keys alone, and how many had columns left over
+/// to compare.
+fn build_counters() -> &'static [Counter; 3] {
+    static C: OnceLock<[Counter; 3]> = OnceLock::new();
+    C.get_or_init(|| {
+        [
+            "columnstore.build.rowgroups",
+            "columnstore.build.sort_packed",
+            "columnstore.build.sort_compared",
+        ]
+        .map(|name| hpd_obs::global().counter(name))
+    })
+}
 
 /// How rows are ordered before compressing a row group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,21 +48,35 @@ pub struct RowGroup {
 
 impl RowGroup {
     /// Compress `columns` (all equal length, non-empty) into a row group.
+    /// Every column is normalized to its `i64` stream once; counting,
+    /// ordering, sorting and encoding all read those.
     pub fn build(columns: Vec<ColumnVector>, sort: SortMode, alloc: &StorageAllocator) -> RowGroup {
         let rows = columns.first().map_or(0, ColumnVector::len);
         assert!(rows > 0, "row groups are never empty");
         debug_assert!(columns.iter().all(|c| c.len() == rows));
+        let [rowgroups, ..] = build_counters();
+        rowgroups.add(1);
 
-        let columns = match sort {
-            SortMode::Arrival => columns,
-            SortMode::Greedy => {
-                let order = greedy_column_order(&columns);
-                let perm = sort_permutation(&columns, &order);
-                columns.iter().map(|c| c.take(&perm)).collect()
-            }
+        let columns: Vec<Normalized> = columns.into_iter().map(Normalized::of).collect();
+        let mut scratch = Vec::with_capacity(rows);
+        let domains: Vec<Domain> = columns.iter().map(|c| c.domain(&mut scratch)).collect();
+        let perm = match sort {
+            SortMode::Arrival => None,
+            SortMode::Greedy => Some(sort_permutation(&columns, &domains)),
         };
-
-        let segments = columns.iter().map(|c| Segment::build(c, alloc)).collect();
+        let segments = (columns.into_iter().zip(&domains))
+            .map(|(column, domain)| {
+                let stream = match &perm {
+                    None => &column.ints,
+                    Some(perm) => {
+                        scratch.clear();
+                        scratch.extend(perm.iter().map(|&i| column.ints[i as usize]));
+                        &scratch
+                    }
+                };
+                Segment::from_stream(column.dtype, column.dict, stream, domain, alloc)
+            })
+            .collect();
         RowGroup {
             segments,
             rows,
@@ -124,45 +155,66 @@ impl RowGroup {
 /// Distinct-count-ascending column order (the greedy choice of Figure 8).
 /// Ties break toward the lower column ordinal, which keeps the order stable
 /// and matches the paper's worked example.
-pub(crate) fn greedy_column_order(columns: &[ColumnVector]) -> Vec<usize> {
-    let mut counts: Vec<(usize, usize)> = columns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (distinct_count(c), i))
-        .map(|(d, i)| (i, d))
-        .collect();
-    counts.sort_by_key(|&(i, d)| (d, i));
-    counts.into_iter().map(|(i, _)| i).collect()
+fn greedy_column_order(domains: &[Domain]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..domains.len()).collect();
+    order.sort_by_key(|&c| (domains[c].distinct, c));
+    order
 }
 
-fn distinct_count(col: &ColumnVector) -> usize {
-    match col {
-        ColumnVector::Str(v) => v.iter().collect::<HashSet<_>>().len(),
-        _ => {
-            let mut set = HashSet::with_capacity(1024);
-            for i in 0..col.len() {
-                set.insert(Segment::normalize_value(&col.value(i)));
-            }
-            set.len()
+/// Stable permutation sorting rows lexicographically by the greedy column
+/// order: position → arrival index.
+fn sort_permutation(columns: &[Normalized], domains: &[Domain]) -> Vec<u32> {
+    let rows = u32::try_from(columns[0].ints.len()).expect("a row group holds under 2^32 rows");
+    let mut order = greedy_column_order(domains);
+    // No two rows tie on a unique column: the columns after it decide nothing.
+    if let Some(at) = (order.iter()).position(|&c| domains[c].distinct == rows as usize) {
+        order.truncate(at + 1);
+    }
+    let width = |c: usize| bits_for((domains[c].max as i128 - domains[c].min as i128) as u128);
+    let index_bits = bits_for(u128::from(rows - 1));
+    // Each row is one integer: the offsets of its sort columns from their
+    // minimums, in sort order, for as many leading columns as fit 128 bits
+    // beside the row index in the low bits.
+    let mut bits = index_bits;
+    let packed = (order.iter())
+        .take_while(|&&c| {
+            bits += width(c);
+            bits <= 128
+        })
+        .count();
+    let (head, tail) = order.split_at(packed);
+    let mut keys = vec![0u128; rows as usize];
+    for &c in head {
+        let (min, width) = (domains[c].min, width(c));
+        for (key, v) in keys.iter_mut().zip(&columns[c].ints) {
+            *key = *key << width | u128::from(v.wrapping_sub(min) as u64);
         }
     }
-}
-
-/// Stable permutation sorting rows lexicographically by `order`.
-fn sort_permutation(columns: &[ColumnVector], order: &[usize]) -> Vec<usize> {
-    let rows = columns.first().map_or(0, ColumnVector::len);
-    let mut perm: Vec<usize> = (0..rows).collect();
-    // Materialize sort keys once; Value comparisons are cheap for numerics.
-    perm.sort_by(|&a, &b| {
-        for &c in order {
-            let cmp = columns[c].value(a).cmp(&columns[c].value(b));
-            if cmp != std::cmp::Ordering::Equal {
-                return cmp;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    perm
+    for (i, key) in keys.iter_mut().enumerate() {
+        *key = *key << index_bits | i as u128;
+    }
+    // The index makes the keys distinct, so an unstable sort of them is the
+    // stable sort of the rows; columns that did not fit decide between rows
+    // equal in the ones that did, ahead of the index.
+    let index = |key: &u128| (key & ((1 << index_bits) - 1)) as usize;
+    let [_, sort_packed, sort_compared] = build_counters();
+    if tail.is_empty() {
+        sort_packed.add(1);
+        keys.sort_unstable();
+    } else {
+        sort_compared.add(1);
+        keys.sort_unstable_by(|a, b| {
+            ((a >> index_bits).cmp(&(b >> index_bits)))
+                .then_with(|| {
+                    (tail.iter().map(|&c| &columns[c].ints))
+                        .map(|ints| ints[index(a)].cmp(&ints[index(b)]))
+                        .find(|cmp| cmp.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .then(a.cmp(b))
+        });
+    }
+    keys.iter().map(|key| index(key) as u32).collect()
 }
 
 #[cfg(test)]
@@ -193,15 +245,87 @@ mod tests {
         assert_eq!(rg.segment(1).run_count(), 2);
     }
 
+    fn normalized(columns: &[ColumnVector]) -> (Vec<Normalized>, Vec<Domain>) {
+        let columns: Vec<Normalized> = columns.iter().cloned().map(Normalized::of).collect();
+        let domains = (columns.iter())
+            .map(|c| c.domain(&mut Vec::new()))
+            .collect();
+        (columns, domains)
+    }
+
     #[test]
     fn greedy_order_prefers_fewest_distinct() {
         let many = ColumnVector::Int32((0..100).collect());
         let few = ColumnVector::Int32((0..100).map(|i| i % 3).collect());
-        assert_eq!(
-            greedy_column_order(&[many.clone(), few.clone()]),
-            vec![1, 0]
-        );
-        assert_eq!(greedy_column_order(&[few, many]), vec![0, 1]);
+        let order = |columns: &[ColumnVector]| greedy_column_order(&normalized(columns).1);
+        assert_eq!(order(&[many.clone(), few.clone()]), vec![1, 0]);
+        assert_eq!(order(&[few, many]), vec![0, 1]);
+    }
+
+    /// The sort as it was before columns were normalized: a stable sort of
+    /// the row indexes comparing boxed `Value`s, over every column in greedy
+    /// order.
+    fn sort_permutation_by_value(columns: &[ColumnVector], order: &[usize]) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..columns[0].len() as u32).collect();
+        perm.sort_by(|&a, &b| {
+            (order.iter().map(|&c| &columns[c]))
+                .map(|col| col.value(a as usize).cmp(&col.value(b as usize)))
+                .find(|cmp| cmp.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        perm
+    }
+
+    #[test]
+    fn the_packed_and_the_compared_sort_are_the_stable_value_sort() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let floats = [-0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY, -1.5, 2.0];
+        for case in 0..200 {
+            let rows = 1 + next(300) as usize;
+            let ncols = 1 + next(4) as usize;
+            let columns: Vec<ColumnVector> = (0..ncols)
+                .map(|_| match next(6) {
+                    0 => ColumnVector::Int32((0..rows).map(|_| next(5) as i32 - 2).collect()),
+                    // Unique: the order is cut here.
+                    1 => {
+                        ColumnVector::Int64((0..rows as i64).map(|i| (i * 7_919) % 1_009).collect())
+                    }
+                    // As wide as a column gets: two of these overflow the key.
+                    2 => ColumnVector::Int64(
+                        (0..rows)
+                            .map(|_| [i64::MIN, -1, 0, i64::MAX][next(4) as usize])
+                            .collect(),
+                    ),
+                    3 => {
+                        ColumnVector::Float64((0..rows).map(|_| floats[next(7) as usize]).collect())
+                    }
+                    4 => ColumnVector::Date((0..rows).map(|_| next(3) as i32).collect()),
+                    _ => ColumnVector::Str(
+                        (0..rows)
+                            .map(|_| {
+                                ["", "a", "a\0", "ab", "prefix-1", "prefix-2"][next(6) as usize]
+                                    .into()
+                            })
+                            .collect(),
+                    ),
+                })
+                .collect();
+            let (normalized, domains) = normalized(&columns);
+            assert_eq!(
+                sort_permutation(&normalized, &domains),
+                sort_permutation_by_value(&columns, &greedy_column_order(&domains)),
+                "case {case}: {columns:?}"
+            );
+        }
+        let snap = hpd_obs::global().snapshot();
+        assert!(snap.counter("columnstore.build.sort_packed") > 0);
+        assert!(snap.counter("columnstore.build.sort_compared") > 0);
     }
 
     #[test]

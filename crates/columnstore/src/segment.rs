@@ -8,7 +8,7 @@ use hpd_common::{ColumnVector, DataType, HpdError, Interval, Result, SelBitmap, 
 use hpd_obs::Counter;
 use hpd_storage::{BlobId, BufferPool, IoTracker, StorageAllocator};
 
-use crate::encoding::{encode_i64s, EncodedInts, IntEncoding};
+use crate::encoding::{encode_counted, Domain, EncodedInts, IntEncoding};
 use crate::kernels::{self, Translated};
 
 /// `columnstore.encoding.segments_*` counters: segments built per chosen
@@ -65,72 +65,95 @@ pub struct Segment {
     blob: BlobId,
 }
 
+/// One column in the order-preserving `i64` domain every build step reads:
+/// integers, dates and decimals as they are, floats through [`FloatBits`],
+/// strings as their positions in the sorted dictionary (so the dictionary
+/// comes before the row group's sort, and serves it).
+pub(crate) struct Normalized {
+    pub(crate) dtype: DataType,
+    pub(crate) ints: Vec<i64>,
+    /// Dictionary of a `Utf8` column, sorted ascending.
+    pub(crate) dict: Option<Arc<[Arc<str>]>>,
+}
+
+impl Normalized {
+    pub(crate) fn of(column: ColumnVector) -> Normalized {
+        let dtype = column.data_type();
+        let (ints, dict) = match column {
+            ColumnVector::Int64(vals) | ColumnVector::Decimal(vals) => (vals, None),
+            ColumnVector::Int32(vals) | ColumnVector::Date(vals) => {
+                (vals.into_iter().map(i64::from).collect(), None)
+            }
+            ColumnVector::Float64(vals) => {
+                (vals.into_iter().map(FloatBits::to_bits_i64).collect(), None)
+            }
+            ColumnVector::Str(vals) => {
+                let mut dict = vals.clone();
+                dict.sort_unstable();
+                dict.dedup();
+                let codes = vals
+                    .iter()
+                    .map(|s| dict.binary_search(s).expect("value in dict") as i64)
+                    .collect();
+                (codes, Some(dict.into()))
+            }
+        };
+        Normalized { dtype, ints, dict }
+    }
+
+    /// Minimum, maximum and distinct count of the column; `scratch` is
+    /// working space. A dictionary's codes are dense, so it is not needed.
+    pub(crate) fn domain(&self, scratch: &mut Vec<i64>) -> Domain {
+        match &self.dict {
+            Some(dict) => Domain {
+                min: 0,
+                max: dict.len() as i64 - 1,
+                distinct: dict.len(),
+            },
+            None => Domain::of(&self.ints, scratch),
+        }
+    }
+}
+
 impl Segment {
     /// Compress one column. `values` must be non-empty.
     pub fn build(column: &ColumnVector, alloc: &StorageAllocator) -> Segment {
         assert!(!column.is_empty(), "segments are never empty");
-        let rows = column.len();
-        let dtype = column.data_type();
-        let blob = alloc.alloc_blob();
-        let seg = match column {
-            ColumnVector::Str(vals) => {
-                let mut dict: Vec<Arc<str>> = vals.to_vec();
-                dict.sort_unstable();
-                dict.dedup();
-                let codes: Vec<i64> = vals
-                    .iter()
-                    .map(|s| dict.binary_search(s).expect("value in dict") as i64)
-                    .collect();
-                let min = Value::Str(Arc::clone(&dict[0]));
-                let max = Value::Str(Arc::clone(&dict[dict.len() - 1]));
-                Segment {
-                    dtype,
-                    ints: encode_i64s(&codes),
-                    dict: Some(dict.into()),
-                    min,
-                    max,
-                    rows,
-                    blob,
-                }
-            }
-            ColumnVector::Float64(vals) => {
-                // Order-preserving normalization keeps min/max correct.
-                let ints: Vec<i64> = vals.iter().map(|&f| f.to_bits_i64()).collect();
-                let (min_i, max_i) = (
-                    *ints.iter().min().expect("non-empty"),
-                    *ints.iter().max().expect("non-empty"),
-                );
-                Segment {
-                    dtype,
-                    ints: encode_i64s(&ints),
-                    dict: None,
-                    min: raw_to_value(dtype, min_i),
-                    max: raw_to_value(dtype, max_i),
-                    rows,
-                    blob,
-                }
-            }
-            _ => {
-                let ints: Vec<i64> = (0..rows)
-                    .map(|i| column.value(i).as_i64().expect("numeric column"))
-                    .collect();
-                let (min_i, max_i) = (
-                    *ints.iter().min().expect("non-empty"),
-                    *ints.iter().max().expect("non-empty"),
-                );
-                Segment {
-                    dtype,
-                    ints: encode_i64s(&ints),
-                    dict: None,
-                    min: raw_to_value(dtype, min_i),
-                    max: raw_to_value(dtype, max_i),
-                    rows,
-                    blob,
-                }
-            }
+        let column = Normalized::of(column.clone());
+        let domain = column.domain(&mut Vec::new());
+        Segment::from_stream(column.dtype, column.dict, &column.ints, &domain, alloc)
+    }
+
+    /// Compress a normalized column: `stream` holds its values in stored
+    /// order, `domain` describes them (in any order).
+    pub(crate) fn from_stream(
+        dtype: DataType,
+        dict: Option<Arc<[Arc<str>]>>,
+        stream: &[i64],
+        domain: &Domain,
+        alloc: &StorageAllocator,
+    ) -> Segment {
+        let (min, max) = match &dict {
+            Some(dict) => (
+                Value::Str(Arc::clone(&dict[0])),
+                Value::Str(Arc::clone(&dict[dict.len() - 1])),
+            ),
+            None => (
+                raw_to_value(dtype, domain.min),
+                raw_to_value(dtype, domain.max),
+            ),
         };
-        note_encoding(seg.ints.encoding());
-        seg
+        let ints = encode_counted(stream, domain.distinct);
+        note_encoding(ints.encoding());
+        Segment {
+            dtype,
+            ints,
+            dict,
+            min,
+            max,
+            rows: stream.len(),
+            blob: alloc.alloc_blob(),
+        }
     }
 
     pub fn rows(&self) -> usize {

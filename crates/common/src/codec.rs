@@ -386,6 +386,51 @@ pub fn cmp_encoded(a: &[u8], b: &[u8]) -> Ordering {
     }
 }
 
+/// What a sort learns of an encoded key from its first eight bytes' worth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Abbreviation {
+    /// Type tag of the key's first value: images of different tags do not
+    /// compare.
+    pub tag: u8,
+    /// Order-preserving image of that value: among keys of one tag,
+    /// `a.image < b.image` implies `a < b`. A sign-flipped integer, the
+    /// total-order bits of a float, a string's first eight bytes big-endian
+    /// (zero-padded).
+    pub image: u64,
+    /// The image is the whole key — one scalar value — so equal images are
+    /// equal keys.
+    pub exact: bool,
+}
+
+/// Abbreviate the key whose encoded values are `key` (see [`values`]);
+/// `None` for a key of no values.
+#[inline]
+pub fn abbreviate(key: &[u8]) -> Option<Abbreviation> {
+    const SIGN: u64 = 1 << 63;
+    let mut rest = key;
+    let first = take_value(&mut rest).ok()?;
+    let image = match first {
+        ValueRef::Int32(x) | ValueRef::Date(x) => i64::from(x) as u64 ^ SIGN,
+        ValueRef::Int64(x) | ValueRef::Decimal(x) => x as u64 ^ SIGN,
+        // `total_cmp`'s order: negative floats descend in their bits.
+        ValueRef::Float64(x) => match x.to_bits() {
+            bits if bits & SIGN != 0 => !bits,
+            bits => bits | SIGN,
+        },
+        ValueRef::Str(s) => {
+            let mut head = [0u8; 8];
+            let n = s.len().min(8);
+            head[..n].copy_from_slice(&s.as_bytes()[..n]);
+            u64::from_be_bytes(head)
+        }
+    };
+    Some(Abbreviation {
+        tag: first.tag(),
+        image,
+        exact: rest.is_empty() && !matches!(first, ValueRef::Str(_)),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +525,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_abbreviation_never_contradicts_the_order_of_same_typed_values() {
+        let vs = corpus();
+        for a in &vs {
+            for b in vs.iter().filter(|b| b.data_type() == a.data_type()) {
+                let (x, y) = (
+                    abbreviate(&encoded(a)).unwrap(),
+                    abbreviate(&encoded(b)).unwrap(),
+                );
+                assert_eq!(x.tag, y.tag);
+                if x.image < y.image {
+                    assert!(a < b, "{a:?} vs {b:?}");
+                }
+                if a == b {
+                    assert_eq!(x.image, y.image, "{a:?} vs {b:?}");
+                }
+                // A lone scalar is its image; a string never is.
+                assert_eq!(x.exact, !matches!(a, Value::Str(_)));
+                if x.exact && x.image == y.image {
+                    assert!(a == b, "{a:?} vs {b:?}");
+                }
+            }
+            let mut two = encoded(a);
+            put_value(&mut two, a.into());
+            let first = abbreviate(&two).unwrap();
+            assert_eq!(first.image, abbreviate(&encoded(a)).unwrap().image);
+            assert!(!first.exact);
+        }
+        assert_eq!(abbreviate(&[]), None);
     }
 
     #[test]

@@ -120,6 +120,14 @@ fn take_varint(bytes: &[u8]) -> (usize, &[u8]) {
 }
 
 impl PackedLeaf {
+    /// An empty leaf with room for `entries` entries of `bytes` bytes in all.
+    pub(crate) fn with_capacity(entries: usize, bytes: usize) -> PackedLeaf {
+        PackedLeaf {
+            bytes: Vec::with_capacity(bytes),
+            offsets: Vec::with_capacity(entries),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.offsets.len()
     }

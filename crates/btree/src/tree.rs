@@ -292,6 +292,18 @@ pub struct EntryRun {
 }
 
 impl EntryRun {
+    /// An empty run with room for `entries` entries of `bytes` encoded bytes
+    /// in all (key, payload and a byte or two of header each): a build that
+    /// knows its row count reserves once, where vectors grown by doubling
+    /// end up to twice the size of the run.
+    pub fn with_capacity(entries: usize, bytes: usize) -> EntryRun {
+        EntryRun {
+            entries: PackedLeaf::with_capacity(entries, bytes),
+            order: Vec::with_capacity(entries),
+            ..EntryRun::default()
+        }
+    }
+
     /// Whether the next entry's offset (and so the entry count) fits `u32`.
     fn has_room(&mut self) -> bool {
         self.overflowed |= self.entries.byte_len() >= u32::MAX as usize;

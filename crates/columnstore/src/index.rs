@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 use hpd_btree::{BTree, BTreeConfig};
 use hpd_common::{
     faults, AggFunc, Batch, ColumnVector, DataType, HpdError, Interval, Key, Result, Row, Schema,
-    SelBitmap, Value,
+    SelBitmap, Value, ValueRef,
 };
 use hpd_obs::Counter;
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
@@ -224,6 +224,88 @@ impl Default for CsiConfig {
     }
 }
 
+/// A columnstore index being bulk loaded a row at a time, by whoever holds
+/// the rows: values go straight into one row group's column vectors, which
+/// are compressed and dropped once `rowgroup_capacity` rows have arrived —
+/// one row group of uncompressed values is alive at a time, and no row ever
+/// is.
+pub struct CsiBuilder {
+    index: ColumnStoreIndex,
+    /// The row group being filled.
+    columns: Vec<ColumnVector>,
+}
+
+impl CsiBuilder {
+    pub fn new(
+        schema: Schema,
+        kind: CsiKind,
+        key_ordinals: Vec<usize>,
+        config: CsiConfig,
+        alloc: StorageAllocator,
+    ) -> CsiBuilder {
+        let index = ColumnStoreIndex::new_empty(schema, kind, key_ordinals, config, alloc);
+        CsiBuilder {
+            columns: index.empty_columns(),
+            index,
+        }
+    }
+
+    /// Append a row of owned values, one for each column of the index.
+    pub fn push<'a>(
+        &mut self,
+        values: impl IntoIterator<Item = &'a Value>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        self.push_with(values, ColumnVector::push, pool, tracker)
+    }
+
+    /// [`CsiBuilder::push`] of values read in place (an encoded row's).
+    pub fn push_refs<'a>(
+        &mut self,
+        values: impl IntoIterator<Item = ValueRef<'a>>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        self.push_with(values, ColumnVector::push_ref, pool, tracker)
+    }
+
+    /// Append a row, `push` putting each of its values into its column; the
+    /// column vectors are compressed once they are a row group.
+    fn push_with<V>(
+        &mut self,
+        values: impl IntoIterator<Item = V>,
+        push: impl Fn(&mut ColumnVector, V) -> Result<()>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        let mut values = values.into_iter();
+        for (column, v) in self.columns.iter_mut().zip(&mut values) {
+            push(column, v).expect("rows match csi schema");
+        }
+        // A row with a value left over, or one that ran short and left the
+        // last column behind, is not one of this index.
+        let rows = self.columns[0].len();
+        let last = self.columns.last().expect("a columnstore has columns");
+        assert!(
+            values.next().is_none() && last.len() == rows,
+            "rows match csi schema"
+        );
+        if rows == self.index.config.rowgroup_capacity.max(1) {
+            let full = std::mem::replace(&mut self.columns, self.index.empty_columns());
+            self.index.push_rowgroup(full, pool, tracker);
+        }
+    }
+
+    /// Compress what the last row group holds and hand the index over.
+    pub fn finish(mut self, pool: &BufferPool, tracker: &IoTracker) -> ColumnStoreIndex {
+        if !self.columns[0].is_empty() {
+            self.index.push_rowgroup(self.columns, pool, tracker);
+        }
+        self.index
+    }
+}
+
 /// A columnstore index over a fixed subset of a table's columns.
 ///
 /// `key_ordinals` locate the table's row-identifying key inside this index's
@@ -267,71 +349,11 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> ColumnStoreIndex {
-        let all: Vec<usize> = (0..schema.len()).collect();
-        ColumnStoreIndex::build_projected(
-            schema,
-            kind,
-            key_ordinals,
-            config,
-            &all,
-            |sink| {
-                for row in rows {
-                    assert_eq!(row.len(), all.len(), "rows match csi schema");
-                    sink(row);
-                }
-            },
-            alloc,
-            pool,
-            tracker,
-        )
-    }
-
-    /// [`ColumnStoreIndex::build`] from a stream of possibly wider rows that
-    /// `feed` hands over by reference: column `i` of the index takes column
-    /// `projection[i]` of each row. Values go straight into one row group's
-    /// column vectors, compressed and dropped once `rowgroup_capacity` rows
-    /// have arrived — one row group of uncompressed values is alive at a
-    /// time, and no projected row ever is.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_projected(
-        schema: Schema,
-        kind: CsiKind,
-        key_ordinals: Vec<usize>,
-        config: CsiConfig,
-        projection: &[usize],
-        feed: impl FnOnce(&mut dyn FnMut(&Row)),
-        alloc: StorageAllocator,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> ColumnStoreIndex {
-        debug_assert_eq!(projection.len(), schema.len());
-        let empty_columns = || -> Vec<ColumnVector> {
-            schema
-                .columns()
-                .iter()
-                .map(|c| ColumnVector::with_capacity(c.dtype, 0))
-                .collect()
-        };
-        let mut columns = empty_columns();
-        let mut index =
-            ColumnStoreIndex::new_empty(schema.clone(), kind, key_ordinals, config, alloc);
-        let capacity = config.rowgroup_capacity.max(1);
-        let mut buffered = 0;
-        feed(&mut |row| {
-            for (column, &c) in columns.iter_mut().zip(projection) {
-                column.push(&row[c]).expect("rows match csi schema");
-            }
-            buffered += 1;
-            if buffered == capacity {
-                let full = std::mem::replace(&mut columns, empty_columns());
-                index.push_rowgroup(full, pool, tracker);
-                buffered = 0;
-            }
-        });
-        if buffered > 0 {
-            index.push_rowgroup(columns, pool, tracker);
+        let mut builder = CsiBuilder::new(schema, kind, key_ordinals, config, alloc);
+        for row in rows {
+            builder.push(row.values(), pool, tracker);
         }
-        index
+        builder.finish(pool, tracker)
     }
 
     fn new_empty(
@@ -362,6 +384,13 @@ impl ColumnStoreIndex {
             delta_reads: AtomicU64::new(0),
             decay_passes: AtomicU64::new(0),
         }
+    }
+
+    /// One empty vector a column, for a row group to fill.
+    fn empty_columns(&self) -> Vec<ColumnVector> {
+        (self.schema.columns().iter())
+            .map(|c| ColumnVector::with_capacity(c.dtype, 0))
+            .collect()
     }
 
     fn compress_chunk(&mut self, rows: &[Row], pool: &BufferPool, tracker: &IoTracker) {

@@ -38,8 +38,8 @@ pub use cache::SegmentCache;
 pub use delta::DeltaStore;
 pub use encoding::{encode_i64s, EncodedInts, IntEncoding, FOR_DELTA_FRAME, RLE_RUN_BYTES};
 pub use index::{
-    ColumnStoreIndex, CsiConfig, CsiHeatReport, CsiKind, CsiMaintenanceStep, CsiScan, PushdownAgg,
-    RowGroupHeatSnapshot,
+    ColumnStoreIndex, CsiBuilder, CsiConfig, CsiHeatReport, CsiKind, CsiMaintenanceStep, CsiScan,
+    PushdownAgg, RowGroupHeatSnapshot,
 };
 pub use kernels::Translated;
 pub use rowgroup::{RowGroup, SortMode};

@@ -3,8 +3,10 @@
 use std::collections::HashMap;
 
 use hpd_columnstore::encoding::encode_as;
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, IntEncoding, RowGroup, SortMode};
-use hpd_common::{ColumnVector, DataType, Interval, Key, Row, Schema, Value};
+use hpd_columnstore::{
+    ColumnStoreIndex, CsiBuilder, CsiConfig, CsiKind, IntEncoding, RowGroup, SortMode,
+};
+use hpd_common::{codec, ColumnVector, DataType, Interval, Key, Row, Schema, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -138,17 +140,23 @@ fn streamed_projection_builds_the_same_index_as_projected_rows() {
         &pool,
         &ta,
     );
-    let streamed = ColumnStoreIndex::build_projected(
+    // The same rows, each read in place in its encoded form and projected
+    // value by value: what the engine feeds a build.
+    let mut streamed = CsiBuilder::new(
         schema2(),
         CsiKind::Secondary,
         vec![0],
         small_config(),
-        &projection,
-        |sink| wide.iter().for_each(sink),
         StorageAllocator::new(),
-        &pool,
-        &tb,
     );
+    let mut encoded = Vec::new();
+    for row in &wide {
+        encoded.clear();
+        codec::put_values(&mut encoded, row.values());
+        let values: Vec<_> = codec::values(&encoded).collect();
+        streamed.push_refs(projection.iter().map(|&c| values[c]), &pool, &tb);
+    }
+    let streamed = streamed.finish(&pool, &tb);
     assert_eq!(streamed.num_rowgroups(), 3, "100 + 100 + 57 rows");
     assert_eq!(streamed.num_rowgroups(), from_rows.num_rowgroups());
     assert_eq!(streamed.column_sizes(), from_rows.column_sizes());

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use crate::codec::ValueRef;
 use crate::{DataType, HpdError, Result, Row, Value};
 
 /// Default number of rows per batch. SQL Server's batch mode uses ~900-row
@@ -82,12 +83,23 @@ impl ColumnVector {
     /// Append a value; the value's type must match the vector's type.
     pub fn push(&mut self, v: &Value) -> Result<()> {
         match (self, v) {
-            (ColumnVector::Int32(vec), Value::Int32(x)) => vec.push(*x),
-            (ColumnVector::Int64(vec), Value::Int64(x)) => vec.push(*x),
-            (ColumnVector::Float64(vec), Value::Float64(x)) => vec.push(*x),
-            (ColumnVector::Decimal(vec), Value::Decimal(x)) => vec.push(*x),
-            (ColumnVector::Date(vec), Value::Date(x)) => vec.push(*x),
+            // The string is shared with the value, not copied.
             (ColumnVector::Str(vec), Value::Str(x)) => vec.push(Arc::clone(x)),
+            (me, v) => return me.push_ref(v.into()),
+        }
+        Ok(())
+    }
+
+    /// [`ColumnVector::push`] of a value read in place (a string is copied
+    /// out of the bytes it borrows).
+    pub fn push_ref(&mut self, v: ValueRef<'_>) -> Result<()> {
+        match (self, v) {
+            (ColumnVector::Int32(vec), ValueRef::Int32(x)) => vec.push(x),
+            (ColumnVector::Int64(vec), ValueRef::Int64(x)) => vec.push(x),
+            (ColumnVector::Float64(vec), ValueRef::Float64(x)) => vec.push(x),
+            (ColumnVector::Decimal(vec), ValueRef::Decimal(x)) => vec.push(x),
+            (ColumnVector::Date(vec), ValueRef::Date(x)) => vec.push(x),
+            (ColumnVector::Str(vec), ValueRef::Str(x)) => vec.push(Arc::from(x)),
             (me, v) => {
                 return Err(HpdError::TypeMismatch {
                     expected: me.data_type().name(),

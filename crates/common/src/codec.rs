@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 
-use crate::Value;
+use crate::{DataType, Value};
 
 const TAG_INT32: u8 = 0;
 const TAG_INT64: u8 = 1;
@@ -63,6 +63,18 @@ impl ValueRef<'_> {
             ValueRef::Decimal(x) => Value::Decimal(x),
             ValueRef::Date(x) => Value::Date(x),
             ValueRef::Str(s) => Value::str(s),
+        }
+    }
+
+    /// What [`Value::data_type`] answers for the owned value.
+    pub fn data_type(self) -> DataType {
+        match self {
+            ValueRef::Int32(_) => DataType::Int32,
+            ValueRef::Int64(_) => DataType::Int64,
+            ValueRef::Float64(_) => DataType::Float64,
+            ValueRef::Decimal(_) => DataType::Decimal,
+            ValueRef::Date(_) => DataType::Date,
+            ValueRef::Str(_) => DataType::Utf8,
         }
     }
 
@@ -310,6 +322,12 @@ pub fn value_spans(bytes: &[u8], spans: &mut Vec<Range<usize>>) {
         spans.push(at..end);
         at = end;
     }
+}
+
+/// Byte length of the first `n` values of `bytes` (see [`values`]), which
+/// hold at least that many.
+pub fn values_len(bytes: &[u8], n: usize) -> usize {
+    (0..n).fold(0, |at, _| at + encoded_len(&bytes[at..]))
 }
 
 /// Number of values in `bytes` (see [`values`]).

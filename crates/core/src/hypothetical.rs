@@ -120,7 +120,8 @@ mod tests {
             ("grp", DataType::Int32),
             ("val", DataType::Int32),
         ]);
-        let stats = TableStats::analyze(&rows, 3, 4096);
+        let encoded = hpd_engine::EncodedRows::from_rows(&rows);
+        let stats = TableStats::analyze_encoded(&schema, &encoded, 4096).unwrap();
         (
             TableContext::unpartitioned("t".into(), schema, vec![0], stats, vec![]),
             rows,

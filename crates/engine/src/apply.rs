@@ -77,8 +77,9 @@ pub(crate) fn apply_write(
 impl Database {
     /// Apply one DDL / design / maintenance record and return the slot it
     /// targeted; the caller (holding `commit_lock`) stores the record's LSN
-    /// there. Consumes the record: a bulk load's rows move into the table.
-    pub(crate) fn apply_ddl(&self, rec: LogRecord, tracker: &IoTracker) -> Result<Arc<TableSlot>> {
+    /// there. The record is only read: a bulk load's rows are built from
+    /// where they are, and the live caller still has them to log.
+    pub(crate) fn apply_ddl(&self, rec: &LogRecord, tracker: &IoTracker) -> Result<Arc<TableSlot>> {
         if let LogRecord::TableCreate {
             name,
             schema,
@@ -90,18 +91,17 @@ impl Database {
         {
             let table = Table::create_spec(
                 name.clone(),
-                schema,
-                pk,
-                &primary,
-                partitioning,
+                schema.clone(),
+                pk.clone(),
+                primary,
+                partitioning.clone(),
                 self.config.csi,
                 self.alloc.clone(),
             )?;
-            return Ok(self.push_table(name, table));
+            return Ok(self.push_table(name.clone(), table));
         }
-        let not_ddl =
-            |rec: &LogRecord| HpdError::Internal(format!("wal: not a DDL record: {rec:?}"));
-        let slot = self.slot_at(rec.table().ok_or_else(|| not_ddl(&rec))?)?;
+        let not_ddl = || HpdError::Internal(format!("wal: not a DDL record: {rec:?}"));
+        let slot = self.slot_at(rec.table().ok_or_else(not_ddl)?)?;
         let mut t = slot.table.write();
         match rec {
             LogRecord::BulkLoad { rows, .. } => t.bulk_load(rows, &self.pool, tracker)?,
@@ -116,7 +116,7 @@ impl Database {
             // Every part keeps what it has but the index; a part without it
             // refuses the drop before any part is touched.
             LogRecord::IndexDrop { def, .. } => {
-                let def = t.as_stored(&def);
+                let def = t.as_stored(def);
                 let mut targets = t.designs();
                 for (p, design) in targets.iter_mut().enumerate() {
                     let at = design[1..].iter().position(|d| *d == def).ok_or_else(|| {
@@ -134,11 +134,12 @@ impl Database {
                 // brings them up to date, from the rows in the order the
                 // outgoing primary indexes hold them.
                 t.analyze(&self.pool, tracker);
-                let targets = vec![indexes; t.num_parts()];
+                let targets = vec![indexes.clone(); t.num_parts()];
                 t.set_design(0, &targets, &self.pool, tracker)?;
             }
             LogRecord::PartitionDesignChange { part, indexes, .. } => {
-                t.set_design(part as usize, &[indexes], &self.pool, tracker)?;
+                let targets = std::slice::from_ref(indexes);
+                t.set_design(*part as usize, targets, &self.pool, tracker)?;
             }
             // Re-run the increment with the same budget and target
             // (`u32::MAX`: every part). The live increment applies itself
@@ -146,10 +147,10 @@ impl Database {
             LogRecord::MaintenanceStep {
                 part, budget_rows, ..
             } => {
-                let part = Some(part as usize).filter(|&p| p < t.num_parts());
-                t.maintenance_step(part, budget_rows as usize, &self.pool, tracker);
+                let part = Some(*part as usize).filter(|&p| p < t.num_parts());
+                t.maintenance_step(part, *budget_rows as usize, &self.pool, tracker);
             }
-            other => return Err(not_ddl(&other)),
+            _ => return Err(not_ddl()),
         }
         drop(t);
         Ok(slot)

@@ -10,7 +10,7 @@ use hpd_columnstore::CsiConfig;
 use hpd_common::{faults, HpdError, Key, PartitionSpec, Result, Row, Schema, Value};
 use hpd_exec::{ExecMetrics, GrantBroker, WorkerPool};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
-use hpd_wal::{ImageWriter, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
+use hpd_wal::{EncodedRows, ImageWriter, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
 use parking_lot::{Mutex, RwLock};
 
 use crate::apply::{apply_write, RowChange};
@@ -357,13 +357,11 @@ impl Database {
     /// that fails to apply is never written. The caller holds `commit_lock`.
     fn ddl(&self, rec: LogRecord) -> Result<()> {
         let t = IoTracker::new();
-        // Encoded from a borrow before the apply, which consumes the record
-        // (a bulk load's rows move into the table); appended only after it,
-        // so the log never holds a record that failed to apply.
-        let frame = self.wal.enabled().then(|| Wal::encode_frame(&rec));
-        let slot = self.apply_ddl(rec, &t)?;
-        if let Some(frame) = frame {
-            let lsn = self.wal.append_encoded(frame);
+        let slot = self.apply_ddl(&rec, &t)?;
+        if self.wal.enabled() {
+            // A bulk load's rows were encoded as this frame: it moves into
+            // the log, through the pending buffer, as it is.
+            let lsn = self.wal.append_encoded(rec.into_frame());
             self.wal.flush(&t);
             slot.applied_lsn.store(lsn, Ordering::Relaxed);
         }
@@ -373,10 +371,31 @@ impl Database {
 
     /// Bulk load rows (replacing current contents) and refresh statistics.
     pub fn load_table(&self, name: &str, rows: Vec<Row>) -> Result<()> {
+        self.load_table_from(name, rows)
+    }
+
+    /// [`Database::load_table`] of rows that need not exist all at once.
+    /// Each row is checked against the schema, encoded into the load's log
+    /// record and dropped: from there on the load is that record
+    /// ([`Table::bulk_load`]), and the record's buffer is what the log
+    /// keeps. A refused row leaves table and log untouched.
+    pub fn load_table_from(&self, name: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+        // Before the commit lock: `rows` may be an iterator that reads, or
+        // commits to, this database.
+        let schema = self.with_table(name, |t| t.schema().clone())?;
+        let rows = rows.into_iter();
+        // Exact for fixed-width columns, an estimate with strings.
+        let row_bytes = 4 + schema.len() + schema.row_width();
+        let mut encoded = EncodedRows::with_capacity(rows.size_hint().0 * row_bytes);
+        for row in rows {
+            schema.validate_row(&row)?;
+            encoded.push(row.values());
+        }
+        encoded.shrink_to_fit();
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::BulkLoad {
             table: self.slot_id(name)? as u32,
-            rows,
+            rows: encoded,
         })
     }
 

@@ -30,7 +30,7 @@ pub use design::{Configuration, IndexDescriptor, IndexId, IndexMeta, TableDesign
 pub use executor::{ExecutionResult, QueryRunner, TableOverlay};
 pub use hpd_columnstore::CsiConfig;
 pub use hpd_common::{PartitionMethod, PartitionSpec};
-pub use hpd_wal::{WalConfig, WalDurable, WalSummary};
+pub use hpd_wal::{EncodedRows, WalConfig, WalDurable, WalSummary};
 pub use maintenance::{
     maintenance_candidates, spawn_maintenance, MaintenanceBuilder, MaintenanceCandidate,
     MaintenanceConfig, MaintenanceHandle, MaintenanceReport,

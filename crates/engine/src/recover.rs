@@ -74,7 +74,7 @@ impl Database {
                     entry.parts
                 };
                 table.set_design(0, &designs, &db.pool, &tracker)?;
-                table.bulk_load(rows, &db.pool, &tracker)?;
+                table.bulk_load(&rows, &db.pool, &tracker)?;
                 db.push_table(entry.name, table)
                     .applied_lsn
                     .store(entry.applied_lsn, Ordering::Relaxed);
@@ -210,7 +210,7 @@ fn redo_ddl(db: &Database, lsn: u64, rec: LogRecord, tracker: &IoTracker) -> Res
     if skip {
         return Ok(false);
     }
-    db.apply_ddl(rec, tracker)?
+    db.apply_ddl(&rec, tracker)?
         .applied_lsn
         .store(lsn, Ordering::Relaxed);
     Ok(true)

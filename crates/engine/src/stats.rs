@@ -8,7 +8,10 @@
 //! elimination will work (≈0 for data sorted on that column, ≈1 for random
 //! arrival order).
 
-use hpd_common::{ColumnVector, Interval, Row, Schema, Value};
+use hpd_common::{
+    codec, ColumnVector, DataType, HpdError, Interval, Result, Row, Schema, Value, ValueRef,
+};
+use hpd_wal::EncodedRows;
 
 /// Number of histogram buckets.
 const BUCKETS: usize = 64;
@@ -26,19 +29,101 @@ pub struct ColumnStats {
     pub clustering_fraction: f64,
 }
 
-impl ColumnStats {
-    /// Statistics of a column of `n > 0` values, `sorted(i)` being the `i`th
-    /// smallest.
-    fn of_sorted(n: usize, clustering_fraction: f64, sorted: impl Fn(usize) -> Value) -> Self {
-        let distinct = 1 + (1..n).filter(|&i| sorted(i - 1) != sorted(i)).count();
-        let mut bucket_bounds = Vec::with_capacity(BUCKETS);
-        for b in 1..=BUCKETS {
-            bucket_bounds.push(sorted((b * n / BUCKETS).saturating_sub(1)));
+/// One column in arrival order, typed: 4 or 8 bytes a value, a string as the
+/// `&str` it was read as (out of the load's record, or the vector that owns
+/// it) — sorted as machine values and not as 24-byte tagged ones.
+enum Gathered<'a> {
+    Int32(Vec<i32>),
+    Int64(Vec<i64>),
+    Float64(Vec<f64>),
+    Decimal(Vec<i64>),
+    Date(Vec<i32>),
+    Str(Vec<&'a str>),
+}
+
+impl<'a> Gathered<'a> {
+    fn with_capacity(dtype: DataType, cap: usize) -> Gathered<'a> {
+        match dtype {
+            DataType::Int32 => Gathered::Int32(Vec::with_capacity(cap)),
+            DataType::Int64 => Gathered::Int64(Vec::with_capacity(cap)),
+            DataType::Float64 => Gathered::Float64(Vec::with_capacity(cap)),
+            DataType::Decimal => Gathered::Decimal(Vec::with_capacity(cap)),
+            DataType::Date => Gathered::Date(Vec::with_capacity(cap)),
+            DataType::Utf8 => Gathered::Str(Vec::with_capacity(cap)),
         }
-        bucket_bounds.dedup();
+    }
+
+    /// Append a value; false (and nothing appended) if it is of another type.
+    fn push(&mut self, v: ValueRef<'a>) -> bool {
+        match (self, v) {
+            (Gathered::Int32(vec), ValueRef::Int32(x)) => vec.push(x),
+            (Gathered::Int64(vec), ValueRef::Int64(x)) => vec.push(x),
+            (Gathered::Float64(vec), ValueRef::Float64(x)) => vec.push(x),
+            (Gathered::Decimal(vec), ValueRef::Decimal(x)) => vec.push(x),
+            (Gathered::Date(vec), ValueRef::Date(x)) => vec.push(x),
+            (Gathered::Str(vec), ValueRef::Str(x)) => vec.push(x),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Statistics of the column, which is not empty; `block_rows` is the
+    /// block size for the clustering fraction.
+    fn stats(self, block_rows: usize) -> ColumnStats {
+        // What `Value::as_f64` and `Value::cmp` answer for each type.
+        match self {
+            Gathered::Int32(v) => {
+                ColumnStats::of(v, block_rows, |x| x.into(), i32::cmp, Value::Int32)
+            }
+            Gathered::Int64(v) => {
+                ColumnStats::of(v, block_rows, |x| x as f64, i64::cmp, Value::Int64)
+            }
+            Gathered::Float64(v) => {
+                ColumnStats::of(v, block_rows, |x| x, f64::total_cmp, Value::Float64)
+            }
+            Gathered::Decimal(v) => {
+                let as_f64 = |x| x as f64 / 10_000.0;
+                ColumnStats::of(v, block_rows, as_f64, i64::cmp, Value::Decimal)
+            }
+            Gathered::Date(v) => {
+                ColumnStats::of(v, block_rows, |x| x.into(), i32::cmp, Value::Date)
+            }
+            Gathered::Str(v) => {
+                ColumnStats::of(v, block_rows, |_| 0.0, |a, b| a.cmp(b), Value::str)
+            }
+        }
+    }
+}
+
+impl ColumnStats {
+    /// Statistics of a non-empty column held in arrival order: its
+    /// clustering fraction from `as_f64` of each value, the rest from the
+    /// column sorted by `cmp`; `value` boxes the few values kept.
+    fn of<T: Copy>(
+        mut column: Vec<T>,
+        block_rows: usize,
+        as_f64: impl Fn(T) -> f64,
+        cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+        value: impl Fn(T) -> Value,
+    ) -> Self {
+        let n = column.len();
+        // Clustering fraction from arrival-order blocks, before sorting.
+        let clustering_fraction = clustering_fraction(n, block_rows, |i| as_f64(column[i]));
+        column.sort_unstable_by(&cmp);
+        let distinct = 1
+            + (column.windows(2))
+                .filter(|w| cmp(&w[0], &w[1]).is_ne())
+                .count();
+        // Equal bounds are dropped before they are boxed (a string's box is
+        // an allocation).
+        let mut bounds: Vec<T> = (1..=BUCKETS)
+            .map(|b| column[(b * n / BUCKETS).saturating_sub(1)])
+            .collect();
+        bounds.dedup_by(|b, a| cmp(a, b).is_eq());
+        let bucket_bounds = bounds.into_iter().map(&value).collect();
         ColumnStats {
-            min: Some(sorted(0)),
-            max: Some(sorted(n - 1)),
+            min: Some(value(column[0])),
+            max: Some(value(column[n - 1])),
             distinct,
             bucket_bounds,
             clustering_fraction,
@@ -46,19 +131,21 @@ impl ColumnStats {
     }
 
     /// Statistics of a non-empty column held as a typed vector in arrival
-    /// order: 4 or 8 bytes a value, sorted as machine integers and not as
-    /// 24-byte tagged values.
-    fn of_typed(mut typed: ColumnVector, block_rows: usize) -> Self {
-        let n = typed.len();
-        // Clustering fraction from arrival-order blocks, before sorting.
-        let clustering = clustering_fraction(n, block_rows, |i| typed.value(i));
-        match &mut typed {
-            ColumnVector::Int32(v) | ColumnVector::Date(v) => v.sort_unstable(),
-            ColumnVector::Int64(v) | ColumnVector::Decimal(v) => v.sort_unstable(),
-            ColumnVector::Float64(v) => v.sort_unstable_by(f64::total_cmp),
-            ColumnVector::Str(v) => v.sort_unstable(),
-        }
-        ColumnStats::of_sorted(n, clustering, |i| typed.value(i))
+    /// order.
+    fn of_typed(typed: ColumnVector, block_rows: usize) -> Self {
+        let strings;
+        let gathered = match typed {
+            ColumnVector::Int32(v) => Gathered::Int32(v),
+            ColumnVector::Int64(v) => Gathered::Int64(v),
+            ColumnVector::Float64(v) => Gathered::Float64(v),
+            ColumnVector::Decimal(v) => Gathered::Decimal(v),
+            ColumnVector::Date(v) => Gathered::Date(v),
+            ColumnVector::Str(v) => {
+                strings = v;
+                Gathered::Str(strings.iter().map(|s| &**s).collect())
+            }
+        };
+        gathered.stats(block_rows)
     }
 
     /// Estimated fraction of rows with values in `interval` (0..=1).
@@ -147,34 +234,51 @@ impl TableStats {
         }
     }
 
-    /// Full-pass statistics over the table's rows in arrival order.
+    /// Full-pass statistics over a load's rows — in arrival order, each read
+    /// in place — and the check that every one of them fits `schema` (what
+    /// [`Schema::validate_row`] checks of an owned row, with its errors).
     /// `block_rows` is the block size for the clustering fraction (use the
-    /// columnstore row-group capacity).
-    pub fn analyze(rows: &[Row], n_columns: usize, block_rows: usize) -> TableStats {
+    /// columnstore row-group capacity). Every column is gathered in the one
+    /// pass: what is alive beside the record is a typed copy of it, strings
+    /// borrowed.
+    pub fn analyze_encoded(
+        schema: &Schema,
+        rows: &EncodedRows,
+        block_rows: usize,
+    ) -> Result<TableStats> {
+        let mut columns: Vec<Gathered> = (schema.columns().iter())
+            .map(|c| Gathered::with_capacity(c.dtype, rows.len()))
+            .collect();
+        for row in rows.iter() {
+            let mut values = codec::values(row);
+            let mut taken = 0;
+            for ((column, def), v) in (columns.iter_mut().zip(schema.columns())).zip(&mut values) {
+                if !column.push(v) {
+                    return Err(HpdError::TypeMismatch {
+                        expected: def.dtype.name(),
+                        found: format!("{} in column {}", v.data_type(), def.name),
+                    });
+                }
+                taken += 1;
+            }
+            if taken != schema.len() || values.next().is_some() {
+                return Err(HpdError::Internal(format!(
+                    "row arity {} does not match schema arity {}",
+                    codec::count_values(row),
+                    schema.len()
+                )));
+            }
+        }
         if rows.is_empty() {
-            return TableStats::empty(n_columns);
+            return Ok(TableStats::empty(schema.len()));
         }
-        let n = rows.len();
-        let mut columns = Vec::with_capacity(n_columns);
-        for c in 0..n_columns {
-            // One column at a time, beside the rows it is read from (a bulk
-            // load holds those and its log record too).
-            let mut typed = ColumnVector::with_capacity(rows[0][c].data_type(), n);
-            columns.push(if rows.iter().all(|r| typed.push(&r[c]).is_ok()) {
-                ColumnStats::of_typed(typed, block_rows)
-            } else {
-                // A column that mixes types (no schema admits one): ordered
-                // as `Value`s compare across types.
-                let mut vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-                let clustering = clustering_fraction(n, block_rows, |i| vals[i].clone());
-                vals.sort_unstable();
-                ColumnStats::of_sorted(n, clustering, |i| vals[i].clone())
-            });
-        }
-        TableStats { rows: n, columns }
+        Ok(TableStats {
+            rows: rows.len(),
+            columns: (columns.into_iter()).map(|c| c.stats(block_rows)).collect(),
+        })
     }
 
-    /// [`TableStats::analyze`] over the rows of a table of this `schema`
+    /// [`TableStats::analyze_encoded`] over the rows of a table of this `schema`
     /// (about `expected` of them) that `scan` lends one at a time, in arrival
     /// order. Every column is gathered in the one pass: what is alive beside
     /// the table is a typed copy of it, never a row.
@@ -232,11 +336,12 @@ impl TableStats {
 }
 
 /// Average fraction of the total value domain spanned by each arrival block
-/// of a column of `n` values, `value(i)` being the `i`th to arrive.
-fn clustering_fraction(n: usize, block_rows: usize, value: impl Fn(usize) -> Value) -> f64 {
+/// of a column of `n` values, `value(i)` being the `i`th to arrive (as a
+/// number: [`Value::as_f64`], 0 for a string).
+fn clustering_fraction(n: usize, block_rows: usize, value: impl Fn(usize) -> f64) -> f64 {
     let span = |range: std::ops::Range<usize>| {
         range.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
-            let f = value(i).as_f64().unwrap_or(0.0);
+            let f = value(i);
             (lo.min(f), hi.max(f))
         })
     };
@@ -259,16 +364,27 @@ mod tests {
     use super::*;
     use hpd_common::Interval;
 
-    fn rows_of(vals: Vec<i32>) -> Vec<Row> {
-        vals.into_iter()
-            .map(|v| Row::new(vec![Value::Int32(v)]))
-            .collect()
+    /// Statistics of one or more `Int32` columns.
+    fn analyze(
+        columns: usize,
+        block_rows: usize,
+        row: impl Fn(i32) -> Vec<i32>,
+        n: i32,
+    ) -> TableStats {
+        let schema = Schema::new(
+            (0..columns)
+                .map(|c| hpd_common::ColumnDef::new(format!("c{c}"), DataType::Int32))
+                .collect(),
+        );
+        let rows: Vec<Row> = (0..n)
+            .map(|i| Row::new(row(i).into_iter().map(Value::Int32).collect()))
+            .collect();
+        TableStats::analyze_encoded(&schema, &EncodedRows::from_rows(&rows), block_rows).unwrap()
     }
 
     #[test]
     fn selectivity_of_range_on_uniform_data() {
-        let rows = rows_of((0..10_000).collect());
-        let stats = TableStats::analyze(&rows, 1, 1000);
+        let stats = analyze(1, 1000, |i| vec![i], 10_000);
         let sel = stats.columns[0]
             .selectivity(&Interval::less_than(Value::Int32(1000), false), stats.rows);
         assert!((sel - 0.1).abs() < 0.05, "got {sel}");
@@ -281,8 +397,7 @@ mod tests {
 
     #[test]
     fn point_selectivity_uses_distinct() {
-        let rows = rows_of((0..1000).map(|i| i % 100).collect());
-        let stats = TableStats::analyze(&rows, 1, 100);
+        let stats = analyze(1, 100, |i| vec![i % 100], 1000);
         assert_eq!(stats.columns[0].distinct, 100);
         let sel = stats.columns[0].selectivity(&Interval::point(Value::Int32(5)), stats.rows);
         assert!((sel - 0.01).abs() < 1e-9);
@@ -293,8 +408,7 @@ mod tests {
 
     #[test]
     fn clustering_fraction_sorted_vs_random() {
-        let sorted = rows_of((0..10_000).collect());
-        let s1 = TableStats::analyze(&sorted, 1, 500);
+        let s1 = analyze(1, 500, |i| vec![i], 10_000);
         assert!(
             s1.columns[0].clustering_fraction < 0.1,
             "sorted data has tight blocks: {}",
@@ -306,7 +420,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             shuffled.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let s2 = TableStats::analyze(&rows_of(shuffled), 1, 500);
+        let s2 = analyze(1, 500, |i| vec![shuffled[i as usize]], 10_000);
         assert!(
             s2.columns[0].clustering_fraction > 0.9,
             "random data spans the domain: {}",
@@ -316,10 +430,7 @@ mod tests {
 
     #[test]
     fn joint_distinct_caps_at_rowcount() {
-        let rows: Vec<Row> = (0..100)
-            .map(|i| Row::new(vec![Value::Int32(i % 10), Value::Int32(i % 30)]))
-            .collect();
-        let stats = TableStats::analyze(&rows, 2, 50);
+        let stats = analyze(2, 50, |i| vec![i % 10, i % 30], 100);
         assert_eq!(stats.joint_distinct(&[0]), 10);
         assert_eq!(stats.joint_distinct(&[1]), 30);
         assert_eq!(stats.joint_distinct(&[0, 1]), 100, "capped at rows");
@@ -327,42 +438,68 @@ mod tests {
 
     #[test]
     fn empty_table_stats() {
-        let stats = TableStats::analyze(&[], 3, 100);
+        let stats = analyze(3, 100, |_| vec![], 0);
         assert_eq!(stats.rows, 0);
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(stats.columns[0].selectivity(&Interval::all(), 0), 0.0);
     }
 
     #[test]
-    fn a_column_that_mixes_types_is_ordered_as_values_compare() {
-        let column = |value: fn(i32) -> Value| -> Vec<Row> {
-            (0..1000)
-                .map(|i| Row::new(vec![value(i * 7 % 250)]))
-                .collect()
-        };
-        let typed = TableStats::analyze(&column(|v| Value::Int64(v.into())), 1, 100);
-        let mixed = TableStats::analyze(
-            &column(|v| match v % 2 {
-                0 => Value::Int64(v.into()),
-                _ => Value::Int32(v),
-            }),
-            1,
-            100,
-        );
-        let (typed, mixed) = (&typed.columns[0], &mixed.columns[0]);
-        assert_eq!(typed.distinct, 250);
-        assert_eq!(mixed.distinct, typed.distinct);
-        assert_eq!((&mixed.min, &mixed.max), (&typed.min, &typed.max));
-        assert_eq!(mixed.bucket_bounds, typed.bucket_bounds);
-        assert_eq!(mixed.clustering_fraction, typed.clustering_fraction);
+    fn every_type_gathers_in_place_as_its_owned_values_order() {
+        // One column of each type, strings included, against the same rows
+        // gathered as owned values from a scan: same statistics.
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int32),
+            ("l", DataType::Int64),
+            ("f", DataType::Float64),
+            ("m", DataType::Decimal),
+            ("d", DataType::Date),
+            ("s", DataType::Utf8),
+        ]);
+        let rows: Vec<Row> = (0..1000i32)
+            .map(|i| {
+                let v = i * 7 % 250 - 100;
+                Row::new(vec![
+                    Value::Int32(v),
+                    Value::Int64(i64::from(v) << 33),
+                    Value::Float64(f64::from(v) / 3.0),
+                    Value::Decimal(i64::from(v) * 5_000),
+                    Value::Date(v),
+                    Value::str(format!("s{v}")),
+                ])
+            })
+            .collect();
+        let encoded = TableStats::analyze_encoded(&schema, &EncodedRows::from_rows(&rows), 100);
+        let scanned =
+            TableStats::analyze_scan(&schema, rows.len(), 100, |sink| rows.iter().for_each(sink));
+        for (a, b) in encoded.unwrap().columns.iter().zip(&scanned.columns) {
+            assert_eq!(a.distinct, 250);
+            assert_eq!(a.distinct, b.distinct);
+            assert_eq!((&a.min, &a.max), (&b.min, &b.max));
+            assert_eq!(a.bucket_bounds, b.bucket_bounds);
+            assert_eq!(a.clustering_fraction, b.clustering_fraction);
+        }
+    }
+
+    #[test]
+    fn rows_that_do_not_fit_the_schema_are_refused_as_validate_row_refuses_them() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int32), ("s", DataType::Utf8)]);
+        let good = Row::new(vec![Value::Int32(1), Value::str("x")]);
+        for bad in [
+            Row::new(vec![Value::Int32(1)]),
+            Row::new(vec![Value::Int32(1), Value::str("x"), Value::Int32(2)]),
+            Row::new(vec![Value::Int64(1), Value::str("x")]),
+            Row::new(vec![Value::Int32(1), Value::Int32(2)]),
+        ] {
+            let rows = EncodedRows::from_rows([&good, &bad, &good]);
+            let refused = TableStats::analyze_encoded(&schema, &rows, 100).unwrap_err();
+            assert_eq!(refused, schema.validate_row(&bad).unwrap_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn intervals_selectivity_multiplies() {
-        let rows: Vec<Row> = (0..10_000)
-            .map(|i| Row::new(vec![Value::Int32(i % 100), Value::Int32(i / 100)]))
-            .collect();
-        let stats = TableStats::analyze(&rows, 2, 1000);
+        let stats = analyze(2, 1000, |i| vec![i % 100, i / 100], 10_000);
         let mut ivs = std::collections::HashMap::new();
         ivs.insert(0usize, Interval::less_than(Value::Int32(10), false));
         ivs.insert(1usize, Interval::less_than(Value::Int32(50), false));

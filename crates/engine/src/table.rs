@@ -13,11 +13,13 @@
 //! segments to locate the row (the Figure 5 asymmetry).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use hpd_btree::{BTree, BTreeConfig, EntryRun};
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
-use hpd_common::{codec, Batch, Expr, HpdError, Key, PartitionSpec, Result, Row, Schema};
+use hpd_columnstore::{ColumnStoreIndex, CsiBuilder, CsiConfig, CsiKind};
+use hpd_common::{codec, Batch, Expr, HpdError, Key, PartitionSpec, Result, Row, Schema, ValueRef};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
+use hpd_wal::EncodedRows;
 
 use crate::design::{validate_design, IndexDescriptor, IndexMeta};
 use crate::stats::TableStats;
@@ -269,13 +271,9 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
     }
 }
 
-/// Build the columnstore `descriptor` names over the rows `feed` hands out,
-/// projected onto its stored columns and compressed one row group at a time.
-fn build_csi(
-    descriptor: &IndexDescriptor,
-    feed: impl FnOnce(&mut dyn FnMut(&Row)),
-    ctx: BuildCtx<'_>,
-) -> PartIndex {
+/// Start the columnstore `descriptor` names, empty: its stored columns and
+/// the builder that takes its rows, each projected onto those columns.
+fn csi_builder(descriptor: &IndexDescriptor, ctx: BuildCtx<'_>) -> (Vec<usize>, CsiBuilder) {
     let stored = stored_columns(descriptor, ctx.schema.len(), ctx.pk);
     let key_ordinals: Vec<usize> = (ctx.pk.iter())
         .map(|k| stored.iter().position(|c| c == k).expect("pk stored"))
@@ -285,45 +283,115 @@ fn build_csi(
     } else {
         CsiKind::Secondary
     };
-    let csi = ColumnStoreIndex::build_projected(
+    let builder = CsiBuilder::new(
         ctx.schema.project(&stored),
         kind,
         key_ordinals,
         ctx.csi_config,
-        &stored,
-        feed,
         ctx.alloc.clone(),
-        ctx.pool,
-        ctx.tracker,
     );
-    PartIndex {
-        descriptor: descriptor.clone(),
-        stored,
-        store: IndexStore::Csi(Box::new(csi)),
-    }
+    (stored, builder)
 }
 
-/// Build the primary index `descriptor` names over the rows `feed` hands
-/// out, in any order. A B+ tree encodes each row into a run of entries as it
-/// arrives, then sorts and loads the run (stably: equal keys keep arrival
-/// order); a columnstore compresses one row group at a time.
-fn build_primary(
-    descriptor: &IndexDescriptor,
-    feed: impl FnOnce(&mut dyn FnMut(&Row)),
-    ctx: BuildCtx<'_>,
-) -> Result<PartIndex> {
-    if descriptor.is_csi() {
-        return Ok(build_csi(descriptor, feed, ctx));
+/// An empty run with room for the entries of a B+ tree of `rows` rows keyed
+/// on `keys` and storing `stored`: exact for fixed-width columns.
+fn entry_run(schema: &Schema, keys: &[usize], stored: &[usize], rows: usize) -> EntryRun {
+    let encoded = |c: &usize| 1 + schema.column(*c).dtype.fixed_width();
+    let entry: usize = 2 + keys.iter().chain(stored).map(encoded).sum::<usize>();
+    EntryRun::with_capacity(rows, rows * entry)
+}
+
+/// The value of an encoded row that `span` covers ([`codec::value_spans`]).
+fn value_at<'r>(row: &'r [u8], span: &Range<usize>) -> ValueRef<'r> {
+    (codec::values(&row[span.clone()]).next()).expect("a span covers a value")
+}
+
+/// A primary index being built over rows that arrive one at a time, in any
+/// order, each in its encoded form ([`codec::put_values`]: what a load's
+/// record, a B+ tree leaf and a checkpoint image hold a row as). A B+ tree
+/// copies each row behind its key bytes into a run of entries, then sorts
+/// and loads the run (stably: equal keys keep arrival order); a columnstore
+/// reads the values in place into the row group it is filling and compresses
+/// one row group at a time. No row is decoded into owned values.
+struct PrimaryBuilder<'a> {
+    descriptor: IndexDescriptor,
+    stored: Vec<usize>,
+    ctx: BuildCtx<'a>,
+    store: PrimaryStore,
+}
+
+enum PrimaryStore {
+    BTree {
+        run: EntryRun,
+        /// Scratch: the row's value spans and its key.
+        spans: Vec<Range<usize>>,
+        key: Vec<u8>,
+    },
+    Csi(Box<CsiBuilder>),
+}
+
+impl<'a> PrimaryBuilder<'a> {
+    /// A builder that `rows` rows will be pushed to (0: how many is not
+    /// known).
+    fn new(descriptor: &IndexDescriptor, ctx: BuildCtx<'a>, rows: usize) -> PrimaryBuilder<'a> {
+        let (stored, store) = if descriptor.is_csi() {
+            let (stored, builder) = csi_builder(descriptor, ctx);
+            (stored, PrimaryStore::Csi(Box::new(builder)))
+        } else {
+            let stored = stored_columns(descriptor, ctx.schema.len(), ctx.pk);
+            let store = PrimaryStore::BTree {
+                run: entry_run(ctx.schema, ctx.pk, &stored, rows),
+                spans: Vec::new(),
+                key: Vec::new(),
+            };
+            (stored, store)
+        };
+        PrimaryBuilder {
+            descriptor: descriptor.clone(),
+            stored,
+            ctx,
+            store,
+        }
     }
-    let mut run = EntryRun::default();
-    feed(&mut |row| run.push(ctx.pk.iter().map(|&c| &row[c]), row.values()));
-    let config = BTreeConfig::for_entry_width(ctx.schema.row_width() + 16);
-    let tree = run.bulk_load(config, ctx.alloc.clone(), ctx.pool, ctx.tracker)?;
-    Ok(PartIndex {
-        descriptor: descriptor.clone(),
-        stored: stored_columns(descriptor, ctx.schema.len(), ctx.pk),
-        store: IndexStore::BTree(tree),
-    })
+
+    fn push(&mut self, row: &[u8]) {
+        match &mut self.store {
+            PrimaryStore::BTree { run, spans, key } => {
+                codec::value_spans(row, spans);
+                key.clear();
+                for &c in self.ctx.pk {
+                    key.extend_from_slice(&row[spans[c].clone()]);
+                }
+                run.push_encoded(key, row);
+            }
+            PrimaryStore::Csi(builder) => {
+                builder.push_refs(codec::values(row), self.ctx.pool, self.ctx.tracker)
+            }
+        }
+    }
+
+    fn finish(self) -> Result<PartIndex> {
+        let ctx = self.ctx;
+        let store = match self.store {
+            PrimaryStore::BTree { run, .. } => {
+                let config = BTreeConfig::for_entry_width(ctx.schema.row_width() + 16);
+                IndexStore::BTree(run.bulk_load(
+                    config,
+                    ctx.alloc.clone(),
+                    ctx.pool,
+                    ctx.tracker,
+                )?)
+            }
+            PrimaryStore::Csi(builder) => {
+                IndexStore::Csi(Box::new(builder.finish(ctx.pool, ctx.tracker)))
+            }
+        };
+        Ok(PartIndex {
+            descriptor: self.descriptor,
+            stored: self.stored,
+            store,
+        })
+    }
 }
 
 /// One partition's complete physical design: the ordered list of its built
@@ -339,7 +407,7 @@ impl TablePart {
     /// An empty part under `primary`, no secondaries.
     fn create(primary: &IndexDescriptor, ctx: BuildCtx<'_>) -> Result<TablePart> {
         Ok(TablePart {
-            indexes: vec![build_primary(primary, |_| {}, ctx)?],
+            indexes: vec![PrimaryBuilder::new(primary, ctx, 0).finish()?],
         })
     }
 
@@ -393,11 +461,11 @@ impl TablePart {
     fn set_design(&mut self, design: &[IndexDescriptor], ctx: BuildCtx<'_>) -> Result<()> {
         let target = canonical(design, ctx.schema.len(), ctx.pk);
         if self.indexes[0].descriptor != target[0] {
-            let rows = |sink: &mut dyn FnMut(&Row)| {
-                self.for_each_row(ctx.schema, ctx.pool, ctx.tracker, sink)
-            };
-            let primary = build_primary(&target[0], rows, ctx)?;
-            self.indexes[0] = primary;
+            let mut primary = PrimaryBuilder::new(&target[0], ctx, self.row_count());
+            self.for_each_encoded_row(ctx.schema, ctx.pool, ctx.tracker, &mut |row| {
+                primary.push(row)
+            });
+            self.indexes[0] = primary.finish()?;
         }
         let mut old = self.indexes.split_off(1);
         for d in &target[1..] {
@@ -410,13 +478,10 @@ impl TablePart {
         Ok(())
     }
 
-    /// Replace this part's contents with `rows`: the primary is loaded from
-    /// them (each row freed as it is consumed), then every secondary the
-    /// part has is built again from the new primary, by reference.
-    fn bulk_load(&mut self, rows: Vec<Row>, ctx: BuildCtx<'_>) -> Result<()> {
+    /// Replace this part's contents with the rows `primary` was built over;
+    /// every secondary the part has is built again from it.
+    fn replace_contents(&mut self, primary: PartIndex, ctx: BuildCtx<'_>) -> Result<()> {
         let design = self.descriptors();
-        let feed = |sink: &mut dyn FnMut(&Row)| rows.into_iter().for_each(|row| sink(&row));
-        let primary = build_primary(&design[0], feed, ctx)?;
         // The secondaries index the rows just replaced: none can be kept.
         self.indexes = vec![primary];
         self.set_design(&design, ctx)
@@ -475,9 +540,10 @@ impl TablePart {
     }
 
     /// Build the secondary index `descriptor` names over this part's current
-    /// rows. A columnstore takes them as the primary lends them
-    /// ([`build_csi`]); a B+ tree entry is the byte ranges of its columns
-    /// copied out of the encoded row, and the entries are sorted as bytes.
+    /// rows, read in their encoded form as the primary lends them. A
+    /// columnstore reads the values of its columns in place; a B+ tree entry
+    /// is the byte ranges of its columns copied out of the row, and the
+    /// entries are sorted as bytes.
     fn build_secondary(
         &self,
         descriptor: &IndexDescriptor,
@@ -489,14 +555,24 @@ impl TablePart {
             tracker,
             ..
         } = ctx;
+        let mut spans = Vec::new();
         if descriptor.is_csi() {
-            let rows = |sink: &mut dyn FnMut(&Row)| self.for_each_row(schema, pool, tracker, sink);
-            return Ok(build_csi(descriptor, rows, ctx));
+            let (stored, mut builder) = csi_builder(descriptor, ctx);
+            self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
+                codec::value_spans(row, &mut spans);
+                let values = stored.iter().map(|&c| value_at(row, &spans[c]));
+                builder.push_refs(values, pool, tracker);
+            });
+            return Ok(PartIndex {
+                descriptor: descriptor.clone(),
+                stored,
+                store: IndexStore::Csi(Box::new(builder.finish(pool, tracker))),
+            });
         }
         let keys = descriptor.keys();
         let stored = stored_columns(descriptor, schema.len(), ctx.pk);
-        let mut run = EntryRun::default();
-        let (mut spans, mut key, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+        let mut run = entry_run(schema, keys, &stored, self.row_count());
+        let (mut key, mut payload) = (Vec::new(), Vec::new());
         self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
             codec::value_spans(row, &mut spans);
             let project = |out: &mut Vec<u8>, columns: &[usize]| {
@@ -741,29 +817,22 @@ impl Table {
         })
     }
 
-    /// Bulk load rows (replacing current contents; rows are routed to their
-    /// partitions) and refresh statistics.
+    /// Bulk load `rows` (replacing current contents) and refresh statistics:
+    /// what a live load, the redo of its record and a checkpoint restore all
+    /// do, on the bytes each of them holds. One pass checks every row
+    /// against the schema and gathers the statistics, so a refused load
+    /// leaves the table as it was; a second reads each row's partition column
+    /// in place and hands the row to its partition's builder, in arrival
+    /// order ([`PrimaryBuilder`]) — no row is decoded, copied aside or
+    /// encoded again.
     pub fn bulk_load(
         &mut self,
-        rows: Vec<Row>,
+        rows: &EncodedRows,
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<()> {
-        for r in &rows {
-            self.schema.validate_row(r)?;
-        }
-        self.stats =
-            TableStats::analyze(&rows, self.schema.len(), self.csi_config.rowgroup_capacity);
-        let per_part = match &self.partitioning {
-            None => vec![rows],
-            Some(spec) => {
-                let mut per_part: Vec<Vec<Row>> = self.parts.iter().map(|_| Vec::new()).collect();
-                for r in rows {
-                    per_part[spec.route_row(&r)].push(r);
-                }
-                per_part
-            }
-        };
+        let stats =
+            TableStats::analyze_encoded(&self.schema, rows, self.csi_config.rowgroup_capacity)?;
         let ctx = BuildCtx {
             schema: &self.schema,
             pk: &self.pk,
@@ -772,9 +841,27 @@ impl Table {
             pool,
             tracker,
         };
-        for (part, rows) in self.parts.iter_mut().zip(per_part) {
-            part.bulk_load(rows, ctx)?;
+        // How the rows divide among several parts is not known yet.
+        let expected = if self.parts.len() == 1 { rows.len() } else { 0 };
+        let mut builders: Vec<_> = (self.parts.iter())
+            .map(|part| PrimaryBuilder::new(&part.indexes[0].descriptor, ctx, expected))
+            .collect();
+        match &self.partitioning {
+            None => rows.iter().for_each(|row| builders[0].push(row)),
+            Some(spec) => {
+                for row in rows.iter() {
+                    let v = (codec::values(row).nth(spec.column)).expect("rows fit the schema");
+                    // A scalar is copied; a string partition column allocates.
+                    builders[spec.route_value(&v.to_value())].push(row);
+                }
+            }
         }
+        // Finished in part order, each followed by its secondaries: what a
+        // part allocates of pages and blobs stays together.
+        for (part, builder) in self.parts.iter_mut().zip(builders) {
+            part.replace_contents(builder.finish()?, ctx)?;
+        }
+        self.stats = stats;
         Ok(())
     }
 

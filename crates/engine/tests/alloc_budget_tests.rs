@@ -6,8 +6,10 @@
 //! only the encoding that wins, `EncodedInts::for_each` allocates nothing, a
 //! B+ tree build allocates per leaf and not per row, and a `lineitem` row
 //! costs under 80 heap bytes in its primary B+ tree, a design change builds
-//! what the target adds and nothing it keeps, and a restore builds each
-//! partition once, under its own design.
+//! what the target adds and nothing it keeps, a restore builds each
+//! partition once, under its own design, and a load into several partitions
+//! — live, redone or restored — holds its record and the row groups being
+//! filled, never the rows as values or routed into vectors.
 
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor, PartitionSpec, TableDesign};
@@ -329,21 +331,20 @@ fn a_lineitem_row_costs_under_eighty_heap_bytes_in_the_primary() {
     // The rows are made and consumed inside the region: what it leaves live
     // is the table.
     let region = measure(|| {
-        let rows = (0..ROWS)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Int32(i / 4 + 1),
-                    Value::Int32(i % 4 + 1),
-                    Value::Decimal(i64::from(i % 50 + 1) * 10_000),
-                    Value::Decimal(i64::from(i) * 1_234 + 9_000_000),
-                    Value::Decimal(i64::from(i % 11) * 100),
-                    Value::Date(i % 2_500),
-                    Value::Int32(i % 10_000),
-                    Value::Int32((i * 31) % 200_000),
-                ])
-            })
-            .collect();
-        table.bulk_load(rows, &pool, &tracker).unwrap();
+        let mut rows = hpd_engine::EncodedRows::default();
+        for i in 0..ROWS {
+            rows.push(&[
+                Value::Int32(i / 4 + 1),
+                Value::Int32(i % 4 + 1),
+                Value::Decimal(i64::from(i % 50 + 1) * 10_000),
+                Value::Decimal(i64::from(i) * 1_234 + 9_000_000),
+                Value::Decimal(i64::from(i % 11) * 100),
+                Value::Date(i % 2_500),
+                Value::Int32(i % 10_000),
+                Value::Int32((i * 31) % 200_000),
+            ]);
+        }
+        table.bulk_load(&rows, &pool, &tracker).unwrap();
     });
     let tree = table.part(0).indexes()[0].btree().unwrap();
     assert_eq!(tree.stats().data_bytes, 52 * ROWS as usize);
@@ -490,4 +491,112 @@ fn restore_builds_each_partition_once_under_its_own_design() {
         uniform.allocations(),
         own_designs.allocations()
     );
+}
+
+/// `t(id, grp, val)` in four range partitions of `rows / 4` ids each: three
+/// columnstores and a B+ tree tail, no secondaries.
+fn four_parts(rows: i32) -> Database {
+    let db = Database::new(config(4_096));
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int32),
+        ("grp", DataType::Int32),
+        ("val", DataType::Int64),
+    ]);
+    let bounds = [1, 2, 3].map(|p| Value::Int32(p * (rows / 4)));
+    let spec = PartitionSpec::range(0, bounds.to_vec()).unwrap();
+    db.create_partitioned_table("t", schema, vec![0], IndexDescriptor::PrimaryCsi, spec)
+        .unwrap();
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    db.apply_partition_design("t", 3, &btree, &[]).unwrap();
+    db
+}
+
+#[test]
+fn a_partitioned_load_holds_its_record_and_a_rowgroup_and_so_do_its_redo_and_restore() {
+    const ROWS: i32 = 48_000;
+    // Arrival order is neither key nor partition order.
+    let input = || {
+        (0..ROWS).map(|i| (i * 7_919) % ROWS).map(|id| {
+            Row::new(vec![
+                Value::Int32(id),
+                Value::Int32(id % 97),
+                Value::Int64(i64::from(id) * 31),
+            ])
+        })
+    };
+    // A row in the record: its value count and 5 + 5 + 9 bytes of values;
+    // 16 bytes as typed values; 4 096 of those fill a row group.
+    let record = i64::from(ROWS) * (4 + 19);
+    let typed_table = i64::from(ROWS) * 16;
+    let rowgroup = 4_096 * 16;
+    // Per row group: its column vectors grown by doubling, then the build's
+    // (`a_rowgroup_build_allocates_per_column_...`); per leaf as in
+    // `btree_builds_allocate_per_leaf_not_per_row`.
+    let (rowgroups, tail_leaves) = (9, leaves(ROWS as usize / 4, 32));
+    let budget = 300 + 80 * rowgroups + 5 * tail_leaves as u64;
+
+    let db = four_parts(ROWS);
+    let rows: Vec<Row> = input().collect();
+    let load = measure(|| db.load_table("t", rows).unwrap());
+    // Worst when the record is reserved and no row is freed yet; routing the
+    // rows into a vector a partition, encoding them once more for the tail's
+    // run and gathering statistics beside them came to twice the record more.
+    assert!(
+        load.peak_over_start() <= record + rowgroup,
+        "the load peaked {} bytes over the rows it was handed, its record is {record}",
+        load.peak_over_start()
+    );
+    assert!(
+        load.allocations() <= budget,
+        "the load made {} allocations",
+        load.allocations()
+    );
+    let (groups, tail) = db
+        .with_table("t", |t| {
+            let groups: usize = (0..3).map(|p| t.part_metas(p)[0].rowgroups).sum();
+            (groups, t.part_metas(3)[0].leaf_pages)
+        })
+        .unwrap();
+    assert_eq!((groups, tail), (rowgroups as usize, tail_leaves));
+
+    // The same rows streamed: nothing is handed over, and beside the record
+    // there is the statistics' typed copy of the table, then the builders.
+    let streamed = four_parts(ROWS);
+    let stream = measure(|| streamed.load_table_from("t", input()).unwrap());
+    let held = stream.left_live();
+    assert!(
+        stream.peak_over_start() <= held.max(record) + typed_table + rowgroup,
+        "the streamed load peaked at {}, leaves {held}",
+        stream.peak_over_start()
+    );
+
+    // Recovery leaves a database (its log, a copy of the one it was handed,
+    // included) and frees what it was handed; beside those it holds one
+    // decoded record, then the statistics' typed columns or the row groups
+    // and the run being filled: no row as `Value`s (200 bytes a row more).
+    let recover = |durable| {
+        let mut recovered = None;
+        let region = measure(|| recovered = Some(Database::recover(config(4_096), durable)));
+        let rows = recovered
+            .unwrap()
+            .unwrap()
+            .with_table("t", |t| t.row_count());
+        assert_eq!(rows.unwrap(), ROWS as usize);
+        region
+    };
+    let redo = recover(db.wal_durable());
+    db.checkpoint().unwrap();
+    let restore = recover(db.wal_durable());
+    for (what, region) in [("redo", redo), ("restore", restore)] {
+        let over = region.peak_over_start() - region.left_live();
+        assert!(
+            over <= 2 * record + typed_table + 4 * rowgroup,
+            "{what} peaked {over} bytes over the database it leaves"
+        );
+        assert!(
+            region.allocations() <= budget + 200,
+            "{what} made {} allocations",
+            region.allocations()
+        );
+    }
 }

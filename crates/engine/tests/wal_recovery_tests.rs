@@ -694,3 +694,67 @@ fn a_pk_update_fails_at_the_statement_and_nothing_is_applied() {
     let recovered = crash_and_recover(db, cfg);
     assert_eq!(contents(&recovered).len(), 10);
 }
+
+/// A load is checked row by row as it is encoded, each row dropped behind
+/// the check: one refused at row *k* must leave the table, the log and the
+/// plan cache's epoch as they were, streamed or handed over.
+#[test]
+fn a_load_refused_at_row_k_leaves_no_record_and_the_old_rows_readable() {
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    setup(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] }, 10);
+    let (before, log, epoch) = (contents(&db), db.wal_durable().log, db.ddl_epoch());
+    let short = |id: i32| Row::new(vec![Value::Int32(id), Value::Int32(0)]);
+    let mistyped = |id: i32| Row::new(vec![Value::Int32(id), Value::Int32(0), Value::Int32(0)]);
+    for bad in [short, mistyped] {
+        let rows = |k: i32| (100..200).map(move |id| if id == k { bad(id) } else { row(id) });
+        for k in [100, 150, 199] {
+            assert!(db.load_table("t", rows(k).collect()).is_err());
+            assert!(db.load_table_from("t", rows(k)).is_err());
+        }
+    }
+    assert_eq!(contents(&db), before);
+    assert_eq!(db.wal_durable().log, log);
+    assert_eq!(db.ddl_epoch(), epoch);
+    // The table still loads, and the load that went through is the one
+    // recovery replays.
+    db.load_table_from("t", (100..200).map(row)).unwrap();
+    assert_eq!(contents(&db).len(), 100);
+    assert_eq!(db.ddl_epoch(), epoch + 1);
+    let after = contents(&db);
+    assert_eq!(contents(&crash_and_recover(db, cfg)), after);
+}
+
+/// A `BulkLoad` record whose CRC is clean but whose rows are not well formed
+/// (a writer bug, a version skew) is where replay stops: what precedes it is
+/// recovered, nothing is built from it, recovery does not fail.
+#[test]
+fn a_malformed_bulk_load_record_ends_replay_like_a_torn_tail() {
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    setup(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] }, 10);
+    let loaded = contents(&db);
+    let mut durable = db.wal_durable();
+    let intact = durable.log.len();
+    db.load_table("t", (100..200).map(row).collect()).unwrap();
+    insert(&db, 500);
+    let full = db.wal_durable().log;
+    // The second load's frame: length, CRC, then the payload — tag, table,
+    // row count, the first row's value count, its first value's tag.
+    let payload_at = intact + 8;
+    let len = u32::from_le_bytes(full[intact..intact + 4].try_into().unwrap()) as usize;
+    for (at, byte) in [(5, 0xff), (9, 2), (13, 9)] {
+        let mut log = full.clone();
+        log[payload_at + at] = byte;
+        let crc = hpd_wal::crc32(&log[payload_at..payload_at + len]);
+        log[intact + 4..payload_at].copy_from_slice(&crc.to_le_bytes());
+        durable.log = log;
+        let recovered = Database::recover(cfg.clone(), durable.clone()).unwrap();
+        assert_eq!(contents(&recovered), loaded, "payload byte {at}");
+    }
+    durable.log = full;
+    assert_eq!(
+        contents(&Database::recover(cfg, durable).unwrap()).len(),
+        101
+    );
+}

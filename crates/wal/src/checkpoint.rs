@@ -11,10 +11,10 @@
 //! The image is serialized with the same codec as log records and wrapped
 //! in one CRC frame, so a corrupt image is detected, not trusted.
 
-use hpd_common::{HpdError, IndexDescriptor, PartitionSpec, Result, Row, Schema};
+use hpd_common::{HpdError, IndexDescriptor, PartitionSpec, Result, Schema};
 
 use crate::frame::{append_frame_with, seal_frame, FrameReader, FRAME_HEADER};
-use crate::record::{encode_bulk_load, feed_encoded, put_u32, put_u64, LogRecord};
+use crate::record::{encode_bulk_load, put_u32, put_u64, EncodedRows, LogRecord};
 
 /// One table's catalog entry in a checkpoint image: everything but its rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +39,9 @@ pub struct TableEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSnapshot {
     pub entry: TableEntry,
-    /// Rows of every partition concatenated; recovery's bulk load re-routes
-    /// each row through the partitioning spec.
-    pub rows: Vec<Row>,
+    /// Rows of every partition concatenated, as the image holds them;
+    /// recovery's bulk load re-routes each row through the partitioning spec.
+    pub rows: EncodedRows,
 }
 
 /// A complete fuzzy checkpoint: catalog + designs + rows + high-water marks.
@@ -145,7 +145,7 @@ impl CheckpointImage {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ImageWriter::new(Vec::new(), self.begin_lsn, self.next_ts);
         for t in &self.tables {
-            w.table(&t.entry, |sink| feed_encoded(&t.rows, sink));
+            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
         }
         w.finish()
     }
@@ -248,13 +248,14 @@ impl CheckpointImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpd_common::{DataType, Value};
+    use hpd_common::{DataType, Row, Value};
 
     fn sample() -> CheckpointImage {
         let int_rows = |rows: &[&[i64]]| {
-            rows.iter()
+            let rows: Vec<Row> = (rows.iter())
                 .map(|r| Row::new(r.iter().map(|&v| Value::Int64(v)).collect()))
-                .collect()
+                .collect();
+            EncodedRows::from_rows(&rows)
         };
         let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
         CheckpointImage {
@@ -291,7 +292,7 @@ mod tests {
                         parts: vec![],
                         applied_lsn: 4090,
                     },
-                    rows: vec![],
+                    rows: EncodedRows::default(),
                 },
                 // A range-partitioned table with heterogeneous per-partition
                 // designs: B+ tree on the hot tail, CSI on cold history.
@@ -348,7 +349,7 @@ mod tests {
         let (ptr, cap) = (recycled.as_ptr(), recycled.capacity());
         let mut w = ImageWriter::new(recycled, img.begin_lsn, img.next_ts);
         for t in &img.tables {
-            w.table(&t.entry, |sink| feed_encoded(&t.rows, sink));
+            w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
         }
         let bytes = w.finish();
         assert_eq!(bytes, img.encode());

@@ -32,4 +32,4 @@ pub mod record;
 pub use checkpoint::{CheckpointImage, ImageWriter, TableEntry, TableSnapshot};
 pub use frame::{append_frame, crc32, FrameReader};
 pub use log::{Wal, WalConfig, WalDurable, WalSummary};
-pub use record::LogRecord;
+pub use record::{EncodedRows, LogRecord};

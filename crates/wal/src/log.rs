@@ -9,10 +9,11 @@
 use hpd_storage::{DeviceProfile, IoTracker};
 use parking_lot::Mutex;
 
-use crate::frame::{append_frame_with, FRAME_HEADER};
+use crate::frame::append_frame_with;
 use crate::record::LogRecord;
 
-/// Capacity a log buffer may keep however little it holds.
+/// Capacity a log buffer may keep however little it holds, and the size of
+/// the segments small flushes fill.
 const RETAINED_MIN: usize = 64 << 10;
 
 /// A buffer keeps the capacity its largest content ever needed. After a
@@ -79,10 +80,83 @@ pub struct WalSummary {
     pub deferred: bool,
 }
 
+/// The flushed log: its bytes in order, cut into segments. A flush of a
+/// segment's size or more (a bulk load's frame) *is* the next segment — its
+/// buffer moves in; smaller ones are copied into segments of
+/// [`RETAINED_MIN`] bytes, each filled before the next is started. No
+/// segment ever grows, so the region holds its bytes and at most one
+/// segment's worth of room — one vector grown by doubling held up to twice
+/// its bytes, and doubled for the 30-byte record behind a 7 MB load.
+#[derive(Default)]
+struct Durable {
+    segments: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Durable {
+    /// Append the bytes of `pending` and leave it empty: its buffer moves
+    /// in if it is a segment's worth, else it is copied and kept.
+    fn push(&mut self, pending: &mut Vec<u8>) {
+        self.len += pending.len();
+        if pending.len() >= RETAINED_MIN {
+            let mut flushed = std::mem::take(pending);
+            if flushed.capacity() - flushed.len() > RETAINED_MIN {
+                flushed.shrink_to_fit();
+            }
+            self.segments.push(flushed);
+            return;
+        }
+        let mut rest = &pending[..];
+        while !rest.is_empty() {
+            let last = match self.segments.last_mut() {
+                Some(last) if last.len() < last.capacity() => last,
+                _ => {
+                    self.segments.push(Vec::with_capacity(RETAINED_MIN));
+                    self.segments.last_mut().expect("just pushed")
+                }
+            };
+            let (fits, over) = rest.split_at(rest.len().min(last.capacity() - last.len()));
+            last.extend_from_slice(fits);
+            rest = over;
+        }
+        pending.clear();
+    }
+
+    /// Drop the first `cut` bytes: whole segments, then the front of the
+    /// one the cut lands in.
+    fn truncate_front(&mut self, mut cut: usize) {
+        self.len -= cut;
+        let whole = (self.segments.iter())
+            .take_while(|s| {
+                let below = s.len() <= cut;
+                if below {
+                    cut -= s.len();
+                }
+                below
+            })
+            .count();
+        self.segments.drain(..whole);
+        if cut > 0 {
+            let first = &mut self.segments[0];
+            first.drain(..cut);
+            release_excess(first);
+        }
+    }
+
+    fn to_vec(&self) -> Vec<u8> {
+        let mut log = Vec::with_capacity(self.len);
+        for segment in &self.segments {
+            log.extend_from_slice(segment);
+        }
+        log
+    }
+}
+
 struct WalInner {
-    /// LSN of `durable[0]`; advances when a checkpoint truncates the log.
+    /// LSN of the first durable byte; advances when a checkpoint truncates
+    /// the log.
     base_lsn: u64,
-    durable: Vec<u8>,
+    durable: Durable,
     pending: Vec<u8>,
     pending_records: u64,
     /// Serialized [`crate::CheckpointImage`], if one was installed.
@@ -106,7 +180,7 @@ impl Wal {
             device,
             inner: Mutex::new(WalInner {
                 base_lsn: 0,
-                durable: Vec::new(),
+                durable: Durable::default(),
                 pending: Vec::new(),
                 pending_records: 0,
                 checkpoint: None,
@@ -124,7 +198,10 @@ impl Wal {
             device,
             inner: Mutex::new(WalInner {
                 base_lsn: d.base_lsn,
-                durable: d.log,
+                durable: Durable {
+                    len: d.log.len(),
+                    segments: vec![d.log],
+                },
                 pending: Vec::new(),
                 pending_records: 0,
                 checkpoint: d.checkpoint,
@@ -154,16 +231,8 @@ impl Wal {
         Self::appended(&mut inner, before, bytes)
     }
 
-    /// `rec` as one finished frame, for [`Wal::append_encoded`]. Touches no
-    /// log: a caller about to hand the record's contents away (a bulk load
-    /// moves its rows into the table) encodes it from a borrow first.
-    pub fn encode_frame(rec: &LogRecord) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + rec.encoded_len_hint());
-        append_frame_with(&mut frame, |b| rec.encode_into(b));
-        frame
-    }
-
-    /// [`Wal::append`] for a record already framed by [`Wal::encode_frame`].
+    /// [`Wal::append`] for a record already framed ([`LogRecord::into_frame`]):
+    /// into an empty pending buffer the frame moves, and a flush moves it on.
     pub fn append_encoded(&self, frame: Vec<u8>) -> u64 {
         if !self.cfg.enabled {
             return 0;
@@ -185,7 +254,7 @@ impl Wal {
         let reg = hpd_obs::global();
         reg.counter("wal.append.records").inc();
         reg.counter("wal.append.bytes").add(bytes as u64);
-        inner.base_lsn + (inner.durable.len() + pending_before) as u64
+        inner.base_lsn + (inner.durable.len + pending_before) as u64
     }
 
     /// Move all pending bytes to the durable region, charging one simulated
@@ -202,8 +271,7 @@ impl Wal {
         }
         let (seek_us, bw_us) = self.device.write_cost_parts(bytes, 1);
         tracker.record_write(bytes, seek_us, bw_us);
-        inner.durable.extend_from_slice(&inner.pending);
-        inner.pending.clear();
+        inner.durable.push(&mut inner.pending);
         release_excess(&mut inner.pending);
         inner.pending_records = 0;
         let reg = hpd_obs::global();
@@ -234,7 +302,7 @@ impl Wal {
         let inner = self.inner.lock();
         WalDurable {
             base_lsn: inner.base_lsn,
-            log: inner.durable.clone(),
+            log: inner.durable.to_vec(),
             checkpoint: inner.checkpoint.clone(),
         }
     }
@@ -260,9 +328,8 @@ impl Wal {
         tracker.record_write(bytes, seek_us, bw_us);
         let mut inner = self.inner.lock();
         debug_assert!(begin_lsn >= inner.base_lsn);
-        let cut = (begin_lsn.saturating_sub(inner.base_lsn) as usize).min(inner.durable.len());
-        inner.durable.drain(..cut);
-        release_excess(&mut inner.durable);
+        let cut = (begin_lsn.saturating_sub(inner.base_lsn) as usize).min(inner.durable.len);
+        inner.durable.truncate_front(cut);
         inner.base_lsn += cut as u64;
         inner.spare_image = inner.checkpoint.replace(image).unwrap_or_default();
         let reg = hpd_obs::global();
@@ -273,7 +340,7 @@ impl Wal {
     /// LSN that the next appended record would receive.
     pub fn next_lsn(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.base_lsn + (inner.durable.len() + inner.pending.len()) as u64
+        inner.base_lsn + (inner.durable.len + inner.pending.len()) as u64
     }
 
     /// Bytes appended but not yet flushed (the would-be torn tail).
@@ -283,7 +350,7 @@ impl Wal {
 
     /// Bytes in the durable region (after any checkpoint truncation).
     pub fn durable_bytes(&self) -> usize {
-        self.inner.lock().durable.len()
+        self.inner.lock().durable.len
     }
 }
 
@@ -291,6 +358,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::frame::FrameReader;
+    use crate::record::EncodedRows;
 
     fn ram() -> DeviceProfile {
         DeviceProfile::ram()
@@ -298,6 +366,21 @@ mod tests {
 
     fn sync_wal() -> Wal {
         Wal::new(WalConfig::default(), ram())
+    }
+
+    fn int_rows(keys: std::ops::Range<i64>) -> Vec<hpd_common::Row> {
+        keys.map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(k)]))
+            .collect()
+    }
+
+    fn wal_len(durable: &Durable) -> usize {
+        durable.segments.iter().map(Vec::len).sum()
+    }
+
+    impl Durable {
+        fn capacity(&self) -> usize {
+            self.segments.iter().map(Vec::capacity).sum()
+        }
     }
 
     #[test]
@@ -379,13 +462,35 @@ mod tests {
         let wal2 = Wal::from_durable(WalConfig::default(), ram(), d);
         let next = wal2.append(&LogRecord::TxnAbort { txn_id: 9 });
         assert_eq!(next, wal.next_lsn());
+
+        // A cut inside a segment: two records flushed together share one,
+        // and the checkpoint begins at the second.
+        let before = wal.durable();
+        wal.append(&LogRecord::TxnAbort { txn_id: 2 });
+        let begin_lsn = wal.append(&LogRecord::CheckpointBegin);
+        wal.append(&LogRecord::TxnAbort { txn_id: 3 });
+        wal.flush(&tracker);
+        assert_eq!(wal.inner.lock().durable.segments.len(), 1);
+        wal.install_checkpoint(vec![4], begin_lsn, &tracker);
+        let d = wal.durable();
+        assert_eq!(d.base_lsn, begin_lsn);
+        let cut = (begin_lsn - before.base_lsn) as usize;
+        assert_eq!(wal.durable_bytes(), d.log.len());
+        assert_eq!(wal.next_lsn(), begin_lsn + d.log.len() as u64);
+        let recs: Vec<_> = FrameReader::new(&d.log, d.base_lsn)
+            .map(|(lsn, p)| (lsn, LogRecord::decode(p).unwrap()))
+            .collect();
+        assert_eq!(recs[0], (begin_lsn, LogRecord::CheckpointBegin));
+        assert_eq!(recs[1].1, LogRecord::TxnAbort { txn_id: 3 });
+        assert_eq!(recs.len(), 2);
+        assert!(cut > before.log.len(), "the cut passed the old records");
     }
 
     #[test]
     fn encoded_append_is_the_same_log_as_append() {
         let rec = LogRecord::BulkLoad {
             table: 0,
-            rows: vec![hpd_common::Row::new(vec![hpd_common::Value::Int64(7)])],
+            rows: EncodedRows::from_rows(&int_rows(7..8)),
         };
         let (a, b) = (sync_wal(), sync_wal());
         let tracker = IoTracker::default();
@@ -395,7 +500,7 @@ mod tests {
         // Into a non-empty pending buffer, then (after a flush) an empty one.
         for _ in 0..2 {
             let lsn_a = a.append(&rec);
-            let lsn_b = b.append_encoded(Wal::encode_frame(&rec));
+            let lsn_b = b.append_encoded(rec.clone().into_frame());
             assert_eq!(lsn_a, lsn_b);
             a.flush(&tracker);
             b.flush(&tracker);
@@ -408,13 +513,14 @@ mod tests {
     fn buffers_release_what_a_large_record_reserved() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        let big = LogRecord::BulkLoad {
+        // Appended behind a small record the big one is copied into the
+        // pending buffer, which grows to hold it.
+        wal.append(&LogRecord::CheckpointBegin);
+        wal.append(&LogRecord::BulkLoad {
             table: 0,
-            rows: (0..100_000)
-                .map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(k)]))
-                .collect(),
-        };
-        wal.append_encoded(Wal::encode_frame(&big));
+            rows: EncodedRows::from_rows(&int_rows(0..100_000)),
+        });
+        assert!(wal.pending_bytes() > 1 << 20);
         wal.flush(&tracker);
         let big_bytes = wal.durable_bytes();
         assert!(big_bytes > 1 << 20);
@@ -434,8 +540,52 @@ mod tests {
         wal.flush(&tracker);
         wal.install_checkpoint(vec![0; 16], begin_lsn, &tracker);
         let inner = wal.inner.lock();
-        assert!(inner.durable.len() < 64);
+        assert!(inner.durable.len < 64);
         assert!(inner.durable.capacity() <= 2 * RETAINED_MIN);
+    }
+
+    #[test]
+    fn a_flushed_frame_moves_in_and_small_records_add_no_slack() {
+        let wal = sync_wal();
+        let tracker = IoTracker::default();
+        let frame = LogRecord::BulkLoad {
+            table: 0,
+            rows: EncodedRows::from_rows(&int_rows(0..100_000)),
+        }
+        .into_frame();
+        let (frame_at, frame_bytes) = (frame.as_ptr(), frame.len());
+        assert_eq!(frame.capacity(), frame_bytes);
+        wal.append_encoded(frame);
+        wal.flush(&tracker);
+        // The frame's buffer is the log's first segment; then the records
+        // that doubled one growing vector (a 30-byte `IndexCreate` behind a
+        // 7 MB load took 7 MB more).
+        for txn_id in 0..4_000 {
+            wal.append(&LogRecord::TxnCommit {
+                txn_id,
+                commit_ts: txn_id,
+            });
+            wal.flush(&tracker);
+            let inner = wal.inner.lock();
+            assert_eq!(inner.durable.segments[0].as_ptr(), frame_at);
+            assert!(inner.durable.capacity() <= inner.durable.len + RETAINED_MIN);
+        }
+        let inner = wal.inner.lock();
+        assert_eq!(inner.durable.len, wal_len(&inner.durable));
+        assert!(inner.durable.len > frame_bytes + 40_000);
+        // One segment for the frame, the rest filled to the brim in turn.
+        let small = &inner.durable.segments[1..];
+        assert!(small.len() >= 2, "{} segments", small.len());
+        for segment in &small[..small.len() - 1] {
+            assert_eq!(segment.len(), RETAINED_MIN);
+        }
+        drop(inner);
+        // Frames straddle segment boundaries; the stream reads whole.
+        let d = wal.durable();
+        assert_eq!(d.log.capacity(), d.log.len());
+        let mut reader = FrameReader::new(&d.log, d.base_lsn);
+        assert_eq!(reader.by_ref().count(), 4_001);
+        assert!(reader.clean_end());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 
 use hpd_common::{
     codec, ColumnDef, DataType, HpdError, IndexDescriptor, Key, PartitionMethod, PartitionSpec,
-    Result, Row, Schema, Value,
+    Result, Row, Schema, Value, ValueRef,
 };
+
+use crate::frame::{append_frame_with, seal_frame, FRAME_HEADER};
 
 /// One logical log record. LSNs are byte offsets assigned at append time by
 /// [`crate::Wal`], not stored in the payload.
@@ -69,7 +71,7 @@ pub enum LogRecord {
     /// Initial rows loaded outside a transaction.
     BulkLoad {
         table: u32,
-        rows: Vec<Row>,
+        rows: EncodedRows,
     },
     /// Every part gained the secondary index `def`.
     IndexCreate {
@@ -113,6 +115,157 @@ pub enum LogRecord {
     /// The checkpoint image was installed (informational; recovery trusts
     /// the installed image, not this marker).
     CheckpointEnd,
+}
+
+/// The rows of a [`LogRecord::BulkLoad`] as the record carries them on the
+/// wire: a `u32` row count, then each row as a `u32` value count and its
+/// values' encoding ([`codec::put_values`] — the form a B+ tree leaf holds a
+/// row in). This is the one form a load exists in: the engine builds every
+/// index from these bytes, and the buffer that holds them is the buffer the
+/// log keeps — it starts with room for the record's and its frame's headers,
+/// which [`LogRecord::into_frame`] fills in.
+///
+/// Rows come from [`EncodedRows::push`] / [`EncodedRows::push_encoded`], or
+/// from decoding a record, which checks every byte: what [`EncodedRows::iter`]
+/// walks is always well formed.
+#[derive(Clone, PartialEq)]
+pub struct EncodedRows {
+    /// [`ROWS_AT`] bytes of room, the row count, the rows.
+    buf: Vec<u8>,
+}
+
+/// Where a `BulkLoad` frame's row count starts: behind the frame header, the
+/// record's tag and its table id.
+const ROWS_AT: usize = FRAME_HEADER + 5;
+
+impl Default for EncodedRows {
+    fn default() -> EncodedRows {
+        EncodedRows::with_capacity(0)
+    }
+}
+
+impl EncodedRows {
+    /// No rows, with room for `bytes` bytes of them (each row takes its
+    /// values' encoded length and four bytes more).
+    pub fn with_capacity(bytes: usize) -> EncodedRows {
+        let mut buf = Vec::with_capacity(ROWS_AT + 4 + bytes);
+        buf.resize(ROWS_AT + 4, 0);
+        EncodedRows { buf }
+    }
+
+    /// The encoded form of `rows`, in a buffer of exactly its size.
+    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a Row> + Clone) -> EncodedRows {
+        let encoded_len = |v: &Value| ValueRef::from(v).encoded_len();
+        let row_len = |r: &Row| 4 + r.values().iter().map(encoded_len).sum::<usize>();
+        let bytes = rows.clone().into_iter().map(row_len).sum();
+        let mut encoded = EncodedRows::with_capacity(bytes);
+        for row in rows {
+            encoded.push(row.values());
+        }
+        encoded
+    }
+
+    /// Append a row, encoding it.
+    pub fn push<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
+        let count_at = self.buf.len();
+        put_u32(&mut self.buf, 0);
+        let mut count: u32 = 0;
+        for v in values {
+            codec::put_value(&mut self.buf, v.into());
+            count += 1;
+        }
+        self.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        self.set_len(self.len() + 1);
+    }
+
+    /// Append a row already encoded ([`codec::put_values`] of its values; a
+    /// B+ tree leaf lends its rows in exactly this form). Its value count is
+    /// read off its bytes.
+    pub fn push_encoded(&mut self, row: &[u8]) {
+        put_u32(&mut self.buf, codec::count_values(row) as u32);
+        self.buf.extend_from_slice(row);
+        self.set_len(self.len() + 1);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        let count: [u8; 4] = (self.buf[ROWS_AT..ROWS_AT + 4].try_into()).expect("four bytes");
+        u32::from_le_bytes(count) as usize
+    }
+
+    fn set_len(&mut self, rows: usize) {
+        self.buf[ROWS_AT..ROWS_AT + 4].copy_from_slice(&(rows as u32).to_le_bytes());
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row count and the rows, as they follow a `BulkLoad` record's
+    /// table id.
+    pub fn wire_bytes(&self) -> &[u8] {
+        &self.buf[ROWS_AT..]
+    }
+
+    /// Give back what the buffer reserved beyond its rows, if that is more
+    /// than a small fraction of them.
+    pub fn shrink_to_fit(&mut self) {
+        if self.buf.capacity() - self.buf.len() > self.buf.len() / 16 {
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    /// Each row's encoded values ([`codec::values`] reads them), in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        let mut rest = &self.buf[ROWS_AT + 4..];
+        std::iter::from_fn(move || {
+            let (count, values) = rest.split_first_chunk::<4>()?;
+            let len = codec::values_len(values, u32::from_le_bytes(*count) as usize);
+            let row;
+            (row, rest) = values.split_at(len);
+            Some(row)
+        })
+    }
+
+    /// Check and copy the rows at the front of `wire` (a row count, then
+    /// that many rows); returns them and the bytes consumed. No value is
+    /// built: each is read in place, which finds a truncated value, an
+    /// unknown tag, a string that is not UTF-8 and a count that runs past
+    /// the payload.
+    fn decode(wire: &[u8]) -> Result<(EncodedRows, usize)> {
+        let mut rest = wire;
+        let count = |rest: &mut &[u8], what: &str| -> Result<u32> {
+            let (n, tail) = (rest.split_first_chunk::<4>())
+                .ok_or_else(|| corrupt("unexpected end of payload"))?;
+            *rest = tail;
+            let n = u32::from_le_bytes(*n);
+            // Every row and every value takes at least a byte.
+            if n as usize > tail.len() {
+                return Err(corrupt(&format!("{what} count exceeds payload")));
+            }
+            Ok(n)
+        };
+        for _ in 0..count(&mut rest, "row")? {
+            for _ in 0..count(&mut rest, "value")? {
+                codec::take_value(&mut rest).map_err(|e| corrupt(&e.to_string()))?;
+            }
+        }
+        let used = wire.len() - rest.len();
+        let mut buf = Vec::with_capacity(ROWS_AT + used);
+        buf.resize(ROWS_AT, 0);
+        buf.extend_from_slice(&wire[..used]);
+        Ok((EncodedRows { buf }, used))
+    }
+}
+
+impl std::fmt::Debug for EncodedRows {
+    /// The rows, decoded: a record in a test's failure message reads as it
+    /// did when it held `Row`s.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.iter().map(codec::decode))
+            .finish()
+    }
 }
 
 const TAG_TXN_BEGIN: u8 = 1;
@@ -242,17 +395,6 @@ pub(crate) fn encode_bulk_load(
     b[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-/// Hand each of `rows` to `sink` in the form [`encode_bulk_load`] takes,
-/// through one reused buffer.
-pub(crate) fn feed_encoded(rows: &[Row], sink: &mut dyn FnMut(&[u8])) {
-    let mut encoded = Vec::new();
-    for row in rows {
-        encoded.clear();
-        codec::put_values(&mut encoded, row.values());
-        sink(&encoded);
-    }
-}
-
 fn dtype_tag(t: DataType) -> u8 {
     match t {
         DataType::Int32 => 0,
@@ -319,6 +461,12 @@ impl<'a> Cur<'a> {
 
     fn row(&mut self) -> Result<Row> {
         Ok(Row::new(self.values()?))
+    }
+
+    fn rows(&mut self) -> Result<EncodedRows> {
+        let (rows, used) = EncodedRows::decode(&self.buf[self.pos..])?;
+        self.pos += used;
+        Ok(rows)
     }
 
     fn key(&mut self) -> Result<Key> {
@@ -441,14 +589,29 @@ impl LogRecord {
     /// up to twice the record), a small constant for everything else.
     pub fn encoded_len_hint(&self) -> usize {
         match self {
-            LogRecord::BulkLoad { rows, .. } => {
-                let values = rows.iter().flat_map(|r| r.values());
-                9 + 4 * rows.len()
-                    + values
-                        .map(|v| codec::ValueRef::from(v).encoded_len())
-                        .sum::<usize>()
-            }
+            LogRecord::BulkLoad { rows, .. } => 5 + rows.wire_bytes().len(),
             _ => 32,
+        }
+    }
+
+    /// This record as one finished frame, for [`crate::Wal::append_encoded`].
+    /// A bulk load's rows sit behind room for the headers: they are written
+    /// there and the rows' buffer *is* the frame — nothing the size of the
+    /// load is copied or encoded again.
+    pub fn into_frame(self) -> Vec<u8> {
+        match self {
+            LogRecord::BulkLoad { table, rows } => {
+                let mut frame = rows.buf;
+                frame[FRAME_HEADER] = TAG_BULK_LOAD;
+                frame[FRAME_HEADER + 1..ROWS_AT].copy_from_slice(&table.to_le_bytes());
+                seal_frame(&mut frame, 0);
+                frame
+            }
+            rec => {
+                let mut frame = Vec::with_capacity(FRAME_HEADER + rec.encoded_len_hint());
+                append_frame_with(&mut frame, |b| rec.encode_into(b));
+                frame
+            }
         }
     }
 
@@ -510,7 +673,9 @@ impl LogRecord {
                 put_partitioning(b, partitioning);
             }
             LogRecord::BulkLoad { table, rows } => {
-                encode_bulk_load(b, *table, |sink| feed_encoded(rows, sink));
+                b.push(TAG_BULK_LOAD);
+                put_u32(b, *table);
+                b.extend_from_slice(rows.wire_bytes());
             }
             LogRecord::IndexCreate { table, def } => {
                 b.push(TAG_INDEX_CREATE);
@@ -591,15 +756,10 @@ impl LogRecord {
                 primary: c.index_def()?,
                 partitioning: c.partitioning()?,
             },
-            TAG_BULK_LOAD => {
-                let table = c.u32()?;
-                let n = c.u32()? as usize;
-                if n > payload.len() {
-                    return Err(corrupt("row count exceeds payload"));
-                }
-                let rows = (0..n).map(|_| c.row()).collect::<Result<Vec<_>>>()?;
-                LogRecord::BulkLoad { table, rows }
-            }
+            TAG_BULK_LOAD => LogRecord::BulkLoad {
+                table: c.u32()?,
+                rows: c.rows()?,
+            },
             TAG_INDEX_CREATE => LogRecord::IndexCreate {
                 table: c.u32()?,
                 def: c.index_def()?,
@@ -731,10 +891,10 @@ mod tests {
         });
         roundtrip(LogRecord::BulkLoad {
             table: 3,
-            rows: vec![
+            rows: EncodedRows::from_rows(&[
                 Row::new(vec![Value::Int64(1)]),
                 Row::new(vec![Value::Int64(2)]),
-            ],
+            ]),
         });
         roundtrip(LogRecord::IndexCreate {
             table: 3,
@@ -805,23 +965,82 @@ mod tests {
         assert_eq!(bulk, expected);
         let rec = LogRecord::BulkLoad {
             table: 7,
-            rows: vec![row.clone()],
+            rows: EncodedRows::from_rows([row]),
         };
         assert_eq!(rec.encode(), expected);
         assert_eq!(LogRecord::decode(&expected).unwrap(), rec);
+        // Pushed encoded or as values, framed in place or copied: one form.
+        let mut pushed = EncodedRows::default();
+        pushed.push_encoded(&encoded);
+        assert_eq!(pushed.wire_bytes(), &expected[5..]);
+        let mut framed = Vec::new();
+        crate::frame::append_frame(&mut framed, &expected);
+        assert_eq!(rec.into_frame(), framed);
     }
 
     #[test]
     fn bulk_load_length_hint_is_exact() {
+        let rows = [
+            Row::new(vec![Value::Int64(1), Value::str("héllo"), Value::Date(4)]),
+            Row::new(vec![]),
+            Row::new(vec![Value::Float64(0.5), Value::str("")]),
+        ];
+        let encoded = EncodedRows::from_rows(&rows);
+        // Sized exactly, and read back row by row as it was written.
+        assert_eq!(encoded.buf.capacity(), encoded.buf.len());
+        assert_eq!(encoded.len(), 3);
+        let back: Vec<Row> = (encoded.iter().map(codec::decode).map(Row::new)).collect();
+        assert_eq!(back, rows);
         let rec = LogRecord::BulkLoad {
             table: 3,
-            rows: vec![
-                Row::new(vec![Value::Int64(1), Value::str("héllo"), Value::Date(4)]),
-                Row::new(vec![]),
-                Row::new(vec![Value::Float64(0.5), Value::str("")]),
-            ],
+            rows: encoded,
         };
         assert_eq!(rec.encoded_len_hint(), rec.encode().len());
+    }
+
+    #[test]
+    fn malformed_bulk_load_rows_are_corrupt_records_and_build_no_value() {
+        let rows = [
+            Row::new(vec![Value::Int32(1), Value::str("ab")]),
+            Row::new(vec![Value::Int32(2), Value::str("cd")]),
+        ];
+        let good = LogRecord::BulkLoad {
+            table: 3,
+            rows: EncodedRows::from_rows(&rows),
+        }
+        .encode();
+        assert!(LogRecord::decode(&good).is_ok());
+        // tag, table, row count | value count, Int32, Str("ab") | ...
+        let (row_count, first_count, first_tag, str_len) = (5, 9, 13, 19);
+        let second_count = first_count + 4 + 5 + 7;
+        let corrupted = |at: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let cases = [
+            ("a truncated value", good[..good.len() - 1].to_vec()),
+            ("a string running past the payload", corrupted(str_len, 200)),
+            ("an unknown value tag", corrupted(first_tag, 9)),
+            ("a per-row count too low", corrupted(first_count, 1)),
+            ("a per-row count too high", corrupted(second_count, 3)),
+            ("a row count past the payload", corrupted(row_count, 3)),
+            (
+                "a row count past any payload",
+                corrupted(row_count + 3, 0x7f),
+            ),
+            ("a row count too low", corrupted(row_count, 1)),
+            ("a string that is not UTF-8", corrupted(str_len + 4, 0xff)),
+        ];
+        for (what, bytes) in cases {
+            // Decoding allocates the record's copy of the bytes at most: it
+            // returns before that for all of these.
+            let err = LogRecord::decode(&bytes).expect_err(what).to_string();
+            assert!(
+                err.starts_with("internal error: wal: corrupt record"),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

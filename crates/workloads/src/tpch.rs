@@ -39,32 +39,40 @@ pub fn lineitem_schema() -> Schema {
     ])
 }
 
-/// Generate ~`rows` lineitem rows (orders of 1–7 lines), deterministic in
-/// `seed`.
-pub fn lineitem_rows(rows: usize, seed: u64) -> Vec<Row> {
+/// Generate `rows` lineitem rows (orders of 1–7 lines), deterministic in
+/// `seed`, one at a time: a load that streams them never holds the table as
+/// rows.
+pub fn lineitem_iter(rows: usize, seed: u64) -> impl Iterator<Item = Row> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(rows);
     let mut orderkey = 0i32;
-    while out.len() < rows {
-        orderkey += 1;
-        let lines = rng.gen_range(1usize..=7).min(rows - out.len());
-        for line in 1..=lines {
-            let quantity = rng.gen_range(1..=50) as i64 * 10_000;
-            let price = rng.gen_range(90_000i64..=10_490_000) * 100; // 900.00..104900.00 in 1e-4
-            let discount = rng.gen_range(0..=10) as i64 * 1_000; // 0.00..0.10
-            out.push(Row::new(vec![
-                Value::Int32(orderkey),
-                Value::Int32(line as i32),
-                Value::Decimal(quantity),
-                Value::Decimal(price),
-                Value::Decimal(discount),
-                Value::Date(rng.gen_range(0..SHIPDATE_DAYS)),
-                Value::Int32(rng.gen_range(0..10_000)),
-                Value::Int32(rng.gen_range(0..200_000)),
-            ]));
+    // Lines of the current order: how many it has, how many are out.
+    let (mut lines, mut line) = (0usize, 0usize);
+    (0..rows).map(move |emitted| {
+        if line == lines {
+            orderkey += 1;
+            lines = rng.gen_range(1usize..=7).min(rows - emitted);
+            line = 0;
         }
-    }
-    out
+        line += 1;
+        let quantity = rng.gen_range(1..=50) as i64 * 10_000;
+        let price = rng.gen_range(90_000i64..=10_490_000) * 100; // 900.00..104900.00 in 1e-4
+        let discount = rng.gen_range(0..=10) as i64 * 1_000; // 0.00..0.10
+        Row::new(vec![
+            Value::Int32(orderkey),
+            Value::Int32(line as i32),
+            Value::Decimal(quantity),
+            Value::Decimal(price),
+            Value::Decimal(discount),
+            Value::Date(rng.gen_range(0..SHIPDATE_DAYS)),
+            Value::Int32(rng.gen_range(0..10_000)),
+            Value::Int32(rng.gen_range(0..200_000)),
+        ])
+    })
+}
+
+/// [`lineitem_iter`], collected.
+pub fn lineitem_rows(rows: usize, seed: u64) -> Vec<Row> {
+    lineitem_iter(rows, seed).collect()
 }
 
 /// The three §3.4 physical designs for the mixed workload.
@@ -89,7 +97,7 @@ pub fn load_lineitem(db: &Database, rows: usize, seed: u64, design: MixedDesign)
         MixedDesign::PrimaryCsi => IndexDescriptor::PrimaryCsi,
     };
     db.create_table("lineitem", lineitem_schema(), pk, primary)?;
-    db.load_table("lineitem", lineitem_rows(rows, seed))?;
+    db.load_table_from("lineitem", lineitem_iter(rows, seed))?;
     // Secondary B+ tree on l_shipdate helps Q4's selective predicate in all
     // three designs.
     db.create_index(
@@ -184,6 +192,8 @@ mod tests {
     fn lineitem_generation_shape() {
         let rows = lineitem_rows(10_000, 1);
         assert_eq!(rows.len(), 10_000);
+        // The stream says how long it is: a load sizes its record by that.
+        assert_eq!(lineitem_iter(10_000, 1).size_hint(), (10_000, Some(10_000)));
         // (orderkey, linenumber) unique.
         let mut keys: Vec<(i32, i32)> = rows
             .iter()

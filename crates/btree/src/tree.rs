@@ -866,11 +866,11 @@ impl BTree {
         cursor.last_page = page;
     }
 
-    /// Hand up to `limit` entries to `emit`, stopping at the upper bound.
-    /// Returns true when the scan is exhausted (bound reached or tree ended).
-    /// Leaf-to-leaf moves charge sequential or random page accesses
-    /// depending on physical contiguity.
-    fn cursor_walk<'t>(
+    /// Hand up to `limit` entries to `emit` in their encoded form (see
+    /// [`EntryRef`]), stopping at the upper bound. Returns true when the scan
+    /// is exhausted (bound reached or tree ended). Leaf-to-leaf moves charge
+    /// sequential or random page accesses depending on physical contiguity.
+    pub fn cursor_walk<'t>(
         &'t self,
         cursor: &mut Cursor,
         hi: Bound<&Key>,

@@ -146,6 +146,25 @@ impl ColumnVector {
         }
     }
 
+    /// Append every row of `other`, which must be of this vector's type.
+    pub fn append(&mut self, other: &ColumnVector) -> Result<()> {
+        match (self, other) {
+            (ColumnVector::Int32(a), ColumnVector::Int32(b)) => a.extend_from_slice(b),
+            (ColumnVector::Int64(a), ColumnVector::Int64(b)) => a.extend_from_slice(b),
+            (ColumnVector::Float64(a), ColumnVector::Float64(b)) => a.extend_from_slice(b),
+            (ColumnVector::Decimal(a), ColumnVector::Decimal(b)) => a.extend_from_slice(b),
+            (ColumnVector::Date(a), ColumnVector::Date(b)) => a.extend_from_slice(b),
+            (ColumnVector::Str(a), ColumnVector::Str(b)) => a.extend_from_slice(b),
+            (me, other) => {
+                return Err(HpdError::TypeMismatch {
+                    expected: me.data_type().name(),
+                    found: other.data_type().name().to_string(),
+                })
+            }
+        }
+        Ok(())
+    }
+
     /// In-memory byte footprint of the vector's payload.
     pub fn byte_size(&self) -> usize {
         match self {
@@ -263,6 +282,56 @@ impl Batch {
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(ColumnVector::byte_size).sum()
     }
+
+    /// [`Row::byte_width`] of every row, without building one: the fixed
+    /// widths of the scalar columns plus each string's bytes and two more.
+    pub fn row_byte_widths(&self) -> Vec<usize> {
+        let fixed = self
+            .columns
+            .iter()
+            .filter(|c| !matches!(c, ColumnVector::Str(_)))
+            .map(|c| c.data_type().fixed_width())
+            .sum();
+        let mut widths = vec![fixed; self.rows];
+        for col in &self.columns {
+            if let ColumnVector::Str(strings) = col {
+                for (w, s) in widths.iter_mut().zip(strings) {
+                    *w += 2 + s.len();
+                }
+            }
+        }
+        widths
+    }
+
+    /// Append `other`'s rows; the column types must agree. An empty batch
+    /// takes `other`'s columns as they are.
+    pub fn append(&mut self, other: Batch) -> Result<()> {
+        if self.columns.len() != other.columns.len() {
+            return Err(HpdError::Internal(format!(
+                "batch arity {} != batch arity {}",
+                other.columns.len(),
+                self.columns.len()
+            )));
+        }
+        let mut pairs = self.columns.iter().zip(&other.columns);
+        if self.rows == 0 && pairs.all(|(a, b)| a.data_type() == b.data_type()) {
+            *self = other;
+            return Ok(());
+        }
+        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
+            mine.append(theirs)?;
+        }
+        self.rows += other.rows;
+        Ok(())
+    }
+
+    /// The rows at `indices`, in that order.
+    pub fn take(&self, indices: &[usize]) -> Batch {
+        Batch {
+            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            rows: indices.len(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +383,33 @@ mod tests {
     fn byte_size_counts_payload() {
         let b = sample();
         assert_eq!(b.byte_size(), 4 * 4 + 4 * 3);
+    }
+
+    #[test]
+    fn row_byte_widths_are_the_rows_own() {
+        let b = sample();
+        let widths: Vec<usize> = b.to_rows().iter().map(Row::byte_width).collect();
+        assert_eq!(b.row_byte_widths(), widths);
+        assert_eq!(widths, vec![7; 4]);
+    }
+
+    #[test]
+    fn append_extends_and_checks_the_type() {
+        let mut cv = ColumnVector::Int32(vec![1]);
+        cv.append(&ColumnVector::Int32(vec![2, 3])).unwrap();
+        assert_eq!(cv, ColumnVector::Int32(vec![1, 2, 3]));
+        assert!(cv.append(&ColumnVector::Date(vec![4])).is_err());
+        assert_eq!(sample().take(&[3, 0]).row(0), sample().row(3));
+
+        let mut all = Batch::empty(&[DataType::Int32, DataType::Utf8]);
+        all.append(sample()).unwrap();
+        all.append(sample().take(&[1])).unwrap();
+        assert_eq!(all.num_rows(), 5);
+        assert_eq!(all.row(4), sample().row(1));
+        assert!(all.append(sample().project(&[0])).is_err());
+        assert!(Batch::empty(&[DataType::Utf8, DataType::Utf8])
+            .append(sample())
+            .is_err());
     }
 
     #[test]

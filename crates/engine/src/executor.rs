@@ -775,7 +775,8 @@ impl<'a> QueryRunner<'a> {
             PlanNodeKind::HashJoin { left, right, keys } => {
                 let l = self.lower(left)?;
                 let r = self.lower(right)?;
-                Ok(Box::new(HashJoinOp::new(l, r, keys.clone())))
+                let (side, _) = PlanNode::hash_join_build(left, right);
+                Ok(Box::new(HashJoinOp::new(l, r, keys.clone()).build_on(side)))
             }
             PlanNodeKind::MergeJoin { left, right, keys } => {
                 let l = self.lower(left)?;

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use hpd_common::{AggFunc, DataType, Expr, Interval, Key};
+use hpd_exec::JoinSide;
 
 use crate::design::IndexId;
 
@@ -271,14 +272,29 @@ impl PlanNode {
             PlanNodeKind::HashAgg { .. } => {
                 (self.est_rows.max(0.0) as usize).saturating_mul(row_bytes(self))
             }
-            PlanNodeKind::HashJoin { left, .. } => {
-                (left.est_rows.max(0.0) as usize).saturating_mul(row_bytes(left))
+            PlanNodeKind::HashJoin { left, right, .. } => {
+                let (_, build) = PlanNode::hash_join_build(left, right);
+                (build.est_rows.max(0.0) as usize).saturating_mul(row_bytes(build))
             }
             _ => 0,
         };
         self.children()
             .iter()
             .fold(own, |acc, c| acc.saturating_add(c.est_memory_bytes()))
+    }
+
+    /// The child a hash join of `left` and `right` builds its table on,
+    /// which the grant estimate and the executor both go by: the one
+    /// estimated to have fewer rows, the right one on a tie.
+    pub fn hash_join_build<'p>(
+        left: &'p PlanNode,
+        right: &'p PlanNode,
+    ) -> (JoinSide, &'p PlanNode) {
+        if left.est_rows < right.est_rows {
+            (JoinSide::Left, left)
+        } else {
+            (JoinSide::Right, right)
+        }
     }
 
     /// Borrowed children in plan order (left before right).

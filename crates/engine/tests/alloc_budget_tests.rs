@@ -9,7 +9,9 @@
 //! what the target adds and nothing it keeps, a restore builds each
 //! partition once, under its own design, and a load into several partitions
 //! — live, redone or restored — holds its record and the row groups being
-//! filled, never the rows as values or routed into vectors.
+//! filled, never the rows as values or routed into vectors; and a hash join
+//! and a hash aggregate allocate per batch and column, never per row, and
+//! hold their output, their table and one batch's working vectors.
 
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor, PartitionSpec, TableDesign};
@@ -599,4 +601,101 @@ fn a_partitioned_load_holds_its_record_and_a_rowgroup_and_so_do_its_redo_and_res
             region.allocations()
         );
     }
+}
+
+/// `rows` rows of `(id, id % groups, 3 * id)` cut into ten batches.
+fn fact_batches(rows: i32, groups: i32) -> Vec<hpd_common::Batch> {
+    use hpd_common::{Batch, ColumnVector};
+    let per = rows / 10;
+    (0..10)
+        .map(|b| {
+            let ids = b * per..(b + 1) * per;
+            Batch::new(vec![
+                ColumnVector::Int32(ids.clone().collect()),
+                ColumnVector::Int32(ids.clone().map(|i| i % groups).collect()),
+                ColumnVector::Int64(ids.map(|i| 3 * i64::from(i)).collect()),
+            ])
+        })
+        .collect()
+}
+
+const FACT_TYPES: [DataType; 3] = [DataType::Int32, DataType::Int32, DataType::Int64];
+
+#[test]
+fn a_hash_join_allocates_per_batch_and_column_not_per_row() {
+    use hpd_common::{Batch, ColumnVector};
+    use hpd_exec::{collect, ExecCtx, HashJoinOp, JoinSide, ValuesOp};
+    let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
+    let dim = Batch::new(vec![
+        ColumnVector::Int32((0..10).collect()),
+        ColumnVector::Int64((0..10).map(|i| i * 100).collect()),
+    ]);
+    let dim_types = vec![DataType::Int32, DataType::Int64];
+    // The first join registers the operator's counters.
+    let mut allocations = Vec::new();
+    for rows in [400, 4_000, 40_000] {
+        for side in [JoinSide::Left, JoinSide::Right] {
+            let fact = Box::new(ValuesOp::new(FACT_TYPES.to_vec(), fact_batches(rows, 10)));
+            let dim = Box::new(ValuesOp::new(dim_types.clone(), vec![dim.clone()]));
+            let ctx = ExecCtx::new(&pool);
+            // The dimension on the left, as the optimizer orders a star join.
+            let mut join = HashJoinOp::new(dim, fact, vec![(0, 1)]).build_on(side);
+            let (out, region) = alloc::measure(|| collect(&mut join, &ctx).unwrap());
+            let out_rows: usize = out.iter().map(Batch::num_rows).sum();
+            assert_eq!(out_rows, rows as usize);
+            if side == JoinSide::Right || rows == 400 {
+                // Built on the fact rows, or warming up.
+                continue;
+            }
+            allocations.push(region.allocations());
+            // What the join hands back — 28 bytes a row — less the nine
+            // 16-byte-a-row input batches that died on the way, and at its
+            // worst, beside that, one batch's hashes and its two lists of
+            // matched rows: 24 bytes a row of a tenth of the input.
+            let out_bytes: usize = out.iter().map(Batch::byte_size).sum();
+            assert_eq!(out_bytes, 28 * rows as usize);
+            let rows = i64::from(rows);
+            let over = region.peak_over_start() - (28 * rows - 16 * rows * 9 / 10);
+            assert!(
+                over <= 24 * rows / 10 + 4_096,
+                "{rows} rows: {over} bytes beside the output"
+            );
+        }
+    }
+    // Ten times the rows in the same ten batches: the same allocations — a
+    // vector per output column and batch, a batch's hashes, the table. One
+    // `Row`, one `Key`, their values and the joined row made 4 a row.
+    assert_eq!(allocations[0], allocations[1], "{allocations:?}");
+    assert!(allocations[0] <= 10 * (5 + 3) + 40, "{allocations:?}");
+}
+
+#[test]
+fn a_hash_aggregate_allocates_per_batch_and_group_not_per_row() {
+    use hpd_common::{AggFunc, Batch};
+    use hpd_exec::{collect, AggSpec, ExecCtx, HashAggOp, ValuesOp};
+    let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
+    let mut allocations = Vec::new();
+    for rows in [4_000, 40_000] {
+        let fact = Box::new(ValuesOp::new(FACT_TYPES.to_vec(), fact_batches(rows, 50)));
+        let ctx = ExecCtx::new(&pool);
+        let aggs = vec![
+            AggSpec::new(AggFunc::Sum, 2),
+            AggSpec::new(AggFunc::Count, 0),
+        ];
+        let mut agg = HashAggOp::new(fact, vec![1], aggs);
+        let (out, region) = alloc::measure(|| collect(&mut agg, &ctx).unwrap());
+        assert_eq!(out.iter().map(Batch::num_rows).sum::<usize>(), 50);
+        allocations.push(region.allocations());
+        // One batch's hashes and group ids, 12 bytes a row of a tenth of the
+        // input, and fifty groups.
+        assert!(
+            region.peak_over_start() <= 12 * i64::from(rows) / 10 + 8_192,
+            "{rows} rows: {} bytes",
+            region.peak_over_start()
+        );
+    }
+    // A batch's hashes, its group ids and the list of its new groups; the
+    // group table's, key columns' and state vectors' doubling steps.
+    assert_eq!(allocations[0], allocations[1], "{allocations:?}");
+    assert!(allocations[0] <= 10 * 3 + 60, "{allocations:?}");
 }

@@ -7,7 +7,8 @@ use std::time::Duration;
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
 use hpd_engine::{
     AggItem, ColRef, Database, DbConfig, DeleteStmt, EquiJoin, IndexDescriptor, IndexMeta,
-    InsertStmt, IsolationLevel, LeafKind, SelectQuery, Statement, TableInput, UpdateStmt,
+    InsertStmt, IsolationLevel, LeafKind, PlanNodeKind, SelectQuery, Statement, TableInput,
+    UpdateStmt,
 };
 
 fn db() -> Database {
@@ -305,6 +306,89 @@ fn join_two_tables() {
     assert_eq!(r.rows[0][0], Value::Int32(2));
     // dims with category 2: ids ≡ 2 mod 5 → 20 dims × 50 fact rows each.
     assert_eq!(r.rows[0][1], Value::Int64(1000));
+}
+
+/// The optimizer's join order puts the smallest table on the left; the
+/// grant estimate, and the join the plan is lowered to, both take the build
+/// side from `PlanNode::hash_join_build`. A star join therefore asks for
+/// the dimension's bytes, builds on the dimension and spills nothing.
+#[test]
+fn a_star_join_builds_on_the_dimension_and_spills_nothing() {
+    let db = db();
+    db.create_table(
+        "sales",
+        Schema::from_pairs(&[
+            ("id", DataType::Int32),
+            ("store_id", DataType::Int32),
+            ("amount", DataType::Int32),
+        ]),
+        vec![0],
+        btree_primary(),
+    )
+    .unwrap();
+    db.create_table(
+        "store",
+        Schema::from_pairs(&[("id", DataType::Int32), ("state", DataType::Int32)]),
+        vec![0],
+        btree_primary(),
+    )
+    .unwrap();
+    let sales =
+        (0..40_000).map(|i| Row::new(vec![Value::Int32(i), Value::Int32(i % 10), Value::Int32(1)]));
+    let stores = (0..10).map(|i| Row::new(vec![Value::Int32(i), Value::Int32(i % 5)]));
+    db.load_table("sales", sales.collect()).unwrap();
+    db.load_table("store", stores.collect()).unwrap();
+
+    let q = SelectQuery {
+        tables: vec![TableInput::new("sales"), TableInput::new("store")],
+        joins: vec![EquiJoin {
+            left: ColRef::new(0, 1),
+            right: ColRef::new(1, 0),
+        }],
+        group_by: vec![ColRef::new(1, 1)],
+        aggregates: vec![AggItem::column(AggFunc::Sum, ColRef::new(0, 2))],
+        ..Default::default()
+    };
+    let plan = db.plan(&q).unwrap();
+    let mut node = &plan.root;
+    let (side, build) = loop {
+        match &node.kind {
+            PlanNodeKind::HashJoin { left, right, .. } => {
+                break hpd_engine::plan::PlanNode::hash_join_build(left, right)
+            }
+            _ => node = node.children()[0],
+        }
+    };
+    assert_eq!(side, hpd_exec::JoinSide::Left, "{}", plan.explain());
+    assert_eq!(build.est_rows, 10.0, "{}", plan.explain());
+    // Ten (id, state) rows and their bookkeeping: under the minimum grant.
+    assert!(plan.root.est_memory_bytes() < 1024, "{}", plan.explain());
+
+    let before = hpd_obs::global().snapshot();
+    let r = db.query(&q).analyze().run().unwrap();
+    let mut sums: Vec<_> = r
+        .rows
+        .iter()
+        .map(|r| (r[0].clone(), r[1].clone()))
+        .collect();
+    sums.sort();
+    let want: Vec<_> = (0..5)
+        .map(|s| (Value::Int32(s), Value::Int64(8_000)))
+        .collect();
+    assert_eq!(sums, want);
+    let report = r.analyze.unwrap();
+    assert_eq!(report.spilled_bytes(), 0, "{}", report.render());
+    // The join's table is the grant's high-water mark: ten rows of 8 bytes
+    // and 48 of overhead each; the five groups after it take less.
+    assert_eq!(
+        r.metrics.memory_peak_bytes,
+        10 * (8 + 48),
+        "{}",
+        report.render()
+    );
+    let counted = hpd_obs::global().snapshot().delta(&before);
+    assert!(counted.counter("exec.hashjoin.build_left") >= 1);
+    assert!(counted.counter("exec.hashjoin.build_rows") >= 10);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 
 pub mod agg;
 pub mod filter;
+mod hash;
 pub mod join;
 pub mod parallel;
 pub mod scan;

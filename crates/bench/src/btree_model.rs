@@ -161,7 +161,7 @@ fn model_range<'a>(model: &'a Entries, lo: Bound<&Key>, hi: Bound<&Key>) -> &'a 
 /// The update the model and the tree both apply; `mode` picks what changes
 /// and whether the row reports itself modified.
 fn mutate(row: &mut Row, mode: u32) -> bool {
-    let vs = row.values_mut();
+    let mut vs = row.values().to_vec();
     match mode % 6 {
         0 => return false,
         1 => vs.push(Value::str("w".repeat(mode as usize % 3_000))),
@@ -176,6 +176,8 @@ fn mutate(row: &mut Row, mode: u32) -> bool {
         },
         _ => vs.clear(),
     }
+    // Same arity (mode 4) refills in place, any other reallocates.
+    row.refill(vs);
     true
 }
 

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::OnceLock;
 
-use hpd_common::{codec, HpdError, Key, Result, Row, Value};
+use hpd_common::{codec, HpdError, Key, Result, Row, Value, ValueRef};
 use hpd_obs::Counter;
 use hpd_storage::{BufferPool, IoTracker, PageId, StorageAllocator, PAGE_SIZE};
 
@@ -729,7 +729,7 @@ impl BTree {
                 if e.cmp_key(key).is_gt() {
                     return None;
                 }
-                codec::decode_into(e.payload, candidate.values_mut());
+                candidate.refill(codec::values(e.payload).map(ValueRef::to_value));
                 if pred(&candidate) {
                     self.len -= 1;
                     self.data_bytes = self.data_bytes.saturating_sub(e.byte_width());
@@ -779,7 +779,7 @@ impl BTree {
                     past_end = true;
                     break;
                 }
-                codec::decode_into(e.payload, row.values_mut());
+                row.refill(codec::values(e.payload).map(ValueRef::to_value));
                 if f(&mut row) {
                     let old_width = codec::byte_width(e.payload);
                     self.data_bytes = self.data_bytes - old_width + row.byte_width();
@@ -1004,8 +1004,8 @@ impl BTree {
         let mut key = Key::new(Vec::new());
         let mut row = Row::new(Vec::new());
         self.for_each_encoded_entry(pool, tracker, |e| {
-            codec::decode_into(e.key, key.values_mut());
-            codec::decode_into(e.payload, row.values_mut());
+            key.refill(codec::values(e.key).map(ValueRef::to_value));
+            row.refill(codec::values(e.payload).map(ValueRef::to_value));
             f(&key, &row);
         });
     }

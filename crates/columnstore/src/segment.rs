@@ -4,7 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use hpd_common::interval::Bound;
-use hpd_common::{ColumnVector, DataType, HpdError, Interval, Result, SelBitmap, Value};
+use hpd_common::{ArcStr, ColumnVector, DataType, HpdError, Interval, Result, SelBitmap, Value};
 use hpd_obs::Counter;
 use hpd_storage::{BlobId, BufferPool, IoTracker, StorageAllocator};
 
@@ -58,7 +58,7 @@ pub struct Segment {
     dtype: DataType,
     ints: EncodedInts,
     /// Dictionary for `Utf8` columns, sorted ascending.
-    dict: Option<Arc<[Arc<str>]>>,
+    dict: Option<Arc<[ArcStr]>>,
     min: Value,
     max: Value,
     rows: usize,
@@ -73,7 +73,7 @@ pub(crate) struct Normalized {
     pub(crate) dtype: DataType,
     pub(crate) ints: Vec<i64>,
     /// Dictionary of a `Utf8` column, sorted ascending.
-    pub(crate) dict: Option<Arc<[Arc<str>]>>,
+    pub(crate) dict: Option<Arc<[ArcStr]>>,
 }
 
 impl Normalized {
@@ -128,15 +128,15 @@ impl Segment {
     /// order, `domain` describes them (in any order).
     pub(crate) fn from_stream(
         dtype: DataType,
-        dict: Option<Arc<[Arc<str>]>>,
+        dict: Option<Arc<[ArcStr]>>,
         stream: &[i64],
         domain: &Domain,
         alloc: &StorageAllocator,
     ) -> Segment {
         let (min, max) = match &dict {
             Some(dict) => (
-                Value::Str(Arc::clone(&dict[0])),
-                Value::Str(Arc::clone(&dict[dict.len() - 1])),
+                Value::Str(dict[0].clone()),
+                Value::Str(dict[dict.len() - 1].clone()),
             ),
             None => (
                 raw_to_value(dtype, domain.min),
@@ -220,7 +220,7 @@ impl Segment {
         match self.dtype {
             DataType::Utf8 => {
                 let dict = self.dict.as_ref().expect("utf8 segment has dictionary");
-                Value::Str(Arc::clone(&dict[raw as usize]))
+                Value::Str(dict[raw as usize].clone())
             }
             _ => raw_to_value(self.dtype, raw),
         }
@@ -238,11 +238,7 @@ impl Segment {
             }
             DataType::Utf8 => {
                 let dict = self.dict.as_ref().expect("utf8 segment has dictionary");
-                ColumnVector::Str(
-                    ints.into_iter()
-                        .map(|c| Arc::clone(&dict[c as usize]))
-                        .collect(),
-                )
+                ColumnVector::Str(ints.into_iter().map(|c| dict[c as usize].clone()).collect())
             }
         }
     }
@@ -428,8 +424,8 @@ impl Segment {
             DataType::Utf8 => {
                 let dict = self.dict.as_ref().expect("utf8 segment has dictionary");
                 Some((
-                    Value::Str(Arc::clone(&dict[lo as usize])),
-                    Value::Str(Arc::clone(&dict[hi as usize])),
+                    Value::Str(dict[lo as usize].clone()),
+                    Value::Str(dict[hi as usize].clone()),
                 ))
             }
             _ => Some((raw_to_value(self.dtype, lo), raw_to_value(self.dtype, hi))),
@@ -525,12 +521,7 @@ mod tests {
 
     #[test]
     fn string_segment_dictionary_round_trip() {
-        let col = ColumnVector::Str(vec![
-            Arc::from("pear"),
-            Arc::from("apple"),
-            Arc::from("pear"),
-            Arc::from("fig"),
-        ]);
+        let col = ColumnVector::Str(["pear", "apple", "pear", "fig"].map(ArcStr::new).to_vec());
         let s = Segment::build(&col, &alloc());
         assert_eq!(s.decode(), col);
         assert_eq!(s.min(), &Value::str("apple"));
@@ -642,7 +633,7 @@ mod tests {
     fn masked_aggregates_on_strings() {
         let col = ColumnVector::Str(
             ["kiwi", "apple", "pear", "fig", "apple", "zuc"]
-                .map(Arc::from)
+                .map(ArcStr::new)
                 .to_vec(),
         );
         let s = Segment::build(&col, &alloc());

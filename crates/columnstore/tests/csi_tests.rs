@@ -486,11 +486,10 @@ proptest! {
 /// typed build is compared with, byte for byte.
 mod reference {
     use std::collections::{BTreeSet, HashSet};
-    use std::sync::Arc;
 
     use bytes::BytesMut;
     use hpd_columnstore::{EncodedInts, IntEncoding, FOR_DELTA_FRAME, RLE_RUN_BYTES};
-    use hpd_common::{ColumnVector, Value};
+    use hpd_common::{ArcStr, ColumnVector, Value};
 
     pub fn float_bits(f: f64) -> i64 {
         let b = f.to_bits();
@@ -543,9 +542,9 @@ mod reference {
 
     /// What `Segment::build` made of a column before it encoded it: the
     /// `i64` stream, the string dictionary, and the min and max values.
-    pub fn normalize(column: &ColumnVector) -> (Vec<i64>, Option<Vec<Arc<str>>>, Value, Value) {
+    pub fn normalize(column: &ColumnVector) -> (Vec<i64>, Option<Vec<ArcStr>>, Value, Value) {
         if let ColumnVector::Str(vals) = column {
-            let mut dict: Vec<Arc<str>> = vals.to_vec();
+            let mut dict: Vec<ArcStr> = vals.to_vec();
             dict.sort_unstable();
             dict.dedup();
             let codes = (vals.iter())

@@ -5,10 +5,8 @@
 //! execution style the paper credits for the columnstore's CPU efficiency
 //! (SQL Server's *batch mode*, §2).
 
-use std::sync::Arc;
-
 use crate::codec::ValueRef;
-use crate::{DataType, HpdError, Result, Row, Value};
+use crate::{ArcStr, DataType, HpdError, Result, Row, Value};
 
 /// Default number of rows per batch. SQL Server's batch mode uses ~900-row
 /// batches; we use a power of two in the same regime.
@@ -24,7 +22,7 @@ pub enum ColumnVector {
     Decimal(Vec<i64>),
     /// Days since the Unix epoch.
     Date(Vec<i32>),
-    Str(Vec<Arc<str>>),
+    Str(Vec<ArcStr>),
 }
 
 impl ColumnVector {
@@ -76,7 +74,7 @@ impl ColumnVector {
             ColumnVector::Float64(v) => Value::Float64(v[idx]),
             ColumnVector::Decimal(v) => Value::Decimal(v[idx]),
             ColumnVector::Date(v) => Value::Date(v[idx]),
-            ColumnVector::Str(v) => Value::Str(Arc::clone(&v[idx])),
+            ColumnVector::Str(v) => Value::Str(v[idx].clone()),
         }
     }
 
@@ -84,7 +82,7 @@ impl ColumnVector {
     pub fn push(&mut self, v: &Value) -> Result<()> {
         match (self, v) {
             // The string is shared with the value, not copied.
-            (ColumnVector::Str(vec), Value::Str(x)) => vec.push(Arc::clone(x)),
+            (ColumnVector::Str(vec), Value::Str(x)) => vec.push(x.clone()),
             (me, v) => return me.push_ref(v.into()),
         }
         Ok(())
@@ -99,7 +97,7 @@ impl ColumnVector {
             (ColumnVector::Float64(vec), ValueRef::Float64(x)) => vec.push(x),
             (ColumnVector::Decimal(vec), ValueRef::Decimal(x)) => vec.push(x),
             (ColumnVector::Date(vec), ValueRef::Date(x)) => vec.push(x),
-            (ColumnVector::Str(vec), ValueRef::Str(x)) => vec.push(Arc::from(x)),
+            (ColumnVector::Str(vec), ValueRef::Str(x)) => vec.push(ArcStr::new(x)),
             (me, v) => {
                 return Err(HpdError::TypeMismatch {
                     expected: me.data_type().name(),
@@ -341,12 +339,7 @@ mod tests {
     fn sample() -> Batch {
         Batch::new(vec![
             ColumnVector::Int32(vec![1, 2, 3, 4]),
-            ColumnVector::Str(vec![
-                Arc::from("a"),
-                Arc::from("b"),
-                Arc::from("c"),
-                Arc::from("d"),
-            ]),
+            ColumnVector::Str(["a", "b", "c", "d"].map(ArcStr::new).to_vec()),
         ])
     }
 

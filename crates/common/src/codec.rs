@@ -352,13 +352,6 @@ pub fn byte_width(bytes: &[u8]) -> usize {
     width
 }
 
-/// Replace the contents of `out` with the owned values of `bytes` (see
-/// [`values`]), reusing its allocation.
-pub fn decode_into(bytes: &[u8], out: &mut Vec<Value>) {
-    out.clear();
-    out.extend(values(bytes).map(ValueRef::to_value));
-}
-
 /// The owned values of `bytes` (see [`values`]), in a vector of exactly
 /// their number.
 pub fn decode(bytes: &[u8]) -> Vec<Value> {
@@ -629,9 +622,6 @@ mod tests {
         for (v, span) in vs.iter().zip(&spans) {
             assert_eq!(&bytes[span.clone()], &encoded(v)[..]);
         }
-        let mut reused = vec![Value::Int32(1); 3];
-        decode_into(&bytes[spans[0].clone()], &mut reused);
-        assert_eq!(reused, vec![vs[0].clone()]);
     }
 
     #[test]

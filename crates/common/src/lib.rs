@@ -12,6 +12,7 @@
 //! Everything in the workspace — the B+ tree, the columnstore, the execution
 //! engine, and the tuning advisor — speaks these types.
 
+pub mod arcstr;
 pub mod batch;
 pub mod bitmap;
 pub mod codec;
@@ -25,6 +26,7 @@ pub mod row;
 pub mod schema;
 pub mod types;
 
+pub use arcstr::ArcStr;
 pub use batch::{Batch, ColumnVector};
 pub use bitmap::SelBitmap;
 pub use codec::ValueRef;

@@ -6,7 +6,8 @@
 //! semantics, and keeping values total simplifies every index invariant.
 
 use std::fmt;
-use std::sync::Arc;
+
+use crate::ArcStr;
 
 /// The data types supported by the engine.
 ///
@@ -77,6 +78,8 @@ impl fmt::Display for DataType {
 /// different types order by type tag first; well-typed plans never compare
 /// across types, but the total order keeps data-structure invariants safe
 /// even under adversarial property tests.
+///
+/// Sixteen bytes: a tag and one word, a string's being a thin [`ArcStr`].
 #[derive(Debug, Clone)]
 pub enum Value {
     Int32(i32),
@@ -86,7 +89,7 @@ pub enum Value {
     Decimal(i64),
     /// Days since the Unix epoch.
     Date(i32),
-    Str(Arc<str>),
+    Str(ArcStr),
 }
 
 impl Value {
@@ -96,7 +99,7 @@ impl Value {
     }
 
     /// Construct a string value.
-    pub fn str(s: impl Into<Arc<str>>) -> Value {
+    pub fn str(s: impl Into<ArcStr>) -> Value {
         Value::Str(s.into())
     }
 
@@ -105,7 +108,7 @@ impl Value {
     /// run of the maximum code point. Used to form upper bounds on
     /// composite-key prefixes (`[v, +∞)` seeks).
     pub fn sentinel_max() -> Value {
-        Value::Str(Arc::from("\u{10FFFF}\u{10FFFF}\u{10FFFF}\u{10FFFF}"))
+        Value::Str(ArcStr::new("\u{10FFFF}\u{10FFFF}\u{10FFFF}\u{10FFFF}"))
     }
 
     pub fn data_type(&self) -> DataType {
@@ -284,7 +287,7 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(ArcStr::new(v))
     }
 }
 

@@ -31,7 +31,7 @@ pub struct ColumnStats {
 
 /// One column in arrival order, typed: 4 or 8 bytes a value, a string as the
 /// `&str` it was read as (out of the load's record, or the vector that owns
-/// it) — sorted as machine values and not as 24-byte tagged ones.
+/// it) — sorted as machine values and not as 16-byte tagged `Value`s.
 enum Gathered<'a> {
     Int32(Vec<i32>),
     Int64(Vec<i64>),

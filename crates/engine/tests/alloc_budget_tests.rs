@@ -11,7 +11,10 @@
 //! — live, redone or restored — holds its record and the row groups being
 //! filled, never the rows as values or routed into vectors; and a hash join
 //! and a hash aggregate allocate per batch and column, never per row, and
-//! hold their output, their table and one batch's working vectors.
+//! hold their output, their table and one batch's working vectors. And
+//! the tuples themselves: a `Row` or `Key` is one allocation of 16 bytes a
+//! value, a string is shared by a clone and allocated once when read out
+//! of encoded bytes, and a scan refills one scratch row in place.
 
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor, PartitionSpec, TableDesign};
@@ -698,4 +701,64 @@ fn a_hash_aggregate_allocates_per_batch_and_group_not_per_row() {
     // group table's, key columns' and state vectors' doubling steps.
     assert_eq!(allocations[0], allocations[1], "{allocations:?}");
     assert!(allocations[0] <= 10 * 3 + 60, "{allocations:?}");
+}
+
+#[test]
+fn a_row_of_n_values_is_one_allocation_of_16_n_bytes() {
+    for n in [1, 3, 8] {
+        let ints = || (0..n).map(Value::Int32).collect::<Vec<_>>();
+        let (row, made) = alloc::measure(|| Row::new(ints()));
+        let (key, keyed) = alloc::measure(|| hpd_common::Key::new(ints()));
+        let (copy, cloned) = alloc::measure(|| row.clone());
+        for (what, r) in [("row", made), ("key", keyed), ("clone", cloned)] {
+            assert_eq!(r.allocations(), 1, "{what} of {n}");
+            assert_eq!(r.left_live(), 16 * i64::from(n), "{what} of {n}");
+            assert_eq!(r.after.largest_bytes, 16 * n as usize, "{what} of {n}");
+        }
+        assert_eq!((copy.len(), key.len()), (n as usize, n as usize));
+    }
+}
+
+#[test]
+fn cloning_a_string_value_allocates_nothing() {
+    let v = Value::str("a string longer than any inline form");
+    let (copy, cloned) = alloc::measure(|| v.clone());
+    assert_eq!(cloned.allocations(), 0);
+    assert_eq!(cloned.left_live(), 0);
+    assert_eq!(copy, v);
+    // A row of strings: its one slice, the strings shared.
+    let row = Row::new(vec![v.clone(), v.clone(), Value::Int32(1)]);
+    let (_, cloned) = alloc::measure(|| row.clone());
+    assert_eq!((cloned.allocations(), cloned.left_live()), (1, 3 * 16));
+}
+
+#[test]
+fn to_value_of_a_borrowed_string_is_one_allocation() {
+    let text = "borrowed from a leaf's bytes";
+    let (v, made) = alloc::measure(|| hpd_common::ValueRef::Str(text).to_value());
+    assert_eq!(made.allocations(), 1);
+    // A count, a length and the bytes.
+    assert_eq!(made.left_live(), 16 + text.len() as i64);
+    assert_eq!(v.as_str(), Some(text));
+}
+
+#[test]
+fn for_each_row_over_a_btree_primary_allocates_the_same_at_any_row_count() {
+    let mut walks = Vec::new();
+    for rows in [4_800, 48_000] {
+        let db = fixed_width(rows, None);
+        let tracker = hpd_storage::IoTracker::new();
+        let mut seen = 0;
+        let walk = db
+            .with_table("t", |t| {
+                measure(|| t.for_each_row(db.pool(), &tracker, &mut |_| seen += 1))
+            })
+            .unwrap();
+        assert_eq!(seen, rows);
+        walks.push(walk.allocations());
+    }
+    // One scratch key and one scratch row, refilled in place: their first
+    // fill, and nothing per row.
+    assert_eq!(walks[0], walks[1], "{walks:?}");
+    assert!(walks[0] <= 8, "{walks:?}");
 }

@@ -630,7 +630,8 @@ impl<'a> StreamAggOp<'a> {
 
     fn close_current(&mut self) -> Result<()> {
         if let Some((key, states)) = self.current.take() {
-            let mut row: Vec<Value> = key.values().to_vec();
+            let mut row: Vec<Value> = Vec::with_capacity(key.len() + self.aggs.len());
+            row.extend_from_slice(key.values());
             for (st, spec) in states.into_iter().zip(&self.aggs) {
                 row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
             }

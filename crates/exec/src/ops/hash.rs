@@ -5,9 +5,8 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-use hpd_common::{Batch, ColumnVector, DataType, Key, Result};
+use hpd_common::{ArcStr, Batch, ColumnVector, DataType, Key, Result};
 use hpd_storage::SpillFile;
 
 use crate::ctx::ExecCtx;
@@ -163,7 +162,7 @@ pub(crate) struct Same<'a> {
     strings: Vec<(Strings<'a>, Strings<'a>)>,
 }
 
-type Strings<'a> = &'a [Arc<str>];
+type Strings<'a> = &'a [ArcStr];
 
 impl Same<'_> {
     #[inline]
@@ -298,9 +297,8 @@ impl Spilled {
         let widths = batch.row_byte_widths();
         let mut taken = Vec::new();
         for i in rows {
-            let key = self.scratch.values_mut();
-            key.clear();
-            key.extend(ords.iter().map(|&o| batch.column(o).value(i)));
+            self.scratch
+                .refill(ords.iter().map(|&o| batch.column(o).value(i)));
             let mut h = DefaultHasher::new();
             self.scratch.hash(&mut h);
             let p = (h.finish() as usize) % SPILL_PARTITIONS;
@@ -329,7 +327,7 @@ mod tests {
             ColumnVector::Int32(vec![7, -1]),
             ColumnVector::Int64(vec![7, -1]),
             ColumnVector::Float64(vec![0.0, -0.0]),
-            ColumnVector::Str(vec![Arc::from("abcdefgh"), Arc::from("abcdefgh\0")]),
+            ColumnVector::Str(vec![ArcStr::new("abcdefgh"), ArcStr::new("abcdefgh\0")]),
         ];
         // One scalar column: the hash is the key.
         let narrow = Keys::of(&cols, &[0], 2);
@@ -378,7 +376,7 @@ mod tests {
         let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ssd());
         let ctx = ExecCtx::new(&pool);
         let batch = Batch::new(vec![
-            ColumnVector::Str(vec![Arc::from("x"), Arc::from("y"), Arc::from("z")]),
+            ColumnVector::Str(["x", "y", "z"].map(ArcStr::new).to_vec()),
             ColumnVector::Int32(vec![3, 4, 5]),
         ]);
         let mut spilled = Spilled::new(&[DataType::Utf8, DataType::Int32]);

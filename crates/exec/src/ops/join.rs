@@ -562,8 +562,8 @@ impl Operator for IndexLookupJoinOp<'_> {
             for i in 0..batch.num_rows() {
                 for (k, &col) in self.key_columns.iter().enumerate() {
                     let v = batch.column(col).value(i);
-                    self.lo.values_mut()[k] = v.clone();
-                    self.hi.values_mut()[k] = v;
+                    self.lo.set(k, v.clone());
+                    self.hi.set(k, v);
                 }
                 let mut cursor =
                     self.tree

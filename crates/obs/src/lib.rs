@@ -523,20 +523,30 @@ mod tests {
             }
         }
 
+        const WRITERS: u64 = 4;
         let r = Registry::new();
         let stop = AtomicU64::new(0);
+        // The reader starts once every writer has written: on a loaded box
+        // the 2000 snapshots can otherwise all run before any writer does.
+        let running = std::sync::Barrier::new(WRITERS as usize + 1);
         std::thread::scope(|s| {
             let _stop_guard = StopOnDrop(&stop);
-            for t in 0..4 {
+            for t in 0..WRITERS {
                 let c = r.counter("hammer.ctr");
                 let h = r.histogram("hammer.hist");
-                let stop = &stop;
+                let (stop, running) = (&stop, &running);
                 s.spawn(move || {
                     let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
+                    loop {
                         c.inc();
                         h.record((i * 7 + t) % 1000);
                         i += 1;
+                        if i == 1 {
+                            running.wait();
+                        }
+                        if stop.load(Ordering::Relaxed) != 0 {
+                            break;
+                        }
                         // Unyielding spinners starve the snapshot thread on
                         // single-core machines (the 2000-snapshot loop below
                         // takes minutes instead of milliseconds).
@@ -546,6 +556,7 @@ mod tests {
                     }
                 });
             }
+            running.wait();
             let mut prev = r.snapshot();
             for _ in 0..2000 {
                 let cur = r.snapshot();
@@ -575,6 +586,7 @@ mod tests {
         let s = r.snapshot();
         let h = &s.histograms["hammer.hist"];
         assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
-        assert!(s.counter("hammer.ctr") > 0);
+        assert!(s.counter("hammer.ctr") >= WRITERS);
+        assert!(h.count >= WRITERS);
     }
 }

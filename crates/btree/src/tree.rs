@@ -964,32 +964,16 @@ impl BTree {
 
     /// Hand every entry, in key order, to `f` in its encoded form (see
     /// [`EntryRef`]) — the whole-index read of B+ tree builds and
-    /// checkpoints, which copy bytes and decode nothing. Charges exactly the
-    /// page accesses of an unbounded cursor scan.
+    /// checkpoints, which copy bytes and decode nothing: an unbounded cursor
+    /// scan.
     pub fn for_each_encoded_entry(
         &self,
         pool: &BufferPool,
         tracker: &IoTracker,
-        mut f: impl FnMut(EntryRef<'_>),
+        f: impl FnMut(EntryRef<'_>),
     ) {
-        let mut leaf = self.first_leaf;
-        let mut last_page = self.nodes[leaf].page();
-        pool.access_page(last_page, tracker);
-        loop {
-            let (entries, next) = self.nodes[leaf].as_leaf();
-            entries.iter().for_each(&mut f);
-            let Some(n) = next else {
-                return;
-            };
-            let page = self.nodes[n].page();
-            if page.0 == last_page.0 + 1 {
-                pool.access_page_seq(page, tracker);
-            } else {
-                pool.access_page(page, tracker);
-            }
-            leaf = n;
-            last_page = page;
-        }
+        let mut cursor = self.cursor_seek(Bound::Unbounded, pool, tracker);
+        self.cursor_walk(&mut cursor, Bound::Unbounded, usize::MAX, pool, tracker, f);
     }
 
     /// [`BTree::for_each_encoded_entry`] with every entry decoded into one

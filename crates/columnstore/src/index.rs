@@ -7,9 +7,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use hpd_btree::{BTree, BTreeConfig};
+use hpd_common::agg::{Acc, Summary};
 use hpd_common::{
-    faults, AggFunc, Batch, ColumnVector, DataType, HpdError, Interval, Key, Result, Row, Schema,
-    SelBitmap, Value, ValueRef,
+    faults, AggFunc, Batch, ColumnVector, DataType, Interval, Key, Result, Row, Schema, SelBitmap,
+    Value, ValueRef,
 };
 use hpd_obs::Counter;
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
@@ -18,6 +19,7 @@ use crate::cache::SegmentCache;
 use crate::delta::DeltaStore;
 use crate::encoding::IntEncoding;
 use crate::rowgroup::{RowGroup, SortMode};
+use crate::segment::Segment;
 
 /// `columnstore.scan.*` pruning counters, surfaced by `EXPLAIN ANALYZE`.
 /// Row counts are attributed to the granularity at which the scan skipped
@@ -174,17 +176,32 @@ pub struct PushdownAgg {
     pub col: usize,
 }
 
-/// Running state of one pushed-down aggregate, mirroring the row-mode
-/// fold's accumulator: integer sums accumulate in `i128` and range-check
-/// once at the end, so only a *total* outside `i64` errors.
-enum AggAcc {
-    Count(i64),
-    SumI(i128),
-    SumD(i128),
-    SumF(f64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, count: i64 },
+/// The rows `sel` selects of one segment, summarised by the encoded kernels
+/// for the one accumulator ([`Acc::fold_summary`]).
+struct Selected<'a> {
+    segment: &'a Segment,
+    sel: &'a SelBitmap,
+    rows: usize,
+}
+
+impl Summary for Selected<'_> {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn int_total(&self) -> i128 {
+        self.segment
+            .sum_i128_masked(self.sel)
+            .expect("integer-family column")
+    }
+
+    fn for_each_f64(&self, f: impl FnMut(f64)) {
+        self.segment.for_each_f64_masked(self.sel, f);
+    }
+
+    fn min_max(&self) -> Option<(Value, Value)> {
+        self.segment.min_max_masked(self.sel)
+    }
 }
 
 /// Primary (main storage, delete bitmap only) vs. secondary (redundant,
@@ -1255,14 +1272,16 @@ impl ColumnStoreIndex {
     /// Evaluate covered aggregates directly on the encoded index — no row
     /// materialization. Compressed row groups fold on their encoded
     /// segments (run-arithmetic over RLE, frame-arithmetic over FOR/delta,
-    /// code-histogram folding over dict); delta rows fold row-mode after
-    /// all row groups, the same order a materializing scan feeds the
-    /// aggregate operator, so order-sensitive f64 sums match bit-for-bit.
+    /// code-histogram folding over dict); the delta's rows fold after all
+    /// row groups, the same order a materializing scan feeds the aggregate
+    /// operator, so order-sensitive f64 sums match bit-for-bit. Both fold
+    /// into [`Acc`], the aggregate operators' accumulator, and finish from
+    /// it.
     ///
     /// Returns `None` (before touching counters or I/O) when some
     /// aggregate has no pushdown kernel for its column type (SUM/AVG over
     /// `Utf8`) — the caller falls back to the scan path, which reports the
-    /// same error the row-mode fold would.
+    /// same error the aggregate operators would.
     pub fn agg_collect(
         &self,
         aggs: &[PushdownAgg],
@@ -1270,27 +1289,28 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Option<Result<Vec<Value>>> {
-        let mut accs: Vec<AggAcc> = Vec::with_capacity(aggs.len());
+        let mut accs = Vec::with_capacity(aggs.len());
         for a in aggs {
             let dtype = self.schema.column(a.col).dtype;
-            accs.push(match a.func {
-                AggFunc::Count => AggAcc::Count(0),
-                AggFunc::Min => AggAcc::Min(None),
-                AggFunc::Max => AggAcc::Max(None),
-                AggFunc::Avg => {
-                    if dtype == DataType::Utf8 {
-                        return None;
-                    }
-                    AggAcc::Avg { sum: 0.0, count: 0 }
-                }
-                AggFunc::Sum => match dtype {
-                    DataType::Int32 | DataType::Int64 | DataType::Date => AggAcc::SumI(0),
-                    DataType::Decimal => AggAcc::SumD(0),
-                    DataType::Float64 => AggAcc::SumF(0.0),
-                    DataType::Utf8 => return None,
-                },
-            });
+            if dtype == DataType::Utf8 && matches!(a.func, AggFunc::Sum | AggFunc::Avg) {
+                return None;
+            }
+            // Its one refusal, SUM over strings, returned above.
+            accs.push(Acc::new(a.func, dtype).ok()?);
         }
+        Some(self.agg_fold(aggs, accs, intervals, pool, tracker))
+    }
+
+    /// The fold behind [`ColumnStoreIndex::agg_collect`], each aggregate into
+    /// its one-group accumulator.
+    fn agg_fold(
+        &self,
+        aggs: &[PushdownAgg],
+        mut accs: Vec<Acc>,
+        intervals: &HashMap<usize, Interval>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Result<Vec<Value>> {
         // Segments the fold reads: every non-COUNT aggregate input.
         let mut agg_cols: Vec<usize> = Vec::new();
         for a in aggs {
@@ -1317,106 +1337,38 @@ impl ColumnStoreIndex {
             } else {
                 counters.pushdown_rowgroups.add(1);
             }
-            let selected = sel.count();
-            if selected == 0 {
+            let rows = sel.count();
+            if rows == 0 {
                 continue;
             }
-            counters.rows_folded.add(selected as u64);
+            counters.rows_folded.add(rows as u64);
             let rg = &self.row_groups[rg_idx];
             for (a, acc) in aggs.iter().zip(&mut accs) {
-                let seg = rg.segment(a.col);
-                match acc {
-                    AggAcc::Count(c) => *c += selected as i64,
-                    AggAcc::SumI(s) | AggAcc::SumD(s) => {
-                        *s += seg.sum_i128_masked(&sel).expect("integer-family column");
-                    }
-                    AggAcc::SumF(s) => {
-                        seg.for_each_f64_masked(&sel, |v| *s += v);
-                    }
-                    AggAcc::Min(m) => {
-                        if let Some((lo, _)) = seg.min_max_masked(&sel) {
-                            if m.as_ref().is_none_or(|cur| &lo < cur) {
-                                *m = Some(lo);
-                            }
-                        }
-                    }
-                    AggAcc::Max(m) => {
-                        if let Some((_, hi)) = seg.min_max_masked(&sel) {
-                            if m.as_ref().is_none_or(|cur| &hi > cur) {
-                                *m = Some(hi);
-                            }
-                        }
-                    }
-                    AggAcc::Avg { sum, count } => {
-                        seg.for_each_f64_masked(&sel, |v| *sum += v);
-                        *count += selected as i64;
-                    }
-                }
+                let segment = rg.segment(a.col);
+                acc.fold_summary(&Selected {
+                    segment,
+                    sel: &sel,
+                    rows,
+                })?;
             }
         }
 
-        // Delta rows: plain row-mode fold (uncompressed; the delete buffer
-        // does not apply here — delta deletes are performed in place).
+        // Delta rows fold as the scan returns them (uncompressed; the delete
+        // buffer does not apply here — delta deletes are performed in place).
         if self.delta_rows() > 0 {
-            self.delta_reads.fetch_add(1, Ordering::Relaxed);
-            for row in self.delta.scan(pool, tracker) {
-                let keep = intervals
-                    .iter()
-                    .all(|(&c, iv)| c >= row.len() || iv.contains(&row.values()[c]));
-                if !keep {
-                    continue;
-                }
-                counters.delta_rows.add(1);
-                for (a, acc) in aggs.iter().zip(&mut accs) {
-                    let v = &row.values()[a.col];
-                    match acc {
-                        AggAcc::Count(c) => *c += 1,
-                        AggAcc::SumI(s) | AggAcc::SumD(s) => {
-                            *s += i128::from(v.as_i64().expect("numeric delta value"));
-                        }
-                        AggAcc::SumF(s) => *s += v.as_f64().expect("numeric delta value"),
-                        AggAcc::Min(m) => {
-                            if m.as_ref().is_none_or(|cur| v < cur) {
-                                *m = Some(v.clone());
-                            }
-                        }
-                        AggAcc::Max(m) => {
-                            if m.as_ref().is_none_or(|cur| v > cur) {
-                                *m = Some(v.clone());
-                            }
-                        }
-                        AggAcc::Avg { sum, count } => {
-                            *sum += v.as_f64().expect("numeric delta value");
-                            *count += 1;
-                        }
-                    }
-                }
+            let cols: Vec<usize> = aggs.iter().map(|a| a.col).collect();
+            let delta = self.scan_delta(&cols, intervals, pool, tracker);
+            counters.delta_rows.add(delta.num_rows() as u64);
+            for (acc, col) in accs.iter_mut().zip(delta.columns()) {
+                acc.fold_all(col)?;
             }
         }
 
-        let mut out = Vec::with_capacity(aggs.len());
-        for (a, acc) in aggs.iter().zip(accs) {
-            let dtype = self.schema.column(a.col).dtype;
-            out.push(match acc {
-                AggAcc::Count(c) => Value::Int64(c),
-                AggAcc::SumI(s) => match i64::try_from(s) {
-                    Ok(v) => Value::Int64(v),
-                    Err(_) => return Some(Err(HpdError::Internal("SUM overflow".into()))),
-                },
-                AggAcc::SumD(s) => match i64::try_from(s) {
-                    Ok(v) => Value::Decimal(v),
-                    Err(_) => return Some(Err(HpdError::Internal("SUM overflow".into()))),
-                },
-                AggAcc::SumF(s) => Value::Float64(s),
-                // Empty global MIN/MAX yields a zero value of the input
-                // type (this engine has no NULLs), matching the row fold.
-                AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or_else(|| AggFunc::empty_value(dtype)),
-                AggAcc::Avg { sum, count } => {
-                    Value::Float64(if count == 0 { 0.0 } else { sum / count as f64 })
-                }
-            });
-        }
-        Some(Ok(out))
+        let types = aggs.iter().map(|a| self.schema.column(a.col).dtype);
+        let finished = accs.into_iter().zip(aggs).zip(types);
+        finished
+            .map(|((acc, a), dtype)| Ok(acc.finish(a.func.result_type(dtype), 1)?.value(0)))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1465,14 +1417,32 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> CsiScan<'a> {
-        let antijoin = self.antijoin_probe(pool, tracker);
+        let probe = self.antijoin_probe(pool, tracker).map(Arc::new);
+        let all = (0..self.num_rowgroups()).collect();
+        self.scan_rowgroups(all, projection, intervals, true, probe)
+    }
+
+    /// A scan of the row groups `rowgroups`, in that order, then of the
+    /// delta store if `delta` — the unit of parallel partitioning. `probe`
+    /// is the anti-join probe of the buffered deletes
+    /// ([`ColumnStoreIndex::antijoin_probe`]) when the scans of a statement
+    /// share one; without it the scan builds its own at its first batch.
+    pub fn scan_rowgroups(
+        &self,
+        rowgroups: Vec<usize>,
+        projection: Vec<usize>,
+        intervals: HashMap<usize, Interval>,
+        delta: bool,
+        probe: Option<Arc<HashSet<Key>>>,
+    ) -> CsiScan<'_> {
         CsiScan {
             index: self,
+            rowgroups: rowgroups.into_iter(),
             projection,
             intervals,
-            antijoin,
-            next_rg: 0,
-            delta_done: false,
+            probed: probe.is_some(),
+            antijoin: probe,
+            delta,
         }
     }
 
@@ -1498,41 +1468,41 @@ impl ColumnStoreIndex {
 /// Sequential scan state over a [`ColumnStoreIndex`].
 pub struct CsiScan<'a> {
     index: &'a ColumnStoreIndex,
+    rowgroups: std::vec::IntoIter<usize>,
     projection: Vec<usize>,
     intervals: HashMap<usize, Interval>,
-    antijoin: Option<HashSet<Key>>,
-    next_rg: usize,
-    delta_done: bool,
+    /// Whether `antijoin` is built (or was handed over).
+    probed: bool,
+    antijoin: Option<Arc<HashSet<Key>>>,
+    /// Whether the delta store is still to be scanned.
+    delta: bool,
 }
 
 impl CsiScan<'_> {
     /// Next batch (one per surviving row group, then one for the delta).
     /// `None` when exhausted. Eliminated row groups are skipped silently.
     pub fn next_batch(&mut self, pool: &BufferPool, tracker: &IoTracker) -> Option<Batch> {
-        while self.next_rg < self.index.num_rowgroups() {
-            let rg = self.next_rg;
-            self.next_rg += 1;
+        if !self.probed {
+            self.probed = true;
+            self.antijoin = self.index.antijoin_probe(pool, tracker).map(Arc::new);
+        }
+        for rg in self.rowgroups.by_ref() {
             if let Some(batch) = self.index.scan_rowgroup(
                 rg,
                 &self.projection,
                 &self.intervals,
-                self.antijoin.as_ref(),
+                self.antijoin.as_deref(),
                 pool,
                 tracker,
             ) {
                 return Some(batch);
             }
         }
-        if !self.delta_done {
-            self.delta_done = true;
-            if self.index.delta_rows() > 0 {
-                return Some(self.index.scan_delta(
-                    &self.projection,
-                    &self.intervals,
-                    pool,
-                    tracker,
-                ));
-            }
+        if std::mem::take(&mut self.delta) && self.index.delta_rows() > 0 {
+            return Some(
+                self.index
+                    .scan_delta(&self.projection, &self.intervals, pool, tracker),
+            );
         }
         None
     }

@@ -144,6 +144,19 @@ impl ColumnVector {
         }
     }
 
+    /// Split the rows from `at` on off into a vector of their own, as
+    /// `Vec::split_off` does.
+    pub fn split_off(&mut self, at: usize) -> ColumnVector {
+        match self {
+            ColumnVector::Int32(v) => ColumnVector::Int32(v.split_off(at)),
+            ColumnVector::Int64(v) => ColumnVector::Int64(v.split_off(at)),
+            ColumnVector::Float64(v) => ColumnVector::Float64(v.split_off(at)),
+            ColumnVector::Decimal(v) => ColumnVector::Decimal(v.split_off(at)),
+            ColumnVector::Date(v) => ColumnVector::Date(v.split_off(at)),
+            ColumnVector::Str(v) => ColumnVector::Str(v.split_off(at)),
+        }
+    }
+
     /// Append every row of `other`, which must be of this vector's type.
     pub fn append(&mut self, other: &ColumnVector) -> Result<()> {
         match (self, other) {

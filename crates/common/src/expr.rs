@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Batch, ColumnVector, DataType, HpdError, Interval, Result, Row, Value};
+use crate::{Batch, ColumnVector, HpdError, Interval, Result, Row, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,58 +78,6 @@ impl BinOp {
             BinOp::Sub => "-",
             BinOp::Mul => "*",
             BinOp::Div => "/",
-        }
-    }
-}
-
-/// Aggregate functions supported by the executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFunc {
-    pub fn name(self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
-        }
-    }
-
-    /// Type of the aggregate's result over an input of type `input`: what
-    /// the optimizer declares, every aggregate operator emits and the
-    /// pushed-down fold returns. (`SUM` over `Utf8` is refused when the
-    /// aggregate is built; nominally it has its input's type.)
-    pub fn result_type(self, input: DataType) -> DataType {
-        match self {
-            AggFunc::Count => DataType::Int64,
-            AggFunc::Avg => DataType::Float64,
-            AggFunc::Min | AggFunc::Max => input,
-            AggFunc::Sum => match input {
-                DataType::Int32 | DataType::Int64 | DataType::Date => DataType::Int64,
-                DataType::Decimal | DataType::Float64 | DataType::Utf8 => input,
-            },
-        }
-    }
-
-    /// The aggregate over no rows, given its [`AggFunc::result_type`]: the
-    /// zero of that type — this engine has no NULLs, so an empty `MIN` or
-    /// `MAX` answers it too.
-    pub fn empty_value(result: DataType) -> Value {
-        match result {
-            DataType::Int32 => Value::Int32(0),
-            DataType::Int64 => Value::Int64(0),
-            DataType::Float64 => Value::Float64(0.0),
-            DataType::Decimal => Value::Decimal(0),
-            DataType::Date => Value::Date(0),
-            DataType::Utf8 => Value::str(""),
         }
     }
 }

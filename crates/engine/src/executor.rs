@@ -11,8 +11,8 @@ use hpd_exec::ops::sort::SortKey;
 use hpd_exec::ops::PlanNode as ExecNode;
 use hpd_exec::{
     collect_rows, AggSpec, BTreeRangeScanOp, CsiAggOp, CsiScanOp, ExecCtx, FilterOp, HashAggOp,
-    HashJoinOp, IndexLookupJoinOp, LimitOp, MemoryGrant, MergeJoinOp, Mode, Operator, ParallelOp,
-    ProfiledOp, ProjectOp, SortOp, StreamAggOp, WorkerPool,
+    HashJoinOp, IndexLookupJoinOp, LimitOp, MemoryGrant, Mode, Operator, ParallelOp, ProfiledOp,
+    ProjectOp, SortOp, StreamAggOp, WorkerPool,
 };
 use hpd_storage::BufferPool;
 
@@ -73,7 +73,6 @@ fn kind_label(node: &PlanNode) -> &'static str {
         PlanNodeKind::Sort { .. } => "Sort",
         PlanNodeKind::Limit { .. } => "Limit",
         PlanNodeKind::HashJoin { .. } => "HashJoin",
-        PlanNodeKind::MergeJoin { .. } => "MergeJoin",
         PlanNodeKind::IndexNLJoin { .. } => "IndexNLJoin",
     }
 }
@@ -468,9 +467,9 @@ impl<'a> QueryRunner<'a> {
             _ => overlay,
         };
         // B+ tree access paths promise the index key order to the optimizer
-        // (which may elide a Sort, stream an aggregate, or merge-join on the
-        // strength of it), but the overlay operator appends old row versions
-        // at the end of the stream. Re-establish the claimed order below.
+        // (which may elide a Sort or stream an aggregate on the strength of
+        // it), but the overlay operator appends old row versions at the end
+        // of the stream. Re-establish the claimed order below.
         let order_keys: &[usize] = match &node.kind {
             PlanNodeKind::BTreeScan { .. } | PlanNodeKind::BTreeSeek { .. } => {
                 self.index(ti, part, index)?.descriptor().keys()
@@ -778,11 +777,6 @@ impl<'a> QueryRunner<'a> {
                 let (side, _) = PlanNode::hash_join_build(left, right);
                 Ok(Box::new(HashJoinOp::new(l, r, keys.clone()).build_on(side)))
             }
-            PlanNodeKind::MergeJoin { left, right, keys } => {
-                let l = self.lower(left)?;
-                let r = self.lower(right)?;
-                Ok(Box::new(MergeJoinOp::new(l, r, keys.clone())))
-            }
             PlanNodeKind::IndexNLJoin {
                 outer,
                 table,
@@ -797,9 +791,41 @@ impl<'a> QueryRunner<'a> {
                         "IndexNLJoin over an inner table of several parts".into(),
                     ));
                 }
-                let tree = self.index(*table, 0, *index)?.btree()?;
                 let outer_arity = outer.out_types.len();
                 let payload_types: Vec<DataType> = node.out_types[outer_arity..].to_vec();
+                // Seeks would read the live index past a snapshot: join on
+                // the overlay-corrected scan of that index instead, built on
+                // it, which gives an outer row its inner rows in key order.
+                if self.overlays.get(table).is_some_and(|o| !o.is_empty()) {
+                    let scan = PlanNode {
+                        kind: PlanNodeKind::BTreeScan {
+                            table: *table,
+                            part: 0,
+                            index: *index,
+                            dop: 1,
+                        },
+                        out_cols: node.out_cols[outer_arity..].to_vec(),
+                        out_types: payload_types,
+                        est_rows: node.est_rows,
+                        est_cpu_us: 0.0,
+                        est_io_us: 0.0,
+                        est_io_div_us: 0.0,
+                    };
+                    let keys = self.index(*table, 0, *index)?.descriptor().keys();
+                    let on = outer_key
+                        .iter()
+                        .zip(keys)
+                        .map(|(&o, &k)| {
+                            let inner = scan.find_col(*table, k).ok_or_else(|| {
+                                HpdError::Internal("index key missing from its scan".into())
+                            })?;
+                            Ok((o, inner))
+                        })
+                        .collect::<Result<Vec<_>>>()?;
+                    let inner = self.lower_scan(&scan, true)?;
+                    return Ok(Box::new(HashJoinOp::new(o, inner, on)));
+                }
+                let tree = self.index(*table, 0, *index)?.btree()?;
                 Ok(Box::new(IndexLookupJoinOp::new(
                     o,
                     tree,

@@ -12,7 +12,7 @@
 //! the access order allows, hash with spill costing otherwise), sort
 //! placement, and degree of parallelism. Multi-table plans use a greedy
 //! smallest-cardinality-first left-deep join order choosing between index
-//! nested-loop, hash, and (via sorted access paths) merge joins.
+//! nested-loop and hash joins.
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -1513,7 +1513,7 @@ fn node_mode(node: &PlanNode) -> PlanMode {
         | PlanNodeKind::StreamAgg { child, .. }
         | PlanNodeKind::Sort { child, .. }
         | PlanNodeKind::Limit { child, .. } => node_mode(child),
-        PlanNodeKind::HashJoin { .. } | PlanNodeKind::MergeJoin { .. } => PlanMode::Row,
+        PlanNodeKind::HashJoin { .. } => PlanMode::Row,
     }
 }
 

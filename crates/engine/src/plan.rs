@@ -156,11 +156,6 @@ pub enum PlanNodeKind {
         right: Box<PlanNode>,
         keys: Vec<(usize, usize)>,
     },
-    MergeJoin {
-        left: Box<PlanNode>,
-        right: Box<PlanNode>,
-        keys: Vec<(usize, usize)>,
-    },
     /// Index nested-loop join: for each outer row, seek the inner table's
     /// B+ tree with a key built from outer output ordinals.
     IndexNLJoin {
@@ -313,8 +308,7 @@ impl PlanNode {
             | PlanNodeKind::Sort { child, .. }
             | PlanNodeKind::Limit { child, .. } => vec![child],
             PlanNodeKind::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNodeKind::HashJoin { left, right, .. }
-            | PlanNodeKind::MergeJoin { left, right, .. } => vec![left, right],
+            PlanNodeKind::HashJoin { left, right, .. } => vec![left, right],
         }
     }
 
@@ -334,8 +328,7 @@ impl PlanNode {
             | PlanNodeKind::Sort { child, .. }
             | PlanNodeKind::Limit { child, .. } => vec![child],
             PlanNodeKind::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNodeKind::HashJoin { left, right, .. }
-            | PlanNodeKind::MergeJoin { left, right, .. } => vec![left, right],
+            PlanNodeKind::HashJoin { left, right, .. } => vec![left, right],
         }
     }
 
@@ -425,7 +418,6 @@ impl PlanNode {
             PlanNodeKind::Sort { keys, .. } => format!("Sort keys={}", keys.len()),
             PlanNodeKind::Limit { n, .. } => format!("Limit {n}"),
             PlanNodeKind::HashJoin { keys, .. } => format!("HashJoin keys={}", keys.len()),
-            PlanNodeKind::MergeJoin { keys, .. } => format!("MergeJoin keys={}", keys.len()),
             PlanNodeKind::IndexNLJoin { table, index, .. } => {
                 format!("IndexNLJoin inner={} idx#{}", tname(table), index.0)
             }

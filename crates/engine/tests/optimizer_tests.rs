@@ -234,8 +234,6 @@ fn find_leaf(node: &hpd_engine::plan::PlanNode) -> Option<PlanNodeKind> {
         | PlanNodeKind::Sort { child, .. }
         | PlanNodeKind::Limit { child, .. } => find_leaf(child),
         PlanNodeKind::IndexNLJoin { outer, .. } => find_leaf(outer),
-        PlanNodeKind::HashJoin { left, .. } | PlanNodeKind::MergeJoin { left, .. } => {
-            find_leaf(left)
-        }
+        PlanNodeKind::HashJoin { left, .. } => find_leaf(left),
     }
 }

@@ -24,7 +24,7 @@ pub use grant_broker::{GrantBroker, GrantLease};
 pub use memory::MemoryGrant;
 pub use ops::agg::{AggSpec, CsiAggOp, HashAggOp, StreamAggOp};
 pub use ops::filter::{FilterOp, Mode, ProjectOp};
-pub use ops::join::{HashJoinOp, IndexLookupJoinOp, JoinSide, MergeJoinOp, NestedLoopJoinOp};
+pub use ops::join::{HashJoinOp, IndexLookupJoinOp, JoinSide};
 pub use ops::parallel::ParallelOp;
 pub use ops::scan::{BTreeRangeScanOp, CsiScanOp, ValuesOp};
 pub use ops::sort::{LimitOp, SortKey, SortOp};

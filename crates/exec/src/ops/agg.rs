@@ -1,16 +1,18 @@
 //! Aggregation: hash aggregate (with grace-style spilling under memory
 //! pressure) and streaming aggregate (requires sorted input, constant
-//! memory).
+//! memory), both in batch mode and both folding into
+//! [`hpd_common::agg::Acc`], the accumulator the columnstore's encoded fold
+//! uses too.
 //!
 //! The contrast between these two under a constrained memory grant is the
 //! paper's Figure 4: the columnstore pipeline must hash-aggregate and falls
 //! off a cliff once the table exceeds the grant, while the B+ tree's sort
 //! order admits a streaming aggregate that never spills.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use hpd_common::{AggFunc, Batch, ColumnVector, DataType, HpdError, Key, Result, Row, Value};
+use hpd_common::agg::Acc;
+use hpd_common::{AggFunc, Batch, ColumnVector, DataType, HpdError, Result, Row};
 
 use crate::ctx::ExecCtx;
 use crate::ops::hash::{Keys, Spilled, Table};
@@ -30,284 +32,8 @@ impl AggSpec {
     }
 }
 
-/// Running state of one aggregate for one group. Integer and decimal sums
-/// accumulate in `i128` and are range-checked once, at the end, as the
-/// pushed-down fold's are (`hpd_columnstore`'s `AggAcc`): only a *total*
-/// outside `i64` is an overflow, whatever the order the rows arrive in.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumI(i128),
-    SumD(i128),
-    SumF(f64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, count: i64 },
-}
-
-impl AggState {
-    fn new(func: AggFunc, input_type: DataType) -> Result<AggState> {
-        Ok(match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-            AggFunc::Sum => match input_type {
-                DataType::Int32 | DataType::Int64 | DataType::Date => AggState::SumI(0),
-                DataType::Decimal => AggState::SumD(0),
-                DataType::Float64 => AggState::SumF(0.0),
-                DataType::Utf8 => {
-                    return Err(HpdError::InvalidQuery("SUM over a string column".into()))
-                }
-            },
-        })
-    }
-
-    fn update(&mut self, v: &Value) -> Result<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::SumI(s) => {
-                *s += i128::from(v.as_i64().ok_or(HpdError::TypeMismatch {
-                    expected: "integer",
-                    found: v.data_type().name().to_string(),
-                })?);
-            }
-            AggState::SumD(s) => {
-                let Value::Decimal(d) = v else {
-                    return Err(HpdError::TypeMismatch {
-                        expected: "decimal",
-                        found: v.data_type().name().to_string(),
-                    });
-                };
-                *s += i128::from(*d);
-            }
-            AggState::SumF(s) => {
-                *s += v.as_f64().ok_or(HpdError::TypeMismatch {
-                    expected: "numeric",
-                    found: v.data_type().name().to_string(),
-                })?;
-            }
-            AggState::Min(m) => {
-                if m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            AggState::Max(m) => {
-                if m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            AggState::Avg { sum, count } => {
-                *sum += v.as_f64().ok_or(HpdError::TypeMismatch {
-                    expected: "numeric",
-                    found: v.data_type().name().to_string(),
-                })?;
-                *count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Final value. Empty MIN/MAX (global aggregate over no rows) yields a
-    /// zero value of the declared type; this engine has no NULLs.
-    fn finish(self, out_type: DataType) -> Result<Value> {
-        let in_range =
-            |s: i128| i64::try_from(s).map_err(|_| HpdError::Internal("SUM overflow".into()));
-        Ok(match self {
-            AggState::Count(c) => Value::Int64(c),
-            AggState::SumI(s) => Value::Int64(in_range(s)?),
-            AggState::SumD(s) => Value::Decimal(in_range(s)?),
-            AggState::SumF(s) => Value::Float64(s),
-            AggState::Min(v) | AggState::Max(v) => {
-                v.unwrap_or_else(|| AggFunc::empty_value(out_type))
-            }
-            AggState::Avg { sum, count } => {
-                Value::Float64(if count == 0 { 0.0 } else { sum / count as f64 })
-            }
-        })
-    }
-}
-
 /// Bytes charged per resident group (key payload + state overhead).
 const GROUP_OVERHEAD: usize = 48;
-
-/// The state of one aggregate for every group of a [`Groups`], a typed
-/// vector indexed by group id. Integer and decimal sums are `i128`s
-/// range-checked at the end, as [`AggState`]'s are.
-#[derive(Debug)]
-enum Acc {
-    Count(Vec<i64>),
-    SumInt(Vec<i128>),
-    SumFloat(Vec<f64>),
-    Avg {
-        sums: Vec<f64>,
-        counts: Vec<i64>,
-    },
-    /// MIN (`want` = `Less`) or MAX (`Greater`): the best value so far, in
-    /// the input's own type. A group's first row fills it, so there is no
-    /// empty state.
-    Extreme {
-        best: ColumnVector,
-        want: Ordering,
-    },
-}
-
-fn wrong_input(expected: &'static str, col: &ColumnVector) -> HpdError {
-    HpdError::TypeMismatch {
-        expected,
-        found: col.data_type().name().to_string(),
-    }
-}
-
-impl Acc {
-    fn new(func: AggFunc, input_type: DataType) -> Result<Acc> {
-        Ok(match func {
-            AggFunc::Count => Acc::Count(Vec::new()),
-            AggFunc::Avg => Acc::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-            AggFunc::Min | AggFunc::Max => Acc::Extreme {
-                best: ColumnVector::with_capacity(input_type, 0),
-                want: if func == AggFunc::Min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                },
-            },
-            AggFunc::Sum => match input_type {
-                DataType::Int32 | DataType::Int64 | DataType::Date | DataType::Decimal => {
-                    Acc::SumInt(Vec::new())
-                }
-                DataType::Float64 => Acc::SumFloat(Vec::new()),
-                DataType::Utf8 => {
-                    return Err(HpdError::InvalidQuery("SUM over a string column".into()))
-                }
-            },
-        })
-    }
-
-    /// Fold `col` into the groups `gids` names, row by row. The groups from
-    /// `groups - first_rows.len()` on are new, first seen at rows
-    /// `first_rows` of `col`.
-    fn fold(
-        &mut self,
-        col: &ColumnVector,
-        gids: &[u32],
-        first_rows: &[usize],
-        groups: usize,
-    ) -> Result<()> {
-        fn each<T: Copy>(vals: &[T], gids: &[u32], mut f: impl FnMut(usize, T)) {
-            vals.iter().zip(gids).for_each(|(&v, &g)| f(g as usize, v));
-        }
-        fn extreme<T: Clone>(
-            best: &mut Vec<T>,
-            vals: &[T],
-            gids: &[u32],
-            first_rows: &[usize],
-            better: impl Fn(&T, &T) -> bool,
-        ) {
-            best.extend(first_rows.iter().map(|&r| vals[r].clone()));
-            for (v, &g) in vals.iter().zip(gids) {
-                if better(v, &best[g as usize]) {
-                    best[g as usize] = v.clone();
-                }
-            }
-        }
-        debug_assert_eq!(col.len(), gids.len());
-        match self {
-            Acc::Count(counts) => {
-                counts.resize(groups, 0);
-                gids.iter().for_each(|&g| counts[g as usize] += 1);
-            }
-            Acc::SumInt(totals) => {
-                totals.resize(groups, 0);
-                match col {
-                    ColumnVector::Int32(v) | ColumnVector::Date(v) => {
-                        each(v, gids, |g, x| totals[g] += i128::from(x))
-                    }
-                    ColumnVector::Int64(v) | ColumnVector::Decimal(v) => {
-                        each(v, gids, |g, x| totals[g] += i128::from(x))
-                    }
-                    other => return Err(wrong_input("integer", other)),
-                }
-            }
-            Acc::SumFloat(sums) => {
-                sums.resize(groups, 0.0);
-                match col {
-                    ColumnVector::Float64(v) => each(v, gids, |g, x| sums[g] += x),
-                    other => return Err(wrong_input("numeric", other)),
-                }
-            }
-            Acc::Avg { sums, counts } => {
-                sums.resize(groups, 0.0);
-                counts.resize(groups, 0);
-                gids.iter().for_each(|&g| counts[g as usize] += 1);
-                // `Value::as_f64`, a column at a time.
-                match col {
-                    ColumnVector::Int32(v) | ColumnVector::Date(v) => {
-                        each(v, gids, |g, x| sums[g] += f64::from(x))
-                    }
-                    ColumnVector::Int64(v) => each(v, gids, |g, x| sums[g] += x as f64),
-                    ColumnVector::Decimal(v) => {
-                        each(v, gids, |g, x| sums[g] += x as f64 / 10_000.0)
-                    }
-                    ColumnVector::Float64(v) => each(v, gids, |g, x| sums[g] += x),
-                    other => return Err(wrong_input("numeric", other)),
-                }
-            }
-            // `Value`'s order within a type: floats by `total_cmp`.
-            Acc::Extreme { best, want } => {
-                let want = *want;
-                match (best, col) {
-                    (ColumnVector::Int32(b), ColumnVector::Int32(v))
-                    | (ColumnVector::Date(b), ColumnVector::Date(v)) => {
-                        extreme(b, v, gids, first_rows, |x, y| x.cmp(y) == want)
-                    }
-                    (ColumnVector::Int64(b), ColumnVector::Int64(v))
-                    | (ColumnVector::Decimal(b), ColumnVector::Decimal(v)) => {
-                        extreme(b, v, gids, first_rows, |x, y| x.cmp(y) == want)
-                    }
-                    (ColumnVector::Float64(b), ColumnVector::Float64(v)) => {
-                        extreme(b, v, gids, first_rows, |x, y| x.total_cmp(y) == want)
-                    }
-                    (ColumnVector::Str(b), ColumnVector::Str(v)) => {
-                        extreme(b, v, gids, first_rows, |x, y| x.cmp(y) == want)
-                    }
-                    (best, other) => return Err(wrong_input(best.data_type().name(), other)),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The aggregate's output column, one value a group.
-    fn finish(self, out_type: DataType) -> Result<ColumnVector> {
-        Ok(match self {
-            Acc::Count(counts) => ColumnVector::Int64(counts),
-            Acc::SumInt(totals) => {
-                let totals = totals
-                    .into_iter()
-                    .map(|s| {
-                        i64::try_from(s).map_err(|_| HpdError::Internal("SUM overflow".into()))
-                    })
-                    .collect::<Result<Vec<i64>>>()?;
-                match out_type {
-                    DataType::Decimal => ColumnVector::Decimal(totals),
-                    _ => ColumnVector::Int64(totals),
-                }
-            }
-            Acc::SumFloat(sums) => ColumnVector::Float64(sums),
-            Acc::Avg { sums, counts } => ColumnVector::Float64(
-                sums.iter()
-                    .zip(&counts)
-                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-                    .collect(),
-            ),
-            Acc::Extreme { best, .. } => best,
-        })
-    }
-}
 
 /// How a [`Groups`] takes a group it has not seen: the first pass stops
 /// admitting at the first refusal (every later unseen group spills), a
@@ -362,16 +88,11 @@ pub struct HashAggOp<'a> {
 impl<'a> HashAggOp<'a> {
     pub fn new(child: PlanNode<'a>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> HashAggOp<'a> {
         let child_types = child.out_types();
-        let mut out_types: Vec<DataType> = group_by.iter().map(|&g| child_types[g]).collect();
-        out_types.extend(
-            aggs.iter()
-                .map(|a| a.func.result_type(child_types[a.input])),
-        );
         HashAggOp {
+            out_types: out_types(&child_types, &group_by, &aggs),
             child,
             group_by,
             aggs,
-            out_types,
             child_types,
             output: None,
         }
@@ -497,17 +218,14 @@ impl<'a> HashAggOp<'a> {
     fn emit(&self, groups: Groups, out: &mut Vec<Batch>, ctx: &ExecCtx<'_>) -> Result<()> {
         let Groups {
             keys,
-            mut key_cols,
+            key_cols,
             accs,
             reserved,
             ..
         } = groups;
         ctx.grant.release(reserved);
         if keys.len() > 0 {
-            for (acc, &t) in accs.into_iter().zip(&self.out_types[self.group_by.len()..]) {
-                key_cols.push(acc.finish(t)?);
-            }
-            out.push(Batch::new(key_cols));
+            out.push(finish(key_cols, accs, &self.out_types, keys.len())?);
         }
         Ok(())
     }
@@ -538,12 +256,9 @@ impl<'a> HashAggOp<'a> {
         }
 
         if out.is_empty() && self.group_by.is_empty() {
-            // Global aggregate over an empty input: one row of identities.
-            let row = self.out_types.iter().map(|&t| AggFunc::empty_value(t));
-            out.push(Batch::from_rows(
-                &self.out_types,
-                &[Row::new(row.collect())],
-            )?);
+            // Global aggregate over an empty input: one group no row reached.
+            let groups = self.groups(Admission::Unmetered)?;
+            out.push(finish(groups.key_cols, groups.accs, &self.out_types, 1)?);
         }
         Ok(out)
     }
@@ -593,51 +308,97 @@ impl Operator for HashAggOp<'_> {
     }
 }
 
-/// Streaming aggregate over input sorted by the group-by columns.
-/// Constant memory: only the current group's states are held.
+/// Streaming aggregate over input sorted by the group-by columns, in batch
+/// mode. A group starts wherever a row's key differs from the row before
+/// it — keys normalised and compared as the hash aggregate's are
+/// ([`Keys`]) — and every aggregate folds a batch into its [`Acc`] in one
+/// loop over the rows' group ids. A batch emits every group it closed; the
+/// last one stays open into the next batch. Constant memory: nothing is
+/// charged to the grant.
 pub struct StreamAggOp<'a> {
     child: PlanNode<'a>,
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
     out_types: Vec<DataType>,
     child_types: Vec<DataType>,
-    current: Option<(Key, Vec<AggState>)>,
-    pending: Vec<Row>,
+    /// `0..group_by.len()`: where `open` keeps the key.
+    key_ords: Vec<usize>,
+    /// The key of the group the last batch ended in, a row a column.
+    open: Option<Vec<ColumnVector>>,
+    /// An accumulator an aggregate, made at the first pull; between batches
+    /// they hold the open group.
+    accs: Option<Vec<Acc>>,
     done: bool,
-    saw_input: bool,
 }
 
 impl<'a> StreamAggOp<'a> {
     pub fn new(child: PlanNode<'a>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> StreamAggOp<'a> {
         let child_types = child.out_types();
-        let mut out_types: Vec<DataType> = group_by.iter().map(|&g| child_types[g]).collect();
-        out_types.extend(
-            aggs.iter()
-                .map(|a| a.func.result_type(child_types[a.input])),
-        );
         StreamAggOp {
+            out_types: out_types(&child_types, &group_by, &aggs),
+            key_ords: (0..group_by.len()).collect(),
             child,
             group_by,
             aggs,
-            out_types,
             child_types,
-            current: None,
-            pending: Vec::new(),
+            open: None,
+            accs: None,
             done: false,
-            saw_input: false,
         }
     }
 
-    fn close_current(&mut self) -> Result<()> {
-        if let Some((key, states)) = self.current.take() {
-            let mut row: Vec<Value> = Vec::with_capacity(key.len() + self.aggs.len());
-            row.extend_from_slice(key.values());
-            for (st, spec) in states.into_iter().zip(&self.aggs) {
-                row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
-            }
-            self.pending.push(Row::new(row));
+    /// Fold a batch into the open group and the groups it starts; emit
+    /// every group but the last, which stays open.
+    fn consume(&mut self, batch: &Batch) -> Result<Option<Batch>> {
+        let rows = batch.num_rows();
+        if rows == 0 {
+            return Ok(None);
         }
-        Ok(())
+        let at = (batch.columns(), self.group_by.as_slice());
+        let keys = Keys::of(at.0, at.1, rows);
+        let held = usize::from(self.open.is_some());
+        let mut key_cols = self.open.take().unwrap_or_else(|| {
+            self.group_by
+                .iter()
+                .map(|&g| ColumnVector::with_capacity(self.child_types[g], 0))
+                .collect()
+        });
+        // The first row goes on with the open group if it has its key.
+        let goes_on = held == 1 && {
+            let open = Keys::of(&key_cols, &self.key_ords, 1);
+            let same = keys.same(at, &open, (&key_cols, &self.key_ords));
+            keys.hashes[0] == open.hashes[0] && same.rows(0, 0)
+        };
+        let within = keys.same(at, &keys, at);
+        let mut first_rows = Vec::new();
+        let gids: Vec<u32> = (0..rows)
+            .map(|i| {
+                let same = match i {
+                    0 => goes_on,
+                    _ => keys.hashes[i] == keys.hashes[i - 1] && within.rows(i, i - 1),
+                };
+                if !same {
+                    first_rows.push(i);
+                }
+                (held + first_rows.len() - 1) as u32
+            })
+            .collect();
+        let groups = held + first_rows.len();
+        let accs = self.accs.as_mut().expect("made at the first pull");
+        for (acc, spec) in accs.iter_mut().zip(&self.aggs) {
+            acc.fold(batch.column(spec.input), &gids, &first_rows, groups)?;
+        }
+        for (key_col, &g) in key_cols.iter_mut().zip(&self.group_by) {
+            key_col.append(&batch.column(g).take(&first_rows))?;
+        }
+        let last = groups - 1;
+        self.open = Some(key_cols.iter_mut().map(|c| c.split_off(last)).collect());
+        let open = accs.iter_mut().map(|acc| acc.split_off(last)).collect();
+        let closed = std::mem::replace(accs, open);
+        if last == 0 {
+            return Ok(None);
+        }
+        finish(key_cols, closed, &self.out_types, last).map(Some)
     }
 }
 
@@ -647,56 +408,57 @@ impl Operator for StreamAggOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        while self.pending.is_empty() && !self.done {
-            match self.child.next(ctx)? {
-                None => {
-                    self.done = true;
-                    self.close_current()?;
-                    if !self.saw_input && self.group_by.is_empty() {
-                        // Global aggregate over empty input.
-                        let mut row = Vec::new();
-                        for spec in &self.aggs {
-                            let st = AggState::new(spec.func, self.child_types[spec.input])?;
-                            row.push(
-                                st.finish(spec.func.result_type(self.child_types[spec.input]))?,
-                            );
-                        }
-                        self.pending.push(Row::new(row));
-                    }
+        while !self.done {
+            if self.accs.is_none() {
+                let accs = self
+                    .aggs
+                    .iter()
+                    .map(|a| Acc::new(a.func, self.child_types[a.input]));
+                self.accs = Some(accs.collect::<Result<_>>()?);
+            }
+            let Some(batch) = self.child.next(ctx)? else {
+                self.done = true;
+                // The open group closes. A global aggregate over no rows is
+                // one group no row reached.
+                if self.open.is_none() && !self.group_by.is_empty() {
+                    return Ok(None);
                 }
-                Some(batch) => {
-                    for i in 0..batch.num_rows() {
-                        self.saw_input = true;
-                        let key = Key::new(
-                            self.group_by
-                                .iter()
-                                .map(|&g| batch.column(g).value(i))
-                                .collect(),
-                        );
-                        let same = self.current.as_ref().is_some_and(|(cur, _)| cur == &key);
-                        if !same {
-                            self.close_current()?;
-                            let mut states = Vec::with_capacity(self.aggs.len());
-                            for spec in &self.aggs {
-                                states
-                                    .push(AggState::new(spec.func, self.child_types[spec.input])?);
-                            }
-                            self.current = Some((key, states));
-                        }
-                        let (_, states) = self.current.as_mut().expect("set above");
-                        for (st, spec) in states.iter_mut().zip(&self.aggs) {
-                            st.update(&batch.column(spec.input).value(i))?;
-                        }
-                    }
-                }
+                let accs = self.accs.take().expect("made above");
+                let key_cols = self.open.take().unwrap_or_default();
+                return finish(key_cols, accs, &self.out_types, 1).map(Some);
+            };
+            if let Some(out) = self.consume(&batch)? {
+                return Ok(Some(out));
             }
         }
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let rows = std::mem::take(&mut self.pending);
-        Ok(Some(Batch::from_rows(&self.out_types, &rows)?))
+        Ok(None)
     }
+}
+
+/// The output types of an aggregate of `child_types`: the group-by columns,
+/// then each aggregate's result.
+fn out_types(child_types: &[DataType], group_by: &[usize], aggs: &[AggSpec]) -> Vec<DataType> {
+    let keys = group_by.iter().map(|&g| child_types[g]);
+    keys.chain(
+        aggs.iter()
+            .map(|a| a.func.result_type(child_types[a.input])),
+    )
+    .collect()
+}
+
+/// A batch of `groups` groups: their `key_cols`, then each aggregate's
+/// column, finished from `accs` as the last of `out_types`.
+fn finish(
+    mut key_cols: Vec<ColumnVector>,
+    accs: Vec<Acc>,
+    out_types: &[DataType],
+    groups: usize,
+) -> Result<Batch> {
+    let agg_types = &out_types[out_types.len() - accs.len()..];
+    for (acc, &t) in accs.into_iter().zip(agg_types) {
+        key_cols.push(acc.finish(t, groups)?);
+    }
+    Ok(Batch::new(key_cols))
 }
 
 /// Covered-aggregate pushdown: a *leaf* operator that folds global

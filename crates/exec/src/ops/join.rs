@@ -1,11 +1,10 @@
-//! Join operators: hash join (grace spill), merge join (sorted inputs,
-//! streaming), nested-loop join, and index-lookup join (the "index seek +
-//! nested loops" pattern of the paper's hybrid plans, §5.3).
+//! Join operators: hash join (grace spill) and index-lookup join (the
+//! "index seek + nested loops" pattern of the paper's hybrid plans, §5.3).
 
 use std::ops::Bound;
 
 use hpd_btree::BTree;
-use hpd_common::{codec, Batch, ColumnVector, DataType, Expr, HpdError, Key, Result, Row, Value};
+use hpd_common::{codec, Batch, ColumnVector, DataType, HpdError, Key, Result, Value};
 
 use crate::ctx::ExecCtx;
 use crate::ops::hash::{key_class, Keys, Spilled, Table};
@@ -13,13 +12,6 @@ use crate::ops::{Operator, PlanNode};
 
 /// Bytes charged per build-side hash table entry beyond the row payload.
 const HASH_ENTRY_OVERHEAD: usize = 48;
-
-fn concat_rows(left: &Row, right: &Row) -> Row {
-    let mut vals: Vec<Value> = Vec::with_capacity(left.len() + right.len());
-    vals.extend_from_slice(left.values());
-    vals.extend_from_slice(right.values());
-    Row::new(vals)
-}
 
 /// A child of a two-input operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,200 +278,6 @@ impl Operator for HashJoinOp<'_> {
             self.output = Some(batches.into_iter());
         }
         Ok(self.output.as_mut().expect("initialized above").next())
-    }
-}
-
-/// Streaming merge join over inputs sorted ascending on their join keys.
-/// Only the current duplicate group of each side is buffered.
-pub struct MergeJoinOp<'a> {
-    left: RowFeed<'a>,
-    right: RowFeed<'a>,
-    keys: Vec<(usize, usize)>,
-    types: Vec<DataType>,
-    pending: Vec<Row>,
-    done: bool,
-}
-
-/// Pull-side adapter turning batches into a row stream with lookahead.
-struct RowFeed<'a> {
-    child: PlanNode<'a>,
-    buf: std::collections::VecDeque<Row>,
-    exhausted: bool,
-}
-
-impl<'a> RowFeed<'a> {
-    fn new(child: PlanNode<'a>) -> RowFeed<'a> {
-        RowFeed {
-            child,
-            buf: std::collections::VecDeque::new(),
-            exhausted: false,
-        }
-    }
-
-    fn peek(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<&Row>> {
-        while self.buf.is_empty() && !self.exhausted {
-            match self.child.next(ctx)? {
-                None => self.exhausted = true,
-                Some(b) => self.buf.extend(b.to_rows()),
-            }
-        }
-        Ok(self.buf.front())
-    }
-
-    fn pop(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        self.peek(ctx)?;
-        Ok(self.buf.pop_front())
-    }
-
-    /// Pop every leading row whose key equals `key`.
-    fn pop_group(&mut self, key: &Key, ords: &[usize], ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
-        let mut group = Vec::new();
-        while let Some(row) = self.peek(ctx)? {
-            if &row.key(ords) != key {
-                break;
-            }
-            group.push(self.pop(ctx)?.expect("peeked"));
-        }
-        Ok(group)
-    }
-}
-
-impl<'a> MergeJoinOp<'a> {
-    pub fn new(
-        left: PlanNode<'a>,
-        right: PlanNode<'a>,
-        keys: Vec<(usize, usize)>,
-    ) -> MergeJoinOp<'a> {
-        let mut types = left.out_types();
-        types.extend(right.out_types());
-        MergeJoinOp {
-            left: RowFeed::new(left),
-            right: RowFeed::new(right),
-            keys,
-            types,
-            pending: Vec::new(),
-            done: false,
-        }
-    }
-}
-
-impl Operator for MergeJoinOp<'_> {
-    fn out_types(&self) -> Vec<DataType> {
-        self.types.clone()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        let lk: Vec<usize> = self.keys.iter().map(|&(l, _)| l).collect();
-        let rk: Vec<usize> = self.keys.iter().map(|&(_, r)| r).collect();
-        while self.pending.is_empty() && !self.done {
-            let (Some(l), Some(r)) = ({
-                // Split borrows: peek both sides.
-                let l = self.left.peek(ctx)?.cloned();
-                let r = self.right.peek(ctx)?.cloned();
-                (l, r)
-            }) else {
-                self.done = true;
-                break;
-            };
-            let (lkey, rkey) = (l.key(&lk), r.key(&rk));
-            match lkey.cmp(&rkey) {
-                std::cmp::Ordering::Less => {
-                    self.left.pop(ctx)?;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.right.pop(ctx)?;
-                }
-                std::cmp::Ordering::Equal => {
-                    let lgroup = self.left.pop_group(&lkey, &lk, ctx)?;
-                    let rgroup = self.right.pop_group(&rkey, &rk, ctx)?;
-                    for a in &lgroup {
-                        for b in &rgroup {
-                            self.pending.push(concat_rows(a, b));
-                        }
-                    }
-                }
-            }
-        }
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let rows = std::mem::take(&mut self.pending);
-        Ok(Some(Batch::from_rows(&self.types, &rows)?))
-    }
-}
-
-/// Nested-loop join with an arbitrary residual predicate evaluated over the
-/// concatenated row (`left ++ right` ordinals). The right side is
-/// materialized once.
-pub struct NestedLoopJoinOp<'a> {
-    left: PlanNode<'a>,
-    right: PlanNode<'a>,
-    predicate: Option<Expr>,
-    types: Vec<DataType>,
-    inner: Option<Vec<Row>>,
-    pending: Vec<Row>,
-    done: bool,
-}
-
-impl<'a> NestedLoopJoinOp<'a> {
-    pub fn new(
-        left: PlanNode<'a>,
-        right: PlanNode<'a>,
-        predicate: Option<Expr>,
-    ) -> NestedLoopJoinOp<'a> {
-        let mut types = left.out_types();
-        types.extend(right.out_types());
-        NestedLoopJoinOp {
-            left,
-            right,
-            predicate,
-            types,
-            inner: None,
-            pending: Vec::new(),
-            done: false,
-        }
-    }
-}
-
-impl Operator for NestedLoopJoinOp<'_> {
-    fn out_types(&self) -> Vec<DataType> {
-        self.types.clone()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if self.inner.is_none() {
-            let mut rows = Vec::new();
-            while let Some(b) = self.right.next(ctx)? {
-                rows.extend(b.to_rows());
-            }
-            self.inner = Some(rows);
-        }
-        let inner = self.inner.as_ref().expect("materialized above");
-        while self.pending.is_empty() && !self.done {
-            match self.left.next(ctx)? {
-                None => self.done = true,
-                Some(batch) => {
-                    for i in 0..batch.num_rows() {
-                        let l = batch.row(i);
-                        for r in inner {
-                            let joined = concat_rows(&l, r);
-                            let keep = match &self.predicate {
-                                Some(p) => p.eval_bool_row(&joined)?,
-                                None => true,
-                            };
-                            if keep {
-                                self.pending.push(joined);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let rows = std::mem::take(&mut self.pending);
-        Ok(Some(Batch::from_rows(&self.types, &rows)?))
     }
 }
 

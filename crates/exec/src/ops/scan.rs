@@ -6,7 +6,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use hpd_btree::{BTree, Cursor};
-use hpd_columnstore::ColumnStoreIndex;
+use hpd_columnstore::{ColumnStoreIndex, CsiScan};
 use hpd_common::{Batch, DataType, Interval, Key, Result, Row};
 
 use crate::ctx::ExecCtx;
@@ -121,17 +121,10 @@ impl Operator for BTreeRangeScanOp<'_> {
 
 /// Batch-mode scan over a columnstore index: a subset of row groups (for
 /// parallel partitioning) plus optionally the delta store, with segment
-/// elimination and delete handling.
+/// elimination and delete handling — a [`CsiScan`] pulled a batch at a time.
 pub struct CsiScanOp<'a> {
-    index: &'a ColumnStoreIndex,
-    rowgroups: std::vec::IntoIter<usize>,
-    projection: Vec<usize>,
+    scan: CsiScan<'a>,
     types: Vec<DataType>,
-    intervals: HashMap<usize, Interval>,
-    probe: Option<Arc<HashSet<Key>>>,
-    probe_built: bool,
-    include_delta: bool,
-    delta_done: bool,
 }
 
 impl<'a> CsiScanOp<'a> {
@@ -147,8 +140,8 @@ impl<'a> CsiScanOp<'a> {
     }
 
     /// Scan a specific row-group subset — the unit of parallel partitioning.
-    /// A shared probe must be supplied when the index has buffered deletes
-    /// (pass the result of [`ColumnStoreIndex::antijoin_probe`]).
+    /// A shared probe (the result of [`ColumnStoreIndex::antijoin_probe`])
+    /// saves each scan building its own on first pull.
     pub fn over_rowgroups(
         index: &'a ColumnStoreIndex,
         rowgroups: Vec<usize>,
@@ -161,17 +154,9 @@ impl<'a> CsiScanOp<'a> {
             .iter()
             .map(|&c| index.schema().column(c).dtype)
             .collect();
-        let probe_built = probe.is_some();
         CsiScanOp {
-            index,
-            rowgroups: rowgroups.into_iter(),
-            projection,
+            scan: index.scan_rowgroups(rowgroups, projection, intervals, include_delta, probe),
             types,
-            intervals,
-            probe,
-            probe_built,
-            include_delta,
-            delta_done: false,
         }
     }
 }
@@ -182,37 +167,7 @@ impl Operator for CsiScanOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if !self.probe_built {
-            self.probe_built = true;
-            self.probe = self
-                .index
-                .antijoin_probe(ctx.pool, &ctx.tracker)
-                .map(Arc::new);
-        }
-        for rg in self.rowgroups.by_ref() {
-            if let Some(batch) = self.index.scan_rowgroup(
-                rg,
-                &self.projection,
-                &self.intervals,
-                self.probe.as_deref(),
-                ctx.pool,
-                &ctx.tracker,
-            ) {
-                return Ok(Some(batch));
-            }
-        }
-        if self.include_delta && !self.delta_done {
-            self.delta_done = true;
-            if self.index.delta_rows() > 0 {
-                return Ok(Some(self.index.scan_delta(
-                    &self.projection,
-                    &self.intervals,
-                    ctx.pool,
-                    &ctx.tracker,
-                )));
-            }
-        }
-        Ok(None)
+        Ok(self.scan.next_batch(ctx.pool, &ctx.tracker))
     }
 }
 

@@ -12,8 +12,8 @@ use hpd_common::{
 use hpd_exec::ops::sort::SortKey;
 use hpd_exec::{
     collect_rows, AggSpec, BTreeRangeScanOp, CsiScanOp, ExecCtx, FilterOp, HashAggOp, HashJoinOp,
-    IndexLookupJoinOp, LimitOp, MergeJoinOp, Mode, NestedLoopJoinOp, Operator, ParallelOp,
-    ProjectOp, SortOp, StreamAggOp, ValuesOp,
+    IndexLookupJoinOp, LimitOp, Mode, Operator, ParallelOp, ProjectOp, SortOp, StreamAggOp,
+    ValuesOp,
 };
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
@@ -280,43 +280,6 @@ fn hash_join_spills_and_stays_correct() {
 }
 
 #[test]
-fn merge_join_with_duplicates() {
-    let mut left: Vec<(i32, i32)> = vec![(1, 10), (2, 20), (2, 21), (5, 50)];
-    let mut right: Vec<(i32, i32)> = vec![(2, 200), (2, 201), (3, 300), (5, 500)];
-    left.sort();
-    right.sort();
-    let p = pool();
-    let ctx = ExecCtx::new(&p);
-    let mut op = MergeJoinOp::new(values_op(&left), values_op(&right), vec![(0, 0)]);
-    let mut rows = collect_rows(&mut op, &ctx).unwrap();
-    rows.sort();
-    // 2×2 for key 2, 1 for key 5.
-    assert_eq!(rows.len(), 5);
-
-    // Cross-check against hash join.
-    let mut hj = HashJoinOp::new(values_op(&left), values_op(&right), vec![(0, 0)]);
-    let mut expected = collect_rows(&mut hj, &ctx).unwrap();
-    expected.sort();
-    assert_eq!(rows, expected);
-}
-
-#[test]
-fn nested_loop_join_theta() {
-    let left = [(1, 0), (5, 0)];
-    let right = [(3, 0), (7, 0)];
-    let p = pool();
-    let ctx = ExecCtx::new(&p);
-    // join condition: left.col0 < right.col0 (ordinal 2 after concat)
-    let mut op = NestedLoopJoinOp::new(
-        values_op(&left),
-        values_op(&right),
-        Some(Expr::cmp(CmpOp::Lt, Expr::Col(0), Expr::Col(2))),
-    );
-    let rows = collect_rows(&mut op, &ctx).unwrap();
-    assert_eq!(rows.len(), 3); // (1,3),(1,7),(5,7)
-}
-
-#[test]
 fn index_lookup_join_seeks_per_outer_row() {
     // Build a primary B+ tree keyed on col0 with duplicate keys.
     let p = BufferPool::unbounded(DeviceProfile::hdd_raid());
@@ -522,23 +485,5 @@ proptest! {
         let mut expected: Vec<i32> = data.iter().map(|d| d.0).collect();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn prop_merge_join_equals_hash_join(
-        mut left in prop::collection::vec((0i32..30, 0i32..1000), 0..80),
-        mut right in prop::collection::vec((0i32..30, 0i32..1000), 0..80),
-    ) {
-        left.sort();
-        right.sort();
-        let p = pool();
-        let ctx = ExecCtx::new(&p);
-        let mut mj = MergeJoinOp::new(values_op(&left), values_op(&right), vec![(0, 0)]);
-        let mut m = collect_rows(&mut mj, &ctx).unwrap();
-        let mut hj = HashJoinOp::new(values_op(&left), values_op(&right), vec![(0, 0)]);
-        let mut h = collect_rows(&mut hj, &ctx).unwrap();
-        m.sort();
-        h.sort();
-        prop_assert_eq!(m, h);
     }
 }

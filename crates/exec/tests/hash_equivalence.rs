@@ -1,12 +1,14 @@
-//! The batch-mode hash join and hash aggregate against the row-at-a-time
-//! operators they replaced, kept here as `mod reference`: random inputs over
-//! all six types — floats with both zeros, two NaNs and both infinities,
-//! strings sharing prefixes, the integer extremes — 0–3 key columns, heavy
-//! duplicates, an empty side, every aggregate function, batches of 1 / 7 /
-//! 4096 rows, either build side, grants from nothing through "one row
-//! short" to unbounded. The same multiset of rows (or the same error), the
-//! same bytes spilled, the same spill events, the same high-water mark of
-//! the grant, and no spill file left open.
+//! The batch-mode hash join, hash aggregate and stream aggregate against the
+//! row-at-a-time operators they replaced, kept here as `mod reference`:
+//! random inputs over all six types — floats with both zeros, two NaNs and
+//! both infinities, strings sharing prefixes, the integer extremes — 0–3 key
+//! columns, heavy duplicates, an empty side, every aggregate function,
+//! batches of 1 / 7 / 4096 rows, either build side, grants from nothing
+//! through "one row short" to unbounded. The same multiset of rows (or the
+//! same error), the same bytes spilled, the same spill events, the same
+//! high-water mark of the grant, and no spill file left open. The stream
+//! aggregate, fed input sorted on its group-by, must give the same rows in
+//! the same order without touching the grant.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,15 +16,16 @@ use std::sync::Arc;
 use hpd_common::{AggFunc, Batch, DataType, Result, Row, Value};
 use hpd_exec::{
     collect_rows, AggSpec, ExecCtx, HashAggOp, HashJoinOp, JoinSide, OpStats, Operator, ProfiledOp,
-    ProjectOp, ValuesOp,
+    ProjectOp, StreamAggOp, ValuesOp,
 };
 use hpd_storage::{BufferPool, DeviceProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The operators as they were before they went batch-mode: one `Row`, one
-/// `Key` and one SipHash per input row. Unchanged but for their names, a
-/// re-spill counter, and `AggState` living here with them.
+/// `Key` and one SipHash (the stream aggregate: one `Key`) per input row.
+/// Unchanged but for their names, a re-spill counter, and `AggState` living
+/// here with them.
 mod reference {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -468,6 +471,114 @@ mod reference {
             Ok(self.output.as_mut().expect("initialized above").next())
         }
     }
+
+    /// Streaming aggregate over input sorted by the group-by columns: one
+    /// `Key` a row, and only the current group's states held.
+    pub struct StreamAgg<'a> {
+        child: PlanNode<'a>,
+        group_by: Vec<usize>,
+        aggs: Vec<AggSpec>,
+        out_types: Vec<DataType>,
+        child_types: Vec<DataType>,
+        current: Option<(Key, Vec<AggState>)>,
+        pending: Vec<Row>,
+        done: bool,
+        saw_input: bool,
+    }
+
+    impl<'a> StreamAgg<'a> {
+        pub fn new(child: PlanNode<'a>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> StreamAgg<'a> {
+            let child_types = child.out_types();
+            let mut out_types: Vec<DataType> = group_by.iter().map(|&g| child_types[g]).collect();
+            out_types.extend(
+                aggs.iter()
+                    .map(|a| a.func.result_type(child_types[a.input])),
+            );
+            StreamAgg {
+                child,
+                group_by,
+                aggs,
+                out_types,
+                child_types,
+                current: None,
+                pending: Vec::new(),
+                done: false,
+                saw_input: false,
+            }
+        }
+
+        fn close_current(&mut self) -> Result<()> {
+            if let Some((key, states)) = self.current.take() {
+                let mut row: Vec<Value> = Vec::with_capacity(key.len() + self.aggs.len());
+                row.extend_from_slice(key.values());
+                for (st, spec) in states.into_iter().zip(&self.aggs) {
+                    row.push(st.finish(spec.func.result_type(self.child_types[spec.input]))?);
+                }
+                self.pending.push(Row::new(row));
+            }
+            Ok(())
+        }
+    }
+
+    impl Operator for StreamAgg<'_> {
+        fn out_types(&self) -> Vec<DataType> {
+            self.out_types.clone()
+        }
+
+        fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
+            while self.pending.is_empty() && !self.done {
+                match self.child.next(ctx)? {
+                    None => {
+                        self.done = true;
+                        self.close_current()?;
+                        if !self.saw_input && self.group_by.is_empty() {
+                            // Global aggregate over empty input.
+                            let mut row = Vec::new();
+                            for spec in &self.aggs {
+                                let st = AggState::new(spec.func, self.child_types[spec.input])?;
+                                row.push(
+                                    st.finish(spec.func.result_type(self.child_types[spec.input]))?,
+                                );
+                            }
+                            self.pending.push(Row::new(row));
+                        }
+                    }
+                    Some(batch) => {
+                        for i in 0..batch.num_rows() {
+                            self.saw_input = true;
+                            let key = Key::new(
+                                self.group_by
+                                    .iter()
+                                    .map(|&g| batch.column(g).value(i))
+                                    .collect(),
+                            );
+                            let same = self.current.as_ref().is_some_and(|(cur, _)| cur == &key);
+                            if !same {
+                                self.close_current()?;
+                                let mut states = Vec::with_capacity(self.aggs.len());
+                                for spec in &self.aggs {
+                                    states.push(AggState::new(
+                                        spec.func,
+                                        self.child_types[spec.input],
+                                    )?);
+                                }
+                                self.current = Some((key, states));
+                            }
+                            let (_, states) = self.current.as_mut().expect("set above");
+                            for (st, spec) in states.iter_mut().zip(&self.aggs) {
+                                st.update(&batch.column(spec.input).value(i))?;
+                            }
+                        }
+                    }
+                }
+            }
+            if self.pending.is_empty() {
+                return Ok(None);
+            }
+            let rows = std::mem::take(&mut self.pending);
+            Ok(Some(Batch::from_rows(&self.out_types, &rows)?))
+        }
+    }
 }
 
 const TYPES: [DataType; 6] = [
@@ -803,4 +914,124 @@ fn hash_aggregate_equals_the_row_at_a_time_aggregate() {
         overflows * 100 >= cases() as usize,
         "{overflows} SUM overflows"
     );
+}
+
+#[test]
+fn stream_aggregate_equals_the_row_at_a_time_stream_aggregate() {
+    let pool = BufferPool::unbounded(DeviceProfile::ssd());
+    // Cases with no input and no group-by, with no input and a group-by,
+    // and with a group whose rows span two batches.
+    let mut seen = [0usize; 3];
+    let mut overflows = 0;
+    for case in 0..cases() {
+        let rng = &mut StdRng::seed_from_u64(case ^ 0x57_4EA3);
+        let types: Vec<DataType> = (0..rng.gen_range(1..=5))
+            .map(|_| TYPES[rng.gen_range(0..6usize)])
+            .collect();
+        let group_by: Vec<usize> = (0..rng.gen_range(0..=3usize))
+            .map(|_| rng.gen_range(0..types.len()))
+            .collect();
+        let fewest = usize::from(group_by.is_empty());
+        let aggs: Vec<AggSpec> = (0..rng.gen_range(fewest..=3))
+            .map(|_| {
+                let input = rng.gen_range(0..types.len());
+                let funcs: &[AggFunc] = match types[input] {
+                    DataType::Utf8 => &[AggFunc::Count, AggFunc::Min, AggFunc::Max],
+                    _ => &[
+                        AggFunc::Count,
+                        AggFunc::Sum,
+                        AggFunc::Min,
+                        AggFunc::Max,
+                        AggFunc::Avg,
+                    ],
+                };
+                AggSpec::new(funcs[rng.gen_range(0..funcs.len())], input)
+            })
+            .collect();
+        let spread = [2, 6, 12, 40][rng.gen_range(0..4usize)];
+        let n = match rng.gen_range(0..10) {
+            0 | 1 => 0,
+            2 => 1,
+            // Past one batch of 4096.
+            3 => rng.gen_range(4_000..9_000usize),
+            _ => rng.gen_range(2..300usize),
+        };
+        // Sorted on the group-by columns as `Value` orders them (both
+        // zeros and every NaN apart); a stable sort keeps each group's rows
+        // in the order a float sum adds them.
+        let mut input = rows(rng, &types, n, spread);
+        input.sort_by_key(|r| r.key(&group_by));
+        let batch = batch_rows(rng);
+
+        // No grant at all: a streaming aggregate never asks for one.
+        let drain = |op: &mut dyn Operator| {
+            let ctx = ExecCtx::with_grant(&pool, 0);
+            let rows = collect_rows(op, &ctx).map_err(|e| e.to_string());
+            assert_eq!(
+                ctx.grant.peak_bytes(),
+                0,
+                "case {case}: the grant was charged"
+            );
+            rows
+        };
+        let got = drain(&mut StreamAggOp::new(
+            source(&types, &input, batch),
+            group_by.clone(),
+            aggs.clone(),
+        ));
+        let want = drain(&mut reference::StreamAgg::new(
+            source(&types, &input, batch),
+            group_by.clone(),
+            aggs.clone(),
+        ));
+        assert_eq!(
+            got, want,
+            "case {case}: {types:?} group by {group_by:?} {aggs:?}, {n} rows in batches of {batch}"
+        );
+        overflows += usize::from(matches!(&want, Err(e) if e.contains("SUM overflow")));
+        seen[0] += usize::from(n == 0 && group_by.is_empty());
+        seen[1] += usize::from(n == 0 && !group_by.is_empty());
+        seen[2] += usize::from(
+            (batch..n)
+                .step_by(batch)
+                .any(|i| input[i - 1].key(&group_by) == input[i].key(&group_by)),
+        );
+    }
+    assert!(
+        seen.iter().all(|&n| n * 40 >= cases() as usize),
+        "empty global / empty grouped / group across batches cases: {seen:?}"
+    );
+    assert!(
+        overflows * 100 >= cases() as usize,
+        "{overflows} SUM overflows"
+    );
+}
+
+/// `SUM` over a string column is refused by the accumulator both
+/// aggregates fold into — with a group-by and no input rows too, where the
+/// row-at-a-time stream aggregate never built a state and answered nothing.
+#[test]
+fn a_grouped_sum_over_strings_errors_alike_in_both_aggregates() {
+    let pool = BufferPool::unbounded(DeviceProfile::ssd());
+    let types = [DataType::Int32, DataType::Utf8];
+    for n in [0, 3] {
+        let input = rows(&mut StdRng::seed_from_u64(n), &types, n as usize, 2);
+        let aggs = vec![AggSpec::new(AggFunc::Sum, 1)];
+        let (hash, _) = run(&pool, usize::MAX >> 2, false, || {
+            Box::new(HashAggOp::new(
+                source(&types, &input, 7),
+                vec![0],
+                aggs.clone(),
+            ))
+        });
+        let (stream, _) = run(&pool, usize::MAX >> 2, false, || {
+            Box::new(StreamAggOp::new(
+                source(&types, &input, 7),
+                vec![0],
+                aggs.clone(),
+            ))
+        });
+        assert_eq!(hash, Err("invalid query: SUM over a string column".into()));
+        assert_eq!(stream, hash, "{n} rows");
+    }
 }

@@ -7,8 +7,8 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpd_common::{HpdError, Value};
-use hpd_engine::{Database, DbConfig, IndexDescriptor, IsolationLevel};
+use hpd_common::{HpdError, Row, Value};
+use hpd_engine::{Database, DbConfig, IndexDescriptor, IsolationLevel, Statement};
 use hpd_sql::{bind, parse, Bound, PlanCache, SqlOutput, SqlSession};
 use hpd_workloads::tpch::{load_lineitem, q5_scan_range, MixedDesign};
 
@@ -430,6 +430,64 @@ fn a_snapshot_spans_drop_index() {
         matches!(lost, Err(HpdError::SerializationFailure(_))),
         "the row changed after the snapshot began: {lost:?}"
     );
+}
+
+/// A join that seeks the inner table's index once an outer row reads that
+/// table as of the snapshot too: a row another session rewrote keeps its
+/// old value, and the inner rows still come in key order.
+#[test]
+fn a_snapshot_reads_through_an_index_nested_loop_join() {
+    let db = Database::new(DbConfig::default());
+    let mut writer = SqlSession::new(&db);
+    writer
+        .execute(
+            "CREATE TABLE d (id INT PRIMARY KEY, v INT);
+             CREATE TABLE f (k INT PRIMARY KEY, fk INT, x INT)",
+        )
+        .expect("ddl");
+    let rows = |n: i32, row: fn(i32) -> Vec<Value>| (0..n).map(|i| Row::new(row(i))).collect();
+    db.load_table(
+        "d",
+        rows(20_000, |i| vec![Value::Int32(i), Value::Int32(i * 10)]),
+    )
+    .expect("load d");
+    db.load_table("f", rows(8, |k| [k, k * 7, k].map(Value::Int32).to_vec()))
+        .expect("load f");
+    let sql = "SELECT f.k, d.v FROM f JOIN d ON f.fk = d.id WHERE f.x < 4 ORDER BY 1";
+    let Ok(Bound::Stmt(Statement::Select(query))) = bind(&db, &parse(sql).unwrap(), &[]) else {
+        panic!("the join must bind to a select");
+    };
+    let plan = db.plan(&query).unwrap().explain();
+    assert!(plan.contains("IndexNLJoin inner=d idx#0"), "{plan}");
+
+    let mut reader = SqlSession::new(&db);
+    reader
+        .execute("SET ISOLATION SNAPSHOT; BEGIN")
+        .expect("begin");
+    let read = |s: &mut SqlSession<'_>| {
+        let SqlOutput::Rows { rows, .. } = s.execute_one(sql).unwrap() else {
+            panic!("expected rows");
+        };
+        rows
+    };
+    let before = read(&mut reader);
+    let v = |k: i32| vec![Value::Int32(k), Value::Int32(k * 70)];
+    let want: Vec<Vec<Value>> = (0..4).map(v).collect();
+    assert_eq!(
+        before
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect::<Vec<_>>(),
+        want
+    );
+    writer
+        .execute_one("UPDATE d SET v = -1 WHERE id = 14")
+        .expect("another session's write");
+    assert_eq!(read(&mut reader), before, "the snapshot's repeated read");
+    reader
+        .execute_one("COMMIT")
+        .expect("a read-only snapshot commits");
+    assert_eq!(read(&mut reader)[2].values()[1], Value::Int32(-1));
 }
 
 #[test]

@@ -1185,51 +1185,6 @@ impl ColumnStoreIndex {
         Some((sel, fell_back))
     }
 
-    /// Scan one row group with predicate pushdown and late materialization:
-    /// every interval is evaluated **on the encoded segments** (falling back
-    /// to materialized-value comparison only for untranslatable bound
-    /// types), AND-ed into a packed selection bitmap seeded from the delete
-    /// bitmap, and only the projected columns at *surviving* positions are
-    /// decoded. Returns `None` if the row group was eliminated or no row
-    /// survived. The output satisfies all `intervals` exactly, so a planner
-    /// whose predicate is fully covered by them needs no residual filter.
-    pub fn scan_rowgroup(
-        &self,
-        rg_idx: usize,
-        projection: &[usize],
-        intervals: &HashMap<usize, Interval>,
-        antijoin: Option<&HashSet<Key>>,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Option<Batch> {
-        let (sel, _) =
-            self.rowgroup_selection(rg_idx, projection, intervals, antijoin, pool, tracker)?;
-        let rg = &self.row_groups[rg_idx];
-        let selected = sel.count();
-        if selected == 0 {
-            return None;
-        }
-        // Late materialization: decode projected columns at surviving
-        // positions only. Full survivals go through the decoded-segment
-        // cache; sparse ones gather (reusing a cached decode when present).
-        let full = selected == rg.rows();
-        let positions = if full { Vec::new() } else { sel.positions() };
-        let columns: Vec<ColumnVector> = projection
-            .iter()
-            .map(|&c| {
-                let seg = rg.segment(c);
-                if full {
-                    (*self.cache.get_or_decode(rg_idx, c, seg)).clone()
-                } else if let Some(dec) = self.cache.peek(rg_idx, c) {
-                    dec.take(&positions)
-                } else {
-                    seg.gather(&positions)
-                }
-            })
-            .collect();
-        Some(Batch::new(columns))
-    }
-
     /// Scan the delta store, applying the same pushed-down intervals as the
     /// compressed scan (delta rows are uncompressed, so this is a plain
     /// value comparison). The delete buffer does *not* apply here: deletes
@@ -1443,6 +1398,7 @@ impl ColumnStoreIndex {
             probed: probe.is_some(),
             antijoin: probe,
             delta,
+            fill_cache: true,
         }
     }
 
@@ -1476,9 +1432,23 @@ pub struct CsiScan<'a> {
     antijoin: Option<Arc<HashSet<Key>>>,
     /// Whether the delta store is still to be scanned.
     delta: bool,
+    /// Whether a whole row group's decode is kept in the decoded-segment
+    /// cache.
+    fill_cache: bool,
 }
 
-impl CsiScan<'_> {
+impl<'a> CsiScan<'a> {
+    /// This scan as a pass that reads every segment once (a checkpoint, an
+    /// index build, statistics): it reuses a cached decode and keeps none of
+    /// its own, so it neither evicts what repeated scans keep in the cache
+    /// nor leaves the whole index decoded there.
+    pub fn once(self) -> CsiScan<'a> {
+        CsiScan {
+            fill_cache: false,
+            ..self
+        }
+    }
+
     /// Next batch (one per surviving row group, then one for the delta).
     /// `None` when exhausted. Eliminated row groups are skipped silently.
     pub fn next_batch(&mut self, pool: &BufferPool, tracker: &IoTracker) -> Option<Batch> {
@@ -1486,15 +1456,8 @@ impl CsiScan<'_> {
             self.probed = true;
             self.antijoin = self.index.antijoin_probe(pool, tracker).map(Arc::new);
         }
-        for rg in self.rowgroups.by_ref() {
-            if let Some(batch) = self.index.scan_rowgroup(
-                rg,
-                &self.projection,
-                &self.intervals,
-                self.antijoin.as_deref(),
-                pool,
-                tracker,
-            ) {
+        while let Some(rg) = self.rowgroups.next() {
+            if let Some(batch) = self.scan_rowgroup(rg, pool, tracker) {
                 return Some(batch);
             }
         }
@@ -1505,5 +1468,56 @@ impl CsiScan<'_> {
             );
         }
         None
+    }
+
+    /// Scan one row group with predicate pushdown and late materialization:
+    /// every interval is evaluated **on the encoded segments** (falling back
+    /// to materialized-value comparison only for untranslatable bound
+    /// types), AND-ed into a packed selection bitmap seeded from the delete
+    /// bitmap, and only the projected columns at *surviving* positions are
+    /// decoded. Returns `None` if the row group was eliminated or no row
+    /// survived. The output satisfies all `intervals` exactly, so a planner
+    /// whose predicate is fully covered by them needs no residual filter.
+    fn scan_rowgroup(
+        &self,
+        rg_idx: usize,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Option<Batch> {
+        let index = self.index;
+        let (sel, _) = index.rowgroup_selection(
+            rg_idx,
+            &self.projection,
+            &self.intervals,
+            self.antijoin.as_deref(),
+            pool,
+            tracker,
+        )?;
+        let rg = &index.row_groups[rg_idx];
+        let selected = sel.count();
+        if selected == 0 {
+            return None;
+        }
+        // Late materialization: decode projected columns at surviving
+        // positions only. Full survivals go through the decoded-segment
+        // cache (unless the scan is `once`); sparse ones gather. Either
+        // reuses a cached decode when present.
+        let full = selected == rg.rows();
+        let positions = if full { Vec::new() } else { sel.positions() };
+        let columns: Vec<ColumnVector> = (self.projection.iter())
+            .map(|&c| {
+                let seg = rg.segment(c);
+                if full && self.fill_cache {
+                    return (*index.cache.get_or_decode(rg_idx, c, seg)).clone();
+                }
+                match (index.cache.peek(rg_idx, c), full) {
+                    (Some(dec), true) => (*dec).clone(),
+                    (Some(dec), false) => dec.take(&positions),
+                    (None, true) => seg.decode(),
+                    (None, false) => seg.gather(&positions),
+                }
+            })
+            .collect();
+        Some(Batch::new(columns))
     }
 }

@@ -104,6 +104,25 @@ fn heat_tracks_reads_prunes_writes_and_decays() {
 }
 
 #[test]
+fn a_once_scan_reads_what_a_scan_does_and_caches_nothing() {
+    let (idx, pool, t) = setup(CsiKind::Primary, 1_000);
+    let drain = |once: bool| {
+        let scan = idx.begin_scan(vec![0, 1], HashMap::new(), &pool, &t);
+        let mut scan = if once { scan.once() } else { scan };
+        std::iter::from_fn(|| scan.next_batch(&pool, &t)).collect::<Vec<_>>()
+    };
+    let read_once = drain(true);
+    assert_eq!(idx.decoded_cache_bytes_used(), 0);
+    let read = drain(false);
+    let cached = idx.decoded_cache_bytes_used();
+    assert!(cached > 0);
+    assert_eq!(format!("{read_once:?}"), format!("{read:?}"));
+    // Over a warm cache it reads the cached decodes and adds none.
+    assert_eq!(format!("{:?}", drain(true)), format!("{read:?}"));
+    assert_eq!(idx.decoded_cache_bytes_used(), cached);
+}
+
+#[test]
 fn build_splits_into_rowgroups() {
     let (idx, _, _) = setup(CsiKind::Primary, 1000);
     assert_eq!(idx.num_rowgroups(), 10);

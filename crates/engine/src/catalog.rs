@@ -10,7 +10,7 @@ use hpd_columnstore::CsiConfig;
 use hpd_common::{faults, HpdError, Key, PartitionSpec, Result, Row, Schema, Value};
 use hpd_exec::{ExecMetrics, GrantBroker, WorkerPool};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
-use hpd_wal::{EncodedRows, ImageWriter, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
+use hpd_wal::{EncodedRows, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
 use parking_lot::{Mutex, RwLock};
 
 use crate::apply::{apply_write, RowChange};
@@ -542,11 +542,10 @@ impl Database {
             // ignored by redo.
             return Err(HpdError::Crashed(faults::sites::CRASH_IN_CHECKPOINT.into()));
         }
-        // The image is written table by table into the buffer of the image
+        // The image is written table by table into the segments of the image
         // the last checkpoint retired; each table's rows are copied in as its
         // primary index lends them, already encoded.
-        let mut image =
-            ImageWriter::new(self.wal.take_spare_image(), begin_lsn, self.txns.ts_hwm());
+        let mut image = self.wal.image_writer(begin_lsn, self.txns.ts_hwm());
         for slot in &slots {
             // One read lock spans the redo boundary and the rows it bounds.
             let table = slot.table.read();
@@ -571,8 +570,7 @@ impl Database {
             });
         }
         let table_count = slots.len();
-        self.wal
-            .install_checkpoint(image.finish(), begin_lsn, &tracker);
+        self.wal.install_checkpoint(image, &tracker);
         self.wal.append(&LogRecord::CheckpointEnd);
         self.wal.flush(&tracker);
         let m = hpd_obs::global();

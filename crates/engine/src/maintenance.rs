@@ -223,7 +223,11 @@ fn maintenance_increment(
             faults::sites::CRASH_IN_MAINTENANCE.into(),
         ));
     }
-    if db.wal.enabled() && (step.rows_moved > 0 || step.deletes_compacted > 0) {
+    // Any work is logged, a merge-only increment included: redo re-runs the
+    // increment with the same budget, and a step it never sees leaves the
+    // recovered row groups unmerged.
+    let worked = step.rows_moved > 0 || step.deletes_compacted > 0 || step.rowgroups_merged > 0;
+    if db.wal.enabled() && worked {
         let lsn = db.wal.append(&LogRecord::MaintenanceStep {
             table: table_id,
             part: part.map_or(u32::MAX, |p| p as u32),

@@ -189,7 +189,9 @@ pub(crate) struct TableMaintStep {
     pub done: bool,
 }
 
-/// Hand every batch of a full scan of `csi`, all columns, to `f`.
+/// Hand every batch of a full scan of `csi`, all columns, to `f`. The scan
+/// reads each segment once and adds nothing to the decoded-segment cache
+/// ([`hpd_columnstore::CsiScan::once`]).
 fn for_each_batch(
     csi: &ColumnStoreIndex,
     schema: &Schema,
@@ -198,7 +200,7 @@ fn for_each_batch(
     mut f: impl FnMut(&Batch),
 ) {
     let all: Vec<usize> = (0..schema.len()).collect();
-    let mut scan = csi.begin_scan(all, HashMap::new(), pool, tracker);
+    let mut scan = csi.begin_scan(all, HashMap::new(), pool, tracker).once();
     while let Some(batch) = scan.next_batch(pool, tracker) {
         f(&batch);
     }

@@ -1,6 +1,7 @@
 //! Allocation budgets of the write side, counted by a global allocator on
 //! the test's own thread: a checkpoint's allocations do not grow with the
-//! table, a steady-state checkpoint allocates no image buffer, a secondary
+//! table, a steady-state checkpoint allocates no image segment and none asks
+//! for more than one, a secondary
 //! columnstore build never holds more than a row group of uncompressed
 //! values, a row-group build allocates a few times per column and builds
 //! only the encoding that wins, `EncodedInts::for_each` allocates nothing, a
@@ -16,9 +17,14 @@
 //! value, a string is shared by a clone and allocated once when read out
 //! of encoded bytes, and a scan refills one scratch row in place.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use hpd_common::{faults, DataType, HpdError, Row, Schema, Value};
-use hpd_engine::{Database, DbConfig, IndexDescriptor, PartitionSpec, TableDesign};
+use hpd_engine::{
+    Database, DbConfig, IndexDescriptor, InsertStmt, PartitionSpec, Statement, TableDesign,
+};
 use hpd_obs::alloc::{self, CountingAlloc, Region};
+use hpd_wal::RETAINED_MIN;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -73,10 +79,31 @@ fn image_bytes(db: &Database) -> usize {
     db.wal_durable().checkpoint.expect("image installed").len()
 }
 
+/// Segments of the log's store `bytes` bytes of image fill.
+fn segments(bytes: usize) -> u64 {
+    bytes.div_ceil(RETAINED_MIN) as u64
+}
+
+/// Every test here that checkpoints adds to the one process-wide
+/// `wal.checkpoint.segments_allocated`: they take turns, so that a test
+/// reading it sees its own checkpoints only.
+fn checkpoints_alone() -> MutexGuard<'static, ()> {
+    static CHECKPOINTS: Mutex<()> = Mutex::new(());
+    CHECKPOINTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn segments_allocated() -> u64 {
+    hpd_obs::global()
+        .counter("wal.checkpoint.segments_allocated")
+        .get()
+}
+
 #[test]
 fn checkpoint_allocations_do_not_depend_on_the_row_count() {
+    let _alone = checkpoints_alone();
     let mut steady = Vec::new();
     let mut first = Vec::new();
+    let mut images = Vec::new();
     for rows in [3_000, 48_000] {
         let db = loaded(rows, 4_096);
         db.create_index(
@@ -89,15 +116,25 @@ fn checkpoint_allocations_do_not_depend_on_the_row_count() {
         .unwrap();
         first.push(measure(|| db.checkpoint().unwrap()));
         // The second still allocates: the first image is installed and must
-        // outlive a crash, so there is no retired buffer to write into yet.
+        // outlive a crash, so there are no retired segments to write into
+        // yet. It takes them one at a time.
+        let before = segments_allocated();
         let second = measure(|| db.checkpoint().unwrap());
         let image = image_bytes(&db);
+        assert_eq!(segments_allocated() - before, segments(image));
         assert!(
-            second.after.largest_bytes >= image,
-            "a buffer for image two"
+            second.allocations() >= segments(image),
+            "segments for image two"
         );
+        assert_eq!(second.after.largest_bytes, RETAINED_MIN);
         for _ in 0..3 {
+            let before = segments_allocated();
             let r = measure(|| db.checkpoint().unwrap());
+            assert_eq!(
+                segments_allocated(),
+                before,
+                "{rows} rows: a segment allocated"
+            );
             assert!(
                 r.after.largest_bytes < image / 8 && r.after.largest_bytes < 4_096,
                 "{rows} rows: a {} byte request, image {image}",
@@ -107,22 +144,87 @@ fn checkpoint_allocations_do_not_depend_on_the_row_count() {
             assert!(r.peak_over_start() < 4_096, "{}", r.peak_over_start());
             steady.push(r.allocations());
         }
+        images.push(image);
     }
     // Sixteen times the rows, the same allocations.
     assert!(steady.iter().all(|&n| n == steady[0]), "{steady:?}");
     assert!(steady[0] < 200, "{steady:?}");
-    // The first checkpoint grows its buffer by doubling: four doublings
-    // more for sixteen times the bytes, and nothing per row.
+    // The first checkpoint allocates the segments of sixteen times the
+    // bytes, and nothing per row.
+    let more_segments = segments(images[1]) - segments(images[0]);
     assert!(
-        first[1].allocations() <= first[0].allocations() + 6,
-        "{} then {}",
+        first[1].allocations() <= first[0].allocations() + more_segments + 4,
+        "{} then {}, images {images:?}",
         first[0].allocations(),
         first[1].allocations()
     );
 }
 
 #[test]
-fn crash_in_checkpoint_leaves_the_spare_buffer_for_the_next_one() {
+fn no_checkpoint_of_a_growing_table_asks_for_more_than_a_segment() {
+    let _alone = checkpoints_alone();
+    let db = loaded(20_000, 4_096);
+    let mut next = 20_000;
+    // The images so far, oldest first.
+    let mut images: Vec<usize> = Vec::new();
+    for round in 0..5usize {
+        if round >= 2 {
+            // About two segments' worth of image: 31 bytes a row.
+            let until = next + (2 * RETAINED_MIN / 31) as i32;
+            while next < until {
+                let rows = (next..until.min(next + 500)).map(row).collect();
+                next = until.min(next + 500);
+                let insert = Statement::Insert(InsertStmt {
+                    table: "t".into(),
+                    rows,
+                });
+                db.query(&insert).run().unwrap();
+            }
+        }
+        let before = segments_allocated();
+        let r = measure(|| db.checkpoint().unwrap());
+        let image = image_bytes(&db);
+        // The free list is the image before last; what this one outgrew of
+        // it is new.
+        let free = round.checked_sub(2).map_or(0, |k| segments(images[k]));
+        let new = segments(image).saturating_sub(free);
+        assert_eq!(
+            segments_allocated() - before,
+            new,
+            "checkpoint {}",
+            round + 1
+        );
+        assert!(
+            r.after.largest_bytes <= RETAINED_MIN,
+            "checkpoint {}: a {} byte request",
+            round + 1,
+            r.after.largest_bytes
+        );
+        // Beyond the segments: the catalog entry's clones and frames, the
+        // segment list's doubling steps and the log's two records.
+        assert!(
+            r.allocations() <= new + 50,
+            "checkpoint {}: {} allocations for {new} new segments",
+            round + 1,
+            r.allocations()
+        );
+        if round >= 2 {
+            let growth = (image - images[round - 1]) as i64;
+            assert!(growth > RETAINED_MIN as i64, "the table grew");
+            assert!(
+                r.left_live() <= growth + RETAINED_MIN as i64,
+                "checkpoint {}: left {} more live for {growth} more image",
+                round + 1,
+                r.left_live()
+            );
+        }
+        images.push(image);
+    }
+}
+
+#[test]
+fn crash_in_checkpoint_leaves_the_free_list_for_the_next_one() {
+    let _alone = checkpoints_alone();
     let db = loaded(20_000, 4_096);
     db.checkpoint().unwrap();
     db.checkpoint().unwrap();
@@ -137,7 +239,8 @@ fn crash_in_checkpoint_leaves_the_spare_buffer_for_the_next_one() {
         "{}",
         crashed.after.largest_bytes
     );
-    // Had the crashed checkpoint taken the spare, this one would allocate.
+    // Had the crashed checkpoint taken the free list, this one would
+    // allocate.
     let next = measure(|| db.checkpoint().unwrap());
     assert!(
         next.after.largest_bytes < image / 8,
@@ -148,6 +251,7 @@ fn crash_in_checkpoint_leaves_the_spare_buffer_for_the_next_one() {
 
 #[test]
 fn secondary_columnstore_build_holds_one_rowgroup_of_uncompressed_values() {
+    let _alone = checkpoints_alone();
     const CAPACITY: usize = 1_024;
     let mut over = Vec::new();
     for rows in [8_192, 65_536] {
@@ -466,6 +570,7 @@ fn adding_a_secondary_by_apply_design_allocates_what_create_index_does() {
 
 #[test]
 fn restore_builds_each_partition_once_under_its_own_design() {
+    let _alone = checkpoints_alone();
     const ROWS: i32 = 48_000;
     // Part 0 holds no row yet; the others a third of the table each.
     let spec = || PartitionSpec::range(0, [0, 16_000, 32_000].map(Value::Int32).to_vec()).unwrap();
@@ -518,6 +623,7 @@ fn four_parts(rows: i32) -> Database {
 
 #[test]
 fn a_partitioned_load_holds_its_record_and_a_rowgroup_and_so_do_its_redo_and_restore() {
+    let _alone = checkpoints_alone();
     const ROWS: i32 = 48_000;
     // Arrival order is neither key nor partition order.
     let input = || {

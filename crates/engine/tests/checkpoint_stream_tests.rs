@@ -237,8 +237,9 @@ fn image_is_byte_identical_to_the_copying_encoders() {
     let golden = std::fs::read_to_string(path).expect("golden present");
     assert_eq!(hex(&image), golden, "{} bytes encoded", image.len());
 
-    // A second checkpoint of the unchanged tables goes through the spare
-    // buffer and differs only in its begin LSN and the frame CRC over it.
+    // The third checkpoint of the unchanged tables is written over the
+    // segments of the first and differs only in its begin LSN and the frame
+    // CRC over it.
     db.checkpoint().unwrap();
     db.checkpoint().unwrap();
     let third = db.wal_durable().checkpoint.unwrap();

@@ -427,17 +427,7 @@ fn log_only_recovery_is_physically_identical() {
             });
             db.query(&stmt).run().unwrap();
         };
-        let increment = |budget: usize| {
-            let before = db.with_table("t", |t| t.maintenance_backlog()).unwrap();
-            let r = db.maintenance("t").budget_rows(budget).run().unwrap();
-            // An increment that only merges rowgroups logs nothing (its
-            // record carries rows moved and deletes compacted), so the
-            // history keeps every increment on a real backlog.
-            assert!(
-                before == 0 || r.rows_moved + r.deletes_compacted > 0,
-                "{design}: increment found backlog {before} and moved nothing"
-            );
-        };
+        let increment = |budget: usize| db.maintenance("t").budget_rows(budget).run().unwrap();
 
         // Phase 1: single-row writes of every kind.
         for id in 100..125 {
@@ -571,6 +561,21 @@ fn log_only_recovery_is_physically_identical() {
         println!("wal {design} (phase 3): {:016x}", fnv1a(&durable.log));
         let recovered = Database::recover(cfg.clone(), durable).unwrap();
         assert_eq!(physical_state(&recovered), physical_state(&db), "{design}");
+
+        // Phase 4: drain the backlog a budget at a time, then an increment
+        // that only merges the small row groups the budgets left behind.
+        while db.with_table("t", |t| t.maintenance_backlog()).unwrap() > 0 {
+            increment(4);
+        }
+        let merged = increment(1_000);
+        assert_eq!(merged.rows_moved + merged.deletes_compacted, 0);
+        assert!(merged.rowgroups_merged > 0, "{design}: nothing merged");
+        let recovered = Database::recover(cfg.clone(), db.wal_durable()).unwrap();
+        assert_eq!(
+            physical_state(&recovered),
+            physical_state(&db),
+            "{design}: after a merge-only increment"
+        );
     }
 }
 

@@ -13,8 +13,9 @@
 
 use hpd_common::{HpdError, IndexDescriptor, PartitionSpec, Result, Schema};
 
-use crate::frame::{append_frame_with, seal_frame, FrameReader, FRAME_HEADER};
-use crate::record::{encode_bulk_load, put_u32, put_u64, EncodedRows, LogRecord};
+use crate::frame::{append_frame_with, seal_frame, ByteSink, FrameReader, FRAME_HEADER};
+use crate::log::Durable;
+use crate::record::{encode_bulk_load, EncodedRows, LogRecord};
 
 /// One table's catalog entry in a checkpoint image: everything but its rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,9 +57,10 @@ pub struct CheckpointImage {
 }
 
 /// The one encoder of the image format. It writes the CRC-framed byte form
-/// straight into its output buffer — every frame, the outer one included,
-/// has its header reserved and filled in once its payload is complete — and
-/// takes each table's rows as a stream of borrowed, already encoded rows
+/// straight into the log's segmented store — every frame, the outer one
+/// included, has its header reserved and filled in by offset once its
+/// payload is complete, its CRC run over the segments — and takes each
+/// table's rows as a stream of borrowed, already encoded rows
 /// ([`hpd_common::codec::put_values`]: what a B+ tree leaf holds), so a row
 /// is copied into the image as bytes and neither the rows nor any frame is
 /// ever held a second time.
@@ -67,7 +69,11 @@ pub struct CheckpointImage {
 /// `TableCreate`/`IndexCreate`/`PartitionDesignChange`/`BulkLoad` frames —
 /// one codec, one set of decoders to fuzz.
 pub struct ImageWriter {
-    buf: Vec<u8>,
+    image: Durable,
+    /// Free segments the image started with: those it draws beyond them
+    /// are allocated.
+    recycled: usize,
+    begin_lsn: u64,
     tables: u32,
 }
 
@@ -75,16 +81,21 @@ pub struct ImageWriter {
 const TABLE_COUNT_AT: usize = FRAME_HEADER + 16;
 
 impl ImageWriter {
-    /// Start an image in `recycled` (a retired image's buffer, or an empty
-    /// vector); its contents are discarded and its capacity reused.
-    pub fn new(recycled: Vec<u8>, begin_lsn: u64, next_ts: u64) -> ImageWriter {
-        let mut buf = recycled;
-        buf.clear();
-        buf.extend_from_slice(&[0; FRAME_HEADER]);
-        put_u64(&mut buf, begin_lsn);
-        put_u64(&mut buf, next_ts);
-        put_u32(&mut buf, 0);
-        ImageWriter { buf, tables: 0 }
+    /// Start an image in `free`, a retired image's segments (none: every
+    /// segment is allocated).
+    pub(crate) fn over(free: Durable, begin_lsn: u64, next_ts: u64) -> ImageWriter {
+        let mut image = free;
+        let recycled = image.free_segments();
+        image.put(&[0; FRAME_HEADER]);
+        image.put(&begin_lsn.to_le_bytes());
+        image.put(&next_ts.to_le_bytes());
+        image.put(&0u32.to_le_bytes());
+        ImageWriter {
+            image,
+            recycled,
+            begin_lsn,
+            tables: 0,
+        }
     }
 
     /// Append the next table: its catalog entry, then the rows `rows` hands
@@ -92,62 +103,55 @@ impl ImageWriter {
     pub fn table(&mut self, entry: &TableEntry, rows: impl FnOnce(&mut dyn FnMut(&[u8]))) {
         let table = self.tables;
         self.tables += 1;
-        let buf = &mut self.buf;
+        let image = &mut self.image;
         let (primary, secondaries) =
             (entry.indexes.split_first()).expect("a table entry names its primary index first");
-        put_u64(buf, entry.applied_lsn);
-        append_frame_with(buf, |b| {
-            LogRecord::TableCreate {
-                table,
-                name: entry.name.clone(),
-                schema: entry.schema.clone(),
-                pk: entry.pk.clone(),
-                primary: primary.clone(),
-                partitioning: entry.partitioning.clone(),
-            }
-            .encode_into(b)
-        });
-        put_u32(buf, secondaries.len() as u32);
+        image.put(&entry.applied_lsn.to_le_bytes());
+        let create = LogRecord::TableCreate {
+            table,
+            name: entry.name.clone(),
+            schema: entry.schema.clone(),
+            pk: entry.pk.clone(),
+            primary: primary.clone(),
+            partitioning: entry.partitioning.clone(),
+        };
+        image.put(&create.into_frame());
+        image.put(&(secondaries.len() as u32).to_le_bytes());
         for def in secondaries {
-            append_frame_with(buf, |b| {
-                LogRecord::IndexCreate {
-                    table,
-                    def: def.clone(),
-                }
-                .encode_into(b)
-            });
+            let def = def.clone();
+            image.put(&LogRecord::IndexCreate { table, def }.into_frame());
         }
-        put_u32(buf, entry.parts.len() as u32);
+        image.put(&(entry.parts.len() as u32).to_le_bytes());
         for (p, part) in entry.parts.iter().enumerate() {
-            append_frame_with(buf, |b| {
-                LogRecord::PartitionDesignChange {
-                    table,
-                    part: p as u32,
-                    indexes: part.clone(),
-                }
-                .encode_into(b)
-            });
+            let change = LogRecord::PartitionDesignChange {
+                table,
+                part: p as u32,
+                indexes: part.clone(),
+            };
+            image.put(&change.into_frame());
         }
-        append_frame_with(buf, |b| encode_bulk_load(b, table, rows));
+        append_frame_with(image, |b| encode_bulk_load(b, table, rows));
     }
 
-    /// Fill in the table count, close the outer frame and hand back the
-    /// finished image.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[TABLE_COUNT_AT..TABLE_COUNT_AT + 4].copy_from_slice(&self.tables.to_le_bytes());
-        seal_frame(&mut self.buf, 0);
-        self.buf
+    /// Fill in the table count and close the outer frame: the begin LSN,
+    /// the finished image, and the segments it took from the allocator.
+    pub(crate) fn finish(mut self) -> (u64, Durable, usize) {
+        self.image.patch(TABLE_COUNT_AT, &self.tables.to_le_bytes());
+        seal_frame(&mut self.image, 0);
+        let allocated = (self.image.segments_used()).saturating_sub(self.recycled);
+        self.image.release_free();
+        (self.begin_lsn, self.image, allocated)
     }
 }
 
 impl CheckpointImage {
     /// Serialize to the CRC-framed byte form stored in the log object.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ImageWriter::new(Vec::new(), self.begin_lsn, self.next_ts);
+        let mut w = ImageWriter::over(Durable::default(), self.begin_lsn, self.next_ts);
         for t in &self.tables {
             w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
         }
-        w.finish()
+        w.finish().1.to_vec()
     }
 
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage> {
@@ -341,19 +345,41 @@ mod tests {
         assert_eq!(crate::frame::crc32(&bytes), 0xd3c5_f20c);
     }
 
-    #[test]
-    fn recycled_buffer_is_reused_and_its_contents_discarded() {
-        let img = sample();
-        let mut recycled = vec![0xabu8; 4096];
-        recycled.reserve(4096);
-        let (ptr, cap) = (recycled.as_ptr(), recycled.capacity());
-        let mut w = ImageWriter::new(recycled, img.begin_lsn, img.next_ts);
+    fn write(img: &CheckpointImage, free: Durable) -> (Durable, usize) {
+        let mut w = ImageWriter::over(free, img.begin_lsn, img.next_ts);
         for t in &img.tables {
             w.table(&t.entry, |sink| t.rows.iter().for_each(sink));
         }
-        let bytes = w.finish();
-        assert_eq!(bytes, img.encode());
-        assert_eq!((bytes.as_ptr(), bytes.capacity()), (ptr, cap));
+        let (begin_lsn, image, allocated) = w.finish();
+        assert_eq!(begin_lsn, img.begin_lsn);
+        (image, allocated)
+    }
+
+    #[test]
+    fn an_image_spans_segments_and_is_written_over_a_retired_one() {
+        // 50 000 rows of 13 bytes (a count, a tagged integer) and the sample's
+        // tables: the rows frame spans ten segments.
+        let mut big = sample();
+        let rows: Vec<Row> = (0..50_000)
+            .map(|k| Row::new(vec![Value::Int64(k)]))
+            .collect();
+        big.tables[1].rows = EncodedRows::from_rows(&rows);
+        let (image, allocated) = write(&big, Durable::default());
+        let bytes = image.to_vec();
+        assert_eq!(allocated, bytes.len().div_ceil(crate::RETAINED_MIN));
+        assert_eq!(image.segments_used(), allocated);
+        assert_eq!(CheckpointImage::decode(&bytes).unwrap(), big);
+
+        // Written over the retired image: no segment allocated, the stale
+        // bytes overwritten, the segments it did not need dropped.
+        let (small, allocated) = write(&sample(), image.retire());
+        assert_eq!(allocated, 0);
+        assert_eq!((small.segments_used(), small.free_segments()), (1, 0));
+        assert_eq!(small.to_vec(), sample().encode());
+        // And back: the one segment is reused, the rest allocated.
+        let (again, allocated) = write(&big, small.retire());
+        assert_eq!(allocated, again.segments_used() - 1);
+        assert_eq!(again.to_vec(), bytes);
     }
 
     #[test]

@@ -45,8 +45,15 @@ static TABLES: [[u32; 256]; 8] = {
 /// bit-at-a-time loop (kept as the tests' reference) made that the longest
 /// single step of a checkpoint.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of the bytes whose CRC-32 is `crc` followed by `bytes`:
+/// `crc32_extend(crc32(a), b) == crc32(a ++ b)`, so a frame held in
+/// segments is checksummed one slice at a time.
+pub(crate) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc: u32 = !0;
+    let mut crc = !crc;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -66,24 +73,55 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Where frames are written: a vector, or the log's segmented store.
+/// Bytes are appended, and those already written can be overwritten (a
+/// header or a count known only once what follows it is) and checksummed.
+pub(crate) trait ByteSink {
+    /// Bytes written so far.
+    fn written(&self) -> usize;
+    fn put(&mut self, bytes: &[u8]);
+    /// Overwrite the written bytes at `at..at + bytes.len()`.
+    fn patch(&mut self, at: usize, bytes: &[u8]);
+    /// CRC-32 of the written bytes from `from` on.
+    fn crc_from(&self, from: usize) -> u32;
+}
+
+impl ByteSink for Vec<u8> {
+    fn written(&self) -> usize {
+        self.len()
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn crc_from(&self, from: usize) -> u32 {
+        crc32(&self[from..])
+    }
+}
+
 /// Append one frame whose payload `write` appends to `buf` in place: the
 /// header is reserved first and filled in once the payload's length and CRC
 /// are known, so a large payload is never built in a buffer of its own.
-pub(crate) fn append_frame_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-    let header = buf.len();
-    buf.extend_from_slice(&[0; FRAME_HEADER]);
+pub(crate) fn append_frame_with<S: ByteSink>(buf: &mut S, write: impl FnOnce(&mut S)) {
+    let header = buf.written();
+    buf.put(&[0; FRAME_HEADER]);
     write(buf);
     seal_frame(buf, header);
 }
 
 /// Fill in the header reserved at `header` for the payload that runs from
 /// there to the end of `buf`.
-pub(crate) fn seal_frame(buf: &mut [u8], header: usize) {
+pub(crate) fn seal_frame(buf: &mut impl ByteSink, header: usize) {
     let start = header + FRAME_HEADER;
-    let len = (buf.len() - start) as u32;
-    let crc = crc32(&buf[start..]);
-    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    buf[header + 4..start].copy_from_slice(&crc.to_le_bytes());
+    let len = (buf.written() - start) as u32;
+    let crc = buf.crc_from(start);
+    buf.patch(header, &len.to_le_bytes());
+    buf.patch(header + 4, &crc.to_le_bytes());
 }
 
 /// Append one framed record to `buf`.
@@ -202,6 +240,14 @@ mod tests {
             let big: Vec<u8> = (0..len).map(|_| next()).collect();
             assert_eq!(crc32(&big), crc32_bitwise(&big), "len {len}");
         }
+        // Extended over any split, and over many pieces, it is the CRC of
+        // the whole.
+        for cut in 0..=small.len() {
+            let (a, b) = small.split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(&small), "cut {cut}");
+        }
+        let pieces = small.chunks(7).fold(0, crc32_extend);
+        assert_eq!(pieces, crc32_bitwise(&small));
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod record;
 
 pub use checkpoint::{CheckpointImage, ImageWriter, TableEntry, TableSnapshot};
 pub use frame::{append_frame, crc32, FrameReader};
-pub use log::{Wal, WalConfig, WalDurable, WalSummary};
+pub use log::{Wal, WalConfig, WalDurable, WalSummary, RETAINED_MIN};
 pub use record::{EncodedRows, LogRecord};

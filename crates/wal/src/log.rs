@@ -9,12 +9,13 @@
 use hpd_storage::{DeviceProfile, IoTracker};
 use parking_lot::Mutex;
 
-use crate::frame::append_frame_with;
+use crate::checkpoint::ImageWriter;
+use crate::frame::{append_frame_with, crc32_extend, ByteSink};
 use crate::record::LogRecord;
 
 /// Capacity a log buffer may keep however little it holds, and the size of
-/// the segments small flushes fill.
-const RETAINED_MIN: usize = 64 << 10;
+/// the segments small flushes and checkpoint images fill.
+pub const RETAINED_MIN: usize = 64 << 10;
 
 /// A buffer keeps the capacity its largest content ever needed. After a
 /// one-off large record (a bulk load) or a truncation, that is nearly all of
@@ -80,51 +81,87 @@ pub struct WalSummary {
     pub deferred: bool,
 }
 
-/// The flushed log: its bytes in order, cut into segments. A flush of a
-/// segment's size or more (a bulk load's frame) *is* the next segment — its
-/// buffer moves in; smaller ones are copied into segments of
-/// [`RETAINED_MIN`] bytes, each filled before the next is started. No
-/// segment ever grows, so the region holds its bytes and at most one
-/// segment's worth of room — one vector grown by doubling held up to twice
-/// its bytes, and doubled for the 30-byte record behind a 7 MB load.
+/// The one segmented byte store: the flushed log, and each checkpoint image.
+/// Bytes are copied into segments of [`RETAINED_MIN`] bytes, each filled
+/// before the next is started; a log flush of a segment's size or more (a
+/// bulk load's frame) *is* the next segment — its buffer moves in. No
+/// segment ever grows, so a store holds its bytes and at most one segment's
+/// worth of room — one vector grown by doubling held up to twice its bytes,
+/// and doubled for the 30-byte record behind a 7 MB load.
+///
+/// An image is written over the segments of the image the last checkpoint
+/// retired ([`Durable::retire`]): the segments past the first `used` are
+/// that free list, each emptied as it is drawn on, so a checkpoint
+/// allocates only the segments its image outgrew and never a block the size
+/// of the image.
 #[derive(Default)]
-struct Durable {
+pub(crate) struct Durable {
     segments: Vec<Vec<u8>>,
+    /// Segments holding bytes; the rest are free.
+    used: usize,
     len: usize,
 }
 
+/// One segment holding all of `bytes`: a recovered log or image, adopted.
+impl From<Vec<u8>> for Durable {
+    fn from(bytes: Vec<u8>) -> Durable {
+        Durable {
+            len: bytes.len(),
+            segments: vec![bytes],
+            used: 1,
+        }
+    }
+}
+
 impl Durable {
+    /// Segments holding bytes.
+    pub(crate) fn segments_used(&self) -> usize {
+        self.used
+    }
+
+    /// Free segments not yet drawn on.
+    pub(crate) fn free_segments(&self) -> usize {
+        self.segments.len() - self.used
+    }
+
+    /// The store emptied, its segments a free list for the next image. An
+    /// adopted segment of another size is dropped, not pooled.
+    pub(crate) fn retire(mut self) -> Durable {
+        self.segments.retain(|s| s.capacity() == RETAINED_MIN);
+        Durable {
+            segments: self.segments,
+            used: 0,
+            len: 0,
+        }
+    }
+
+    /// Drop the free segments no byte was written into.
+    pub(crate) fn release_free(&mut self) {
+        self.segments.truncate(self.used);
+    }
+
     /// Append the bytes of `pending` and leave it empty: its buffer moves
     /// in if it is a segment's worth, else it is copied and kept.
     fn push(&mut self, pending: &mut Vec<u8>) {
-        self.len += pending.len();
-        if pending.len() >= RETAINED_MIN {
-            let mut flushed = std::mem::take(pending);
-            if flushed.capacity() - flushed.len() > RETAINED_MIN {
-                flushed.shrink_to_fit();
-            }
-            self.segments.push(flushed);
+        if pending.len() < RETAINED_MIN {
+            self.put(pending);
+            pending.clear();
             return;
         }
-        let mut rest = &pending[..];
-        while !rest.is_empty() {
-            let last = match self.segments.last_mut() {
-                Some(last) if last.len() < last.capacity() => last,
-                _ => {
-                    self.segments.push(Vec::with_capacity(RETAINED_MIN));
-                    self.segments.last_mut().expect("just pushed")
-                }
-            };
-            let (fits, over) = rest.split_at(rest.len().min(last.capacity() - last.len()));
-            last.extend_from_slice(fits);
-            rest = over;
+        debug_assert_eq!(self.free_segments(), 0, "the log keeps no free list");
+        self.len += pending.len();
+        let mut flushed = std::mem::take(pending);
+        if flushed.capacity() - flushed.len() > RETAINED_MIN {
+            flushed.shrink_to_fit();
         }
-        pending.clear();
+        self.segments.push(flushed);
+        self.used += 1;
     }
 
     /// Drop the first `cut` bytes: whole segments, then the front of the
     /// one the cut lands in.
     fn truncate_front(&mut self, mut cut: usize) {
+        debug_assert_eq!(self.free_segments(), 0, "the log keeps no free list");
         self.len -= cut;
         let whole = (self.segments.iter())
             .take_while(|s| {
@@ -136,6 +173,7 @@ impl Durable {
             })
             .count();
         self.segments.drain(..whole);
+        self.used -= whole;
         if cut > 0 {
             let first = &mut self.segments[0];
             first.drain(..cut);
@@ -143,12 +181,66 @@ impl Durable {
         }
     }
 
-    fn to_vec(&self) -> Vec<u8> {
-        let mut log = Vec::with_capacity(self.len);
-        for segment in &self.segments {
-            log.extend_from_slice(segment);
+    /// The bytes from offset `from` on, one slice per segment.
+    fn slices(&self, mut from: usize) -> impl Iterator<Item = &[u8]> {
+        self.segments[..self.used].iter().map(move |s| {
+            let skip = from.min(s.len());
+            from -= skip;
+            &s[skip..]
+        })
+    }
+
+    pub(crate) fn to_vec(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(self.len);
+        self.slices(0).for_each(|s| bytes.extend_from_slice(s));
+        bytes
+    }
+}
+
+impl ByteSink for Durable {
+    fn written(&self) -> usize {
+        self.len
+    }
+
+    fn put(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        while !bytes.is_empty() {
+            let full = (self.used.checked_sub(1)).is_none_or(|last| {
+                let last = &self.segments[last];
+                last.len() == last.capacity()
+            });
+            if full {
+                match self.segments.get_mut(self.used) {
+                    Some(free) => free.clear(),
+                    None => self.segments.push(Vec::with_capacity(RETAINED_MIN)),
+                }
+                self.used += 1;
+            }
+            let last = &mut self.segments[self.used - 1];
+            let (fits, over) = bytes.split_at(bytes.len().min(last.capacity() - last.len()));
+            last.extend_from_slice(fits);
+            bytes = over;
         }
-        log
+    }
+
+    fn patch(&mut self, mut at: usize, mut bytes: &[u8]) {
+        for segment in &mut self.segments[..self.used] {
+            if bytes.is_empty() {
+                break;
+            }
+            if at >= segment.len() {
+                at -= segment.len();
+                continue;
+            }
+            let n = bytes.len().min(segment.len() - at);
+            segment[at..at + n].copy_from_slice(&bytes[..n]);
+            (at, bytes) = (0, &bytes[n..]);
+        }
+        assert!(bytes.is_empty(), "a patch past the bytes written");
+    }
+
+    fn crc_from(&self, from: usize) -> u32 {
+        self.slices(from).fold(0, crc32_extend)
     }
 }
 
@@ -160,10 +252,10 @@ struct WalInner {
     pending: Vec<u8>,
     pending_records: u64,
     /// Serialized [`crate::CheckpointImage`], if one was installed.
-    checkpoint: Option<Vec<u8>>,
-    /// The image the installed one replaced, kept for its capacity: the
-    /// next checkpoint is encoded into it ([`Wal::take_spare_image`]).
-    spare_image: Vec<u8>,
+    checkpoint: Option<Durable>,
+    /// The segments of the image the installed one replaced: the free list
+    /// the next image is written into ([`Wal::image_writer`]).
+    retired: Durable,
 }
 
 /// The write-ahead log. See the crate docs for the durability model.
@@ -184,7 +276,7 @@ impl Wal {
                 pending: Vec::new(),
                 pending_records: 0,
                 checkpoint: None,
-                spare_image: Vec::new(),
+                retired: Durable::default(),
             }),
         }
     }
@@ -198,14 +290,11 @@ impl Wal {
             device,
             inner: Mutex::new(WalInner {
                 base_lsn: d.base_lsn,
-                durable: Durable {
-                    len: d.log.len(),
-                    segments: vec![d.log],
-                },
+                durable: Durable::from(d.log),
                 pending: Vec::new(),
                 pending_records: 0,
-                checkpoint: d.checkpoint,
-                spare_image: Vec::new(),
+                checkpoint: d.checkpoint.map(Durable::from),
+                retired: Durable::default(),
             }),
         }
     }
@@ -303,27 +392,31 @@ impl Wal {
         WalDurable {
             base_lsn: inner.base_lsn,
             log: inner.durable.to_vec(),
-            checkpoint: inner.checkpoint.clone(),
+            checkpoint: inner.checkpoint.as_ref().map(Durable::to_vec),
         }
     }
 
-    /// A buffer to encode the next checkpoint image into: the retired
-    /// image's, if a checkpoint has retired one, else an empty vector. The
-    /// installed image is never handed out — it must survive a crash in the
-    /// middle of the next checkpoint — so two buffers take turns.
-    pub fn take_spare_image(&self) -> Vec<u8> {
-        std::mem::take(&mut self.inner.lock().spare_image)
+    /// Start the next checkpoint image, written over the segments of the
+    /// image the last checkpoint retired. The installed image is never
+    /// drawn on — it must survive a crash in the middle of the next
+    /// checkpoint — so two images' segments take turns, and a checkpoint
+    /// abandoned after this call loses only the free list.
+    pub fn image_writer(&self, begin_lsn: u64, next_ts: u64) -> ImageWriter {
+        let free = std::mem::take(&mut self.inner.lock().retired);
+        ImageWriter::over(free, begin_lsn, next_ts)
     }
 
     /// Atomically install a checkpoint image and truncate the durable log
-    /// below `begin_lsn` (the checkpoint's begin record stays). Charges the
-    /// image write to `tracker`. The caller must have flushed first so the
-    /// image's high-water marks refer to durable bytes.
-    pub fn install_checkpoint(&self, image: Vec<u8>, begin_lsn: u64, tracker: &IoTracker) {
+    /// below its begin LSN (the checkpoint's begin record stays); the image
+    /// it replaces becomes the free list of the next. Charges the image
+    /// write to `tracker`. The caller must have flushed first so the image's
+    /// high-water marks refer to durable bytes.
+    pub fn install_checkpoint(&self, image: ImageWriter, tracker: &IoTracker) {
         if !self.cfg.enabled {
             return;
         }
-        let bytes = image.len() as u64;
+        let (begin_lsn, image, segments_allocated) = image.finish();
+        let bytes = image.written() as u64;
         let (seek_us, bw_us) = self.device.write_cost_parts(bytes, 1);
         tracker.record_write(bytes, seek_us, bw_us);
         let mut inner = self.inner.lock();
@@ -331,10 +424,13 @@ impl Wal {
         let cut = (begin_lsn.saturating_sub(inner.base_lsn) as usize).min(inner.durable.len);
         inner.durable.truncate_front(cut);
         inner.base_lsn += cut as u64;
-        inner.spare_image = inner.checkpoint.replace(image).unwrap_or_default();
+        let replaced = inner.checkpoint.replace(image);
+        inner.retired = replaced.map(Durable::retire).unwrap_or_default();
         let reg = hpd_obs::global();
         reg.counter("wal.checkpoint.count").inc();
         reg.counter("wal.checkpoint.bytes").add(bytes);
+        reg.counter("wal.checkpoint.segments_allocated")
+            .add(segments_allocated as u64);
     }
 
     /// LSN that the next appended record would receive.
@@ -449,10 +545,15 @@ mod tests {
         wal.flush(&tracker);
         let begin_lsn = wal.append(&LogRecord::CheckpointBegin);
         wal.flush(&tracker);
-        wal.install_checkpoint(vec![1, 2, 3], begin_lsn, &tracker);
+        wal.install_checkpoint(wal.image_writer(begin_lsn, 7), &tracker);
         assert_eq!(wal.durable().base_lsn, begin_lsn);
         let d = wal.durable();
-        assert_eq!(d.checkpoint.as_deref(), Some(&[1u8, 2, 3][..]));
+        let image = crate::CheckpointImage {
+            begin_lsn,
+            next_ts: 7,
+            tables: vec![],
+        };
+        assert_eq!(d.checkpoint, Some(image.encode()));
         // The surviving log starts exactly at the checkpoint-begin record.
         let recs: Vec<_> = FrameReader::new(&d.log, d.base_lsn)
             .map(|(lsn, p)| (lsn, LogRecord::decode(p).unwrap()))
@@ -471,7 +572,7 @@ mod tests {
         wal.append(&LogRecord::TxnAbort { txn_id: 3 });
         wal.flush(&tracker);
         assert_eq!(wal.inner.lock().durable.segments.len(), 1);
-        wal.install_checkpoint(vec![4], begin_lsn, &tracker);
+        wal.install_checkpoint(wal.image_writer(begin_lsn, 8), &tracker);
         let d = wal.durable();
         assert_eq!(d.base_lsn, begin_lsn);
         let cut = (begin_lsn - before.base_lsn) as usize;
@@ -538,7 +639,7 @@ mod tests {
         // capacity goes with it.
         let begin_lsn = wal.append(&LogRecord::CheckpointBegin);
         wal.flush(&tracker);
-        wal.install_checkpoint(vec![0; 16], begin_lsn, &tracker);
+        wal.install_checkpoint(wal.image_writer(begin_lsn, 0), &tracker);
         let inner = wal.inner.lock();
         assert!(inner.durable.len < 64);
         assert!(inner.durable.capacity() <= 2 * RETAINED_MIN);
@@ -588,24 +689,72 @@ mod tests {
         assert!(reader.clean_end());
     }
 
+    /// Install an image of one table of `rows` single-integer rows.
+    fn install_rows(wal: &Wal, rows: i64, tracker: &IoTracker) {
+        let entry = crate::TableEntry {
+            name: "t".into(),
+            schema: hpd_common::Schema::from_pairs(&[("k", hpd_common::DataType::Int64)]),
+            pk: vec![0],
+            indexes: vec![hpd_common::IndexDescriptor::PrimaryBTree { keys: vec![0] }],
+            partitioning: None,
+            parts: vec![],
+            applied_lsn: 0,
+        };
+        let rows = EncodedRows::from_rows(&int_rows(0..rows));
+        let mut image = wal.image_writer(0, 0);
+        image.table(&entry, |sink| rows.iter().for_each(sink));
+        wal.install_checkpoint(image, tracker);
+    }
+
+    fn segments_at(store: &Durable) -> Vec<*const u8> {
+        store.segments.iter().map(|s| s.as_ptr()).collect()
+    }
+
     #[test]
-    fn retired_image_becomes_the_spare_and_the_installed_one_never_does() {
+    fn the_retired_image_is_the_free_list_and_the_installed_one_never_is() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        assert_eq!(wal.take_spare_image().capacity(), 0);
-        let first = vec![1u8; 1000];
-        let first_at = first.as_ptr();
-        wal.install_checkpoint(first, 0, &tracker);
+        // 13 bytes a row: six segments.
+        install_rows(&wal, 30_000, &tracker);
+        let first = wal.durable().checkpoint.unwrap();
+        let first_at = segments_at(wal.inner.lock().checkpoint.as_ref().unwrap());
+        assert_eq!(first_at.len(), first.len().div_ceil(RETAINED_MIN));
         // One image installed, none retired yet.
-        assert_eq!(wal.take_spare_image().capacity(), 0);
-        wal.install_checkpoint(vec![2u8; 1000], 0, &tracker);
-        let spare = wal.take_spare_image();
-        assert_eq!(spare.as_ptr(), first_at);
-        assert_eq!(wal.durable().checkpoint.as_deref(), Some(&[2u8; 1000][..]));
-        // Taken once; a checkpoint abandoned after taking it loses only the
-        // spare.
-        assert_eq!(wal.take_spare_image().capacity(), 0);
-        assert_eq!(wal.durable().checkpoint.as_deref(), Some(&[2u8; 1000][..]));
+        assert_eq!(wal.inner.lock().retired.segments.len(), 0);
+        install_rows(&wal, 30_000, &tracker);
+        assert_eq!(segments_at(&wal.inner.lock().retired), first_at);
+        // The third is written over the first's segments, the same bytes.
+        install_rows(&wal, 30_000, &tracker);
+        {
+            let inner = wal.inner.lock();
+            assert_eq!(segments_at(inner.checkpoint.as_ref().unwrap()), first_at);
+            assert!(inner
+                .retired
+                .segments
+                .iter()
+                .all(|s| !first_at.contains(&s.as_ptr())));
+        }
+        assert_eq!(wal.durable().checkpoint.unwrap(), first);
+        // A smaller image keeps what it draws and drops the rest: the free
+        // list never holds more than the last retired image.
+        install_rows(&wal, 10, &tracker);
+        {
+            let inner = wal.inner.lock();
+            assert_eq!(inner.checkpoint.as_ref().unwrap().segments.len(), 1);
+            assert_eq!(segments_at(&inner.retired), first_at);
+        }
+        // A checkpoint abandoned after taking the free list loses only it.
+        let installed = wal.durable().checkpoint;
+        drop(wal.image_writer(0, 0));
+        assert_eq!(wal.inner.lock().retired.segments.len(), 0);
+        assert_eq!(wal.durable().checkpoint, installed);
+        // A recovered image is adopted as one segment, and dropped rather
+        // than pooled when it is retired.
+        let recovered = Wal::from_durable(WalConfig::default(), ram(), wal.durable());
+        assert_eq!(recovered.durable().checkpoint, installed);
+        install_rows(&recovered, 30_000, &tracker);
+        assert_eq!(recovered.inner.lock().retired.segments.len(), 0);
+        assert_eq!(recovered.durable().checkpoint.unwrap(), first);
     }
 
     #[test]

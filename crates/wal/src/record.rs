@@ -19,7 +19,7 @@ use hpd_common::{
     Result, Row, Schema, Value, ValueRef,
 };
 
-use crate::frame::{append_frame_with, seal_frame, FRAME_HEADER};
+use crate::frame::{append_frame_with, seal_frame, ByteSink, FRAME_HEADER};
 
 /// One logical log record. LSNs are byte offsets assigned at append time by
 /// [`crate::Wal`], not stored in the payload.
@@ -90,11 +90,12 @@ pub enum LogRecord {
         indexes: Vec<IndexDescriptor>,
     },
     /// One budgeted maintenance increment completed: up to `budget_rows`
-    /// rows of work, split between compacting buffered deletes and moving
-    /// delta rows. Replayed logically — redo re-runs an increment with the
-    /// same budget against whatever state recovery rebuilt. `part` is
-    /// `u32::MAX` for a whole-table (round-robin) increment, else the
-    /// targeted partition.
+    /// rows of work, split between compacting buffered deletes, moving
+    /// delta rows and merging row groups — logged whenever it did any of
+    /// them, a merge-only increment too. Replayed logically — redo re-runs
+    /// an increment with the same budget against whatever state recovery
+    /// rebuilt. `part` is `u32::MAX` for a whole-table (round-robin)
+    /// increment, else the targeted partition.
     MaintenanceStep {
         table: u32,
         part: u32,
@@ -293,11 +294,11 @@ fn corrupt(what: &str) -> HpdError {
 
 // ---------------------------------------------------------------- encoding
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -378,21 +379,21 @@ fn put_design(buf: &mut Vec<u8>, indexes: &[IndexDescriptor]) {
 /// wire and is known only when the stream ends, so its slot is reserved and
 /// filled in afterwards; each row's value count is read off its bytes.
 pub(crate) fn encode_bulk_load(
-    b: &mut Vec<u8>,
+    b: &mut impl ByteSink,
     table: u32,
     feed: impl FnOnce(&mut dyn FnMut(&[u8])),
 ) {
-    b.push(TAG_BULK_LOAD);
-    put_u32(b, table);
-    let count_at = b.len();
-    put_u32(b, 0);
+    b.put(&[TAG_BULK_LOAD]);
+    b.put(&table.to_le_bytes());
+    let count_at = b.written();
+    b.put(&[0; 4]);
     let mut count: u32 = 0;
     feed(&mut |row| {
-        put_u32(b, codec::count_values(row) as u32);
-        b.extend_from_slice(row);
+        b.put(&(codec::count_values(row) as u32).to_le_bytes());
+        b.put(row);
         count += 1;
     });
-    b[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    b.patch(count_at, &count.to_le_bytes());
 }
 
 fn dtype_tag(t: DataType) -> u8 {

@@ -359,10 +359,9 @@ impl Database {
         let t = IoTracker::new();
         let slot = self.apply_ddl(&rec, &t)?;
         if self.wal.enabled() {
-            // A bulk load's rows were encoded as this frame: it moves into
-            // the log, through the pending buffer, as it is.
-            let lsn = self.wal.append_encoded(rec.into_frame());
-            self.wal.flush(&t);
+            // A bulk load's rows were encoded into this frame's segments:
+            // they become the log's as they are.
+            let lsn = self.wal.append_flushed(rec.into_frame(), &t);
             slot.applied_lsn.store(lsn, Ordering::Relaxed);
         }
         self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
@@ -377,21 +376,18 @@ impl Database {
     /// [`Database::load_table`] of rows that need not exist all at once.
     /// Each row is checked against the schema, encoded into the load's log
     /// record and dropped: from there on the load is that record
-    /// ([`Table::bulk_load`]), and the record's buffer is what the log
-    /// keeps. A refused row leaves table and log untouched.
+    /// ([`Table::bulk_load`]), and the record's segments, allocated as the
+    /// rows before them are freed, are what the log keeps. A refused row
+    /// leaves table and log untouched.
     pub fn load_table_from(&self, name: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
         // Before the commit lock: `rows` may be an iterator that reads, or
         // commits to, this database.
         let schema = self.with_table(name, |t| t.schema().clone())?;
-        let rows = rows.into_iter();
-        // Exact for fixed-width columns, an estimate with strings.
-        let row_bytes = 4 + schema.len() + schema.row_width();
-        let mut encoded = EncodedRows::with_capacity(rows.size_hint().0 * row_bytes);
+        let mut encoded = EncodedRows::default();
         for row in rows {
             schema.validate_row(&row)?;
             encoded.push(row.values());
         }
-        encoded.shrink_to_fit();
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::BulkLoad {
             table: self.slot_id(name)? as u32,

@@ -763,3 +763,97 @@ fn a_malformed_bulk_load_record_ends_replay_like_a_torn_tail() {
         101
     );
 }
+
+/// A load's record is held in the log's segments, no row split between two.
+/// Recovery from any prefix of the durable bytes — at a stride, and on each
+/// side of every boundary between the record's segments — succeeds and
+/// holds all of the load or none of it, and the commits that follow it
+/// whose frames the prefix holds whole.
+#[test]
+fn every_prefix_of_a_segmented_load_recovers_all_of_it_or_none() {
+    use hpd_engine::EncodedRows;
+    use hpd_wal::{FrameReader, LogRecord};
+    const ROWS: usize = 9_000;
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    db.create_table("t", schema(), vec![0], primary).unwrap();
+    let load_at = db.wal_durable().log.len();
+    let rows: Vec<Row> = (0..ROWS as i32).map(row).collect();
+    // The same rows encode into the same segments the load's record fills.
+    let rec = LogRecord::BulkLoad {
+        table: 0,
+        rows: EncodedRows::from_rows(&rows),
+    };
+    let frame = rec.into_frame();
+    assert!(frame.len() >= 3, "{} segments", frame.len());
+    db.load_table("t", rows).unwrap();
+    for id in 0..20 {
+        insert(&db, 100_000 + id);
+    }
+    let durable = db.wal_durable();
+    let log = &durable.log;
+    let load_end = load_at + frame.iter().map(Vec::len).sum::<usize>();
+    assert_eq!(log[load_at..load_end], frame.concat());
+
+    // Every frame reads; the load's holds every row.
+    let mut reader = FrameReader::new(log, durable.base_lsn);
+    let frames: Vec<(usize, LogRecord)> = (reader.by_ref())
+        .map(|(lsn, p)| (lsn as usize + 8 + p.len(), LogRecord::decode(p).unwrap()))
+        .collect();
+    assert!(reader.clean_end());
+    let loads: Vec<usize> = (frames.iter())
+        .filter_map(|(_, rec)| match rec {
+            LogRecord::BulkLoad { rows, .. } => Some(rows.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(loads, [ROWS]);
+    let commit_ends: Vec<usize> = (frames.iter())
+        .filter(|(_, rec)| matches!(rec, LogRecord::TxnCommit { .. }))
+        .map(|&(end, _)| end)
+        .collect();
+    assert_eq!(commit_ends.len(), 20);
+
+    let mut cuts: Vec<usize> = (0..log.len()).step_by(4_999).collect();
+    let mut end = load_at;
+    for segment in &frame {
+        cuts.extend([end - 1, end, end + 1]);
+        end += segment.len();
+    }
+    cuts.extend([load_end - 1, load_end, load_end + 1, log.len()]);
+    for cut in cuts {
+        let mut prefix = durable.clone();
+        prefix.log.truncate(cut);
+        let recovered =
+            Database::recover(cfg.clone(), prefix).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        let rows = recovered.with_table("t", |t| t.row_count()).unwrap_or(0);
+        let loaded = if cut >= load_end { ROWS } else { 0 };
+        let committed = commit_ends.iter().filter(|&&end| end <= cut).count();
+        assert_eq!(rows, loaded + committed, "cut at {cut} of {}", log.len());
+    }
+}
+
+/// A row longer than a log segment (a 100 KB string) takes a segment of its
+/// own in the load's record and comes back whole from recovery.
+#[test]
+fn a_row_wider_than_a_segment_survives_recovery() {
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    let schema = Schema::from_pairs(&[("id", DataType::Int32), ("s", DataType::Utf8)]);
+    db.create_table("w", schema, vec![0], IndexDescriptor::PrimaryCsi)
+        .unwrap();
+    let wide = "w".repeat(100 << 10);
+    let rows: Vec<Row> = (0..3)
+        .map(|id| {
+            let s = if id == 1 { wide.as_str() } else { "x" };
+            Row::new(vec![Value::Int32(id), Value::str(s)])
+        })
+        .collect();
+    db.load_table("w", rows.clone()).unwrap();
+    let recovered = crash_and_recover(db, cfg);
+    let q = SelectQuery::single_table("w", None, vec![0, 1]);
+    let mut back = recovered.query(&q).run().unwrap().rows;
+    back.sort_by_key(|r| r.key(&[0]));
+    assert_eq!(back, rows);
+}

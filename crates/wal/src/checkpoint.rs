@@ -115,11 +115,11 @@ impl ImageWriter {
             primary: primary.clone(),
             partitioning: entry.partitioning.clone(),
         };
-        image.put(&create.into_frame());
+        image.put_frame(create.into_frame());
         image.put(&(secondaries.len() as u32).to_le_bytes());
         for def in secondaries {
             let def = def.clone();
-            image.put(&LogRecord::IndexCreate { table, def }.into_frame());
+            image.put_frame(LogRecord::IndexCreate { table, def }.into_frame());
         }
         image.put(&(entry.parts.len() as u32).to_le_bytes());
         for (p, part) in entry.parts.iter().enumerate() {
@@ -128,7 +128,7 @@ impl ImageWriter {
                 part: p as u32,
                 indexes: part.clone(),
             };
-            image.put(&change.into_frame());
+            image.put_frame(change.into_frame());
         }
         append_frame_with(image, |b| encode_bulk_load(b, table, rows));
     }

@@ -14,8 +14,33 @@ use crate::frame::{append_frame_with, crc32_extend, ByteSink};
 use crate::record::LogRecord;
 
 /// Capacity a log buffer may keep however little it holds, and the size of
-/// the segments small flushes and checkpoint images fill.
+/// the segments small flushes, checkpoint images and bulk-load records fill.
 pub const RETAINED_MIN: usize = 64 << 10;
+
+/// A checkpoint whose truncation drops at least this much of the log gives
+/// the pages it freed back to the operating system ([`release_freed_pages`]);
+/// the segments of a few commits are reused by the next ones anyway.
+const RELEASE_AT: usize = 16 * RETAINED_MIN;
+
+/// Give the pages of memory freed into the heap back to the operating
+/// system. The log's segments — a bulk load's record among them — are heap
+/// blocks, which the allocator keeps resident once freed while anything
+/// allocated after them is live: a record held in one buffer was a mapping
+/// of its own and went back whole when the log dropped it. Trimming walks
+/// the heap once (about a millisecond for 60 MB of it). Only glibc has it.
+fn release_freed_pages() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: glibc's `malloc_trim` takes no pointer, locks the
+        // allocator's arenas itself and gives back only whole free pages.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
 
 /// A buffer keeps the capacity its largest content ever needed. After a
 /// one-off large record (a bulk load) or a truncation, that is nearly all of
@@ -81,13 +106,15 @@ pub struct WalSummary {
     pub deferred: bool,
 }
 
-/// The one segmented byte store: the flushed log, and each checkpoint image.
-/// Bytes are copied into segments of [`RETAINED_MIN`] bytes, each filled
-/// before the next is started; a log flush of a segment's size or more (a
-/// bulk load's frame) *is* the next segment — its buffer moves in. No
-/// segment ever grows, so a store holds its bytes and at most one segment's
-/// worth of room — one vector grown by doubling held up to twice its bytes,
-/// and doubled for the 30-byte record behind a 7 MB load.
+/// The one segmented byte store: the flushed log, each checkpoint image, and
+/// the bulk-load records the log takes in. Bytes are copied into segments of
+/// [`RETAINED_MIN`] bytes, each filled before the next is started. A bulk
+/// load's record is already held in such segments ([`crate::EncodedRows`]),
+/// and a flush appends them as they are: they become the log's, and the
+/// record is never copied. No segment ever
+/// grows, so a store holds its bytes and at most a segment's worth of room
+/// beside each record it adopted — one vector grown by doubling held up to
+/// twice its bytes, and doubled for the 30-byte record behind a 7 MB load.
 ///
 /// An image is written over the segments of the image the last checkpoint
 /// retired ([`Durable::retire`]): the segments past the first `used` are
@@ -140,22 +167,20 @@ impl Durable {
         self.segments.truncate(self.used);
     }
 
-    /// Append the bytes of `pending` and leave it empty: its buffer moves
-    /// in if it is a segment's worth, else it is copied and kept.
-    fn push(&mut self, pending: &mut Vec<u8>) {
-        if pending.len() < RETAINED_MIN {
-            self.put(pending);
-            pending.clear();
-            return;
+    /// Append a frame in the buffers that hold it ([`LogRecord::into_frame`]):
+    /// one buffer is copied (a small record, an image's catalog frames), the
+    /// segments of a longer frame — a bulk load's record, which only the log
+    /// takes whole — move in as they are.
+    pub(crate) fn put_frame(&mut self, frame: Vec<Vec<u8>>) {
+        if let [one] = &frame[..] {
+            return self.put(one);
         }
         debug_assert_eq!(self.free_segments(), 0, "the log keeps no free list");
-        self.len += pending.len();
-        let mut flushed = std::mem::take(pending);
-        if flushed.capacity() - flushed.len() > RETAINED_MIN {
-            flushed.shrink_to_fit();
+        for segment in frame {
+            self.len += segment.len();
+            self.segments.push(segment);
+            self.used += 1;
         }
-        self.segments.push(flushed);
-        self.used += 1;
     }
 
     /// Drop the first `cut` bytes: whole segments, then the front of the
@@ -320,20 +345,19 @@ impl Wal {
         Self::appended(&mut inner, before, bytes)
     }
 
-    /// [`Wal::append`] for a record already framed ([`LogRecord::into_frame`]):
-    /// into an empty pending buffer the frame moves, and a flush moves it on.
-    pub fn append_encoded(&self, frame: Vec<u8>) -> u64 {
+    /// [`Wal::append`] and [`Wal::flush`] for a record already framed
+    /// ([`LogRecord::into_frame`]): the pending bytes are flushed ahead of
+    /// it, then the frame — a bulk load's segments become the log's as they
+    /// are. Returns its LSN (0 when the log is disabled).
+    pub fn append_flushed(&self, frame: Vec<Vec<u8>>, tracker: &IoTracker) -> u64 {
         if !self.cfg.enabled {
             return 0;
         }
         let mut inner = self.inner.lock();
-        let (before, bytes) = (inner.pending.len(), frame.len());
-        if before == 0 {
-            inner.pending = frame;
-        } else {
-            inner.pending.extend_from_slice(&frame);
-        }
-        Self::appended(&mut inner, before, bytes)
+        let (before, bytes) = (inner.pending.len(), frame.iter().map(Vec::len).sum());
+        let lsn = Self::appended(&mut inner, before, bytes);
+        self.flush_locked(&mut inner, frame, tracker);
+        lsn
     }
 
     /// Account for one frame of `bytes` bytes appended at offset
@@ -350,18 +374,22 @@ impl Wal {
     /// write to `tracker`. Returns bytes flushed.
     pub fn flush(&self, tracker: &IoTracker) -> u64 {
         let mut inner = self.inner.lock();
-        self.flush_locked(&mut inner, tracker)
+        self.flush_locked(&mut inner, Vec::new(), tracker)
     }
 
-    fn flush_locked(&self, inner: &mut WalInner, tracker: &IoTracker) -> u64 {
-        let bytes = inner.pending.len() as u64;
+    /// Move the pending bytes, then `frame`, to the durable region as one
+    /// write.
+    fn flush_locked(&self, inner: &mut WalInner, frame: Vec<Vec<u8>>, tracker: &IoTracker) -> u64 {
+        let bytes = (inner.pending.len() + frame.iter().map(Vec::len).sum::<usize>()) as u64;
         if bytes == 0 {
             return 0;
         }
         let (seek_us, bw_us) = self.device.write_cost_parts(bytes, 1);
         tracker.record_write(bytes, seek_us, bw_us);
-        inner.durable.push(&mut inner.pending);
+        inner.durable.put(&inner.pending);
+        inner.pending.clear();
         release_excess(&mut inner.pending);
+        inner.durable.put_frame(frame);
         inner.pending_records = 0;
         let reg = hpd_obs::global();
         reg.counter("wal.flush.count").inc();
@@ -378,7 +406,7 @@ impl Wal {
         }
         let mut inner = self.inner.lock();
         if self.cfg.sync_commit || inner.pending.len() >= self.cfg.group_commit_bytes {
-            (self.flush_locked(&mut inner, tracker), false)
+            (self.flush_locked(&mut inner, Vec::new(), tracker), false)
         } else {
             hpd_obs::global().counter("wal.commit.deferred").inc();
             (0, true)
@@ -408,9 +436,10 @@ impl Wal {
 
     /// Atomically install a checkpoint image and truncate the durable log
     /// below its begin LSN (the checkpoint's begin record stays); the image
-    /// it replaces becomes the free list of the next. Charges the image
-    /// write to `tracker`. The caller must have flushed first so the image's
-    /// high-water marks refer to durable bytes.
+    /// it replaces becomes the free list of the next. A truncation of
+    /// [`RELEASE_AT`] bytes or more gives their pages back to the operating
+    /// system. Charges the image write to `tracker`. The caller must have
+    /// flushed first so the image's high-water marks refer to durable bytes.
     pub fn install_checkpoint(&self, image: ImageWriter, tracker: &IoTracker) {
         if !self.cfg.enabled {
             return;
@@ -426,6 +455,10 @@ impl Wal {
         inner.base_lsn += cut as u64;
         let replaced = inner.checkpoint.replace(image);
         inner.retired = replaced.map(Durable::retire).unwrap_or_default();
+        drop(inner);
+        if cut >= RELEASE_AT {
+            release_freed_pages();
+        }
         let reg = hpd_obs::global();
         reg.counter("wal.checkpoint.count").inc();
         reg.counter("wal.checkpoint.bytes").add(bytes);
@@ -588,23 +621,33 @@ mod tests {
     }
 
     #[test]
-    fn encoded_append_is_the_same_log_as_append() {
-        let rec = LogRecord::BulkLoad {
+    fn a_framed_append_is_the_same_log_as_append() {
+        let one_row = LogRecord::BulkLoad {
             table: 0,
             rows: EncodedRows::from_rows(&int_rows(7..8)),
         };
+        // 13 bytes a row: four segments.
+        let segmented = LogRecord::BulkLoad {
+            table: 1,
+            rows: EncodedRows::from_rows(&int_rows(0..20_000)),
+        };
         let (a, b) = (sync_wal(), sync_wal());
         let tracker = IoTracker::default();
-        for wal in [&a, &b] {
-            wal.append(&LogRecord::CheckpointBegin);
-        }
-        // Into a non-empty pending buffer, then (after a flush) an empty one.
-        for _ in 0..2 {
-            let lsn_a = a.append(&rec);
-            let lsn_b = b.append_encoded(rec.clone().into_frame());
-            assert_eq!(lsn_a, lsn_b);
-            a.flush(&tracker);
-            b.flush(&tracker);
+        // One buffer, segments, and a record that is not a load; each behind
+        // a pending record, then with nothing pending.
+        for rec in [&one_row, &segmented, &LogRecord::TxnAbort { txn_id: 4 }] {
+            for behind_pending in [true, false] {
+                if behind_pending {
+                    for wal in [&a, &b] {
+                        wal.append(&LogRecord::CheckpointBegin);
+                    }
+                }
+                let lsn_a = a.append(rec);
+                a.flush(&tracker);
+                let lsn_b = b.append_flushed(rec.clone().into_frame(), &tracker);
+                assert_eq!(lsn_a, lsn_b);
+                assert_eq!(b.pending_bytes(), 0);
+            }
         }
         assert_eq!(a.durable().log, b.durable().log);
         assert_eq!(a.next_lsn(), b.next_lsn());
@@ -614,8 +657,8 @@ mod tests {
     fn buffers_release_what_a_large_record_reserved() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        // Appended behind a small record the big one is copied into the
-        // pending buffer, which grows to hold it.
+        // Appended as a record, not a frame, a big load is encoded into the
+        // pending buffer, which grows to hold it, and copied into segments.
         wal.append(&LogRecord::CheckpointBegin);
         wal.append(&LogRecord::BulkLoad {
             table: 0,
@@ -646,21 +689,24 @@ mod tests {
     }
 
     #[test]
-    fn a_flushed_frame_moves_in_and_small_records_add_no_slack() {
+    fn a_loads_segments_become_the_logs_and_small_records_add_no_slack() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
+        // 13 bytes a row: twenty segments, none larger than a segment.
         let frame = LogRecord::BulkLoad {
             table: 0,
             rows: EncodedRows::from_rows(&int_rows(0..100_000)),
         }
         .into_frame();
-        let (frame_at, frame_bytes) = (frame.as_ptr(), frame.len());
-        assert_eq!(frame.capacity(), frame_bytes);
-        wal.append_encoded(frame);
-        wal.flush(&tracker);
-        // The frame's buffer is the log's first segment; then the records
-        // that doubled one growing vector (a 30-byte `IndexCreate` behind a
-        // 7 MB load took 7 MB more).
+        assert!(frame.len() >= 20, "{} segments", frame.len());
+        assert!(frame.iter().all(|s| s.capacity() <= RETAINED_MIN));
+        let frame_at: Vec<*const u8> = frame.iter().map(|s| s.as_ptr()).collect();
+        let frame_bytes: usize = frame.iter().map(Vec::len).sum();
+        wal.append_flushed(frame, &tracker);
+        // The record's buffers are the log's first segments; then the
+        // records that doubled one growing vector (a 30-byte `IndexCreate`
+        // behind a 7 MB load took 7 MB more) fill the last of them and new
+        // ones.
         for txn_id in 0..4_000 {
             wal.append(&LogRecord::TxnCommit {
                 txn_id,
@@ -668,17 +714,24 @@ mod tests {
             });
             wal.flush(&tracker);
             let inner = wal.inner.lock();
-            assert_eq!(inner.durable.segments[0].as_ptr(), frame_at);
-            assert!(inner.durable.capacity() <= inner.durable.len + RETAINED_MIN);
+            assert_eq!(segments_at(&inner.durable)[..frame_at.len()], frame_at);
+            // The room left in the last segment, and less than a row where
+            // the record closed one short.
+            let short = 13 * inner.durable.segments.len();
+            assert!(inner.durable.capacity() <= inner.durable.len + RETAINED_MIN + short);
         }
         let inner = wal.inner.lock();
         assert_eq!(inner.durable.len, wal_len(&inner.durable));
         assert!(inner.durable.len > frame_bytes + 40_000);
-        // One segment for the frame, the rest filled to the brim in turn.
-        let small = &inner.durable.segments[1..];
-        assert!(small.len() >= 2, "{} segments", small.len());
-        for segment in &small[..small.len() - 1] {
-            assert_eq!(segment.len(), RETAINED_MIN);
+        // Every segment but the last full, or closed short of a row.
+        let segments = &inner.durable.segments;
+        assert!(
+            segments.len() >= frame_at.len() + 2,
+            "{} segments",
+            segments.len()
+        );
+        for segment in &segments[..segments.len() - 1] {
+            assert!(segment.capacity() - segment.len() < 13);
         }
         drop(inner);
         // Frames straddle segment boundaries; the stream reads whole.
@@ -687,6 +740,47 @@ mod tests {
         let mut reader = FrameReader::new(&d.log, d.base_lsn);
         assert_eq!(reader.by_ref().count(), 4_001);
         assert!(reader.clean_end());
+    }
+
+    #[test]
+    fn a_row_wider_than_a_segment_is_a_segment_and_recovers() {
+        use hpd_common::{Row, Value};
+        let wide = Value::str("w".repeat(100 << 10));
+        let rows = [
+            Row::new(vec![Value::Int64(1), Value::str("a")]),
+            Row::new(vec![Value::Int64(2), wide]),
+            Row::new(vec![Value::Int64(3), Value::str("c")]),
+        ];
+        let rec = || LogRecord::BulkLoad {
+            table: 0,
+            rows: EncodedRows::from_rows(&rows),
+        };
+        // The first row in the first segment, the wide one in one of its own
+        // size, the last in a new segment.
+        let frame = rec().into_frame();
+        let shape: Vec<(usize, usize)> = frame.iter().map(|s| (s.len(), s.capacity())).collect();
+        assert_eq!(shape.len(), 3, "{shape:?}");
+        assert!(shape[0].1 < 64, "{shape:?}");
+        assert_eq!(shape[1].0, shape[1].1);
+        assert!(
+            shape[1].0 > 100 << 10 && shape[1].0 < (100 << 10) + 64,
+            "{shape:?}"
+        );
+        assert_eq!(shape[2].1, RETAINED_MIN);
+        let wal = sync_wal();
+        let tracker = IoTracker::default();
+        wal.append_flushed(frame, &tracker);
+        wal.append(&LogRecord::TxnAbort { txn_id: 1 });
+        wal.flush(&tracker);
+        // What survives a crash reads back as the record, and a log rebuilt
+        // from it reads the same.
+        let d = wal.durable();
+        let recovered = Wal::from_durable(WalConfig::default(), ram(), d.clone());
+        assert_eq!(recovered.durable().log, d.log);
+        let recs: Vec<LogRecord> = FrameReader::new(&d.log, d.base_lsn)
+            .map(|(_, p)| LogRecord::decode(p).unwrap())
+            .collect();
+        assert_eq!(recs, [rec(), LogRecord::TxnAbort { txn_id: 1 }]);
     }
 
     /// Install an image of one table of `rows` single-integer rows.

@@ -19,7 +19,8 @@ use hpd_common::{
     Result, Row, Schema, Value, ValueRef,
 };
 
-use crate::frame::{append_frame_with, seal_frame, ByteSink, FRAME_HEADER};
+use crate::frame::{append_frame_with, crc32_extend, ByteSink, FRAME_HEADER};
+use crate::log::RETAINED_MIN;
 
 /// One logical log record. LSNs are byte offsets assigned at append time by
 /// [`crate::Wal`], not stored in the payload.
@@ -122,44 +123,47 @@ pub enum LogRecord {
 /// wire: a `u32` row count, then each row as a `u32` value count and its
 /// values' encoding ([`codec::put_values`] — the form a B+ tree leaf holds a
 /// row in). This is the one form a load exists in: the engine builds every
-/// index from these bytes, and the buffer that holds them is the buffer the
-/// log keeps — it starts with room for the record's and its frame's headers,
-/// which [`LogRecord::into_frame`] fills in.
+/// index from these bytes, and the buffers that hold them are the ones the
+/// log keeps ([`LogRecord::into_frame`]).
+///
+/// The bytes are held in segments of [`RETAINED_MIN`] bytes, the log's own.
+/// No row straddles two: a segment the next row does not fit is closed
+/// short, and a row longer than a segment gets a segment of its own size.
+/// The first segment starts with room for the frame's and the record's
+/// headers and the row count, and grows with the load up to a segment's
+/// size, so a ten-row table holds a few hundred bytes of record, not a
+/// segment. Nothing is sized in advance: each segment is allocated as the
+/// rows before it are encoded and, in a load, freed.
 ///
 /// Rows come from [`EncodedRows::push`] / [`EncodedRows::push_encoded`], or
-/// from decoding a record, which checks every byte: what [`EncodedRows::iter`]
-/// walks is always well formed.
-#[derive(Clone, PartialEq)]
+/// from decoding a record, which checks every byte and builds the same
+/// segments: what [`EncodedRows::iter`] walks is always well formed.
+#[derive(Clone)]
 pub struct EncodedRows {
-    /// [`ROWS_AT`] bytes of room, the row count, the rows.
-    buf: Vec<u8>,
+    /// [`HEAD`] bytes of room, then rows; then segments of rows.
+    segments: Vec<Vec<u8>>,
+    rows: usize,
 }
 
 /// Where a `BulkLoad` frame's row count starts: behind the frame header, the
 /// record's tag and its table id.
 const ROWS_AT: usize = FRAME_HEADER + 5;
+/// Where its first row starts.
+const HEAD: usize = ROWS_AT + 4;
 
 impl Default for EncodedRows {
     fn default() -> EncodedRows {
-        EncodedRows::with_capacity(0)
+        EncodedRows {
+            segments: vec![vec![0; HEAD]],
+            rows: 0,
+        }
     }
 }
 
 impl EncodedRows {
-    /// No rows, with room for `bytes` bytes of them (each row takes its
-    /// values' encoded length and four bytes more).
-    pub fn with_capacity(bytes: usize) -> EncodedRows {
-        let mut buf = Vec::with_capacity(ROWS_AT + 4 + bytes);
-        buf.resize(ROWS_AT + 4, 0);
-        EncodedRows { buf }
-    }
-
-    /// The encoded form of `rows`, in a buffer of exactly its size.
-    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a Row> + Clone) -> EncodedRows {
-        let encoded_len = |v: &Value| ValueRef::from(v).encoded_len();
-        let row_len = |r: &Row| 4 + r.values().iter().map(encoded_len).sum::<usize>();
-        let bytes = rows.clone().into_iter().map(row_len).sum();
-        let mut encoded = EncodedRows::with_capacity(bytes);
+    /// The encoded form of `rows`.
+    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a Row>) -> EncodedRows {
+        let mut encoded = EncodedRows::default();
         for row in rows {
             encoded.push(row.values());
         }
@@ -167,72 +171,100 @@ impl EncodedRows {
     }
 
     /// Append a row, encoding it.
-    pub fn push<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
-        let count_at = self.buf.len();
-        put_u32(&mut self.buf, 0);
-        let mut count: u32 = 0;
-        for v in values {
-            codec::put_value(&mut self.buf, v.into());
-            count += 1;
-        }
-        self.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-        self.set_len(self.len() + 1);
+    pub fn push(&mut self, values: &[Value]) {
+        let len = 4
+            + (values.iter())
+                .map(|v| ValueRef::from(v).encoded_len())
+                .sum::<usize>();
+        let segment = self.room(len);
+        let end = segment.len() + len;
+        put_u32(segment, values.len() as u32);
+        codec::put_values(segment, values);
+        debug_assert_eq!(
+            segment.len(),
+            end,
+            "a row's length is its values' encoded lengths"
+        );
+        self.rows += 1;
     }
 
     /// Append a row already encoded ([`codec::put_values`] of its values; a
     /// B+ tree leaf lends its rows in exactly this form). Its value count is
     /// read off its bytes.
     pub fn push_encoded(&mut self, row: &[u8]) {
-        put_u32(&mut self.buf, codec::count_values(row) as u32);
-        self.buf.extend_from_slice(row);
-        self.set_len(self.len() + 1);
+        let segment = self.room(4 + row.len());
+        put_u32(segment, codec::count_values(row) as u32);
+        segment.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// The segment the next `len` bytes of row go into, with room for them:
+    /// the last, grown if it is the first and stays within a segment's
+    /// size, else a new one.
+    fn room(&mut self, len: usize) -> &mut Vec<u8> {
+        let first = self.segments.len() == 1;
+        let last = self.segments.last_mut().expect("the first segment");
+        let need = last.len() + len;
+        if need > last.capacity() {
+            if first && need <= RETAINED_MIN {
+                let grown = (2 * last.capacity()).clamp(need, RETAINED_MIN);
+                last.reserve_exact(grown - last.len());
+            } else {
+                self.segments
+                    .push(Vec::with_capacity(len.max(RETAINED_MIN)));
+            }
+        }
+        self.segments.last_mut().expect("a segment with room")
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        let count: [u8; 4] = (self.buf[ROWS_AT..ROWS_AT + 4].try_into()).expect("four bytes");
-        u32::from_le_bytes(count) as usize
-    }
-
-    fn set_len(&mut self, rows: usize) {
-        self.buf[ROWS_AT..ROWS_AT + 4].copy_from_slice(&(rows as u32).to_le_bytes());
+        self.rows
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows == 0
     }
 
-    /// The row count and the rows, as they follow a `BulkLoad` record's
-    /// table id.
-    pub fn wire_bytes(&self) -> &[u8] {
-        &self.buf[ROWS_AT..]
-    }
-
-    /// Give back what the buffer reserved beyond its rows, if that is more
-    /// than a small fraction of them.
-    pub fn shrink_to_fit(&mut self) {
-        if self.buf.capacity() - self.buf.len() > self.buf.len() / 16 {
-            self.buf.shrink_to_fit();
-        }
+    /// The bytes from offset `at` of the first segment on, one slice per
+    /// segment.
+    fn bytes_from(&self, at: usize) -> impl Iterator<Item = &[u8]> + Clone {
+        let (first, rest) = self.segments.split_first().expect("the first segment");
+        std::iter::once(&first[at..]).chain(rest.iter().map(Vec::as_slice))
     }
 
     /// Each row's encoded values ([`codec::values`] reads them), in order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
-        let mut rest = &self.buf[ROWS_AT + 4..];
-        std::iter::from_fn(move || {
-            let (count, values) = rest.split_first_chunk::<4>()?;
-            let len = codec::values_len(values, u32::from_le_bytes(*count) as usize);
-            let row;
-            (row, rest) = values.split_at(len);
-            Some(row)
-        })
+        (self.bytes_from(HEAD))
+            .flat_map(wire_rows)
+            .map(|row| &row[4..])
+    }
+
+    /// This record's frame ([`LogRecord::into_frame`]): the headers written
+    /// into the room the first segment starts with, the CRC run over the
+    /// segments.
+    fn into_frame(mut self, table: u32) -> Vec<Vec<u8>> {
+        let head = &mut self.segments[0];
+        head[FRAME_HEADER] = TAG_BULK_LOAD;
+        head[FRAME_HEADER + 1..ROWS_AT].copy_from_slice(&table.to_le_bytes());
+        head[ROWS_AT..HEAD].copy_from_slice(&(self.rows as u32).to_le_bytes());
+        let payload = self
+            .bytes_from(FRAME_HEADER)
+            .map(<[u8]>::len)
+            .sum::<usize>();
+        let crc = self.bytes_from(FRAME_HEADER).fold(0, crc32_extend);
+        let head = &mut self.segments[0];
+        head[..4].copy_from_slice(&(payload as u32).to_le_bytes());
+        head[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        self.segments
     }
 
     /// Check and copy the rows at the front of `wire` (a row count, then
     /// that many rows); returns them and the bytes consumed. No value is
     /// built: each is read in place, which finds a truncated value, an
     /// unknown tag, a string that is not UTF-8 and a count that runs past
-    /// the payload.
+    /// the payload. Only checked bytes are copied, into the segments a load
+    /// of the same rows fills.
     fn decode(wire: &[u8]) -> Result<(EncodedRows, usize)> {
         let mut rest = wire;
         let count = |rest: &mut &[u8], what: &str| -> Result<u32> {
@@ -252,10 +284,31 @@ impl EncodedRows {
             }
         }
         let used = wire.len() - rest.len();
-        let mut buf = Vec::with_capacity(ROWS_AT + used);
-        buf.resize(ROWS_AT, 0);
-        buf.extend_from_slice(&wire[..used]);
-        Ok((EncodedRows { buf }, used))
+        let mut rows = EncodedRows::default();
+        for row in wire_rows(&wire[4..used]) {
+            rows.room(row.len()).extend_from_slice(row);
+            rows.rows += 1;
+        }
+        Ok((rows, used))
+    }
+}
+
+/// The rows `bytes` holds, each as the wire does: its value count, then its
+/// values.
+fn wire_rows(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> + Clone {
+    std::iter::from_fn(move || {
+        let (count, values) = bytes.split_first_chunk::<4>()?;
+        let len = 4 + codec::values_len(values, u32::from_le_bytes(*count) as usize);
+        let row;
+        (row, bytes) = bytes.split_at(len);
+        Some(row)
+    })
+}
+
+impl PartialEq for EncodedRows {
+    /// The same rows, in the same order.
+    fn eq(&self, other: &EncodedRows) -> bool {
+        self.rows == other.rows && self.iter().eq(other.iter())
     }
 }
 
@@ -590,28 +643,25 @@ impl LogRecord {
     /// up to twice the record), a small constant for everything else.
     pub fn encoded_len_hint(&self) -> usize {
         match self {
-            LogRecord::BulkLoad { rows, .. } => 5 + rows.wire_bytes().len(),
+            LogRecord::BulkLoad { rows, .. } => {
+                5 + rows.bytes_from(ROWS_AT).map(<[u8]>::len).sum::<usize>()
+            }
             _ => 32,
         }
     }
 
-    /// This record as one finished frame, for [`crate::Wal::append_encoded`].
-    /// A bulk load's rows sit behind room for the headers: they are written
-    /// there and the rows' buffer *is* the frame — nothing the size of the
-    /// load is copied or encoded again.
-    pub fn into_frame(self) -> Vec<u8> {
+    /// This record as one finished frame, in the buffers that hold it, for
+    /// [`crate::Wal::append_flushed`]. A bulk load's rows sit behind room for
+    /// the headers: they are written there and the rows' segments *are* the
+    /// frame — nothing the size of the load is copied or encoded again. Any
+    /// other record is one buffer.
+    pub fn into_frame(self) -> Vec<Vec<u8>> {
         match self {
-            LogRecord::BulkLoad { table, rows } => {
-                let mut frame = rows.buf;
-                frame[FRAME_HEADER] = TAG_BULK_LOAD;
-                frame[FRAME_HEADER + 1..ROWS_AT].copy_from_slice(&table.to_le_bytes());
-                seal_frame(&mut frame, 0);
-                frame
-            }
+            LogRecord::BulkLoad { table, rows } => rows.into_frame(table),
             rec => {
                 let mut frame = Vec::with_capacity(FRAME_HEADER + rec.encoded_len_hint());
                 append_frame_with(&mut frame, |b| rec.encode_into(b));
-                frame
+                vec![frame]
             }
         }
     }
@@ -676,7 +726,8 @@ impl LogRecord {
             LogRecord::BulkLoad { table, rows } => {
                 b.push(TAG_BULK_LOAD);
                 put_u32(b, *table);
-                b.extend_from_slice(rows.wire_bytes());
+                put_u32(b, rows.len() as u32);
+                rows.bytes_from(HEAD).for_each(|s| b.extend_from_slice(s));
             }
             LogRecord::IndexCreate { table, def } => {
                 b.push(TAG_INDEX_CREATE);
@@ -973,30 +1024,83 @@ mod tests {
         // Pushed encoded or as values, framed in place or copied: one form.
         let mut pushed = EncodedRows::default();
         pushed.push_encoded(&encoded);
-        assert_eq!(pushed.wire_bytes(), &expected[5..]);
+        let pushed = LogRecord::BulkLoad {
+            table: 7,
+            rows: pushed,
+        };
+        assert_eq!(pushed.encode(), expected);
         let mut framed = Vec::new();
         crate::frame::append_frame(&mut framed, &expected);
-        assert_eq!(rec.into_frame(), framed);
+        assert_eq!(rec.into_frame(), [framed.clone()]);
+        assert_eq!(pushed.into_frame(), [framed]);
+    }
+
+    /// Each segment's length and capacity.
+    fn shape(rows: &EncodedRows) -> Vec<(usize, usize)> {
+        (rows.segments.iter())
+            .map(|s| (s.len(), s.capacity()))
+            .collect()
     }
 
     #[test]
-    fn bulk_load_length_hint_is_exact() {
-        let rows = [
-            Row::new(vec![Value::Int64(1), Value::str("héllo"), Value::Date(4)]),
-            Row::new(vec![]),
-            Row::new(vec![Value::Float64(0.5), Value::str("")]),
-        ];
+    fn bulk_load_rows_fill_segments_no_row_straddles_and_the_hint_is_exact() {
+        // 20 000 rows of 29 bytes, a 100 KB one among them, an empty one last.
+        let row = |k: i64| Row::new(vec![Value::Int64(k), Value::str("héllo"), Value::Date(4)]);
+        let mut rows: Vec<Row> = (0..20_000).map(row).collect();
+        let wide = Value::str("w".repeat(100 << 10));
+        rows.insert(7_000, Row::new(vec![Value::Int64(-1), wide]));
+        rows.push(Row::new(vec![]));
         let encoded = EncodedRows::from_rows(&rows);
-        // Sized exactly, and read back row by row as it was written.
-        assert_eq!(encoded.buf.capacity(), encoded.buf.len());
-        assert_eq!(encoded.len(), 3);
+        // Read back row by row as it was written.
+        assert_eq!(encoded.len(), rows.len());
         let back: Vec<Row> = (encoded.iter().map(codec::decode).map(Row::new)).collect();
         assert_eq!(back, rows);
+        // Every segment ends on a row's end and is at most a segment's size,
+        // but the one that holds the wide row alone, at that row's size.
+        assert!(encoded.segments.len() >= 10, "{:?}", shape(&encoded));
+        for (i, segment) in encoded.segments.iter().enumerate() {
+            let head = if i == 0 { HEAD } else { 0 };
+            let lens: Vec<usize> = wire_rows(&segment[head..]).map(<[u8]>::len).collect();
+            assert_eq!(
+                head + lens.iter().sum::<usize>(),
+                segment.len(),
+                "segment {i}"
+            );
+            if segment.capacity() > RETAINED_MIN {
+                assert_eq!((lens.len(), segment.len()), (1, segment.capacity()));
+                assert!(lens[0] > 100 << 10);
+            }
+        }
+        assert_eq!(encoded.segments[0].capacity(), RETAINED_MIN);
+        // The hint is exact, and decoding builds the same segments.
         let rec = LogRecord::BulkLoad {
             table: 3,
             rows: encoded,
         };
-        assert_eq!(rec.encoded_len_hint(), rec.encode().len());
+        let bytes = rec.encode();
+        assert_eq!(rec.encoded_len_hint(), bytes.len());
+        let decoded = LogRecord::decode(&bytes).unwrap();
+        assert_eq!(decoded, rec);
+        let (LogRecord::BulkLoad { rows: a, .. }, LogRecord::BulkLoad { rows: b, .. }) =
+            (&decoded, &rec)
+        else {
+            unreachable!()
+        };
+        assert_eq!(shape(a), shape(b));
+        // The frame is the segments, its headers filled in and its CRC run
+        // over them: the bytes of the frame written in one buffer.
+        let mut framed = Vec::new();
+        crate::frame::append_frame(&mut framed, &bytes);
+        assert_eq!(rec.into_frame().concat(), framed);
+        // Ten rows take one segment sized to them, not a segment's size.
+        let small = EncodedRows::from_rows(&rows[..10]);
+        let [(len, capacity)] = shape(&small)[..] else {
+            panic!("{:?}", shape(&small))
+        };
+        assert!(
+            capacity < 2 * len && capacity < 1_024,
+            "{len} in {capacity}"
+        );
     }
 
     #[test]

@@ -196,7 +196,7 @@ pub fn run(scale: Scale) -> String {
     ));
     out.push_str("\nhybrid design columnstores: ");
     for t in &hybrid_cfg.tables {
-        if t.indexes[1..].iter().any(|d| d.is_csi()) {
+        if t.parts.iter().any(|p| p[1..].iter().any(|d| d.is_csi())) {
             out.push_str(&t.table);
             out.push(' ');
         }

@@ -1,7 +1,7 @@
 //! The advisor facade: analyze a workload, recommend a physical design.
 
-use hpd_common::{HpdError, Result};
-use hpd_engine::{Configuration, Database, IndexDescriptor, TableDesign};
+use hpd_common::Result;
+use hpd_engine::{Configuration, Database, IndexDescriptor, IndexMeta, TableDesign};
 
 use crate::candidates::{generate_candidates, prune_candidates};
 use crate::enumerate::greedy_search;
@@ -31,14 +31,8 @@ impl DesignMode {
     }
 }
 
-/// Which size estimator to use for hypothetical columnstores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
-    BlackBox,
-    RunModel,
-}
-
-/// Advisor knobs.
+/// Advisor knobs. Hypothetical columnstores are sized by the GEE run-model
+/// estimator ([`crate::RunModelEstimator`]).
 #[derive(Debug, Clone)]
 pub struct AdvisorOptions {
     pub mode: DesignMode,
@@ -46,7 +40,6 @@ pub struct AdvisorOptions {
     pub storage_budget_bytes: Option<usize>,
     /// Block-sampling fraction for size estimation.
     pub sample_fraction: f64,
-    pub estimator: EstimatorKind,
     pub seed: u64,
 }
 
@@ -56,7 +49,6 @@ impl Default for AdvisorOptions {
             mode: DesignMode::Hybrid,
             storage_budget_bytes: None,
             sample_fraction: 0.1,
-            estimator: EstimatorKind::RunModel,
             seed: 0x5EED,
         }
     }
@@ -78,7 +70,8 @@ pub struct CsiColumnDetail {
 /// A recommended physical design with its estimated impact.
 #[derive(Debug, Clone)]
 pub struct Recommendation {
-    /// Full per-table designs (existing primary + recommended secondaries).
+    /// Full per-table designs: per part, its primary (existing, or of the
+    /// other kind where the search swapped it) + recommended secondaries.
     pub configuration: Configuration,
     pub est_cost_before_us: f64,
     pub est_cost_after_us: f64,
@@ -88,11 +81,6 @@ pub struct Recommendation {
     /// Per-column encoding expectations for every recommended columnstore
     /// (empty when no CSI was recommended).
     pub csi_encoding_details: Vec<CsiColumnDetail>,
-    /// Referenced tables whose partitions have different primary indexes.
-    /// They have no whole-table design to extend, so they were costed as
-    /// they are and `configuration` leaves them out: applying it cannot
-    /// flatten them. `recommend_partition_designs` tunes such a table.
-    pub per_partition_tables: Vec<String>,
 }
 
 impl Recommendation {
@@ -115,26 +103,25 @@ impl Recommendation {
             self.speedup()
         );
         let _ = writeln!(out, "New index bytes: {}", self.new_index_bytes);
-        for table in &self.per_partition_tables {
-            let _ = writeln!(
-                out,
-                "table {table}: designed per partition, left as is \
-                 (use recommend_partition_designs)"
-            );
-        }
         for design in &self.configuration.tables {
-            if design.indexes.len() <= 1 {
-                continue;
-            }
             let schema = db.with_table(&design.table, |t| t.schema().clone()).ok();
-            let _ = writeln!(out, "table {}:", design.table);
-            for d in &design.indexes[1..] {
-                match &schema {
-                    Some(s) => {
-                        let _ = writeln!(out, "  CREATE {}", d.display(s));
+            let show = |d: &IndexDescriptor| match &schema {
+                Some(s) => d.display(s),
+                None => format!("{d:?}"),
+            };
+            match design.indexes() {
+                Some(indexes) if indexes.len() <= 1 => continue,
+                Some(indexes) => {
+                    let _ = writeln!(out, "table {}:", design.table);
+                    for d in &indexes[1..] {
+                        let _ = writeln!(out, "  CREATE {}", show(d));
                     }
-                    None => {
-                        let _ = writeln!(out, "  CREATE {d:?}");
+                }
+                None => {
+                    let _ = writeln!(out, "table {}, per partition:", design.table);
+                    for (p, indexes) in design.parts.iter().enumerate() {
+                        let list: Vec<String> = indexes.iter().map(show).collect();
+                        let _ = writeln!(out, "  p{p}: {}", list.join(" + "));
                     }
                 }
             }
@@ -176,7 +163,12 @@ impl<'db> Advisor<'db> {
         let raw = generate_candidates(workload, session.contexts(), self.options.mode);
         let pruned = prune_candidates(&mut session, &raw)?;
         let pool = merge_candidates(&pruned);
-        let result = greedy_search(&mut session, &pool, self.options.storage_budget_bytes)?;
+        let result = greedy_search(
+            &mut session,
+            &pool,
+            self.options.mode,
+            self.options.storage_budget_bytes,
+        )?;
 
         // Per-statement before/after costs (the search has computed both).
         let empty = Chosen::new();
@@ -187,29 +179,33 @@ impl<'db> Advisor<'db> {
             per_statement.push((ws.label.clone(), before, after));
         }
 
-        // Assemble the configuration — existing primary + chosen
+        // Assemble the configuration — per part, its primary + chosen
         // secondaries — and, for every recommended CSI, the per-column
-        // encoding expectations: the estimator's predicted encoding + size,
-        // and the cost model's CPU factor for scanning that encoding.
+        // encoding expectations: the estimator's predicted encoding + size
+        // (summed over the parts holding it), and the cost model's CPU
+        // factor for scanning that encoding.
         let mut tables = Vec::new();
         let mut csi_encoding_details = Vec::new();
         for name in workload.referenced_tables() {
-            let Some(ctx) = session.contexts().get(&name) else {
-                continue;
-            };
-            let schema = ctx.schema.clone();
-            let primary = ctx
-                .shared_primary()
-                .expect("session tables share a primary");
-            let mut indexes = vec![primary.descriptor.clone()];
-            for d in result.chosen.get(&name).into_iter().flatten() {
-                indexes.push(d.clone());
-                if !d.is_csi() {
-                    continue;
+            let parts = result.chosen[&name].clone();
+            let schema = session.contexts()[&name].schema.clone();
+            let mut new_csis: Vec<&IndexDescriptor> = Vec::new();
+            for (list, initial) in parts.iter().zip(&session.initial()[&name]) {
+                for d in list.iter().filter(|d| d.is_csi() && **d != initial[0]) {
+                    if !new_csis.contains(&d) {
+                        new_csis.push(d);
+                    }
                 }
-                let meta = session.meta(&name, d);
-                for &(c, bytes) in &meta.column_bytes {
-                    let encoding = meta
+            }
+            for d in new_csis {
+                let metas: Vec<IndexMeta> = (0..parts.len())
+                    .filter(|&p| parts[p].contains(d))
+                    .map(|p| session.part_meta(&name, p, d))
+                    .collect();
+                for &(c, _) in &metas[0].column_bytes {
+                    let bytes =
+                        |m: &IndexMeta| m.column_bytes.iter().find(|cb| cb.0 == c).map(|cb| cb.1);
+                    let encoding = metas[0]
                         .column_encodings
                         .iter()
                         .find(|&&(ec, _)| ec == c)
@@ -218,12 +214,12 @@ impl<'db> Advisor<'db> {
                         table: name.clone(),
                         column: schema.column(c).name.clone(),
                         encoding,
-                        est_bytes: bytes,
+                        est_bytes: metas.iter().filter_map(bytes).sum(),
                         cpu_factor: hpd_engine::cost::encoding_cpu_factor(encoding),
                     });
                 }
             }
-            tables.push(TableDesign::new(name, indexes));
+            tables.push(TableDesign { table: name, parts });
         }
         let configuration = Configuration { tables };
         configuration.validate()?;
@@ -235,33 +231,34 @@ impl<'db> Advisor<'db> {
             per_statement,
             new_index_bytes: result.new_index_bytes,
             csi_encoding_details,
-            per_partition_tables: session.per_partition_tables().to_vec(),
         })
     }
 }
 
 /// The paper's non-advisor baseline: "a secondary (non-clustered)
 /// columnstore is built on all tables in the database" — plus the existing
-/// primaries.
+/// primaries. Each part keeps its primary; a part whose primary is a B+
+/// tree gains the columnstore.
 pub fn csi_everywhere_configuration(db: &Database, tables: &[String]) -> Result<Configuration> {
     let mut designs = Vec::new();
     for name in tables {
         let ctx = db.context_for(name)?;
-        // A table whose partitions have different primaries has no "existing
-        // primary" to keep, and the one design built here would flatten it.
-        let Some(primary) = ctx.shared_primary().map(|m| m.descriptor.clone()) else {
-            return Err(HpdError::InvalidQuery(format!(
-                "table {name} has per-partition primary indexes; use recommend_partition_designs"
-            )));
-        };
         let eligible: Vec<usize> = (0..ctx.schema.len())
             .filter(|&c| ctx.schema.column(c).csi_eligible)
             .collect();
-        let mut indexes = vec![primary.clone()];
-        if !primary.is_csi() && !eligible.is_empty() {
-            indexes.push(IndexDescriptor::SecondaryCsi { columns: eligible });
-        }
-        designs.push(TableDesign::new(name.clone(), indexes));
+        let parts = ctx.parts.iter().map(|part| {
+            let primary = part.metas[0].descriptor.clone();
+            let csi = (!primary.is_csi() && !eligible.is_empty()).then(|| {
+                IndexDescriptor::SecondaryCsi {
+                    columns: eligible.clone(),
+                }
+            });
+            std::iter::once(primary).chain(csi).collect()
+        });
+        designs.push(TableDesign {
+            table: name.clone(),
+            parts: parts.collect(),
+        });
     }
     Ok(Configuration { tables: designs })
 }

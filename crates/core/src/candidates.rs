@@ -7,7 +7,7 @@ use hpd_common::{Expr, Result};
 use hpd_engine::{IndexDescriptor, SelectQuery, Statement, TableContext};
 
 use crate::advisor::DesignMode;
-use crate::session::{what_if, Overrides, WhatIfSession};
+use crate::session::{what_if, Overrides, PartLists, WhatIfSession};
 use crate::workload::Workload;
 
 /// Per-table candidate pool.
@@ -27,6 +27,75 @@ impl CandidateSet {
 
     pub fn total(&self) -> usize {
         self.per_table.values().map(Vec::len).sum()
+    }
+}
+
+/// One move of the greedy search: `descriptor` on every part of its table
+/// (`part: None`) or on one part. A secondary joins the lists of those
+/// parts; a primary replaces its part's primary.
+#[derive(Debug, Clone)]
+pub struct Candidate {
+    pub part: Option<usize>,
+    pub descriptor: IndexDescriptor,
+}
+
+impl Candidate {
+    /// The moves on the table `ctx` describes, whose pool is `pool`: each
+    /// pool descriptor on all parts; on a table of several parts also each
+    /// on each single part, and each part's primary of the other kind that
+    /// `mode` allows. A whole table's primary is never swapped. The
+    /// whole-table moves come last, so a tie goes to the one-part move.
+    pub fn moves(ctx: &TableContext, pool: &[IndexDescriptor], mode: DesignMode) -> Vec<Candidate> {
+        let on = |part, d: &IndexDescriptor| Candidate {
+            part,
+            descriptor: d.clone(),
+        };
+        let whole = pool.iter().map(|d| on(None, d));
+        if ctx.parts.len() == 1 {
+            return whole.collect();
+        }
+        let mut moves = Vec::new();
+        for p in 0..ctx.parts.len() {
+            moves.extend(pool.iter().map(|d| on(Some(p), d)));
+        }
+        for (p, info) in ctx.parts.iter().enumerate() {
+            let (other, allowed) = if info.metas[0].descriptor.is_csi() {
+                let keys = ctx.pk.clone();
+                (IndexDescriptor::PrimaryBTree { keys }, mode.allows_btree())
+            } else {
+                (IndexDescriptor::PrimaryCsi, mode.allows_csi())
+            };
+            if allowed {
+                moves.push(on(Some(p), &other));
+            }
+        }
+        moves.extend(whole);
+        moves
+    }
+
+    /// `lists`, one index list per part, with this move made; `None` when
+    /// it does not fit: a part has the index already, or would hold two
+    /// columnstores.
+    pub fn apply(&self, lists: &[Vec<IndexDescriptor>]) -> Option<PartLists> {
+        let d = &self.descriptor;
+        let mut out = lists.to_vec();
+        for (p, list) in out.iter_mut().enumerate() {
+            if self.part.is_some_and(|q| q != p) {
+                continue;
+            }
+            if list.contains(d) {
+                return None;
+            }
+            if d.is_primary() {
+                list[0] = d.clone();
+            } else {
+                list.push(d.clone());
+            }
+            if list.iter().filter(|i| i.is_csi()).count() > 1 {
+                return None;
+            }
+        }
+        Some(out)
     }
 }
 
@@ -215,21 +284,24 @@ pub fn prune_candidates(
             Statement::Delete(d) => locate_query(&d.table, &d.predicate, session.contexts()),
             Statement::Insert(_) => continue,
         };
-        // Per-table meta lists: existing primary, then every candidate.
+        // Per-part meta lists: the part's primary, then every candidate.
         let mut overrides = Overrides::new();
         for t in &query.tables {
-            if session.contexts().contains_key(&t.name) {
-                let cands = candidates
-                    .per_table
-                    .get(&t.name)
-                    .map_or(&[][..], Vec::as_slice);
-                overrides.insert(t.name.clone(), vec![session.metas_for(&t.name, cands)]);
-            }
+            let cands = candidates
+                .per_table
+                .get(&t.name)
+                .map_or(&[][..], Vec::as_slice);
+            let lists: Vec<Vec<IndexDescriptor>> = session.initial()[&t.name]
+                .iter()
+                .map(|primary| primary.iter().chain(cands).cloned().collect())
+                .collect();
+            overrides.insert(t.name.clone(), session.metas_for(&t.name, &lists));
         }
         let plan = what_if(session.db, &query, &overrides)?;
         for (ti, idx) in plan.index_refs() {
             let name = &query.tables[ti].name;
-            // Position 0 is the primary; candidate k sits at k + 1.
+            // Position 0 is the primary; candidate k sits at k + 1 on
+            // every part.
             let cands = candidates.per_table.get(name);
             if let Some(c) = cands.and_then(|c| c.get(idx.0.checked_sub(1)?)) {
                 used.add(name, c.clone());
@@ -350,5 +422,27 @@ mod tests {
         set.add("t", d.clone());
         set.add("t", d);
         assert_eq!(set.total(), 1);
+    }
+
+    #[test]
+    fn a_move_keeps_one_columnstore_per_part() {
+        let csi = IndexDescriptor::SecondaryCsi { columns: vec![0] };
+        let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+        let lists = vec![vec![IndexDescriptor::PrimaryCsi], vec![btree.clone()]];
+        let on = |part, descriptor: &IndexDescriptor| Candidate {
+            part,
+            descriptor: descriptor.clone(),
+        };
+        // The secondary columnstore fits the B+ tree part only.
+        assert!(on(None, &csi).apply(&lists).is_none());
+        assert!(on(Some(0), &csi).apply(&lists).is_none());
+        let tail = on(Some(1), &csi).apply(&lists).unwrap();
+        assert_eq!(tail[1], [btree.clone(), csi.clone()]);
+        // A part holding it cannot swap its primary for a columnstore.
+        assert!(on(Some(1), &IndexDescriptor::PrimaryCsi)
+            .apply(&tail)
+            .is_none());
+        let swapped = on(Some(0), &btree).apply(&lists).unwrap();
+        assert_eq!(swapped, [vec![btree.clone()], vec![btree]]);
     }
 }

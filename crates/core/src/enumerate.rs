@@ -3,8 +3,9 @@
 use hpd_common::Result;
 use hpd_engine::{cost::CostModel, IndexDescriptor, IndexMeta};
 
-use crate::candidates::CandidateSet;
-use crate::session::{Chosen, WhatIfSession};
+use crate::advisor::DesignMode;
+use crate::candidates::{Candidate, CandidateSet};
+use crate::session::{Chosen, PartLists, WhatIfSession};
 
 /// Estimated maintenance cost (microseconds) of keeping one index up to
 /// date across `rows` modified rows, following the paper's Figure 5
@@ -41,25 +42,20 @@ pub struct SearchResult {
     pub new_index_bytes: usize,
 }
 
-/// Greedy enumeration: repeatedly add the candidate with the best benefit
-/// (per byte when a budget binds) until nothing improves the workload cost
-/// by more than 0.1% or the budget is exhausted. At most one columnstore
-/// per table survives (structural constraint).
+/// Greedy enumeration: repeatedly make the move ([`Candidate`]) with the
+/// best benefit (per byte when a budget binds) until nothing improves the
+/// workload cost by more than 0.1% or the budget is exhausted. At most one
+/// columnstore per part survives (structural constraint).
 pub fn greedy_search(
     session: &mut WhatIfSession,
     pool: &CandidateSet,
+    mode: DesignMode,
     storage_budget: Option<usize>,
 ) -> Result<SearchResult> {
     let workload = session.workload();
-    // Every pool table has a (possibly empty) list, so a trial can push its
-    // candidate, cost, and pop.
-    let mut chosen: Chosen = pool
-        .per_table
-        .keys()
-        .map(|table| (table.clone(), Vec::new()))
-        .collect();
-    // Per-statement costs under the *current* configuration: a trial
-    // candidate on table T only changes statements that reference T.
+    let mut chosen: Chosen = session.initial().clone();
+    // Per-statement costs under the *current* configuration: a move on
+    // table T only changes statements that reference T.
     let mut stmt_costs: Vec<f64> = (0..workload.len())
         .map(|i| session.statement_cost(i, &chosen))
         .collect::<Result<_>>()?;
@@ -71,42 +67,37 @@ pub fn greedy_search(
     let mut current = initial;
     let mut used_bytes = 0usize;
 
-    // Pool tables some statement references, each with those statements
-    // (the only ones a trial on it re-costs).
-    let tables: Vec<(&String, &Vec<IndexDescriptor>, Vec<usize>)> = pool
-        .per_table
-        .iter()
-        .map(|(table, cands)| (table, cands, session.statements_on(table)))
-        .filter(|(_, _, affected)| !affected.is_empty())
+    // Every table's moves, with the statements on it (the only ones a
+    // trial on it re-costs).
+    let mut names: Vec<&String> = session.contexts().keys().collect();
+    names.sort();
+    let tables: Vec<(String, Vec<Candidate>, Vec<usize>)> = names
+        .into_iter()
+        .map(|table| {
+            let cands = pool.per_table.get(table).map_or(&[][..], Vec::as_slice);
+            let moves = Candidate::moves(&session.contexts()[table], cands, mode);
+            (table.clone(), moves, session.statements_on(table))
+        })
         .collect();
 
     loop {
-        // (score, workload cost, re-costed statements, table, candidate, size)
+        // (score, workload cost, re-costed statements, table, lists, size)
         #[allow(clippy::type_complexity)]
-        let mut best: Option<(
-            f64,
-            f64,
-            Vec<(usize, f64)>,
-            &String,
-            &IndexDescriptor,
-            usize,
-        )> = None;
-        for (table, cands, affected) in &tables {
-            let primary = session.contexts()[*table].shared_primary();
-            let table_has_csi = primary.is_some_and(|m| m.descriptor.is_csi())
-                || chosen[*table].iter().any(IndexDescriptor::is_csi);
-            for d in *cands {
-                if chosen[*table].contains(d) {
+        let mut best: Option<(f64, f64, Vec<(usize, f64)>, &String, PartLists, usize)> = None;
+        for (table, moves, affected) in &tables {
+            for m in moves {
+                let Some(trial) = m.apply(&chosen[table]) else {
                     continue;
-                }
-                if d.is_csi() && table_has_csi {
-                    continue;
-                }
-                let size = session.meta(table, d).size_bytes();
+                };
+                let size = match m.part {
+                    None => session.meta(table, &m.descriptor).size_bytes(),
+                    Some(p) => session.part_meta(table, p, &m.descriptor).size_bytes(),
+                };
                 if storage_budget.is_some_and(|budget| used_bytes + size > budget) {
                     continue;
                 }
-                chosen.get_mut(*table).expect("pool table").push(d.clone());
+                let lists = chosen.get_mut(table).expect("a session table");
+                let now = std::mem::replace(lists, trial);
                 let mut deltas: Vec<(usize, f64)> = Vec::with_capacity(affected.len());
                 let mut c = current;
                 for &i in affected {
@@ -114,7 +105,8 @@ pub fn greedy_search(
                     c += (new_cost - stmt_costs[i]) * workload.statements[i].weight;
                     deltas.push((i, new_cost));
                 }
-                chosen.get_mut(*table).expect("pool table").pop();
+                let lists = chosen.get_mut(table).expect("a session table");
+                let trial = std::mem::replace(lists, now);
                 let benefit = current - c;
                 if benefit <= current * 0.001 {
                     continue;
@@ -125,14 +117,14 @@ pub fn greedy_search(
                     benefit
                 };
                 if best.as_ref().is_none_or(|(s, ..)| score > *s) {
-                    best = Some((score, c, deltas, table, d, size));
+                    best = Some((score, c, deltas, table, trial, size));
                 }
             }
         }
-        let Some((_, c, deltas, table, d, size)) = best else {
+        let Some((_, c, deltas, table, lists, size)) = best else {
             break;
         };
-        chosen.get_mut(table).expect("pool table").push(d.clone());
+        *chosen.get_mut(table).expect("a session table") = lists;
         for (i, new_cost) in deltas {
             stmt_costs[i] = new_cost;
         }

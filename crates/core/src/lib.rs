@@ -14,7 +14,9 @@
 //!    merge (shared key prefix, unioned includes); columnstores never merge.
 //! 3. **Enumeration** ([`enumerate`]) — greedy benefit(-per-byte) search
 //!    over the merged pool under a storage budget, charging update
-//!    maintenance, with at most one columnstore per table.
+//!    maintenance, with at most one columnstore per part. A candidate is a
+//!    (part set, descriptor): all parts, or — on a partitioned table — one
+//!    part, which may also swap its primary for the other kind.
 //! 4. **Costing** — optimizer-estimated costs of hypothetical
 //!    configurations, asked through one what-if [`session`] per
 //!    `recommend` call that sizes each [`hypothetical`] index once and
@@ -59,16 +61,12 @@ pub mod candidates;
 pub mod enumerate;
 pub mod hypothetical;
 pub mod merge;
-pub mod partition_advisor;
 pub mod session;
 pub mod size;
 pub mod workload;
 
 pub use advisor::{Advisor, AdvisorOptions, CsiColumnDetail, DesignMode, Recommendation};
 pub use candidates::CandidateSet;
-pub use partition_advisor::{
-    recommend_partition_designs, PartitionAdvisorOptions, PartitionChoice, PartitionRecommendation,
-};
 pub use session::WhatIfSession;
 pub use size::{BlackBoxEstimator, CsiSizeEstimator, RunModelEstimator, SampleSet};
 pub use workload::{Workload, WorkloadStatement};

@@ -3,16 +3,18 @@
 //!
 //! A session is created inside one `Advisor::recommend` call and dropped
 //! with it. It owns what every costing call needs — table contexts, block
-//! samples, the size estimator, the cost model — and two caches:
+//! samples, the cost model — and two caches:
 //!
 //! 1. `(table, descriptor) → IndexMeta`: each hypothetical index is sized
-//!    once (one sample projection, one estimator pass — §4.4's expensive
-//!    inner call), however many configurations name it.
-//! 2. `(statement, the ordered chosen-descriptor list of each table it
-//!    references) → cost`: the optimizer plans a statement once per distinct
-//!    configuration *of its own tables*. The key is exact — no relevance
-//!    filtering, no cost bounds — so a cached answer is bit-identical to
-//!    re-planning and the search that consumes it is unchanged.
+//!    once for the whole table (one sample projection, one estimator pass —
+//!    §4.4's expensive inner call), however many configurations name it. A
+//!    part of a table of several parts sees that meta scaled to its rows.
+//! 2. `(statement, the index lists of each table it references) → cost`:
+//!    the optimizer plans a statement once per distinct configuration *of
+//!    its own tables*. The key is exact — no relevance filtering, no cost
+//!    bounds — so a cached answer is bit-identical to re-planning and the
+//!    search that consumes it is unchanged. Each distinct table design is
+//!    numbered once, and the key holds those numbers, not copies.
 //!
 //! Nothing outlives the call: a later `recommend` sees the statistics and
 //! rows of its own moment.
@@ -27,18 +29,23 @@ use hpd_engine::{
     TableContext,
 };
 
-use crate::advisor::{AdvisorOptions, EstimatorKind};
+use crate::advisor::AdvisorOptions;
 use crate::candidates::locate_query;
 use crate::enumerate::maintenance_cost_us;
 use crate::hypothetical::hypothetical_meta;
-use crate::size::{BlackBoxEstimator, CsiSizeEstimator, RunModelEstimator, SampleSet};
+use crate::size::{RunModelEstimator, SampleSet};
 use crate::workload::Workload;
 
-/// A chosen configuration during search: per-table descriptor lists
-/// (secondaries only; the existing primary is implicit at position 0).
-pub type Chosen = HashMap<String, Vec<IndexDescriptor>>;
+/// One table's design during search: one index list per part, primary
+/// first (the shape `Table::designs` returns).
+pub type PartLists = Vec<Vec<IndexDescriptor>>;
 
-/// Per-table meta sets as `Database::what_if_plan` takes them.
+/// A configuration during search. A table it leaves out has its parts'
+/// materialized primaries and nothing else.
+pub type Chosen = HashMap<String, PartLists>;
+
+/// Per-table meta sets, one per part, as `Database::what_if_plan` takes
+/// them.
 pub(crate) type Overrides = HashMap<String, Vec<Vec<IndexMeta>>>;
 
 /// The advisor's one optimizer call: plan `query` as if the tables in
@@ -56,21 +63,19 @@ pub(crate) fn what_if(
 pub struct WhatIfSession<'a> {
     pub(crate) db: &'a Database,
     workload: &'a Workload,
-    /// Referenced tables with one primary design to extend. Tables whose
-    /// partitions have different primaries get no context, so no candidates
-    /// and no what-if override: statements touching them are costed under
-    /// their real design.
+    /// Every referenced table, under its materialized design.
     contexts: HashMap<String, TableContext>,
     samples: HashMap<String, SampleSet>,
-    per_partition_tables: Vec<String>,
-    estimator: Box<dyn CsiSizeEstimator>,
+    /// Each part's materialized primary: where the search starts.
+    initial: Chosen,
     csi_config: CsiConfig,
     cost: CostModel,
-    /// Per statement, the tables with a context it references: the tables
-    /// whose chosen lists its cost depends on.
+    /// Per statement, the tables it references: the tables whose index
+    /// lists its cost depends on.
     stmt_tables: Vec<Vec<&'a str>>,
     metas: HashMap<String, HashMap<IndexDescriptor, IndexMeta>>,
-    costs: HashMap<(usize, Vec<Vec<IndexDescriptor>>), f64>,
+    designs: HashMap<PartLists, usize>,
+    costs: HashMap<(usize, Vec<usize>), f64>,
 }
 
 impl<'a> WhatIfSession<'a> {
@@ -83,13 +88,7 @@ impl<'a> WhatIfSession<'a> {
     ) -> Result<WhatIfSession<'a>> {
         let mut contexts = HashMap::new();
         let mut samples = HashMap::new();
-        let mut per_partition_tables = Vec::new();
         for name in workload.referenced_tables() {
-            let ctx = db.context_for(&name)?;
-            if ctx.shared_primary().is_none() {
-                per_partition_tables.push(name);
-                continue;
-            }
             let (fraction, seed) = (options.sample_fraction, options.seed);
             let sample = db.with_table(&name, |t| {
                 SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
@@ -97,16 +96,22 @@ impl<'a> WhatIfSession<'a> {
                 })
             })?;
             samples.insert(name.clone(), sample);
-            contexts.insert(name, ctx);
+            contexts.insert(name.clone(), db.context_for(&name)?);
         }
+        let initial = contexts
+            .iter()
+            .map(|(name, ctx)| {
+                let primaries = ctx
+                    .parts
+                    .iter()
+                    .map(|p| vec![p.metas[0].descriptor.clone()]);
+                (name.clone(), primaries.collect())
+            })
+            .collect();
         let stmt_tables = workload
             .statements
             .iter()
-            .map(|ws| {
-                let mut tables = ws.statement.table_names();
-                tables.retain(|t| contexts.contains_key(*t));
-                tables
-            })
+            .map(|ws| ws.statement.table_names())
             .collect();
         let config = db.config();
         Ok(WhatIfSession {
@@ -118,14 +123,11 @@ impl<'a> WhatIfSession<'a> {
                 .collect(),
             contexts,
             samples,
-            per_partition_tables,
-            estimator: match options.estimator {
-                EstimatorKind::BlackBox => Box::new(BlackBoxEstimator),
-                EstimatorKind::RunModel => Box::new(RunModelEstimator),
-            },
+            initial,
             csi_config: config.csi,
             cost: CostModel::new(config.device, config.max_dop, config.grant_bytes),
             stmt_tables,
+            designs: HashMap::new(),
             costs: HashMap::new(),
         })
     }
@@ -138,9 +140,9 @@ impl<'a> WhatIfSession<'a> {
         &self.contexts
     }
 
-    /// Referenced tables whose partitions have different primary indexes.
-    pub fn per_partition_tables(&self) -> &[String] {
-        &self.per_partition_tables
+    /// Every referenced table's materialized primaries, one list per part.
+    pub fn initial(&self) -> &Chosen {
+        &self.initial
     }
 
     /// Indexes into the workload of the statements referencing `table`.
@@ -155,16 +157,16 @@ impl<'a> WhatIfSession<'a> {
         self.costs.len()
     }
 
-    /// What-if metadata of `descriptor` on `table` (which must have a
-    /// context), built on first request.
+    /// What-if metadata of `descriptor` over all of `table`, built on first
+    /// request.
     pub fn meta(&mut self, table: &str, descriptor: &IndexDescriptor) -> &IndexMeta {
-        let built = self.metas.get_mut(table).expect("table has a context");
+        let built = self.metas.get_mut(table).expect("a referenced table");
         if !built.contains_key(descriptor) {
             let meta = hypothetical_meta(
                 descriptor,
                 &self.contexts[table],
                 &self.samples[table],
-                self.estimator.as_ref(),
+                &RunModelEstimator,
                 &self.csi_config,
             );
             built.insert(descriptor.clone(), meta);
@@ -172,50 +174,82 @@ impl<'a> WhatIfSession<'a> {
         &built[descriptor]
     }
 
-    /// The full what-if meta list of one table: its existing primary, then
-    /// `secondaries`.
+    /// What-if metadata of `descriptor` on part `part` of `table`: the
+    /// part's own primary when that is what it names; otherwise the
+    /// whole-table meta, scaled to the part's rows when the table has
+    /// several parts.
+    pub(crate) fn part_meta(
+        &mut self,
+        table: &str,
+        part: usize,
+        descriptor: &IndexDescriptor,
+    ) -> IndexMeta {
+        let parts = &self.contexts[table].parts;
+        if parts[part].metas[0].descriptor == *descriptor {
+            return parts[part].metas[0].clone();
+        }
+        let (rows, total) = (parts[part].rows, parts.iter().map(|p| p.rows).sum());
+        let several = parts.len() > 1;
+        let meta = self.meta(table, descriptor);
+        if several {
+            scaled(meta, rows, total)
+        } else {
+            meta.clone()
+        }
+    }
+
+    /// The what-if meta sets of `table` with index lists `lists`.
     pub(crate) fn metas_for(
         &mut self,
         table: &str,
-        secondaries: &[IndexDescriptor],
-    ) -> Vec<IndexMeta> {
-        let primary = self.contexts[table].shared_primary();
-        let mut metas = vec![primary.expect("session tables share a primary").clone()];
-        for d in secondaries {
-            metas.push(self.meta(table, d).clone());
+        lists: &[Vec<IndexDescriptor>],
+    ) -> Vec<Vec<IndexMeta>> {
+        let mut sets = Vec::with_capacity(lists.len());
+        for (part, list) in lists.iter().enumerate() {
+            sets.push(
+                list.iter()
+                    .map(|d| self.part_meta(table, part, d))
+                    .collect(),
+            );
         }
-        metas
+        sets
     }
 
     /// Optimizer-estimated cost (µs) of workload statement `stmt` under
     /// `chosen`, planned at most once per distinct configuration of the
     /// statement's own tables.
     pub fn statement_cost(&mut self, stmt: usize, chosen: &Chosen) -> Result<f64> {
-        let lists = self.stmt_tables[stmt]
-            .iter()
-            .map(|t| chosen.get(*t).cloned().unwrap_or_default())
-            .collect();
-        let key = (stmt, lists);
+        let tables = &self.stmt_tables[stmt];
+        let lists = |t: &&str| chosen.get(*t).unwrap_or_else(|| &self.initial[*t]);
+        let mut key = (stmt, Vec::with_capacity(tables.len()));
+        for t in tables {
+            let next = self.designs.len();
+            key.1.push(match self.designs.get(lists(t)) {
+                Some(&id) => id,
+                None => *self.designs.entry(lists(t).clone()).or_insert(next),
+            });
+        }
         if let Some(&cost) = self.costs.get(&key) {
             hpd_obs::global().counter("advisor.whatif.cache_hits").inc();
             return Ok(cost);
         }
-        let cost = self.plan_statement(stmt, &key.1)?;
+        let lists: Vec<PartLists> = tables.iter().map(|t| lists(t).clone()).collect();
+        let cost = self.plan_statement(stmt, &lists)?;
         self.costs.insert(key, cost);
         Ok(cost)
     }
 
-    /// Cost statement `stmt` with `lists[k]` as the secondaries of its k-th
+    /// Cost statement `stmt` with `lists[k]` as the index lists of its k-th
     /// table: the optimizer's plan cost, plus the maintenance charge of
-    /// every index on a written table.
-    fn plan_statement(&mut self, stmt: usize, lists: &[Vec<IndexDescriptor>]) -> Result<f64> {
+    /// every index on the parts a write reaches.
+    fn plan_statement(&mut self, stmt: usize, lists: &[PartLists]) -> Result<f64> {
         let mut overrides = Overrides::new();
-        for (k, list) in lists.iter().enumerate() {
+        for (k, table_lists) in lists.iter().enumerate() {
             let table = self.stmt_tables[stmt][k];
-            overrides.insert(table.to_string(), vec![self.metas_for(table, list)]);
+            overrides.insert(table.to_string(), self.metas_for(table, table_lists));
         }
         // The select to plan (a write's is its locate phase) and the rows
-        // written to which table.
+        // written to each part of which table.
         let (query, write) = match &self.workload.statements[stmt].statement {
             Statement::Select(q) => (Some(Cow::Borrowed(q)), None),
             Statement::Update(u) => (
@@ -234,33 +268,69 @@ impl<'a> WhatIfSession<'a> {
                 ))),
                 Some((&d.table, self.write_rows(&d.table, &d.predicate, d.top))),
             ),
-            Statement::Insert(i) => (None, Some((&i.table, i.rows.len() as f64))),
+            Statement::Insert(i) => {
+                let ctx = &self.contexts[&i.table];
+                let mut rows = vec![0.0; ctx.parts.len()];
+                for row in &i.rows {
+                    rows[ctx.partitioning.as_ref().map_or(0, |s| s.route_row(row))] += 1.0;
+                }
+                (None, Some((&i.table, rows)))
+            }
         };
         let mut cost = 0.0;
         if let Some(query) = query {
             cost += what_if(self.db, &query, &overrides)?.est_cost_us;
         }
-        if let Some((metas, rows)) = write.and_then(|(t, rows)| Some((overrides.get(t)?, rows))) {
-            cost += metas[0]
-                .iter()
-                .map(|m| maintenance_cost_us(m, rows, &self.cost))
-                .sum::<f64>();
+        if let Some((table, rows)) = write {
+            for (metas, rows) in overrides[table].iter().zip(rows) {
+                cost += metas
+                    .iter()
+                    .map(|m| maintenance_cost_us(m, rows, &self.cost))
+                    .sum::<f64>();
+            }
         }
         Ok(cost)
     }
 
-    /// Estimated rows a write statement touches.
-    fn write_rows(&self, table: &str, predicate: &Expr, top: Option<usize>) -> f64 {
-        let Some(ctx) = self.contexts.get(table) else {
-            return 1.0;
-        };
-        let sel = ctx
-            .stats
-            .intervals_selectivity(&predicate.column_intervals());
+    /// Estimated rows a write statement touches in each part: spread over
+    /// the parts its predicate reaches, in proportion to their rows.
+    fn write_rows(&self, table: &str, predicate: &Expr, top: Option<usize>) -> Vec<f64> {
+        let ctx = &self.contexts[table];
+        let intervals = predicate.column_intervals();
+        let sel = ctx.stats.intervals_selectivity(&intervals);
         let rows = (ctx.stats.rows as f64 * sel).max(1.0);
-        match top {
-            Some(n) => rows.min(n as f64),
-            None => rows,
-        }
+        let rows = top.map_or(rows, |n| rows.min(n as f64));
+        let Some(spec) = &ctx.partitioning else {
+            return vec![rows];
+        };
+        let reached = spec.prune(&intervals);
+        let total: usize = reached.iter().map(|&p| ctx.parts[p].rows).sum();
+        (0..ctx.parts.len())
+            .map(|p| match (reached.contains(&p), total) {
+                (false, _) => 0.0,
+                (true, 0) => rows / reached.len() as f64,
+                (true, total) => rows * (ctx.parts[p].rows as f64 / total as f64),
+            })
+            .collect()
+    }
+}
+
+/// `meta` of a whole table scaled down to a part of `rows` of its `total`,
+/// so the optimizer's lane costing sees the part's index sizes.
+fn scaled(meta: &IndexMeta, rows: usize, total: usize) -> IndexMeta {
+    let frac = rows as f64 / total.max(1) as f64;
+    let part = |n: usize| ((n as f64 * frac).ceil() as usize).max(1);
+    IndexMeta {
+        rows,
+        leaf_pages: part(meta.leaf_pages),
+        rowgroups: if meta.rowgroups == 0 {
+            0
+        } else {
+            part(meta.rowgroups)
+        },
+        column_bytes: (meta.column_bytes.iter())
+            .map(|&(c, b)| (c, ((b as f64 * frac) as usize).max(1)))
+            .collect(),
+        ..meta.clone()
     }
 }

@@ -75,16 +75,16 @@ fn hybrid_mode_recommends_both_kinds() {
         .configuration
         .design_for("orders")
         .expect("orders design");
-    let has_btree = design.indexes[1..]
+    let has_btree = design.parts[0][1..]
         .iter()
         .any(|d| matches!(d, IndexDescriptor::SecondaryBTree { keys, .. } if keys.contains(&1)));
-    let has_csi = design.indexes[1..].iter().any(|d| d.is_csi());
+    let has_csi = design.parts[0][1..].iter().any(|d| d.is_csi());
     assert!(
         has_btree,
         "expected a B+ tree on customer; got {:?}",
-        design.indexes
+        design.parts
     );
-    assert!(has_csi, "expected a columnstore; got {:?}", design.indexes);
+    assert!(has_csi, "expected a columnstore; got {:?}", design.parts);
     assert!(
         rec.est_cost_after_us < rec.est_cost_before_us,
         "recommendation must reduce estimated cost"
@@ -113,7 +113,7 @@ fn mode_restrictions_hold() {
         .configuration
         .tables
         .iter()
-        .flat_map(|t| &t.indexes[1..])
+        .flat_map(|t| &t.parts[0][1..])
         .all(|d| !d.is_csi()));
 
     let cs = Advisor::new(
@@ -129,7 +129,7 @@ fn mode_restrictions_hold() {
         .configuration
         .tables
         .iter()
-        .flat_map(|t| &t.indexes[1..])
+        .flat_map(|t| &t.parts[0][1..])
         .all(|d| d.is_csi()));
 }
 
@@ -195,14 +195,14 @@ fn storage_budget_flips_recommended_design() {
         .unwrap();
     let free_design = free.configuration.design_for("orders").unwrap();
     assert!(
-        free_design.indexes[1..].iter().any(|d| d.is_csi()),
+        free_design.parts[0][1..].iter().any(|d| d.is_csi()),
         "unconstrained hybrid run should include a CSI: {:?}",
-        free_design.indexes
+        free_design.parts
     );
     assert!(
-        free_design.indexes[1..].iter().any(|d| !d.is_csi()),
+        free_design.parts[0][1..].iter().any(|d| !d.is_csi()),
         "unconstrained hybrid run should include a B+ tree: {:?}",
-        free_design.indexes
+        free_design.parts
     );
     // The compressed columnstore is far smaller than the point-lookup
     // B+ tree here. Set the budget so the CSI fits and the B+ tree does
@@ -221,14 +221,14 @@ fn storage_budget_flips_recommended_design() {
     .unwrap();
     let tight_design = tight.configuration.design_for("orders").unwrap();
     assert!(
-        tight_design.indexes[1..].iter().any(|d| d.is_csi()),
+        tight_design.parts[0][1..].iter().any(|d| d.is_csi()),
         "the CSI still fits the budget: {:?}",
-        tight_design.indexes
+        tight_design.parts
     );
     assert!(
-        tight_design.indexes[1..].iter().all(|d| d.is_csi()),
+        tight_design.parts[0][1..].iter().all(|d| d.is_csi()),
         "the B+ tree must be squeezed out by the budget: {:?}",
-        tight_design.indexes
+        tight_design.parts
     );
     assert!(tight.new_index_bytes <= csi_bytes + btree_bytes / 2);
     assert!(tight.est_cost_after_us >= free.est_cost_after_us * 0.999);
@@ -267,9 +267,9 @@ fn update_heavy_workload_avoids_columnstore() {
         .unwrap();
     let design = rec.configuration.design_for("orders").unwrap();
     assert!(
-        design.indexes[1..].iter().all(|d| !d.is_csi()),
+        design.parts[0][1..].iter().all(|d| !d.is_csi()),
         "update-heavy workload must not get a CSI: {:?}",
-        design.indexes
+        design.parts
     );
 }
 
@@ -309,7 +309,7 @@ fn csi_everywhere_baseline_configuration() {
     setup_orders(&db, 5_000);
     let cfg = csi_everywhere_configuration(&db, &["orders".to_string()]).unwrap();
     assert_eq!(cfg.tables.len(), 1);
-    assert!(cfg.tables[0].indexes[1].is_csi());
+    assert!(cfg.tables[0].parts[0][1].is_csi());
     db.apply_configuration(&cfg).unwrap();
     let r = db.query(&Statement::Select(scan_query())).run().unwrap();
     assert_eq!(r.rows.len(), 7);
@@ -375,12 +375,12 @@ fn join_workload_gets_fact_table_btree_on_join_key() {
         .unwrap();
     let fact = rec.configuration.design_for("fact").unwrap();
     assert!(
-        fact.indexes[1..].iter().any(|d| matches!(
+        fact.parts[0][1..].iter().any(|d| matches!(
             d,
             IndexDescriptor::SecondaryBTree { keys, .. } if keys.first() == Some(&1)
         )),
         "expected fact B+ tree on the join key: {:?}",
-        fact.indexes
+        fact.parts
     );
 
     db.apply_configuration(&rec.configuration).unwrap();

@@ -21,8 +21,7 @@ use std::fmt::Write;
 use std::path::PathBuf;
 
 use hpd_advisor::{
-    recommend_partition_designs, Advisor, AdvisorOptions, DesignMode, PartitionAdvisorOptions,
-    Recommendation, Workload, WorkloadStatement,
+    Advisor, AdvisorOptions, DesignMode, Recommendation, Workload, WorkloadStatement,
 };
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
 use hpd_engine::{
@@ -82,19 +81,29 @@ fn render(rec: &Recommendation) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "est_cost_before_us bits={:#018x}\nest_cost_after_us bits={:#018x}\nnew_index_bytes={}\n\
-         per_partition_tables={:?}",
+        "est_cost_before_us bits={:#018x}\nest_cost_after_us bits={:#018x}\nnew_index_bytes={}",
         rec.est_cost_before_us.to_bits(),
         rec.est_cost_after_us.to_bits(),
         rec.new_index_bytes,
-        rec.per_partition_tables
     )
     .unwrap();
     writeln!(out, "## configuration").unwrap();
     for design in &rec.configuration.tables {
         writeln!(out, "{}", design.table).unwrap();
-        for d in &design.indexes {
-            writeln!(out, "  {d:?}").unwrap();
+        match design.indexes() {
+            Some(indexes) => {
+                for d in indexes {
+                    writeln!(out, "  {d:?}").unwrap();
+                }
+            }
+            None => {
+                for (p, indexes) in design.parts.iter().enumerate() {
+                    writeln!(out, "  p{p}").unwrap();
+                    for d in indexes {
+                        writeln!(out, "    {d:?}").unwrap();
+                    }
+                }
+            }
         }
     }
     writeln!(out, "## per_statement").unwrap();
@@ -218,8 +227,8 @@ fn tpcds_mixed_dml() -> String {
     recommend(&db, &workload, AdvisorOptions::default())
 }
 
-/// `recommend_partition_designs` on a 4-way range-partitioned table under a
-/// hot-point / cold-aggregate drift workload.
+/// The advisor on a 4-way range-partitioned table under a hot-point /
+/// cold-aggregate drift workload: per-part candidates and primary swaps.
 fn partitioned_events() -> String {
     let n = 40_000i32;
     let mut cfg = DbConfig::default();
@@ -294,30 +303,7 @@ fn partitioned_events() -> String {
         5.0,
         "cold-aggregate",
     ));
-    let rec = recommend_partition_designs(
-        &db,
-        "events",
-        &Workload::new(statements),
-        &PartitionAdvisorOptions::default(),
-    )
-    .unwrap();
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "est_cost_us bits={:#018x}\nbest_homogeneous_cost_us bits={:#018x}\n\
-         current_cost_us bits={:#018x}\nheterogeneous={}\nbest_homogeneous={:?}",
-        rec.est_cost_us.to_bits(),
-        rec.best_homogeneous_cost_us.to_bits(),
-        rec.current_cost_us.to_bits(),
-        rec.heterogeneous,
-        rec.best_homogeneous
-    )
-    .unwrap();
-    for c in &rec.per_part {
-        writeln!(out, "p{} rows={} {:?}", c.part, c.rows, c.indexes).unwrap();
-    }
-    out
+    recommend(&db, &Workload::new(statements), AdvisorOptions::default())
 }
 
 fn check(name: &str, produce: fn() -> String) -> Option<String> {

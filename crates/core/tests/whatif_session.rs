@@ -80,24 +80,35 @@ fn cached_costs_equal_from_scratch_plans() {
             reference_metas.insert((table.clone(), d.clone()), meta);
         }
     }
+    // Every tpcds table is one part: its list is `lists[0]`.
+    let initial = session.initial().clone();
     let from_scratch = |stmt: usize, chosen: &Chosen| -> u64 {
         let Statement::Select(query) = &workload.statements[stmt].statement else {
             unreachable!("read-only workload");
         };
         let mut overrides = HashMap::new();
         for t in &query.tables {
-            let mut metas = vec![contexts[&t.name].shared_primary().unwrap().clone()];
-            for d in chosen.get(&t.name).into_iter().flatten() {
-                metas.push(reference_metas[&(t.name.clone(), d.clone())].clone());
-            }
+            let primary = &contexts[&t.name].parts[0].metas[0];
+            let lists = chosen.get(&t.name).unwrap_or(&initial[&t.name]);
+            let metas = lists[0]
+                .iter()
+                .map(|d| {
+                    if *d == primary.descriptor {
+                        primary.clone()
+                    } else {
+                        reference_metas[&(t.name.clone(), d.clone())].clone()
+                    }
+                })
+                .collect();
             overrides.insert(t.name.clone(), vec![metas]);
         }
         let plan = db.what_if_plan(query, &overrides).unwrap();
         plan.est_cost_us.to_bits()
     };
 
-    // Random configurations: per table an ordered subset of its candidates
-    // with at most one columnstore, as the search would build them.
+    // Random configurations: per table its primary and an ordered subset of
+    // its candidates with at most one columnstore, as the search would
+    // build them.
     let mut rng = StdRng::seed_from_u64(0xCAC4E);
     let mut tables: Vec<&String> = pool.per_table.keys().collect();
     tables.sort();
@@ -111,7 +122,9 @@ fn cached_costs_equal_from_scratch_plans() {
                 let mut has_csi = false;
                 cands.retain(|d| !d.is_csi() || !std::mem::replace(&mut has_csi, true));
                 if !cands.is_empty() || rng.gen_bool(0.5) {
-                    chosen.insert(table.clone(), cands);
+                    let primary = initial[table][0][0].clone();
+                    cands.insert(0, primary);
+                    chosen.insert(table.clone(), vec![cands]);
                 }
             }
             chosen
@@ -153,7 +166,7 @@ fn each_index_is_sized_once_and_each_cost_key_planned_once() {
     let before = counters();
     let mut session = WhatIfSession::new(&db, &workload, &options).unwrap();
     let (raw, pool) = candidate_pool(&mut session);
-    let result = greedy_search(&mut session, &pool, None).unwrap();
+    let result = greedy_search(&mut session, &pool, DesignMode::Hybrid, None).unwrap();
     // The closing before/after pass asks nothing the search has not.
     let searched = session.costs_computed();
     for stmt in 0..workload.len() {

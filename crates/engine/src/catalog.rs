@@ -416,18 +416,37 @@ impl Database {
         })
     }
 
-    /// Move a table to `design`, every part alike: an index whose descriptor
-    /// the design repeats stays as it stands, the others are dropped, the
-    /// missing ones are built, and the primary is rebuilt only if its
-    /// descriptor changes (`TablePart::set_design`). The rows, their write
-    /// timestamps and old versions are untouched — open snapshots read on —
-    /// and the table's statistics are refreshed.
+    /// Move a table to `design`: an index whose descriptor the design
+    /// repeats stays as it stands, the others are dropped, the missing ones
+    /// are built, and the primary is rebuilt only if its descriptor changes
+    /// (`TablePart::set_design`). The rows, their write timestamps and old
+    /// versions are untouched — open snapshots read on — and the table's
+    /// statistics are refreshed. A design every part shares is one
+    /// `DesignChange`; otherwise each part whose list changes gets its own
+    /// [`Database::apply_partition_design`].
     pub fn apply_design(&self, design: &TableDesign) -> Result<()> {
         design.validate()?;
+        let table = &design.table;
+        let Some(indexes) = design.indexes() else {
+            let current = self.with_table(table, Table::designs)?;
+            if current.len() != design.parts.len() {
+                return Err(HpdError::Constraint(format!(
+                    "table {table} has {} parts; the design names {}",
+                    current.len(),
+                    design.parts.len()
+                )));
+            }
+            for (part, (now, want)) in current.iter().zip(&design.parts).enumerate() {
+                if now != want {
+                    self.apply_partition_design(table, part, &want[0], &want[1..])?;
+                }
+            }
+            return Ok(());
+        };
         let _commit = self.commit_lock.lock();
         self.ddl(LogRecord::DesignChange {
-            table: self.slot_id(&design.table)? as u32,
-            indexes: design.indexes.clone(),
+            table: self.slot_id(table)? as u32,
+            indexes: indexes.to_vec(),
         })
     }
 
@@ -614,12 +633,11 @@ impl Database {
 
     /// The **what-if API**: plan the query as if each table in `overrides`
     /// had the given (possibly hypothetical) index metadata instead of its
-    /// materialized indexes — one meta set per part, or a single set to cost
-    /// the table as monolithic (see [`TableContext::with_design`]). The
-    /// partition advisor costs heterogeneous per-partition recommendations
-    /// ("B+ tree on the hot partition, CSI on cold history") and monolithic
-    /// candidates through this one entry point. Hypothetical columnstore
-    /// metas carry per-column size estimates (paper §4.2).
+    /// materialized indexes — one meta set per part (see
+    /// [`TableContext::with_design`]), so a per-partition design ("B+ tree
+    /// on the hot partition, CSI on cold history") is costed over the real
+    /// scatter-gather. Hypothetical columnstore metas carry per-column size
+    /// estimates (paper §4.2).
     pub fn what_if_plan(
         &self,
         query: &SelectQuery,

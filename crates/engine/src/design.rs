@@ -1,7 +1,7 @@
 //! Physical design descriptors and what-if metadata.
 //!
 //! An [`IndexDescriptor`] names a possible index; a [`Configuration`] is a
-//! full physical design (one descriptor set per table). The optimizer never
+//! full physical design (one descriptor list per table part). The optimizer never
 //! touches index structures directly during costing — it sees [`IndexMeta`]
 //! records, which can come from materialized indexes *or* from hypothetical
 //! ones. Hypothetical metas carry per-column size estimates: the paper's
@@ -26,25 +26,35 @@ impl IndexId {
     pub const PRIMARY: IndexId = IndexId(0);
 }
 
-/// The physical design of one table.
+/// The physical design of one table: one index list per part, primary
+/// first (the shape `Table::designs` returns), or a single list that every
+/// part has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDesign {
     pub table: String,
-    /// `indexes[0]` must be a primary descriptor.
-    pub indexes: Vec<IndexDescriptor>,
+    pub parts: Vec<Vec<IndexDescriptor>>,
 }
 
 impl TableDesign {
+    /// `indexes` on every part.
     pub fn new(table: impl Into<String>, indexes: Vec<IndexDescriptor>) -> TableDesign {
         TableDesign {
             table: table.into(),
-            indexes,
+            parts: vec![indexes],
         }
     }
 
-    /// Enforce structural constraints ([`validate_design`]).
+    /// The list every part has; `None` when the parts differ.
+    pub fn indexes(&self) -> Option<&[IndexDescriptor]> {
+        let first = self.parts.first()?;
+        self.parts.iter().all(|p| p == first).then_some(first)
+    }
+
+    /// Enforce structural constraints ([`validate_design`]) on every part.
     pub fn validate(&self) -> Result<()> {
-        validate_design(&self.table, &self.indexes)
+        self.parts
+            .iter()
+            .try_for_each(|indexes| validate_design(&self.table, indexes))
     }
 }
 

@@ -45,8 +45,7 @@ pub struct TableContext {
     /// Partitioning declaration (`None` for unpartitioned tables).
     pub partitioning: Option<PartitionSpec>,
     /// Per-part facts, parallel to the table's parts and never empty: an
-    /// unpartitioned table (or a what-if design costed as monolithic) is
-    /// one part holding every row.
+    /// unpartitioned table is one part holding every row.
     pub parts: Vec<PartInfo>,
 }
 
@@ -71,44 +70,20 @@ impl TableContext {
     }
 
     /// The same table under another (possibly hypothetical) design: one
-    /// meta set per part, or a single set to cost the table as monolithic —
-    /// so heterogeneous actual designs and homogeneous candidates are
-    /// compared on the same footing.
+    /// meta set per part.
     pub fn with_design(mut self, part_metas: &[Vec<IndexMeta>]) -> Result<TableContext> {
-        match part_metas {
-            [metas] => {
-                self.partitioning = None;
-                self.parts = vec![PartInfo {
-                    rows: self.stats.rows,
-                    metas: metas.clone(),
-                }];
-            }
-            sets if sets.len() == self.parts.len() => {
-                for (info, metas) in self.parts.iter_mut().zip(sets) {
-                    info.metas = metas.clone();
-                }
-            }
-            sets => {
-                return Err(HpdError::InvalidQuery(format!(
-                    "what-if design for {}: {} meta sets for {} parts",
-                    self.name,
-                    sets.len(),
-                    self.parts.len()
-                )))
-            }
+        if part_metas.len() != self.parts.len() {
+            return Err(HpdError::InvalidQuery(format!(
+                "what-if design for {}: {} meta sets for {} parts",
+                self.name,
+                part_metas.len(),
+                self.parts.len()
+            )));
+        }
+        for (info, metas) in self.parts.iter_mut().zip(part_metas) {
+            info.metas = metas.clone();
         }
         Ok(self)
-    }
-
-    /// The primary index meta of the first part — *the* primary of a
-    /// one-part table. `None` when the parts' primaries differ: such a
-    /// table has no single design a whole-table recommendation could extend.
-    pub fn shared_primary(&self) -> Option<&IndexMeta> {
-        let first = self.parts[0].metas.first()?;
-        self.parts[1..]
-            .iter()
-            .all(|p| p.metas.first().map(|m| &m.descriptor) == Some(&first.descriptor))
-            .then_some(first)
     }
 }
 

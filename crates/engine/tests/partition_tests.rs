@@ -451,7 +451,7 @@ fn a_plan_naming_a_missing_part_is_an_internal_error() {
 }
 
 #[test]
-fn a_single_meta_set_plans_a_partitioned_table_as_monolithic() {
+fn a_what_if_design_names_one_meta_set_per_part() {
     let db = partitioned_db();
     let q = SelectQuery::single_table(
         "t",
@@ -460,14 +460,6 @@ fn a_single_meta_set_plans_a_partitioned_table_as_monolithic() {
     );
     assert!(db.plan(&q).unwrap().explain().contains("PartitionedScan"));
     let metas = db.with_table("t", |t| t.part_metas(3)).unwrap();
-    // One set: costed as one part, so no scatter-gather and no part tags.
-    let one = HashMap::from([("t".to_string(), vec![metas.clone()])]);
-    let explain = db.what_if_plan(&q, &one).unwrap().explain();
-    assert!(!explain.contains("PartitionedScan"), "plan was:\n{explain}");
-    assert!(
-        explain.contains("BTreeSeek t idx#0"),
-        "plan was:\n{explain}"
-    );
     // One set per part: the scatter-gather, each lane naming its part.
     let four = HashMap::from([("t".to_string(), vec![metas.clone(); 4])]);
     let explain = db.what_if_plan(&q, &four).unwrap().explain();
@@ -475,12 +467,14 @@ fn a_single_meta_set_plans_a_partitioned_table_as_monolithic() {
         explain.contains("[1/4 partitions, 3 pruned]") && explain.contains("t[p0]"),
         "plan was:\n{explain}"
     );
-    // Any other count matches neither shape.
-    let two = HashMap::from([("t".to_string(), vec![metas; 2])]);
-    assert!(matches!(
-        db.what_if_plan(&q, &two),
-        Err(HpdError::InvalidQuery(_))
-    ));
+    // A single set for the 4-part table is refused, as is any other count.
+    for sets in [1, 2] {
+        let wrong = HashMap::from([("t".to_string(), vec![metas.clone(); sets])]);
+        assert!(matches!(
+            db.what_if_plan(&q, &wrong),
+            Err(HpdError::InvalidQuery(_))
+        ));
+    }
 }
 
 #[test]

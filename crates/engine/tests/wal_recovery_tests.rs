@@ -667,6 +667,91 @@ fn drop_index_recovers_on_every_part_or_none() {
     assert_eq!(contents(&recovered).len(), 100);
 }
 
+/// A configuration with a design per part is one `PartitionDesignChange`
+/// per part it changes, and a log-only recovery rebuilds every part's list;
+/// one that is every part alike is one `DesignChange`.
+#[test]
+fn a_per_part_configuration_recovers_from_the_log_alone() {
+    use hpd_engine::Configuration;
+    use hpd_wal::LogRecord;
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    let bounds = vec![Value::Int32(25), Value::Int32(50), Value::Int32(75)];
+    db.create_partitioned_table(
+        "t",
+        schema(),
+        vec![0],
+        IndexDescriptor::PrimaryCsi,
+        hpd_engine::PartitionSpec::range(0, bounds).unwrap(),
+    )
+    .unwrap();
+    db.load_table("t", (0..100).map(row).collect()).unwrap();
+    let designs = |db: &Database| db.with_table("t", |t| t.designs()).unwrap();
+    let design_records = |db: &Database, from: usize| -> Vec<LogRecord> {
+        let log = db.wal_durable().log;
+        (hpd_wal::FrameReader::new(&log[from..], from as u64))
+            .map(|(_, payload)| LogRecord::decode(payload).unwrap())
+            .filter(|rec| {
+                matches!(
+                    rec,
+                    LogRecord::DesignChange { .. } | LogRecord::PartitionDesignChange { .. }
+                )
+            })
+            .collect()
+    };
+    let apply = |db: &Database, parts: Vec<Vec<IndexDescriptor>>| -> Vec<LogRecord> {
+        let from = db.wal_durable().log.len();
+        let design = TableDesign {
+            table: "t".into(),
+            parts,
+        };
+        db.apply_configuration(&Configuration {
+            tables: vec![design],
+        })
+        .unwrap();
+        design_records(db, from)
+    };
+
+    let cold = vec![IndexDescriptor::PrimaryCsi];
+    let on_grp = IndexDescriptor::SecondaryBTree {
+        keys: vec![1],
+        includes: vec![],
+    };
+    let hot = vec![
+        IndexDescriptor::PrimaryBTree { keys: vec![0] },
+        IndexDescriptor::SecondaryCsi {
+            columns: vec![0, 1, 2],
+        },
+    ];
+    let per_part = vec![
+        cold.clone(),
+        cold.clone(),
+        vec![IndexDescriptor::PrimaryCsi, on_grp],
+        hot.clone(),
+    ];
+    let changed: Vec<u32> = apply(&db, per_part.clone())
+        .into_iter()
+        .map(|rec| match rec {
+            LogRecord::PartitionDesignChange { part, .. } => part,
+            other => panic!("expected a PartitionDesignChange, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(changed, [2, 3], "parts 0 and 1 are already as advised");
+    assert_eq!(designs(&db), per_part);
+    insert(&db, 90);
+    let expected = contents(&db);
+    let recovered = crash_and_recover(db, cfg.clone());
+    assert_eq!(designs(&recovered), per_part);
+    assert_eq!(contents(&recovered), expected);
+
+    let alike = apply(&recovered, vec![hot.clone(); 4]);
+    assert!(
+        matches!(alike[..], [LogRecord::DesignChange { .. }]),
+        "{alike:?}"
+    );
+    assert_eq!(designs(&recovered), vec![hot; 4]);
+}
+
 /// A transaction whose statement cannot be applied must fail at the
 /// statement, not half-way through its commit: an update of a primary-key
 /// column used to be rejected only while the commit applied it, after the

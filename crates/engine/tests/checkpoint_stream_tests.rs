@@ -1,5 +1,5 @@
 //! The streamed checkpoint: the image a checkpoint installs is byte for
-//! byte what the copying encoder wrote, recovers to the same tables, is one
+//! byte the pinned golden, recovers to the same tables, is one
 //! consistent (boundary, rows) snapshot per table, and a crash in the middle
 //! leaves the previous image in place.
 

@@ -13,9 +13,9 @@
 
 use hpd_common::{HpdError, IndexDescriptor, PartitionSpec, Result, Schema};
 
-use crate::frame::{append_frame_with, seal_frame, ByteSink, FrameReader, FRAME_HEADER};
+use crate::frame::{seal_frame, ByteSink, FrameReader, FRAME_HEADER};
 use crate::log::Durable;
-use crate::record::{encode_bulk_load, EncodedRows, LogRecord};
+use crate::record::{Cur, EncodedRows, LogRecord};
 
 /// One table's catalog entry in a checkpoint image: everything but its rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +103,7 @@ impl ImageWriter {
     pub fn table(&mut self, entry: &TableEntry, rows: impl FnOnce(&mut dyn FnMut(&[u8]))) {
         let table = self.tables;
         self.tables += 1;
-        let image = &mut self.image;
+        let mut image = std::mem::take(&mut self.image);
         let (primary, secondaries) =
             (entry.indexes.split_first()).expect("a table entry names its primary index first");
         image.put(&entry.applied_lsn.to_le_bytes());
@@ -130,7 +130,9 @@ impl ImageWriter {
             };
             image.put_frame(change.into_frame());
         }
-        append_frame_with(image, |b| encode_bulk_load(b, table, rows));
+        let mut load = EncodedRows::open(image);
+        rows(&mut |row| load.push_encoded(row));
+        self.image = load.seal(table);
     }
 
     /// Fill in the table count and close the outer frame: the begin LSN,
@@ -161,20 +163,25 @@ impl CheckpointImage {
         if !outer.clean_end() || outer.next().is_some() {
             return Err(corrupt("trailing bytes"));
         }
-        let mut c = crate::record::Cur::new(body);
-        let begin_lsn = c.u64()?;
-        let next_ts = c.u64()?;
-        let n_tables = c.u32()? as usize;
+        let mut rest = Cur::new(body);
+        let begin_lsn = rest.u64()?;
+        let next_ts = rest.u64()?;
+        let n_tables = rest.u32()? as usize;
         if n_tables > body.len() {
             return Err(corrupt("table count exceeds image"));
         }
-        let mut rest = c;
         let mut tables = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
+        for t in 0..n_tables as u32 {
             let applied_lsn = rest.u64()?;
-            let create = rest
-                .framed_record()
-                .ok_or_else(|| corrupt("bad table frame"))?;
+            // The next of this table's frames, which name it by its position.
+            let frame = |rest: &mut Cur, what: &str| {
+                let f =
+                    (rest.framed_record()).ok_or_else(|| corrupt(&format!("bad {what} frame")))?;
+                match LogRecord::decode(f)? {
+                    rec if rec.table() == Some(t) => Ok(rec),
+                    _ => Err(corrupt(&format!("{what} frame not of table {t}"))),
+                }
+            };
             let LogRecord::TableCreate {
                 name,
                 schema,
@@ -182,7 +189,7 @@ impl CheckpointImage {
                 primary,
                 partitioning,
                 ..
-            } = LogRecord::decode(create)?
+            } = frame(&mut rest, "table")?
             else {
                 return Err(corrupt("expected TableCreate"));
             };
@@ -193,10 +200,7 @@ impl CheckpointImage {
             let mut indexes = Vec::with_capacity(n_sec + 1);
             indexes.push(primary);
             for _ in 0..n_sec {
-                let f = rest
-                    .framed_record()
-                    .ok_or_else(|| corrupt("bad index frame"))?;
-                let LogRecord::IndexCreate { def, .. } = LogRecord::decode(f)? else {
+                let LogRecord::IndexCreate { def, .. } = frame(&mut rest, "index")? else {
                     return Err(corrupt("expected IndexCreate"));
                 };
                 indexes.push(def);
@@ -207,10 +211,8 @@ impl CheckpointImage {
             }
             let mut parts = Vec::with_capacity(n_parts);
             for p in 0..n_parts {
-                let f = rest
-                    .framed_record()
-                    .ok_or_else(|| corrupt("bad partition frame"))?;
-                let LogRecord::PartitionDesignChange { part, indexes, .. } = LogRecord::decode(f)?
+                let LogRecord::PartitionDesignChange { part, indexes, .. } =
+                    frame(&mut rest, "partition")?
                 else {
                     return Err(corrupt("expected PartitionDesignChange"));
                 };
@@ -219,10 +221,7 @@ impl CheckpointImage {
                 }
                 parts.push(indexes);
             }
-            let f = rest
-                .framed_record()
-                .ok_or_else(|| corrupt("bad rows frame"))?;
-            let LogRecord::BulkLoad { rows, .. } = LogRecord::decode(f)? else {
+            let LogRecord::BulkLoad { rows, .. } = frame(&mut rest, "rows")? else {
                 return Err(corrupt("expected BulkLoad"));
             };
             tables.push(TableSnapshot {
@@ -252,6 +251,7 @@ impl CheckpointImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32;
     use hpd_common::{DataType, Row, Value};
 
     fn sample() -> CheckpointImage {
@@ -338,11 +338,10 @@ mod tests {
 
     #[test]
     fn image_bytes_match_the_copying_encoder() {
-        // Length and CRC of `sample().encode()` as the encoder that built
-        // each frame in a buffer of its own produced them (commit b819861).
+        // Length and CRC of `sample().encode()` as pinned at commit b819861.
         let bytes = sample().encode();
         assert_eq!(bytes.len(), 499);
-        assert_eq!(crate::frame::crc32(&bytes), 0xd3c5_f20c);
+        assert_eq!(crc32(&bytes), 0xd3c5_f20c);
     }
 
     fn write(img: &CheckpointImage, free: Durable) -> (Durable, usize) {
@@ -366,6 +365,12 @@ mod tests {
         big.tables[1].rows = EncodedRows::from_rows(&rows);
         let (image, allocated) = write(&big, Durable::default());
         let bytes = image.to_vec();
+        // Its first two tables, as the encoder before the one segment writer
+        // wrote them (commit e8d2a7e).
+        let mut two = big.clone();
+        two.tables.truncate(2);
+        let two = two.encode();
+        assert_eq!((two.len(), crc32(&two)), (650_273, 0x7def_20b1));
         assert_eq!(allocated, bytes.len().div_ceil(crate::RETAINED_MIN));
         assert_eq!(image.segments_used(), allocated);
         assert_eq!(CheckpointImage::decode(&bytes).unwrap(), big);

@@ -18,6 +18,12 @@
 //! commit. Because the unflushed region is always a suffix, a checkpoint
 //! plus a flushed prefix is transaction-consistent by construction.
 //!
+//! One segment writer (`log::Durable`) holds the durable log, each
+//! checkpoint image and each bulk load's record: [`EncodedRows`] is that
+//! store holding one open `BulkLoad` frame, which an image's rows go
+//! through too, every frame is sealed by the one `frame::seal_frame`, and a
+//! load's sealed segments become the log's without a copy.
+//!
 //! Flushes and checkpoint installs are charged through the storage
 //! simulator's [`DeviceProfile`](hpd_storage::DeviceProfile) /
 //! [`IoTracker`](hpd_storage::IoTracker) so durability overhead shows up in

@@ -10,7 +10,7 @@ use hpd_storage::{DeviceProfile, IoTracker};
 use parking_lot::Mutex;
 
 use crate::checkpoint::ImageWriter;
-use crate::frame::{append_frame_with, crc32_extend, ByteSink};
+use crate::frame::{crc32_extend, ByteSink};
 use crate::record::LogRecord;
 
 /// Capacity a log buffer may keep however little it holds, and the size of
@@ -106,22 +106,27 @@ pub struct WalSummary {
     pub deferred: bool,
 }
 
-/// The one segmented byte store: the flushed log, each checkpoint image, and
-/// the bulk-load records the log takes in. Bytes are copied into segments of
-/// [`RETAINED_MIN`] bytes, each filled before the next is started. A bulk
-/// load's record is already held in such segments ([`crate::EncodedRows`]),
-/// and a flush appends them as they are: they become the log's, and the
-/// record is never copied. No segment ever
-/// grows, so a store holds its bytes and at most a segment's worth of room
-/// beside each record it adopted — one vector grown by doubling held up to
-/// twice its bytes, and doubled for the 30-byte record behind a 7 MB load.
+/// The one segmented byte store, and the only code that lays bytes into
+/// segments: the flushed log, each checkpoint image, and each bulk-load
+/// record ([`crate::EncodedRows`] is a store holding one open frame). Bytes
+/// go into segments of [`RETAINED_MIN`] bytes. [`ByteSink::put`] fills each
+/// segment before starting the next, so a frame straddles segments freely;
+/// [`Durable::put_whole`] keeps its bytes (a row) in one segment, closing
+/// the last short if they do not fit it, and gives bytes longer than a
+/// segment a segment of their own size. A store begun by `put` (the log, an
+/// image) starts with a whole segment; one begun by `put_whole` (a load)
+/// starts at the size of those bytes and its first segment grows by
+/// doubling up to a segment's size, so a ten-row load holds a few hundred
+/// bytes, not a segment. No other segment grows, so a store holds its bytes
+/// and at most a segment's worth of room. A flush appends a load's segments
+/// as they are: they become the log's, and the record is never copied.
 ///
 /// An image is written over the segments of the image the last checkpoint
 /// retired ([`Durable::retire`]): the segments past the first `used` are
 /// that free list, each emptied as it is drawn on, so a checkpoint
 /// allocates only the segments its image outgrew and never a block the size
 /// of the image.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Durable {
     segments: Vec<Vec<u8>>,
     /// Segments holding bytes; the rest are free.
@@ -167,6 +172,54 @@ impl Durable {
         self.segments.truncate(self.used);
     }
 
+    /// The segments holding bytes, for [`Durable::put_frame`].
+    pub(crate) fn into_segments(mut self) -> Vec<Vec<u8>> {
+        self.release_free();
+        self.segments
+    }
+
+    /// The segment the next `len` bytes go into whole, with room for them:
+    /// the last if they fit; the first grown by doubling, if that stays
+    /// within a segment's size; else the next free segment, or a new one of
+    /// a segment's size — of `len` bytes if longer, or if it is the first.
+    fn room(&mut self, len: usize) -> &mut Vec<u8> {
+        if let Some(last) = self.used.checked_sub(1) {
+            let segment = &mut self.segments[last];
+            let need = segment.len() + len;
+            if need <= segment.capacity() {
+                return &mut self.segments[last];
+            }
+            if last == 0 && need <= RETAINED_MIN {
+                let grown = (2 * segment.capacity()).clamp(need, RETAINED_MIN);
+                segment.reserve_exact(grown - segment.len());
+                return &mut self.segments[last];
+            }
+        }
+        match self.segments.get_mut(self.used) {
+            Some(free) if free.capacity() >= len => free.clear(),
+            _ => {
+                let size = if self.used == 0 {
+                    len
+                } else {
+                    len.max(RETAINED_MIN)
+                };
+                self.segments.insert(self.used, Vec::with_capacity(size));
+            }
+        }
+        self.used += 1;
+        &mut self.segments[self.used - 1]
+    }
+
+    /// Append the `len` bytes `write` appends, all in one segment: no row
+    /// straddles two.
+    pub(crate) fn put_whole(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        self.len += len;
+        let segment = self.room(len);
+        let end = segment.len() + len;
+        write(segment);
+        debug_assert_eq!(segment.len(), end, "`write` appends `len` bytes");
+    }
+
     /// Append a frame in the buffers that hold it ([`LogRecord::into_frame`]):
     /// one buffer is copied (a small record, an image's catalog frames), the
     /// segments of a longer frame — a bulk load's record, which only the log
@@ -207,7 +260,7 @@ impl Durable {
     }
 
     /// The bytes from offset `from` on, one slice per segment.
-    fn slices(&self, mut from: usize) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn slices(&self, mut from: usize) -> impl Iterator<Item = &[u8]> + Clone {
         self.segments[..self.used].iter().map(move |s| {
             let skip = from.min(s.len());
             from -= skip;
@@ -234,14 +287,11 @@ impl ByteSink for Durable {
                 let last = &self.segments[last];
                 last.len() == last.capacity()
             });
-            if full {
-                match self.segments.get_mut(self.used) {
-                    Some(free) => free.clear(),
-                    None => self.segments.push(Vec::with_capacity(RETAINED_MIN)),
-                }
-                self.used += 1;
-            }
-            let last = &mut self.segments[self.used - 1];
+            let last = if full {
+                self.room(RETAINED_MIN)
+            } else {
+                &mut self.segments[self.used - 1]
+            };
             let (fits, over) = bytes.split_at(bytes.len().min(last.capacity() - last.len()));
             last.extend_from_slice(fits);
             bytes = over;
@@ -340,7 +390,7 @@ impl Wal {
         }
         let mut inner = self.inner.lock();
         let before = inner.pending.len();
-        append_frame_with(&mut inner.pending, |b| rec.encode_into(b));
+        rec.frame_into(&mut inner.pending);
         let bytes = inner.pending.len() - before;
         Self::appended(&mut inner, before, bytes)
     }
@@ -657,8 +707,8 @@ mod tests {
     fn buffers_release_what_a_large_record_reserved() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        // Appended as a record, not a frame, a big load is encoded into the
-        // pending buffer, which grows to hold it, and copied into segments.
+        // Appended as a record, not a frame, a big load's frame is copied
+        // into the pending buffer, which grows to hold it, and into segments.
         wal.append(&LogRecord::CheckpointBegin);
         wal.append(&LogRecord::BulkLoad {
             table: 0,

@@ -19,8 +19,8 @@ use hpd_common::{
     Result, Row, Schema, Value, ValueRef,
 };
 
-use crate::frame::{append_frame_with, crc32_extend, ByteSink, FRAME_HEADER};
-use crate::log::RETAINED_MIN;
+use crate::frame::{append_frame_with, seal_frame, ByteSink, FrameReader, FRAME_HEADER};
+use crate::log::Durable;
 
 /// One logical log record. LSNs are byte offsets assigned at append time by
 /// [`crate::Wal`], not stored in the payload.
@@ -126,41 +126,55 @@ pub enum LogRecord {
 /// index from these bytes, and the buffers that hold them are the ones the
 /// log keeps ([`LogRecord::into_frame`]).
 ///
-/// The bytes are held in segments of [`RETAINED_MIN`] bytes, the log's own.
-/// No row straddles two: a segment the next row does not fit is closed
-/// short, and a row longer than a segment gets a segment of its own size.
-/// The first segment starts with room for the frame's and the record's
-/// headers and the row count, and grows with the load up to a segment's
-/// size, so a ten-row table holds a few hundred bytes of record, not a
-/// segment. Nothing is sized in advance: each segment is allocated as the
-/// rows before it are encoded and, in a load, freed.
+/// It is the log's segmented store holding one open `BulkLoad` frame, and
+/// the one writer of that payload: a load's record, and each table's rows
+/// in a checkpoint image ([`crate::ImageWriter`] opens one over the image).
+/// Each row is put whole (`Durable::put_whole`: no row straddles two
+/// segments), so every row is one slice; the store's first segment grows
+/// with the rows, so a ten-row table holds a few hundred bytes of record,
+/// not a segment. Nothing is sized in advance: each segment is allocated as
+/// the rows before it are encoded and, in a load, freed.
 ///
 /// Rows come from [`EncodedRows::push`] / [`EncodedRows::push_encoded`], or
 /// from decoding a record, which checks every byte and builds the same
 /// segments: what [`EncodedRows::iter`] walks is always well formed.
 #[derive(Clone)]
 pub struct EncodedRows {
-    /// [`HEAD`] bytes of room, then rows; then segments of rows.
-    segments: Vec<Vec<u8>>,
+    store: Durable,
+    /// Where the frame starts in `store`.
+    at: usize,
     rows: usize,
 }
 
-/// Where a `BulkLoad` frame's row count starts: behind the frame header, the
-/// record's tag and its table id.
-const ROWS_AT: usize = FRAME_HEADER + 5;
-/// Where its first row starts.
-const HEAD: usize = ROWS_AT + 4;
+/// An open `BulkLoad` frame's bytes before its first row: the frame header,
+/// the tag, and the table id and row count [`EncodedRows::seal`] fills in.
+const LOAD_HEAD: usize = FRAME_HEADER + 9;
 
 impl Default for EncodedRows {
     fn default() -> EncodedRows {
-        EncodedRows {
-            segments: vec![vec![0; HEAD]],
-            rows: 0,
-        }
+        EncodedRows::open(Durable::default())
     }
 }
 
 impl EncodedRows {
+    /// Open a `BulkLoad` frame at the end of `store`.
+    pub(crate) fn open(mut store: Durable) -> EncodedRows {
+        let at = store.written();
+        let mut head = [0; LOAD_HEAD];
+        head[FRAME_HEADER] = TAG_BULK_LOAD;
+        store.put_whole(LOAD_HEAD, |segment| segment.extend_from_slice(&head));
+        EncodedRows { store, at, rows: 0 }
+    }
+
+    /// Close the frame: fill in the table id and the row count, and seal it.
+    pub(crate) fn seal(mut self, table: u32) -> Durable {
+        let ids = self.at + FRAME_HEADER + 1;
+        self.store.patch(ids, &table.to_le_bytes());
+        self.store.patch(ids + 4, &(self.rows as u32).to_le_bytes());
+        seal_frame(&mut self.store, self.at);
+        self.store
+    }
+
     /// The encoded form of `rows`.
     pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a Row>) -> EncodedRows {
         let mut encoded = EncodedRows::default();
@@ -176,15 +190,10 @@ impl EncodedRows {
             + (values.iter())
                 .map(|v| ValueRef::from(v).encoded_len())
                 .sum::<usize>();
-        let segment = self.room(len);
-        let end = segment.len() + len;
-        put_u32(segment, values.len() as u32);
-        codec::put_values(segment, values);
-        debug_assert_eq!(
-            segment.len(),
-            end,
-            "a row's length is its values' encoded lengths"
-        );
+        self.store.put_whole(len, |segment| {
+            put_u32(segment, values.len() as u32);
+            codec::put_values(segment, values);
+        });
         self.rows += 1;
     }
 
@@ -192,29 +201,11 @@ impl EncodedRows {
     /// B+ tree leaf lends its rows in exactly this form). Its value count is
     /// read off its bytes.
     pub fn push_encoded(&mut self, row: &[u8]) {
-        let segment = self.room(4 + row.len());
-        put_u32(segment, codec::count_values(row) as u32);
-        segment.extend_from_slice(row);
+        self.store.put_whole(4 + row.len(), |segment| {
+            put_u32(segment, codec::count_values(row) as u32);
+            segment.extend_from_slice(row);
+        });
         self.rows += 1;
-    }
-
-    /// The segment the next `len` bytes of row go into, with room for them:
-    /// the last, grown if it is the first and stays within a segment's
-    /// size, else a new one.
-    fn room(&mut self, len: usize) -> &mut Vec<u8> {
-        let first = self.segments.len() == 1;
-        let last = self.segments.last_mut().expect("the first segment");
-        let need = last.len() + len;
-        if need > last.capacity() {
-            if first && need <= RETAINED_MIN {
-                let grown = (2 * last.capacity()).clamp(need, RETAINED_MIN);
-                last.reserve_exact(grown - last.len());
-            } else {
-                self.segments
-                    .push(Vec::with_capacity(len.max(RETAINED_MIN)));
-            }
-        }
-        self.segments.last_mut().expect("a segment with room")
     }
 
     /// Number of rows.
@@ -226,37 +217,11 @@ impl EncodedRows {
         self.rows == 0
     }
 
-    /// The bytes from offset `at` of the first segment on, one slice per
-    /// segment.
-    fn bytes_from(&self, at: usize) -> impl Iterator<Item = &[u8]> + Clone {
-        let (first, rest) = self.segments.split_first().expect("the first segment");
-        std::iter::once(&first[at..]).chain(rest.iter().map(Vec::as_slice))
-    }
-
     /// Each row's encoded values ([`codec::values`] reads them), in order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
-        (self.bytes_from(HEAD))
+        (self.store.slices(self.at + LOAD_HEAD))
             .flat_map(wire_rows)
             .map(|row| &row[4..])
-    }
-
-    /// This record's frame ([`LogRecord::into_frame`]): the headers written
-    /// into the room the first segment starts with, the CRC run over the
-    /// segments.
-    fn into_frame(mut self, table: u32) -> Vec<Vec<u8>> {
-        let head = &mut self.segments[0];
-        head[FRAME_HEADER] = TAG_BULK_LOAD;
-        head[FRAME_HEADER + 1..ROWS_AT].copy_from_slice(&table.to_le_bytes());
-        head[ROWS_AT..HEAD].copy_from_slice(&(self.rows as u32).to_le_bytes());
-        let payload = self
-            .bytes_from(FRAME_HEADER)
-            .map(<[u8]>::len)
-            .sum::<usize>();
-        let crc = self.bytes_from(FRAME_HEADER).fold(0, crc32_extend);
-        let head = &mut self.segments[0];
-        head[..4].copy_from_slice(&(payload as u32).to_le_bytes());
-        head[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-        self.segments
     }
 
     /// Check and copy the rows at the front of `wire` (a row count, then
@@ -286,7 +251,8 @@ impl EncodedRows {
         let used = wire.len() - rest.len();
         let mut rows = EncodedRows::default();
         for row in wire_rows(&wire[4..used]) {
-            rows.room(row.len()).extend_from_slice(row);
+            rows.store
+                .put_whole(row.len(), |s| s.extend_from_slice(row));
             rows.rows += 1;
         }
         Ok((rows, used))
@@ -426,29 +392,6 @@ fn put_design(buf: &mut Vec<u8>, indexes: &[IndexDescriptor]) {
     }
 }
 
-/// Append a `BulkLoad` payload whose rows `feed` hands over one at a time,
-/// each as its values' encoding ([`codec::put_values`]; a B+ tree leaf lends
-/// its rows in exactly this form). The row count precedes the rows on the
-/// wire and is known only when the stream ends, so its slot is reserved and
-/// filled in afterwards; each row's value count is read off its bytes.
-pub(crate) fn encode_bulk_load(
-    b: &mut impl ByteSink,
-    table: u32,
-    feed: impl FnOnce(&mut dyn FnMut(&[u8])),
-) {
-    b.put(&[TAG_BULK_LOAD]);
-    b.put(&table.to_le_bytes());
-    let count_at = b.written();
-    b.put(&[0; 4]);
-    let mut count: u32 = 0;
-    feed(&mut |row| {
-        b.put(&(codec::count_values(row) as u32).to_le_bytes());
-        b.put(row);
-        count += 1;
-    });
-    b.patch(count_at, &count.to_le_bytes());
-}
-
 fn dtype_tag(t: DataType) -> u8 {
     match t {
         DataType::Int32 => 0,
@@ -552,9 +495,12 @@ impl<'a> Cur<'a> {
                 5 => DataType::Utf8,
                 t => return Err(corrupt(&format!("bad dtype tag {t}"))),
             };
-            let eligible = self.u8()? != 0;
             let mut col = ColumnDef::new(name, dtype);
-            col.csi_eligible = eligible;
+            col.csi_eligible = match self.u8()? {
+                0 => false,
+                1 => true,
+                b => return Err(corrupt(&format!("bad eligibility flag {b}"))),
+            };
             cols.push(col);
         }
         Ok(Schema::new(cols))
@@ -563,20 +509,22 @@ impl<'a> Cur<'a> {
     /// Built through [`PartitionSpec`]'s validating constructors: a
     /// corrupt-but-CRC-clean record cannot smuggle an invalid spec in.
     fn partitioning(&mut self) -> Result<Option<PartitionSpec>> {
-        Ok(match self.u8()? {
-            0 => None,
-            1 => Some(PartitionSpec::range(self.u32()? as usize, self.values()?)?),
-            2 => Some(PartitionSpec::hash(
-                self.u32()? as usize,
-                self.u32()? as usize,
-            )?),
+        let spec = match self.u8()? {
+            0 => return Ok(None),
+            1 => PartitionSpec::range(self.u32()? as usize, self.values()?),
+            2 => PartitionSpec::hash(self.u32()? as usize, self.u32()? as usize),
             t => return Err(corrupt(&format!("bad partitioning tag {t}"))),
-        })
+        };
+        spec.map(Some).map_err(|e| corrupt(&e.to_string()))
     }
 
     fn index_def(&mut self) -> Result<IndexDescriptor> {
         let kind = self.u8()?;
         let (cols_a, cols_b) = (self.ordinals()?, self.ordinals()?);
+        // A list the kind does not carry is written empty.
+        if (kind == 2 && !cols_a.is_empty()) || (kind != 1 && !cols_b.is_empty()) {
+            return Err(corrupt(&format!("a list index kind {kind} has none of")));
+        }
         Ok(match kind {
             0 => IndexDescriptor::PrimaryBTree { keys: cols_a },
             1 => IndexDescriptor::SecondaryBTree {
@@ -603,25 +551,12 @@ impl<'a> Cur<'a> {
         Ok(indexes)
     }
 
-    /// Read one embedded `[len][crc][payload]` frame (used by checkpoint
-    /// images, which nest record frames inside their own body). Returns
-    /// `None` on truncation or CRC mismatch.
+    /// Read one embedded frame (checkpoint images nest record frames inside
+    /// their own body). Returns `None` on truncation or CRC mismatch.
     pub(crate) fn framed_record(&mut self) -> Option<&'a [u8]> {
-        use crate::frame::{crc32, FRAME_HEADER};
-        if self.pos + FRAME_HEADER > self.buf.len() {
-            return None;
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.buf[self.pos + 4..self.pos + 8].try_into().unwrap());
-        let start = self.pos + FRAME_HEADER;
-        if start + len > self.buf.len() {
-            return None;
-        }
-        let payload = &self.buf[start..start + len];
-        if crc32(payload) != crc {
-            return None;
-        }
-        self.pos = start + len;
+        let mut frames = FrameReader::new(&self.buf[self.pos..], 0);
+        let (_, payload) = frames.next()?;
+        self.pos += frames.position() as usize;
         Some(payload)
     }
 
@@ -631,44 +566,42 @@ impl<'a> Cur<'a> {
 }
 
 impl LogRecord {
-    /// Serialize to a frame payload (framing/CRC added by the [`crate::Wal`]).
+    /// The frame payload [`LogRecord::decode`] reads.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(self.encoded_len_hint());
-        self.encode_into(&mut b);
-        b
-    }
-
-    /// Bytes [`LogRecord::encode_into`] will append: exact for a bulk load,
-    /// whose rows are all of its size (a buffer grown by doubling would end
-    /// up to twice the record), a small constant for everything else.
-    pub fn encoded_len_hint(&self) -> usize {
-        match self {
-            LogRecord::BulkLoad { rows, .. } => {
-                5 + rows.bytes_from(ROWS_AT).map(<[u8]>::len).sum::<usize>()
-            }
-            _ => 32,
-        }
+        let mut frame = Vec::new();
+        self.frame_into(&mut frame);
+        frame.split_off(FRAME_HEADER)
     }
 
     /// This record as one finished frame, in the buffers that hold it, for
-    /// [`crate::Wal::append_flushed`]. A bulk load's rows sit behind room for
-    /// the headers: they are written there and the rows' segments *are* the
-    /// frame — nothing the size of the load is copied or encoded again. Any
-    /// other record is one buffer.
+    /// [`crate::Wal::append_flushed`]. A bulk load's frame is the one its
+    /// rows were encoded into, sealed: its segments *are* the frame, and
+    /// nothing the size of the load is copied or encoded again. Any other
+    /// record is one buffer.
     pub fn into_frame(self) -> Vec<Vec<u8>> {
         match self {
-            LogRecord::BulkLoad { table, rows } => rows.into_frame(table),
+            LogRecord::BulkLoad { table, rows } => rows.seal(table).into_segments(),
             rec => {
-                let mut frame = Vec::with_capacity(FRAME_HEADER + rec.encoded_len_hint());
-                append_frame_with(&mut frame, |b| rec.encode_into(b));
+                let mut frame = Vec::with_capacity(FRAME_HEADER + 32);
+                rec.frame_into(&mut frame);
                 vec![frame]
             }
         }
     }
 
-    /// Append the frame payload to `b` (the body of a frame being written in
-    /// place, see [`crate::frame::append_frame_with`]).
-    pub fn encode_into(&self, b: &mut Vec<u8>) {
+    /// Append this record's frame to `b`; a bulk load's is a copy of the
+    /// one [`LogRecord::into_frame`] seals.
+    pub(crate) fn frame_into(&self, b: &mut Vec<u8>) {
+        match self {
+            LogRecord::BulkLoad { .. } => {
+                (self.clone().into_frame().iter()).for_each(|segment| b.extend_from_slice(segment))
+            }
+            rec => append_frame_with(b, |b| rec.encode_into(b)),
+        }
+    }
+
+    /// Append the frame payload of any record but a bulk load to `b`.
+    fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             LogRecord::TxnBegin { txn_id } => {
                 b.push(TAG_TXN_BEGIN);
@@ -723,12 +656,7 @@ impl LogRecord {
                 put_index_def(b, primary);
                 put_partitioning(b, partitioning);
             }
-            LogRecord::BulkLoad { table, rows } => {
-                b.push(TAG_BULK_LOAD);
-                put_u32(b, *table);
-                put_u32(b, rows.len() as u32);
-                rows.bytes_from(HEAD).for_each(|s| b.extend_from_slice(s));
-            }
+            LogRecord::BulkLoad { .. } => unreachable!("a bulk load is framed by its rows"),
             LogRecord::IndexCreate { table, def } => {
                 b.push(TAG_INDEX_CREATE);
                 put_u32(b, *table);
@@ -868,6 +796,7 @@ impl LogRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32;
 
     fn roundtrip(rec: LogRecord) {
         let bytes = rec.encode();
@@ -1010,18 +939,15 @@ mod tests {
         let mut encoded = Vec::new();
         codec::put_values(&mut encoded, row.values());
         assert_eq!(encoded, bytes[13..]);
-        let mut bulk = Vec::new();
-        encode_bulk_load(&mut bulk, 7, |sink| sink(&encoded));
         let mut expected = vec![8, 7, 0, 0, 0, 1, 0, 0, 0];
         expected.extend_from_slice(&bytes[9..]);
-        assert_eq!(bulk, expected);
         let rec = LogRecord::BulkLoad {
             table: 7,
             rows: EncodedRows::from_rows([row]),
         };
         assert_eq!(rec.encode(), expected);
         assert_eq!(LogRecord::decode(&expected).unwrap(), rec);
-        // Pushed encoded or as values, framed in place or copied: one form.
+        // Pushed encoded or as values: one form, one frame.
         let mut pushed = EncodedRows::default();
         pushed.push_encoded(&encoded);
         let pushed = LogRecord::BulkLoad {
@@ -1036,14 +962,12 @@ mod tests {
     }
 
     /// Each segment's length and capacity.
-    fn shape(rows: &EncodedRows) -> Vec<(usize, usize)> {
-        (rows.segments.iter())
-            .map(|s| (s.len(), s.capacity()))
-            .collect()
+    fn shape(frame: &[Vec<u8>]) -> Vec<(usize, usize)> {
+        frame.iter().map(|s| (s.len(), s.capacity())).collect()
     }
 
     #[test]
-    fn bulk_load_rows_fill_segments_no_row_straddles_and_the_hint_is_exact() {
+    fn bulk_load_rows_fill_segments_and_no_row_straddles() {
         // 20 000 rows of 29 bytes, a 100 KB one among them, an empty one last.
         let row = |k: i64| Row::new(vec![Value::Int64(k), Value::str("héllo"), Value::Date(4)]);
         let mut rows: Vec<Row> = (0..20_000).map(row).collect();
@@ -1055,47 +979,43 @@ mod tests {
         assert_eq!(encoded.len(), rows.len());
         let back: Vec<Row> = (encoded.iter().map(codec::decode).map(Row::new)).collect();
         assert_eq!(back, rows);
-        // Every segment ends on a row's end and is at most a segment's size,
-        // but the one that holds the wide row alone, at that row's size.
-        assert!(encoded.segments.len() >= 10, "{:?}", shape(&encoded));
-        for (i, segment) in encoded.segments.iter().enumerate() {
-            let head = if i == 0 { HEAD } else { 0 };
-            let lens: Vec<usize> = wire_rows(&segment[head..]).map(<[u8]>::len).collect();
-            assert_eq!(
-                head + lens.iter().sum::<usize>(),
-                segment.len(),
-                "segment {i}"
-            );
-            if segment.capacity() > RETAINED_MIN {
-                assert_eq!((lens.len(), segment.len()), (1, segment.capacity()));
-                assert!(lens[0] > 100 << 10);
-            }
+        // Every segment the store holds ends on a row's end.
+        let used = encoded.store.segments_used();
+        assert!(used >= 10, "{used} segments");
+        let slices: Vec<&[u8]> = encoded.store.slices(LOAD_HEAD).collect();
+        assert_eq!(slices.len(), used);
+        for (i, rows) in slices.iter().enumerate() {
+            let lens = wire_rows(rows).map(<[u8]>::len).sum::<usize>();
+            assert_eq!(lens, rows.len(), "segment {i}");
         }
-        assert_eq!(encoded.segments[0].capacity(), RETAINED_MIN);
-        // The hint is exact, and decoding builds the same segments.
+        // Decoding builds the same segments.
         let rec = LogRecord::BulkLoad {
             table: 3,
             rows: encoded,
         };
-        let bytes = rec.encode();
-        assert_eq!(rec.encoded_len_hint(), bytes.len());
-        let decoded = LogRecord::decode(&bytes).unwrap();
+        let decoded = LogRecord::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
-        let (LogRecord::BulkLoad { rows: a, .. }, LogRecord::BulkLoad { rows: b, .. }) =
-            (&decoded, &rec)
-        else {
-            unreachable!()
-        };
-        assert_eq!(shape(a), shape(b));
-        // The frame is the segments, its headers filled in and its CRC run
-        // over them: the bytes of the frame written in one buffer.
-        let mut framed = Vec::new();
-        crate::frame::append_frame(&mut framed, &bytes);
-        assert_eq!(rec.into_frame().concat(), framed);
+        let (frame, again) = (rec.into_frame(), decoded.into_frame());
+        assert_eq!(shape(&frame), shape(&again));
+        // Each at most a segment's size, but the one that holds the wide row
+        // alone, at that row's size.
+        assert_eq!(frame[0].capacity(), crate::RETAINED_MIN);
+        for segment in frame.iter().filter(|s| s.capacity() > crate::RETAINED_MIN) {
+            assert_eq!(segment.len(), segment.capacity());
+            assert_eq!(wire_rows(segment).count(), 1);
+        }
+        // The bytes of the frame, as the encoder before the one segment
+        // writer wrote them (commit e8d2a7e).
+        let bytes = frame.concat();
+        assert_eq!(bytes, again.concat());
+        assert_eq!((bytes.len(), crc32(&bytes)), (682_439, 0xdbab_e633));
         // Ten rows take one segment sized to them, not a segment's size.
-        let small = EncodedRows::from_rows(&rows[..10]);
-        let [(len, capacity)] = shape(&small)[..] else {
-            panic!("{:?}", shape(&small))
+        let small = LogRecord::BulkLoad {
+            table: 3,
+            rows: EncodedRows::from_rows(&rows[..10]),
+        };
+        let [(len, capacity)] = shape(&small.into_frame())[..] else {
+            panic!("ten rows in more than one segment")
         };
         assert!(
             capacity < 2 * len && capacity < 1_024,

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use hpd_common::{Batch, ColumnVector, SelBitmap};
+use hpd_common::{ColumnVector, SelBitmap};
 use hpd_obs::Counter;
 use hpd_storage::StorageAllocator;
 
@@ -119,31 +119,10 @@ impl RowGroup {
         true
     }
 
-    pub fn is_deleted(&self, pos: usize) -> bool {
-        let (w, b) = (pos / 64, pos % 64);
-        self.deleted[w] & (1u64 << b) != 0
-    }
-
     /// Liveness bitmap (bit set = row visible), built by inverting the
     /// packed delete-bitmap words directly — no per-row work.
     pub fn live_mask(&self) -> SelBitmap {
         SelBitmap::from_inverted_words(&self.deleted, self.rows)
-    }
-
-    /// The packed delete-bitmap words (bit set ⇔ deleted).
-    pub fn deleted_words(&self) -> &[u64] {
-        &self.deleted
-    }
-
-    /// Decode the projected columns into a batch, *without* applying the
-    /// delete bitmap (the scanner combines it with predicate masks).
-    pub fn decode_columns(&self, projection: &[usize]) -> Batch {
-        Batch::new(
-            projection
-                .iter()
-                .map(|&c| self.segments[c].decode())
-                .collect(),
-        )
     }
 
     /// Total compressed bytes across all segments.
@@ -221,10 +200,43 @@ fn sort_permutation(columns: &[Normalized], domains: &[Domain]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::encoding::IntEncoding;
-    use hpd_common::Value;
+    use crate::{ColumnStoreIndex, CsiConfig, CsiKind};
+    use hpd_common::{Batch, ColumnDef, Row, Schema, Value};
+    use hpd_storage::{BufferPool, DeviceProfile, IoTracker};
 
     fn alloc() -> StorageAllocator {
         StorageAllocator::new()
+    }
+
+    /// `columns` built into one row group of a columnstore, read back
+    /// through its `CsiScan` cursor in `projection` order.
+    fn scan(columns: &[ColumnVector], sort: SortMode, projection: &[usize]) -> Batch {
+        let rows: Vec<Row> = (0..columns[0].len())
+            .map(|i| Row::new(columns.iter().map(|c| c.value(i)).collect()))
+            .collect();
+        let defs = (columns.iter().enumerate())
+            .map(|(i, c)| ColumnDef::new(format!("c{i}"), c.data_type()))
+            .collect();
+        let pool = BufferPool::unbounded(DeviceProfile::ram());
+        let t = IoTracker::new();
+        let config = CsiConfig {
+            sort_mode: sort,
+            ..CsiConfig::default()
+        };
+        let idx = ColumnStoreIndex::build(
+            Schema::new(defs),
+            CsiKind::Secondary,
+            vec![0],
+            config,
+            &rows,
+            alloc(),
+            &pool,
+            &t,
+        );
+        let mut cursor = idx.begin_scan(projection.to_vec(), Default::default(), &pool, &t);
+        let batch = cursor.next_batch(&pool, &t).expect("one row group");
+        assert!(cursor.next_batch(&pool, &t).is_none());
+        batch
     }
 
     /// The worked example of the paper's Figure 8: columns A and B; sorting
@@ -355,10 +367,8 @@ mod tests {
         assert!(rg.mark_deleted(99));
         assert_eq!(rg.deleted_count(), 2);
         assert_eq!(rg.active_rows(), 98);
-        assert!(rg.is_deleted(5));
-        assert!(!rg.is_deleted(6));
         let mask = rg.live_mask();
-        assert!(!mask.get(5) && !mask.get(99) && mask.get(0));
+        assert!(!mask.get(5) && !mask.get(99) && mask.get(0) && mask.get(6));
         assert_eq!(mask.count(), 98);
     }
 
@@ -366,8 +376,7 @@ mod tests {
     fn decode_projection_order() {
         let a = ColumnVector::Int32(vec![1, 2, 3]);
         let b = ColumnVector::Int64(vec![10, 20, 30]);
-        let rg = RowGroup::build(vec![a.clone(), b.clone()], SortMode::Arrival, &alloc());
-        let batch = rg.decode_columns(&[1, 0]);
+        let batch = scan(&[a.clone(), b.clone()], SortMode::Arrival, &[1, 0]);
         assert_eq!(batch.column(0), &b);
         assert_eq!(batch.column(1), &a);
     }
@@ -377,8 +386,7 @@ mod tests {
         // After greedy sort, rows must stay aligned across columns.
         let a = ColumnVector::Int32(vec![2, 1, 2, 1]);
         let b = ColumnVector::Int32(vec![10, 20, 30, 40]);
-        let rg = RowGroup::build(vec![a, b], SortMode::Greedy, &alloc());
-        let batch = rg.decode_columns(&[0, 1]);
+        let batch = scan(&[a, b], SortMode::Greedy, &[0, 1]);
         let pairs: Vec<(Value, Value)> = (0..4)
             .map(|i| (batch.column(0).value(i), batch.column(1).value(i)))
             .collect();

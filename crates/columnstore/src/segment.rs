@@ -4,7 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use hpd_common::interval::Bound;
-use hpd_common::{ArcStr, ColumnVector, DataType, HpdError, Interval, Result, SelBitmap, Value};
+use hpd_common::{ArcStr, ColumnVector, DataType, Interval, SelBitmap, Value};
 use hpd_obs::Counter;
 use hpd_storage::{BlobId, BufferPool, IoTracker, StorageAllocator};
 
@@ -351,30 +351,11 @@ impl Segment {
         !interval.overlaps_range(&self.min, &self.max)
     }
 
-    /// SUM over the selected rows of an integer-family column (`Int32`,
-    /// `Int64`, `Date` sum as `Int64`; `Decimal` as `Decimal`), folded on
-    /// the encoded stream without materializing rows. Accumulates exactly
-    /// in `i128` and errors only when the *total* leaves the `i64` range —
-    /// the row-mode fold also errors on transient overflow, a divergence
-    /// that requires sums past ±2^63 mid-stream. `None` for `Float64`
-    /// (order-dependent; use [`Segment::sum_f64_masked`]) and `Utf8`.
-    pub fn sum_int_masked(&self, sel: &SelBitmap) -> Option<Result<Value>> {
-        let wrap = match self.dtype {
-            DataType::Int32 | DataType::Int64 | DataType::Date => Value::Int64,
-            DataType::Decimal => Value::Decimal,
-            DataType::Float64 | DataType::Utf8 => return None,
-        };
-        let total = self.sum_i128_masked(sel)?;
-        Some(
-            i64::try_from(total)
-                .map(wrap)
-                .map_err(|_| HpdError::Internal("SUM overflow".into())),
-        )
-    }
-
-    /// Raw `i128` SUM over the selected rows of an integer-family column —
-    /// the cross-rowgroup accumulation primitive behind
-    /// [`Segment::sum_int_masked`]. `None` for `Float64`/`Utf8`.
+    /// Exact `i128` SUM over the selected rows of an integer-family column
+    /// (`Decimal` in its raw scaled units), folded on the encoded stream
+    /// without materializing rows: the accumulation primitive a caller
+    /// sums across row groups. `None` for `Float64` (order-dependent; see
+    /// [`Segment::for_each_f64_masked`]) and `Utf8`.
     pub fn sum_i128_masked(&self, sel: &SelBitmap) -> Option<i128> {
         match self.dtype {
             DataType::Int32 | DataType::Int64 | DataType::Date | DataType::Decimal => {
@@ -402,16 +383,6 @@ impl Segment {
             DataType::Utf8 => return false,
         }
         true
-    }
-
-    /// SUM over the selected rows as a sequential `f64` fold in ascending
-    /// position order — bit-identical to the row-mode fold over a scan of
-    /// this row group (f64 addition is non-associative, so order matters).
-    /// Used for SUM over `Float64` and as the AVG numerator everywhere.
-    /// `None` for `Utf8`.
-    pub fn sum_f64_masked(&self, sel: &SelBitmap) -> Option<f64> {
-        let mut acc = 0.0f64;
-        self.for_each_f64_masked(sel, |v| acc += v).then_some(acc)
     }
 
     /// MIN and MAX over the selected rows, in the column's logical type.
@@ -609,20 +580,13 @@ mod tests {
             let mut sel = SelBitmap::all_set(500);
             sel.retain(|i| i % 3 != 1);
             let picked: Vec<Value> = sel.positions().iter().map(|&i| col.value(i)).collect();
-            if col.data_type() != DataType::Float64 {
-                let want: i64 = picked.iter().map(|v| v.as_i64().unwrap()).sum();
-                let got = s.sum_int_masked(&sel).unwrap().unwrap();
-                assert_eq!(got.as_i64().unwrap(), want, "{:?}", col.data_type());
-            } else {
-                assert!(s.sum_int_masked(&sel).is_none());
-            }
+            let want = (col.data_type() != DataType::Float64)
+                .then(|| picked.iter().map(|v| i128::from(v.as_i64().unwrap())).sum());
+            assert_eq!(s.sum_i128_masked(&sel), want, "{:?}", col.data_type());
             let want_f: f64 = picked.iter().fold(0.0, |a, v| a + v.as_f64().unwrap());
-            assert_eq!(
-                s.sum_f64_masked(&sel),
-                Some(want_f),
-                "{:?}",
-                col.data_type()
-            );
+            let mut got_f = 0.0;
+            assert!(s.for_each_f64_masked(&sel, |v| got_f += v));
+            assert_eq!(got_f, want_f, "{:?}", col.data_type());
             let (lo, hi) = s.min_max_masked(&sel).unwrap();
             assert_eq!(Some(&lo), picked.iter().min_by(|a, b| a.cmp(b)));
             assert_eq!(Some(&hi), picked.iter().max_by(|a, b| a.cmp(b)));
@@ -640,8 +604,8 @@ mod tests {
         let mut sel = SelBitmap::all_set(6);
         sel.clear(5); // drop "zuc"
         sel.clear(1); // drop one "apple"
-        assert!(s.sum_int_masked(&sel).is_none());
-        assert!(s.sum_f64_masked(&sel).is_none());
+        assert!(s.sum_i128_masked(&sel).is_none());
+        assert!(!s.for_each_f64_masked(&sel, |_| {}));
         let (lo, hi) = s.min_max_masked(&sel).unwrap();
         assert_eq!(lo, Value::str("apple"));
         assert_eq!(hi, Value::str("pear"));
@@ -649,20 +613,12 @@ mod tests {
     }
 
     #[test]
-    fn masked_sum_reports_total_overflow() {
+    fn masked_sum_is_exact_past_i64() {
+        // The caller decides whether a total fits its type.
         let col = ColumnVector::Int64(vec![i64::MAX, i64::MAX, -7]);
         let s = Segment::build(&col, &alloc());
-        let err = s
-            .sum_int_masked(&SelBitmap::all_set(3))
-            .unwrap()
-            .unwrap_err();
-        assert!(err.to_string().contains("SUM overflow"), "{err}");
-        // Dropping one extreme value brings the total back in range.
-        let mut sel = SelBitmap::none_set(3);
-        sel.set(0);
-        sel.set(2);
-        let v = s.sum_int_masked(&sel).unwrap().unwrap();
-        assert_eq!(v, Value::Int64(i64::MAX - 7));
+        let total = s.sum_i128_masked(&SelBitmap::all_set(3));
+        assert_eq!(total, Some(2 * i128::from(i64::MAX) - 7));
     }
 
     #[test]

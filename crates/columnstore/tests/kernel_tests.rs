@@ -1,8 +1,9 @@
 //! Property tests for the encoded-domain scan kernels: for every integer
-//! encoding (RLE, bit-packed, raw), every interval shape, dictionary
-//! strings, floats, and the delete-bitmap/delta-store interaction, the
-//! pushed-down kernel must select exactly the rows a naive
-//! decode-then-filter pass selects.
+//! encoding (RLE, bit-packed, raw, FOR/delta, dictionary), every interval
+//! shape, dictionary strings, floats, and the delete-bitmap/delta-store
+//! interaction, the pushed-down kernel must select exactly the rows a naive
+//! decode-then-filter pass selects — on small segments, and on full-size
+//! row groups of a primary columnstore.
 
 use std::collections::{HashMap, HashSet};
 
@@ -10,7 +11,7 @@ use hpd_columnstore::{
     ColumnStoreIndex, CsiConfig, CsiKind, IntEncoding, PushdownAgg, Segment, SortMode,
 };
 use hpd_common::interval::Bound;
-use hpd_common::{AggFunc, ColumnVector, DataType, Interval, Key, Row, SelBitmap, Value};
+use hpd_common::{AggFunc, Batch, ColumnVector, DataType, Interval, Key, Row, SelBitmap, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
 
@@ -123,22 +124,113 @@ fn shaped_ints(shape: i32, seeds: &[(i32, i32)]) -> Vec<Value> {
     }
 }
 
+/// Rows of a full-size shape: four 65 536-row groups in the release run
+/// (CI's "Full-size encoded kernels" step), one in the debug run.
+const FULL_ROWS: i64 = 65_536 * if cfg!(debug_assertions) { 1 } else { 4 };
+/// Spreads the raw shape's 100 000 levels over > 56 bits.
+const RAW: i64 = 20_000_000_000_033;
+
+/// Full-size shape `shape` (numbered as in [`shaped_ints`]): row `i`'s
+/// value, the number of domain levels, and the stride between levels. Each
+/// 65 536-row stripe spans the whole domain, so zone maps eliminate nothing.
+fn full_size_shape(shape: i32) -> (fn(i64) -> i64, i64, i64) {
+    match shape {
+        // 256-long runs of a slowly advancing level.
+        0 => (|i| i % 65_536 / 256, 256, 1),
+        // A pseudo-random 12-bit domain.
+        1 => (|i| i * 2_654_435_761 % 4096, 4096, 1),
+        // ~48 K distinct values a row group, too wide to pack.
+        2 => (|i| i * 2_654_435_761 % 100_000 * RAW, 100_000, RAW),
+        // Monotone in a stripe, ~10^6 steps with a jitter: deltas fit 7 bits.
+        3 => (|i| i % 65_536 * 1_000_003 + i * 7 % 61, 65_536, 1_000_003),
+        // 1024 interleaved 30-bit levels: 10-bit codes.
+        _ => (|i| i * 2_654_435_761 % 1024 * 1_000_003, 1024, 1_000_003),
+    }
+}
+
+/// A full-size shape in a primary columnstore, in arrival order: every row
+/// group encodes `val` as `encoding`, and at 0.01 / 1 / 50 / 100 %
+/// selectivity the pushed-down scan returns the generated rows an
+/// `Interval::contains` filter keeps, in order, and the pushed-down SUM
+/// their total (or the overflow error where it leaves `i64`).
+fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
+    let (value, levels, stride) = full_size_shape(shape);
+    let pool = BufferPool::unbounded(DeviceProfile::ram());
+    let t = IoTracker::new();
+    let rows: Vec<Row> = (0..FULL_ROWS)
+        .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(value(i))]))
+        .collect();
+    let idx = ColumnStoreIndex::build(
+        hpd_common::Schema::from_pairs(&[("id", DataType::Int64), ("val", DataType::Int64)]),
+        CsiKind::Primary,
+        vec![0],
+        CsiConfig {
+            sort_mode: SortMode::Arrival,
+            ..CsiConfig::default()
+        },
+        &rows,
+        StorageAllocator::new(),
+        &pool,
+        &t,
+    );
+    for g in 0..idx.num_rowgroups() {
+        let got = idx.rowgroup(g).segment(1).encoding();
+        assert_eq!(got, encoding, "shape {shape}, group {g}");
+    }
+    let sum = [PushdownAgg {
+        func: AggFunc::Sum,
+        col: 1,
+    }];
+    for frac in [0.0001, 0.01, 0.5, 1.0] {
+        let bound = ((levels as f64 * frac) as i64).max(1) * stride;
+        let iv = Interval::less_than(Value::Int64(bound), false);
+        let want: Vec<Row> = rows
+            .iter()
+            .filter(|r| iv.contains(&r.values()[1]))
+            .cloned()
+            .collect();
+        let intervals = HashMap::from([(1, iv)]);
+        let got: Vec<Row> = (idx.scan_collect(&[0, 1], &intervals, &pool, &t).iter())
+            .flat_map(Batch::to_rows)
+            .collect();
+        // Not `assert_eq!`: a mismatch would print 262 144 rows.
+        let (n, m) = (got.len(), want.len());
+        assert!(
+            got == want,
+            "shape {shape} at {frac}: the scan kept {n} rows, the filter {m}"
+        );
+        let total: i128 = want
+            .iter()
+            .map(|r| i128::from(r.values()[1].as_i64().unwrap()))
+            .sum();
+        let pushed = idx
+            .agg_collect(&sum, &intervals, &pool, &t)
+            .expect("SUM has a kernel");
+        // `None` on both sides when the total leaves `i64`.
+        let total = i64::try_from(total).ok().map(|s| vec![Value::Int64(s)]);
+        assert_eq!(pushed.ok(), total, "shape {shape} at {frac}: SUM");
+    }
+}
+
 #[test]
 fn shaped_data_hits_all_encodings() {
     // Pin the encodings the shapes are designed to produce, so the
     // property tests below demonstrably cover RLE, BitPacked, Raw,
-    // ForDelta, and Dict.
+    // ForDelta, and Dict — on a 64-value segment, and on full-size row
+    // groups whose encoded scan and SUM are checked against the rows.
     let seeds: Vec<(i32, i32)> = (0..64).map(|i| (i % 7, i * 13 % 29)).collect();
-    let rle = build_segment(DataType::Int32, &shaped_ints(0, &seeds));
-    assert_eq!(rle.encoding(), IntEncoding::Rle);
-    let packed = build_segment(DataType::Int32, &shaped_ints(1, &seeds));
-    assert_eq!(packed.encoding(), IntEncoding::BitPacked);
-    let raw = build_segment(DataType::Int64, &shaped_ints(2, &seeds));
-    assert_eq!(raw.encoding(), IntEncoding::Raw);
-    let fordelta = build_segment(DataType::Int64, &shaped_ints(3, &seeds));
-    assert_eq!(fordelta.encoding(), IntEncoding::ForDelta);
-    let dict = build_segment(DataType::Int64, &shaped_ints(4, &seeds));
-    assert_eq!(dict.encoding(), IntEncoding::Dict);
+    let encodings = [
+        IntEncoding::Rle,
+        IntEncoding::BitPacked,
+        IntEncoding::Raw,
+        IntEncoding::ForDelta,
+        IntEncoding::Dict,
+    ];
+    for (shape, encoding) in (0..).zip(encodings) {
+        let seg = build_segment(shape_dtype(shape), &shaped_ints(shape, &seeds));
+        assert_eq!(seg.encoding(), encoding, "shape {shape}");
+        full_size_shape_matches_filtered_rows(shape, encoding);
+    }
 }
 
 /// Interval from two pivot values drawn from the segment's own domain

@@ -8,10 +8,6 @@
 use crate::codec::ValueRef;
 use crate::{ArcStr, DataType, HpdError, Result, Row, Value};
 
-/// Default number of rows per batch. SQL Server's batch mode uses ~900-row
-/// batches; we use a power of two in the same regime.
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
 /// A dense, typed column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVector {

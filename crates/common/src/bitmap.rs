@@ -49,17 +49,6 @@ impl SelBitmap {
         bm
     }
 
-    /// Build from a boolean slice (true = selected).
-    pub fn from_bools(mask: &[bool]) -> SelBitmap {
-        let mut bm = SelBitmap::none_set(mask.len());
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                bm.set(i);
-            }
-        }
-        bm
-    }
-
     /// Number of positions the bitmap covers (not the number selected).
     pub fn len(&self) -> usize {
         self.len
@@ -123,19 +112,6 @@ impl SelBitmap {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// True when every position is selected.
-    pub fn is_all_set(&self) -> bool {
-        self.count() == self.len
-    }
-
-    /// Word-wise AND with raw packed words (e.g. another bitmap's words).
-    pub fn and_words(&mut self, other: &[u64]) {
-        debug_assert!(other.len() >= self.words.len());
-        for (w, &o) in self.words.iter_mut().zip(other) {
-            *w &= o;
-        }
-    }
-
     /// Clear all bits in `[start, end)`.
     pub fn clear_range(&mut self, start: usize, end: usize) {
         let end = end.min(self.len);
@@ -154,25 +130,6 @@ impl SelBitmap {
             *w = 0;
         }
         self.words[lw] &= !bits_through(lb);
-    }
-
-    /// Set all bits in `[start, end)`.
-    pub fn set_range(&mut self, start: usize, end: usize) {
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let (fw, fb) = (start / 64, start % 64);
-        let (lw, lb) = ((end - 1) / 64, (end - 1) % 64);
-        if fw == lw {
-            self.words[fw] |= bits_from(fb) & bits_through(lb);
-            return;
-        }
-        self.words[fw] |= bits_from(fb);
-        for w in &mut self.words[fw + 1..lw] {
-            *w = u64::MAX;
-        }
-        self.words[lw] |= bits_through(lb);
     }
 
     /// Index of the first selected position, if any.
@@ -218,11 +175,6 @@ impl SelBitmap {
         }
     }
 
-    /// Expand to a boolean mask (slow path, for interop with `Batch::filter`).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
-
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -255,7 +207,6 @@ mod tests {
     fn all_set_masks_tail() {
         let bm = SelBitmap::all_set(70);
         assert_eq!(bm.count(), 70);
-        assert!(bm.is_all_set());
         assert_eq!(bm.words()[1], (1u64 << 6) - 1);
     }
 
@@ -272,17 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn range_ops_match_loop() {
+    fn clear_range_matches_loop() {
         for (start, end) in [(0, 0), (0, 64), (3, 70), (63, 65), (10, 130), (128, 130)] {
             let mut a = SelBitmap::all_set(130);
             a.clear_range(start, end);
             for i in 0..130 {
                 assert_eq!(a.get(i), !(i >= start && i < end), "clear {i}");
-            }
-            let mut b = SelBitmap::none_set(130);
-            b.set_range(start, end);
-            for i in 0..130 {
-                assert_eq!(b.get(i), i >= start && i < end, "set {i}");
             }
         }
     }
@@ -310,7 +256,9 @@ mod tests {
 
     #[test]
     fn positions_retain_first_set() {
-        let mut bm = SelBitmap::from_bools(&[true, false, true, true, false]);
+        let mut bm = SelBitmap::all_set(5);
+        bm.clear(1);
+        bm.clear(4);
         assert_eq!(bm.positions(), vec![0, 2, 3]);
         assert_eq!(bm.first_set(), Some(0));
         bm.retain(|i| i != 2);

@@ -52,10 +52,6 @@ impl Row {
         &self.values
     }
 
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.into_vec()
-    }
-
     /// Replace the values, for a caller that refills one scratch row: in
     /// place when the arity is unchanged.
     pub fn refill(&mut self, values: impl IntoIterator<Item = Value>) {
@@ -154,12 +150,6 @@ impl Key {
         self.values.is_empty()
     }
 
-    /// True if `self` is a prefix of `other` (used for prefix seeks).
-    pub fn is_prefix_of(&self, other: &Key) -> bool {
-        self.values.len() <= other.values.len()
-            && self.values.iter().zip(&other.values).all(|(a, b)| a == b)
-    }
-
     pub fn byte_width(&self) -> usize {
         self.values.iter().map(Value::byte_width).sum()
     }
@@ -182,17 +172,6 @@ mod tests {
         let k3 = Key::new(vec![Value::Int32(1)]);
         assert!(k1 < k2);
         assert!(k3 < k1, "shorter key is a strict prefix and sorts first");
-    }
-
-    #[test]
-    fn prefix_detection() {
-        let p = Key::new(vec![Value::Int32(1)]);
-        let full = Key::new(vec![Value::Int32(1), Value::Int32(2)]);
-        assert!(p.is_prefix_of(&full));
-        assert!(!full.is_prefix_of(&p));
-        assert!(p.is_prefix_of(&p));
-        let other = Key::new(vec![Value::Int32(7), Value::Int32(2)]);
-        assert!(!p.is_prefix_of(&other));
     }
 
     #[test]

@@ -215,11 +215,6 @@ impl Database {
         hpd_obs::trace::chrome_trace_json(&hpd_obs::trace::tracer().drain())
     }
 
-    /// Drain every buffered trace span as JSONL, one flat span per line.
-    pub fn export_trace_jsonl(&self) -> String {
-        hpd_obs::trace::spans_jsonl(&hpd_obs::trace::tracer().drain())
-    }
-
     /// Snapshot the global metrics registry in Prometheus text exposition
     /// format.
     pub fn metrics_prometheus(&self) -> String {

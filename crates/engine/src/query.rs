@@ -117,15 +117,6 @@ impl SelectQuery {
         !self.aggregates.is_empty()
     }
 
-    /// Number of output columns.
-    pub fn output_arity(&self) -> usize {
-        if self.is_aggregate() {
-            self.group_by.len() + self.aggregates.len()
-        } else {
-            self.select.len()
-        }
-    }
-
     /// Column ordinals of `table` referenced anywhere in the query
     /// (predicates, joins, group-by, aggregates, select, order-by via
     /// output list).
@@ -207,10 +198,6 @@ impl Statement {
             Statement::Insert(i) => vec![i.table.as_str()],
         }
     }
-
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Statement::Select(_))
-    }
 }
 
 #[cfg(test)]
@@ -236,14 +223,12 @@ mod tests {
         assert_eq!(q.referenced_columns(0), vec![1, 2, 3]);
         assert_eq!(q.referenced_columns(1), vec![0]);
         assert!(q.is_aggregate());
-        assert_eq!(q.output_arity(), 2);
     }
 
     #[test]
     fn single_table_constructor() {
         let q = SelectQuery::single_table("t", None, vec![0, 2]);
         assert_eq!(q.tables.len(), 1);
-        assert_eq!(q.output_arity(), 2);
         assert!(!q.is_aggregate());
         assert_eq!(q.referenced_columns(0), vec![0, 2]);
     }

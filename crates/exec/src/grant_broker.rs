@@ -97,10 +97,6 @@ impl GrantBroker {
         }
     }
 
-    pub fn budget_bytes(&self) -> usize {
-        self.inner.budget
-    }
-
     pub fn reserved_bytes(&self) -> usize {
         self.inner.state.lock().reserved
     }

@@ -444,25 +444,6 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Render spans as JSONL: one flat JSON object per line.
-pub fn spans_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&format!(
-            "{{\"id\":{},\"parent\":{},\"name\":{},\"tid\":{},\"start_us\":{},\"dur_us\":{},\"attrs\":",
-            s.id,
-            s.parent,
-            json_string(s.name),
-            s.tid,
-            s.start_us,
-            s.dur_us,
-        ));
-        push_attrs_json(&mut out, &s.attrs);
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Render the subtree rooted at `root_id` as nested JSON
 /// (`{"name", "start_us", "dur_us", "attrs", "children": [...]}`), or
 /// `None` if the root is not present in `spans`.
@@ -491,27 +472,6 @@ fn render_node(out: &mut String, spans: &[SpanRecord], node: &SpanRecord) {
         render_node(out, spans, child);
     }
     out.push_str("]}");
-}
-
-/// All spans whose ancestor chain (within `spans`) reaches `root_id`,
-/// including the root itself. Order follows the input.
-pub fn subtree(spans: &[SpanRecord], root_id: u64) -> Vec<&SpanRecord> {
-    let mut keep: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    keep.insert(root_id);
-    // Spans are sorted by start time, so parents normally precede children;
-    // loop until fixpoint to be safe against out-of-order drops.
-    loop {
-        let before = keep.len();
-        for s in spans {
-            if keep.contains(&s.parent) {
-                keep.insert(s.id);
-            }
-        }
-        if keep.len() == before {
-            break;
-        }
-    }
-    spans.iter().filter(|s| keep.contains(&s.id)).collect()
 }
 
 #[cfg(test)]
@@ -648,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_and_jsonl_exports() {
+    fn chrome_export() {
         let spans = vec![
             SpanRecord {
                 id: 1,
@@ -677,15 +637,10 @@ mod tests {
         assert!(chrome.contains("\"kind\":\"select\""));
         // Zero-duration spans render as 1us so viewers show them.
         assert!(chrome.contains("\"dur\":1"));
-        let jsonl = spans_jsonl(&spans);
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
     #[test]
-    fn tree_render_and_subtree() {
+    fn tree_render() {
         let mk = |id, parent, name| SpanRecord {
             id,
             parent,
@@ -707,8 +662,5 @@ mod tests {
         assert!(tree.contains("\"name\":\"op\""));
         assert!(!tree.contains("other-root"));
         assert!(span_tree_json(&spans, 99).is_none());
-        let sub = subtree(&spans, 1);
-        assert_eq!(sub.len(), 4);
-        assert_eq!(subtree(&spans, 5).len(), 1);
     }
 }

@@ -2,26 +2,22 @@
 //!
 //! Interactive: prompts on a terminal, reads statements terminated by `;`
 //! (statements may span lines). Piped: same grammar, no prompt, suitable
-//! for `hpd-cli < script.sql` smoke tests. `--protocol` speaks the line
-//! protocol from `hpd_sql::protocol` instead of the human format.
+//! for `hpd-cli < script.sql` smoke tests.
 
 use std::io::{BufRead, IsTerminal, Write};
-use std::sync::Arc;
 
 use hpd_engine::{Database, DbConfig};
-use hpd_sql::{partitions_report, PlanCache, SqlOutput, SqlSession};
+use hpd_sql::{partitions_report, SqlOutput, SqlSession};
 
 fn main() {
     let mut quiet = false;
-    let mut protocol = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quiet" | "-q" => quiet = true,
-            "--protocol" => protocol = true,
             "--help" | "-h" => {
                 println!(
                     "hpd-cli: SQL REPL over an in-process hybrid-physical-designs engine\n\
-                     usage: hpd-cli [--quiet] [--protocol]\n\
+                     usage: hpd-cli [--quiet]\n\
                      Statements end with ';'. Try: CREATE TABLE t (k INT PRIMARY KEY, v INT);\n\
                      Meta-commands (one per line, no ';'):\n\
                        \\heat                      rowgroup heat / backlog per columnstore index\n\
@@ -38,21 +34,13 @@ fn main() {
     }
 
     let db = Database::new(DbConfig::default());
-    let cache = Arc::new(PlanCache::new(256));
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-
-    if protocol {
-        hpd_sql::protocol::serve(&db, cache, stdin.lock(), stdout.lock())
-            .expect("stdio protocol I/O failed");
-        return;
-    }
-
     let interactive = stdin.is_terminal();
     if interactive && !quiet {
         println!("hpd-cli — statements end with ';', Ctrl-D quits");
     }
-    let mut session = SqlSession::with_cache(&db, cache);
+    let mut session = SqlSession::new(&db);
     let mut out = stdout.lock();
     let mut pending = String::new();
     loop {

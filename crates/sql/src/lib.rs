@@ -6,8 +6,8 @@
 //! [`hpd_engine::Statement`] → optimizer/executor. The [`cache`] module
 //! adds a prepared-statement plan cache keyed on normalized text, and
 //! [`session`] the per-connection layer (isolation, open transaction)
-//! that N concurrent clients use against one engine. [`protocol`] is a
-//! minimal line protocol; the `hpd-cli` binary wraps it all in a REPL.
+//! that N concurrent clients use against one engine. The `hpd-cli` binary
+//! wraps it all in a REPL.
 //!
 //! Everything observable is counted: `sql.statements`, `sql.parse.errors`,
 //! `sql.parse_us`, `sql.plancache.{hit,miss,invalidate}`,
@@ -20,7 +20,6 @@ pub mod cache;
 pub mod error;
 pub mod lexer;
 pub mod parser;
-pub mod protocol;
 pub mod session;
 
 pub use ast::{SqlSelect, SqlStatement};

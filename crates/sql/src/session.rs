@@ -77,10 +77,6 @@ impl<'db> SqlSession<'db> {
         self.txn.is_some()
     }
 
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
     /// Execute a script: every `;`-separated statement in order, stopping
     /// at (and returning) the first error.
     pub fn execute(&mut self, script: &str) -> Result<Vec<SqlOutput>> {

@@ -237,43 +237,6 @@ impl BufferPool {
         }
     }
 
-    /// Access a *contiguous run* of pages (e.g. a B+ tree leaf-level range
-    /// scan over sequentially allocated leaves). Contiguous misses coalesce
-    /// into single device requests, modelling read-ahead.
-    pub fn access_page_run(&self, first: PageId, count: u64, tracker: &IoTracker) {
-        if count == 0 {
-            return;
-        }
-        self.maybe_force_evict();
-        tracker.record_logical(count);
-        let mut inner = self.inner.lock();
-        let mut miss_runs = 0u64;
-        let mut missed_pages = 0u64;
-        let mut in_run = false;
-        for i in 0..count {
-            let hit = inner.touch(
-                CacheKey::Page(first.0 + i),
-                PAGE_SIZE as u64,
-                self.capacity_bytes,
-            );
-            if hit {
-                in_run = false;
-            } else {
-                missed_pages += 1;
-                if !in_run {
-                    miss_runs += 1;
-                    in_run = true;
-                }
-            }
-        }
-        drop(inner);
-        if missed_pages > 0 {
-            let bytes = missed_pages * PAGE_SIZE as u64;
-            let (seek, bw) = self.device.read_cost_parts(bytes, miss_runs);
-            tracker.record_physical_read(miss_runs, bytes, seek, bw);
-        }
-    }
-
     /// Access one blob (compressed column segment): a miss pays one seek
     /// plus the blob's bytes at sequential bandwidth — the megabyte-granular
     /// access pattern of columnstore scans.
@@ -310,11 +273,6 @@ impl BufferPool {
             .touch(CacheKey::Blob(blob.0), bytes, self.capacity_bytes);
         let (seek, bw) = self.device.write_cost_parts(bytes, 1);
         tracker.record_write(bytes, seek, bw);
-    }
-
-    /// Evict a blob (e.g. a segment replaced by the tuple mover).
-    pub fn invalidate_blob(&self, blob: BlobId) {
-        self.inner.lock().remove(&CacheKey::Blob(blob.0));
     }
 
     /// True if the page is currently resident (test/diagnostic hook).
@@ -373,38 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_run_coalesces_requests() {
-        let p = pool(1 << 30);
-        let t = IoTracker::new();
-        p.access_page_run(PageId(100), 128, &t);
-        let s = t.snapshot();
-        assert_eq!(s.logical_reads, 128);
-        assert_eq!(s.physical_reads, 1, "one coalesced request");
-        assert_eq!(s.bytes_read, 128 * PAGE_SIZE as u64);
-        // Much cheaper than 128 random reads.
-        let t2 = IoTracker::new();
-        let p2 = pool(1 << 30);
-        for i in 0..128 {
-            p2.access_page(PageId(1000 + i * 2), &t2); // non-contiguous
-        }
-        assert!(t2.snapshot().sim_io_us() > 10.0 * s.sim_io_us());
-    }
-
-    #[test]
-    fn partially_cached_run_pays_only_for_gaps() {
-        let p = pool(1 << 30);
-        let warm = IoTracker::new();
-        // Warm pages 0..10.
-        p.access_page_run(PageId(0), 10, &warm);
-        let t = IoTracker::new();
-        p.access_page_run(PageId(0), 20, &t);
-        let s = t.snapshot();
-        assert_eq!(s.logical_reads, 20);
-        assert_eq!(s.bytes_read, 10 * PAGE_SIZE as u64);
-        assert_eq!(s.physical_reads, 1, "one contiguous miss run (10..20)");
-    }
-
-    #[test]
     fn blob_miss_charges_bandwidth() {
         let p = pool(1 << 30);
         let t = IoTracker::new();
@@ -448,17 +374,6 @@ mod tests {
         assert_eq!(s.bytes_written, PAGE_SIZE as u64);
         p.access_page(PageId(9), &t);
         assert_eq!(t.snapshot().physical_reads, 0);
-    }
-
-    #[test]
-    fn invalidate_blob_removes_entry() {
-        let p = pool(1 << 30);
-        let t = IoTracker::new();
-        p.access_blob(BlobId(3), 1000, &t);
-        assert_eq!(p.used_bytes(), 1000);
-        p.invalidate_blob(BlobId(3));
-        assert_eq!(p.used_bytes(), 0);
-        assert!(!p.is_blob_resident(BlobId(3)));
     }
 
     #[test]

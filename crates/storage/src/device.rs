@@ -86,12 +86,6 @@ impl DeviceProfile {
         )
     }
 
-    /// Simulated microseconds to write `bytes` in `requests` requests.
-    pub fn write_cost_us(&self, bytes: u64, requests: u64) -> f64 {
-        let (s, b) = self.write_cost_parts(bytes, requests);
-        s + b
-    }
-
     /// Write cost split into `(positioning, transfer)` microseconds.
     pub fn write_cost_parts(&self, bytes: u64, requests: u64) -> (f64, f64) {
         (
@@ -126,7 +120,8 @@ mod tests {
     #[test]
     fn writes_slower_than_reads_on_hdd() {
         let d = DeviceProfile::hdd_raid();
-        assert!(d.write_cost_us(1 << 20, 1) > d.read_cost_us(1 << 20, 1));
+        let (seek, transfer) = d.write_cost_parts(1 << 20, 1);
+        assert!(seek + transfer > d.read_cost_us(1 << 20, 1));
     }
 
     #[test]

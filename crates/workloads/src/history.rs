@@ -54,18 +54,6 @@ pub enum MixedOp {
 }
 
 impl MixedOp {
-    /// Is this a write (affects committed state)?
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            MixedOp::PointUpdate { .. }
-                | MixedOp::RangeUpdate { .. }
-                | MixedOp::PointDelete { .. }
-                | MixedOp::RangeDelete { .. }
-                | MixedOp::Insert { .. }
-        )
-    }
-
     /// Engine statement for this op against `table`; `None` for
     /// [`MixedOp::Maintenance`], which is not a statement.
     pub fn to_statement(&self, table: &str) -> Option<Statement> {

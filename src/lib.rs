@@ -19,7 +19,7 @@
 //! * [`workloads`] — data and workload generators (micro-benchmarks, TPC-H
 //!   lineitem, TPC-DS-like, TPC-C/CH, customer-workload synthesizer);
 //! * [`sql`] — the SQL front-end: lexer, parser, binder, plan cache,
-//!   concurrent sessions, line protocol, and the `hpd-cli` REPL.
+//!   concurrent sessions, and the `hpd-cli` REPL.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
 //! the per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured

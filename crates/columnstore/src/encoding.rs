@@ -15,9 +15,7 @@
 //! dict|raw` overrides the choice when the requested encoding is feasible
 //! (used by the differential harness to exercise every kernel).
 
-use std::sync::OnceLock;
-
-use bytes::{Bytes, BytesMut};
+use std::sync::{Arc, OnceLock};
 
 /// Which physical encoding a segment chose (exposed for tests/ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +60,8 @@ pub enum EncodedInts {
         base: i64,
         bit_width: u8,
         len: usize,
-        data: Bytes,
+        /// Shared by a cloned segment, not copied.
+        data: Arc<[u8]>,
     },
     /// Frame-of-reference + delta: the stream is cut into
     /// [`FOR_DELTA_FRAME`]-value frames; each frame stores its first value
@@ -79,7 +78,7 @@ pub enum EncodedInts {
         /// Bits per packed delta code (≤ 56).
         bit_width: u8,
         /// Packed codes, `FOR_DELTA_FRAME - 1` slots per frame.
-        data: Bytes,
+        data: Arc<[u8]>,
     },
     /// Order-preserving numeric dictionary: sorted distinct values plus a
     /// per-row code stream (itself encoded). Wins on low-cardinality
@@ -238,8 +237,8 @@ pub(crate) fn read_packed(data: &[u8], idx: usize, bw: usize, mask: u64) -> u64 
 /// A zeroed buffer of `slots` codes of `bw` bits (≤ 56), the first of them
 /// `codes`: written back to back, little-endian, through an accumulator
 /// flushed eight bytes at a time.
-fn pack(slots: usize, bw: usize, codes: impl Iterator<Item = u64>) -> Bytes {
-    let mut data = BytesMut::zeroed(packed_buf_bytes(slots, bw));
+fn pack(slots: usize, bw: usize, codes: impl Iterator<Item = u64>) -> Arc<[u8]> {
+    let mut data = vec![0u8; packed_buf_bytes(slots, bw)];
     let (mut at, mut acc, mut bits) = (0, 0u128, 0);
     for code in codes {
         acc |= u128::from(code) << bits;
@@ -251,7 +250,7 @@ fn pack(slots: usize, bw: usize, codes: impl Iterator<Item = u64>) -> Bytes {
     }
     let tail = bits.div_ceil(8);
     data[at..at + tail].copy_from_slice(&(acc as u64).to_le_bytes()[..tail]);
-    data.freeze()
+    data.into()
 }
 
 /// Bit width needed for codes spanning `range` (0 → 0 bits).

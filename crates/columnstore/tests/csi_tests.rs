@@ -506,7 +506,6 @@ proptest! {
 mod reference {
     use std::collections::{BTreeSet, HashSet};
 
-    use bytes::BytesMut;
     use hpd_columnstore::{EncodedInts, IntEncoding, FOR_DELTA_FRAME, RLE_RUN_BYTES};
     use hpd_common::{ArcStr, ColumnVector, Value};
 
@@ -612,7 +611,7 @@ mod reference {
     }
 
     /// OR `code` into slot `idx` of the little-endian bit stream.
-    fn put_code(data: &mut BytesMut, idx: usize, bw: usize, code: u64) {
+    fn put_code(data: &mut [u8], idx: usize, bw: usize, code: u64) {
         let (byte, shift) = (idx * bw / 8, idx * bw % 8);
         let existing = u64::from_le_bytes(data[byte..byte + 8].try_into().expect("8 bytes"));
         data[byte..byte + 8].copy_from_slice(&(existing | (code << shift)).to_le_bytes());
@@ -620,7 +619,7 @@ mod reference {
 
     fn bitpack(values: &[i64]) -> Option<EncodedInts> {
         let (min, bit_width) = bitpack_plan(values)?;
-        let mut data = BytesMut::zeroed(packed_buf_bytes(values.len(), bit_width));
+        let mut data = vec![0u8; packed_buf_bytes(values.len(), bit_width)];
         for (i, &v) in values.iter().enumerate() {
             put_code(&mut data, i, bit_width, (v as i128 - min as i128) as u64);
         }
@@ -628,7 +627,7 @@ mod reference {
             base: min,
             bit_width: bit_width as u8,
             len: values.len(),
-            data: data.freeze(),
+            data: data.into(),
         })
     }
 
@@ -664,7 +663,7 @@ mod reference {
         let n_frames = values.len().div_ceil(FOR_DELTA_FRAME);
         let mut anchors = Vec::with_capacity(n_frames);
         let slots = n_frames * (FOR_DELTA_FRAME - 1);
-        let mut data = BytesMut::zeroed(packed_buf_bytes(slots, bit_width));
+        let mut data = vec![0u8; packed_buf_bytes(slots, bit_width)];
         for (f, chunk) in values.chunks(FOR_DELTA_FRAME).enumerate() {
             anchors.push(chunk[0]);
             if bit_width == 0 {
@@ -680,7 +679,7 @@ mod reference {
             anchors,
             min_delta,
             bit_width: bit_width as u8,
-            data: data.freeze(),
+            data: data.into(),
         })
     }
 

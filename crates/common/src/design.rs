@@ -45,6 +45,41 @@ impl IndexDescriptor {
         }
     }
 
+    /// The table ordinals this index stores, in its own column order, on a
+    /// table of `arity` columns keyed on `pk`: every column for a primary;
+    /// for a secondary its keys (a columnstore's columns), then whatever of
+    /// its includes and of the primary key — the row locator, and what
+    /// delete handling goes by — they lack. The one statement of an index's
+    /// layout: what a build stores, a plan reads and the what-if API prices.
+    pub fn stored_columns(&self, arity: usize, pk: &[usize]) -> Vec<usize> {
+        let (first, then): (&[usize], &[usize]) = match self {
+            IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::PrimaryCsi => {
+                return (0..arity).collect()
+            }
+            IndexDescriptor::SecondaryBTree { keys, includes } => (keys, includes),
+            IndexDescriptor::SecondaryCsi { columns } => (columns, &[]),
+        };
+        let mut stored = first.to_vec();
+        for &c in then.iter().chain(pk) {
+            if !stored.contains(&c) {
+                stored.push(c);
+            }
+        }
+        stored
+    }
+
+    /// This index as a table holds and reports it: a secondary columnstore
+    /// names every column it stores, the primary key included; any other
+    /// index is as written.
+    pub fn as_stored(&self, arity: usize, pk: &[usize]) -> IndexDescriptor {
+        match self {
+            IndexDescriptor::SecondaryCsi { .. } => IndexDescriptor::SecondaryCsi {
+                columns: self.stored_columns(arity, pk),
+            },
+            _ => self.clone(),
+        }
+    }
+
     /// Human-readable form for recommendations and plan printouts.
     pub fn display(&self, schema: &Schema) -> String {
         let names = |cols: &[usize]| {

@@ -5,7 +5,7 @@
 //! sizes* for them. Here we construct [`IndexMeta`] records for indexes that
 //! do not exist, using the size estimators of [`crate::size`].
 
-use hpd_columnstore::{CsiConfig, IntEncoding};
+use hpd_columnstore::CsiConfig;
 use hpd_engine::{IndexDescriptor, IndexMeta, TableContext};
 
 use crate::size::{btree_size_estimate, CsiSizeEstimator, SampleSet};
@@ -23,72 +23,35 @@ pub fn hypothetical_meta(
     hpd_obs::global()
         .counter("advisor.hypothetical.built")
         .inc();
-    let rows = ctx.stats.rows;
+    let (arity, rows) = (ctx.schema.len(), ctx.stats.rows);
+    // Described as the engine would report the built index.
     let blank = IndexMeta {
-        descriptor: descriptor.clone(),
-        rows,
-        leaf_pages: 0,
-        height: 0,
-        column_bytes: vec![],
-        column_encodings: vec![],
-        rowgroups: 0,
-        delta_rows: 0,
-        delete_buffer_rows: 0,
         hypothetical: true,
+        ..IndexMeta::new(descriptor.as_stored(arity, &ctx.pk), rows)
     };
-    // `stored` maps the estimator's column positions to table ordinals.
-    let csi = |descriptor, stored: Vec<usize>, columns: Vec<(usize, IntEncoding)>| IndexMeta {
-        descriptor,
-        column_bytes: stored
-            .iter()
-            .zip(&columns)
-            .map(|(&c, &(b, _))| (c, b))
-            .collect(),
-        column_encodings: stored
-            .iter()
-            .zip(&columns)
-            .map(|(&c, &(_, e))| (c, e))
-            .collect(),
+    if !descriptor.is_csi() {
+        let (leaf_pages, height) = btree_size_estimate(descriptor, ctx, sample, rows);
+        return IndexMeta {
+            leaf_pages,
+            height,
+            ..blank
+        };
+    }
+    // The estimator sizes the columns the index stores, in its order;
+    // `stored` maps its column positions back to table ordinals.
+    let stored = descriptor.stored_columns(arity, &ctx.pk);
+    let proj_sample = SampleSet {
+        rows: sample.rows.iter().map(|r| r.project(&stored)).collect(),
+        fraction: sample.fraction,
+    };
+    let schema = ctx.schema.project(&stored);
+    let columns = estimator.estimate_columns(&schema, &proj_sample, rows, csi_config);
+    let at = || stored.iter().zip(&columns);
+    IndexMeta {
+        column_bytes: at().map(|(&c, &(bytes, _))| (c, bytes)).collect(),
+        column_encodings: at().map(|(&c, &(_, encoding))| (c, encoding)).collect(),
         rowgroups: rows.div_ceil(csi_config.rowgroup_capacity.max(1)),
-        ..blank.clone()
-    };
-    match descriptor {
-        IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::SecondaryBTree { .. } => {
-            let (leaf_pages, height) = btree_size_estimate(descriptor, ctx, sample, rows);
-            IndexMeta {
-                leaf_pages,
-                height,
-                ..blank
-            }
-        }
-        IndexDescriptor::PrimaryCsi => csi(
-            descriptor.clone(),
-            (0..ctx.schema.len()).collect(),
-            estimator.estimate_columns(&ctx.schema, sample, rows, csi_config),
-        ),
-        IndexDescriptor::SecondaryCsi { columns } => {
-            // Build a projected schema + sample for the stored columns
-            // (always including the primary key, as the engine does).
-            let mut stored = columns.clone();
-            for &k in &ctx.pk {
-                if !stored.contains(&k) {
-                    stored.push(k);
-                }
-            }
-            let proj_schema = ctx.schema.project(&stored);
-            let proj_sample = SampleSet {
-                rows: sample.rows.iter().map(|r| r.project(&stored)).collect(),
-                fraction: sample.fraction,
-            };
-            let columns = estimator.estimate_columns(&proj_schema, &proj_sample, rows, csi_config);
-            csi(
-                IndexDescriptor::SecondaryCsi {
-                    columns: stored.clone(),
-                },
-                stored,
-                columns,
-            )
-        }
+        ..blank
     }
 }
 

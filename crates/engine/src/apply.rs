@@ -116,7 +116,7 @@ impl Database {
             // Every part keeps what it has but the index; a part without it
             // refuses the drop before any part is touched.
             LogRecord::IndexDrop { def, .. } => {
-                let def = t.as_stored(def);
+                let def = def.as_stored(t.schema().len(), t.pk());
                 let mut targets = t.designs();
                 for (p, design) in targets.iter_mut().enumerate() {
                     let at = design[1..].iter().position(|d| *d == def).ok_or_else(|| {

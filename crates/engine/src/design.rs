@@ -122,6 +122,24 @@ pub struct IndexMeta {
 }
 
 impl IndexMeta {
+    /// What is known of `descriptor` over `rows` rows before anything is
+    /// measured or estimated: no pages, no column sizes, nothing pending,
+    /// not hypothetical. A built index and the what-if API fill in the rest.
+    pub fn new(descriptor: IndexDescriptor, rows: usize) -> IndexMeta {
+        IndexMeta {
+            descriptor,
+            rows,
+            leaf_pages: 0,
+            height: 0,
+            column_bytes: vec![],
+            column_encodings: vec![],
+            rowgroups: 0,
+            delta_rows: 0,
+            delete_buffer_rows: 0,
+            hypothetical: false,
+        }
+    }
+
     /// Total size in bytes.
     pub fn size_bytes(&self) -> usize {
         if self.descriptor.is_csi() {
@@ -160,28 +178,11 @@ impl IndexMeta {
             .sum()
     }
 
-    /// Columns physically present in this index, as table ordinals.
-    /// `table_arity` and `pk` describe the owning table.
-    pub fn stored_columns(&self, table_arity: usize, pk: &[usize]) -> Vec<usize> {
-        match &self.descriptor {
-            IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::PrimaryCsi => {
-                (0..table_arity).collect()
-            }
-            IndexDescriptor::SecondaryBTree { keys, includes } => {
-                let mut cols: Vec<usize> = keys.clone();
-                cols.extend(includes.iter().copied());
-                cols.extend(pk.iter().copied());
-                cols.sort_unstable();
-                cols.dedup();
-                cols
-            }
-            IndexDescriptor::SecondaryCsi { columns } => columns.clone(),
-        }
-    }
-
-    /// True if the index physically contains every column in `needed`.
+    /// True if the index physically contains every column in `needed`
+    /// ([`IndexDescriptor::stored_columns`]); `table_arity` and `pk`
+    /// describe the owning table.
     pub fn covers(&self, needed: &[usize], table_arity: usize, pk: &[usize]) -> bool {
-        let stored = self.stored_columns(table_arity, pk);
+        let stored = self.descriptor.stored_columns(table_arity, pk);
         needed.iter().all(|c| stored.contains(c))
     }
 }
@@ -237,41 +238,30 @@ mod tests {
 
     #[test]
     fn covering_logic() {
-        let meta = IndexMeta {
-            descriptor: IndexDescriptor::SecondaryBTree {
+        let on = |includes: Vec<usize>| {
+            let descriptor = IndexDescriptor::SecondaryBTree {
                 keys: vec![1],
-                includes: vec![2],
-            },
-            rows: 100,
-            leaf_pages: 4,
-            height: 2,
-            column_bytes: vec![],
-            column_encodings: vec![],
-            rowgroups: 0,
-            delta_rows: 0,
-            delete_buffer_rows: 0,
-            hypothetical: true,
+                includes,
+            };
+            IndexMeta::new(descriptor, 100)
         };
         // Secondary carries keys + includes + pk (0).
-        assert!(meta.covers(&[0, 1, 2], 3, &[0]));
-        let narrow = IndexMeta {
-            descriptor: IndexDescriptor::SecondaryBTree {
-                keys: vec![1],
-                includes: vec![],
-            },
-            ..meta.clone()
-        };
+        assert!(on(vec![2]).covers(&[0, 1, 2], 3, &[0]));
+        let narrow = on(vec![]);
         assert!(!narrow.covers(&[2], 3, &[0]));
         assert!(narrow.covers(&[0, 1], 3, &[0]));
     }
 
     #[test]
+    fn a_secondary_columnstore_as_written_covers_the_primary_key_it_stores() {
+        let meta = IndexMeta::new(IndexDescriptor::SecondaryCsi { columns: vec![1] }, 100);
+        assert!(meta.covers(&[0, 1], 3, &[0]));
+        assert!(!meta.covers(&[2], 3, &[0]));
+    }
+
+    #[test]
     fn csi_scan_bytes_filters_columns() {
         let meta = IndexMeta {
-            descriptor: IndexDescriptor::PrimaryCsi,
-            rows: 100,
-            leaf_pages: 0,
-            height: 0,
             column_bytes: vec![(0, 1000), (1, 2000), (2, 4000)],
             column_encodings: vec![
                 (0, IntEncoding::Rle),
@@ -279,9 +269,7 @@ mod tests {
                 (2, IntEncoding::BitPacked),
             ],
             rowgroups: 1,
-            delta_rows: 0,
-            delete_buffer_rows: 0,
-            hypothetical: false,
+            ..IndexMeta::new(IndexDescriptor::PrimaryCsi, 100)
         };
         assert_eq!(meta.csi_scan_bytes(&[0, 2]), 5000);
         assert_eq!(meta.size_bytes(), 7000);

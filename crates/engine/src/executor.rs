@@ -291,19 +291,13 @@ impl<'a> QueryRunner<'a> {
                 dop,
             } => {
                 let index = self.index(*table, *part, *index)?;
-                let (csi, stored) = (index.csi()?, index.stored());
+                let csi = index.csi()?;
                 // Translate table-ordinal projection & intervals to the
                 // CSI's schema ordinals.
-                let to_csi = |c: usize| -> Result<usize> {
-                    stored
-                        .iter()
-                        .position(|&s| s == c)
-                        .ok_or_else(|| HpdError::Internal(format!("column {c} not in CSI")))
-                };
                 let projection: Vec<usize> = out_cols
                     .iter()
                     .map(|pc| match pc {
-                        crate::plan::PlanCol::Base(_, c) => to_csi(*c),
+                        crate::plan::PlanCol::Base(_, c) => index.position(*c),
                         crate::plan::PlanCol::Computed => {
                             Err(HpdError::Internal("computed column in scan".into()))
                         }
@@ -311,7 +305,7 @@ impl<'a> QueryRunner<'a> {
                     .collect::<Result<_>>()?;
                 let csi_intervals: HashMap<usize, Interval> = intervals
                     .iter()
-                    .filter_map(|(&c, iv)| to_csi(c).ok().map(|cc| (cc, iv.clone())))
+                    .filter_map(|(&c, iv)| index.position(c).ok().map(|cc| (cc, iv.clone())))
                     .collect();
                 let dop = (*dop).clamp(1, csi.num_rowgroups().max(1));
                 if dop <= 1 {
@@ -631,26 +625,20 @@ impl<'a> QueryRunner<'a> {
                     return Ok(Box::new(HashAggOp::new(c, Vec::new(), specs)));
                 }
                 let index = self.index(*table, *part, *index)?;
-                let (csi, stored) = (index.csi()?, index.stored());
-                let to_csi = |c: usize| -> Result<usize> {
-                    stored
-                        .iter()
-                        .position(|&s| s == c)
-                        .ok_or_else(|| HpdError::Internal(format!("column {c} not in CSI")))
-                };
+                let csi = index.csi()?;
                 // No residual filter exists above this node, so every
                 // interval must translate — dropping one would change the
                 // answer.
                 let csi_intervals: HashMap<usize, Interval> = intervals
                     .iter()
-                    .map(|(&c, iv)| Ok((to_csi(c)?, iv.clone())))
+                    .map(|(&c, iv)| Ok((index.position(c)?, iv.clone())))
                     .collect::<Result<_>>()?;
                 let pushed = aggs
                     .iter()
                     .map(|a| {
                         Ok(hpd_columnstore::PushdownAgg {
                             func: a.func,
-                            col: to_csi(a.input)?,
+                            col: index.position(a.input)?,
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;

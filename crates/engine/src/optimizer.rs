@@ -240,26 +240,12 @@ impl Optimizer {
         for (idx, meta) in info.metas.iter().enumerate() {
             let index = IndexId(idx);
             match &meta.descriptor {
-                IndexDescriptor::PrimaryBTree { keys } => {
-                    options.extend(
-                        self.btree_options(ti, part, index, keys, None, meta, intervals, rows, ctx),
-                    );
+                IndexDescriptor::PrimaryBTree { .. } => {
+                    options.extend(self.btree_options(ti, part, index, meta, intervals, rows, ctx));
                 }
-                IndexDescriptor::SecondaryBTree { keys, includes } => {
+                IndexDescriptor::SecondaryBTree { .. } => {
                     let covering = meta.covers(needed, ctx.schema.len(), &ctx.pk);
-                    let seeks = || {
-                        self.btree_options(
-                            ti,
-                            part,
-                            index,
-                            keys,
-                            Some(includes),
-                            meta,
-                            intervals,
-                            rows,
-                            ctx,
-                        )
-                    };
+                    let seeks = || self.btree_options(ti, part, index, meta, intervals, rows, ctx);
                     if covering {
                         options.extend(seeks());
                     } else if let Some(pmeta) = primary_btree_meta {
@@ -376,22 +362,23 @@ impl Optimizer {
     }
 
     /// Seek (when an interval constrains a key prefix) and full-scan options
-    /// for one B+ tree index of part `part` holding `part_rows` rows;
-    /// `includes` is `None` for the primary.
+    /// for one B+ tree index of part `part` holding `part_rows` rows. Each
+    /// outputs the columns the index stores, in its payload order.
     #[allow(clippy::too_many_arguments)]
     fn btree_options(
         &self,
         ti: usize,
         part: usize,
         index: IndexId,
-        keys: &[usize],
-        includes: Option<&[usize]>,
         meta: &IndexMeta,
         intervals: &HashMap<usize, Interval>,
         part_rows: usize,
         ctx: &TableContext,
     ) -> Vec<AccessOption> {
-        let (out_cols, out_types) = btree_output(ti, keys, includes, ctx);
+        let keys = meta.descriptor.keys();
+        let stored = meta.descriptor.stored_columns(ctx.schema.len(), &ctx.pk);
+        let out_cols: Vec<PlanCol> = stored.iter().map(|&c| PlanCol::Base(ti, c)).collect();
+        let out_types: Vec<DataType> = stored.iter().map(|&c| ctx.schema.column(c).dtype).collect();
         let mut options = Vec::new();
         let rows = part_rows as f64;
 
@@ -1262,17 +1249,12 @@ impl Optimizer {
                 current.est_rows * self.cost.random_pages_us(1.0) * meta.height.max(1) as f64 / 2.0;
             let cpu = current.est_rows * matches_per * self.cost.cpu_row_us * 1.5;
 
-            let (inner_out_cols, inner_out_types) = match &meta.descriptor {
-                IndexDescriptor::PrimaryBTree { .. } => btree_output(next, keys, None, ctx),
-                IndexDescriptor::SecondaryBTree { keys: k, includes } => {
-                    btree_output(next, k, Some(includes), ctx)
-                }
-                _ => unreachable!(),
-            };
+            // The inner side yields the columns the index stores.
+            let stored = meta.descriptor.stored_columns(ctx.schema.len(), &ctx.pk);
             let mut out_cols = current.out_cols.clone();
-            out_cols.extend(inner_out_cols);
+            out_cols.extend(stored.iter().map(|&c| PlanCol::Base(next, c)));
             let mut out_types = current.out_types.clone();
-            out_types.extend(inner_out_types);
+            out_types.extend(stored.iter().map(|&c| ctx.schema.column(c).dtype));
 
             let mut node = PlanNode {
                 kind: PlanNodeKind::IndexNLJoin {
@@ -1325,31 +1307,6 @@ impl Optimizer {
 // ----------------------------------------------------------------------
 // Helpers
 // ----------------------------------------------------------------------
-
-/// Output description for a B+ tree access: all table columns (the
-/// primary, `includes: None`) or the stored payload columns (a secondary).
-fn btree_output(
-    ti: usize,
-    keys: &[usize],
-    includes: Option<&[usize]>,
-    ctx: &TableContext,
-) -> (Vec<PlanCol>, Vec<DataType>) {
-    let cols: Vec<usize> = match includes {
-        None => (0..ctx.schema.len()).collect(),
-        Some(includes) => {
-            let mut stored: Vec<usize> = keys.to_vec();
-            for &c in includes.iter().chain(&ctx.pk) {
-                if !stored.contains(&c) {
-                    stored.push(c);
-                }
-            }
-            stored
-        }
-    };
-    let out_cols = cols.iter().map(|&c| PlanCol::Base(ti, c)).collect();
-    let out_types = cols.iter().map(|&c| ctx.schema.column(c).dtype).collect();
-    (out_cols, out_types)
-}
 
 type KeyBounds = (Bound<Key>, Bound<Key>);
 

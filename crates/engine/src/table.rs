@@ -37,7 +37,7 @@ pub struct PartIndex {
     /// `columns` completed with the primary key).
     descriptor: IndexDescriptor,
     /// The table ordinals it stores, in payload (B+ tree) or schema
-    /// (columnstore) order ([`stored_columns`]).
+    /// (columnstore) order ([`IndexDescriptor::stored_columns`]).
     stored: Vec<usize>,
     store: IndexStore,
 }
@@ -50,6 +50,13 @@ impl PartIndex {
     /// The table ordinals this index stores, in its own column order.
     pub fn stored(&self) -> &[usize] {
         &self.stored
+    }
+
+    /// Where table column `c` sits in this index: its position in a B+ tree
+    /// payload or a columnstore's schema. A column the index does not store
+    /// is a typed error.
+    pub fn position(&self, c: usize) -> Result<usize> {
+        position(&self.stored, c)
     }
 
     /// The B+ tree behind this index. An index of the other kind — what a
@@ -78,18 +85,7 @@ impl PartIndex {
 
     /// What the optimizer knows about this index as it stands.
     fn meta(&self) -> IndexMeta {
-        let mut meta = IndexMeta {
-            descriptor: self.descriptor.clone(),
-            rows: self.rows(),
-            leaf_pages: 0,
-            height: 0,
-            column_bytes: vec![],
-            column_encodings: vec![],
-            rowgroups: 0,
-            delta_rows: 0,
-            delete_buffer_rows: 0,
-            hypothetical: false,
-        };
+        let mut meta = IndexMeta::new(self.descriptor.clone(), self.rows());
         match &self.store {
             IndexStore::BTree(tree) => {
                 let stats = tree.stats();
@@ -141,9 +137,8 @@ impl PartIndex {
     ) {
         match &mut self.store {
             IndexStore::BTree(tree) => {
-                let locator_positions: Vec<usize> = pk
-                    .iter()
-                    .map(|k| self.stored.iter().position(|c| c == k).expect("pk stored"))
+                let locator_positions: Vec<usize> = (pk.iter())
+                    .map(|&k| position(&self.stored, k).expect("an index stores the primary key"))
                     .collect();
                 tree.delete_first_where(
                     &old.key(self.descriptor.keys()),
@@ -206,44 +201,19 @@ fn for_each_batch(
     }
 }
 
-/// The columns an index of a table of `arity` columns stores: all of them
-/// for a primary; for a secondary its keys (a columnstore's columns), then
-/// whatever of its includes and of the primary key — the row locator, and
-/// what delete handling goes by — they lack.
-fn stored_columns(d: &IndexDescriptor, arity: usize, pk: &[usize]) -> Vec<usize> {
-    let (first, then): (&[usize], &[usize]) = match d {
-        IndexDescriptor::PrimaryBTree { .. } | IndexDescriptor::PrimaryCsi => {
-            return (0..arity).collect()
-        }
-        IndexDescriptor::SecondaryBTree { keys, includes } => (keys, includes),
-        IndexDescriptor::SecondaryCsi { columns } => (columns, &[]),
-    };
-    let mut stored = first.to_vec();
-    for &c in then.iter().chain(pk) {
-        if !stored.contains(&c) {
-            stored.push(c);
-        }
-    }
-    stored
-}
-
-/// `d` as a part holds and reports it: a secondary columnstore names every
-/// column it stores, the primary key included.
-fn as_stored(d: &IndexDescriptor, arity: usize, pk: &[usize]) -> IndexDescriptor {
-    match d {
-        IndexDescriptor::SecondaryCsi { .. } => IndexDescriptor::SecondaryCsi {
-            columns: stored_columns(d, arity, pk),
-        },
-        _ => d.clone(),
-    }
+/// Where table column `c` sits among `stored`, an index's stored columns
+/// ([`PartIndex::position`]).
+fn position(stored: &[usize], c: usize) -> Result<usize> {
+    (stored.iter().position(|&s| s == c))
+        .ok_or_else(|| HpdError::Internal(format!("column {c} is not stored in the index")))
 }
 
 /// `design` (primary first) as a part's index list holds it: every descriptor
-/// [`as_stored`], the secondary columnstore moved behind the B+ trees — so
-/// adding or dropping the columnstore renumbers no B+ tree, and the B+ trees
-/// count in the order `CREATE INDEX` appended them.
+/// [`IndexDescriptor::as_stored`], the secondary columnstore moved behind the
+/// B+ trees — so adding or dropping the columnstore renumbers no B+ tree, and
+/// the B+ trees count in the order `CREATE INDEX` appended them.
 fn canonical(design: &[IndexDescriptor], arity: usize, pk: &[usize]) -> Vec<IndexDescriptor> {
-    let mut target: Vec<_> = design.iter().map(|d| as_stored(d, arity, pk)).collect();
+    let mut target: Vec<_> = design.iter().map(|d| d.as_stored(arity, pk)).collect();
     target.sort_by_key(|d| matches!(d, IndexDescriptor::SecondaryCsi { .. }));
     target
 }
@@ -273,28 +243,6 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
     }
 }
 
-/// Start the columnstore `descriptor` names, empty: its stored columns and
-/// the builder that takes its rows, each projected onto those columns.
-fn csi_builder(descriptor: &IndexDescriptor, ctx: BuildCtx<'_>) -> (Vec<usize>, CsiBuilder) {
-    let stored = stored_columns(descriptor, ctx.schema.len(), ctx.pk);
-    let key_ordinals: Vec<usize> = (ctx.pk.iter())
-        .map(|k| stored.iter().position(|c| c == k).expect("pk stored"))
-        .collect();
-    let kind = if descriptor.is_primary() {
-        CsiKind::Primary
-    } else {
-        CsiKind::Secondary
-    };
-    let builder = CsiBuilder::new(
-        ctx.schema.project(&stored),
-        kind,
-        key_ordinals,
-        ctx.csi_config,
-        ctx.alloc.clone(),
-    );
-    (stored, builder)
-}
-
 /// Page bytes of one entry of the B+ tree `descriptor` names, on a table of
 /// `arity` columns keyed on `pk`, when column `c`'s values encode to
 /// `width(c)` bytes ([`codec::put_values`]): [`hpd_btree::entry_bytes`] of
@@ -308,16 +256,8 @@ pub fn btree_entry_bytes(
     width: impl Fn(usize) -> f64,
 ) -> f64 {
     let bytes = |columns: &[usize]| columns.iter().map(|&c| width(c)).sum();
-    let stored = stored_columns(descriptor, arity, pk);
+    let stored = descriptor.stored_columns(arity, pk);
     hpd_btree::entry_bytes(bytes(descriptor.keys()), bytes(&stored))
-}
-
-/// An empty run with room for the entries of the B+ tree `descriptor` over
-/// `rows` rows ([`btree_entry_bytes`] at the schema's widths).
-fn entry_run(descriptor: &IndexDescriptor, ctx: BuildCtx<'_>, rows: usize) -> EntryRun {
-    let width = |c: usize| codec::encoded_width(ctx.schema.column(c).dtype) as f64;
-    let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width);
-    EntryRun::with_capacity(rows, rows * entry as usize)
 }
 
 /// The value of an encoded row that `span` covers ([`codec::value_spans`]).
@@ -325,80 +265,126 @@ fn value_at<'r>(row: &'r [u8], span: &Range<usize>) -> ValueRef<'r> {
     (codec::values(&row[span.clone()]).next()).expect("a span covers a value")
 }
 
-/// A primary index being built over rows that arrive one at a time, in any
-/// order, each in its encoded form ([`codec::put_values`]: what a load's
-/// record, a B+ tree leaf and a checkpoint image hold a row as). A B+ tree
-/// copies each row behind its key bytes into a run of entries, then sorts
-/// and loads the run (stably: equal keys keep arrival order); a columnstore
-/// reads the values in place into the row group it is filling and compresses
-/// one row group at a time. No row is decoded into owned values.
-struct PrimaryBuilder<'a> {
+/// The bytes of `columns` of an encoded row whose value spans are `spans`:
+/// the row's own bytes when the columns sit back to back in it (a
+/// primary's, which are all of them), else gathered into `out`.
+fn gather<'r>(
+    row: &'r [u8],
+    spans: &[Range<usize>],
+    columns: &[usize],
+    out: &'r mut Vec<u8>,
+) -> &'r [u8] {
+    if let (Some(&first), Some(&last)) = (columns.first(), columns.last()) {
+        if columns
+            .windows(2)
+            .all(|w| spans[w[0]].end == spans[w[1]].start)
+        {
+            return &row[spans[first].start..spans[last].end];
+        }
+    }
+    out.clear();
+    for &c in columns {
+        out.extend_from_slice(&row[spans[c].clone()]);
+    }
+    out
+}
+
+/// An index — primary or secondary, B+ tree or columnstore — being built
+/// over rows that arrive one at a time, in any order, each in its encoded
+/// form ([`codec::put_values`]: what a load's record, a B+ tree leaf and a
+/// checkpoint image hold a row as). It stores the columns its descriptor's
+/// layout names ([`IndexDescriptor::stored_columns`]). A B+ tree copies the
+/// byte ranges of each row's key columns and stored columns into a run of
+/// entries, then sorts and loads the run (stably: equal keys keep arrival
+/// order) — a primary's key is the primary key and it stores every column,
+/// so its entry is the row's bytes; a columnstore reads the stored values in
+/// place into the row group it is filling and compresses one row group at
+/// a time. No row is decoded into owned values.
+struct IndexBuilder<'a> {
     descriptor: IndexDescriptor,
     stored: Vec<usize>,
     ctx: BuildCtx<'a>,
-    store: PrimaryStore,
+    /// Scratch: the value spans of the row being pushed.
+    spans: Vec<Range<usize>>,
+    pending: Pending,
 }
 
-enum PrimaryStore {
+/// What an [`IndexBuilder`] has gathered so far.
+enum Pending {
     BTree {
         run: EntryRun,
-        /// Scratch: the row's value spans and its key.
-        spans: Vec<Range<usize>>,
+        /// Scratch: the entry's key and payload bytes.
         key: Vec<u8>,
+        payload: Vec<u8>,
     },
     Csi(Box<CsiBuilder>),
 }
 
-impl<'a> PrimaryBuilder<'a> {
-    /// A builder that `rows` rows will be pushed to (0: how many is not
-    /// known).
-    fn new(descriptor: &IndexDescriptor, ctx: BuildCtx<'a>, rows: usize) -> PrimaryBuilder<'a> {
-        let (stored, store) = if descriptor.is_csi() {
-            let (stored, builder) = csi_builder(descriptor, ctx);
-            (stored, PrimaryStore::Csi(Box::new(builder)))
-        } else {
-            let stored = stored_columns(descriptor, ctx.schema.len(), ctx.pk);
-            let store = PrimaryStore::BTree {
-                run: entry_run(descriptor, ctx, rows),
-                spans: Vec::new(),
-                key: Vec::new(),
+impl<'a> IndexBuilder<'a> {
+    /// A builder of the index `descriptor` names that `rows` rows will be
+    /// pushed to (0: how many is not known). A B+ tree reserves its run by
+    /// [`btree_entry_bytes`] at the schema's widths.
+    fn new(descriptor: &IndexDescriptor, ctx: BuildCtx<'a>, rows: usize) -> IndexBuilder<'a> {
+        let stored = descriptor.stored_columns(ctx.schema.len(), ctx.pk);
+        let pending = if descriptor.is_csi() {
+            let kind = if descriptor.is_primary() {
+                CsiKind::Primary
+            } else {
+                CsiKind::Secondary
             };
-            (stored, store)
+            let key_ordinals = (ctx.pk.iter())
+                .map(|&k| position(&stored, k).expect("an index stores the primary key"))
+                .collect();
+            Pending::Csi(Box::new(CsiBuilder::new(
+                ctx.schema.project(&stored),
+                kind,
+                key_ordinals,
+                ctx.csi_config,
+                ctx.alloc.clone(),
+            )))
+        } else {
+            let width = |c: usize| codec::encoded_width(ctx.schema.column(c).dtype) as f64;
+            let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width);
+            Pending::BTree {
+                run: EntryRun::with_capacity(rows, rows * entry as usize),
+                key: Vec::new(),
+                payload: Vec::new(),
+            }
         };
-        PrimaryBuilder {
+        IndexBuilder {
             descriptor: descriptor.clone(),
             stored,
             ctx,
-            store,
+            spans: Vec::new(),
+            pending,
         }
     }
 
     fn push(&mut self, row: &[u8]) {
-        match &mut self.store {
-            PrimaryStore::BTree { run, spans, key } => {
-                codec::value_spans(row, spans);
-                key.clear();
-                for &c in self.ctx.pk {
-                    key.extend_from_slice(&row[spans[c].clone()]);
-                }
-                run.push_encoded(key, row);
+        codec::value_spans(row, &mut self.spans);
+        let (spans, stored) = (&self.spans, &self.stored);
+        match &mut self.pending {
+            Pending::BTree { run, key, payload } => {
+                let key = gather(row, spans, self.descriptor.keys(), key);
+                run.push_encoded(key, gather(row, spans, stored, payload));
             }
-            PrimaryStore::Csi(builder) => {
-                builder.push_refs(codec::values(row), self.ctx.pool, self.ctx.tracker)
+            Pending::Csi(builder) => {
+                let values = stored.iter().map(|&c| value_at(row, &spans[c]));
+                builder.push_refs(values, self.ctx.pool, self.ctx.tracker);
             }
         }
     }
 
     fn finish(self) -> Result<PartIndex> {
         let ctx = self.ctx;
-        let store = match self.store {
-            PrimaryStore::BTree { run, .. } => IndexStore::BTree(run.bulk_load(
+        let store = match self.pending {
+            Pending::BTree { run, .. } => IndexStore::BTree(run.bulk_load(
                 BTreeConfig::default(),
                 ctx.alloc.clone(),
                 ctx.pool,
                 ctx.tracker,
             )?),
-            PrimaryStore::Csi(builder) => {
+            Pending::Csi(builder) => {
                 IndexStore::Csi(Box::new(builder.finish(ctx.pool, ctx.tracker)))
             }
         };
@@ -423,7 +409,7 @@ impl TablePart {
     /// An empty part under `primary`, no secondaries.
     fn create(primary: &IndexDescriptor, ctx: BuildCtx<'_>) -> Result<TablePart> {
         Ok(TablePart {
-            indexes: vec![PrimaryBuilder::new(primary, ctx, 0).finish()?],
+            indexes: vec![IndexBuilder::new(primary, ctx, 0).finish()?],
         })
     }
 
@@ -471,27 +457,34 @@ impl TablePart {
     /// stands — a secondary stores key values, not addresses, so neither a
     /// rebuilt primary nor a dropped neighbour touches it (a kept
     /// columnstore keeps its delta rows and buffered deletes); the others
-    /// are dropped, and the missing ones are built: the primary from the
-    /// rows the old one lends, a secondary from the primary. A build that
-    /// fails (a run past 4 GB) leaves the indexes settled before it.
+    /// are dropped, and the missing ones are built ([`TablePart::build`]):
+    /// the primary from the rows the old one lends, a secondary from the
+    /// primary. A build that fails (a run past 4 GB) leaves the indexes
+    /// settled before it.
     fn set_design(&mut self, design: &[IndexDescriptor], ctx: BuildCtx<'_>) -> Result<()> {
         let target = canonical(design, ctx.schema.len(), ctx.pk);
         if self.indexes[0].descriptor != target[0] {
-            let mut primary = PrimaryBuilder::new(&target[0], ctx, self.row_count());
-            self.for_each_encoded_row(ctx.schema, ctx.pool, ctx.tracker, &mut |row| {
-                primary.push(row)
-            });
-            self.indexes[0] = primary.finish()?;
+            self.indexes[0] = self.build(&target[0], ctx)?;
         }
         let mut old = self.indexes.split_off(1);
         for d in &target[1..] {
             let index = match old.iter().position(|index| index.descriptor == *d) {
                 Some(kept) => old.remove(kept),
-                None => self.build_secondary(d, ctx)?,
+                None => self.build(d, ctx)?,
             };
             self.indexes.push(index);
         }
         Ok(())
+    }
+
+    /// Build the index `descriptor` names over this part's current rows,
+    /// read in their encoded form as the primary lends them.
+    fn build(&self, descriptor: &IndexDescriptor, ctx: BuildCtx<'_>) -> Result<PartIndex> {
+        let mut builder = IndexBuilder::new(descriptor, ctx, self.row_count());
+        self.for_each_encoded_row(ctx.schema, ctx.pool, ctx.tracker, &mut |row| {
+            builder.push(row)
+        });
+        builder.finish()
     }
 
     /// Replace this part's contents with the rows `primary` was built over;
@@ -553,60 +546,6 @@ impl TablePart {
                 });
             }
         }
-    }
-
-    /// Build the secondary index `descriptor` names over this part's current
-    /// rows, read in their encoded form as the primary lends them. A
-    /// columnstore reads the values of its columns in place; a B+ tree entry
-    /// is the byte ranges of its columns copied out of the row, and the
-    /// entries are sorted as bytes.
-    fn build_secondary(
-        &self,
-        descriptor: &IndexDescriptor,
-        ctx: BuildCtx<'_>,
-    ) -> Result<PartIndex> {
-        let BuildCtx {
-            schema,
-            pool,
-            tracker,
-            ..
-        } = ctx;
-        let mut spans = Vec::new();
-        if descriptor.is_csi() {
-            let (stored, mut builder) = csi_builder(descriptor, ctx);
-            self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
-                codec::value_spans(row, &mut spans);
-                let values = stored.iter().map(|&c| value_at(row, &spans[c]));
-                builder.push_refs(values, pool, tracker);
-            });
-            return Ok(PartIndex {
-                descriptor: descriptor.clone(),
-                stored,
-                store: IndexStore::Csi(Box::new(builder.finish(pool, tracker))),
-            });
-        }
-        let keys = descriptor.keys();
-        let stored = stored_columns(descriptor, schema.len(), ctx.pk);
-        let mut run = entry_run(descriptor, ctx, self.row_count());
-        let (mut key, mut payload) = (Vec::new(), Vec::new());
-        self.for_each_encoded_row(schema, pool, tracker, &mut |row| {
-            codec::value_spans(row, &mut spans);
-            let project = |out: &mut Vec<u8>, columns: &[usize]| {
-                out.clear();
-                for &c in columns {
-                    out.extend_from_slice(&row[spans[c].clone()]);
-                }
-            };
-            project(&mut key, keys);
-            project(&mut payload, &stored);
-            run.push_encoded(&key, &payload);
-        });
-        let tree = run.bulk_load(BTreeConfig::default(), ctx.alloc.clone(), pool, tracker)?;
-        Ok(PartIndex {
-            descriptor: descriptor.clone(),
-            stored,
-            store: IndexStore::BTree(tree),
-        })
     }
 
     fn insert_row(&mut self, row: &Row, pool: &BufferPool, tracker: &IoTracker) {
@@ -833,7 +772,7 @@ impl Table {
     /// against the schema and gathers the statistics, so a refused load
     /// leaves the table as it was; a second reads each row's partition column
     /// in place and hands the row to its partition's builder, in arrival
-    /// order ([`PrimaryBuilder`]) — no row is decoded, copied aside or
+    /// order ([`IndexBuilder`]) — no row is decoded, copied aside or
     /// encoded again.
     pub fn bulk_load(
         &mut self,
@@ -854,7 +793,7 @@ impl Table {
         // How the rows divide among several parts is not known yet.
         let expected = if self.parts.len() == 1 { rows.len() } else { 0 };
         let mut builders: Vec<_> = (self.parts.iter())
-            .map(|part| PrimaryBuilder::new(&part.indexes[0].descriptor, ctx, expected))
+            .map(|part| IndexBuilder::new(&part.indexes[0].descriptor, ctx, expected))
             .collect();
         match &self.partitioning {
             None => rows.iter().for_each(|row| builders[0].push(row)),
@@ -918,12 +857,6 @@ impl Table {
     /// nothing, for a caller to add to or remove from.
     pub fn designs(&self) -> Vec<Vec<IndexDescriptor>> {
         self.parts.iter().map(TablePart::descriptors).collect()
-    }
-
-    /// `d` as the parts of this table report it: a secondary columnstore's
-    /// `columns` completed with the primary key.
-    pub(crate) fn as_stored(&self, d: &IndexDescriptor) -> IndexDescriptor {
-        as_stored(d, self.schema.len(), &self.pk)
     }
 
     // ------------------------------------------------------------------

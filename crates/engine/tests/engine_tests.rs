@@ -500,20 +500,15 @@ fn what_if_hypothetical_index_changes_plan() {
 
     // Hypothetical secondary B+ tree on val.
     let mut metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
+    let on_val = IndexDescriptor::SecondaryBTree {
+        keys: vec![2],
+        includes: vec![],
+    };
     metas.push(IndexMeta {
-        descriptor: IndexDescriptor::SecondaryBTree {
-            keys: vec![2],
-            includes: vec![],
-        },
-        rows: 50_000,
         leaf_pages: 200,
         height: 3,
-        column_bytes: vec![],
-        column_encodings: vec![],
-        rowgroups: 0,
-        delta_rows: 0,
-        delete_buffer_rows: 0,
         hypothetical: true,
+        ..IndexMeta::new(on_val, 50_000)
     });
     let overrides = std::collections::HashMap::from([("t".to_string(), vec![metas])]);
     let what_if = db.what_if_plan(&q, &overrides).unwrap();

@@ -1,10 +1,14 @@
 //! Optimizer-focused tests: access-path choice, composite-key seeks,
 //! aggregation strategy, DOP selection, and what-if sensitivity.
 
+use std::collections::HashMap;
+
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
+use hpd_engine::plan::{PlanCol, PlanNode, PlanTable};
+use hpd_engine::table::Table;
 use hpd_engine::{
-    AggItem, ColRef, Database, DbConfig, IndexDescriptor, PlanNodeKind, SelectQuery, Statement,
-    TableInput,
+    AggItem, ColRef, Database, DbConfig, IndexDescriptor, IndexId, PartitionSpec, PhysicalPlan,
+    PlanNodeKind, QueryRunner, SelectQuery, Statement, TableInput,
 };
 use hpd_storage::DeviceProfile;
 
@@ -166,22 +170,17 @@ fn what_if_cost_scales_with_hypothetical_size() {
     );
     let mk = |leaf_pages: usize| {
         let mut metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
+        let on_v = IndexDescriptor::SecondaryBTree {
+            keys: vec![3],
+            includes: vec![],
+        };
         metas.push(hpd_engine::IndexMeta {
-            descriptor: IndexDescriptor::SecondaryBTree {
-                keys: vec![3],
-                includes: vec![],
-            },
-            rows: 50_000,
             leaf_pages,
             height: 3,
-            column_bytes: vec![],
-            column_encodings: vec![],
-            rowgroups: 0,
-            delta_rows: 0,
-            delete_buffer_rows: 0,
             hypothetical: true,
+            ..hpd_engine::IndexMeta::new(on_v, 50_000)
         });
-        std::collections::HashMap::from([("t".to_string(), vec![metas])])
+        HashMap::from([("t".to_string(), vec![metas])])
     };
     let small = db.what_if_plan(&q, &mk(100)).unwrap().est_cost_us;
     let large = db.what_if_plan(&q, &mk(100_000)).unwrap().est_cost_us;
@@ -217,6 +216,183 @@ fn covering_secondary_beats_lookup_plan() {
     let r = db.query(&Statement::Select(q_lookup)).run().unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0][0], Value::Int32(123));
+}
+
+/// `t(a, id, b, c)` keyed on `id`, which is not column 0, under a B+ tree
+/// primary, a secondary B+ tree whose includes repeat its keys and the
+/// primary key, and a secondary columnstore named without the primary key;
+/// ranged on `a` into four parts when `partitioned`. Returns the rows and
+/// the design as written.
+fn layout_table(partitioned: bool) -> (Database, Vec<Row>, [IndexDescriptor; 3]) {
+    let db = Database::new(DbConfig::default());
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int32),
+        ("id", DataType::Int32),
+        ("b", DataType::Int64),
+        ("c", DataType::Int32),
+    ]);
+    let design = [
+        IndexDescriptor::PrimaryBTree { keys: vec![1] },
+        IndexDescriptor::SecondaryBTree {
+            keys: vec![2, 1],
+            includes: vec![3, 2, 1],
+        },
+        IndexDescriptor::SecondaryCsi {
+            columns: vec![3, 0],
+        },
+    ];
+    if partitioned {
+        let spec = PartitionSpec::range(0, [10, 20, 30].map(Value::Int32).to_vec()).unwrap();
+        db.create_partitioned_table("t", schema, vec![1], design[0].clone(), spec)
+            .unwrap();
+    } else {
+        db.create_table("t", schema, vec![1], design[0].clone())
+            .unwrap();
+    }
+    let rows: Vec<Row> = (0..2_000)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int32(i % 40),
+                Value::Int32(i),
+                Value::Int64(i64::from(i % 97)),
+                Value::Int32(i % 7),
+            ])
+        })
+        .collect();
+    db.load_table("t", rows.clone()).unwrap();
+    for d in &design[1..] {
+        db.create_index("t", d).unwrap();
+    }
+    (db, rows, design)
+}
+
+fn leaves<'p>(node: &'p PlanNode, out: &mut Vec<&'p PlanNode>) {
+    let children = node.children();
+    if children.is_empty() {
+        out.push(node);
+    }
+    for child in children {
+        leaves(child, out);
+    }
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_key(|r| format!("{r:?}"));
+    rows
+}
+
+/// Every row of part `p`, through a full scan of its index `i` producing
+/// table columns `cols`.
+fn scan(db: &Database, t: &Table, p: usize, i: usize, cols: &[usize]) -> Vec<Row> {
+    let (table, part, index, dop) = (0, p, IndexId(i), 1);
+    let kind = if t.part(p).indexes()[i].descriptor().is_csi() {
+        PlanNodeKind::CsiScan {
+            table,
+            part,
+            index,
+            intervals: HashMap::new(),
+            dop,
+        }
+    } else {
+        PlanNodeKind::BTreeScan {
+            table,
+            part,
+            index,
+            dop,
+        }
+    };
+    let plan = PhysicalPlan {
+        root: PlanNode {
+            kind,
+            out_cols: cols.iter().map(|&c| PlanCol::Base(0, c)).collect(),
+            out_types: cols.iter().map(|&c| t.schema().column(c).dtype).collect(),
+            est_rows: 0.0,
+            est_cpu_us: 0.0,
+            est_io_us: 0.0,
+            est_io_div_us: 0.0,
+        },
+        tables: vec![PlanTable {
+            name: "t".into(),
+            parts: t.num_parts(),
+        }],
+        est_cost_us: 0.0,
+        est_cpu_us: 0.0,
+    };
+    let result = QueryRunner::new(vec![t], db.pool(), 1 << 20).run(&plan);
+    sorted(result.unwrap().rows)
+}
+
+/// One layout, decided by the descriptor ([`IndexDescriptor::stored_columns`]):
+/// every built index stores it, the optimizer plans a B+ tree's output
+/// columns by it and the executor finds a columnstore's columns by it, on a
+/// table whose primary key is not column 0, whole and partitioned. And a
+/// scan through any index returns the rows the primary returns.
+#[test]
+fn every_index_is_planned_and_read_in_its_descriptors_layout() {
+    let (arity, pk) = (4, [1]);
+    for partitioned in [false, true] {
+        let (db, rows, design) = layout_table(partitioned);
+        let layout = |i: usize| design[i].stored_columns(arity, &pk);
+        assert_eq!(layout(1), [2, 1, 3]);
+        assert_eq!(layout(2), [3, 0, 1]);
+        db.with_table("t", |t| {
+            for p in 0..t.num_parts() {
+                let everything = scan(&db, t, p, 0, &layout(0));
+                assert!(partitioned || everything.len() == rows.len());
+                for (i, index) in t.part(p).indexes().iter().enumerate() {
+                    let stored = layout(i);
+                    assert_eq!(index.stored(), stored, "part {p} index {i}");
+                    assert_eq!(index.descriptor().stored_columns(arity, &pk), stored);
+                    for (at, &c) in stored.iter().enumerate() {
+                        assert_eq!(index.position(c).unwrap(), at, "part {p} index {i}");
+                    }
+                    if let Ok(csi) = index.csi() {
+                        assert_eq!(*csi.schema(), t.schema().project(&stored));
+                        assert!(index.position(2).is_err(), "the columnstore lacks `b`");
+                    }
+                    // A columnstore produces its columns in any order.
+                    let mut cols = stored.clone();
+                    if index.descriptor().is_csi() {
+                        cols.reverse();
+                    }
+                    let expected = everything.iter().map(|r| r.project(&cols)).collect();
+                    assert_eq!(scan(&db, t, p, i, &cols), sorted(expected));
+                }
+            }
+        })
+        .unwrap();
+
+        // The optimizer's B+ tree leaves output their index's layout: a
+        // seek on the secondary's leading key, one on the primary key.
+        let queries = [
+            (1, 2, Value::Int64(13), vec![2, 1, 3]),
+            (0, 1, Value::Int32(5), vec![0, 2]),
+        ];
+        for (i, column, value, select) in queries {
+            let predicate = Expr::col_cmp(column, CmpOp::Eq, value.clone());
+            let q = SelectQuery::single_table("t", Some(predicate), select.clone());
+            let plan = db.plan(&q).unwrap();
+            let mut found = Vec::new();
+            leaves(&plan.root, &mut found);
+            let through: Vec<_> = (found.into_iter())
+                .filter(|leaf| {
+                    matches!(leaf.kind, PlanNodeKind::BTreeSeek { index, .. } if index == IndexId(i))
+                })
+                .collect();
+            assert!(!through.is_empty(), "index {i}:\n{}", plan.explain());
+            for leaf in through {
+                let planned: Vec<PlanCol> =
+                    (layout(i).iter()).map(|&c| PlanCol::Base(0, c)).collect();
+                assert_eq!(leaf.out_cols, planned, "index {i}:\n{}", plan.explain());
+            }
+            let expected = (rows.iter())
+                .filter(|r| r[column] == value)
+                .map(|r| r.project(&select))
+                .collect();
+            let answered = db.query(&Statement::Select(q)).run().unwrap().rows;
+            assert_eq!(sorted(answered), sorted(expected), "index {i}");
+        }
+    }
 }
 
 fn find_leaf(node: &hpd_engine::plan::PlanNode) -> Option<PlanNodeKind> {

@@ -359,19 +359,32 @@ fn physical_state(db: &Database) -> (Vec<String>, usize, Vec<Row>) {
     (metas, backlog, rows)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// FNV-1a of `bytes`, in hex.
+fn fnv1a(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    });
+    format!("{hash:016x}")
 }
+
+/// [`fnv1a`] of each design's durable log in
+/// [`log_only_recovery_is_physically_identical`], after phase 2 and after
+/// phase 3.
+const LOG_HASHES: [(&str, &str, &str); 4] = [
+    ("btree", "a28deb9283fbf0b0", "76aa898b1ee65b3c"),
+    ("csi", "668444d4ea2eea74", "a249e35cf588eb36"),
+    ("hybrid", "718bb54ce48c3c9c", "b30ad78cb8e77ab8"),
+    ("parthybrid", "278a9631f7935672", "5f0ec7615f40f50c"),
+];
 
 /// The gate for "one write path": with no checkpoint and no faults, a
 /// database recovered from the log alone is *physically* the live one —
 /// same pages, rowgroups, delta rows and buffered deletes in every index of
 /// every part — because redo and the live commit are one interpreter. A
 /// second write path (redo replaying an update as delete + insert, say)
-/// leaves different residue and fails here. Also prints a hash of each
-/// design's durable log, so a change to the record sequence or bytes shows.
+/// leaves different residue and fails here. Also pins a hash of each
+/// design's durable log after phases 2 and 3 ([`LOG_HASHES`]), so a change
+/// to the record sequence or to a single logged byte fails here too.
 #[test]
 fn log_only_recovery_is_physically_identical() {
     let cfg = DbConfig {
@@ -384,7 +397,7 @@ fn log_only_recovery_is_physically_identical() {
     };
     let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
     let subset_csi = IndexDescriptor::SecondaryCsi { columns: vec![1] };
-    for design in ["btree", "csi", "hybrid", "parthybrid"] {
+    for (design, phase2, phase3) in LOG_HASHES {
         let db = Database::new(cfg.clone());
         let schema = Schema::from_pairs(&[
             ("id", DataType::Int32),
@@ -499,9 +512,8 @@ fn log_only_recovery_is_physically_identical() {
         set_where_id(&db, 62, 3, Expr::Lit(Value::Int32(29)));
         increment(6);
         increment(3);
-        // The hash of the history up to here, as this test has always
-        // printed it.
-        println!("wal {design}: {:016x}", fnv1a(&db.wal_durable().log));
+        let log = fnv1a(&db.wal_durable().log);
+        assert_eq!(log, phase2, "{design}: the log's hash after phase 2");
 
         // Phase 3: a design change that keeps what phase 2 built, drops an
         // index and adds one, on indexes that have taken inserts, updates
@@ -558,7 +570,8 @@ fn log_only_recovery_is_physically_identical() {
 
         let durable = db.wal_durable();
         assert!(durable.checkpoint.is_none());
-        println!("wal {design} (phase 3): {:016x}", fnv1a(&durable.log));
+        let log = fnv1a(&durable.log);
+        assert_eq!(log, phase3, "{design}: the log's hash after phase 3");
         let recovered = Database::recover(cfg.clone(), durable).unwrap();
         assert_eq!(physical_state(&recovered), physical_state(&db), "{design}");
 

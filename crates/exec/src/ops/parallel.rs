@@ -22,6 +22,7 @@
 //! DOP degradation shows up in modelled elapsed time exactly like it would
 //! on a loaded server.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use hpd_common::{Batch, DataType, HpdError, Result};
@@ -100,14 +101,17 @@ impl<'a> ParallelOp<'a> {
             // the coordinating thread.
             run_lane(ctx);
         } else {
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..extra {
-                    let wctx = ctx.clone();
-                    let run_lane = &run_lane;
-                    scope.spawn(move |_| run_lane(&wctx));
-                }
-                run_lane(ctx);
-            })
+            // A panicking lane fails the query, not the process.
+            catch_unwind(AssertUnwindSafe(|| {
+                std::thread::scope(|scope| {
+                    for _ in 0..extra {
+                        let wctx = ctx.clone();
+                        let run_lane = &run_lane;
+                        scope.spawn(move || run_lane(&wctx));
+                    }
+                    run_lane(ctx);
+                })
+            }))
             .map_err(|_| HpdError::Internal("parallel scope panicked".into()))?;
         }
         drop(lease);

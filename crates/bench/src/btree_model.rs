@@ -337,7 +337,7 @@ impl Run {
 /// One seeded run of `steps` operations on a tree whose leaves hold
 /// `leaf_bytes` page bytes (a few entries of the mix: a typical one takes
 /// 30–50 bytes, a long string a page of its own), started empty, from a bulk load of owned entries, or from an encoded run
-/// (of the model's mixed keys, or of [`typed_key`]s in one of three arrival
+/// (of the model's mixed keys, or of `typed_key`s in one of three arrival
 /// orders). `Err` names the first disagreement with the model.
 pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);

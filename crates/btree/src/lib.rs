@@ -3,20 +3,22 @@
 //! This is the row-store substrate of the reproduction: SQL Server's B+ tree
 //! indexes, both *primary* (clustered — full rows at the leaves) and
 //! *secondary* (key + row locator at the leaves). The distinction is made by
-//! the caller: the tree itself maps a composite [`Key`] to an arbitrary
-//! payload [`Row`], allowing duplicate keys.
+//! the caller: the tree itself maps a composite [`Key`](hpd_common::Key)
+//! to an arbitrary payload [`Row`](hpd_common::Row), allowing duplicate
+//! keys.
 //!
 //! A leaf holds its entries packed: one byte buffer of `(key, payload)`
 //! entries in the workspace's value encoding ([`hpd_common::codec`], the
 //! bytes the write-ahead log writes) and one vector of offsets
-//! ([`node::PackedLeaf`]). Keys are compared in place; an owned [`Key`] or
-//! [`Row`] exists only when a caller asks for one.
+//! ([`node::PackedLeaf`]). Keys are compared in place; an owned `Key` or
+//! `Row` exists only when a caller asks for one.
 //!
 //! Storage accounting: every node occupies one logical 8 KB page, and a leaf
 //! is full when its entries' bytes and slots fill the page less its header
 //! ([`BTreeConfig::leaf_bytes`], [`entry_bytes`]): a bulk load packs leaves
 //! to it, and an insert or a widening update splits a leaf past it. Traversals
-//! and leaf walks are charged to the shared [`BufferPool`], so selective
+//! and leaf walks are charged to the shared
+//! [`BufferPool`](hpd_storage::BufferPool), so selective
 //! seeks touch a handful of pages while full leaf scans stream sequentially
 //! allocated leaves at device bandwidth — the exact access-pattern asymmetry
 //! the paper's Figures 1–2 measure.

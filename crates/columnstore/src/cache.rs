@@ -176,8 +176,12 @@ mod tests {
         let b = cache.get_or_decode(0, 0, &s, &t);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.bytes_used(), a.byte_size());
+        let io = t.snapshot();
         assert_eq!(
-            (t.counted(Work::SegcacheMiss), t.counted(Work::SegcacheHit)),
+            (
+                io.counted(Work::SegcacheMiss),
+                io.counted(Work::SegcacheHit)
+            ),
             (1, 1)
         );
     }
@@ -192,7 +196,7 @@ mod tests {
         cache.get_or_decode(1, 0, &s, &t);
         cache.get_or_decode(0, 0, &s, &t); // refresh rg 0
         cache.get_or_decode(2, 0, &s, &t); // evicts rg 1
-        assert_eq!(t.counted(Work::SegcacheEvict), 1);
+        assert_eq!(t.snapshot().counted(Work::SegcacheEvict), 1);
         assert!(cache.bytes_used() <= cache.cap_bytes());
         assert!(cache.peek(0, 0, &t).is_some());
         assert!(cache.peek(1, 0, &t).is_none());

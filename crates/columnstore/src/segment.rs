@@ -3,6 +3,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use hpd_common::codec::{f64_from_ordered, f64_to_ordered};
 use hpd_common::interval::Bound;
 use hpd_common::{ArcStr, ColumnVector, DataType, Interval, SelBitmap, Value};
 use hpd_obs::Counter;
@@ -66,9 +67,9 @@ pub struct Segment {
 }
 
 /// One column in the order-preserving `i64` domain every build step reads:
-/// integers, dates and decimals as they are, floats through [`FloatBits`],
-/// strings as their positions in the sorted dictionary (so the dictionary
-/// comes before the row group's sort, and serves it).
+/// integers, dates and decimals as they are, floats through
+/// [`f64_to_ordered`], strings as their positions in the sorted dictionary
+/// (so the dictionary comes before the row group's sort, and serves it).
 pub(crate) struct Normalized {
     pub(crate) dtype: DataType,
     pub(crate) ints: Vec<i64>,
@@ -84,9 +85,7 @@ impl Normalized {
             ColumnVector::Int32(vals) | ColumnVector::Date(vals) => {
                 (vals.into_iter().map(i64::from).collect(), None)
             }
-            ColumnVector::Float64(vals) => {
-                (vals.into_iter().map(FloatBits::to_bits_i64).collect(), None)
-            }
+            ColumnVector::Float64(vals) => (vals.into_iter().map(f64_to_ordered).collect(), None),
             ColumnVector::Str(vals) => {
                 let mut dict = vals.clone();
                 dict.sort_unstable();
@@ -234,7 +233,7 @@ impl Segment {
             DataType::Int64 => ColumnVector::Int64(ints),
             DataType::Decimal => ColumnVector::Decimal(ints),
             DataType::Float64 => {
-                ColumnVector::Float64(ints.into_iter().map(f64::from_bits_i64).collect())
+                ColumnVector::Float64(ints.into_iter().map(f64_from_ordered).collect())
             }
             DataType::Utf8 => {
                 let dict = self.dict.as_ref().expect("utf8 segment has dictionary");
@@ -372,7 +371,7 @@ impl Segment {
     pub fn for_each_f64_masked(&self, sel: &SelBitmap, mut f: impl FnMut(f64)) -> bool {
         match self.dtype {
             DataType::Float64 => {
-                kernels::for_each_masked(&self.ints, sel, |raw| f(f64::from_bits_i64(raw)));
+                kernels::for_each_masked(&self.ints, sel, |raw| f(f64_from_ordered(raw)));
             }
             DataType::Decimal => {
                 kernels::for_each_masked(&self.ints, sel, |raw| f(raw as f64 / 10_000.0));
@@ -412,10 +411,10 @@ fn normalize_bound(dtype: DataType, v: &Value) -> Option<i64> {
         (DataType::Int32 | DataType::Int64, Value::Int32(_) | Value::Int64(_)) => v.as_i64(),
         (DataType::Date, Value::Date(d)) => Some(i64::from(*d)),
         (DataType::Decimal, Value::Decimal(x)) => Some(*x),
-        (DataType::Float64, Value::Float64(f)) => Some(f.to_bits_i64()),
+        (DataType::Float64, Value::Float64(f)) => Some(f64_to_ordered(*f)),
         // `Value` compares int-vs-float through f64 promotion; translate the
         // bound through the identical promotion so semantics match.
-        (DataType::Float64, Value::Int32(_) | Value::Int64(_)) => v.as_f64().map(f64::to_bits_i64),
+        (DataType::Float64, Value::Int32(_) | Value::Int64(_)) => v.as_f64().map(f64_to_ordered),
         _ => None,
     }
 }
@@ -427,37 +426,8 @@ fn raw_to_value(dtype: DataType, raw: i64) -> Value {
         DataType::Date => Value::Date(raw as i32),
         DataType::Int64 => Value::Int64(raw),
         DataType::Decimal => Value::Decimal(raw),
-        DataType::Float64 => Value::Float64(f64::from_bits_i64(raw)),
+        DataType::Float64 => Value::Float64(f64_from_ordered(raw)),
         DataType::Utf8 => unreachable!("strings use the dictionary path"),
-    }
-}
-
-/// Order-preserving i64 <-> f64 mapping so floats share the integer encoding
-/// machinery. The transform flips the sign-magnitude representation into a
-/// monotone two's-complement integer.
-trait FloatBits {
-    fn to_bits_i64(self) -> i64;
-    fn from_bits_i64(v: i64) -> f64;
-}
-
-impl FloatBits for f64 {
-    fn to_bits_i64(self) -> i64 {
-        let b = self.to_bits();
-        if b >> 63 == 1 {
-            // Negative float: flip all bits, then move into i64's negative
-            // half. The mapping is monotone w.r.t. `total_cmp`.
-            (!b ^ (1u64 << 63)) as i64
-        } else {
-            b as i64
-        }
-    }
-
-    fn from_bits_i64(v: i64) -> f64 {
-        if v >= 0 {
-            f64::from_bits(v as u64)
-        } else {
-            f64::from_bits(!((v as u64) ^ (1u64 << 63)))
-        }
     }
 }
 
@@ -466,7 +436,7 @@ impl Segment {
     /// Normalize a single value to the segment's `i64` domain (tests).
     pub fn normalize_value(v: &Value) -> i64 {
         match v {
-            Value::Float64(f) => f.to_bits_i64(),
+            Value::Float64(f) => f64_to_ordered(*f),
             other => other.as_i64().expect("numeric"),
         }
     }
@@ -535,10 +505,10 @@ mod tests {
             1e300,
             f64::INFINITY,
         ];
-        let mono: Vec<i64> = floats.iter().map(|&f| f.to_bits_i64()).collect();
+        let mono: Vec<i64> = floats.iter().map(|&f| f64_to_ordered(f)).collect();
         assert!(mono.windows(2).all(|w| w[0] <= w[1]), "{mono:?}");
         for &f in &floats {
-            assert_eq!(f64::from_bits_i64(f.to_bits_i64()).to_bits(), f.to_bits());
+            assert_eq!(f64_from_ordered(f64_to_ordered(f)).to_bits(), f.to_bits());
         }
     }
 

@@ -158,7 +158,7 @@ impl Ord for ValueRef<'_> {
     }
 }
 
-/// The same order on owned values (see [`total_order`]).
+/// The same order on owned values (see `total_order`).
 impl Ord for Value {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
@@ -406,6 +406,29 @@ pub fn cmp_encoded(a: &[u8], b: &[u8]) -> Ordering {
     }
 }
 
+/// `x` as the `i64` that orders as `f64::total_cmp` orders `x`: its bits,
+/// with a negative float's magnitude bits flipped so those descend. The
+/// columnstore stores floats as this, and [`abbreviate`] flips its sign bit.
+#[inline]
+pub fn f64_to_ordered(x: f64) -> i64 {
+    flip_negative(x.to_bits() as i64)
+}
+
+/// The float [`f64_to_ordered`] mapped to `v`.
+#[inline]
+pub fn f64_from_ordered(v: i64) -> f64 {
+    f64::from_bits(flip_negative(v) as u64)
+}
+
+#[inline]
+fn flip_negative(bits: i64) -> i64 {
+    if bits < 0 {
+        bits ^ i64::MAX
+    } else {
+        bits
+    }
+}
+
 /// What a sort learns of an encoded key from its first eight bytes' worth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Abbreviation {
@@ -432,11 +455,7 @@ pub fn abbreviate(key: &[u8]) -> Option<Abbreviation> {
     let image = match first {
         ValueRef::Int32(x) | ValueRef::Date(x) => i64::from(x) as u64 ^ SIGN,
         ValueRef::Int64(x) | ValueRef::Decimal(x) => x as u64 ^ SIGN,
-        // `total_cmp`'s order: negative floats descend in their bits.
-        ValueRef::Float64(x) => match x.to_bits() {
-            bits if bits & SIGN != 0 => !bits,
-            bits => bits | SIGN,
-        },
+        ValueRef::Float64(x) => f64_to_ordered(x) as u64 ^ SIGN,
         ValueRef::Str(s) => {
             let mut head = [0u8; 8];
             let n = s.len().min(8);

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use hpd_columnstore::CsiConfig;
 use hpd_common::{faults, HpdError, Key, PartitionSpec, Result, Row, Schema, Value};
 use hpd_exec::{ExecMetrics, GrantBroker, WorkerPool};
-use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
+use hpd_storage::{BufferPool, DeviceProfile, IoSnapshot, IoTracker, StorageAllocator};
 use hpd_wal::{EncodedRows, LogRecord, TableEntry, Wal, WalConfig, WalSummary};
 use parking_lot::{Mutex, RwLock};
 
@@ -20,6 +20,7 @@ use crate::executor::{ExecutionResult, QueryRunner, TableOverlay};
 use crate::maintenance::MaintenanceConfig;
 use crate::optimizer::{Optimizer, PartInfo, TableContext};
 use crate::plan::PhysicalPlan;
+use crate::profile::{GrantSummary, Timeline};
 use crate::query::{DeleteStmt, InsertStmt, SelectQuery, Statement, UpdateStmt};
 use crate::querystore::{plan_fingerprint, QueryStore, StoredStatement};
 use crate::table::{PostImage, Table};
@@ -223,27 +224,20 @@ impl Database {
 
     /// Record one executed statement into the query store and the global
     /// metrics registry. Returns the entry's sequence number so commit-time
-    /// facts (WAL flush, span tree) can be backfilled via
+    /// facts (WAL summary, span tree) can be backfilled via
     /// [`QueryStore::amend`].
     fn record_statement(
         &self,
         kind: &'static str,
         plan: &PhysicalPlan,
         result: &ExecutionResult,
-        grant_wait_us: u64,
-        granted_bytes: u64,
+        grant: GrantSummary,
     ) -> u64 {
         let metrics = hpd_obs::global();
         metrics.counter("query.statements").inc();
         metrics
             .histogram("query.latency_us")
             .record(result.metrics.elapsed_us() as u64);
-        let actual = result.metrics.rows_returned as u64;
-        let spilled = result
-            .analyze
-            .as_ref()
-            .map(|a| a.spilled_bytes())
-            .unwrap_or(0);
         let seq = self.query_store.next_seq();
         self.query_store.record(StoredStatement {
             seq,
@@ -252,24 +246,14 @@ impl Database {
             plan_root: plan.root.describe(&plan.tables),
             est_rows: plan.root.est_rows,
             est_cost_us: plan.est_cost_us,
-            actual_rows: actual,
+            actual_rows: result.metrics.rows_returned as u64,
             elapsed_us: result.metrics.elapsed_us(),
             cpu_us: result.metrics.cpu_us(),
-            bytes_read: result.metrics.bytes_read(),
             memory_peak_bytes: result.metrics.memory_peak_bytes as u64,
-            spilled_bytes: spilled,
-            estimate_error: actual.max(1) as f64 / plan.root.est_rows.max(1.0),
-            grant_wait_us,
-            granted_bytes,
             dop: result.metrics.dop as u64,
-            pushdown_rows: result
-                .analyze
-                .as_ref()
-                .and_then(|a| a.agg_pushdown)
-                .map(|a| a.rows_folded + a.delta_rows)
-                .unwrap_or(0),
-            wal_flush_us: 0,
-            wal_records: 0,
+            io: result.metrics.io,
+            grant,
+            wal: WalSummary::default(),
             trace: None,
         });
         seq
@@ -670,7 +654,10 @@ impl Database {
         QueryBuilder {
             db: self,
             stmt: stmt.into(),
-            opts: ExecOptions::default(),
+            grant_bytes: None,
+            dop: None,
+            analyze: false,
+            isolation: IsolationLevel::ReadCommitted,
         }
     }
 
@@ -680,30 +667,6 @@ impl Database {
             isolation,
             grant: self.config.grant_bytes,
             dop: None,
-        }
-    }
-}
-
-/// Options driving one statement execution through the unified entry point
-/// ([`Database::query`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Per-query grant-request ceiling; `None` uses the configured default.
-    pub grant_bytes: Option<usize>,
-    /// Per-query DOP cap overriding the configured `max_dop`.
-    pub dop: Option<usize>,
-    /// Collect per-operator actuals (EXPLAIN ANALYZE). Selects only.
-    pub analyze: bool,
-    pub isolation: IsolationLevel,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            grant_bytes: None,
-            dop: None,
-            analyze: false,
-            isolation: IsolationLevel::ReadCommitted,
         }
     }
 }
@@ -733,51 +696,51 @@ impl<'q> From<&'q SelectQuery> for StmtRef<'q> {
 pub struct QueryBuilder<'db, 'q> {
     db: &'db Database,
     stmt: StmtRef<'q>,
-    opts: ExecOptions,
+    /// Per-query grant-request ceiling; `None` uses the configured default.
+    grant_bytes: Option<usize>,
+    /// Per-query DOP cap overriding the configured `max_dop`.
+    dop: Option<usize>,
+    /// Collect per-operator actuals (EXPLAIN ANALYZE).
+    analyze: bool,
+    isolation: IsolationLevel,
 }
 
 impl<'db, 'q> QueryBuilder<'db, 'q> {
     /// Cap this query's grant request at `n` bytes (the paper's
     /// constrained-grant experiments).
     pub fn grant_bytes(mut self, n: usize) -> Self {
-        self.opts.grant_bytes = Some(n);
+        self.grant_bytes = Some(n);
         self
     }
 
     /// Cap this query's degree of parallelism.
     pub fn dop(mut self, k: usize) -> Self {
-        self.opts.dop = Some(k);
+        self.dop = Some(k);
         self
     }
 
     /// Collect per-operator actuals; the result's `analyze` field carries
     /// the report. Fails at [`run`](QueryBuilder::run) for non-SELECTs.
     pub fn analyze(mut self) -> Self {
-        self.opts.analyze = true;
+        self.analyze = true;
         self
     }
 
     pub fn isolation(mut self, level: IsolationLevel) -> Self {
-        self.opts.isolation = level;
-        self
-    }
-
-    /// Replace all options at once.
-    pub fn options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
+        self.isolation = level;
         self
     }
 
     /// Execute as an autocommit statement under the configured options.
     pub fn run(self) -> Result<ExecutionResult> {
-        let mut session = self.db.session(self.opts.isolation);
-        if let Some(g) = self.opts.grant_bytes {
+        let mut session = self.db.session(self.isolation);
+        if let Some(g) = self.grant_bytes {
             session = session.with_grant(g);
         }
-        if let Some(d) = self.opts.dop {
+        if let Some(d) = self.dop {
             session = session.with_dop(d);
         }
-        match (self.stmt, self.opts.analyze) {
+        match (self.stmt, self.analyze) {
             (StmtRef::Statement(Statement::Select(q)), false) | (StmtRef::Select(q), false) => {
                 session.run_in_txn(|txn| txn.select(q))
             }
@@ -832,7 +795,6 @@ impl<'db> Session<'db> {
             write_io: IoTracker::new(),
             finished: false,
             analyze_writes: false,
-            wal_summary: Arc::new(Mutex::new(WalSummary::default())),
             last_stmt_seq: None,
         }
     }
@@ -858,11 +820,8 @@ impl<'db> Session<'db> {
         let result = f(&mut txn);
         match result {
             Ok(mut r) => {
-                // Keep a handle on the WAL-summary cell: `commit` consumes
-                // the txn but fills the cell for the analyze report.
-                let wal_cell = txn.wal_summary.clone();
                 let last_seq = txn.last_stmt_seq;
-                let commit_io = txn.commit()?;
+                let (commit_io, wal) = txn.commit()?;
                 let wall = start.elapsed();
                 // Time outside the query executor (locking, write apply) is
                 // serial: extend cpu and critical path by it.
@@ -870,28 +829,18 @@ impl<'db> Session<'db> {
                 r.metrics.wall = wall;
                 r.metrics.cpu += extra;
                 r.metrics.critical_path += extra;
-                // Merge write-phase I/O into the statement's snapshot.
-                r.metrics.io.bytes_written += commit_io.bytes_written;
-                r.metrics.io.bytes_read += commit_io.bytes_read;
-                r.metrics.io.physical_reads += commit_io.physical_reads;
-                r.metrics.io.logical_reads += commit_io.logical_reads;
-                r.metrics.io.sim_seek_us += commit_io.sim_seek_us;
-                r.metrics.io.sim_bw_us += commit_io.sim_bw_us;
-                let wal = *wal_cell.lock();
+                r.metrics.io += commit_io;
                 if self.db.wal.enabled() {
                     if let Some(report) = r.analyze.as_deref_mut() {
                         report.wal = Some(wal);
                     }
                 }
                 // Backfill the query-store entry with facts that only
-                // exist after commit: WAL flush activity and, when tracing
-                // is on, the statement's full span tree.
+                // exist after commit: the WAL summary and, when tracing is
+                // on, the statement's full span tree.
                 if let Some(seq) = last_seq {
                     if wal.records > 0 {
-                        self.db.query_store.amend(seq, |s| {
-                            s.wal_flush_us = wal.flush_us;
-                            s.wal_records = wal.records;
-                        });
+                        self.db.query_store.amend(seq, |s| s.wal = wal);
                     }
                     if query_span.is_recording() {
                         query_span.attr("rows", r.metrics.rows_returned);
@@ -928,9 +877,6 @@ pub struct Txn<'db> {
     /// Route write statements' target-row reads through the profiled select
     /// path (EXPLAIN ANALYZE for UPDATE/DELETE).
     analyze_writes: bool,
-    /// Filled by `commit` with the commit's WAL activity; `run_in_txn`
-    /// copies it into the analyze report after the txn is consumed.
-    wal_summary: Arc<Mutex<WalSummary>>,
     /// Query-store sequence number of the most recent statement this txn
     /// recorded; `run_in_txn` backfills that entry with commit-time facts.
     last_stmt_seq: Option<u64>,
@@ -963,16 +909,23 @@ impl<'db> Txn<'db> {
 
     /// Execute a select, applying isolation-level read behaviour.
     pub fn select(&mut self, query: &SelectQuery) -> Result<ExecutionResult> {
-        self.select_impl(query, false)
+        self.select_impl(query, false, "select")
     }
 
     /// Execute a select with per-operator instrumentation (the result's
     /// `analyze` field is always populated).
     pub fn select_analyzed(&mut self, query: &SelectQuery) -> Result<ExecutionResult> {
-        self.select_impl(query, true)
+        self.select_impl(query, true, "select")
     }
 
-    fn select_impl(&mut self, query: &SelectQuery, profile: bool) -> Result<ExecutionResult> {
+    /// Plan, admit and run `query`, and record it in the query store as a
+    /// statement of `kind`.
+    fn select_impl(
+        &mut self,
+        query: &SelectQuery,
+        profile: bool,
+        kind: &'static str,
+    ) -> Result<ExecutionResult> {
         let mut stmt_span = hpd_obs::trace::span("select");
         if stmt_span.is_recording() {
             let tables: Vec<&str> = query.tables.iter().map(|t| t.name.as_str()).collect();
@@ -1065,27 +1018,15 @@ impl<'db> Txn<'db> {
             runner = runner.with_profile();
         }
         let mut result = runner.run(&plan)?;
+        let grant = GrantSummary::of(&lease);
         if let Some(report) = result.analyze.as_deref_mut() {
-            report.grant = Some(crate::profile::GrantSummary {
-                requested_bytes: lease.requested_bytes(),
-                granted_bytes: lease.granted_bytes(),
-                wait_us: lease.wait().as_micros() as u64,
-                reduced: lease.is_reduced(),
-            });
-            report.timeline = Some(crate::profile::Timeline {
+            report.grant = Some(grant);
+            report.timeline = Some(Timeline {
                 optimize_us,
-                admission_us: lease.wait().as_micros() as u64,
                 execute_us: result.metrics.elapsed_us() as u64,
             });
         }
-        let seq = self.db.record_statement(
-            "select",
-            &plan,
-            &result,
-            lease.wait().as_micros() as u64,
-            lease.granted_bytes() as u64,
-        );
-        self.last_stmt_seq = Some(seq);
+        self.last_stmt_seq = Some(self.db.record_statement(kind, &plan, &result, grant));
         Ok(result)
     }
 
@@ -1102,7 +1043,7 @@ impl<'db> Txn<'db> {
                 "updating primary key columns is not supported".into(),
             ));
         }
-        let mut rows = self.write_target_rows(&stmt.table, &stmt.predicate, stmt.top)?;
+        let mut rows = self.write_target_rows("update", &stmt.table, &stmt.predicate, stmt.top)?;
         // Lock targets in primary-key order regardless of the access path
         // that found them, so lock acquisition (and thus which conflict
         // surfaces first under contention) does not depend on the physical
@@ -1130,7 +1071,7 @@ impl<'db> Txn<'db> {
 
     /// DELETE: same two-phase shape as update.
     pub fn delete(&mut self, stmt: &DeleteStmt) -> Result<ExecutionResult> {
-        let mut rows = self.write_target_rows(&stmt.table, &stmt.predicate, stmt.top)?;
+        let mut rows = self.write_target_rows("delete", &stmt.table, &stmt.predicate, stmt.top)?;
         let table_id = self.db.slot_id(&stmt.table)?;
         let pk = self.db.with_table(&stmt.table, |t| t.pk().to_vec())?;
         // Same deterministic lock order as `update` (see there).
@@ -1182,9 +1123,11 @@ impl<'db> Txn<'db> {
         })
     }
 
-    /// Read phase of a write statement: full rows matching the predicate.
+    /// Read phase of a write statement of `kind`: full rows matching the
+    /// predicate.
     fn write_target_rows(
         &mut self,
+        kind: &'static str,
         table: &str,
         predicate: &hpd_common::Expr,
         top: Option<usize>,
@@ -1217,11 +1160,7 @@ impl<'db> Txn<'db> {
             limit: top,
             ..Default::default()
         };
-        if self.analyze_writes {
-            self.select_analyzed(&query)
-        } else {
-            self.select(&query)
-        }
+        self.select_impl(&query, self.analyze_writes, kind)
     }
 
     fn lock_row(&mut self, table_id: usize, key: Key) -> Result<()> {
@@ -1249,14 +1188,15 @@ impl<'db> Txn<'db> {
         Ok(())
     }
 
-    /// Apply buffered writes and release locks. Returns the write-phase I/O.
+    /// Apply buffered writes and release locks. Returns the write-phase I/O
+    /// and the commit's log activity (all zero for a read-only commit).
     ///
     /// The whole commit runs under the database's commit lock so the WAL
     /// append order equals the apply order — the invariant redo-only
     /// recovery depends on. Crash points (`wal.crash.*`) abort the commit
     /// at well-defined durability boundaries; the differential harness
     /// recovers from the surviving log and checks the result.
-    pub fn commit(mut self) -> Result<hpd_storage::IoSnapshot> {
+    pub fn commit(mut self) -> Result<(IoSnapshot, WalSummary)> {
         let mut commit_span = hpd_obs::trace::span("commit");
         let _commit = self.db.commit_lock.lock();
         let commit_ts = self.db.txns.commit_ts();
@@ -1291,6 +1231,7 @@ impl<'db> Txn<'db> {
         // Read-only commits append nothing — they are invisible to the log.
         let wal_on = self.db.wal.enabled() && !writes.is_empty();
         let mut records = 0u64;
+        let mut wal = WalSummary::default();
         if wal_on {
             self.db.wal.append(&LogRecord::TxnBegin {
                 txn_id: self.txn_id,
@@ -1383,7 +1324,7 @@ impl<'db> Txn<'db> {
                         }
                         r
                     };
-                    *self.wal_summary.lock() = WalSummary {
+                    wal = WalSummary {
                         records,
                         bytes_flushed: flushed,
                         flushes: (flushed > 0) as u64,
@@ -1443,7 +1384,7 @@ impl<'db> Txn<'db> {
             self.db.checkpoint_locked()?;
         }
 
-        apply_result.map(|()| tracker.snapshot())
+        apply_result.map(|()| (tracker.snapshot(), wal))
     }
 
     pub fn abort(mut self) {
@@ -1516,7 +1457,7 @@ fn empty_metrics() -> ExecMetrics {
         wall: Duration::ZERO,
         cpu: Duration::ZERO,
         critical_path: Duration::ZERO,
-        io: hpd_storage::IoSnapshot::default(),
+        io: IoSnapshot::default(),
         io_dop: 1,
         dop: 1,
         rows_returned: 0,

@@ -50,7 +50,7 @@ impl TableDesign {
         self.parts.iter().all(|p| p == first).then_some(first)
     }
 
-    /// Enforce structural constraints ([`validate_design`]) on every part.
+    /// Enforce structural constraints (`validate_design`) on every part.
     pub fn validate(&self) -> Result<()> {
         self.parts
             .iter()

@@ -199,18 +199,9 @@ impl<'a> QueryRunner<'a> {
             rows_returned: rows.len(),
             memory_peak_bytes: ctx.grant.peak_bytes(),
         };
-        let analyze = if self.profile_requested {
-            self.profile.borrow().as_ref().map(|m| {
-                let mut report = m.report(plan);
-                // This statement's own columnstore work, from its tracker.
-                let pruning = crate::profile::ScanPruning::of(&ctx.tracker);
-                report.pruning = (!pruning.is_empty()).then_some(pruning);
-                let agg = crate::profile::AggPushdown::of(&ctx.tracker);
-                report.agg_pushdown = (!agg.is_empty()).then_some(agg);
-                Box::new(report)
-            })
-        } else {
-            None
+        let analyze = match self.profile.borrow().as_ref() {
+            Some(m) if self.profile_requested => Some(Box::new(m.report(plan, metrics.io))),
+            _ => None,
         };
         Ok(ExecutionResult {
             rows,

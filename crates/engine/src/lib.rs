@@ -25,7 +25,7 @@ pub mod stats;
 pub mod table;
 pub mod txn;
 
-pub use catalog::{Database, DbConfig, ExecOptions, QueryBuilder, Session, StmtRef, Txn};
+pub use catalog::{Database, DbConfig, QueryBuilder, Session, StmtRef, Txn};
 pub use design::{Configuration, IndexDescriptor, IndexId, IndexMeta, TableDesign};
 pub use executor::{ExecutionResult, QueryRunner, TableOverlay};
 pub use hpd_columnstore::CsiConfig;
@@ -37,9 +37,7 @@ pub use maintenance::{
 };
 pub use optimizer::{Optimizer, PartInfo, TableContext};
 pub use plan::{LeafKind, PhysicalPlan, PlanExpr, PlanNodeKind};
-pub use profile::{
-    AggPushdown, AnalyzeReport, GrantSummary, NodeProfile, PartitionActivity, ScanPruning, Timeline,
-};
+pub use profile::{AnalyzeReport, GrantSummary, NodeProfile, PartitionActivity, Timeline};
 pub use query::{
     AggItem, ColRef, DeleteStmt, EquiJoin, InsertStmt, SelectQuery, Statement, TableInput,
     UpdateStmt,

@@ -1516,11 +1516,6 @@ pub fn total_cpu(node: &PlanNode) -> f64 {
     node.est_cpu_us + node.children().iter().map(|c| total_cpu(c)).sum::<f64>()
 }
 
-/// Sum of estimated IO microseconds over a subtree.
-pub fn total_io(node: &PlanNode) -> f64 {
-    node.est_io_us + node.children().iter().map(|c| total_io(c)).sum::<f64>()
-}
-
 /// Split estimated I/O into (parallelizable, latency-bound): columnstore
 /// segment reads are independent requests that scale with DOP; B+ tree page
 /// chains and everything else do not.

@@ -6,9 +6,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpd_exec::OpStats;
-use hpd_obs::json_string;
-use hpd_storage::{IoTracker, Work};
+use hpd_exec::{GrantLease, OpStats};
+use hpd_storage::IoSnapshot;
+use hpd_wal::WalSummary;
 
 use crate::plan::{PhysicalPlan, PlanNode, PlanNodeKind};
 
@@ -45,8 +45,8 @@ impl ProfileMap {
     }
 
     /// Freeze the accumulated actuals into a report (call after the query
-    /// has drained).
-    pub fn report(&self, plan: &PhysicalPlan) -> AnalyzeReport {
+    /// has drained), beside the statement's `io`.
+    pub fn report(&self, plan: &PhysicalPlan, io: IoSnapshot) -> AnalyzeReport {
         let mut nodes = Vec::with_capacity(self.stats.len());
         fn visit(
             node: &PlanNode,
@@ -80,8 +80,7 @@ impl ProfileMap {
             nodes,
             est_cost_us: plan.est_cost_us,
             partitions: (!partitions.is_empty()).then_some(partitions),
-            pruning: None,
-            agg_pushdown: None,
+            io,
             grant: None,
             wal: None,
             timeline: None,
@@ -129,91 +128,8 @@ impl PartitionActivity {
     }
 }
 
-/// Columnstore pushdown work avoided during one statement, as its scans
-/// counted it on the statement's tracker ([`Work`]; the engine-wide
-/// `columnstore.scan.*` / `columnstore.segcache.*` counters sum every
-/// statement's, concurrent ones included). Granularities are disjoint: a row is counted at the coarsest
-/// level that eliminated it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScanPruning {
-    /// Rows skipped by whole-rowgroup (zone-map) elimination.
-    pub rows_pruned_rowgroup: u64,
-    /// Rows cleared run-at-a-time by the RLE kernel.
-    pub rows_pruned_run: u64,
-    /// Rows cleared individually (bit-packed/raw kernels or fallback).
-    pub rows_pruned_row: u64,
-    /// Rows that survived all pushed-down intervals and were materialized.
-    pub rows_selected: u64,
-    /// Decoded-segment cache hits / misses / evictions.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-}
-
-impl ScanPruning {
-    /// What one statement's scans counted on its tracker.
-    pub fn of(tracker: &IoTracker) -> ScanPruning {
-        ScanPruning {
-            rows_pruned_rowgroup: tracker.counted(Work::RowsPrunedRowgroup),
-            rows_pruned_run: tracker.counted(Work::RowsPrunedRun),
-            rows_pruned_row: tracker.counted(Work::RowsPrunedRow),
-            rows_selected: tracker.counted(Work::RowsSelected),
-            cache_hits: tracker.counted(Work::SegcacheHit),
-            cache_misses: tracker.counted(Work::SegcacheMiss),
-            cache_evictions: tracker.counted(Work::SegcacheEvict),
-        }
-    }
-
-    /// Total rows eliminated before materialization, across granularities.
-    pub fn rows_pruned_total(&self) -> u64 {
-        self.rows_pruned_rowgroup + self.rows_pruned_run + self.rows_pruned_row
-    }
-
-    /// True when no columnstore scan ran (nothing to report).
-    pub fn is_empty(&self) -> bool {
-        self.rows_pruned_total() == 0
-            && self.rows_selected == 0
-            && self.cache_hits + self.cache_misses == 0
-    }
-}
-
-/// Aggregate-pushdown work for one statement, as its folds counted it on
-/// the statement's tracker (the `columnstore.agg.*` [`Work`]). Present in the
-/// report whenever the statement folded at least one aggregate inside the
-/// columnstore (i.e. a `CsiAgg` leaf actually ran).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AggPushdown {
-    /// Rowgroups folded entirely on the encoded domain (run/frame/dict
-    /// arithmetic — no row materialization).
-    pub pushdown_rowgroups: u64,
-    /// Rowgroups whose selection needed the typed-value fallback before
-    /// folding (still no row materialization, but per-row predicate work).
-    pub fallback_rowgroups: u64,
-    /// Compressed rows folded into aggregate accumulators.
-    pub rows_folded: u64,
-    /// Delta-store rows folded row-at-a-time on top of the encoded result.
-    pub delta_rows: u64,
-}
-
-impl AggPushdown {
-    /// What one statement's aggregate folds counted on its tracker.
-    pub fn of(tracker: &IoTracker) -> AggPushdown {
-        AggPushdown {
-            pushdown_rowgroups: tracker.counted(Work::AggPushdownRowgroups),
-            fallback_rowgroups: tracker.counted(Work::AggFallbackRowgroups),
-            rows_folded: tracker.counted(Work::AggRowsFolded),
-            delta_rows: tracker.counted(Work::AggDeltaRows),
-        }
-    }
-
-    /// True when no encoded aggregate fold ran.
-    pub fn is_empty(&self) -> bool {
-        self.pushdown_rowgroups + self.fallback_rowgroups + self.delta_rows == 0
-    }
-}
-
 /// Memory-grant admission outcome for one statement, taken from the
-/// [`hpd_exec::GrantLease`] the broker issued before execution.
+/// [`GrantLease`] the broker issued before execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GrantSummary {
     /// Bytes requested from the broker (optimizer estimate with slack,
@@ -229,19 +145,34 @@ pub struct GrantSummary {
     pub reduced: bool,
 }
 
+impl GrantSummary {
+    /// What `lease` records of its admission.
+    pub fn of(lease: &GrantLease) -> GrantSummary {
+        GrantSummary {
+            requested_bytes: lease.requested_bytes(),
+            granted_bytes: lease.granted_bytes(),
+            wait_us: lease.wait().as_micros() as u64,
+            reduced: lease.is_reduced(),
+        }
+    }
+}
+
 /// Wall-time breakdown of one statement's lifecycle phases, mirroring the
 /// span taxonomy of the tracer (`optimize` → `admission` → `execute`; the
-/// WAL flush is on the commit path and reported via [`AnalyzeReport::wal`]).
+/// admission wait is [`GrantSummary::wait_us`], the WAL flush is on the
+/// commit path and reported via [`AnalyzeReport::wal`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timeline {
     /// Planning time inside the optimizer.
     pub optimize_us: u64,
-    /// Time spent queued at the grant broker (same value as
-    /// [`GrantSummary::wait_us`], repeated here so the timeline is complete
-    /// on its own).
-    pub admission_us: u64,
     /// Executor wall time (lowering + drain).
     pub execute_us: u64,
+}
+
+/// actual/estimated row ratio, with both sides floored at one row so empty
+/// results don't divide by zero.
+pub fn estimate_error(actual_rows: u64, est_rows: f64) -> f64 {
+    actual_rows.max(1) as f64 / est_rows.max(1.0)
 }
 
 /// Actuals for one plan node, in pre-order plan position.
@@ -264,10 +195,9 @@ pub struct NodeProfile {
 }
 
 impl NodeProfile {
-    /// actual/estimated row ratio, with both sides floored at one row so
-    /// empty results don't divide by zero.
+    /// This node's [`estimate_error`].
     pub fn estimate_error(&self) -> f64 {
-        (self.actual_rows.max(1)) as f64 / self.est_rows.max(1.0)
+        estimate_error(self.actual_rows, self.est_rows)
     }
 }
 
@@ -280,20 +210,19 @@ pub struct AnalyzeReport {
     /// Partition scatter-gather counters for this statement (None when no
     /// partitioned scan ran).
     pub partitions: Option<PartitionActivity>,
-    /// Columnstore pushdown counters for this statement (None when the
-    /// process-wide registry could not attribute any scan work to it).
-    pub pruning: Option<ScanPruning>,
-    /// Aggregate-pushdown counters for this statement (None when no
-    /// encoded aggregate fold ran).
-    pub agg_pushdown: Option<AggPushdown>,
-    /// Memory-grant admission outcome (None when the statement ran outside
-    /// the broker, e.g. non-SELECT statements).
+    /// The statement's I/O, spill and columnstore
+    /// [`Work`](hpd_storage::Work), as its own tracker counted them (the
+    /// engine-wide `columnstore.*` counters sum every statement's,
+    /// concurrent ones included).
+    pub io: IoSnapshot,
+    /// Memory-grant admission outcome (None when the plan ran outside the
+    /// broker, through a bare [`QueryRunner`](crate::QueryRunner)).
     pub grant: Option<GrantSummary>,
     /// Write-ahead-log activity of this statement's commit (None when the
     /// log is disabled).
-    pub wal: Option<hpd_wal::WalSummary>,
-    /// Phase wall-time breakdown (None for statements recorded before the
-    /// phases were measured, e.g. write-path target-row scans).
+    pub wal: Option<WalSummary>,
+    /// Phase wall-time breakdown (None, like `grant`, for a plan run
+    /// through a bare `QueryRunner`).
     pub timeline: Option<Timeline>,
 }
 
@@ -303,15 +232,9 @@ impl AnalyzeReport {
         &self.nodes[0]
     }
 
-    /// Total bytes spilled by any node.
+    /// Total bytes the statement spilled.
     pub fn spilled_bytes(&self) -> u64 {
-        // Spill deltas are observed inclusively at every enclosing node, so
-        // the maximum (not the sum) is the query's total.
-        self.nodes
-            .iter()
-            .map(|n| n.spilled_bytes)
-            .max()
-            .unwrap_or(0)
+        self.io.spilled_bytes
     }
 
     /// Render the estimated-vs-actual plan tree.
@@ -352,26 +275,24 @@ impl AnalyzeReport {
             );
             out.push('\n');
         }
-        if let Some(p) = &self.pruning {
+        // In `hpd_storage::Work::ALL` order. Rows are counted at the coarsest
+        // granularity that eliminated them.
+        let [rowgroup, run, row, selected, hit, miss, evict, folded, fallback, rows_folded, delta_rows] =
+            self.io.work;
+        if rowgroup + run + row + selected + hit + miss > 0 {
             let _ = write!(
                 out,
-                "pruning: rowgroup={} run={} row={} selected={}",
-                p.rows_pruned_rowgroup, p.rows_pruned_run, p.rows_pruned_row, p.rows_selected
+                "pruning: rowgroup={rowgroup} run={run} row={row} selected={selected}"
             );
-            if p.cache_hits + p.cache_misses > 0 {
-                let _ = write!(
-                    out,
-                    "; segcache hit={} miss={} evict={}",
-                    p.cache_hits, p.cache_misses, p.cache_evictions
-                );
+            if hit + miss > 0 {
+                let _ = write!(out, "; segcache hit={hit} miss={miss} evict={evict}");
             }
             out.push('\n');
         }
-        if let Some(a) = &self.agg_pushdown {
+        if folded + fallback + delta_rows > 0 {
             let _ = write!(
                 out,
-                "pushdown: rowgroups={} fallback={} rows_folded={} delta_rows={}",
-                a.pushdown_rowgroups, a.fallback_rowgroups, a.rows_folded, a.delta_rows
+                "pushdown: rowgroups={folded} fallback={fallback} rows_folded={rows_folded} delta_rows={delta_rows}"
             );
             out.push('\n');
         }
@@ -403,7 +324,7 @@ impl AnalyzeReport {
                 out,
                 "timeline: optimize={:.1}ms admission={:.1}ms execute={:.1}ms",
                 t.optimize_us as f64 / 1e3,
-                t.admission_us as f64 / 1e3,
+                self.grant.map_or(0, |g| g.wait_us) as f64 / 1e3,
                 t.execute_us as f64 / 1e3,
             );
             if let Some(w) = &self.wal {
@@ -411,29 +332,6 @@ impl AnalyzeReport {
             }
             out.push('\n');
         }
-        out
-    }
-
-    /// Render as one JSON object (for the query store dump).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"op\":{},\"depth\":{},\"est_rows\":{:.0},\"act_rows\":{},\"wall_us\":{},\"spilled_bytes\":{}}}",
-                json_string(&n.label),
-                n.depth,
-                n.est_rows,
-                n.actual_rows,
-                n.wall.as_micros(),
-                n.spilled_bytes
-            );
-        }
-        out.push(']');
         out
     }
 }

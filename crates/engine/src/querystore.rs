@@ -9,8 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use hpd_obs::json_string;
+use hpd_storage::{IoSnapshot, Work};
+use hpd_wal::WalSummary;
 
 use crate::plan::{PhysicalPlan, PlanNode, PlanTable};
+use crate::profile::{estimate_error, GrantSummary};
 
 /// Stable hash of a plan's *shape* (operator kinds, indexes, and structure;
 /// not cost annotations), so repeated executions of the same plan collapse
@@ -28,12 +31,15 @@ pub fn plan_fingerprint(plan: &PhysicalPlan) -> u64 {
     h.finish()
 }
 
-/// One retained statement execution.
+/// One retained statement execution: what the optimizer predicted beside
+/// what the statement did, in the same structs its `EXPLAIN ANALYZE`
+/// report holds.
 #[derive(Debug, Clone)]
 pub struct StoredStatement {
     /// Monotonic execution sequence number (database-wide).
     pub seq: u64,
-    /// Statement kind: "select", "update", "delete", "insert".
+    /// Statement kind: "select", "update" or "delete" (a write is recorded
+    /// by the scan that found its target rows).
     pub kind: &'static str,
     pub plan_fingerprint: u64,
     /// Root operator description, e.g. `HashAgg groups=1 aggs=2`.
@@ -43,32 +49,26 @@ pub struct StoredStatement {
     pub actual_rows: u64,
     pub elapsed_us: f64,
     pub cpu_us: f64,
-    pub bytes_read: u64,
     pub memory_peak_bytes: u64,
-    pub spilled_bytes: u64,
-    /// `max(actual_rows,1) / max(est_rows,1)` at the plan root.
-    pub estimate_error: f64,
-    /// Time spent queued in the grant broker before admission.
-    pub grant_wait_us: u64,
-    /// Working-memory grant the broker actually admitted the query with.
-    pub granted_bytes: u64,
     /// Degree of parallelism the plan executed with.
     pub dop: u64,
-    /// Rows folded inside the columnstore by aggregate pushdown (encoded
-    /// rowgroup rows + delta rows; 0 when no encoded fold ran or the
-    /// statement was not profiled).
-    pub pushdown_rows: u64,
-    /// Commit-path WAL flush wall time (backfilled post-commit; 0 for
-    /// read-only statements or when the WAL is disabled).
-    pub wal_flush_us: u64,
-    /// WAL records appended by the statement's transaction (backfilled).
-    pub wal_records: u64,
+    /// I/O, spill and columnstore work of the execution.
+    pub io: IoSnapshot,
+    pub grant: GrantSummary,
+    /// The transaction's commit-path log activity (backfilled post-commit;
+    /// zero for read-only statements or when the WAL is disabled).
+    pub wal: WalSummary,
     /// Nested span-tree JSON for this statement's `query` span, when
     /// tracing was enabled (backfilled post-commit).
     pub trace: Option<String>,
 }
 
 impl StoredStatement {
+    /// The plan root's [`estimate_error`].
+    pub fn estimate_error(&self) -> f64 {
+        estimate_error(self.actual_rows, self.est_rows)
+    }
+
     /// One JSON object, no trailing newline.
     pub fn to_json(&self) -> String {
         let mut out = format!(
@@ -87,16 +87,16 @@ impl StoredStatement {
             self.actual_rows,
             self.elapsed_us,
             self.cpu_us,
-            self.bytes_read,
+            self.io.bytes_read,
             self.memory_peak_bytes,
-            self.spilled_bytes,
-            self.estimate_error,
-            self.grant_wait_us,
-            self.granted_bytes,
+            self.io.spilled_bytes,
+            self.estimate_error(),
+            self.grant.wait_us,
+            self.grant.granted_bytes,
             self.dop,
-            self.pushdown_rows,
-            self.wal_flush_us,
-            self.wal_records,
+            self.io.counted(Work::AggRowsFolded) + self.io.counted(Work::AggDeltaRows),
+            self.wal.flush_us,
+            self.wal.records,
         );
         if let Some(trace) = &self.trace {
             // The trace is already JSON — embed it verbatim.
@@ -150,8 +150,8 @@ impl QueryStore {
     }
 
     /// Mutate the retained entry with sequence number `seq` in place, if it
-    /// is still in the ring. Used to backfill commit-time facts (WAL flush
-    /// time, span tree) that only exist after the statement was recorded.
+    /// is still in the ring. Used to backfill commit-time facts (the WAL
+    /// summary, span tree) that only exist after the statement was recorded.
     pub fn amend(&self, seq: u64, f: impl FnOnce(&mut StoredStatement)) {
         let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(stmt) = ring.entries.iter_mut().find(|s| s.seq == seq) {
@@ -207,16 +207,11 @@ mod tests {
             actual_rows: 20,
             elapsed_us: 100.0,
             cpu_us: 80.0,
-            bytes_read: 0,
             memory_peak_bytes: 0,
-            spilled_bytes: 0,
-            estimate_error: 2.0,
-            grant_wait_us: 0,
-            granted_bytes: 0,
             dop: 1,
-            pushdown_rows: 0,
-            wal_flush_us: 0,
-            wal_records: 0,
+            io: IoSnapshot::default(),
+            grant: GrantSummary::default(),
+            wal: WalSummary::default(),
             trace: None,
         }
     }
@@ -242,16 +237,16 @@ mod tests {
             qs.record(stmt(i));
         }
         // seq 0 was evicted; amending it is a silent no-op.
-        qs.amend(0, |s| s.wal_flush_us = 999);
+        qs.amend(0, |s| s.wal.flush_us = 999);
         qs.amend(2, |s| {
-            s.wal_flush_us = 42;
-            s.wal_records = 3;
+            s.wal.flush_us = 42;
+            s.wal.records = 3;
             s.trace = Some("{\"name\":\"query\"}".to_string());
         });
         let recent = qs.recent();
         assert_eq!(recent[1].seq, 2);
-        assert_eq!(recent[1].wal_flush_us, 42);
-        assert_eq!(recent[1].wal_records, 3);
+        assert_eq!(recent[1].wal.flush_us, 42);
+        assert_eq!(recent[1].wal.records, 3);
         assert!(recent[0].trace.is_none());
         let json = recent[1].to_json();
         assert!(json.contains("\"wal_flush_us\":42"));

@@ -772,7 +772,7 @@ impl Table {
     /// against the schema and gathers the statistics, so a refused load
     /// leaves the table as it was; a second reads each row's partition column
     /// in place and hands the row to its partition's builder, in arrival
-    /// order ([`IndexBuilder`]) — no row is decoded, copied aside or
+    /// order (`IndexBuilder`) — no row is decoded, copied aside or
     /// encoded again.
     pub fn bulk_load(
         &mut self,

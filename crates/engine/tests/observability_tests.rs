@@ -4,8 +4,10 @@
 
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
 use hpd_engine::{
-    AggItem, ColRef, Database, DbConfig, IndexDescriptor, SelectQuery, Statement, TableInput,
+    AggItem, ColRef, Database, DbConfig, DeleteStmt, IndexDescriptor, SelectQuery, Statement,
+    TableInput, UpdateStmt,
 };
+use hpd_storage::{IoSnapshot, Work};
 
 /// `t(id, grp, val)`: id unique 0..n, grp = id % 20, val = id * 3 % 1000.
 fn setup_table(db: &Database, primary: IndexDescriptor, n: i32) {
@@ -97,15 +99,15 @@ fn explain_analyze_reports_rows_pruned_by_pushdown() {
     let matching = (0..4000).filter(|i| i * 3 % 1000 < 30).count() as u64;
     assert_eq!(r.rows.len() as u64, matching);
     let report = r.analyze.as_ref().unwrap();
-    let p = report.pruning.expect("CSI scan records pruning counters");
-    // The obs registry is process-global and tests run concurrently, so
-    // assert lower bounds only.
-    assert!(p.rows_selected >= matching, "{p:?}");
+    let w = |work| report.io.counted(work);
+    let p = report.io;
+    assert!(w(Work::RowsSelected) >= matching, "{p:?}");
     assert!(
-        p.rows_pruned_total() >= 4000 - matching,
+        w(Work::RowsPrunedRowgroup) + w(Work::RowsPrunedRun) + w(Work::RowsPrunedRow)
+            >= 4000 - matching,
         "kernels should prune the non-matching rows: {p:?}"
     );
-    assert!(p.rows_pruned_run + p.rows_pruned_row > 0, "{p:?}");
+    assert!(w(Work::RowsPrunedRun) + w(Work::RowsPrunedRow) > 0, "{p:?}");
     let rendered = report.render();
     assert!(rendered.contains("pruning:"), "{rendered}");
     assert!(rendered.contains("selected="), "{rendered}");
@@ -138,13 +140,13 @@ fn explain_analyze_reports_agg_pushdown_trailer() {
         "{}",
         report.render()
     );
-    let a = report
-        .agg_pushdown
-        .expect("encoded fold records agg counters");
-    // The obs registry is process-global and tests run concurrently, so
-    // assert lower bounds only.
-    assert!(a.pushdown_rowgroups + a.fallback_rowgroups >= 4, "{a:?}");
-    assert!(a.rows_folded >= 2000, "{a:?}");
+    let w = |work| report.io.counted(work);
+    let a = report.io;
+    assert!(
+        w(Work::AggPushdownRowgroups) + w(Work::AggFallbackRowgroups) >= 4,
+        "{a:?}"
+    );
+    assert!(w(Work::AggRowsFolded) >= 2000, "{a:?}");
     let rendered = report.render();
     assert!(rendered.contains("pushdown:"), "{rendered}");
     assert!(rendered.contains("rows_folded="), "{rendered}");
@@ -203,6 +205,81 @@ fn query_store_retains_recent_statements() {
     assert_eq!(dump.lines().count(), 4);
     assert!(dump.contains("\"fingerprint\""), "{dump}");
     assert!(dump.contains("\"estimate_error\""), "{dump}");
+}
+
+/// A statement's query-store entry holds what the statement did whether it
+/// was analyzed or not: a spilling sort and a columnstore aggregate store
+/// the spilled bytes and folded rows their `EXPLAIN ANALYZE` report shows.
+#[test]
+fn the_query_store_holds_what_the_report_shows_analyzed_or_not() {
+    let mut cfg = DbConfig::default();
+    cfg.csi.rowgroup_capacity = 512;
+    let db = Database::new(cfg);
+    setup_table(&db, IndexDescriptor::PrimaryCsi, 20_000);
+    let mut sort = SelectQuery::single_table("t", None, vec![0, 1, 2]);
+    sort.order_by = vec![(2, true)];
+    let fold = SelectQuery {
+        tables: vec![TableInput::with_predicate(
+            "t",
+            Expr::col_cmp(0, CmpOp::Lt, Value::Int32(2000)),
+        )],
+        aggregates: vec![AggItem::column(AggFunc::Sum, ColRef::new(0, 2))],
+        ..Default::default()
+    };
+    let pushdown_rows =
+        |io: &IoSnapshot| io.counted(Work::AggRowsFolded) + io.counted(Work::AggDeltaRows);
+    let last = || db.query_store().recent().pop().unwrap();
+    let [spilled, folded] = [(&sort, 16 << 10), (&fold, 64 << 20)].map(|(q, grant)| {
+        db.query(q).grant_bytes(grant).run().unwrap();
+        let plain = last();
+        let analyzed = db.query(q).grant_bytes(grant).analyze().run().unwrap();
+        let report = analyzed.analyze.unwrap();
+        for stored in [plain, last()] {
+            assert_eq!(
+                stored.io.spilled_bytes,
+                report.spilled_bytes(),
+                "{stored:?}"
+            );
+            assert_eq!(
+                pushdown_rows(&stored.io),
+                pushdown_rows(&report.io),
+                "{stored:?}"
+            );
+        }
+        report.io
+    });
+    assert!(spilled.spilled_bytes > 0 && pushdown_rows(&folded) >= 2000);
+}
+
+/// An UPDATE and a DELETE are recorded by the scan that found their target
+/// rows, under their own kind.
+#[test]
+fn write_statements_are_recorded_under_their_kind() {
+    let db = Database::new(DbConfig::default());
+    setup_table(&db, btree_primary(), 1000);
+    let predicate = Expr::col_cmp(0, CmpOp::Lt, Value::Int32(10));
+    db.query(&Statement::Update(UpdateStmt {
+        table: "t".into(),
+        predicate: predicate.clone(),
+        top: None,
+        set: vec![(2, Expr::lit(Value::Int32(7)))],
+    }))
+    .run()
+    .unwrap();
+    db.query(&Statement::Delete(DeleteStmt {
+        table: "t".into(),
+        predicate,
+        top: None,
+    }))
+    .run()
+    .unwrap();
+    let recent = db.query_store().recent();
+    let kinds: Vec<&str> = recent.iter().map(|s| s.kind).collect();
+    assert_eq!(kinds, ["update", "delete"]);
+    assert!(db
+        .query_store()
+        .dump_jsonl()
+        .contains("\"kind\":\"delete\""));
 }
 
 #[test]

@@ -64,13 +64,13 @@ struct Groups {
 /// Hash aggregate in batch mode, with spilling.
 ///
 /// A batch's group-by columns are normalised and hashed a column at a time
-/// ([`Keys`]); each row is mapped to a dense group id — a new one in
+/// (`Keys`); each row is mapped to a dense group id — a new one in
 /// first-seen order, which is also the emit order — and every aggregate
 /// then folds its input column into a typed state vector in one loop over
 /// the ids ([`Acc`]).
 ///
 /// While the grant allows, groups accumulate in memory, charged their key's
-/// `byte_width` and [`GROUP_OVERHEAD`] an aggregate. Once a new group
+/// `byte_width` and `GROUP_OVERHEAD` an aggregate. Once a new group
 /// cannot be admitted, rows of unseen groups are hash-partitioned to spill
 /// files (existing groups keep updating in memory) and retained as columns;
 /// at end-of-input the resident groups are emitted and each spilled
@@ -311,7 +311,7 @@ impl Operator for HashAggOp<'_> {
 /// Streaming aggregate over input sorted by the group-by columns, in batch
 /// mode. A group starts wherever a row's key differs from the row before
 /// it — keys normalised and compared as the hash aggregate's are
-/// ([`Keys`]) — and every aggregate folds a batch into its [`Acc`] in one
+/// (`Keys`) — and every aggregate folds a batch into its [`Acc`] in one
 /// loop over the rows' group ids. A batch emits every group it closed; the
 /// last one stays open into the next batch. Constant memory: nothing is
 /// charged to the grant.

@@ -392,7 +392,7 @@ mod tests {
             assert!(spilled.partitions[p].rows.contains(&row));
         }
         // "z" and 5, "x" and 3: each a string's bytes and two, and four.
-        assert_eq!(ctx.spill.total_spilled_bytes(), 2 * (3 + 4));
+        assert_eq!(ctx.tracker.spilled_bytes(), 2 * (3 + 4));
         drop(spilled);
         assert_eq!(ctx.spill.live_files(), 0);
     }

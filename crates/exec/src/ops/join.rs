@@ -22,14 +22,14 @@ pub enum JoinSide {
 
 /// Inner equi hash join in batch mode. One child — the right one unless
 /// [`HashJoinOp::build_on`] says otherwise — is the build side: its batches
-/// are retained as columns, its keys normalised ([`Keys`]) and hashed into
-/// one [`Table`] whose ids head chains of build rows in arrival order. A
+/// are retained as columns, its keys normalised (`Keys`) and hashed into
+/// one `Table` whose ids head chains of build rows in arrival order. A
 /// probe batch is hashed the same way, yields `(probe row, build row)`
 /// pairs and is joined by gathering both sides' columns: `left ++ right`
 /// columns whichever side built, rows in probe order.
 ///
 /// Build rows are charged to the memory grant as the row-at-a-time join
-/// charged them (`Row::byte_width` + [`HASH_ENTRY_OVERHEAD`] each); once
+/// charged them (`Row::byte_width` + `HASH_ENTRY_OVERHEAD` each); once
 /// it is exhausted, the remaining build rows are hash-partitioned to spill
 /// files, and probe rows falling in spilled partitions are spilled alongside
 /// and joined in a second pass (hybrid grace hash join). A spilled row is a

@@ -100,14 +100,14 @@ impl Operator for ProfiledOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        let spill_before = ctx.spill.total_spilled_bytes();
+        let spill_before = ctx.tracker.spilled_bytes();
         let start = Instant::now();
         let out = self.inner.next(ctx);
         let wall = start.elapsed().as_nanos() as u64;
         let s = &self.stats;
         s.next_calls.fetch_add(1, Ordering::Relaxed);
         s.wall_ns.fetch_add(wall, Ordering::Relaxed);
-        let spilled = ctx.spill.total_spilled_bytes().saturating_sub(spill_before);
+        let spilled = ctx.tracker.spilled_bytes().saturating_sub(spill_before);
         if spilled > 0 {
             s.spilled_bytes.fetch_add(spilled, Ordering::Relaxed);
             s.spill_events.fetch_add(1, Ordering::Relaxed);

@@ -673,7 +673,7 @@ fn run(
     }
     let io = ctx.tracker.snapshot();
     let footprint = Footprint {
-        spilled_bytes: ctx.spill.total_spilled_bytes(),
+        spilled_bytes: io.spilled_bytes,
         spill_events: stats.spill_events.load(Ordering::Relaxed),
         bytes_written: io.bytes_written,
         bytes_read: io.bytes_read,

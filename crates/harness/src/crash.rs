@@ -73,7 +73,7 @@ impl SweepOutcome {
 
 /// Sweep `seeds`, arming each crash spec whose site name contains
 /// `site_filter` (`"all"` or `""` selects every crash site) at up to
-/// [`MAX_POSITIONS_PER_SEED`] commit finales per seed. Runs on the calling
+/// `MAX_POSITIONS_PER_SEED` commit finales per seed. Runs on the calling
 /// thread — fault arming and fire counts are thread-local.
 pub fn crash_sweep(
     seeds: Range<u64>,

@@ -12,7 +12,7 @@
 //! failures, forced tuple moves, spill-write failures, buffer-pool
 //! evictions) are armed from the plan through `hpd_common::faults`
 //! injection sites threaded through the engine, columnstore, and storage
-//! layers. On divergence, [`shrink`] reduces the history to a minimal
+//! layers. On divergence, [`shrink()`] reduces the history to a minimal
 //! replayable repro.
 //!
 //! The [`crash`] sweep extends the same machinery to crash recovery: it

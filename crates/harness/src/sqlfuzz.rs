@@ -10,7 +10,7 @@
 //! rows — so a bug in the lexer, parser, binder, optimizer, or any design's
 //! executor surfaces as a failure carrying the SQL text. Failures are
 //! shrunk clause-by-clause (the structural analogue of the plan shrinker in
-//! [`crate::shrink`]) and reported as a minimal SQL repro.
+//! [`crate::shrink`](mod@crate::shrink)) and reported as a minimal SQL repro.
 //!
 //! Queries are well-typed by construction: the generator only draws columns
 //! and literal domains from the harness schema `t(k, a, b)`, so every

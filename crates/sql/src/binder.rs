@@ -843,7 +843,7 @@ impl<'a> Binder<'a> {
 }
 
 /// Output column names for a bound select, mirroring
-/// [`Binder::bind_select`]'s naming. Used by the session layer for result
+/// `Binder::bind_select`'s naming. Used by the session layer for result
 /// headers.
 pub fn output_names(db: &Database, q: &SqlSelect) -> Vec<String> {
     let mut names = Vec::new();

@@ -25,7 +25,6 @@ use crate::tracker::IoTracker;
 #[derive(Debug, Clone)]
 pub struct SpillManager {
     device: DeviceProfile,
-    total_spilled: Arc<AtomicU64>,
     live_files: Arc<AtomicU64>,
 }
 
@@ -33,7 +32,6 @@ impl SpillManager {
     pub fn new(device: DeviceProfile) -> SpillManager {
         SpillManager {
             device,
-            total_spilled: Arc::new(AtomicU64::new(0)),
             live_files: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -46,14 +44,8 @@ impl SpillManager {
         SpillFile {
             device: self.device,
             bytes: 0,
-            total_spilled: Arc::clone(&self.total_spilled),
             live_files: Arc::clone(&self.live_files),
         }
-    }
-
-    /// Total bytes ever spilled through this manager (diagnostics).
-    pub fn total_spilled_bytes(&self) -> u64 {
-        self.total_spilled.load(Ordering::Relaxed)
     }
 
     /// Spill files created by this manager and not yet dropped. Zero once
@@ -69,7 +61,6 @@ impl SpillManager {
 pub struct SpillFile {
     device: DeviceProfile,
     bytes: u64,
-    total_spilled: Arc<AtomicU64>,
     live_files: Arc<AtomicU64>,
 }
 
@@ -94,9 +85,8 @@ impl SpillFile {
             return Err(HpdError::FaultInjected("spill write failed".into()));
         }
         self.bytes += bytes;
-        self.total_spilled.fetch_add(bytes, Ordering::Relaxed);
         let (seek, bw) = self.device.write_cost_parts(bytes, 1);
-        tracker.record_write(bytes, seek, bw);
+        tracker.record_spill(bytes, seek, bw);
         Ok(())
     }
 
@@ -146,14 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn manager_tracks_total() {
+    fn spills_are_counted_on_the_tracker() {
         let mgr = SpillManager::new(DeviceProfile::ssd());
         let t = IoTracker::new();
         let mut a = mgr.create_file();
         let mut b = mgr.create_file();
         a.write(100, &t).unwrap();
         b.write(50, &t).unwrap();
-        assert_eq!(mgr.total_spilled_bytes(), 150);
+        assert_eq!(t.snapshot().spilled_bytes, 150);
         assert_eq!(a.len_bytes(), 100);
     }
 
@@ -189,7 +179,7 @@ mod tests {
         let err = f.write(100, &t).unwrap_err();
         assert!(matches!(err, HpdError::FaultInjected(_)));
         assert_eq!(f.len_bytes(), 0);
-        assert_eq!(mgr.total_spilled_bytes(), 0);
+        assert_eq!(t.snapshot().spilled_bytes, 0);
         assert_eq!(t.snapshot().bytes_written, 0);
         // The site ran dry; subsequent writes succeed.
         f.write(100, &t).unwrap();

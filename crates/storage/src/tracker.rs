@@ -40,7 +40,8 @@ pub enum Work {
 }
 
 impl Work {
-    const ALL: [Work; 11] = [
+    /// Every kind of work, in discriminant order.
+    pub const ALL: [Work; 11] = [
         Work::RowsPrunedRowgroup,
         Work::RowsPrunedRun,
         Work::RowsPrunedRow,
@@ -94,6 +95,8 @@ struct Counters {
     bytes_read: AtomicU64,
     /// Bytes physically written to the device (spills, index writes).
     bytes_written: AtomicU64,
+    /// Of `bytes_written`, the bytes spill files took.
+    spilled_bytes: AtomicU64,
     /// Simulated positioning (seek) time in nanoseconds.
     sim_seek_nanos: AtomicU64,
     /// Simulated transfer (bandwidth) time in nanoseconds.
@@ -130,6 +133,17 @@ impl IoTracker {
         self.add_sim_us(seek_us, bw_us);
     }
 
+    /// Record a spill-file write: a write that is also counted as spilled.
+    pub fn record_spill(&self, bytes: u64, seek_us: f64, bw_us: f64) {
+        self.inner.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.record_write(bytes, seek_us, bw_us);
+    }
+
+    /// Bytes spilled so far (what [`IoSnapshot::spilled_bytes`] will say).
+    pub fn spilled_bytes(&self) -> u64 {
+        self.inner.spilled_bytes.load(Ordering::Relaxed)
+    }
+
     fn add_sim_us(&self, seek_us: f64, bw_us: f64) {
         self.inner
             .sim_seek_nanos
@@ -145,65 +159,63 @@ impl IoTracker {
         work_counters()[work as usize].add(n);
     }
 
-    /// How much of `work` has been counted here.
-    pub fn counted(&self, work: Work) -> u64 {
-        self.inner.work[work as usize].load(Ordering::Relaxed)
-    }
-
     pub fn snapshot(&self) -> IoSnapshot {
+        let c = &*self.inner;
         IoSnapshot {
-            logical_reads: self.inner.logical_reads.load(Ordering::Relaxed),
-            physical_reads: self.inner.physical_reads.load(Ordering::Relaxed),
-            bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),
-            sim_seek_us: self.inner.sim_seek_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
-            sim_bw_us: self.inner.sim_bw_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
-        }
-    }
-
-    /// Reset all counters (between repeated runs).
-    pub fn reset(&self) {
-        self.inner.logical_reads.store(0, Ordering::Relaxed);
-        self.inner.physical_reads.store(0, Ordering::Relaxed);
-        self.inner.bytes_read.store(0, Ordering::Relaxed);
-        self.inner.bytes_written.store(0, Ordering::Relaxed);
-        self.inner.sim_seek_nanos.store(0, Ordering::Relaxed);
-        self.inner.sim_bw_nanos.store(0, Ordering::Relaxed);
-        for w in &self.inner.work {
-            w.store(0, Ordering::Relaxed);
+            logical_reads: c.logical_reads.load(Ordering::Relaxed),
+            physical_reads: c.physical_reads.load(Ordering::Relaxed),
+            bytes_read: c.bytes_read.load(Ordering::Relaxed),
+            bytes_written: c.bytes_written.load(Ordering::Relaxed),
+            spilled_bytes: c.spilled_bytes.load(Ordering::Relaxed),
+            sim_seek_us: c.sim_seek_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
+            sim_bw_us: c.sim_bw_nanos.load(Ordering::Relaxed) as f64 / 1_000.0,
+            work: std::array::from_fn(|i| c.work[i].load(Ordering::Relaxed)),
         }
     }
 }
 
-/// A point-in-time copy of an [`IoTracker`]'s counters.
+/// A point-in-time copy of an [`IoTracker`]'s counters: everything one
+/// statement did to the device and inside the columnstore.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IoSnapshot {
     pub logical_reads: u64,
     pub physical_reads: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
+    /// Of `bytes_written`, the bytes spill files took.
+    pub spilled_bytes: u64,
     /// Simulated positioning time in microseconds.
     pub sim_seek_us: f64,
     /// Simulated transfer (bandwidth) time in microseconds.
     pub sim_bw_us: f64,
+    /// [`Work`] counts, by variant; read them with [`IoSnapshot::counted`].
+    pub work: [u64; Work::ALL.len()],
 }
 
 impl IoSnapshot {
-    /// Difference of two snapshots (self - earlier).
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            sim_seek_us: self.sim_seek_us - earlier.sim_seek_us,
-            sim_bw_us: self.sim_bw_us - earlier.sim_bw_us,
-        }
+    /// How much of `work` was counted.
+    pub fn counted(&self, work: Work) -> u64 {
+        self.work[work as usize]
     }
 
     /// Total simulated device time (positioning + transfer).
     pub fn sim_io_us(&self) -> f64 {
         self.sim_seek_us + self.sim_bw_us
+    }
+}
+
+impl std::ops::AddAssign for IoSnapshot {
+    fn add_assign(&mut self, other: IoSnapshot) {
+        self.logical_reads += other.logical_reads;
+        self.physical_reads += other.physical_reads;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.spilled_bytes += other.spilled_bytes;
+        self.sim_seek_us += other.sim_seek_us;
+        self.sim_bw_us += other.sim_bw_us;
+        for (w, o) in self.work.iter_mut().zip(other.work) {
+            *w += o;
+        }
     }
 }
 
@@ -235,13 +247,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
+    fn spills_are_writes_counted_apart() {
         let t = IoTracker::new();
-        t.record_physical_read(1, 100, 1.0, 0.0);
-        t.count(Work::RowsSelected, 3);
-        t.reset();
-        assert_eq!(t.snapshot(), IoSnapshot::default());
-        assert_eq!(t.counted(Work::RowsSelected), 0);
+        t.record_write(100, 0.0, 1.0);
+        t.record_spill(40, 0.0, 1.0);
+        let s = t.snapshot();
+        assert_eq!((s.bytes_written, s.spilled_bytes), (140, 40));
+        assert_eq!(t.spilled_bytes(), 40);
     }
 
     #[test]
@@ -257,12 +269,12 @@ mod tests {
         b.count(Work::AggRowsFolded, 2);
         assert_eq!(
             (
-                a.counted(Work::AggRowsFolded),
-                b.counted(Work::AggRowsFolded)
+                a.snapshot().counted(Work::AggRowsFolded),
+                b.snapshot().counted(Work::AggRowsFolded)
             ),
             (5, 2)
         );
-        assert_eq!(a.counted(Work::AggDeltaRows), 0);
+        assert_eq!(a.snapshot().counted(Work::AggDeltaRows), 0);
         assert!(global() - before >= 7);
         for (i, w) in Work::ALL.iter().enumerate() {
             assert_eq!(*w as usize, i, "{w:?}");
@@ -270,15 +282,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff() {
+    fn snapshots_add_up() {
         let t = IoTracker::new();
         t.record_logical(2);
-        let a = t.snapshot();
-        t.record_logical(3);
-        t.record_physical_read(1, 8, 2.0, 0.0);
-        let d = t.snapshot().since(&a);
-        assert_eq!(d.logical_reads, 3);
-        assert_eq!(d.physical_reads, 1);
+        t.count(Work::RowsSelected, 3);
+        let mut sum = t.snapshot();
+        sum += t.snapshot();
+        assert_eq!(sum.logical_reads, 4);
+        assert_eq!(sum.counted(Work::RowsSelected), 6);
     }
 
     #[test]

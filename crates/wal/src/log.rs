@@ -487,7 +487,7 @@ impl Wal {
     /// Atomically install a checkpoint image and truncate the durable log
     /// below its begin LSN (the checkpoint's begin record stays); the image
     /// it replaces becomes the free list of the next. A truncation of
-    /// [`RELEASE_AT`] bytes or more gives their pages back to the operating
+    /// `RELEASE_AT` bytes or more gives their pages back to the operating
     /// system. Charges the image write to `tracker`. The caller must have
     /// flushed first so the image's high-water marks refer to durable bytes.
     pub fn install_checkpoint(&self, image: ImageWriter, tracker: &IoTracker) {

@@ -115,7 +115,7 @@ impl MicroTable {
         db.load_table(&self.name, self.rows())
     }
 
-    /// The predicate cut-off producing `selectivity` (fraction in [0,1]).
+    /// The predicate cut-off producing `selectivity` (a fraction in 0..=1).
     pub fn cutoff(selectivity: f64) -> i32 {
         (((DOMAIN as f64) * selectivity).round() as i64).min(i32::MAX as i64) as i32
     }

@@ -7,6 +7,7 @@ use hybrid_physical_designs::common::{CmpOp, Expr, Row, Value};
 use hybrid_physical_designs::engine::{
     Database, DbConfig, IndexDescriptor, IsolationLevel, SelectQuery, Statement,
 };
+use hybrid_physical_designs::storage::Work;
 use hybrid_physical_designs::workloads::micro::MicroTable;
 use hybrid_physical_designs::workloads::tpch::{load_lineitem, q4_update, q5_scan, MixedDesign};
 use hybrid_physical_designs::workloads::{ch, tpcds};
@@ -727,8 +728,8 @@ fn explain_analyze_lineitem_with_spill() {
     // The run landed in the query store with its estimate-error ratio.
     let last = db.query_store().recent().last().cloned().unwrap();
     assert_eq!(last.actual_rows, r.rows.len() as u64);
-    assert!(last.spilled_bytes > 0);
-    assert!(last.estimate_error > 0.0);
+    assert!(last.io.spilled_bytes > 0);
+    assert!(last.estimate_error() > 0.0);
 }
 
 /// `EXPLAIN ANALYZE` reports a statement's own columnstore work: while
@@ -761,7 +762,8 @@ fn explain_analyze_counts_only_its_own_statements_work() {
                 for selectivity in [0.5, 0.01] {
                     let r = db.query(&micro.q1(selectivity)).analyze().run().unwrap();
                     let report = r.analyze.unwrap();
-                    assert!(report.agg_pushdown.is_some(), "{}", report.render());
+                    let rendered = report.render();
+                    assert!(rendered.contains("pushdown:"), "{rendered}");
                 }
             }
         });
@@ -770,17 +772,18 @@ fn explain_analyze_counts_only_its_own_statements_work() {
             let r = db.query(&sort).analyze().run().unwrap();
             let report = r.analyze.as_ref().unwrap();
             let rendered = report.render();
-            assert!(
-                report.pruning.is_none() && report.agg_pushdown.is_none(),
-                "run {i}: {rendered}"
-            );
+            assert_eq!(report.io.work, [0; Work::ALL.len()], "run {i}: {rendered}");
             assert!(
                 !rendered.contains("pruning:") && !rendered.contains("pushdown:"),
                 "run {i}: {rendered}"
             );
             let stored = db.query_store().recent();
             let mine = (stored.iter().rev()).find(|s| s.plan_root.starts_with("Sort"));
-            assert_eq!(mine.map(|s| s.pushdown_rows), Some(0), "run {i}");
+            assert_eq!(
+                mine.map(|s| s.io.work),
+                Some([0; Work::ALL.len()]),
+                "run {i}"
+            );
         }
     });
 }

@@ -54,12 +54,12 @@ fn traced_mixed_workload_exports_spans_heat_and_metrics() {
     let recent = db.query_store().recent();
     assert!(!recent.is_empty());
     assert!(
-        recent.iter().all(|s| s.granted_bytes > 0),
+        recent.iter().all(|s| s.grant.granted_bytes > 0),
         "every select runs under a broker grant"
     );
     assert!(recent.iter().all(|s| s.dop >= 1));
     assert!(
-        recent.iter().any(|s| s.wal_records > 0),
+        recent.iter().any(|s| s.wal.records > 0),
         "update commits must backfill WAL records"
     );
     let traced = recent

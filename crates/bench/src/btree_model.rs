@@ -11,7 +11,11 @@
 //! `-0.0` and NaN floats, empty payloads, empty and multi-kilobyte strings,
 //! updates that widen and narrow a payload (past a whole page too), bulk
 //! loads from owned entries and from an unsorted encoded run, and leaves
-//! that fill and split by their bytes at the given page size.
+//! that fill and split by their bytes at the given page size. A third of the
+//! payloads drawn begin with their key's values, so a leaf stores the key
+//! once, and updates prepend the key to a payload, overwrite its leading
+//! values with the key's or with others, moving an entry between the shared
+//! and the unshared form — at the same entry width too.
 //!
 //! An encoded run sorts abbreviated keys (the eight-byte image of a key's
 //! first value), so half of the runs built here have keys of one first-value
@@ -106,6 +110,23 @@ fn payload(rng: &mut StdRng) -> Row {
     Row::new((0..rng.gen_range(0..5)).map(|_| value(rng)).collect())
 }
 
+/// A payload for `key`: a third begin with the key's values, as a primary
+/// keyed on its leading columns or a secondary stores them.
+fn payload_for(rng: &mut StdRng, key: &Key) -> Row {
+    let rest = payload(rng);
+    if rng.gen_bool(1.0 / 3.0) {
+        Row::new(key.values().iter().chain(rest.values()).cloned().collect())
+    } else {
+        rest
+    }
+}
+
+fn entry(rng: &mut StdRng) -> (Key, Row) {
+    let k = key(rng);
+    let r = payload_for(rng, &k);
+    (k, r)
+}
+
 /// A probe: a fresh key, or one derived from a stored key so that it lands
 /// on, just before or just after existing entries.
 fn probe(rng: &mut StdRng, model: &Entries) -> Key {
@@ -159,11 +180,12 @@ fn model_range<'a>(model: &'a Entries, lo: Bound<&Key>, hi: Bound<&Key>) -> &'a 
     &model[start..end.max(start)]
 }
 
-/// The update the model and the tree both apply; `mode` picks what changes
-/// and whether the row reports itself modified.
-fn mutate(row: &mut Row, mode: u32) -> bool {
+/// The update the model and the tree both apply to a row under `key` (the
+/// probe that found it); `mode` picks what changes and whether the row
+/// reports itself modified.
+fn mutate(row: &mut Row, key: &Key, mode: u32) -> bool {
     let mut vs = row.values().to_vec();
-    match mode % 6 {
+    match mode % 8 {
         0 => return false,
         1 => vs.push(Value::str("w".repeat(mode as usize % 3_000))),
         2 => {
@@ -175,9 +197,18 @@ fn mutate(row: &mut Row, mode: u32) -> bool {
             Some(v) => *v = Value::str("was not a string"),
             None => vs.push(Value::Float64(-0.0)),
         },
+        // The key in front: an unshared entry becomes shared at the same
+        // width (the payload gains the key's bytes, the key's copy goes).
+        6 => drop(vs.splice(0..0, key.values().iter().cloned())),
+        // The leading values overwritten by the key's.
+        7 => {
+            let n = key.len().min(vs.len());
+            drop(vs.splice(0..n, key.values().iter().cloned()));
+        }
         _ => vs.clear(),
     }
-    // Same arity (mode 4) refills in place, any other reallocates.
+    // Same arity (mode 4; mode 7 on a row at least as long as the key)
+    // refills in place, any other reallocates.
     row.refill(vs);
     true
 }
@@ -229,13 +260,18 @@ impl Run {
                 let (mut kb, mut rb) = (Vec::new(), Vec::new());
                 codec::put_values(&mut kb, k.values());
                 codec::put_values(&mut rb, r.values());
-                if (e.key, e.payload) != (&kb[..], &rb[..]) {
+                // The key is stored once, the payload's first bytes, exactly
+                // when the payload's bytes begin with it.
+                let shared = e.key.as_ptr() == e.payload.as_ptr();
+                if (e.key, e.payload) != (&kb[..], &rb[..]) || shared != rb.starts_with(&kb) {
                     wrong.get_or_insert(at);
                 }
                 at += 1;
             });
         match wrong {
-            Some(at) => Err(format!("{what}: entry {at} is not its codec bytes")),
+            Some(at) => Err(format!(
+                "{what}: entry {at} is not its codec bytes in its form"
+            )),
             None => Ok(()),
         }
     }
@@ -244,7 +280,7 @@ impl Run {
         let (pool, tracker) = (&self.pool, &self.tracker);
         match rng.gen_range(0..10) {
             0..=3 => {
-                let (k, r) = (key(rng), payload(rng));
+                let (k, r) = entry(rng);
                 let at = self.model.partition_point(|e| e.0 <= k);
                 self.model.insert(at, (k.clone(), r.clone()));
                 self.tree.insert(k, r, pool, tracker);
@@ -272,11 +308,11 @@ impl Run {
                 let start = self.model.partition_point(|e| e.0 < k);
                 let mut want = 0;
                 for (_, r) in self.model[start..].iter_mut().take_while(|e| e.0 == k) {
-                    want += usize::from(mutate(r, mode));
+                    want += usize::from(mutate(r, &k, mode));
                 }
                 let got = self
                     .tree
-                    .update_where(&k, |r| mutate(r, mode), pool, tracker);
+                    .update_where(&k, |r| mutate(r, &k, mode), pool, tracker);
                 if got != want {
                     return Err(format!(
                         "step {step}: update {k:?} touched {got}, not {want}"
@@ -349,7 +385,7 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
     let pool = BufferPool::unbounded(DeviceProfile::ram());
     let tracker = IoTracker::new();
     let mut model: Entries = (0..rng.gen_range(0..leaf_bytes / 10))
-        .map(|_| (key(&mut rng), payload(&mut rng)))
+        .map(|_| entry(&mut rng))
         .collect();
     let alloc = StorageAllocator::new();
     let tree = match rng.gen_range(0..4) {
@@ -364,8 +400,9 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
         start => {
             if start == 3 {
                 let family = rng.gen_range(0..7);
-                for (key, _) in &mut model {
+                for (key, row) in &mut model {
                     *key = typed_key(&mut rng, family);
+                    *row = payload_for(&mut rng, key);
                 }
                 // Arrival order: as drawn, in key order (nothing to sort;
                 // payloads tell equal keys apart), or in reverse.

@@ -48,12 +48,16 @@ impl Node {
 /// The `(key, payload)` entries of one leaf in two allocations: the entries
 /// back to back in `bytes`, and where each starts.
 ///
-/// An entry is `[key length][key values][payload values]`: the byte length
-/// of the key values as a LEB128 varint (one byte for any key under 128
-/// bytes), then the key's and the payload's values in the
+/// An entry is `[header][key values][payload values]`, its values in the
 /// [`hpd_common::codec`] encoding, the one the write-ahead log writes — so
 /// `payload` of an [`EntryRef`] is, as it stands, the row a checkpoint
-/// copies into its image. Keys are compared in place through
+/// copies into its image. When the payload's bytes begin with the key's (a
+/// primary B+ tree keyed on its leading columns stores every column; a
+/// secondary stores its keys first), the key is not written a second time:
+/// the entry is `[header][payload values]` and its key is the payload's
+/// first bytes. The header is a LEB128 varint of the key's byte length
+/// shifted left by one, its low bit set when the key is shared so (one byte
+/// for any key under 64 bytes). Keys are compared in place through
 /// [`hpd_common::ValueRef`]; nothing is decoded until a caller asks for an
 /// owned [`Key`] or [`Row`].
 ///
@@ -101,12 +105,27 @@ impl EntryRef<'_> {
 pub const SLOT_BYTES: usize = std::mem::size_of::<u32>();
 
 /// Page bytes of one leaf entry whose key's values encode to `key` bytes and
-/// its payload's to `payload` bytes ([`codec::put_values`]): the key's
-/// length header, both, and the entry's slot — what
-/// [`PackedLeaf::page_bytes`] counts for it. Fractional widths (a sample's
-/// averages) give an average entry.
-pub fn entry_bytes(key: f64, payload: f64) -> f64 {
-    (varint_len(key.ceil() as usize) + SLOT_BYTES) as f64 + key + payload
+/// its payload's to `payload` bytes ([`codec::put_values`]), the payload
+/// beginning with the key's values when `shared`: the header, the key's
+/// bytes unless the payload holds them, the payload's, and the entry's slot
+/// — what [`PackedLeaf::page_bytes`] counts for it. Fractional widths (a
+/// sample's averages) give an average entry.
+pub fn entry_bytes(key: f64, payload: f64, shared: bool) -> f64 {
+    let header = varint_len(header(key.ceil() as usize, shared));
+    let key_copy = if shared { 0.0 } else { key };
+    (header + SLOT_BYTES) as f64 + key_copy + payload
+}
+
+/// Whether an entry stores its key once: its payload's encoding begins with
+/// its key's. The one rule for an entry's form.
+fn shares_key(key: &[u8], payload: &[u8]) -> bool {
+    payload.starts_with(key)
+}
+
+/// An entry's header: its key's byte length and whether the payload holds
+/// the key.
+fn header(key_len: usize, shared: bool) -> usize {
+    key_len << 1 | usize::from(shared)
 }
 
 /// Bytes [`put_varint`] writes for `n`.
@@ -204,8 +223,9 @@ impl PackedLeaf {
 
     #[inline]
     pub fn entry(&self, i: usize) -> EntryRef<'_> {
-        let (key_len, rest) = take_varint(&self.bytes[self.entry_range(i)]);
-        let (key, payload) = rest.split_at(key_len);
+        let (header, body) = take_varint(&self.bytes[self.entry_range(i)]);
+        let (key, rest) = body.split_at(header >> 1);
+        let payload = if header & 1 == 1 { body } else { rest };
         EntryRef { key, payload }
     }
 
@@ -238,13 +258,26 @@ impl PackedLeaf {
         self.partition_point(key, Ordering::is_le)
     }
 
-    /// Append an entry whose key and payload are already encoded.
+    /// Append an entry whose key and payload are already encoded. The form
+    /// is decided before anything is written: a run reserved for exactly
+    /// its entries' bytes ([`crate::EntryRun::with_capacity`]) must not
+    /// hold a key's copy even for a moment.
     pub fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
-        let start = u32::try_from(self.bytes.len()).expect("a leaf's entries fit in 4 GB");
-        self.offsets.push(start);
-        put_varint(&mut self.bytes, key.len());
-        self.bytes.extend_from_slice(key);
+        let shared = shares_key(key, payload);
+        self.open_entry();
+        put_varint(&mut self.bytes, header(key.len(), shared));
+        if !shared {
+            self.bytes.extend_from_slice(key);
+        }
         self.bytes.extend_from_slice(payload);
+    }
+
+    /// Append entry `i` of `from` as it stands: how a bulk load copies the
+    /// entries of its run.
+    pub(crate) fn push_entry_of(&mut self, from: &PackedLeaf, i: usize) {
+        self.open_entry();
+        self.bytes
+            .extend_from_slice(&from.bytes[from.entry_range(i)]);
     }
 
     /// Append an entry, encoding it in place.
@@ -253,22 +286,41 @@ impl PackedLeaf {
         key: impl IntoIterator<Item = &'a Value>,
         payload: impl IntoIterator<Item = &'a Value>,
     ) {
-        let start = u32::try_from(self.bytes.len()).expect("a leaf's entries fit in 4 GB");
-        self.offsets.push(start);
-        // One byte holds the length of any key under 128 bytes; a longer key
-        // is re-headed below, once its length is known.
+        let start = self.open_entry();
         self.bytes.push(0);
-        let key_at = self.bytes.len();
         codec::put_values(&mut self.bytes, key);
-        let key_len = self.bytes.len() - key_at;
-        if key_len < 0x80 {
-            self.bytes[key_at - 1] = key_len as u8;
-        } else {
-            let mut header = Vec::with_capacity(4);
-            put_varint(&mut header, key_len);
-            self.bytes.splice(key_at - 1..key_at, header);
-        }
+        let key_len = self.bytes.len() - start - 1;
         codec::put_values(&mut self.bytes, payload);
+        self.seal_entry(start, key_len);
+    }
+
+    /// Note that an entry starts at the end of the bytes; returns where.
+    fn open_entry(&mut self) -> usize {
+        let start = self.bytes.len();
+        self.offsets
+            .push(u32::try_from(start).expect("a leaf's entries fit in 4 GB"));
+        start
+    }
+
+    /// Give the entry written at the end from `start` on — a one-byte
+    /// placeholder, its key's `key_len` bytes, its payload's — its form:
+    /// the key's copy goes if the payload begins with it, and the header
+    /// is written (re-heading the entry if it takes more than one byte).
+    fn seal_entry(&mut self, start: usize, key_len: usize) {
+        let (key_at, payload_at) = (start + 1, start + 1 + key_len);
+        let shared = shares_key(&self.bytes[key_at..payload_at], &self.bytes[payload_at..]);
+        if shared {
+            self.bytes.copy_within(payload_at.., key_at);
+            self.bytes.truncate(self.bytes.len() - key_len);
+        }
+        let header = header(key_len, shared);
+        if header < 0x80 {
+            self.bytes[start] = header as u8;
+        } else {
+            let mut bytes = Vec::with_capacity(4);
+            put_varint(&mut bytes, header);
+            self.bytes.splice(start..key_at, bytes);
+        }
     }
 
     /// Insert an entry at `pos`, shifting the entries behind it.
@@ -299,22 +351,29 @@ impl PackedLeaf {
         }
     }
 
-    /// Replace entry `i`'s payload, keeping its key.
+    /// Replace entry `i`'s payload, keeping its key: the entry is written
+    /// anew, so a payload that now begins with the key, or no longer does,
+    /// changes its form.
     pub fn set_payload(&mut self, i: usize, payload: &Row) {
-        let range = self.entry_range(i);
-        let old_width = self.entry(i).payload.len();
-        let at = range.end - old_width;
-        // Encode at the end, move it over the old payload.
-        let appended = self.bytes.len();
+        let old = self.entry_range(i);
+        let (header, body) = take_varint(&self.bytes[old.clone()]);
+        let body_at = old.end - body.len();
+        let key = body_at..body_at + (header >> 1);
+        // Encode at the end, move it over the old entry.
+        let start = self.bytes.len();
+        self.bytes.push(0);
+        self.bytes.extend_from_within(key.clone());
         codec::put_values(&mut self.bytes, payload.values());
-        let width = self.bytes.len() - appended;
+        self.seal_entry(start, key.len());
+        let (width, old_width) = (self.bytes.len() - start, old.len());
         if width == old_width {
-            self.bytes.copy_within(appended.., at);
-            self.bytes.truncate(appended);
+            self.bytes.copy_within(start.., old.start);
+            self.bytes.truncate(start);
             return;
         }
-        self.bytes[at..].rotate_right(width);
-        self.bytes.drain(at + width..at + width + old_width);
+        self.bytes[old.start..].rotate_right(width);
+        self.bytes
+            .drain(old.start + width..old.start + width + old_width);
         for o in &mut self.offsets[i + 1..] {
             *o = *o - old_width as u32 + width as u32;
         }
@@ -360,8 +419,35 @@ mod tests {
         Row::new(vec![Value::str(s), Value::Int64(s.len() as i64)])
     }
 
+    /// A row that begins with `k`'s values, then `s`'s.
+    fn row_after(k: &Key, s: &str) -> Row {
+        Row::new(
+            k.values()
+                .iter()
+                .cloned()
+                .chain(row(s).values().to_vec())
+                .collect(),
+        )
+    }
+
     fn contents(leaf: &PackedLeaf) -> Vec<(Key, Row)> {
         leaf.iter().map(|e| (e.to_key(), e.to_row())).collect()
+    }
+
+    /// Whether entry `i` is stored in the shared form.
+    fn shared(leaf: &PackedLeaf, i: usize) -> bool {
+        take_varint(&leaf.bytes[leaf.entry_range(i)]).0 & 1 == 1
+    }
+
+    /// Every entry is in the form its bytes call for: shared exactly when
+    /// its payload's encoding begins with its key's, and then the key is the
+    /// payload's first bytes, not a copy.
+    fn assert_forms(leaf: &PackedLeaf) {
+        for (i, e) in leaf.iter().enumerate() {
+            let want = e.payload.starts_with(e.key);
+            assert_eq!(shared(leaf, i), want, "entry {i}");
+            assert_eq!(e.key.as_ptr() == e.payload.as_ptr(), want, "entry {i}");
+        }
     }
 
     #[test]
@@ -390,36 +476,65 @@ mod tests {
         let mut leaf = PackedLeaf::default();
         let mut model: Vec<(Key, Row)> = Vec::new();
         let long = "y".repeat(300);
+        let long_key = Key::new(vec![Value::str(long.clone())]);
         let steps: Vec<(usize, Key, Row)> = vec![
             (0, key(&[5]), row("five")),
             (0, key(&[1, 2]), row("")),
             (2, key(&[9]), row(&long)),
             (1, key(&[3]), Row::new(vec![])),
-            (4, Key::new(vec![Value::str(long.clone())]), row("long key")),
+            (4, long_key.clone(), row("long key")),
+            // Payloads that begin with their key: stored once, a long key
+            // under a two-byte header; a key that is the whole payload; an
+            // `Int64` payload value is not an `Int32` key's bytes.
+            (1, key(&[2]), row_after(&key(&[2]), "shares")),
+            (6, long_key.clone(), row_after(&long_key, "")),
+            (0, key(&[0, 0]), row_after(&key(&[0, 0]), "x")),
+            (3, key(&[3]), Row::new(key(&[3]).values().to_vec())),
+            (4, key(&[4]), Row::new(vec![Value::Int64(4)])),
         ];
         for (pos, k, r) in steps {
             leaf.insert(pos, &k, &r);
             model.insert(pos, (k, r));
             assert_eq!(contents(&leaf), model);
+            assert_forms(&leaf);
         }
-        // Same width, wider, narrower, empty.
-        for (i, r) in [
-            (0, row("")),
-            (1, row("now longer")),
-            (2, row("x")),
-            (4, Row::new(vec![])),
-        ] {
+        assert_eq!((0..leaf.len()).filter(|&i| shared(&leaf, i)).count(), 4);
+        // Same width, wider, narrower, empty; then payloads that come to
+        // begin with their key and ones that stop doing so, either way at
+        // the same width too.
+        let rewrites = [
+            (1, row("")),
+            (2, row("now longer")),
+            (3, row("x")),
+            (5, Row::new(vec![])),
+            (2, row_after(&key(&[1, 2]), "")),
+            (0, row("shares no more")),
+            (6, row_after(&key(&[5]), "five")),
+            (8, row_after(&long_key, "now shared")),
+            (4, Row::new(vec![Value::Int32(4)])),
+            (4, Row::new(vec![Value::Int32(5)])),
+            (9, row("")),
+        ];
+        for (i, r) in rewrites {
             leaf.set_payload(i, &r);
             model[i].1 = r;
             assert_eq!(contents(&leaf), model);
+            assert_forms(&leaf);
         }
-        let right = leaf.split_off(2);
-        assert_eq!(contents(&leaf), model[..2]);
-        assert_eq!(contents(&right), model[2..]);
+        let right = leaf.split_off(4);
+        assert_eq!(contents(&leaf), model[..4]);
+        assert_eq!(contents(&right), model[4..]);
+        assert_forms(&right);
         assert_eq!(leaf.heap_bytes(), leaf.bytes.len() + 4 * leaf.len());
-        leaf.remove(0);
-        assert_eq!(contents(&leaf), model[1..2]);
-        leaf.remove(0);
+        // A copy is the entry as it stands.
+        let mut copy = PackedLeaf::default();
+        (0..right.len()).for_each(|i| copy.push_entry_of(&right, i));
+        assert_eq!((&copy.bytes, &copy.offsets), (&right.bytes, &right.offsets));
+        for _ in 0..4 {
+            leaf.remove(0);
+            model.remove(0);
+            assert_eq!(contents(&leaf), model[..leaf.len()]);
+        }
         assert!(leaf.is_empty() && leaf.bytes.is_empty());
     }
 
@@ -427,29 +542,45 @@ mod tests {
     fn page_bytes_are_entry_bytes_summed_and_cuts_balance_them() {
         let mut leaf = PackedLeaf::default();
         let long = "z".repeat(200);
+        let long_key = Key::new(vec![Value::str(long.clone())]);
         let entries = [
             (key(&[1]), row("a")),
             (key(&[2]), row(&long)),
-            (Key::new(vec![Value::str(long.clone())]), row("")),
+            (long_key.clone(), row("")),
             (key(&[4, 4]), row("bb")),
+            (key(&[5]), row_after(&key(&[5]), "shared")),
+            (long_key.clone(), row_after(&long_key, "")),
         ];
         let mut want = 0.0;
         for (k, r) in &entries {
             leaf.push(k.values(), r.values());
-            let width = |vs: &[Value]| {
+            let encode = |vs: &[Value]| {
                 let mut b = Vec::new();
                 codec::put_values(&mut b, vs);
-                b.len() as f64
+                b
             };
-            want += entry_bytes(width(k.values()), width(r.values()));
+            let (kb, rb) = (encode(k.values()), encode(r.values()));
+            let shared = rb.starts_with(&kb);
+            want += entry_bytes(kb.len() as f64, rb.len() as f64, shared);
+            // The same entry, already encoded, is the same bytes.
+            let mut again = PackedLeaf::default();
+            again.push_encoded(&kb, &rb);
+            assert_eq!(again.bytes, leaf.bytes[leaf.entry_range(leaf.len() - 1)]);
         }
         assert_eq!(leaf.page_bytes() as f64, want);
-        let widths: Vec<usize> = (0..4).map(|i| leaf.entry_page_bytes(i)).collect();
+        assert_forms(&leaf);
+        // Shared, the key's five bytes are the payload's first: a one-byte
+        // header, the payload (`Int32`, a six-byte string, `Int64`) and the
+        // slot. The 205-byte key takes a two-byte header either way.
+        assert_eq!(leaf.entry_page_bytes(4), 1 + 5 + 11 + 9 + SLOT_BYTES);
+        assert_eq!(leaf.entry_page_bytes(2), 2 + 205 + 14 + SLOT_BYTES);
+        assert_eq!(leaf.entry_page_bytes(5), 2 + 205 + 14 + SLOT_BYTES);
+        let widths: Vec<usize> = (0..6).map(|i| leaf.entry_page_bytes(i)).collect();
         assert_eq!(widths.iter().sum::<usize>(), leaf.page_bytes());
-        // The two long entries go to different halves.
-        assert_eq!(leaf.byte_midpoint(), 2);
-        let right = leaf.split_off(1);
-        assert_eq!(right.byte_midpoint(), 1);
+        // The three long entries (1, 2 and 5) go to different pieces.
+        assert_eq!(leaf.byte_midpoint(), 3);
+        let right = leaf.split_off(3);
+        assert_eq!((leaf.byte_midpoint(), right.byte_midpoint()), (2, 2));
     }
 
     #[test]

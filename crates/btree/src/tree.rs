@@ -78,6 +78,9 @@ pub struct BTreeStats {
     pub leaf_pages: usize,
     pub total_pages: usize,
     pub height: usize,
+    /// Logical bytes of the entries: `Key::byte_width` + `Row::byte_width`
+    /// of each, as owned values — not what the leaves store, where a key
+    /// the payload begins with is written once.
     pub data_bytes: usize,
 }
 
@@ -183,13 +186,13 @@ impl<'a> BulkLoader<'a> {
         }
     }
 
-    /// Append an entry of `bytes` page bytes; its key must not sort before
-    /// the previous one's.
-    fn push(&mut self, e: EntryRef<'_>, bytes: usize) {
+    /// Append entry `i` of `run`, of `bytes` page bytes, as it stands; its
+    /// key must not sort before the previous one's.
+    fn push(&mut self, run: &PackedLeaf, i: usize, bytes: usize) {
         if self.fill.starts_leaf(bytes) {
             self.seal_leaf();
         }
-        self.filling.push_encoded(e.key, e.payload);
+        self.filling.push_entry_of(run, i);
         let n = self.filling.len();
         debug_assert!(
             n < 2
@@ -198,7 +201,7 @@ impl<'a> BulkLoader<'a> {
             "bulk load requires sorted input"
         );
         self.len += 1;
-        self.data_bytes += e.byte_width();
+        self.data_bytes += run.entry(i).byte_width();
     }
 
     fn seal_leaf(&mut self) {
@@ -331,8 +334,8 @@ pub struct EntryRun {
 
 impl EntryRun {
     /// An empty run with room for `entries` entries of `page_bytes` page
-    /// bytes in all ([`crate::entry_bytes`]: header, key, payload and slot
-    /// each): a build that knows its row count reserves once, where vectors
+    /// bytes in all ([`crate::entry_bytes`]: header, key unless the
+    /// payload holds it, payload and slot each): a build that knows its row count reserves once, where vectors
     /// grown by doubling end up to twice the size of the run.
     pub fn with_capacity(entries: usize, page_bytes: usize) -> EntryRun {
         let bytes = page_bytes.saturating_sub(entries * SLOT_BYTES);
@@ -439,7 +442,7 @@ impl EntryRun {
             tracker,
         );
         for at in &self.order {
-            loader.push(entries.entry(at.1 as usize), entry_bytes(at));
+            loader.push(entries, at.1 as usize, entry_bytes(at));
         }
         Ok(loader.finish())
     }

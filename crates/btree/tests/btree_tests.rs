@@ -7,11 +7,12 @@ use hpd_common::{Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
 
-/// Leaves of 80 page bytes: four [`kv`] entries (a key-length byte, 5 + 10
-/// encoded bytes and a 4-byte slot each).
+/// Leaves of 60 page bytes: four [`kv`] entries (a header byte, the 10
+/// encoded bytes of a payload that begins with the 5-byte key, stored once,
+/// and a 4-byte slot each).
 fn small_config() -> BTreeConfig {
     BTreeConfig {
-        leaf_bytes: 80,
+        leaf_bytes: 60,
         internal_fanout: 4,
         bulk_fill: 1.0,
     }

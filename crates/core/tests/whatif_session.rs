@@ -355,10 +355,11 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
 }
 
 /// A hypothetical B+ tree is the tree a build makes: on every B+ tree that
-/// the 13-query hybrid recommendation, `micro`, `micro_part`'s B+ tree tail
-/// and TPC-H `lineitem` (primary and `l_shipdate` secondary) build — every
-/// column fixed-width — the what-if leaf pages and height equal the built
-/// ones. With a string column the entry is the sample's average, and the
+/// the 13-query hybrid recommendation, `micro`, `micro_part`'s B+ tree tail,
+/// TPC-H `lineitem` (primary and `l_shipdate` secondary) and a table keyed
+/// past its leading column (its primary's entries unshared, a secondary's
+/// shared) build — every column fixed-width — the what-if leaf pages and
+/// height equal the built ones. With a string column the entry is the sample's average, and the
 /// leaf pages are within 5 %.
 #[test]
 fn hypothetical_btree_sizes_equal_the_built_ones() {
@@ -397,7 +398,33 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
     db.apply_partition_design("micro_part", 7, &btree, &[])
         .unwrap();
     load_lineitem(&db, 30_000, 7, MixedDesign::BTreeOnly).unwrap();
-    for table in ["micro", "micro_part", "lineitem"] {
+    // Keyed past its leading column: the primary's entries hold the key
+    // apart from the row. (A row whose `v` equalled its key would store it
+    // once, which a size estimate cannot see; none does here.)
+    let schema = Schema::from_pairs(&[
+        ("v", DataType::Int32),
+        ("k", DataType::Int32),
+        ("w", DataType::Int64),
+    ]);
+    let keyed_late = IndexDescriptor::PrimaryBTree { keys: vec![1] };
+    db.create_table("keyed_late", schema, vec![1], keyed_late)
+        .unwrap();
+    let rows = (0..30_000)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int32(-1 - i),
+                Value::Int32(i),
+                Value::Int64(i64::from(i % 1_000)),
+            ])
+        })
+        .collect();
+    db.load_table("keyed_late", rows).unwrap();
+    let by_w = IndexDescriptor::SecondaryBTree {
+        keys: vec![2],
+        includes: vec![],
+    };
+    db.create_index("keyed_late", &by_w).unwrap();
+    for table in ["micro", "micro_part", "lineitem", "keyed_late"] {
         fixed.extend(btree_sizes(&db, table));
     }
     let names = |sizes: &Sizes| sizes.iter().map(|s| s.0.clone()).collect::<Vec<_>>();
@@ -406,6 +433,8 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         "micro_part p7",
         "lineitem p0 PrimaryBTree",
         "lineitem p0 SecondaryBTree { keys: [5]",
+        "keyed_late p0 PrimaryBTree { keys: [1] }",
+        "keyed_late p0 SecondaryBTree { keys: [2]",
     ] {
         assert!(
             names(&fixed).iter().any(|n| n.starts_with(expected)),

@@ -246,9 +246,13 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
 /// Page bytes of one entry of the B+ tree `descriptor` names, on a table of
 /// `arity` columns keyed on `pk`, when column `c`'s values encode to
 /// `width(c)` bytes ([`codec::put_values`]): [`hpd_btree::entry_bytes`] of
-/// its key columns and of the columns it stores. Exact for fixed-width
-/// columns — a build reserves its run by it — and, given a sample's average
-/// widths, what the what-if estimator sizes a hypothetical tree by.
+/// its key columns and of the columns it stores, the key stored once when
+/// those columns begin with it (a secondary; a primary keyed on its leading
+/// columns). Exact for fixed-width columns — a build reserves its run by it
+/// — and, given a sample's average widths, what the what-if estimator sizes
+/// a hypothetical tree by. One case it cannot see: on a primary keyed past
+/// its leading column, a row whose leading values happen to encode as its
+/// key's stores the key once, so the built tree can come out smaller.
 pub fn btree_entry_bytes(
     descriptor: &IndexDescriptor,
     arity: usize,
@@ -256,8 +260,8 @@ pub fn btree_entry_bytes(
     width: impl Fn(usize) -> f64,
 ) -> f64 {
     let bytes = |columns: &[usize]| columns.iter().map(|&c| width(c)).sum();
-    let stored = descriptor.stored_columns(arity, pk);
-    hpd_btree::entry_bytes(bytes(descriptor.keys()), bytes(&stored))
+    let (keys, stored) = (descriptor.keys(), descriptor.stored_columns(arity, pk));
+    hpd_btree::entry_bytes(bytes(keys), bytes(&stored), stored.starts_with(keys))
 }
 
 /// The value of an encoded row that `span` covers ([`codec::value_spans`]).

@@ -37,7 +37,8 @@ fn main() {
     let seeds: u64 = seeds.unwrap_or(5000);
     let pool = BufferPool::unbounded(DeviceProfile::ram());
     let t = IoTracker::new();
-    // Four entries a leaf: a key-length byte, 5 + 5 encoded bytes and a slot.
+    // Eight entries a leaf: a header byte, the payload's 2-byte value (the
+    // key's too) and a slot.
     let cfg = BTreeConfig {
         leaf_bytes: 60,
         internal_fanout: 4,

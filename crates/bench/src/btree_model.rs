@@ -9,11 +9,16 @@
 //! prefix of stored keys, `Included` / `Excluded` / `Unbounded` bounds,
 //! `Value::sentinel_max`, `Int64` and `Float64` probes against `Int32` keys,
 //! `-0.0` and NaN floats, empty payloads, empty and multi-kilobyte strings,
+//! integers of every payload width from 0 to 8 bytes and the `i32` / `i64`
+//! extremes, strings whose length is either side of a varint byte (0, 127,
+//! 128, 16 383, 16 384),
 //! updates that widen and narrow a payload (past a whole page too), bulk
 //! loads from owned entries and from an unsorted encoded run, and leaves
 //! that fill and split by their bytes at the given page size. A third of the
 //! payloads drawn begin with their key's values, so a leaf stores the key
-//! once, and updates prepend the key to a payload, overwrite its leading
+//! once (and some begin with the key's values under another type, `Int64(5)`
+//! behind the key `Int32(5)`: equal values, other bytes, so the entry stays
+//! unshared), and updates prepend the key to a payload, overwrite its leading
 //! values with the key's or with others, moving an entry between the shared
 //! and the unshared form — at the same entry width too.
 //!
@@ -33,7 +38,7 @@ use hpd_btree::{BTree, BTreeConfig, EntryRun};
 use hpd_common::{codec, Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 type Entries = Vec<(Key, Row)>;
 
@@ -44,7 +49,7 @@ fn show<T: std::fmt::Debug>(v: &T) -> String {
 }
 
 fn value(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..20) {
+    match rng.gen_range(0..24) {
         0..=9 => Value::Int32(rng.gen_range(-3..8)),
         10 => Value::Int64(rng.gen_range(-3..8)),
         11 => Value::Date(rng.gen_range(0..4)),
@@ -56,7 +61,33 @@ fn value(rng: &mut StdRng) -> Value {
         15 => Value::str(""),
         16 | 17 => Value::str(["a", "ab", "b", "héllo"][rng.gen_range(0..4usize)]),
         18 => Value::str("k".repeat(rng.gen_range(2_000..5_000))),
-        _ => Value::sentinel_max(),
+        19 => Value::sentinel_max(),
+        20 | 21 => wide(rng),
+        22 => Value::str("v".repeat([0, 127, 128, 16_383, 16_384][rng.gen_range(0..5usize)])),
+        _ => [
+            Value::Int32(i32::MIN),
+            Value::Int32(i32::MAX),
+            Value::Int64(i64::MIN),
+            Value::Int64(i64::MAX),
+        ][rng.gen_range(0..4usize)]
+        .clone(),
+    }
+}
+
+/// An integer, date or decimal whose payload takes 0 to 8 bytes (4 at most
+/// for the 32-bit types): a zig-zag word of that many significant bytes.
+fn wide(rng: &mut StdRng) -> Value {
+    let bytes = rng.gen_range(0..=8u32);
+    let w = match bytes {
+        0 => 0,
+        n => (rng.next_u64() | 1 << (8 * n - 1)) & u64::MAX >> (64 - 8 * n),
+    };
+    let x = (w >> 1) as i64 ^ -((w & 1) as i64);
+    match rng.gen_range(0..4) {
+        0 if bytes <= 4 => Value::Int32(x as i32),
+        1 if bytes <= 4 => Value::Date(x as i32),
+        2 => Value::Decimal(x),
+        _ => Value::Int64(x),
     }
 }
 
@@ -111,13 +142,24 @@ fn payload(rng: &mut StdRng) -> Row {
 }
 
 /// A payload for `key`: a third begin with the key's values, as a primary
-/// keyed on its leading columns or a secondary stores them.
+/// keyed on its leading columns or a secondary stores them, and one in
+/// twelve with them as `Int64` where they are `Int32`s.
 fn payload_for(rng: &mut StdRng, key: &Key) -> Row {
     let rest = payload(rng);
-    if rng.gen_bool(1.0 / 3.0) {
-        Row::new(key.values().iter().chain(rest.values()).cloned().collect())
-    } else {
-        rest
+    let widened = |v: &Value| match v {
+        Value::Int32(x) => Value::Int64(i64::from(*x)),
+        v => v.clone(),
+    };
+    match rng.gen_range(0..12) {
+        0..=3 => Row::new(key.values().iter().chain(rest.values()).cloned().collect()),
+        4 => Row::new(
+            key.values()
+                .iter()
+                .map(widened)
+                .chain(rest.values().iter().cloned())
+                .collect(),
+        ),
+        _ => rest,
     }
 }
 

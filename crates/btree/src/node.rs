@@ -55,9 +55,9 @@ impl Node {
 /// primary B+ tree keyed on its leading columns stores every column; a
 /// secondary stores its keys first), the key is not written a second time:
 /// the entry is `[header][payload values]` and its key is the payload's
-/// first bytes. The header is a LEB128 varint of the key's byte length
-/// shifted left by one, its low bit set when the key is shared so (one byte
-/// for any key under 64 bytes). Keys are compared in place through
+/// first bytes. The header is a varint ([`codec::put_varint`]) of the key's
+/// byte length shifted left by one, its low bit set when the key is shared
+/// so (one byte for any key under 64 bytes). Keys are compared in place through
 /// [`hpd_common::ValueRef`]; nothing is decoded until a caller asks for an
 /// owned [`Key`] or [`Row`].
 ///
@@ -109,9 +109,9 @@ pub const SLOT_BYTES: usize = std::mem::size_of::<u32>();
 /// beginning with the key's values when `shared`: the header, the key's
 /// bytes unless the payload holds them, the payload's, and the entry's slot
 /// — what [`PackedLeaf::page_bytes`] counts for it. Fractional widths (a
-/// sample's averages) give an average entry.
+/// table's mean widths) give a mean entry.
 pub fn entry_bytes(key: f64, payload: f64, shared: bool) -> f64 {
-    let header = varint_len(header(key.ceil() as usize, shared));
+    let header = codec::varint_len(header(key.ceil() as usize, shared) as u64);
     let key_copy = if shared { 0.0 } else { key };
     (header + SLOT_BYTES) as f64 + key_copy + payload
 }
@@ -128,36 +128,11 @@ fn header(key_len: usize, shared: bool) -> usize {
     key_len << 1 | usize::from(shared)
 }
 
-/// Bytes [`put_varint`] writes for `n`.
-fn varint_len(mut n: usize) -> usize {
-    let mut len = 1;
-    while n >= 0x80 {
-        n >>= 7;
-        len += 1;
-    }
-    len
-}
-
-fn put_varint(buf: &mut Vec<u8>, mut n: usize) {
-    while n >= 0x80 {
-        buf.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    buf.push(n as u8);
-}
-
-/// Read the varint at the front of `bytes`; returns it and the rest.
+/// The header at the front of an entry's bytes, and the rest.
 #[inline]
-fn take_varint(bytes: &[u8]) -> (usize, &[u8]) {
-    let (mut n, mut shift) = (0usize, 0);
-    for (i, &b) in bytes.iter().enumerate() {
-        n |= usize::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return (n, &bytes[i + 1..]);
-        }
-        shift += 7;
-    }
-    panic!("entry header runs off the leaf");
+fn take_header(mut bytes: &[u8]) -> (usize, &[u8]) {
+    let header = codec::take_varint(&mut bytes).expect("an entry starts with its header");
+    (header as usize, bytes)
 }
 
 impl PackedLeaf {
@@ -223,7 +198,7 @@ impl PackedLeaf {
 
     #[inline]
     pub fn entry(&self, i: usize) -> EntryRef<'_> {
-        let (header, body) = take_varint(&self.bytes[self.entry_range(i)]);
+        let (header, body) = take_header(&self.bytes[self.entry_range(i)]);
         let (key, rest) = body.split_at(header >> 1);
         let payload = if header & 1 == 1 { body } else { rest };
         EntryRef { key, payload }
@@ -265,7 +240,7 @@ impl PackedLeaf {
     pub fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
         let shared = shares_key(key, payload);
         self.open_entry();
-        put_varint(&mut self.bytes, header(key.len(), shared));
+        codec::put_varint(&mut self.bytes, header(key.len(), shared) as u64);
         if !shared {
             self.bytes.extend_from_slice(key);
         }
@@ -318,7 +293,7 @@ impl PackedLeaf {
             self.bytes[start] = header as u8;
         } else {
             let mut bytes = Vec::with_capacity(4);
-            put_varint(&mut bytes, header);
+            codec::put_varint(&mut bytes, header as u64);
             self.bytes.splice(start..key_at, bytes);
         }
     }
@@ -356,7 +331,7 @@ impl PackedLeaf {
     /// changes its form.
     pub fn set_payload(&mut self, i: usize, payload: &Row) {
         let old = self.entry_range(i);
-        let (header, body) = take_varint(&self.bytes[old.clone()]);
+        let (header, body) = take_header(&self.bytes[old.clone()]);
         let body_at = old.end - body.len();
         let key = body_at..body_at + (header >> 1);
         // Encode at the end, move it over the old entry.
@@ -392,6 +367,12 @@ impl PackedLeaf {
         self.bytes.shrink_to_fit();
         self.offsets.shrink_to_fit();
         right
+    }
+
+    /// Give back the byte capacity past the entries: a run reserved for its
+    /// entries' largest size keeps only what they took.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
     }
 
     /// A copy holding exactly its bytes, leaving `self` empty with its
@@ -436,7 +417,7 @@ mod tests {
 
     /// Whether entry `i` is stored in the shared form.
     fn shared(leaf: &PackedLeaf, i: usize) -> bool {
-        take_varint(&leaf.bytes[leaf.entry_range(i)]).0 & 1 == 1
+        take_header(&leaf.bytes[leaf.entry_range(i)]).0 & 1 == 1
     }
 
     /// Every entry is in the form its bytes call for: shared exactly when
@@ -447,27 +428,6 @@ mod tests {
             let want = e.payload.starts_with(e.key);
             assert_eq!(shared(leaf, i), want, "entry {i}");
             assert_eq!(e.key.as_ptr() == e.payload.as_ptr(), want, "entry {i}");
-        }
-    }
-
-    #[test]
-    fn varint_round_trips() {
-        for n in [
-            0,
-            1,
-            127,
-            128,
-            300,
-            16_383,
-            16_384,
-            1 << 21,
-            usize::MAX >> 1,
-        ] {
-            let mut b = Vec::new();
-            put_varint(&mut b, n);
-            assert_eq!(b.len(), varint_len(n), "{n}");
-            b.push(0xee);
-            assert_eq!(take_varint(&b), (n, &[0xee][..]), "{n}");
         }
     }
 
@@ -569,12 +529,13 @@ mod tests {
         }
         assert_eq!(leaf.page_bytes() as f64, want);
         assert_forms(&leaf);
-        // Shared, the key's five bytes are the payload's first: a one-byte
-        // header, the payload (`Int32`, a six-byte string, `Int64`) and the
-        // slot. The 205-byte key takes a two-byte header either way.
-        assert_eq!(leaf.entry_page_bytes(4), 1 + 5 + 11 + 9 + SLOT_BYTES);
-        assert_eq!(leaf.entry_page_bytes(2), 2 + 205 + 14 + SLOT_BYTES);
-        assert_eq!(leaf.entry_page_bytes(5), 2 + 205 + 14 + SLOT_BYTES);
+        // Shared, the key's two bytes are the payload's first: a one-byte
+        // header, the payload (`Int32(5)` in 2 bytes, a six-byte string in
+        // 8, `Int64(6)` in 2) and the slot. The 203-byte key takes a
+        // two-byte header either way.
+        assert_eq!(leaf.entry_page_bytes(4), 1 + 2 + 8 + 2 + SLOT_BYTES);
+        assert_eq!(leaf.entry_page_bytes(2), 2 + 203 + 3 + SLOT_BYTES);
+        assert_eq!(leaf.entry_page_bytes(5), 2 + 203 + 3 + SLOT_BYTES);
         let widths: Vec<usize> = (0..6).map(|i| leaf.entry_page_bytes(i)).collect();
         assert_eq!(widths.iter().sum::<usize>(), leaf.page_bytes());
         // The three long entries (1, 2 and 5) go to different pieces.

@@ -51,8 +51,9 @@ impl BTreeConfig {
 
     /// Leaf pages and height of a tree bulk loaded with `entries` entries of
     /// `entry_bytes` page bytes each ([`crate::entry_bytes`]): exactly what
-    /// the load builds when every entry weighs the same, an estimate when
-    /// `entry_bytes` is an average.
+    /// the load builds when every entry weighs the same. Values encode at
+    /// their significant width, so entries seldom do; given their mean the
+    /// leaves are an estimate, off by how unevenly the entries pack.
     pub fn size_estimate(&self, entries: usize, entry_bytes: f64) -> (usize, usize) {
         let per_leaf = ((self.fill_bytes() as f64 / entry_bytes).floor() as usize).max(1);
         let leaves = entries.div_ceil(per_leaf).max(1);
@@ -319,8 +320,8 @@ fn run_counters() -> &'static [Counter; 2] {
 #[derive(Default)]
 pub struct EntryRun {
     entries: PackedLeaf,
-    /// `(abbreviated key, arrival index)` of every entry.
-    order: Vec<(u64, u32)>,
+    /// The sort record of every entry.
+    order: Vec<SortRecord>,
     /// Type tag of the first key values; once two differ (which no schema
     /// admits) `untyped` is set and every image is zero.
     tag: Option<u8>,
@@ -332,11 +333,22 @@ pub struct EntryRun {
     overflowed: bool,
 }
 
+/// An entry's abbreviated key and arrival index in twelve bytes: as a
+/// `(u64, u32)` it would pad to sixteen.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
+struct SortRecord {
+    image: u64,
+    index: u32,
+}
+
 impl EntryRun {
     /// An empty run with room for `entries` entries of `page_bytes` page
-    /// bytes in all ([`crate::entry_bytes`]: header, key unless the
-    /// payload holds it, payload and slot each): a build that knows its row count reserves once, where vectors
-    /// grown by doubling end up to twice the size of the run.
+    /// bytes in all ([`crate::entry_bytes`]: header, key unless the payload
+    /// holds it, payload and slot each): a build that knows its row count
+    /// reserves once, for the most its entries can take, where vectors
+    /// grown by doubling end up to twice the size of the run. The bytes
+    /// they leave unused are given back before the load.
     pub fn with_capacity(entries: usize, page_bytes: usize) -> EntryRun {
         let bytes = page_bytes.saturating_sub(entries * SLOT_BYTES);
         EntryRun {
@@ -387,18 +399,21 @@ impl EntryRun {
             _ => {
                 if !self.untyped {
                     (self.untyped, self.inexact) = (true, true);
-                    self.order.iter_mut().for_each(|(image, _)| *image = 0);
+                    self.order.iter_mut().for_each(|r| r.image = 0);
                 }
                 0
             }
         };
-        if let Some(&(prev, _)) = self.order.last().filter(|_| !self.unsorted) {
+        if let Some(prev) = (self.order.last().map(|r| r.image)).filter(|_| !self.unsorted) {
             self.unsorted = prev > image
                 || prev == image
                     && self.inexact
                     && codec::cmp_encoded(self.entries.entry(at - 1).key, key).is_gt();
         }
-        self.order.push((image, at as u32));
+        self.order.push(SortRecord {
+            image,
+            index: at as u32,
+        });
     }
 
     /// Sort by key (entries with equal keys stay in arrival order) and bulk
@@ -415,13 +430,17 @@ impl EntryRun {
                 "a B+ tree build takes under 4 GB of encoded entries per partition".into(),
             ));
         }
+        // Reserved for the entries' largest encoding, the run keeps what
+        // they took before the tree's leaves are allocated beside it.
+        self.entries.shrink_to_fit();
         let (entries, inexact) = (&self.entries, self.inexact);
         let [presorted, sorted] = run_counters();
         if self.unsorted {
             sorted.add(1);
             // The index is the last key part: no two records are equal, so
             // the unstable sort keeps equal keys in arrival order.
-            self.order.sort_unstable_by(|&(x, a), &(y, b)| {
+            self.order.sort_unstable_by(|p, q| {
+                let ((x, a), (y, b)) = ((p.image, p.index), (q.image, q.index));
                 let keys = || {
                     let (a, b) = (entries.entry(a as usize), entries.entry(b as usize));
                     codec::cmp_encoded(a.key, b.key)
@@ -433,7 +452,7 @@ impl EntryRun {
         } else {
             presorted.add(1);
         }
-        let entry_bytes = |&(_, i): &(u64, u32)| entries.entry_page_bytes(i as usize);
+        let entry_bytes = |r: &SortRecord| entries.entry_page_bytes(r.index as usize);
         let mut loader = BulkLoader::new(
             config,
             alloc,
@@ -442,7 +461,7 @@ impl EntryRun {
             tracker,
         );
         for at in &self.order {
-            loader.push(entries, at.1 as usize, entry_bytes(at));
+            loader.push(entries, at.index as usize, entry_bytes(at));
         }
         Ok(loader.finish())
     }
@@ -1206,5 +1225,51 @@ impl BTree {
             return fail(format!("height {height}, counter says {}", self.height));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpd_storage::DeviceProfile;
+
+    #[test]
+    fn int32_keys_of_every_payload_width_stay_typed_and_sort_by_images() {
+        // Payloads of 0, 1, 2, 3 and 4 bytes: five header bytes, one type.
+        let keys = [70_000, 0, i32::MAX, -1, 300, i32::MIN, 1 << 30, -200, 5];
+        let mut run = EntryRun::default();
+        for &k in &keys {
+            let (key, row) = ([Value::Int32(k)], [Value::Int32(k), Value::Int64(7)]);
+            run.push(&key, &row);
+        }
+        let int32 = codec::abbreviate(run.entries.entry(0).key).unwrap().tag;
+        assert_eq!(run.tag, Some(int32));
+        // Typed and exact: a lone `Int32` key is its image, so the sort
+        // never reads a key's bytes.
+        assert!(!run.untyped && !run.inexact && run.unsorted);
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        let mut by_image: Vec<(u64, u32)> = run.order.iter().map(|r| (r.image, r.index)).collect();
+        by_image.sort_unstable();
+        let by_image: Vec<i32> = by_image.iter().map(|&(_, i)| keys[i as usize]).collect();
+        assert_eq!(by_image, sorted);
+        let (pool, tracker) = (
+            BufferPool::unbounded(DeviceProfile::ram()),
+            IoTracker::new(),
+        );
+        let tree = run
+            .bulk_load(
+                BTreeConfig::default(),
+                StorageAllocator::new(),
+                &pool,
+                &tracker,
+            )
+            .unwrap();
+        let loaded: Vec<Value> =
+            (tree.scan_range_collect(Bound::Unbounded, Bound::Unbounded, &pool, &tracker))
+                .into_iter()
+                .map(|(k, _)| k.values()[0].clone())
+                .collect();
+        assert_eq!(loaded, sorted.map(Value::Int32));
     }
 }

@@ -7,9 +7,10 @@ use hpd_common::{Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
 
-/// Leaves of 60 page bytes: four [`kv`] entries (a header byte, the 10
-/// encoded bytes of a payload that begins with the 5-byte key, stored once,
-/// and a 4-byte slot each).
+/// Leaves of 60 page bytes: four to ten [`kv`] entries (a header byte, a
+/// payload of two values at their significant width that begins with the
+/// key, stored once, and a 4-byte slot each; four when both values take
+/// four payload bytes).
 fn small_config() -> BTreeConfig {
     BTreeConfig {
         leaf_bytes: 60,
@@ -322,7 +323,9 @@ fn for_each_entry_is_a_cursor_scan_without_the_copies() {
 
 #[test]
 fn stats_reflect_structure() {
-    let (tree, _, _) = build_bulk(&(0..64).collect::<Vec<_>>());
+    // Keys whose values all take four payload bytes: entries of 15 page
+    // bytes (header, two 5-byte values, slot), 4 to a 60-byte leaf.
+    let (tree, _, _) = build_bulk(&((1 << 23)..(1 << 23) + 64).collect::<Vec<_>>());
     let s = tree.stats();
     assert_eq!(s.entries, 64);
     assert_eq!(s.leaf_pages, 16); // 64 entries / 4 per leaf

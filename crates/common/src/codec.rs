@@ -1,11 +1,17 @@
 //! The one binary encoding of a [`Value`], and its borrowed view.
 //!
-//! A value is a one-byte type tag (0–5, the order of [`DataType`]'s
-//! variants) followed by a little-endian payload: 4 bytes for `Int32` and
-//! `Date`, 8 for `Int64`, `Decimal` and the bits of a `Float64`, and for a
-//! string a `u32` byte length and the UTF-8 bytes. The write-ahead log
-//! writes rows and keys in this form, and a B+ tree leaf *holds* its entries
-//! in it, so a checkpoint copies a leaf's rows into the image as bytes.
+//! A value is a header byte and a payload. The header's high four bits are
+//! the type tag (0–5, the order of [`DataType`]'s variants) and its low
+//! four the payload's length. An `Int32`, `Int64`, `Decimal` or `Date` is
+//! zig-zagged (0, -1, 1, -2, … to 0, 1, 2, 3, …) and its payload is that
+//! word's significant bytes, little-endian: none for zero, one for -64 to
+//! 63, at most 4 for the 32-bit types and 8 for the 64-bit ones. A
+//! `Float64` is its 8 bytes. A string's header has length 0 and is followed
+//! by its byte length as a LEB128 varint and the UTF-8 bytes. Every value
+//! has one encoding: the decoder refuses a wider payload or varint than the
+//! value needs, so equal values are equal bytes. The write-ahead log writes
+//! rows and keys in this form, and a B+ tree leaf *holds* its entries in
+//! it, so a checkpoint copies a leaf's rows into the image as bytes.
 //!
 //! [`ValueRef`] is a value read in place: scalars by copy, strings as a
 //! `&str` into the encoded bytes. The total order of values is defined here,
@@ -78,20 +84,21 @@ impl ValueRef<'_> {
         }
     }
 
-    /// What [`Value::byte_width`] answers for the owned value.
+    /// What [`Value::byte_width`] answers for the owned value: its type's
+    /// fixed width, or a string's bytes and two more.
     pub fn byte_width(self) -> usize {
         match self {
-            ValueRef::Int32(_) | ValueRef::Date(_) => 4,
-            ValueRef::Int64(_) | ValueRef::Float64(_) | ValueRef::Decimal(_) => 8,
             ValueRef::Str(s) => 2 + s.len(),
+            scalar => scalar.data_type().fixed_width(),
         }
     }
 
     /// Bytes [`put_value`] writes for this value.
     pub fn encoded_len(self) -> usize {
         match self {
-            ValueRef::Str(s) => 5 + s.len(),
-            scalar => 1 + scalar.byte_width(),
+            ValueRef::Float64(_) => 9,
+            ValueRef::Str(s) => 1 + varint_len(s.len() as u64) + s.len(),
+            integer => 1 + significant_len(integer.zigzag()),
         }
     }
 
@@ -107,6 +114,29 @@ impl ValueRef<'_> {
             ValueRef::Str(_) => TAG_STR,
         }
     }
+
+    /// The zig-zag word of an integer, date or decimal, whose significant
+    /// bytes are its payload (0 for a float or a string, which have none).
+    fn zigzag(self) -> u64 {
+        let x = match self {
+            ValueRef::Int32(x) | ValueRef::Date(x) => i64::from(x),
+            ValueRef::Int64(x) | ValueRef::Decimal(x) => x,
+            ValueRef::Float64(_) | ValueRef::Str(_) => 0,
+        };
+        ((x << 1) ^ (x >> 63)) as u64
+    }
+}
+
+/// The integer whose zig-zag word is `w`.
+#[inline(always)]
+fn unzigzag(w: u64) -> i64 {
+    (w >> 1) as i64 ^ -((w & 1) as i64)
+}
+
+/// Bytes of `w` below its leading zero bytes: 0 for 0, up to 8.
+#[inline(always)]
+fn significant_len(w: u64) -> usize {
+    (71 - w.leading_zeros() as usize) / 8
 }
 
 impl PartialEq for ValueRef<'_> {
@@ -173,25 +203,37 @@ impl Value {
     }
 }
 
-/// Bytes [`put_value`] writes for a value of type `dtype`: exact for every
-/// type but a string, whose bytes [`DataType::fixed_width`] only estimates.
+/// The most bytes [`put_value`] writes for a value of type `dtype`: 5 for
+/// `Int32` and `Date`, 9 for the 8-byte types. A string has no maximum;
+/// its answer is for a string of [`DataType::fixed_width`]'s planning
+/// length. What a value actually takes is [`ValueRef::encoded_len`].
 pub fn encoded_width(dtype: DataType) -> usize {
     match dtype {
-        DataType::Utf8 => 5 + dtype.fixed_width(),
+        DataType::Utf8 => 1 + varint_len(dtype.fixed_width() as u64) + dtype.fixed_width(),
         scalar => 1 + scalar.fixed_width(),
     }
 }
 
 /// Append one value's encoding.
 pub fn put_value(buf: &mut Vec<u8>, v: ValueRef<'_>) {
-    buf.push(v.tag());
     match v {
-        ValueRef::Int32(x) | ValueRef::Date(x) => buf.extend_from_slice(&x.to_le_bytes()),
-        ValueRef::Int64(x) | ValueRef::Decimal(x) => buf.extend_from_slice(&x.to_le_bytes()),
-        ValueRef::Float64(x) => buf.extend_from_slice(&x.to_bits().to_le_bytes()),
+        ValueRef::Float64(x) => {
+            buf.push(TAG_FLOAT64 << 4 | 8);
+            buf.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
         ValueRef::Str(s) => {
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.push(TAG_STR << 4);
+            put_varint(buf, s.len() as u64);
             buf.extend_from_slice(s.as_bytes());
+        }
+        integer => {
+            // All eight bytes, then the zero ones dropped: a fixed-size
+            // copy, not a call to copy a variable length.
+            let w = integer.zigzag();
+            let len = significant_len(w);
+            buf.push(integer.tag() << 4 | len as u8);
+            buf.extend_from_slice(&w.to_le_bytes());
+            buf.truncate(buf.len() - 8 + len);
         }
     }
 }
@@ -204,11 +246,50 @@ pub fn put_values<'a>(buf: &mut Vec<u8>, values: impl IntoIterator<Item = &'a Va
     }
 }
 
+/// Bytes [`put_varint`] writes for `n`.
+pub fn varint_len(n: u64) -> usize {
+    (70 - n.max(1).leading_zeros() as usize) / 7
+}
+
+/// Append `n` as a LEB128 varint: seven bits a byte, low first, the high
+/// bit set on every byte but the last.
+pub fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        buf.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    buf.push(n as u8);
+}
+
+/// Read the varint at the front of `bytes` and advance past it. Only
+/// [`put_varint`]'s own bytes are accepted: a varint with a zero last byte
+/// after others, or past 64 bits, is [`DecodeError::NotMinimal`].
+#[inline]
+pub fn take_varint(bytes: &mut &[u8]) -> Result<u64, DecodeError> {
+    let mut n = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if i == 9 && b > 1 || b == 0 && i > 0 {
+            return Err(DecodeError::NotMinimal);
+        }
+        n |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            *bytes = &bytes[i + 1..];
+            return Ok(n);
+        }
+    }
+    Err(DecodeError::Truncated)
+}
+
 /// Why bytes are not an encoded value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     Truncated,
+    /// A header byte whose type is none of the six.
     BadTag(u8),
+    /// A header byte whose payload length its type does not take.
+    BadLength(u8),
+    /// A payload or a string's length in more bytes than it needs.
+    NotMinimal,
     NotUtf8,
 }
 
@@ -216,19 +297,58 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::Truncated => f.write_str("unexpected end of payload"),
-            DecodeError::BadTag(t) => write!(f, "bad value tag {t}"),
+            DecodeError::BadTag(h) => write!(f, "bad value tag in header {h:#04x}"),
+            DecodeError::BadLength(h) => write!(f, "bad payload length in header {h:#04x}"),
+            DecodeError::NotMinimal => f.write_str("value wider than its encoding"),
             DecodeError::NotUtf8 => f.write_str("non-utf8 string"),
         }
     }
 }
 
-/// Split `N` bytes off the front of `bytes`.
+/// Indexed by a payload length (a header's low four bits): `MASK` keeps a
+/// word's low `len` bytes, and `LEAST` is the least word that needs them
+/// all. Tables, not shifts: decoding is a chain of loads, each waiting on
+/// the length before it.
+#[rustfmt::skip]
+const MASK: [u64; 16] = [
+    0, 0xff, 0xffff, 0xff_ffff, 0xffff_ffff, 0xff_ffff_ffff, 0xffff_ffff_ffff,
+    0xff_ffff_ffff_ffff, u64::MAX, 0, 0, 0, 0, 0, 0, 0,
+];
+#[rustfmt::skip]
+const LEAST: [u64; 16] = [
+    0, 1, 1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56, 0, 0, 0, 0, 0, 0, 0,
+];
+
+/// The `len` (≤ 8) payload bytes at the front of `bytes` as a little-endian
+/// word: one unaligned load and a mask when eight bytes remain, else two
+/// overlapping loads of four, or a value's last three bytes one by one.
 #[inline(always)]
-fn fixed<const N: usize>(bytes: &[u8]) -> Result<([u8; N], &[u8]), DecodeError> {
-    match bytes.split_first_chunk::<N>() {
-        Some((head, rest)) => Ok((*head, rest)),
-        None => Err(DecodeError::Truncated),
+fn word(bytes: &[u8], len: usize) -> Result<u64, DecodeError> {
+    let n = bytes.len();
+    let w = if let Some(head) = bytes.first_chunk::<8>() {
+        u64::from_le_bytes(*head)
+    } else if n < len {
+        return Err(DecodeError::Truncated);
+    } else if let (Some(lo), Some(hi)) = (bytes.first_chunk::<4>(), bytes.last_chunk::<4>()) {
+        u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << (8 * (n - 4))
+    } else if n > 0 {
+        let byte = |i: usize| u64::from(bytes[i]) << (8 * i);
+        byte(0) | byte(n / 2) | byte(n - 1)
+    } else {
+        0
+    };
+    Ok(w & MASK[len])
+}
+
+/// The integer whose `len` significant bytes start `bytes`; a payload with
+/// a zero top byte is not its minimal encoding.
+#[inline(always)]
+fn integer(bytes: &[u8], len: usize) -> Result<i64, DecodeError> {
+    let w = word(bytes, len)?;
+    if w < LEAST[len] {
+        return Err(DecodeError::NotMinimal);
     }
+    Ok(unzigzag(w))
 }
 
 /// Read the value at the front of `bytes` and advance past it. Total: bytes
@@ -236,48 +356,38 @@ fn fixed<const N: usize>(bytes: &[u8]) -> Result<([u8; N], &[u8]), DecodeError> 
 /// is then left where it was.
 #[inline(always)]
 pub fn take_value<'a>(bytes: &mut &'a [u8]) -> Result<ValueRef<'a>, DecodeError> {
-    let Some((&tag, rest)) = bytes.split_first() else {
+    let Some((&header, rest)) = bytes.split_first() else {
         return Err(DecodeError::Truncated);
     };
-    let (v, rest) = match tag {
-        TAG_INT32 => {
-            let (x, rest) = fixed(rest)?;
-            (ValueRef::Int32(i32::from_le_bytes(x)), rest)
+    let len = usize::from(header & 0xf);
+    // A 4-byte payload's zig-zag word fits `u32`, so its integer fits `i32`.
+    let v = match header >> 4 {
+        TAG_INT32 if len <= 4 => ValueRef::Int32(integer(rest, len)? as i32),
+        TAG_INT64 if len <= 8 => ValueRef::Int64(integer(rest, len)?),
+        TAG_FLOAT64 if len == 8 => ValueRef::Float64(f64::from_bits(word(rest, len)?)),
+        TAG_DECIMAL if len <= 8 => ValueRef::Decimal(integer(rest, len)?),
+        TAG_DATE if len <= 4 => ValueRef::Date(integer(rest, len)? as i32),
+        TAG_STR if len == 0 => {
+            let (s, rest) = take_str(rest)?;
+            *bytes = rest;
+            return Ok(s);
         }
-        TAG_INT64 => {
-            let (x, rest) = fixed(rest)?;
-            (ValueRef::Int64(i64::from_le_bytes(x)), rest)
-        }
-        TAG_FLOAT64 => {
-            let (x, rest) = fixed(rest)?;
-            (
-                ValueRef::Float64(f64::from_bits(u64::from_le_bytes(x))),
-                rest,
-            )
-        }
-        TAG_DECIMAL => {
-            let (x, rest) = fixed(rest)?;
-            (ValueRef::Decimal(i64::from_le_bytes(x)), rest)
-        }
-        TAG_DATE => {
-            let (x, rest) = fixed(rest)?;
-            (ValueRef::Date(i32::from_le_bytes(x)), rest)
-        }
-        TAG_STR => take_str(rest)?,
-        t => return Err(DecodeError::BadTag(t)),
+        TAG_INT32..=TAG_STR => return Err(DecodeError::BadLength(header)),
+        _ => return Err(DecodeError::BadTag(header)),
     };
-    *bytes = rest;
+    *bytes = &rest[len..];
     Ok(v)
 }
 
-/// The string whose length prefix is at the front of `bytes`, and the rest.
+/// The string whose length varint is at the front of `bytes`, and the rest.
 /// Out of line: it validates UTF-8, and the scalar arms above should inline
 /// without it.
 #[inline(never)]
-fn take_str(bytes: &[u8]) -> Result<(ValueRef<'_>, &[u8]), DecodeError> {
-    let (n, rest) = fixed(bytes)?;
-    let (s, rest) = rest
-        .split_at_checked(u32::from_le_bytes(n) as usize)
+fn take_str(mut bytes: &[u8]) -> Result<(ValueRef<'_>, &[u8]), DecodeError> {
+    let n = take_varint(&mut bytes)?;
+    let (s, rest) = usize::try_from(n)
+        .ok()
+        .and_then(|n| bytes.split_at_checked(n))
         .ok_or(DecodeError::Truncated)?;
     let s = std::str::from_utf8(s).map_err(|_| DecodeError::NotUtf8)?;
     Ok((ValueRef::Str(s), rest))
@@ -306,19 +416,18 @@ impl<'a> Iterator for EncodedValues<'a> {
     }
 }
 
-/// Byte length of the value at the front of `bytes`, which this program
-/// wrote. Reads the tag and a string's length only.
+/// The type tag and byte length of the value at the front of `bytes`, which
+/// this program wrote, and a string's byte count (0 for a scalar). Reads
+/// the header and a string's length only.
 #[inline]
-fn encoded_len(bytes: &[u8]) -> usize {
-    match bytes[0] {
-        TAG_INT32 | TAG_DATE => 5,
-        TAG_INT64 | TAG_FLOAT64 | TAG_DECIMAL => 9,
-        TAG_STR => {
-            let n: [u8; 4] = bytes[1..5].try_into().expect("four length bytes");
-            5 + u32::from_le_bytes(n) as usize
-        }
-        t => panic!("bad value tag {t} in bytes written by this codec"),
+fn span(bytes: &[u8]) -> (u8, usize, usize) {
+    let (tag, len) = (bytes[0] >> 4, usize::from(bytes[0] & 0xf));
+    if tag != TAG_STR {
+        return (tag, 1 + len, 0);
     }
+    let mut rest = &bytes[1..];
+    let n = take_varint(&mut rest).expect("a string length written by this codec") as usize;
+    (tag, bytes.len() - rest.len() + n, n)
 }
 
 /// Fill `spans` with the byte range of each value in `bytes` (see
@@ -327,7 +436,7 @@ pub fn value_spans(bytes: &[u8], spans: &mut Vec<Range<usize>>) {
     spans.clear();
     let mut at = 0;
     while at < bytes.len() {
-        let end = at + encoded_len(&bytes[at..]);
+        let end = at + span(&bytes[at..]).1;
         spans.push(at..end);
         at = end;
     }
@@ -336,27 +445,31 @@ pub fn value_spans(bytes: &[u8], spans: &mut Vec<Range<usize>>) {
 /// Byte length of the first `n` values of `bytes` (see [`values`]), which
 /// hold at least that many.
 pub fn values_len(bytes: &[u8], n: usize) -> usize {
-    (0..n).fold(0, |at, _| at + encoded_len(&bytes[at..]))
+    (0..n).fold(0, |at, _| at + span(&bytes[at..]).1)
 }
 
 /// Number of values in `bytes` (see [`values`]).
 pub fn count_values(bytes: &[u8]) -> usize {
     let (mut at, mut n) = (0, 0);
     while at < bytes.len() {
-        at += encoded_len(&bytes[at..]);
+        at += span(&bytes[at..]).1;
         n += 1;
     }
     n
 }
 
 /// Sum of [`Value::byte_width`] over the values in `bytes` (see [`values`]):
-/// a scalar's payload, a string's bytes and two more.
+/// each scalar its type's fixed width, each string its bytes and two more.
 pub fn byte_width(bytes: &[u8]) -> usize {
     let (mut at, mut width) = (0, 0);
     while at < bytes.len() {
-        let n = encoded_len(&bytes[at..]);
-        width += if bytes[at] == TAG_STR { n - 3 } else { n - 1 };
-        at += n;
+        let (tag, len, str_len) = span(&bytes[at..]);
+        width += match tag {
+            TAG_INT32 | TAG_DATE => 4,
+            TAG_STR => 2 + str_len,
+            _ => 8,
+        };
+        at += len;
     }
     width
 }
@@ -654,22 +767,149 @@ mod tests {
 
     #[test]
     fn malformed_bytes_are_errors_and_leave_the_input_in_place() {
-        for bad in [
-            &[][..],
-            &[9][..],
-            &[TAG_INT32, 1, 2][..],
-            &[TAG_INT64, 1, 2, 3, 4][..],
-            &[TAG_STR, 2, 0, 0][..],
-            &[TAG_STR, 2, 0, 0, 0, b'a'][..],
-            &[TAG_STR, 2, 0, 0, 0, 0xff, 0xfe][..],
-            &[TAG_STR, 0xff, 0xff, 0xff, 0xff][..],
+        use DecodeError::*;
+        for (bad, why) in [
+            (&[][..], Truncated),
+            (&[0x60][..], BadTag(0x60)),
+            (&[0xf3, 1, 2, 3][..], BadTag(0xf3)),
+            (&[0x05, 1, 2, 3, 4, 5][..], BadLength(0x05)),
+            (&[0x45, 1, 2, 3, 4, 5][..], BadLength(0x45)),
+            (&[0x19, 1, 2, 3, 4, 5, 6, 7, 8, 9][..], BadLength(0x19)),
+            (&[0x27, 1, 2, 3, 4, 5, 6, 7][..], BadLength(0x27)),
+            (&[0x51, 0][..], BadLength(0x51)),
+            (&[0x02, 1][..], Truncated),
+            (&[0x18, 1, 2, 3, 4, 5, 6, 7][..], Truncated),
+            (&[0x28, 1, 2, 3][..], Truncated),
+            (&[0x01, 0][..], NotMinimal),
+            (&[0x32, 7, 0][..], NotMinimal),
+            (&[0x18, 1, 2, 3, 4, 5, 6, 7, 0, 9][..], NotMinimal),
+            (&[0x50, 0x80, 0][..], NotMinimal),
+            (&[0x50, 0x81, 0x80, 0][..], NotMinimal),
+            (
+                &[
+                    0x50, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+                ][..],
+                NotMinimal,
+            ),
+            (&[0x50, 0x80][..], Truncated),
+            (&[0x50, 2, b'a'][..], Truncated),
+            (&[0x50, 0xff, 0xff, 0xff, 0xff, 0x0f][..], Truncated),
+            (&[0x50, 2, 0xff, 0xfe][..], NotUtf8),
         ] {
             let mut rest = bad;
-            assert!(take_value(&mut rest).is_err(), "{bad:?}");
+            assert_eq!(take_value(&mut rest), Err(why), "{bad:?}");
             assert_eq!(rest, bad);
         }
-        let mut rest = &[TAG_DATE, 1, 0, 0, 0, 7][..];
+        let mut rest = &[0x41, 2, 7][..];
         assert_eq!(take_value(&mut rest), Ok(ValueRef::Date(1)));
         assert_eq!(rest, &[7]);
+    }
+
+    /// Values at the edges of each payload width, as `Value`s of every
+    /// integer type that holds them.
+    fn widths() -> Vec<Value> {
+        let mut vs = Vec::new();
+        for bytes in 0..=8u32 {
+            // The zig-zag words with `bytes` significant bytes, at both ends.
+            let (lo, hi) = match bytes {
+                0 => (0, 0),
+                8 => (1 << 56, u64::MAX),
+                n => (1u64 << (8 * (n - 1)), (1u64 << (8 * n)) - 1),
+            };
+            for w in [lo, hi] {
+                let x = unzigzag(w);
+                vs.extend([Value::Int64(x), Value::Decimal(x)]);
+                if let Ok(x) = i32::try_from(x) {
+                    vs.extend([Value::Int32(x), Value::Date(x)]);
+                }
+            }
+        }
+        vs
+    }
+
+    #[test]
+    fn every_width_has_one_encoding() {
+        let mut vs = corpus();
+        vs.extend(widths());
+        for n in [0, 127, 128, 16_383, 16_384] {
+            vs.push(Value::str("s".repeat(n)));
+        }
+        for v in &vs {
+            let bytes = encoded(v);
+            assert_eq!(bytes.len(), ValueRef::from(v).encoded_len(), "{v:?}");
+            let mut rest = &bytes[..];
+            let back = take_value(&mut rest).unwrap();
+            assert!(rest.is_empty() && back == v.into(), "{v:?}");
+            assert_eq!(back.data_type(), v.data_type(), "{v:?}");
+            // The header names the type whatever the width.
+            assert_eq!(bytes[0] >> 4, v.tag(), "{v:?}");
+        }
+        assert_eq!(encoded(&Value::Int32(0)), [0x00]);
+        assert_eq!(encoded(&Value::Int64(-1)), [0x11, 1]);
+        assert_eq!(
+            encoded(&Value::Int32(i32::MIN)),
+            [0x04, 0xff, 0xff, 0xff, 0xff]
+        );
+        assert_eq!(
+            encoded(&Value::Int64(i64::MAX)),
+            [0x18, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]
+        );
+        assert_eq!(
+            encoded(&Value::str("s".repeat(128)))[..3],
+            [0x50, 0x80, 0x01]
+        );
+    }
+
+    #[test]
+    fn varint_round_trips() {
+        for n in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            1 << 21,
+            u64::MAX >> 1,
+            u64::MAX,
+        ] {
+            let mut b = Vec::new();
+            put_varint(&mut b, n);
+            assert_eq!(b.len(), varint_len(n), "{n}");
+            b.push(0xee);
+            let mut rest = &b[..];
+            assert_eq!(take_varint(&mut rest), Ok(n), "{n}");
+            assert_eq!(rest, [0xee], "{n}");
+        }
+    }
+
+    #[test]
+    fn no_value_encodes_wider_than_before() {
+        // The encoding before values took their significant width: a tag
+        // byte, then 4 or 8 payload bytes, or a `u32` length and the bytes.
+        let before = |v: &Value| match v {
+            Value::Str(s) => 5 + s.len(),
+            scalar => 1 + scalar.byte_width(),
+        };
+        let mut vs = corpus();
+        vs.extend(widths());
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..20_000 {
+            // SplitMix64: a random word, shifted to a random width.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let x = (z ^ (z >> 31)) as i64 >> (z % 64);
+            vs.extend([Value::Int64(x), Value::Decimal(x), Value::Int32(x as i32)]);
+            vs.extend([Value::Date(x as i32), Value::Float64(f64::from_bits(z))]);
+            vs.push(Value::str("é".repeat((z % 100) as usize)));
+        }
+        for v in &vs {
+            let bytes = encoded(v);
+            assert!(bytes.len() <= before(v), "{v:?}: {bytes:?}");
+            assert_eq!(decode(&bytes), std::slice::from_ref(v), "{v:?}");
+        }
     }
 }

@@ -43,6 +43,9 @@ pub fn hypothetical_meta(
     let proj_sample = SampleSet {
         rows: sample.rows.iter().map(|r| r.project(&stored)).collect(),
         fraction: sample.fraction,
+        widths: (stored.iter())
+            .filter_map(|&c| sample.widths.get(c).copied())
+            .collect(),
     };
     let schema = ctx.schema.project(&stored);
     let columns = estimator.estimate_columns(&schema, &proj_sample, rows, csi_config);

@@ -37,6 +37,40 @@ pub struct SampleSet {
     pub rows: Vec<Row>,
     /// Achieved sampling fraction (sampled rows / total rows).
     pub fraction: f64,
+    /// Mean bytes each column's values encode to ([`codec::put_value`])
+    /// over every row of the table, not the sample's only; none for an
+    /// empty table.
+    pub widths: Vec<f64>,
+}
+
+/// Each column's encoded bytes summed over the rows added.
+#[derive(Default)]
+struct WidthSums {
+    bytes: Vec<usize>,
+    rows: usize,
+}
+
+impl WidthSums {
+    fn add(&mut self, row: &Row) {
+        if self.bytes.len() < row.len() {
+            self.bytes.resize(row.len(), 0);
+        }
+        for (sum, v) in self.bytes.iter_mut().zip(row.values()) {
+            *sum += ValueRef::from(v).encoded_len();
+        }
+        self.rows += 1;
+    }
+
+    fn of<'r>(rows: impl IntoIterator<Item = &'r Row>) -> WidthSums {
+        let mut sums = WidthSums::default();
+        rows.into_iter().for_each(|r| sums.add(r));
+        sums
+    }
+
+    fn means(self) -> Vec<f64> {
+        let rows = self.rows as f64;
+        self.bytes.into_iter().map(|b| b as f64 / rows).collect()
+    }
 }
 
 /// The blocks a sample of roughly `fraction` of `row_count` rows takes, in
@@ -55,26 +89,26 @@ fn sampled_blocks(row_count: usize, fraction: f64, seed: u64) -> Vec<usize> {
 }
 
 impl SampleSet {
-    /// Mean bytes column `c`'s values encode to ([`codec::put_value`]) in
-    /// the sample; [`codec::encoded_width`] of `dtype` when it is empty.
+    /// Mean bytes column `c`'s values encode to over the whole table
+    /// (`widths`); [`codec::encoded_width`] of `dtype`, the most a scalar
+    /// takes, when the table is empty.
     pub fn encoded_width(&self, c: usize, dtype: DataType) -> f64 {
-        if self.rows.is_empty() {
-            return codec::encoded_width(dtype) as f64;
-        }
-        let total: usize = (self.rows.iter())
-            .map(|r| ValueRef::from(&r.values()[c]).encoded_len())
-            .sum();
-        total as f64 / self.rows.len() as f64
+        (self.widths.get(c).copied()).unwrap_or_else(|| codec::encoded_width(dtype) as f64)
     }
 
-    /// `rows` as a sample of a table of `row_count` rows; an empty table is
-    /// its own whole sample.
-    fn of(rows: Vec<Row>, row_count: usize) -> SampleSet {
+    /// `rows` as a sample of a table of `row_count` rows whose encoded
+    /// bytes `widths` summed; an empty table is its own whole sample.
+    fn of(rows: Vec<Row>, row_count: usize, widths: WidthSums) -> SampleSet {
         let fraction = match row_count {
             0 => 1.0,
             n => rows.len() as f64 / n as f64,
         };
-        SampleSet { rows, fraction }
+        let widths = widths.means();
+        SampleSet {
+            rows,
+            fraction,
+            widths,
+        }
     }
 
     /// Sample whole blocks of `all_rows` until roughly `fraction` of the
@@ -87,12 +121,12 @@ impl SampleSet {
             let end = (start + SAMPLE_BLOCK_ROWS).min(all_rows.len());
             rows.extend_from_slice(&all_rows[start..end]);
         }
-        SampleSet::of(rows, all_rows.len())
+        SampleSet::of(rows, all_rows.len(), WidthSums::of(all_rows))
     }
 
     /// [`SampleSet::block_sample`] of a table nobody holds as a slice: `feed`
-    /// hands over all `row_count` rows once, in order, and only the rows of
-    /// the sampled blocks are copied.
+    /// hands over all `row_count` rows once, in order; only the rows of the
+    /// sampled blocks are copied, and every row's encoded bytes are summed.
     pub fn block_sample_scan(
         row_count: usize,
         fraction: f64,
@@ -101,22 +135,20 @@ impl SampleSet {
     ) -> SampleSet {
         let blocks = sampled_blocks(row_count, fraction, seed);
         let mut rows = Vec::with_capacity(blocks.len() * SAMPLE_BLOCK_ROWS);
-        let mut ordinal = 0;
+        let (mut ordinal, mut widths) = (0, WidthSums::default());
         feed(&mut |row| {
             if blocks.binary_search(&(ordinal / SAMPLE_BLOCK_ROWS)).is_ok() {
                 rows.push(row.clone());
             }
+            widths.add(row);
             ordinal += 1;
         });
-        SampleSet::of(rows, row_count)
+        SampleSet::of(rows, row_count, widths)
     }
 
     /// The whole table as a "sample" (exact estimation baseline).
     pub fn full(all_rows: &[Row]) -> SampleSet {
-        SampleSet {
-            rows: all_rows.to_vec(),
-            fraction: 1.0,
-        }
+        SampleSet::of(all_rows.to_vec(), all_rows.len(), WidthSums::of(all_rows))
     }
 }
 
@@ -498,9 +530,10 @@ impl CsiSizeEstimator for RunModelEstimator {
 
 /// Leaf pages and height of the B+ tree `descriptor` names over `rows` rows
 /// of the table `ctx` describes: a page-sized tree ([`BTreeConfig::default`])
-/// of entries of the sample's average encoded widths
-/// ([`hpd_engine::btree_entry_bytes`]) — the tree a build makes when every
-/// column it stores is fixed-width.
+/// of entries of the table's mean encoded widths
+/// ([`hpd_engine::btree_entry_bytes`], [`SampleSet::widths`]) — the tree a
+/// build makes when every column it stores encodes at one width, and within
+/// a page's packing slack of it otherwise.
 pub fn btree_size_estimate(
     descriptor: &IndexDescriptor,
     ctx: &TableContext,
@@ -701,10 +734,21 @@ mod tests {
             Row::new(vec![Value::Int32(2), Value::str("abcd")]),
         ];
         let sample = SampleSet::full(&rows);
-        assert_eq!(sample.encoded_width(0, DataType::Int32), 5.0);
-        assert_eq!(sample.encoded_width(1, DataType::Utf8), 5.0 + 3.0);
+        // A header and one payload byte; a header, a length byte, 2 or 4.
+        assert_eq!(sample.encoded_width(0, DataType::Int32), 2.0);
+        assert_eq!(sample.encoded_width(1, DataType::Utf8), 2.0 + 3.0);
         let empty = SampleSet::full(&[]);
-        assert_eq!(empty.encoded_width(1, DataType::Utf8), 21.0);
+        assert_eq!(empty.encoded_width(0, DataType::Int32), 5.0);
+        assert_eq!(empty.encoded_width(1, DataType::Utf8), 18.0);
+        // Widths are of every row, whichever blocks the sample took.
+        let rows = rows_mod(10 * SAMPLE_BLOCK_ROWS as i32, 1_000);
+        let all = SampleSet::full(&rows);
+        let some = SampleSet::block_sample_scan(rows.len(), 0.1, 7, |sink| {
+            rows.iter().for_each(sink);
+        });
+        assert_eq!(some.rows.len(), SAMPLE_BLOCK_ROWS);
+        assert_eq!(some.widths, all.widths);
+        assert_eq!(SampleSet::block_sample(&rows, 0.1, 7).widths, all.widths);
     }
 
     #[test]

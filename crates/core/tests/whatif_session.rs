@@ -354,17 +354,20 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
     sizes
 }
 
-/// A hypothetical B+ tree is the tree a build makes: on every B+ tree that
-/// the 13-query hybrid recommendation, `micro`, `micro_part`'s B+ tree tail,
-/// TPC-H `lineitem` (primary and `l_shipdate` secondary) and a table keyed
-/// past its leading column (its primary's entries unshared, a secondary's
-/// shared) build — every column fixed-width — the what-if leaf pages and
-/// height equal the built ones. With a string column the entry is the sample's average, and the
-/// leaf pages are within 5 %.
+/// A hypothetical B+ tree is the tree a build makes. It is sized from the
+/// table's mean encoded widths, and values encode at their significant
+/// width, so entries differ and the built leaves pack them unevenly: on
+/// every B+ tree that the 13-query hybrid recommendation, `micro`,
+/// `micro_part`'s B+ tree tail and TPC-H `lineitem` (primary and
+/// `l_shipdate` secondary) build, the what-if height equals the built one
+/// and the leaf pages are within 1 % (a page either way at least). On a
+/// table whose columns each encode at one width, keyed past its leading
+/// column (its primary's entries unshared, a secondary's shared), they are
+/// equal. With a string column the leaf pages are within 5 %.
 #[test]
 fn hypothetical_btree_sizes_equal_the_built_ones() {
     let _serial = REGISTRY.lock().unwrap();
-    let mut fixed = Sizes::new();
+    let mut sizes = Sizes::new();
 
     let db = tpcds_db();
     let workload = tpcds_workload(13);
@@ -373,7 +376,7 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         .unwrap();
     db.apply_configuration(&rec.configuration).unwrap();
     for design in &rec.configuration.tables {
-        fixed.extend(btree_sizes(&db, &design.table));
+        sizes.extend(btree_sizes(&db, &design.table));
     }
 
     let db = Database::new(DbConfig::default());
@@ -400,7 +403,8 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
     load_lineitem(&db, 30_000, 7, MixedDesign::BTreeOnly).unwrap();
     // Keyed past its leading column: the primary's entries hold the key
     // apart from the row. (A row whose `v` equalled its key would store it
-    // once, which a size estimate cannot see; none does here.)
+    // once, which a size estimate cannot see; none does here.) Every value
+    // of a column takes one width: 4, 4 and 6 payload bytes.
     let schema = Schema::from_pairs(&[
         ("v", DataType::Int32),
         ("k", DataType::Int32),
@@ -412,9 +416,9 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
     let rows = (0..30_000)
         .map(|i| {
             Row::new(vec![
-                Value::Int32(-1 - i),
-                Value::Int32(i),
-                Value::Int64(i64::from(i % 1_000)),
+                Value::Int32(-(1 << 23) - i),
+                Value::Int32((1 << 23) + i),
+                Value::Int64((1 << 40) + i64::from(i % 1_000)),
             ])
         })
         .collect();
@@ -425,7 +429,7 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
     };
     db.create_index("keyed_late", &by_w).unwrap();
     for table in ["micro", "micro_part", "lineitem", "keyed_late"] {
-        fixed.extend(btree_sizes(&db, table));
+        sizes.extend(btree_sizes(&db, table));
     }
     let names = |sizes: &Sizes| sizes.iter().map(|s| s.0.clone()).collect::<Vec<_>>();
     for expected in [
@@ -437,17 +441,21 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         "keyed_late p0 SecondaryBTree { keys: [2]",
     ] {
         assert!(
-            names(&fixed).iter().any(|n| n.starts_with(expected)),
+            names(&sizes).iter().any(|n| n.starts_with(expected)),
             "{expected}: {:?}",
-            names(&fixed)
+            names(&sizes)
         );
     }
-    assert!(fixed.len() >= 10, "{:?}", names(&fixed));
-    for (index, built, whatif) in &fixed {
-        assert_eq!(
-            whatif, built,
-            "{index}: what-if (leaf pages, height) vs built"
+    assert!(sizes.len() >= 10, "{:?}", names(&sizes));
+    for (index, built, whatif) in &sizes {
+        let off = whatif.0.abs_diff(built.0) as f64;
+        assert!(
+            whatif.1 == built.1 && off <= (0.01 * built.0 as f64).max(1.0),
+            "{index}: what-if (leaf pages, height) {whatif:?}, built {built:?}"
         );
+        if index.starts_with("keyed_late") {
+            assert_eq!(whatif, built, "{index}: one width a column");
+        }
     }
 
     let db = Database::new(DbConfig::default());

@@ -783,7 +783,13 @@ impl<'db> Session<'db> {
     }
 
     pub fn begin(&self) -> Txn<'db> {
+        // A snapshot does not begin inside a commit: a commit draws its
+        // timestamp before it applies its writes, so a start drawn between
+        // the two would see that commit's rows appear mid-transaction.
+        let settled =
+            (self.isolation == IsolationLevel::Snapshot).then(|| self.db.commit_lock.lock());
         let (txn_id, start_ts) = self.db.txns.begin();
+        drop(settled);
         Txn {
             db: self.db,
             isolation: self.isolation,

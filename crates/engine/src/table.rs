@@ -248,11 +248,13 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
 /// `width(c)` bytes ([`codec::put_values`]): [`hpd_btree::entry_bytes`] of
 /// its key columns and of the columns it stores, the key stored once when
 /// those columns begin with it (a secondary; a primary keyed on its leading
-/// columns). Exact for fixed-width columns — a build reserves its run by it
-/// — and, given a sample's average widths, what the what-if estimator sizes
-/// a hypothetical tree by. One case it cannot see: on a primary keyed past
-/// its leading column, a row whose leading values happen to encode as its
-/// key's stores the key once, so the built tree can come out smaller.
+/// columns). A value's bytes depend on the value, so the widths are
+/// measured or bounded: given a table's mean widths it is the mean entry
+/// the what-if estimator sizes a hypothetical tree by, given the most each
+/// type takes ([`codec::encoded_width`]) the bound a build reserves its run
+/// by. One case it cannot see: on a primary keyed past its leading column,
+/// a row whose leading values happen to encode as its key's stores the key
+/// once, so the built tree can come out smaller.
 pub fn btree_entry_bytes(
     descriptor: &IndexDescriptor,
     arity: usize,
@@ -264,9 +266,11 @@ pub fn btree_entry_bytes(
     hpd_btree::entry_bytes(bytes(keys), bytes(&stored), stored.starts_with(keys))
 }
 
-/// The value of an encoded row that `span` covers ([`codec::value_spans`]).
+/// The value of an encoded row that `span` covers ([`codec::value_spans`]),
+/// read with the row's bytes after it in reach: a payload with eight bytes
+/// behind it takes the decoder's one load.
 fn value_at<'r>(row: &'r [u8], span: &Range<usize>) -> ValueRef<'r> {
-    (codec::values(&row[span.clone()]).next()).expect("a span covers a value")
+    (codec::values(&row[span.start..]).next()).expect("a span covers a value")
 }
 
 /// The bytes of `columns` of an encoded row whose value spans are `spans`:
@@ -327,7 +331,8 @@ enum Pending {
 impl<'a> IndexBuilder<'a> {
     /// A builder of the index `descriptor` names that `rows` rows will be
     /// pushed to (0: how many is not known). A B+ tree reserves its run by
-    /// [`btree_entry_bytes`] at the schema's widths.
+    /// [`btree_entry_bytes`] at the most each column's type takes: room for
+    /// any row without a string past the planning length.
     fn new(descriptor: &IndexDescriptor, ctx: BuildCtx<'a>, rows: usize) -> IndexBuilder<'a> {
         let stored = descriptor.stored_columns(ctx.schema.len(), ctx.pk);
         let pending = if descriptor.is_csi() {

@@ -556,7 +556,7 @@ fn a_primary_key_past_the_leading_column_reads_writes_and_recovers() {
     let (metas, backlog) = physical_state(&db, "t");
     assert!(backlog > 0, "the columnstore holds delta rows: {metas:?}");
     assert!(
-        metas[0].contains("keys: [1] }, rows: 608, leaf_pages: 3, height: 2"),
+        metas[0].contains("keys: [1] }, rows: 608, leaf_pages: 2, height: 2"),
         "the primary has split past one leaf: {metas:?}"
     );
 }

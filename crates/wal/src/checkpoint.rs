@@ -338,10 +338,11 @@ mod tests {
 
     #[test]
     fn image_bytes_match_the_copying_encoder() {
-        // Length and CRC of `sample().encode()` as pinned at commit b819861.
+        // Length and CRC of `sample().encode()`, pinned when values took
+        // their significant width.
         let bytes = sample().encode();
-        assert_eq!(bytes.len(), 499);
-        assert_eq!(crc32(&bytes), 0xd3c5_f20c);
+        assert_eq!(bytes.len(), 437);
+        assert_eq!(crc32(&bytes), 0xeaa8_b73d);
     }
 
     fn write(img: &CheckpointImage, free: Durable) -> (Durable, usize) {
@@ -356,21 +357,20 @@ mod tests {
 
     #[test]
     fn an_image_spans_segments_and_is_written_over_a_retired_one() {
-        // 50 000 rows of 13 bytes (a count, a tagged integer) and the sample's
-        // tables: the rows frame spans ten segments.
+        // 50 000 rows of 13 bytes (a count, a full-width integer) and the
+        // sample's tables: the rows frame spans ten segments.
         let mut big = sample();
         let rows: Vec<Row> = (0..50_000)
-            .map(|k| Row::new(vec![Value::Int64(k)]))
+            .map(|k| Row::new(vec![Value::Int64(i64::MIN + k)]))
             .collect();
         big.tables[1].rows = EncodedRows::from_rows(&rows);
         let (image, allocated) = write(&big, Durable::default());
         let bytes = image.to_vec();
-        // Its first two tables, as the encoder before the one segment writer
-        // wrote them (commit e8d2a7e).
+        // Its first two tables, as the copying encoder writes them.
         let mut two = big.clone();
         two.tables.truncate(2);
         let two = two.encode();
-        assert_eq!((two.len(), crc32(&two)), (650_273, 0x7def_20b1));
+        assert_eq!((two.len(), crc32(&two)), (650_245, 0xa1da_66e8));
         assert_eq!(allocated, bytes.len().div_ceil(crate::RETAINED_MIN));
         assert_eq!(image.segments_used(), allocated);
         assert_eq!(CheckpointImage::decode(&bytes).unwrap(), big);

@@ -547,8 +547,9 @@ mod tests {
         Wal::new(WalConfig::default(), ram())
     }
 
+    /// One full-width integer a row: 13 bytes, a count and a 9-byte value.
     fn int_rows(keys: std::ops::Range<i64>) -> Vec<hpd_common::Row> {
-        keys.map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(k)]))
+        keys.map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(i64::MIN + k)]))
             .collect()
     }
 

@@ -8,8 +8,9 @@
 //! first in a list) and a table's [`PartitionSpec`].
 //!
 //! The codec is hand-rolled little-endian (no serde in this workspace):
-//! values are written by [`hpd_common::codec`] (a one-byte type tag and a
-//! payload — the encoding B+ tree leaves hold their entries in), containers
+//! values are written by [`hpd_common::codec`] (a header byte of type and
+//! payload length, then the value's significant bytes — the encoding B+
+//! tree leaves hold their entries in), containers
 //! add a length prefix. Every decoder is total — corrupt bytes produce an
 //! error, never a panic — so a CRC collision on a torn frame cannot take
 //! recovery down.
@@ -903,10 +904,11 @@ mod tests {
     }
 
     #[test]
-    fn values_are_written_as_they_always_were() {
-        // An `Insert` of one value of each type, as the encoder this crate
-        // had before values moved to `hpd_common::codec` wrote it (commit
-        // 01bfb57): the codec must not change a byte of the log.
+    fn values_are_written_at_their_significant_width() {
+        // An `Insert` of one value of each type: each value a header byte
+        // (type, payload length) and its zig-zag significant bytes, a float
+        // its eight, a string a varint length and its bytes. The log's bytes
+        // change only with the codec.
         let rec = LogRecord::Insert {
             table: 1,
             part: 2,
@@ -922,12 +924,12 @@ mod tests {
         #[rustfmt::skip]
         let bytes: &[u8] = &[
             4, 1, 0, 0, 0, 2, 0, 0, 0, 6, 0, 0, 0,
-            1, 0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-            0, 3, 0, 0, 0,
-            2, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf,
-            3, 0x40, 0xe2, 0x01, 0, 0, 0, 0, 0,
-            4, 0x38, 0x4a, 0, 0,
-            5, 6, 0, 0, 0, b'h', 0xc3, 0xa9, b'l', b'l', b'o',
+            0x11, 9,
+            0x01, 6,
+            0x28, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf,
+            0x33, 0x80, 0xc4, 0x03,
+            0x42, 0x70, 0x94,
+            0x50, 6, b'h', 0xc3, 0xa9, b'l', b'l', b'o',
         ];
         assert_eq!(rec.encode(), bytes);
         assert_eq!(LogRecord::decode(bytes).unwrap(), rec);
@@ -968,8 +970,11 @@ mod tests {
 
     #[test]
     fn bulk_load_rows_fill_segments_and_no_row_straddles() {
-        // 20 000 rows of 29 bytes, a 100 KB one among them, an empty one last.
-        let row = |k: i64| Row::new(vec![Value::Int64(k), Value::str("héllo"), Value::Date(4)]);
+        // 20 000 rows of 26 bytes, a 100 KB one among them, an empty one last.
+        let row = |k: i64| {
+            let date = Value::Date(i32::MIN + 4);
+            Row::new(vec![Value::Int64(i64::MIN + k), Value::str("héllo"), date])
+        };
         let mut rows: Vec<Row> = (0..20_000).map(row).collect();
         let wide = Value::str("w".repeat(100 << 10));
         rows.insert(7_000, Row::new(vec![Value::Int64(-1), wide]));
@@ -1004,11 +1009,10 @@ mod tests {
             assert_eq!(segment.len(), segment.capacity());
             assert_eq!(wire_rows(segment).count(), 1);
         }
-        // The bytes of the frame, as the encoder before the one segment
-        // writer wrote them (commit e8d2a7e).
+        // The bytes of the frame, as the copying encoder writes them.
         let bytes = frame.concat();
         assert_eq!(bytes, again.concat());
-        assert_eq!((bytes.len(), crc32(&bytes)), (682_439, 0xdbab_e633));
+        assert_eq!((bytes.len(), crc32(&bytes)), (622_431, 0xfe8d_0265));
         // Ten rows take one segment sized to them, not a segment's size.
         let small = LogRecord::BulkLoad {
             table: 3,
@@ -1036,8 +1040,8 @@ mod tests {
         .encode();
         assert!(LogRecord::decode(&good).is_ok());
         // tag, table, row count | value count, Int32, Str("ab") | ...
-        let (row_count, first_count, first_tag, str_len) = (5, 9, 13, 19);
-        let second_count = first_count + 4 + 5 + 7;
+        let (row_count, first_count, first_tag, str_len) = (5, 9, 13, 16);
+        let second_count = first_count + 4 + 2 + 4;
         let corrupted = |at: usize, byte: u8| {
             let mut bytes = good.clone();
             bytes[at] = byte;
@@ -1046,7 +1050,20 @@ mod tests {
         let cases = [
             ("a truncated value", good[..good.len() - 1].to_vec()),
             ("a string running past the payload", corrupted(str_len, 200)),
-            ("an unknown value tag", corrupted(first_tag, 9)),
+            ("an unknown value tag", corrupted(first_tag, 0x60)),
+            (
+                "a payload its type does not take",
+                corrupted(first_tag, 0x05),
+            ),
+            (
+                "a payload wider than its value",
+                corrupted(first_tag + 1, 0),
+            ),
+            ("a string length wider than it", {
+                let mut bytes = corrupted(str_len, 0x82);
+                bytes[str_len + 1] = 0;
+                bytes
+            }),
             ("a per-row count too low", corrupted(first_count, 1)),
             ("a per-row count too high", corrupted(second_count, 3)),
             ("a row count past the payload", corrupted(row_count, 3)),
@@ -1055,7 +1072,7 @@ mod tests {
                 corrupted(row_count + 3, 0x7f),
             ),
             ("a row count too low", corrupted(row_count, 1)),
-            ("a string that is not UTF-8", corrupted(str_len + 4, 0xff)),
+            ("a string that is not UTF-8", corrupted(str_len + 1, 0xff)),
         ];
         for (what, bytes) in cases {
             // Decoding allocates the record's copy of the bytes at most: it

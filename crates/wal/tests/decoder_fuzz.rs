@@ -40,6 +40,8 @@ impl Rng {
     }
 }
 
+/// A value of every type, and payloads of 0, 1, 3, 4, 6 and 8 bytes, and
+/// a string whose length takes a two-byte varint.
 fn every_type() -> Vec<Value> {
     vec![
         Value::Int32(-3),
@@ -48,6 +50,10 @@ fn every_type() -> Vec<Value> {
         Value::Decimal(123_456),
         Value::Date(19_000),
         Value::str("héllo"),
+        Value::Int32(0),
+        Value::Int32(i32::MIN),
+        Value::Int64(i64::MAX),
+        Value::str("x".repeat(128)),
     ]
 }
 

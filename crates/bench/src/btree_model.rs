@@ -14,7 +14,10 @@
 //! 128, 16 383, 16 384),
 //! updates that widen and narrow a payload (past a whole page too), bulk
 //! loads from owned entries and from an unsorted encoded run, and leaves
-//! that fill and split by their bytes at the given page size. A third of the
+//! that fill and split by their bytes at the given page size, or hand
+//! entries to a sibling: bursts of inserts and widening updates into one
+//! spot, into the tree as built (full, at a `bulk_fill` of 1.0) and later,
+//! checked after each operation. A third of the
 //! payloads drawn begin with their key's values, so a leaf stores the key
 //! once (and some begin with the key's values under another type, `Int64(5)`
 //! behind the key `Int32(5)`: equal values, other bytes, so the entry stays
@@ -318,7 +321,44 @@ impl Run {
         }
     }
 
+    /// Inserts into one spot of the tree, then a widening update there, the
+    /// tree's invariants checked after each and everything after the last:
+    /// the spot is a probe's key, and each insert is of
+    /// that key (a run of duplicates) or of it with one more value (just
+    /// after it). Into a full leaf each overflows it, so the leaf hands
+    /// entries to a sibling, across duplicate runs and beside its parent's
+    /// edges, or splits.
+    fn burst(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
+        let k = probe(rng, &self.model);
+        for i in 0..rng.gen_range(2..8) {
+            let key = if rng.gen_bool(0.5) {
+                k.clone()
+            } else {
+                Key::new(k.values().iter().cloned().chain([value(rng)]).collect())
+            };
+            let row = payload_for(rng, &key);
+            let at = self.model.partition_point(|e| e.0 <= key);
+            self.model.insert(at, (key.clone(), row.clone()));
+            self.tree.insert(key, row, &self.pool, &self.tracker);
+            (self.tree.check_invariants())
+                .map_err(|e| format!("step {step}: burst insert {i}: {e}"))?;
+        }
+        // Mode 1 of `mutate`: append a string of up to half a leaf.
+        let half_leaf = self.tree.config().leaf_bytes as u32 / 2;
+        let mode = 8 * rng.gen_range(0..half_leaf / 8) + 1;
+        let start = self.model.partition_point(|e| e.0 < k);
+        for (_, r) in self.model[start..].iter_mut().take_while(|e| e.0 == k) {
+            mutate(r, &k, mode);
+        }
+        self.tree
+            .update_where(&k, |r| mutate(r, &k, mode), &self.pool, &self.tracker);
+        self.check(&format!("step {step}: burst update"))
+    }
+
     fn step(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
+        if rng.gen_range(0..24) == 0 {
+            return self.burst(rng, step);
+        }
         let (pool, tracker) = (&self.pool, &self.tracker);
         match rng.gen_range(0..10) {
             0..=3 => {
@@ -475,6 +515,10 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
         tracker,
     };
     run.check("after the build")?;
+    // Bursts into the tree as built (full, at a `bulk_fill` of 1.0).
+    for _ in 0..rng.gen_range(0..4) {
+        run.burst(&mut rng, 0)?;
+    }
     for step in 0..steps {
         run.step(&mut rng, step)?;
         if step % 16 == 15 {

@@ -16,7 +16,9 @@
 //! Storage accounting: every node occupies one logical 8 KB page, and a leaf
 //! is full when its entries' bytes and slots fill the page less its header
 //! ([`BTreeConfig::leaf_bytes`], [`entry_bytes`]): a bulk load packs leaves
-//! to it, and an insert or a widening update splits a leaf past it. Traversals
+//! to it, and a leaf an insert or a widening update takes past it hands the
+//! entries it cannot hold to a sibling with room, splitting only when
+//! neither sibling has any. Traversals
 //! and leaf walks are charged to the shared
 //! [`BufferPool`](hpd_storage::BufferPool), so selective
 //! seeks touch a handful of pages while full leaf scans stream sequentially

@@ -11,8 +11,11 @@ pub type NodeId = usize;
 /// One B+ tree node. Every node occupies one logical 8 KB page.
 #[derive(Debug)]
 pub enum Node {
-    /// Internal routing node. `keys[i]` is the minimum key reachable through
-    /// `children[i + 1]`; `children.len() == keys.len() + 1`.
+    /// Internal routing node. `keys[i]` separates `children[i]` from
+    /// `children[i + 1]`: no key under the one is above it, none under the
+    /// other below it (it was the right one's first key when last written;
+    /// deletes may have taken that entry since). `children.len() ==
+    /// keys.len() + 1`.
     Internal {
         keys: Vec<Key>,
         children: Vec<NodeId>,
@@ -167,6 +170,75 @@ impl PackedLeaf {
         self.entry_range(i).len() + SLOT_BYTES
     }
 
+    /// Page bytes of the entries before entry `n` (`n == len()`: all).
+    fn bytes_before(&self, n: usize) -> usize {
+        let bytes = self
+            .offsets
+            .get(n)
+            .map_or(self.bytes.len(), |&o| o as usize);
+        bytes + SLOT_BYTES * n
+    }
+
+    /// How many leading entries, and their page bytes, this leaf of two or
+    /// more entries hands a left sibling that holds `receiver` page bytes:
+    /// at least the fewest whose removal leaves it within `limit` (all but
+    /// the last if nothing less does), and more while the sibling stays
+    /// within half of what the two hold — so the two come out about even
+    /// and the next inserts find room on both.
+    pub(crate) fn front_share(&self, limit: usize, receiver: usize) -> (usize, usize) {
+        let total = self.page_bytes();
+        let half = (total + receiver) / 2;
+        let need = (1..self.len())
+            .find(|&n| total - self.bytes_before(n) <= limit)
+            .unwrap_or(self.len() - 1);
+        let n = (need..self.len())
+            .take_while(|&n| receiver + self.bytes_before(n) <= half)
+            .last()
+            .unwrap_or(need);
+        (n, self.bytes_before(n))
+    }
+
+    /// The first of the trailing entries, and their page bytes, this leaf
+    /// of two or more entries hands a right sibling that holds `receiver`
+    /// page bytes: at least the fewest whose removal leaves it within
+    /// `limit` (all but the first if nothing less does), and more while the
+    /// sibling stays within half of what the two hold.
+    pub(crate) fn back_share(&self, limit: usize, receiver: usize) -> (usize, usize) {
+        let total = self.page_bytes();
+        let half = (total + receiver) / 2;
+        let need = (1..self.len())
+            .rev()
+            .find(|&m| self.bytes_before(m) <= limit)
+            .unwrap_or(1);
+        let from = (1..=need)
+            .find(|&m| receiver + total - self.bytes_before(m) <= half)
+            .unwrap_or(need);
+        (from, total - self.bytes_before(from))
+    }
+
+    /// Move the first `n` entries, as they stand, to the end of `to`.
+    pub(crate) fn move_front_to(&mut self, n: usize, to: &mut PackedLeaf) {
+        let cut = self.bytes_before(n) - SLOT_BYTES * n;
+        let base = u32::try_from(to.bytes.len()).expect("a leaf's entries fit in 4 GB");
+        to.offsets.extend(self.offsets.drain(..n).map(|o| o + base));
+        to.bytes.extend(self.bytes.drain(..cut));
+        for o in &mut self.offsets {
+            *o -= cut as u32;
+        }
+    }
+
+    /// Move the entries from `from` on, as they stand, to the front of `to`.
+    pub(crate) fn move_back_to(&mut self, from: usize, to: &mut PackedLeaf) {
+        let cut = self.offsets[from];
+        let width = self.bytes.len() as u32 - cut;
+        for o in &mut to.offsets {
+            *o += width;
+        }
+        to.offsets
+            .splice(0..0, self.offsets.drain(from..).map(|o| o - cut));
+        to.bytes.splice(0..0, self.bytes.drain(cut as usize..));
+    }
+
     /// Where to cut an overflowing leaf of two or more entries: the entry,
     /// from the second to the last, before which the two halves' page bytes
     /// differ least (the first such).
@@ -174,7 +246,7 @@ impl PackedLeaf {
         let total = self.page_bytes();
         // Page bytes of the larger half when the cut is before entry `m`.
         let larger = |m: usize| {
-            let before = self.offsets[m] as usize + SLOT_BYTES * m;
+            let before = self.bytes_before(m);
             before.max(total - before)
         };
         (1..self.len())

@@ -19,7 +19,8 @@ pub const PAGE_HEADER_BYTES: usize = 96;
 #[derive(Debug, Clone, Copy)]
 pub struct BTreeConfig {
     /// Page bytes a leaf's entries and their slots may fill
-    /// ([`PackedLeaf::page_bytes`]): a leaf past them is split. An entry
+    /// ([`PackedLeaf::page_bytes`]): a leaf past them hands entries to a
+    /// sibling with room, or else is split. An entry
     /// larger than that lives alone on its leaf.
     pub leaf_bytes: usize,
     /// Maximum children per internal page.
@@ -532,6 +533,13 @@ impl BTree {
         }
     }
 
+    /// Page bytes each leaf's entries fill ([`PackedLeaf::page_bytes`]), in
+    /// key order.
+    pub fn leaf_page_bytes(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.first_leaf), |&leaf| self.nodes[leaf].as_leaf().1)
+            .map(|leaf| self.nodes[leaf].as_leaf().0.page_bytes())
+    }
+
     /// Heap bytes the tree holds: the node arena, every leaf's two vectors,
     /// and the separator keys with their value vectors (not what a string
     /// separator owns). Walks every node; for reports and tests.
@@ -637,7 +645,92 @@ impl BTree {
             Node::Internal { .. } => unreachable!("descend_path ends at a leaf"),
         };
         pool.write_page(page, tracker);
-        self.split_overflow(&path, pool, tracker);
+        self.settle_overflow(&path, pool, tracker);
+    }
+
+    /// Bring the leaf `path` ends at (`path[0]` is the root) back within
+    /// [`BTreeConfig::leaf_bytes`] once an insert or a widening update took
+    /// it past them: hand what it cannot hold to a sibling with room
+    /// ([`BTree::shift_to_sibling`]), and only when neither has any split
+    /// it at its byte midpoint.
+    fn settle_overflow(&mut self, path: &[NodeId], pool: &BufferPool, tracker: &IoTracker) {
+        if !self.shift_to_sibling(path, pool, tracker) {
+            self.split_overflow(path, pool, tracker);
+        }
+    }
+
+    /// Move the entries the overflowing leaf `path` ends at cannot hold into
+    /// its left sibling under the same parent (its first entries) or else
+    /// its right one (its last), whichever first has room for all of them —
+    /// and more, up to evening the two leaves out
+    /// ([`PackedLeaf::front_share`]) — and rewrite the one separator between
+    /// the two: the first key of the leaf on its right. Returns false,
+    /// touching nothing, when the leaf fits, has one entry, has no parent or
+    /// no sibling with room.
+    ///
+    /// Separators stay bounds: the moved entries lie between the two
+    /// leaves' remaining keys, so every key left of a separator is at most
+    /// it and every key right of it at least it — duplicates of it may sit
+    /// on both sides, as after a midpoint split, and lookups descend left
+    /// on equality. Appends at the right edge fill the leaf before theirs
+    /// this way before a split starts a new one. The sibling and the parent
+    /// are charged a page write.
+    fn shift_to_sibling(
+        &mut self,
+        path: &[NodeId],
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> bool {
+        let &[.., parent, leaf] = path else {
+            return false;
+        };
+        let limit = self.config.leaf_bytes;
+        let entries = self.nodes[leaf].as_leaf().0;
+        if entries.len() < 2 || entries.page_bytes() <= limit {
+            return false;
+        }
+        let Node::Internal { children, .. } = &self.nodes[parent] else {
+            unreachable!("a leaf's parent is internal")
+        };
+        let at = (children.iter().position(|&c| c == leaf)).expect("the leaf is under its parent");
+        let held = |sibling: NodeId| self.nodes[sibling].as_leaf().0.page_bytes();
+        // (sibling, separator between the two, where to cut) if it has room.
+        let fits = |sibling: NodeId, sep_at: usize, (cut, bytes): (usize, usize)| {
+            (held(sibling) + bytes <= limit).then_some((sibling, sep_at, cut))
+        };
+        let left = at.checked_sub(1).map(|l| children[l]);
+        let right = children.get(at + 1).copied();
+        let shift = (left.and_then(|l| fits(l, at - 1, entries.front_share(limit, held(l)))))
+            .or_else(|| right.and_then(|r| fits(r, at, entries.back_share(limit, held(r)))));
+        let Some((sibling, sep_at, cut)) = shift else {
+            return false;
+        };
+        let mut receiver = std::mem::take(self.leaf_entries(sibling));
+        let entries = self.leaf_entries(leaf);
+        let right_first = if sep_at < at {
+            entries.move_front_to(cut, &mut receiver);
+            entries.entry(0).to_key()
+        } else {
+            entries.move_back_to(cut, &mut receiver);
+            receiver.entry(0).to_key()
+        };
+        *self.leaf_entries(sibling) = receiver;
+        let Node::Internal { keys, page, .. } = &mut self.nodes[parent] else {
+            unreachable!("a leaf's parent is internal")
+        };
+        keys[sep_at] = right_first;
+        // The leaf itself was charged by the write that overflowed it.
+        pool.write_page(*page, tracker);
+        pool.write_page(self.nodes[sibling].page(), tracker);
+        true
+    }
+
+    /// The entries of the leaf `leaf`, to change.
+    fn leaf_entries(&mut self, leaf: NodeId) -> &mut PackedLeaf {
+        match &mut self.nodes[leaf] {
+            Node::Leaf { entries, .. } => entries,
+            Node::Internal { .. } => unreachable!("a leaf"),
+        }
     }
 
     /// Split the leaf `path` ends at (`path[0]` is the root) while it holds
@@ -872,8 +965,8 @@ impl BTree {
     /// one reused row; `f` returns true if it modified the row, which is then
     /// encoded back over the entry's payload (of whatever width). Returns
     /// the number of modified rows. Modified leaves are charged as page
-    /// writes; a leaf that widened past its page is split as an insert
-    /// splits it.
+    /// writes; a leaf that widened past its page hands entries to a
+    /// sibling or splits, as after an insert.
     pub fn update_where(
         &mut self,
         key: &Key,
@@ -931,7 +1024,7 @@ impl BTree {
         for leaf in overflowing {
             let first_key = self.nodes[leaf].as_leaf().0.entry(0).to_key();
             let path = self.path_to(leaf, &first_key);
-            self.split_overflow(&path, pool, tracker);
+            self.settle_overflow(&path, pool, tracker);
         }
         modified
     }
@@ -1196,11 +1289,31 @@ impl BTree {
                 self.leaves
             ));
         }
-        // Every node reachable from the root is in-bounds and leaf depth is
-        // uniform.
-        fn depth_check(tree: &BTree, node: NodeId) -> std::result::Result<usize, String> {
+        // Every node reachable from the root is in-bounds, leaf depth is
+        // uniform, and the separators bound their children: every key under
+        // `children[i]` lies within `keys[i - 1]..=keys[i]` (duplicates of a
+        // separator may sit on both sides of it).
+        fn depth_check(
+            tree: &BTree,
+            node: NodeId,
+            lo: Option<&Key>,
+            hi: Option<&Key>,
+        ) -> std::result::Result<usize, String> {
             match &tree.nodes[node] {
-                Node::Leaf { .. } => Ok(1),
+                Node::Leaf { entries, .. } => {
+                    let ends = [entries.iter().next(), entries.iter().last()];
+                    for e in ends.into_iter().flatten() {
+                        let below = lo.is_some_and(|lo| e.cmp_key(lo).is_lt());
+                        let above = hi.is_some_and(|hi| e.cmp_key(hi).is_gt());
+                        if below || above {
+                            return Err(format!(
+                                "leaf {node}: {:?} outside its separators {lo:?}..={hi:?}",
+                                e.to_key()
+                            ));
+                        }
+                    }
+                    Ok(1)
+                }
                 Node::Internal { keys, children, .. } => {
                     if children.len() != keys.len() + 1 {
                         return Err(format!(
@@ -1209,7 +1322,10 @@ impl BTree {
                             keys.len()
                         ));
                     }
-                    let mut depths = children.iter().map(|&c| depth_check(tree, c));
+                    let mut depths = children.iter().enumerate().map(|(i, &c)| {
+                        let lo = if i == 0 { lo } else { keys.get(i - 1) };
+                        depth_check(tree, c, lo, keys.get(i).or(hi))
+                    });
                     let first = depths.next().expect("at least one child")?;
                     for d in depths {
                         if d? != first {
@@ -1220,7 +1336,7 @@ impl BTree {
                 }
             }
         }
-        let height = depth_check(self, self.root).map_err(HpdError::Internal)?;
+        let height = depth_check(self, self.root, None, None).map_err(HpdError::Internal)?;
         if height != self.height {
             return fail(format!("height {height}, counter says {}", self.height));
         }

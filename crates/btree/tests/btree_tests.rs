@@ -590,3 +590,75 @@ fn update_where_walks_past_an_emptied_leaf() {
     assert_eq!(touched, 1);
     assert_eq!(tree.seek_exact(&eight, &p, &t)[0][1], Value::Int32(-8));
 }
+
+/// Entries that all weigh the same on a page-sized leaf: keys of four
+/// payload bytes (see `stats_reflect_structure`), payloads led by the key.
+fn page_sized_bulk(keys: impl Iterator<Item = i32>) -> (BTree, BufferPool, IoTracker) {
+    let (pool, t) = (pool(), IoTracker::new());
+    let entries: Vec<(Key, Row)> = keys.map(kv).collect();
+    let tree = BTree::bulk_load(
+        BTreeConfig::default(),
+        StorageAllocator::new(),
+        entries,
+        &pool,
+        &t,
+    )
+    .unwrap();
+    (tree, pool, t)
+}
+
+/// One insert into each leaf of a tree bulk loaded full, the leaves taken
+/// in a scattered order: a leaf that overflows hands entries to a sibling
+/// with room (a half of an earlier split, or a leaf that took entries
+/// before), so only a leaf whose neighbours are both still full splits —
+/// the tree grows by at most half (297 leaves to 413 here; to 332 taken
+/// left to right), where splitting every leaf would double it.
+#[test]
+fn one_insert_into_each_full_leaf_grows_the_tree_by_at_most_half() {
+    const BASE: i32 = 1 << 23;
+    let (mut tree, p, t) = page_sized_bulk((0..160_000).map(|i| BASE + 2 * i));
+    let before = tree.stats().leaf_pages;
+    let per_leaf = 160_000 / before as i32;
+    let mut order: Vec<i32> = (0..before as i32).collect();
+    order.sort_by_key(|&leaf| (leaf as u32).wrapping_mul(2_654_435_761));
+    for leaf in order {
+        let (key, row) = kv(BASE + 2 * (leaf * per_leaf + per_leaf / 2) + 1);
+        tree.insert(key, row, &p, &t);
+    }
+    tree.check_invariants().unwrap();
+    let after = tree.stats().leaf_pages;
+    assert!(
+        2 * after <= 3 * before,
+        "{before} leaves grew to {after}, past 1.5x"
+    );
+}
+
+/// Appends at the right edge fill the leaf before theirs up before a split
+/// starts a new one: every leaf but the last two (the halves of the latest
+/// split, the second filling) is at least 90 % full, and so are the leaves
+/// but the last on average.
+#[test]
+fn appends_fill_their_leaves() {
+    let (p, t) = (pool(), IoTracker::new());
+    let mut tree = BTree::new(BTreeConfig::default(), StorageAllocator::new());
+    for i in 0..10_000 {
+        let (key, row) = kv((1 << 23) + i);
+        tree.insert(key, row, &p, &t);
+    }
+    tree.check_invariants().unwrap();
+    let leaves: Vec<usize> = tree.leaf_page_bytes().collect();
+    let limit = BTreeConfig::default().leaf_bytes;
+    let n = leaves.len();
+    for (i, &bytes) in leaves[..n - 2].iter().enumerate() {
+        assert!(
+            10 * bytes >= 9 * limit,
+            "leaf {i} of {n}: {bytes} of {limit} page bytes"
+        );
+    }
+    let but_last: usize = leaves[..n - 1].iter().sum();
+    assert!(
+        10 * but_last >= 9 * limit * (n - 1),
+        "{n} leaves: the first {} hold {but_last} page bytes",
+        n - 1
+    );
+}

@@ -1,5 +1,14 @@
 //! The columnstore index: compressed row groups + delta store + delete
 //! handling, with the primary/secondary split described in paper §2.
+//!
+//! Maintenance ([`ColumnStoreIndex::maintenance_step`]) is budgeted and
+//! converges instead of fragmenting: it resolves buffered deletes (at a
+//! cost that follows the keys, not the table), then compresses delta rows,
+//! then drops the row groups with no live row and merges runs of adjacent
+//! row groups, the most dead rows and row groups removed per live row
+//! rewritten first ([`ColumnStoreIndex::best_merge`]), while one fits the
+//! budget left. A merge or a drop evicts only its own groups' decodes from
+//! the decoded-segment cache.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -38,8 +47,20 @@ pub struct RowGroupHeat {
 }
 
 impl RowGroupHeat {
+    fn cells(&self) -> [&AtomicU64; 4] {
+        [&self.reads, &self.rows_read, &self.prunes, &self.writes]
+    }
+
+    /// Add `other`'s counts to this one's: a merged row group carries the
+    /// heat of the groups its rows came from.
+    fn absorb(&self, other: &RowGroupHeat) {
+        for (mine, theirs) in self.cells().into_iter().zip(other.cells()) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+
     fn decay(&self) {
-        for cell in [&self.reads, &self.rows_read, &self.prunes, &self.writes] {
+        for cell in self.cells() {
             // Halve; a racing increment can be folded into either side.
             cell.store(cell.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
         }
@@ -104,6 +125,33 @@ pub struct CsiMaintenanceStep {
     pub done: bool,
 }
 
+/// A run of adjacent row groups the merge phase may rewrite into one
+/// ([`ColumnStoreIndex::best_merge`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowgroupMerge {
+    /// Positions of the row groups merged.
+    pub rowgroups: std::ops::Range<usize>,
+    /// Rows the merge rewrites: the run's live rows.
+    pub live_rows: usize,
+    /// Bitmap-deleted rows the rewrite drops.
+    pub dead_rows: usize,
+}
+
+impl RowgroupMerge {
+    /// What the merge removes: its dead rows and all its groups but one.
+    fn gain(&self) -> usize {
+        self.dead_rows + self.rowgroups.len() - 1
+    }
+
+    /// Whether `self` ranks over `other`: more gain per live row rewritten,
+    /// then more gain.
+    fn beats(&self, other: &RowgroupMerge) -> bool {
+        let mine = self.gain() as u128 * other.live_rows as u128;
+        let theirs = other.gain() as u128 * self.live_rows as u128;
+        mine > theirs || (mine == theirs && self.gain() > other.gain())
+    }
+}
+
 /// Heat report for one columnstore index.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CsiHeatReport {
@@ -114,6 +162,30 @@ pub struct CsiHeatReport {
     pub delta_reads: u64,
     /// Decay passes applied over the index lifetime (not decayed itself).
     pub decay_passes: u64,
+}
+
+/// `v` as the word it orders by when it is of the integer-family type
+/// `dtype` itself (an `Int32` among `Int32`s, a `Date` among `Date`s, ...):
+/// among such values, word order and equality are `Value`'s.
+fn int_image(dtype: DataType, v: &Value) -> Option<i64> {
+    match (dtype, v) {
+        (DataType::Int32, Value::Int32(x)) | (DataType::Date, Value::Date(x)) => {
+            Some(i64::from(*x))
+        }
+        (DataType::Int64, Value::Int64(x)) | (DataType::Decimal, Value::Decimal(x)) => Some(*x),
+        _ => None,
+    }
+}
+
+/// Row `pos` of an integer-family column as its word ([`int_image`]).
+fn int_at(col: &ColumnVector, pos: usize) -> i64 {
+    match col {
+        ColumnVector::Int32(v) | ColumnVector::Date(v) => i64::from(v[pos]),
+        ColumnVector::Int64(v) | ColumnVector::Decimal(v) => v[pos],
+        ColumnVector::Float64(_) | ColumnVector::Str(_) => {
+            unreachable!("a column whose keys have an integer image")
+        }
+    }
 }
 
 /// One aggregate to push down into the encoded fold
@@ -288,9 +360,11 @@ pub struct ColumnStoreIndex {
     delta: DeltaStore,
     /// Secondary CSIs buffer logical deletes here (keyed by the row key).
     delete_buffer: Option<BTree>,
-    /// Decoded segments, keyed by (row group, column) — safe to cache
-    /// because row groups are immutable once built (deletes only flip
-    /// bitmap bits; the tuple mover only appends new row groups).
+    /// Decoded segments, keyed by each segment's blob id — safe to cache
+    /// because a segment never changes once built (deletes only flip bitmap
+    /// bits). Compression adds row groups and merges or drops remove them,
+    /// renumbering the rest; a removed group's decodes are evicted, and
+    /// every other entry stays valid wherever its group moved.
     cache: SegmentCache,
     alloc: StorageAllocator,
     /// Access heat, parallel to `row_groups` (kept outside [`RowGroup`] so
@@ -376,13 +450,36 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
+        let at = self.row_groups.len();
+        self.place_rowgroup(at, columns, RowGroupHeat::default(), pool, tracker);
+    }
+
+    /// Compress one row group's worth of column vectors and put it at
+    /// position `at`, with `heat`.
+    fn place_rowgroup(
+        &mut self,
+        at: usize,
+        columns: Vec<ColumnVector>,
+        heat: RowGroupHeat,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
         let rg = RowGroup::build(columns, self.config.sort_mode, &self.alloc);
         for c in 0..rg.num_columns() {
             let seg = rg.segment(c);
             pool.write_blob(seg.blob(), seg.encoded_bytes() as u64, tracker);
         }
-        self.row_groups.push(rg);
-        self.heat.push(Arc::new(RowGroupHeat::default()));
+        self.row_groups.insert(at, rg);
+        self.heat.insert(at, Arc::new(heat));
+    }
+
+    /// Take out the row groups `range`, evicting their decoded segments.
+    fn remove_rowgroups(&mut self, range: std::ops::Range<usize>) {
+        self.heat.drain(range.clone());
+        for rg in self.row_groups.drain(range) {
+            self.cache
+                .evict((0..rg.num_columns()).map(|c| rg.segment(c)));
+        }
     }
 
     pub fn kind(&self) -> CsiKind {
@@ -611,7 +708,7 @@ impl ColumnStoreIndex {
                     // Bound type outside the encoded domain: compare
                     // materialized values (cached decode, not per-position
                     // full decodes).
-                    let dec = self.cache.get_or_decode(rg_idx, c, seg, tracker);
+                    let dec = self.cache.get_or_decode(seg, tracker);
                     sel.retain(|pos| &dec.value(pos) == kv);
                 }
             }
@@ -717,12 +814,15 @@ impl ColumnStoreIndex {
     ///    buffered delete of its key (the UPDATE regression of the tuple
     ///    mover), and phase ordering guarantees that without per-key
     ///    probes.
-    /// 3. With the backlog fully drained, leftover budget merges runs of
-    ///    adjacent under-filled row groups (fragmentation left behind by
-    ///    budgeted partial chunks and hollowed-out delete bitmaps).
+    /// 3. With the backlog fully drained, row groups with no live row are
+    ///    dropped, and leftover budget merges runs of adjacent row groups
+    ///    (the fragments budgeted chunks leave behind and the dead rows of
+    ///    delete bitmaps), best first ([`ColumnStoreIndex::best_merge`]).
     ///
-    /// `usize::MAX` is "no budget": compact everything, then compress
-    /// everything, then defragment — the old stop-the-world pass.
+    /// Every choice reads the index alone, so the redo of an increment
+    /// with the same budget repeats it. `usize::MAX` is "no budget":
+    /// compact everything, then compress everything, then defragment —
+    /// the old stop-the-world pass.
     pub fn maintenance_step(
         &mut self,
         budget_rows: usize,
@@ -814,25 +914,12 @@ impl ColumnStoreIndex {
         moved
     }
 
-    /// Merge runs of adjacent under-filled row groups into single
-    /// capacity-bounded groups — phase 3 of the maintenance state machine,
-    /// reached only once the delete buffer and delta store are drained.
-    ///
-    /// Fragmentation accumulates two ways: budgeted increments (and the
-    /// forced-tuple-move fault) compress partial chunks, and delete bitmaps
-    /// hollow out old groups. Both leave scans paying per-rowgroup overhead
-    /// (min/max probes, decode setup, cache slots) for few live rows. A
-    /// maximal run of adjacent groups merges when its combined *live* rows
-    /// fit one group; the rewrite drops bitmap-deleted positions, so this
-    /// is also the only path that reclaims deleted space. A group at or
-    /// near capacity never combines with a live neighbor, so fully-packed
-    /// groups are not churned.
-    ///
-    /// Budgeted like the other phases: a run merges only when its live-row
-    /// cost fits the remaining budget, and the left-to-right scan stops at
-    /// the first run that does not — the next increment re-finds it at the
-    /// same position (deterministic resume). Returns
-    /// `(live rows rewritten, source row groups eliminated)`.
+    /// Phase 3 of the maintenance state machine, reached only once the
+    /// delete buffer and delta store are drained: drop the row groups with
+    /// no live row, then merge while a [`ColumnStoreIndex::best_merge`]
+    /// fits the remaining budget, each run rewritten into one group at its
+    /// position that carries the run's heat. Returns `(live rows
+    /// rewritten, source row groups eliminated)`.
     fn merge_rowgroups_budget(
         &mut self,
         max_rows: usize,
@@ -843,76 +930,105 @@ impl ColumnStoreIndex {
             self.delete_buffer_len() == 0 && self.delta.is_empty(),
             "merge-compaction must not run ahead of the backlog phases"
         );
-        let cap = self.config.rowgroup_capacity.max(1);
-        let mut budget = max_rows;
-        let mut rewritten = 0;
-        let mut eliminated = 0;
-        let mut i = 0;
-        while i < self.row_groups.len() {
-            // Greedy maximal run starting at `i` whose live rows fit one
-            // group. A lone group (even a hollow one) is left alone: the
-            // rewrite would buy nothing scans can feel.
-            let mut j = i;
-            let mut live = 0usize;
-            while j < self.row_groups.len() && live + self.row_groups[j].active_rows() <= cap {
-                live += self.row_groups[j].active_rows();
-                j += 1;
+        let groups = self.row_groups.len();
+        let mut at = 0;
+        while at < self.row_groups.len() {
+            if self.row_groups[at].active_rows() == 0 {
+                self.remove_rowgroups(at..at + 1);
+            } else {
+                at += 1;
             }
-            if j - i < 2 {
-                i += 1;
-                continue;
-            }
-            if live > budget {
-                break;
-            }
+        }
+        let mut eliminated = groups - self.row_groups.len();
+        let (mut budget, mut rewritten) = (max_rows, 0);
+        while let Some(merge) = self.best_merge(budget) {
             hpd_obs::global()
                 .counter("columnstore.maintenance.rowgroup_merge")
                 .inc();
-            let rows = self.materialize_live_rows(i, j, pool, tracker);
-            debug_assert_eq!(rows.len(), live);
-            // Splice the merged group in at the run's position so row-group
-            // order (and the key order primary lookups walk) is preserved.
-            self.row_groups.drain(i..j);
-            self.heat.drain(i..j);
-            let tail_groups = self.row_groups.split_off(i);
-            let tail_heat = self.heat.split_off(i);
-            self.compress_chunk(&rows, pool, tracker);
-            self.row_groups.extend(tail_groups);
-            self.heat.extend(tail_heat);
-            // Merging renumbers row groups, so decoded segments cached by
-            // the old indexes would alias the wrong group.
-            self.cache.clear();
-            eliminated += (j - i) - usize::from(!rows.is_empty());
-            rewritten += live;
-            budget -= live;
-            i += 1;
+            let columns = self.live_columns(merge.rowgroups.clone(), pool, tracker);
+            let heat = RowGroupHeat::default();
+            for source in &self.heat[merge.rowgroups.clone()] {
+                heat.absorb(source);
+            }
+            self.remove_rowgroups(merge.rowgroups.clone());
+            self.place_rowgroup(merge.rowgroups.start, columns, heat, pool, tracker);
+            eliminated += merge.rowgroups.len() - 1;
+            rewritten += merge.live_rows;
+            budget -= merge.live_rows;
         }
         (rewritten, eliminated)
     }
 
-    /// Decode the live rows of row groups `lo..hi`, in position order.
-    fn materialize_live_rows(
+    /// The best merge of row groups whose live rows fit one group and
+    /// `budget_rows`, if any: a run of two or more adjacent groups, or one
+    /// alone that is at least half dead, ranked by what it removes — its
+    /// dead rows and all its groups but one — per live row it rewrites,
+    /// then by what it removes, then leftmost. A group with a few dead rows
+    /// is left alone until a merge takes it along (rewriting it for them
+    /// would spend every increment's budget on groups that lose a few rows
+    /// a round, and none on the fragments), and a run of empty groups is no
+    /// candidate: the merge phase drops those for free first.
+    pub fn best_merge(&self, budget_rows: usize) -> Option<RowgroupMerge> {
+        let limit = budget_rows.min(self.config.rowgroup_capacity.max(1));
+        let mut best: Option<RowgroupMerge> = None;
+        for start in 0..self.row_groups.len() {
+            let (mut live_rows, mut dead_rows) = (0, 0);
+            for (end, rg) in (start + 1..).zip(&self.row_groups[start..]) {
+                live_rows += rg.active_rows();
+                dead_rows += rg.rows() - rg.active_rows();
+                if live_rows > limit {
+                    break;
+                }
+                let merge = RowgroupMerge {
+                    rowgroups: start..end,
+                    live_rows,
+                    dead_rows,
+                };
+                // A lone group pays for its rewrite only in dead rows: at
+                // least as many shed as live ones rewritten.
+                let pays = end - start > 1 || dead_rows >= live_rows;
+                if live_rows > 0 && pays && best.as_ref().is_none_or(|b| merge.beats(b)) {
+                    best = Some(merge);
+                }
+            }
+        }
+        best
+    }
+
+    /// Row groups with no live row: what the merge phase drops for free.
+    pub fn empty_rowgroups(&self) -> usize {
+        self.row_groups
+            .iter()
+            .filter(|rg| rg.active_rows() == 0)
+            .count()
+    }
+
+    /// The live rows of the row groups `range`, in position order, as one
+    /// row group's column vectors: a cached decode when there is one, a
+    /// gather of the live positions otherwise (the groups are about to go,
+    /// so nothing is cached for them).
+    fn live_columns(
         &self,
-        lo: usize,
-        hi: usize,
+        range: std::ops::Range<usize>,
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) -> Vec<Row> {
-        let mut rows = Vec::new();
-        for rg_idx in lo..hi {
-            let rg = &self.row_groups[rg_idx];
-            let cols: Vec<Arc<ColumnVector>> = (0..rg.num_columns())
-                .map(|c| {
-                    let seg = rg.segment(c);
-                    seg.charge_io(pool, tracker);
-                    self.cache.get_or_decode(rg_idx, c, seg, tracker)
-                })
-                .collect();
-            rg.live_mask().for_each_set(|pos| {
-                rows.push(Row::new(cols.iter().map(|col| col.value(pos)).collect()));
-            });
+    ) -> Vec<ColumnVector> {
+        let mut columns = self.empty_columns();
+        for rg in &self.row_groups[range] {
+            let live = rg.live_mask().positions();
+            for (c, column) in columns.iter_mut().enumerate() {
+                let seg = rg.segment(c);
+                seg.charge_io(pool, tracker);
+                let values = match self.cache.peek(seg, tracker) {
+                    Some(decoded) => decoded.take(&live),
+                    None => seg.gather(&live),
+                };
+                column
+                    .append(&values)
+                    .expect("a row group's columns match the index");
+            }
         }
-        rows
+        columns
     }
 
     /// Resolve buffered logical deletes into delete-bitmap bits (the
@@ -927,9 +1043,13 @@ impl ColumnStoreIndex {
     /// so a partial slice is always consistent. Keys resolve smallest first,
     /// making slices deterministic and resumable.
     ///
-    /// One pass per slice: every row group's key segments are scanned once
-    /// and all selected keys matched together, rather than one locating
-    /// scan per buffered key.
+    /// The cost follows the keys, not the table: a row group whose first
+    /// key column's min/max admits none of the keys still unmatched is
+    /// skipped unread, and the others are probed through their decoded key
+    /// columns position by position — the first key value looked up among
+    /// the sorted keys, the rest compared in place — with no `Key` built
+    /// per row. Each key marks the first live row it matches, in row-group
+    /// and position order.
     pub fn compact_deletes_budget(
         &mut self,
         max_keys: usize,
@@ -948,7 +1068,9 @@ impl ColumnStoreIndex {
         let mut entries: Vec<(Key, Row)> =
             buffer.scan_range_collect(Bound::Unbounded, Bound::Unbounded, pool, tracker);
         let keep = entries.split_off(entries.len().min(max_keys));
-        let mut pending: HashSet<Key> = entries.into_iter().map(|(k, _)| k).collect();
+        // In key order, as the buffer holds them, so in first-value order.
+        let mut pending: Vec<Key> = entries.into_iter().map(|(k, _)| k).collect();
+        pending.dedup();
         let compacted = pending.len();
         // Replace with a buffer holding only the keys beyond the budget.
         *buffer = BTree::new(BTreeConfig::default(), self.alloc.clone());
@@ -956,32 +1078,71 @@ impl ColumnStoreIndex {
             buffer.insert(k, r, pool, tracker);
         }
 
-        let key_ords = self.key_ordinals.clone();
-        for rg_idx in 0..self.row_groups.len() {
-            if pending.is_empty() {
+        let Some(&first_col) = self.key_ordinals.first() else {
+            return compacted;
+        };
+        fn first(k: &Key) -> &Value {
+            &k.values()[0]
+        }
+        // The keys' first values as words when each is of the column's own
+        // integer type (so word order and equality are `Value`'s): a row's
+        // probe then compares words.
+        let dtype = self.schema.column(first_col).dtype;
+        let words: Option<Vec<i64>> = (pending.iter())
+            .map(|k| int_image(dtype, first(k)))
+            .collect();
+        let mut matched = vec![false; pending.len()];
+        let mut unmatched = pending.len();
+        for (rg, heat) in self.row_groups.iter_mut().zip(&self.heat) {
+            if unmatched == 0 {
                 break;
             }
-            let rg = &self.row_groups[rg_idx];
-            let key_cols: Vec<Arc<ColumnVector>> = key_ords
-                .iter()
+            let (min, max) = (rg.segment(first_col).min(), rg.segment(first_col).max());
+            let lo = pending.partition_point(|k| first(k) < min);
+            let hi = pending.partition_point(|k| first(k) <= max);
+            if matched[lo..hi].iter().all(|&m| m) {
+                continue;
+            }
+            let key_cols: Vec<Arc<ColumnVector>> = (self.key_ordinals.iter())
                 .map(|&c| {
                     rg.segment(c).charge_io(pool, tracker);
-                    self.cache.get_or_decode(rg_idx, c, rg.segment(c), tracker)
+                    self.cache.get_or_decode(rg.segment(c), tracker)
                 })
                 .collect();
+            // The keys, among `lo..hi`, whose first value is row `pos`'s.
+            let col = &key_cols[0];
+            let same_first = |pos: usize| match &words {
+                Some(words) => {
+                    let v = int_at(col, pos);
+                    let from = lo + words[lo..hi].partition_point(|&w| w < v);
+                    from..from + words[from..hi].iter().take_while(|&&w| w == v).count()
+                }
+                None => {
+                    let v = col.value(pos);
+                    let from = lo + pending[lo..hi].partition_point(|k| first(k) < &v);
+                    from..from
+                        + pending[from..hi]
+                            .iter()
+                            .take_while(|k| first(k) == &v)
+                            .count()
+                }
+            };
             let mut hits: Vec<usize> = Vec::new();
             rg.live_mask().for_each_set(|pos| {
-                let key = Key::new(key_cols.iter().map(|kc| kc.value(pos)).collect());
-                if pending.remove(&key) {
-                    hits.push(pos);
+                for i in same_first(pos) {
+                    let rest = key_cols[1..].iter().zip(&pending[i].values()[1..]);
+                    if !matched[i] && rest.into_iter().all(|(col, kv)| &col.value(pos) == kv) {
+                        matched[i] = true;
+                        unmatched -= 1;
+                        hits.push(pos);
+                        break;
+                    }
                 }
             });
-            self.heat[rg_idx].reads.fetch_add(1, Ordering::Relaxed);
-            self.heat[rg_idx]
-                .writes
-                .fetch_add(hits.len() as u64, Ordering::Relaxed);
+            heat.reads.fetch_add(1, Ordering::Relaxed);
+            heat.writes.fetch_add(hits.len() as u64, Ordering::Relaxed);
             for pos in hits {
-                self.row_groups[rg_idx].mark_deleted(pos);
+                rg.mark_deleted(pos);
             }
         }
         // Keys not found in any row group referred to rows that no longer
@@ -1456,9 +1617,9 @@ impl<'a> CsiScan<'a> {
             .map(|&c| {
                 let seg = rg.segment(c);
                 if full && self.fill_cache {
-                    return (*index.cache.get_or_decode(rg_idx, c, seg, tracker)).clone();
+                    return (*index.cache.get_or_decode(seg, tracker)).clone();
                 }
-                match (index.cache.peek(rg_idx, c, tracker), full) {
+                match (index.cache.peek(seg, tracker), full) {
                     (Some(dec), true) => (*dec).clone(),
                     (Some(dec), false) => dec.take(&positions),
                     (None, true) => seg.decode(),

@@ -448,10 +448,10 @@ fn merge_reclaims_bitmap_deleted_space() {
     );
 }
 
-/// A merge run is all-or-nothing under the budget: a run whose live-row
-/// cost exceeds the remaining budget is deferred whole (no partial
-/// rewrite), and the next increment with enough budget picks it up at the
-/// same position.
+/// A run whose live rows exceed the budget is not deferred whole: the
+/// increment merges the best sub-run that fits, so every increment with
+/// budget for some merge makes progress, and one with budget for none
+/// merges nothing. No merge rewrites more than its budget.
 #[test]
 fn merge_respects_budget_and_resumes() {
     let (mut idx, pool, t) = setup(CsiKind::Primary, 0);
@@ -463,18 +463,93 @@ fn merge_respects_budget_and_resumes() {
     while !idx.maintenance_step(CAP / 8, &pool, &t).done {}
     assert_eq!(idx.num_rowgroups(), 4, "four CAP/8-sized groups");
 
-    // The maximal mergeable run is all four groups (CAP/2 live rows);
-    // half that budget must defer the merge, not split it.
+    let ids: Vec<i32> = (0..CAP as i32 / 2).collect();
+    let sizes = |idx: &ColumnStoreIndex| -> Vec<usize> {
+        (0..idx.num_rowgroups())
+            .map(|g| idx.rowgroup(g).rows())
+            .collect()
+    };
+    // All four groups (CAP/2 live rows) do not fit CAP/4; the leftmost of
+    // the equally good pairs does.
     let step = idx.maintenance_step(CAP / 4, &pool, &t);
-    assert_eq!(step.rowgroups_merged, 0);
-    assert_eq!(idx.num_rowgroups(), 4);
+    assert_eq!((step.rowgroups_merged, step.rows_rewritten), (1, CAP / 4));
+    assert_eq!(sizes(&idx), [CAP / 4, CAP / 8, CAP / 8]);
+    assert_eq!(visible_ids(&idx, &pool), ids);
+
+    // The next increment resumes with the pair that is left.
+    let step = idx.maintenance_step(CAP / 4, &pool, &t);
+    assert_eq!((step.rowgroups_merged, step.rows_rewritten), (1, CAP / 4));
+    assert_eq!(sizes(&idx), [CAP / 4, CAP / 4]);
+
+    // Nothing fits CAP/4 any more: no work, not a partial rewrite.
+    let step = idx.maintenance_step(CAP / 4, &pool, &t);
+    assert_eq!((step.rowgroups_merged, step.rows_rewritten), (0, 0));
+    assert_eq!(idx.num_rowgroups(), 2);
 
     let step = idx.maintenance_step(CAP / 2, &pool, &t);
-    assert_eq!(step.rowgroups_merged, 3);
-    assert_eq!(step.rows_rewritten, CAP / 2);
-    assert_eq!(idx.num_rowgroups(), 1);
-    assert_eq!(
-        visible_ids(&idx, &pool),
-        (0..CAP as i32 / 2).collect::<Vec<_>>()
-    );
+    assert_eq!((step.rowgroups_merged, step.rows_rewritten), (1, CAP / 2));
+    assert_eq!(sizes(&idx), [CAP / 2]);
+    assert_eq!(visible_ids(&idx, &pool), ids);
+}
+
+/// Delete compaction on composite keys, whichever type leads: a string
+/// first (its values compared as `Value`s) or an integer first (compared
+/// as words), the rest of the key compared in place. Keys resolve in two
+/// slices, from every row group, and each marks exactly its own row.
+#[test]
+fn compaction_resolves_composite_keys_of_either_leading_type() {
+    let schema = Schema::from_pairs(&[
+        ("name", DataType::Utf8),
+        ("n", DataType::Int32),
+        ("v", DataType::Int64),
+    ]);
+    let row = |i: i32| {
+        Row::new(vec![
+            Value::str(format!("k{}", i % 7)),
+            Value::Int32(i / 7),
+            Value::Int64(i64::from(i)),
+        ])
+    };
+    for key_ordinals in [vec![0, 1], vec![1, 0]] {
+        let pool = BufferPool::unbounded(DeviceProfile::ram());
+        let t = IoTracker::new();
+        let rows: Vec<Row> = (0..3 * CAP as i32).map(row).collect();
+        let mut idx = ColumnStoreIndex::build(
+            schema.clone(),
+            CsiKind::Secondary,
+            key_ordinals.clone(),
+            CsiConfig {
+                rowgroup_capacity: CAP,
+                delete_buffer_compact_threshold: 1_000_000,
+                ..CsiConfig::default()
+            },
+            &rows,
+            StorageAllocator::new(),
+            &pool,
+            &t,
+        );
+        let gone: Vec<i32> = (0..3 * CAP as i32).filter(|i| i % 5 == 2).collect();
+        for &i in &gone {
+            idx.delete(&rows[i as usize].key(&key_ordinals), &pool, &t);
+        }
+        assert_eq!(
+            idx.compact_deletes_budget(gone.len() / 2, &pool, &t),
+            gone.len() / 2
+        );
+        idx.compact_deletes_budget(usize::MAX, &pool, &t);
+        assert_eq!(idx.delete_buffer_len(), 0);
+        assert_eq!(idx.active_rows(), rows.len() - gone.len());
+        let mut left: Vec<i64> = idx
+            .scan_collect(&[2], &HashMap::new(), &pool, &t)
+            .iter()
+            .flat_map(|b| {
+                (0..b.num_rows())
+                    .map(|i| b.column(0).value(i).as_i64().unwrap())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        left.sort_unstable();
+        let want: Vec<i64> = (0..3 * CAP as i64).filter(|i| i % 5 != 2).collect();
+        assert_eq!(left, want, "key columns {key_ordinals:?}");
+    }
 }

@@ -5,21 +5,28 @@
 //! store and delete buffer are drained without stalling the OLTP side.
 //! Instead of the old stop-the-world `force_csi_maintenance` pass, work is
 //! split into **budgeted increments** (`Table::maintenance_step`): each
-//! increment resolves at most `budget_rows` rows of backlog — buffered
+//! increment resolves at most `budget_rows` rows of work — buffered
 //! deletes first, delta compression only once the buffer is empty (the
-//! tuple-mover ordering invariant) — takes the table latch only for its own
-//! slice, WAL-logs a [`hpd_wal::LogRecord::MaintenanceStep`] record, and is
-//! individually crash-safe (maintenance is logically a no-op, so a crash at
-//! any point inside an increment recovers to the committed state).
+//! tuple-mover ordering invariant), and with the backlog drained the drop
+//! of row groups with no live row and merges of adjacent row groups, best
+//! gain per rewritten row first, within what budget is left — takes the
+//! table latch only for its own slice, WAL-logs a
+//! [`hpd_wal::LogRecord::MaintenanceStep`] record, and is individually
+//! crash-safe (maintenance is logically a no-op, so a crash at any point
+//! inside an increment recovers to the committed state). Every choice an
+//! increment makes reads the index alone, so its redo repeats it.
 //!
-//! The [`spawn_maintenance`] scheduler scores candidate tables by marginal
-//! benefit — delta scan cost, delete-buffer anti-join cost, and
-//! segment-pruning loss, all weighted by decayed rowgroup heat — against
-//! foreground interference (worker-pool occupancy, grant queue depth), and
-//! executes the top pick through a non-blocking worker-pool token plus
-//! grant-broker admission so OLTP latency is protected. Heat decay ticks on
-//! the scheduler's own clock, deliberately decoupled from maintenance
-//! passes.
+//! The [`spawn_maintenance`] scheduler scores candidate tables by the work
+//! an increment of its budget would really do — delta scan cost,
+//! delete-buffer anti-join cost and segment-pruning loss, all weighted by
+//! decayed rowgroup heat, plus the row groups and dead rows a merge that
+//! fits the budget would remove — against foreground interference
+//! (worker-pool occupancy, grant queue depth), and executes the top pick
+//! through a non-blocking worker-pool token plus grant-broker admission so
+//! OLTP latency is protected. Work that does not fit the budget scores
+//! nothing, so the scheduler does not pick it tick after tick. Heat decay
+//! ticks on the scheduler's own clock, deliberately decoupled from
+//! maintenance passes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,9 +78,11 @@ pub struct MaintenanceReport {
     pub rows_moved: usize,
     /// Buffered deletes resolved into bitmap bits by this increment.
     pub deletes_compacted: usize,
-    /// Under-filled source rowgroups eliminated by merge-compaction (the
+    /// Source rowgroups eliminated by merge-compaction and drops (the
     /// defragmentation phase that runs once the backlog is drained).
     pub rowgroups_merged: usize,
+    /// Live rows the merges of this increment rewrote.
+    pub rows_rewritten: usize,
     /// Delta rows still pending after the increment.
     pub delta_rows: usize,
     /// Buffered deletes still pending after the increment.
@@ -223,10 +232,13 @@ fn maintenance_increment(
             faults::sites::CRASH_IN_MAINTENANCE.into(),
         ));
     }
-    // Any work is logged, a merge-only increment included: redo re-runs the
-    // increment with the same budget, and a step it never sees leaves the
-    // recovered row groups unmerged.
-    let worked = step.rows_moved > 0 || step.deletes_compacted > 0 || step.rowgroups_merged > 0;
+    // Any work is logged, a merge-only or drop-only increment included:
+    // redo re-runs the increment with the same budget, and a step it never
+    // sees leaves the recovered row groups unmerged.
+    let worked = step.rows_moved > 0
+        || step.deletes_compacted > 0
+        || step.rowgroups_merged > 0
+        || step.rows_rewritten > 0;
     if db.wal.enabled() && worked {
         let lsn = db.wal.append(&LogRecord::MaintenanceStep {
             table: table_id,
@@ -269,6 +281,7 @@ fn maintenance_increment(
         rows_moved: step.rows_moved,
         deletes_compacted: step.deletes_compacted,
         rowgroups_merged: step.rowgroups_merged,
+        rows_rewritten: step.rows_rewritten,
         delta_rows,
         delete_buffer,
         complete: step.done,
@@ -302,59 +315,84 @@ pub struct MaintenanceCandidate {
     pub table: String,
     /// Targeted partition; `None` for a monolithic table.
     pub part: Option<usize>,
-    /// Marginal-benefit score; higher means an increment saves more
-    /// foreground work. Zero when the table has no backlog.
+    /// Marginal-benefit score of one increment of the scheduler's budget;
+    /// higher means it saves more foreground work. Positive on every
+    /// candidate.
     pub score: f64,
     /// Pending rows (delta + buffered deletes) across the unit's CSIs.
     pub backlog: usize,
 }
 
-/// Marginal-benefit score of one part's CSIs: `(score, backlog)`.
-fn score_part(part: &crate::table::TablePart, capacity: f64) -> (f64, usize) {
+/// Marginal-benefit score of one increment of `budget` rows on one part's
+/// CSIs: `(score, backlog)`. The score counts only the work the increment
+/// would really do: backlog always (any budget resolves some of it), and
+/// once the backlog fits the budget, the drops and the best merge that fit
+/// what is left ([`hpd_columnstore::ColumnStoreIndex::best_merge`]).
+fn score_part(part: &crate::table::TablePart, capacity: f64, budget: usize) -> (f64, usize) {
     let mut score = 0.0;
     let mut backlog = 0;
+    let mut left = budget.max(1);
     for csi in part.csis() {
         let pending = csi.maintenance_backlog();
-        if pending == 0 {
-            continue;
-        }
-        backlog += pending;
         let rep = csi.heat_report();
         let reads: u64 = rep.rowgroups.iter().map(|r| r.reads).sum();
         let prunes: u64 = rep.rowgroups.iter().map(|r| r.prunes).sum();
-        let delta = csi.delta_rows() as f64;
-        let buffer = csi.delete_buffer_len() as f64;
-        // Delta merge cost: every delta scan walks the whole delta.
-        score += rep.delta_reads as f64 * delta / capacity;
-        // Anti-join cost: every rowgroup read probes the buffer.
-        score += reads as f64 * buffer / capacity;
-        // Pruning loss: delta rows can never be segment-eliminated.
-        score += prunes as f64 * delta / capacity;
-        // Small constant pressure so cold backlogs still drain.
-        score += pending as f64 / capacity;
+        if pending > 0 {
+            backlog += pending;
+            let delta = csi.delta_rows() as f64;
+            let buffer = csi.delete_buffer_len() as f64;
+            // Delta merge cost: every delta scan walks the whole delta.
+            score += rep.delta_reads as f64 * delta / capacity;
+            // Anti-join cost: every rowgroup read probes the buffer.
+            score += reads as f64 * buffer / capacity;
+            // Pruning loss: delta rows can never be segment-eliminated.
+            score += prunes as f64 * delta / capacity;
+            // Small constant pressure so cold backlogs still drain.
+            score += pending as f64 / capacity;
+        }
+        if pending >= left {
+            // The rest of the increment goes on this backlog.
+            break;
+        }
+        left -= pending;
+        // Fragmentation: every scan visits every row group (reading or
+        // pruning it) and every dead row of those it reads. A removed
+        // group is worth one unit, more under scans.
+        let merge = csi.best_merge(left);
+        let groups = csi.empty_rowgroups() + merge.as_ref().map_or(0, |m| m.rowgroups.len() - 1);
+        let dead = merge.as_ref().map_or(0, |m| m.dead_rows) as f64;
+        if groups > 0 || dead > 0.0 {
+            let scans = (reads + prunes) as f64 / rep.rowgroups.len().max(1) as f64;
+            score += (groups as f64 + dead / capacity) * (1.0 + scans);
+        }
+        left -= merge.map_or(0, |m| m.live_rows);
     }
     (score, backlog)
 }
 
 /// Score every table's pending maintenance work, highest first. Partitioned
-/// tables yield one candidate per backlogged *partition*, so the scheduler
+/// tables yield one candidate per *partition* with work, so the scheduler
 /// drains a hot partition's delta without touching nine cold siblings.
 ///
-/// The score estimates what the backlog costs foreground scans per tick:
-/// delta-store merge cost scales with delta scans × delta depth, the
-/// delete-buffer anti-join costs every rowgroup read a probe per buffered
-/// key, and an unfull delta erodes segment pruning (delta rows are never
-/// pruned). Heat counters are decayed, so recent access dominates.
+/// The score estimates what one increment of the configured budget saves
+/// foreground scans per tick: delta-store merge cost scales with delta
+/// scans × delta depth, the delete-buffer anti-join costs every rowgroup
+/// read a probe per buffered key, an unfull delta erodes segment pruning
+/// (delta rows are never pruned), and every row group a merge or drop
+/// removes is one less for every scan to visit. Heat counters are decayed,
+/// so recent access dominates. A part whose only work does not fit the
+/// budget (a merge over it) is no candidate.
 pub fn maintenance_candidates(db: &Database) -> Vec<MaintenanceCandidate> {
     let capacity = db.config().csi.rowgroup_capacity.max(1) as f64;
+    let budget = db.config().maintenance.budget_rows;
     let slots = db.tables_snapshot();
     let mut out = Vec::new();
     for slot in slots.iter() {
         let table = slot.table.read();
         let partitioned = table.num_parts() > 1;
         for (p, part) in table.parts().iter().enumerate() {
-            let (score, backlog) = score_part(part, capacity);
-            if backlog > 0 {
+            let (score, backlog) = score_part(part, capacity, budget);
+            if score > 0.0 {
                 out.push(MaintenanceCandidate {
                     table: slot.name.clone(),
                     part: partitioned.then_some(p),

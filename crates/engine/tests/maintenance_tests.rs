@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use hpd_common::{faults, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
 use hpd_engine::{
-    spawn_maintenance, Database, DbConfig, IndexDescriptor, MaintenanceConfig, SelectQuery,
-    Statement, WalConfig,
+    maintenance_candidates, spawn_maintenance, Database, DbConfig, IndexDescriptor,
+    MaintenanceConfig, SelectQuery, Statement, WalConfig,
 };
 
 /// Small rowgroups so a handful of inserts builds a real backlog, and a
@@ -320,4 +320,79 @@ fn maintenance_unknown_table_errors() {
     let db = Database::new(config());
     assert!(db.maintenance("nope").run().is_err());
     assert!(db.maintenance("nope").report().is_err());
+}
+
+/// Row groups of the table's (one) columnstore.
+fn rowgroups(db: &Database) -> usize {
+    db.with_table("t", |t| t.part(0).csis().map(|c| c.num_rowgroups()).sum())
+        .unwrap()
+}
+
+/// A primary columnstore of one full group, then `chunks` groups of four
+/// rows each, compressed by increments of four rows: no backlog left, and
+/// fragments only a merge removes.
+fn fragmented(cfg: DbConfig, chunks: i32) -> Arc<Database> {
+    let db = Arc::new(Database::new(cfg));
+    setup(&db, IndexDescriptor::PrimaryCsi, 32);
+    for id in 32..32 + 4 * chunks {
+        insert(&db, id);
+    }
+    for _ in 0..chunks {
+        db.maintenance("t").budget_rows(4).run().unwrap();
+    }
+    assert_eq!(backlog(&db), 0);
+    assert_eq!(rowgroups(&db) as i32, 1 + chunks);
+    db
+}
+
+/// A drained but fragmented table is work: it scores the groups a merge
+/// within the scheduler's budget removes, and the scheduler runs that
+/// merge-only increment.
+#[test]
+fn the_scheduler_merges_a_drained_fragmented_table() {
+    let mut cfg = config();
+    cfg.maintenance = MaintenanceConfig {
+        tick: Duration::from_millis(1),
+        budget_rows: 16,
+        ..MaintenanceConfig::default()
+    };
+    let db = fragmented(cfg, 3);
+    let before = contents(&db);
+    let candidates = maintenance_candidates(&db);
+    assert_eq!(candidates.len(), 1, "{candidates:?}");
+    assert_eq!(candidates[0].backlog, 0);
+    assert!(
+        candidates[0].score >= MaintenanceConfig::default().min_score,
+        "two groups removed score {}",
+        candidates[0].score
+    );
+
+    let handle = spawn_maintenance(&db);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while rowgroups(&db) > 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.stop();
+    assert_eq!(rowgroups(&db), 2, "the three fragments merged into one");
+    assert!(maintenance_candidates(&db).is_empty(), "nothing left to do");
+    assert_eq!(contents(&db), before);
+}
+
+/// Work over the budget scores nothing: fragments whose smallest merge
+/// rewrites more rows than the scheduler's budget are no candidate, so a
+/// scheduler does not pick the table tick after tick for an increment
+/// that would do nothing.
+#[test]
+fn merge_work_over_the_budget_is_no_candidate() {
+    let mut cfg = config();
+    cfg.maintenance.budget_rows = 4;
+    let db = fragmented(cfg, 2);
+    assert!(
+        maintenance_candidates(&db).is_empty(),
+        "{:?}",
+        maintenance_candidates(&db)
+    );
+    let r = db.maintenance("t").budget_rows(4).run().unwrap();
+    assert_eq!((r.rowgroups_merged, r.rows_rewritten), (0, 0));
+    assert_eq!(rowgroups(&db), 3);
 }

@@ -374,7 +374,7 @@ const LOG_HASHES: [(&str, &str, &str); 4] = [
     ("btree", "091b0ad2f3e9acbc", "88f67b2f9889c083"),
     ("csi", "1929b3fc5fcb65e8", "d172d460af255345"),
     ("hybrid", "6c071979d12be304", "5dc492b4cd4bcf5b"),
-    ("parthybrid", "ab90d2b4db9f2981", "3ae57760f15cd131"),
+    ("parthybrid", "ab90d2b4db9f2981", "c030333823fd5291"),
 ];
 
 /// The gate for "one write path": with no checkpoint and no faults, a

@@ -787,3 +787,114 @@ fn explain_analyze_counts_only_its_own_statements_work() {
         }
     });
 }
+
+/// The `htap` benchmark's shape at test size: design (B) on a 20 000-row
+/// `lineitem` (B+ tree primary, B+ tree secondary on `l_shipdate`,
+/// secondary columnstore), and rounds of point reads, inserts of new keys,
+/// `UPDATE TOP 10` of non-key columns by ship date, deletes of the test's
+/// own oldest inserts (so the table keeps its size) and one budgeted
+/// maintenance increment. Storage converges: the indexes hold as many
+/// bytes per live row at round 120 as at round 40 (within 3 %), and the
+/// columnstore's row groups stay few, though every round compresses a
+/// chunk of its own.
+#[test]
+fn htap_storage_is_stationary() {
+    use hybrid_physical_designs::engine::{DeleteStmt, InsertStmt};
+    use hybrid_physical_designs::workloads::tpch::{col, SHIPDATE_DAYS};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const N: usize = 40;
+    let mut cfg = DbConfig::default();
+    cfg.csi.rowgroup_capacity = 4_096;
+    let db = Database::new(cfg);
+    load_lineitem(&db, 20_000, 11, MixedDesign::BTreeWithSecondaryCsi).unwrap();
+    let loaded_orders = db
+        .query(&SelectQuery::single_table(
+            "lineitem",
+            None,
+            vec![col::L_ORDERKEY],
+        ))
+        .run()
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].as_i32().unwrap())
+        .max()
+        .unwrap();
+    let key_is = |k: i32| {
+        Expr::and(vec![
+            Expr::col_cmp(col::L_ORDERKEY, CmpOp::Eq, Value::Int32(k)),
+            Expr::col_cmp(col::L_LINENUMBER, CmpOp::Eq, Value::Int32(1)),
+        ])
+    };
+    // Index bytes per live row, and the columnstore's row groups.
+    let sizes = || {
+        db.with_table("lineitem", |t| {
+            let metas = t.part_metas(0);
+            let bytes: usize = metas.iter().map(|m| m.size_bytes()).sum();
+            let rowgroups: usize = metas.iter().map(|m| m.rowgroups).sum();
+            (bytes as f64 / t.row_count() as f64, rowgroups)
+        })
+        .unwrap()
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut own = std::collections::VecDeque::new();
+    let mut next = 1_000_000;
+    let mut at = Vec::new();
+    for _round in 1..=3 * N {
+        for i in 0..6 {
+            for _ in 0..4 {
+                let k = rng.gen_range(1..=loaded_orders);
+                let q = SelectQuery::single_table(
+                    "lineitem",
+                    Some(key_is(k)),
+                    vec![col::L_QUANTITY, col::L_EXTENDEDPRICE],
+                );
+                assert_eq!(db.query(&q).run().unwrap().rows.len(), 1);
+            }
+            let row = Row::new(vec![
+                Value::Int32(next),
+                Value::Int32(1),
+                Value::Decimal(rng.gen_range(1..=50i64) * 10_000),
+                Value::Decimal(rng.gen_range(90_000..=10_490_000i64) * 100),
+                Value::Decimal(rng.gen_range(0..=10i64) * 1_000),
+                Value::Date(rng.gen_range(SHIPDATE_DAYS / 2..SHIPDATE_DAYS)),
+                Value::Int32(rng.gen_range(0..10_000)),
+                Value::Int32(rng.gen_range(0..200_000)),
+            ]);
+            let insert = Statement::Insert(InsertStmt {
+                table: "lineitem".into(),
+                rows: vec![row],
+            });
+            db.query(&insert).run().unwrap();
+            own.push_back(next);
+            next += 1;
+            if i % 3 == 0 {
+                let day = rng.gen_range(0..SHIPDATE_DAYS / 2);
+                db.query(&q4_update(10, day)).run().unwrap();
+            }
+            if own.len() > 30 {
+                let delete = Statement::Delete(DeleteStmt {
+                    table: "lineitem".into(),
+                    predicate: key_is(own.pop_front().unwrap()),
+                    top: None,
+                });
+                db.query(&delete).run().unwrap();
+            }
+        }
+        db.maintenance("lineitem").budget_rows(1_024).run().unwrap();
+        at.push(sizes());
+    }
+    let ((per_row_n, _), (per_row_3n, _)) = (at[N - 1], at[3 * N - 1]);
+    assert!(
+        (per_row_3n / per_row_n - 1.0).abs() <= 0.03,
+        "index bytes per live row: {per_row_n:.1} at round {N}, {per_row_3n:.1} at round {}",
+        3 * N
+    );
+    let most = at.iter().map(|&(_, groups)| groups).max().unwrap();
+    assert!(
+        most <= 12,
+        "up to {most} row groups for 20 000 rows of 4 096-row groups"
+    );
+}

@@ -10,7 +10,8 @@
 //! `Value::sentinel_max`, `Int64` and `Float64` probes against `Int32` keys,
 //! `-0.0` and NaN floats, empty payloads, empty and multi-kilobyte strings,
 //! integers of every payload width from 0 to 8 bytes and the `i32` / `i64`
-//! extremes, strings whose length is either side of a varint byte (0, 127,
+//! extremes, decimals at every scale (0 to 4 trailing zeros and more, so
+//! the one value is written under tag 3 or 6–9), strings whose length is either side of a varint byte (0, 127,
 //! 128, 16 383, 16 384),
 //! updates that widen and narrow a payload (past a whole page too), bulk
 //! loads from owned entries and from an unsorted encoded run, and leaves
@@ -56,7 +57,7 @@ fn value(rng: &mut StdRng) -> Value {
         0..=9 => Value::Int32(rng.gen_range(-3..8)),
         10 => Value::Int64(rng.gen_range(-3..8)),
         11 => Value::Date(rng.gen_range(0..4)),
-        12 => Value::Decimal(rng.gen_range(-2..3i64) * 5_000),
+        12 => Value::Decimal(rng.gen_range(-3..4i64) * 10_i64.pow(rng.gen_range(0..6))),
         13 | 14 => {
             let floats = [-0.0, 0.0, f64::NAN, 1.5, f64::NEG_INFINITY, 4.0];
             Value::Float64(floats[rng.gen_range(0..floats.len())])
@@ -78,7 +79,9 @@ fn value(rng: &mut StdRng) -> Value {
 }
 
 /// An integer, date or decimal whose payload takes 0 to 8 bytes (4 at most
-/// for the 32-bit types): a zig-zag word of that many significant bytes.
+/// for the 32-bit types): a zig-zag word of that many significant bytes, a
+/// decimal's with its last 0–4 digits then zeroed (so it may be written
+/// scaled, in fewer).
 fn wide(rng: &mut StdRng) -> Value {
     let bytes = rng.gen_range(0..=8u32);
     let w = match bytes {
@@ -89,7 +92,10 @@ fn wide(rng: &mut StdRng) -> Value {
     match rng.gen_range(0..4) {
         0 if bytes <= 4 => Value::Int32(x as i32),
         1 if bytes <= 4 => Value::Date(x as i32),
-        2 => Value::Decimal(x),
+        2 => {
+            let scale = 10_i64.pow(rng.gen_range(0..5));
+            Value::Decimal(x / scale * scale)
+        }
         _ => Value::Int64(x),
     }
 }
@@ -104,6 +110,18 @@ fn key(rng: &mut StdRng) -> Key {
 fn typed_key(rng: &mut StdRng, family: u32) -> Key {
     let ints = [i64::MIN, -(1 << 40), -2, -1, 0, 1, 2, 1 << 40, i64::MAX];
     let small = [i32::MIN, -2, -1, 0, 1, 2, i32::MAX];
+    // Every scale: 0–4 trailing zeros, and more.
+    let decimals = [
+        i64::MIN,
+        -123_450_000,
+        -70,
+        -1,
+        0,
+        3,
+        4_200,
+        10_000,
+        10_i64.pow(12),
+    ];
     let floats = [
         f64::NEG_INFINITY,
         -1.5,
@@ -131,7 +149,7 @@ fn typed_key(rng: &mut StdRng, family: u32) -> Key {
         1 if rng.gen_bool(0.5) => Value::Int32(small[rng.gen_range(0..small.len())]),
         1 | 2 => Value::Int64(ints[rng.gen_range(0..ints.len())]),
         3 => Value::Float64(floats[rng.gen_range(0..floats.len())]),
-        4 => Value::Decimal(ints[rng.gen_range(0..ints.len())]),
+        4 => Value::Decimal(decimals[rng.gen_range(0..decimals.len())]),
         5 => Value::Date(small[rng.gen_range(0..small.len())]),
         _ => Value::str(strings[rng.gen_range(0..strings.len())]),
     };

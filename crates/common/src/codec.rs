@@ -1,17 +1,20 @@
 //! The one binary encoding of a [`Value`], and its borrowed view.
 //!
 //! A value is a header byte and a payload. The header's high four bits are
-//! the type tag (0–5, the order of [`DataType`]'s variants) and its low
-//! four the payload's length. An `Int32`, `Int64`, `Decimal` or `Date` is
-//! zig-zagged (0, -1, 1, -2, … to 0, 1, 2, 3, …) and its payload is that
-//! word's significant bytes, little-endian: none for zero, one for -64 to
-//! 63, at most 4 for the 32-bit types and 8 for the 64-bit ones. A
-//! `Float64` is its 8 bytes. A string's header has length 0 and is followed
-//! by its byte length as a LEB128 varint and the UTF-8 bytes. Every value
-//! has one encoding: the decoder refuses a wider payload or varint than the
-//! value needs, so equal values are equal bytes. The write-ahead log writes
-//! rows and keys in this form, and a B+ tree leaf *holds* its entries in
-//! it, so a checkpoint copies a leaf's rows into the image as bytes.
+//! the type tag (0–5, the order of [`DataType`]'s variants; 6–9 below) and
+//! its low four the payload's length. An `Int32`, `Int64`, `Decimal` or
+//! `Date` is zig-zagged (0, -1, 1, -2, … to 0, 1, 2, 3, …) and its payload
+//! is that word's significant bytes, little-endian: none for zero, one for
+//! -64 to 63, at most 4 for the 32-bit types and 8 for the 64-bit ones. A
+//! nonzero decimal whose raw value ends in k = 1…4 decimal zeros is written
+//! as raw / 10^k under tag 5 + k. A `Float64` is its 8 bytes. A string's
+//! header has length 0 and is followed by its byte length as a LEB128
+//! varint and the UTF-8 bytes. Every value has one encoding, read without a
+//! schema: the decoder refuses a wider payload or varint than the value
+//! needs and a decimal under another scale than its own, so equal values
+//! are equal bytes. The write-ahead log writes rows and keys in this form,
+//! and a B+ tree leaf *holds* its entries in it, so a checkpoint copies a
+//! leaf's rows into the image as bytes.
 //!
 //! [`ValueRef`] is a value read in place: scalars by copy, strings as a
 //! `&str` into the encoded bytes. The total order of values is defined here,
@@ -32,6 +35,11 @@ const TAG_FLOAT64: u8 = 2;
 const TAG_DECIMAL: u8 = 3;
 const TAG_DATE: u8 = 4;
 const TAG_STR: u8 = 5;
+/// Tags 6–9: a decimal of k = 1…4 trailing zeros is `TAG_SCALED + k`.
+const TAG_SCALED: u8 = 5;
+const TAG_DECIMAL_E1: u8 = TAG_SCALED + 1;
+const TAG_DECIMAL_E4: u8 = TAG_SCALED + 4;
+const POW10: [i64; 5] = [1, 10, 100, 1_000, 10_000];
 
 /// A [`Value`] borrowed from wherever it lives: an owned `Value` or its
 /// encoded bytes.
@@ -98,7 +106,7 @@ impl ValueRef<'_> {
         match self {
             ValueRef::Float64(_) => 9,
             ValueRef::Str(s) => 1 + varint_len(s.len() as u64) + s.len(),
-            integer => 1 + significant_len(integer.zigzag()),
+            integer => 1 + significant_len(integer.header_word().1),
         }
     }
 
@@ -115,16 +123,29 @@ impl ValueRef<'_> {
         }
     }
 
-    /// The zig-zag word of an integer, date or decimal, whose significant
-    /// bytes are its payload (0 for a float or a string, which have none).
-    fn zigzag(self) -> u64 {
-        let x = match self {
-            ValueRef::Int32(x) | ValueRef::Date(x) => i64::from(x),
-            ValueRef::Int64(x) | ValueRef::Decimal(x) => x,
-            ValueRef::Float64(_) | ValueRef::Str(_) => 0,
+    /// The header tag of an integer, date or decimal and the zig-zag word
+    /// whose significant bytes are its payload (0 for a float or a string).
+    fn header_word(self) -> (u8, u64) {
+        let (tag, x) = match self {
+            ValueRef::Int32(x) | ValueRef::Date(x) => (self.tag(), i64::from(x)),
+            ValueRef::Decimal(x) => scaled(x),
+            ValueRef::Int64(x) => (TAG_INT64, x),
+            ValueRef::Float64(_) | ValueRef::Str(_) => (self.tag(), 0),
         };
-        ((x << 1) ^ (x >> 63)) as u64
+        (tag, ((x << 1) ^ (x >> 63)) as u64)
     }
+}
+
+/// A decimal's header tag and the integer its payload holds: a nonzero raw
+/// value ending in k = 1…4 decimal zeros is raw / 10^k under tag 5 + k, any
+/// other is itself under [`TAG_DECIMAL`].
+#[inline(always)]
+fn scaled(raw: i64) -> (u8, i64) {
+    let (mut k, mut m) = (0, raw);
+    while k < 4 && m != 0 && m % 10 == 0 {
+        (k, m) = (k + 1, m / 10);
+    }
+    (if k == 0 { TAG_DECIMAL } else { TAG_SCALED + k }, m)
 }
 
 /// The integer whose zig-zag word is `w`.
@@ -229,9 +250,9 @@ pub fn put_value(buf: &mut Vec<u8>, v: ValueRef<'_>) {
         integer => {
             // All eight bytes, then the zero ones dropped: a fixed-size
             // copy, not a call to copy a variable length.
-            let w = integer.zigzag();
+            let (tag, w) = integer.header_word();
             let len = significant_len(w);
-            buf.push(integer.tag() << 4 | len as u8);
+            buf.push(tag << 4 | len as u8);
             buf.extend_from_slice(&w.to_le_bytes());
             buf.truncate(buf.len() - 8 + len);
         }
@@ -284,13 +305,16 @@ pub fn take_varint(bytes: &mut &[u8]) -> Result<u64, DecodeError> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     Truncated,
-    /// A header byte whose type is none of the six.
+    /// A header byte whose type tag is none of the ten.
     BadTag(u8),
     /// A header byte whose payload length its type does not take.
     BadLength(u8),
-    /// A payload or a string's length in more bytes than it needs.
+    /// A payload or a string's length in more bytes than it needs, or a
+    /// decimal under another scale than its own.
     NotMinimal,
     NotUtf8,
+    /// A scaled decimal whose value does not fit `i64`.
+    Overflow,
 }
 
 impl fmt::Display for DecodeError {
@@ -301,6 +325,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadLength(h) => write!(f, "bad payload length in header {h:#04x}"),
             DecodeError::NotMinimal => f.write_str("value wider than its encoding"),
             DecodeError::NotUtf8 => f.write_str("non-utf8 string"),
+            DecodeError::Overflow => f.write_str("decimal out of range"),
         }
     }
 }
@@ -351,6 +376,19 @@ fn integer(bytes: &[u8], len: usize) -> Result<i64, DecodeError> {
     Ok(unzigzag(w))
 }
 
+/// The decimal under header tag `tag` (scale k) whose mantissa's `len`
+/// bytes start `bytes`: the mantissa times 10^k. One [`scaled`] would not
+/// write there (zero under a scale, 10n below scale 4) is not minimal.
+#[inline(always)]
+fn decimal(bytes: &[u8], len: usize, tag: u8) -> Result<i64, DecodeError> {
+    let m = integer(bytes, len)?;
+    let k = usize::from(tag.saturating_sub(TAG_SCALED));
+    if if m == 0 { k > 0 } else { k < 4 && m % 10 == 0 } {
+        return Err(DecodeError::NotMinimal);
+    }
+    m.checked_mul(POW10[k]).ok_or(DecodeError::Overflow)
+}
+
 /// Read the value at the front of `bytes` and advance past it. Total: bytes
 /// that are not an encoded value are an error, never a panic, and `bytes`
 /// is then left where it was.
@@ -365,14 +403,16 @@ pub fn take_value<'a>(bytes: &mut &'a [u8]) -> Result<ValueRef<'a>, DecodeError>
         TAG_INT32 if len <= 4 => ValueRef::Int32(integer(rest, len)? as i32),
         TAG_INT64 if len <= 8 => ValueRef::Int64(integer(rest, len)?),
         TAG_FLOAT64 if len == 8 => ValueRef::Float64(f64::from_bits(word(rest, len)?)),
-        TAG_DECIMAL if len <= 8 => ValueRef::Decimal(integer(rest, len)?),
+        t @ (TAG_DECIMAL | TAG_DECIMAL_E1..=TAG_DECIMAL_E4) if len <= 8 => {
+            ValueRef::Decimal(decimal(rest, len, t)?)
+        }
         TAG_DATE if len <= 4 => ValueRef::Date(integer(rest, len)? as i32),
         TAG_STR if len == 0 => {
             let (s, rest) = take_str(rest)?;
             *bytes = rest;
             return Ok(s);
         }
-        TAG_INT32..=TAG_STR => return Err(DecodeError::BadLength(header)),
+        TAG_INT32..=TAG_DECIMAL_E4 => return Err(DecodeError::BadLength(header)),
         _ => return Err(DecodeError::BadTag(header)),
     };
     *bytes = &rest[len..];
@@ -770,8 +810,19 @@ mod tests {
         use DecodeError::*;
         for (bad, why) in [
             (&[][..], Truncated),
-            (&[0x60][..], BadTag(0x60)),
+            (&[0xa0][..], BadTag(0xa0)),
             (&[0xf3, 1, 2, 3][..], BadTag(0xf3)),
+            (&[0x69, 1, 2, 3, 4, 5, 6, 7, 8, 9][..], BadLength(0x69)),
+            (&[0x99, 1, 2, 3, 4, 5, 6, 7, 8, 9][..], BadLength(0x99)),
+            // A decimal under another scale than its own: a zero mantissa
+            // under a scale, a multiple of 10 under scale 0–3.
+            (&[0x60][..], NotMinimal),
+            (&[0x90][..], NotMinimal),
+            (&[0x31, 0x14][..], NotMinimal),
+            (&[0x61, 0x13][..], NotMinimal),
+            (&[0x81, 0x14][..], NotMinimal),
+            (&[0x91, 0][..], NotMinimal),
+            (&[0x72, 1][..], Truncated),
             (&[0x05, 1, 2, 3, 4, 5][..], BadLength(0x05)),
             (&[0x45, 1, 2, 3, 4, 5][..], BadLength(0x45)),
             (&[0x19, 1, 2, 3, 4, 5, 6, 7, 8, 9][..], BadLength(0x19)),
@@ -803,6 +854,103 @@ mod tests {
         let mut rest = &[0x41, 2, 7][..];
         assert_eq!(take_value(&mut rest), Ok(ValueRef::Date(1)));
         assert_eq!(rest, &[7]);
+        // Scale 4 is the last: its mantissa may end in zeros.
+        let mut rest = &[0x91, 0x14][..];
+        assert_eq!(take_value(&mut rest), Ok(ValueRef::Decimal(100_000)));
+        // A mantissa whose value does not fit `i64`.
+        for m in [i64::MAX / 10_000 + 1, i64::MIN / 10_000 - 1] {
+            let w = ValueRef::Int64(m).header_word().1;
+            let len = significant_len(w);
+            let mut bad = vec![TAG_DECIMAL_E4 << 4 | len as u8];
+            bad.extend_from_slice(&w.to_le_bytes()[..len]);
+            let mut rest = &bad[..];
+            assert_eq!(take_value(&mut rest), Err(Overflow), "{m}");
+            assert_eq!(rest, bad);
+        }
+    }
+
+    /// The header tag a decimal takes: 5 + k for a nonzero raw value ending
+    /// in k = 1…4 decimal zeros, 3 for any other.
+    fn decimal_tag(raw: i64) -> u8 {
+        let zeros = (1..=4).take_while(|&k| raw != 0 && raw % 10_i64.pow(k) == 0);
+        match zeros.count() as u8 {
+            0 => 3,
+            k => 5 + k,
+        }
+    }
+
+    #[test]
+    fn a_decimal_is_written_without_its_trailing_zeros() {
+        // Each scale 0–4 either sign, the ends of `i64`, and raw values of
+        // 18 and 19 digits with trailing zeros: (raw, tag, mantissa).
+        for (raw, tag, m) in [
+            (0, 3, 0),
+            (7, 3, 7),
+            (-123_456, 3, -123_456),
+            (70, 6, 7),
+            (-1_250, 6, -125),
+            (4_200, 7, 42),
+            (-700, 7, -7),
+            (123_000, 8, 123),
+            (-5_000, 8, -5),
+            (10_000, 9, 1),
+            (-500_000, 9, -50),
+            (1_000_000_000, 9, 100_000),
+            (i64::MAX, 3, i64::MAX),
+            (i64::MIN, 3, i64::MIN),
+            (i64::MAX / 100 * 100, 7, i64::MAX / 100),
+            (i64::MIN / 10_000 * 10_000, 9, i64::MIN / 10_000),
+            (999_999_999_999_990_000, 9, 99_999_999_999_999),
+        ] {
+            let v = Value::Decimal(raw);
+            let bytes = encoded(&v);
+            assert_eq!((bytes[0] >> 4, decimal_tag(raw)), (tag, tag), "{raw}");
+            // The payload is the mantissa's, as an `Int64` of it writes it.
+            assert_eq!(bytes[1..], encoded(&Value::Int64(m))[1..], "{raw}");
+            assert_eq!(bytes.len(), ValueRef::from(&v).encoded_len(), "{raw}");
+            assert_eq!(decode(&bytes), std::slice::from_ref(&v), "{raw}");
+            let abbreviation = abbreviate(&bytes).unwrap();
+            assert_eq!(abbreviation.tag, TAG_DECIMAL, "{raw}");
+            assert_eq!(abbreviation.image, raw as u64 ^ 1 << 63, "{raw}");
+            assert_eq!(byte_width(&bytes), 8, "{raw}");
+        }
+        // A whole `l_quantity` (50) and a whole-cent price (1 234.50).
+        assert_eq!(encoded(&Value::Decimal(500_000)), [0x91, 100]);
+        assert_eq!(encoded(&Value::Decimal(12_345_000)), [0x82, 0x72, 0x60]);
+    }
+
+    #[test]
+    fn every_short_input_is_an_error_or_its_values_one_encoding() {
+        // Every header byte, then every payload of 0, 1 or 2 bytes: the
+        // decoder refuses it, leaving it in place, or reads a value whose
+        // encoding is exactly the bytes it took.
+        let (mut input, mut again) = (Vec::with_capacity(3), Vec::with_capacity(16));
+        let (mut values, mut errors) = (0, 0);
+        for header in 0..=u8::MAX {
+            for n in 0..=2 {
+                for payload in 0..1u32 << (8 * n) {
+                    input.clear();
+                    input.push(header);
+                    input.extend_from_slice(&payload.to_le_bytes()[..n]);
+                    let mut rest = &input[..];
+                    match take_value(&mut rest) {
+                        Ok(v) => {
+                            again.clear();
+                            put_value(&mut again, v);
+                            let took = input.len() - rest.len();
+                            assert_eq!(again, input[..took], "{input:?}: {v:?}");
+                            values += 1;
+                        }
+                        Err(_) => {
+                            assert_eq!(rest, input, "{input:?}");
+                            errors += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // What decodes, pinned: a header's reading changed shows here.
+        assert_eq!((values, errors), (1_259_293, 15_583_715));
     }
 
     /// Values at the edges of each payload width, as `Value`s of every
@@ -841,8 +989,13 @@ mod tests {
             let back = take_value(&mut rest).unwrap();
             assert!(rest.is_empty() && back == v.into(), "{v:?}");
             assert_eq!(back.data_type(), v.data_type(), "{v:?}");
-            // The header names the type whatever the width.
-            assert_eq!(bytes[0] >> 4, v.tag(), "{v:?}");
+            // The header names the type whatever the width, and a
+            // decimal's its scale.
+            let tag = match v {
+                Value::Decimal(raw) => decimal_tag(*raw),
+                v => v.tag(),
+            };
+            assert_eq!(bytes[0] >> 4, tag, "{v:?}");
         }
         assert_eq!(encoded(&Value::Int32(0)), [0x00]);
         assert_eq!(encoded(&Value::Int64(-1)), [0x11, 1]);

@@ -41,16 +41,34 @@ pub struct SampleSet {
     /// over every row of the table, not the sample's only; none for an
     /// empty table.
     pub widths: Vec<f64>,
+    /// Share of the table's rows whose leading values encode as their
+    /// primary key's: a primary B+ tree keyed past its leading columns
+    /// stores their key once ([`hpd_engine::btree_entry_bytes`]). 0 for a
+    /// sample taken without the key.
+    pub key_shared: f64,
 }
 
-/// Each column's encoded bytes summed over the rows added.
+/// Each column's encoded bytes summed over the rows added, and how many of
+/// them begin with their `key` columns' values.
 #[derive(Default)]
 struct WidthSums {
     bytes: Vec<usize>,
     rows: usize,
+    key: Vec<usize>,
+    key_shared: usize,
 }
 
 impl WidthSums {
+    /// Sums that count the rows led by the values of the columns `key`
+    /// (none if it is empty).
+    fn keyed(key: &[usize]) -> WidthSums {
+        let key = key.to_vec();
+        WidthSums {
+            key,
+            ..Default::default()
+        }
+    }
+
     fn add(&mut self, row: &Row) {
         if self.bytes.len() < row.len() {
             self.bytes.resize(row.len(), 0);
@@ -59,17 +77,20 @@ impl WidthSums {
             *sum += ValueRef::from(v).encoded_len();
         }
         self.rows += 1;
+        // One encoding a value: equal bytes are equal values of one type.
+        let same = |(i, &c): (usize, &usize)| {
+            let (a, b) = (&row[i], &row[c]);
+            a.data_type() == b.data_type() && a == b
+        };
+        if !self.key.is_empty() && self.key.iter().enumerate().all(same) {
+            self.key_shared += 1;
+        }
     }
 
     fn of<'r>(rows: impl IntoIterator<Item = &'r Row>) -> WidthSums {
         let mut sums = WidthSums::default();
         rows.into_iter().for_each(|r| sums.add(r));
         sums
-    }
-
-    fn means(self) -> Vec<f64> {
-        let rows = self.rows as f64;
-        self.bytes.into_iter().map(|b| b as f64 / rows).collect()
     }
 }
 
@@ -97,17 +118,18 @@ impl SampleSet {
     }
 
     /// `rows` as a sample of a table of `row_count` rows whose encoded
-    /// bytes `widths` summed; an empty table is its own whole sample.
-    fn of(rows: Vec<Row>, row_count: usize, widths: WidthSums) -> SampleSet {
+    /// bytes `sums` summed; an empty table is its own whole sample.
+    fn of(rows: Vec<Row>, row_count: usize, sums: WidthSums) -> SampleSet {
         let fraction = match row_count {
             0 => 1.0,
             n => rows.len() as f64 / n as f64,
         };
-        let widths = widths.means();
+        let all = sums.rows as f64;
         SampleSet {
             rows,
             fraction,
-            widths,
+            widths: sums.bytes.into_iter().map(|b| b as f64 / all).collect(),
+            key_shared: sums.key_shared as f64 / all.max(1.0),
         }
     }
 
@@ -124,18 +146,21 @@ impl SampleSet {
         SampleSet::of(rows, all_rows.len(), WidthSums::of(all_rows))
     }
 
-    /// [`SampleSet::block_sample`] of a table nobody holds as a slice: `feed`
-    /// hands over all `row_count` rows once, in order; only the rows of the
-    /// sampled blocks are copied, and every row's encoded bytes are summed.
+    /// [`SampleSet::block_sample`] of a table nobody holds as a slice, keyed
+    /// on the columns `pk`: `feed` hands over all `row_count` rows once, in
+    /// order; only the rows of the sampled blocks are copied, every row's
+    /// encoded bytes are summed, and the rows led by their key's values are
+    /// counted ([`SampleSet::key_shared`]).
     pub fn block_sample_scan(
         row_count: usize,
         fraction: f64,
         seed: u64,
+        pk: &[usize],
         feed: impl FnOnce(&mut dyn FnMut(&Row)),
     ) -> SampleSet {
         let blocks = sampled_blocks(row_count, fraction, seed);
         let mut rows = Vec::with_capacity(blocks.len() * SAMPLE_BLOCK_ROWS);
-        let (mut ordinal, mut widths) = (0, WidthSums::default());
+        let (mut ordinal, mut widths) = (0, WidthSums::keyed(pk));
         feed(&mut |row| {
             if blocks.binary_search(&(ordinal / SAMPLE_BLOCK_ROWS)).is_ok() {
                 rows.push(row.clone());
@@ -530,10 +555,12 @@ impl CsiSizeEstimator for RunModelEstimator {
 
 /// Leaf pages and height of the B+ tree `descriptor` names over `rows` rows
 /// of the table `ctx` describes: a page-sized tree ([`BTreeConfig::default`])
-/// of entries of the table's mean encoded widths
-/// ([`hpd_engine::btree_entry_bytes`], [`SampleSet::widths`]) — the tree a
-/// build makes when every column it stores encodes at one width, and within
-/// a page's packing slack of it otherwise.
+/// of entries of the table's mean encoded widths, a primary's shared and
+/// unshared entries weighed by how many rows are led by their key
+/// ([`hpd_engine::btree_entry_bytes`], [`SampleSet::widths`],
+/// [`SampleSet::key_shared`]) — the tree a build makes when every column
+/// it stores encodes at one width and the two forms interleave evenly, and
+/// within a page's packing slack of it otherwise.
 pub fn btree_size_estimate(
     descriptor: &IndexDescriptor,
     ctx: &TableContext,
@@ -541,7 +568,8 @@ pub fn btree_size_estimate(
     rows: usize,
 ) -> (usize, usize) {
     let width = |c: usize| sample.encoded_width(c, ctx.schema.column(c).dtype);
-    let entry = btree_entry_bytes(descriptor, ctx.schema.len(), &ctx.pk, width);
+    let arity = ctx.schema.len();
+    let entry = btree_entry_bytes(descriptor, arity, &ctx.pk, width, sample.key_shared);
     BTreeConfig::default().size_estimate(rows, entry)
 }
 
@@ -586,7 +614,7 @@ mod tests {
         assert!((s.fraction - 0.05).abs() < 0.02, "{}", s.fraction);
         assert_eq!(s.rows.len() % SAMPLE_BLOCK_ROWS, 0);
         // Deterministic.
-        let scanned = SampleSet::block_sample_scan(rows.len(), 0.05, 42, |sink| {
+        let scanned = SampleSet::block_sample_scan(rows.len(), 0.05, 42, &[0], |sink| {
             rows.iter().for_each(sink);
         });
         assert_eq!(scanned.rows, s.rows);
@@ -743,12 +771,20 @@ mod tests {
         // Widths are of every row, whichever blocks the sample took.
         let rows = rows_mod(10 * SAMPLE_BLOCK_ROWS as i32, 1_000);
         let all = SampleSet::full(&rows);
-        let some = SampleSet::block_sample_scan(rows.len(), 0.1, 7, |sink| {
+        let some = SampleSet::block_sample_scan(rows.len(), 0.1, 7, &[1], |sink| {
             rows.iter().for_each(sink);
         });
         assert_eq!(some.rows.len(), SAMPLE_BLOCK_ROWS);
         assert_eq!(some.widths, all.widths);
         assert_eq!(SampleSet::block_sample(&rows, 0.1, 7).widths, all.widths);
+        // Rows `(i, i % 1 000)` keyed on column 1 are led by their key
+        // below 1 000 only; keyed on column 0, all are; keyless, none is.
+        assert_eq!(some.key_shared, 1_000.0 / rows.len() as f64);
+        let scan = |pk: &[usize]| {
+            let feed = |sink: &mut dyn FnMut(&Row)| rows.iter().for_each(sink);
+            SampleSet::block_sample_scan(rows.len(), 0.1, 7, pk, feed).key_shared
+        };
+        assert_eq!((scan(&[0]), scan(&[]), all.key_shared), (1.0, 0.0, 0.0));
     }
 
     #[test]

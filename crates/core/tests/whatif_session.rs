@@ -331,7 +331,7 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
     let sample = db
         .with_table(table, |t| {
             let (fraction, seed) = (options.sample_fraction, options.seed);
-            SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
+            SampleSet::block_sample_scan(t.row_count(), fraction, seed, t.pk(), |sink| {
                 t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
             })
         })
@@ -363,7 +363,9 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
 /// and the leaf pages are within 1 % (a page either way at least). On a
 /// table whose columns each encode at one width, keyed past its leading
 /// column (its primary's entries unshared, a secondary's shared), they are
-/// equal. With a string column the leaf pages are within 5 %.
+/// equal, and so they are when half its rows are led by their key (those
+/// primary entries shared). With a string column the leaf pages are within
+/// 5 %.
 #[test]
 fn hypothetical_btree_sizes_equal_the_built_ones() {
     let _serial = REGISTRY.lock().unwrap();
@@ -402,9 +404,8 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         .unwrap();
     load_lineitem(&db, 30_000, 7, MixedDesign::BTreeOnly).unwrap();
     // Keyed past its leading column: the primary's entries hold the key
-    // apart from the row. (A row whose `v` equalled its key would store it
-    // once, which a size estimate cannot see; none does here.) Every value
-    // of a column takes one width: 4, 4 and 6 payload bytes.
+    // apart from the row (no row's `v` is its key). Every value of a column
+    // takes one width: 4, 4 and 6 payload bytes.
     let schema = Schema::from_pairs(&[
         ("v", DataType::Int32),
         ("k", DataType::Int32),
@@ -428,7 +429,36 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         includes: vec![],
     };
     db.create_index("keyed_late", &by_w).unwrap();
-    for table in ["micro", "micro_part", "lineitem", "keyed_late"] {
+    // The same shape, every other row's `v` its key: half the primary's
+    // entries are stored shared (20 page bytes), half not (25), and the
+    // what-if entry weighs the two by the rows the width pass saw led by
+    // their key. Any 359 in a row fill a leaf, whichever form starts it.
+    let schema = Schema::from_pairs(&[
+        ("v", DataType::Int32),
+        ("k", DataType::Int32),
+        ("w", DataType::Int64),
+    ]);
+    let half = IndexDescriptor::PrimaryBTree { keys: vec![1] };
+    db.create_table("keyed_late_half", schema, vec![1], half)
+        .unwrap();
+    let rows = (0..30_000)
+        .map(|i| {
+            let k = (1 << 23) + i;
+            Row::new(vec![
+                Value::Int32(if i % 2 == 0 { k } else { -(1 << 23) - i }),
+                Value::Int32(k),
+                Value::Int64((1 << 40) + i64::from(i % 1_000)),
+            ])
+        })
+        .collect();
+    db.load_table("keyed_late_half", rows).unwrap();
+    for table in [
+        "micro",
+        "micro_part",
+        "lineitem",
+        "keyed_late",
+        "keyed_late_half",
+    ] {
         sizes.extend(btree_sizes(&db, table));
     }
     let names = |sizes: &Sizes| sizes.iter().map(|s| s.0.clone()).collect::<Vec<_>>();
@@ -439,6 +469,7 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         "lineitem p0 SecondaryBTree { keys: [5]",
         "keyed_late p0 PrimaryBTree { keys: [1] }",
         "keyed_late p0 SecondaryBTree { keys: [2]",
+        "keyed_late_half p0 PrimaryBTree { keys: [1] }",
     ] {
         assert!(
             names(&sizes).iter().any(|n| n.starts_with(expected)),

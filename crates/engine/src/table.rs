@@ -248,22 +248,29 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
 /// `width(c)` bytes ([`codec::put_values`]): [`hpd_btree::entry_bytes`] of
 /// its key columns and of the columns it stores, the key stored once when
 /// those columns begin with it (a secondary; a primary keyed on its leading
-/// columns). A value's bytes depend on the value, so the widths are
-/// measured or bounded: given a table's mean widths it is the mean entry
+/// columns). On a primary keyed past its leading column, a row whose
+/// leading values encode as its key's stores the key once too: `shared` of
+/// the rows do, and the entry is the two forms weighed by it. A value's
+/// bytes depend on the value, so the widths are measured or bounded: given
+/// a table's mean widths and its share of such rows it is the mean entry
 /// the what-if estimator sizes a hypothetical tree by, given the most each
-/// type takes ([`codec::encoded_width`]) the bound a build reserves its run
-/// by. One case it cannot see: on a primary keyed past its leading column,
-/// a row whose leading values happen to encode as its key's stores the key
-/// once, so the built tree can come out smaller.
+/// type takes ([`codec::encoded_width`]) and none shared the bound a build
+/// reserves its run by.
 pub fn btree_entry_bytes(
     descriptor: &IndexDescriptor,
     arity: usize,
     pk: &[usize],
     width: impl Fn(usize) -> f64,
+    shared: f64,
 ) -> f64 {
     let bytes = |columns: &[usize]| columns.iter().map(|&c| width(c)).sum();
     let (keys, stored) = (descriptor.keys(), descriptor.stored_columns(arity, pk));
-    hpd_btree::entry_bytes(bytes(keys), bytes(&stored), stored.starts_with(keys))
+    let entry = |shared| hpd_btree::entry_bytes(bytes(keys), bytes(&stored), shared);
+    if stored.starts_with(keys) {
+        entry(true)
+    } else {
+        shared * entry(true) + (1.0 - shared) * entry(false)
+    }
 }
 
 /// The value of an encoded row that `span` covers ([`codec::value_spans`]),
@@ -353,7 +360,7 @@ impl<'a> IndexBuilder<'a> {
             )))
         } else {
             let width = |c: usize| codec::encoded_width(ctx.schema.column(c).dtype) as f64;
-            let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width);
+            let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width, 0.0);
             Pending::BTree {
                 run: EntryRun::with_capacity(rows, rows * entry as usize),
                 key: Vec::new(),

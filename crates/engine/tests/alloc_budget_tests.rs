@@ -365,7 +365,7 @@ fn leaves(
     rows: usize,
     width: impl Fn(usize) -> f64,
 ) -> usize {
-    let entry = hpd_engine::btree_entry_bytes(descriptor, arity, &[0], width);
+    let entry = hpd_engine::btree_entry_bytes(descriptor, arity, &[0], width, 0.0);
     hpd_btree::BTreeConfig::default()
         .size_estimate(rows, entry)
         .0

@@ -3,7 +3,7 @@
 //! designs, fuzzy checkpoints, group commit, maintenance, and the
 //! registered crash points.
 
-use hpd_common::{faults, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
+use hpd_common::{faults, BinOp, CmpOp, DataType, Expr, HpdError, Row, Schema, Value};
 use hpd_engine::{
     Database, DbConfig, IndexDescriptor, SelectQuery, Statement, TableDesign, WalConfig,
 };
@@ -340,19 +340,24 @@ fn set_where_id(db: &Database, id: i32, col: usize, to: Expr) {
     db.query(&stmt).run().unwrap();
 }
 
+/// Per part of table `t`, the `Debug` form of its
+/// [`hpd_engine::IndexMeta`]s; and its maintenance backlog.
+fn metas_and_backlog(db: &Database) -> (Vec<String>, usize) {
+    db.with_table("t", |t| {
+        let metas = (0..t.num_parts())
+            .map(|p| format!("p{p}: {:?}", t.part_metas(p)))
+            .collect();
+        (metas, t.maintenance_backlog())
+    })
+    .unwrap()
+}
+
 /// Everything physical the engine reports about a table: per part, every
 /// index's rows, pages, height, rowgroups, delta rows, buffered deletes and
 /// column bytes (the `Debug` form of its [`hpd_engine::IndexMeta`]s), plus
 /// the maintenance backlog and the rows themselves.
 fn physical_state(db: &Database) -> (Vec<String>, usize, Vec<Row>) {
-    let (metas, backlog) = db
-        .with_table("t", |t| {
-            let metas = (0..t.num_parts())
-                .map(|p| format!("p{p}: {:?}", t.part_metas(p)))
-                .collect();
-            (metas, t.maintenance_backlog())
-        })
-        .unwrap();
+    let (metas, backlog) = metas_and_backlog(db);
     let q = SelectQuery::single_table("t", None, vec![0, 1, 2, 3]);
     let mut rows = db.query(&q).run().unwrap().rows;
     rows.sort_by_key(|r| r.key(&[0]));
@@ -1085,4 +1090,178 @@ fn every_prefix_of_a_mixed_log_recovers_its_last_durable_commit() {
         "each mark adds log bytes"
     );
     recover_every_prefix(&cfg, &after, &tail);
+}
+
+// ---------------------------------------------------------------------
+// Decimals at every scale, across designs and a crash
+// ---------------------------------------------------------------------
+
+/// A `lineitem` row: `(l_orderkey, l_linenumber, l_quantity,
+/// l_extendedprice, l_discount, l_shipdate)`, keyed on the first two. A
+/// quantity is whole (raw 10 000 × n), a price whole cents and a discount
+/// hundredths, so the encoded decimals sit at scales 4, 2 to 4, and 2 or 3
+/// (0 for no discount).
+fn lineitem_row(order: i32, line: i32) -> Row {
+    let i = i64::from(order * 7 + line);
+    Row::new(vec![
+        Value::Int32(order),
+        Value::Int32(line),
+        Value::Decimal((i % 50 + 1) * 10_000),
+        Value::Decimal((i * 9_973 % 1_000_000 + 90_000) * 100),
+        Value::Decimal(i % 11 * 100),
+        Value::Date(9_000 + (i % 2_500) as i32),
+    ])
+}
+
+/// `col = col + delta` (raw decimal units) on the rows `predicate` picks.
+fn add_to(db: &Database, predicate: Expr, col: usize, delta: i64) {
+    let to = Expr::arith(BinOp::Add, Expr::Col(col), Expr::lit(Value::Decimal(delta)));
+    let stmt = Statement::Update(hpd_engine::UpdateStmt {
+        table: "t".into(),
+        predicate,
+        set: vec![(col, to)],
+        top: None,
+    });
+    db.query(&stmt).run().unwrap();
+}
+
+/// What every design must answer alike: the whole table in key order, and
+/// the rows a decimal predicate picks (a price, a quantity).
+fn lineitem_answers(db: &Database) -> Vec<Vec<Row>> {
+    let cols: Vec<usize> = (0..6).collect();
+    let preds = [
+        None,
+        Some(Expr::col_cmp(3, CmpOp::Gt, Value::Decimal(60_000_000))),
+        Some(Expr::col_cmp(2, CmpOp::Eq, Value::Decimal(75_000))),
+    ];
+    preds
+        .into_iter()
+        .map(|pred| {
+            let q = SelectQuery::single_table("t", pred, cols.clone());
+            let mut rows = db.query(&q).run().unwrap().rows;
+            rows.sort_by_key(|r| r.key(&[0, 1]));
+            rows
+        })
+        .collect()
+}
+
+/// Decimals that change their scale — a whole-cent price plus 0.01, a whole
+/// quantity times 1.5, a discount plus 0.0001, and back — so that entries
+/// change width in place (`PackedLeaf::set_payload`), move within a
+/// secondary B+ tree keyed on the price, and pass through delta stores and
+/// delete buffers. Under a B+ tree-only, a columnstore-only, a hybrid and a
+/// two-part partitioned hybrid design: every answer is equal across the
+/// four; a database recovered from the log alone answers alike and is
+/// physically the live one; and after a checkpoint and more writes, one
+/// recovered from the image and the log's tail answers alike (a restore
+/// rebuilds a columnstore's rowgroups, so it is not physically the live
+/// one).
+#[test]
+fn decimals_changing_scale_agree_across_designs_and_recover() {
+    let cfg = DbConfig {
+        csi: hpd_engine::CsiConfig {
+            rowgroup_capacity: 32,
+            delete_buffer_compact_threshold: 6,
+            ..Default::default()
+        },
+        ..DbConfig::default()
+    };
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0, 1] };
+    let by_price = IndexDescriptor::SecondaryBTree {
+        keys: vec![3],
+        includes: vec![2],
+    };
+    let by_order = |op, order: i32| Expr::col_cmp(0, op, Value::Int32(order));
+    let mut answers = Vec::new();
+    for design in ["btree", "csi", "hybrid", "parthybrid"] {
+        let db = Database::new(cfg.clone());
+        let schema = Schema::from_pairs(&[
+            ("l_orderkey", DataType::Int32),
+            ("l_linenumber", DataType::Int32),
+            ("l_quantity", DataType::Decimal),
+            ("l_extendedprice", DataType::Decimal),
+            ("l_discount", DataType::Decimal),
+            ("l_shipdate", DataType::Date),
+        ]);
+        let pk = vec![0, 1];
+        match design {
+            "csi" => db.create_table("t", schema, pk, IndexDescriptor::PrimaryCsi),
+            "parthybrid" => {
+                let spec = hpd_engine::PartitionSpec::range(0, vec![Value::Int32(40)]).unwrap();
+                let primary = IndexDescriptor::PrimaryCsi;
+                db.create_partitioned_table("t", schema, pk, primary, spec)
+                    .and_then(|()| {
+                        db.apply_partition_design("t", 1, &btree, std::slice::from_ref(&by_price))
+                    })
+            }
+            _ => db.create_table("t", schema, pk, btree.clone()),
+        }
+        .unwrap();
+        let rows = (0..60).flat_map(|o| (1..=4).map(move |l| lineitem_row(o, l)));
+        db.load_table("t", rows.collect()).unwrap();
+        if design == "btree" || design == "hybrid" {
+            db.create_index("t", &by_price).unwrap();
+        }
+        if design == "hybrid" {
+            let csi = IndexDescriptor::SecondaryCsi {
+                columns: vec![2, 3, 4],
+            };
+            db.create_index("t", &csi).unwrap();
+        }
+        let insert = |orders: std::ops::Range<i32>| {
+            let rows = orders.flat_map(|o| (1..=3).map(move |l| lineitem_row(o, l)));
+            let stmt = Statement::Insert(hpd_engine::InsertStmt {
+                table: "t".into(),
+                rows: rows.collect(),
+            });
+            db.query(&stmt).run().unwrap();
+        };
+        let delete = |predicate| {
+            let stmt = Statement::Delete(hpd_engine::DeleteStmt {
+                table: "t".into(),
+                predicate,
+                top: None,
+            });
+            db.query(&stmt).run().unwrap();
+        };
+        let whole_lines = Expr::col_cmp(1, CmpOp::Eq, Value::Int32(2));
+
+        insert(60..66);
+        add_to(&db, by_order(CmpOp::Lt, 20), 3, 100);
+        add_to(&db, whole_lines.clone(), 2, 5_000);
+        add_to(&db, by_order(CmpOp::Ge, 30), 4, 1);
+        delete(Expr::and(vec![
+            by_order(CmpOp::Ge, 10),
+            by_order(CmpOp::Lt, 13),
+        ]));
+        add_to(&db, by_order(CmpOp::Lt, 5), 3, -100);
+        let live = lineitem_answers(&db);
+        let recovered = Database::recover(cfg.clone(), db.wal_durable()).unwrap();
+        assert_eq!(lineitem_answers(&recovered), live, "{design}: log only");
+        assert_eq!(
+            metas_and_backlog(&recovered),
+            metas_and_backlog(&db),
+            "{design}: log only"
+        );
+
+        db.checkpoint().unwrap();
+        insert(66..70);
+        add_to(&db, by_order(CmpOp::Ge, 50), 3, 7);
+        add_to(&db, whole_lines, 2, -5_000);
+        add_to(&db, by_order(CmpOp::Lt, 40), 4, -1);
+        delete(by_order(CmpOp::Eq, 33));
+        let live = lineitem_answers(&db);
+        let recovered = crash_and_recover(db, cfg.clone());
+        assert_eq!(
+            lineitem_answers(&recovered),
+            live,
+            "{design}: image and tail"
+        );
+        answers.push((design, live));
+    }
+    let (first, want) = &answers[0];
+    assert_eq!(want[0].len(), 60 * 4 + 10 * 3 - 3 * 4 - 4);
+    for (design, got) in &answers[1..] {
+        assert_eq!(got, want, "{design} against {first}");
+    }
 }

@@ -476,7 +476,7 @@ fn a_primary_key_past_the_leading_column_reads_writes_and_recovers() {
     let mut s = SqlSession::new(&db);
     // `(v, k, w)`, keyed on `k`.
     let row = |k: i32| [if k % 7 == 0 { k } else { 100 + 3 * k }, k, k % 5];
-    let mut model: Vec<[i32; 3]> = (0..600).map(row).collect();
+    let mut model: Vec<[i32; 3]> = (0..800).map(row).collect();
     let values = |rows: &[[i32; 3]]| {
         (rows.iter())
             .map(|[v, k, w]| format!("({v}, {k}, {w})"))
@@ -491,27 +491,27 @@ fn a_primary_key_past_the_leading_column_reads_writes_and_recovers() {
         values(&model)
     ))
     .expect("ddl and load");
-    let more: Vec<[i32; 3]> = (600..615).map(row).collect();
+    let more: Vec<[i32; 3]> = (800..815).map(row).collect();
     s.execute(&format!("INSERT INTO t VALUES {}", values(&more)))
         .expect("rows into the delta store");
     model.extend(more);
     s.execute(
         "UPDATE t SET v = k WHERE k BETWEEN 10 AND 13;
          UPDATE t SET v = 1000 WHERE k = 14;
-         UPDATE t SET w = 9 WHERE k = 21 OR k = 604;
+         UPDATE t SET w = 9 WHERE k = 21 OR k = 804;
          DELETE FROM t WHERE k BETWEEN 30 AND 35;
-         DELETE FROM t WHERE k = 610;",
+         DELETE FROM t WHERE k = 810;",
     )
     .expect("writes");
     for r in &mut model {
         match r[1] {
             10..=13 => r[0] = r[1],
             14 => r[0] = 1000,
-            21 | 604 => r[2] = 9,
+            21 | 804 => r[2] = 9,
             _ => {}
         }
     }
-    model.retain(|r| !(30..=35).contains(&r[1]) && r[1] != 610);
+    model.retain(|r| !(30..=35).contains(&r[1]) && r[1] != 810);
     let ints = |rows: &[[i32; 3]], cols: &[usize]| -> Vec<Row> {
         (rows.iter())
             .map(|r| Row::new(cols.iter().map(|&c| Value::Int32(r[c])).collect()))
@@ -556,7 +556,7 @@ fn a_primary_key_past_the_leading_column_reads_writes_and_recovers() {
     let (metas, backlog) = physical_state(&db, "t");
     assert!(backlog > 0, "the columnstore holds delta rows: {metas:?}");
     assert!(
-        metas[0].contains("keys: [1] }, rows: 608, leaf_pages: 2, height: 2"),
+        metas[0].contains("keys: [1] }, rows: 808, leaf_pages: 2, height: 2"),
         "the primary has split past one leaf: {metas:?}"
     );
 }

@@ -40,8 +40,9 @@ impl Rng {
     }
 }
 
-/// A value of every type, and payloads of 0, 1, 3, 4, 6 and 8 bytes, and
-/// a string whose length takes a two-byte varint.
+/// A value of every type, payloads of 0, 1, 3, 4, 6 and 8 bytes, a
+/// string whose length takes a two-byte varint, and a decimal at every
+/// scale (0–4 trailing zeros).
 fn every_type() -> Vec<Value> {
     vec![
         Value::Int32(-3),
@@ -54,6 +55,11 @@ fn every_type() -> Vec<Value> {
         Value::Int32(i32::MIN),
         Value::Int64(i64::MAX),
         Value::str("x".repeat(128)),
+        Value::Decimal(-1_250),
+        Value::Decimal(4_200),
+        Value::Decimal(-123_000),
+        Value::Decimal(500_000),
+        Value::Decimal(i64::MIN / 10_000 * 10_000),
     ]
 }
 

@@ -63,7 +63,9 @@ pub struct CheckpointImage {
 /// table's rows as a stream of borrowed, already encoded rows
 /// ([`hpd_common::codec::put_values`]: what a B+ tree leaf holds), so a row
 /// is copied into the image as bytes and neither the rows nor any frame is
-/// ever held a second time.
+/// ever held a second time. A row may straddle two segments — the image is
+/// only ever read back as one byte string — so every segment but the last
+/// is full, and an image takes no more segments than its bytes fill.
 ///
 /// Each table goes through the record codec as synthetic
 /// `TableCreate`/`IndexCreate`/`PartitionDesignChange`/`BulkLoad` frames —
@@ -131,7 +133,7 @@ impl ImageWriter {
             image.put_frame(change.into_frame());
         }
         let mut load = EncodedRows::open(image);
-        rows(&mut |row| load.push_encoded(row));
+        rows(&mut |row| load.pack_encoded(row));
         self.image = load.seal(table);
     }
 
@@ -385,6 +387,29 @@ mod tests {
         let (again, allocated) = write(&big, small.retire());
         assert_eq!(allocated, again.segments_used() - 1);
         assert_eq!(again.to_vec(), bytes);
+    }
+
+    #[test]
+    fn an_images_rows_fill_every_segment_but_the_last() {
+        // Rows of about a kilobyte: put whole, each segment would end in up
+        // to a row's bytes of room, and the image would take a segment more.
+        let mut big = sample();
+        let rows: Vec<Row> = (0..6_000)
+            .map(|k| Row::new(vec![Value::Int64(k), Value::str("r".repeat(990))]))
+            .collect();
+        big.tables[0].rows = EncodedRows::from_rows(&rows);
+        let (image, allocated) = write(&big, Durable::default());
+        let bytes = image.to_vec();
+        assert_eq!(
+            image.segments_used(),
+            bytes.len().div_ceil(crate::RETAINED_MIN)
+        );
+        assert_eq!(allocated, image.segments_used());
+        let lens: Vec<usize> = image.slices(0).map(<[u8]>::len).collect();
+        let (last, full) = lens.split_last().unwrap();
+        assert!(full.iter().all(|&n| n == crate::RETAINED_MIN), "{lens:?}");
+        assert!(*last > 0);
+        assert_eq!(CheckpointImage::decode(&bytes).unwrap(), big);
     }
 
     #[test]

@@ -113,7 +113,8 @@ pub struct WalSummary {
 /// segment before starting the next, so a frame straddles segments freely;
 /// [`Durable::put_whole`] keeps its bytes (a row) in one segment, closing
 /// the last short if they do not fit it, and gives bytes longer than a
-/// segment a segment of their own size. A store begun by `put` (the log, an
+/// segment a segment of their own size (a load's rows; an image's rows go
+/// through `put`, read back only whole). A store begun by `put` (the log, an
 /// image) starts with a whole segment; one begun by `put_whole` (a load)
 /// starts at the size of those bytes and its first segment grows by
 /// doubling up to a segment's size, so a ten-row load holds a few hundred

@@ -43,4 +43,4 @@ pub use index::{
 };
 pub use kernels::Translated;
 pub use rowgroup::{RowGroup, SortMode};
-pub use segment::Segment;
+pub use segment::{value_encode, Segment};

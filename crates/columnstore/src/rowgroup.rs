@@ -74,7 +74,8 @@ impl RowGroup {
                         &scratch
                     }
                 };
-                Segment::from_stream(column.dtype, column.dict, stream, domain, alloc)
+                let (dtype, dict, exponent) = (column.dtype, column.dict, column.exponent);
+                Segment::from_stream(dtype, dict, exponent, stream, domain, alloc)
             })
             .collect();
         RowGroup {

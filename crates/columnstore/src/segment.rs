@@ -1,15 +1,21 @@
 //! Column segments: one column of one row group, compressed, with min/max
 //! small materialized aggregates.
+//!
+//! An integer-family segment (`Int32`, `Int64`, `Decimal`, `Date`) is
+//! value-encoded first, as SQL Server's columnstore does: it stores each
+//! value divided by the largest power of ten that divides them all
+//! ([`value_encode`]), so a column of whole cents packs the cents, not
+//! their 10⁻⁴ units. Only [`Segment`] multiplies back.
 
 use std::sync::{Arc, OnceLock};
 
 use hpd_common::codec::{f64_from_ordered, f64_to_ordered};
 use hpd_common::interval::Bound;
-use hpd_common::{ArcStr, ColumnVector, DataType, Interval, SelBitmap, Value};
+use hpd_common::{ArcStr, ColumnVector, DataType, Interval, SelBitmap, Value, DECIMAL_UNIT};
 use hpd_obs::Counter;
 use hpd_storage::{BlobId, BufferPool, IoTracker, StorageAllocator};
 
-use crate::encoding::{encode_counted, Domain, EncodedInts, IntEncoding};
+use crate::encoding::{encode_as, encode_counted, Domain, EncodedInts, IntEncoding};
 use crate::kernels::{self, Translated};
 
 /// `columnstore.encoding.segments_*` counters: segments built per chosen
@@ -48,16 +54,59 @@ fn note_encoding(enc: IntEncoding) {
     }
 }
 
+/// Powers of ten an `i64` holds: 10^0 ..= 10^18.
+const POW10: [i64; 19] = {
+    let mut p = [1i64; 19];
+    let mut k = 1;
+    while k < 19 {
+        p[k] = p[k - 1] * 10;
+        k += 1;
+    }
+    p
+};
+
+/// SQL Server's value encoding of a normalized column: divide every value
+/// of an integer-family column by 10^k, k the largest exponent ≤ 18 for
+/// which 10^k divides them all, and return k. Floats, strings, a column of
+/// zeros and one with a value that is no multiple of ten keep k = 0 and
+/// their values. The one rule of a row group's build and of the advisor's
+/// size model alike.
+pub fn value_encode(dtype: DataType, ints: &mut [i64]) -> u8 {
+    if matches!(dtype, DataType::Float64 | DataType::Utf8) {
+        return 0;
+    }
+    // A multiple of 10^k is a multiple of every lower power, so a value
+    // costs one remainder unless it lowers k; the scan stops at the first
+    // value with no trailing zero.
+    let mut k = POW10.len() - 1;
+    for &v in ints.iter() {
+        while v % POW10[k] != 0 {
+            k -= 1;
+        }
+        if k == 0 {
+            return 0;
+        }
+    }
+    if ints.iter().all(|&v| v == 0) {
+        return 0;
+    }
+    ints.iter_mut().for_each(|v| *v /= POW10[k]);
+    k as u8
+}
+
 /// A compressed column segment.
 ///
-/// Non-string columns are normalized to an `i64` stream and encoded
-/// directly. String columns are dictionary-encoded: sorted distinct strings
-/// plus an encoded code stream (dictionary order makes codes order-preserving
-/// so min/max elimination still works on the original values).
+/// Non-string columns are normalized to an `i64` stream, value-encoded
+/// ([`value_encode`]) and encoded directly. String columns are
+/// dictionary-encoded: sorted distinct strings plus an encoded code stream
+/// (dictionary order makes codes order-preserving so min/max elimination
+/// still works on the original values).
 #[derive(Debug, Clone)]
 pub struct Segment {
     dtype: DataType,
     ints: EncodedInts,
+    /// The stored words are the values divided by 10^`exponent`.
+    exponent: u8,
     /// Dictionary for `Utf8` columns, sorted ascending.
     dict: Option<Arc<[ArcStr]>>,
     min: Value,
@@ -67,12 +116,15 @@ pub struct Segment {
 }
 
 /// One column in the order-preserving `i64` domain every build step reads:
-/// integers, dates and decimals as they are, floats through
-/// [`f64_to_ordered`], strings as their positions in the sorted dictionary
-/// (so the dictionary comes before the row group's sort, and serves it).
+/// integers, dates and decimals divided by their common power of ten
+/// ([`value_encode`]; exact division keeps order and distinct counts),
+/// floats through [`f64_to_ordered`], strings as their positions in the
+/// sorted dictionary (so the dictionary comes before the row group's sort,
+/// and serves it).
 pub(crate) struct Normalized {
     pub(crate) dtype: DataType,
     pub(crate) ints: Vec<i64>,
+    pub(crate) exponent: u8,
     /// Dictionary of a `Utf8` column, sorted ascending.
     pub(crate) dict: Option<Arc<[ArcStr]>>,
 }
@@ -80,7 +132,7 @@ pub(crate) struct Normalized {
 impl Normalized {
     pub(crate) fn of(column: ColumnVector) -> Normalized {
         let dtype = column.data_type();
-        let (ints, dict) = match column {
+        let (mut ints, dict) = match column {
             ColumnVector::Int64(vals) | ColumnVector::Decimal(vals) => (vals, None),
             ColumnVector::Int32(vals) | ColumnVector::Date(vals) => {
                 (vals.into_iter().map(i64::from).collect(), None)
@@ -97,7 +149,13 @@ impl Normalized {
                 (codes, Some(dict.into()))
             }
         };
-        Normalized { dtype, ints, dict }
+        let exponent = value_encode(dtype, &mut ints);
+        Normalized {
+            dtype,
+            ints,
+            exponent,
+            dict,
+        }
     }
 
     /// Minimum, maximum and distinct count of the column; `scratch` is
@@ -120,26 +178,43 @@ impl Segment {
         assert!(!column.is_empty(), "segments are never empty");
         let column = Normalized::of(column.clone());
         let domain = column.domain(&mut Vec::new());
-        Segment::from_stream(column.dtype, column.dict, &column.ints, &domain, alloc)
+        let (dtype, exponent, ints) = (column.dtype, column.exponent, &column.ints);
+        Segment::from_stream(dtype, column.dict, exponent, ints, &domain, alloc)
     }
 
-    /// Compress a normalized column: `stream` holds its values in stored
-    /// order, `domain` describes them (in any order).
+    /// [`Segment::build`] with its words encoded as `enc` (what
+    /// `HPD_FORCE_ENCODING` asks of every segment), or `None` where `enc`
+    /// cannot hold them.
+    pub fn build_as(
+        column: &ColumnVector,
+        enc: IntEncoding,
+        alloc: &StorageAllocator,
+    ) -> Option<Segment> {
+        let mut segment = Segment::build(column, alloc);
+        segment.ints = encode_as(&segment.ints.decode(), enc)?;
+        Some(segment)
+    }
+
+    /// Compress a normalized column: `stream` holds its words in stored
+    /// order, `domain` describes them (in any order), and they are the
+    /// values divided by 10^`exponent`.
     pub(crate) fn from_stream(
         dtype: DataType,
         dict: Option<Arc<[ArcStr]>>,
+        exponent: u8,
         stream: &[i64],
         domain: &Domain,
         alloc: &StorageAllocator,
     ) -> Segment {
+        let unit = POW10[exponent as usize];
         let (min, max) = match &dict {
             Some(dict) => (
                 Value::Str(dict[0].clone()),
                 Value::Str(dict[dict.len() - 1].clone()),
             ),
             None => (
-                raw_to_value(dtype, domain.min),
-                raw_to_value(dtype, domain.max),
+                raw_to_value(dtype, domain.min * unit),
+                raw_to_value(dtype, domain.max * unit),
             ),
         };
         let ints = encode_counted(stream, domain.distinct);
@@ -147,6 +222,7 @@ impl Segment {
         Segment {
             dtype,
             ints,
+            exponent,
             dict,
             min,
             max,
@@ -179,20 +255,33 @@ impl Segment {
         self.ints.encoding()
     }
 
+    /// The power of ten the stored words are the values divided by
+    /// ([`value_encode`]).
+    pub fn exponent(&self) -> u8 {
+        self.exponent
+    }
+
+    /// 10^[`Segment::exponent`]: what a stored word is multiplied by to
+    /// give its value back.
+    fn unit(&self) -> i64 {
+        POW10[self.exponent as usize]
+    }
+
     /// Number of maximal runs in the encoded stream (validation hook for the
     /// advisor's size-estimation models).
     pub fn run_count(&self) -> usize {
         self.ints.run_count()
     }
 
-    /// Compressed size in bytes, including the dictionary.
+    /// Compressed size in bytes, including the dictionary and a byte for
+    /// a nonzero exponent.
     pub fn encoded_bytes(&self) -> usize {
         let dict_bytes: usize = self
             .dict
             .as_ref()
             .map(|d| d.iter().map(|s| s.len() + 4).sum())
             .unwrap_or(0);
-        self.ints.encoded_bytes() + dict_bytes
+        self.ints.encoded_bytes() + dict_bytes + usize::from(self.exponent > 0)
     }
 
     /// Charge the segment's I/O (one blob access) without decoding. Scans
@@ -221,12 +310,16 @@ impl Segment {
                 let dict = self.dict.as_ref().expect("utf8 segment has dictionary");
                 Value::Str(dict[raw as usize].clone())
             }
-            _ => raw_to_value(self.dtype, raw),
+            _ => raw_to_value(self.dtype, raw * self.unit()),
         }
     }
 
-    /// Map normalized `i64`s back to the segment's logical type.
-    fn raws_to_column(&self, ints: Vec<i64>) -> ColumnVector {
+    /// Map stored words back to the segment's logical type.
+    fn raws_to_column(&self, mut ints: Vec<i64>) -> ColumnVector {
+        if self.exponent > 0 {
+            let unit = self.unit();
+            ints.iter_mut().for_each(|v| *v *= unit);
+        }
         match self.dtype {
             DataType::Int32 => ColumnVector::Int32(ints.into_iter().map(|v| v as i32).collect()),
             DataType::Date => ColumnVector::Date(ints.into_iter().map(|v| v as i32).collect()),
@@ -244,6 +337,9 @@ impl Segment {
 
     /// Translate `interval` into this segment's encoded `i64` /
     /// dictionary-code domain, so kernels can evaluate it without decoding.
+    /// A value-encoded segment's closed range `[lo, hi]` of values becomes
+    /// `[⌈lo / 10^k⌉, ⌊hi / 10^k⌋]` of stored words; an unbounded side
+    /// stays unbounded.
     ///
     /// Translation preserves [`Value`]'s comparison semantics exactly: bound
     /// types whose comparison against the column type is not a plain numeric
@@ -281,6 +377,20 @@ impl Segment {
                 Some(x) => x - 1,
                 None => return Translated::Unsupported,
             },
+        };
+        // A bound over the unit is within `i64` again.
+        let (lo, hi) = match i128::from(self.unit()) {
+            1 => (lo, hi),
+            unit => (
+                match lo {
+                    i64::MIN => lo,
+                    lo => -(-i128::from(lo)).div_euclid(unit) as i64,
+                },
+                match hi {
+                    i64::MAX => hi,
+                    hi => i128::from(hi).div_euclid(unit) as i64,
+                },
+            ),
         };
         if lo > hi {
             Translated::Empty
@@ -353,12 +463,13 @@ impl Segment {
     /// Exact `i128` SUM over the selected rows of an integer-family column
     /// (`Decimal` in its raw scaled units), folded on the encoded stream
     /// without materializing rows: the accumulation primitive a caller
-    /// sums across row groups. `None` for `Float64` (order-dependent; see
-    /// [`Segment::for_each_f64_masked`]) and `Utf8`.
+    /// sums across row groups. The stored words' sum times 10^k: no
+    /// overflow, each word times 10^k being a value. `None` for `Float64`
+    /// (order-dependent; see [`Segment::for_each_f64_masked`]) and `Utf8`.
     pub fn sum_i128_masked(&self, sel: &SelBitmap) -> Option<i128> {
         match self.dtype {
             DataType::Int32 | DataType::Int64 | DataType::Date | DataType::Decimal => {
-                Some(kernels::sum_masked(&self.ints, sel))
+                Some(kernels::sum_masked(&self.ints, sel) * i128::from(self.unit()))
             }
             DataType::Float64 | DataType::Utf8 => None,
         }
@@ -369,15 +480,18 @@ impl Segment {
     /// bit-identically to the row-mode sequential fold across row groups.
     /// Returns `false` (without calling `f`) for `Utf8`.
     pub fn for_each_f64_masked(&self, sel: &SelBitmap, mut f: impl FnMut(f64)) -> bool {
+        let unit = self.unit();
         match self.dtype {
             DataType::Float64 => {
                 kernels::for_each_masked(&self.ints, sel, |raw| f(f64_from_ordered(raw)));
             }
             DataType::Decimal => {
-                kernels::for_each_masked(&self.ints, sel, |raw| f(raw as f64 / 10_000.0));
+                kernels::for_each_masked(&self.ints, sel, |raw| {
+                    f((raw * unit) as f64 / DECIMAL_UNIT)
+                });
             }
             DataType::Int32 | DataType::Int64 | DataType::Date => {
-                kernels::for_each_masked(&self.ints, sel, |raw| f(raw as f64));
+                kernels::for_each_masked(&self.ints, sel, |raw| f((raw * unit) as f64));
             }
             DataType::Utf8 => return false,
         }
@@ -398,7 +512,13 @@ impl Segment {
                     Value::Str(dict[hi as usize].clone()),
                 ))
             }
-            _ => Some((raw_to_value(self.dtype, lo), raw_to_value(self.dtype, hi))),
+            _ => {
+                let unit = self.unit();
+                Some((
+                    raw_to_value(self.dtype, lo * unit),
+                    raw_to_value(self.dtype, hi * unit),
+                ))
+            }
         }
     }
 }

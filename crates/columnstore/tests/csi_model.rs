@@ -13,6 +13,9 @@
 //!
 //! And a steady stream of writes and increments keeps the row-group count
 //! bounded: merges undo what budgeted chunks fragment.
+//!
+//! Each run's `val` column holds multiples of a random power of ten, so its
+//! segments store the values divided by it, through every rebuild.
 
 use std::collections::HashMap;
 
@@ -30,11 +33,12 @@ fn schema() -> Schema {
     ])
 }
 
-fn row(id: i32, rng: &mut StdRng) -> Row {
+/// Row `id`, whose `val` is a multiple of `unit`.
+fn row(id: i32, unit: i64, rng: &mut StdRng) -> Row {
     Row::new(vec![
         Value::Int32(id),
         Value::Int32(rng.gen_range(0..7)),
-        Value::Int64(rng.gen_range(-1_000..1_000)),
+        Value::Int64(rng.gen_range(-1_000..1_000i64) * unit),
     ])
 }
 
@@ -50,6 +54,8 @@ struct Run {
     tracker: IoTracker,
     next_id: i32,
     capacity: usize,
+    /// The power of ten every `val` is a multiple of.
+    unit: i64,
 }
 
 impl Run {
@@ -58,7 +64,8 @@ impl Run {
             BufferPool::unbounded(DeviceProfile::ram()),
             IoTracker::new(),
         );
-        let model: Vec<Row> = (0..rows).map(|id| row(id, rng)).collect();
+        let unit = 10i64.pow(rng.gen_range(0..16));
+        let model: Vec<Row> = (0..rows).map(|id| row(id, unit, rng)).collect();
         let config = CsiConfig {
             rowgroup_capacity: capacity,
             sort_mode: SortMode::Greedy,
@@ -83,6 +90,7 @@ impl Run {
             tracker,
             next_id: rows,
             capacity,
+            unit,
         }
     }
 
@@ -110,11 +118,23 @@ impl Run {
         if self.scan() != self.model {
             return Err(format!("{what}: the scan differs from the model"));
         }
+        // Every row group's `val` words are its values over `unit` at most
+        // (a group of zeros alone keeps them as they are).
+        let (k, zero) = (self.unit.ilog10() as u8, Value::Int64(0));
+        for g in 0..self.idx.num_rowgroups() {
+            let val = self.idx.rowgroup(g).segment(2);
+            if val.exponent() < k && (val.min(), val.max()) != (&zero, &zero) {
+                return Err(format!(
+                    "{what}: row group {g} stores `val` over 10^{}, not 10^{k}",
+                    val.exponent()
+                ));
+            }
+        }
         Ok(())
     }
 
     fn insert(&mut self, rng: &mut StdRng) -> Result<(), String> {
-        let r = row(self.next_id, rng);
+        let r = row(self.next_id, self.unit, rng);
         self.next_id += 1;
         let deferred = rng.gen_bool(0.3);
         if deferred {
@@ -146,7 +166,7 @@ impl Run {
 
     fn update(&mut self, at: usize, rng: &mut StdRng) -> Result<(), String> {
         let id = self.model[at][0].as_i32().expect("ids are Int32");
-        let r = row(id, rng);
+        let r = row(id, self.unit, rng);
         if !self
             .idx
             .update(&key(id), r.clone(), &self.pool, &self.tracker)

@@ -558,9 +558,23 @@ mod reference {
         perm
     }
 
+    /// The largest `k <= 18` for which `10^k` divides every value, tried
+    /// from the top; 0 for a column of zeros.
+    fn value_exponent(ints: &[i64]) -> u8 {
+        if ints.iter().all(|&v| v == 0) {
+            return 0;
+        }
+        (0..=18u32)
+            .rev()
+            .find(|&k| ints.iter().all(|&v| v % 10i64.pow(k) == 0))
+            .expect("10^0 divides everything") as u8
+    }
+
     /// What `Segment::build` made of a column before it encoded it: the
-    /// `i64` stream, the string dictionary, and the min and max values.
-    pub fn normalize(column: &ColumnVector) -> (Vec<i64>, Option<Vec<ArcStr>>, Value, Value) {
+    /// `i64` stream (an integer family's divided by its common power of
+    /// ten), that power's exponent, the string dictionary, and the min and
+    /// max values.
+    pub fn normalize(column: &ColumnVector) -> (Vec<i64>, u8, Option<Vec<ArcStr>>, Value, Value) {
         if let ColumnVector::Str(vals) = column {
             let mut dict: Vec<ArcStr> = vals.to_vec();
             dict.sort_unstable();
@@ -569,11 +583,17 @@ mod reference {
                 .map(|s| dict.binary_search(s).expect("value in dict") as i64)
                 .collect();
             let (min, max) = (dict[0].clone(), dict[dict.len() - 1].clone());
-            return (codes, Some(dict), Value::Str(min), Value::Str(max));
+            return (codes, 0, Some(dict), Value::Str(min), Value::Str(max));
         }
-        let ints: Vec<i64> = (0..column.len())
+        let mut ints: Vec<i64> = (0..column.len())
             .map(|i| normalize_value(&column.value(i)))
             .collect();
+        let exponent = match column {
+            ColumnVector::Float64(_) => 0,
+            _ => value_exponent(&ints),
+        };
+        ints.iter_mut()
+            .for_each(|v| *v /= 10i64.pow(u32::from(exponent)));
         let at = |raw: i64| {
             let i = ints.iter().position(|&v| v == raw).expect("present");
             column.value(i)
@@ -582,7 +602,7 @@ mod reference {
             at(*ints.iter().min().unwrap()),
             at(*ints.iter().max().unwrap()),
         );
-        (ints, None, min, max)
+        (ints, exponent, None, min, max)
     }
 
     fn rle_encode(values: &[i64]) -> Vec<(i64, u32)> {
@@ -814,11 +834,16 @@ fn random_column(rng: &mut StdRng, rows: usize, shape: u32) -> ColumnVector {
         // Heavy duplicates.
         0 => ColumnVector::Int32((0..rows).map(|_| rng.gen_range(-2..few)).collect()),
         1 => ColumnVector::Date((0..rows).map(|_| rng.gen_range(0..few * 40)).collect()),
-        2 => ColumnVector::Decimal(
-            (0..rows)
-                .map(|_| rng.gen_range(-50_000..50_000i64))
-                .collect(),
-        ),
+        // Multiples of a power of ten, as prices in whole cents are: the
+        // segment stores them divided by it.
+        2 => {
+            let unit = 10i64.pow(rng.gen_range(0..5));
+            ColumnVector::Decimal(
+                (0..rows)
+                    .map(|_| rng.gen_range(-50_000..50_000i64) * unit)
+                    .collect(),
+            )
+        }
         // As wide as a column gets: two of these overflow a 128-bit key.
         3 => ColumnVector::Int64(
             (0..rows)
@@ -909,13 +934,15 @@ fn typed_build_matches_reference(seed: u64) {
             let what = format!("seed {seed} {sort:?} column {c} {:?}", column.data_type());
             assert_eq!(show_column(&seg.decode()), show_column(&stored), "{what}");
 
-            let (stream, dict, min, max) = reference::normalize(&stored);
+            let (stream, exponent, dict, min, max) = reference::normalize(&stored);
             let want = reference::encode_i64s(&stream, forced);
             let dict_bytes: usize = dict.iter().flatten().map(|s| s.len() + 4).sum();
             assert_eq!(seg.encoding(), want.encoding(), "{what}");
+            assert_eq!(seg.exponent(), exponent, "{what}");
+            // A nonzero exponent takes a byte of its own.
             assert_eq!(
                 seg.encoded_bytes(),
-                want.encoded_bytes() + dict_bytes,
+                want.encoded_bytes() + dict_bytes + usize::from(exponent > 0),
                 "{what}"
             );
             assert_eq!(seg.run_count(), want.run_count(), "{what}");

@@ -116,10 +116,11 @@ fn shaped_ints(shape: i32, seeds: &[(i32, i32)]) -> Vec<Value> {
                 .collect()
         }
         // 8 interleaved levels of 10^15 magnitude: too many runs for RLE,
-        // too wide for bit-packing, 3-bit dictionary codes win.
+        // too wide for bit-packing, 3-bit dictionary codes win. (The odd
+        // offset keeps the segment from storing 0..8 over an exponent.)
         _ => seeds
             .iter()
-            .map(|&(a, b)| Value::Int64(i64::from((a + b) % 8) * 1_000_000_000_000_000))
+            .map(|&(a, b)| Value::Int64(i64::from((a + b) % 8) * 1_000_000_000_000_000 + 1))
             .collect(),
     }
 }
@@ -130,38 +131,76 @@ const FULL_ROWS: i64 = 65_536 * if cfg!(debug_assertions) { 1 } else { 4 };
 /// Spreads the raw shape's 100 000 levels over > 56 bits.
 const RAW: i64 = 20_000_000_000_033;
 
-/// Full-size shape `shape` (numbered as in [`shaped_ints`]): row `i`'s
-/// value, the number of domain levels, and the stride between levels. Each
-/// 65 536-row stripe spans the whole domain, so zone maps eliminate nothing.
-fn full_size_shape(shape: i32) -> (fn(i64) -> i64, i64, i64) {
+/// A full-size shape: row `i`'s value, the number of domain levels, the
+/// stride between levels, the column's type and the power of ten its
+/// segments store the values divided by. Each 65 536-row stripe spans the
+/// whole domain, so zone maps eliminate nothing.
+struct FullShape {
+    value: fn(i64) -> i64,
+    levels: i64,
+    stride: i64,
+    dtype: DataType,
+    exponent: u8,
+}
+
+/// Full-size shape `shape` (numbered as in [`shaped_ints`], and 5: whole
+/// cents).
+fn full_size_shape(shape: i32) -> FullShape {
+    let int64 = |value, levels, stride| FullShape {
+        value,
+        levels,
+        stride,
+        dtype: DataType::Int64,
+        exponent: 0,
+    };
     match shape {
         // 256-long runs of a slowly advancing level.
-        0 => (|i| i % 65_536 / 256, 256, 1),
+        0 => int64(|i| i % 65_536 / 256, 256, 1),
         // A pseudo-random 12-bit domain.
-        1 => (|i| i * 2_654_435_761 % 4096, 4096, 1),
+        1 => int64(|i| i * 2_654_435_761 % 4096, 4096, 1),
         // ~48 K distinct values a row group, too wide to pack.
-        2 => (|i| i * 2_654_435_761 % 100_000 * RAW, 100_000, RAW),
+        2 => int64(|i| i * 2_654_435_761 % 100_000 * RAW, 100_000, RAW),
         // Monotone in a stripe, ~10^6 steps with a jitter: deltas fit 7 bits.
-        3 => (|i| i % 65_536 * 1_000_003 + i * 7 % 61, 65_536, 1_000_003),
+        3 => int64(|i| i % 65_536 * 1_000_003 + i * 7 % 61, 65_536, 1_000_003),
         // 1024 interleaved 30-bit levels: 10-bit codes.
-        _ => (|i| i * 2_654_435_761 % 1024 * 1_000_003, 1024, 1_000_003),
+        4 => int64(|i| i * 2_654_435_761 % 1024 * 1_000_003, 1024, 1_000_003),
+        // Prices in whole cents, a decimal's raw units being 10^-4: ~48 K
+        // distinct cents a row group, stored as cents in 17 bits (24 raw).
+        _ => FullShape {
+            value: |i| i * 2_654_435_761 % 100_000 * 100,
+            levels: 100_000,
+            stride: 100,
+            dtype: DataType::Decimal,
+            exponent: 2,
+        },
     }
 }
 
 /// A full-size shape in a primary columnstore, in arrival order: every row
-/// group encodes `val` as `encoding`, and at 0.01 / 1 / 50 / 100 %
-/// selectivity the pushed-down scan returns the generated rows an
-/// `Interval::contains` filter keeps, in order, and the pushed-down SUM
-/// their total (or the overflow error where it leaves `i64`).
+/// group encodes `val` as `encoding` under the shape's exponent, and at
+/// 0.01 / 1 / 50 / 100 % selectivity the pushed-down scan returns the
+/// generated rows an `Interval::contains` filter keeps, in order, and the
+/// pushed-down SUM their total (or the overflow error where it leaves
+/// `i64`).
 fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
-    let (value, levels, stride) = full_size_shape(shape);
+    let FullShape {
+        value,
+        levels,
+        stride,
+        dtype,
+        exponent,
+    } = full_size_shape(shape);
+    let typed = |v: i64| match dtype {
+        DataType::Decimal => Value::Decimal(v),
+        _ => Value::Int64(v),
+    };
     let pool = BufferPool::unbounded(DeviceProfile::ram());
     let t = IoTracker::new();
     let rows: Vec<Row> = (0..FULL_ROWS)
-        .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(value(i))]))
+        .map(|i| Row::new(vec![Value::Int64(i), typed(value(i))]))
         .collect();
     let idx = ColumnStoreIndex::build(
-        hpd_common::Schema::from_pairs(&[("id", DataType::Int64), ("val", DataType::Int64)]),
+        hpd_common::Schema::from_pairs(&[("id", DataType::Int64), ("val", dtype)]),
         CsiKind::Primary,
         vec![0],
         CsiConfig {
@@ -174,8 +213,9 @@ fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
         &t,
     );
     for g in 0..idx.num_rowgroups() {
-        let got = idx.rowgroup(g).segment(1).encoding();
-        assert_eq!(got, encoding, "shape {shape}, group {g}");
+        let segment = idx.rowgroup(g).segment(1);
+        assert_eq!(segment.encoding(), encoding, "shape {shape}, group {g}");
+        assert_eq!(segment.exponent(), exponent, "shape {shape}, group {g}");
     }
     let sum = [PushdownAgg {
         func: AggFunc::Sum,
@@ -183,7 +223,7 @@ fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
     }];
     for frac in [0.0001, 0.01, 0.5, 1.0] {
         let bound = ((levels as f64 * frac) as i64).max(1) * stride;
-        let iv = Interval::less_than(Value::Int64(bound), false);
+        let iv = Interval::less_than(typed(bound), false);
         let want: Vec<Row> = rows
             .iter()
             .filter(|r| iv.contains(&r.values()[1]))
@@ -207,7 +247,7 @@ fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
             .agg_collect(&sum, &intervals, &pool, &t)
             .expect("SUM has a kernel");
         // `None` on both sides when the total leaves `i64`.
-        let total = i64::try_from(total).ok().map(|s| vec![Value::Int64(s)]);
+        let total = i64::try_from(total).ok().map(|s| vec![typed(s)]);
         assert_eq!(pushed.ok(), total, "shape {shape} at {frac}: SUM");
     }
 }
@@ -231,6 +271,8 @@ fn shaped_data_hits_all_encodings() {
         assert_eq!(seg.encoding(), encoding, "shape {shape}");
         full_size_shape_matches_filtered_rows(shape, encoding);
     }
+    // Whole cents: the scaled kernels at full size.
+    full_size_shape_matches_filtered_rows(5, IntEncoding::BitPacked);
 }
 
 /// Interval from two pivot values drawn from the segment's own domain
@@ -697,4 +739,188 @@ fn decoded_cache_hits_on_repeated_scans() {
     assert!(d.counter("columnstore.segcache.hit") >= 16);
     assert!(idx.decoded_cache_bytes_used() > 0);
     assert!(idx.decoded_cache_bytes_used() <= 1 << 20);
+}
+
+/// Every integer-family type with the range of values its column holds.
+const SCALED_TYPES: [(DataType, i64, i64); 4] = [
+    (DataType::Int32, i32::MIN as i64, i32::MAX as i64),
+    (DataType::Date, i32::MIN as i64, i32::MAX as i64),
+    (DataType::Int64, i64::MIN, i64::MAX),
+    (DataType::Decimal, i64::MIN, i64::MAX),
+];
+
+fn typed_value(dtype: DataType, v: i64) -> Value {
+    match dtype {
+        DataType::Int32 => Value::Int32(v as i32),
+        DataType::Date => Value::Date(v as i32),
+        DataType::Decimal => Value::Decimal(v),
+        _ => Value::Int64(v),
+    }
+}
+
+/// A bound on a column of `dtype` at `v`, in a type the encoded domain
+/// translates: an `Int64` beside `Int32` reaches past the column's range.
+fn bound_value(dtype: DataType, v: i64) -> Value {
+    match dtype {
+        DataType::Int32 => Value::Int64(v),
+        DataType::Date => Value::Date(v.clamp(i32::MIN.into(), i32::MAX.into()) as i32),
+        _ => typed_value(dtype, v),
+    }
+}
+
+/// `n` values of a column of `dtype` that are all multiples of `10^k`:
+/// multipliers drawn from `draws`, among them the largest and smallest
+/// multiples the type holds, their neighbours, zero and negatives.
+fn scaled_values(dtype: DataType, k: u32, draws: &[(u8, i64)]) -> Vec<i64> {
+    let (_, min, max) = SCALED_TYPES.into_iter().find(|t| t.0 == dtype).unwrap();
+    let unit = 10i64.pow(k);
+    let (lo, hi) = (min / unit, max / unit);
+    draws
+        .iter()
+        .map(|&(pick, r)| {
+            let m = match pick % 8 {
+                0 => hi,
+                1 => lo,
+                2 => hi - 1,
+                3 => lo + 1,
+                4 => 0,
+                5 => (r % 10).clamp(lo, hi),
+                _ => {
+                    let span = i128::from(hi) - i128::from(lo) + 1;
+                    (i128::from(lo) + i128::from(r).rem_euclid(span)) as i64
+                }
+            };
+            m * unit
+        })
+        .collect()
+}
+
+/// The largest `k <= 18` for which `10^k` divides every value, tried from
+/// the top; 0 for zeros alone.
+fn common_exponent(values: &[i64]) -> u8 {
+    if values.iter().all(|&v| v == 0) {
+        return 0;
+    }
+    (0..=18u32)
+        .rev()
+        .find(|&k| values.iter().all(|&v| v % 10i64.pow(k) == 0))
+        .unwrap() as u8
+}
+
+/// `values` as a segment of `dtype` under each encoding that can hold
+/// them: every value reads back through `decode`, `gather` and `value_at`;
+/// intervals at, between and beyond the multiples select on the encoded
+/// words what a filter of the values selects; and the masked SUM, MIN/MAX
+/// and f64 fold equal those folds over the values `sel_bits` selects.
+fn check_scaled_segment(dtype: DataType, values: &[i64], sel_bits: u64) {
+    let column = ColumnVector::from_values(
+        dtype,
+        &values
+            .iter()
+            .map(|&v| typed_value(dtype, v))
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let exponent = common_exponent(values);
+    let unit = 10i64.pow(u32::from(exponent));
+    let picked: Vec<usize> = (0..values.len())
+        .filter(|i| sel_bits >> (i % 64) & 1 == 1)
+        .collect();
+    let mut sel = SelBitmap::none_set(values.len());
+    picked.iter().for_each(|&i| sel.set(i));
+    let chosen: Vec<Value> = picked.iter().map(|&i| column.value(i)).collect();
+    // Pivots at, beside, between and past the multiples of the unit.
+    let mut pivots = vec![i64::MIN, i64::MAX];
+    for &v in values.iter().take(6) {
+        for d in [0, 1, -1, unit / 2, -(unit / 2), unit, -unit] {
+            pivots.push(v.saturating_add(d));
+        }
+    }
+    let mut built = 0;
+    for enc in [
+        IntEncoding::Rle,
+        IntEncoding::BitPacked,
+        IntEncoding::ForDelta,
+        IntEncoding::Dict,
+        IntEncoding::Raw,
+    ] {
+        let Some(seg) = Segment::build_as(&column, enc, &StorageAllocator::new()) else {
+            continue;
+        };
+        built += 1;
+        let what = format!("{dtype:?} 10^{exponent} as {enc:?}: {values:?}");
+        assert_eq!(seg.encoding(), enc, "{what}");
+        assert_eq!(seg.exponent(), exponent, "{what}");
+        assert_eq!(seg.decode(), column, "{what}");
+        assert_eq!(seg.gather(&picked), column.take(&picked), "{what}");
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(seg.value_at(i), typed_value(dtype, *v), "{what} at {i}");
+        }
+        for (j, &a) in pivots.iter().enumerate() {
+            let b = pivots[(j * 7 + 3) % pivots.len()];
+            let (lo, hi) = (bound_value(dtype, a.min(b)), bound_value(dtype, a.max(b)));
+            for iv in [
+                Interval::point(lo.clone()),
+                Interval::less_than(hi.clone(), j % 2 == 0),
+                Interval::greater_than(lo.clone(), j % 2 == 1),
+                Interval::between(lo.clone(), hi.clone()),
+                Interval {
+                    lo: Bound::Exclusive(lo),
+                    hi: Bound::Exclusive(hi),
+                },
+            ] {
+                let want: Vec<usize> = (0..values.len())
+                    .filter(|&i| iv.contains(&column.value(i)))
+                    .collect();
+                assert_eq!(kernel_positions(&seg, &iv), want, "{what} {iv:?}");
+            }
+        }
+        let sum: i128 = chosen.iter().map(|v| i128::from(v.as_i64().unwrap())).sum();
+        assert_eq!(seg.sum_i128_masked(&sel), Some(sum), "{what}");
+        let want = chosen.first().map(|first| {
+            let (lo, hi) = chosen.iter().fold((first, first), |(lo, hi), v| {
+                (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+            });
+            (lo.clone(), hi.clone())
+        });
+        assert_eq!(seg.min_max_masked(&sel), want, "{what}");
+        let want = chosen.iter().fold(0.0, |acc, v| acc + v.as_f64().unwrap());
+        let mut got = 0.0;
+        assert!(seg.for_each_f64_masked(&sel, |x| got += x), "{what}");
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+    }
+    // RLE, the dictionary and raw words hold anything.
+    assert!(built >= 3, "{dtype:?}: {values:?}");
+}
+
+/// Every integer-family type at every exponent its range holds, from an
+/// all-zero segment to `10^18`, negatives and the type's extreme multiples
+/// among the values.
+#[test]
+fn scaled_segments_of_every_type_and_exponent() {
+    let draws: Vec<(u8, i64)> = (0..40).map(|i| (i as u8, i * 7_919 - 99_991)).collect();
+    for (dtype, _, max) in SCALED_TYPES {
+        check_scaled_segment(dtype, &[0; 9], u64::MAX);
+        for k in (0..=18).take_while(|&k| 10i64.pow(k) <= max) {
+            let values = scaled_values(dtype, k, &draws);
+            assert!(common_exponent(&values) >= k as u8);
+            check_scaled_segment(dtype, &values, 0x5555_3333_0f0f_00ff);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1_000 }))]
+
+    #[test]
+    fn prop_scaled_segments_read_back_and_filter_their_values(
+        t in 0usize..4,
+        k in 0u32..19,
+        draws in prop::collection::vec((0u8..16, i64::MIN..i64::MAX), 1..90),
+        sel_bits in 0u64..u64::MAX,
+    ) {
+        let (dtype, _, max) = SCALED_TYPES[t];
+        let k = (0..=k).rev().find(|&k| 10i64.pow(k) <= max).unwrap();
+        check_scaled_segment(dtype, &scaled_values(dtype, k, &draws), sel_bits);
+    }
 }

@@ -13,7 +13,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{ColumnVector, DataType, HpdError, Result, Value};
+use crate::{ColumnVector, DataType, HpdError, Result, Value, DECIMAL_UNIT};
 
 /// Aggregate functions supported by the executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +214,7 @@ impl Acc {
                     }
                     ColumnVector::Int64(v) => each(v, gids, |g, x| sums[g] += x as f64),
                     ColumnVector::Decimal(v) => {
-                        each(v, gids, |g, x| sums[g] += x as f64 / 10_000.0)
+                        each(v, gids, |g, x| sums[g] += x as f64 / DECIMAL_UNIT)
                     }
                     ColumnVector::Float64(v) => each(v, gids, |g, x| sums[g] += x),
                     other => return Err(wrong_input("numeric", other)),

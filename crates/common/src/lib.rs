@@ -40,4 +40,4 @@ pub use interval::Interval;
 pub use partition::{PartitionMethod, PartitionSpec};
 pub use row::{Key, Row};
 pub use schema::{ColumnDef, Schema};
-pub use types::{DataType, Value};
+pub use types::{DataType, Value, DECIMAL_UNIT};

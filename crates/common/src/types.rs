@@ -92,10 +92,14 @@ pub enum Value {
     Str(ArcStr),
 }
 
+/// A decimal's unit as a float: `Value::Decimal(raw)` is
+/// `raw / DECIMAL_UNIT`.
+pub const DECIMAL_UNIT: f64 = 10_000.0;
+
 impl Value {
     /// Construct a decimal from a float, rounding to 4 fractional digits.
     pub fn decimal_from_f64(v: f64) -> Value {
-        Value::Decimal((v * 10_000.0).round() as i64)
+        Value::Decimal((v * DECIMAL_UNIT).round() as i64)
     }
 
     /// Construct a string value.
@@ -145,7 +149,7 @@ impl Value {
             Value::Int32(v) => Some(f64::from(*v)),
             Value::Int64(v) => Some(*v as f64),
             Value::Float64(v) => Some(*v),
-            Value::Decimal(v) => Some(*v as f64 / 10_000.0),
+            Value::Decimal(v) => Some(*v as f64 / DECIMAL_UNIT),
             Value::Date(v) => Some(f64::from(*v)),
             Value::Str(_) => None,
         }

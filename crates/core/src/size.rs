@@ -12,15 +12,19 @@
 //! * [`RunModelEstimator`] — model the run-length encoding analytically:
 //!   estimate per-column distinct counts with the **GEE** estimator, mimic
 //!   the engine's greedy sort-order choice, bound each column's run count by
-//!   the GEE estimate of the distinct *prefix combinations*, and convert
-//!   runs to bytes per encoding. Row groups being compressed independently
+//!   the GEE estimate of the distinct *prefix combinations*, divide each
+//!   integer column by its common power of ten as a build does
+//!   ([`hpd_columnstore::value_encode`]), and convert runs to bytes per
+//!   encoding. Row groups being compressed independently
 //!   is modelled explicitly (the paper lists this as an accuracy
 //!   improvement).
 
 use std::collections::HashMap;
 
 use hpd_btree::BTreeConfig;
-use hpd_columnstore::{CsiConfig, IntEncoding, Segment, FOR_DELTA_FRAME, RLE_RUN_BYTES};
+use hpd_columnstore::{
+    value_encode, CsiConfig, IntEncoding, Segment, FOR_DELTA_FRAME, RLE_RUN_BYTES,
+};
 use hpd_common::{codec, DataType, IndexDescriptor, Row, Schema, Value, ValueRef};
 use hpd_engine::{btree_entry_bytes, TableContext};
 use rand::rngs::StdRng;
@@ -340,7 +344,8 @@ impl RunModelEstimator {
     /// Map a sample value onto the segment's `i64` encoding domain: numerics
     /// via the engine's normalization (floats become order-preserving bit
     /// patterns), strings via their rank among the sample's distinct values
-    /// (mirroring the per-segment string dictionary's dense codes).
+    /// (mirroring the per-segment string dictionary's dense codes). The
+    /// caller value-encodes the integer family as a build does.
     fn mapped_column(sample_sorted: &[&Row], c: usize, dtype: DataType) -> Vec<i64> {
         if dtype == DataType::Utf8 {
             let mut distinct: Vec<&Value> = sample_sorted.iter().map(|r| &r[c]).collect();
@@ -434,7 +439,10 @@ impl RunModelEstimator {
         let mut out = vec![empty; ncols];
         for (pos, &c) in order.iter().enumerate() {
             let dtype = schema.column(c).dtype;
-            let vals = Self::mapped_column(&sorted, c, dtype);
+            let mut vals = Self::mapped_column(&sorted, c, dtype);
+            // The build's value encoding: the words a segment stores, and
+            // a byte for their exponent.
+            let exponent_byte = usize::from(value_encode(dtype, &mut vals) > 0);
 
             // Strings pay their dictionary regardless of how the code
             // stream is encoded; add it to every candidate.
@@ -516,7 +524,7 @@ impl RunModelEstimator {
                 if b == usize::MAX {
                     usize::MAX
                 } else {
-                    (b + string_dict) * n_rowgroups
+                    (b + string_dict + exponent_byte) * n_rowgroups
                 }
             };
             out[c] = EncodingBreakdown {
@@ -737,7 +745,8 @@ mod tests {
 
         // Few distinct but wide values whose sort prefix has more distinct
         // combinations than rows: run-length collapses to nothing, codes
-        // stay narrow → numeric dictionary.
+        // stay narrow → numeric dictionary. (The odd offset keeps a value
+        // encoding from dividing the levels down to 0..70.)
         let schema3 = Schema::from_pairs(&[
             ("a", DataType::Int32),
             ("b", DataType::Int32),
@@ -748,11 +757,59 @@ mod tests {
                 Row::new(vec![
                     Value::Int32((h(i, 1) % 50) as i32),
                     Value::Int32((h(i, 2) % 60) as i32),
-                    Value::Int64((h(i, 3) % 70) * 1_000_000_000_000),
+                    Value::Int64((h(i, 3) % 70) * 1_000_000_000_000 + 1),
                 ])
             })
             .collect();
         assert_eq!(pick(&schema3, rows, 2), IntEncoding::Dict);
+    }
+
+    /// `lineitem`'s decimals are whole units, cents and thousandths: a
+    /// build stores them over 10^4, 10^2 and 10^3, and the run model sizes
+    /// them bit-packed at the width of those words (6, 24 and 4 bits), not
+    /// of their raw units (19, 30 and 14).
+    #[test]
+    fn scaled_decimals_are_sized_at_the_built_width() {
+        let config = CsiConfig {
+            rowgroup_capacity: 4096,
+            ..CsiConfig::default()
+        };
+        let rows = hpd_workloads::tpch::lineitem_rows(4 * 4096, 7);
+        let schema = hpd_workloads::tpch::lineitem_schema();
+        let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
+        let alloc = hpd_storage::StorageAllocator::new();
+        let csi = hpd_columnstore::ColumnStoreIndex::build(
+            schema.clone(),
+            hpd_columnstore::CsiKind::Secondary,
+            vec![0],
+            config,
+            &rows,
+            alloc.clone(),
+            &pool,
+            &hpd_storage::IoTracker::new(),
+        );
+        let model = RunModelEstimator.estimate_encodings(
+            &schema,
+            &SampleSet::full(&rows),
+            rows.len(),
+            &config,
+        );
+        // Four groups of 4 096 words at `bits` each: the packed buffer and
+        // its 8-byte pad, 9 bytes of header and one of exponent.
+        let packed = |bits: usize| 4 * ((4096 * bits).div_ceil(8) + 8 + 9 + 1);
+        for (c, exponent, bits) in [(2, 4, 6), (3, 2, 24), (4, 3, 4)] {
+            let built: usize = (0..csi.num_rowgroups())
+                .map(|g| {
+                    let segment = csi.rowgroup(g).segment(c);
+                    assert_eq!(segment.exponent(), exponent, "column {c}");
+                    (Segment::build_as(&segment.decode(), IntEncoding::BitPacked, &alloc))
+                        .expect("narrow words pack")
+                        .encoded_bytes()
+                })
+                .sum();
+            assert_eq!(model[c].bitpacked, built, "column {c}");
+            assert_eq!(built, packed(bits), "column {c}");
+        }
     }
 
     #[test]

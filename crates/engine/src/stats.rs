@@ -10,6 +10,7 @@
 
 use hpd_common::{
     codec, ColumnVector, DataType, HpdError, Interval, Result, Row, Schema, Value, ValueRef,
+    DECIMAL_UNIT,
 };
 use hpd_wal::EncodedRows;
 
@@ -82,7 +83,7 @@ impl<'a> Gathered<'a> {
                 ColumnStats::of(v, block_rows, |x| x, f64::total_cmp, Value::Float64)
             }
             Gathered::Decimal(v) => {
-                let as_f64 = |x| x as f64 / 10_000.0;
+                let as_f64 = |x| x as f64 / DECIMAL_UNIT;
                 ColumnStats::of(v, block_rows, as_f64, i64::cmp, Value::Decimal)
             }
             Gathered::Date(v) => {

@@ -950,10 +950,6 @@ impl<'db> Txn<'db> {
             }
         }
         // Take read guards on all tables (registry order avoids deadlock).
-        let mut named: Vec<(usize, &crate::query::TableInput)> = Vec::new();
-        for (i, t) in query.tables.iter().enumerate() {
-            named.push((i, t));
-        }
         let slots: Vec<Arc<TableSlot>> = query
             .tables
             .iter()
@@ -964,9 +960,11 @@ impl<'db> Txn<'db> {
         let table_refs: Vec<&Table> = guards.iter().map(|g| &**g).collect();
 
         // Plan against the guarded tables' current metadata.
-        let contexts: Vec<TableContext> = named
+        let contexts: Vec<TableContext> = query
+            .tables
             .iter()
-            .map(|&(i, t)| table_context(&t.name, table_refs[i]))
+            .zip(&table_refs)
+            .map(|(t, table)| table_context(&t.name, table))
             .collect();
         let optimize_start = Instant::now();
         let plan = {
@@ -1006,7 +1004,7 @@ impl<'db> Txn<'db> {
         let mut overlays = HashMap::new();
         if self.isolation == IsolationLevel::Snapshot {
             for (i, table) in table_refs.iter().enumerate() {
-                let overlay = snapshot_overlay(table, self.start_ts, self.db.pool());
+                let overlay = snapshot_overlay(table, self.start_ts);
                 if !overlay.is_empty() {
                     overlays.insert(i, overlay);
                 }
@@ -1416,8 +1414,7 @@ impl Drop for Txn<'_> {
 /// the snapshot are hidden and their old versions shown. Walking the
 /// write-timestamp map per query is the (real) CPU overhead snapshot reads
 /// pay relative to serializable reads.
-fn snapshot_overlay(table: &Table, ts: u64, pool: &BufferPool) -> TableOverlay {
-    let _ = pool;
+fn snapshot_overlay(table: &Table, ts: u64) -> TableOverlay {
     if faults::fire(faults::sites::OVERLAY_SKIP) {
         // Deliberate-bug knob: pretend no row was rewritten since `ts`, so
         // snapshot reads leak committed-after-snapshot state. Exists to

@@ -56,27 +56,6 @@ impl TableOverlay {
     }
 }
 
-/// Static operator-kind label for `op` trace spans (no table names — those
-/// need the plan's name table, which span attrs don't want to allocate for).
-fn kind_label(node: &PlanNode) -> &'static str {
-    match &node.kind {
-        PlanNodeKind::BTreeSeek { .. } => "BTreeSeek",
-        PlanNodeKind::BTreeScan { .. } => "BTreeScan",
-        PlanNodeKind::CsiScan { .. } => "CsiScan",
-        PlanNodeKind::PartitionedScan { .. } => "PartitionedScan",
-        PlanNodeKind::CsiAgg { .. } => "CsiAgg",
-        PlanNodeKind::PkLookup { .. } => "PkLookup",
-        PlanNodeKind::Filter { .. } => "Filter",
-        PlanNodeKind::Project { .. } => "Project",
-        PlanNodeKind::HashAgg { .. } => "HashAgg",
-        PlanNodeKind::StreamAgg { .. } => "StreamAgg",
-        PlanNodeKind::Sort { .. } => "Sort",
-        PlanNodeKind::Limit { .. } => "Limit",
-        PlanNodeKind::HashJoin { .. } => "HashJoin",
-        PlanNodeKind::IndexNLJoin { .. } => "IndexNLJoin",
-    }
-}
-
 /// Executes plans against materialized tables.
 pub struct QueryRunner<'a> {
     tables: Vec<&'a Table>,
@@ -149,7 +128,9 @@ impl<'a> QueryRunner<'a> {
             .as_ref()
             .and_then(|m| m.stats_for(node))
         {
-            Some(stats) => Box::new(ProfiledOp::new(op, stats).with_span(kind_label(node))),
+            // A static name: no table names, which need the plan's name
+            // table and which span attrs don't want to allocate for.
+            Some(stats) => Box::new(ProfiledOp::new(op, stats).with_span(node.kind_name())),
             None => op,
         }
     }
@@ -268,11 +249,11 @@ impl<'a> QueryRunner<'a> {
         out_cols: &[crate::plan::PlanCol],
     ) -> Result<Vec<ExecNode<'a>>> {
         match &node.kind {
-            PlanNodeKind::BTreeScan { dop, .. } => {
-                self.btree_partitions(node, Bound::Unbounded, Bound::Unbounded, *dop)
+            PlanNodeKind::BTreeScan { .. } => {
+                self.btree_partitions(node, Bound::Unbounded, Bound::Unbounded)
             }
-            PlanNodeKind::BTreeSeek { lo, hi, dop, .. } => {
-                self.btree_partitions(node, lo.clone(), hi.clone(), *dop)
+            PlanNodeKind::BTreeSeek { lo, hi, .. } => {
+                self.btree_partitions(node, lo.clone(), hi.clone())
             }
             PlanNodeKind::CsiScan {
                 table,
@@ -330,15 +311,14 @@ impl<'a> QueryRunner<'a> {
     }
 
     /// Range-scan operators over the B+ tree a `BTreeScan` / `BTreeSeek`
-    /// node names, split `dop` ways.
+    /// node names, split its `dop` ways.
     fn btree_partitions(
         &self,
         node: &PlanNode,
         lo: Bound<Key>,
         hi: Bound<Key>,
-        dop: usize,
     ) -> Result<Vec<ExecNode<'a>>> {
-        let (ti, part, index) = scan_target(node)?;
+        let (ti, part, index, dop) = scan_of(node)?;
         let index = self.index(ti, part, index)?;
         let tree = index.btree()?;
         let types: Vec<DataType> = node.out_types.clone();
@@ -388,7 +368,7 @@ impl<'a> QueryRunner<'a> {
     }
 
     fn overlay_for(&self, node: &PlanNode) -> Option<&TableOverlay> {
-        let (ti, _, _) = scan_target(node).ok()?;
+        let (ti, ..) = node.scan()?;
         self.overlays.get(&ti).filter(|o| !o.is_empty())
     }
 
@@ -397,18 +377,15 @@ impl<'a> QueryRunner<'a> {
     /// above the lookup: probing the primary tree would resurface the
     /// *current* row version and undo the snapshot correction).
     fn lower_scan(&self, node: &PlanNode, with_overlay: bool) -> Result<ExecNode<'a>> {
+        let (ti, part, index, dop) = scan_of(node)?;
         let overlay = if with_overlay {
             self.overlay_for(node)
         } else {
             None
         };
         let Some(overlay) = overlay else {
-            return Ok(gather(
-                self.scan_partitions(node, &node.out_cols)?,
-                scan_dop(node),
-            ));
+            return Ok(gather(self.scan_partitions(node, &node.out_cols)?, dop));
         };
-        let (ti, part, index) = scan_target(node)?;
         let table = self.table(ti)?;
         // Partitioned tables: each lane appends only the overlay rows it
         // owns, or the scatter-gather would surface every added row once
@@ -475,7 +452,7 @@ impl<'a> QueryRunner<'a> {
         for &k in order_keys {
             ensure_col(k);
         }
-        let scan = gather(self.scan_partitions(node, &ext_cols)?, scan_dop(node));
+        let scan = gather(self.scan_partitions(node, &ext_cols)?, dop);
         // Project the overlay's full-table rows to the scan's columns.
         let table_ords: Vec<usize> = ext_cols
             .iter()
@@ -643,7 +620,8 @@ impl<'a> QueryRunner<'a> {
                 // Push the filter into parallel scan workers so predicate
                 // CPU parallelizes like the scan itself (not when a snapshot
                 // overlay must be applied once above the gather).
-                if is_scan(child) && scan_dop(child) > 1 && self.overlay_for(child).is_none() {
+                let dop = child.scan().map_or(1, |(.., dop)| dop);
+                if dop > 1 && self.overlay_for(child).is_none() {
                     let parts = self.scan_partitions(child, &child.out_cols)?;
                     // All partitions of the scan report into the scan node's
                     // single stats cell, pre-filter, so actual rows reflect
@@ -656,7 +634,7 @@ impl<'a> QueryRunner<'a> {
                                 as ExecNode<'a>
                         })
                         .collect();
-                    return Ok(gather(workers, scan_dop(child)));
+                    return Ok(gather(workers, dop));
                 }
                 let c = self.lower(child)?;
                 Ok(Box::new(FilterOp::new(
@@ -688,7 +666,7 @@ impl<'a> QueryRunner<'a> {
                     .get(table)
                     .filter(|o| !o.is_empty())
                     .map(|o| self.restrict_overlay(o, *table, *part));
-                let c = if is_scan(child) {
+                let c = if child.scan().is_some() {
                     self.wrap_node(child, self.lower_scan(child, false)?)
                 } else {
                     self.lower(child)?
@@ -852,38 +830,10 @@ impl Operator for OverlayOp<'_> {
     }
 }
 
-fn is_scan(node: &PlanNode) -> bool {
-    matches!(
-        node.kind,
-        PlanNodeKind::BTreeScan { .. }
-            | PlanNodeKind::BTreeSeek { .. }
-            | PlanNodeKind::CsiScan { .. }
-    )
-}
-
-/// `(query table, part, index)` a scan node reads.
-fn scan_target(node: &PlanNode) -> Result<(usize, usize, IndexId)> {
-    match &node.kind {
-        PlanNodeKind::BTreeScan {
-            table, part, index, ..
-        }
-        | PlanNodeKind::BTreeSeek {
-            table, part, index, ..
-        }
-        | PlanNodeKind::CsiScan {
-            table, part, index, ..
-        } => Ok((*table, *part, *index)),
-        _ => Err(HpdError::Internal("not a scan node".into())),
-    }
-}
-
-fn scan_dop(node: &PlanNode) -> usize {
-    match &node.kind {
-        PlanNodeKind::BTreeScan { dop, .. }
-        | PlanNodeKind::BTreeSeek { dop, .. }
-        | PlanNodeKind::CsiScan { dop, .. } => *dop,
-        _ => 1,
-    }
+/// [`PlanNode::scan`] of a node the executor lowers as a scan leaf.
+fn scan_of(node: &PlanNode) -> Result<(usize, usize, IndexId, usize)> {
+    node.scan()
+        .ok_or_else(|| HpdError::Internal("not a scan node".into()))
 }
 
 fn exec_mode(m: PlanMode) -> Mode {

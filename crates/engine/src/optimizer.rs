@@ -23,7 +23,9 @@ use hpd_common::{
 
 use crate::cost::CostModel;
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
-use crate::plan::{PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind, PlanTable};
+use crate::plan::{
+    LeafKind, PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind, PlanTable,
+};
 use crate::query::SelectQuery;
 use crate::stats::TableStats;
 
@@ -102,8 +104,22 @@ impl Optimizer {
     /// Elapsed-cost estimate of a subtree under its best DOP (split-I/O
     /// model); the comparison key used throughout plan enumeration.
     fn node_cost(&self, node: &PlanNode) -> f64 {
-        let (d, s) = split_io(node);
-        self.cost.choose_dop_split(total_cpu(node), d, s).1
+        let (cpu, d, s) = subtree_cost(node);
+        self.cost.choose_dop_split(cpu, d, s).1
+    }
+
+    /// The item whose node is cheapest by [`Optimizer::node_cost`], each
+    /// costed once; the first of equals, as `min_by` picks.
+    fn cheapest<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        node: impl Fn(&T) -> &PlanNode,
+    ) -> Option<T> {
+        items
+            .into_iter()
+            .map(|item| (self.node_cost(node(&item)), item))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, item)| item)
     }
 }
 
@@ -127,15 +143,13 @@ impl Optimizer {
         } else {
             self.plan_joins(query, tables)?
         };
-        let (io_div, io_serial) = split_io(&root);
-        let (dop, elapsed) = self
-            .cost
-            .choose_dop_split(total_cpu(&root), io_div, io_serial);
+        let (cpu, io_div, io_serial) = subtree_cost(&root);
+        let (dop, elapsed) = self.cost.choose_dop_split(cpu, io_div, io_serial);
         set_scan_dop(&mut root, dop);
         record_plan_choice(&root);
         Ok(PhysicalPlan {
             est_cost_us: elapsed,
-            est_cpu_us: total_cpu(&root),
+            est_cpu_us: cpu,
             tables: query
                 .tables
                 .iter()
@@ -204,9 +218,8 @@ impl Optimizer {
         // physical design), projected to one shape.
         let mut parts = Vec::with_capacity(survivors.len());
         for p in survivors {
-            let best = lane(p)?
-                .into_iter()
-                .min_by(|a, b| self.node_cost(&a.node).total_cmp(&self.node_cost(&b.node)))
+            let best = self
+                .cheapest(lane(p)?, |o| &o.node)
                 .expect("every partition has a primary access path");
             parts.push(self.normalize_lane(best.node, ti, needed, ctx));
         }
@@ -1047,10 +1060,8 @@ impl Optimizer {
         let mut best_single: Vec<PlanNode> = Vec::with_capacity(tables.len());
         for (ti, ctx) in tables.iter().enumerate() {
             let opts = self.best_table_plan(query, ti, ctx, &[])?;
-            let node = opts
-                .into_iter()
-                .map(|o| o.node)
-                .min_by(|a, b| self.node_cost(a).total_cmp(&self.node_cost(b)))
+            let node = self
+                .cheapest(opts.into_iter().map(|o| o.node), |n| n)
                 .expect("non-empty options");
             best_single.push(node);
         }
@@ -1297,9 +1308,7 @@ impl Optimizer {
             options.push(node);
         }
 
-        options
-            .into_iter()
-            .min_by(|a, b| self.node_cost(a).total_cmp(&self.node_cost(b)))
+        self.cheapest(options, |n| n)
             .ok_or_else(|| HpdError::Internal("no join option".into()))
     }
 }
@@ -1490,18 +1499,14 @@ fn join_keys_between(
 /// registry: how often the optimizer picks B+ tree vs columnstore leaves,
 /// and how often one plan mixes both (the hybrid designs the paper studies).
 fn record_plan_choice(root: &PlanNode) {
-    fn walk(node: &PlanNode, btree: &mut u64, csi: &mut u64) {
-        match &node.kind {
-            PlanNodeKind::BTreeSeek { .. } | PlanNodeKind::BTreeScan { .. } => *btree += 1,
-            PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => *csi += 1,
-            _ => {}
-        }
-        for c in node.children() {
-            walk(c, btree, csi);
+    let (mut btree, mut csi) = (0u64, 0u64);
+    for (_, node) in root.walk() {
+        match node.leaf_kind() {
+            Some(LeafKind::BTree) => btree += 1,
+            Some(LeafKind::Columnstore) => csi += 1,
+            None => {}
         }
     }
-    let (mut btree, mut csi) = (0u64, 0u64);
-    walk(root, &mut btree, &mut csi);
     let reg = hpd_obs::global();
     reg.counter("optimizer.plans").inc();
     reg.counter("optimizer.leaf_btree").add(btree);
@@ -1511,23 +1516,24 @@ fn record_plan_choice(root: &PlanNode) {
     }
 }
 
-/// Sum of estimated CPU microseconds over a subtree.
-pub fn total_cpu(node: &PlanNode) -> f64 {
-    node.est_cpu_us + node.children().iter().map(|c| total_cpu(c)).sum::<f64>()
-}
-
-/// Split estimated I/O into (parallelizable, latency-bound): columnstore
-/// segment reads are independent requests that scale with DOP; B+ tree page
-/// chains and everything else do not.
-pub fn split_io(node: &PlanNode) -> (f64, f64) {
+/// A subtree's estimated `(cpu, divisible io, serial io)` microseconds.
+/// CPU is the node's plus the sum of its children's. I/O splits into what
+/// parallelizes (columnstore segment reads are independent requests that
+/// scale with DOP) and what is latency-bound (B+ tree page chains and
+/// everything else), each summed from the node's own down its children.
+fn subtree_cost(node: &PlanNode) -> (f64, f64, f64) {
     let mut divisible = node.est_io_div_us;
     let mut serial = node.est_io_us - node.est_io_div_us;
-    for c in node.children() {
-        let (d, s) = split_io(c);
-        divisible += d;
-        serial += s;
-    }
-    (divisible, serial)
+    let below: f64 = node
+        .children()
+        .map(|c| {
+            let (cpu, d, s) = subtree_cost(c);
+            divisible += d;
+            serial += s;
+            cpu
+        })
+        .sum();
+    (node.est_cpu_us + below, divisible, serial)
 }
 
 /// Propagate the chosen DOP to the scan leaves. A gather takes it like a

@@ -192,57 +192,111 @@ impl PlanNode {
             .position(|c| matches!(c, PlanCol::Base(t, cc) if *t == table && *cc == column))
     }
 
-    /// Recursively collect leaf access kinds, in plan order.
-    pub fn collect_leaves(&self, out: &mut Vec<LeafKind>) {
-        for child in self.children() {
-            child.collect_leaves(out);
-        }
+    /// The kind of index this node reads, if it reads one: Figure 10's
+    /// unit, and the one rule both its counts and the optimizer's
+    /// `optimizer.leaf_*` counters go by. `PkLookup` probes the primary tree
+    /// and `IndexNLJoin` seeks the inner index: both read a B+ tree besides
+    /// their input.
+    pub fn leaf_kind(&self) -> Option<LeafKind> {
         match &self.kind {
-            // `PkLookup` probes the primary tree, `IndexNLJoin` seeks the
-            // inner index: both read a B+ tree besides their input.
             PlanNodeKind::BTreeSeek { .. }
             | PlanNodeKind::BTreeScan { .. }
             | PlanNodeKind::PkLookup { .. }
-            | PlanNodeKind::IndexNLJoin { .. } => out.push(LeafKind::BTree),
+            | PlanNodeKind::IndexNLJoin { .. } => Some(LeafKind::BTree),
             PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => {
-                out.push(LeafKind::Columnstore)
+                Some(LeafKind::Columnstore)
             }
-            _ => {}
+            _ => None,
         }
     }
 
-    /// Recursively collect `(query table, index id)` pairs for every index
-    /// access in the subtree — how the advisor learns which hypothetical
-    /// indexes the optimizer actually referenced.
-    pub fn collect_index_refs(&self, out: &mut Vec<(usize, IndexId)>) {
-        for child in self.children() {
-            child.collect_index_refs(out);
-        }
+    /// `(query table, part, index, dop)` of a scan leaf — a B+ tree seek or
+    /// scan, or a columnstore scan: the leaves that fan out `dop` ways.
+    pub fn scan(&self) -> Option<(usize, usize, IndexId, usize)> {
         match &self.kind {
-            PlanNodeKind::BTreeSeek { table, index, .. }
-            | PlanNodeKind::BTreeScan { table, index, .. }
-            | PlanNodeKind::CsiScan { table, index, .. }
-            | PlanNodeKind::CsiAgg { table, index, .. }
-            | PlanNodeKind::IndexNLJoin { table, index, .. } => out.push((*table, *index)),
-            PlanNodeKind::PkLookup { table, .. } => out.push((*table, IndexId::PRIMARY)),
-            _ => {}
+            PlanNodeKind::BTreeSeek {
+                table,
+                part,
+                index,
+                dop,
+                ..
+            }
+            | PlanNodeKind::BTreeScan {
+                table,
+                part,
+                index,
+                dop,
+            }
+            | PlanNodeKind::CsiScan {
+                table,
+                part,
+                index,
+                dop,
+                ..
+            } => Some((*table, *part, *index, *dop)),
+            _ => None,
         }
+    }
+
+    /// Static operator name, e.g. `CsiScan`: [`PlanNode::describe`] without
+    /// its tables, indexes and counts.
+    pub fn kind_name(&self) -> &'static str {
+        match &self.kind {
+            PlanNodeKind::BTreeSeek { .. } => "BTreeSeek",
+            PlanNodeKind::BTreeScan { .. } => "BTreeScan",
+            PlanNodeKind::CsiScan { .. } => "CsiScan",
+            PlanNodeKind::CsiAgg { .. } => "CsiAgg",
+            PlanNodeKind::PartitionedScan { .. } => "PartitionedScan",
+            PlanNodeKind::PkLookup { .. } => "PkLookup",
+            PlanNodeKind::Filter { .. } => "Filter",
+            PlanNodeKind::Project { .. } => "Project",
+            PlanNodeKind::HashAgg { .. } => "HashAgg",
+            PlanNodeKind::StreamAgg { .. } => "StreamAgg",
+            PlanNodeKind::Sort { .. } => "Sort",
+            PlanNodeKind::Limit { .. } => "Limit",
+            PlanNodeKind::HashJoin { .. } => "HashJoin",
+            PlanNodeKind::IndexNLJoin { .. } => "IndexNLJoin",
+        }
+    }
+
+    /// The subtree in pre-order, each node with its depth below `self`: a
+    /// node, then each child's subtree in [`PlanNode::children`] order. It
+    /// is the order `explain` prints and `EXPLAIN ANALYZE` reports. One
+    /// stack, no allocation per node.
+    pub fn walk(&self) -> impl Iterator<Item = (usize, &PlanNode)> {
+        let mut stack = vec![(0, self)];
+        std::iter::from_fn(move || {
+            let (depth, node) = stack.pop()?;
+            stack.extend(node.children().rev().map(|c| (depth + 1, c)));
+            Some((depth, node))
+        })
+    }
+
+    /// What `f` says of each node that it says something of, a node after
+    /// its subtree (a `PkLookup` after the seek it reads from): the order
+    /// plan leaves have always been listed in.
+    fn post_order<T>(&self, f: impl Fn(&PlanNode) -> Option<T>) -> Vec<T> {
+        let (mut out, mut open) = (Vec::new(), Vec::<(usize, T)>::new());
+        for (depth, node) in self.walk() {
+            // A node at `depth` closes every open one at or below it.
+            while open.last().is_some_and(|(d, _)| *d >= depth) {
+                out.extend(open.pop().map(|(_, t)| t));
+            }
+            open.extend(f(node).map(|t| (depth, t)));
+        }
+        out.extend(open.into_iter().rev().map(|(_, t)| t));
+        out
     }
 
     /// Maximum DOP of any scan in the subtree.
     pub fn max_dop(&self) -> usize {
-        let own = match &self.kind {
-            PlanNodeKind::BTreeSeek { dop, .. }
-            | PlanNodeKind::BTreeScan { dop, .. }
-            | PlanNodeKind::CsiScan { dop, .. }
-            | PlanNodeKind::PartitionedScan { dop, .. } => *dop,
-            // Everything else (the encoded fold included) never fans out.
-            _ => 1,
-        };
-        self.children()
-            .iter()
-            .map(|c| c.max_dop())
-            .fold(own.max(1), usize::max)
+        self.walk()
+            .map(|(_, node)| match &node.kind {
+                PlanNodeKind::PartitionedScan { dop, .. } => *dop,
+                // Everything else (the encoded fold included) never fans out.
+                _ => node.scan().map_or(1, |(.., dop)| dop),
+            })
+            .fold(1, usize::max)
     }
 
     /// Planning-time workspace-memory estimate for the subtree, bytes: what
@@ -260,12 +314,12 @@ impl PlanNode {
                 .sum::<usize>()
                 + ROW_BOOKKEEPING_BYTES
         };
-        let own = match &self.kind {
+        let own = |node: &PlanNode| match &node.kind {
             PlanNodeKind::Sort { child, .. } => {
                 (child.est_rows.max(0.0) as usize).saturating_mul(row_bytes(child))
             }
             PlanNodeKind::HashAgg { .. } => {
-                (self.est_rows.max(0.0) as usize).saturating_mul(row_bytes(self))
+                (node.est_rows.max(0.0) as usize).saturating_mul(row_bytes(node))
             }
             PlanNodeKind::HashJoin { left, right, .. } => {
                 let (_, build) = PlanNode::hash_join_build(left, right);
@@ -273,9 +327,8 @@ impl PlanNode {
             }
             _ => 0,
         };
-        self.children()
-            .iter()
-            .fold(own, |acc, c| acc.saturating_add(c.est_memory_bytes()))
+        self.walk()
+            .fold(0, |acc, (_, node)| acc.saturating_add(own(node)))
     }
 
     /// The child a hash join of `left` and `right` builds its table on,
@@ -292,24 +345,25 @@ impl PlanNode {
         }
     }
 
-    /// Borrowed children in plan order (left before right).
-    pub fn children(&self) -> Vec<&PlanNode> {
-        match &self.kind {
+    /// Borrowed children in plan order: left before right, lanes in order.
+    pub fn children(&self) -> impl DoubleEndedIterator<Item = &PlanNode> {
+        let (first, second, lanes): (_, _, &[PlanNode]) = match &self.kind {
             PlanNodeKind::BTreeSeek { .. }
             | PlanNodeKind::BTreeScan { .. }
             | PlanNodeKind::CsiScan { .. }
-            | PlanNodeKind::CsiAgg { .. } => Vec::new(),
-            PlanNodeKind::PartitionedScan { parts, .. } => parts.iter().collect(),
+            | PlanNodeKind::CsiAgg { .. } => (None, None, &[]),
+            PlanNodeKind::PartitionedScan { parts, .. } => (None, None, parts),
             PlanNodeKind::PkLookup { child, .. }
             | PlanNodeKind::Filter { child, .. }
             | PlanNodeKind::Project { child, .. }
             | PlanNodeKind::HashAgg { child, .. }
             | PlanNodeKind::StreamAgg { child, .. }
             | PlanNodeKind::Sort { child, .. }
-            | PlanNodeKind::Limit { child, .. } => vec![child],
-            PlanNodeKind::IndexNLJoin { outer, .. } => vec![outer],
-            PlanNodeKind::HashJoin { left, right, .. } => vec![left, right],
-        }
+            | PlanNodeKind::Limit { child, .. }
+            | PlanNodeKind::IndexNLJoin { outer: child, .. } => (Some(&**child), None, &[]),
+            PlanNodeKind::HashJoin { left, right, .. } => (Some(&**left), Some(&**right), &[]),
+        };
+        first.into_iter().chain(second).chain(lanes)
     }
 
     /// [`PlanNode::children`], mutably.
@@ -423,22 +477,6 @@ impl PlanNode {
             }
         }
     }
-
-    fn explain_into(&self, depth: usize, tables: &[PlanTable], out: &mut String) {
-        use std::fmt::Write;
-        let pad = "  ".repeat(depth);
-        let _ = writeln!(
-            out,
-            "{pad}{}  (rows≈{:.0}, cpu≈{:.0}us, io≈{:.0}us)",
-            self.describe(tables),
-            self.est_rows,
-            self.est_cpu_us,
-            self.est_io_us
-        );
-        for child in self.children() {
-            child.explain_into(depth + 1, tables, out);
-        }
-    }
 }
 
 /// One input table of a plan, as explain output needs it.
@@ -465,16 +503,22 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Leaf access kinds, in plan order (Figure 10's unit of measurement).
     pub fn leaf_kinds(&self) -> Vec<LeafKind> {
-        let mut out = Vec::new();
-        self.root.collect_leaves(&mut out);
-        out
+        self.root.post_order(PlanNode::leaf_kind)
     }
 
-    /// Every `(query table, index id)` the plan references.
+    /// Every `(query table, index id)` the plan references — how the
+    /// advisor learns which hypothetical indexes the optimizer actually
+    /// referenced.
     pub fn index_refs(&self) -> Vec<(usize, IndexId)> {
-        let mut out = Vec::new();
-        self.root.collect_index_refs(&mut out);
-        out
+        self.root.post_order(|node| match &node.kind {
+            PlanNodeKind::BTreeSeek { table, index, .. }
+            | PlanNodeKind::BTreeScan { table, index, .. }
+            | PlanNodeKind::CsiScan { table, index, .. }
+            | PlanNodeKind::CsiAgg { table, index, .. }
+            | PlanNodeKind::IndexNLJoin { table, index, .. } => Some((*table, *index)),
+            PlanNodeKind::PkLookup { table, .. } => Some((*table, IndexId::PRIMARY)),
+            _ => None,
+        })
     }
 
     /// True if the plan mixes B+ tree and columnstore accesses ("hybrid
@@ -497,8 +541,332 @@ impl PhysicalPlan {
 
     /// Readable plan tree.
     pub fn explain(&self) -> String {
+        use std::fmt::Write;
         let mut out = String::new();
-        self.root.explain_into(0, &self.tables, &mut out);
+        for (depth, node) in self.root.walk() {
+            let _ = writeln!(
+                out,
+                "{:pad$}{}  (rows≈{:.0}, cpu≈{:.0}us, io≈{:.0}us)",
+                "",
+                node.describe(&self.tables),
+                node.est_rows,
+                node.est_cpu_us,
+                node.est_io_us,
+                pad = 2 * depth,
+            );
+        }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use hpd_common::{CmpOp, PartitionSpec, Row, Schema, Value};
+
+    use super::*;
+    use crate::catalog::{Database, DbConfig};
+    use crate::design::IndexDescriptor;
+    use crate::executor::QueryRunner;
+
+    const ROWS: i32 = 1_000;
+    /// `p`'s first partition holds the ids below this.
+    const SPLIT: i32 = 300;
+
+    fn node(kind: PlanNodeKind, (out_cols, out_types): (Vec<PlanCol>, Vec<DataType>)) -> PlanNode {
+        PlanNode {
+            kind,
+            out_cols,
+            out_types,
+            est_rows: 1.0,
+            est_cpu_us: 0.0,
+            est_io_us: 0.0,
+            est_io_div_us: 0.0,
+        }
+    }
+
+    /// Output of `cols` of query table `t`, every column an `Int32`.
+    fn base(t: usize, cols: &[usize]) -> (Vec<PlanCol>, Vec<DataType>) {
+        let out = cols.iter().map(|&c| PlanCol::Base(t, c)).collect();
+        (out, vec![DataType::Int32; cols.len()])
+    }
+
+    fn computed(types: &[DataType]) -> (Vec<PlanCol>, Vec<DataType>) {
+        (vec![PlanCol::Computed; types.len()], types.to_vec())
+    }
+
+    fn count() -> Vec<PlanAgg> {
+        vec![PlanAgg {
+            func: AggFunc::Count,
+            input: 0,
+        }]
+    }
+
+    /// `p(id, v)` in two range partitions (ids below and from `SPLIT`), a
+    /// B+ tree primary and a B+ tree on `v` in each; `c(id, v)` in one part,
+    /// a B+ tree primary and a columnstore. Both hold ids `0..ROWS`.
+    fn database() -> Database {
+        let db = Database::new(DbConfig::default());
+        let schema = Schema::from_pairs(&[("id", DataType::Int32), ("v", DataType::Int32)]);
+        let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+        let spec = PartitionSpec::range(0, vec![Value::Int32(SPLIT)]).unwrap();
+        db.create_partitioned_table("p", schema.clone(), vec![0], primary.clone(), spec)
+            .unwrap();
+        db.create_table("c", schema, vec![0], primary).unwrap();
+        for name in ["p", "c"] {
+            let rows = (0..ROWS).map(|i| Row::new(vec![Value::Int32(i), Value::Int32(i % 7)]));
+            db.load_table(name, rows.collect()).unwrap();
+        }
+        let on_v = IndexDescriptor::SecondaryBTree {
+            keys: vec![1],
+            includes: vec![],
+        };
+        db.create_index("p", &on_v).unwrap();
+        let csi = IndexDescriptor::SecondaryCsi {
+            columns: vec![0, 1],
+        };
+        db.create_index("c", &csi).unwrap();
+        db
+    }
+
+    /// A plan holding every [`PlanNodeKind`] that runs against
+    /// [`database`] and returns one row, `ROWS`: the count of `c` through a
+    /// columnstore scan, through the encoded fold and through an index
+    /// nested-loop join from both lanes of `p`, joined on each other.
+    fn every_kind() -> PhysicalPlan {
+        let (p, c) = (0, 1);
+        let count_of = |child: PlanNode| PlanNodeKind::StreamAgg {
+            child: Box::new(child),
+            group: Vec::new(),
+            aggs: count(),
+        };
+        let int64 = || computed(&[DataType::Int64]);
+        // Lane 0 reads `p`'s rows through the B+ tree on `v` (stored as
+        // `v, id`) and the primary; lane 1 scans the primary.
+        let seek_v = node(
+            PlanNodeKind::BTreeSeek {
+                table: p,
+                part: 0,
+                index: IndexId(1),
+                lo: Bound::Unbounded,
+                hi: Bound::Unbounded,
+                dop: 1,
+            },
+            base(p, &[1, 0]),
+        );
+        let lookup = node(
+            PlanNodeKind::PkLookup {
+                child: Box::new(seek_v),
+                table: p,
+                part: 0,
+                locator: vec![1],
+            },
+            base(p, &[0, 1]),
+        );
+        let scan_p1 = node(
+            PlanNodeKind::BTreeScan {
+                table: p,
+                part: 1,
+                index: IndexId::PRIMARY,
+                dop: 1,
+            },
+            base(p, &[0, 1]),
+        );
+        let gather = node(
+            PlanNodeKind::PartitionedScan {
+                table: p,
+                parts: vec![lookup, scan_p1],
+                pruned: 0,
+                total: 2,
+                dop: 1,
+            },
+            base(p, &[0, 1]),
+        );
+        let (mut cols, mut types) = base(p, &[0, 1]);
+        let (c_cols, c_types) = base(c, &[0, 1]);
+        cols.extend(c_cols);
+        types.extend(c_types);
+        let nl_join = node(
+            PlanNodeKind::IndexNLJoin {
+                outer: Box::new(gather),
+                table: c,
+                index: IndexId::PRIMARY,
+                outer_key: vec![0],
+            },
+            (cols.clone(), types.clone()),
+        );
+        let filter = node(
+            PlanNodeKind::Filter {
+                child: Box::new(nl_join),
+                predicate: Expr::col_cmp(2, CmpOp::Ge, Value::Int32(0)),
+                mode: PlanMode::Row,
+            },
+            (cols, types),
+        );
+        let through_join = node(
+            PlanNodeKind::HashAgg {
+                child: Box::new(filter),
+                group: Vec::new(),
+                aggs: count(),
+            },
+            int64(),
+        );
+        let csi_scan = node(
+            PlanNodeKind::CsiScan {
+                table: c,
+                part: 0,
+                index: IndexId(1),
+                intervals: HashMap::new(),
+                dop: 1,
+            },
+            base(c, &[0]),
+        );
+        let through_scan = node(count_of(csi_scan), int64());
+        let through_fold = node(
+            PlanNodeKind::CsiAgg {
+                table: c,
+                part: 0,
+                index: IndexId(1),
+                intervals: HashMap::new(),
+                aggs: count(),
+            },
+            int64(),
+        );
+        let pair = node(
+            PlanNodeKind::HashJoin {
+                left: Box::new(through_scan),
+                right: Box::new(through_fold),
+                keys: vec![(0, 0)],
+            },
+            computed(&[DataType::Int64; 2]),
+        );
+        let all = node(
+            PlanNodeKind::HashJoin {
+                left: Box::new(pair),
+                right: Box::new(through_join),
+                keys: vec![(0, 0)],
+            },
+            computed(&[DataType::Int64; 3]),
+        );
+        let project = node(
+            PlanNodeKind::Project {
+                child: Box::new(all),
+                exprs: vec![Expr::col(0)],
+                mode: PlanMode::Row,
+            },
+            int64(),
+        );
+        let sort = node(
+            PlanNodeKind::Sort {
+                child: Box::new(project),
+                keys: vec![(0, true)],
+            },
+            int64(),
+        );
+        let limit = node(
+            PlanNodeKind::Limit {
+                child: Box::new(sort),
+                n: 10,
+            },
+            int64(),
+        );
+        PhysicalPlan {
+            root: limit,
+            tables: vec![
+                PlanTable {
+                    name: "p".into(),
+                    parts: 2,
+                },
+                PlanTable {
+                    name: "c".into(),
+                    parts: 1,
+                },
+            ],
+            est_cost_us: 0.0,
+            est_cpu_us: 0.0,
+        }
+    }
+
+    #[test]
+    fn walk_is_the_order_of_explain_and_of_an_analyzed_run() {
+        let plan = every_kind();
+        let walked: Vec<(usize, &PlanNode)> = plan.root.walk().collect();
+        let kinds: BTreeSet<&str> = walked.iter().map(|(_, n)| n.kind_name()).collect();
+        assert_eq!(kinds.len(), 14, "every kind: {kinds:?}");
+        // Pre-order: a node, then its children's subtrees, left before right
+        // and lanes in order.
+        let shape: Vec<(usize, &str)> = (walked.iter())
+            .map(|(depth, node)| (*depth, node.kind_name()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, "Limit"),
+                (1, "Sort"),
+                (2, "Project"),
+                (3, "HashJoin"),
+                (4, "HashJoin"),
+                (5, "StreamAgg"),
+                (6, "CsiScan"),
+                (5, "CsiAgg"),
+                (4, "HashAgg"),
+                (5, "Filter"),
+                (6, "IndexNLJoin"),
+                (7, "PartitionedScan"),
+                (8, "PkLookup"),
+                (9, "BTreeSeek"),
+                (8, "BTreeScan"),
+            ]
+        );
+
+        // `explain` prints one line per node, indented two spaces a level.
+        let explain = plan.explain();
+        let lines: Vec<&str> = explain.lines().collect();
+        assert_eq!(lines.len(), walked.len(), "{explain}");
+        for (line, (depth, node)) in lines.iter().zip(&walked) {
+            let label = format!("{}{}  (", "  ".repeat(*depth), node.describe(&plan.tables));
+            assert!(line.starts_with(&label), "{line:?} is not {label:?}");
+        }
+
+        let db = database();
+        let run = db
+            .with_table("p", |p| {
+                db.with_table("c", |c| {
+                    QueryRunner::new(vec![p, c], db.pool(), 64 << 20)
+                        .with_profile()
+                        .run(&plan)
+                })
+            })
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        assert_eq!(run.rows, vec![Row::new(vec![Value::Int64(ROWS as i64)])]);
+        let report = run.analyze.expect("profiled");
+        let reported: Vec<(usize, String)> = (report.nodes.iter())
+            .map(|n| (n.depth, n.label.clone()))
+            .collect();
+        let expected: Vec<(usize, String)> = (walked.iter())
+            .map(|(depth, node)| (*depth, node.describe(&plan.tables)))
+            .collect();
+        assert_eq!(reported, expected);
+        // Each node's cell counted that node's calls: every one ran, and
+        // each lane's leaf gave its own partition's rows.
+        assert!(
+            report.nodes.iter().all(|n| n.next_calls > 0),
+            "{}",
+            report.render()
+        );
+        let lane_rows: Vec<u64> = (report.nodes.iter())
+            .filter(|n| n.label.starts_with("PkLookup") || n.label.starts_with("BTreeScan"))
+            .map(|n| n.actual_rows)
+            .collect();
+        let split = SPLIT as u64;
+        assert_eq!(
+            lane_rows,
+            [split, ROWS as u64 - split],
+            "{}",
+            report.render()
+        );
     }
 }

@@ -22,19 +22,13 @@ pub struct ProfileMap {
 
 impl ProfileMap {
     pub fn build(plan: &PhysicalPlan) -> ProfileMap {
-        let mut map = ProfileMap {
-            ids: HashMap::new(),
-            stats: Vec::new(),
-        };
-        fn visit(node: &PlanNode, map: &mut ProfileMap) {
-            map.ids.insert(node as *const PlanNode, map.stats.len());
-            map.stats.push(Arc::new(OpStats::default()));
-            for child in node.children() {
-                visit(child, map);
-            }
-        }
-        visit(&plan.root, &mut map);
-        map
+        let (ids, stats) = plan
+            .root
+            .walk()
+            .enumerate()
+            .map(|(i, (_, node))| ((node as *const PlanNode, i), Arc::default()))
+            .unzip();
+        ProfileMap { ids, stats }
     }
 
     /// Stats cell for a node of the plan this map was built from.
@@ -47,17 +41,12 @@ impl ProfileMap {
     /// Freeze the accumulated actuals into a report (call after the query
     /// has drained), beside the statement's `io`.
     pub fn report(&self, plan: &PhysicalPlan, io: IoSnapshot) -> AnalyzeReport {
-        let mut nodes = Vec::with_capacity(self.stats.len());
-        fn visit(
-            node: &PlanNode,
-            depth: usize,
-            map: &ProfileMap,
-            plan: &PhysicalPlan,
-            out: &mut Vec<NodeProfile>,
-        ) {
-            let idx = map.ids[&(node as *const PlanNode)];
-            let s = &map.stats[idx];
-            out.push(NodeProfile {
+        // `build` numbered the cells in walk order.
+        let nodes = plan
+            .root
+            .walk()
+            .zip(&self.stats)
+            .map(|((depth, node), s)| NodeProfile {
                 label: node.describe(&plan.tables),
                 depth,
                 est_rows: node.est_rows,
@@ -69,12 +58,8 @@ impl ProfileMap {
                 spilled_bytes: s.spilled_bytes.load(Ordering::Relaxed),
                 spill_events: s.spill_events.load(Ordering::Relaxed),
                 mem_peak_bytes: s.mem_peak_bytes.load(Ordering::Relaxed),
-            });
-            for child in node.children() {
-                visit(child, depth + 1, map, plan, out);
-            }
-        }
-        visit(&plan.root, 0, self, plan, &mut nodes);
+            })
+            .collect();
         let partitions = PartitionActivity::of_plan(&plan.root);
         AnalyzeReport {
             nodes,
@@ -104,15 +89,13 @@ pub struct PartitionActivity {
 impl PartitionActivity {
     /// The lanes and pruned partitions of every `PartitionedScan` under
     /// `node`.
-    fn of_plan(node: &PlanNode) -> PartitionActivity {
+    fn of_plan(root: &PlanNode) -> PartitionActivity {
         let mut sum = PartitionActivity::default();
-        if let PlanNodeKind::PartitionedScan { parts, pruned, .. } = &node.kind {
-            sum.scanned = parts.len() as u64;
-            sum.pruned = *pruned as u64;
-        }
-        for below in node.children().into_iter().map(PartitionActivity::of_plan) {
-            sum.scanned += below.scanned;
-            sum.pruned += below.pruned;
+        for (_, node) in root.walk() {
+            if let PlanNodeKind::PartitionedScan { parts, pruned, .. } = &node.kind {
+                sum.scanned += parts.len() as u64;
+                sum.pruned += *pruned as u64;
+            }
         }
         sum
     }

@@ -12,7 +12,7 @@ use hpd_obs::json_string;
 use hpd_storage::{IoSnapshot, Work};
 use hpd_wal::WalSummary;
 
-use crate::plan::{PhysicalPlan, PlanNode, PlanTable};
+use crate::plan::PhysicalPlan;
 use crate::profile::{estimate_error, GrantSummary};
 
 /// Stable hash of a plan's *shape* (operator kinds, indexes, and structure;
@@ -20,14 +20,10 @@ use crate::profile::{estimate_error, GrantSummary};
 /// to one fingerprint.
 pub fn plan_fingerprint(plan: &PhysicalPlan) -> u64 {
     let mut h = DefaultHasher::new();
-    fn visit(node: &PlanNode, depth: usize, tables: &[PlanTable], h: &mut DefaultHasher) {
-        depth.hash(h);
-        node.describe(tables).hash(h);
-        for c in node.children() {
-            visit(c, depth + 1, tables, h);
-        }
+    for (depth, node) in plan.root.walk() {
+        depth.hash(&mut h);
+        node.describe(&plan.tables).hash(&mut h);
     }
-    visit(&plan.root, 0, &plan.tables, &mut h);
     h.finish()
 }
 

@@ -697,6 +697,9 @@ impl TablePart {
     }
 }
 
+/// A key's prior row versions as `(start_ts, end_ts, row)`, end-exclusive.
+type Versions = Vec<(u64, u64, Row)>;
+
 /// One table with its full physical design.
 pub struct Table {
     pub name: String,
@@ -708,10 +711,9 @@ pub struct Table {
     stats: TableStats,
     alloc: StorageAllocator,
     csi_config: CsiConfig,
-    /// Last committed write timestamp per primary key (snapshot isolation).
-    row_write_ts: HashMap<Key, u64>,
-    /// Prior versions: pk → list of (start_ts, end_ts, row), end-exclusive.
-    version_store: HashMap<Key, Vec<(u64, u64, Row)>>,
+    /// Per primary key rewritten since load (snapshot isolation): its last
+    /// committed write timestamp, and its prior versions.
+    versions: HashMap<Key, (u64, Versions)>,
 }
 
 impl Table {
@@ -777,8 +779,7 @@ impl Table {
             stats: TableStats::empty(n),
             alloc,
             csi_config,
-            row_write_ts: HashMap::new(),
-            version_store: HashMap::new(),
+            versions: HashMap::new(),
         })
     }
 
@@ -1150,26 +1151,23 @@ impl Table {
     /// Record that a write at commit timestamp `ts` replaced `old` (or
     /// created the row, if `old` is `None`).
     pub fn record_version(&mut self, key: Key, old: Option<Row>, ts: u64) {
-        let start = self.row_write_ts.get(&key).copied().unwrap_or(0);
+        let (write_ts, versions) = self.versions.entry(key).or_default();
         if let Some(old_row) = old {
-            self.version_store
-                .entry(key.clone())
-                .or_default()
-                .push((start, ts, old_row));
+            versions.push((*write_ts, ts, old_row));
         }
-        self.row_write_ts.insert(key, ts);
+        *write_ts = ts;
     }
 
     /// Timestamp of the last committed write to this row (0 if never
     /// rewritten since load).
     pub fn last_write_ts(&self, key: &Key) -> u64 {
-        self.row_write_ts.get(key).copied().unwrap_or(0)
+        self.versions.get(key).map_or(0, |(ts, _)| *ts)
     }
 
     /// The row version visible at snapshot `ts`, when the current version is
     /// too new. `None` means the row did not exist at `ts`.
     pub fn version_at(&self, key: &Key, ts: u64) -> Option<&Row> {
-        self.version_store.get(key).and_then(|versions| {
+        self.versions.get(key).and_then(|(_, versions)| {
             versions
                 .iter()
                 .find(|(start, end, _)| *start <= ts && ts < *end)
@@ -1180,9 +1178,9 @@ impl Table {
     /// Primary keys whose last committed write is newer than `ts` (the rows
     /// a snapshot reader at `ts` must correct).
     pub fn rewritten_since(&self, ts: u64) -> Vec<Key> {
-        self.row_write_ts
+        self.versions
             .iter()
-            .filter(|(_, &w)| w > ts)
+            .filter(|(_, (w, _))| *w > ts)
             .map(|(k, _)| k.clone())
             .collect()
     }
@@ -1191,23 +1189,24 @@ impl Table {
     /// versions that ended by then, and the write timestamps that bounded
     /// them. A timestamp at or below the horizon conflicts with no active or
     /// future transaction and puts no row in any of their overlays, so to
-    /// them it reads the same as the absent entry's 0.
+    /// them it reads the same as the absent entry's 0. A version ends at a
+    /// later write to its key, so a key whose write is behind the horizon
+    /// has no version left either.
     pub fn prune_versions(&mut self, oldest_active: u64) {
-        self.version_store.retain(|_, versions| {
+        self.versions.retain(|_, (ts, versions)| {
             versions.retain(|(_, end, _)| *end > oldest_active);
-            !versions.is_empty()
+            *ts > oldest_active
         });
-        self.row_write_ts.retain(|_, ts| *ts > oldest_active);
     }
 
     /// Number of retained old versions (diagnostics / SI overhead tests).
     pub fn version_count(&self) -> usize {
-        self.version_store.values().map(Vec::len).sum()
+        self.versions.values().map(|(_, v)| v.len()).sum()
     }
 
     /// Number of rows with a retained write timestamp (diagnostics).
     pub fn tracked_write_count(&self) -> usize {
-        self.row_write_ts.len()
+        self.versions.len()
     }
 }
 

@@ -356,7 +356,7 @@ fn a_star_join_builds_on_the_dimension_and_spills_nothing() {
             PlanNodeKind::HashJoin { left, right, .. } => {
                 break hpd_engine::plan::PlanNode::hash_join_build(left, right)
             }
-            _ => node = node.children()[0],
+            _ => node = node.children().next().expect("a join below"),
         }
     };
     assert_eq!(side, hpd_exec::JoinSide::Left, "{}", plan.explain());

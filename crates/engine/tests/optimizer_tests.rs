@@ -267,13 +267,11 @@ fn layout_table(partitioned: bool) -> (Database, Vec<Row>, [IndexDescriptor; 3])
 }
 
 fn leaves<'p>(node: &'p PlanNode, out: &mut Vec<&'p PlanNode>) {
-    let children = node.children();
-    if children.is_empty() {
-        out.push(node);
-    }
-    for child in children {
-        leaves(child, out);
-    }
+    out.extend(
+        node.walk()
+            .map(|(_, n)| n)
+            .filter(|n| n.children().next().is_none()),
+    );
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {

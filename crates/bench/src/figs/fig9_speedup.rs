@@ -1,6 +1,9 @@
 //! **Figure 9** — distribution of per-query CPU-time speedups achieved by
 //! the hybrid (DTA-recommended) design over columnstore-only and B+
-//! tree-only designs, across the six read-only workloads.
+//! tree-only designs, across the six read-only workloads. Each query's
+//! measured ratio is printed beside the optimizer's estimated one, and each
+//! workload counts the queries whose estimate gives another verdict (win,
+//! tie or loss) than the measurement.
 
 use hpd_advisor::advisor::csi_everywhere_configuration;
 use hpd_advisor::{Advisor, AdvisorOptions, DesignMode, Workload};
@@ -55,22 +58,42 @@ pub fn bundles(scale: Scale) -> Vec<Bundle> {
     out
 }
 
+/// One query's CPU time under a design: what the optimizer estimated for
+/// its plan and what a run measured, microseconds.
+#[derive(Clone, Copy)]
+struct Cpu {
+    estimated: f64,
+    measured: f64,
+}
+
 /// Measure every query's CPU time under a configuration.
-fn measure(db: &Database, config: &Configuration, queries: &[(String, SelectQuery)]) -> Vec<f64> {
+fn measure(db: &Database, config: &Configuration, queries: &[(String, SelectQuery)]) -> Vec<Cpu> {
     db.apply_configuration(config).expect("apply design");
     queries
         .iter()
         .map(|(_, q)| {
+            let estimated = db.plan(q).expect("plan").est_cpu_us.max(1.0);
             // Warm + single measured run (CPU time is stable).
             let _ = db.query(&Statement::Select(q.clone())).run();
-            db.query(&Statement::Select(q.clone()))
-                .run()
-                .expect("query")
-                .metrics
-                .cpu_us()
-                .max(1.0)
+            let run = db.query(&Statement::Select(q.clone())).run();
+            let measured = run.expect("query").metrics.cpu_us().max(1.0);
+            Cpu {
+                estimated,
+                measured,
+            }
         })
         .collect()
+}
+
+/// A hybrid/baseline speedup's verdict: a win at ≥ 1.2×, a loss at ≤ 1/1.2.
+fn verdict(speedup: f64) -> &'static str {
+    if speedup >= 1.2 {
+        "win"
+    } else if speedup <= 1.0 / 1.2 {
+        "loss"
+    } else {
+        "tie"
+    }
 }
 
 /// Per-workload tuned configurations, memoized by workload fingerprint so
@@ -146,23 +169,47 @@ pub fn run(scale: Scale) -> String {
         let btree = measure(&db, &btree_cfg, &bundle.queries);
         let hybrid = measure(&db, &hybrid_cfg, &bundle.queries);
 
-        let mut hist_csi = [0usize; 8];
-        let mut hist_bt = [0usize; 8];
-        for i in 0..bundle.queries.len() {
-            hist_csi[speedup_bin(csi[i] / hybrid[i])] += 1;
-            hist_bt[speedup_bin(btree[i] / hybrid[i])] += 1;
+        // Against CSI-only, then B+ tree-only.
+        let mut hist = [[0usize; 8]; 2];
+        let mut per_query = Vec::with_capacity(bundle.queries.len());
+        let mut disagree = [0usize; 2];
+        for (i, (label, _)) in bundle.queries.iter().enumerate() {
+            let mut row = vec![label.clone()];
+            for (b, base) in [&csi, &btree].into_iter().enumerate() {
+                let est = base[i].estimated / hybrid[i].estimated;
+                let meas = base[i].measured / hybrid[i].measured;
+                hist[b][speedup_bin(meas)] += 1;
+                disagree[b] += usize::from(verdict(est) != verdict(meas));
+                row.extend([format!("{est:.2}x"), format!("{meas:.2}x")]);
+            }
+            per_query.push(row);
         }
         out.push_str(&format!(
             "\n({}) {} queries\n",
             bundle.name,
             bundle.queries.len()
         ));
+        let headers = [
+            "query",
+            "vs CSI est",
+            "vs CSI meas",
+            "vs B+tree est",
+            "vs B+tree meas",
+        ];
+        out.push_str(&render_table(&headers, &per_query));
+        out.push_str(&format!(
+            "estimate and measure disagree (win / tie / loss at 1.2x) on {} of {} vs CSI, {} of {} vs B+tree\n",
+            disagree[0],
+            bundle.queries.len(),
+            disagree[1],
+            bundle.queries.len()
+        ));
         let rows = vec![
             std::iter::once("vs CSI".to_string())
-                .chain(hist_csi.iter().map(|c| c.to_string()))
+                .chain(hist[0].iter().map(|c| c.to_string()))
                 .collect::<Vec<_>>(),
             std::iter::once("vs B+tree".to_string())
-                .chain(hist_bt.iter().map(|c| c.to_string()))
+                .chain(hist[1].iter().map(|c| c.to_string()))
                 .collect::<Vec<_>>(),
         ];
         let mut headers = vec!["speedup <"];

@@ -11,6 +11,8 @@
 use hpd_columnstore::IntEncoding;
 use hpd_storage::{DeviceProfile, PAGE_SIZE};
 
+use crate::plan::PlanMode;
+
 /// Relative CPU cost of kernel evaluation + late materialization on a
 /// segment with the given physical encoding, normalized to bit-packed
 /// (= 1.0). RLE folds whole runs so it is far cheaper per row; the numeric
@@ -50,7 +52,8 @@ pub struct CostModel {
     pub cpu_hash_us: f64,
     /// CPU microseconds per comparison in a sort.
     pub cpu_cmp_us: f64,
-    /// Startup overhead of a parallel plan, microseconds.
+    /// Startup overhead of each fan-out (a scan leaf or a gather running
+    /// on more than one lane), microseconds.
     pub parallel_startup_us: f64,
     /// Extra per-worker coordination overhead, microseconds.
     pub parallel_per_worker_us: f64,
@@ -111,37 +114,35 @@ impl CostModel {
             + 2.0 * self.device.seek_latency_us
     }
 
-    /// Elapsed estimate distinguishing parallelizable device time (e.g.
-    /// independent columnstore segment reads) from latency-bound device
-    /// time (root-to-leaf page chains, sequential leaf runs), which no
-    /// degree of parallelism shortens.
-    pub fn elapsed_split_us(
-        &self,
-        cpu_us: f64,
-        io_div_us: f64,
-        io_serial_us: f64,
-        dop: usize,
-    ) -> f64 {
-        let d = dop.max(1) as f64;
-        let startup = if dop > 1 {
-            self.parallel_startup_us + self.parallel_per_worker_us * d
-        } else {
-            0.0
-        };
-        cpu_us / d + io_div_us / d + io_serial_us + startup
+    /// CPU microseconds a row costs a Filter or Project in `mode`.
+    pub fn cpu_per_row_us(&self, mode: PlanMode) -> f64 {
+        match mode {
+            PlanMode::Row => self.cpu_row_us,
+            PlanMode::Batch => self.cpu_batch_us,
+        }
     }
 
-    /// DOP choice under the split-I/O model.
-    pub fn choose_dop_split(&self, cpu_us: f64, io_div_us: f64, io_serial_us: f64) -> (usize, f64) {
-        let serial = self.elapsed_split_us(cpu_us, io_div_us, io_serial_us, 1);
-        if self.max_dop <= 1 {
-            return (1, serial);
+    /// What running `work_us` of parallelizable time (CPU and overlapping
+    /// device time) on `dop` lanes adds to elapsed time: one start-up, less
+    /// what the lanes save. Nothing for a serial run.
+    pub fn fan_out_us(&self, work_us: f64, dop: usize) -> f64 {
+        if dop <= 1 {
+            return 0.0;
         }
-        let parallel = self.elapsed_split_us(cpu_us, io_div_us, io_serial_us, self.max_dop);
-        if parallel < serial {
-            (self.max_dop, parallel)
+        let d = dop as f64;
+        self.parallel_startup_us + self.parallel_per_worker_us * d - work_us * (1.0 - 1.0 / d)
+    }
+
+    /// The DOP of a scan leaf with `work_us` of parallelizable time in
+    /// `units` units (leaf pages, row groups, gather lanes):
+    /// `min(max_dop, units)` when that many lanes, start-up paid, finish
+    /// sooner than one; else 1.
+    pub fn leaf_dop(&self, work_us: f64, units: usize) -> usize {
+        let dop = self.max_dop.min(units).max(1);
+        if self.fan_out_us(work_us, dop) < 0.0 {
+            dop
         } else {
-            (1, serial)
+            1
         }
     }
 
@@ -196,17 +197,17 @@ mod tests {
     }
 
     #[test]
-    fn dop_choice_prefers_serial_for_tiny_work() {
+    fn a_leaf_fans_out_only_as_far_as_its_work() {
         let m = model();
-        let (dop, _) = m.choose_dop_split(10.0, 0.0, 0.0);
-        assert_eq!(dop, 1);
-        let (dop, elapsed) = m.choose_dop_split(100_000.0, 0.0, 0.0);
-        assert_eq!(dop, 8);
-        assert!(elapsed < 100_000.0);
-        assert_eq!(elapsed, m.elapsed_split_us(100_000.0, 0.0, 0.0, 8));
-        // Latency-bound device time is outside any DOP's reach.
-        let serial_io = m.elapsed_split_us(100_000.0, 0.0, 5_000.0, 8);
-        assert_eq!(serial_io, elapsed + 5_000.0);
+        assert_eq!(m.leaf_dop(10.0, 1_000), 1);
+        assert_eq!(m.leaf_dop(100_000.0, 1_000), 8);
+        // No more lanes than units of work, and none for one unit.
+        assert_eq!(m.leaf_dop(100_000.0, 3), 3);
+        assert_eq!(m.leaf_dop(100_000.0, 1), 1);
+        // Eight lanes save seven eighths of the work and start up once.
+        let saved = m.fan_out_us(100_000.0, 8);
+        assert_eq!(saved, 300.0 + 30.0 * 8.0 - 87_500.0);
+        assert_eq!(m.fan_out_us(100_000.0, 1), 0.0);
     }
 
     #[test]

@@ -558,27 +558,22 @@ impl<'a> QueryRunner<'a> {
                     cols.sort_unstable();
                     cols.dedup();
                     let t = self.table(*table)?;
-                    let scan = PlanNode {
-                        kind: PlanNodeKind::CsiScan {
+                    let scan = PlanNode::new(
+                        PlanNodeKind::CsiScan {
                             table: *table,
                             part: *part,
                             index: *index,
                             intervals: intervals.clone(),
                             dop: 1,
                         },
-                        out_cols: cols
-                            .iter()
+                        cols.iter()
                             .map(|&c| crate::plan::PlanCol::Base(*table, c))
                             .collect(),
-                        out_types: cols
-                            .iter()
+                        cols.iter()
                             .map(|&c| t.schema().columns()[c].dtype)
                             .collect(),
-                        est_rows: node.est_rows,
-                        est_cpu_us: 0.0,
-                        est_io_us: 0.0,
-                        est_io_div_us: 0.0,
-                    };
+                        node.est_rows,
+                    );
                     let c = self.lower_scan(&scan, true)?;
                     let specs = aggs
                         .iter()
@@ -612,11 +607,7 @@ impl<'a> QueryRunner<'a> {
                     .collect::<Result<Vec<_>>>()?;
                 Ok(Box::new(CsiAggOp::new(csi, pushed, csi_intervals)))
             }
-            PlanNodeKind::Filter {
-                child,
-                predicate,
-                mode,
-            } => {
+            PlanNodeKind::Filter { child, predicate } => {
                 // Push the filter into parallel scan workers so predicate
                 // CPU parallelizes like the scan itself (not when a snapshot
                 // overlay must be applied once above the gather).
@@ -630,7 +621,7 @@ impl<'a> QueryRunner<'a> {
                         .into_iter()
                         .map(|p| {
                             let p = self.wrap_node(child, p);
-                            Box::new(FilterOp::new(p, predicate.clone(), exec_mode(*mode)))
+                            Box::new(FilterOp::new(p, predicate.clone(), exec_mode(node)))
                                 as ExecNode<'a>
                         })
                         .collect();
@@ -640,16 +631,16 @@ impl<'a> QueryRunner<'a> {
                 Ok(Box::new(FilterOp::new(
                     c,
                     predicate.clone(),
-                    exec_mode(*mode),
+                    exec_mode(node),
                 )))
             }
-            PlanNodeKind::Project { child, exprs, mode } => {
+            PlanNodeKind::Project { child, exprs } => {
                 let c = self.lower(child)?;
                 Ok(Box::new(ProjectOp::new(
                     c,
                     exprs.clone(),
                     node.out_types.clone(),
-                    exec_mode(*mode),
+                    exec_mode(node),
                 )))
             }
             PlanNodeKind::PkLookup {
@@ -684,7 +675,7 @@ impl<'a> QueryRunner<'a> {
                 ));
                 // Drop the secondary-index prefix, keep the full rows.
                 let ords: Vec<usize> = (child_arity..child_arity + payload_types.len()).collect();
-                let full: ExecNode<'a> = Box::new(ProjectOp::columns(join, &ords, Mode::Row));
+                let full: ExecNode<'a> = Box::new(ProjectOp::columns(join, &ords, exec_mode(node)));
                 match overlay {
                     Some(ov) => {
                         let all: Vec<usize> = (0..t.schema().len()).collect();
@@ -747,20 +738,17 @@ impl<'a> QueryRunner<'a> {
                 // the overlay-corrected scan of that index instead, built on
                 // it, which gives an outer row its inner rows in key order.
                 if self.overlays.get(table).is_some_and(|o| !o.is_empty()) {
-                    let scan = PlanNode {
-                        kind: PlanNodeKind::BTreeScan {
+                    let scan = PlanNode::new(
+                        PlanNodeKind::BTreeScan {
                             table: *table,
                             part: 0,
                             index: *index,
                             dop: 1,
                         },
-                        out_cols: node.out_cols[outer_arity..].to_vec(),
-                        out_types: payload_types,
-                        est_rows: node.est_rows,
-                        est_cpu_us: 0.0,
-                        est_io_us: 0.0,
-                        est_io_div_us: 0.0,
-                    };
+                        node.out_cols[outer_arity..].to_vec(),
+                        payload_types,
+                        node.est_rows,
+                    );
                     let keys = self.index(*table, 0, *index)?.descriptor().keys();
                     let on = outer_key
                         .iter()
@@ -836,8 +824,9 @@ fn scan_of(node: &PlanNode) -> Result<(usize, usize, IndexId, usize)> {
         .ok_or_else(|| HpdError::Internal("not a scan node".into()))
 }
 
-fn exec_mode(m: PlanMode) -> Mode {
-    match m {
+/// The executor's mode for `node`'s operators: the one its plan node holds.
+fn exec_mode(node: &PlanNode) -> Mode {
+    match node.mode() {
         PlanMode::Row => Mode::Row,
         PlanMode::Batch => Mode::Batch,
     }

@@ -23,9 +23,7 @@ use hpd_common::{
 
 use crate::cost::CostModel;
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
-use crate::plan::{
-    LeafKind, PhysicalPlan, PlanAgg, PlanCol, PlanMode, PlanNode, PlanNodeKind, PlanTable,
-};
+use crate::plan::{LeafKind, PhysicalPlan, PlanAgg, PlanCol, PlanNode, PlanNodeKind, PlanTable};
 use crate::query::SelectQuery;
 use crate::stats::TableStats;
 
@@ -101,11 +99,43 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// Elapsed-cost estimate of a subtree under its best DOP (split-I/O
-    /// model); the comparison key used throughout plan enumeration.
+    /// Elapsed-cost estimate of a subtree: its work, with what its
+    /// fan-outs add and save. The comparison key used throughout plan
+    /// enumeration.
     fn node_cost(&self, node: &PlanNode) -> f64 {
-        let (cpu, d, s) = subtree_cost(node);
-        self.cost.choose_dop_split(cpu, d, s).1
+        self.subtree_cost(node).elapsed_us()
+    }
+
+    /// A subtree's [`SubtreeCost`]. What runs in a node's lanes: a scan
+    /// leaf's own work, a filter's over a scan that fans out (the executor
+    /// runs it in the scan's lanes), and a gather's lanes whole.
+    fn subtree_cost(&self, node: &PlanNode) -> SubtreeCost {
+        let mut c = SubtreeCost {
+            cpu: 0.0,
+            io_div: node.est_io_div_us,
+            io_serial: node.est_io_us - node.est_io_div_us,
+            fan_out_us: 0.0,
+        };
+        let below: f64 = node
+            .children()
+            .map(|child| {
+                let b = self.subtree_cost(child);
+                c.io_div += b.io_div;
+                c.io_serial += b.io_serial;
+                c.fan_out_us += b.fan_out_us;
+                b.cpu
+            })
+            .sum();
+        c.cpu = node.est_cpu_us + below;
+        let (work, dop) = match &node.kind {
+            PlanNodeKind::PartitionedScan { dop, .. } => (c.elapsed_us() - node.est_cpu_us, *dop),
+            PlanNodeKind::Filter { child, .. } => {
+                (node.est_cpu_us, child.scan().map_or(1, |(.., dop)| dop))
+            }
+            _ => (node.est_cpu_us + node.est_io_div_us, node.dop()),
+        };
+        c.fan_out_us += self.cost.fan_out_us(work, dop);
+        c
     }
 
     /// The item whose node is cheapest by [`Optimizer::node_cost`], each
@@ -138,18 +168,15 @@ impl Optimizer {
                 "table contexts do not match query tables".into(),
             ));
         }
-        let mut root = if tables.len() == 1 {
+        let root = if tables.len() == 1 {
             self.plan_single_table(query, tables)?
         } else {
             self.plan_joins(query, tables)?
         };
-        let (cpu, io_div, io_serial) = subtree_cost(&root);
-        let (dop, elapsed) = self.cost.choose_dop_split(cpu, io_div, io_serial);
-        set_scan_dop(&mut root, dop);
         record_plan_choice(&root);
         Ok(PhysicalPlan {
-            est_cost_us: elapsed,
-            est_cpu_us: cpu,
+            est_cost_us: self.node_cost(&root),
+            est_cpu_us: self.subtree_cost(&root).cpu,
             tables: query
                 .tables
                 .iter()
@@ -173,7 +200,8 @@ impl Optimizer {
     /// its residual filter — so a lane of a gather *is* a one-part plan. A
     /// one-part table returns that list as is; several parts wrap it in a
     /// [`PlanNodeKind::PartitionedScan`], which only unions lanes and
-    /// reports pruning.
+    /// reports pruning. A lane's leaves fan out at most `max_dop / lanes`
+    /// ways, so the lanes of a gather running at once take `max_dop` in all.
     fn access_options(
         &self,
         ti: usize,
@@ -183,15 +211,15 @@ impl Optimizer {
     ) -> Result<Vec<AccessOption>> {
         let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
         let sel = ctx.stats.intervals_selectivity(&intervals);
-        let lane = |p: usize| -> Result<Vec<AccessOption>> {
-            self.part_options(ti, p, &ctx.parts[p], needed, &intervals, ctx)
+        let lane = |p: usize, dop_cap: usize| -> Result<Vec<AccessOption>> {
+            self.part_options(ti, p, dop_cap, needed, &intervals, ctx)
                 .into_iter()
                 .map(|o| self.with_filter(o, ti, predicate, sel))
                 .collect()
         };
         let total = ctx.parts.len();
         if total == 1 {
-            return lane(0);
+            return lane(0, self.cost.max_dop);
         }
         // Without a declared partitioning nothing says where rows live.
         let mut survivors = ctx
@@ -206,7 +234,7 @@ impl Optimizer {
         let pruned = total - survivors.len();
         if let [only] = survivors[..] {
             // A one-lane gather is the lane: every option keeps its order.
-            return Ok(lane(only)?
+            return Ok(lane(only, self.cost.max_dop)?
                 .into_iter()
                 .map(|o| AccessOption {
                     node: self.gather(ti, vec![o.node], pruned, total),
@@ -217,9 +245,10 @@ impl Optimizer {
         // Several lanes: each part's cheapest option (each has its own
         // physical design), projected to one shape.
         let mut parts = Vec::with_capacity(survivors.len());
+        let dop_cap = (self.cost.max_dop / survivors.len()).max(1);
         for p in survivors {
             let best = self
-                .cheapest(lane(p)?, |o| &o.node)
+                .cheapest(lane(p, dop_cap)?, |o| &o.node)
                 .expect("every partition has a primary access path");
             parts.push(self.normalize_lane(best.node, ti, needed, ctx));
         }
@@ -230,19 +259,20 @@ impl Optimizer {
         }])
     }
 
-    /// Every access path through the indexes of part `part`.
+    /// Every access path through the indexes of part `part`, each scan
+    /// leaf fanning out at most `dop_cap` ways.
     fn part_options(
         &self,
         ti: usize,
         part: usize,
-        info: &PartInfo,
+        dop_cap: usize,
         needed: &[usize],
         intervals: &HashMap<usize, Interval>,
         ctx: &TableContext,
     ) -> Vec<AccessOption> {
         // Column statistics stay table-wide: per-part histograms would be
         // strictly better but the row-count scaling dominates.
-        let rows = info.rows;
+        let info = &ctx.parts[part];
         let mut options = Vec::new();
 
         let primary_btree_meta = info
@@ -254,11 +284,13 @@ impl Optimizer {
             let index = IndexId(idx);
             match &meta.descriptor {
                 IndexDescriptor::PrimaryBTree { .. } => {
-                    options.extend(self.btree_options(ti, part, index, meta, intervals, rows, ctx));
+                    options
+                        .extend(self.btree_options(ti, part, index, meta, intervals, dop_cap, ctx));
                 }
                 IndexDescriptor::SecondaryBTree { .. } => {
                     let covering = meta.covers(needed, ctx.schema.len(), &ctx.pk);
-                    let seeks = || self.btree_options(ti, part, index, meta, intervals, rows, ctx);
+                    let seeks =
+                        || self.btree_options(ti, part, index, meta, intervals, dop_cap, ctx);
                     if covering {
                         options.extend(seeks());
                     } else if let Some(pmeta) = primary_btree_meta {
@@ -281,22 +313,20 @@ impl Optimizer {
                                 })
                                 .collect();
                             let est_rows = opt.node.est_rows;
-                            let node = PlanNode {
-                                out_cols: (0..ctx.schema.len())
-                                    .map(|c| PlanCol::Base(ti, c))
-                                    .collect(),
-                                out_types: ctx.schema.columns().iter().map(|c| c.dtype).collect(),
-                                est_rows,
-                                est_cpu_us: lookup_cpu,
-                                est_io_us: lookup_io,
-                                est_io_div_us: 0.0,
-                                kind: PlanNodeKind::PkLookup {
+                            let node = PlanNode::new(
+                                PlanNodeKind::PkLookup {
                                     child: Box::new(opt.node),
                                     table: ti,
                                     part,
                                     locator,
                                 },
-                            };
+                                (0..ctx.schema.len())
+                                    .map(|c| PlanCol::Base(ti, c))
+                                    .collect(),
+                                ctx.schema.columns().iter().map(|c| c.dtype).collect(),
+                                est_rows,
+                            )
+                            .with_cost(lookup_cpu, lookup_io, 0.0);
                             options.push(AccessOption {
                                 node,
                                 order: opt.order,
@@ -307,7 +337,7 @@ impl Optimizer {
                 IndexDescriptor::PrimaryCsi | IndexDescriptor::SecondaryCsi { .. } => {
                     if meta.covers(needed, ctx.schema.len(), &ctx.pk) {
                         options.push(
-                            self.csi_option(ti, part, index, meta, needed, intervals, rows, ctx),
+                            self.csi_option(ti, part, index, meta, needed, intervals, dop_cap, ctx),
                         );
                     }
                 }
@@ -317,25 +347,29 @@ impl Optimizer {
     }
 
     /// Union `parts` — identically shaped lanes, one per surviving part —
-    /// under one [`PlanNodeKind::PartitionedScan`].
+    /// under one [`PlanNodeKind::PartitionedScan`], which runs as many lanes
+    /// at once as its lanes' work pays for.
     fn gather(&self, ti: usize, parts: Vec<PlanNode>, pruned: usize, total: usize) -> PlanNode {
         let est_rows: f64 = parts.iter().map(|lane| lane.est_rows).sum();
-        PlanNode {
-            out_cols: parts[0].out_cols.clone(),
-            out_types: parts[0].out_types.clone(),
-            kind: PlanNodeKind::PartitionedScan {
-                table: ti,
-                parts,
-                pruned,
-                total,
-                dop: 1,
-            },
-            est_rows: est_rows.max(1.0),
-            // The gather itself is a cheap pass over surviving rows.
-            est_cpu_us: est_rows * self.cost.cpu_row_us * 0.1,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        }
+        let work = parts
+            .iter()
+            .map(|lane| self.subtree_cost(lane).elapsed_us())
+            .sum();
+        let dop = self.cost.leaf_dop(work, parts.len());
+        let (out_cols, out_types) = (parts[0].out_cols.clone(), parts[0].out_types.clone());
+        let kind = PlanNodeKind::PartitionedScan {
+            table: ti,
+            parts,
+            pruned,
+            total,
+            dop,
+        };
+        // The gather itself is a cheap pass over surviving rows.
+        PlanNode::new(kind, out_cols, out_types, est_rows.max(1.0)).with_cost(
+            est_rows * self.cost.cpu_row_us * 0.1,
+            0.0,
+            0.0,
+        )
     }
 
     /// Project a partition lane down to exactly the `needed` columns
@@ -352,31 +386,24 @@ impl Optimizer {
         if node.out_cols == out_cols {
             return node;
         }
-        let mode = node_mode(&node);
         let exprs: Vec<Expr> = needed
             .iter()
             .map(|&c| Expr::Col(node.find_col(ti, c).expect("lane covers needed columns")))
             .collect();
         let est_rows = node.est_rows;
         let cpu = est_rows * self.cost.cpu_batch_us * 0.2;
-        PlanNode {
-            kind: PlanNodeKind::Project {
-                child: Box::new(node),
-                exprs,
-                mode,
-            },
-            out_cols,
-            out_types: needed.iter().map(|&c| ctx.schema.column(c).dtype).collect(),
-            est_rows,
-            est_cpu_us: cpu,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        }
+        let out_types = needed.iter().map(|&c| ctx.schema.column(c).dtype).collect();
+        let kind = PlanNodeKind::Project {
+            child: Box::new(node),
+            exprs,
+        };
+        PlanNode::new(kind, out_cols, out_types, est_rows).with_cost(cpu, 0.0, 0.0)
     }
 
     /// Seek (when an interval constrains a key prefix) and full-scan options
-    /// for one B+ tree index of part `part` holding `part_rows` rows. Each
-    /// outputs the columns the index stores, in its payload order.
+    /// for one B+ tree index of part `part`. Each outputs the columns the
+    /// index stores, in its payload order, and fans out over the leaf pages
+    /// it reads, at most `dop_cap` ways.
     #[allow(clippy::too_many_arguments)]
     fn btree_options(
         &self,
@@ -385,9 +412,10 @@ impl Optimizer {
         index: IndexId,
         meta: &IndexMeta,
         intervals: &HashMap<usize, Interval>,
-        part_rows: usize,
+        dop_cap: usize,
         ctx: &TableContext,
     ) -> Vec<AccessOption> {
+        let part_rows = ctx.parts[part].rows;
         let keys = meta.descriptor.keys();
         let stored = meta.descriptor.stored_columns(ctx.schema.len(), &ctx.pk);
         let out_cols: Vec<PlanCol> = stored.iter().map(|&c| PlanCol::Base(ti, c)).collect();
@@ -398,21 +426,16 @@ impl Optimizer {
         // Full leaf scan.
         let scan_io = self.cost.sequential_pages_us(meta.leaf_pages as f64);
         let scan_cpu = rows * self.cost.cpu_row_us;
+        let dop = self.cost.leaf_dop(scan_cpu, meta.leaf_pages.min(dop_cap));
+        let kind = PlanNodeKind::BTreeScan {
+            table: ti,
+            part,
+            index,
+            dop,
+        };
         options.push(AccessOption {
-            node: PlanNode {
-                kind: PlanNodeKind::BTreeScan {
-                    table: ti,
-                    part,
-                    index,
-                    dop: 1,
-                },
-                out_cols: out_cols.clone(),
-                out_types: out_types.clone(),
-                est_rows: rows,
-                est_cpu_us: scan_cpu,
-                est_io_us: scan_io,
-                est_io_div_us: 0.0,
-            },
+            node: PlanNode::new(kind, out_cols.clone(), out_types.clone(), rows)
+                .with_cost(scan_cpu, scan_io, 0.0),
             order: keys.to_vec(),
         });
 
@@ -430,23 +453,20 @@ impl Optimizer {
                 + (meta.height.max(1) as f64 - 1.0 + (pages - 1.0).max(0.0))
                     * self.cost.page_bandwidth_us();
             let cpu = rows_scanned * self.cost.cpu_row_us;
+            let dop = self
+                .cost
+                .leaf_dop(cpu, (pages.ceil() as usize).min(dop_cap));
+            let kind = PlanNodeKind::BTreeSeek {
+                table: ti,
+                part,
+                index,
+                lo,
+                hi,
+                dop,
+            };
             options.push(AccessOption {
-                node: PlanNode {
-                    kind: PlanNodeKind::BTreeSeek {
-                        table: ti,
-                        part,
-                        index,
-                        lo,
-                        hi,
-                        dop: 1,
-                    },
-                    out_cols: out_cols.clone(),
-                    out_types: out_types.clone(),
-                    est_rows: rows_scanned,
-                    est_cpu_us: cpu,
-                    est_io_us: io,
-                    est_io_div_us: 0.0,
-                },
+                node: PlanNode::new(kind, out_cols, out_types, rows_scanned)
+                    .with_cost(cpu, io, 0.0),
                 // A seek yields key order whether or not the prefix is a
                 // full equality (residual order covers the remaining keys).
                 order: keys.to_vec(),
@@ -456,7 +476,8 @@ impl Optimizer {
     }
 
     /// Columnstore scan option with estimated segment elimination, over an
-    /// index of part `part` holding `part_rows` rows.
+    /// index of part `part`, fanning out over the row groups it reads, at
+    /// most `dop_cap` ways.
     #[allow(clippy::too_many_arguments)]
     fn csi_option(
         &self,
@@ -466,9 +487,10 @@ impl Optimizer {
         meta: &IndexMeta,
         needed: &[usize],
         intervals: &HashMap<usize, Interval>,
-        part_rows: usize,
+        dop_cap: usize,
         ctx: &TableContext,
     ) -> AccessOption {
+        let part_rows = ctx.parts[part].rows;
         let rows = part_rows as f64;
         // Surviving row-group fraction: best eliminator wins. Alongside it,
         // row-level selectivity — the scan pushes every covered interval
@@ -515,22 +537,20 @@ impl Optimizer {
         }
         let out_cols: Vec<PlanCol> = needed.iter().map(|&c| PlanCol::Base(ti, c)).collect();
         let out_types: Vec<DataType> = needed.iter().map(|&c| ctx.schema.column(c).dtype).collect();
+        let io_div = io_seek.min(io);
+        let dop = self
+            .cost
+            .leaf_dop(cpu + io_div, (rg_scanned as usize).min(dop_cap));
+        let kind = PlanNodeKind::CsiScan {
+            table: ti,
+            part,
+            index,
+            intervals: intervals.clone(),
+            dop,
+        };
         AccessOption {
-            node: PlanNode {
-                kind: PlanNodeKind::CsiScan {
-                    table: ti,
-                    part,
-                    index,
-                    intervals: intervals.clone(),
-                    dop: 1,
-                },
-                out_cols,
-                out_types,
-                est_rows: selected.max(1.0),
-                est_cpu_us: cpu,
-                est_io_us: io,
-                est_io_div_us: io_seek.min(io),
-            },
+            node: PlanNode::new(kind, out_cols, out_types, selected.max(1.0))
+                .with_cost(cpu, io, io_div),
             order: Vec::new(),
         }
     }
@@ -554,14 +574,9 @@ impl Optimizer {
         if is_csi && pred.covered_by_intervals() {
             return Ok(opt);
         }
-        let mode = node_mode(&opt.node);
         let bound = bind_expr(pred, ti, &opt.node)?;
         let in_rows = opt.node.est_rows;
-        let cpu = in_rows
-            * match mode {
-                PlanMode::Row => self.cost.cpu_row_us,
-                PlanMode::Batch => self.cost.cpu_batch_us,
-            };
+        let cpu = in_rows * self.cost.cpu_per_row_us(opt.node.mode());
         // CSI scans already reduced est_rows by the interval selectivity;
         // only non-CSI children still carry the full table cardinality.
         let out_rows = if is_csi {
@@ -569,21 +584,12 @@ impl Optimizer {
         } else {
             self.relative_filter_rows(sel, in_rows).min(in_rows)
         };
-        let out_cols = opt.node.out_cols.clone();
-        let out_types = opt.node.out_types.clone();
-        opt.node = PlanNode {
-            kind: PlanNodeKind::Filter {
-                child: Box::new(opt.node),
-                predicate: bound,
-                mode,
-            },
-            out_cols,
-            out_types,
-            est_rows: out_rows,
-            est_cpu_us: cpu,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
+        let (out_cols, out_types) = (opt.node.out_cols.clone(), opt.node.out_types.clone());
+        let kind = PlanNodeKind::Filter {
+            child: Box::new(opt.node),
+            predicate: bound,
         };
+        opt.node = PlanNode::new(kind, out_cols, out_types, out_rows).with_cost(cpu, 0.0, 0.0);
         Ok(opt)
     }
 
@@ -671,7 +677,6 @@ impl Optimizer {
 
     /// Project to the query's select list (non-aggregate queries).
     fn build_projection(&self, node: PlanNode, query: &SelectQuery) -> Result<PlanNode> {
-        let mode = node_mode(&node);
         let mut exprs = Vec::with_capacity(query.select.len());
         let mut out_cols = Vec::with_capacity(query.select.len());
         let mut out_types = Vec::with_capacity(query.select.len());
@@ -685,19 +690,11 @@ impl Optimizer {
         }
         let est_rows = node.est_rows;
         let cpu = est_rows * self.cost.cpu_batch_us * 0.2;
-        Ok(PlanNode {
-            kind: PlanNodeKind::Project {
-                child: Box::new(node),
-                exprs,
-                mode,
-            },
-            out_cols,
-            out_types,
-            est_rows,
-            est_cpu_us: cpu,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        })
+        let kind = PlanNodeKind::Project {
+            child: Box::new(node),
+            exprs,
+        };
+        Ok(PlanNode::new(kind, out_cols, out_types, est_rows).with_cost(cpu, 0.0, 0.0))
     }
 
     /// Aggregate: project inputs, then stream (if sorted on the group
@@ -755,21 +752,18 @@ impl Optimizer {
         // per-rowgroup setup, and the row-mode delta fold remain, roughly
         // the scan's CPU minus its per-surviving-row share.
         let out_cols = vec![PlanCol::Computed; aggs.len()];
-        Some(PlanNode {
-            kind: PlanNodeKind::CsiAgg {
-                table: *table,
-                part: *part,
-                index: *index,
-                intervals: intervals.clone(),
-                aggs,
-            },
-            out_cols,
-            out_types,
-            est_rows: 1.0,
-            est_cpu_us: node.est_cpu_us * 0.4,
-            est_io_us: node.est_io_us,
-            est_io_div_us: node.est_io_div_us,
-        })
+        let kind = PlanNodeKind::CsiAgg {
+            table: *table,
+            part: *part,
+            index: *index,
+            intervals: intervals.clone(),
+            aggs,
+        };
+        Some(PlanNode::new(kind, out_cols, out_types, 1.0).with_cost(
+            node.est_cpu_us * 0.4,
+            node.est_io_us,
+            node.est_io_div_us,
+        ))
     }
 
     /// Lower a global COUNT/SUM aggregate over a gather into per-lane
@@ -818,34 +812,23 @@ impl Optimizer {
             })
             .collect();
         let partials = lanes.len() as f64;
-        let gathered = PlanNode {
-            kind: PlanNodeKind::PartitionedScan {
-                table: *table,
-                parts: lanes,
-                pruned: *pruned,
-                total: *total,
-                dop: *dop,
-            },
-            out_cols: out_cols.clone(),
-            out_types: out_types.clone(),
-            est_rows: partials,
-            est_cpu_us: 0.0,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
+        let gathered = PlanNodeKind::PartitionedScan {
+            table: *table,
+            parts: lanes,
+            pruned: *pruned,
+            total: *total,
+            dop: *dop,
         };
-        Ok(Some(PlanNode {
-            kind: PlanNodeKind::StreamAgg {
-                child: Box::new(gathered),
-                group: vec![],
-                aggs: combine,
-            },
-            out_cols,
-            out_types,
-            est_rows: 1.0,
-            est_cpu_us: partials * self.cost.cpu_row_us,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        }))
+        let gathered = PlanNode::new(gathered, out_cols.clone(), out_types.clone(), partials);
+        let kind = PlanNodeKind::StreamAgg {
+            child: Box::new(gathered),
+            group: vec![],
+            aggs: combine,
+        };
+        let cpu = partials * self.cost.cpu_row_us;
+        Ok(Some(
+            PlanNode::new(kind, out_cols, out_types, 1.0).with_cost(cpu, 0.0, 0.0),
+        ))
     }
 
     fn build_aggregate(
@@ -861,7 +844,6 @@ impl Optimizer {
         if let Some(pushed) = self.try_csi_agg(&node, query, tables) {
             return Ok(pushed);
         }
-        let mode = node_mode(&node);
         // Project [group cols ..., agg input exprs ...].
         let mut exprs = Vec::new();
         let mut out_cols = Vec::new();
@@ -882,25 +864,17 @@ impl Optimizer {
             out_types.push(t);
         }
         let est_rows = node.est_rows;
-        let project_cpu = est_rows
-            * exprs.len() as f64
-            * match mode {
-                PlanMode::Row => self.cost.cpu_row_us * 0.5,
-                PlanMode::Batch => self.cost.cpu_batch_us * 0.5,
-            };
-        let projected = PlanNode {
-            kind: PlanNodeKind::Project {
-                child: Box::new(node),
-                exprs,
-                mode,
-            },
-            out_cols: out_cols.clone(),
-            out_types: out_types.clone(),
-            est_rows,
-            est_cpu_us: project_cpu,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
+        let project_cpu =
+            est_rows * exprs.len() as f64 * (self.cost.cpu_per_row_us(node.mode()) * 0.5);
+        let kind = PlanNodeKind::Project {
+            child: Box::new(node),
+            exprs,
         };
+        let projected = PlanNode::new(kind, out_cols, out_types.clone(), est_rows).with_cost(
+            project_cpu,
+            0.0,
+            0.0,
+        );
 
         let group_ords: Vec<usize> = (0..query.group_by.len()).collect();
         let aggs: Vec<PlanAgg> = query
@@ -955,40 +929,20 @@ impl Optimizer {
             p.min(est_rows.max(1.0))
         };
 
-        if stream_ok || query.group_by.is_empty() {
+        let child = Box::new(projected);
+        let (kind, cpu, io) = if stream_ok || query.group_by.is_empty() {
             let cpu = est_rows * self.cost.cpu_row_us * 0.4;
-            Ok(PlanNode {
-                kind: PlanNodeKind::StreamAgg {
-                    child: Box::new(projected),
-                    group: group_ords,
-                    aggs,
-                },
-                out_cols: agg_out_cols,
-                out_types: agg_out_types,
-                est_rows: groups,
-                est_cpu_us: cpu,
-                est_io_us: 0.0,
-                est_io_div_us: 0.0,
-            })
+            let group = group_ords;
+            (PlanNodeKind::StreamAgg { child, group, aggs }, cpu, 0.0)
         } else {
             let row_bytes: f64 = 48.0 + 16.0 * group_ords.len() as f64;
             let (cpu, io) =
                 self.cost
                     .hash_agg_cost(est_rows, groups, row_bytes, est_rows * row_bytes);
-            Ok(PlanNode {
-                kind: PlanNodeKind::HashAgg {
-                    child: Box::new(projected),
-                    group: group_ords,
-                    aggs,
-                },
-                out_cols: agg_out_cols,
-                out_types: agg_out_types,
-                est_rows: groups,
-                est_cpu_us: cpu,
-                est_io_us: io,
-                est_io_div_us: 0.0,
-            })
-        }
+            let group = group_ords;
+            (PlanNodeKind::HashAgg { child, group, aggs }, cpu, io)
+        };
+        Ok(PlanNode::new(kind, agg_out_cols, agg_out_types, groups).with_cost(cpu, io, 0.0))
     }
 
     /// Sort (if the required order is not already provided) and limit.
@@ -1014,39 +968,22 @@ impl Optimizer {
                         .map(|t| t.fixed_width())
                         .sum::<usize>() as f64;
                 let (cpu, io) = self.cost.sort_cost(est_rows, bytes);
-                let keys: Vec<(usize, bool)> = query.order_by.clone();
-                let out_cols = node.out_cols.clone();
-                let out_types = node.out_types.clone();
-                node = PlanNode {
-                    kind: PlanNodeKind::Sort {
-                        child: Box::new(node),
-                        keys,
-                    },
-                    out_cols,
-                    out_types,
-                    est_rows,
-                    est_cpu_us: cpu,
-                    est_io_us: io,
-                    est_io_div_us: 0.0,
+                let (out_cols, out_types) = (node.out_cols.clone(), node.out_types.clone());
+                let kind = PlanNodeKind::Sort {
+                    child: Box::new(node),
+                    keys: query.order_by.clone(),
                 };
+                node = PlanNode::new(kind, out_cols, out_types, est_rows).with_cost(cpu, io, 0.0);
             }
         }
         if let Some(n) = query.limit {
-            let out_cols = node.out_cols.clone();
-            let out_types = node.out_types.clone();
+            let (out_cols, out_types) = (node.out_cols.clone(), node.out_types.clone());
             let est_rows = node.est_rows.min(n as f64);
-            node = PlanNode {
-                kind: PlanNodeKind::Limit {
-                    child: Box::new(node),
-                    n,
-                },
-                out_cols,
-                out_types,
-                est_rows,
-                est_cpu_us: 0.0,
-                est_io_us: 0.0,
-                est_io_div_us: 0.0,
+            let kind = PlanNodeKind::Limit {
+                child: Box::new(node),
+                n,
             };
+            node = PlanNode::new(kind, out_cols, out_types, est_rows);
         }
         Ok(node)
     }
@@ -1189,19 +1126,13 @@ impl Optimizer {
             out_cols.extend(right.out_cols.iter().copied());
             let mut out_types = current.out_types.clone();
             out_types.extend(right.out_types.iter().copied());
-            options.push(PlanNode {
-                kind: PlanNodeKind::HashJoin {
-                    left: Box::new(current.clone()),
-                    right: Box::new(right),
-                    keys,
-                },
-                out_cols,
-                out_types,
-                est_rows: join_card,
-                est_cpu_us: cpu,
-                est_io_us: io,
-                est_io_div_us: 0.0,
-            });
+            let kind = PlanNodeKind::HashJoin {
+                left: Box::new(current.clone()),
+                right: Box::new(right),
+                keys,
+            };
+            options
+                .push(PlanNode::new(kind, out_cols, out_types, join_card).with_cost(cpu, io, 0.0));
         }
 
         // Option B: index nested-loop join when an index on `next` has a key
@@ -1267,43 +1198,28 @@ impl Optimizer {
             let mut out_types = current.out_types.clone();
             out_types.extend(stored.iter().map(|&c| ctx.schema.column(c).dtype));
 
-            let mut node = PlanNode {
-                kind: PlanNodeKind::IndexNLJoin {
-                    outer: Box::new(current.clone()),
-                    table: next,
-                    index: IndexId(idx),
-                    outer_key,
-                },
-                out_cols,
-                out_types,
-                est_rows: join_card,
-                est_cpu_us: cpu,
-                est_io_us: io,
-                est_io_div_us: 0.0,
+            let kind = PlanNodeKind::IndexNLJoin {
+                outer: Box::new(current.clone()),
+                table: next,
+                index: IndexId(idx),
+                outer_key,
             };
-            // Residual local predicate of the inner table.
+            let mut node =
+                PlanNode::new(kind, out_cols, out_types, join_card).with_cost(cpu, io, 0.0);
+            // Residual local predicate of the inner table, in the join's mode.
             if let Some(pred) = &query.tables[next].predicate {
                 let bound = bind_expr(pred, next, &node)?;
                 let sel = tables[next]
                     .stats
                     .intervals_selectivity(&pred.column_intervals());
                 let est_rows = (node.est_rows * sel).max(1.0);
-                let cpu = node.est_rows * self.cost.cpu_row_us;
-                let out_cols = node.out_cols.clone();
-                let out_types = node.out_types.clone();
-                node = PlanNode {
-                    kind: PlanNodeKind::Filter {
-                        child: Box::new(node),
-                        predicate: bound,
-                        mode: PlanMode::Row,
-                    },
-                    out_cols,
-                    out_types,
-                    est_rows,
-                    est_cpu_us: cpu,
-                    est_io_us: 0.0,
-                    est_io_div_us: 0.0,
+                let cpu = node.est_rows * self.cost.cpu_per_row_us(node.mode());
+                let (out_cols, out_types) = (node.out_cols.clone(), node.out_types.clone());
+                let kind = PlanNodeKind::Filter {
+                    child: Box::new(node),
+                    predicate: bound,
                 };
+                node = PlanNode::new(kind, out_cols, out_types, est_rows).with_cost(cpu, 0.0, 0.0);
             }
             options.push(node);
         }
@@ -1431,33 +1347,6 @@ fn bind_expr(expr: &Expr, table: usize, node: &PlanNode) -> Result<Expr> {
     expr.remap_columns(&map)
 }
 
-/// Execution mode implied by the access path under this node.
-fn node_mode(node: &PlanNode) -> PlanMode {
-    match &node.kind {
-        PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => PlanMode::Batch,
-        PlanNodeKind::PartitionedScan { parts, .. } => {
-            if parts
-                .iter()
-                .all(|p| matches!(node_mode(p), PlanMode::Batch))
-            {
-                PlanMode::Batch
-            } else {
-                PlanMode::Row
-            }
-        }
-        PlanNodeKind::Filter { mode, .. } | PlanNodeKind::Project { mode, .. } => *mode,
-        PlanNodeKind::PkLookup { .. }
-        | PlanNodeKind::BTreeSeek { .. }
-        | PlanNodeKind::BTreeScan { .. }
-        | PlanNodeKind::IndexNLJoin { .. } => PlanMode::Row,
-        PlanNodeKind::HashAgg { child, .. }
-        | PlanNodeKind::StreamAgg { child, .. }
-        | PlanNodeKind::Sort { child, .. }
-        | PlanNodeKind::Limit { child, .. } => node_mode(child),
-        PlanNodeKind::HashJoin { .. } => PlanMode::Row,
-    }
-}
-
 /// Static type of a bound expression.
 fn expr_type(expr: &Expr, input_types: &[DataType]) -> Result<DataType> {
     Ok(match expr {
@@ -1516,42 +1405,22 @@ fn record_plan_choice(root: &PlanNode) {
     }
 }
 
-/// A subtree's estimated `(cpu, divisible io, serial io)` microseconds.
-/// CPU is the node's plus the sum of its children's. I/O splits into what
-/// parallelizes (columnstore segment reads are independent requests that
-/// scale with DOP) and what is latency-bound (B+ tree page chains and
+/// A subtree's estimated cost, microseconds. `cpu` is the node's plus the
+/// sum of its children's. Device time splits into what parallelizes
+/// (`io_div`: columnstore segment reads are independent requests that scale
+/// with DOP) and what is latency-bound (`io_serial`: B+ tree page chains and
 /// everything else), each summed from the node's own down its children.
-fn subtree_cost(node: &PlanNode) -> (f64, f64, f64) {
-    let mut divisible = node.est_io_div_us;
-    let mut serial = node.est_io_us - node.est_io_div_us;
-    let below: f64 = node
-        .children()
-        .map(|c| {
-            let (cpu, d, s) = subtree_cost(c);
-            divisible += d;
-            serial += s;
-            cpu
-        })
-        .sum();
-    (node.est_cpu_us + below, divisible, serial)
+/// `fan_out_us` is what the subtree's fan-outs add to its elapsed time:
+/// each one's start-up, less what its lanes save.
+struct SubtreeCost {
+    cpu: f64,
+    io_div: f64,
+    io_serial: f64,
+    fan_out_us: f64,
 }
 
-/// Propagate the chosen DOP to the scan leaves. A gather takes it like a
-/// leaf and splits it among its lanes' own leaves, so one lane gets all of
-/// it and DOP ≤ lanes leaves every lane serial.
-fn set_scan_dop(node: &mut PlanNode, dop: usize) {
-    let mut below = dop;
-    match &mut node.kind {
-        PlanNodeKind::BTreeSeek { dop: d, .. }
-        | PlanNodeKind::BTreeScan { dop: d, .. }
-        | PlanNodeKind::CsiScan { dop: d, .. } => *d = dop,
-        PlanNodeKind::PartitionedScan { dop: d, parts, .. } => {
-            *d = dop;
-            below = (dop / parts.len()).max(1);
-        }
-        _ => {}
-    }
-    for child in node.children_mut() {
-        set_scan_dop(child, below);
+impl SubtreeCost {
+    fn elapsed_us(&self) -> f64 {
+        self.cpu + self.io_div + self.io_serial + self.fan_out_us
     }
 }

@@ -44,7 +44,9 @@ pub struct PlanAgg {
     pub input: usize,
 }
 
-/// Execution mode tag mirrored from the executor.
+/// A node's execution mode, mirrored onto the executor's operators: row
+/// mode evaluates tuple at a time, batch mode vectorized. Decided once, by
+/// [`PlanNode::new`], from the node's kind and its inputs' modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
     Row,
@@ -126,12 +128,10 @@ pub enum PlanNodeKind {
     Filter {
         child: Box<PlanNode>,
         predicate: PlanExpr,
-        mode: PlanMode,
     },
     Project {
         child: Box<PlanNode>,
         exprs: Vec<PlanExpr>,
-        mode: PlanMode,
     },
     HashAgg {
         child: Box<PlanNode>,
@@ -171,6 +171,8 @@ pub enum PlanNodeKind {
 #[derive(Debug, Clone)]
 pub struct PlanNode {
     pub kind: PlanNodeKind,
+    /// Set by [`PlanNode::new`] and read through [`PlanNode::mode`].
+    mode: PlanMode,
     pub out_cols: Vec<PlanCol>,
     pub out_types: Vec<DataType>,
     pub est_rows: f64,
@@ -185,6 +187,71 @@ pub struct PlanNode {
 }
 
 impl PlanNode {
+    /// A node of `kind` producing `out_cols` (typed `out_types`), estimated
+    /// at `est_rows` rows and no cost yet ([`PlanNode::with_cost`]). Its
+    /// mode follows from its kind and its inputs' modes, read one level
+    /// down: a columnstore leaf is batch mode and a B+ tree leaf, lookup or
+    /// index nested-loop join row mode; a gather is batch mode when every
+    /// lane is; a hash join is batch mode when either input is, so the
+    /// operators above a star join over a columnstore stay vectorized; every
+    /// other node takes its input's mode.
+    pub fn new(
+        kind: PlanNodeKind,
+        out_cols: Vec<PlanCol>,
+        out_types: Vec<DataType>,
+        est_rows: f64,
+    ) -> PlanNode {
+        use PlanMode::{Batch, Row};
+        let mode = match &kind {
+            PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => Batch,
+            PlanNodeKind::BTreeSeek { .. }
+            | PlanNodeKind::BTreeScan { .. }
+            | PlanNodeKind::PkLookup { .. }
+            | PlanNodeKind::IndexNLJoin { .. } => Row,
+            PlanNodeKind::PartitionedScan { parts, .. }
+                if parts.iter().all(|p| p.mode == Batch) =>
+            {
+                Batch
+            }
+            PlanNodeKind::HashJoin { left, right, .. }
+                if left.mode == Batch || right.mode == Batch =>
+            {
+                Batch
+            }
+            PlanNodeKind::PartitionedScan { .. } | PlanNodeKind::HashJoin { .. } => Row,
+            PlanNodeKind::Filter { child, .. }
+            | PlanNodeKind::Project { child, .. }
+            | PlanNodeKind::HashAgg { child, .. }
+            | PlanNodeKind::StreamAgg { child, .. }
+            | PlanNodeKind::Sort { child, .. }
+            | PlanNodeKind::Limit { child, .. } => child.mode,
+        };
+        PlanNode {
+            kind,
+            mode,
+            out_cols,
+            out_types,
+            est_rows,
+            est_cpu_us: 0.0,
+            est_io_us: 0.0,
+            est_io_div_us: 0.0,
+        }
+    }
+
+    /// This node with its own estimated CPU, device time and the divisible
+    /// part of that device time, microseconds.
+    pub fn with_cost(mut self, cpu_us: f64, io_us: f64, io_div_us: f64) -> PlanNode {
+        self.est_cpu_us = cpu_us;
+        self.est_io_us = io_us;
+        self.est_io_div_us = io_div_us;
+        self
+    }
+
+    /// The mode this node runs in (see [`PlanNode::new`]).
+    pub fn mode(&self) -> PlanMode {
+        self.mode
+    }
+
     /// Output ordinal of base column `(table, column)`, if present.
     pub fn find_col(&self, table: usize, column: usize) -> Option<usize> {
         self.out_cols
@@ -288,13 +355,27 @@ impl PlanNode {
         out
     }
 
-    /// Maximum DOP of any scan in the subtree.
+    /// How many lanes this node fans out to: a scan leaf's or a gather's
+    /// DOP, decided where the optimizer built it. Everything else (the
+    /// encoded fold included) runs in its caller's lane.
+    pub fn dop(&self) -> usize {
+        match &self.kind {
+            PlanNodeKind::PartitionedScan { dop, .. } => *dop,
+            _ => self.scan().map_or(1, |(.., dop)| dop),
+        }
+    }
+
+    /// The most lanes the subtree runs at once: a node's DOP times that of
+    /// the fan-out it runs in (a gather's lanes fan out their own leaves).
     pub fn max_dop(&self) -> usize {
-        self.walk()
-            .map(|(_, node)| match &node.kind {
-                PlanNodeKind::PartitionedScan { dop, .. } => *dop,
-                // Everything else (the encoded fold included) never fans out.
-                _ => node.scan().map_or(1, |(.., dop)| dop),
+        // Lanes at each depth of the path to the node walked last.
+        let mut path: Vec<usize> = Vec::new();
+        (self.walk())
+            .map(|(depth, node)| {
+                path.truncate(depth);
+                let lanes = path.last().copied().unwrap_or(1) * node.dop();
+                path.push(lanes);
+                lanes
             })
             .fold(1, usize::max)
     }
@@ -461,7 +542,7 @@ impl PlanNode {
             PlanNodeKind::PkLookup { table, part, .. } => {
                 format!("PkLookup {}", tpart(table, part))
             }
-            PlanNodeKind::Filter { mode, .. } => format!("Filter ({mode:?} mode)"),
+            PlanNodeKind::Filter { .. } => format!("Filter ({:?} mode)", self.mode),
             PlanNodeKind::Project { .. } => "Project".to_string(),
             PlanNodeKind::HashAgg { group, aggs, .. } => {
                 format!("HashAgg groups={} aggs={}", group.len(), aggs.len())
@@ -575,15 +656,7 @@ mod tests {
     const SPLIT: i32 = 300;
 
     fn node(kind: PlanNodeKind, (out_cols, out_types): (Vec<PlanCol>, Vec<DataType>)) -> PlanNode {
-        PlanNode {
-            kind,
-            out_cols,
-            out_types,
-            est_rows: 1.0,
-            est_cpu_us: 0.0,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        }
+        PlanNode::new(kind, out_cols, out_types, 1.0)
     }
 
     /// Output of `cols` of query table `t`, every column an `Int32`.
@@ -700,7 +773,6 @@ mod tests {
             PlanNodeKind::Filter {
                 child: Box::new(nl_join),
                 predicate: Expr::col_cmp(2, CmpOp::Ge, Value::Int32(0)),
-                mode: PlanMode::Row,
             },
             (cols, types),
         );
@@ -753,7 +825,6 @@ mod tests {
             PlanNodeKind::Project {
                 child: Box::new(all),
                 exprs: vec![Expr::col(0)],
-                mode: PlanMode::Row,
             },
             int64(),
         );

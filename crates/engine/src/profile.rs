@@ -260,7 +260,7 @@ impl AnalyzeReport {
         }
         // In `hpd_storage::Work::ALL` order. Rows are counted at the coarsest
         // granularity that eliminated them.
-        let [rowgroup, run, row, selected, hit, miss, evict, folded, fallback, rows_folded, delta_rows] =
+        let [rowgroup, run, row, selected, hit, miss, evict, folded, fallback, rows_folded, delta_rows, ..] =
             self.io.work;
         if rowgroup + run + row + selected + hit + miss > 0 {
             let _ = write!(

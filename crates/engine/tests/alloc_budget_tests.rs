@@ -17,7 +17,10 @@
 //! hold their output, their table and one batch's working vectors. And
 //! the tuples themselves: a `Row` or `Key` is one allocation of 16 bytes a
 //! value, a string is shared by a clone and allocated once when read out
-//! of encoded bytes, and a scan refills one scratch row in place.
+//! of encoded bytes, and a scan refills one scratch row in place. A star
+//! join over a columnstore, through the engine, stays in batch mode up to
+//! its aggregate and allocates per batch and column, and a row-mode Project
+//! builds each row of only the columns it reads.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -993,4 +996,123 @@ fn for_each_row_over_a_btree_primary_allocates_the_same_at_any_row_count() {
     // fill, and nothing per row.
     assert_eq!(walks[0], walks[1], "{walks:?}");
     assert!(walks[0] <= 8, "{walks:?}");
+}
+
+/// `dim(id, cat)` of ten rows on a B+ tree and `fact(id, dim_id, amount)`
+/// of `rows` rows in a columnstore primary of ten row groups, and the star
+/// join summing `amount` by `cat`.
+fn star(rows: i32) -> (Database, Statement) {
+    use hpd_engine::{AggItem, ColRef, EquiJoin, SelectQuery, TableInput};
+    let db = Database::new(config(rows as usize / 10));
+    let ints = |names: &[&str]| {
+        Schema::from_pairs(
+            &names
+                .iter()
+                .map(|&n| (n, DataType::Int32))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let row = |vals: [i32; 3]| Row::new(vals.iter().map(|&v| Value::Int32(v)).collect());
+    let dim = ints(&["id", "cat", "pad"]);
+    (db.create_table(
+        "dim",
+        dim,
+        vec![0],
+        IndexDescriptor::PrimaryBTree { keys: vec![0] },
+    ))
+    .unwrap();
+    let fact = ints(&["id", "dim_id", "amount"]);
+    (db.create_table("fact", fact, vec![0], IndexDescriptor::PrimaryCsi)).unwrap();
+    db.load_table("dim", (0..10).map(|i| row([i, i % 3, 0])).collect())
+        .unwrap();
+    db.load_table("fact", (0..rows).map(|i| row([i, i % 10, 1])).collect())
+        .unwrap();
+    let q = SelectQuery {
+        tables: vec![TableInput::new("fact"), TableInput::new("dim")],
+        joins: vec![EquiJoin {
+            left: ColRef::new(0, 1),
+            right: ColRef::new(1, 0),
+        }],
+        group_by: vec![ColRef::new(1, 1)],
+        aggregates: vec![AggItem::column(hpd_common::AggFunc::Sum, ColRef::new(0, 2))],
+        ..Default::default()
+    };
+    (db, Statement::Select(q))
+}
+
+#[test]
+fn a_star_join_through_the_engine_allocates_per_batch_and_column_not_per_row() {
+    let mut allocations = Vec::new();
+    for rows in [4_000, 40_000] {
+        let (db, stmt) = star(rows);
+        let plan = match &stmt {
+            Statement::Select(q) => db.plan(q).unwrap(),
+            _ => unreachable!(),
+        };
+        // The Project above the join runs in batch mode: the join reads a
+        // columnstore.
+        let shape: Vec<String> = (plan.root.walk())
+            .map(|(_, n)| n.describe(&plan.tables))
+            .collect();
+        assert_eq!(
+            shape[..3],
+            ["HashAgg groups=1 aggs=1", "Project", "HashJoin keys=1"],
+            "{}",
+            plan.explain()
+        );
+        // The first run decodes and caches the segments.
+        db.query(&stmt).run().unwrap();
+        let (run, region) = alloc::measure(|| db.query(&stmt).run().unwrap());
+        assert_eq!(run.rows.len(), 3);
+        let io = run.metrics.io;
+        assert_eq!(io.counted(hpd_storage::Work::BatchModeRows), rows as u64);
+        assert_eq!(io.counted(hpd_storage::Work::RowModeRows), 0);
+        allocations.push(region.allocations());
+    }
+    // Ten times the rows in the same ten row groups: the same allocations.
+    // A row-mode Project made a `Row` of the joined columns and one of its
+    // output for each of them.
+    assert_eq!(allocations[0], allocations[1], "{allocations:?}");
+}
+
+#[test]
+fn a_row_mode_project_builds_a_row_of_only_the_columns_it_reads() {
+    use hpd_common::{Batch, BinOp, ColumnVector, Expr};
+    use hpd_exec::{collect, ExecCtx, Mode, ProjectOp, ValuesOp};
+    let pool = hpd_storage::BufferPool::unbounded(hpd_storage::DeviceProfile::ram());
+    let types = vec![DataType::Int64; 10];
+    for rows in [4_000, 40_000] {
+        let per = rows / 10;
+        let batches = (0..10)
+            .map(|b| {
+                let col =
+                    |c: i64| ColumnVector::Int64((0..per).map(|i| (b * per + i) * c).collect());
+                Batch::new((1..=10).map(col).collect())
+            })
+            .collect();
+        let input = Box::new(ValuesOp::new(types.clone(), batches));
+        // Two expressions over 2 of the 10 columns.
+        let exprs = vec![
+            Expr::arith(BinOp::Add, Expr::col(3), Expr::col(7)),
+            Expr::col(3),
+        ];
+        let mut project = ProjectOp::new(input, exprs, vec![DataType::Int64; 2], Mode::Row);
+        let ctx = ExecCtx::new(&pool);
+        let (out, region) = alloc::measure(|| collect(&mut project, &ctx).unwrap());
+        let sums: i64 = out
+            .iter()
+            .map(|b| b.column(0).value(0).as_i64().unwrap())
+            .sum();
+        assert_eq!(sums, (0..10).map(|b| b * per * 12).sum::<i64>());
+        let rows = rows as u64;
+        // A row of the 2 values read (16 bytes each) per input row, and 8
+        // bytes a row of each of the 2 output columns. A row of all 10 input
+        // values would be 160 bytes a row.
+        assert!(
+            region.allocated_bytes() <= rows * (2 * 16 + 2 * 8) + 4_096,
+            "{rows} rows: {} bytes",
+            region.allocated_bytes()
+        );
+        assert!(region.allocations() <= rows + 100, "{region:?}");
+    }
 }

@@ -281,17 +281,14 @@ mod index_list_model {
         };
         let stored = index.stored();
         let plan = PhysicalPlan {
-            root: PlanNode {
+            root: PlanNode::new(
                 kind,
-                out_cols: stored.iter().map(|&c| PlanCol::Base(0, c)).collect(),
-                out_types: (stored.iter())
+                stored.iter().map(|&c| PlanCol::Base(0, c)).collect(),
+                (stored.iter())
                     .map(|&c| t.schema().column(c).dtype)
                     .collect(),
-                est_rows: 0.0,
-                est_cpu_us: 0.0,
-                est_io_us: 0.0,
-                est_io_div_us: 0.0,
-            },
+                0.0,
+            ),
             tables: vec![PlanTable {
                 name: "t".into(),
                 parts: PARTS,

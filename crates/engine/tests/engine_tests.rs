@@ -6,10 +6,12 @@ use std::time::Duration;
 
 use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
 use hpd_engine::{
-    AggItem, ColRef, Database, DbConfig, DeleteStmt, EquiJoin, IndexDescriptor, IndexMeta,
-    InsertStmt, IsolationLevel, LeafKind, PlanNodeKind, SelectQuery, Statement, TableInput,
-    UpdateStmt,
+    AggItem, ColRef, Configuration, Database, DbConfig, DeleteStmt, EquiJoin, IndexDescriptor,
+    IndexMeta, InsertStmt, IsolationLevel, LeafKind, PlanNodeKind, SelectQuery, Statement,
+    TableDesign, TableInput, UpdateStmt,
 };
+use hpd_storage::Work;
+use hpd_workloads::tpcds::{self, DsScale};
 
 fn db() -> Database {
     Database::new(DbConfig::default())
@@ -306,6 +308,124 @@ fn join_two_tables() {
     assert_eq!(r.rows[0][0], Value::Int32(2));
     // dims with category 2: ids ≡ 2 mod 5 → 20 dims × 50 fact rows each.
     assert_eq!(r.rows[0][1], Value::Int64(1000));
+}
+
+/// DS-Q03 of the 13-query TPC-DS set is a star join of `store_sales` and
+/// `store` under a GROUP BY. A hash join is batch mode when either input
+/// is, so over a columnstore the Project above it stays vectorized: on a
+/// columnstore-only design, and on the hybrid the advisor recommends for
+/// the set (`store` read through its B+ tree, `store_sales` through a
+/// secondary columnstore), no row enters row mode. When the join was always
+/// row mode, all 40 000 fact rows did. On B+ trees alone they still do:
+/// that is the paper's row/batch asymmetry.
+#[test]
+fn ds_q03_puts_no_row_through_row_mode_above_a_columnstore() {
+    let db = db();
+    tpcds::load(&db, DsScale::small()).unwrap();
+    let (label, q03) = tpcds::queries(13, 99).swap_remove(2);
+    assert_eq!(label, "DS-Q03");
+    let names: Vec<&str> = q03.tables.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["store_sales", "store"]);
+    let primary = || IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    let csi = |table: &str| IndexDescriptor::SecondaryCsi {
+        columns: (0..db.with_table(table, |t| t.schema().len()).unwrap()).collect(),
+    };
+    let design = |fact: Vec<IndexDescriptor>, store: Vec<IndexDescriptor>| Configuration {
+        tables: vec![
+            TableDesign::new("store_sales", fact),
+            TableDesign::new("store", store),
+        ],
+    };
+    let designs = [
+        (
+            "csi-only",
+            design(
+                vec![primary(), csi("store_sales")],
+                vec![primary(), csi("store")],
+            ),
+        ),
+        (
+            "hybrid",
+            design(vec![primary(), csi("store_sales")], vec![primary()]),
+        ),
+        ("btree-only", design(vec![primary()], vec![primary()])),
+    ];
+    let mut row_mode = Vec::new();
+    for (name, config) in &designs {
+        db.apply_configuration(config).unwrap();
+        let run = db.query(&Statement::Select(q03.clone())).run().unwrap();
+        assert_eq!(run.rows.len(), 10, "{name}");
+        let io = run.metrics.io;
+        row_mode.push((
+            *name,
+            io.counted(Work::RowModeRows),
+            io.counted(Work::BatchModeRows),
+        ));
+    }
+    assert_eq!(
+        row_mode,
+        [
+            ("csi-only", 0, 40_000),
+            ("hybrid", 0, 40_000),
+            ("btree-only", 40_000, 0)
+        ]
+    );
+}
+
+/// A scan leaf fans out no further than its own work: a 10-row table is one
+/// leaf page, so at `max_dop: 8` its scan starts one lane, though the star
+/// join it feeds is worth parallelizing. When every leaf took the plan's
+/// DOP it started eight. The fact side, one row group, starts one more.
+#[test]
+fn a_ten_row_scan_starts_one_lane_at_max_dop_8() {
+    let db = Database::new(DbConfig {
+        max_dop: 8,
+        ..DbConfig::default()
+    });
+    let pairs = |names: &[&str]| {
+        Schema::from_pairs(
+            &names
+                .iter()
+                .map(|&n| (n, DataType::Int32))
+                .collect::<Vec<_>>(),
+        )
+    };
+    db.create_table("dim", pairs(&["id", "cat"]), vec![0], btree_primary())
+        .unwrap();
+    let fact = pairs(&["id", "dim_id", "amount"]);
+    (db.create_table("fact", fact, vec![0], IndexDescriptor::PrimaryCsi)).unwrap();
+    let row = |vals: &[i32]| Row::new(vals.iter().map(|&v| Value::Int32(v)).collect());
+    db.load_table("dim", (0..10).map(|i| row(&[i, i % 3])).collect())
+        .unwrap();
+    db.load_table("fact", (0..60_000).map(|i| row(&[i, i % 10, 1])).collect())
+        .unwrap();
+    let q = SelectQuery {
+        tables: vec![TableInput::new("fact"), TableInput::new("dim")],
+        joins: vec![EquiJoin {
+            left: ColRef::new(0, 1),
+            right: ColRef::new(1, 0),
+        }],
+        group_by: vec![ColRef::new(1, 1)],
+        aggregates: vec![AggItem::column(AggFunc::Sum, ColRef::new(0, 2))],
+        ..Default::default()
+    };
+    let plan = db.plan(&q).unwrap();
+    let scans: Vec<String> = (plan.root.walk())
+        .filter(|(_, n)| n.scan().is_some())
+        .map(|(_, n)| n.describe(&plan.tables))
+        .collect();
+    assert_eq!(
+        scans,
+        [
+            "BTreeScan dim idx#0 (dop 1)",
+            "CsiScan fact idx#0 [0 elim cols] (dop 1)"
+        ],
+        "{}",
+        plan.explain()
+    );
+    let run = db.query(&Statement::Select(q)).run().unwrap();
+    assert_eq!(run.rows.len(), 3);
+    assert_eq!(run.metrics.io.counted(Work::ScanLanes), 2);
 }
 
 /// The optimizer's join order puts the smallest table on the left; the

@@ -300,15 +300,12 @@ fn scan(db: &Database, t: &Table, p: usize, i: usize, cols: &[usize]) -> Vec<Row
         }
     };
     let plan = PhysicalPlan {
-        root: PlanNode {
+        root: PlanNode::new(
             kind,
-            out_cols: cols.iter().map(|&c| PlanCol::Base(0, c)).collect(),
-            out_types: cols.iter().map(|&c| t.schema().column(c).dtype).collect(),
-            est_rows: 0.0,
-            est_cpu_us: 0.0,
-            est_io_us: 0.0,
-            est_io_div_us: 0.0,
-        },
+            cols.iter().map(|&c| PlanCol::Base(0, c)).collect(),
+            cols.iter().map(|&c| t.schema().column(c).dtype).collect(),
+            0.0,
+        ),
         tables: vec![PlanTable {
             name: "t".into(),
             parts: t.num_parts(),

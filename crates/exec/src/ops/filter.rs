@@ -1,6 +1,9 @@
 //! Filter and projection operators, in both execution modes.
 
-use hpd_common::{Batch, DataType, Expr, Result};
+use std::collections::HashMap;
+
+use hpd_common::{Batch, ColumnVector, DataType, Expr, Result, Row};
+use hpd_storage::Work;
 
 use crate::ctx::ExecCtx;
 use crate::ops::{Operator, PlanNode};
@@ -17,19 +20,66 @@ pub enum Mode {
     Batch,
 }
 
+/// Expressions as an operator in `mode` evaluates them. In row mode they
+/// read a row holding only the input columns they reference, so a row
+/// costs the columns the operator reads, not the width of its input.
+struct Exprs {
+    mode: Mode,
+    exprs: Vec<Expr>,
+    /// Row mode: the input ordinals each row is built of; `exprs` are
+    /// bound to positions in it.
+    reads: Vec<usize>,
+}
+
+impl Exprs {
+    fn new(exprs: Vec<Expr>, mode: Mode) -> Exprs {
+        if mode == Mode::Batch {
+            let reads = Vec::new();
+            return Exprs { mode, exprs, reads };
+        }
+        let mut reads: Vec<usize> = exprs.iter().flat_map(Expr::referenced_columns).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        let narrow: HashMap<usize, usize> =
+            reads.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let exprs = (exprs.iter())
+            .map(|e| e.remap_columns(&narrow))
+            .collect::<Result<_>>()
+            .expect("every referenced column is in the map");
+        Exprs { mode, exprs, reads }
+    }
+
+    /// Count `batch`'s rows as entering this mode.
+    fn count(&self, ctx: &ExecCtx<'_>, batch: &Batch) {
+        let work = match self.mode {
+            Mode::Row => Work::RowModeRows,
+            Mode::Batch => Work::BatchModeRows,
+        };
+        ctx.tracker.count(work, batch.num_rows() as u64);
+    }
+
+    /// Row `i` of `batch`, as far as the expressions read it.
+    fn row(&self, batch: &Batch, i: usize) -> Row {
+        Row::new(
+            self.reads
+                .iter()
+                .map(|&c| batch.column(c).value(i))
+                .collect(),
+        )
+    }
+}
+
 /// Applies a boolean predicate.
 pub struct FilterOp<'a> {
     child: PlanNode<'a>,
-    predicate: Expr,
-    mode: Mode,
+    predicate: Exprs,
 }
 
 impl<'a> FilterOp<'a> {
     pub fn new(child: PlanNode<'a>, predicate: Expr, mode: Mode) -> FilterOp<'a> {
         FilterOp {
             child,
-            predicate,
-            mode,
+            predicate: Exprs::new(vec![predicate], mode),
         }
     }
 }
@@ -40,21 +90,17 @@ impl Operator for FilterOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
+        let p = &self.predicate;
         while let Some(batch) = self.child.next(ctx)? {
-            let filtered = match self.mode {
-                Mode::Batch => {
-                    let mask = self.predicate.eval_mask(&batch)?;
-                    batch.filter(&mask)
-                }
-                Mode::Row => {
-                    // Tuple-at-a-time evaluation through boxed values.
-                    let mut mask = Vec::with_capacity(batch.num_rows());
-                    for i in 0..batch.num_rows() {
-                        mask.push(self.predicate.eval_bool_row(&batch.row(i))?);
-                    }
-                    batch.filter(&mask)
-                }
+            p.count(ctx, &batch);
+            let mask = match p.mode {
+                Mode::Batch => p.exprs[0].eval_mask(&batch)?,
+                // Tuple-at-a-time evaluation through boxed values.
+                Mode::Row => (0..batch.num_rows())
+                    .map(|i| p.exprs[0].eval_bool_row(&p.row(&batch, i)))
+                    .collect::<Result<_>>()?,
             };
+            let filtered = batch.filter(&mask);
             if filtered.num_rows() > 0 {
                 return Ok(Some(filtered));
             }
@@ -66,9 +112,8 @@ impl Operator for FilterOp<'_> {
 /// Computes output expressions (column pruning, computed columns).
 pub struct ProjectOp<'a> {
     child: PlanNode<'a>,
-    exprs: Vec<Expr>,
+    exprs: Exprs,
     types: Vec<DataType>,
-    mode: Mode,
 }
 
 impl<'a> ProjectOp<'a> {
@@ -80,9 +125,8 @@ impl<'a> ProjectOp<'a> {
     ) -> ProjectOp<'a> {
         ProjectOp {
             child,
-            exprs,
+            exprs: Exprs::new(exprs, mode),
             types,
-            mode,
         }
     }
 
@@ -91,12 +135,7 @@ impl<'a> ProjectOp<'a> {
         let child_types = child.out_types();
         let types = ordinals.iter().map(|&i| child_types[i]).collect();
         let exprs = ordinals.iter().map(|&i| Expr::Col(i)).collect();
-        ProjectOp {
-            child,
-            exprs,
-            types,
-            mode,
-        }
+        ProjectOp::new(child, exprs, types, mode)
     }
 }
 
@@ -109,28 +148,26 @@ impl Operator for ProjectOp<'_> {
         let Some(batch) = self.child.next(ctx)? else {
             return Ok(None);
         };
-        match self.mode {
-            Mode::Batch => {
-                let cols = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval_batch(&batch))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Some(Batch::new(cols)))
-            }
+        let e = &self.exprs;
+        e.count(ctx, &batch);
+        let cols = match e.mode {
+            Mode::Batch => (e.exprs.iter())
+                .map(|x| x.eval_batch(&batch))
+                .collect::<Result<Vec<_>>>()?,
             Mode::Row => {
-                let mut rows = Vec::with_capacity(batch.num_rows());
-                for i in 0..batch.num_rows() {
-                    let row = batch.row(i);
-                    let vals = self
-                        .exprs
-                        .iter()
-                        .map(|e| e.eval_row(&row))
-                        .collect::<Result<Vec<_>>>()?;
-                    rows.push(hpd_common::Row::new(vals));
+                let n = batch.num_rows();
+                let mut cols: Vec<ColumnVector> = (self.types.iter())
+                    .map(|&t| ColumnVector::with_capacity(t, n))
+                    .collect();
+                for i in 0..n {
+                    let row = e.row(&batch, i);
+                    for (col, x) in cols.iter_mut().zip(&e.exprs) {
+                        col.push(&x.eval_row(&row)?)?;
+                    }
                 }
-                Ok(Some(Batch::from_rows(&self.types, &rows)?))
+                cols
             }
-        }
+        };
+        Ok(Some(Batch::new(cols)))
     }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use hpd_btree::{BTree, Cursor};
 use hpd_columnstore::{ColumnStoreIndex, CsiScan};
 use hpd_common::{Batch, DataType, Interval, Key, Result, Row};
+use hpd_storage::Work;
 
 use crate::ctx::ExecCtx;
 use crate::ops::Operator;
@@ -90,6 +91,7 @@ impl Operator for BTreeRangeScanOp<'_> {
             return Ok(None);
         }
         if self.cursor.is_none() {
+            ctx.tracker.count(Work::ScanLanes, 1);
             self.cursor = Some(
                 self.tree
                     .cursor_seek(bound_ref(&self.lo), ctx.pool, &ctx.tracker),
@@ -125,6 +127,7 @@ impl Operator for BTreeRangeScanOp<'_> {
 pub struct CsiScanOp<'a> {
     scan: CsiScan<'a>,
     types: Vec<DataType>,
+    started: bool,
 }
 
 impl<'a> CsiScanOp<'a> {
@@ -157,6 +160,7 @@ impl<'a> CsiScanOp<'a> {
         CsiScanOp {
             scan: index.scan_rowgroups(rowgroups, projection, intervals, include_delta, probe),
             types,
+            started: false,
         }
     }
 }
@@ -167,6 +171,9 @@ impl Operator for CsiScanOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
+        if !std::mem::replace(&mut self.started, true) {
+            ctx.tracker.count(Work::ScanLanes, 1);
+        }
         Ok(self.scan.next_batch(ctx.pool, &ctx.tracker))
     }
 }

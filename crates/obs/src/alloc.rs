@@ -25,6 +25,8 @@ pub struct CountingAlloc;
 pub struct AllocStats {
     /// `alloc` + `realloc` calls.
     pub allocations: u64,
+    /// Bytes those calls asked for (a `realloc` its new size).
+    pub allocated_bytes: u64,
     /// Bytes currently allocated and not yet freed by this thread.
     pub live_bytes: i64,
     /// Highest `live_bytes` since the thread started or last entered
@@ -40,6 +42,7 @@ thread_local! {
     static STATS: Cell<AllocStats> = const {
         Cell::new(AllocStats {
             allocations: 0,
+            allocated_bytes: 0,
             live_bytes: 0,
             peak_live_bytes: 0,
             largest_bytes: 0,
@@ -53,6 +56,7 @@ fn record(allocated: usize, freed: usize, counts: bool) {
     let _ = STATS.try_with(|s| {
         let mut v = s.get();
         v.allocations += counts as u64;
+        v.allocated_bytes += if counts { allocated as u64 } else { 0 };
         v.live_bytes += allocated as i64 - freed as i64;
         v.peak_live_bytes = v.peak_live_bytes.max(v.live_bytes);
         v.largest_bytes = v.largest_bytes.max(allocated);
@@ -78,6 +82,11 @@ impl Region {
     /// `alloc` + `realloc` calls made inside the region.
     pub fn allocations(&self) -> u64 {
         self.after.allocations - self.before.allocations
+    }
+
+    /// Bytes the region's `alloc` + `realloc` calls asked for.
+    pub fn allocated_bytes(&self) -> u64 {
+        self.after.allocated_bytes - self.before.allocated_bytes
     }
 
     /// The most the region held above what was live when it began.

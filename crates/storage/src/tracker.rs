@@ -4,7 +4,7 @@
 //! into parallel workers — counters are atomic) and accumulates logical and
 //! physical I/O plus simulated I/O time. Benchmarks read an [`IoSnapshot`]
 //! at the end of a run; "data read" in Figure 2(b) is
-//! [`IoSnapshot::bytes_read`]. It also counts the columnstore [`Work`] the
+//! [`IoSnapshot::bytes_read`]. It also counts the [`Work`] the
 //! execution did, which `EXPLAIN ANALYZE` reports per statement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,9 +12,11 @@ use std::sync::{Arc, OnceLock};
 
 use hpd_obs::Counter;
 
-/// Columnstore work counted per statement beside its I/O, by the tracker
-/// the statement's scans charge: what `EXPLAIN ANALYZE`'s `pruning:` and
-/// `pushdown:` trailers report. Each count also goes to the engine-wide
+/// Work counted per statement beside its I/O, by the tracker the
+/// statement's operators charge: the columnstore's, which `EXPLAIN
+/// ANALYZE`'s `pruning:` and `pushdown:` trailers report, and the
+/// operators' own at the row/batch boundary and in fan-out. Operators count
+/// once a batch, never a row. Each count also goes to the engine-wide
 /// counter [`Work::counter_name`], which sums every statement at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Work {
@@ -37,11 +39,17 @@ pub enum Work {
     /// Compressed rows, and delta-store rows, folded into aggregates.
     AggRowsFolded,
     AggDeltaRows,
+    /// Rows entering a row-mode Filter or Project, and a batch-mode one.
+    RowModeRows,
+    BatchModeRows,
+    /// Scan streams started: one per split of a scan leaf that fans out,
+    /// one for a serial scan.
+    ScanLanes,
 }
 
 impl Work {
     /// Every kind of work, in discriminant order.
-    pub const ALL: [Work; 11] = [
+    pub const ALL: [Work; 14] = [
         Work::RowsPrunedRowgroup,
         Work::RowsPrunedRun,
         Work::RowsPrunedRow,
@@ -53,6 +61,9 @@ impl Work {
         Work::AggFallbackRowgroups,
         Work::AggRowsFolded,
         Work::AggDeltaRows,
+        Work::RowModeRows,
+        Work::BatchModeRows,
+        Work::ScanLanes,
     ];
 
     /// The engine-wide counter this kind of work also adds to.
@@ -69,6 +80,9 @@ impl Work {
             Work::AggFallbackRowgroups => "columnstore.agg.fallback_rowgroups",
             Work::AggRowsFolded => "columnstore.agg.rows_folded",
             Work::AggDeltaRows => "columnstore.agg.delta_rows",
+            Work::RowModeRows => "exec.rows_row_mode",
+            Work::BatchModeRows => "exec.rows_batch_mode",
+            Work::ScanLanes => "exec.scan.lanes_started",
         }
     }
 }

@@ -732,10 +732,11 @@ fn explain_analyze_lineitem_with_spill() {
     assert!(last.estimate_error() > 0.0);
 }
 
-/// `EXPLAIN ANALYZE` reports a statement's own columnstore work: while
-/// another thread runs pushed-down aggregates and pruned scans over a
-/// columnstore, a B+ tree-only sort never carries a `pruning:` or
-/// `pushdown:` trailer, and its query-store entry folds no rows.
+/// `EXPLAIN ANALYZE` reports a statement's own work: while another thread
+/// runs pushed-down aggregates and pruned scans over a columnstore, a B+
+/// tree-only sort never carries a `pruning:` or `pushdown:` trailer, its
+/// query-store entry folds no rows, and its work is its own row-mode rows
+/// and scan lanes, exactly.
 #[test]
 fn explain_analyze_counts_only_its_own_statements_work() {
     let mut cfg = DbConfig::default();
@@ -768,22 +769,24 @@ fn explain_analyze_counts_only_its_own_statements_work() {
             }
         });
         let _done = Done(&done);
+        // Its own work only: its row-mode Project's rows and its scan's
+        // lanes, one per split, and none of the other thread's columnstore
+        // or batch-mode work.
+        let mut own = [0; Work::ALL.len()];
+        own[Work::RowModeRows as usize] = 5_000;
+        own[Work::ScanLanes as usize] = db.plan(&sort).unwrap().max_dop() as u64;
         for i in 0..50 {
             let r = db.query(&sort).analyze().run().unwrap();
             let report = r.analyze.as_ref().unwrap();
             let rendered = report.render();
-            assert_eq!(report.io.work, [0; Work::ALL.len()], "run {i}: {rendered}");
+            assert_eq!(report.io.work, own, "run {i}: {rendered}");
             assert!(
                 !rendered.contains("pruning:") && !rendered.contains("pushdown:"),
                 "run {i}: {rendered}"
             );
             let stored = db.query_store().recent();
             let mine = (stored.iter().rev()).find(|s| s.plan_root.starts_with("Sort"));
-            assert_eq!(
-                mine.map(|s| s.io.work),
-                Some([0; Work::ALL.len()]),
-                "run {i}"
-            );
+            assert_eq!(mine.map(|s| s.io.work), Some(own), "run {i}");
         }
     });
 }

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hpd_btree::{BTree, BTreeConfig};
 use hpd_common::agg::{Acc, Summary};
@@ -1481,30 +1481,27 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> CsiScan<'a> {
-        let probe = self.antijoin_probe(pool, tracker).map(Arc::new);
+        let probe = Arc::new(OnceLock::from(self.antijoin_probe(pool, tracker)));
         let all = (0..self.num_rowgroups()).collect();
         self.scan_rowgroups(all, projection, intervals, true, probe)
     }
 
     /// A scan of the row groups `rowgroups`, in that order, then of the
     /// delta store if `delta` — the unit of parallel partitioning. `probe`
-    /// is the anti-join probe of the buffered deletes
-    /// ([`ColumnStoreIndex::antijoin_probe`]) when the scans of a statement
-    /// share one; without it the scan builds its own at its first batch.
+    /// is the anti-join probe the scans of a statement share.
     pub fn scan_rowgroups(
         &self,
         rowgroups: Vec<usize>,
         projection: Vec<usize>,
         intervals: HashMap<usize, Interval>,
         delta: bool,
-        probe: Option<Arc<HashSet<Key>>>,
+        probe: SharedProbe,
     ) -> CsiScan<'_> {
         CsiScan {
             index: self,
             rowgroups: rowgroups.into_iter(),
             projection,
             intervals,
-            probed: probe.is_some(),
             antijoin: probe,
             delta,
             fill_cache: true,
@@ -1530,15 +1527,18 @@ impl ColumnStoreIndex {
     }
 }
 
+/// The anti-join probe of an index's buffered deletes
+/// ([`ColumnStoreIndex::antijoin_probe`]) that the scans of one statement
+/// share: the first of them to pull builds it, against its own tracker.
+pub type SharedProbe = Arc<OnceLock<Option<HashSet<Key>>>>;
+
 /// Sequential scan state over a [`ColumnStoreIndex`].
 pub struct CsiScan<'a> {
     index: &'a ColumnStoreIndex,
     rowgroups: std::vec::IntoIter<usize>,
     projection: Vec<usize>,
     intervals: HashMap<usize, Interval>,
-    /// Whether `antijoin` is built (or was handed over).
-    probed: bool,
-    antijoin: Option<Arc<HashSet<Key>>>,
+    antijoin: SharedProbe,
     /// Whether the delta store is still to be scanned.
     delta: bool,
     /// Whether a whole row group's decode is kept in the decoded-segment
@@ -1561,10 +1561,8 @@ impl<'a> CsiScan<'a> {
     /// Next batch (one per surviving row group, then one for the delta).
     /// `None` when exhausted. Eliminated row groups are skipped silently.
     pub fn next_batch(&mut self, pool: &BufferPool, tracker: &IoTracker) -> Option<Batch> {
-        if !self.probed {
-            self.probed = true;
-            self.antijoin = self.index.antijoin_probe(pool, tracker).map(Arc::new);
-        }
+        self.antijoin
+            .get_or_init(|| self.index.antijoin_probe(pool, tracker));
         while let Some(rg) = self.rowgroups.next() {
             if let Some(batch) = self.scan_rowgroup(rg, pool, tracker) {
                 return Some(batch);
@@ -1598,7 +1596,7 @@ impl<'a> CsiScan<'a> {
             rg_idx,
             &self.projection,
             &self.intervals,
-            self.antijoin.as_deref(),
+            self.antijoin.get().and_then(Option::as_ref),
             pool,
             tracker,
         )?;

@@ -959,12 +959,24 @@ impl<'db> Txn<'db> {
             slots.iter().map(|s| s.table.read()).collect();
         let table_refs: Vec<&Table> = guards.iter().map(|g| &**g).collect();
 
+        // Snapshot overlays: the optimizer plans a correction of the tables
+        // that have rows to correct.
+        let mut overlays = HashMap::new();
+        if self.isolation == IsolationLevel::Snapshot {
+            for (i, table) in table_refs.iter().enumerate() {
+                let overlay = snapshot_overlay(table, self.start_ts);
+                if !overlay.is_empty() {
+                    overlays.insert(i, overlay);
+                }
+            }
+        }
+
         // Plan against the guarded tables' current metadata.
-        let contexts: Vec<TableContext> = query
-            .tables
-            .iter()
-            .zip(&table_refs)
-            .map(|(t, table)| table_context(&t.name, table))
+        let contexts: Vec<TableContext> = (query.tables.iter().zip(&table_refs).enumerate())
+            .map(|(i, (t, table))| TableContext {
+                snapshot_overlay: overlays.contains_key(&i),
+                ..table_context(&t.name, table)
+            })
             .collect();
         let optimize_start = Instant::now();
         let plan = {
@@ -999,17 +1011,6 @@ impl<'db> Txn<'db> {
             }
             lease
         };
-
-        // Snapshot overlays.
-        let mut overlays = HashMap::new();
-        if self.isolation == IsolationLevel::Snapshot {
-            for (i, table) in table_refs.iter().enumerate() {
-                let overlay = snapshot_overlay(table, self.start_ts);
-                if !overlay.is_empty() {
-                    overlays.insert(i, overlay);
-                }
-            }
-        }
 
         let mut runner = QueryRunner::with_resources(
             table_refs,
@@ -1452,6 +1453,7 @@ fn table_context(name: &str, t: &Table) -> TableContext {
         stats: t.stats().clone(),
         partitioning: t.partitioning().cloned(),
         parts,
+        snapshot_overlay: false,
     }
 }
 
@@ -1465,5 +1467,115 @@ fn empty_metrics() -> ExecMetrics {
         dop: 1,
         rows_returned: 0,
         memory_peak_bytes: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use hpd_common::DataType;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    /// One row version of the model: what snapshots in `start..end` see of
+    /// key `key` (a live version ends at `u64::MAX`).
+    struct Version {
+        key: i32,
+        start: u64,
+        end: u64,
+        row: Row,
+    }
+
+    /// Random commits through [`Table::record_version`] among readers'
+    /// snapshots, and [`Table::prune_versions`] at horizons at or below the
+    /// oldest live snapshot: at every live snapshot, the keys
+    /// `snapshot_overlay` hides and the old rows it adds are what a naive
+    /// list of every version ever written says.
+    #[test]
+    fn the_version_map_overlays_what_a_list_of_every_version_shows() {
+        const KEYS: i32 = 8;
+        let schema = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Int32)]);
+        let row = |k: i32, v: u64| Row::new(vec![Value::Int32(k), Value::Int32(v as i32)]);
+        let key = |k: i32| Key::single(Value::Int32(k));
+        let (mut checked, mut pruned) = (0, 0);
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+            let (csi, alloc) = (CsiConfig::default(), StorageAllocator::new());
+            let mut table = Table::create("t", schema.clone(), vec![0], &primary, csi, alloc)
+                .expect("a one-part table");
+            // Half the keys were loaded before any snapshot, at timestamp 0.
+            let mut model: Vec<Version> = (0..KEYS / 2)
+                .map(|k| Version {
+                    key: k,
+                    start: 0,
+                    end: u64::MAX,
+                    row: row(k, 0),
+                })
+                .collect();
+            let mut snapshots: Vec<u64> = Vec::new();
+            let mut next_ts = 1;
+            for _ in 0..300 {
+                match rng.gen_range(0..5) {
+                    0 => {
+                        snapshots.push(next_ts);
+                        next_ts += 1;
+                    }
+                    1 if !snapshots.is_empty() => {
+                        snapshots.swap_remove(rng.gen_range(0..snapshots.len()));
+                    }
+                    2 => {
+                        let oldest = snapshots.iter().copied().min().unwrap_or(next_ts);
+                        let before = table.version_count() + table.tracked_write_count();
+                        table.prune_versions(rng.gen_range(0..=oldest));
+                        pruned += before - table.version_count() - table.tracked_write_count();
+                    }
+                    _ => {
+                        // One commit inserts, rewrites or deletes one key.
+                        let (k, ts) = (rng.gen_range(0..KEYS), next_ts);
+                        next_ts += 1;
+                        let live = (model.iter_mut()).find(|v| v.key == k && v.end == u64::MAX);
+                        let old = live.map(|v| {
+                            v.end = ts;
+                            v.row.clone()
+                        });
+                        if old.is_none() || rng.gen_bool(0.7) {
+                            model.push(Version {
+                                key: k,
+                                start: ts,
+                                end: u64::MAX,
+                                row: row(k, ts),
+                            });
+                        }
+                        table.record_version(key(k), old, ts);
+                    }
+                }
+                for &s in &snapshots {
+                    let overlay = snapshot_overlay(&table, s);
+                    // A key written after `s` began or ended a version since.
+                    let removed: HashSet<Key> = (model.iter())
+                        .filter(|v| v.start > s || (v.end > s && v.end != u64::MAX))
+                        .map(|v| key(v.key))
+                        .collect();
+                    let mut added: Vec<Row> = (model.iter())
+                        .filter(|v| removed.contains(&key(v.key)) && v.start <= s && s < v.end)
+                        .map(|v| v.row.clone())
+                        .collect();
+                    let mut got = overlay.added.clone();
+                    got.sort();
+                    added.sort();
+                    assert_eq!(overlay.removed, removed, "seed {seed}, snapshot {s}");
+                    assert_eq!(got, added, "seed {seed}, snapshot {s}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            checked > 10_000 && pruned > 100,
+            "{checked} checks, {pruned} pruned"
+        );
     }
 }

@@ -9,9 +9,8 @@
 //! per row).
 
 use hpd_columnstore::IntEncoding;
+use hpd_exec::Mode;
 use hpd_storage::{DeviceProfile, PAGE_SIZE};
-
-use crate::plan::PlanMode;
 
 /// Relative CPU cost of kernel evaluation + late materialization on a
 /// segment with the given physical encoding, normalized to bit-packed
@@ -115,10 +114,10 @@ impl CostModel {
     }
 
     /// CPU microseconds a row costs a Filter or Project in `mode`.
-    pub fn cpu_per_row_us(&self, mode: PlanMode) -> f64 {
+    pub fn cpu_per_row_us(&self, mode: Mode) -> f64 {
         match mode {
-            PlanMode::Row => self.cpu_row_us,
-            PlanMode::Batch => self.cpu_batch_us,
+            Mode::Row => self.cpu_row_us,
+            Mode::Batch => self.cpu_batch_us,
         }
     }
 

@@ -3,21 +3,21 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::Arc;
 use std::time::Instant;
 
+use hpd_columnstore::SharedProbe;
 use hpd_common::{Batch, DataType, HpdError, Interval, Key, Result, Row, Value};
 use hpd_exec::ops::sort::SortKey;
 use hpd_exec::ops::PlanNode as ExecNode;
 use hpd_exec::{
     collect_rows, AggSpec, BTreeRangeScanOp, CsiAggOp, CsiScanOp, ExecCtx, FilterOp, HashAggOp,
-    HashJoinOp, IndexLookupJoinOp, LimitOp, MemoryGrant, Mode, Operator, ParallelOp, ProfiledOp,
+    HashJoinOp, IndexLookupJoinOp, LimitOp, MemoryGrant, Operator, ParallelOp, ProfiledOp,
     ProjectOp, SortOp, StreamAggOp, WorkerPool,
 };
 use hpd_storage::BufferPool;
 
 use crate::design::IndexId;
-use crate::plan::{PhysicalPlan, PlanMode, PlanNode, PlanNodeKind};
+use crate::plan::{PhysicalPlan, PlanCol, PlanNode, PlanNodeKind};
 use crate::profile::{AnalyzeReport, ProfileMap};
 use crate::table::{PartIndex, Table};
 
@@ -38,10 +38,11 @@ impl ExecutionResult {
     }
 }
 
-/// Per-table snapshot correction for reads under snapshot isolation: rows
-/// rewritten after the snapshot are removed from scan output (by primary
-/// key) and their old versions appended. The residual predicate above the
-/// scan re-checks appended rows, so this is correct for seeks as well.
+/// Per-table snapshot correction for reads under snapshot isolation, which
+/// the plan's [`PlanNodeKind::Snapshot`] nodes apply: rows rewritten after
+/// the snapshot are removed from their input (by primary key) and their old
+/// versions appended. The residual predicate above the node re-checks
+/// appended rows, so this is correct for seeks as well.
 #[derive(Debug, Clone, Default)]
 pub struct TableOverlay {
     /// Primary keys whose current version must be hidden.
@@ -106,7 +107,8 @@ impl<'a> QueryRunner<'a> {
         }
     }
 
-    /// Attach snapshot-isolation overlays (keyed by query table index).
+    /// Attach snapshot-isolation overlays (keyed by query table index), for
+    /// the plan's `Snapshot` nodes to apply.
     pub fn with_overlays(mut self, overlays: HashMap<usize, TableOverlay>) -> QueryRunner<'a> {
         self.overlays = overlays;
         self
@@ -219,35 +221,10 @@ impl<'a> QueryRunner<'a> {
             .ok_or_else(|| refuse(format!("index {} of part {part}", index.0), indexes.len()))
     }
 
-    /// Restrict a snapshot overlay to one part of a table with several.
-    /// `removed` keys stay whole-table (hiding a key another part owns is
-    /// harmless); `added` rows must surface exactly once across a
-    /// scatter-gather, in the lane owning their part.
-    fn restrict_overlay(&self, ov: &TableOverlay, ti: usize, part: usize) -> TableOverlay {
-        let table = match self.table(ti) {
-            Ok(t) if t.num_parts() > 1 => t,
-            _ => return ov.clone(),
-        };
-        TableOverlay {
-            removed: ov.removed.clone(),
-            added: ov
-                .added
-                .iter()
-                .filter(|r| table.route_row(r) == part)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Build the partitioned scan operators for a leaf node (one operator
-    /// when the effective DOP is 1). `out_cols` selects the produced
-    /// columns (normally `node.out_cols`; extended with the primary key
-    /// when a snapshot overlay must identify rows).
-    fn scan_partitions(
-        &self,
-        node: &PlanNode,
-        out_cols: &[crate::plan::PlanCol],
-    ) -> Result<Vec<ExecNode<'a>>> {
+    /// when its DOP is 1). The lanes of a columnstore scan share one
+    /// anti-join probe, which the first lane to pull builds.
+    fn scan_partitions(&self, node: &PlanNode) -> Result<Vec<ExecNode<'a>>> {
         match &node.kind {
             PlanNodeKind::BTreeScan { .. } => {
                 self.btree_partitions(node, Bound::Unbounded, Bound::Unbounded)
@@ -266,11 +243,10 @@ impl<'a> QueryRunner<'a> {
                 let csi = index.csi()?;
                 // Translate table-ordinal projection & intervals to the
                 // CSI's schema ordinals.
-                let projection: Vec<usize> = out_cols
-                    .iter()
+                let projection: Vec<usize> = (node.out_cols.iter())
                     .map(|pc| match pc {
-                        crate::plan::PlanCol::Base(_, c) => index.position(*c),
-                        crate::plan::PlanCol::Computed => {
+                        PlanCol::Base(_, c) => index.position(*c),
+                        PlanCol::Computed => {
                             Err(HpdError::Internal("computed column in scan".into()))
                         }
                     })
@@ -280,31 +256,22 @@ impl<'a> QueryRunner<'a> {
                     .filter_map(|(&c, iv)| index.position(c).ok().map(|cc| (cc, iv.clone())))
                     .collect();
                 let dop = (*dop).clamp(1, csi.num_rowgroups().max(1));
-                if dop <= 1 {
-                    return Ok(vec![Box::new(CsiScanOp::full(
-                        csi,
-                        projection,
-                        csi_intervals,
-                    ))]);
-                }
-                // Shared anti-join probe built once.
-                let ctx = ExecCtx::new(self.pool);
-                let probe = csi.antijoin_probe(self.pool, &ctx.tracker).map(Arc::new);
-                let mut parts: Vec<ExecNode<'a>> = Vec::with_capacity(dop);
-                for w in 0..dop {
-                    let rgs: Vec<usize> = (0..csi.num_rowgroups())
-                        .filter(|rg| rg % dop == w)
-                        .collect();
-                    parts.push(Box::new(CsiScanOp::over_rowgroups(
-                        csi,
-                        rgs,
-                        projection.clone(),
-                        csi_intervals.clone(),
-                        w == 0,
-                        probe.clone(),
-                    )));
-                }
-                Ok(parts)
+                let probe = SharedProbe::default();
+                Ok((0..dop)
+                    .map(|w| {
+                        let rgs: Vec<usize> = (0..csi.num_rowgroups())
+                            .filter(|rg| rg % dop == w)
+                            .collect();
+                        Box::new(CsiScanOp::over_rowgroups(
+                            csi,
+                            rgs,
+                            projection.clone(),
+                            csi_intervals.clone(),
+                            w == 0,
+                            probe.clone(),
+                        )) as ExecNode<'a>
+                    })
+                    .collect())
             }
             _ => Err(HpdError::Internal("not a scan node".into())),
         }
@@ -367,158 +334,6 @@ impl<'a> QueryRunner<'a> {
         Ok(parts)
     }
 
-    fn overlay_for(&self, node: &PlanNode) -> Option<&TableOverlay> {
-        let (ti, ..) = node.scan()?;
-        self.overlays.get(&ti).filter(|o| !o.is_empty())
-    }
-
-    /// Lower a scan node, applying its snapshot overlay if one is active
-    /// and not suppressed (a parent `PkLookup` applies the overlay itself,
-    /// above the lookup: probing the primary tree would resurface the
-    /// *current* row version and undo the snapshot correction).
-    fn lower_scan(&self, node: &PlanNode, with_overlay: bool) -> Result<ExecNode<'a>> {
-        let (ti, part, index, dop) = scan_of(node)?;
-        let overlay = if with_overlay {
-            self.overlay_for(node)
-        } else {
-            None
-        };
-        let Some(overlay) = overlay else {
-            return Ok(gather(self.scan_partitions(node, &node.out_cols)?, dop));
-        };
-        let table = self.table(ti)?;
-        // Partitioned tables: each lane appends only the overlay rows it
-        // owns, or the scatter-gather would surface every added row once
-        // per lane.
-        let part_restricted;
-        let overlay = if table.num_parts() > 1 {
-            part_restricted = self.restrict_overlay(overlay, ti, part);
-            &part_restricted
-        } else {
-            overlay
-        };
-        // A CsiScan applies its intervals exactly inside the scan, and the
-        // planner drops the residual filter when the intervals cover the
-        // whole predicate — so overlay rows (old versions added back for
-        // snapshot correction) must honor the same intervals here.
-        let filtered;
-        let overlay = match &node.kind {
-            PlanNodeKind::CsiScan { intervals, .. } if !intervals.is_empty() => {
-                filtered = TableOverlay {
-                    removed: overlay.removed.clone(),
-                    added: overlay
-                        .added
-                        .iter()
-                        .filter(|r| {
-                            intervals
-                                .iter()
-                                .all(|(&c, iv)| c >= r.len() || iv.contains(&r.values()[c]))
-                        })
-                        .cloned()
-                        .collect(),
-                };
-                &filtered
-            }
-            _ => overlay,
-        };
-        // B+ tree access paths promise the index key order to the optimizer
-        // (which may elide a Sort or stream an aggregate on the strength of
-        // it), but the overlay operator appends old row versions at the end
-        // of the stream. Re-establish the claimed order below.
-        let order_keys: &[usize] = match &node.kind {
-            PlanNodeKind::BTreeScan { .. } | PlanNodeKind::BTreeSeek { .. } => {
-                self.index(ti, part, index)?.descriptor().keys()
-            }
-            _ => &[],
-        };
-        // Extend the output with any missing primary-key columns (so rows
-        // can be identified) and missing order-key columns (so the order
-        // can be restored).
-        let mut ext_cols = node.out_cols.clone();
-        let mut ext_types = node.out_types.clone();
-        let mut ensure_col = |k: usize| {
-            if node.find_col(ti, k).is_none()
-                && !ext_cols
-                    .iter()
-                    .any(|c| matches!(c, crate::plan::PlanCol::Base(t, cc) if *t == ti && *cc == k))
-            {
-                ext_cols.push(crate::plan::PlanCol::Base(ti, k));
-                ext_types.push(table.schema().column(k).dtype);
-            }
-        };
-        for &k in table.pk() {
-            ensure_col(k);
-        }
-        for &k in order_keys {
-            ensure_col(k);
-        }
-        let scan = gather(self.scan_partitions(node, &ext_cols)?, dop);
-        // Project the overlay's full-table rows to the scan's columns.
-        let table_ords: Vec<usize> = ext_cols
-            .iter()
-            .map(|c| match c {
-                crate::plan::PlanCol::Base(_, cc) => *cc,
-                crate::plan::PlanCol::Computed => unreachable!("scan emits base columns"),
-            })
-            .collect();
-        let mut op = self.wrap_overlay(scan, ti, &table_ords, ext_types, overlay)?;
-        if !order_keys.is_empty() {
-            let sort_keys: Vec<SortKey> = order_keys
-                .iter()
-                .map(|&k| {
-                    SortKey::asc(
-                        table_ords
-                            .iter()
-                            .position(|&c| c == k)
-                            .expect("order key column was extended into the scan output"),
-                    )
-                })
-                .collect();
-            op = Box::new(SortOp::new(op, sort_keys));
-        }
-        if ext_cols.len() > node.out_cols.len() {
-            let keep: Vec<usize> = (0..node.out_cols.len()).collect();
-            Ok(Box::new(ProjectOp::columns(op, &keep, Mode::Batch)))
-        } else {
-            Ok(op)
-        }
-    }
-
-    /// Wrap `op` (whose output columns are the given table ordinals of
-    /// query table `ti`) with the snapshot-correction operator.
-    fn wrap_overlay(
-        &self,
-        op: ExecNode<'a>,
-        ti: usize,
-        table_ords: &[usize],
-        types: Vec<DataType>,
-        overlay: &TableOverlay,
-    ) -> Result<ExecNode<'a>> {
-        let table = self.table(ti)?;
-        let pk_pos: Vec<usize> = table
-            .pk()
-            .iter()
-            .map(|&k| {
-                table_ords
-                    .iter()
-                    .position(|&c| c == k)
-                    .ok_or_else(|| HpdError::Internal("overlay output lacks the pk".into()))
-            })
-            .collect::<Result<_>>()?;
-        let added: Vec<Row> = overlay
-            .added
-            .iter()
-            .map(|r| r.project(table_ords))
-            .collect();
-        Ok(Box::new(OverlayOp {
-            child: op,
-            types,
-            pk_pos,
-            removed: overlay.removed.clone(),
-            added: Some(added),
-        }))
-    }
-
     /// Lower a plan node to an operator tree (instrumented when profiling).
     fn lower(&self, node: &PlanNode) -> Result<ExecNode<'a>> {
         let op = self.lower_inner(node)?;
@@ -529,7 +344,7 @@ impl<'a> QueryRunner<'a> {
         match &node.kind {
             PlanNodeKind::BTreeScan { .. }
             | PlanNodeKind::BTreeSeek { .. }
-            | PlanNodeKind::CsiScan { .. } => self.lower_scan(node, true),
+            | PlanNodeKind::CsiScan { .. } => Ok(gather(self.scan_partitions(node)?, node.dop())),
             PlanNodeKind::PartitionedScan {
                 parts, pruned, dop, ..
             } => {
@@ -549,44 +364,6 @@ impl<'a> QueryRunner<'a> {
                 intervals,
                 aggs,
             } => {
-                // A snapshot overlay invalidates the encoded fold (hidden
-                // and re-added rows change the answer): fall back to a
-                // covering CsiScan — which applies the correction — under a
-                // global hash aggregate.
-                if self.overlays.get(table).is_some_and(|o| !o.is_empty()) {
-                    let mut cols: Vec<usize> = aggs.iter().map(|a| a.input).collect();
-                    cols.sort_unstable();
-                    cols.dedup();
-                    let t = self.table(*table)?;
-                    let scan = PlanNode::new(
-                        PlanNodeKind::CsiScan {
-                            table: *table,
-                            part: *part,
-                            index: *index,
-                            intervals: intervals.clone(),
-                            dop: 1,
-                        },
-                        cols.iter()
-                            .map(|&c| crate::plan::PlanCol::Base(*table, c))
-                            .collect(),
-                        cols.iter()
-                            .map(|&c| t.schema().columns()[c].dtype)
-                            .collect(),
-                        node.est_rows,
-                    );
-                    let c = self.lower_scan(&scan, true)?;
-                    let specs = aggs
-                        .iter()
-                        .map(|a| {
-                            let pos = cols
-                                .iter()
-                                .position(|&c| c == a.input)
-                                .expect("cols was built from aggs");
-                            AggSpec::new(a.func, pos)
-                        })
-                        .collect();
-                    return Ok(Box::new(HashAggOp::new(c, Vec::new(), specs)));
-                }
                 let index = self.index(*table, *part, *index)?;
                 let csi = index.csi()?;
                 // No residual filter exists above this node, so every
@@ -607,32 +384,61 @@ impl<'a> QueryRunner<'a> {
                     .collect::<Result<Vec<_>>>()?;
                 Ok(Box::new(CsiAggOp::new(csi, pushed, csi_intervals)))
             }
+            PlanNodeKind::Snapshot { child, table, part } => {
+                let c = self.lower(child)?;
+                let Some(overlay) = self.overlays.get(table) else {
+                    return Ok(c);
+                };
+                let t = self.table(*table)?;
+                // The child's columns as table ordinals: the overlay's rows
+                // are whole table rows.
+                let ords: Vec<usize> = (child.out_cols.iter())
+                    .map(|col| match col {
+                        PlanCol::Base(ti, c) if ti == table => Ok(*c),
+                        _ => Err(HpdError::Internal(
+                            "a snapshot reads its own table's columns".into(),
+                        )),
+                    })
+                    .collect::<Result<_>>()?;
+                let pk_pos = (t.pk().iter())
+                    .map(|k| {
+                        (ords.iter().position(|c| c == k))
+                            .ok_or_else(|| HpdError::Internal("snapshot input lacks the pk".into()))
+                    })
+                    .collect::<Result<_>>()?;
+                // An old version surfaces once: under the part that owns it.
+                // Hiding a key of another part's rows is harmless.
+                let added = (overlay.added.iter())
+                    .filter(|r| t.route_row(r) == *part)
+                    .map(|r| r.project(&ords))
+                    .collect();
+                Ok(Box::new(OverlayOp {
+                    child: c,
+                    types: child.out_types.clone(),
+                    pk_pos,
+                    removed: overlay.removed.clone(),
+                    added: Some(added),
+                }))
+            }
             PlanNodeKind::Filter { child, predicate } => {
                 // Push the filter into parallel scan workers so predicate
-                // CPU parallelizes like the scan itself (not when a snapshot
-                // overlay must be applied once above the gather).
+                // CPU parallelizes like the scan itself.
                 let dop = child.scan().map_or(1, |(.., dop)| dop);
-                if dop > 1 && self.overlay_for(child).is_none() {
-                    let parts = self.scan_partitions(child, &child.out_cols)?;
+                if dop > 1 {
                     // All partitions of the scan report into the scan node's
                     // single stats cell, pre-filter, so actual rows reflect
                     // what the scan produced.
-                    let workers: Vec<ExecNode<'a>> = parts
-                        .into_iter()
+                    let workers: Vec<ExecNode<'a>> = (self.scan_partitions(child)?.into_iter())
                         .map(|p| {
                             let p = self.wrap_node(child, p);
-                            Box::new(FilterOp::new(p, predicate.clone(), exec_mode(node)))
+                            Box::new(FilterOp::new(p, predicate.clone(), node.mode()))
                                 as ExecNode<'a>
                         })
                         .collect();
                     return Ok(gather(workers, dop));
                 }
                 let c = self.lower(child)?;
-                Ok(Box::new(FilterOp::new(
-                    c,
-                    predicate.clone(),
-                    exec_mode(node),
-                )))
+                Ok(Box::new(FilterOp::new(c, predicate.clone(), node.mode())))
             }
             PlanNodeKind::Project { child, exprs } => {
                 let c = self.lower(child)?;
@@ -640,7 +446,7 @@ impl<'a> QueryRunner<'a> {
                     c,
                     exprs.clone(),
                     node.out_types.clone(),
-                    exec_mode(node),
+                    node.mode(),
                 )))
             }
             PlanNodeKind::PkLookup {
@@ -649,40 +455,21 @@ impl<'a> QueryRunner<'a> {
                 part,
                 locator,
             } => {
-                // Suppress the child scan's overlay: the lookup re-fetches
-                // rows from the primary tree, so the snapshot correction
-                // must wrap the *lookup output* (full rows) instead.
-                let overlay = self
-                    .overlays
-                    .get(table)
-                    .filter(|o| !o.is_empty())
-                    .map(|o| self.restrict_overlay(o, *table, *part));
-                let c = if child.scan().is_some() {
-                    self.wrap_node(child, self.lower_scan(child, false)?)
-                } else {
-                    self.lower(child)?
-                };
-                let t = self.table(*table)?;
+                let c = self.lower(child)?;
                 let tree = self.index(*table, *part, IndexId::PRIMARY)?.btree()?;
-                let payload_types: Vec<DataType> =
-                    t.schema().columns().iter().map(|c| c.dtype).collect();
+                let payload_types: Vec<DataType> = (self.table(*table)?.schema().columns().iter())
+                    .map(|c| c.dtype)
+                    .collect();
                 let child_arity = child.out_types.len();
+                let ords: Vec<usize> = (child_arity..child_arity + payload_types.len()).collect();
                 let join: ExecNode<'a> = Box::new(IndexLookupJoinOp::new(
                     c,
                     tree,
                     locator.clone(),
-                    payload_types.clone(),
+                    payload_types,
                 ));
                 // Drop the secondary-index prefix, keep the full rows.
-                let ords: Vec<usize> = (child_arity..child_arity + payload_types.len()).collect();
-                let full: ExecNode<'a> = Box::new(ProjectOp::columns(join, &ords, exec_mode(node)));
-                match overlay {
-                    Some(ov) => {
-                        let all: Vec<usize> = (0..t.schema().len()).collect();
-                        self.wrap_overlay(full, *table, &all, payload_types, &ov)
-                    }
-                    None => Ok(full),
-                }
+                Ok(Box::new(ProjectOp::columns(join, &ords, node.mode())))
             }
             PlanNodeKind::HashAgg { child, group, aggs } => {
                 let c = self.lower(child)?;
@@ -732,37 +519,7 @@ impl<'a> QueryRunner<'a> {
                         "IndexNLJoin over an inner table of several parts".into(),
                     ));
                 }
-                let outer_arity = outer.out_types.len();
-                let payload_types: Vec<DataType> = node.out_types[outer_arity..].to_vec();
-                // Seeks would read the live index past a snapshot: join on
-                // the overlay-corrected scan of that index instead, built on
-                // it, which gives an outer row its inner rows in key order.
-                if self.overlays.get(table).is_some_and(|o| !o.is_empty()) {
-                    let scan = PlanNode::new(
-                        PlanNodeKind::BTreeScan {
-                            table: *table,
-                            part: 0,
-                            index: *index,
-                            dop: 1,
-                        },
-                        node.out_cols[outer_arity..].to_vec(),
-                        payload_types,
-                        node.est_rows,
-                    );
-                    let keys = self.index(*table, 0, *index)?.descriptor().keys();
-                    let on = outer_key
-                        .iter()
-                        .zip(keys)
-                        .map(|(&o, &k)| {
-                            let inner = scan.find_col(*table, k).ok_or_else(|| {
-                                HpdError::Internal("index key missing from its scan".into())
-                            })?;
-                            Ok((o, inner))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    let inner = self.lower_scan(&scan, true)?;
-                    return Ok(Box::new(HashJoinOp::new(o, inner, on)));
-                }
+                let payload_types = node.out_types[outer.out_types.len()..].to_vec();
                 let tree = self.index(*table, 0, *index)?.btree()?;
                 Ok(Box::new(IndexLookupJoinOp::new(
                     o,
@@ -822,14 +579,6 @@ impl Operator for OverlayOp<'_> {
 fn scan_of(node: &PlanNode) -> Result<(usize, usize, IndexId, usize)> {
     node.scan()
         .ok_or_else(|| HpdError::Internal("not a scan node".into()))
-}
-
-/// The executor's mode for `node`'s operators: the one its plan node holds.
-fn exec_mode(node: &PlanNode) -> Mode {
-    match node.mode() {
-        PlanMode::Row => Mode::Row,
-        PlanMode::Batch => Mode::Batch,
-    }
 }
 
 /// Wrap partitions in a ParallelOp running at most `dop` of them at once

@@ -47,6 +47,10 @@ pub struct TableContext {
     /// Per-part facts, parallel to the table's parts and never empty: an
     /// unpartitioned table is one part holding every row.
     pub parts: Vec<PartInfo>,
+    /// Whether the reader's snapshot has rows to correct in this table:
+    /// rows another transaction rewrote after it began. Every access path
+    /// then reads through a [`PlanNodeKind::Snapshot`].
+    pub snapshot_overlay: bool,
 }
 
 impl TableContext {
@@ -66,6 +70,7 @@ impl TableContext {
             stats,
             partitioning: None,
             parts: vec![PartInfo { rows, metas }],
+            snapshot_overlay: false,
         }
     }
 
@@ -260,7 +265,9 @@ impl Optimizer {
     }
 
     /// Every access path through the indexes of part `part`, each scan
-    /// leaf fanning out at most `dop_cap` ways.
+    /// leaf fanning out at most `dop_cap` ways. On a table the snapshot has
+    /// rows to correct in, each one reads through a
+    /// [`PlanNodeKind::Snapshot`] and so claims no order.
     fn part_options(
         &self,
         ti: usize,
@@ -343,7 +350,32 @@ impl Optimizer {
                 }
             }
         }
-        options
+        if !ctx.snapshot_overlay {
+            return options;
+        }
+        (options.into_iter())
+            .map(|opt| AccessOption {
+                node: self.snapshot(opt.node, ti, part),
+                order: Vec::new(),
+            })
+            .collect()
+    }
+
+    /// `child` as the snapshot reads it: a pass over its rows probing the
+    /// keys rewritten since, with the old versions appended.
+    fn snapshot(&self, child: PlanNode, ti: usize, part: usize) -> PlanNode {
+        let (out_cols, out_types) = (child.out_cols.clone(), child.out_types.clone());
+        let rows = child.est_rows;
+        let kind = PlanNodeKind::Snapshot {
+            child: Box::new(child),
+            table: ti,
+            part,
+        };
+        PlanNode::new(kind, out_cols, out_types, rows).with_cost(
+            rows * self.cost.cpu_hash_us,
+            0.0,
+            0.0,
+        )
     }
 
     /// Union `parts` — identically shaped lanes, one per surviving part —
@@ -566,12 +598,17 @@ impl Optimizer {
         let Some(pred) = predicate else {
             return Ok(opt);
         };
-        let is_csi = matches!(opt.node.kind, PlanNodeKind::CsiScan { .. });
+        let (leaf, snapshot) = match &opt.node.kind {
+            PlanNodeKind::Snapshot { child, .. } => (&**child, true),
+            _ => (&opt.node, false),
+        };
+        let is_csi = matches!(leaf.kind, PlanNodeKind::CsiScan { .. });
         // The columnstore scan applies every pushed-down interval exactly
         // (encoded-domain kernels with a value-comparison fallback), so a
         // predicate that is nothing but those intervals needs no residual
-        // filter node at all.
-        if is_csi && pred.covered_by_intervals() {
+        // filter node at all — unless a snapshot appends old versions above
+        // the scan, which only the filter checks.
+        if is_csi && !snapshot && pred.covered_by_intervals() {
             return Ok(opt);
         }
         let bound = bind_expr(pred, ti, &opt.node)?;
@@ -610,7 +647,9 @@ impl Optimizer {
         extra_needed: &[usize],
     ) -> Result<Vec<AccessOption>> {
         let mut needed = query.referenced_columns(ti);
-        for &c in extra_needed {
+        // A snapshot correction finds rewritten rows by their primary key.
+        let pk = ctx.pk.iter().filter(|_| ctx.snapshot_overlay);
+        for &c in extra_needed.iter().chain(pk) {
             if !needed.contains(&c) {
                 needed.push(c);
             }
@@ -635,16 +674,10 @@ impl Optimizer {
     // ------------------------------------------------------------------
 
     fn plan_single_table(&self, query: &SelectQuery, tables: &[TableContext]) -> Result<PlanNode> {
-        let options = self.best_table_plan(query, 0, &tables[0], &[])?;
-        let mut best: Option<(f64, PlanNode)> = None;
-        for opt in options {
-            let node = self.add_agg_and_order(opt, query, tables)?;
-            let elapsed = self.node_cost(&node);
-            if best.as_ref().is_none_or(|(c, _)| elapsed < *c) {
-                best = Some((elapsed, node));
-            }
-        }
-        Ok(best.expect("at least one option").1)
+        let plans = (self.best_table_plan(query, 0, &tables[0], &[])?.into_iter())
+            .map(|opt| self.add_agg_and_order(opt, query, tables))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.cheapest(plans, |n| n).expect("at least one option"))
     }
 
     /// Attach aggregation / projection / sort / limit to a chosen access
@@ -706,8 +739,9 @@ impl Optimizer {
     /// Returns `None` when the shape doesn't allow it — grouped or
     /// multi-table aggregates, computed aggregate inputs, a residual
     /// filter on top of the scan (the predicate isn't fully covered by
-    /// intervals), or SUM/AVG over a string column (the row path reports
-    /// the proper query error for those).
+    /// intervals) or a [`PlanNodeKind::Snapshot`] (the fold would count the
+    /// rows it hides and miss the ones it adds), or SUM/AVG over a string
+    /// column (the row path reports the proper query error for those).
     fn try_csi_agg(
         &self,
         node: &PlanNode,
@@ -1036,17 +1070,21 @@ impl Optimizer {
             }
 
             // Choose the candidate + join method with the lowest added cost.
-            let mut best: Option<(f64, PlanNode, usize)> = None;
-            for &next in &candidates {
-                let join_keys = join_keys_between(query, &joined, next);
-                let node =
-                    self.join_candidate(query, tables, &current, next, &join_keys, &best_single)?;
-                let cost = self.node_cost(&node);
-                if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                    best = Some((cost, node, next));
-                }
-            }
-            let (_, node, next) = best.expect("candidate list non-empty");
+            let joins = (candidates.iter())
+                .map(|&next| {
+                    let join_keys = join_keys_between(query, &joined, next);
+                    let node = self.join_candidate(
+                        query,
+                        tables,
+                        &current,
+                        next,
+                        &join_keys,
+                        &best_single,
+                    )?;
+                    Ok((node, next))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let (node, next) = self.cheapest(joins, |(n, _)| n).expect("a candidate");
             current = node;
             joined.push(next);
         }
@@ -1141,10 +1179,11 @@ impl Optimizer {
             .iter()
             .map(|(l, r)| if l.table == next { l.column } else { r.column })
             .collect();
-        // Only a one-part inner has a single index to probe per outer row;
-        // hash join covers the rest.
+        // Only a one-part inner has a single index to probe per outer row,
+        // and only one the snapshot has no rows to correct in: a seek reads
+        // the live index. A hash join covers the rest.
         let inner_metas: &[IndexMeta] = match ctx.parts.as_slice() {
-            [only] => &only.metas,
+            [only] if !ctx.snapshot_overlay => &only.metas,
             _ => &[],
         };
         for (idx, meta) in inner_metas.iter().enumerate() {

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use hpd_common::{AggFunc, DataType, Expr, Interval, Key};
-use hpd_exec::JoinSide;
+use hpd_exec::{JoinSide, Mode};
 
 use crate::design::IndexId;
 
@@ -42,15 +42,6 @@ pub struct PlanAgg {
     pub func: AggFunc,
     /// Child output ordinal holding the aggregate input.
     pub input: usize,
-}
-
-/// A node's execution mode, mirrored onto the executor's operators: row
-/// mode evaluates tuple at a time, batch mode vectorized. Decided once, by
-/// [`PlanNode::new`], from the node's kind and its inputs' modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
-    Row,
-    Batch,
 }
 
 /// Scalar expression bound to child output ordinals.
@@ -116,6 +107,18 @@ pub enum PlanNodeKind {
         /// lanes run at once, and each lane's leaves get `dop / lanes`.
         dop: usize,
     },
+    /// A snapshot reader's view of what `child` reads from part `part`:
+    /// rows rewritten after the snapshot are dropped by primary key (which
+    /// the child outputs) and their old versions that the part owns are
+    /// appended, projected to the child's columns. It wraps an access path
+    /// of a table the snapshot has rows to correct in (a scan leaf, or a
+    /// lookup above its secondary seek): a residual filter above it checks
+    /// the appended rows, and it keeps no order.
+    Snapshot {
+        child: Box<PlanNode>,
+        table: usize,
+        part: usize,
+    },
     /// Fetch full rows from the primary B+ tree of `part` using the
     /// primary-key locator carried in the child's output.
     PkLookup {
@@ -172,7 +175,7 @@ pub enum PlanNodeKind {
 pub struct PlanNode {
     pub kind: PlanNodeKind,
     /// Set by [`PlanNode::new`] and read through [`PlanNode::mode`].
-    mode: PlanMode,
+    mode: Mode,
     pub out_cols: Vec<PlanCol>,
     pub out_types: Vec<DataType>,
     pub est_rows: f64,
@@ -194,14 +197,15 @@ impl PlanNode {
     /// index nested-loop join row mode; a gather is batch mode when every
     /// lane is; a hash join is batch mode when either input is, so the
     /// operators above a star join over a columnstore stay vectorized; every
-    /// other node takes its input's mode.
+    /// other node takes its input's mode. The executor's operators run in
+    /// the mode their node holds.
     pub fn new(
         kind: PlanNodeKind,
         out_cols: Vec<PlanCol>,
         out_types: Vec<DataType>,
         est_rows: f64,
     ) -> PlanNode {
-        use PlanMode::{Batch, Row};
+        use Mode::{Batch, Row};
         let mode = match &kind {
             PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. } => Batch,
             PlanNodeKind::BTreeSeek { .. }
@@ -219,7 +223,8 @@ impl PlanNode {
                 Batch
             }
             PlanNodeKind::PartitionedScan { .. } | PlanNodeKind::HashJoin { .. } => Row,
-            PlanNodeKind::Filter { child, .. }
+            PlanNodeKind::Snapshot { child, .. }
+            | PlanNodeKind::Filter { child, .. }
             | PlanNodeKind::Project { child, .. }
             | PlanNodeKind::HashAgg { child, .. }
             | PlanNodeKind::StreamAgg { child, .. }
@@ -248,7 +253,7 @@ impl PlanNode {
     }
 
     /// The mode this node runs in (see [`PlanNode::new`]).
-    pub fn mode(&self) -> PlanMode {
+    pub fn mode(&self) -> Mode {
         self.mode
     }
 
@@ -314,6 +319,7 @@ impl PlanNode {
             PlanNodeKind::CsiScan { .. } => "CsiScan",
             PlanNodeKind::CsiAgg { .. } => "CsiAgg",
             PlanNodeKind::PartitionedScan { .. } => "PartitionedScan",
+            PlanNodeKind::Snapshot { .. } => "Snapshot",
             PlanNodeKind::PkLookup { .. } => "PkLookup",
             PlanNodeKind::Filter { .. } => "Filter",
             PlanNodeKind::Project { .. } => "Project",
@@ -434,7 +440,8 @@ impl PlanNode {
             | PlanNodeKind::CsiScan { .. }
             | PlanNodeKind::CsiAgg { .. } => (None, None, &[]),
             PlanNodeKind::PartitionedScan { parts, .. } => (None, None, parts),
-            PlanNodeKind::PkLookup { child, .. }
+            PlanNodeKind::Snapshot { child, .. }
+            | PlanNodeKind::PkLookup { child, .. }
             | PlanNodeKind::Filter { child, .. }
             | PlanNodeKind::Project { child, .. }
             | PlanNodeKind::HashAgg { child, .. }
@@ -455,7 +462,8 @@ impl PlanNode {
             | PlanNodeKind::CsiScan { .. }
             | PlanNodeKind::CsiAgg { .. } => Vec::new(),
             PlanNodeKind::PartitionedScan { parts, .. } => parts.iter_mut().collect(),
-            PlanNodeKind::PkLookup { child, .. }
+            PlanNodeKind::Snapshot { child, .. }
+            | PlanNodeKind::PkLookup { child, .. }
             | PlanNodeKind::Filter { child, .. }
             | PlanNodeKind::Project { child, .. }
             | PlanNodeKind::HashAgg { child, .. }
@@ -539,6 +547,9 @@ impl PlanNode {
                 total,
                 pruned
             ),
+            PlanNodeKind::Snapshot { table, part, .. } => {
+                format!("Snapshot {}", tpart(table, part))
+            }
             PlanNodeKind::PkLookup { table, part, .. } => {
                 format!("PkLookup {}", tpart(table, part))
             }
@@ -649,7 +660,7 @@ mod tests {
     use super::*;
     use crate::catalog::{Database, DbConfig};
     use crate::design::IndexDescriptor;
-    use crate::executor::QueryRunner;
+    use crate::executor::{QueryRunner, TableOverlay};
 
     const ROWS: i32 = 1_000;
     /// `p`'s first partition holds the ids below this.
@@ -705,8 +716,9 @@ mod tests {
 
     /// A plan holding every [`PlanNodeKind`] that runs against
     /// [`database`] and returns one row, `ROWS`: the count of `c` through a
-    /// columnstore scan, through the encoded fold and through an index
-    /// nested-loop join from both lanes of `p`, joined on each other.
+    /// snapshot of a columnstore scan, through the encoded fold and through
+    /// an index nested-loop join from both lanes of `p`, joined on each
+    /// other.
     fn every_kind() -> PhysicalPlan {
         let (p, c) = (0, 1);
         let count_of = |child: PlanNode| PlanNodeKind::StreamAgg {
@@ -794,7 +806,15 @@ mod tests {
             },
             base(c, &[0]),
         );
-        let through_scan = node(count_of(csi_scan), int64());
+        let snapshot = node(
+            PlanNodeKind::Snapshot {
+                child: Box::new(csi_scan),
+                table: c,
+                part: 0,
+            },
+            base(c, &[0]),
+        );
+        let through_scan = node(count_of(snapshot), int64());
         let through_fold = node(
             PlanNodeKind::CsiAgg {
                 table: c,
@@ -864,7 +884,7 @@ mod tests {
         let plan = every_kind();
         let walked: Vec<(usize, &PlanNode)> = plan.root.walk().collect();
         let kinds: BTreeSet<&str> = walked.iter().map(|(_, n)| n.kind_name()).collect();
-        assert_eq!(kinds.len(), 14, "every kind: {kinds:?}");
+        assert_eq!(kinds.len(), 15, "every kind: {kinds:?}");
         // Pre-order: a node, then its children's subtrees, left before right
         // and lanes in order.
         let shape: Vec<(usize, &str)> = (walked.iter())
@@ -879,7 +899,8 @@ mod tests {
                 (3, "HashJoin"),
                 (4, "HashJoin"),
                 (5, "StreamAgg"),
-                (6, "CsiScan"),
+                (6, "Snapshot"),
+                (7, "CsiScan"),
                 (5, "CsiAgg"),
                 (4, "HashAgg"),
                 (5, "Filter"),
@@ -901,10 +922,18 @@ mod tests {
         }
 
         let db = database();
+        // The snapshot of `c` hides one row and shows an older version of
+        // it: the count stays `ROWS`.
+        let old = Row::new(vec![Value::Int32(5), Value::Int32(-1)]);
+        let overlay = TableOverlay {
+            removed: [old.key(&[0])].into(),
+            added: vec![old],
+        };
         let run = db
             .with_table("p", |p| {
                 db.with_table("c", |c| {
                     QueryRunner::new(vec![p, c], db.pool(), 64 << 20)
+                        .with_overlays(HashMap::from([(1, overlay)]))
                         .with_profile()
                         .run(&plan)
                 })

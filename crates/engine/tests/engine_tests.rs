@@ -845,6 +845,161 @@ fn snapshot_overlay_rows_respect_pushed_down_intervals() {
     reader.abort();
 }
 
+/// A snapshot read that has a rewritten row to correct runs the plan it
+/// reports: the correction is a `Snapshot` node the optimizer placed, so
+/// no encoded fold or index nested-loop join is named that never ran.
+#[test]
+fn snapshot_reads_run_the_plan_they_report() {
+    let db = Arc::new(small_rowgroup_db());
+    setup_table(&db, IndexDescriptor::PrimaryCsi, 1000);
+    // `d(id, v)` behind a B+ tree primary, probed per row of `t`'s ids 0..4.
+    let schema = Schema::from_pairs(&[("id", DataType::Int32), ("v", DataType::Int32)]);
+    db.create_table("d", schema, vec![0], btree_primary())
+        .unwrap();
+    let d_rows = (0..20_000).map(|i| Row::new(vec![Value::Int32(i), Value::Int32(i * 10)]));
+    db.load_table("d", d_rows.collect()).unwrap();
+    let totals = SelectQuery {
+        tables: vec![TableInput::new("t")],
+        aggregates: vec![
+            AggItem::column(AggFunc::Sum, ColRef::new(0, 2)),
+            AggItem::column(AggFunc::Count, ColRef::new(0, 0)),
+        ],
+        ..Default::default()
+    };
+    let join = SelectQuery {
+        tables: vec![
+            TableInput::with_predicate("t", Expr::col_cmp(0, CmpOp::Lt, Value::Int32(4))),
+            TableInput::new("d"),
+        ],
+        joins: vec![EquiJoin {
+            left: ColRef::new(0, 0),
+            right: ColRef::new(1, 0),
+        }],
+        select: vec![ColRef::new(0, 0), ColRef::new(1, 1)],
+        order_by: vec![(0, true)],
+        ..Default::default()
+    };
+    // Nothing to correct: the fold and the seeks are the cheapest.
+    assert!(db.plan(&totals).unwrap().explain().contains("CsiAgg"));
+    let explain = db.plan(&join).unwrap().explain();
+    assert!(explain.contains("IndexNLJoin inner=d"), "{explain}");
+
+    let si = db.session(IsolationLevel::Snapshot);
+    let mut reader = si.begin();
+    let old_totals = reader.select(&totals).unwrap().rows;
+    let old_join = reader.select(&join).unwrap().rows;
+    let old_sum: i64 = (0..1000i64).map(|i| i * 3 % 1000).sum();
+    assert_eq!(old_totals[0][0], Value::Int64(old_sum));
+    let rc = db.session(IsolationLevel::ReadCommitted);
+    // Rewrite `t`'s val and `d`'s v of one row each.
+    for (table, id, col) in [("t", 7, 2), ("d", 2, 1)] {
+        rc.run(&Statement::Update(UpdateStmt {
+            table: table.into(),
+            predicate: Expr::col_cmp(0, CmpOp::Eq, Value::Int32(id)),
+            top: None,
+            set: vec![(col, Expr::lit(Value::Int32(-1)))],
+        }))
+        .unwrap();
+    }
+    let now = rc.run(&Statement::Select(totals.clone())).unwrap().rows;
+    assert_eq!(now[0][0], Value::Int64(old_sum - 21 - 1));
+
+    let run = reader.select_analyzed(&totals).unwrap();
+    let report = run.analyze.expect("analyzed");
+    let labels: Vec<(usize, &str)> = (report.nodes.iter())
+        .map(|n| (n.depth, n.label.as_str()))
+        .collect();
+    let snapshot = (labels.iter())
+        .position(|(_, l)| l.starts_with("Snapshot t"))
+        .unwrap_or_else(|| panic!("no Snapshot node: {}", report.render()));
+    let (depth, scan) = labels[snapshot + 1];
+    assert!(
+        depth == labels[snapshot].0 + 1 && scan.starts_with("CsiScan t"),
+        "{}",
+        report.render()
+    );
+    assert!(
+        labels.iter().all(|(_, l)| !l.starts_with("CsiAgg")),
+        "{}",
+        report.render()
+    );
+    assert_eq!(run.metrics.io.counted(Work::AggPushdownRowgroups), 0);
+    assert_eq!(run.rows, old_totals);
+
+    let run = reader.select_analyzed(&join).unwrap();
+    let report = run.analyze.expect("analyzed");
+    assert!(
+        (report.nodes.iter()).all(|n| !n.label.starts_with("IndexNLJoin")),
+        "{}",
+        report.render()
+    );
+    assert_eq!(run.rows, old_join);
+    assert_eq!(old_join[2].values(), [Value::Int32(2), Value::Int32(20)]);
+    reader.abort();
+}
+
+/// The lanes of a parallel columnstore scan share one anti-join probe of
+/// the buffered deletes, and its page reads are the statement's: at DOP 4
+/// the scan reads what it reads at DOP 1.
+#[test]
+fn a_parallel_csi_scan_counts_its_delete_buffer_probe() {
+    use hpd_engine::plan::{PhysicalPlan, PlanCol, PlanNode, PlanTable};
+    use hpd_engine::{IndexId, QueryRunner};
+    let db = small_rowgroup_db();
+    setup_table(&db, btree_primary(), 4000);
+    db.create_index(
+        "t",
+        &IndexDescriptor::SecondaryCsi {
+            columns: vec![0, 2],
+        },
+    )
+    .unwrap();
+    db.query(&Statement::Delete(DeleteStmt {
+        table: "t".into(),
+        predicate: Expr::col_cmp(0, CmpOp::Lt, Value::Int32(500)),
+        top: None,
+    }))
+    .run()
+    .unwrap();
+    let metas = db.with_table("t", |t| t.part_metas(0)).unwrap();
+    assert!(metas[1].delete_buffer_rows > 0, "{metas:?}");
+    let reads = |dop: usize| {
+        let scan = PlanNode::new(
+            PlanNodeKind::CsiScan {
+                table: 0,
+                part: 0,
+                index: IndexId(1),
+                intervals: Default::default(),
+                dop,
+            },
+            vec![PlanCol::Base(0, 2)],
+            vec![DataType::Int32],
+            3500.0,
+        );
+        let plan = PhysicalPlan {
+            root: scan,
+            tables: vec![PlanTable {
+                name: "t".into(),
+                parts: 1,
+            }],
+            est_cost_us: 0.0,
+            est_cpu_us: 0.0,
+        };
+        let run = db
+            .with_table("t", |t| {
+                QueryRunner::new(vec![t], db.pool(), 64 << 20).run(&plan)
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(run.rows.len(), 3500);
+        assert_eq!(run.metrics.io.counted(Work::ScanLanes), dop as u64);
+        run.metrics.io.logical_reads
+    };
+    // Warm the segment cache, then compare.
+    reads(1);
+    assert_eq!(reads(4), reads(1));
+}
+
 #[test]
 fn snapshot_write_write_conflict_fails() {
     let db = db();

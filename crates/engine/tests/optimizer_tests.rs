@@ -397,7 +397,8 @@ fn find_leaf(node: &hpd_engine::plan::PlanNode) -> Option<PlanNodeKind> {
         | PlanNodeKind::CsiScan { .. }
         | PlanNodeKind::CsiAgg { .. } => Some(node.kind.clone()),
         PlanNodeKind::PartitionedScan { parts, .. } => parts.first().and_then(find_leaf),
-        PlanNodeKind::PkLookup { child, .. }
+        PlanNodeKind::Snapshot { child, .. }
+        | PlanNodeKind::PkLookup { child, .. }
         | PlanNodeKind::Filter { child, .. }
         | PlanNodeKind::Project { child, .. }
         | PlanNodeKind::HashAgg { child, .. }

@@ -1,12 +1,11 @@
 //! Access-path operators: B+ tree range scans (row mode), columnstore scans
 //! (batch mode), and an in-memory values source.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 use hpd_btree::{BTree, Cursor};
-use hpd_columnstore::{ColumnStoreIndex, CsiScan};
+use hpd_columnstore::{ColumnStoreIndex, CsiScan, SharedProbe};
 use hpd_common::{Batch, DataType, Interval, Key, Result, Row};
 use hpd_storage::Work;
 
@@ -139,19 +138,19 @@ impl<'a> CsiScanOp<'a> {
         intervals: HashMap<usize, Interval>,
     ) -> CsiScanOp<'a> {
         let all: Vec<usize> = (0..index.num_rowgroups()).collect();
-        CsiScanOp::over_rowgroups(index, all, projection, intervals, true, None)
+        CsiScanOp::over_rowgroups(index, all, projection, intervals, true, Default::default())
     }
 
     /// Scan a specific row-group subset — the unit of parallel partitioning.
-    /// A shared probe (the result of [`ColumnStoreIndex::antijoin_probe`])
-    /// saves each scan building its own on first pull.
+    /// The scans of one index share `probe`: whichever pulls first builds
+    /// it, into the statement's tracker.
     pub fn over_rowgroups(
         index: &'a ColumnStoreIndex,
         rowgroups: Vec<usize>,
         projection: Vec<usize>,
         intervals: HashMap<usize, Interval>,
         include_delta: bool,
-        probe: Option<Arc<HashSet<Key>>>,
+        probe: SharedProbe,
     ) -> CsiScanOp<'a> {
         let types = projection
             .iter()

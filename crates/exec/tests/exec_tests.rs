@@ -418,7 +418,7 @@ fn parallel_csi_scan_equals_serial() {
                     vec![0],
                     HashMap::new(),
                     w == 0, // only one worker scans the delta
-                    None,
+                    Default::default(),
                 )) as Box<dyn Operator + '_>
             })
             .collect()

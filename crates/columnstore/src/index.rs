@@ -25,7 +25,7 @@ use hpd_storage::{BufferPool, IoTracker, StorageAllocator, Work};
 
 use crate::cache::SegmentCache;
 use crate::delta::DeltaStore;
-use crate::encoding::IntEncoding;
+use crate::encoding::{IntEncoding, FOR_DELTA_FRAME};
 use crate::rowgroup::{RowGroup, SortMode};
 use crate::segment::Segment;
 
@@ -1505,6 +1505,7 @@ impl ColumnStoreIndex {
             antijoin: probe,
             delta,
             fill_cache: true,
+            open: None,
         }
     }
 
@@ -1532,6 +1533,15 @@ impl ColumnStoreIndex {
 /// share: the first of them to pull builds it, against its own tracker.
 pub type SharedProbe = Arc<OnceLock<Option<HashSet<Key>>>>;
 
+/// The most rows a scan batch holds: a surviving row group, and the delta
+/// store, leave the scan cut into batches of this size. A multiple of the
+/// 64-row selection words and of [`FOR_DELTA_FRAME`], and small enough that
+/// the operators above a scan work on a few cache-sized vectors at a time
+/// instead of a whole row group's.
+pub const SCAN_BATCH_ROWS: usize = 4096;
+const _: () =
+    assert!(SCAN_BATCH_ROWS.is_multiple_of(64) && SCAN_BATCH_ROWS.is_multiple_of(FOR_DELTA_FRAME));
+
 /// Sequential scan state over a [`ColumnStoreIndex`].
 pub struct CsiScan<'a> {
     index: &'a ColumnStoreIndex,
@@ -1544,6 +1554,50 @@ pub struct CsiScan<'a> {
     /// Whether a whole row group's decode is kept in the decoded-segment
     /// cache.
     fill_cache: bool,
+    /// The row group (or the delta store) whose rows are being cut into
+    /// batches.
+    open: Option<Open<'a>>,
+}
+
+/// The surviving rows of one row group, or the delta store's, not yet
+/// handed out: each projected column as a whole decode or as its segment,
+/// and which of its rows survived.
+struct Open<'a> {
+    columns: Vec<Source<'a>>,
+    /// Surviving positions, ascending; `None` when every row survived.
+    positions: Option<Vec<usize>>,
+    rows: usize,
+    /// Rows handed out so far.
+    at: usize,
+}
+
+enum Source<'a> {
+    /// The whole column decoded: the cache's own `Arc`, or a decode of this
+    /// scan's.
+    Decoded(Arc<ColumnVector>),
+    /// Left encoded; each batch gathers its positions.
+    Encoded(&'a Segment),
+}
+
+impl Open<'_> {
+    /// The next at most [`SCAN_BATCH_ROWS`] rows, or `None` when all are out.
+    fn cut(&mut self) -> Option<Batch> {
+        if self.at == self.rows {
+            return None;
+        }
+        let range = self.at..(self.at + SCAN_BATCH_ROWS).min(self.rows);
+        self.at = range.end;
+        let positions = self.positions.as_ref().map(|p| &p[range.clone()]);
+        let columns = (self.columns.iter())
+            .map(|source| match (source, positions) {
+                (Source::Decoded(col), None) => col.slice(range.clone()),
+                (Source::Decoded(col), Some(at)) => col.take(at),
+                // Only a sparse row group's columns are left encoded.
+                (Source::Encoded(seg), at) => seg.gather(at.expect("a sparse row group")),
+            })
+            .collect();
+        Some(Batch::new(columns))
+    }
 }
 
 impl<'a> CsiScan<'a> {
@@ -1558,39 +1612,50 @@ impl<'a> CsiScan<'a> {
         }
     }
 
-    /// Next batch (one per surviving row group, then one for the delta).
-    /// `None` when exhausted. Eliminated row groups are skipped silently.
+    /// Next batch of at most [`SCAN_BATCH_ROWS`] rows: the surviving row
+    /// groups' rows in order, then the delta store's. `None` when
+    /// exhausted. Eliminated row groups are skipped silently.
     pub fn next_batch(&mut self, pool: &BufferPool, tracker: &IoTracker) -> Option<Batch> {
         self.antijoin
             .get_or_init(|| self.index.antijoin_probe(pool, tracker));
-        while let Some(rg) = self.rowgroups.next() {
-            if let Some(batch) = self.scan_rowgroup(rg, pool, tracker) {
+        loop {
+            if let Some(batch) = self.open.as_mut().and_then(Open::cut) {
                 return Some(batch);
             }
+            self.open = match self.rowgroups.next() {
+                Some(rg) => self.open_rowgroup(rg, pool, tracker),
+                None if std::mem::take(&mut self.delta) && self.index.delta_rows() > 0 => {
+                    let batch =
+                        (self.index).scan_delta(&self.projection, &self.intervals, pool, tracker);
+                    Some(Open {
+                        rows: batch.num_rows(),
+                        columns: (batch.into_columns().into_iter())
+                            .map(|col| Source::Decoded(Arc::new(col)))
+                            .collect(),
+                        positions: None,
+                        at: 0,
+                    })
+                }
+                None => return None,
+            };
         }
-        if std::mem::take(&mut self.delta) && self.index.delta_rows() > 0 {
-            return Some(
-                self.index
-                    .scan_delta(&self.projection, &self.intervals, pool, tracker),
-            );
-        }
-        None
     }
 
-    /// Scan one row group with predicate pushdown and late materialization:
+    /// Open one row group with predicate pushdown and late materialization:
     /// every interval is evaluated **on the encoded segments** (falling back
     /// to materialized-value comparison only for untranslatable bound
     /// types), AND-ed into a packed selection bitmap seeded from the delete
     /// bitmap, and only the projected columns at *surviving* positions are
-    /// decoded. Returns `None` if the row group was eliminated or no row
-    /// survived. The output satisfies all `intervals` exactly, so a planner
-    /// whose predicate is fully covered by them needs no residual filter.
-    fn scan_rowgroup(
+    /// decoded, a batch at a time. Returns `None` if the row group was
+    /// eliminated or no row survived. The output satisfies all `intervals`
+    /// exactly, so a planner whose predicate is fully covered by them needs
+    /// no residual filter.
+    fn open_rowgroup(
         &self,
         rg_idx: usize,
         pool: &BufferPool,
         tracker: &IoTracker,
-    ) -> Option<Batch> {
+    ) -> Option<Open<'a>> {
         let index = self.index;
         let (sel, _) = index.rowgroup_selection(
             rg_idx,
@@ -1605,26 +1670,29 @@ impl<'a> CsiScan<'a> {
         if selected == 0 {
             return None;
         }
-        // Late materialization: decode projected columns at surviving
-        // positions only. Full survivals go through the decoded-segment
-        // cache (unless the scan is `once`); sparse ones gather. Either
-        // reuses a cached decode when present.
+        // The cache is asked once per segment here, whatever the number of
+        // batches. Full survivals go through it (unless the scan is `once`)
+        // and are sliced; sparse ones gather, from a cached decode when
+        // present.
         let full = selected == rg.rows();
-        let positions = if full { Vec::new() } else { sel.positions() };
-        let columns: Vec<ColumnVector> = (self.projection.iter())
+        let columns = (self.projection.iter())
             .map(|&c| {
                 let seg = rg.segment(c);
                 if full && self.fill_cache {
-                    return (*index.cache.get_or_decode(seg, tracker)).clone();
+                    return Source::Decoded(index.cache.get_or_decode(seg, tracker));
                 }
                 match (index.cache.peek(seg, tracker), full) {
-                    (Some(dec), true) => (*dec).clone(),
-                    (Some(dec), false) => dec.take(&positions),
-                    (None, true) => seg.decode(),
-                    (None, false) => seg.gather(&positions),
+                    (Some(dec), _) => Source::Decoded(dec),
+                    (None, true) => Source::Decoded(Arc::new(seg.decode())),
+                    (None, false) => Source::Encoded(seg),
                 }
             })
             .collect();
-        Some(Batch::new(columns))
+        Some(Open {
+            columns,
+            positions: (!full).then(|| sel.positions()),
+            rows: selected,
+            at: 0,
+        })
     }
 }

@@ -39,7 +39,7 @@ pub use delta::DeltaStore;
 pub use encoding::{encode_i64s, EncodedInts, IntEncoding, FOR_DELTA_FRAME, RLE_RUN_BYTES};
 pub use index::{
     ColumnStoreIndex, CsiBuilder, CsiConfig, CsiHeatReport, CsiKind, CsiMaintenanceStep, CsiScan,
-    PushdownAgg, RowGroupHeatSnapshot, RowgroupMerge, SharedProbe,
+    PushdownAgg, RowGroupHeatSnapshot, RowgroupMerge, SharedProbe, SCAN_BATCH_ROWS,
 };
 pub use kernels::Translated;
 pub use rowgroup::{RowGroup, SortMode};

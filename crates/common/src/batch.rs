@@ -140,6 +140,18 @@ impl ColumnVector {
         }
     }
 
+    /// New vector holding the rows in `range`, copied out of this one.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> ColumnVector {
+        match self {
+            ColumnVector::Int32(v) => ColumnVector::Int32(v[range].to_vec()),
+            ColumnVector::Int64(v) => ColumnVector::Int64(v[range].to_vec()),
+            ColumnVector::Float64(v) => ColumnVector::Float64(v[range].to_vec()),
+            ColumnVector::Decimal(v) => ColumnVector::Decimal(v[range].to_vec()),
+            ColumnVector::Date(v) => ColumnVector::Date(v[range].to_vec()),
+            ColumnVector::Str(v) => ColumnVector::Str(v[range].to_vec()),
+        }
+    }
+
     /// Split the rows from `at` on off into a vector of their own, as
     /// `Vec::split_off` does.
     pub fn split_off(&mut self, at: usize) -> ColumnVector {
@@ -339,6 +351,16 @@ impl Batch {
             rows: indices.len(),
         }
     }
+
+    /// The rows in `range`, copied out.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Batch {
+        Batch {
+            columns: (self.columns.iter())
+                .map(|c| c.slice(range.clone()))
+                .collect(),
+            rows: range.len(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -402,6 +424,8 @@ mod tests {
         assert_eq!(cv, ColumnVector::Int32(vec![1, 2, 3]));
         assert!(cv.append(&ColumnVector::Date(vec![4])).is_err());
         assert_eq!(sample().take(&[3, 0]).row(0), sample().row(3));
+        assert_eq!(sample().slice(1..3), sample().take(&[1, 2]));
+        assert_eq!(sample().slice(4..4).num_rows(), 0);
 
         let mut all = Batch::empty(&[DataType::Int32, DataType::Utf8]);
         all.append(sample()).unwrap();

@@ -498,11 +498,13 @@ fn a_star_join_builds_on_the_dimension_and_spills_nothing() {
     assert_eq!(sums, want);
     let report = r.analyze.unwrap();
     assert_eq!(report.spilled_bytes(), 0, "{}", report.render());
-    // The join's table is the grant's high-water mark: ten rows of 8 bytes
-    // and 48 of overhead each; the five groups after it take less.
+    // The join's table and the aggregate's groups are live together, since
+    // the join streams its probe into the aggregate: ten build rows of 8
+    // bytes and 48 of overhead each, and five groups of a 4-byte key and 48
+    // bytes for their one aggregate — the sum `est_memory_bytes` takes.
     assert_eq!(
         r.metrics.memory_peak_bytes,
-        10 * (8 + 48),
+        10 * (8 + 48) + 5 * (4 + 48),
         "{}",
         report.render()
     );

@@ -17,8 +17,8 @@ use crate::ctx::ExecCtx;
 /// Operators are composed into trees by the planner; `Box<dyn Operator + 'a>`
 /// is the plan node type (`'a` borrows the underlying index structures).
 /// Batch sizes are whatever is natural for the producer (a columnstore scan
-/// yields one batch per surviving row group; row-mode operators yield
-/// moderate fixed-size batches).
+/// yields at most `SCAN_BATCH_ROWS` rows a batch, a hash join a batch per
+/// matching probe batch, row-mode operators moderate fixed-size batches).
 pub trait Operator: Send {
     /// Output column types.
     fn out_types(&self) -> Vec<DataType>;

@@ -8,8 +8,9 @@
 //! shared [`WorkerPool`](crate::sched::WorkerPool), not raw spawns: the
 //! operator leases up to `min(sub-plans, DOP) - 1` extra threads and runs
 //! the sub-plans off a shared work queue, with the coordinating thread
-//! always participating as one lane. At DOP 1 it takes no lease and runs
-//! the sub-plans in order on the calling thread. When the pool is busy the
+//! always participating as one lane, and gathers their batches. At DOP 1 it
+//! takes no lease and pulls the sub-plans in order on the calling thread, a
+//! batch at a time, gathering nothing. When the pool is busy the
 //! lease comes back short — the same plan executes at a lower effective DOP
 //! (fully serial at zero) instead of oversubscribing the machine. Output
 //! batches are in sub-plan order whatever the effective DOP.
@@ -22,6 +23,7 @@
 //! DOP degradation shows up in modelled elapsed time exactly like it would
 //! on a loaded server.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -33,9 +35,11 @@ use crate::ops::{collect, Operator, PlanNode};
 
 /// Executes worker sub-plans concurrently and yields their output batches.
 pub struct ParallelOp<'a> {
-    workers: Vec<PlanNode<'a>>,
+    /// The sub-plans not yet exhausted (serially) or not yet started.
+    workers: VecDeque<PlanNode<'a>>,
     dop: usize,
     types: Vec<DataType>,
+    /// The threaded path's gathered batches, in sub-plan order.
     output: Option<std::vec::IntoIter<Batch>>,
 }
 
@@ -48,7 +52,7 @@ impl<'a> ParallelOp<'a> {
         debug_assert!(workers.iter().all(|w| w.out_types() == types));
         ParallelOp {
             dop: dop.clamp(1, workers.len()),
-            workers,
+            workers: workers.into(),
             types,
             output: None,
         }
@@ -61,14 +65,6 @@ impl<'a> ParallelOp<'a> {
     fn run(&mut self, ctx: &ExecCtx<'_>) -> Result<Vec<Batch>> {
         let workers = std::mem::take(&mut self.workers);
         let n = workers.len();
-        if self.dop == 1 {
-            // Serial: no lease, the sub-plans run in order right here.
-            let mut batches = Vec::new();
-            for mut w in workers {
-                batches.extend(collect(w.as_mut(), ctx)?);
-            }
-            return Ok(batches);
-        }
         // Lease extra threads; the coordinator is always one lane, so DOP d
         // needs at most d-1 extras. A short (even zero) lease degrades the
         // effective DOP instead of blocking or over-spawning.
@@ -96,24 +92,19 @@ impl<'a> ParallelOp<'a> {
             wctx.add_worker(lane.cpu_time(busy), lane.critical_path(busy));
         };
 
-        if extra == 0 {
-            // Pool exhausted: the whole parallel section runs serially on
-            // the coordinating thread.
-            run_lane(ctx);
-        } else {
-            // A panicking lane fails the query, not the process.
-            catch_unwind(AssertUnwindSafe(|| {
-                std::thread::scope(|scope| {
-                    for _ in 0..extra {
-                        let wctx = ctx.clone();
-                        let run_lane = &run_lane;
-                        scope.spawn(move || run_lane(&wctx));
-                    }
-                    run_lane(ctx);
-                })
-            }))
-            .map_err(|_| HpdError::Internal("parallel scope panicked".into()))?;
-        }
+        // A panicking lane fails the query, not the process. With the pool
+        // exhausted (no extra thread) the coordinator runs every sub-plan.
+        catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..extra {
+                    let wctx = ctx.clone();
+                    let run_lane = &run_lane;
+                    scope.spawn(move || run_lane(&wctx));
+                }
+                run_lane(ctx);
+            })
+        }))
+        .map_err(|_| HpdError::Internal("parallel scope panicked".into()))?;
         drop(lease);
         ctx.add_parallel_wall(scope_start.elapsed());
 
@@ -131,6 +122,16 @@ impl Operator for ParallelOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
+        if self.dop == 1 {
+            // Serial: no lease, the sub-plans are pulled in order right here.
+            while let Some(worker) = self.workers.front_mut() {
+                if let Some(batch) = worker.next(ctx)? {
+                    return Ok(Some(batch));
+                }
+                self.workers.pop_front();
+            }
+            return Ok(None);
+        }
         if self.output.is_none() {
             let batches = self.run(ctx)?;
             self.output = Some(batches.into_iter());

@@ -805,6 +805,17 @@ fn hash_join_equals_the_row_at_a_time_join() {
             right.len()
         );
         assert_eq!(got, want, "{context}");
+        // `ProfiledOp` counts each `next()` call that spilled. The reference
+        // spills its whole probe inside its first call; a streaming probe
+        // spills across the calls that pull its probe batches. So only
+        // whether it spilled is compared; the bytes and the grant peak are
+        // equal.
+        let got_spilled = got_footprint.spill_events > 0;
+        assert_eq!(got_spilled, want_footprint.spill_events > 0, "{context}");
+        let got_footprint = Footprint {
+            spill_events: want_footprint.spill_events,
+            ..got_footprint
+        };
         assert_eq!(got_footprint, want_footprint, "{context}");
         let spilled = want_footprint.spilled_bytes;
         let build_bytes: u64 = build.iter().map(|r| r.byte_width() as u64).sum();

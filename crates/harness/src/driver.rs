@@ -214,6 +214,8 @@ fn expected_rows(e: &Expected) -> Vec<Vec<i64>> {
 pub struct RunOptions {
     /// Override the engine-wide extra-worker-thread budget.
     pub pool_threads: Option<usize>,
+    /// Override the serial plans' `max_dop`: results may not depend on it.
+    pub dop: Option<usize>,
     /// Override the total shared memory-grant budget in bytes.
     pub grant_budget: Option<usize>,
     /// Drive every statement through the SQL front-end: render the op as
@@ -233,7 +235,8 @@ pub struct RunOptions {
 
 /// A small, deterministic database: tiny rowgroups and an aggressive
 /// delete-buffer threshold so harness-sized histories cross tuple-mover and
-/// compaction boundaries, serial plans, and a short lock timeout so the
+/// compaction boundaries, serial plans (unless `--dop` says otherwise), and
+/// a short lock timeout so the
 /// single-threaded driver resolves genuine lock conflicts quickly instead
 /// of stalling.
 pub(crate) fn harness_db_config(opts: &RunOptions) -> DbConfig {
@@ -252,6 +255,9 @@ pub(crate) fn harness_db_config(opts: &RunOptions) -> DbConfig {
     cfg.wal.checkpoint_every_commits = 4;
     if let Some(t) = opts.pool_threads {
         cfg.worker_threads = t;
+    }
+    if let Some(d) = opts.dop {
+        cfg.max_dop = d;
     }
     if let Some(b) = opts.grant_budget {
         cfg.total_grant_bytes = b.max(1);

@@ -3,7 +3,7 @@
 //! ```text
 //! hpd-harness [--seeds LO..HI] [--txns N] [--max-ops N] [--rows N]
 //!             [--concurrency N] [--fault-rate F] [--threads N]
-//!             [--pool-threads N] [--grant-budget BYTES] [--sql]
+//!             [--pool-threads N] [--grant-budget BYTES] [--dop N] [--sql]
 //!             [--bg-maintenance] [--no-shrink] [--quiet] [--trace]
 //! HARNESS_SEED=<n> hpd-harness          # replay exactly one seed
 //! ```
@@ -12,7 +12,9 @@
 //! thread at a time; fault injection is thread-local, so plans stay
 //! deterministic). `--pool-threads` / `--grant-budget` shrink the workload
 //! manager's engine-wide budgets so every history runs under broker
-//! admission control.
+//! admission control. `--dop` plans with that `max_dop` instead of 1; with
+//! pool threads, a plan's gathers and split scans then run on real threads,
+//! and each seed's fingerprint must equal the serial run's.
 //!
 //! Exits non-zero on the first divergence, after printing the shrunk
 //! minimal repro and the replay instruction.
@@ -91,6 +93,14 @@ fn parse_args() -> Result<Args, String> {
                 args.run_opts.grant_budget =
                     Some(val("--grant-budget")?.parse().map_err(|e| format!("{e}"))?)
             }
+            "--dop" => {
+                args.run_opts.dop = Some(
+                    val("--dop")?
+                        .parse::<usize>()
+                        .map_err(|e| format!("{e}"))?
+                        .max(1),
+                )
+            }
             "--crash-at" => args.crash_at = Some(val("--crash-at")?),
             // SQL mode: every history statement is rendered as SQL, lowered
             // through the front-end (the lowering must match the hand-built
@@ -114,7 +124,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "usage: hpd-harness [--seeds LO..HI] [--txns N] [--max-ops N] \
                             [--rows N] [--concurrency N] [--fault-rate F] [--threads N] \
-                            [--pool-threads N] [--grant-budget BYTES] [--sql] \
+                            [--pool-threads N] [--grant-budget BYTES] [--dop N] [--sql] \
                             [--bg-maintenance] [--crash-at all|SITE_SUBSTRING] \
                             [--no-shrink] [--quiet] [--trace]\n\
                             env: HARNESS_SEED=<n> replays exactly one seed\n\

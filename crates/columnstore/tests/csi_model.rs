@@ -1,6 +1,8 @@
-//! The columnstore against a model: random inserts, deletes, updates and
-//! budgeted maintenance increments on a primary or a secondary columnstore,
-//! each compared with a plain `Vec<Row>` kept sorted by key. Budgets run
+//! The columnstore against a model: random inserts, deletes, updates (a
+//! delete and an insert, as the engine runs them) and budgeted maintenance
+//! increments on a primary or a secondary columnstore, each compared with a
+//! plain `Vec<Row>` kept sorted by key. A primary's delete must hand back the
+//! model's row. Budgets run
 //! from one row to twice a row group, and the `MAINT_STEP_SHRINK` (half the
 //! budget) and `TUPLE_MOVE_DEFER` (no tuple move at capacity) faults fire
 //! at random. After every operation:
@@ -140,10 +142,15 @@ impl Run {
         if deferred {
             faults::arm(faults::sites::TUPLE_MOVE_DEFER, 1);
         }
+        self.put(self.model.len(), r)
+    }
+
+    /// Insert `r`, the model's row `at` to be.
+    fn put(&mut self, at: usize, r: Row) -> Result<(), String> {
         let delta = self.idx.delta_rows();
         self.idx.insert(r.clone(), &self.pool, &self.tracker);
         faults::reset_charges();
-        self.model.push(r);
+        self.model.insert(at, r);
         if self.idx.delta_rows() <= delta && self.idx.delete_buffer_len() > 0 {
             return Err("a tuple move left a delete buffered".into());
         }
@@ -155,26 +162,29 @@ impl Run {
         (!self.model.is_empty()).then(|| rng.gen_range(0..self.model.len()))
     }
 
+    /// Delete the model's row `at` through `delete_returning`, the engine's
+    /// path: a primary must hand back exactly the model's row, a secondary
+    /// (whose caller has the row from its primary) nothing unless the row
+    /// was still in the delta store.
     fn delete(&mut self, at: usize) -> Result<(), String> {
         let id = self.model[at][0].as_i32().expect("ids are Int32");
-        if !self.idx.delete(&key(id), &self.pool, &self.tracker) {
-            return Err(format!("delete of {id} found nothing"));
+        let old = (self.idx).delete_returning(&key(id), &self.pool, &self.tracker);
+        match (old, self.idx.kind()) {
+            (Some(old), _) if old != self.model[at] => {
+                return Err(format!("delete of {id} handed back {old:?}"))
+            }
+            (None, CsiKind::Primary) => return Err(format!("delete of {id} found nothing")),
+            _ => {}
         }
         self.model.remove(at);
         Ok(())
     }
 
+    /// An update is a delete followed by an insert of the new version.
     fn update(&mut self, at: usize, rng: &mut StdRng) -> Result<(), String> {
         let id = self.model[at][0].as_i32().expect("ids are Int32");
-        let r = row(id, self.unit, rng);
-        if !self
-            .idx
-            .update(&key(id), r.clone(), &self.pool, &self.tracker)
-        {
-            return Err(format!("update of {id} found nothing"));
-        }
-        self.model[at] = r;
-        Ok(())
+        self.delete(at)?;
+        self.put(at, row(id, self.unit, rng))
     }
 
     fn maintain(&mut self, budget: usize, shrink: bool) -> Result<(), String> {

@@ -364,33 +364,40 @@ fn compact_delete_buffer_resolves_to_bitmap() {
     assert!(idx.antijoin_probe(&pool, &t).is_none());
 }
 
+/// An update is a delete followed by an insert (paper §2), on either kind:
+/// a primary hands back the pre-image its delete read, a secondary buffers
+/// the delete and leaves the pre-image to the caller.
 #[test]
 fn update_is_delete_plus_insert() {
-    let (mut idx, pool, t) = setup(CsiKind::Secondary, 200);
-    let updated = idx.update(
-        &Key::single(Value::Int32(5)),
-        Row::new(vec![Value::Int32(5), Value::Int32(999)]),
-        &pool,
-        &t,
-    );
-    assert!(updated);
-    assert_eq!(idx.active_rows(), 200);
-    assert_eq!(idx.delta_rows(), 1);
-    // The new version is visible, the old hidden.
-    let t2 = IoTracker::new();
-    let mut iv = HashMap::new();
-    iv.insert(0usize, Interval::point(Value::Int32(5)));
-    let batches = idx.scan_collect(&[0, 1], &iv, &pool, &t2);
-    let vals: Vec<i32> = batches
-        .iter()
-        .flat_map(|b| {
-            (0..b.num_rows())
-                .filter(|&i| b.column(0).value(i) == Value::Int32(5))
-                .map(|i| b.column(1).value(i).as_i32().unwrap())
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    assert_eq!(vals, vec![999]);
+    for kind in [CsiKind::Primary, CsiKind::Secondary] {
+        let (mut idx, pool, t) = setup(kind, 200);
+        let key = Key::single(Value::Int32(5));
+        let old = idx.delete_returning(&key, &pool, &t);
+        let expected = (kind == CsiKind::Primary).then(|| rows2(200)[5].clone());
+        assert_eq!(old, expected, "{kind:?}");
+        idx.insert(
+            Row::new(vec![Value::Int32(5), Value::Int32(999)]),
+            &pool,
+            &t,
+        );
+        assert_eq!(idx.active_rows(), 200);
+        assert_eq!(idx.delta_rows(), 1);
+        // The new version is visible, the old hidden.
+        let t2 = IoTracker::new();
+        let mut iv = HashMap::new();
+        iv.insert(0usize, Interval::point(Value::Int32(5)));
+        let batches = idx.scan_collect(&[0, 1], &iv, &pool, &t2);
+        let vals: Vec<i32> = batches
+            .iter()
+            .flat_map(|b| {
+                (0..b.num_rows())
+                    .filter(|&i| b.column(0).value(i) == Value::Int32(5))
+                    .map(|i| b.column(1).value(i).as_i32().unwrap())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(vals, vec![999], "{kind:?}");
+    }
 }
 
 #[test]

@@ -62,11 +62,6 @@ pub struct DbConfig {
     pub maintenance: MaintenanceConfig,
     /// Write-ahead log / durability knobs (see [`hpd_wal::WalConfig`]).
     pub wal: WalConfig,
-    /// Enable structured tracing (`hpd_obs::trace`) at database creation:
-    /// every query records an `query` span tree and background work records
-    /// root spans, all into bounded per-thread rings. Off by default — the
-    /// disabled path costs one relaxed atomic load per would-be span.
-    pub tracing: bool,
 }
 
 impl Default for DbConfig {
@@ -85,7 +80,6 @@ impl Default for DbConfig {
             query_store_capacity: 256,
             maintenance: MaintenanceConfig::default(),
             wal: WalConfig::default(),
-            tracing: false,
         }
     }
 }
@@ -140,9 +134,6 @@ pub struct Database {
 
 impl Database {
     pub fn new(config: DbConfig) -> Database {
-        if config.tracing {
-            hpd_obs::trace::tracer().set_enabled(true);
-        }
         let pool = BufferPool::new(config.buffer_pool_bytes, config.device);
         Database {
             txns: TxnManager::new(config.lock_timeout),

@@ -130,9 +130,9 @@ fn repro_overlay_breaks_btree_scan_order() {
 }
 
 /// Regression (found by the harness at seed 55, shrunk automatically):
-/// `compress_all_delta` moved delta rows into a compressed row group
-/// without first compacting the delete buffer when the delta was below
-/// rowgroup capacity. An UPDATE's buffered delete of the old version then
+/// a forced tuple move (`TUPLE_MOVE_FORCE`) moved delta rows into a
+/// compressed row group without first compacting the delete buffer when
+/// the delta was below rowgroup capacity. An UPDATE's buffered delete of the old version then
 /// anti-joined away the freshly compressed new version, losing the row
 /// from every secondary-CSI scan.
 #[test]

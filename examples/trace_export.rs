@@ -22,10 +22,8 @@ use hybrid_physical_designs::workloads::tpch::{
 const ROWS: usize = 30_000;
 
 fn run_workload() -> Result<Database, Box<dyn std::error::Error>> {
-    let mut cfg = DbConfig {
-        tracing: true,
-        ..DbConfig::default()
-    };
+    hybrid_physical_designs::obs::trace::tracer().set_enabled(true);
+    let mut cfg = DbConfig::default();
     cfg.csi.rowgroup_capacity = 4_096;
     cfg.wal.checkpoint_every_commits = 16;
     let db = Database::new(cfg);

@@ -14,10 +14,8 @@ use hybrid_physical_designs::workloads::tpch::{
 
 #[test]
 fn traced_mixed_workload_exports_spans_heat_and_metrics() {
-    let mut cfg = DbConfig {
-        tracing: true,
-        ..DbConfig::default()
-    };
+    trace::tracer().set_enabled(true);
+    let mut cfg = DbConfig::default();
     cfg.csi.rowgroup_capacity = 4_096;
     // Auto-checkpoint during the run so a background.checkpoint root span
     // appears without an explicit call.

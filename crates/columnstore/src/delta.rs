@@ -8,7 +8,7 @@
 
 use std::ops::Bound;
 
-use hpd_btree::{BTree, BTreeConfig};
+use hpd_btree::{BTree, BTreeConfig, Cursor};
 use hpd_common::{faults, Key, Row};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
@@ -54,13 +54,25 @@ impl DeltaStore {
         self.tree.delete_first_where(key, |_| true, pool, tracker)
     }
 
-    /// All rows currently staged, in key order.
-    pub fn scan(&self, pool: &BufferPool, tracker: &IoTracker) -> Vec<Row> {
-        self.tree
-            .scan_range_collect(Bound::Unbounded, Bound::Unbounded, pool, tracker)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
+    /// A cursor at the first staged row, for [`DeltaStore::walk`]
+    /// (charging the page it lands on).
+    pub fn seek_first(&self, pool: &BufferPool, tracker: &IoTracker) -> Cursor {
+        self.tree.cursor_seek(Bound::Unbounded, pool, tracker)
+    }
+
+    /// Hand up to `limit` staged rows from `cursor` on, in key order, to
+    /// `emit` in their encoded form (`hpd_common::codec::values` reads
+    /// them), charging each leaf moved to; true when no row is left.
+    pub fn walk<'t>(
+        &'t self,
+        cursor: &mut Cursor,
+        limit: usize,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        mut emit: impl FnMut(&'t [u8]),
+    ) -> bool {
+        let bound = Bound::Unbounded;
+        (self.tree).cursor_walk(cursor, bound, limit, pool, tracker, |e| emit(e.payload))
     }
 
     /// Remove and return up to `n` rows, smallest keys first (tuple-mover
@@ -125,18 +137,19 @@ mod tests {
     }
 
     #[test]
-    fn insert_scan_key_order() {
+    fn insert_walk_key_order() {
         let (mut d, pool, t) = setup();
         for v in [5, 3, 9] {
             let (k, r) = kv(v);
             d.insert(k, r, &pool, &t);
         }
-        let rows: Vec<i32> = d
-            .scan(&pool, &t)
-            .into_iter()
-            .map(|r| r[0].as_i32().unwrap())
-            .collect();
-        assert_eq!(rows, vec![3, 5, 9], "delta is keyed, so scans are ordered");
+        let mut rows = Vec::new();
+        let mut cursor = d.seek_first(&pool, &t);
+        // Two a call: the walk picks up where the last one stopped.
+        while !d.walk(&mut cursor, 2, &pool, &t, |row| {
+            rows.push(hpd_common::codec::decode(row)[0].as_i32().unwrap())
+        }) {}
+        assert_eq!(rows, vec![3, 5, 9], "delta is keyed, so walks are ordered");
     }
 
     #[test]

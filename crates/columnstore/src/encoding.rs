@@ -465,12 +465,25 @@ impl Domain {
     /// `scratch` is working space: a bit per point of the range where that
     /// takes no more words than the stream has values, else a sorted copy.
     pub(crate) fn of(values: &[i64], scratch: &mut Vec<i64>) -> Domain {
-        let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
+        Domain::of_iter(values.iter().copied(), scratch)
+    }
+
+    /// [`Domain::of`] the stream `values` yields (read twice).
+    pub(crate) fn of_iter(
+        values: impl Iterator<Item = i64> + Clone,
+        scratch: &mut Vec<i64>,
+    ) -> Domain {
+        let mut first = values.clone();
+        let Some(v0) = first.next() else {
             return Domain::default();
         };
+        let (mut min, mut max, mut len) = (v0, v0, 1u64);
+        for v in first {
+            (min, max, len) = (min.min(v), max.max(v), len + 1);
+        }
         let range = max.wrapping_sub(min) as u64;
         scratch.clear();
-        let distinct = if range / 64 < values.len() as u64 {
+        let distinct = if range / 64 < len {
             scratch.resize((range / 64 + 1) as usize, 0);
             for v in values {
                 let at = v.wrapping_sub(min) as u64;
@@ -478,7 +491,7 @@ impl Domain {
             }
             scratch.iter().map(|word| word.count_ones() as usize).sum()
         } else {
-            scratch.extend_from_slice(values);
+            scratch.extend(values);
             scratch.sort_unstable();
             1 + scratch.windows(2).filter(|w| w[0] != w[1]).count()
         };

@@ -229,7 +229,7 @@ impl ColumnStoreIndex {
             hpd_obs::global()
                 .counter("columnstore.maintenance.rowgroup_merge")
                 .inc();
-            let columns = self.live_columns(merge.rowgroups.clone(), pool, tracker);
+            let columns = self.live_columns(&merge, pool, tracker);
             let heat = RowGroupHeat::default();
             for source in &self.heat[merge.rowgroups.clone()] {
                 heat.absorb(source);
@@ -287,18 +287,18 @@ impl ColumnStoreIndex {
             .count()
     }
 
-    /// The live rows of the row groups `range`, in position order, as one
-    /// row group's column vectors: a cached decode when there is one, a
-    /// gather of the live positions otherwise (the groups are about to go,
+    /// The live rows of the row groups `merge` rewrites, in position order,
+    /// as one row group's column vectors: a cached decode when there is one,
+    /// a gather of the live positions otherwise (the groups are about to go,
     /// so nothing is cached for them).
     fn live_columns(
         &self,
-        range: std::ops::Range<usize>,
+        merge: &RowgroupMerge,
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Vec<ColumnVector> {
-        let mut columns = self.empty_columns();
-        for rg in &self.row_groups[range] {
+        let mut columns = self.empty_columns(merge.live_rows);
+        for rg in &self.row_groups[merge.rowgroups.clone()] {
             let live = rg.live_mask().positions();
             for (c, column) in columns.iter_mut().enumerate() {
                 let seg = rg.segment(c);

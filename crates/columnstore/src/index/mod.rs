@@ -167,26 +167,45 @@ impl Default for CsiConfig {
 /// the rows: values go straight into one row group's column vectors, which
 /// are compressed and dropped once `rowgroup_capacity` rows have arrived —
 /// one row group of uncompressed values is alive at a time, and no row ever
-/// is.
+/// is. Told how many rows are coming, it reserves each row group's vectors
+/// at the rows it will hold, so none is grown by doubling past them.
 pub struct CsiBuilder {
     index: ColumnStoreIndex,
     /// The row group being filled.
     columns: Vec<ColumnVector>,
+    /// Rows still expected after the row group being filled.
+    expected: usize,
 }
 
 impl CsiBuilder {
+    /// A builder that `rows` rows will be pushed to (0: how many is not
+    /// known, and the vectors grow as they arrive).
     pub fn new(
         schema: Schema,
         kind: CsiKind,
         key_ordinals: Vec<usize>,
         config: CsiConfig,
         alloc: StorageAllocator,
+        rows: usize,
     ) -> CsiBuilder {
         let index = ColumnStoreIndex::new_empty(schema, kind, key_ordinals, config, alloc);
-        CsiBuilder {
-            columns: index.empty_columns(),
+        let mut builder = CsiBuilder {
+            columns: Vec::new(),
+            expected: rows,
             index,
-        }
+        };
+        builder.columns = builder.next_rowgroup();
+        builder
+    }
+
+    /// Empty vectors for the next row group, each reserved at the rows of it
+    /// still expected.
+    fn next_rowgroup(&mut self) -> Vec<ColumnVector> {
+        let rows = self
+            .expected
+            .min(self.index.config.rowgroup_capacity.max(1));
+        self.expected -= rows;
+        self.index.empty_columns(rows)
     }
 
     /// Append a row of owned values, one for each column of the index.
@@ -231,8 +250,10 @@ impl CsiBuilder {
             "rows match csi schema"
         );
         if rows == self.index.config.rowgroup_capacity.max(1) {
-            let full = std::mem::replace(&mut self.columns, self.index.empty_columns());
+            // Compressed before the next row group's vectors are reserved.
+            let full = std::mem::take(&mut self.columns);
             self.index.push_rowgroup(full, pool, tracker);
+            self.columns = self.next_rowgroup();
         }
     }
 
@@ -290,7 +311,7 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> ColumnStoreIndex {
-        let mut builder = CsiBuilder::new(schema, kind, key_ordinals, config, alloc);
+        let mut builder = CsiBuilder::new(schema, kind, key_ordinals, config, alloc, rows.len());
         for row in rows {
             builder.push(row.values(), pool, tracker);
         }
@@ -327,10 +348,11 @@ impl ColumnStoreIndex {
         }
     }
 
-    /// One empty vector a column, for a row group to fill.
-    fn empty_columns(&self) -> Vec<ColumnVector> {
+    /// One empty vector a column, with room for `rows`, for a row group to
+    /// fill.
+    fn empty_columns(&self, rows: usize) -> Vec<ColumnVector> {
         (self.schema.columns().iter())
-            .map(|c| ColumnVector::with_capacity(c.dtype, 0))
+            .map(|c| ColumnVector::with_capacity(c.dtype, rows))
             .collect()
     }
 

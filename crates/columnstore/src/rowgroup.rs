@@ -7,7 +7,7 @@ use hpd_obs::Counter;
 use hpd_storage::StorageAllocator;
 
 use crate::encoding::{bits_for, Domain};
-use crate::segment::{Normalized, Segment};
+use crate::segment::{Segment, TypedColumn};
 
 /// `columnstore.build.*` counters: row groups compressed, how many of the
 /// greedy ones sorted packed keys alone, and how many had columns left over
@@ -48,8 +48,11 @@ pub struct RowGroup {
 
 impl RowGroup {
     /// Compress `columns` (all equal length, non-empty) into a row group.
-    /// Every column is normalized to its `i64` stream once; counting,
-    /// ordering, sorting and encoding all read those.
+    /// Each column stays at its own width (`TypedColumn`): counting and
+    /// ordering read its words in place, and then one column at a time is
+    /// turned into its stream of words, in sorted order, encoded and freed —
+    /// what is alive beside the columns is the sort's permutation and one
+    /// stream.
     pub fn build(columns: Vec<ColumnVector>, sort: SortMode, alloc: &StorageAllocator) -> RowGroup {
         let rows = columns.first().map_or(0, ColumnVector::len);
         assert!(rows > 0, "row groups are never empty");
@@ -57,26 +60,20 @@ impl RowGroup {
         let [rowgroups, ..] = build_counters();
         rowgroups.add(1);
 
-        let columns: Vec<Normalized> = columns.into_iter().map(Normalized::of).collect();
+        // Room for counting any column: no column's count grows it.
         let mut scratch = Vec::with_capacity(rows);
-        let domains: Vec<Domain> = columns.iter().map(|c| c.domain(&mut scratch)).collect();
+        let columns: Vec<TypedColumn> = (columns.into_iter())
+            .map(|c| TypedColumn::of(c, &mut scratch))
+            .collect();
+        // Counting's working space goes before the sort takes its own; the
+        // first stream allocates the streams' at their length.
+        scratch = Vec::new();
         let perm = match sort {
             SortMode::Arrival => None,
-            SortMode::Greedy => Some(sort_permutation(&columns, &domains)),
+            SortMode::Greedy => Some(sort_permutation(&columns)),
         };
-        let segments = (columns.into_iter().zip(&domains))
-            .map(|(column, domain)| {
-                let stream = match &perm {
-                    None => &column.ints,
-                    Some(perm) => {
-                        scratch.clear();
-                        scratch.extend(perm.iter().map(|&i| column.ints[i as usize]));
-                        &scratch
-                    }
-                };
-                let (dtype, dict, exponent) = (column.dtype, column.dict, column.exponent);
-                Segment::from_stream(dtype, dict, exponent, stream, domain, alloc)
-            })
+        let segments = (columns.into_iter())
+            .map(|column| column.into_segment(perm.as_deref(), &mut scratch, alloc))
             .collect();
         RowGroup {
             segments,
@@ -135,7 +132,7 @@ impl RowGroup {
 /// Distinct-count-ascending column order (the greedy choice of Figure 8).
 /// Ties break toward the lower column ordinal, which keeps the order stable
 /// and matches the paper's worked example.
-fn greedy_column_order(domains: &[Domain]) -> Vec<usize> {
+fn greedy_column_order(domains: &[&Domain]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..domains.len()).collect();
     order.sort_by_key(|&c| (domains[c].distinct, c));
     order
@@ -143,9 +140,10 @@ fn greedy_column_order(domains: &[Domain]) -> Vec<usize> {
 
 /// Stable permutation sorting rows lexicographically by the greedy column
 /// order: position → arrival index.
-fn sort_permutation(columns: &[Normalized], domains: &[Domain]) -> Vec<u32> {
-    let rows = u32::try_from(columns[0].ints.len()).expect("a row group holds under 2^32 rows");
-    let mut order = greedy_column_order(domains);
+fn sort_permutation(columns: &[TypedColumn]) -> Vec<u32> {
+    let rows = u32::try_from(columns[0].len()).expect("a row group holds under 2^32 rows");
+    let domains: Vec<&Domain> = columns.iter().map(|c| &c.domain).collect();
+    let mut order = greedy_column_order(&domains);
     // No two rows tie on a unique column: the columns after it decide nothing.
     if let Some(at) = (order.iter()).position(|&c| domains[c].distinct == rows as usize) {
         order.truncate(at + 1);
@@ -166,9 +164,9 @@ fn sort_permutation(columns: &[Normalized], domains: &[Domain]) -> Vec<u32> {
     let mut keys = vec![0u128; rows as usize];
     for &c in head {
         let (min, width) = (domains[c].min, width(c));
-        for (key, v) in keys.iter_mut().zip(&columns[c].ints) {
+        columns[c].zip_words(&mut keys, |key, v| {
             *key = *key << width | u128::from(v.wrapping_sub(min) as u64);
-        }
+        });
     }
     for (i, key) in keys.iter_mut().enumerate() {
         *key = *key << index_bits | i as u128;
@@ -186,8 +184,8 @@ fn sort_permutation(columns: &[Normalized], domains: &[Domain]) -> Vec<u32> {
         keys.sort_unstable_by(|a, b| {
             ((a >> index_bits).cmp(&(b >> index_bits)))
                 .then_with(|| {
-                    (tail.iter().map(|&c| &columns[c].ints))
-                        .map(|ints| ints[index(a)].cmp(&ints[index(b)]))
+                    (tail.iter())
+                        .map(|&c| columns[c].cmp_rows(index(a), index(b)))
                         .find(|cmp| cmp.is_ne())
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
@@ -258,19 +256,21 @@ mod tests {
         assert_eq!(rg.segment(1).run_count(), 2);
     }
 
-    fn normalized(columns: &[ColumnVector]) -> (Vec<Normalized>, Vec<Domain>) {
-        let columns: Vec<Normalized> = columns.iter().cloned().map(Normalized::of).collect();
-        let domains = (columns.iter())
-            .map(|c| c.domain(&mut Vec::new()))
-            .collect();
-        (columns, domains)
+    fn typed(columns: &[ColumnVector]) -> Vec<TypedColumn> {
+        (columns.iter().cloned())
+            .map(|c| TypedColumn::of(c, &mut Vec::new()))
+            .collect()
+    }
+
+    fn domains(columns: &[TypedColumn]) -> Vec<&Domain> {
+        columns.iter().map(|c| &c.domain).collect()
     }
 
     #[test]
     fn greedy_order_prefers_fewest_distinct() {
         let many = ColumnVector::Int32((0..100).collect());
         let few = ColumnVector::Int32((0..100).map(|i| i % 3).collect());
-        let order = |columns: &[ColumnVector]| greedy_column_order(&normalized(columns).1);
+        let order = |columns: &[ColumnVector]| greedy_column_order(&domains(&typed(columns)));
         assert_eq!(order(&[many.clone(), few.clone()]), vec![1, 0]);
         assert_eq!(order(&[few, many]), vec![0, 1]);
     }
@@ -329,10 +329,10 @@ mod tests {
                     ),
                 })
                 .collect();
-            let (normalized, domains) = normalized(&columns);
+            let typed = typed(&columns);
             assert_eq!(
-                sort_permutation(&normalized, &domains),
-                sort_permutation_by_value(&columns, &greedy_column_order(&domains)),
+                sort_permutation(&typed),
+                sort_permutation_by_value(&columns, &greedy_column_order(&domains(&typed))),
                 "case {case}: {columns:?}"
             );
         }

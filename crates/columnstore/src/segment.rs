@@ -75,23 +75,33 @@ pub fn value_encode(dtype: DataType, ints: &mut [i64]) -> u8 {
     if matches!(dtype, DataType::Float64 | DataType::Utf8) {
         return 0;
     }
+    let k = common_exponent(ints.iter().copied());
+    if k > 0 {
+        ints.iter_mut().for_each(|v| *v /= POW10[k as usize]);
+    }
+    k
+}
+
+/// The k of [`value_encode`] for an integer-family column's `values`.
+fn common_exponent(values: impl Iterator<Item = i64>) -> u8 {
     // A multiple of 10^k is a multiple of every lower power, so a value
     // costs one remainder unless it lowers k; the scan stops at the first
     // value with no trailing zero.
-    let mut k = POW10.len() - 1;
-    for &v in ints.iter() {
+    let (mut k, mut nonzero) = (POW10.len() - 1, false);
+    for v in values {
         while v % POW10[k] != 0 {
             k -= 1;
         }
         if k == 0 {
             return 0;
         }
+        nonzero |= v != 0;
     }
-    if ints.iter().all(|&v| v == 0) {
-        return 0;
+    if nonzero {
+        k as u8
+    } else {
+        0
     }
-    ints.iter_mut().for_each(|v| *v /= POW10[k]);
-    k as u8
 }
 
 /// A compressed column segment.
@@ -115,60 +125,153 @@ pub struct Segment {
     blob: BlobId,
 }
 
-/// One column in the order-preserving `i64` domain every build step reads:
-/// integers, dates and decimals divided by their common power of ten
-/// ([`value_encode`]; exact division keeps order and distinct counts),
-/// floats through [`f64_to_ordered`], strings as their positions in the
-/// sorted dictionary (so the dictionary comes before the row group's sort,
-/// and serves it).
-pub(crate) struct Normalized {
-    pub(crate) dtype: DataType,
-    pub(crate) ints: Vec<i64>,
-    pub(crate) exponent: u8,
+/// One column of a row group being built, held at its own width: integers
+/// and dates as they came, floats as their bits, strings as their positions
+/// in the sorted dictionary (so the dictionary comes before the row group's
+/// sort, and serves it). An integer-family column is divided by its common
+/// power of ten in place ([`value_encode`]; exact division keeps order and
+/// distinct counts). Every build step reads a value as its *word*, its
+/// order-preserving `i64` ([`f64_to_ordered`] for a float), where it lies:
+/// no column is held a second time as `i64`s, and only the stream of the
+/// segment being encoded is.
+pub(crate) struct TypedColumn {
+    dtype: DataType,
+    values: Typed,
+    /// The stored words are the values divided by 10^`exponent`.
+    exponent: u8,
     /// Dictionary of a `Utf8` column, sorted ascending.
-    pub(crate) dict: Option<Arc<[ArcStr]>>,
+    dict: Option<Arc<[ArcStr]>>,
+    /// Minimum, maximum and distinct count of the words.
+    pub(crate) domain: Domain,
 }
 
-impl Normalized {
-    pub(crate) fn of(column: ColumnVector) -> Normalized {
-        let dtype = column.data_type();
-        let (mut ints, dict) = match column {
-            ColumnVector::Int64(vals) | ColumnVector::Decimal(vals) => (vals, None),
-            ColumnVector::Int32(vals) | ColumnVector::Date(vals) => {
-                (vals.into_iter().map(i64::from).collect(), None)
+/// A column's values at their width.
+enum Typed {
+    I32(Vec<i32>),
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    /// Dictionary positions.
+    Codes(Vec<u32>),
+}
+
+/// Run `$body` with `$vals` the column's values as a slice and `$word` the
+/// function from one of them to its word: one loop compiled per width.
+macro_rules! typed {
+    ($typed:expr, |$vals:ident, $word:ident| $body:expr) => {
+        match $typed {
+            Typed::I32(v) => {
+                let ($vals, $word) = (&v[..], |x: i32| i64::from(x));
+                $body
             }
-            ColumnVector::Float64(vals) => (vals.into_iter().map(f64_to_ordered).collect(), None),
+            Typed::I64(v) => {
+                let ($vals, $word) = (&v[..], |x: i64| x);
+                $body
+            }
+            Typed::F64(v) => {
+                let ($vals, $word) = (&v[..], f64_to_ordered);
+                $body
+            }
+            Typed::Codes(v) => {
+                let ($vals, $word) = (&v[..], |x: u32| i64::from(x));
+                $body
+            }
+        }
+    };
+}
+
+impl TypedColumn {
+    /// Take `column` over, finding its dictionary and domain and dividing
+    /// out its exponent; `scratch` is working space.
+    pub(crate) fn of(column: ColumnVector, scratch: &mut Vec<i64>) -> TypedColumn {
+        let dtype = column.data_type();
+        let (mut values, dict) = match column {
+            ColumnVector::Int32(vals) | ColumnVector::Date(vals) => (Typed::I32(vals), None),
+            ColumnVector::Int64(vals) | ColumnVector::Decimal(vals) => (Typed::I64(vals), None),
+            ColumnVector::Float64(vals) => (Typed::F64(vals), None),
             ColumnVector::Str(vals) => {
-                let mut dict = vals.clone();
+                let mut dict: Vec<&ArcStr> = vals.iter().collect();
                 dict.sort_unstable();
                 dict.dedup();
-                let codes = vals
-                    .iter()
-                    .map(|s| dict.binary_search(s).expect("value in dict") as i64)
+                let codes = (vals.iter())
+                    .map(|s| dict.binary_search(&s).expect("value in dict") as u32)
                     .collect();
-                (codes, Some(dict.into()))
+                let dict: Arc<[ArcStr]> = dict.into_iter().cloned().collect();
+                (Typed::Codes(codes), Some(dict))
             }
         };
-        let exponent = value_encode(dtype, &mut ints);
-        Normalized {
-            dtype,
-            ints,
-            exponent,
-            dict,
-        }
-    }
-
-    /// Minimum, maximum and distinct count of the column; `scratch` is
-    /// working space. A dictionary's codes are dense, so it is not needed.
-    pub(crate) fn domain(&self, scratch: &mut Vec<i64>) -> Domain {
-        match &self.dict {
+        let exponent = match &mut values {
+            Typed::I32(vals) => {
+                let k = common_exponent(vals.iter().map(|&x| i64::from(x)));
+                // A nonzero `i32` is no multiple of 10^10.
+                let unit = POW10[k as usize] as i32;
+                if k > 0 {
+                    vals.iter_mut().for_each(|x| *x /= unit);
+                }
+                k
+            }
+            Typed::I64(vals) => value_encode(dtype, vals),
+            Typed::F64(_) | Typed::Codes(_) => 0,
+        };
+        // A dictionary's codes are dense.
+        let domain = match &dict {
             Some(dict) => Domain {
                 min: 0,
                 max: dict.len() as i64 - 1,
                 distinct: dict.len(),
             },
-            None => Domain::of(&self.ints, scratch),
+            None => typed!(&values, |vals, word| Domain::of_iter(
+                vals.iter().map(|&x| word(x)),
+                scratch
+            )),
+        };
+        TypedColumn {
+            dtype,
+            values,
+            exponent,
+            dict,
+            domain,
         }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        typed!(&self.values, |vals, _word| vals.len())
+    }
+
+    /// Hand each row's word with the matching element of `others`, in row
+    /// order, to `f`.
+    pub(crate) fn zip_words<T>(&self, others: &mut [T], mut f: impl FnMut(&mut T, i64)) {
+        typed!(&self.values, |vals, word| {
+            (others.iter_mut().zip(vals)).for_each(|(other, &x)| f(other, word(x)))
+        })
+    }
+
+    /// How rows `a` and `b` order by this column (as their words do).
+    pub(crate) fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        typed!(&self.values, |vals, word| word(vals[a]).cmp(&word(vals[b])))
+    }
+
+    /// Compress the column, its rows in the order `perm` gives (arrival
+    /// order if `None`), and free it; `scratch` holds the stream of words.
+    pub(crate) fn into_segment(
+        self,
+        perm: Option<&[u32]>,
+        scratch: &mut Vec<i64>,
+        alloc: &StorageAllocator,
+    ) -> Segment {
+        let stream = match (&self.values, perm) {
+            // The words are the values, in order: nothing to copy.
+            (Typed::I64(vals), None) => &vals[..],
+            (values, perm) => {
+                scratch.clear();
+                typed!(values, |vals, word| match perm {
+                    None => scratch.extend(vals.iter().map(|&x| word(x))),
+                    Some(perm) => scratch.extend(perm.iter().map(|&i| word(vals[i as usize]))),
+                });
+                &scratch[..]
+            }
+        };
+        let (dtype, exponent) = (self.dtype, self.exponent);
+        Segment::from_stream(dtype, self.dict, exponent, stream, &self.domain, alloc)
     }
 }
 
@@ -176,10 +279,8 @@ impl Segment {
     /// Compress one column. `values` must be non-empty.
     pub fn build(column: &ColumnVector, alloc: &StorageAllocator) -> Segment {
         assert!(!column.is_empty(), "segments are never empty");
-        let column = Normalized::of(column.clone());
-        let domain = column.domain(&mut Vec::new());
-        let (dtype, exponent, ints) = (column.dtype, column.exponent, &column.ints);
-        Segment::from_stream(dtype, column.dict, exponent, ints, &domain, alloc)
+        let mut scratch = Vec::new();
+        TypedColumn::of(column.clone(), &mut scratch).into_segment(None, &mut scratch, alloc)
     }
 
     /// [`Segment::build`] with its words encoded as `enc` (what
@@ -195,10 +296,10 @@ impl Segment {
         Some(segment)
     }
 
-    /// Compress a normalized column: `stream` holds its words in stored
-    /// order, `domain` describes them (in any order), and they are the
-    /// values divided by 10^`exponent`.
-    pub(crate) fn from_stream(
+    /// Compress a column's words: `stream` holds them in stored order,
+    /// `domain` describes them (in any order), and they are the values
+    /// divided by 10^`exponent`.
+    fn from_stream(
         dtype: DataType,
         dict: Option<Arc<[ArcStr]>>,
         exponent: u8,
@@ -253,6 +354,11 @@ impl Segment {
 
     pub fn encoding(&self) -> IntEncoding {
         self.ints.encoding()
+    }
+
+    /// The stored words, encoded.
+    pub fn encoded(&self) -> &EncodedInts {
+        &self.ints
     }
 
     /// The power of ten the stored words are the values divided by

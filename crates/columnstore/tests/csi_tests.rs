@@ -167,6 +167,7 @@ fn streamed_projection_builds_the_same_index_as_projected_rows() {
         vec![0],
         small_config(),
         StorageAllocator::new(),
+        wide.len(),
     );
     let mut encoded = Vec::new();
     for row in &wide {

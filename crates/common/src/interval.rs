@@ -6,7 +6,9 @@
 //! columnstore *segment elimination* (segments whose `[min, max]` does not
 //! intersect the interval are skipped, §3.2.1).
 
-use crate::Value;
+use std::cmp::Ordering;
+
+use crate::{Value, ValueRef};
 
 /// One endpoint of an interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,15 +92,25 @@ impl Interval {
 
     /// True if `v` lies inside the interval.
     pub fn contains(&self, v: &Value) -> bool {
+        self.holds(|b| v.cmp(b))
+    }
+
+    /// [`Interval::contains`] of a value read in place.
+    pub fn contains_ref(&self, v: ValueRef<'_>) -> bool {
+        self.holds(|b| v.cmp(&ValueRef::from(b)))
+    }
+
+    /// True if the value `cmp` compares with a bound lies inside.
+    fn holds(&self, cmp: impl Fn(&Value) -> Ordering) -> bool {
         let lo_ok = match &self.lo {
             Bound::Unbounded => true,
-            Bound::Inclusive(b) => v >= b,
-            Bound::Exclusive(b) => v > b,
+            Bound::Inclusive(b) => cmp(b).is_ge(),
+            Bound::Exclusive(b) => cmp(b).is_gt(),
         };
         let hi_ok = match &self.hi {
             Bound::Unbounded => true,
-            Bound::Inclusive(b) => v <= b,
-            Bound::Exclusive(b) => v < b,
+            Bound::Inclusive(b) => cmp(b).is_le(),
+            Bound::Exclusive(b) => cmp(b).is_lt(),
         };
         lo_ok && hi_ok
     }

@@ -34,6 +34,10 @@ pub struct AllocStats {
     pub peak_live_bytes: i64,
     /// Largest single request since then.
     pub largest_bytes: usize,
+    /// Largest size a `realloc` grew an allocation to since then: a vector
+    /// grown by doubling past its length shows here, one reserved at its
+    /// length never does.
+    pub largest_growth: usize,
 }
 
 thread_local! {
@@ -46,6 +50,7 @@ thread_local! {
             live_bytes: 0,
             peak_live_bytes: 0,
             largest_bytes: 0,
+            largest_growth: 0,
         })
     };
 }
@@ -60,6 +65,9 @@ fn record(allocated: usize, freed: usize, counts: bool) {
         v.live_bytes += allocated as i64 - freed as i64;
         v.peak_live_bytes = v.peak_live_bytes.max(v.live_bytes);
         v.largest_bytes = v.largest_bytes.max(allocated);
+        if freed > 0 && allocated > freed {
+            v.largest_growth = v.largest_growth.max(allocated);
+        }
         s.set(v);
     });
 }
@@ -98,15 +106,21 @@ impl Region {
     pub fn left_live(&self) -> i64 {
         self.after.live_bytes - self.before.live_bytes
     }
+
+    /// The largest size the region grew an allocation to by `realloc`.
+    pub fn largest_growth(&self) -> usize {
+        self.after.largest_growth
+    }
 }
 
 /// Run `f` as a measured region of this thread: the peak falls back to what
-/// is live now and the largest request to zero before it starts.
+/// is live now and the largest request and growth to zero before it starts.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Region) {
     STATS.with(|s| {
         let mut v = s.get();
         v.peak_live_bytes = v.live_bytes;
         v.largest_bytes = 0;
+        v.largest_growth = 0;
         s.set(v);
     });
     let before = stats();

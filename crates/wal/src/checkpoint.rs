@@ -340,11 +340,11 @@ mod tests {
 
     #[test]
     fn image_bytes_match_the_copying_encoder() {
-        // Length and CRC of `sample().encode()`, pinned when values took
-        // their significant width.
+        // Length and CRC of `sample().encode()`, pinned when a row's value
+        // count became a varint.
         let bytes = sample().encode();
-        assert_eq!(bytes.len(), 437);
-        assert_eq!(crc32(&bytes), 0xeaa8_b73d);
+        assert_eq!(bytes.len(), 422);
+        assert_eq!(crc32(&bytes), 0xa6ac_f37f);
     }
 
     fn write(img: &CheckpointImage, free: Durable) -> (Durable, usize) {
@@ -359,10 +359,10 @@ mod tests {
 
     #[test]
     fn an_image_spans_segments_and_is_written_over_a_retired_one() {
-        // 50 000 rows of 13 bytes (a count, a full-width integer) and the
+        // 65 000 rows of 10 bytes (a count, a full-width integer) and the
         // sample's tables: the rows frame spans ten segments.
         let mut big = sample();
-        let rows: Vec<Row> = (0..50_000)
+        let rows: Vec<Row> = (0..65_000)
             .map(|k| Row::new(vec![Value::Int64(i64::MIN + k)]))
             .collect();
         big.tables[1].rows = EncodedRows::from_rows(&rows);
@@ -372,7 +372,7 @@ mod tests {
         let mut two = big.clone();
         two.tables.truncate(2);
         let two = two.encode();
-        assert_eq!((two.len(), crc32(&two)), (650_245, 0xa1da_66e8));
+        assert_eq!((two.len(), crc32(&two)), (650_239, 0xc8c2_6d3d));
         assert_eq!(allocated, bytes.len().div_ceil(crate::RETAINED_MIN));
         assert_eq!(image.segments_used(), allocated);
         assert_eq!(CheckpointImage::decode(&bytes).unwrap(), big);

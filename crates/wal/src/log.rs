@@ -548,7 +548,8 @@ mod tests {
         Wal::new(WalConfig::default(), ram())
     }
 
-    /// One full-width integer a row: 13 bytes, a count and a 9-byte value.
+    /// One full-width integer a row: 10 bytes, a one-byte count and a 9-byte
+    /// value.
     fn int_rows(keys: std::ops::Range<i64>) -> Vec<hpd_common::Row> {
         keys.map(|k| hpd_common::Row::new(vec![hpd_common::Value::Int64(i64::MIN + k)]))
             .collect()
@@ -678,7 +679,7 @@ mod tests {
             table: 0,
             rows: EncodedRows::from_rows(&int_rows(7..8)),
         };
-        // 13 bytes a row: four segments.
+        // 10 bytes a row: four segments.
         let segmented = LogRecord::BulkLoad {
             table: 1,
             rows: EncodedRows::from_rows(&int_rows(0..20_000)),
@@ -714,7 +715,7 @@ mod tests {
         wal.append(&LogRecord::CheckpointBegin);
         wal.append(&LogRecord::BulkLoad {
             table: 0,
-            rows: EncodedRows::from_rows(&int_rows(0..100_000)),
+            rows: EncodedRows::from_rows(&int_rows(0..140_000)),
         });
         assert!(wal.pending_bytes() > 1 << 20);
         wal.flush(&tracker);
@@ -744,10 +745,10 @@ mod tests {
     fn a_loads_segments_become_the_logs_and_small_records_add_no_slack() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        // 13 bytes a row: twenty segments, none larger than a segment.
+        // 10 bytes a row: twenty segments, none larger than a segment.
         let frame = LogRecord::BulkLoad {
             table: 0,
-            rows: EncodedRows::from_rows(&int_rows(0..100_000)),
+            rows: EncodedRows::from_rows(&int_rows(0..130_000)),
         }
         .into_frame();
         assert!(frame.len() >= 20, "{} segments", frame.len());
@@ -769,7 +770,7 @@ mod tests {
             assert_eq!(segments_at(&inner.durable)[..frame_at.len()], frame_at);
             // The room left in the last segment, and less than a row where
             // the record closed one short.
-            let short = 13 * inner.durable.segments.len();
+            let short = 10 * inner.durable.segments.len();
             assert!(inner.durable.capacity() <= inner.durable.len + RETAINED_MIN + short);
         }
         let inner = wal.inner.lock();
@@ -783,7 +784,7 @@ mod tests {
             segments.len()
         );
         for segment in &segments[..segments.len() - 1] {
-            assert!(segment.capacity() - segment.len() < 13);
+            assert!(segment.capacity() - segment.len() < 10);
         }
         drop(inner);
         // Frames straddle segment boundaries; the stream reads whole.
@@ -860,7 +861,7 @@ mod tests {
     fn the_retired_image_is_the_free_list_and_the_installed_one_never_is() {
         let wal = sync_wal();
         let tracker = IoTracker::default();
-        // 13 bytes a row: six segments.
+        // 10 bytes a row: five segments.
         install_rows(&wal, 30_000, &tracker);
         let first = wal.durable().checkpoint.unwrap();
         let first_at = segments_at(wal.inner.lock().checkpoint.as_ref().unwrap());

@@ -121,9 +121,11 @@ pub enum LogRecord {
 }
 
 /// The rows of a [`LogRecord::BulkLoad`] as the record carries them on the
-/// wire: a `u32` row count, then each row as a `u32` value count and its
+/// wire: a `u32` row count, then each row as its value count in a
+/// [`codec::put_varint`] varint (one byte for any arity under 128) and its
 /// values' encoding ([`codec::put_values`] — the form a B+ tree leaf holds a
-/// row in). This is the one form a load exists in: the engine builds every
+/// row in). The row count is fixed-width because `EncodedRows::seal`
+/// writes it into the frame's head once the rows are in. This is the one form a load exists in: the engine builds every
 /// index from these bytes, and the buffers that hold them are the ones the
 /// log keeps ([`LogRecord::into_frame`]).
 ///
@@ -188,14 +190,12 @@ impl EncodedRows {
 
     /// Append a row, encoding it.
     pub fn push(&mut self, values: &[Value]) {
-        let len = 4
+        let len = codec::varint_len(values.len() as u64)
             + (values.iter())
                 .map(|v| ValueRef::from(v).encoded_len())
                 .sum::<usize>();
-        self.store.put_whole(len, |segment| {
-            put_u32(segment, values.len() as u32);
-            codec::put_values(segment, values);
-        });
+        self.store
+            .put_whole(len, |segment| put_values(segment, values));
         self.rows += 1;
     }
 
@@ -203,10 +203,12 @@ impl EncodedRows {
     /// B+ tree leaf lends its rows in exactly this form). Its value count is
     /// read off its bytes.
     pub fn push_encoded(&mut self, row: &[u8]) {
-        self.store.put_whole(4 + row.len(), |segment| {
-            put_u32(segment, codec::count_values(row) as u32);
-            segment.extend_from_slice(row);
-        });
+        let count = codec::count_values(row) as u64;
+        self.store
+            .put_whole(codec::varint_len(count) + row.len(), |segment| {
+                codec::put_varint(segment, count);
+                segment.extend_from_slice(row);
+            });
         self.rows += 1;
     }
 
@@ -216,8 +218,8 @@ impl EncodedRows {
     /// are only read back as one byte string. Rows put so are not one slice
     /// each, so a store holding them is sealed, never iterated.
     pub(crate) fn pack_encoded(&mut self, row: &[u8]) {
-        let count = codec::count_values(row) as u32;
-        self.store.put(&count.to_le_bytes());
+        let (count, len) = codec::varint(codec::count_values(row) as u64);
+        self.store.put(&count[..len]);
         self.store.put(row);
         self.rows += 1;
     }
@@ -235,53 +237,48 @@ impl EncodedRows {
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
         (self.store.slices(self.at + LOAD_HEAD))
             .flat_map(wire_rows)
-            .map(|row| &row[4..])
+            .map(|(_, values)| values)
     }
 
     /// Check and copy the rows at the front of `wire` (a row count, then
     /// that many rows); returns them and the bytes consumed. No value is
     /// built: each is read in place, which finds a truncated value, an
-    /// unknown tag, a string that is not UTF-8 and a count that runs past
-    /// the payload. Only checked bytes are copied, into the segments a load
-    /// of the same rows fills.
+    /// unknown tag, a string that is not UTF-8, a value count that is not
+    /// minimal and a count that runs past the payload. Only checked bytes
+    /// are copied, into the segments a load of the same rows fills.
     fn decode(wire: &[u8]) -> Result<(EncodedRows, usize)> {
-        let mut rest = wire;
-        let count = |rest: &mut &[u8], what: &str| -> Result<u32> {
-            let (n, tail) = (rest.split_first_chunk::<4>())
-                .ok_or_else(|| corrupt("unexpected end of payload"))?;
-            *rest = tail;
-            let n = u32::from_le_bytes(*n);
-            // Every row and every value takes at least a byte.
-            if n as usize > tail.len() {
-                return Err(corrupt(&format!("{what} count exceeds payload")));
-            }
-            Ok(n)
-        };
-        for _ in 0..count(&mut rest, "row")? {
-            for _ in 0..count(&mut rest, "value")? {
+        let (rows, mut rest) =
+            (wire.split_first_chunk::<4>()).ok_or_else(|| corrupt("unexpected end of payload"))?;
+        let rows = u32::from_le_bytes(*rows) as usize;
+        // Every row takes at least a byte.
+        if rows > rest.len() {
+            return Err(corrupt("row count exceeds payload"));
+        }
+        for _ in 0..rows {
+            for _ in 0..take_count(&mut rest)? {
                 codec::take_value(&mut rest).map_err(|e| corrupt(&e.to_string()))?;
             }
         }
         let used = wire.len() - rest.len();
-        let mut rows = EncodedRows::default();
-        for row in wire_rows(&wire[4..used]) {
-            rows.store
-                .put_whole(row.len(), |s| s.extend_from_slice(row));
-            rows.rows += 1;
+        let mut encoded = EncodedRows::default();
+        for (row, _) in wire_rows(&wire[4..used]) {
+            (encoded.store).put_whole(row.len(), |s| s.extend_from_slice(row));
+            encoded.rows += 1;
         }
-        Ok((rows, used))
+        Ok((encoded, used))
     }
 }
 
-/// The rows `bytes` holds, each as the wire does: its value count, then its
-/// values.
-fn wire_rows(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> + Clone {
+/// The rows `bytes` holds, each as the wire does — its value count, then its
+/// values — and its values alone.
+fn wire_rows(mut bytes: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> + Clone {
     std::iter::from_fn(move || {
-        let (count, values) = bytes.split_first_chunk::<4>()?;
-        let len = 4 + codec::values_len(values, u32::from_le_bytes(*count) as usize);
+        let mut values = bytes;
+        let count = codec::take_varint(&mut values).ok()?;
+        let head = bytes.len() - values.len();
         let row;
-        (row, bytes) = bytes.split_at(len);
-        Some(row)
+        (row, bytes) = bytes.split_at(head + codec::values_len(values, count as usize));
+        Some((row, &row[head..]))
     })
 }
 
@@ -325,6 +322,21 @@ fn corrupt(what: &str) -> HpdError {
     HpdError::Internal(format!("wal: corrupt record: {what}"))
 }
 
+/// Read the value count at the front of `rest` (see [`put_values`]) and
+/// advance past it: a count that is not minimal, or that claims more values
+/// than there are bytes behind it, is corrupt.
+fn take_count(rest: &mut &[u8]) -> Result<usize> {
+    let n = codec::take_varint(rest).map_err(|e| match e {
+        codec::DecodeError::NotMinimal => corrupt("value count wider than its encoding"),
+        e => corrupt(&e.to_string()),
+    })?;
+    // Every value takes at least a byte.
+    if n > rest.len() as u64 {
+        return Err(corrupt("value count exceeds payload"));
+    }
+    Ok(n as usize)
+}
+
 // ---------------------------------------------------------------- encoding
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -340,8 +352,10 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// A row, a key or a list of partition bounds: its value count as a varint,
+/// then its values.
 fn put_values(buf: &mut Vec<u8>, vs: &[Value]) {
-    put_u32(buf, vs.len() as u32);
+    codec::put_varint(buf, vs.len() as u64);
     codec::put_values(buf, vs);
 }
 
@@ -457,11 +471,8 @@ impl<'a> Cur<'a> {
     }
 
     fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(corrupt("value count exceeds payload"));
-        }
         let mut rest = &self.buf[self.pos..];
+        let n = take_count(&mut rest)?;
         let values = (0..n)
             .map(|_| codec::take_value(&mut rest).map(codec::ValueRef::to_value))
             .collect::<std::result::Result<_, _>>()
@@ -918,10 +929,10 @@ mod tests {
 
     #[test]
     fn values_are_written_at_their_significant_width() {
-        // An `Insert` of one value of each type: each value a header byte
-        // (type, payload length) and its zig-zag significant bytes, a float
-        // its eight, a string a varint length and its bytes. The log's bytes
-        // change only with the codec.
+        // An `Insert` of one value of each type: the value count a varint
+        // byte, each value a header byte (type, payload length) and its
+        // zig-zag significant bytes, a float its eight, a string a varint
+        // length and its bytes. The log's bytes change only with the codec.
         let rec = LogRecord::Insert {
             table: 1,
             part: 2,
@@ -942,7 +953,7 @@ mod tests {
         // type 5 + k: -125, 42, 123 and 50.
         #[rustfmt::skip]
         let bytes: &[u8] = &[
-            4, 1, 0, 0, 0, 2, 0, 0, 0, 10, 0, 0, 0,
+            4, 1, 0, 0, 0, 2, 0, 0, 0, 10,
             0x11, 9,
             0x01, 6,
             0x28, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf,
@@ -963,7 +974,7 @@ mod tests {
         };
         let mut encoded = Vec::new();
         codec::put_values(&mut encoded, row.values());
-        assert_eq!(encoded, bytes[13..]);
+        assert_eq!(encoded, bytes[10..]);
         let mut expected = vec![8, 7, 0, 0, 0, 1, 0, 0, 0];
         expected.extend_from_slice(&bytes[9..]);
         let rec = LogRecord::BulkLoad {
@@ -993,12 +1004,12 @@ mod tests {
 
     #[test]
     fn bulk_load_rows_fill_segments_and_no_row_straddles() {
-        // 20 000 rows of 26 bytes, a 100 KB one among them, an empty one last.
+        // 28 000 rows of 23 bytes, a 100 KB one among them, an empty one last.
         let row = |k: i64| {
             let date = Value::Date(i32::MIN + 4);
             Row::new(vec![Value::Int64(i64::MIN + k), Value::str("héllo"), date])
         };
-        let mut rows: Vec<Row> = (0..20_000).map(row).collect();
+        let mut rows: Vec<Row> = (0..28_000).map(row).collect();
         let wide = Value::str("w".repeat(100 << 10));
         rows.insert(7_000, Row::new(vec![Value::Int64(-1), wide]));
         rows.push(Row::new(vec![]));
@@ -1013,7 +1024,7 @@ mod tests {
         let slices: Vec<&[u8]> = encoded.store.slices(LOAD_HEAD).collect();
         assert_eq!(slices.len(), used);
         for (i, rows) in slices.iter().enumerate() {
-            let lens = wire_rows(rows).map(<[u8]>::len).sum::<usize>();
+            let lens = wire_rows(rows).map(|(row, _)| row.len()).sum::<usize>();
             assert_eq!(lens, rows.len(), "segment {i}");
         }
         // Decoding builds the same segments.
@@ -1035,7 +1046,7 @@ mod tests {
         // The bytes of the frame, as the copying encoder writes them.
         let bytes = frame.concat();
         assert_eq!(bytes, again.concat());
-        assert_eq!((bytes.len(), crc32(&bytes)), (622_431, 0xfe8d_0265));
+        assert_eq!((bytes.len(), crc32(&bytes)), (746_425, 0x4300_1726));
         // Ten rows take one segment sized to them, not a segment's size.
         let small = LogRecord::BulkLoad {
             table: 3,
@@ -1063,8 +1074,8 @@ mod tests {
         .encode();
         assert!(LogRecord::decode(&good).is_ok());
         // tag, table, row count | value count, Int32, Str("ab") | ...
-        let (row_count, first_count, first_tag, str_len) = (5, 9, 13, 16);
-        let second_count = first_count + 4 + 2 + 4;
+        let (row_count, first_count, first_tag, str_len) = (5, 9, 10, 13);
+        let second_count = first_count + 1 + 2 + 4;
         let corrupted = |at: usize, byte: u8| {
             let mut bytes = good.clone();
             bytes[at] = byte;
@@ -1089,6 +1100,12 @@ mod tests {
             }),
             ("a per-row count too low", corrupted(first_count, 1)),
             ("a per-row count too high", corrupted(second_count, 3)),
+            ("a per-row count wider than its encoding", {
+                // 2 as two varint bytes, the second of them zero.
+                let mut bytes = corrupted(first_count, 0x82);
+                bytes[first_tag] = 0;
+                bytes
+            }),
             ("a row count past the payload", corrupted(row_count, 3)),
             (
                 "a row count past any payload",
@@ -1147,7 +1164,7 @@ mod tests {
         let mut b = vec![TAG_INSERT];
         put_u32(&mut b, 0); // table
         put_u32(&mut b, 0); // part
-        put_u32(&mut b, u32::MAX);
+        codec::put_varint(&mut b, u64::MAX);
         assert!(LogRecord::decode(&b).is_err());
         // TableCreate with an unknown partitioning tag is rejected.
         let mut ok = LogRecord::TableCreate {

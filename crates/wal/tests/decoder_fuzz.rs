@@ -8,7 +8,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hpd_common::{ColumnDef, DataType, IndexDescriptor, Key, PartitionSpec, Row, Schema, Value};
+use hpd_common::{
+    ColumnDef, DataType, HpdError, IndexDescriptor, Key, PartitionSpec, Row, Schema, Value,
+};
 use hpd_wal::{crc32, CheckpointImage, EncodedRows, LogRecord, TableEntry, TableSnapshot};
 
 /// Random cases a test runs: CI runs this file in release as well.
@@ -404,4 +406,54 @@ fn random_bytes_are_corrupt_or_canonical() {
         }
     }
     assert_none("random", failures);
+}
+
+/// The value count of a row on the log is a varint. Every count encoding
+/// of one or two bytes — a byte under 0x80, or one over it and any second
+/// byte — in both forms a row takes (an `Insert`'s row, read as a `Delete`'s
+/// key and an `Update`'s row are; a load's row, read as a checkpoint's
+/// are), followed by every header byte and two more bytes, is the typed
+/// `wal: corrupt …` error or a record that encodes back to the same bytes.
+/// A count written wider than its varint needs is corrupt whatever follows
+/// it. The debug run tries every seventh header byte; CI's release run
+/// tries them all.
+#[test]
+fn every_short_value_count_before_every_header_byte_is_corrupt_or_canonical() {
+    let row = || Row::new(vec![Value::Int32(1)]);
+    let insert = LogRecord::Insert {
+        table: 1,
+        part: 2,
+        row: row(),
+    };
+    let load = LogRecord::BulkLoad {
+        table: 1,
+        rows: EncodedRows::from_rows(&[row()]),
+    };
+    // The tag, the table, and the part or the row count: the bytes before
+    // the count.
+    let heads = [insert, load].map(|rec| rec.encode()[..9].to_vec());
+    let counts = ((0..0x80u8).map(|b| vec![b]))
+        .chain((0x80..=u8::MAX).flat_map(|b| (0..=u8::MAX).map(move |c| vec![b, c])));
+    let step = if cfg!(debug_assertions) { 7 } else { 1 };
+    let (mut failures, mut accepted) = (Vec::new(), [0usize; 2]);
+    for count in counts {
+        let not_minimal = count.len() == 2 && count[1] == 0;
+        for header in (0..=u8::MAX).step_by(step) {
+            for (head, accepted) in heads.iter().zip(&mut accepted) {
+                let bytes = [head, &count[..], &[header, 0x01, 0x10]].concat();
+                match LogRecord::decode(&bytes) {
+                    Ok(rec) if not_minimal => failures.push(format!("{rec:?}: count {count:02x?}")),
+                    Ok(rec) if rec.encode() != bytes => {
+                        failures.push(format!("{bytes:02x?}: encodes to other bytes"))
+                    }
+                    Ok(_) => *accepted += 1,
+                    Err(HpdError::Internal(e)) if e.starts_with("wal: corrupt ") => {}
+                    Err(e) => failures.push(format!("{bytes:02x?}: not `wal: corrupt`: {e}")),
+                }
+            }
+        }
+    }
+    assert_none("short counts", failures);
+    let decoded = if step == 1 { 21 } else { 3 };
+    assert_eq!(accepted, [decoded; 2], "records decoded per form");
 }

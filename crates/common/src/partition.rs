@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::interval::Bound;
-use crate::{HpdError, Interval, Result, Row, Value};
+use crate::{HpdError, Interval, Result, Row, Value, ValueRef};
 
 /// How rows map to partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,11 +103,17 @@ impl PartitionSpec {
 
     /// Partition id of a partition-column value.
     pub fn route_value(&self, v: &Value) -> usize {
+        self.route_ref(v.into())
+    }
+
+    /// [`PartitionSpec::route_value`] of a value borrowed where it lives
+    /// (a load's encoded row): no value is built.
+    pub fn route_ref(&self, v: ValueRef<'_>) -> usize {
         match &self.method {
             PartitionMethod::Range { bounds } => {
                 // First bound strictly greater than `v`; the last partition
                 // is the open tail.
-                bounds.partition_point(|b| b <= v)
+                bounds.partition_point(|b| ValueRef::from(b) <= v)
             }
             PartitionMethod::Hash { partitions } => {
                 let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
@@ -244,6 +250,32 @@ mod tests {
             seen[s.route_value(&Value::Int64(i))] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn a_value_read_from_its_bytes_routes_as_the_value_does() {
+        let values = [
+            Value::Int32(-7),
+            Value::Int64(150),
+            Value::Int64(i64::MAX),
+            Value::Float64(199.5),
+            Value::Decimal(2_000_000),
+            Value::Date(120),
+            Value::str("héllo"),
+            Value::str(""),
+        ];
+        let mut bytes = Vec::new();
+        crate::codec::put_values(&mut bytes, &values);
+        let specs = [
+            spec3(),
+            PartitionSpec::range(0, vec![Value::str("b"), Value::str("m")]).unwrap(),
+            PartitionSpec::hash(0, 7).unwrap(),
+        ];
+        for s in &specs {
+            for (v, read) in values.iter().zip(crate::codec::values(&bytes)) {
+                assert_eq!(s.route_ref(read), s.route_value(v), "{v:?} under {s:?}");
+            }
+        }
     }
 
     #[test]

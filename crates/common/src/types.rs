@@ -223,34 +223,11 @@ impl PartialOrd for Value {
     }
 }
 
+/// Hashed as its [`crate::ValueRef`] is, so a value and its encoded bytes
+/// hash (and route to a hash partition) alike.
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Int32(v) => {
-                0u8.hash(state);
-                i64::from(*v).hash(state);
-            }
-            Value::Int64(v) => {
-                0u8.hash(state);
-                v.hash(state);
-            }
-            Value::Float64(v) => {
-                1u8.hash(state);
-                v.to_bits().hash(state);
-            }
-            Value::Decimal(v) => {
-                2u8.hash(state);
-                v.hash(state);
-            }
-            Value::Date(v) => {
-                3u8.hash(state);
-                v.hash(state);
-            }
-            Value::Str(s) => {
-                4u8.hash(state);
-                s.hash(state);
-            }
-        }
+        crate::ValueRef::from(self).hash(state);
     }
 }
 

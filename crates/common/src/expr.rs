@@ -359,7 +359,8 @@ impl Expr {
     /// only top-level conjuncts of the form `col <op> literal` (or the
     /// flipped form). Other conjuncts are ignored, so the returned intervals
     /// are a *superset* of the qualifying rows — safe for index seeks and
-    /// segment elimination, which re-apply the full (residual) predicate.
+    /// segment elimination, whose filter applies what they leave
+    /// ([`Expr::residual`]).
     pub fn column_intervals(&self) -> HashMap<usize, Interval> {
         let mut out: HashMap<usize, Interval> = HashMap::new();
         self.collect_intervals(&mut out);
@@ -373,45 +374,59 @@ impl Expr {
                     e.collect_intervals(out);
                 }
             }
-            Expr::Cmp { op, lhs, rhs } => {
-                let simple = match (lhs.as_ref(), rhs.as_ref()) {
-                    (Expr::Col(c), Expr::Lit(v)) => Some((*c, *op, v.clone())),
-                    (Expr::Lit(v), Expr::Col(c)) => Some((*c, op.flip(), v.clone())),
-                    _ => None,
-                };
-                if let Some((col, op, v)) = simple {
-                    let iv = match op {
-                        CmpOp::Eq => Interval::point(v),
-                        CmpOp::Lt => Interval::less_than(v, false),
-                        CmpOp::Le => Interval::less_than(v, true),
-                        CmpOp::Gt => Interval::greater_than(v, false),
-                        CmpOp::Ge => Interval::greater_than(v, true),
-                        CmpOp::Ne => return, // no useful contiguous interval
-                    };
+            _ => {
+                if let Some((col, iv)) = self.interval_conjunct() {
                     out.entry(col)
                         .and_modify(|e| *e = e.intersect(&iv))
                         .or_insert(iv);
                 }
             }
-            _ => {}
         }
     }
 
-    /// True when the predicate is *exactly* the conjunction of the intervals
-    /// [`Expr::column_intervals`] extracts from it — i.e. every conjunct is a
-    /// simple `col <op> literal` (or flipped) with a contiguous interval, so
-    /// a scan that applies those intervals needs no residual filter.
-    pub fn covered_by_intervals(&self) -> bool {
+    /// A conjunct that is one contiguous interval on one column, as that
+    /// column and interval: `col <op> literal` or the flipped form, `<>`
+    /// excluded.
+    fn interval_conjunct(&self) -> Option<(usize, Interval)> {
+        let Expr::Cmp { op, lhs, rhs } = self else {
+            return None;
+        };
+        let (col, op, v) = match (lhs.as_ref(), rhs.as_ref()) {
+            (Expr::Col(c), Expr::Lit(v)) => (*c, *op, v.clone()),
+            (Expr::Lit(v), Expr::Col(c)) => (*c, op.flip(), v.clone()),
+            _ => return None,
+        };
+        let iv = match op {
+            CmpOp::Eq => Interval::point(v),
+            CmpOp::Lt => Interval::less_than(v, false),
+            CmpOp::Le => Interval::less_than(v, true),
+            CmpOp::Gt => Interval::greater_than(v, false),
+            CmpOp::Ge => Interval::greater_than(v, true),
+            CmpOp::Ne => return None, // no useful contiguous interval
+        };
+        Some((col, iv))
+    }
+
+    /// What remains of this predicate once an access path applies the
+    /// intervals [`Expr::column_intervals`] extracts for the `applied`
+    /// columns: every top-level conjunct but the simple `col <op> literal`
+    /// (or flipped) ones on those columns, in order. `None` when nothing
+    /// remains, so the access path needs no residual filter.
+    pub fn residual(&self, applied: &[usize]) -> Option<Expr> {
+        let mut rest = Vec::new();
+        self.collect_residual(applied, &mut rest);
+        match rest.len() {
+            0 => None,
+            1 => rest.pop(),
+            _ => Some(Expr::And(rest)),
+        }
+    }
+
+    fn collect_residual(&self, applied: &[usize], rest: &mut Vec<Expr>) {
         match self {
-            Expr::And(es) => es.iter().all(Expr::covered_by_intervals),
-            Expr::Cmp { op, lhs, rhs } => {
-                !matches!(op, CmpOp::Ne)
-                    && matches!(
-                        (lhs.as_ref(), rhs.as_ref()),
-                        (Expr::Col(_), Expr::Lit(_)) | (Expr::Lit(_), Expr::Col(_))
-                    )
-            }
-            _ => false,
+            Expr::And(es) => es.iter().for_each(|e| e.collect_residual(applied, rest)),
+            _ if (self.interval_conjunct()).is_some_and(|(c, _)| applied.contains(&c)) => {}
+            _ => rest.push(self.clone()),
         }
     }
 
@@ -730,6 +745,31 @@ mod tests {
         let ivs = pred.column_intervals();
         assert!(ivs[&0].contains(&Value::Int32(9)));
         assert!(!ivs[&0].contains(&Value::Int32(10)));
+    }
+
+    #[test]
+    fn the_residual_keeps_what_the_applied_columns_do_not_cover() {
+        let (ge, lt, eq, ne) = (
+            Expr::col_cmp(0, CmpOp::Ge, Value::Int32(5)),
+            Expr::cmp(CmpOp::Gt, Expr::lit(Value::Int32(15)), Expr::Col(0)),
+            Expr::col_cmp(2, CmpOp::Eq, Value::Int32(7)),
+            Expr::col_cmp(0, CmpOp::Ne, Value::Int32(9)),
+        );
+        let pred = Expr::And(vec![
+            ge.clone(),
+            Expr::And(vec![lt.clone(), eq.clone()]),
+            ne.clone(),
+        ]);
+        assert_eq!(
+            pred.residual(&[]),
+            Some(Expr::And(vec![ge, lt, eq.clone(), ne.clone()]))
+        );
+        assert_eq!(pred.residual(&[0]), Some(Expr::And(vec![eq, ne.clone()])));
+        // `<>` is no interval: it stays even on an applied column.
+        assert_eq!(pred.residual(&[0, 2]), Some(ne));
+        let covered = Expr::between(1, Value::Int32(1), Value::Int32(3));
+        assert_eq!(covered.residual(&[1]), None);
+        assert_eq!(Expr::And(vec![]).residual(&[]), None);
     }
 
     #[test]

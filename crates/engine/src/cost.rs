@@ -47,8 +47,11 @@ pub struct CostModel {
     /// operator dispatch. Keeps a one-row point query from looking free on
     /// a columnstore (the B+ tree seek should still win those).
     pub cpu_batch_setup_us: f64,
-    /// CPU microseconds per hash-table probe/insert.
+    /// CPU microseconds per hash-table probe/insert in row mode.
     pub cpu_hash_us: f64,
+    /// CPU microseconds per hash-table probe/insert in batch mode: keys
+    /// hashed a batch at a time into the open-addressing table.
+    pub cpu_hash_batch_us: f64,
     /// CPU microseconds per comparison in a sort.
     pub cpu_cmp_us: f64,
     /// Startup overhead of each fan-out (a scan leaf or a gather running
@@ -68,12 +71,19 @@ impl CostModel {
             device,
             // Calibrated against the measured executor: row-mode operators
             // spend ~0.55 µs/row (tuple materialization + per-row dispatch),
-            // batch mode ~0.012 µs/row, hash probes ~0.35 µs.
+            // batch mode ~0.012 µs/row, row-mode hash probes ~0.35 µs.
             cpu_row_us: 0.55,
             cpu_batch_us: 0.012,
             cpu_kernel_us: 0.003,
             cpu_batch_setup_us: 3.0,
             cpu_hash_us: 0.35,
+            // Batch-mode hashing, from the benchmark's traced
+            // `exec.probe_hash_agg_us` / `exec.probe_hash_join_us` (38 000
+            // batch rows grouped into 100 groups, and probing a 100-row
+            // build): 260 / 353 µs at their fastest over twelve `dss` runs
+            // on a 2-vCPU box, 6.8 and 9.3 ns a row, the join's also
+            // building its output rows.
+            cpu_hash_batch_us: 0.0075,
             cpu_cmp_us: 0.05,
             parallel_startup_us: 300.0,
             parallel_per_worker_us: 30.0,
@@ -121,6 +131,14 @@ impl CostModel {
         }
     }
 
+    /// CPU microseconds a hash-table insert or probe costs in `mode`.
+    pub fn cpu_hash_per_row_us(&self, mode: Mode) -> f64 {
+        match mode {
+            Mode::Row => self.cpu_hash_us,
+            Mode::Batch => self.cpu_hash_batch_us,
+        }
+    }
+
     /// What running `work_us` of parallelizable time (CPU and overlapping
     /// device time) on `dop` lanes adds to elapsed time: one start-up, less
     /// what the lanes save. Nothing for a serial run.
@@ -158,16 +176,17 @@ impl CostModel {
         (cpu, io)
     }
 
-    /// Hash aggregation cost over `rows` inputs into `groups` groups of
-    /// `group_bytes` each; spills when the table exceeds the grant.
+    /// Hash aggregation cost over `rows` inputs in `mode` into `groups`
+    /// groups of `group_bytes` each; spills when the table exceeds the grant.
     pub fn hash_agg_cost(
         &self,
+        mode: Mode,
         rows: f64,
         groups: f64,
         group_bytes: f64,
         input_bytes: f64,
     ) -> (f64, f64) {
-        let cpu = rows * self.cpu_hash_us;
+        let cpu = rows * self.cpu_hash_per_row_us(mode);
         let table_bytes = groups * group_bytes;
         let io = if table_bytes > self.grant_bytes as f64 {
             // Disk-based aggregation: the overflow fraction of the input
@@ -212,9 +231,9 @@ mod tests {
     #[test]
     fn hash_agg_spills_only_beyond_grant() {
         let m = model();
-        let (_, io_small) = m.hash_agg_cost(1000.0, 100.0, 64.0, 8000.0);
+        let (_, io_small) = m.hash_agg_cost(Mode::Row, 1000.0, 100.0, 64.0, 8000.0);
         assert_eq!(io_small, 0.0);
-        let (_, io_big) = m.hash_agg_cost(1e6, 1e6, 64.0, 8e6);
+        let (_, io_big) = m.hash_agg_cost(Mode::Row, 1e6, 1e6, 64.0, 8e6);
         assert!(io_big > 0.0);
     }
 

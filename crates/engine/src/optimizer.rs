@@ -20,6 +20,7 @@ use std::ops::Bound;
 use hpd_common::{
     AggFunc, DataType, Expr, HpdError, Interval, Key, PartitionSpec, Result, Schema, Value,
 };
+use hpd_exec::Mode;
 
 use crate::cost::CostModel;
 use crate::design::{IndexDescriptor, IndexId, IndexMeta};
@@ -97,6 +98,10 @@ struct AccessOption {
     node: PlanNode,
     /// Sort order provided, as table column ordinals (empty = none).
     order: Vec<usize>,
+    /// Table columns whose predicate intervals the access path applies
+    /// exactly (a seek's consumed key prefix, a columnstore scan's pushed
+    /// intervals): their conjuncts need no residual filter.
+    applied: Vec<usize>,
 }
 
 pub struct Optimizer {
@@ -217,9 +222,10 @@ impl Optimizer {
         let intervals = predicate.map(Expr::column_intervals).unwrap_or_default();
         let sel = ctx.stats.intervals_selectivity(&intervals);
         let lane = |p: usize, dop_cap: usize| -> Result<Vec<AccessOption>> {
+            let part_rows = ctx.parts[p].rows as f64;
             self.part_options(ti, p, dop_cap, needed, &intervals, ctx)
                 .into_iter()
-                .map(|o| self.with_filter(o, ti, predicate, sel))
+                .map(|o| self.with_filter(o, ti, predicate, part_rows * sel))
                 .collect()
         };
         let total = ctx.parts.len();
@@ -244,6 +250,7 @@ impl Optimizer {
                 .map(|o| AccessOption {
                     node: self.gather(ti, vec![o.node], pruned, total),
                     order: o.order,
+                    applied: o.applied,
                 })
                 .collect());
         }
@@ -261,6 +268,7 @@ impl Optimizer {
             node: self.gather(ti, parts, pruned, total),
             // The union of independently ordered lanes has no global order.
             order: Vec::new(),
+            applied: Vec::new(),
         }])
     }
 
@@ -337,6 +345,7 @@ impl Optimizer {
                             options.push(AccessOption {
                                 node,
                                 order: opt.order,
+                                applied: opt.applied,
                             });
                         }
                     }
@@ -353,10 +362,13 @@ impl Optimizer {
         if !ctx.snapshot_overlay {
             return options;
         }
+        // The old versions a snapshot appends pass through no index: the
+        // filter above it checks every conjunct.
         (options.into_iter())
             .map(|opt| AccessOption {
                 node: self.snapshot(opt.node, ti, part),
                 order: Vec::new(),
+                applied: Vec::new(),
             })
             .collect()
     }
@@ -371,11 +383,9 @@ impl Optimizer {
             table: ti,
             part,
         };
-        PlanNode::new(kind, out_cols, out_types, rows).with_cost(
-            rows * self.cost.cpu_hash_us,
-            0.0,
-            0.0,
-        )
+        let node = PlanNode::new(kind, out_cols, out_types, rows);
+        let cpu = rows * self.cost.cpu_hash_per_row_us(node.mode());
+        node.with_cost(cpu, 0.0, 0.0)
     }
 
     /// Union `parts` — identically shaped lanes, one per surviving part —
@@ -469,10 +479,11 @@ impl Optimizer {
             node: PlanNode::new(kind, out_cols.clone(), out_types.clone(), rows)
                 .with_cost(scan_cpu, scan_io, 0.0),
             order: keys.to_vec(),
+            applied: Vec::new(),
         });
 
         // Prefix seek: consume equality intervals, then at most one range.
-        let (bounds, consumed_sel, _full_prefix) =
+        let (bounds, consumed_sel, consumed) =
             prefix_bounds(keys, intervals, &ctx.stats, part_rows);
         if let Some((lo, hi)) = bounds {
             let sel = consumed_sel.clamp(0.0, 1.0);
@@ -502,6 +513,7 @@ impl Optimizer {
                 // A seek yields key order whether or not the prefix is a
                 // full equality (residual order covers the remaining keys).
                 order: keys.to_vec(),
+                applied: keys[..consumed].to_vec(),
             });
         }
         options
@@ -562,7 +574,7 @@ impl Optimizer {
         cpu += meta.delta_rows as f64 * self.cost.cpu_row_us;
         // Delete-buffer anti-join: probe per surviving row + buffer scan.
         if meta.delete_buffer_rows > 0 {
-            cpu += selected * self.cost.cpu_hash_us * 0.5;
+            cpu += selected * self.cost.cpu_hash_per_row_us(Mode::Batch) * 0.5;
             io += self
                 .cost
                 .random_pages_us((meta.delete_buffer_rows as f64 / 200.0).ceil());
@@ -584,42 +596,36 @@ impl Optimizer {
             node: PlanNode::new(kind, out_cols, out_types, selected.max(1.0))
                 .with_cost(cpu, io, io_div),
             order: Vec::new(),
+            applied: intervals.keys().copied().collect(),
         }
     }
 
-    /// Apply the residual predicate on top of an access option.
+    /// Apply what the access option leaves of the predicate on top of it:
+    /// the conjuncts it does not apply itself, in a `Filter` estimated to
+    /// keep at most `pred_rows`, the part's rows under the whole predicate.
+    /// A columnstore scan's rows are already cut by its intervals.
     fn with_filter(
         &self,
         mut opt: AccessOption,
         ti: usize,
         predicate: Option<&Expr>,
-        sel: f64,
+        pred_rows: f64,
     ) -> Result<AccessOption> {
-        let Some(pred) = predicate else {
+        let Some(residual) = predicate.and_then(|p| p.residual(&opt.applied)) else {
             return Ok(opt);
         };
-        let (leaf, snapshot) = match &opt.node.kind {
-            PlanNodeKind::Snapshot { child, .. } => (&**child, true),
-            _ => (&opt.node, false),
+        let leaf = match &opt.node.kind {
+            PlanNodeKind::Snapshot { child, .. } => &**child,
+            _ => &opt.node,
         };
         let is_csi = matches!(leaf.kind, PlanNodeKind::CsiScan { .. });
-        // The columnstore scan applies every pushed-down interval exactly
-        // (encoded-domain kernels with a value-comparison fallback), so a
-        // predicate that is nothing but those intervals needs no residual
-        // filter node at all — unless a snapshot appends old versions above
-        // the scan, which only the filter checks.
-        if is_csi && !snapshot && pred.covered_by_intervals() {
-            return Ok(opt);
-        }
-        let bound = bind_expr(pred, ti, &opt.node)?;
+        let bound = bind_expr(&residual, ti, &opt.node)?;
         let in_rows = opt.node.est_rows;
         let cpu = in_rows * self.cost.cpu_per_row_us(opt.node.mode());
-        // CSI scans already reduced est_rows by the interval selectivity;
-        // only non-CSI children still carry the full table cardinality.
         let out_rows = if is_csi {
             in_rows
         } else {
-            self.relative_filter_rows(sel, in_rows).min(in_rows)
+            in_rows.min(pred_rows.max(0.0))
         };
         let (out_cols, out_types) = (opt.node.out_cols.clone(), opt.node.out_types.clone());
         let kind = PlanNodeKind::Filter {
@@ -628,12 +634,6 @@ impl Optimizer {
         };
         opt.node = PlanNode::new(kind, out_cols, out_types, out_rows).with_cost(cpu, 0.0, 0.0);
         Ok(opt)
-    }
-
-    fn relative_filter_rows(&self, table_sel: f64, in_rows: f64) -> f64 {
-        // The access path may already have reduced rows (seek/elimination);
-        // the filter keeps at most `table_sel` of the *table*, so cap.
-        (in_rows * table_sel.clamp(1e-9, 1.0)).max(0.0)
     }
 
     /// Every single-table subplan (access + filter) producing the columns
@@ -964,6 +964,7 @@ impl Optimizer {
         };
 
         let child = Box::new(projected);
+        let mode = child.mode();
         let (kind, cpu, io) = if stream_ok || query.group_by.is_empty() {
             let cpu = est_rows * self.cost.cpu_row_us * 0.4;
             let group = group_ords;
@@ -971,8 +972,7 @@ impl Optimizer {
         } else {
             let row_bytes: f64 = 48.0 + 16.0 * group_ords.len() as f64;
             let (cpu, io) =
-                self.cost
-                    .hash_agg_cost(est_rows, groups, row_bytes, est_rows * row_bytes);
+                (self.cost).hash_agg_cost(mode, est_rows, groups, row_bytes, est_rows * row_bytes);
             let group = group_ords;
             (PlanNodeKind::HashAgg { child, group, aggs }, cpu, io)
         };
@@ -1114,9 +1114,8 @@ impl Optimizer {
         let ctx = &tables[next];
         let mut options: Vec<PlanNode> = Vec::new();
 
-        // Estimated join cardinality.
-        let inner_rows = best_single[next].est_rows;
-        let mut join_card = current.est_rows * inner_rows;
+        // Estimated join cardinality, of `inner_rows` rows of the inner table.
+        let mut key_distinct = 1.0;
         for (lc, rc) in join_keys {
             let (outer_col, inner_col) = if lc.table == next { (rc, lc) } else { (lc, rc) };
             let d_out = if outer_col.table < tables.len() {
@@ -1127,11 +1126,13 @@ impl Optimizer {
                 1
             };
             let d_in = tables[next].stats.columns[inner_col.column].distinct.max(1);
-            join_card /= d_out.max(d_in) as f64;
+            key_distinct *= d_out.max(d_in) as f64;
         }
-        join_card = join_card.max(1.0);
+        let card = |inner_rows: f64| (current.est_rows * inner_rows / key_distinct).max(1.0);
+        let join_card = card(best_single[next].est_rows);
 
-        // Option A: hash join with the standalone subplan as build side.
+        // Option A: hash join with the standalone subplan, built on the
+        // side `PlanNode::hash_join_build` picks.
         {
             let right = best_single[next].clone();
             let keys: Vec<(usize, usize)> = join_keys
@@ -1147,30 +1148,32 @@ impl Optimizer {
                     Ok((op, ip))
                 })
                 .collect::<Result<_>>()?;
-            let build_bytes = right.est_rows
-                * right
-                    .out_types
-                    .iter()
-                    .map(|t| t.fixed_width())
-                    .sum::<usize>() as f64;
-            let mut cpu =
-                (right.est_rows + current.est_rows) * self.cost.cpu_hash_us + join_card * 0.02;
-            let mut io = 0.0;
-            if build_bytes > self.cost.grant_bytes as f64 {
-                io += self.cost.spill_round_trip_us(build_bytes);
-                cpu *= 1.3;
-            }
             let mut out_cols = current.out_cols.clone();
             out_cols.extend(right.out_cols.iter().copied());
             let mut out_types = current.out_types.clone();
             out_types.extend(right.out_types.iter().copied());
+            let (_, build) = PlanNode::hash_join_build(current, &right);
+            let build_bytes = build.est_rows
+                * build
+                    .out_types
+                    .iter()
+                    .map(|t| t.fixed_width())
+                    .sum::<usize>() as f64;
+            let hashed = current.est_rows + right.est_rows;
             let kind = PlanNodeKind::HashJoin {
                 left: Box::new(current.clone()),
                 right: Box::new(right),
                 keys,
             };
-            options
-                .push(PlanNode::new(kind, out_cols, out_types, join_card).with_cost(cpu, io, 0.0));
+            let node = PlanNode::new(kind, out_cols, out_types, join_card);
+            // Every build and probe row hashed at its mode's price.
+            let mut cpu = hashed * self.cost.cpu_hash_per_row_us(node.mode()) + join_card * 0.02;
+            let mut io = 0.0;
+            if build_bytes > self.cost.grant_bytes as f64 {
+                io += self.cost.spill_round_trip_us(build_bytes);
+                cpu *= 1.3;
+            }
+            options.push(node.with_cost(cpu, io, 0.0));
         }
 
         // Option B: index nested-loop join when an index on `next` has a key
@@ -1243,22 +1246,25 @@ impl Optimizer {
                 index: IndexId(idx),
                 outer_key,
             };
+            // The seek applies no local predicate of the inner table: it
+            // joins every inner row, and the filter above, in the join's
+            // mode, keeps the join's cardinality.
+            let predicate = query.tables[next].predicate.as_ref();
+            let seek_card = match predicate {
+                Some(_) => card(ctx.parts.iter().map(|p| p.rows).sum::<usize>() as f64),
+                None => join_card,
+            };
             let mut node =
-                PlanNode::new(kind, out_cols, out_types, join_card).with_cost(cpu, io, 0.0);
-            // Residual local predicate of the inner table, in the join's mode.
-            if let Some(pred) = &query.tables[next].predicate {
+                PlanNode::new(kind, out_cols, out_types, seek_card).with_cost(cpu, io, 0.0);
+            if let Some(pred) = predicate {
                 let bound = bind_expr(pred, next, &node)?;
-                let sel = tables[next]
-                    .stats
-                    .intervals_selectivity(&pred.column_intervals());
-                let est_rows = (node.est_rows * sel).max(1.0);
                 let cpu = node.est_rows * self.cost.cpu_per_row_us(node.mode());
                 let (out_cols, out_types) = (node.out_cols.clone(), node.out_types.clone());
                 let kind = PlanNodeKind::Filter {
                     child: Box::new(node),
                     predicate: bound,
                 };
-                node = PlanNode::new(kind, out_cols, out_types, est_rows).with_cost(cpu, 0.0, 0.0);
+                node = PlanNode::new(kind, out_cols, out_types, join_card).with_cost(cpu, 0.0, 0.0);
             }
             options.push(node);
         }
@@ -1276,14 +1282,15 @@ type KeyBounds = (Bound<Key>, Bound<Key>);
 
 /// Consume a key prefix from the predicate intervals: equality columns, then
 /// at most one range column. Returns the key-space bounds, the combined
-/// selectivity of the consumed columns among `rows` rows, and whether the
-/// whole prefix was equalities.
+/// selectivity of the consumed columns among `rows` rows, and how many key
+/// columns were consumed. The bounds hold exactly the rows inside every
+/// consumed column's interval.
 fn prefix_bounds(
     keys: &[usize],
     intervals: &HashMap<usize, Interval>,
     stats: &TableStats,
     rows: usize,
-) -> (Option<KeyBounds>, f64, bool) {
+) -> (Option<KeyBounds>, f64, usize) {
     use hpd_common::interval::Bound as IvBound;
     let mut lo_vals: Vec<Value> = Vec::new();
     let mut hi_vals: Vec<Value> = Vec::new();
@@ -1326,7 +1333,7 @@ fn prefix_bounds(
         break;
     }
     if consumed == 0 {
-        return (None, 1.0, false);
+        return (None, 1.0, 0);
     }
     let full_prefix = consumed == keys.len();
     // Lower bound.
@@ -1369,7 +1376,7 @@ fn prefix_bounds(
         }
         Bound::Included(Key::new(vals))
     };
-    (Some((lo, hi)), sel, full_prefix)
+    (Some((lo, hi)), sel, consumed)
 }
 
 /// Bind a table-ordinal expression to a node's output ordinals.

@@ -182,33 +182,74 @@ impl ColumnStats {
         if self.bucket_bounds.is_empty() {
             return 0.5;
         }
-        // Count buckets whose upper bound falls inside the interval; add
-        // partial credit for boundary buckets.
+        // Sum each bucket's share of the interval. A bucket holds the values
+        // above the previous bound up to its own, the first one from the
+        // column's minimum. On a numeric domain its share is the part of
+        // those values the interval holds; a string bucket gets full credit
+        // when both its bounds are inside, partial credit at a boundary.
         let mut covered = 0.0;
         let mut prev: Option<&Value> = None;
         for b in &self.bucket_bounds {
-            let hi_in = interval.contains(b);
-            let lo_in = prev.map(|p| interval.contains(p)).unwrap_or(hi_in);
-            covered += match (lo_in, hi_in) {
-                (true, true) => 1.0,
-                (false, false) => {
-                    // The interval may be strictly inside this bucket.
-                    if let Some(p) = prev {
-                        if interval.overlaps_range(p, b) {
-                            0.3
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        0.0
-                    }
-                }
-                _ => 0.5,
+            let share = match (prev, &self.min) {
+                (Some(p), _) => value_share(interval, p, false, b),
+                (None, Some(min)) => value_share(interval, min, true, b),
+                (None, None) => None,
             };
+            covered += share.unwrap_or_else(|| {
+                let hi_in = interval.contains(b);
+                let lo_in = prev.map(|p| interval.contains(p)).unwrap_or(hi_in);
+                match (lo_in, hi_in) {
+                    (true, true) => 1.0,
+                    // The interval may be strictly inside this bucket.
+                    (false, false) => match prev {
+                        Some(p) if interval.overlaps_range(p, b) => 0.3,
+                        _ => 0.0,
+                    },
+                    _ => 0.5,
+                }
+            });
             prev = Some(b);
         }
         (covered / self.bucket_bounds.len() as f64).clamp(0.0, 1.0)
     }
+}
+
+/// The share of a bucket's values that `interval` holds, the bucket being
+/// the values above `lo` (from it, if `lo_included`) up to `hi`, on an
+/// ordered numeric domain: integers, dates and decimals counted in their
+/// units, floats measured by length. `None` on strings, or where a bound is
+/// of another type than the column.
+fn value_share(interval: &Interval, lo: &Value, lo_included: bool, hi: &Value) -> Option<f64> {
+    use hpd_common::interval::Bound;
+    let (dtype, step) = match hi.data_type() {
+        DataType::Utf8 => return None,
+        DataType::Float64 => (DataType::Float64, 0.0),
+        dtype => (dtype, 1.0),
+    };
+    let at = |v: &Value| match v {
+        _ if v.data_type() != dtype => None,
+        Value::Float64(x) => Some(*x),
+        _ => v.as_i64().map(|x| x as f64),
+    };
+    let first = at(lo)? + if lo_included { 0.0 } else { step };
+    let last = at(hi)?;
+    let from = match &interval.lo {
+        Bound::Unbounded => f64::NEG_INFINITY,
+        Bound::Inclusive(v) => at(v)?,
+        Bound::Exclusive(v) => at(v)? + step,
+    };
+    let to = match &interval.hi {
+        Bound::Unbounded => f64::INFINITY,
+        Bound::Inclusive(v) => at(v)?,
+        Bound::Exclusive(v) => at(v)? - step,
+    };
+    let width = last - first + step;
+    if width <= 0.0 {
+        // A float bucket of one value.
+        return Some(if interval.contains(hi) { 1.0 } else { 0.0 });
+    }
+    let overlap = to.min(last) - from.max(first) + step;
+    Some((overlap / width).clamp(0.0, 1.0))
 }
 
 /// Statistics for a whole table.

@@ -3,13 +3,16 @@
 
 use std::collections::HashMap;
 
-use hpd_common::{AggFunc, CmpOp, DataType, Expr, Row, Schema, Value};
+use hpd_common::{AggFunc, CmpOp, DataType, Expr, Interval, Row, Schema, Value};
+use hpd_engine::cost::CostModel;
 use hpd_engine::plan::{PlanCol, PlanNode, PlanTable};
 use hpd_engine::table::Table;
 use hpd_engine::{
-    AggItem, ColRef, Database, DbConfig, IndexDescriptor, IndexId, PartitionSpec, PhysicalPlan,
-    PlanNodeKind, QueryRunner, SelectQuery, Statement, TableInput,
+    AggItem, ColRef, Database, DbConfig, EncodedRows, IndexDescriptor, IndexId, Optimizer,
+    PartitionSpec, PhysicalPlan, PlanNodeKind, QueryRunner, SelectQuery, Statement, TableInput,
+    TableStats,
 };
+use hpd_exec::Mode;
 use hpd_storage::DeviceProfile;
 
 fn db_hdd() -> Database {
@@ -70,6 +73,8 @@ fn composite_equality_prefix_seek() {
         "{}",
         plan.explain()
     );
+    // The seek applies the whole predicate: nothing is left to filter.
+    assert!(filters(&plan).is_empty(), "{}", plan.explain());
     let r = db.query(&Statement::Select(q)).run().unwrap();
     assert_eq!(r.rows.len(), 1);
     assert!(
@@ -98,6 +103,7 @@ fn equality_prefix_plus_range_seek() {
         "{}",
         plan.explain()
     );
+    assert!(filters(&plan).is_empty(), "{}", plan.explain());
     let r = db.query(&Statement::Select(q)).run().unwrap();
     let expected = (0..40_000)
         .filter(|i| i % 4 == 1 && (2..5).contains(&(i / 4 % 10)))
@@ -213,6 +219,7 @@ fn covering_secondary_beats_lookup_plan() {
         "secondary chosen:\n{}",
         plan.explain()
     );
+    assert!(filters(&plan).is_empty(), "{}", plan.explain());
     let r = db.query(&Statement::Select(q_lookup)).run().unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0][0], Value::Int32(123));
@@ -408,4 +415,313 @@ fn find_leaf(node: &hpd_engine::plan::PlanNode) -> Option<PlanNodeKind> {
         PlanNodeKind::IndexNLJoin { outer, .. } => find_leaf(outer),
         PlanNodeKind::HashJoin { left, .. } => find_leaf(left),
     }
+}
+
+// ----------------------------------------------------------------------
+// Estimates: each predicate applied once, hash work priced per mode,
+// ranges interpolated inside a histogram bucket.
+// ----------------------------------------------------------------------
+
+fn filters(plan: &PhysicalPlan) -> Vec<&PlanNode> {
+    (plan.root.walk())
+        .map(|(_, n)| n)
+        .filter(|n| matches!(n.kind, PlanNodeKind::Filter { .. }))
+        .collect()
+}
+
+fn conjuncts(filter: &PlanNode) -> usize {
+    match &filter.kind {
+        PlanNodeKind::Filter {
+            predicate: Expr::And(es),
+            ..
+        } => es.len(),
+        PlanNodeKind::Filter { .. } => 1,
+        _ => panic!("not a filter"),
+    }
+}
+
+#[test]
+fn a_filter_over_a_seek_keeps_the_rest_of_the_predicate_once() {
+    let db = db_hdd();
+    setup_composite(&db, 40_000);
+    // The seek consumes w and d of the key (w, d, k); v < 20 000 is left.
+    let pred = Expr::And(vec![
+        Expr::col_cmp(0, CmpOp::Eq, Value::Int32(2)),
+        Expr::col_cmp(1, CmpOp::Eq, Value::Int32(3)),
+        Expr::col_cmp(3, CmpOp::Lt, Value::Int32(20_000)),
+    ]);
+    let q = SelectQuery::single_table("t", Some(pred.clone()), vec![3]);
+    let plan = db.plan(&q).unwrap();
+    assert!(
+        matches!(find_leaf(&plan.root), Some(PlanNodeKind::BTreeSeek { .. })),
+        "{}",
+        plan.explain()
+    );
+    let [filter] = filters(&plan)[..] else {
+        panic!("one filter:\n{}", plan.explain());
+    };
+    assert_eq!(
+        conjuncts(filter),
+        1,
+        "only v's conjunct:\n{}",
+        plan.explain()
+    );
+    let PlanNodeKind::Filter { predicate, .. } = &filter.kind else {
+        unreachable!()
+    };
+    assert!(
+        matches!(predicate, Expr::Cmp { op: CmpOp::Lt, rhs, .. } if **rhs == Expr::Lit(Value::Int32(20_000))),
+        "{predicate:?}"
+    );
+    let sel = db
+        .with_table("t", |t| {
+            t.stats().intervals_selectivity(&pred.column_intervals())
+        })
+        .unwrap();
+    let seek = filter.children().next().unwrap();
+    assert!(
+        filter.est_rows <= 40_000.0 * sel + 1e-9,
+        "{}",
+        plan.explain()
+    );
+    assert!(filter.est_rows <= seek.est_rows, "{}", plan.explain());
+    let rows = db.query(&Statement::Select(q)).run().unwrap().rows;
+    let expected = (0..40_000)
+        .filter(|i| i % 4 == 2 && i / 4 % 10 == 3 && *i < 20_000)
+        .count();
+    assert_eq!(rows.len(), expected);
+}
+
+#[test]
+fn under_a_snapshot_overlay_the_filter_stays() {
+    let db = db_hdd();
+    setup_composite(&db, 4_000);
+    let pred = Expr::And(vec![
+        Expr::col_cmp(0, CmpOp::Eq, Value::Int32(1)),
+        Expr::col_cmp(1, CmpOp::Ge, Value::Int32(2)),
+        Expr::col_cmp(1, CmpOp::Lt, Value::Int32(5)),
+    ]);
+    let q = SelectQuery::single_table("t", Some(pred), vec![0, 1, 3]);
+    let mut ctx = db.context_for("t").unwrap();
+    ctx.snapshot_overlay = true;
+    let cost = CostModel::new(DeviceProfile::hdd_scaled(40.0), 1, 1 << 20);
+    let plan = Optimizer::new(cost).plan(&q, &[ctx]).unwrap();
+    assert!(plan.explain().contains("Snapshot"), "{}", plan.explain());
+    let [filter] = filters(&plan)[..] else {
+        panic!("one filter:\n{}", plan.explain());
+    };
+    // The old versions the snapshot appends are checked on every conjunct.
+    assert_eq!(conjuncts(filter), 3, "{}", plan.explain());
+}
+
+#[test]
+fn a_key_range_window_is_interpolated_and_seeks_on_the_hybrid() {
+    use hpd_workloads::tpch::{load_lineitem, MixedDesign};
+    let db = db_hdd();
+    load_lineitem(&db, 20_000, 1, MixedDesign::BTreeWithSecondaryCsi).unwrap();
+    let col = |name| {
+        db.with_table("lineitem", |t| t.schema().index_of(name))
+            .unwrap()
+    };
+    let (orderkey, linenumber, quantity) = (
+        col("l_orderkey").unwrap(),
+        col("l_linenumber").unwrap(),
+        col("l_quantity").unwrap(),
+    );
+    // Five orders' lines, as `htap`'s key-range select reads them.
+    for k in [17, 1_000, 4_000] {
+        let q = SelectQuery::single_table(
+            "lineitem",
+            Some(Expr::between(
+                orderkey,
+                Value::Int32(k),
+                Value::Int32(k + 4),
+            )),
+            vec![orderkey, linenumber, quantity],
+        );
+        let plan = db.plan(&q).unwrap();
+        assert!(
+            matches!(find_leaf(&plan.root), Some(PlanNodeKind::BTreeSeek { .. })),
+            "{}",
+            plan.explain()
+        );
+        let actual = db.query(&Statement::Select(q)).run().unwrap().rows.len() as f64;
+        let est = plan.root.est_rows;
+        assert!(
+            (10.0..=30.0).contains(&actual) && est <= 2.0 * actual && actual <= 2.0 * est,
+            "orders {k}..={}: estimated {est}, read {actual}\n{}",
+            k + 4,
+            plan.explain()
+        );
+    }
+}
+
+#[test]
+fn a_string_range_keeps_the_bucket_credits() {
+    let schema = Schema::from_pairs(&[("s", DataType::Utf8), ("i", DataType::Int32)]);
+    let rows: Vec<Row> = (0..10_000)
+        .map(|i| Row::new(vec![Value::str(format!("s{i:04}")), Value::Int32(i)]))
+        .collect();
+    let stats =
+        TableStats::analyze_encoded(&schema, &EncodedRows::from_rows(&rows), 1_000).unwrap();
+    let (s, i) = (&stats.columns[0], &stats.columns[1]);
+    assert_eq!(s.bucket_bounds.len(), 64);
+    let strings = |lo: i32, hi: i32| {
+        let v = |x: i32| Value::str(format!("s{x:04}"));
+        s.selectivity(&Interval::between(v(lo), v(hi)), 10_000)
+    };
+    let ints = |lo: i32, hi: i32| {
+        i.selectivity(
+            &Interval::between(Value::Int32(lo), Value::Int32(hi)),
+            10_000,
+        )
+    };
+    // Strictly inside one bucket: 0.3 of it; across the first bound: the
+    // first bucket whole and half of the second.
+    assert_eq!(strings(5_000, 5_002), 0.3 / 64.0);
+    assert_eq!(strings(100, 200), 1.5 / 64.0);
+    // The same windows on integers count the values they hold.
+    assert!((ints(5_000, 5_002) - 3.0 / 10_000.0).abs() < 1e-4);
+    assert!((ints(100, 200) - 101.0 / 10_000.0).abs() < 1e-3);
+}
+
+/// `name(id, v, w)` with `n` rows under `primary`: v = id % 100, w = id % 7.
+fn small_table(db: &Database, name: &str, n: i32, primary: IndexDescriptor) {
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int32),
+        ("v", DataType::Int32),
+        ("w", DataType::Int32),
+    ]);
+    db.create_table(name, schema, vec![0], primary).unwrap();
+    let rows = (0..n).map(|i| {
+        Row::new(vec![
+            Value::Int32(i),
+            Value::Int32(i % 100),
+            Value::Int32(i % 7),
+        ])
+    });
+    db.load_table(name, rows.collect()).unwrap();
+}
+
+fn node<'p>(plan: &'p PhysicalPlan, kind: &str) -> &'p PlanNode {
+    (plan.root.walk())
+        .map(|(_, n)| n)
+        .find(|n| n.kind_name() == kind)
+        .unwrap_or_else(|| panic!("no {kind}:\n{}", plan.explain()))
+}
+
+#[test]
+fn hash_joins_and_aggregates_are_priced_at_their_modes_constant() {
+    let m = CostModel::new(DeviceProfile::ram(), 1, 0);
+    let (row_us, batch_us) = (m.cpu_hash_us, m.cpu_hash_batch_us);
+    let db = db_hdd();
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    small_table(&db, "rows_a", 5_000, btree.clone());
+    small_table(&db, "rows_b", 100, btree);
+    small_table(&db, "cols_a", 5_000, IndexDescriptor::PrimaryCsi);
+    for (fact, mode, price) in [
+        ("rows_a", Mode::Row, row_us),
+        ("cols_a", Mode::Batch, batch_us),
+    ] {
+        // Joined on v, which no index leads: a hash join.
+        let join = SelectQuery {
+            tables: vec![TableInput::new(fact), TableInput::new("rows_b")],
+            joins: vec![hpd_engine::EquiJoin {
+                left: ColRef::new(0, 1),
+                right: ColRef::new(1, 1),
+            }],
+            select: vec![ColRef::new(0, 0), ColRef::new(1, 2)],
+            ..Default::default()
+        };
+        let plan = db.plan(&join).unwrap();
+        let hj = node(&plan, "HashJoin");
+        assert_eq!(hj.mode(), mode, "{}", plan.explain());
+        let hashed: f64 = hj.children().map(|c| c.est_rows).sum();
+        let want = hashed * price + hj.est_rows * 0.02;
+        assert!(
+            (hj.est_cpu_us - want).abs() < 1e-6 * want,
+            "{}",
+            plan.explain()
+        );
+        // Grouped on w, which no index orders: a hash aggregate.
+        let agg = SelectQuery {
+            tables: vec![TableInput::new(fact)],
+            group_by: vec![ColRef::new(0, 2)],
+            aggregates: vec![AggItem::column(AggFunc::Sum, ColRef::new(0, 1))],
+            ..Default::default()
+        };
+        let plan = db.plan(&agg).unwrap();
+        let ha = node(&plan, "HashAgg");
+        assert_eq!(ha.mode(), mode, "{}", plan.explain());
+        let input = ha.children().next().unwrap().est_rows;
+        assert_eq!(ha.est_cpu_us, input * price, "{}", plan.explain());
+    }
+}
+
+#[test]
+fn a_hash_join_spills_only_if_the_side_it_builds_on_outgrows_the_grant() {
+    let db = db_hdd();
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    small_table(&db, "small", 10, btree.clone());
+    small_table(&db, "large", 20_000, btree);
+    // The greedy order starts from the smaller input: small on the left.
+    let join = SelectQuery {
+        tables: vec![TableInput::new("small"), TableInput::new("large")],
+        joins: vec![hpd_engine::EquiJoin {
+            left: ColRef::new(0, 1),
+            right: ColRef::new(1, 1),
+        }],
+        select: vec![ColRef::new(0, 0), ColRef::new(1, 2)],
+        ..Default::default()
+    };
+    // 10 rows fit in 4 KiB, 20 000 rows do not.
+    let plan = db.plan_with_grant(&join, 4 << 10).unwrap();
+    let hj = node(&plan, "HashJoin");
+    let PlanNodeKind::HashJoin { left, right, .. } = &hj.kind else {
+        unreachable!()
+    };
+    assert!(left.est_rows < right.est_rows, "{}", plan.explain());
+    let (_, build) = PlanNode::hash_join_build(left, right);
+    assert!(std::ptr::eq(build, &**left), "builds on the small side");
+    assert_eq!(hj.est_io_us, 0.0, "no spill charged:\n{}", plan.explain());
+    // No grant at all: the small side spills too.
+    let plan = db.plan_with_grant(&join, 0).unwrap();
+    assert!(
+        node(&plan, "HashJoin").est_io_us > 0.0,
+        "{}",
+        plan.explain()
+    );
+}
+
+#[test]
+fn micro_q1_seeks_below_the_crossover_and_scans_the_columnstore_above() {
+    use hpd_workloads::micro::MicroTable;
+    let mut cfg = DbConfig::default();
+    cfg.csi.rowgroup_capacity = 4_096;
+    let db = Database::new(cfg);
+    let table = MicroTable::new("micro", 3, 40_000);
+    table
+        .load(&db, IndexDescriptor::PrimaryBTree { keys: vec![0] })
+        .unwrap();
+    db.create_index(
+        "micro",
+        &IndexDescriptor::SecondaryCsi {
+            columns: vec![0, 1, 2],
+        },
+    )
+    .unwrap();
+    let leaf = |sel| find_leaf(&db.plan(&table.q1(sel)).unwrap().root);
+    assert!(
+        matches!(leaf(1e-5), Some(PlanNodeKind::BTreeSeek { .. })),
+        "{:?}",
+        leaf(1e-5)
+    );
+    assert!(
+        matches!(
+            leaf(0.1),
+            Some(PlanNodeKind::CsiScan { .. } | PlanNodeKind::CsiAgg { .. })
+        ),
+        "{:?}",
+        leaf(0.1)
+    );
 }

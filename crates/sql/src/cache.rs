@@ -46,9 +46,16 @@ pub fn normalize(text: &str) -> SqlResult<NormalizedSql> {
         let rendered = match &t.tok {
             Tok::Eof => break,
             Tok::Number(s) => {
-                slots.push(Some(number_value(s, false)));
                 prev_operand = true;
-                "?".to_string()
+                match number_value(s, false) {
+                    Some(v) => {
+                        slots.push(Some(v));
+                        "?".to_string()
+                    }
+                    // Outside `i64`: left in the key, which the parser then
+                    // refuses as it refuses the text.
+                    None => t.tok.render(),
+                }
             }
             Tok::Str(s) => {
                 slots.push(Some(Value::str(s.clone())));
@@ -61,8 +68,12 @@ pub fn normalize(text: &str) -> SqlResult<NormalizedSql> {
                 "?".to_string()
             }
             Tok::Punct("-") if !prev_operand => {
-                if let Some(Tok::Number(s)) = tokens.get(i + 1).map(|t| &t.tok) {
-                    slots.push(Some(number_value(s, true)));
+                let next = tokens.get(i + 1).map(|t| &t.tok);
+                if let Some(v) = next.and_then(|t| match t {
+                    Tok::Number(s) => number_value(s, true),
+                    _ => None,
+                }) {
+                    slots.push(Some(v));
                     i += 1;
                     prev_operand = true;
                     "?".to_string()
@@ -87,24 +98,22 @@ pub fn normalize(text: &str) -> SqlResult<NormalizedSql> {
 
 /// Literal value for a lexed number, mirroring the parser's typing rules:
 /// integers become `Int32` when they fit, else `Int64`; anything with a
-/// fraction becomes `Float64` (and is coerced at bind time).
-fn number_value(s: &str, negative: bool) -> Value {
+/// fraction becomes `Float64` (and is coerced at bind time). `None` where
+/// the parser refuses the literal: an integer outside `i64`.
+fn number_value(s: &str, negative: bool) -> Option<Value> {
     let text = if negative {
         format!("-{s}")
     } else {
         s.to_string()
     };
     if text.contains('.') {
-        Value::Float64(text.parse().unwrap_or(0.0))
-    } else {
-        match text.parse::<i64>() {
-            Ok(n) => match i32::try_from(n) {
-                Ok(v) => Value::Int32(v),
-                Err(_) => Value::Int64(n),
-            },
-            Err(_) => Value::Float64(0.0),
-        }
+        return text.parse().ok().map(Value::Float64);
     }
+    let n: i64 = text.parse().ok()?;
+    Some(match i32::try_from(n) {
+        Ok(v) => Value::Int32(v),
+        Err(_) => Value::Int64(n),
+    })
 }
 
 struct Entry {

@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use hpd_common::{DataType, Row, Schema, Value};
+use hpd_common::{DataType, HpdError, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor, TableDesign};
-use hpd_sql::{PlanCache, SqlOutput, SqlSession};
+use hpd_sql::{parse, PlanCache, SqlErrorKind, SqlOutput, SqlSession};
 
 fn db_with_rows() -> Database {
     let db = Database::new(DbConfig::default());
@@ -189,4 +189,35 @@ fn capacity_is_bounded_fifo() {
     // The evicted (oldest) shape re-parses; the newest still hits.
     s.execute_one("SELECT k FROM t WHERE v = 20").unwrap();
     assert_eq!(cache.hits(), 1);
+}
+
+#[test]
+fn an_integer_literal_outside_i64_is_invalid_first_and_on_a_cache_hit() {
+    let db = db_with_rows();
+    let schema = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Float64)]);
+    let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    db.create_table("d", schema, vec![0], primary).unwrap();
+    let rows = (0..3).map(|k| Row::new(vec![Value::Int32(k), Value::Float64(0.0)]));
+    db.load_table("d", rows.collect()).unwrap();
+    let cache = Arc::new(PlanCache::new(64));
+    let mut s = SqlSession::with_cache(&db, Arc::clone(&cache));
+    // `t.v` is an INT column, `d.v` a DOUBLE one holding 0.0.
+    for table in ["t", "d"] {
+        s.execute_one(&format!("SELECT v FROM {table} WHERE v = 1"))
+            .unwrap();
+        for literal in ["12345678901234567890123", "-12345678901234567890123"] {
+            let sql = format!("SELECT v FROM {table} WHERE v = {literal}");
+            let parsed = parse(&sql).unwrap_err();
+            assert_eq!(parsed.kind, SqlErrorKind::InvalidNumber, "{sql}");
+            // The first execution and the next, after the shape is cached.
+            for _ in 0..2 {
+                let got = s.execute_one(&sql).unwrap_err();
+                assert_eq!(got, HpdError::from(parsed.clone()), "{sql}");
+            }
+        }
+        let hits = cache.hits();
+        s.execute_one(&format!("SELECT v FROM {table} WHERE v = 2"))
+            .unwrap();
+        assert_eq!(cache.hits(), hits + 1, "the in-range shape still hits");
+    }
 }

@@ -130,6 +130,21 @@ pub fn tuned_configurations(
     {
         return hit.clone();
     }
+    let result = configurations(db, queries);
+    MEMO.get()
+        .expect("memo initialized above")
+        .lock()
+        .expect("memo lock")
+        .insert(fingerprint, result.clone());
+    result
+}
+
+/// The hybrid, B+ tree-only and columnstore-only configurations of `db`
+/// for `queries`, searched afresh.
+pub fn configurations(
+    db: &Database,
+    queries: &[(String, SelectQuery)],
+) -> (Configuration, Configuration, Configuration) {
     let workload = Workload::read_only(queries.iter().map(|(_, q)| q.clone()).collect());
     let hybrid = Advisor::new(db, AdvisorOptions::default())
         .recommend(&workload)
@@ -147,13 +162,7 @@ pub fn tuned_configurations(
     .configuration;
     let tables = workload.referenced_tables();
     let csi = csi_everywhere_configuration(db, &tables).expect("csi baseline");
-    let result = (hybrid, btree, csi);
-    MEMO.get()
-        .expect("memo initialized above")
-        .lock()
-        .expect("memo lock")
-        .insert(fingerprint, result.clone());
-    result
+    (hybrid, btree, csi)
 }
 
 pub fn run(scale: Scale) -> String {

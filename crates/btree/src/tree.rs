@@ -472,23 +472,30 @@ impl EntryRun {
         // they took before the tree's leaves are allocated beside it.
         self.bytes.shrink_to_fit();
         let mut order = std::mem::take(&mut self.order);
-        let (run, inexact) = (&self, self.inexact);
         let [presorted, sorted] = run_counters();
-        if self.unsorted {
-            sorted.add(1);
-            // The index is the last key part: no two records are equal, so
-            // the unstable sort keeps equal keys in arrival order.
-            order.sort_unstable_by(|p, q| {
-                let ((x, a), (y, b)) = ((p.image, p.index), (q.image, q.index));
-                let keys =
-                    || codec::cmp_encoded(run.entry(a as usize).key, run.entry(b as usize).key);
-                (x.cmp(&y))
-                    .then_with(|| if inexact { keys() } else { Ordering::Equal })
-                    .then(a.cmp(&b))
-            });
-        } else {
+        if !self.unsorted {
+            // Already in key order: the sort records are freed before the
+            // leaves are allocated, and the offsets walk the entries.
             presorted.add(1);
+            drop(order);
+            let run = &self;
+            let entries = || (0..run.offsets.len()).map(|i| &run.bytes[run.entry_range(i)]);
+            let entry_bytes = entries().map(|entry| entry.len() + SLOT_BYTES);
+            let mut loader = BulkLoader::new(config, alloc, entry_bytes, pool, tracker);
+            entries().for_each(|entry| loader.push(entry));
+            return Ok(loader.finish());
         }
+        sorted.add(1);
+        let (run, inexact) = (&self, self.inexact);
+        // The index is the last key part: no two records are equal, so the
+        // unstable sort keeps equal keys in arrival order.
+        order.sort_unstable_by(|p, q| {
+            let ((x, a), (y, b)) = ((p.image, p.index), (q.image, q.index));
+            let keys = || codec::cmp_encoded(run.entry(a as usize).key, run.entry(b as usize).key);
+            (x.cmp(&y))
+                .then_with(|| if inexact { keys() } else { Ordering::Equal })
+                .then(a.cmp(&b))
+        });
         // In order, a record's image is spent: it becomes its entry's byte
         // range, and the offsets are freed before the leaves are allocated.
         for r in &mut order {

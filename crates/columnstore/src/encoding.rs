@@ -11,9 +11,12 @@
 //!
 //! Sizes are *measured*, not modelled: `encode_i64s` computes the exact
 //! byte count each candidate would produce (without building the losers)
-//! and keeps the smallest. `HPD_FORCE_ENCODING=rle|bitpacked|fordelta|
-//! dict|raw` overrides the choice when the requested encoding is feasible
-//! (used by the differential harness to exercise every kernel).
+//! and keeps the smallest. The same sizes, taken from one pass over a
+//! stream that is never materialized (`Shape::of_iter`), pick the row
+//! order of a row group ([`crate::RowGroup::build`]).
+//! `HPD_FORCE_ENCODING=rle|bitpacked|fordelta|dict|raw` overrides the
+//! choice when the requested encoding is feasible (used by the
+//! differential harness to exercise every kernel).
 
 use std::sync::{Arc, OnceLock};
 
@@ -266,7 +269,7 @@ fn packed_buf_bytes(slots: usize, bw: usize) -> usize {
 
 /// What one pass over a stream learns: with the stream's distinct count,
 /// enough to size every encoding without building any.
-struct Shape {
+pub(crate) struct Shape {
     len: usize,
     runs: usize,
     min: i64,
@@ -279,27 +282,67 @@ struct Shape {
 
 impl Shape {
     fn of(values: &[i64]) -> Shape {
-        let first = values.first().copied().unwrap_or(0);
-        let mut shape = Shape {
-            len: values.len(),
-            runs: values.len().min(1),
-            min: first,
-            max: first,
-            min_delta: i128::MAX,
-            max_delta: i128::MIN,
+        let (min, max) =
+            (values.iter()).fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        Shape::of_iter(values.iter().copied(), min, max)
+    }
+
+    /// [`Shape::of`] the stream `values` yields, which is never held whole,
+    /// its smallest and largest values `min` and `max` known: one pass
+    /// counts its runs and its steps within a frame.
+    pub(crate) fn of_iter(mut values: impl Iterator<Item = i64>, min: i64, max: i64) -> Shape {
+        let Some(first) = values.next() else {
+            return Shape {
+                len: 0,
+                runs: 0,
+                min: 0,
+                max: 0,
+                min_delta: i128::MAX,
+                max_delta: i128::MIN,
+            };
         };
-        for (i, w) in values.windows(2).enumerate() {
-            let (prev, v) = (w[0], w[1]);
-            shape.runs += usize::from(prev != v);
-            shape.min = shape.min.min(v);
-            shape.max = shape.max.max(v);
-            if (i + 1) % FOR_DELTA_FRAME != 0 {
-                let d = i128::from(v) - i128::from(prev);
-                shape.min_delta = shape.min_delta.min(d);
-                shape.max_delta = shape.max_delta.max(d);
-            }
+        // No step is wider than the range: in `i64` where that fits.
+        let (len, runs, steps) = match max.checked_sub(min) {
+            Some(_) => walk(first, values, |prev, v| v - prev),
+            None => walk(first, values, |prev, v| i128::from(v) - i128::from(prev)),
+        };
+        let (min_delta, max_delta) = steps.unwrap_or((i128::MAX, i128::MIN));
+        Shape {
+            len,
+            runs,
+            min,
+            max,
+            min_delta,
+            max_delta,
         }
-        shape
+    }
+
+    /// The encoding [`encode_i64s`] gives a stream of this shape and
+    /// `distinct` values, and its bytes: the forced one
+    /// (`HPD_FORCE_ENCODING`) where it holds the stream, else the smallest,
+    /// ties broken in the order RLE, bit-packed, FOR/delta, dict, raw.
+    pub(crate) fn choice(&self, distinct: usize) -> (usize, IntEncoding) {
+        let sizes = [
+            (self.rle_bytes(), IntEncoding::Rle),
+            (self.packed_bytes(), IntEncoding::BitPacked),
+            (self.for_delta_bytes(), IntEncoding::ForDelta),
+            (self.dict_bytes(distinct), IntEncoding::Dict),
+            (self.len * 8, IntEncoding::Raw),
+        ];
+        let forced = forced_encoding().and_then(|enc| {
+            sizes
+                .into_iter()
+                .find(|&(bytes, e)| e == enc && bytes != usize::MAX)
+        });
+        // Dictionaries only pay off at low cardinality.
+        let dict_pays = distinct <= (self.len / 4).max(8);
+        // `min_by_key` keeps the first of equal sizes: the tie order above.
+        forced.unwrap_or_else(|| {
+            (sizes.into_iter())
+                .filter(|&(_, e)| e != IntEncoding::Dict || dict_pays)
+                .min_by_key(|&(bytes, _)| bytes)
+                .expect("raw always fits")
+        })
     }
 
     /// `(base, bit_width)` of the bit-packed form, or `None` when the value
@@ -351,6 +394,29 @@ impl Shape {
             .min(self.len * 8);
         distinct * 8 + codes_bytes + 16
     }
+}
+
+/// Length and runs of the stream `first`, `rest`, and its smallest and
+/// largest step between neighbours of one FOR/delta frame (`None` when no
+/// frame has two values), each measured by `step`.
+fn walk<T: Ord + Copy + Into<i128>>(
+    first: i64,
+    rest: impl Iterator<Item = i64>,
+    step: impl Fn(i64, i64) -> T,
+) -> (usize, usize, Option<(i128, i128)>) {
+    let (mut len, mut runs, mut prev) = (1, 1, first);
+    let mut steps: Option<(T, T)> = None;
+    for v in rest {
+        runs += usize::from(prev != v);
+        // `v` is at position `len`: a frame's first value has no step.
+        if len % FOR_DELTA_FRAME != 0 {
+            let d = step(prev, v);
+            steps = Some(steps.map_or((d, d), |(lo, hi)| (lo.min(d), hi.max(d))));
+        }
+        len += 1;
+        prev = v;
+    }
+    (len, runs, steps.map(|(lo, hi)| (lo.into(), hi.into())))
 }
 
 fn rle_encode(values: &[i64], shape: &Shape) -> EncodedInts {
@@ -503,38 +569,18 @@ impl Domain {
 /// size. Ties break toward the simpler/faster encoding in the order RLE,
 /// bit-packed, FOR/delta, dict, raw.
 pub fn encode_i64s(values: &[i64]) -> EncodedInts {
-    encode_counted(values, Domain::of(values, &mut Vec::new()).distinct)
-}
-
-/// [`encode_i64s`] of a stream whose distinct count the caller has: one
-/// pass sizes every candidate, and only the winner is built.
-pub(crate) fn encode_counted(values: &[i64], distinct: usize) -> EncodedInts {
     if values.is_empty() {
         return EncodedInts::Raw(Vec::new());
     }
-    let shape = Shape::of(values);
-    if let Some(e) = forced_encoding().and_then(|enc| encode_shaped(values, &shape, enc)) {
-        return e;
-    }
-    // Dictionaries only pay off at low cardinality.
-    let dict_bytes = if distinct <= (values.len() / 4).max(8) {
-        shape.dict_bytes(distinct)
-    } else {
-        usize::MAX
-    };
-    let sizes = [
-        (shape.rle_bytes(), IntEncoding::Rle),
-        (shape.packed_bytes(), IntEncoding::BitPacked),
-        (shape.for_delta_bytes(), IntEncoding::ForDelta),
-        (dict_bytes, IntEncoding::Dict),
-        (values.len() * 8, IntEncoding::Raw),
-    ];
-    // `min_by_key` keeps the first of equal sizes: the tie order above.
-    let (_, best) = sizes
-        .into_iter()
-        .min_by_key(|&(bytes, _)| bytes)
-        .expect("five candidates");
-    encode_shaped(values, &shape, best).expect("a finite size is a feasible encoding")
+    let distinct = Domain::of(values, &mut Vec::new()).distinct;
+    encode_chosen(values, &Shape::of(values), distinct)
+}
+
+/// [`encode_i64s`] of a non-empty stream whose [`Shape`] and distinct count
+/// the caller has: only the encoding [`Shape::choice`] picks is built.
+pub(crate) fn encode_chosen(values: &[i64], shape: &Shape, distinct: usize) -> EncodedInts {
+    let (_, best) = shape.choice(distinct);
+    encode_shaped(values, shape, best).expect("a finite size is a feasible encoding")
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 use crate::cache::SegmentCache;
 use crate::delta::DeltaStore;
 use crate::encoding::IntEncoding;
-use crate::rowgroup::{RowGroup, SortMode};
+use crate::rowgroup::RowGroup;
 
 mod maintenance;
 mod scan;
@@ -140,8 +140,6 @@ pub struct CsiConfig {
     /// Rows per compressed row group (SQL Server: 100 K–1 M; scaled down by
     /// default to keep laptop-scale experiments meaningful).
     pub rowgroup_capacity: usize,
-    /// Row ordering before compression.
-    pub sort_mode: SortMode,
     /// Buffered logical deletes beyond which the "background" compaction
     /// resolves the delete buffer into delete bitmaps (the paper's periodic
     /// process, made deterministic and synchronous).
@@ -156,7 +154,6 @@ impl Default for CsiConfig {
     fn default() -> Self {
         CsiConfig {
             rowgroup_capacity: 65_536,
-            sort_mode: SortMode::Greedy,
             delete_buffer_compact_threshold: 2_048,
             decoded_cache_bytes: 8 << 20,
         }
@@ -377,7 +374,7 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) {
-        let rg = RowGroup::build(columns, self.config.sort_mode, &self.alloc);
+        let rg = RowGroup::build(columns, &self.key_ordinals, &self.alloc);
         for c in 0..rg.num_columns() {
             let seg = rg.segment(c);
             pool.write_blob(seg.blob(), seg.encoded_bytes() as u64, tracker);

@@ -5,12 +5,13 @@
 //! * data is split into [`rowgroup::RowGroup`]s of up to
 //!   [`index::CsiConfig::rowgroup_capacity`] rows, each compressed
 //!   *independently*;
-//! * within a row group, rows are sorted by a greedily chosen column order
-//!   (fewest-distinct first) to maximize run-length compression — the
-//!   algorithm of the paper's Figure 8;
+//! * within a row group, rows take whichever order stores the fewest bytes:
+//!   the greedily chosen column order (fewest-distinct first) of the
+//!   paper's Figure 8, which wins ties, arrival order, or the index's key
+//!   order — each sized exactly before anything is encoded;
 //! * each column of a row group forms a [`segment::Segment`], compressed
-//!   with run-length encoding, bit-packing, or dictionary encoding
-//!   (whichever is smallest), and carrying `min`/`max` small materialized
+//!   with run-length encoding, bit-packing, frame-of-reference + delta, or
+//!   dictionary encoding (whichever is smallest), and carrying `min`/`max` small materialized
 //!   aggregates that enable *segment elimination* for predicates;
 //! * inserts land in a B+ tree **delta store**; a *tuple mover* compresses
 //!   full delta chunks into new row groups;
@@ -42,5 +43,5 @@ pub use index::{
     PushdownAgg, RowGroupHeatSnapshot, RowgroupMerge, SharedProbe, SCAN_BATCH_ROWS,
 };
 pub use kernels::Translated;
-pub use rowgroup::{RowGroup, SortMode};
+pub use rowgroup::RowGroup;
 pub use segment::{value_encode, Segment};

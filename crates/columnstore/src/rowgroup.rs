@@ -6,33 +6,62 @@ use hpd_common::{ColumnVector, SelBitmap};
 use hpd_obs::Counter;
 use hpd_storage::StorageAllocator;
 
-use crate::encoding::{bits_for, Domain};
+use crate::encoding::{bits_for, Domain, Shape};
 use crate::segment::{Segment, TypedColumn};
 
-/// `columnstore.build.*` counters: row groups compressed, how many of the
-/// greedy ones sorted packed keys alone, and how many had columns left over
-/// to compare.
-fn build_counters() -> &'static [Counter; 3] {
-    static C: OnceLock<[Counter; 3]> = OnceLock::new();
+/// `columnstore.build.*` counters: row groups compressed, how many sorts
+/// sorted packed keys alone and how many had columns left over to compare,
+/// and which row order each row group was stored in.
+fn build_counters() -> &'static [Counter; 6] {
+    static C: OnceLock<[Counter; 6]> = OnceLock::new();
     C.get_or_init(|| {
         [
             "columnstore.build.rowgroups",
             "columnstore.build.sort_packed",
             "columnstore.build.sort_compared",
+            "columnstore.build.order_greedy",
+            "columnstore.build.order_arrival",
+            "columnstore.build.order_key",
         ]
         .map(|name| hpd_obs::global().counter(name))
     })
 }
 
-/// How rows are ordered before compressing a row group.
+/// The row orders a row group is sized in, in the order they win ties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortMode {
-    /// Keep arrival order (CSI built over unsorted data).
-    Arrival,
-    /// SQL Server's greedy strategy (paper Figure 8): within the row group,
-    /// sort by columns in ascending-distinct-count order to maximize
-    /// run-length compression.
+enum Order {
+    /// SQL Server's greedy strategy (paper Figure 8): sort by the columns
+    /// in ascending-distinct-count order, for the longest runs.
     Greedy,
+    /// The rows as they came.
+    Arrival,
+    /// Sorted by the index's key columns.
+    Key,
+}
+
+/// One row order of a row group, sized: its permutation (position →
+/// arrival index; `None` for arrival order), each column's stream shape in
+/// it, and the bytes those streams encode to.
+struct Candidate {
+    order: Order,
+    perm: Option<Vec<u32>>,
+    shapes: Vec<Shape>,
+    bytes: usize,
+}
+
+impl Candidate {
+    fn size(columns: &[TypedColumn], order: Order, perm: Option<Vec<u32>>) -> Candidate {
+        let shapes: Vec<Shape> = (columns.iter()).map(|c| c.shape(perm.as_deref())).collect();
+        let bytes = (columns.iter().zip(&shapes))
+            .map(|(c, shape)| shape.choice(c.domain.distinct).0)
+            .sum();
+        Candidate {
+            order,
+            perm,
+            shapes,
+            bytes,
+        }
+    }
 }
 
 /// One independently compressed row group: a segment per stored column plus
@@ -47,17 +76,25 @@ pub struct RowGroup {
 }
 
 impl RowGroup {
-    /// Compress `columns` (all equal length, non-empty) into a row group.
-    /// Each column stays at its own width (`TypedColumn`): counting and
-    /// ordering read its words in place, and then one column at a time is
-    /// turned into its stream of words, in sorted order, encoded and freed —
-    /// what is alive beside the columns is the sort's permutation and one
-    /// stream.
-    pub fn build(columns: Vec<ColumnVector>, sort: SortMode, alloc: &StorageAllocator) -> RowGroup {
+    /// Compress `columns` (all equal length, non-empty) into a row group,
+    /// its rows in whichever of three orders stores the fewest bytes: the
+    /// greedy order of Figure 8, which wins ties, arrival order, or the
+    /// order of the columns `key` (the index's key; skipped when empty or
+    /// when arrival is already in it). An order's bytes are what each
+    /// column's stream in it encodes to, sized exactly before anything is
+    /// encoded; a segment's dictionary and exponent byte are the same in
+    /// every order.
+    ///
+    /// Each column stays at its own width (`TypedColumn`): counting,
+    /// ordering and sizing read its words in place, and then one column at
+    /// a time is turned into its stream of words, in the chosen order,
+    /// encoded and freed — what is alive beside the columns is the
+    /// candidates' permutations and one stream.
+    pub fn build(columns: Vec<ColumnVector>, key: &[usize], alloc: &StorageAllocator) -> RowGroup {
         let rows = columns.first().map_or(0, ColumnVector::len);
         assert!(rows > 0, "row groups are never empty");
         debug_assert!(columns.iter().all(|c| c.len() == rows));
-        let [rowgroups, ..] = build_counters();
+        let [rowgroups, _, _, greedy, arrival, by_key] = build_counters();
         rowgroups.add(1);
 
         // Room for counting any column: no column's count grows it.
@@ -65,15 +102,19 @@ impl RowGroup {
         let columns: Vec<TypedColumn> = (columns.into_iter())
             .map(|c| TypedColumn::of(c, &mut scratch))
             .collect();
-        // Counting's working space goes before the sort takes its own; the
-        // first stream allocates the streams' at their length.
+        // Counting's working space goes before the sorts take their own;
+        // the first stream allocates the streams' at their length.
         scratch = Vec::new();
-        let perm = match sort {
-            SortMode::Arrival => None,
-            SortMode::Greedy => Some(sort_permutation(&columns)),
-        };
-        let segments = (columns.into_iter())
-            .map(|column| column.into_segment(perm.as_deref(), &mut scratch, alloc))
+        let best = smallest_order(&columns, key);
+        match best.order {
+            Order::Greedy => greedy.add(1),
+            Order::Arrival => arrival.add(1),
+            Order::Key => by_key.add(1),
+        }
+        let segments = (columns.into_iter().zip(&best.shapes))
+            .map(|(column, shape)| {
+                column.into_segment(best.perm.as_deref(), shape, &mut scratch, alloc)
+            })
             .collect();
         RowGroup {
             segments,
@@ -129,26 +170,59 @@ impl RowGroup {
     }
 }
 
+/// The smallest of the candidate orders [`RowGroup::build`] sizes, the
+/// first of equal ones in [`Order`]'s order.
+fn smallest_order(columns: &[TypedColumn], key: &[usize]) -> Candidate {
+    let greedy = sort_permutation(columns, &greedy_column_order(columns));
+    let mut best = Candidate::size(columns, Order::Greedy, Some(greedy));
+    let arrival = Candidate::size(columns, Order::Arrival, None);
+    if arrival.bytes < best.bytes {
+        best = arrival;
+    }
+    if !key.is_empty() && !in_order(columns, key) {
+        let by_key = Candidate::size(columns, Order::Key, Some(sort_permutation(columns, key)));
+        if by_key.bytes < best.bytes {
+            best = by_key;
+        }
+    }
+    best
+}
+
+/// Whether the rows already ascend by the columns `order`, compared
+/// lexicographically (equal rows in any order).
+fn in_order(columns: &[TypedColumn], order: &[usize]) -> bool {
+    (1..columns[0].len()).all(|row| {
+        (order.iter())
+            .map(|&c| columns[c].cmp_rows(row - 1, row))
+            .find(|cmp| cmp.is_ne())
+            .is_none_or(|cmp| cmp.is_lt())
+    })
+}
+
 /// Distinct-count-ascending column order (the greedy choice of Figure 8).
 /// Ties break toward the lower column ordinal, which keeps the order stable
 /// and matches the paper's worked example.
-fn greedy_column_order(domains: &[&Domain]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..domains.len()).collect();
-    order.sort_by_key(|&c| (domains[c].distinct, c));
+fn greedy_column_order(columns: &[TypedColumn]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..columns.len()).collect();
+    order.sort_by_key(|&c| (columns[c].domain.distinct, c));
     order
 }
 
-/// Stable permutation sorting rows lexicographically by the greedy column
-/// order: position → arrival index.
-fn sort_permutation(columns: &[TypedColumn]) -> Vec<u32> {
+/// Bits of a column's offsets from its minimum.
+fn width(domain: &Domain) -> usize {
+    bits_for((domain.max as i128 - domain.min as i128) as u128)
+}
+
+/// Stable permutation sorting rows lexicographically by the columns
+/// `order`: position → arrival index.
+fn sort_permutation(columns: &[TypedColumn], order: &[usize]) -> Vec<u32> {
     let rows = u32::try_from(columns[0].len()).expect("a row group holds under 2^32 rows");
-    let domains: Vec<&Domain> = columns.iter().map(|c| &c.domain).collect();
-    let mut order = greedy_column_order(&domains);
+    let domain = |c: usize| &columns[c].domain;
     // No two rows tie on a unique column: the columns after it decide nothing.
-    if let Some(at) = (order.iter()).position(|&c| domains[c].distinct == rows as usize) {
-        order.truncate(at + 1);
-    }
-    let width = |c: usize| bits_for((domains[c].max as i128 - domains[c].min as i128) as u128);
+    let order = match (order.iter()).position(|&c| domain(c).distinct == rows as usize) {
+        Some(at) => &order[..=at],
+        None => order,
+    };
     let index_bits = bits_for(u128::from(rows - 1));
     // Each row is one integer: the offsets of its sort columns from their
     // minimums, in sort order, for as many leading columns as fit 128 bits
@@ -156,26 +230,28 @@ fn sort_permutation(columns: &[TypedColumn]) -> Vec<u32> {
     let mut bits = index_bits;
     let packed = (order.iter())
         .take_while(|&&c| {
-            bits += width(c);
+            bits += width(domain(c));
             bits <= 128
         })
         .count();
     let (head, tail) = order.split_at(packed);
-    let mut keys = vec![0u128; rows as usize];
-    for &c in head {
-        let (min, width) = (domains[c].min, width(c));
-        columns[c].zip_words(&mut keys, |key, v| {
-            *key = *key << width | u128::from(v.wrapping_sub(min) as u64);
-        });
+    let [_, sort_packed, sort_compared, ..] = build_counters();
+    let key_bits = index_bits + head.iter().map(|&c| width(domain(c))).sum::<usize>();
+    if tail.is_empty() && key_bits < 64 {
+        // Half the bytes to move: the rows sort as `u64`s.
+        sort_packed.add(1);
+        let mut keys: Vec<u64> = packed_keys(columns, head, index_bits);
+        keys.sort_unstable();
+        return keys
+            .iter()
+            .map(|&key| (key & ((1 << index_bits) - 1)) as u32)
+            .collect();
     }
-    for (i, key) in keys.iter_mut().enumerate() {
-        *key = *key << index_bits | i as u128;
-    }
+    let mut keys: Vec<u128> = packed_keys(columns, head, index_bits);
     // The index makes the keys distinct, so an unstable sort of them is the
     // stable sort of the rows; columns that did not fit decide between rows
     // equal in the ones that did, ahead of the index.
     let index = |key: &u128| (key & ((1 << index_bits) - 1)) as usize;
-    let [_, sort_packed, sort_compared] = build_counters();
     if tail.is_empty() {
         sort_packed.add(1);
         keys.sort_unstable();
@@ -195,6 +271,26 @@ fn sort_permutation(columns: &[TypedColumn]) -> Vec<u32> {
     keys.iter().map(|key| index(key) as u32).collect()
 }
 
+/// Each row as one integer: the offsets of the columns `head` from their
+/// minimums, in that order, then the row's index in its low `index_bits`
+/// (the caller has checked that they fit `K`).
+fn packed_keys<K>(columns: &[TypedColumn], head: &[usize], index_bits: usize) -> Vec<K>
+where
+    K: Copy + From<u64> + std::ops::Shl<usize, Output = K> + std::ops::BitOr<Output = K>,
+{
+    let mut keys = vec![K::from(0); columns[0].len()];
+    for &c in head {
+        let (min, width) = (columns[c].domain.min, width(&columns[c].domain));
+        columns[c].zip_words(&mut keys, |key, v| {
+            *key = *key << width | K::from(v.wrapping_sub(min) as u64);
+        });
+    }
+    for (i, key) in keys.iter_mut().enumerate() {
+        *key = *key << index_bits | K::from(i as u64);
+    }
+    keys
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,9 +303,10 @@ mod tests {
         StorageAllocator::new()
     }
 
-    /// `columns` built into one row group of a columnstore, read back
-    /// through its `CsiScan` cursor in `projection` order.
-    fn scan(columns: &[ColumnVector], sort: SortMode, projection: &[usize]) -> Batch {
+    /// `columns` built into one row group of a columnstore keyed on its
+    /// first column, read back through its `CsiScan` cursor in
+    /// `projection` order.
+    fn scan(columns: &[ColumnVector], projection: &[usize]) -> Batch {
         let rows: Vec<Row> = (0..columns[0].len())
             .map(|i| Row::new(columns.iter().map(|c| c.value(i)).collect()))
             .collect();
@@ -218,15 +315,11 @@ mod tests {
             .collect();
         let pool = BufferPool::unbounded(DeviceProfile::ram());
         let t = IoTracker::new();
-        let config = CsiConfig {
-            sort_mode: sort,
-            ..CsiConfig::default()
-        };
         let idx = ColumnStoreIndex::build(
             Schema::new(defs),
             CsiKind::Secondary,
             vec![0],
-            config,
+            CsiConfig::default(),
             &rows,
             alloc(),
             &pool,
@@ -240,12 +333,13 @@ mod tests {
 
     /// The worked example of the paper's Figure 8: columns A and B; sorting
     /// by ⟨B, A⟩ (B has 2 distinct values, A has 3) yields encoded segments
-    /// A: (0,1),(1,1),(3,4) and B: (0,3),(1,3).
+    /// A: (0,1),(1,1),(3,4) and B: (0,3),(1,3). Six rows bit-pack to the
+    /// same bytes in every order, and the greedy order wins ties.
     #[test]
     fn rle_paper_example() {
         let a = ColumnVector::Int32(vec![3, 3, 0, 1, 3, 3]);
         let b = ColumnVector::Int32(vec![0, 1, 0, 0, 1, 1]);
-        let rg = RowGroup::build(vec![a, b], SortMode::Greedy, &alloc());
+        let rg = RowGroup::build(vec![a, b], &[0], &alloc());
 
         let a_dec = rg.segment(0).decode();
         let b_dec = rg.segment(1).decode();
@@ -262,22 +356,25 @@ mod tests {
             .collect()
     }
 
-    fn domains(columns: &[TypedColumn]) -> Vec<&Domain> {
-        columns.iter().map(|c| &c.domain).collect()
+    /// The bytes `columns`' streams encode to in the greedy order.
+    fn greedy_bytes(columns: &[ColumnVector]) -> usize {
+        let typed = typed(columns);
+        let perm = sort_permutation(&typed, &greedy_column_order(&typed));
+        Candidate::size(&typed, Order::Greedy, Some(perm)).bytes
     }
 
     #[test]
     fn greedy_order_prefers_fewest_distinct() {
         let many = ColumnVector::Int32((0..100).collect());
         let few = ColumnVector::Int32((0..100).map(|i| i % 3).collect());
-        let order = |columns: &[ColumnVector]| greedy_column_order(&domains(&typed(columns)));
+        let order = |columns: &[ColumnVector]| greedy_column_order(&typed(columns));
         assert_eq!(order(&[many.clone(), few.clone()]), vec![1, 0]);
         assert_eq!(order(&[few, many]), vec![0, 1]);
     }
 
     /// The sort as it was before columns were normalized: a stable sort of
-    /// the row indexes comparing boxed `Value`s, over every column in greedy
-    /// order.
+    /// the row indexes comparing boxed `Value`s, over every column of
+    /// `order`.
     fn sort_permutation_by_value(columns: &[ColumnVector], order: &[usize]) -> Vec<u32> {
         let mut perm: Vec<u32> = (0..columns[0].len() as u32).collect();
         perm.sort_by(|&a, &b| {
@@ -289,6 +386,8 @@ mod tests {
         perm
     }
 
+    /// Both column orders a row group sorts by, the greedy one and a key
+    /// (here the columns last to first), on `u64`, `u128` and compared keys.
     #[test]
     fn the_packed_and_the_compared_sort_are_the_stable_value_sort() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -330,11 +429,18 @@ mod tests {
                 })
                 .collect();
             let typed = typed(&columns);
-            assert_eq!(
-                sort_permutation(&typed),
-                sort_permutation_by_value(&columns, &greedy_column_order(&domains(&typed))),
-                "case {case}: {columns:?}"
-            );
+            let greedy = greedy_column_order(&typed);
+            let key: Vec<usize> = (0..ncols).rev().collect();
+            for order in [greedy, key] {
+                assert_eq!(
+                    sort_permutation(&typed, &order),
+                    sort_permutation_by_value(&columns, &order),
+                    "case {case}, order {order:?}: {columns:?}"
+                );
+                let sorted = sort_permutation_by_value(&columns, &order);
+                let ascending = sorted.iter().enumerate().all(|(i, &p)| p as usize == i);
+                assert_eq!(in_order(&typed, &order), ascending, "case {case}");
+            }
         }
         let snap = hpd_obs::global().snapshot();
         assert!(snap.counter("columnstore.build.sort_packed") > 0);
@@ -342,26 +448,65 @@ mod tests {
     }
 
     #[test]
-    fn greedy_sort_improves_compression() {
+    fn greedy_order_wins_on_low_cardinality() {
         // Random-ish low-cardinality data: arrival order compresses poorly,
         // greedy sort turns it into a handful of runs.
         let vals: Vec<i32> = (0..10_000)
             .map(|i| (i * 2_654_435_761u64 as i64 % 8) as i32)
             .collect();
-        let arrival = RowGroup::build(
-            vec![ColumnVector::Int32(vals.clone())],
-            SortMode::Arrival,
-            &alloc(),
-        );
-        let greedy = RowGroup::build(vec![ColumnVector::Int32(vals)], SortMode::Greedy, &alloc());
+        let column = ColumnVector::Int32(vals);
+        let arrival = Segment::build(&column, &alloc());
+        let greedy = RowGroup::build(vec![column], &[], &alloc());
         assert!(greedy.encoded_bytes() * 10 < arrival.encoded_bytes());
         assert_eq!(greedy.segment(0).encoding(), IntEncoding::Rle);
+    }
+
+    /// `micro`'s shape: a unique key spread over 2^31, a 100-value column
+    /// and a uniform one. In key order the key's steps fit FOR/delta at 14
+    /// bits; the greedy order, led by the 100-value column, leaves the key
+    /// bit-packed at 31.
+    fn micro(rows: i64, shuffled: bool) -> Vec<ColumnVector> {
+        let mix = |i: i64, salt: i64| (i.wrapping_mul(2_654_435_761) ^ salt).rem_euclid(1 << 31);
+        let at = |i: i64| if shuffled { (i * 7_919) % rows } else { i };
+        let key = |i: i64| (at(i) * (1 << 31) / rows + mix(at(i), 1) % 5_000) as i32;
+        vec![
+            ColumnVector::Int32((0..rows).map(key).collect()),
+            ColumnVector::Int32((0..rows).map(|i| (mix(at(i), 2) % 100) as i32).collect()),
+            ColumnVector::Int32((0..rows).map(|i| mix(at(i), 3) as i32).collect()),
+        ]
+    }
+
+    #[test]
+    fn arrival_order_wins_when_it_is_the_key_order() {
+        let columns = micro(8_192, false);
+        let rg = RowGroup::build(columns.clone(), &[0], &alloc());
+        assert_eq!(rg.segment(0).decode(), columns[0], "arrival order kept");
+        assert_eq!(rg.segment(0).encoding(), IntEncoding::ForDelta);
+        assert!(rg.encoded_bytes() < greedy_bytes(&columns));
+    }
+
+    #[test]
+    fn key_order_wins_where_it_is_the_smallest() {
+        let columns = micro(8_192, true);
+        let rg = RowGroup::build(columns.clone(), &[0], &alloc());
+        let key = rg.segment(0).decode();
+        let ColumnVector::Int32(key) = &key else {
+            unreachable!()
+        };
+        assert!(key.is_sorted(), "key order");
+        assert_eq!(rg.segment(0).encoding(), IntEncoding::ForDelta);
+        assert!(rg.encoded_bytes() < greedy_bytes(&columns));
+        // Without a key the greedy order is the smallest left.
+        let keyless = RowGroup::build(columns.clone(), &[], &alloc());
+        assert_eq!(keyless.segment(0).encoding(), IntEncoding::BitPacked);
+        let snap = hpd_obs::global().snapshot();
+        assert!(snap.counter("columnstore.build.order_key") > 0);
     }
 
     #[test]
     fn delete_bitmap_marks_and_counts() {
         let rg_cols = vec![ColumnVector::Int32((0..100).collect())];
-        let mut rg = RowGroup::build(rg_cols, SortMode::Arrival, &alloc());
+        let mut rg = RowGroup::build(rg_cols, &[0], &alloc());
         assert_eq!(rg.active_rows(), 100);
         assert!(rg.mark_deleted(5));
         assert!(!rg.mark_deleted(5), "double delete is a no-op");
@@ -377,17 +522,17 @@ mod tests {
     fn decode_projection_order() {
         let a = ColumnVector::Int32(vec![1, 2, 3]);
         let b = ColumnVector::Int64(vec![10, 20, 30]);
-        let batch = scan(&[a.clone(), b.clone()], SortMode::Arrival, &[1, 0]);
+        let batch = scan(&[a.clone(), b.clone()], &[1, 0]);
         assert_eq!(batch.column(0), &b);
         assert_eq!(batch.column(1), &a);
     }
 
     #[test]
     fn sort_is_stable_and_consistent_across_columns() {
-        // After greedy sort, rows must stay aligned across columns.
+        // After any sort, rows must stay aligned across columns.
         let a = ColumnVector::Int32(vec![2, 1, 2, 1]);
         let b = ColumnVector::Int32(vec![10, 20, 30, 40]);
-        let batch = scan(&[a, b], SortMode::Greedy, &[0, 1]);
+        let batch = scan(&[a, b], &[0, 1]);
         let pairs: Vec<(Value, Value)> = (0..4)
             .map(|i| (batch.column(0).value(i), batch.column(1).value(i)))
             .collect();

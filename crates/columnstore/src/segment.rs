@@ -15,7 +15,7 @@ use hpd_common::{ArcStr, ColumnVector, DataType, Interval, SelBitmap, Value, DEC
 use hpd_obs::Counter;
 use hpd_storage::{BlobId, BufferPool, IoTracker, StorageAllocator};
 
-use crate::encoding::{encode_as, encode_counted, Domain, EncodedInts, IntEncoding};
+use crate::encoding::{encode_as, encode_chosen, Domain, EncodedInts, IntEncoding, Shape};
 use crate::kernels::{self, Translated};
 
 /// `columnstore.encoding.segments_*` counters: segments built per chosen
@@ -250,11 +250,23 @@ impl TypedColumn {
         typed!(&self.values, |vals, word| word(vals[a]).cmp(&word(vals[b])))
     }
 
+    /// The shape of the column's stream of words, its rows in the order
+    /// `perm` gives (arrival order if `None`): one pass, nothing copied.
+    pub(crate) fn shape(&self, perm: Option<&[u32]>) -> Shape {
+        let (min, max) = (self.domain.min, self.domain.max);
+        typed!(&self.values, |vals, word| match perm {
+            None => Shape::of_iter(vals.iter().map(|&x| word(x)), min, max),
+            Some(perm) => Shape::of_iter(perm.iter().map(|&i| word(vals[i as usize])), min, max),
+        })
+    }
+
     /// Compress the column, its rows in the order `perm` gives (arrival
-    /// order if `None`), and free it; `scratch` holds the stream of words.
+    /// order if `None`) and `shape` its [`TypedColumn::shape`] in it, and
+    /// free it; `scratch` holds the stream of words.
     pub(crate) fn into_segment(
         self,
         perm: Option<&[u32]>,
+        shape: &Shape,
         scratch: &mut Vec<i64>,
         alloc: &StorageAllocator,
     ) -> Segment {
@@ -271,7 +283,15 @@ impl TypedColumn {
             }
         };
         let (dtype, exponent) = (self.dtype, self.exponent);
-        Segment::from_stream(dtype, self.dict, exponent, stream, &self.domain, alloc)
+        Segment::from_stream(
+            dtype,
+            self.dict,
+            exponent,
+            stream,
+            shape,
+            &self.domain,
+            alloc,
+        )
     }
 }
 
@@ -280,7 +300,9 @@ impl Segment {
     pub fn build(column: &ColumnVector, alloc: &StorageAllocator) -> Segment {
         assert!(!column.is_empty(), "segments are never empty");
         let mut scratch = Vec::new();
-        TypedColumn::of(column.clone(), &mut scratch).into_segment(None, &mut scratch, alloc)
+        let column = TypedColumn::of(column.clone(), &mut scratch);
+        let shape = column.shape(None);
+        column.into_segment(None, &shape, &mut scratch, alloc)
     }
 
     /// [`Segment::build`] with its words encoded as `enc` (what
@@ -297,13 +319,14 @@ impl Segment {
     }
 
     /// Compress a column's words: `stream` holds them in stored order,
-    /// `domain` describes them (in any order), and they are the values
-    /// divided by 10^`exponent`.
+    /// `shape` is its shape, `domain` describes them (in any order), and
+    /// they are the values divided by 10^`exponent`.
     fn from_stream(
         dtype: DataType,
         dict: Option<Arc<[ArcStr]>>,
         exponent: u8,
         stream: &[i64],
+        shape: &Shape,
         domain: &Domain,
         alloc: &StorageAllocator,
     ) -> Segment {
@@ -318,7 +341,7 @@ impl Segment {
                 raw_to_value(dtype, domain.max * unit),
             ),
         };
-        let ints = encode_counted(stream, domain.distinct);
+        let ints = encode_chosen(stream, shape, domain.distinct);
         note_encoding(ints.encoding());
         Segment {
             dtype,

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SortMode};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
 use hpd_common::{faults, DataType, Key, Row, Schema, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use rand::rngs::StdRng;
@@ -70,7 +70,6 @@ impl Run {
         let model: Vec<Row> = (0..rows).map(|id| row(id, unit, rng)).collect();
         let config = CsiConfig {
             rowgroup_capacity: capacity,
-            sort_mode: SortMode::Greedy,
             // Deletes stay buffered until an increment resolves them.
             delete_buffer_compact_threshold: usize::MAX,
             ..CsiConfig::default()

@@ -3,9 +3,7 @@
 use std::collections::HashMap;
 
 use hpd_columnstore::encoding::encode_as;
-use hpd_columnstore::{
-    ColumnStoreIndex, CsiBuilder, CsiConfig, CsiKind, IntEncoding, RowGroup, SortMode,
-};
+use hpd_columnstore::{ColumnStoreIndex, CsiBuilder, CsiConfig, CsiKind, IntEncoding, RowGroup};
 use hpd_common::{codec, ColumnVector, DataType, Interval, Key, Row, Schema, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
@@ -26,7 +24,6 @@ fn rows2(n: i32) -> Vec<Row> {
 fn small_config() -> CsiConfig {
     CsiConfig {
         rowgroup_capacity: 100,
-        sort_mode: SortMode::Greedy,
         ..CsiConfig::default()
     }
 }
@@ -454,7 +451,7 @@ proptest! {
             schema2(),
             CsiKind::Secondary,
             vec![0],
-            CsiConfig { rowgroup_capacity: 16, sort_mode: SortMode::Greedy, ..CsiConfig::default() },
+            CsiConfig { rowgroup_capacity: 16, ..CsiConfig::default() },
             &[],
             StorageAllocator::new(),
             &pool,
@@ -920,67 +917,96 @@ fn typed_build_matches_reference(seed: u64) {
         1 => columns[ncols - 1] = unique_column(&mut rng, rows),
         _ => {}
     }
+    // The index's key: none, the first or last column, or every column
+    // last to first.
+    let key: Vec<usize> = match rng.gen_range(0..4) {
+        0 => vec![],
+        1 => vec![0],
+        2 => vec![ncols - 1],
+        _ => (0..ncols).rev().collect(),
+    };
     let forced = std::env::var("HPD_FORCE_ENCODING")
         .ok()
         .and_then(|name| ENCODINGS.into_iter().find(|e| e.name() == name));
+    // A segment's reference encoding, its bytes (a nonzero exponent takes
+    // a byte of its own) and its smallest and largest value.
+    let reference_segment = |stored: &ColumnVector| {
+        let (stream, exponent, dict, min, max) = reference::normalize(stored);
+        let want = reference::encode_i64s(&stream, forced);
+        let dict_bytes: usize = dict.iter().flatten().map(|s| s.len() + 4).sum();
+        let bytes = want.encoded_bytes() + dict_bytes + usize::from(exponent > 0);
+        (stream, exponent, want, bytes, min, max)
+    };
+    let bytes_in = |perm: &[usize]| -> usize {
+        (columns.iter())
+            .map(|column| reference_segment(&column.take(perm)).3)
+            .sum()
+    };
+    // The three orders in the order they win ties: greedy, arrival, key.
+    let greedy = reference::sort_permutation(&columns, &reference::greedy_column_order(&columns));
+    let candidates = [
+        greedy,
+        (0..rows).collect(),
+        reference::sort_permutation(&columns, &key),
+    ];
+    let sizes = candidates.each_ref().map(|perm| bytes_in(perm));
+    let best = (0..3).min_by_key(|&i| sizes[i]).expect("three orders");
+    let perm = &candidates[best];
 
     let alloc = StorageAllocator::new();
-    for sort in [SortMode::Greedy, SortMode::Arrival] {
-        let built = RowGroup::build(columns.clone(), sort, &alloc);
-        let perm: Vec<usize> = match sort {
-            SortMode::Arrival => (0..rows).collect(),
-            SortMode::Greedy => {
-                let order = reference::greedy_column_order(&columns);
-                reference::sort_permutation(&columns, &order)
-            }
-        };
-        for (c, column) in columns.iter().enumerate() {
-            // The stored order is the reference permutation's: rows that tie
-            // on every sort column are equal in every column.
-            let stored = column.take(&perm);
-            let seg = built.segment(c);
-            let what = format!("seed {seed} {sort:?} column {c} {:?}", column.data_type());
-            assert_eq!(show_column(&seg.decode()), show_column(&stored), "{what}");
+    let built = RowGroup::build(columns.clone(), &key, &alloc);
+    assert_eq!(built.encoded_bytes(), sizes[best], "seed {seed}: {sizes:?}");
+    assert!(
+        built.encoded_bytes() <= sizes[0],
+        "seed {seed}: no more than greedy"
+    );
+    for (c, column) in columns.iter().enumerate() {
+        // The stored order is the reference permutation's: both are stable.
+        let stored = column.take(perm);
+        let seg = built.segment(c);
+        let what = format!(
+            "seed {seed} order {best} column {c} {:?}",
+            column.data_type()
+        );
+        assert_eq!(show_column(&seg.decode()), show_column(&stored), "{what}");
 
-            let (stream, exponent, dict, min, max) = reference::normalize(&stored);
-            let want = reference::encode_i64s(&stream, forced);
-            let dict_bytes: usize = dict.iter().flatten().map(|s| s.len() + 4).sum();
-            assert_eq!(seg.encoding(), want.encoding(), "{what}");
-            assert_eq!(seg.exponent(), exponent, "{what}");
-            // A nonzero exponent takes a byte of its own.
-            assert_eq!(
-                seg.encoded_bytes(),
-                want.encoded_bytes() + dict_bytes + usize::from(exponent > 0),
-                "{what}"
-            );
-            assert_eq!(seg.run_count(), want.run_count(), "{what}");
-            assert_eq!(show_value(seg.min()), show_value(&min), "{what}");
-            assert_eq!(show_value(seg.max()), show_value(&max), "{what}");
+        let (stream, exponent, want, bytes, min, max) = reference_segment(&stored);
+        assert_eq!(seg.encoding(), want.encoding(), "{what}");
+        assert_eq!(seg.exponent(), exponent, "{what}");
+        assert_eq!(seg.encoded_bytes(), bytes, "{what}");
+        assert_eq!(seg.run_count(), want.run_count(), "{what}");
+        assert_eq!(show_value(seg.min()), show_value(&min), "{what}");
+        assert_eq!(show_value(seg.max()), show_value(&max), "{what}");
 
-            // The encoder alone, bytes and all: freely choosing, and forced.
-            let got = hpd_columnstore::encode_i64s(&stream);
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
-            assert_eq!(got.decode(), stream, "{what}");
-            for enc in ENCODINGS {
-                let got = encode_as(&stream, enc);
-                let want = reference::encode_as(&stream, enc);
-                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what} as {enc:?}");
-            }
+        // The encoder alone, bytes and all: freely choosing, and forced.
+        let got = hpd_columnstore::encode_i64s(&stream);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(got.decode(), stream, "{what}");
+        for enc in ENCODINGS {
+            let got = encode_as(&stream, enc);
+            let want = reference::encode_as(&stream, enc);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what} as {enc:?}");
         }
     }
 }
 
 /// The generator above must keep reaching what it was written to reach:
-/// both sorts of a row group and all five encodings.
+/// both sorts of a row group, all three of its orders and all five
+/// encodings.
 #[test]
 fn the_equivalence_cases_reach_both_sorts_and_every_encoding() {
     for seed in 0..48 {
         typed_build_matches_reference(seed);
     }
     let snap = hpd_obs::global().snapshot();
-    for name in ["build.sort_packed", "build.sort_compared"]
-        .into_iter()
-        .map(String::from)
+    let builds = [
+        "sort_packed",
+        "sort_compared",
+        "order_greedy",
+        "order_arrival",
+        "order_key",
+    ];
+    for name in (builds.map(|b| format!("build.{b}")).into_iter())
         .chain(ENCODINGS.map(|e| format!("encoding.segments_{}", e.name())))
     {
         assert!(snap.counter(&format!("columnstore.{name}")) > 0, "{name}");

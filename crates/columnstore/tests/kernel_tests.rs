@@ -7,9 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use hpd_columnstore::{
-    ColumnStoreIndex, CsiConfig, CsiKind, IntEncoding, PushdownAgg, Segment, SortMode,
-};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, IntEncoding, PushdownAgg, Segment};
 use hpd_common::interval::Bound;
 use hpd_common::{AggFunc, Batch, ColumnVector, DataType, Interval, Key, Row, SelBitmap, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
@@ -143,6 +141,14 @@ struct FullShape {
     exponent: u8,
 }
 
+/// `i` scrambled: the splitmix64 finalizer, its top bit cleared.
+fn scramble(i: i64) -> i64 {
+    let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 1) as i64
+}
+
 /// Full-size shape `shape` (numbered as in [`shaped_ints`], and 5: whole
 /// cents).
 fn full_size_shape(shape: i32) -> FullShape {
@@ -162,8 +168,10 @@ fn full_size_shape(shape: i32) -> FullShape {
         2 => int64(|i| i * 2_654_435_761 % 100_000 * RAW, 100_000, RAW),
         // Monotone in a stripe, ~10^6 steps with a jitter: deltas fit 7 bits.
         3 => int64(|i| i % 65_536 * 1_000_003 + i * 7 % 61, 65_536, 1_000_003),
-        // 1024 interleaved 30-bit levels: 10-bit codes.
-        4 => int64(|i| i * 2_654_435_761 % 1024 * 1_000_003, 1024, 1_000_003),
+        // 1024 30-bit levels in a scrambled order: 10-bit codes. Sorting
+        // by the level would leave the ids gaps of up to ~14 bits where
+        // arrival order's are 0, so the row group keeps arrival order.
+        4 => int64(|i| scramble(i) % 1024 * 1_000_003, 1024, 1_000_003),
         // Prices in whole cents, a decimal's raw units being 10^-4: ~48 K
         // distinct cents a row group, stored as cents in 17 bits (24 raw).
         _ => FullShape {
@@ -203,10 +211,7 @@ fn full_size_shape_matches_filtered_rows(shape: i32, encoding: IntEncoding) {
         hpd_common::Schema::from_pairs(&[("id", DataType::Int64), ("val", dtype)]),
         CsiKind::Primary,
         vec![0],
-        CsiConfig {
-            sort_mode: SortMode::Arrival,
-            ..CsiConfig::default()
-        },
+        CsiConfig::default(),
         &rows,
         StorageAllocator::new(),
         &pool,
@@ -427,7 +432,7 @@ proptest! {
             schema,
             CsiKind::Secondary,
             vec![0],
-            CsiConfig { rowgroup_capacity: 64, sort_mode: SortMode::Greedy, ..CsiConfig::default() },
+            CsiConfig { rowgroup_capacity: 64, ..CsiConfig::default() },
             &rows,
             StorageAllocator::new(),
             &pool,
@@ -608,7 +613,7 @@ proptest! {
             schema,
             CsiKind::Secondary,
             vec![0],
-            CsiConfig { rowgroup_capacity: 16, sort_mode: SortMode::Greedy, ..CsiConfig::default() },
+            CsiConfig { rowgroup_capacity: 16, ..CsiConfig::default() },
             &rows,
             StorageAllocator::new(),
             &pool,
@@ -674,7 +679,6 @@ fn decoded_cache_respects_byte_cap_and_evicts() {
         vec![0],
         CsiConfig {
             rowgroup_capacity: 256,
-            sort_mode: SortMode::Greedy,
             decoded_cache_bytes: 2 * 256 * 4,
             ..CsiConfig::default()
         },
@@ -716,7 +720,6 @@ fn decoded_cache_hits_on_repeated_scans() {
         vec![0],
         CsiConfig {
             rowgroup_capacity: 250,
-            sort_mode: SortMode::Greedy,
             decoded_cache_bytes: 1 << 20,
             ..CsiConfig::default()
         },

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SortMode, SCAN_BATCH_ROWS};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SCAN_BATCH_ROWS};
 use hpd_common::{DataType, Interval, Row, Schema, Value};
 use hpd_obs::alloc::{self, CountingAlloc};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
@@ -47,7 +47,6 @@ fn a_once_scan_of_an_uncached_rowgroup_holds_one_batch() {
     let schema = schema();
     let config = CsiConfig {
         rowgroup_capacity: ROWS,
-        sort_mode: SortMode::Greedy,
         ..CsiConfig::default()
     };
     let rows: Vec<Row> = (0..ROWS).map(row).collect();

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SortMode, SCAN_BATCH_ROWS};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SCAN_BATCH_ROWS};
 use hpd_common::{Batch, ColumnVector, DataType, Interval, Row, Schema, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator, Work};
 
@@ -39,7 +39,6 @@ fn index(cache_bytes: usize) -> (ColumnStoreIndex, BufferPool, IoTracker) {
     let t = IoTracker::new();
     let config = CsiConfig {
         rowgroup_capacity: FULL,
-        sort_mode: SortMode::Greedy,
         decoded_cache_bytes: cache_bytes,
         ..CsiConfig::default()
     };

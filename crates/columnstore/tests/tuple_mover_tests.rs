@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SortMode};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
 use hpd_common::{faults, DataType, Key, Row, Schema, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 
@@ -29,7 +29,6 @@ fn setup(kind: CsiKind, n: i32) -> (ColumnStoreIndex, BufferPool, IoTracker) {
         vec![0],
         CsiConfig {
             rowgroup_capacity: CAP,
-            sort_mode: SortMode::Greedy,
             // Keep deletes buffered unless a test compacts explicitly.
             delete_buffer_compact_threshold: 1_000_000,
             ..CsiConfig::default()

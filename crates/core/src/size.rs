@@ -15,7 +15,10 @@
 //!   the GEE estimate of the distinct *prefix combinations*, divide each
 //!   integer column by its common power of ten as a build does
 //!   ([`hpd_columnstore::value_encode`]), and convert runs to bytes per
-//!   encoding. Row groups being compressed independently
+//!   encoding. A build stores the smaller of that order and the one its
+//!   rows arrive in (the primary's), so the model sizes the primary's order
+//!   too, from neighbours inside one sampled block, and keeps the smaller.
+//!   Row groups being compressed independently
 //!   is modelled explicitly (the paper lists this as an accuracy
 //!   improvement).
 
@@ -327,7 +330,8 @@ impl EncodingBreakdown {
     }
 }
 
-/// Model runs via GEE distinct estimates of greedy-order prefixes.
+/// Model runs via GEE distinct estimates of greedy-order prefixes, and via
+/// the sample's own neighbours in the primary's order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunModelEstimator;
 
@@ -364,10 +368,20 @@ impl RunModelEstimator {
     }
 
     /// Per-encoding size candidates for every column (see
-    /// [`EncodingBreakdown`]). The model mirrors the engine's selection:
-    /// runs from GEE prefix-combination estimates, value/delta bit widths
-    /// measured on the greedy-order-sorted sample, each rowgroup compressed
-    /// independently.
+    /// [`EncodingBreakdown`]), in the row order a build is predicted to
+    /// store. A build keeps the smaller of the greedy order and the order
+    /// its rows arrive in — the primary's, which is the key order when the
+    /// primary is a B+ tree — so the model sizes both and keeps the one
+    /// whose columns' best encodings sum smaller, the greedy one on a tie:
+    ///
+    /// * greedy: runs from GEE prefix-combination estimates, delta widths
+    ///   measured on the greedy-order-sorted sample;
+    /// * primary: runs and delta widths measured between neighbours inside
+    ///   one sampled block (the sample's blocks are whole runs of the
+    ///   primary's order; a FOR/delta frame's first value has no step).
+    ///
+    /// Value ranges and distinct counts are the same in both; each row
+    /// group is compressed independently.
     pub fn estimate_encodings(
         &self,
         schema: &Schema,
@@ -415,9 +429,8 @@ impl RunModelEstimator {
             prefix_distinct.push(d);
         }
 
-        // The engine sorts each rowgroup by the greedy order before
-        // encoding; sort the sample the same way so value ranges and delta
-        // widths are measured in encoding order.
+        // The greedy order sorts each rowgroup before encoding; sort the
+        // sample the same way so delta widths are measured in its order.
         let mut sorted: Vec<&Row> = sample.rows.iter().collect();
         sorted.sort_by(|a, b| {
             order
@@ -426,6 +439,7 @@ impl RunModelEstimator {
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
+        let arrived: Vec<&Row> = sample.rows.iter().collect();
 
         // Row groups compress independently: estimate per row group, then
         // multiply by the number of row groups.
@@ -436,13 +450,16 @@ impl RunModelEstimator {
         let bits_for = |range: u128| -> usize { (128 - range.leading_zeros()) as usize };
         let packed_bytes = |slots: usize, bw: usize| -> usize { (slots * bw).div_ceil(8) + 8 };
 
-        let mut out = vec![empty; ncols];
+        let mut greedy = vec![empty; ncols];
+        let mut primary = vec![empty; ncols];
         for (pos, &c) in order.iter().enumerate() {
             let dtype = schema.column(c).dtype;
             let mut vals = Self::mapped_column(&sorted, c, dtype);
             // The build's value encoding: the words a segment stores, and
             // a byte for their exponent.
             let exponent_byte = usize::from(value_encode(dtype, &mut vals) > 0);
+            let mut in_primary = Self::mapped_column(&arrived, c, dtype);
+            value_encode(dtype, &mut in_primary);
 
             // Strings pay their dictionary regardless of how the code
             // stream is encoded; add it to every candidate.
@@ -457,11 +474,6 @@ impl RunModelEstimator {
             } else {
                 0
             };
-
-            let d_prefix = prefix_distinct[pos].max(1);
-            // Runs per row group bounded by both rows and distinct prefixes.
-            let runs_per_rg = d_prefix.min(rows_per_rg).max(1);
-            let rle = runs_per_rg * RLE_RUN_BYTES;
 
             // Bit-packing needs the value range (not the distinct count);
             // string codes span exactly their per-rowgroup distinct count.
@@ -479,12 +491,54 @@ impl RunModelEstimator {
             } else {
                 packed_bytes(rows_per_rg, vbits) + 9
             };
+            let d_rg = distinct[c].min(rows_per_rg).max(1);
+            let raw = rows_per_rg * 8;
 
-            // FOR/delta: delta width measured over consecutive sorted-sample
-            // values. Block sampling stitches non-adjacent row ranges
+            // The candidates of one row order with `runs_per_rg` runs a row
+            // group and steps within a frame from `min_d` to `max_d`.
+            let breakdown = |runs_per_rg: usize, (min_d, max_d): (i128, i128)| {
+                let rle = runs_per_rg * RLE_RUN_BYTES;
+                let dbits = bits_for((max_d - min_d).max(0) as u128);
+                let fordelta = if dbits > 56 {
+                    usize::MAX
+                } else {
+                    let frames = rows_per_rg.div_ceil(FOR_DELTA_FRAME);
+                    frames * 8 + packed_bytes(frames * (FOR_DELTA_FRAME - 1), dbits) + 17
+                };
+                // Numeric dictionary: sorted distinct values + an encoded
+                // code stream; the engine bails out above rows/4 distinct.
+                let dict = if d_rg > (rows_per_rg / 4).max(8) {
+                    usize::MAX
+                } else {
+                    let code_bw = bits_for((d_rg - 1) as u128);
+                    let codes = rle
+                        .min(packed_bytes(rows_per_rg, code_bw) + 9)
+                        .min(rows_per_rg * 8);
+                    d_rg * 8 + codes + 16
+                };
+                let scale = |b: usize| -> usize {
+                    if b == usize::MAX {
+                        usize::MAX
+                    } else {
+                        (b + string_dict + exponent_byte) * n_rowgroups
+                    }
+                };
+                EncodingBreakdown {
+                    rle: scale(rle),
+                    bitpacked: scale(bitpacked),
+                    fordelta: scale(fordelta),
+                    dict: scale(dict),
+                    raw: scale(raw),
+                }
+            };
+
+            // Greedy order: runs per row group bounded by both rows and
+            // distinct prefixes. Deltas between consecutive sorted-sample
+            // values: block sampling stitches non-adjacent row ranges
             // together, injecting up to one spurious gap per block seam;
             // trim that many extreme deltas from each end (scaled by the
             // unsampled fraction — a full sample has no seams).
+            let runs_per_rg = prefix_distinct[pos].max(1).min(rows_per_rg).max(1);
             let mut deltas: Vec<i128> = vals
                 .windows(2)
                 .map(|w| w[1] as i128 - w[0] as i128)
@@ -492,50 +546,40 @@ impl RunModelEstimator {
             deltas.sort_unstable();
             let n_blocks = sample.rows.len().div_ceil(SAMPLE_BLOCK_ROWS);
             let seams = ((n_blocks.saturating_sub(1)) as f64 * (1.0 - q)).round() as usize;
-            let (min_d, max_d) = if deltas.len() > 2 * seams {
+            let steps = if deltas.len() > 2 * seams {
                 (deltas[seams], deltas[deltas.len() - 1 - seams])
             } else {
                 (0, 0)
             };
-            let dbits = bits_for((max_d - min_d).max(0) as u128);
-            let fordelta = if dbits > 56 {
-                usize::MAX
-            } else {
-                let frames = rows_per_rg.div_ceil(FOR_DELTA_FRAME);
-                frames * 8 + packed_bytes(frames * (FOR_DELTA_FRAME - 1), dbits) + 17
-            };
+            greedy[c] = breakdown(runs_per_rg, steps);
 
-            // Numeric dictionary: sorted distinct values + an encoded code
-            // stream; the engine bails out above rows/4 distinct.
-            let d_rg = distinct[c].min(rows_per_rg).max(1);
-            let dict = if d_rg > (rows_per_rg / 4).max(8) {
-                usize::MAX
-            } else {
-                let code_bw = bits_for((d_rg - 1) as u128);
-                let codes = rle
-                    .min(packed_bytes(rows_per_rg, code_bw) + 9)
-                    .min(rows_per_rg * 8);
-                d_rg * 8 + codes + 16
-            };
-
-            let raw = rows_per_rg * 8;
-
-            let scale = |b: usize| -> usize {
-                if b == usize::MAX {
-                    usize::MAX
-                } else {
-                    (b + string_dict + exponent_byte) * n_rowgroups
+            // The primary's order: neighbours inside one block, and inside
+            // one frame for the steps.
+            let (mut pairs, mut changes) = (0usize, 0usize);
+            let mut steps = (i128::MAX, i128::MIN);
+            for block in in_primary.chunks(SAMPLE_BLOCK_ROWS) {
+                for (i, w) in block.windows(2).enumerate() {
+                    pairs += 1;
+                    changes += usize::from(w[0] != w[1]);
+                    if (i + 1) % FOR_DELTA_FRAME != 0 {
+                        let d = i128::from(w[1]) - i128::from(w[0]);
+                        steps = (steps.0.min(d), steps.1.max(d));
+                    }
                 }
-            };
-            out[c] = EncodingBreakdown {
-                rle: scale(rle),
-                bitpacked: scale(bitpacked),
-                fordelta: scale(fordelta),
-                dict: scale(dict),
-                raw: scale(raw),
-            };
+            }
+            let change_rate = changes as f64 / pairs.max(1) as f64;
+            let runs_per_rg = 1 + (change_rate * (rows_per_rg - 1) as f64).round() as usize;
+            let steps = if steps.0 > steps.1 { (0, 0) } else { steps };
+            primary[c] = breakdown(runs_per_rg, steps);
         }
-        out
+        let total = |columns: &[EncodingBreakdown]| -> usize {
+            (columns.iter()).fold(0, |sum, b| sum.saturating_add(b.best().1))
+        };
+        if total(&primary) < total(&greedy) {
+            primary
+        } else {
+            greedy
+        }
     }
 }
 

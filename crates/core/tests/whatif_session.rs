@@ -17,6 +17,7 @@ use hpd_advisor::session::Chosen;
 use hpd_advisor::{
     Advisor, AdvisorOptions, DesignMode, RunModelEstimator, SampleSet, WhatIfSession, Workload,
 };
+use hpd_columnstore::IntEncoding;
 use hpd_common::{CmpOp, DataType, Expr, PartitionSpec, Row, Schema, Value};
 use hpd_engine::{Database, DbConfig, IndexDescriptor, IndexMeta, SelectQuery, Statement};
 use hpd_workloads::micro::MicroTable;
@@ -545,6 +546,118 @@ fn advisor_scaling_report() {
             delta.counter("advisor.whatif.calls"),
             delta.counter("advisor.whatif.cache_hits"),
             delta.counter("advisor.hypothetical.built")
+        );
+    }
+}
+
+/// `(index, built bytes, what-if bytes, what-if encodings)` of every
+/// columnstore on every part of `table`, sized as [`btree_sizes`] sizes B+
+/// trees.
+fn csi_sizes(db: &Database, table: &str) -> Vec<(String, usize, IndexMeta)> {
+    let options = AdvisorOptions::default();
+    let ctx = db.context_for(table).unwrap();
+    let sample = db
+        .with_table(table, |t| {
+            let (fraction, seed) = (options.sample_fraction, options.seed);
+            SampleSet::block_sample_scan(t.row_count(), fraction, seed, t.pk(), |sink| {
+                t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
+            })
+        })
+        .unwrap();
+    let mut sizes = Vec::new();
+    for (p, part) in ctx.parts.iter().enumerate() {
+        let mut part_ctx = ctx.clone();
+        part_ctx.stats.rows = part.rows;
+        for built in part.metas.iter().filter(|m| m.descriptor.is_csi()) {
+            let d = &built.descriptor;
+            let whatif =
+                hypothetical_meta(d, &part_ctx, &sample, &RunModelEstimator, &db.config().csi);
+            sizes.push((format!("{table} p{p} {d:?}"), built.size_bytes(), whatif));
+        }
+    }
+    sizes
+}
+
+/// A hypothetical columnstore is sized in the row order a build stores:
+/// the run model keeps the greedy order or the primary's, whichever its
+/// columns encode smaller in, as a row group keeps the smaller of the
+/// greedy, arrival and key orders. On the benchmark's tables — `micro`'s
+/// secondary columnstore over its B+ tree (arrival is key order: `col1`
+/// FOR/delta, not bit-packed behind the greedy order's 100-value `col2`),
+/// `micro_part`'s primary columnstore parts (loaded shuffled, stored in key
+/// order), TPC-H `lineitem`'s and TPC-DS `store_sales`' secondary
+/// columnstores — the what-if bytes are within 15 % of the built ones.
+#[test]
+fn hypothetical_columnstore_sizes_track_the_built_row_order() {
+    let _serial = REGISTRY.lock().unwrap();
+    const ROWS: i64 = 131_072;
+    const DOMAIN: i64 = 1 << 31;
+    let schema = Schema::from_pairs(&[
+        ("col1", DataType::Int32),
+        ("col2", DataType::Int32),
+        ("col3", DataType::Int32),
+    ]);
+    // `benchmark/`'s scan tables: `col1` unique, one value a stratum of
+    // [0, 2^31); `col2` 100 values; `col3` uniform; loaded shuffled.
+    let mut rng = StdRng::seed_from_u64(1);
+    let stratum = |i: i64| i * DOMAIN / ROWS;
+    let mut rows: Vec<Row> = (0..ROWS)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int32(rng.gen_range(stratum(i)..stratum(i + 1)) as i32),
+                Value::Int32(rng.gen_range(0..100)),
+                Value::Int32(rng.gen_range(0..DOMAIN) as i32),
+            ])
+        })
+        .collect();
+    rows.shuffle(&mut rng);
+    let db = Database::new(DbConfig::default());
+    let btree = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+    db.create_table("micro", schema.clone(), vec![0], btree)
+        .unwrap();
+    db.load_table("micro", rows.clone()).unwrap();
+    let all = IndexDescriptor::SecondaryCsi {
+        columns: vec![0, 1, 2],
+    };
+    db.create_index("micro", &all).unwrap();
+    let bounds = (1..4)
+        .map(|p| Value::Int32((p * DOMAIN / 4) as i32))
+        .collect();
+    let spec = PartitionSpec::range(0, bounds).unwrap();
+    db.create_partitioned_table(
+        "micro_part",
+        schema,
+        vec![0],
+        IndexDescriptor::PrimaryCsi,
+        spec,
+    )
+    .unwrap();
+    db.load_table("micro_part", rows).unwrap();
+    load_lineitem(&db, 100_000, 7, MixedDesign::BTreeWithSecondaryCsi).unwrap();
+    tpcds::load(&db, DsScale::small()).unwrap();
+    let facts = IndexDescriptor::SecondaryCsi {
+        columns: (0..10).collect(),
+    };
+    db.create_index("store_sales", &facts).unwrap();
+
+    let mut sizes = Vec::new();
+    for table in ["micro", "micro_part", "lineitem", "store_sales"] {
+        sizes.extend(csi_sizes(&db, table));
+    }
+    assert_eq!(sizes.len(), 1 + 4 + 1 + 1, "{sizes:?}");
+    let (_, _, micro) = &sizes[0];
+    let col1 = micro.column_encodings.iter().find(|&&(c, _)| c == 0);
+    assert_eq!(
+        col1,
+        Some(&(0, IntEncoding::ForDelta)),
+        "micro's col1 in key order"
+    );
+    for (index, built, whatif) in &sizes {
+        let error = whatif.size_bytes().abs_diff(*built) as f64 / *built as f64;
+        assert!(
+            error <= 0.15,
+            "{index}: {} what-if bytes, {built} built",
+            whatif.size_bytes()
         );
     }
 }

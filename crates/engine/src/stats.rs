@@ -28,6 +28,9 @@ pub struct ColumnStats {
     pub bucket_bounds: Vec<Value>,
     /// Average per-block fraction of the value domain (see module docs).
     pub clustering_fraction: f64,
+    /// Bytes the column's values encode to ([`codec::put_value`]), summed
+    /// over every row: what a B+ tree build reserves its run by.
+    pub encoded_bytes: usize,
 }
 
 /// One column in arrival order, typed: 4 or 8 bytes a value, a string as the
@@ -128,6 +131,7 @@ impl ColumnStats {
             distinct,
             bucket_bounds,
             clustering_fraction,
+            encoded_bytes: 0,
         }
     }
 
@@ -271,6 +275,7 @@ impl TableStats {
                     distinct: 0,
                     bucket_bounds: Vec::new(),
                     clustering_fraction: 1.0,
+                    encoded_bytes: 0,
                 })
                 .collect(),
         }
@@ -305,6 +310,7 @@ impl TableStats {
         let mut columns: Vec<Gathered> = (schema.columns().iter())
             .map(|c| Gathered::with_capacity(c.dtype, rows.len()))
             .collect();
+        let mut bytes = vec![0; schema.len()];
         for row in rows.iter() {
             let mut values = codec::values(row);
             let (mut taken, mut part) = (0, 0);
@@ -318,6 +324,7 @@ impl TableStats {
                 if let Some(spec) = partitioning.filter(|spec| spec.column == taken) {
                     part = spec.route_ref(v);
                 }
+                bytes[taken] += v.encoded_len();
                 taken += 1;
             }
             if taken != schema.len() || values.next().is_some() {
@@ -334,7 +341,12 @@ impl TableStats {
         }
         let stats = TableStats {
             rows: rows.len(),
-            columns: (columns.into_iter()).map(|c| c.stats(block_rows)).collect(),
+            columns: (columns.into_iter().zip(bytes))
+                .map(|(c, encoded_bytes)| ColumnStats {
+                    encoded_bytes,
+                    ..c.stats(block_rows)
+                })
+                .collect(),
         };
         Ok((stats, part_rows))
     }
@@ -352,18 +364,21 @@ impl TableStats {
         let mut columns: Vec<ColumnVector> = (schema.columns().iter())
             .map(|c| ColumnVector::with_capacity(c.dtype, expected))
             .collect();
+        let mut bytes = vec![0; schema.len()];
         scan(&mut |row| {
-            for (column, v) in columns.iter_mut().zip(row.values()) {
+            for ((column, sum), v) in columns.iter_mut().zip(&mut bytes).zip(row.values()) {
                 column.push(v).expect("rows match the table's schema");
+                *sum += ValueRef::from(v).encoded_len();
             }
         });
         let rows = columns.first().map_or(0, ColumnVector::len);
         if rows == 0 {
             return TableStats::empty(schema.len());
         }
-        let columns = columns
-            .into_iter()
-            .map(|c| ColumnStats::of_typed(c, block_rows));
+        let columns = (columns.into_iter().zip(bytes)).map(|(c, encoded_bytes)| ColumnStats {
+            encoded_bytes,
+            ..ColumnStats::of_typed(c, block_rows)
+        });
         TableStats {
             rows,
             columns: columns.collect(),

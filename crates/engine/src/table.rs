@@ -224,6 +224,8 @@ fn canonical(design: &[IndexDescriptor], arity: usize, pk: &[usize]) -> Vec<Inde
 struct BuildCtx<'a> {
     schema: &'a Schema,
     pk: &'a [usize],
+    /// The table's statistics: their encoded bytes size a B+ tree's run.
+    stats: &'a TableStats,
     csi_config: CsiConfig,
     alloc: &'a StorageAllocator,
     pool: &'a BufferPool,
@@ -338,8 +340,12 @@ enum Pending {
 impl<'a> IndexBuilder<'a> {
     /// A builder of the index `descriptor` names that `rows` rows will be
     /// pushed to (0: how many is not known). A B+ tree reserves its run by
-    /// [`btree_entry_bytes`] at the most each column's type takes: room for
-    /// any row without a string past the planning length; a columnstore
+    /// [`btree_entry_bytes`]: at its columns' mean encoded widths when the
+    /// table's statistics count these rows (what the load's or the last
+    /// analysis's pass over every value summed, `ColumnStats::encoded_bytes`,
+    /// with a 64th more for rows rewritten since), else at the most each
+    /// column's type takes, room for any row without a string past the
+    /// planning length; a run that outgrows it grows. A columnstore
     /// reserves each row group's column vectors at the rows it will hold
     /// ([`CsiBuilder`]).
     fn new(descriptor: &IndexDescriptor, ctx: BuildCtx<'a>, rows: usize) -> IndexBuilder<'a> {
@@ -362,10 +368,15 @@ impl<'a> IndexBuilder<'a> {
                 rows,
             )))
         } else {
-            let width = |c: usize| codec::encoded_width(ctx.schema.column(c).dtype) as f64;
+            let measured = rows > 0 && ctx.stats.rows == rows;
+            let width = |c: usize| match measured {
+                true => ctx.stats.columns[c].encoded_bytes as f64 / rows as f64,
+                false => codec::encoded_width(ctx.schema.column(c).dtype) as f64,
+            };
             let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width, 0.0);
+            let bytes = rows as f64 * entry * if measured { 1.0 + 1.0 / 64.0 } else { 1.0 };
             Pending::BTree {
-                run: EntryRun::with_capacity(rows, rows * entry as usize),
+                run: EntryRun::with_capacity(rows, bytes.ceil() as usize),
                 key: Vec::new(),
                 payload: Vec::new(),
             }
@@ -760,9 +771,12 @@ impl Table {
             BufferPool::unbounded(hpd_storage::DeviceProfile::ram()),
             IoTracker::new(),
         );
+        let n = schema.len();
+        let stats = TableStats::empty(n);
         let ctx = BuildCtx {
             schema: &schema,
             pk: &pk,
+            stats: &stats,
             csi_config,
             alloc: &alloc,
             pool: &pool,
@@ -772,14 +786,13 @@ impl Table {
         let parts = (0..n_parts)
             .map(|_| TablePart::create(primary, ctx))
             .collect::<Result<Vec<_>>>()?;
-        let n = schema.len();
         Ok(Table {
             name,
             schema,
             pk,
             partitioning,
             parts,
-            stats: TableStats::empty(n),
+            stats,
             alloc,
             csi_config,
             versions: HashMap::new(),
@@ -810,15 +823,17 @@ impl Table {
         let ctx = BuildCtx {
             schema: &self.schema,
             pk: &self.pk,
+            stats: &stats,
             csi_config: self.csi_config,
             alloc: &self.alloc,
             pool,
             tracker,
         };
-        // A B+ tree reserves its run at its rows' widest encoding: several
-        // parts' runs filled at once so held more than runs grown by doubling
-        // (a four-part `lineitem` load peaked 1.1 MB higher), so a B+ tree
-        // part of several is told nothing.
+        // The statistics count the table's rows, not a part's, so a B+ tree
+        // part of several would reserve its run at its rows' widest
+        // encoding: several parts' runs filled at once so held more than
+        // runs grown by doubling (a four-part `lineitem` load peaked 1.1 MB
+        // higher), so it is told nothing.
         let several = self.parts.len() > 1;
         let mut builders: Vec<_> = (self.parts.iter().zip(part_rows))
             .map(|(part, rows)| {
@@ -877,6 +892,7 @@ impl Table {
         let ctx = BuildCtx {
             schema: &self.schema,
             pk: &self.pk,
+            stats: &self.stats,
             csi_config: self.csi_config,
             alloc: &self.alloc,
             pool,

@@ -221,8 +221,10 @@ fn for_each_row_lends_what_scan_all_rows_copies() {
 fn image_is_byte_identical_to_the_copying_encoders() {
     // The golden was written by the encoder that materialised every table
     // into a `Vec<Row>` and built each frame in a buffer of its own (commit
-    // b819861); regenerate with UPDATE_GOLDEN=1 only for an intended format
-    // change.
+    // b819861), and rewritten when a row group came to be stored in the row
+    // order its bytes favour (`pt`'s columnstore part lends its rows in key
+    // order); regenerate with UPDATE_GOLDEN=1 only for an intended format
+    // or row-order change.
     let db = fixed_database(DbConfig::default());
     db.checkpoint().unwrap();
     let image = db.wal_durable().checkpoint.expect("image installed");

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use hpd_btree::{BTree, BTreeConfig};
-use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind, SortMode};
+use hpd_columnstore::{ColumnStoreIndex, CsiConfig, CsiKind};
 use hpd_common::{
     AggFunc, Batch, CmpOp, ColumnVector, DataType, Expr, Interval, Key, Row, Schema, Value,
 };
@@ -364,7 +364,6 @@ fn build_csi(n: i32) -> (ColumnStoreIndex, BufferPool) {
         vec![0],
         CsiConfig {
             rowgroup_capacity: 128,
-            sort_mode: SortMode::Greedy,
             ..CsiConfig::default()
         },
         &rows,

@@ -7,7 +7,7 @@
 //! dimension predicates, grouped aggregates over fact measures, and a tail
 //! of full-scan rollups — the mix that makes hybrid designs win.
 
-use hpd_common::{AggFunc, CmpOp, DataType, Expr, Result, Row, Schema, Value};
+use hpd_common::{AggFunc, CmpOp, DataType, Expr, PartitionSpec, Result, Row, Schema, Value};
 use hpd_engine::{AggItem, ColRef, Database, EquiJoin, IndexDescriptor, SelectQuery, TableInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,6 +98,13 @@ pub const TABLES: [&str; 8] = [
 
 /// Create and load the whole schema.
 pub fn load(db: &Database, scale: DsScale) -> Result<()> {
+    load_partitioned(db, scale, 1)
+}
+
+/// [`load`] with each fact table range-partitioned on its key into
+/// `fact_parts` parts of equal rows (one part: not partitioned). The rows
+/// are [`load`]'s.
+pub fn load_partitioned(db: &Database, scale: DsScale, fact_parts: usize) -> Result<()> {
     let mut rng = StdRng::seed_from_u64(scale.seed);
 
     // Dimensions -------------------------------------------------------
@@ -248,31 +255,34 @@ pub fn load(db: &Database, scale: DsScale) -> Result<()> {
         ("store_sales", "ss", scale.store_sales_rows),
         ("web_sales", "ws", scale.web_sales_rows),
     ] {
-        db.create_table(
-            name,
-            fact_schema(prefix),
-            vec![0],
-            IndexDescriptor::PrimaryBTree { keys: vec![0] },
-        )?;
-        let data: Vec<Row> = (0..rows as i64)
-            .map(|i| {
-                let price = rng.gen_range(100i64..100_000) * 100;
-                let qty = rng.gen_range(1..=20);
-                Row::new(vec![
-                    Value::Int64(i),
-                    Value::Int32(rng.gen_range(0..scale.items as i32)),
-                    Value::Int32(rng.gen_range(0..scale.dates as i32)),
-                    Value::Int32(rng.gen_range(0..scale.addresses as i32)),
-                    Value::Int32(rng.gen_range(0..scale.stores as i32)),
-                    Value::Int32(rng.gen_range(0..scale.households as i32)),
-                    Value::Int32(qty),
-                    Value::Decimal(price),
-                    Value::Decimal(price * qty as i64),
-                    Value::Decimal(rng.gen_range(-20_000i64..80_000) * 100),
-                ])
-            })
-            .collect();
-        db.load_table(name, data)?;
+        let primary = IndexDescriptor::PrimaryBTree { keys: vec![0] };
+        if fact_parts > 1 {
+            let bounds = (1..fact_parts)
+                .map(|p| Value::Int64((p * rows / fact_parts) as i64))
+                .collect();
+            let spec = PartitionSpec::range(fact::ID, bounds)?;
+            db.create_partitioned_table(name, fact_schema(prefix), vec![0], primary, spec)?;
+        } else {
+            db.create_table(name, fact_schema(prefix), vec![0], primary)?;
+        }
+        // Drawn as the load takes them: no fact row waits in a vector.
+        let data = (0..rows as i64).map(|i| {
+            let price = rng.gen_range(100i64..100_000) * 100;
+            let qty = rng.gen_range(1..=20);
+            Row::new(vec![
+                Value::Int64(i),
+                Value::Int32(rng.gen_range(0..scale.items as i32)),
+                Value::Int32(rng.gen_range(0..scale.dates as i32)),
+                Value::Int32(rng.gen_range(0..scale.addresses as i32)),
+                Value::Int32(rng.gen_range(0..scale.stores as i32)),
+                Value::Int32(rng.gen_range(0..scale.households as i32)),
+                Value::Int32(qty),
+                Value::Decimal(price),
+                Value::Decimal(price * qty as i64),
+                Value::Decimal(rng.gen_range(-20_000i64..80_000) * 100),
+            ])
+        });
+        db.load_table_from(name, data)?;
     }
     Ok(())
 }

@@ -308,7 +308,6 @@ fn size_estimates_track_actual_lineitem() {
     let rows = lineitem_rows(50_000, 1);
     let config = CsiConfig {
         rowgroup_capacity: 8_192,
-        sort_mode: hybrid_physical_designs::columnstore::SortMode::Greedy,
         ..CsiConfig::default()
     };
     let pool = BufferPool::unbounded(DeviceProfile::ram());

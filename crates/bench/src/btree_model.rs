@@ -19,13 +19,18 @@
 //! that fill and split by their bytes at the given page size, or hand
 //! entries to a sibling: bursts of inserts and widening updates into one
 //! spot, into the tree as built (full, at a `bulk_fill` of 1.0) and later,
-//! checked after each operation. A third of the
-//! payloads drawn begin with their key's values, so a leaf stores the key
-//! once (and some begin with the key's values under another type, `Int64(5)`
-//! behind the key `Int32(5)`: equal values, other bytes, so the entry stays
-//! unshared), and updates prepend the key to a payload, overwrite its leading
-//! values with the key's or with others, moving an entry between the shared
-//! and the unshared form — at the same entry width too.
+//! checked after each operation.
+//!
+//! Each run makes its tree in one of the two entry forms
+//! ([`EntryForm`]). A tree that keeps its keys apart takes any payload: a
+//! third of those drawn begin with their key's values (and some with them
+//! under another type, `Int64(5)` behind the key `Int32(5)`: equal values,
+//! other bytes), and updates prepend the key to a payload or overwrite its
+//! leading values with the key's or with others. A tree that keeps its
+//! `n`-value keys in the payload is given only payloads that begin with
+//! their key, updates change what follows it, and it must refuse, changing
+//! nothing, an insert or a load of an entry whose payload does not begin
+//! with its key.
 //!
 //! An encoded run sorts abbreviated keys (the eight-byte image of a key's
 //! first value), so half of the runs built here have keys of one first-value
@@ -38,8 +43,9 @@
 //! reverse.
 
 use std::ops::Bound;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hpd_btree::{BTree, BTreeConfig, EntryRun};
+use hpd_btree::{BTree, BTreeConfig, EntryForm, EntryRun};
 use hpd_common::{codec, Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use rand::rngs::StdRng;
@@ -49,7 +55,7 @@ type Entries = Vec<(Key, Row)>;
 
 /// Exact rendering: `Value`'s `==` is its order's (`Int32(5) == Int64(5)`),
 /// which would let a decoder that changes a value's type pass.
-fn show<T: std::fmt::Debug>(v: &T) -> String {
+fn show<T: std::fmt::Debug + ?Sized>(v: &T) -> String {
     format!("{v:?}")
 }
 
@@ -101,14 +107,23 @@ fn wide(rng: &mut StdRng) -> Value {
     }
 }
 
-fn key(rng: &mut StdRng) -> Key {
-    Key::new((0..rng.gen_range(1..4)).map(|_| value(rng)).collect())
+/// How many values a key of a tree of `form` has: its own number if the
+/// key is the payload's, else one to three.
+fn key_len(rng: &mut StdRng, form: EntryForm) -> usize {
+    match form {
+        EntryForm::KeyInPayload(n) => n,
+        EntryForm::SeparateKey => rng.gen_range(1..4),
+    }
+}
+
+fn key(rng: &mut StdRng, form: EntryForm) -> Key {
+    Key::new((0..key_len(rng, form)).map(|_| value(rng)).collect())
 }
 
 /// Keys for an encoded run whose first values are of one type (`family`
 /// picks it; family 1 mixes two), from a small domain so that whole keys and
 /// first values repeat.
-fn typed_key(rng: &mut StdRng, family: u32) -> Key {
+fn typed_key(rng: &mut StdRng, family: u32, form: EntryForm) -> Key {
     let ints = [i64::MIN, -(1 << 40), -2, -1, 0, 1, 2, 1 << 40, i64::MAX];
     let small = [i32::MIN, -2, -1, 0, 1, 2, i32::MAX];
     // Every scale: 0–4 trailing zeros, and more.
@@ -155,7 +170,7 @@ fn typed_key(rng: &mut StdRng, family: u32) -> Key {
         _ => Value::str(strings[rng.gen_range(0..strings.len())]),
     };
     // One value (an exact image for a scalar) or a tail to tie-break on.
-    let tail = (0..rng.gen_range(0..3)).map(|_| value(rng));
+    let tail = (1..key_len(rng, form)).map(|_| value(rng));
     Key::new(std::iter::once(first).chain(tail).collect())
 }
 
@@ -163,31 +178,43 @@ fn payload(rng: &mut StdRng) -> Row {
     Row::new((0..rng.gen_range(0..5)).map(|_| value(rng)).collect())
 }
 
-/// A payload for `key`: a third begin with the key's values, as a primary
-/// keyed on its leading columns or a secondary stores them, and one in
-/// twelve with them as `Int64` where they are `Int32`s.
-fn payload_for(rng: &mut StdRng, key: &Key) -> Row {
-    let rest = payload(rng);
-    let widened = |v: &Value| match v {
+/// `key`'s values, then `rest`'s.
+fn led_by(key: &Key, rest: &[Value]) -> Row {
+    Row::new(key.values().iter().chain(rest).cloned().collect())
+}
+
+/// `key`'s values with every `Int32` an `Int64`, then `rest`'s: equal
+/// values, other bytes.
+fn widened(key: &Key, rest: &[Value]) -> Row {
+    let widen = |v: &Value| match v {
         Value::Int32(x) => Value::Int64(i64::from(*x)),
         v => v.clone(),
     };
-    match rng.gen_range(0..12) {
-        0..=3 => Row::new(key.values().iter().chain(rest.values()).cloned().collect()),
-        4 => Row::new(
-            key.values()
-                .iter()
-                .map(widened)
-                .chain(rest.values().iter().cloned())
-                .collect(),
-        ),
+    Row::new(
+        key.values()
+            .iter()
+            .map(widen)
+            .chain(rest.iter().cloned())
+            .collect(),
+    )
+}
+
+/// A payload for `key` in a tree of `form`: led by the key if the key is
+/// the payload's; else a third begin with the key's values, as a primary
+/// keyed on its leading columns or a secondary stores them, and one in
+/// twelve with them as `Int64` where they are `Int32`s.
+fn payload_for(rng: &mut StdRng, key: &Key, form: EntryForm) -> Row {
+    let rest = payload(rng);
+    match (form, rng.gen_range(0..12)) {
+        (EntryForm::KeyInPayload(_), _) | (_, 0..=3) => led_by(key, rest.values()),
+        (_, 4) => widened(key, rest.values()),
         _ => rest,
     }
 }
 
-fn entry(rng: &mut StdRng) -> (Key, Row) {
-    let k = key(rng);
-    let r = payload_for(rng, &k);
+fn entry(rng: &mut StdRng, form: EntryForm) -> (Key, Row) {
+    let k = key(rng, form);
+    let r = payload_for(rng, &k, form);
     (k, r)
 }
 
@@ -195,7 +222,7 @@ fn entry(rng: &mut StdRng) -> (Key, Row) {
 /// on, just before or just after existing entries.
 fn probe(rng: &mut StdRng, model: &Entries) -> Key {
     if model.is_empty() || rng.gen_bool(0.2) {
-        return key(rng);
+        return key(rng, EntryForm::SeparateKey);
     }
     let stored = model[rng.gen_range(0..model.len())].0.values();
     let mut vs = stored.to_vec();
@@ -245,10 +272,15 @@ fn model_range<'a>(model: &'a Entries, lo: Bound<&Key>, hi: Bound<&Key>) -> &'a 
 }
 
 /// The update the model and the tree both apply to a row under `key` (the
-/// probe that found it); `mode` picks what changes and whether the row
-/// reports itself modified.
-fn mutate(row: &mut Row, key: &Key, mode: u32) -> bool {
-    let mut vs = row.values().to_vec();
+/// probe that found it) in a tree of `form`; `mode` picks what changes and
+/// whether the row reports itself modified. A key kept in the payload stays
+/// its first values: what follows it changes.
+fn mutate(row: &mut Row, key: &Key, mode: u32, form: EntryForm) -> bool {
+    let kept = match form {
+        EntryForm::KeyInPayload(n) => n,
+        EntryForm::SeparateKey => 0,
+    };
+    let mut vs = row.values()[kept..].to_vec();
     match mode % 8 {
         0 => return false,
         1 => vs.push(Value::str("w".repeat(mode as usize % 3_000))),
@@ -273,12 +305,14 @@ fn mutate(row: &mut Row, key: &Key, mode: u32) -> bool {
     }
     // Same arity (mode 4; mode 7 on a row at least as long as the key)
     // refills in place, any other reallocates.
-    row.refill(vs);
+    let key_values = row.values()[..kept].to_vec();
+    row.refill(key_values.into_iter().chain(vs));
     true
 }
 
 struct Run {
     tree: BTree,
+    form: EntryForm,
     model: Entries,
     pool: BufferPool,
     tracker: IoTracker,
@@ -324,10 +358,11 @@ impl Run {
                 let (mut kb, mut rb) = (Vec::new(), Vec::new());
                 codec::put_values(&mut kb, k.values());
                 codec::put_values(&mut rb, r.values());
-                // The key is stored once, the payload's first bytes, exactly
-                // when the payload's bytes begin with it.
-                let shared = e.key.as_ptr() == e.payload.as_ptr();
-                if (e.key, e.payload) != (&kb[..], &rb[..]) || shared != rb.starts_with(&kb) {
+                // The key is the payload's first bytes exactly when the
+                // tree keeps it there.
+                let in_payload = e.key.as_ptr() == e.payload.as_ptr();
+                let want = matches!(self.form, EntryForm::KeyInPayload(_));
+                if (e.key, e.payload) != (&kb[..], &rb[..]) || in_payload != want {
                     wrong.get_or_insert(at);
                 }
                 at += 1;
@@ -342,20 +377,31 @@ impl Run {
 
     /// Inserts into one spot of the tree, then a widening update there, the
     /// tree's invariants checked after each and everything after the last:
-    /// the spot is a probe's key, and each insert is of
+    /// the spot is a probe's key (cut or filled out to its tree's key
+    /// length if the key is the payload's), and each insert is of
     /// that key (a run of duplicates) or of it with one more value (just
-    /// after it). Into a full leaf each overflows it, so the leaf hands
-    /// entries to a sibling, across duplicate runs and beside its parent's
-    /// edges, or splits.
+    /// after it; the last value drawn anew if the length is fixed). Into a
+    /// full leaf each overflows it, so the leaf hands entries to a sibling,
+    /// across duplicate runs and beside its parent's edges, or splits.
     fn burst(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
-        let k = probe(rng, &self.model);
+        let mut k = probe(rng, &self.model);
+        let form = self.form;
+        if let EntryForm::KeyInPayload(n) = form {
+            let fill = std::iter::repeat_with(|| value(rng));
+            k = Key::new(k.values().iter().cloned().chain(fill).take(n).collect());
+        }
         for i in 0..rng.gen_range(2..8) {
-            let key = if rng.gen_bool(0.5) {
-                k.clone()
-            } else {
-                Key::new(k.values().iter().cloned().chain([value(rng)]).collect())
+            let key = match (rng.gen_bool(0.5), form) {
+                (true, _) => k.clone(),
+                (false, EntryForm::SeparateKey) => {
+                    Key::new(k.values().iter().cloned().chain([value(rng)]).collect())
+                }
+                (false, EntryForm::KeyInPayload(n)) => {
+                    let last = std::iter::once(value(rng));
+                    Key::new(k.values()[..n - 1].iter().cloned().chain(last).collect())
+                }
             };
-            let row = payload_for(rng, &key);
+            let row = payload_for(rng, &key, form);
             let at = self.model.partition_point(|e| e.0 <= key);
             self.model.insert(at, (key.clone(), row.clone()));
             self.tree.insert(key, row, &self.pool, &self.tracker);
@@ -367,21 +413,46 @@ impl Run {
         let mode = 8 * rng.gen_range(0..half_leaf / 8) + 1;
         let start = self.model.partition_point(|e| e.0 < k);
         for (_, r) in self.model[start..].iter_mut().take_while(|e| e.0 == k) {
-            mutate(r, &k, mode);
+            mutate(r, &k, mode, form);
         }
+        let update = |r: &mut Row| mutate(r, &k, mode, form);
         self.tree
-            .update_where(&k, |r| mutate(r, &k, mode), &self.pool, &self.tracker);
+            .update_where(&k, update, &self.pool, &self.tracker);
         self.check(&format!("step {step}: burst update"))
     }
 
-    fn step(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
-        if rng.gen_range(0..24) == 0 {
-            return self.burst(rng, step);
+    /// A tree that keeps its keys in the payload refuses an entry whose
+    /// payload does not begin with its key (its values under other types,
+    /// or another key's), changing nothing.
+    fn refuse(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
+        let (k, rest) = (key(rng, self.form), payload(rng));
+        let row = match rng.gen_bool(0.5) {
+            true => widened(&k, rest.values()),
+            false => led_by(&key(rng, self.form), rest.values()),
+        };
+        if show(&row.values()[..k.len()]) == show(k.values()) {
+            return Ok(());
         }
-        let (pool, tracker) = (&self.pool, &self.tracker);
+        let (tree, pool, tracker) = (&mut self.tree, &self.pool, &self.tracker);
+        let insert = AssertUnwindSafe(|| tree.insert(k.clone(), row, pool, tracker));
+        if catch_unwind(insert).is_ok() {
+            return Err(format!(
+                "step {step}: {k:?} taken behind a payload it does not lead"
+            ));
+        }
+        self.check(&format!("step {step}: after a refused insert"))
+    }
+
+    fn step(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
+        match rng.gen_range(0..96) {
+            0..=3 => return self.burst(rng, step),
+            4 if self.form != EntryForm::SeparateKey => return self.refuse(rng, step),
+            _ => {}
+        }
+        let (pool, tracker, form) = (&self.pool, &self.tracker, self.form);
         match rng.gen_range(0..10) {
             0..=3 => {
-                let (k, r) = entry(rng);
+                let (k, r) = entry(rng, form);
                 let at = self.model.partition_point(|e| e.0 <= k);
                 self.model.insert(at, (k.clone(), r.clone()));
                 self.tree.insert(k, r, pool, tracker);
@@ -409,11 +480,10 @@ impl Run {
                 let start = self.model.partition_point(|e| e.0 < k);
                 let mut want = 0;
                 for (_, r) in self.model[start..].iter_mut().take_while(|e| e.0 == k) {
-                    want += usize::from(mutate(r, &k, mode));
+                    want += usize::from(mutate(r, &k, mode, form));
                 }
-                let got = self
-                    .tree
-                    .update_where(&k, |r| mutate(r, &k, mode), pool, tracker);
+                let got =
+                    (self.tree).update_where(&k, |r| mutate(r, &k, mode, form), pool, tracker);
                 if got != want {
                     return Err(format!(
                         "step {step}: update {k:?} touched {got}, not {want}"
@@ -477,16 +547,25 @@ impl Run {
 /// (of the model's mixed keys, or of `typed_key`s in one of three arrival
 /// orders). `Err` names the first disagreement with the model.
 pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
+    quiet_refusals();
     let mut rng = StdRng::seed_from_u64(seed);
+    let form = match rng.gen_range(0..2) {
+        0 => EntryForm::SeparateKey,
+        _ => EntryForm::KeyInPayload(rng.gen_range(1..4)),
+    };
     let config = BTreeConfig {
         leaf_bytes,
         internal_fanout: 4,
         bulk_fill: [1.0, 0.7][rng.gen_range(0..2usize)],
+        form,
     };
     let pool = BufferPool::unbounded(DeviceProfile::ram());
     let tracker = IoTracker::new();
+    if form != EntryForm::SeparateKey {
+        refuses_to_load(&mut rng, config)?;
+    }
     let mut model: Entries = (0..rng.gen_range(0..leaf_bytes / 10))
-        .map(|_| entry(&mut rng))
+        .map(|_| entry(&mut rng, form))
         .collect();
     let alloc = StorageAllocator::new();
     let tree = match rng.gen_range(0..4) {
@@ -502,8 +581,8 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
             if start == 3 {
                 let family = rng.gen_range(0..7);
                 for (key, row) in &mut model {
-                    *key = typed_key(&mut rng, family);
-                    *row = payload_for(&mut rng, key);
+                    *key = typed_key(&mut rng, family, form);
+                    *row = payload_for(&mut rng, key, form);
                 }
                 // Arrival order: as drawn, in key order (nothing to sort;
                 // payloads tell equal keys apart), or in reverse.
@@ -513,22 +592,18 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
                     _ => model.sort_by(|a, b| b.0.cmp(&a.0)),
                 }
             }
-            let mut entries = EntryRun::default();
-            let (mut k, mut r) = (Vec::new(), Vec::new());
+            let mut entries = EntryRun::new(config);
             for (key, row) in &model {
-                k.clear();
-                r.clear();
-                codec::put_values(&mut k, key.values());
-                codec::put_values(&mut r, row.values());
-                entries.push_encoded(&k, &r);
+                entries.push_encoded(&encode(key.values()), &encode(row.values()));
             }
             model.sort_by(|a, b| a.0.cmp(&b.0));
-            entries.bulk_load(config, alloc, &pool, &tracker)
+            entries.bulk_load(alloc, &pool, &tracker)
         }
     }
     .map_err(|e| e.to_string())?;
     let mut run = Run {
         tree,
+        form,
         model,
         pool,
         tracker,
@@ -545,4 +620,50 @@ pub fn run(seed: u64, leaf_bytes: usize, steps: usize) -> Result<(), String> {
         }
     }
     run.check("at the end")
+}
+
+fn encode(values: &[Value]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::put_values(&mut bytes, values);
+    bytes
+}
+
+/// A load into a tree that keeps its keys in the payload refuses an entry
+/// whose payload does not begin with its key (another key's), whether
+/// handed over owned or encoded.
+fn refuses_to_load(rng: &mut StdRng, config: BTreeConfig) -> Result<(), String> {
+    let (k, other) = (key(rng, config.form), key(rng, config.form));
+    if show(&k) == show(&other) {
+        return Ok(());
+    }
+    let row = led_by(&other, payload(rng).values());
+    let (pool, tracker) = (
+        BufferPool::unbounded(DeviceProfile::ram()),
+        IoTracker::new(),
+    );
+    let owned = || {
+        let entries = vec![(k.clone(), row.clone())];
+        BTree::bulk_load(config, StorageAllocator::new(), entries, &pool, &tracker)
+    };
+    let encoded = || EntryRun::new(config).push_encoded(&encode(k.values()), &encode(row.values()));
+    let refused = |f: &dyn Fn()| catch_unwind(AssertUnwindSafe(f)).is_err();
+    match refused(&|| drop(owned())) && refused(&encoded) {
+        true => Ok(()),
+        false => Err(format!("{k:?} loaded behind a payload led by {other:?}")),
+    }
+}
+
+/// Leave out of the test output the panics of the refusals a run provokes
+/// on purpose; every other panic reports as it would.
+fn quiet_refusals() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let message = info.payload().downcast_ref::<String>();
+            if !message.is_some_and(|m| m.contains("key-in-payload tree")) {
+                report(info)
+            }
+        }));
+    });
 }

@@ -4,7 +4,7 @@
 //! and deletes against a `Vec<i32>`.
 
 use hpd_bench::btree_model;
-use hpd_btree::{BTree, BTreeConfig};
+use hpd_btree::{BTree, BTreeConfig, EntryForm};
 use hpd_common::{Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
@@ -36,8 +36,8 @@ fn every_leaf_size_up_to_2560_bytes_agrees_with_the_model_at_ten_seeds() {
 }
 
 /// Seeded runs of 200 single-key inserts and deletes into leaves of eight
-/// entries (a header byte, the payload's 2-byte value, the key's too, and
-/// a slot), the tree's invariants checked after each. This soak found the
+/// entries (the key's length, its 2-byte value apart from the payload's,
+/// and a slot), the tree's invariants checked after each. This soak found the
 /// duplicate-separator split-placement bug fixed in `insert_into_internal`.
 #[test]
 fn small_leaf_inserts_and_deletes_agree_with_a_vec() {
@@ -48,6 +48,7 @@ fn small_leaf_inserts_and_deletes_agree_with_a_vec() {
         leaf_bytes: 60,
         internal_fanout: 4,
         bulk_fill: 1.0,
+        form: EntryForm::SeparateKey,
     };
     for seed in 0..seeds {
         let mut rng = StdRng::seed_from_u64(seed);

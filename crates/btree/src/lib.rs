@@ -31,5 +31,5 @@ pub mod node;
 pub mod tree;
 
 pub use cursor::Cursor;
-pub use node::{entry_bytes, EntryRef};
+pub use node::{entry_bytes, EntryForm, EntryRef};
 pub use tree::{BTree, BTreeConfig, BTreeStats, EntryRun, MAX_LEAF_BYTES, PAGE_HEADER_BYTES};

@@ -3,15 +3,20 @@
 //! An internal node holds owned separator keys; a leaf is a slotted page,
 //! as SQL Server's is: its entries back to back in the
 //! [`hpd_common::codec`] encoding, and a two-byte slot per entry that says
-//! where the entry starts ([`PackedLeaf`]). A two-byte slot reaches 64 KiB,
-//! a page's entries far less: only an entry larger than a page can take a
-//! leaf past it, so such an entry lives alone on its leaf from the write
-//! that makes it so — a leaf refuses it beside other entries, and the tree
-//! splits the leaf at its position first.
+//! where the entry starts ([`PackedLeaf`]). How an entry holds its key is
+//! its tree's, fixed when the tree is created ([`EntryForm`]): a tree whose
+//! payloads begin with its key columns (a primary keyed on its leading
+//! columns, every secondary) stores each entry as the bare payload, no
+//! header, its key the payload's first values; any other keeps the key
+//! apart, behind its byte length. A two-byte slot reaches 64 KiB, a page's
+//! entries far less: only an entry larger than a page can take a leaf past
+//! it, so such an entry lives alone on its leaf from the write that makes
+//! it so — a leaf refuses it beside other entries, and the tree splits the
+//! leaf at its position first.
 
 use std::cmp::Ordering;
 
-use hpd_common::{codec, Key, Row, Value};
+use hpd_common::{codec, Key, Row, Value, ValueRef};
 use hpd_storage::PageId;
 
 /// Index of a node in the tree's arena.
@@ -60,18 +65,14 @@ impl Node {
 /// The `(key, payload)` entries of one leaf in two allocations: the entries
 /// back to back in `bytes`, and where each starts.
 ///
-/// An entry is `[header][key values][payload values]`, its values in the
-/// [`hpd_common::codec`] encoding, the one the write-ahead log writes — so
-/// `payload` of an [`EntryRef`] is, as it stands, the row a checkpoint
-/// copies into its image. When the payload's bytes begin with the key's (a
-/// primary B+ tree keyed on its leading columns stores every column; a
-/// secondary stores its keys first), the key is not written a second time:
-/// the entry is `[header][payload values]` and its key is the payload's
-/// first bytes. The header is a varint ([`codec::put_varint`]) of the key's
-/// byte length shifted left by one, its low bit set when the key is shared
-/// so (one byte for any key under 64 bytes). Keys are compared in place through
-/// [`hpd_common::ValueRef`]; nothing is decoded until a caller asks for an
-/// owned [`Key`] or [`Row`].
+/// An entry's values are in the [`hpd_common::codec`] encoding, the one the
+/// write-ahead log writes — so `payload` of an [`EntryRef`] is, as it
+/// stands, the row a checkpoint copies into its image. How an entry holds
+/// its key is its tree's [`EntryForm`], passed to every method that reads
+/// or writes one: the bare payload when the tree's payloads begin with its
+/// key, else the key's byte length, the key and the payload. Keys are
+/// compared in place through [`hpd_common::ValueRef`]; nothing is decoded
+/// until a caller asks for an owned [`Key`] or [`Row`].
 ///
 /// A leaf is one page of the simulated store, and its bytes are what fill
 /// it: the entries and, per entry, the two-byte slot `offsets` keeps for it
@@ -117,6 +118,86 @@ impl EntryRef<'_> {
     }
 }
 
+/// What a key-in-payload tree says of an entry whose payload does not begin
+/// with its key.
+const NOT_LED: &str = "a key-in-payload tree takes only payloads that begin with their key";
+
+/// How every entry of a tree holds its key, fixed when the tree is created
+/// ([`crate::BTreeConfig::form`]): a fact about the index, never decided
+/// per entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum EntryForm {
+    /// `[key length][key values][payload values]`, the length a varint
+    /// ([`codec::put_varint`]; one byte for any key under 128 bytes): a tree
+    /// whose payloads need not begin with its key.
+    #[default]
+    SeparateKey,
+    /// The bare payload values, the first `n` of them the key: a tree whose
+    /// payloads begin with its `n` key columns (a primary keyed on its
+    /// leading columns, a secondary, which stores its keys first). It takes
+    /// no entry whose payload does not begin with its key.
+    KeyInPayload(usize),
+}
+
+impl EntryForm {
+    /// The form of a tree keyed on the columns `keys` whose payload holds
+    /// the columns `stored`, in that order.
+    pub fn of(keys: &[usize], stored: impl IntoIterator<Item = usize>) -> EntryForm {
+        match stored.into_iter().take(keys.len()).eq(keys.iter().copied()) {
+            true => EntryForm::KeyInPayload(keys.len()),
+            false => EntryForm::SeparateKey,
+        }
+    }
+
+    /// The key and payload of the entry whose bytes are `entry`. A key in
+    /// the payload ends after its `n` values' headers (and a string's
+    /// length): one byte read for a one-column scalar key.
+    #[inline]
+    pub(crate) fn read(self, entry: &[u8]) -> EntryRef<'_> {
+        match self {
+            EntryForm::KeyInPayload(n) => EntryRef {
+                key: &entry[..codec::values_len(entry, n)],
+                payload: entry,
+            },
+            EntryForm::SeparateKey => {
+                let mut body = entry;
+                let key_len =
+                    codec::take_varint(&mut body).expect("an entry starts with its key's length");
+                let (key, payload) = body.split_at(key_len as usize);
+                EntryRef { key, payload }
+            }
+        }
+    }
+
+    /// Append an entry whose key and payload are already encoded.
+    pub(crate) fn put_encoded(self, bytes: &mut Vec<u8>, key: &[u8], payload: &[u8]) {
+        if let EntryForm::KeyInPayload(n) = self {
+            let leads = payload.starts_with(key) && codec::count_values(key) == n;
+            assert!(leads, "{NOT_LED}");
+        } else {
+            codec::put_varint(bytes, key.len() as u64);
+            bytes.extend_from_slice(key);
+        }
+        bytes.extend_from_slice(payload);
+    }
+
+    /// Append an entry, encoding it in place; a key in the payload is
+    /// checked before anything is written.
+    pub(crate) fn put(self, bytes: &mut Vec<u8>, key: &[Value], payload: &[Value]) {
+        if let EntryForm::KeyInPayload(n) = self {
+            // One encoding a value: equal values of one type, equal bytes.
+            let same = |(k, p): (&Value, &Value)| k.data_type() == p.data_type() && k == p;
+            let leads = key.len() == n && payload.len() >= n && key.iter().zip(payload).all(same);
+            assert!(leads, "{NOT_LED}");
+        } else {
+            let key_len: usize = key.iter().map(|v| ValueRef::from(v).encoded_len()).sum();
+            codec::put_varint(bytes, key_len as u64);
+            codec::put_values(bytes, key);
+        }
+        codec::put_values(bytes, payload);
+    }
+}
+
 /// Page bytes an entry's slot takes: its offset in `offsets`.
 pub const SLOT_BYTES: usize = std::mem::size_of::<u16>();
 
@@ -124,93 +205,18 @@ pub const SLOT_BYTES: usize = std::mem::size_of::<u16>();
 /// reaches.
 pub const SLOT_REACH: usize = 1 << 16;
 
-/// Page bytes of one leaf entry whose key's values encode to `key` bytes and
-/// its payload's to `payload` bytes ([`codec::put_values`]), the payload
-/// beginning with the key's values when `shared`: the header, the key's
-/// bytes unless the payload holds them, the payload's, and the entry's slot
-/// — what [`PackedLeaf::page_bytes`] counts for it. Fractional widths (a
-/// table's mean widths) give a mean entry.
-pub fn entry_bytes(key: f64, payload: f64, shared: bool) -> f64 {
-    let header = codec::varint_len(header(key.ceil() as usize, shared) as u64);
-    let key_copy = if shared { 0.0 } else { key };
-    (header + SLOT_BYTES) as f64 + key_copy + payload
-}
-
-/// Whether an entry stores its key once: its payload's encoding begins with
-/// its key's. The one rule for an entry's form.
-fn shares_key(key: &[u8], payload: &[u8]) -> bool {
-    payload.starts_with(key)
-}
-
-/// An entry's header: its key's byte length and whether the payload holds
-/// the key.
-fn header(key_len: usize, shared: bool) -> usize {
-    key_len << 1 | usize::from(shared)
-}
-
-/// The header at the front of an entry's bytes, and the rest.
-#[inline]
-fn take_header(mut bytes: &[u8]) -> (usize, &[u8]) {
-    let header = codec::take_varint(&mut bytes).expect("an entry starts with its header");
-    (header as usize, bytes)
-}
-
-/// The key and payload of the entry whose bytes are `entry`.
-#[inline]
-pub(crate) fn read_entry(entry: &[u8]) -> EntryRef<'_> {
-    let (header, body) = take_header(entry);
-    let (key, rest) = body.split_at(header >> 1);
-    let payload = if header & 1 == 1 { body } else { rest };
-    EntryRef { key, payload }
-}
-
-/// Append an entry whose key and payload are already encoded. The form is
-/// decided before anything is written: a run reserved for exactly its
-/// entries' bytes ([`crate::EntryRun::with_capacity`]) must not hold a
-/// key's copy even for a moment.
-pub(crate) fn put_encoded_entry(bytes: &mut Vec<u8>, key: &[u8], payload: &[u8]) {
-    let shared = shares_key(key, payload);
-    codec::put_varint(bytes, header(key.len(), shared) as u64);
-    if !shared {
-        bytes.extend_from_slice(key);
-    }
-    bytes.extend_from_slice(payload);
-}
-
-/// Append an entry, encoding it in place: a one-byte placeholder, the key's
-/// values and the payload's, then the form ([`seal_entry`]).
-pub(crate) fn put_entry<'a>(
-    bytes: &mut Vec<u8>,
-    key: impl IntoIterator<Item = &'a Value>,
-    payload: impl IntoIterator<Item = &'a Value>,
-) {
-    let start = bytes.len();
-    bytes.push(0);
-    codec::put_values(bytes, key);
-    let key_len = bytes.len() - start - 1;
-    codec::put_values(bytes, payload);
-    seal_entry(bytes, start, key_len);
-}
-
-/// Give the entry written at the end of `bytes` from `start` on — a
-/// one-byte placeholder, its key's `key_len` bytes, its payload's — its
-/// form: the key's copy goes if the payload begins with it, and the header
-/// is written (re-heading the entry if it takes more than one byte).
-fn seal_entry(bytes: &mut Vec<u8>, start: usize, key_len: usize) {
-    let (key_at, payload_at) = (start + 1, start + 1 + key_len);
-    let shared = shares_key(&bytes[key_at..payload_at], &bytes[payload_at..]);
-    if shared {
-        bytes.copy_within(payload_at.., key_at);
-        bytes.truncate(bytes.len() - key_len);
-    }
-    let header = header(key_len, shared);
-    if header < 0x80 {
-        bytes[start] = header as u8;
-    } else {
-        let mut head = Vec::with_capacity(4);
-        codec::put_varint(&mut head, header as u64);
-        bytes.splice(start..key_at, head);
-    }
+/// Page bytes of one leaf entry of a tree of form `form` whose key's values
+/// encode to `key` bytes and its payload's to `payload` bytes
+/// ([`codec::put_values`]): the payload's bytes and the entry's slot, and
+/// a separate key's bytes and their length — what [`PackedLeaf::page_bytes`]
+/// counts for it. Fractional widths (a table's mean widths) give a mean
+/// entry.
+pub fn entry_bytes(key: f64, payload: f64, form: EntryForm) -> f64 {
+    let separate = match form {
+        EntryForm::SeparateKey => codec::varint_len(key.ceil() as u64) as f64 + key,
+        EntryForm::KeyInPayload(_) => 0.0,
+    };
+    SLOT_BYTES as f64 + separate + payload
 }
 
 /// Whether an entry of `width` bytes may stand on a leaf beside `n` others
@@ -362,21 +368,21 @@ impl PackedLeaf {
     }
 
     #[inline]
-    pub fn entry(&self, i: usize) -> EntryRef<'_> {
-        read_entry(&self.bytes[self.entry_range(i)])
+    pub fn entry(&self, i: usize, form: EntryForm) -> EntryRef<'_> {
+        form.read(&self.bytes[self.entry_range(i)])
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
-        (0..self.len()).map(|i| self.entry(i))
+    pub fn iter(&self, form: EntryForm) -> impl Iterator<Item = EntryRef<'_>> {
+        (0..self.len()).map(move |i| self.entry(i, form))
     }
 
     /// Index of the first entry for which `before(stored key vs probe)` is
     /// false; the entries are sorted, so `before` holds on a prefix.
-    fn partition_point(&self, key: &Key, before: impl Fn(Ordering) -> bool) -> usize {
+    fn partition_point(&self, key: &Key, form: EntryForm, before: fn(Ordering) -> bool) -> usize {
         let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if before(self.entry(mid).cmp_key(key)) {
+            if before(self.entry(mid, form).cmp_key(key)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -386,20 +392,20 @@ impl PackedLeaf {
     }
 
     /// Index of the first entry with key ≥ `key`.
-    pub fn lower_bound(&self, key: &Key) -> usize {
-        self.partition_point(key, Ordering::is_lt)
+    pub fn lower_bound(&self, key: &Key, form: EntryForm) -> usize {
+        self.partition_point(key, form, Ordering::is_lt)
     }
 
     /// Index of the first entry with key > `key`.
-    pub fn upper_bound(&self, key: &Key) -> usize {
-        self.partition_point(key, Ordering::is_le)
+    pub fn upper_bound(&self, key: &Key, form: EntryForm) -> usize {
+        self.partition_point(key, form, Ordering::is_le)
     }
 
     /// Append an entry whose key and payload are already encoded.
     #[cfg(test)]
-    fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
+    fn push_encoded(&mut self, key: &[u8], payload: &[u8], form: EntryForm) {
         self.open_entry();
-        put_encoded_entry(&mut self.bytes, key, payload);
+        form.put_encoded(&mut self.bytes, key, payload);
     }
 
     /// Append an entry's bytes as they stand: how a bulk load copies the
@@ -411,13 +417,9 @@ impl PackedLeaf {
 
     /// Append an entry, encoding it in place.
     #[cfg(test)]
-    fn push<'a>(
-        &mut self,
-        key: impl IntoIterator<Item = &'a Value>,
-        payload: impl IntoIterator<Item = &'a Value>,
-    ) {
+    fn push(&mut self, key: &[Value], payload: &[Value], form: EntryForm) {
         self.open_entry();
-        put_entry(&mut self.bytes, key, payload);
+        form.put(&mut self.bytes, key, payload);
     }
 
     /// Note that an entry starts at the end of the bytes.
@@ -427,18 +429,27 @@ impl PackedLeaf {
             .push(at.expect("a leaf's entries start within a slot's reach"));
     }
 
-    /// Insert an entry at `pos`, shifting the entries behind it — if it fits
-    /// beside them: an entry of more than `limit` page bytes, or a leaf that
-    /// holds one, takes no other, and a leaf's entries stay within a slot's
-    /// reach. Returns whether it was inserted; if not, nothing changed.
-    pub fn insert(&mut self, pos: usize, key: &Key, payload: &Row, limit: usize) -> bool {
+    /// Insert an entry in the form `form` at `pos`, shifting the entries
+    /// behind it — if it fits beside them: an entry of more than `limit`
+    /// page bytes, or a leaf that holds one, takes no other, and a leaf's
+    /// entries stay within a slot's reach. Returns whether it was inserted;
+    /// if not, nothing changed. Panics, changing nothing, if the form keeps
+    /// the key in the payload and `payload` does not begin with `key`.
+    pub fn insert(
+        &mut self,
+        pos: usize,
+        key: &Key,
+        payload: &Row,
+        form: EntryForm,
+        limit: usize,
+    ) -> bool {
         let at = self
             .offsets
             .get(pos)
             .map_or(self.bytes.len(), |&o| usize::from(o));
         // Encode at the end, then rotate the new entry into place.
         let end = self.bytes.len();
-        put_entry(&mut self.bytes, key.values(), payload.values());
+        form.put(&mut self.bytes, key.values(), payload.values());
         let width = self.bytes.len() - end;
         if !fits_beside(self.len(), end, width, limit) {
             self.bytes.truncate(end);
@@ -463,21 +474,26 @@ impl PackedLeaf {
         }
     }
 
-    /// Replace entry `i`'s payload, keeping its key: the entry is written
-    /// anew, so a payload that now begins with the key, or no longer does,
-    /// changes its form. Returns false, changing nothing, when the new
-    /// entry does not fit beside the others (see [`PackedLeaf::insert`]).
-    pub fn set_payload(&mut self, i: usize, payload: &Row, limit: usize) -> bool {
+    /// Replace entry `i`'s payload, keeping its key, in the form `form`.
+    /// Returns false, changing nothing, when the new entry does not fit
+    /// beside the others (see [`PackedLeaf::insert`]); panics, changing
+    /// nothing, when the key is the payload's and the new payload does not
+    /// begin with it.
+    pub fn set_payload(&mut self, i: usize, payload: &Row, form: EntryForm, limit: usize) -> bool {
         let old = self.entry_range(i);
-        let (header, body) = take_header(&self.bytes[old.clone()]);
-        let body_at = old.end - body.len();
-        let key = body_at..body_at + (header >> 1);
+        let e = form.read(&self.bytes[old.clone()]);
+        // A separate key and its length stay; a key in the payload must.
+        let (head, key_end) = (old.end - e.payload.len(), old.start + e.key.len());
         // Encode at the end, move it over the old entry.
         let start = self.bytes.len();
-        self.bytes.push(0);
-        self.bytes.extend_from_within(key.clone());
+        self.bytes.extend_from_within(old.start..head);
         codec::put_values(&mut self.bytes, payload.values());
-        seal_entry(&mut self.bytes, start, key.len());
+        if let EntryForm::KeyInPayload(_) = form {
+            let leads = self.bytes[start..].starts_with(&self.bytes[old.start..key_end]);
+            self.bytes
+                .truncate(if leads { self.bytes.len() } else { start });
+            assert!(leads, "{NOT_LED}");
+        }
         let (width, old_width) = (self.bytes.len() - start, old.len());
         if !fits_beside(self.len() - 1, start - old_width, width, limit) {
             self.bytes.truncate(start);
@@ -534,6 +550,9 @@ impl PackedLeaf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const SEPARATE: EntryForm = EntryForm::SeparateKey;
 
     fn key(vs: &[i32]) -> Key {
         Key::new(vs.iter().map(|&v| Value::Int32(v)).collect())
@@ -554,28 +573,33 @@ mod tests {
         )
     }
 
-    fn contents(leaf: &PackedLeaf) -> Vec<(Key, Row)> {
-        leaf.iter().map(|e| (e.to_key(), e.to_row())).collect()
+    fn contents(leaf: &PackedLeaf, form: EntryForm) -> Vec<(Key, Row)> {
+        leaf.iter(form).map(|e| (e.to_key(), e.to_row())).collect()
     }
 
-    /// Whether entry `i` is stored in the shared form.
-    fn shared(leaf: &PackedLeaf, i: usize) -> bool {
-        take_header(&leaf.bytes[leaf.entry_range(i)]).0 & 1 == 1
-    }
-
-    /// Every entry is in the form its bytes call for: shared exactly when
-    /// its payload's encoding begins with its key's, and then the key is the
-    /// payload's first bytes, not a copy.
-    fn assert_forms(leaf: &PackedLeaf) {
-        for (i, e) in leaf.iter().enumerate() {
-            let want = e.payload.starts_with(e.key);
-            assert_eq!(shared(leaf, i), want, "entry {i}");
-            assert_eq!(e.key.as_ptr() == e.payload.as_ptr(), want, "entry {i}");
+    /// Every entry is in its tree's form: a key in the payload is the
+    /// payload's first bytes, a separate key a copy before it.
+    fn assert_form(leaf: &PackedLeaf, form: EntryForm) {
+        for (i, e) in leaf.iter(form).enumerate() {
+            let in_payload = matches!(form, EntryForm::KeyInPayload(_));
+            assert_eq!(
+                e.key.as_ptr() == e.payload.as_ptr(),
+                in_payload,
+                "entry {i}"
+            );
         }
     }
 
+    /// Whether `f` panics, leaving `leaf` as it was.
+    fn refused(leaf: &mut PackedLeaf, f: impl FnOnce(&mut PackedLeaf)) -> bool {
+        let before = (leaf.bytes.clone(), leaf.offsets.clone());
+        let panicked = catch_unwind(AssertUnwindSafe(|| f(leaf))).is_err();
+        assert_eq!((&leaf.bytes, &leaf.offsets), (&before.0, &before.1));
+        panicked
+    }
+
     #[test]
-    fn edits_match_a_vector_of_owned_entries() {
+    fn separate_keys_edit_like_a_vector_of_owned_entries() {
         let mut leaf = PackedLeaf::default();
         let mut model: Vec<(Key, Row)> = Vec::new();
         let long = "y".repeat(300);
@@ -586,48 +610,36 @@ mod tests {
             (2, key(&[9]), row(&long)),
             (1, key(&[3]), Row::new(vec![])),
             (4, long_key.clone(), row("long key")),
-            // Payloads that begin with their key: stored once, a long key
-            // under a two-byte header; a key that is the whole payload; an
-            // `Int64` payload value is not an `Int32` key's bytes.
-            (1, key(&[2]), row_after(&key(&[2]), "shares")),
+            // Payloads that begin with their key keep it apart all the
+            // same; a long key under a two-byte length.
+            (1, key(&[2]), row_after(&key(&[2]), "leads")),
             (6, long_key.clone(), row_after(&long_key, "")),
-            (0, key(&[0, 0]), row_after(&key(&[0, 0]), "x")),
-            (3, key(&[3]), Row::new(key(&[3]).values().to_vec())),
             (4, key(&[4]), Row::new(vec![Value::Int64(4)])),
         ];
         for (pos, k, r) in steps {
-            assert!(leaf.insert(pos, &k, &r, usize::MAX));
+            assert!(leaf.insert(pos, &k, &r, SEPARATE, usize::MAX));
             model.insert(pos, (k, r));
-            assert_eq!(contents(&leaf), model);
-            assert_forms(&leaf);
+            assert_eq!(contents(&leaf, SEPARATE), model);
+            assert_form(&leaf, SEPARATE);
         }
-        assert_eq!((0..leaf.len()).filter(|&i| shared(&leaf, i)).count(), 4);
-        // Same width, wider, narrower, empty; then payloads that come to
-        // begin with their key and ones that stop doing so, either way at
-        // the same width too.
+        // Same width, wider, narrower, empty, and led by the key.
         let rewrites = [
             (1, row("")),
             (2, row("now longer")),
             (3, row("x")),
             (5, Row::new(vec![])),
             (2, row_after(&key(&[1, 2]), "")),
-            (0, row("shares no more")),
-            (6, row_after(&key(&[5]), "five")),
-            (8, row_after(&long_key, "now shared")),
-            (4, Row::new(vec![Value::Int32(4)])),
-            (4, Row::new(vec![Value::Int32(5)])),
-            (9, row("")),
+            (6, row_after(&long_key, "now longer")),
+            (7, row("")),
         ];
         for (i, r) in rewrites {
-            assert!(leaf.set_payload(i, &r, usize::MAX));
+            assert!(leaf.set_payload(i, &r, SEPARATE, usize::MAX));
             model[i].1 = r;
-            assert_eq!(contents(&leaf), model);
-            assert_forms(&leaf);
+            assert_eq!(contents(&leaf, SEPARATE), model);
         }
         let right = leaf.split_off(4);
-        assert_eq!(contents(&leaf), model[..4]);
-        assert_eq!(contents(&right), model[4..]);
-        assert_forms(&right);
+        assert_eq!(contents(&leaf, SEPARATE), model[..4]);
+        assert_eq!(contents(&right, SEPARATE), model[4..]);
         assert_eq!(leaf.heap_bytes(), leaf.bytes.len() + 2 * leaf.len());
         // A copy is the entry as it stands.
         let mut copy = PackedLeaf::default();
@@ -636,55 +648,120 @@ mod tests {
         for _ in 0..4 {
             leaf.remove(0);
             model.remove(0);
-            assert_eq!(contents(&leaf), model[..leaf.len()]);
+            assert_eq!(contents(&leaf, SEPARATE), model[..leaf.len()]);
         }
         assert!(leaf.is_empty() && leaf.bytes.is_empty());
     }
 
+    /// A key-in-payload leaf stores each entry as its payload and reads the
+    /// key as the payload's first values. It refuses, changing nothing, an
+    /// entry whose payload does not begin with its key (`Int64(4)` behind
+    /// the key `Int32(4)`: an equal value, other bytes), one whose key has
+    /// other than its tree's number of values, and a rewrite that would
+    /// change the key.
+    #[test]
+    fn keys_in_payloads_edit_like_a_vector_of_owned_entries() {
+        let form = EntryForm::KeyInPayload(2);
+        let mut leaf = PackedLeaf::default();
+        let mut model: Vec<(Key, Row)> = Vec::new();
+        let long_key = Key::new(vec![Value::str("z".repeat(300)), Value::Int32(1)]);
+        let steps = [
+            (0, key(&[5, 5]), "five"),
+            (0, key(&[1, 2]), ""),
+            (1, long_key.clone(), "long key"),
+            (3, key(&[9, 0]), "nine"),
+        ];
+        for (pos, k, s) in steps {
+            let r = row_after(&k, s);
+            assert!(leaf.insert(pos, &k, &r, form, usize::MAX));
+            model.insert(pos, (k, r));
+            assert_eq!(contents(&leaf, form), model);
+            assert_form(&leaf, form);
+        }
+        // No header: the entry is the payload's bytes.
+        let mut payload = Vec::new();
+        codec::put_values(&mut payload, model[0].1.values());
+        assert_eq!(leaf.bytes[leaf.entry_range(0)], payload[..]);
+        for i in 0..leaf.len() {
+            let r = row_after(&model[i].0, "rewritten");
+            assert!(leaf.set_payload(i, &r, form, usize::MAX));
+            model[i].1 = r;
+            assert_eq!(contents(&leaf, form), model);
+        }
+        let widened = Row::new(vec![Value::Int64(4), Value::Int32(4)]);
+        assert!(refused(&mut leaf, |l| {
+            l.insert(1, &key(&[4, 4]), &widened, form, usize::MAX);
+        }));
+        assert!(refused(&mut leaf, |l| {
+            l.insert(
+                1,
+                &key(&[4]),
+                &row_after(&key(&[4, 4]), ""),
+                form,
+                usize::MAX,
+            );
+        }));
+        assert!(refused(&mut leaf, |l| {
+            l.set_payload(2, &row_after(&key(&[1, 3]), ""), form, usize::MAX);
+        }));
+        assert!(refused(&mut leaf, |l| {
+            let mut bytes = Vec::new();
+            form.put_encoded(&mut bytes, &[0x10], &[0x11]);
+            l.push_entry(&bytes);
+        }));
+        assert_eq!(contents(&leaf, form), model);
+    }
+
     #[test]
     fn page_bytes_are_entry_bytes_summed_and_cuts_balance_them() {
-        let mut leaf = PackedLeaf::default();
-        let long = "z".repeat(200);
-        let long_key = Key::new(vec![Value::str(long.clone())]);
-        let entries = [
-            (key(&[1]), row("a")),
-            (key(&[2]), row(&long)),
-            (long_key.clone(), row("")),
-            (key(&[4, 4]), row("bb")),
-            (key(&[5]), row_after(&key(&[5]), "shared")),
-            (long_key.clone(), row_after(&long_key, "")),
-        ];
-        let mut want = 0.0;
-        for (k, r) in &entries {
-            leaf.push(k.values(), r.values());
-            let encode = |vs: &[Value]| {
-                let mut b = Vec::new();
-                codec::put_values(&mut b, vs);
-                b
-            };
-            let (kb, rb) = (encode(k.values()), encode(r.values()));
-            let shared = rb.starts_with(&kb);
-            want += entry_bytes(kb.len() as f64, rb.len() as f64, shared);
-            // The same entry, already encoded, is the same bytes.
-            let mut again = PackedLeaf::default();
-            again.push_encoded(&kb, &rb);
-            assert_eq!(again.bytes, leaf.bytes[leaf.entry_range(leaf.len() - 1)]);
+        let encode = |vs: &[Value]| {
+            let mut b = Vec::new();
+            codec::put_values(&mut b, vs);
+            b
+        };
+        let long_key = Key::new(vec![Value::str("z".repeat(200))]);
+        for form in [SEPARATE, EntryForm::KeyInPayload(1)] {
+            let mut leaf = PackedLeaf::default();
+            let entries = [
+                (key(&[1]), "a"),
+                (key(&[2]), &"z".repeat(200)[..]),
+                (long_key.clone(), ""),
+                (key(&[4]), "bb"),
+                (key(&[5]), "shared"),
+                (long_key.clone(), "x"),
+            ];
+            let mut want = 0.0;
+            for (k, s) in &entries {
+                let r = row_after(k, s);
+                leaf.push(k.values(), r.values(), form);
+                let (kb, rb) = (encode(k.values()), encode(r.values()));
+                want += entry_bytes(kb.len() as f64, rb.len() as f64, form);
+                // The same entry, already encoded, is the same bytes.
+                let mut again = PackedLeaf::default();
+                again.push_encoded(&kb, &rb, form);
+                assert_eq!(again.bytes, leaf.bytes[leaf.entry_range(leaf.len() - 1)]);
+            }
+            assert_eq!(leaf.page_bytes() as f64, want);
+            assert_form(&leaf, form);
+            // `Int32(5)` in 2 bytes, a six-byte string in 8, `Int64(6)` in
+            // 2, the slot; a separate key's 2 bytes and their length too.
+            // The 203-byte key takes a two-byte length.
+            let separate = |n| if form == SEPARATE { n } else { 0 };
+            assert_eq!(
+                leaf.entry_page_bytes(4),
+                separate(1 + 2) + 2 + 8 + 2 + SLOT_BYTES
+            );
+            assert_eq!(
+                leaf.entry_page_bytes(2),
+                separate(2 + 203) + 203 + 3 + SLOT_BYTES
+            );
+            let widths: Vec<usize> = (0..6).map(|i| leaf.entry_page_bytes(i)).collect();
+            assert_eq!(widths.iter().sum::<usize>(), leaf.page_bytes());
+            // The three long entries (1, 2 and 5) go to different pieces.
+            assert_eq!(leaf.byte_midpoint(), 3, "{form:?}");
+            let right = leaf.split_off(3);
+            assert_eq!((leaf.byte_midpoint(), right.byte_midpoint()), (2, 2));
         }
-        assert_eq!(leaf.page_bytes() as f64, want);
-        assert_forms(&leaf);
-        // Shared, the key's two bytes are the payload's first: a one-byte
-        // header, the payload (`Int32(5)` in 2 bytes, a six-byte string in
-        // 8, `Int64(6)` in 2) and the slot. The 203-byte key takes a
-        // two-byte header either way.
-        assert_eq!(leaf.entry_page_bytes(4), 1 + 2 + 8 + 2 + SLOT_BYTES);
-        assert_eq!(leaf.entry_page_bytes(2), 2 + 203 + 3 + SLOT_BYTES);
-        assert_eq!(leaf.entry_page_bytes(5), 2 + 203 + 3 + SLOT_BYTES);
-        let widths: Vec<usize> = (0..6).map(|i| leaf.entry_page_bytes(i)).collect();
-        assert_eq!(widths.iter().sum::<usize>(), leaf.page_bytes());
-        // The three long entries (1, 2 and 5) go to different pieces.
-        assert_eq!(leaf.byte_midpoint(), 3);
-        let right = leaf.split_off(3);
-        assert_eq!((leaf.byte_midpoint(), right.byte_midpoint()), (2, 2));
     }
 
     #[test]
@@ -692,46 +769,64 @@ mod tests {
         let limit = 1_000;
         let big = |n: usize| row(&"b".repeat(n));
         let mut leaf = PackedLeaf::default();
+        let insert = |leaf: &mut PackedLeaf, pos, k: &[i32], r: &Row, limit| {
+            leaf.insert(pos, &key(k), r, SEPARATE, limit)
+        };
         // An empty leaf takes an entry of any size.
-        assert!(leaf.insert(0, &key(&[5]), &big(70_000), limit));
+        assert!(insert(&mut leaf, 0, &[5], &big(70_000), limit));
         // A leaf holding one past `limit` takes no other, either side.
-        assert!(!leaf.insert(0, &key(&[1]), &row("a"), limit));
-        assert!(!leaf.insert(1, &key(&[9]), &row("a"), limit));
-        assert_eq!(contents(&leaf), [(key(&[5]), big(70_000))]);
+        assert!(!insert(&mut leaf, 0, &[1], &row("a"), limit));
+        assert!(!insert(&mut leaf, 1, &[9], &row("a"), limit));
+        assert_eq!(contents(&leaf, SEPARATE), [(key(&[5]), big(70_000))]);
         // Alone, it can be rewritten at any width.
-        assert!(leaf.set_payload(0, &big(90_000), limit));
-        assert!(leaf.set_payload(0, &row("small"), limit));
-        assert!(leaf.insert(1, &key(&[9]), &row("a"), limit));
+        assert!(leaf.set_payload(0, &big(90_000), SEPARATE, limit));
+        assert!(leaf.set_payload(0, &row("small"), SEPARATE, limit));
+        assert!(insert(&mut leaf, 1, &[9], &row("a"), limit));
         // An entry past `limit` joins no leaf with entries, as an insert or
         // as a rewrite, and a refusal changes nothing.
         let before = (leaf.bytes.clone(), leaf.offsets.clone());
-        assert!(!leaf.insert(1, &key(&[7]), &big(limit), limit));
-        assert!(!leaf.set_payload(1, &big(limit), limit));
+        assert!(!insert(&mut leaf, 1, &[7], &big(limit), limit));
+        assert!(!leaf.set_payload(1, &big(limit), SEPARATE, limit));
         assert_eq!((&leaf.bytes, &leaf.offsets), (&before.0, &before.1));
         // Under any limit, entries stay within a slot's reach.
         let mut leaf = PackedLeaf::default();
         for i in 0..7 {
-            assert!(leaf.insert(i, &key(&[i as i32]), &big(9_000), usize::MAX));
+            assert!(insert(&mut leaf, i, &[i as i32], &big(9_000), usize::MAX));
         }
-        assert!(!leaf.insert(7, &key(&[7]), &big(3_000), usize::MAX));
-        assert!(!leaf.set_payload(6, &big(12_000), usize::MAX));
-        assert!(leaf.insert(7, &key(&[7]), &big(2_000), usize::MAX));
+        assert!(!insert(&mut leaf, 7, &[7], &big(3_000), usize::MAX));
+        assert!(!leaf.set_payload(6, &big(12_000), SEPARATE, usize::MAX));
+        assert!(insert(&mut leaf, 7, &[7], &big(2_000), usize::MAX));
         assert!(leaf.byte_len() < SLOT_REACH);
     }
 
     #[test]
     fn bounds_follow_key_order_prefixes_included() {
-        let mut leaf = PackedLeaf::default();
-        for k in [&[1, 1][..], &[1, 5], &[2, 0], &[2, 0], &[4, 4]] {
-            leaf.push(key(k).values(), row("p").values());
+        for form in [SEPARATE, EntryForm::KeyInPayload(2)] {
+            let mut leaf = PackedLeaf::default();
+            for k in [&[1, 1][..], &[1, 5], &[2, 0], &[2, 0], &[4, 4]] {
+                leaf.push(key(k).values(), row_after(&key(k), "p").values(), form);
+            }
+            let bounds = |k: &Key| (leaf.lower_bound(k, form), leaf.upper_bound(k, form));
+            assert_eq!(bounds(&key(&[2, 0])), (2, 4));
+            // A one-value probe sorts before every stored key it prefixes;
+            // a stored key does not run on into its payload's values.
+            assert_eq!(bounds(&key(&[2])), (2, 2));
+            assert_eq!(bounds(&key(&[2, 0, 0])), (4, 4));
+            assert_eq!(leaf.lower_bound(&key(&[9]), form), 5);
+            let probe = Key::new(vec![Value::Int64(1), Value::sentinel_max()]);
+            assert_eq!(leaf.upper_bound(&probe, form), 2);
         }
-        assert_eq!(leaf.lower_bound(&key(&[2, 0])), 2);
-        assert_eq!(leaf.upper_bound(&key(&[2, 0])), 4);
-        // A one-value probe sorts before every stored key it prefixes.
-        assert_eq!(leaf.lower_bound(&key(&[2])), 2);
-        assert_eq!(leaf.upper_bound(&key(&[2])), 2);
-        assert_eq!(leaf.lower_bound(&key(&[9])), 5);
-        let probe = Key::new(vec![Value::Int64(1), Value::sentinel_max()]);
-        assert_eq!(leaf.upper_bound(&probe), 2);
+    }
+
+    #[test]
+    fn a_tree_keyed_on_the_leading_stored_columns_keeps_its_key_in_the_payload() {
+        assert_eq!(EntryForm::of(&[0], 0..3), EntryForm::KeyInPayload(1));
+        assert_eq!(
+            EntryForm::of(&[2, 0], [2, 0, 1]),
+            EntryForm::KeyInPayload(2)
+        );
+        assert_eq!(EntryForm::of(&[], 0..3), EntryForm::KeyInPayload(0));
+        assert_eq!(EntryForm::of(&[1], 0..3), SEPARATE);
+        assert_eq!(EntryForm::of(&[0, 1], [0]), SEPARATE);
     }
 }

@@ -9,7 +9,7 @@ use hpd_obs::Counter;
 use hpd_storage::{BufferPool, IoTracker, PageId, StorageAllocator, PAGE_SIZE};
 
 use crate::cursor::Cursor;
-use crate::node::{self, EntryRef, Node, NodeId, PackedLeaf, SLOT_BYTES, SLOT_REACH};
+use crate::node::{EntryForm, EntryRef, Node, NodeId, PackedLeaf, SLOT_BYTES, SLOT_REACH};
 
 /// Bytes at the head of every page that hold no entries (SQL Server's page
 /// header): a leaf's entries and their slots fill the rest.
@@ -29,6 +29,9 @@ pub struct BTreeConfig {
     pub internal_fanout: usize,
     /// Fill fraction used by bulk load (1.0 = pack full, SQL Server default).
     pub bulk_fill: f64,
+    /// How every entry holds its key: in the payload when the index's
+    /// payloads begin with its key columns ([`EntryForm::of`]), else apart.
+    pub form: EntryForm,
 }
 
 /// The most [`BTreeConfig::leaf_bytes`] may be: under half a slot's reach,
@@ -50,7 +53,8 @@ impl BTreeConfig {
 
     /// The page-sized config, whatever `entry_width` says: a leaf fills by
     /// the bytes of its entries, so no entry width is needed any more. Kept
-    /// for callers written against capacities counted in entries.
+    /// for callers written against capacities counted in entries; its
+    /// entries keep their keys apart from their payloads.
     pub fn for_entry_width(_entry_width: usize) -> BTreeConfig {
         BTreeConfig::default()
     }
@@ -81,12 +85,13 @@ impl BTreeConfig {
 }
 
 impl Default for BTreeConfig {
-    /// One leaf is one 8 KB page less its header.
+    /// One leaf is one 8 KB page less its header; keys apart.
     fn default() -> Self {
         BTreeConfig {
             leaf_bytes: PAGE_SIZE - PAGE_HEADER_BYTES,
             internal_fanout: 256,
             bulk_fill: 1.0,
+            form: EntryForm::SeparateKey,
         }
     }
 }
@@ -100,7 +105,7 @@ pub struct BTreeStats {
     pub height: usize,
     /// Logical bytes of the entries: `Key::byte_width` + `Row::byte_width`
     /// of each, as owned values — not what the leaves store, where a key
-    /// the payload begins with is written once.
+    /// kept in the payload is written once.
     pub data_bytes: usize,
 }
 
@@ -214,30 +219,26 @@ impl<'a> BulkLoader<'a> {
             self.seal_leaf();
         }
         self.filling.push_entry(entry);
-        let n = self.filling.len();
+        let (n, form) = (self.filling.len(), self.config.form);
+        let key = |i| self.filling.entry(i, form).key;
         debug_assert!(
-            n < 2
-                || codec::cmp_encoded(self.filling.entry(n - 2).key, self.filling.entry(n - 1).key)
-                    .is_le(),
+            n < 2 || codec::cmp_encoded(key(n - 2), key(n - 1)).is_le(),
             "bulk load requires sorted input"
         );
         self.len += 1;
-        self.data_bytes += node::read_entry(entry).byte_width();
+        self.data_bytes += form.read(entry).byte_width();
     }
 
     fn seal_leaf(&mut self) {
         // Leaves are the first nodes, in order: node id = leaf number.
         let id = self.nodes.len();
         let page = PageId(self.first_page.0 + id as u64);
+        let first = self.filling.entry(0, self.config.form);
         debug_assert!(
-            self.leaf_min_keys.last().is_none_or(|prev| self
-                .filling
-                .entry(0)
-                .cmp_key(prev)
-                .is_ge()),
+            (self.leaf_min_keys.last()).is_none_or(|prev| first.cmp_key(prev).is_ge()),
             "bulk load requires sorted input"
         );
-        self.leaf_min_keys.push(self.filling.entry(0).to_key());
+        self.leaf_min_keys.push(first.to_key());
         self.nodes.push(Node::Leaf {
             entries: self.filling.seal(),
             next: None,
@@ -327,19 +328,20 @@ fn run_counters() -> &'static [Counter; 2] {
 /// Rows are read once, in the order they arrive — encoding them in key
 /// order instead would chase 400 k pointers across the heap.
 ///
-/// The entries are in a leaf's form ([`PackedLeaf`]), so a load copies
-/// each as it stands. Beside its bytes and a four-byte offset an entry
-/// leaves a twelve-byte sort record: its index and an *abbreviated key*, the
-/// order-preserving eight-byte image of its first key value
-/// ([`codec::abbreviate`]). The sort moves and compares those records and
-/// reads a key's bytes only where two images tie; a run that arrived in key
-/// order is not sorted at all.
+/// The entries are in their tree's form ([`BTreeConfig::form`], which the
+/// run is made for), so a load copies each as it stands. Beside its bytes
+/// and a four-byte offset an entry leaves a twelve-byte sort record: an
+/// *abbreviated key*, the order-preserving eight-byte image of its first
+/// key value ([`codec::abbreviate`]), and its index. The sort moves and
+/// compares those records and reads a key's bytes only where two images
+/// tie; a run that arrived in key order is not sorted at all.
 ///
 /// The offset is a `u32`, so one run (one partition's build) holds under
 /// 4 GB of encoded entries: a push past that is dropped and
 /// [`EntryRun::bulk_load`] returns an error instead of a tree.
 #[derive(Default)]
 pub struct EntryRun {
+    config: BTreeConfig,
     /// The entries back to back, and where each starts.
     bytes: Vec<u8>,
     offsets: Vec<u32>,
@@ -356,26 +358,26 @@ pub struct EntryRun {
     overflowed: bool,
 }
 
-/// An entry's abbreviated key and arrival index in twelve bytes: as a
-/// `(u64, u32)` it would pad to sixteen.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
-struct SortRecord {
-    /// The abbreviated key; once the run is in order, the entry's byte
-    /// range, start in the high half ([`EntryRun::bulk_load`]).
-    image: u64,
-    index: u32,
-}
+/// An entry's abbreviated key, high half first, and its arrival index: twelve
+/// bytes that compare as `(image, index)` do, and that a sorted run cuts
+/// down to the index in place ([`EntryRun::bulk_load`]).
+type SortRecord = [u32; 3];
 
 impl EntryRun {
+    /// An empty run of entries for a tree of `config`.
+    pub fn new(config: BTreeConfig) -> EntryRun {
+        EntryRun::with_capacity(config, 0, 0)
+    }
+
     /// An empty run with room for `entries` entries of `page_bytes` page
-    /// bytes in all ([`crate::entry_bytes`]: header, key unless the payload
-    /// holds it, payload and slot each): a build that knows its row count
+    /// bytes in all ([`crate::entry_bytes`] each: payload, slot, and a
+    /// separate key and its length): a build that knows its row count
     /// reserves once, for the most its entries can take, where vectors
     /// grown by doubling end up to twice the size of the run. The bytes
     /// they leave unused are given back before the load.
-    pub fn with_capacity(entries: usize, page_bytes: usize) -> EntryRun {
+    pub fn with_capacity(config: BTreeConfig, entries: usize, page_bytes: usize) -> EntryRun {
         EntryRun {
+            config,
             bytes: Vec::with_capacity(page_bytes.saturating_sub(entries * SLOT_BYTES)),
             offsets: Vec::with_capacity(entries),
             order: Vec::with_capacity(entries),
@@ -400,17 +402,15 @@ impl EntryRun {
     }
 
     fn entry(&self, i: usize) -> EntryRef<'_> {
-        node::read_entry(&self.bytes[self.entry_range(i)])
+        self.config.form.read(&self.bytes[self.entry_range(i)])
     }
 
-    /// Append an entry, encoding it.
-    pub fn push<'v>(
-        &mut self,
-        key: impl IntoIterator<Item = &'v Value>,
-        payload: impl IntoIterator<Item = &'v Value>,
-    ) {
+    /// Append an entry, encoding it. Panics, appending nothing, if the
+    /// run's form keeps the key in the payload and `payload` does not begin
+    /// with `key`.
+    pub fn push(&mut self, key: &[Value], payload: &[Value]) {
         if self.open_entry() {
-            node::put_entry(&mut self.bytes, key, payload);
+            self.config.form.put(&mut self.bytes, key, payload);
             self.pushed();
         }
     }
@@ -419,7 +419,7 @@ impl EntryRun {
     /// ([`hpd_common::codec::put_values`] of its key, and of its payload).
     pub fn push_encoded(&mut self, key: &[u8], payload: &[u8]) {
         if self.open_entry() {
-            node::put_encoded_entry(&mut self.bytes, key, payload);
+            self.config.form.put_encoded(&mut self.bytes, key, payload);
             self.pushed();
         }
     }
@@ -437,28 +437,25 @@ impl EntryRun {
             _ => {
                 if !self.untyped {
                     (self.untyped, self.inexact) = (true, true);
-                    self.order.iter_mut().for_each(|r| r.image = 0);
+                    self.order.iter_mut().for_each(|r| r[..2].fill(0));
                 }
                 0
             }
         };
-        if let Some(prev) = (self.order.last().map(|r| r.image)).filter(|_| !self.unsorted) {
-            self.unsorted = prev > image
-                || prev == image
+        let record = [(image >> 32) as u32, image as u32, at as u32];
+        if let Some(prev) = self.order.last().filter(|_| !self.unsorted) {
+            self.unsorted = prev[..2] > record[..2]
+                || prev[..2] == record[..2]
                     && self.inexact
                     && codec::cmp_encoded(self.entry(at - 1).key, self.entry(at).key).is_gt();
         }
-        self.order.push(SortRecord {
-            image,
-            index: at as u32,
-        });
+        self.order.push(record);
     }
 
     /// Sort by key (entries with equal keys stay in arrival order) and bulk
     /// load.
     pub fn bulk_load(
         mut self,
-        config: BTreeConfig,
         alloc: StorageAllocator,
         pool: &BufferPool,
         tracker: &IoTracker,
@@ -473,42 +470,41 @@ impl EntryRun {
         self.bytes.shrink_to_fit();
         let mut order = std::mem::take(&mut self.order);
         let [presorted, sorted] = run_counters();
+        let run = &self;
+        // Already in key order, a run is loaded as it stands: its sort
+        // records are freed before the leaves are allocated, and the
+        // offsets walk the entries.
         if !self.unsorted {
-            // Already in key order: the sort records are freed before the
-            // leaves are allocated, and the offsets walk the entries.
             presorted.add(1);
-            drop(order);
-            let run = &self;
-            let entries = || (0..run.offsets.len()).map(|i| &run.bytes[run.entry_range(i)]);
-            let entry_bytes = entries().map(|entry| entry.len() + SLOT_BYTES);
-            let mut loader = BulkLoader::new(config, alloc, entry_bytes, pool, tracker);
-            entries().for_each(|entry| loader.push(entry));
-            return Ok(loader.finish());
+            order = Vec::new();
+        } else {
+            sorted.add(1);
         }
-        sorted.add(1);
-        let (run, inexact) = (&self, self.inexact);
         // The index is the last key part: no two records are equal, so the
         // unstable sort keeps equal keys in arrival order.
         order.sort_unstable_by(|p, q| {
-            let ((x, a), (y, b)) = ((p.image, p.index), (q.image, q.index));
-            let keys = || codec::cmp_encoded(run.entry(a as usize).key, run.entry(b as usize).key);
-            (x.cmp(&y))
-                .then_with(|| if inexact { keys() } else { Ordering::Equal })
-                .then(a.cmp(&b))
+            let key = |r: &SortRecord| run.entry(r[2] as usize).key;
+            let keys = || match run.inexact {
+                true => codec::cmp_encoded(key(p), key(q)),
+                false => Ordering::Equal,
+            };
+            p[..2].cmp(&q[..2]).then_with(keys).then(p[2].cmp(&q[2]))
         });
-        // In order, a record's image is spent: it becomes its entry's byte
-        // range, and the offsets are freed before the leaves are allocated.
-        for r in &mut order {
-            let range = run.entry_range(r.index as usize);
-            r.image = (range.start as u64) << 32 | range.end as u64;
+        // In order, a record's image is spent: the records become the
+        // entries' indexes in the same allocation, cut to a third of it
+        // before the leaves are allocated.
+        let n = order.len();
+        let mut order = order.into_flattened();
+        for i in 0..n {
+            order[i] = order[3 * i + 2];
         }
-        self.offsets = Vec::new();
-        let entry = |r: &SortRecord| &self.bytes[(r.image >> 32) as usize..r.image as u32 as usize];
-        let entry_bytes = order.iter().map(|r| entry(r).len() + SLOT_BYTES);
-        let mut loader = BulkLoader::new(config, alloc, entry_bytes, pool, tracker);
-        for at in &order {
-            loader.push(entry(at));
-        }
+        order.truncate(n);
+        order.shrink_to_fit();
+        let index = |i: usize| order.get(i).map_or(i, |&at| at as usize);
+        let entries = (0..run.offsets.len()).map(|i| &run.bytes[run.entry_range(index(i))]);
+        let entry_bytes = entries.clone().map(|entry| entry.len() + SLOT_BYTES);
+        let mut loader = BulkLoader::new(run.config, alloc, entry_bytes, pool, tracker);
+        entries.for_each(|entry| loader.push(entry));
         Ok(loader.finish())
     }
 }
@@ -545,11 +541,11 @@ impl BTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Result<BTree> {
-        let mut run = EntryRun::default();
+        let mut run = EntryRun::new(config);
         for (key, row) in sorted {
             run.push(key.values(), row.values());
         }
-        run.bulk_load(config, alloc, pool, tracker)
+        run.bulk_load(alloc, pool, tracker)
     }
 
     pub fn len(&self) -> usize {
@@ -681,21 +677,21 @@ impl BTree {
     /// entry beside one) is given a leaf of its own at its position
     /// (`BTree::carve`).
     pub fn insert(&mut self, key: Key, row: Row, pool: &BufferPool, tracker: &IoTracker) {
-        self.data_bytes += key.byte_width() + row.byte_width();
-        self.len += 1;
         let path = self.descend_path(&key, pool, tracker);
         let leaf = *path.last().expect("descend returns at least the root");
-        let limit = self.config.leaf_bytes;
+        let (limit, form) = (self.config.leaf_bytes, self.config.form);
         let entries = self.leaf_entries(leaf);
-        let pos = entries.upper_bound(&key);
-        if entries.insert(pos, &key, &row, limit) {
+        let pos = entries.upper_bound(&key, form);
+        if entries.insert(pos, &key, &row, form, limit) {
             pool.write_page(self.nodes[leaf].page(), tracker);
             self.settle_overflow(&path, pool, tracker);
         } else {
             let alone = self.carve(&path, pos, pos, &key, pool, tracker);
-            let inserted = self.leaf_entries(alone).insert(0, &key, &row, limit);
+            let inserted = self.leaf_entries(alone).insert(0, &key, &row, form, limit);
             assert!(inserted, "an empty leaf takes any entry");
         }
+        self.data_bytes += key.byte_width() + row.byte_width();
+        self.len += 1;
     }
 
     /// Bring the leaf `path` ends at (`path[0]` is the root) back within
@@ -756,13 +752,14 @@ impl BTree {
             return false;
         };
         let mut receiver = std::mem::take(self.leaf_entries(sibling));
+        let form = self.config.form;
         let entries = self.leaf_entries(leaf);
         let right_first = if sep_at < at {
             entries.move_front_to(cut, &mut receiver);
-            entries.entry(0).to_key()
+            entries.entry(0, form).to_key()
         } else {
             entries.move_back_to(cut, &mut receiver);
-            receiver.entry(0).to_key()
+            receiver.entry(0, form).to_key()
         };
         *self.leaf_entries(sibling) = receiver;
         let Node::Internal { keys, page, .. } = &mut self.nodes[parent] else {
@@ -826,7 +823,7 @@ impl BTree {
         };
         if end - at < self.nodes[alone].as_leaf().0.len() {
             let right = self.cut_at(alone, end - at, pool, tracker);
-            splits.push((self.nodes[right].as_leaf().0.entry(0).to_key(), right));
+            splits.push((self.first_key(right), right));
         }
         self.hang(path, splits, pool, tracker);
         alone
@@ -967,10 +964,19 @@ impl BTree {
             return;
         }
         let right = self.cut_at(leaf, entries.byte_midpoint(), pool, tracker);
-        let sep = self.nodes[right].as_leaf().0.entry(0).to_key();
+        let sep = self.first_key(right);
         self.cut_leaf(leaf, out, pool, tracker);
         out.push((sep, right));
         self.cut_leaf(right, out, pool, tracker);
+    }
+
+    /// The key of the first entry of the leaf `leaf`, which holds one.
+    fn first_key(&self, leaf: NodeId) -> Key {
+        self.nodes[leaf]
+            .as_leaf()
+            .0
+            .entry(0, self.config.form)
+            .to_key()
     }
 
     /// Move the entries of the leaf `leaf` from `at` on to a new leaf behind
@@ -1046,6 +1052,7 @@ impl BTree {
         let mut leaf = self.descend_lower(key, pool, tracker);
         let mut first = true;
         let mut candidate = Row::new(Vec::new());
+        let form = self.config.form;
         loop {
             let Node::Leaf {
                 entries,
@@ -1059,8 +1066,8 @@ impl BTree {
                 pool.access_page(*page, tracker);
             }
             first = false;
-            for i in entries.lower_bound(key)..entries.len() {
-                let e = entries.entry(i);
+            for i in entries.lower_bound(key, form)..entries.len() {
+                let e = entries.entry(i, form);
                 if e.cmp_key(key).is_gt() {
                     return None;
                 }
@@ -1093,7 +1100,7 @@ impl BTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> usize {
-        let limit = self.config.leaf_bytes;
+        let (limit, form) = (self.config.leaf_bytes, self.config.form);
         let mut leaf = self.descend_lower(key, pool, tracker);
         let mut modified = 0;
         let mut first = true;
@@ -1118,8 +1125,12 @@ impl BTree {
             // An empty leaf (its entries deleted) says nothing: walk on.
             let mut past_end = false;
             let mut refused = None;
-            for i in resume.take().unwrap_or_else(|| entries.lower_bound(key))..entries.len() {
-                let e = entries.entry(i);
+            for i in resume
+                .take()
+                .unwrap_or_else(|| entries.lower_bound(key, form))
+                ..entries.len()
+            {
+                let e = entries.entry(i, form);
                 if e.cmp_key(key).is_gt() {
                     past_end = true;
                     break;
@@ -1127,10 +1138,11 @@ impl BTree {
                 row.refill(codec::values(e.payload).map(ValueRef::to_value));
                 if f(&mut row) {
                     let old_width = codec::byte_width(e.payload);
+                    let written = entries.set_payload(i, &row, form, limit);
                     self.data_bytes = self.data_bytes - old_width + row.byte_width();
                     modified += 1;
                     dirty = true;
-                    if !entries.set_payload(i, &row, limit) {
+                    if !written {
                         refused = Some(i);
                         break;
                     }
@@ -1145,7 +1157,7 @@ impl BTree {
             if let Some(i) = refused {
                 let path = self.path_to(leaf, key);
                 let alone = self.carve(&path, i, i + 1, key, pool, tracker);
-                let written = self.leaf_entries(alone).set_payload(0, &row, limit);
+                let written = self.leaf_entries(alone).set_payload(0, &row, form, limit);
                 assert!(written, "a lone entry takes any payload");
                 (leaf, resume, first) = (alone, Some(1), true);
                 continue;
@@ -1156,7 +1168,7 @@ impl BTree {
             }
         }
         for leaf in overflowing {
-            let first_key = self.nodes[leaf].as_leaf().0.entry(0).to_key();
+            let first_key = self.first_key(leaf);
             let path = self.path_to(leaf, &first_key);
             self.settle_overflow(&path, pool, tracker);
         }
@@ -1180,6 +1192,7 @@ impl BTree {
     /// Position a cursor at the first entry ≥/> the bound (or the very first
     /// entry for `Unbounded`), charging the root-to-leaf traversal.
     pub fn cursor_seek(&self, lo: Bound<&Key>, pool: &BufferPool, tracker: &IoTracker) -> Cursor {
+        let form = self.config.form;
         let (leaf, idx) = match lo {
             Bound::Unbounded => {
                 pool.access_page(self.nodes[self.first_leaf].page(), tracker);
@@ -1187,11 +1200,11 @@ impl BTree {
             }
             Bound::Included(key) => {
                 let leaf = self.descend_lower(key, pool, tracker);
-                (leaf, self.nodes[leaf].as_leaf().0.lower_bound(key))
+                (leaf, self.nodes[leaf].as_leaf().0.lower_bound(key, form))
             }
             Bound::Excluded(key) => {
                 let leaf = self.descend_lower(key, pool, tracker);
-                (leaf, self.nodes[leaf].as_leaf().0.upper_bound(key))
+                (leaf, self.nodes[leaf].as_leaf().0.upper_bound(key, form))
             }
         };
         let mut cursor = Cursor::at(leaf, idx, self.nodes[leaf].page());
@@ -1205,7 +1218,7 @@ impl BTree {
                     break;
                 }
                 self.cursor_advance(&mut cursor, next, pool, tracker);
-                cursor.idx = self.nodes[next].as_leaf().0.upper_bound(key);
+                cursor.idx = self.nodes[next].as_leaf().0.upper_bound(key, form);
             }
         }
         cursor
@@ -1244,7 +1257,7 @@ impl BTree {
         tracker: &IoTracker,
         mut emit: impl FnMut(EntryRef<'t>),
     ) -> bool {
-        let mut remaining = limit;
+        let (mut remaining, form) = (limit, self.config.form);
         loop {
             let node_id = match cursor.node {
                 Some(n) => n,
@@ -1256,19 +1269,19 @@ impl BTree {
                 // prefix, found once per leaf (usually by looking at the last
                 // entry), not by comparing every key.
                 let n = entries.len();
-                let last = entries.entry(n - 1);
+                let last = entries.entry(n - 1, form);
                 let end = match hi {
                     Bound::Unbounded => n,
                     Bound::Included(h) if last.cmp_key(h).is_le() => n,
                     Bound::Excluded(h) if last.cmp_key(h).is_lt() => n,
-                    Bound::Included(h) => entries.upper_bound(h),
-                    Bound::Excluded(h) => entries.lower_bound(h),
+                    Bound::Included(h) => entries.upper_bound(h, form),
+                    Bound::Excluded(h) => entries.lower_bound(h, form),
                 };
                 let stop = end
                     .min(cursor.idx.saturating_add(remaining))
                     .max(cursor.idx);
                 for i in cursor.idx..stop {
-                    emit(entries.entry(i));
+                    emit(entries.entry(i, form));
                 }
                 remaining -= stop - cursor.idx;
                 cursor.idx = stop;
@@ -1394,7 +1407,7 @@ impl BTree {
                     self.config.leaf_bytes
                 ));
             }
-            for e in entries.iter() {
+            for e in entries.iter(self.config.form) {
                 let k = e.to_key();
                 if let Some(p) = &prev {
                     if p > &k {
@@ -1437,7 +1450,8 @@ impl BTree {
         ) -> std::result::Result<usize, String> {
             match &tree.nodes[node] {
                 Node::Leaf { entries, .. } => {
-                    let ends = [entries.iter().next(), entries.iter().last()];
+                    let form = tree.config.form;
+                    let ends = [entries.iter(form).next(), entries.iter(form).last()];
                     for e in ends.into_iter().flatten() {
                         let below = lo.is_some_and(|lo| e.cmp_key(lo).is_lt());
                         let above = hi.is_some_and(|hi| e.cmp_key(hi).is_gt());
@@ -1489,7 +1503,7 @@ mod tests {
     fn int32_keys_of_every_payload_width_stay_typed_and_sort_by_images() {
         // Payloads of 0, 1, 2, 3 and 4 bytes: five header bytes, one type.
         let keys = [70_000, 0, i32::MAX, -1, 300, i32::MIN, 1 << 30, -200, 5];
-        let mut run = EntryRun::default();
+        let mut run = EntryRun::new(BTreeConfig::default());
         for &k in &keys {
             let (key, row) = ([Value::Int32(k)], [Value::Int32(k), Value::Int64(7)]);
             run.push(&key, &row);
@@ -1501,21 +1515,16 @@ mod tests {
         assert!(!run.untyped && !run.inexact && run.unsorted);
         let mut sorted = keys;
         sorted.sort_unstable();
-        let mut by_image: Vec<(u64, u32)> = run.order.iter().map(|r| (r.image, r.index)).collect();
+        let mut by_image = run.order.clone();
         by_image.sort_unstable();
-        let by_image: Vec<i32> = by_image.iter().map(|&(_, i)| keys[i as usize]).collect();
+        let by_image: Vec<i32> = by_image.iter().map(|r| keys[r[2] as usize]).collect();
         assert_eq!(by_image, sorted);
         let (pool, tracker) = (
             BufferPool::unbounded(DeviceProfile::ram()),
             IoTracker::new(),
         );
         let tree = run
-            .bulk_load(
-                BTreeConfig::default(),
-                StorageAllocator::new(),
-                &pool,
-                &tracker,
-            )
+            .bulk_load(StorageAllocator::new(), &pool, &tracker)
             .unwrap();
         let loaded: Vec<Value> =
             (tree.scan_range_collect(Bound::Unbounded, Bound::Unbounded, &pool, &tracker))

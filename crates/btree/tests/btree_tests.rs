@@ -2,20 +2,21 @@
 
 use std::ops::Bound;
 
-use hpd_btree::{BTree, BTreeConfig, MAX_LEAF_BYTES};
+use hpd_btree::{BTree, BTreeConfig, EntryForm, MAX_LEAF_BYTES};
 use hpd_common::{Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use proptest::prelude::*;
 
-/// Leaves of 60 page bytes: four to twelve [`kv`] entries (a header byte,
-/// a payload of two values at their significant width that begins with the
-/// key, stored once, and a 2-byte slot each; four when both values take
-/// four payload bytes).
+/// Leaves of 60 page bytes whose entries keep their one-value key in the
+/// payload: five to fifteen [`kv`] entries (a payload of two values at
+/// their significant width that begins with the key, and a 2-byte slot
+/// each; five when both values take four payload bytes).
 fn small_config() -> BTreeConfig {
     BTreeConfig {
         leaf_bytes: 60,
         internal_fanout: 4,
         bulk_fill: 1.0,
+        form: EntryForm::KeyInPayload(1),
     }
 }
 
@@ -204,7 +205,11 @@ fn update_where_modifies_all_duplicates() {
 fn composite_keys_order_lexicographically() {
     let tree_pool = pool();
     let t = IoTracker::new();
-    let mut tree = BTree::new(small_config(), StorageAllocator::new());
+    let config = BTreeConfig {
+        form: EntryForm::KeyInPayload(2),
+        ..small_config()
+    };
+    let mut tree = BTree::new(config, StorageAllocator::new());
     for (a, b) in [(2, 1), (1, 2), (1, 1), (2, 0)] {
         tree.insert(
             Key::new(vec![Value::Int32(a), Value::Int32(b)]),
@@ -323,12 +328,12 @@ fn for_each_entry_is_a_cursor_scan_without_the_copies() {
 
 #[test]
 fn stats_reflect_structure() {
-    // Keys whose values all take four payload bytes: entries of 15 page
-    // bytes (header, two 5-byte values, slot), 4 to a 60-byte leaf.
+    // Keys whose values all take four payload bytes: entries of 12 page
+    // bytes (two 5-byte values, slot), 5 to a 60-byte leaf.
     let (tree, _, _) = build_bulk(&((1 << 23)..(1 << 23) + 64).collect::<Vec<_>>());
     let s = tree.stats();
     assert_eq!(s.entries, 64);
-    assert_eq!(s.leaf_pages, 16); // 64 entries / 4 per leaf
+    assert_eq!(s.leaf_pages, 13); // 64 entries / 5 per leaf
     assert!(s.total_pages > s.leaf_pages);
     assert_eq!(s.height, tree.height());
     assert!(s.data_bytes > 0);
@@ -530,7 +535,11 @@ fn leaves_split_by_their_bytes_after_inserts_and_widening_updates() {
     let p = pool();
     let t = IoTracker::new();
     let payload = |n: usize| Row::new(vec![Value::str("s".repeat(n))]);
-    let mut tree = BTree::new(small_config(), StorageAllocator::new());
+    let config = BTreeConfig {
+        form: EntryForm::SeparateKey,
+        ..small_config()
+    };
+    let mut tree = BTree::new(config, StorageAllocator::new());
     let mut model: Vec<(i32, usize)> = Vec::new();
     for i in 0..120 {
         let (k, n) = (i % 30, (i * 7 % 40) as usize);
@@ -593,19 +602,21 @@ fn update_where_walks_past_an_emptied_leaf() {
     assert_eq!(tree.seek_exact(&eight, &p, &t)[0][1], Value::Int32(-8));
 }
 
+/// Page-sized leaves whose entries keep their one-value key in the payload.
+fn page_config() -> BTreeConfig {
+    BTreeConfig {
+        form: EntryForm::KeyInPayload(1),
+        ..BTreeConfig::default()
+    }
+}
+
 /// Entries that all weigh the same on a page-sized leaf: keys of four
 /// payload bytes (see `stats_reflect_structure`), payloads led by the key.
 fn page_sized_bulk(keys: impl Iterator<Item = i32>) -> (BTree, BufferPool, IoTracker) {
     let (pool, t) = (pool(), IoTracker::new());
     let entries: Vec<(Key, Row)> = keys.map(kv).collect();
-    let tree = BTree::bulk_load(
-        BTreeConfig::default(),
-        StorageAllocator::new(),
-        entries,
-        &pool,
-        &t,
-    )
-    .unwrap();
+    let tree =
+        BTree::bulk_load(page_config(), StorageAllocator::new(), entries, &pool, &t).unwrap();
     (tree, pool, t)
 }
 
@@ -613,8 +624,8 @@ fn page_sized_bulk(keys: impl Iterator<Item = i32>) -> (BTree, BufferPool, IoTra
 /// in a scattered order: a leaf that overflows hands entries to a sibling
 /// with room (a half of an earlier split, or a leaf that took entries
 /// before), so only a leaf whose neighbours are both still full splits —
-/// the tree grows by at most half (258 leaves to 358 here; to 288 taken
-/// left to right), where splitting every leaf would double it.
+/// the tree grows by at most half (238 leaves to 329 here), where
+/// splitting every leaf would double it.
 #[test]
 fn one_insert_into_each_full_leaf_grows_the_tree_by_at_most_half() {
     const BASE: i32 = 1 << 23;
@@ -642,7 +653,7 @@ fn one_insert_into_each_full_leaf_grows_the_tree_by_at_most_half() {
 #[test]
 fn appends_fill_their_leaves() {
     let (p, t) = (pool(), IoTracker::new());
-    let mut tree = BTree::new(BTreeConfig::default(), StorageAllocator::new());
+    let mut tree = BTree::new(page_config(), StorageAllocator::new());
     for i in 0..10_000 {
         let (key, row) = kv((1 << 23) + i);
         tree.insert(key, row, &p, &t);
@@ -797,4 +808,36 @@ fn leaves_past_half_a_slots_reach_are_refused() {
     tree.insert(Key::single(Value::Int32(7)), big, &p, &t);
     tree.check_invariants().unwrap();
     assert_eq!(tree.len(), 20_001);
+}
+
+/// A tree whose entries keep their key in the payload takes no entry whose
+/// payload does not begin with its key — inserted (`Int64(5)` behind the
+/// key `Int32(5)` is an equal value in other bytes), bulk loaded, or
+/// rewritten by an update — and an insert it refuses leaves it as it was.
+#[test]
+fn a_key_in_payload_tree_refuses_a_payload_not_led_by_its_key() {
+    let (p, t) = (pool(), IoTracker::new());
+    let refused = |f: &mut dyn FnMut()| {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("key-in-payload tree"), "{msg}");
+    };
+    let (mut tree, _, _) = build_bulk(&(0..40).collect::<Vec<_>>());
+    let five = Key::single(Value::Int32(5));
+    let widened = Row::new(vec![Value::Int64(5), Value::Int32(50)]);
+    refused(&mut || tree.insert(five.clone(), widened.clone(), &p, &t));
+    tree.check_invariants().unwrap();
+    assert_eq!(collect_all(&tree, &p), (0..40).collect::<Vec<_>>());
+    refused(&mut || {
+        let rows = vec![(five.clone(), widened.clone())];
+        let _ = BTree::bulk_load(small_config(), StorageAllocator::new(), rows, &p, &t);
+    });
+    refused(&mut || {
+        let rekey = |r: &mut Row| {
+            r.set(0, Value::Int32(6));
+            true
+        };
+        tree.update_where(&five, rekey, &p, &t);
+    });
+    assert_eq!(tree.seek_exact(&five, &p, &t), vec![kv(5).1]);
 }

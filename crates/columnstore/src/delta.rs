@@ -4,11 +4,12 @@
 //! delta stores which are implemented as B+ trees"). A tuple mover drains
 //! chunks into compressed row groups. Rows are keyed by the owning index's
 //! row key (the table primary key), so point deletes are a single B+ tree
-//! seek rather than a delta scan.
+//! seek rather than a delta scan; when the key's columns lead the row, an
+//! entry is the row's bytes alone ([`EntryForm::KeyInPayload`]).
 
 use std::ops::Bound;
 
-use hpd_btree::{BTree, BTreeConfig, Cursor};
+use hpd_btree::{BTree, BTreeConfig, Cursor, EntryForm};
 use hpd_common::{faults, Key, Row};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
@@ -18,9 +19,14 @@ pub struct DeltaStore {
 }
 
 impl DeltaStore {
-    pub fn new(alloc: StorageAllocator) -> DeltaStore {
+    /// An empty delta store of rows keyed on their columns `key_ordinals`.
+    pub fn new(key_ordinals: &[usize], alloc: StorageAllocator) -> DeltaStore {
+        let config = BTreeConfig {
+            form: EntryForm::of(key_ordinals, 0..),
+            ..BTreeConfig::default()
+        };
         DeltaStore {
-            tree: BTree::new(BTreeConfig::default(), alloc),
+            tree: BTree::new(config, alloc),
         }
     }
 
@@ -123,7 +129,7 @@ mod tests {
 
     fn setup() -> (DeltaStore, BufferPool, IoTracker) {
         (
-            DeltaStore::new(StorageAllocator::new()),
+            DeltaStore::new(&[0], StorageAllocator::new()),
             BufferPool::unbounded(DeviceProfile::ram()),
             IoTracker::new(),
         )

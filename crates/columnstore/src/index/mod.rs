@@ -323,7 +323,7 @@ impl ColumnStoreIndex {
         alloc: StorageAllocator,
     ) -> ColumnStoreIndex {
         debug_assert!(key_ordinals.iter().all(|&k| k < schema.len()));
-        let delta = DeltaStore::new(alloc.clone());
+        let delta = DeltaStore::new(&key_ordinals, alloc.clone());
         let delete_buffer = match kind {
             CsiKind::Secondary => Some(BTree::new(BTreeConfig::default(), alloc.clone())),
             CsiKind::Primary => None,

@@ -46,7 +46,6 @@ pub fn hypothetical_meta(
         widths: (stored.iter())
             .filter_map(|&c| sample.widths.get(c).copied())
             .collect(),
-        key_shared: sample.key_shared,
     };
     let schema = ctx.schema.project(&stored);
     let columns = estimator.estimate_columns(&schema, &proj_sample, rows, csi_config);

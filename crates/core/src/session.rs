@@ -91,7 +91,7 @@ impl<'a> WhatIfSession<'a> {
         for name in workload.referenced_tables() {
             let (fraction, seed) = (options.sample_fraction, options.seed);
             let sample = db.with_table(&name, |t| {
-                SampleSet::block_sample_scan(t.row_count(), fraction, seed, t.pk(), |sink| {
+                SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
                     t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
                 })
             })?;

@@ -332,7 +332,7 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
     let sample = db
         .with_table(table, |t| {
             let (fraction, seed) = (options.sample_fraction, options.seed);
-            SampleSet::block_sample_scan(t.row_count(), fraction, seed, t.pk(), |sink| {
+            SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
                 t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
             })
         })
@@ -363,10 +363,10 @@ fn btree_sizes(db: &Database, table: &str) -> Sizes {
 /// `l_shipdate` secondary) build, the what-if height equals the built one
 /// and the leaf pages are within 1 % (a page either way at least). On a
 /// table whose columns each encode at one width, keyed past its leading
-/// column (its primary's entries unshared, a secondary's shared), they are
-/// equal, and so they are when half its rows are led by their key (those
-/// primary entries shared). With a string column the leaf pages are within
-/// 5 %.
+/// column (its primary's keys apart from the rows, a secondary's in them),
+/// they are equal, and so they are when half its rows are led by their
+/// key's value (the primary keeps those keys apart too). With a string
+/// column the leaf pages are within 5 %.
 #[test]
 fn hypothetical_btree_sizes_equal_the_built_ones() {
     let _serial = REGISTRY.lock().unwrap();
@@ -430,10 +430,9 @@ fn hypothetical_btree_sizes_equal_the_built_ones() {
         includes: vec![],
     };
     db.create_index("keyed_late", &by_w).unwrap();
-    // The same shape, every other row's `v` its key: half the primary's
-    // entries are stored shared (20 page bytes), half not (25), and the
-    // what-if entry weighs the two by the rows the width pass saw led by
-    // their key. Any 359 in a row fill a leaf, whichever form starts it.
+    // The same shape, every other row's `v` its key: the primary keeps
+    // every key apart from its row all the same (25 page bytes an entry),
+    // so the what-if entry is the built one.
     let schema = Schema::from_pairs(&[
         ("v", DataType::Int32),
         ("k", DataType::Int32),
@@ -559,7 +558,7 @@ fn csi_sizes(db: &Database, table: &str) -> Vec<(String, usize, IndexMeta)> {
     let sample = db
         .with_table(table, |t| {
             let (fraction, seed) = (options.sample_fraction, options.seed);
-            SampleSet::block_sample_scan(t.row_count(), fraction, seed, t.pk(), |sink| {
+            SampleSet::block_sample_scan(t.row_count(), fraction, seed, |sink| {
                 t.for_each_row(db.pool(), &hpd_storage::IoTracker::new(), sink)
             })
         })

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use hpd_btree::{BTree, BTreeConfig, EntryRun};
+use hpd_btree::{BTree, BTreeConfig, EntryForm, EntryRun};
 use hpd_columnstore::{ColumnStoreIndex, CsiBuilder, CsiConfig, CsiKind};
 use hpd_common::{codec, Batch, Expr, HpdError, Key, PartitionSpec, Result, Row, Schema, ValueRef};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
@@ -248,31 +248,23 @@ fn check_design(table: &str, indexes: &[IndexDescriptor], pk: &[usize]) -> Resul
 /// Page bytes of one entry of the B+ tree `descriptor` names, on a table of
 /// `arity` columns keyed on `pk`, when column `c`'s values encode to
 /// `width(c)` bytes ([`codec::put_values`]): [`hpd_btree::entry_bytes`] of
-/// its key columns and of the columns it stores, the key stored once when
-/// those columns begin with it (a secondary; a primary keyed on its leading
-/// columns). On a primary keyed past its leading column, a row whose
-/// leading values encode as its key's stores the key once too: `shared` of
-/// the rows do, and the entry is the two forms weighed by it. A value's
+/// its key columns and of the columns it stores, in its form: the key in
+/// the payload when the columns it stores begin with its keys (a secondary;
+/// a primary keyed on its leading columns), else apart. A value's
 /// bytes depend on the value, so the widths are measured or bounded: given
-/// a table's mean widths and its share of such rows it is the mean entry
-/// the what-if estimator sizes a hypothetical tree by, given the most each
-/// type takes ([`codec::encoded_width`]) and none shared the bound a build
-/// reserves its run by.
+/// a table's mean widths it is the mean entry the what-if estimator sizes a
+/// hypothetical tree by, given the most each type takes
+/// ([`codec::encoded_width`]) the bound a build reserves its run by.
 pub fn btree_entry_bytes(
     descriptor: &IndexDescriptor,
     arity: usize,
     pk: &[usize],
     width: impl Fn(usize) -> f64,
-    shared: f64,
 ) -> f64 {
     let bytes = |columns: &[usize]| columns.iter().map(|&c| width(c)).sum();
     let (keys, stored) = (descriptor.keys(), descriptor.stored_columns(arity, pk));
-    let entry = |shared| hpd_btree::entry_bytes(bytes(keys), bytes(&stored), shared);
-    if stored.starts_with(keys) {
-        entry(true)
-    } else {
-        shared * entry(true) + (1.0 - shared) * entry(false)
-    }
+    let form = EntryForm::of(keys, stored.iter().copied());
+    hpd_btree::entry_bytes(bytes(keys), bytes(&stored), form)
 }
 
 /// The value of an encoded row that `span` covers ([`codec::value_spans`]),
@@ -313,8 +305,8 @@ fn gather<'r>(
 /// layout names ([`IndexDescriptor::stored_columns`]). A B+ tree copies the
 /// byte ranges of each row's key columns and stored columns into a run of
 /// entries, then sorts and loads the run (stably: equal keys keep arrival
-/// order) — a primary's key is the primary key and it stores every column,
-/// so its entry is the row's bytes; a columnstore reads the stored values in
+/// order) — a primary stores every column, so keyed on its leading columns
+/// its entry is the row's bytes alone; a columnstore reads the stored values in
 /// place into the row group it is filling and compresses one row group at
 /// a time. No row is decoded into owned values.
 struct IndexBuilder<'a> {
@@ -373,10 +365,14 @@ impl<'a> IndexBuilder<'a> {
                 true => ctx.stats.columns[c].encoded_bytes as f64 / rows as f64,
                 false => codec::encoded_width(ctx.schema.column(c).dtype) as f64,
             };
-            let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width, 0.0);
+            let entry = btree_entry_bytes(descriptor, ctx.schema.len(), ctx.pk, width);
             let bytes = rows as f64 * entry * if measured { 1.0 + 1.0 / 64.0 } else { 1.0 };
+            let config = BTreeConfig {
+                form: EntryForm::of(descriptor.keys(), stored.iter().copied()),
+                ..BTreeConfig::default()
+            };
             Pending::BTree {
-                run: EntryRun::with_capacity(rows, bytes.ceil() as usize),
+                run: EntryRun::with_capacity(config, rows, bytes.ceil() as usize),
                 key: Vec::new(),
                 payload: Vec::new(),
             }
@@ -408,12 +404,9 @@ impl<'a> IndexBuilder<'a> {
     fn finish(self) -> Result<PartIndex> {
         let ctx = self.ctx;
         let store = match self.pending {
-            Pending::BTree { run, .. } => IndexStore::BTree(run.bulk_load(
-                BTreeConfig::default(),
-                ctx.alloc.clone(),
-                ctx.pool,
-                ctx.tracker,
-            )?),
+            Pending::BTree { run, .. } => {
+                IndexStore::BTree(run.bulk_load(ctx.alloc.clone(), ctx.pool, ctx.tracker)?)
+            }
             Pending::Csi(builder) => {
                 IndexStore::Csi(Box::new(builder.finish(ctx.pool, ctx.tracker)))
             }

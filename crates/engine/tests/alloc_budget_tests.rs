@@ -383,9 +383,9 @@ fn a_partitioned_load_grows_no_column_vector_past_its_parts_rows() {
 /// A 200 000-row `lineitem` load into one B+ tree part reserves its run at
 /// the rows' measured widths (the load's statistics sum each column's
 /// encoded bytes) and, its rows arriving in key order, frees the run's sort
-/// records before the leaves are allocated: it peaks 15.94 MB over start,
+/// records before the leaves are allocated: it peaks 15.53 MB over start,
 /// under the same load into four parts, whose runs grow from nothing
-/// (16.59 MB). A run reserved at the rows' widest encoding (a string at its
+/// (16.31 MB). A run reserved at the rows' widest encoding (a string at its
 /// planning length, a decimal at nine bytes) took the one-part load to
 /// 18.66 MB, and four of them filled at once as high; the sort records kept
 /// beside the leaves, to 17.54 MB and 16.85 MB.
@@ -502,7 +502,7 @@ fn leaves(
     rows: usize,
     width: impl Fn(usize) -> f64,
 ) -> usize {
-    let entry = hpd_engine::btree_entry_bytes(descriptor, arity, &[0], width, 0.0);
+    let entry = hpd_engine::btree_entry_bytes(descriptor, arity, &[0], width);
     hpd_btree::BTreeConfig::default()
         .size_estimate(rows, entry)
         .0

@@ -1265,3 +1265,114 @@ fn decimals_changing_scale_agree_across_designs_and_recover() {
         assert_eq!(got, want, "{design} against {first}");
     }
 }
+
+/// A B+ tree primary keyed past its leading column (`k`, the third of three)
+/// keeps each entry's key apart from its row, whatever the row's leading
+/// value: an update that makes a row's `v` its key's value, or stops it
+/// being so, changes nothing but the payload. Through a load, inserts,
+/// updates (its `w` secondary, which keeps its key in the payload, moved
+/// too), deletes, a checkpoint, more writes and recovery, its rows stay a
+/// plain model's, found through the secondary too.
+#[test]
+fn a_primary_keyed_past_its_leading_column_recovers_its_rows() {
+    use std::collections::BTreeMap;
+    let schema = Schema::from_pairs(&[
+        ("v", DataType::Int32),
+        ("w", DataType::Int64),
+        ("k", DataType::Int32),
+    ]);
+    let row =
+        |v: i32, w: i64, k: i32| Row::new(vec![Value::Int32(v), Value::Int64(w), Value::Int32(k)]);
+    let cfg = wal_config(WalConfig::default());
+    let db = Database::new(cfg.clone());
+    let primary = IndexDescriptor::PrimaryBTree { keys: vec![2] };
+    db.create_table("t", schema, vec![2], primary).unwrap();
+    let by_w = IndexDescriptor::SecondaryBTree {
+        keys: vec![1],
+        includes: vec![],
+    };
+    db.create_index("t", &by_w).unwrap();
+    let mut model: BTreeMap<i32, Row> = (0..600)
+        .map(|k| (k, row(-k, i64::from(k % 9), k)))
+        .collect();
+    db.load_table("t", model.values().cloned().collect())
+        .unwrap();
+    let run = |stmt: Statement| db.query(&stmt).run().unwrap();
+    let update = |predicate: Expr, set: Vec<(usize, Expr)>| {
+        run(Statement::Update(hpd_engine::UpdateStmt {
+            table: "t".into(),
+            predicate,
+            set,
+            top: None,
+        }))
+    };
+    let delete = |predicate: Expr| {
+        run(Statement::Delete(hpd_engine::DeleteStmt {
+            table: "t".into(),
+            predicate,
+            top: None,
+        }))
+    };
+    let insert = |rows: Vec<Row>| {
+        run(Statement::Insert(hpd_engine::InsertStmt {
+            table: "t".into(),
+            rows,
+        }))
+    };
+    let writes = |model: &mut BTreeMap<i32, Row>, from: i32| {
+        let fresh: Vec<Row> = (from..from + 40).map(|k| row(k, 7, k)).collect();
+        insert(fresh.clone());
+        model.extend(fresh.into_iter().map(|r| (r[2].as_i32().unwrap(), r)));
+        // Led by its key's value from now on, then no more.
+        update(
+            Expr::between(2, from - 100, from - 51),
+            vec![(0, Expr::col(2))],
+        );
+        update(
+            Expr::between(2, from - 75, from - 61),
+            vec![(0, Expr::lit(Value::Int32(-1)))],
+        );
+        update(
+            Expr::col_cmp(2, CmpOp::Lt, from - 500),
+            vec![(1, Expr::lit(Value::Int64(-3)))],
+        );
+        delete(Expr::between(2, from - 30, from - 20));
+        for (&k, r) in model.range_mut(from - 100..=from - 51) {
+            r.set(0, Value::Int32(k));
+        }
+        for (_, r) in model.range_mut(from - 75..=from - 61) {
+            r.set(0, Value::Int32(-1));
+        }
+        for (_, r) in model.range_mut(..from - 500) {
+            r.set(1, Value::Int64(-3));
+        }
+        model.retain(|&k, _| !(from - 30..=from - 20).contains(&k));
+    };
+    let rows_of = |db: &Database, predicate: Option<Expr>| {
+        let q = SelectQuery::single_table("t", predicate, vec![0, 1, 2]);
+        let mut rows = db.query(&q).run().unwrap().rows;
+        rows.sort_by_key(|r| r.key(&[2]));
+        rows
+    };
+    let agree = |db: &Database, model: &BTreeMap<i32, Row>, what: &str| {
+        let want: Vec<Row> = model.values().cloned().collect();
+        assert_eq!(rows_of(db, None), want, "{what}");
+        let by_w = Expr::col_cmp(1, CmpOp::Eq, Value::Int64(-3));
+        let want: Vec<Row> = want
+            .into_iter()
+            .filter(|r| r[1] == Value::Int64(-3))
+            .collect();
+        assert_eq!(
+            rows_of(db, Some(by_w)),
+            want,
+            "{what}: through the secondary"
+        );
+    };
+    writes(&mut model, 600);
+    agree(&db, &model, "before the checkpoint");
+    db.checkpoint().unwrap();
+    writes(&mut model, 640);
+    agree(&db, &model, "after the checkpoint");
+    let recovered = crash_and_recover(db, cfg);
+    agree(&recovered, &model, "recovered");
+}

@@ -41,11 +41,16 @@
 //! `\0`, composite keys tied on the first value, duplicate whole keys
 //! (arrival order must survive) — arriving shuffled, in key order, or in
 //! reverse.
+//!
+//! Front drains of none, some, all and more than all of the entries take
+//! the model's first ones off, leaf by leaf, in both forms; the tree's
+//! invariants then also hold its freed nodes out of reach and its page
+//! counters to what a walk finds.
 
 use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hpd_btree::{BTree, BTreeConfig, EntryForm, EntryRun};
+use hpd_btree::{BTree, BTreeConfig, EntryForm, EntryRef, EntryRun};
 use hpd_common::{codec, Key, Row, Value};
 use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
 use rand::rngs::StdRng;
@@ -443,10 +448,36 @@ impl Run {
         self.check(&format!("step {step}: after a refused insert"))
     }
 
+    /// A front drain of none of the entries, some, all or more than the
+    /// tree holds hands over the model's first ones, in order, and leaves
+    /// a tree whose freed leaves are out of reach.
+    fn drain(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
+        let len = self.model.len();
+        let n = match rng.gen_range(0..4) {
+            0 => 0,
+            1 => rng.gen_range(0..=len),
+            2 => len,
+            _ => len + rng.gen_range(1..10usize),
+        };
+        let mut got = Vec::new();
+        let drained = (self.tree).drain_front(n, &self.pool, &self.tracker, |e| {
+            got.push((e.to_key(), e.to_row()))
+        });
+        let want: Entries = self.model.drain(..n.min(len)).collect();
+        if drained != want.len() || show(&got) != show(&want) {
+            return Err(format!(
+                "step {step}: a drain of {n} gave {drained} entries, not the model's first {}",
+                want.len()
+            ));
+        }
+        self.check(&format!("step {step}: after a drain of {n}"))
+    }
+
     fn step(&mut self, rng: &mut StdRng, step: usize) -> Result<(), String> {
         match rng.gen_range(0..96) {
             0..=3 => return self.burst(rng, step),
             4 if self.form != EntryForm::SeparateKey => return self.refuse(rng, step),
+            5 | 6 => return self.drain(rng, step),
             _ => {}
         }
         let (pool, tracker, form) = (&self.pool, &self.tracker, self.form);
@@ -510,23 +541,21 @@ impl Run {
                 let want = model_range(&self.model, lo, hi);
                 let limit = rng.gen_range(1..40);
                 let mut cur = self.tree.cursor_seek(lo, pool, tracker);
-                if rng.gen_bool(0.5) {
-                    let mut got = Vec::new();
+                let walk = |cur: &mut _, f: &mut dyn FnMut(EntryRef<'_>)| {
                     while !self
                         .tree
-                        .cursor_fill(&mut cur, hi, limit, &mut got, pool, tracker)
-                    {
-                    }
+                        .cursor_walk(cur, hi, limit, pool, tracker, &mut *f)
+                    {}
+                };
+                if rng.gen_bool(0.5) {
+                    let mut got = Vec::new();
+                    walk(&mut cur, &mut |e| got.push((e.to_key(), e.to_row())));
                     if show(&got) != show(&want) {
                         return Err(format!("step {step}: scan {lo:?}..{hi:?} differs"));
                     }
                 } else {
                     let mut got = Vec::new();
-                    while !self
-                        .tree
-                        .cursor_fill_rows(&mut cur, hi, limit, &mut got, pool, tracker)
-                    {
-                    }
+                    walk(&mut cur, &mut |e| got.push(e.to_row()));
                     let want: Vec<&Row> = want.iter().map(|e| &e.1).collect();
                     if show(&got) != show(&want) {
                         return Err(format!("step {step}: row scan {lo:?}..{hi:?} differs: got {} want {}\n{got:?}\n{want:?}", got.len(), want.len()));

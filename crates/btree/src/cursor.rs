@@ -5,7 +5,7 @@ use hpd_storage::PageId;
 use crate::node::NodeId;
 
 /// A resumable scan position. Produced by [`crate::BTree::cursor_seek`] and
-/// advanced by [`crate::BTree::cursor_fill`]; `node == None` means the scan
+/// advanced by [`crate::BTree::cursor_walk`]; `node == None` means the scan
 /// is exhausted. `last_page` lets the tree distinguish sequential from
 /// random leaf transitions when charging simulated I/O.
 #[derive(Debug, Clone)]

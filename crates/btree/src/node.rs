@@ -50,10 +50,6 @@ impl Node {
         }
     }
 
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     pub fn as_leaf(&self) -> (&PackedLeaf, Option<NodeId>) {
         match self {
             Node::Leaf { entries, next, .. } => (entries, *next),
@@ -316,11 +312,20 @@ impl PackedLeaf {
 
     /// Move the first `n` entries, as they stand, to the end of `to`.
     pub(crate) fn move_front_to(&mut self, n: usize, to: &mut PackedLeaf) {
-        let cut = self.bytes_before(n) - SLOT_BYTES * n;
         let base = to.bytes.len();
         to.offsets
-            .extend(self.offsets.drain(..n).map(|o| o + narrow(base)));
-        to.bytes.extend(self.bytes.drain(..cut));
+            .extend(self.offsets[..n].iter().map(|&o| o + narrow(base)));
+        to.bytes
+            .extend_from_slice(&self.bytes[..self.bytes_before(n) - SLOT_BYTES * n]);
+        self.remove_front(n);
+    }
+
+    /// Remove the first `n` entries: how a front drain trims the leaf it
+    /// stops in.
+    pub(crate) fn remove_front(&mut self, n: usize) {
+        let cut = self.bytes_before(n) - SLOT_BYTES * n;
+        self.offsets.drain(..n);
+        self.bytes.drain(..cut);
         for o in &mut self.offsets {
             *o -= narrow(cut);
         }

@@ -121,6 +121,10 @@ pub struct BTree {
     /// splits happen so that [`BTree::stats`] walks nothing.
     leaves: usize,
     height: usize,
+    /// Arena slots of the nodes a front drain freed ([`BTree::drain_front`]),
+    /// each an empty leaf that keeps its page: the next node made takes
+    /// one, and its page, before the arena grows.
+    free: Vec<NodeId>,
     config: BTreeConfig,
     alloc: StorageAllocator,
 }
@@ -307,6 +311,7 @@ impl<'a> BulkLoader<'a> {
             data_bytes,
             leaves,
             height,
+            free: Vec::new(),
             config,
             alloc,
         }
@@ -526,6 +531,7 @@ impl BTree {
             data_bytes: 0,
             leaves: 1,
             height: 1,
+            free: Vec::new(),
             config,
             alloc,
         }
@@ -569,7 +575,7 @@ impl BTree {
         BTreeStats {
             entries: self.len,
             leaf_pages: self.leaves,
-            total_pages: self.nodes.len(),
+            total_pages: self.pages(),
             height: self.height,
             data_bytes: self.data_bytes,
         }
@@ -582,11 +588,18 @@ impl BTree {
             .map(|leaf| self.nodes[leaf].as_leaf().0.page_bytes())
     }
 
-    /// Heap bytes the tree holds: the node arena, every leaf's two vectors,
-    /// and the separator keys with their value vectors (not what a string
-    /// separator owns). Walks every node; for reports and tests.
+    /// Nodes in the tree, each a page: the arena less its freed slots.
+    fn pages(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Heap bytes the tree holds: the node arena and its free list, every
+    /// leaf's two vectors, and the separator keys with their value vectors
+    /// (not what a string separator owns). Walks every node; for reports
+    /// and tests.
     pub fn heap_bytes(&self) -> usize {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
+        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.free.capacity() * std::mem::size_of::<NodeId>();
         let contents: usize = self
             .nodes
             .iter()
@@ -607,22 +620,29 @@ impl BTree {
 
     /// Logical size in bytes (pages × page size).
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * PAGE_SIZE
+        self.pages() * PAGE_SIZE
     }
 
     // ------------------------------------------------------------------
     // Descend helpers
     // ------------------------------------------------------------------
 
-    /// Descend to the leaf that may contain the *first* entry with key ≥
-    /// `key`, charging page accesses. Returns the leaf id.
-    ///
-    /// Internal pages are charged at sequential (bandwidth-only) cost: they
-    /// are a tiny, hot fraction of the tree that any real buffer pool keeps
-    /// resident; the leaf access pays the random-seek price.
-    fn descend_lower(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> NodeId {
-        let mut node = self.root;
+    /// Descend from `node` to a leaf, each internal node's child the one
+    /// `pick` chooses by its separators, handing each node on the way (the
+    /// leaf last) to `visit`; returns the leaf. Internal pages are charged
+    /// at sequential (bandwidth-only) cost: they are a tiny, hot fraction
+    /// of the tree that any real buffer pool keeps resident; the leaf
+    /// access pays the random-seek price.
+    fn descend(
+        &self,
+        mut node: NodeId,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        pick: impl Fn(&[Key]) -> usize,
+        mut visit: impl FnMut(NodeId),
+    ) -> NodeId {
         loop {
+            visit(node);
             match &self.nodes[node] {
                 Node::Leaf { page, .. } => {
                     pool.access_page(*page, tracker);
@@ -634,38 +654,27 @@ impl BTree {
                     page,
                 } => {
                     pool.access_page_seq(*page, tracker);
-                    // Go left on equality so duplicates in the left sibling
-                    // are not skipped.
-                    let idx = keys.partition_point(|k| k < key);
-                    node = children[idx];
+                    node = children[pick(keys)];
                 }
             }
         }
     }
 
-    /// Descend for insertion: duplicates are appended after existing equals,
-    /// so we route right on equality only within the leaf, not the spine.
+    /// The leaf that may contain the *first* entry with key ≥ `key`: the
+    /// descent goes left on equality, so duplicates in the left sibling
+    /// are not skipped.
+    fn descend_lower(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> NodeId {
+        let pick = |keys: &[Key]| keys.partition_point(|k| k < key);
+        self.descend(self.root, pool, tracker, pick, |_| {})
+    }
+
+    /// The root-to-leaf path of an insertion: duplicates are appended after
+    /// existing equals, so the descent goes right on equality.
     fn descend_path(&self, key: &Key, pool: &BufferPool, tracker: &IoTracker) -> Vec<NodeId> {
         let mut path = Vec::with_capacity(4);
-        let mut node = self.root;
-        loop {
-            path.push(node);
-            match &self.nodes[node] {
-                Node::Leaf { page, .. } => {
-                    pool.access_page(*page, tracker);
-                    return path;
-                }
-                Node::Internal {
-                    keys,
-                    children,
-                    page,
-                } => {
-                    pool.access_page_seq(*page, tracker);
-                    let idx = keys.partition_point(|k| k <= key);
-                    node = children[idx];
-                }
-            }
-        }
+        let pick = |keys: &[Key]| keys.partition_point(|k| k <= key);
+        self.descend(self.root, pool, tracker, pick, |node| path.push(node));
+        path
     }
 
     // ------------------------------------------------------------------
@@ -867,17 +876,16 @@ impl BTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Vec<(Key, NodeId)> {
-        let page = self.alloc.alloc_page();
-        let new_root = self.nodes.len();
         let (keys, rights): (Vec<Key>, Vec<NodeId>) = splits.into_iter().unzip();
-        self.nodes.push(Node::Internal {
+        let children = std::iter::once(self.root).chain(rights).collect();
+        let new_root = self.add_node(|page| Node::Internal {
             keys,
-            children: std::iter::once(self.root).chain(rights).collect(),
+            children,
             page,
         });
         self.root = new_root;
         self.height += 1;
-        pool.write_page(page, tracker);
+        pool.write_page(self.nodes[new_root].page(), tracker);
         let mut splits = Vec::new();
         self.cut_internal(new_root, &mut splits, pool, tracker);
         splits
@@ -936,14 +944,12 @@ impl BTree {
         let right_keys: Vec<Key> = keys.drain(mid + 1..).collect();
         let promoted = keys.pop().expect("the promoted key");
         let right_children: Vec<NodeId> = children.drain(mid + 1..).collect();
-        let page = self.alloc.alloc_page();
-        let right = self.nodes.len();
-        self.nodes.push(Node::Internal {
+        let right = self.add_node(|page| Node::Internal {
             keys: right_keys,
             children: right_children,
             page,
         });
-        pool.write_page(page, tracker);
+        pool.write_page(self.nodes[right].page(), tracker);
         self.cut_internal(node, out, pool, tracker);
         out.push((promoted, right));
         self.cut_internal(right, out, pool, tracker);
@@ -989,20 +995,37 @@ impl BTree {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> NodeId {
-        let page = self.alloc.alloc_page();
-        let right = self.nodes.len();
         let (entries, next) = match &mut self.nodes[leaf] {
-            Node::Leaf { entries, next, .. } => (entries.split_off(at), next.replace(right)),
+            Node::Leaf { entries, next, .. } => (entries.split_off(at), *next),
             Node::Internal { .. } => unreachable!("a leaf"),
         };
-        self.nodes.push(Node::Leaf {
+        let right = self.add_node(|page| Node::Leaf {
             entries,
             next,
             page,
         });
+        if let Node::Leaf { next, .. } = &mut self.nodes[leaf] {
+            *next = Some(right);
+        }
         self.leaves += 1;
-        pool.write_page(page, tracker);
+        pool.write_page(self.nodes[right].page(), tracker);
         right
+    }
+
+    /// Put the node `make` builds on the page it is given into the arena:
+    /// into a freed slot, on that slot's page, if there is one, else at
+    /// the end, on a new page.
+    fn add_node(&mut self, make: impl FnOnce(PageId) -> Node) -> NodeId {
+        match self.free.pop() {
+            Some(id) => {
+                self.nodes[id] = make(self.nodes[id].page());
+                id
+            }
+            None => {
+                self.nodes.push(make(self.alloc.alloc_page()));
+                self.nodes.len() - 1
+            }
+        }
     }
 
     /// The nodes from the root down to the leaf `leaf`, which holds an entry
@@ -1185,7 +1208,9 @@ impl BTree {
         let mut out = Vec::new();
         let mut cur = self.cursor_seek(Bound::Included(key), pool, tracker);
         let hi = Bound::Included(key);
-        while !self.cursor_fill_rows(&mut cur, hi, 1024, &mut out, pool, tracker) {}
+        self.cursor_walk(&mut cur, hi, usize::MAX, pool, tracker, |e| {
+            out.push(e.to_row())
+        });
         out
     }
 
@@ -1309,37 +1334,6 @@ impl BTree {
         }
     }
 
-    /// Pull up to `limit` entries into `out`, stopping at the upper bound.
-    /// Returns true when the scan is exhausted (bound reached or tree ended).
-    pub fn cursor_fill(
-        &self,
-        cursor: &mut Cursor,
-        hi: Bound<&Key>,
-        limit: usize,
-        out: &mut Vec<(Key, Row)>,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> bool {
-        self.cursor_walk(cursor, hi, limit, pool, tracker, |e| {
-            out.push((e.to_key(), e.to_row()))
-        })
-    }
-
-    /// Like [`BTree::cursor_fill`] but yields only payload rows, skipping
-    /// the per-entry key decode — the hot path for range-scan operators that
-    /// do not need the keys.
-    pub fn cursor_fill_rows(
-        &self,
-        cursor: &mut Cursor,
-        hi: Bound<&Key>,
-        limit: usize,
-        out: &mut Vec<Row>,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> bool {
-        self.cursor_walk(cursor, hi, limit, pool, tracker, |e| out.push(e.to_row()))
-    }
-
     /// Hand every entry, in key order, to `f` in its encoded form (see
     /// [`EntryRef`]) — the whole-index read of B+ tree builds and
     /// checkpoints, which copy bytes and decode nothing: an unbounded cursor
@@ -1382,19 +1376,150 @@ impl BTree {
     ) -> Vec<(Key, Row)> {
         let mut cur = self.cursor_seek(lo, pool, tracker);
         let mut out = Vec::new();
-        while !self.cursor_fill(&mut cur, hi, 4096, &mut out, pool, tracker) {}
+        self.cursor_walk(&mut cur, hi, usize::MAX, pool, tracker, |e| {
+            out.push((e.to_key(), e.to_row()))
+        });
         out
+    }
+
+    /// Remove the first `n` entries (all, if the tree holds fewer), handing
+    /// each to `sink` in key order in its encoded form (see [`EntryRef`]);
+    /// returns how many were removed. How entries leave a tree in bulk: the
+    /// tuple mover's drain of a delta store, a delete buffer's compaction.
+    ///
+    /// The drain works along the tree's left edge. Every leaf it empties
+    /// but the last one is unlinked from the leaf chain and from its
+    /// parent, an internal node left with no child goes too, and their
+    /// arena slots and pages are freed for the next nodes the tree makes;
+    /// the leaf the drain stops in is trimmed in place, and a root left
+    /// with one child gives way to it. Separators stay bounds: only the
+    /// smallest keys leave. The cost follows the entries drained and the
+    /// tree's height, not what remains: the left edge is read as a descent
+    /// is, and again below each parent a leaf is unlinked from (a page
+    /// write) — usually just the next leaf; a trimmed leaf is written.
+    pub fn drain_front(
+        &mut self,
+        n: usize,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+        mut sink: impl FnMut(EntryRef<'_>),
+    ) -> usize {
+        let form = self.config.form;
+        // The root down to the first leaf, each node its parent's first child.
+        let mut edge = Vec::with_capacity(self.height);
+        self.descend(self.root, pool, tracker, |_| 0, |node| edge.push(node));
+        let (mut drained, mut bytes) = (0, 0);
+        loop {
+            let leaf = *edge.last().expect("the edge ends at a leaf");
+            let Node::Leaf {
+                entries,
+                next,
+                page,
+            } = &mut self.nodes[leaf]
+            else {
+                unreachable!("the edge ends at a leaf")
+            };
+            let take = (n - drained).min(entries.len());
+            for e in entries.iter(form).take(take) {
+                bytes += e.byte_width();
+                sink(e);
+            }
+            drained += take;
+            match *next {
+                Some(next) if take == entries.len() => {
+                    self.unlink_first_leaf(&mut edge, pool, tracker);
+                    debug_assert_eq!(edge.last(), Some(&next), "the next leaf leads the chain");
+                    self.first_leaf = next;
+                    if drained == n {
+                        break;
+                    }
+                }
+                _ => {
+                    if take > 0 {
+                        entries.remove_front(take);
+                        pool.write_page(*page, tracker);
+                    }
+                    break;
+                }
+            }
+        }
+        while let Node::Internal { children, .. } = &self.nodes[self.root] {
+            let &[only] = children.as_slice() else { break };
+            self.free_node(self.root);
+            (self.root, self.height) = (only, self.height - 1);
+        }
+        self.len -= drained;
+        self.data_bytes -= bytes;
+        drained
+    }
+
+    /// Unlink the first leaf, which `edge` (the root down to it) ends at
+    /// and which is not the last, from its parent, and each ancestor that
+    /// loses its last child from its own; free them all, and extend `edge`
+    /// down to the leaf that now leads the chain. The parent that keeps
+    /// children is charged a page write, and the edge below it a descent.
+    fn unlink_first_leaf(
+        &mut self,
+        edge: &mut Vec<NodeId>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) {
+        self.leaves -= 1;
+        while let Some(gone) = edge.pop() {
+            self.free_node(gone);
+            let parent = *edge.last().expect("a leaf with a next one has a parent");
+            let Node::Internal {
+                keys,
+                children,
+                page,
+            } = &mut self.nodes[parent]
+            else {
+                unreachable!("a leaf's ancestors are internal")
+            };
+            debug_assert_eq!(children[0], gone, "the left edge holds first children");
+            children.remove(0);
+            if let Some(&first) = children.first() {
+                keys.remove(0);
+                pool.write_page(*page, tracker);
+                self.descend(first, pool, tracker, |_| 0, |node| edge.push(node));
+                return;
+            }
+        }
+    }
+
+    /// Free the node `id`: its slot holds an empty leaf on its page until
+    /// [`BTree::add_node`] takes it again.
+    fn free_node(&mut self, id: NodeId) {
+        let page = self.nodes[id].page();
+        self.nodes[id] = Node::Leaf {
+            entries: PackedLeaf::default(),
+            next: None,
+            page,
+        };
+        self.free.push(id);
     }
 
     /// Verify structural invariants; used by tests. Returns an error
     /// describing the first violation found.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |m: String| Err(HpdError::Internal(m));
+        // A freed slot is an empty, unlinked leaf, freed once, that no walk
+        // below reaches.
+        let mut freed = vec![false; self.nodes.len()];
+        for &id in &self.free {
+            let emptied = matches!(&self.nodes[id], Node::Leaf { entries, next: None, .. } if entries.is_empty());
+            if std::mem::replace(&mut freed[id], true) || !emptied {
+                return fail(format!("slot {id} freed twice or not emptied"));
+            }
+        }
         // Keys within each leaf are sorted; leaf chain is globally sorted.
         let mut leaf = Some(self.first_leaf);
         let mut prev: Option<Key> = None;
         let (mut count, mut leaves, mut data_bytes) = (0usize, 0usize, 0usize);
         while let Some(id) = leaf {
+            if freed[id] {
+                return fail(format!("freed slot {id} in the leaf chain"));
+            }
             let (entries, next) = self.nodes[id].as_leaf();
             // Only an entry larger than a page lives on an overfull leaf,
             // alone; entries beside others start within a slot's reach.
@@ -1430,24 +1555,21 @@ impl BTree {
                 self.data_bytes
             ));
         }
-        // The counters `stats()` answers from equal what a walk finds.
-        let walked_leaves = self.nodes.iter().filter(|n| n.is_leaf()).count();
-        if (leaves, walked_leaves) != (self.leaves, self.leaves) {
-            return fail(format!(
-                "{leaves} leaves chained, {walked_leaves} in the arena, counter says {}",
-                self.leaves
-            ));
-        }
-        // Every node reachable from the root is in-bounds, leaf depth is
-        // uniform, and the separators bound their children: every key under
-        // `children[i]` lies within `keys[i - 1]..=keys[i]` (duplicates of a
-        // separator may sit on both sides of it).
+        // Every node reachable from the root is reached once and is not
+        // freed, leaf depth is uniform, and the separators bound their
+        // children: every key under `children[i]` lies within
+        // `keys[i - 1]..=keys[i]` (duplicates of a separator may sit on
+        // both sides of it).
         fn depth_check(
             tree: &BTree,
             node: NodeId,
             lo: Option<&Key>,
             hi: Option<&Key>,
+            reached: &mut [bool],
         ) -> std::result::Result<usize, String> {
+            if std::mem::replace(&mut reached[node], true) {
+                return Err(format!("node {node} is freed or reached twice"));
+            }
             match &tree.nodes[node] {
                 Node::Leaf { entries, .. } => {
                     let form = tree.config.form;
@@ -1472,23 +1594,34 @@ impl BTree {
                             keys.len()
                         ));
                     }
-                    let mut depths = children.iter().enumerate().map(|(i, &c)| {
+                    let mut first = None;
+                    for (i, &c) in children.iter().enumerate() {
                         let lo = if i == 0 { lo } else { keys.get(i - 1) };
-                        depth_check(tree, c, lo, keys.get(i).or(hi))
-                    });
-                    let first = depths.next().expect("at least one child")?;
-                    for d in depths {
-                        if d? != first {
+                        let d = depth_check(tree, c, lo, keys.get(i).or(hi), reached)?;
+                        if *first.get_or_insert(d) != d {
                             return Err(format!("non-uniform depth under node {node}"));
                         }
                     }
-                    Ok(first + 1)
+                    Ok(first.expect("at least one child") + 1)
                 }
             }
         }
-        let height = depth_check(self, self.root, None, None).map_err(HpdError::Internal)?;
+        let mut reached = freed.clone();
+        let height =
+            depth_check(self, self.root, None, None, &mut reached).map_err(HpdError::Internal)?;
         if height != self.height {
             return fail(format!("height {height}, counter says {}", self.height));
+        }
+        // The counters `stats()` answers from equal what the walks find.
+        let pages = (0..self.nodes.len())
+            .filter(|&id| reached[id] && !freed[id])
+            .count();
+        if (leaves, pages) != (self.leaves, self.pages()) {
+            return fail(format!(
+                "{leaves} leaves chained, {pages} pages under the root; counters say {} and {}",
+                self.leaves,
+                self.pages()
+            ));
         }
         Ok(())
     }

@@ -4,7 +4,7 @@ use std::ops::Bound;
 
 use hpd_btree::{BTree, BTreeConfig, EntryForm, MAX_LEAF_BYTES};
 use hpd_common::{Key, Row, Value};
-use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator};
+use hpd_storage::{BufferPool, DeviceProfile, IoTracker, StorageAllocator, PAGE_SIZE};
 use proptest::prelude::*;
 
 /// Leaves of 60 page bytes whose entries keep their one-value key in the
@@ -840,4 +840,110 @@ fn a_key_in_payload_tree_refuses_a_payload_not_led_by_its_key() {
         tree.update_where(&five, rekey, &p, &t);
     });
     assert_eq!(tree.seek_exact(&five, &p, &t), vec![kv(5).1]);
+}
+
+/// A front drain hands over the smallest entries in key order, in either
+/// form, and frees the leaves it empties; drained to its end and past it,
+/// the tree is one empty leaf again.
+#[test]
+fn a_front_drain_takes_the_smallest_entries_and_frees_their_leaves() {
+    for form in [EntryForm::KeyInPayload(1), EntryForm::SeparateKey] {
+        let config = BTreeConfig {
+            form,
+            ..small_config()
+        };
+        let (p, t) = (pool(), IoTracker::new());
+        let mut tree = BTree::new(config, StorageAllocator::new());
+        for k in (0..500).rev() {
+            let (key, row) = kv(k * 7 % 500);
+            tree.insert(key, row, &p, &t);
+        }
+        let before = tree.stats();
+        let mut got = Vec::new();
+        let drained = tree.drain_front(300, &p, &t, |e| {
+            got.push(e.to_key().values()[0].as_i32().unwrap())
+        });
+        assert_eq!((drained, got), (300, (0..300).collect::<Vec<_>>()));
+        tree.check_invariants().unwrap();
+        assert_eq!(collect_all(&tree, &p), (300..500).collect::<Vec<_>>());
+        let after = tree.stats();
+        assert!(after.leaf_pages < before.leaf_pages, "{after:?}");
+        assert_eq!(tree.size_bytes(), after.total_pages * PAGE_SIZE);
+        assert_eq!(tree.drain_front(0, &p, &t, |_| panic!("none asked")), 0);
+        assert_eq!(tree.drain_front(1_000, &p, &t, |_| {}), 200);
+        tree.check_invariants().unwrap();
+        let empty = tree.stats();
+        assert_eq!(
+            (
+                empty.entries,
+                empty.leaf_pages,
+                empty.total_pages,
+                empty.height
+            ),
+            (0, 1, 1, 1)
+        );
+        // The freed slots take the next nodes.
+        for k in 0..500 {
+            let (key, row) = kv(k);
+            tree.insert(key, row, &p, &t);
+        }
+        tree.check_invariants().unwrap();
+        assert_eq!(collect_all(&tree, &p), (0..500).collect::<Vec<_>>());
+    }
+}
+
+/// Ten cycles that each fill a tree to 10 000 entries, in a scattered
+/// order, and drain all but 100: the freed slots and their pages take the
+/// next cycle's nodes, so from the second cycle on the tree's pages and
+/// heap do not grow. Without freeing, each cycle would leave its leaves
+/// behind, empty and chained.
+#[test]
+fn drained_leaves_are_reused_cycle_after_cycle() {
+    let (p, t) = (pool(), IoTracker::new());
+    let mut tree = BTree::new(page_config(), StorageAllocator::new());
+    let mut sizes = Vec::new();
+    for cycle in 0..10 {
+        let base = (1 << 23) + cycle * 10_000;
+        for i in 0..10_000 - tree.len() as i32 {
+            let (key, row) = kv(base + i * 7_919 % 10_000);
+            tree.insert(key, row, &p, &t);
+        }
+        assert_eq!(tree.len(), 10_000);
+        let full = (tree.stats().total_pages, tree.heap_bytes());
+        assert_eq!(tree.drain_front(9_900, &p, &t, |_| {}), 9_900);
+        tree.check_invariants().unwrap();
+        sizes.push((full, (tree.stats().total_pages, tree.heap_bytes())));
+    }
+    for (cycle, pair) in sizes.windows(2).enumerate().skip(1) {
+        let ((full, drained), (next_full, next_drained)) = (pair[0], pair[1]);
+        assert!(
+            next_full.0 <= full.0 && next_full.1 <= full.1,
+            "cycle {}: {next_full:?} full after {full:?}",
+            cycle + 2
+        );
+        assert!(
+            next_drained.0 <= drained.0 && next_drained.1 <= drained.1,
+            "cycle {}: {next_drained:?} drained after {drained:?}",
+            cycle + 2
+        );
+    }
+}
+
+/// A drain's cost follows what it drains and the tree's height, not what
+/// the tree holds: each of twenty drains of 100 of 100 000 entries reads
+/// at most the height and two pages, leaves freed on the way or not.
+#[test]
+fn draining_a_few_entries_reads_a_few_pages() {
+    const BASE: i32 = 1 << 23;
+    let (mut tree, p, _) = page_sized_bulk(BASE..BASE + 100_000);
+    for round in 0..20 {
+        let (height, t) = (tree.height() as u64, IoTracker::new());
+        let mut keys = Vec::new();
+        let drained = tree.drain_front(100, &p, &t, |e| keys.push(e.to_key()));
+        assert_eq!(drained, 100);
+        assert_eq!(keys[0], kv(BASE + round * 100).0);
+        let reads = t.snapshot().logical_reads;
+        assert!(reads <= height + 2, "round {round}: {reads} pages read");
+    }
+    tree.check_invariants().unwrap();
 }

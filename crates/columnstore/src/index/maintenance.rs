@@ -1,11 +1,9 @@
 //! The tuple mover and merge-compaction: one budgeted state machine.
 
-use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use hpd_btree::{BTree, BTreeConfig};
-use hpd_common::{faults, Batch, ColumnVector, DataType, Key, Row, Value};
+use hpd_common::{faults, push_encoded_row, ColumnVector, DataType, Key, Value};
 use hpd_storage::{BufferPool, IoTracker};
 
 use super::{ColumnStoreIndex, RowGroupHeat};
@@ -163,8 +161,12 @@ impl ColumnStoreIndex {
     /// tuple-mover pass. Capacity-sized chunks while the budget allows, then
     /// one bounded partial chunk so a budget below `rowgroup_capacity` still
     /// makes progress (small row groups are the accepted cost of incremental
-    /// progress, as under the `TUPLE_MOVE_FORCE` fault). A drain cut short
-    /// leaves the rest of the budget to the next chunk.
+    /// progress, as under the `TUPLE_MOVE_FORCE` fault). A chunk is the
+    /// delta's smallest keys, drained off the front of its tree
+    /// ([`hpd_btree::BTree::drain_front`]) straight into the row group's
+    /// column vectors, its emptied leaves freed; a drain cut short (the
+    /// `DELTA_DRAIN_PARTIAL` fault) leaves the rest of the budget to the
+    /// next chunk.
     ///
     /// Caller must have emptied the delete buffer first (see the
     /// `maintenance_step` phase ordering).
@@ -178,22 +180,25 @@ impl ColumnStoreIndex {
             self.delete_buffer_len() == 0,
             "delta rows must never compress past a non-empty delete buffer"
         );
-        let dtypes: Vec<_> = self.schema.columns().iter().map(|c| c.dtype).collect();
         let mut budget = max_rows;
         let mut moved = 0;
         while budget > 0 && !self.delta.is_empty() {
-            hpd_obs::global()
-                .counter("columnstore.maintenance.tuple_move")
-                .inc();
-            let want = budget.min(self.config.rowgroup_capacity);
-            let rows = self.delta.drain(want, pool, tracker);
-            if rows.is_empty() {
-                break;
+            let counter = |name| hpd_obs::global().counter(name).inc();
+            counter("columnstore.maintenance.tuple_move");
+            counter("columnstore.delta.drain");
+            let mut want = budget.min(self.config.rowgroup_capacity);
+            // Injected interruption: a short chunk, as if the mover were
+            // preempted mid-drain.
+            if faults::fire(faults::sites::DELTA_DRAIN_PARTIAL) {
+                want = (want / 2).max(1);
             }
-            budget -= rows.len().min(budget);
-            moved += rows.len();
-            let chunk = Batch::from_rows(&dtypes, &rows).expect("rows match csi schema");
-            self.push_rowgroup(chunk.into_columns(), pool, tracker);
+            let mut columns = self.empty_columns(want.min(self.delta.len()));
+            let drained = self.delta.drain_front(want, pool, tracker, |e| {
+                push_encoded_row(&mut columns, e.payload).expect("delta rows match csi schema")
+            });
+            budget -= drained.min(budget);
+            moved += drained;
+            self.push_rowgroup(columns, pool, tracker);
         }
         moved
     }
@@ -318,7 +323,9 @@ impl ColumnStoreIndex {
     /// Resolve up to `max_keys` buffered logical deletes into delete-bitmap
     /// bits; the remaining keys stay buffered (and keep anti-joining scans),
     /// so a partial slice is always consistent. Keys resolve smallest first,
-    /// making slices deterministic and resumable.
+    /// drained off the front of the buffer's tree
+    /// ([`hpd_btree::BTree::drain_front`]), making slices deterministic and
+    /// resumable.
     ///
     /// The cost follows the keys, not the table: a row group whose first
     /// key column's min/max admits none of the keys still unmatched is
@@ -342,18 +349,11 @@ impl ColumnStoreIndex {
         hpd_obs::global()
             .counter("columnstore.maintenance.delete_buffer_compact")
             .inc();
-        let mut entries: Vec<(Key, Row)> =
-            buffer.scan_range_collect(Bound::Unbounded, Bound::Unbounded, pool, tracker);
-        let keep = entries.split_off(entries.len().min(max_keys));
         // In key order, as the buffer holds them, so in first-value order.
-        let mut pending: Vec<Key> = entries.into_iter().map(|(k, _)| k).collect();
+        let mut pending: Vec<Key> = Vec::with_capacity(max_keys.min(buffer.len()));
+        buffer.drain_front(max_keys, pool, tracker, |e| pending.push(e.to_key()));
         pending.dedup();
         let compacted = pending.len();
-        // Replace with a buffer holding only the keys beyond the budget.
-        *buffer = BTree::new(BTreeConfig::default(), self.alloc.clone());
-        for (k, r) in keep {
-            buffer.insert(k, r, pool, tracker);
-        }
 
         let Some(&first_col) = self.key_ordinals.first() else {
             return compacted;

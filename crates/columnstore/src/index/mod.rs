@@ -10,6 +10,12 @@
 //! budget left. A merge or a drop evicts only its own groups' decodes from
 //! the decoded-segment cache.
 //!
+//! The delta store and a secondary's delete buffer are plain B+ trees, and
+//! entries leave them one way: drained off the front, smallest keys first
+//! ([`hpd_btree::BTree::drain_front`]), each leaf emptied freed — a chunk of
+//! delta rows straight into a row group's column vectors, a slice of
+//! buffered deletes as the keys to resolve.
+//!
 //! Each move has one implementation, in one of the child modules: `write`
 //! inserts and deletes, `maintenance` moves delta rows, resolves buffered
 //! deletes and merges row groups, and `scan` reads row groups, the delta
@@ -18,12 +24,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hpd_btree::{BTree, BTreeConfig};
+use hpd_btree::{BTree, BTreeConfig, EntryForm};
 use hpd_common::{ColumnVector, Result, Row, Schema, Value, ValueRef};
 use hpd_storage::{BufferPool, IoTracker, StorageAllocator};
 
 use crate::cache::SegmentCache;
-use crate::delta::DeltaStore;
 use crate::encoding::IntEncoding;
 use crate::rowgroup::RowGroup;
 
@@ -275,7 +280,11 @@ pub struct ColumnStoreIndex {
     key_ordinals: Vec<usize>,
     config: CsiConfig,
     row_groups: Vec<RowGroup>,
-    delta: DeltaStore,
+    /// The delta store: rows not yet compressed, in a B+ tree keyed on the
+    /// row key (paper §2: "Inserts are handled via delta stores which are
+    /// implemented as B+ trees"), so a delete of one is a seek; an entry
+    /// is the row's bytes alone when the key's columns lead the row.
+    delta: BTree,
     /// Secondary CSIs buffer logical deletes here (keyed by the row key).
     delete_buffer: Option<BTree>,
     /// Decoded segments, keyed by each segment's blob id — safe to cache
@@ -323,7 +332,11 @@ impl ColumnStoreIndex {
         alloc: StorageAllocator,
     ) -> ColumnStoreIndex {
         debug_assert!(key_ordinals.iter().all(|&k| k < schema.len()));
-        let delta = DeltaStore::new(&key_ordinals, alloc.clone());
+        let delta_config = BTreeConfig {
+            form: EntryForm::of(&key_ordinals, 0..),
+            ..BTreeConfig::default()
+        };
+        let delta = BTree::new(delta_config, alloc.clone());
         let delete_buffer = match kind {
             CsiKind::Secondary => Some(BTree::new(BTreeConfig::default(), alloc.clone())),
             CsiKind::Primary => None,

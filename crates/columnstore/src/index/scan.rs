@@ -66,20 +66,19 @@ impl ColumnStoreIndex {
             .any(|(&c, iv)| c < rg.num_columns() && rg.segment(c).eliminated_by(iv))
     }
 
-    /// Snapshot the delete buffer into a probe set for anti-joins. Charges
-    /// one scan of the buffer. Returns `None` when no anti-join is needed.
+    /// Snapshot the delete buffer into a probe set for anti-joins: a walk
+    /// of its entries, each key owned once. Charges one scan of the buffer.
+    /// Returns `None` when no anti-join is needed.
     pub fn antijoin_probe(&self, pool: &BufferPool, tracker: &IoTracker) -> Option<HashSet<Key>> {
         let buffer = self.delete_buffer.as_ref()?;
         if buffer.is_empty() {
             return None;
         }
-        Some(
-            buffer
-                .scan_range_collect(Bound::Unbounded, Bound::Unbounded, pool, tracker)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect(),
-        )
+        let mut keys = HashSet::with_capacity(buffer.len());
+        buffer.for_each_encoded_entry(pool, tracker, |e| {
+            keys.insert(e.to_key());
+        });
+        Some(keys)
     }
 
     /// Compute the surviving-row selection of one row group: live rows,
@@ -167,7 +166,8 @@ impl ColumnStoreIndex {
             tracker.count(Work::RowsPrunedRow, (before - sel.count()) as u64);
         }
         // Anti-join against buffered deletes, probing keys gathered at
-        // surviving positions.
+        // surviving positions, each refilled into one key (`Value`'s
+        // equality: an `Int32` key finds an `Int64` column's value).
         if let Some(probe) = antijoin {
             if !sel.is_none_set() {
                 let positions = sel.positions();
@@ -176,13 +176,9 @@ impl ColumnStoreIndex {
                     .iter()
                     .map(|&k| rg.segment(k).gather(&positions))
                     .collect();
+                let mut key = Key::new(Vec::new());
                 for (i, &p) in positions.iter().enumerate() {
-                    let key = Key::new(
-                        key_cols
-                            .iter()
-                            .map(|kc| kc.value(i))
-                            .collect::<Vec<Value>>(),
-                    );
+                    key.refill(key_cols.iter().map(|kc| kc.value(i)));
                     if probe.contains(&key) {
                         sel.clear(p);
                     }
@@ -198,13 +194,60 @@ impl ColumnStoreIndex {
         Some((sel, fell_back))
     }
 
-    /// Begin a walk of the delta store ([`DeltaWalk`]), counting a delta
-    /// read.
-    fn walk_delta(&self, pool: &BufferPool, tracker: &IoTracker) -> DeltaWalk {
+    /// Begin a walk of the delta store ([`ColumnStoreIndex::delta_batch`]),
+    /// counting a delta read.
+    fn walk_delta(&self, pool: &BufferPool, tracker: &IoTracker) -> Option<Cursor> {
         self.delta_reads.fetch_add(1, Ordering::Relaxed);
-        DeltaWalk {
-            cursor: Some(self.delta.seek_first(pool, tracker)),
+        Some(self.delta.cursor_seek(Bound::Unbounded, pool, tracker))
+    }
+
+    /// The delta store read a batch at a time: the next at most
+    /// [`SCAN_BATCH_ROWS`] rows from `walk` on that satisfy `intervals` —
+    /// the same pushed-down intervals as the compressed scan's, compared
+    /// with each value where it lies in its B+ tree entry — in key order,
+    /// as `projection`'s columns built straight from the entries, no row
+    /// decoded; `None` when all are out (`walk` is `None` once it has
+    /// passed the last row). The delete buffer does *not* apply here:
+    /// deletes of delta-resident rows are performed directly on the delta,
+    /// so the anti-join only concerns compressed row groups.
+    fn delta_batch(
+        &self,
+        walk: &mut Option<Cursor>,
+        projection: &[usize],
+        intervals: &HashMap<usize, Interval>,
+        pool: &BufferPool,
+        tracker: &IoTracker,
+    ) -> Option<Batch> {
+        let cursor = walk.as_mut()?;
+        let room = SCAN_BATCH_ROWS.min(self.delta_rows());
+        let mut columns: Vec<ColumnVector> = (projection.iter())
+            .map(|&c| ColumnVector::with_capacity(self.schema.column(c).dtype, room))
+            .collect();
+        let (mut kept, mut values) = (0, Vec::new());
+        while kept < SCAN_BATCH_ROWS {
+            let limit = SCAN_BATCH_ROWS - kept;
+            let walked =
+                (self.delta).cursor_walk(cursor, Bound::Unbounded, limit, pool, tracker, |e| {
+                    values.clear();
+                    values.extend(codec::values(e.payload));
+                    let holds = |(&c, iv): (&usize, &Interval)| {
+                        c >= values.len() || iv.contains_ref(values[c])
+                    };
+                    if intervals.iter().all(holds) {
+                        for (column, &c) in columns.iter_mut().zip(projection) {
+                            column
+                                .push_ref(values[c])
+                                .expect("delta rows match csi schema");
+                        }
+                        kept += 1;
+                    }
+                });
+            if walked {
+                *walk = None;
+                break;
+            }
         }
+        (kept > 0).then(|| Batch::new(columns))
     }
 
     /// Bytes currently held by the decoded-segment cache (tests/metrics).
@@ -299,8 +342,8 @@ impl ColumnStoreIndex {
         // buffer does not apply here — delta deletes are performed in place).
         if self.delta_rows() > 0 {
             let cols: Vec<usize> = aggs.iter().map(|a| a.col).collect();
-            let mut delta = self.walk_delta(pool, tracker);
-            while let Some(batch) = delta.next(self, &cols, intervals, pool, tracker) {
+            let mut walk = self.walk_delta(pool, tracker);
+            while let Some(batch) = self.delta_batch(&mut walk, &cols, intervals, pool, tracker) {
                 tracker.count(Work::AggDeltaRows, batch.num_rows() as u64);
                 for (acc, col) in accs.iter_mut().zip(batch.columns()) {
                     acc.fold_all(col)?;
@@ -394,8 +437,8 @@ pub struct CsiScan<'a> {
     antijoin: SharedProbe,
     /// Whether the delta store is still to be scanned.
     delta: bool,
-    /// The walk of the delta store, once it has begun.
-    walk: Option<DeltaWalk>,
+    /// Where the walk of the delta store goes on, once it has begun.
+    walk: Option<Cursor>,
     /// Whether a whole row group's decode is kept in the decoded-segment
     /// cache.
     fill_cache: bool,
@@ -446,66 +489,6 @@ impl Open<'_> {
     }
 }
 
-/// The delta store read a batch at a time: its rows that satisfy the
-/// scan's intervals — the same pushed-down intervals as the compressed
-/// scan's, compared with each value where it lies in its B+ tree entry — in
-/// key order, each batch's column vectors built straight from the entries,
-/// no row decoded. The delete buffer does *not* apply here: deletes of
-/// delta-resident rows are performed directly on the delta, so the
-/// anti-join only concerns compressed row groups.
-struct DeltaWalk {
-    /// Where the walk goes on; `None` once it has passed the last row.
-    cursor: Option<Cursor>,
-}
-
-impl DeltaWalk {
-    /// The next at most [`SCAN_BATCH_ROWS`] rows of `index`'s delta store
-    /// that satisfy `intervals`, as `projection`'s columns; `None` when all
-    /// are out.
-    fn next(
-        &mut self,
-        index: &ColumnStoreIndex,
-        projection: &[usize],
-        intervals: &HashMap<usize, Interval>,
-        pool: &BufferPool,
-        tracker: &IoTracker,
-    ) -> Option<Batch> {
-        let cursor = self.cursor.as_mut()?;
-        let room = SCAN_BATCH_ROWS.min(index.delta_rows());
-        let mut columns: Vec<ColumnVector> = (projection.iter())
-            .map(|&c| ColumnVector::with_capacity(index.schema.column(c).dtype, room))
-            .collect();
-        let (mut kept, mut values) = (0, Vec::new());
-        loop {
-            let walked = index
-                .delta
-                .walk(cursor, SCAN_BATCH_ROWS - kept, pool, tracker, |row| {
-                    values.clear();
-                    values.extend(codec::values(row));
-                    let holds = |(&c, iv): (&usize, &Interval)| {
-                        c >= values.len() || iv.contains_ref(values[c])
-                    };
-                    if intervals.iter().all(holds) {
-                        for (column, &c) in columns.iter_mut().zip(projection) {
-                            column
-                                .push_ref(values[c])
-                                .expect("delta rows match csi schema");
-                        }
-                        kept += 1;
-                    }
-                });
-            if walked {
-                self.cursor = None;
-                break;
-            }
-            if kept == SCAN_BATCH_ROWS {
-                break;
-            }
-        }
-        (kept > 0).then(|| Batch::new(columns))
-    }
-}
-
 impl<'a> CsiScan<'a> {
     /// This scan as a pass that reads every segment once (a checkpoint, an
     /// index build, statistics): it reuses a cached decode and keeps none of
@@ -538,10 +521,10 @@ impl<'a> CsiScan<'a> {
         // the delta walk.
         self.open = None;
         if std::mem::take(&mut self.delta) && self.index.delta_rows() > 0 {
-            self.walk = Some(self.index.walk_delta(pool, tracker));
+            self.walk = self.index.walk_delta(pool, tracker);
         }
-        let (index, projection, intervals) = (self.index, &self.projection, &self.intervals);
-        (self.walk.as_mut()?).next(index, projection, intervals, pool, tracker)
+        let (projection, intervals) = (&self.projection, &self.intervals);
+        (self.index).delta_batch(&mut self.walk, projection, intervals, pool, tracker)
     }
 
     /// Open one row group with predicate pushdown and late materialization:

@@ -19,6 +19,7 @@ impl ColumnStoreIndex {
     pub fn insert(&mut self, row: Row, pool: &BufferPool, tracker: &IoTracker) {
         debug_assert_eq!(row.len(), self.schema.len());
         let key = row.key(&self.key_ordinals);
+        hpd_obs::global().counter("columnstore.delta.insert").inc();
         self.delta.insert(key, row, pool, tracker);
         self.delta_writes.fetch_add(1, Ordering::Relaxed);
         let cap = self.config.rowgroup_capacity.max(1);
@@ -74,7 +75,7 @@ impl ColumnStoreIndex {
         pool: &BufferPool,
         tracker: &IoTracker,
     ) -> Option<Row> {
-        if let Some(row) = self.delta.delete_by_key(key, pool, tracker) {
+        if let Some(row) = (self.delta).delete_first_where(key, |_| true, pool, tracker) {
             return Some(row);
         }
         if self.kind == CsiKind::Secondary {

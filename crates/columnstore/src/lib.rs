@@ -28,7 +28,6 @@
 //!   [`cache::SegmentCache`] reuses decoded segments across scans.
 
 pub mod cache;
-pub mod delta;
 pub mod encoding;
 pub mod index;
 pub mod kernels;
@@ -36,7 +35,6 @@ pub mod rowgroup;
 pub mod segment;
 
 pub use cache::SegmentCache;
-pub use delta::DeltaStore;
 pub use encoding::{encode_i64s, EncodedInts, IntEncoding, FOR_DELTA_FRAME, RLE_RUN_BYTES};
 pub use index::{
     ColumnStoreIndex, CsiBuilder, CsiConfig, CsiHeatReport, CsiKind, CsiMaintenanceStep, CsiScan,

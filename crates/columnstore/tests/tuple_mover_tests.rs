@@ -605,3 +605,145 @@ fn compaction_resolves_composite_keys_of_either_leading_type() {
         assert_eq!(left, want, "key columns {key_ordinals:?}");
     }
 }
+
+/// A columnstore whose delta store never fills: every row inserted stays
+/// there.
+fn delta_only() -> (ColumnStoreIndex, BufferPool, IoTracker) {
+    let pool = BufferPool::unbounded(DeviceProfile::ram());
+    let t = IoTracker::new();
+    let config = CsiConfig {
+        rowgroup_capacity: 1 << 20,
+        ..CsiConfig::default()
+    };
+    let alloc = StorageAllocator::new();
+    let idx = ColumnStoreIndex::build(
+        schema2(),
+        CsiKind::Primary,
+        vec![0],
+        config,
+        &[],
+        alloc,
+        &pool,
+        &t,
+    );
+    (idx, pool, t)
+}
+
+/// The delta store is keyed on the row key: its rows scan in key order,
+/// whatever order they arrived in.
+#[test]
+fn delta_rows_scan_in_key_order() {
+    let (mut idx, pool, t) = delta_only();
+    for i in [5, 3, 9] {
+        idx.insert(row(i), &pool, &t);
+    }
+    let batches = idx.scan_collect(&[0], &HashMap::new(), &pool, &t);
+    let ids: Vec<Value> = (0..3).map(|i| batches[0].column(0).value(i)).collect();
+    assert_eq!(ids, [3, 5, 9].map(Value::Int32));
+}
+
+/// A delete of a delta row takes exactly the row with its key, and a key
+/// no row has deletes nothing.
+#[test]
+fn a_delta_row_is_deleted_by_its_key_alone() {
+    let (mut idx, pool, t) = delta_only();
+    for i in 1..=3 {
+        idx.insert(row(i), &pool, &t);
+    }
+    let two = Key::single(Value::Int32(2));
+    assert_eq!(idx.delete_returning(&two, &pool, &t), Some(row(2)));
+    assert_eq!(idx.delta_rows(), 2);
+    let absent = Key::single(Value::Int32(42));
+    assert_eq!(idx.delete_returning(&absent, &pool, &t), None);
+    assert_eq!(visible_ids(&idx, &pool), [1, 3]);
+}
+
+/// A move takes the delta's smallest keys first: a budget of three moves
+/// keys 0, 2 and 5 of 9, 0, 5, 7, 2 into a row group, and the next move
+/// the rest.
+#[test]
+fn moves_take_the_smallest_delta_keys_first() {
+    let (mut idx, pool, t) = delta_only();
+    for i in [9, 0, 5, 7, 2] {
+        idx.insert(row(i), &pool, &t);
+    }
+    assert_eq!(idx.maintenance_step(3, &pool, &t).rows_moved, 3);
+    let first = idx.rowgroup(0);
+    assert_eq!(first.rows(), 3);
+    let (min, max) = (first.segment(0).min(), first.segment(0).max());
+    assert_eq!((min, max), (&Value::Int32(0), &Value::Int32(5)));
+    assert_eq!(idx.delta_rows(), 2);
+    assert_eq!(idx.maintenance_full(&pool, &t).rows_moved, 2);
+    assert_eq!(idx.delta_rows(), 0);
+    assert_eq!(visible_ids(&idx, &pool), [0, 2, 5, 7, 9]);
+}
+
+/// A delete in a 10 000-row delta is a B+ tree seek, not a scan of it.
+#[test]
+fn a_delta_delete_reads_a_few_pages() {
+    let (mut idx, pool, t) = delta_only();
+    for i in 0..10_000 {
+        idx.insert(row(i), &pool, &t);
+    }
+    let probe = IoTracker::new();
+    let key = Key::single(Value::Int32(5_000));
+    assert_eq!(idx.delete_returning(&key, &pool, &probe), Some(row(5_000)));
+    let reads = probe.snapshot().logical_reads;
+    assert!(reads < 20, "a delta delete read {reads} pages");
+}
+
+/// A move frees the delta leaves it empties. After three inserts of
+/// 65 636 rows into a columnstore of 65 536-row groups, each of which
+/// moves a full chunk and leaves 100 rows behind, a scan of the 300 rows
+/// left in the delta reads a few pages; with every emptied leaf kept in
+/// the chain it read 61, 124 and 187 after the first, second and third.
+#[test]
+fn a_delta_scan_after_moves_reads_only_its_rows_leaves() {
+    const ROWGROUP: usize = 65_536;
+    let pool = BufferPool::unbounded(DeviceProfile::ram());
+    let t = IoTracker::new();
+    let config = CsiConfig {
+        rowgroup_capacity: ROWGROUP,
+        ..CsiConfig::default()
+    };
+    let (schema, alloc) = (schema2(), StorageAllocator::new());
+    let mut idx = ColumnStoreIndex::build(
+        schema,
+        CsiKind::Primary,
+        vec![0],
+        config,
+        &[],
+        alloc,
+        &pool,
+        &t,
+    );
+    let mut next = 0;
+    for moves in 1..=3 {
+        for _ in 0..ROWGROUP + 100 {
+            idx.insert(row(next), &pool, &t);
+            next += 1;
+        }
+        assert_eq!(
+            (idx.num_rowgroups(), idx.delta_rows()),
+            (moves, 100 * moves)
+        );
+        let scan_t = IoTracker::new();
+        let mut scan = idx.scan_rowgroups(
+            Vec::new(),
+            vec![0],
+            HashMap::new(),
+            true,
+            Default::default(),
+        );
+        let mut rows = 0;
+        while let Some(batch) = scan.next_batch(&pool, &scan_t) {
+            rows += batch.num_rows();
+        }
+        assert_eq!(rows, 100 * moves);
+        let reads = scan_t.snapshot().logical_reads;
+        assert!(
+            reads <= 4,
+            "after {moves} moves a delta scan read {reads} pages"
+        );
+    }
+}

@@ -206,6 +206,25 @@ impl ColumnVector {
     }
 }
 
+/// Append the values of one encoded row ([`crate::codec`]: a B+ tree
+/// entry's payload, as it lies in its leaf) to `columns`, one each, in
+/// place: the row must hold one value a column, of its column's type.
+/// How entries become column batches — a B+ tree scan's, an index lookup
+/// join's, the tuple mover's — with no `Row` between.
+pub fn push_encoded_row(columns: &mut [ColumnVector], row: &[u8]) -> Result<()> {
+    let mut values = crate::codec::values(row);
+    for col in columns.iter_mut() {
+        match values.next() {
+            Some(v) => col.push_ref(v)?,
+            None => return Err(HpdError::Internal("encoded row too short".into())),
+        }
+    }
+    match values.next() {
+        None => Ok(()),
+        Some(_) => Err(HpdError::Internal("encoded row too long".into())),
+    }
+}
+
 /// A set of equal-length column vectors: the unit of batch-mode execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {

@@ -128,8 +128,9 @@ pub mod sites {
     pub const TUPLE_MOVE_DEFER: &str = "columnstore.tuple_move.defer";
     /// Secondary-CSI delete buffer compacts regardless of threshold.
     pub const DELETE_BUFFER_COMPACT: &str = "columnstore.delete_buffer.force_compact";
-    /// `DeltaStore::drain` hands back fewer rows than asked (interrupted
-    /// mover; callers must loop, not assume one drain empties the delta).
+    /// The tuple mover's drain of the delta (`BTree::drain_front`) asks
+    /// for half its chunk (an interrupted mover; it must loop, not assume
+    /// one drain empties the delta).
     pub const DELTA_DRAIN_PARTIAL: &str = "columnstore.delta.drain_partial";
     /// A budgeted maintenance increment runs with half its row budget, as
     /// if the scheduler preempted the incremental mover mid-slice. The

@@ -30,7 +30,7 @@ pub mod types;
 
 pub use agg::AggFunc;
 pub use arcstr::ArcStr;
-pub use batch::{Batch, ColumnVector};
+pub use batch::{push_encoded_row, Batch, ColumnVector};
 pub use bitmap::SelBitmap;
 pub use codec::ValueRef;
 pub use design::IndexDescriptor;

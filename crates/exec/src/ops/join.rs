@@ -4,7 +4,7 @@
 use std::ops::Bound;
 
 use hpd_btree::BTree;
-use hpd_common::{codec, Batch, ColumnVector, DataType, HpdError, Key, Result, Value};
+use hpd_common::{push_encoded_row, Batch, ColumnVector, DataType, HpdError, Key, Result, Value};
 
 use crate::ctx::ExecCtx;
 use crate::memory::MemoryGrant;
@@ -343,21 +343,6 @@ impl<'a> IndexLookupJoinOp<'a> {
     }
 }
 
-/// Append the encoded values of one index payload to `columns`, one each.
-fn push_payload(columns: &mut [ColumnVector], payload: &[u8]) -> Result<()> {
-    let mut values = codec::values(payload);
-    for col in columns.iter_mut() {
-        match values.next() {
-            Some(v) => col.push_ref(v)?,
-            None => return Err(HpdError::Internal("index payload too short".into())),
-        }
-    }
-    match values.next() {
-        None => Ok(()),
-        Some(_) => Err(HpdError::Internal("index payload too long".into())),
-    }
-}
-
 impl Operator for IndexLookupJoinOp<'_> {
     fn out_types(&self) -> Vec<DataType> {
         self.types.clone()
@@ -389,7 +374,7 @@ impl Operator for IndexLookupJoinOp<'_> {
                     &ctx.tracker,
                     |entry| {
                         outer_idx.push(i);
-                        if let Err(e) = push_payload(&mut payload, entry.payload) {
+                        if let Err(e) = push_encoded_row(&mut payload, entry.payload) {
                             failed.get_or_insert(e);
                         }
                     },

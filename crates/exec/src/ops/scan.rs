@@ -6,7 +6,7 @@ use std::ops::Bound;
 
 use hpd_btree::{BTree, Cursor};
 use hpd_columnstore::{ColumnStoreIndex, CsiScan, SharedProbe};
-use hpd_common::{Batch, DataType, Interval, Key, Result, Row};
+use hpd_common::{push_encoded_row, Batch, ColumnVector, DataType, Interval, Key, Result, Row};
 use hpd_storage::Work;
 
 use crate::ctx::ExecCtx;
@@ -53,8 +53,8 @@ pub struct BTreeRangeScanOp<'a> {
     types: Vec<DataType>,
     lo: Bound<Key>,
     hi: Bound<Key>,
+    /// Where the scan goes on, once it has begun.
     cursor: Option<Cursor>,
-    done: bool,
 }
 
 impl<'a> BTreeRangeScanOp<'a> {
@@ -70,7 +70,6 @@ impl<'a> BTreeRangeScanOp<'a> {
             lo,
             hi,
             cursor: None,
-            done: false,
         }
     }
 
@@ -86,37 +85,29 @@ impl Operator for BTreeRangeScanOp<'_> {
     }
 
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if self.done {
+        let cursor = self.cursor.get_or_insert_with(|| {
+            ctx.tracker.count(Work::ScanLanes, 1);
+            (self.tree).cursor_seek(bound_ref(&self.lo), ctx.pool, &ctx.tracker)
+        });
+        if cursor.is_exhausted() {
             return Ok(None);
         }
-        if self.cursor.is_none() {
-            ctx.tracker.count(Work::ScanLanes, 1);
-            self.cursor = Some(
-                self.tree
-                    .cursor_seek(bound_ref(&self.lo), ctx.pool, &ctx.tracker),
-            );
+        let mut columns: Vec<ColumnVector> = (self.types.iter())
+            .map(|&t| ColumnVector::with_capacity(t, ROW_MODE_BATCH))
+            .collect();
+        let (mut rows, mut failed) = (0, None);
+        let hi = bound_ref(&self.hi);
+        (self.tree).cursor_walk(cursor, hi, ROW_MODE_BATCH, ctx.pool, &ctx.tracker, |e| {
+            rows += 1;
+            if let Err(e) = push_encoded_row(&mut columns, e.payload) {
+                failed.get_or_insert(e);
+            }
+        });
+        if let Some(e) = failed {
+            return Err(e);
         }
-        let cursor = self.cursor.as_mut().expect("cursor initialized above");
-        let mut rows: Vec<Row> = Vec::with_capacity(ROW_MODE_BATCH);
-        let exhausted = self.tree.cursor_fill_rows(
-            cursor,
-            bound_ref(&self.hi),
-            ROW_MODE_BATCH,
-            &mut rows,
-            ctx.pool,
-            &ctx.tracker,
-        );
-        if exhausted {
-            self.done = true;
-        }
-        if rows.is_empty() {
-            return Ok(if exhausted {
-                None
-            } else {
-                Some(Batch::empty(&self.types))
-            });
-        }
-        Ok(Some(Batch::from_rows(&self.types, &rows)?))
+        // A walk that stops short of its end has filled the batch.
+        Ok((rows > 0).then(|| Batch::new(columns)))
     }
 }
 
